@@ -17,11 +17,7 @@
 // rows, and reinitialized per row in O(entries) time rather than O(size).
 package accum
 
-import (
-	"slices"
-
-	"repro/internal/semiring"
-)
+import "repro/internal/semiring"
 
 const emptyKey = int32(-1)
 
@@ -59,6 +55,7 @@ type HashTableG[V semiring.Value] struct {
 	// SpGEMM presizes tables from the flop upper bound and never grows;
 	// the two-level (Kokkos-style) accumulator uses a growing second level.
 	grow bool
+	rank ranker // sorted-extraction scratch (rank.go)
 }
 
 // HashTable is the float64 instantiation — the historic type of this package.
@@ -297,14 +294,13 @@ func (h *HashTableG[V]) ExtractUnsorted(cols []int32, vals []V) int {
 }
 
 // ExtractSorted writes the (key, value) pairs in increasing key order — the
-// sorting step the paper shows algorithms can skip when unsorted output is
-// acceptable.
+// step the paper shows algorithms can skip when unsorted output is
+// acceptable. Rows past rankMinN entries are ranked in linear time (rank.go);
+// short or thinly spread rows take the comparison sort.
 //
 //spgemm:hotpath
 func (h *HashTableG[V]) ExtractSorted(cols []int32, vals []V) int {
-	n := h.ExtractUnsorted(cols, vals)
-	sortPairs(cols[:n], vals[:n])
-	return n
+	return extractSortedSlots(&h.rank, h.keys, h.vals, h.used, cols, vals)
 }
 
 // ExtractKeysSorted writes just the keys, sorted; used by symbolic-phase
@@ -323,14 +319,14 @@ func (h *HashTableG[V]) ExtractKeysSorted(cols []int32) int {
 	for i, s := range used {
 		cols[i] = keys[int(s)&mask]
 	}
-	slices.Sort(cols)
+	h.rank.sortKeys(cols)
 	return n
 }
 
 // sortPairs sorts cols ascending carrying vals along: insertion sort for
-// short rows, median-of-three quicksort above. A dedicated dual-array sort
-// avoids the interface-call overhead of sort.Sort in what is the hot path of
-// every sorted-output extraction (the cost the paper's unsorted mode skips).
+// short rows, median-of-three quicksort above. It is the fallback of the
+// ranked extraction (rows the window rule of rank.go turns away) and the
+// sort of kernels whose keys repeat (ESC's expansion).
 //
 //spgemm:hotpath
 func sortPairs[V semiring.Value](cols []int32, vals []V) {

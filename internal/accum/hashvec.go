@@ -24,6 +24,7 @@ type HashVecTableG[V semiring.Value] struct {
 	shift     uint32 // log2(width)
 	probes    int64  // chunk-granularity probe steps beyond the first
 	lookups   int64
+	rank      ranker // sorted-extraction scratch (rank.go)
 }
 
 // HashVecTable is the float64 instantiation.
@@ -215,9 +216,7 @@ func (h *HashVecTableG[V]) ExtractUnsorted(cols []int32, vals []V) int {
 //
 //spgemm:hotpath
 func (h *HashVecTableG[V]) ExtractSorted(cols []int32, vals []V) int {
-	n := h.ExtractUnsorted(cols, vals)
-	sortPairs(cols[:n], vals[:n])
-	return n
+	return extractSortedSlots(&h.rank, h.keys, h.vals, h.used, cols, vals)
 }
 
 // ResetCounters zeroes the cumulative probe/lookup counters without touching

@@ -1,10 +1,6 @@
 package accum
 
-import (
-	"slices"
-
-	"repro/internal/semiring"
-)
+import "repro/internal/semiring"
 
 // SPAG is Gilbert/Moler/Schreiber's sparse accumulator: a dense value array
 // indexed directly by column, a dense occupancy mark, and a list of occupied
@@ -20,6 +16,7 @@ type SPAG[V semiring.Value] struct {
 	stamp []uint32
 	gen   uint32
 	idx   []int32 // occupied columns in insertion order
+	rank  ranker  // sorted-extraction scratch (rank.go)
 }
 
 // SPA is the float64 instantiation.
@@ -129,7 +126,7 @@ func (s *SPAG[V]) ExtractSorted(cols []int32, vals []V) int {
 	cols = cols[:n]
 	vals = vals[:n]
 	copy(cols, s.idx)
-	slices.Sort(cols)
+	s.rank.sortKeys(cols)
 	for i, col := range cols {
 		vals[i] = s.vals[col]
 	}
@@ -164,7 +161,7 @@ func (s *SPAG[V]) ExtractSortedBias(cols []int32, vals []V, bias int32) int {
 	cols = cols[:n]
 	vals = vals[:n]
 	copy(cols, s.idx)
-	slices.Sort(cols)
+	s.rank.sortKeys(cols)
 	for i, col := range cols {
 		vals[i] = s.vals[col]
 		cols[i] = col + bias

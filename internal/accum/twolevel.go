@@ -191,6 +191,18 @@ func (t *TwoLevelHashG[V]) ExtractUnsorted(cols []int32, vals []V) int {
 //spgemm:hotpath
 func (t *TwoLevelHashG[V]) ExtractSorted(cols []int32, vals []V) int {
 	n := t.ExtractUnsorted(cols, vals)
-	sortPairs(cols[:n], vals[:n])
+	cols, vals = cols[:n], vals[:n]
+	// One window over both levels' keys (level 2's scratch serves), then
+	// each level places its own slots.
+	r := &t.l2.rank
+	if !r.window(cols) {
+		sortPairs(cols, vals)
+		return n
+	}
+	r.mark(cols)
+	r.prefixSum()
+	placeSlots(r, t.l1Keys, t.l1Vals, t.l1Used, cols, vals)
+	placeSlots(r, t.l2.keys, t.l2.vals, t.l2.used, cols, vals)
+	r.clear(cols)
 	return n
 }

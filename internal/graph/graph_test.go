@@ -104,6 +104,37 @@ func TestCountTrianglesMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestCountFromLUAutoFusesMask: AlgAuto is resolved before the fused-mask
+// decision, so when the recipe picks hash the call is the same call as a
+// named AlgHash — same count, same kernel, same accumulator work (the
+// unmasked product would skip the mask's lookups).
+func TestCountFromLUAutoFusesMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	g := gen.RMAT(9, 16, gen.G500Params, rng)
+	res, err := PrepareTriangles(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hashStats, autoStats spgemm.ExecStats
+	want, err := CountFromLU(res.L, res.U, &spgemm.Options{Algorithm: spgemm.AlgHash, Stats: &hashStats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CountFromLU(res.L, res.U, &spgemm.Options{Algorithm: spgemm.AlgAuto, Stats: &autoStats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("auto counted %d triangles, hash %d", got, want)
+	}
+	if autoStats.Algorithm != spgemm.AlgHash || hashStats.Algorithm != spgemm.AlgHash {
+		t.Errorf("ExecStats.Algorithm: auto ran %v, hash ran %v, want hash for both", autoStats.Algorithm, hashStats.Algorithm)
+	}
+	if a, h := autoStats.TotalWorker().HashLookups, hashStats.TotalWorker().HashLookups; a != h {
+		t.Errorf("auto did %d hash lookups, hash %d: mask not fused", a, h)
+	}
+}
+
 func TestPrepareTrianglesProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(302))
 	g := gen.RMAT(7, 4, gen.G500Params, rng)

@@ -68,6 +68,8 @@ func CountTriangles(adj *matrix.CSR, opt *spgemm.Options) (*TriangleResult, erro
 // CountFromLU computes the number of triangles given the triangular split:
 // triangles = Σ ((L·U) .* L). With a hash-family algorithm the mask is
 // fused into the SpGEMM; otherwise the product is formed and filtered.
+// AlgAuto is resolved here, through the recipe's L·U row, before that choice
+// is made, so an auto-selected hash kernel fuses the mask too.
 //
 // The product runs over int64 with the monomorphized plus-times ring:
 // wedge counts are integers, so summing them in int64 is exact at any
@@ -87,14 +89,18 @@ func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 	}
 	li := matrix.MapValues(l, toCount)
 	ui := matrix.MapValues(u, toCount)
+	alg := opt.Algorithm
+	if alg == spgemm.AlgAuto {
+		alg = spgemm.Recommend(li, ui, !opt.Unsorted, spgemm.UseTriangle)
+	}
 	inner := spgemm.OptionsG[int64]{
-		Algorithm: opt.Algorithm,
+		Algorithm: alg,
 		Workers:   opt.Workers,
 		Unsorted:  opt.Unsorted,
 		UseCase:   spgemm.UseTriangle,
 		Stats:     opt.Stats,
 	}
-	useMask := inner.Algorithm == spgemm.AlgHash || inner.Algorithm == spgemm.AlgHashVec
+	useMask := alg == spgemm.AlgHash || alg == spgemm.AlgHashVec
 	if useMask {
 		inner.Mask = li
 	}

@@ -109,51 +109,55 @@ func shardedRecommended[V semiring.Value](a, b *matrix.CSRG[V]) bool {
 	return float64(totalFlop)/cr*per >= float64(limit)
 }
 
-// recommendTable4 is the unconstrained Table 4 lookup.
+// recipeSampleRows bounds the recipe's compression-ratio estimate by work:
+// the symbolic phase of at most this many stride-sampled rows, whatever the
+// matrix size. The cells below only ask which side of 2 the ratio falls.
+const recipeSampleRows = 64
+
+// recommendTable4 is the unconstrained Table 4 lookup. Two departures from
+// the paper's table: the skewed dense square cell goes to AlgTiled when heavy
+// rows are present, and the two cells the paper gives to HashVector go to
+// Hash — without vector compare instructions the chunked probe loses to
+// linear probing in every cell this repository has measured (EXPERIMENTS.md),
+// so AlgHashVec is reachable by name only.
 func recommendTable4[V semiring.Value](a, b *matrix.CSRG[V], sorted bool, uc UseCase) Algorithm {
-	ef := a.AvgRowNNZ()
-	cr := EstimateCompressionRatio(a, b, 1000)
-	skewed := IsSkewed(a)
+	// The compression ratio costs a sampled symbolic phase, so only the
+	// cells that branch on it pay for it.
+	lowCR := func() bool { return EstimateCompressionRatio(a, b, recipeSampleRows) <= 2 }
 
 	switch uc {
 	case UseTallSkinny:
-		// Table 4(b): TallSkinny row — Hash everywhere except the
-		// sorted+dense+skewed cell, where HashVector wins.
-		if sorted && ef > 8 && skewed {
-			return AlgHashVec
-		}
+		// Table 4(b): TallSkinny row.
 		return AlgHash
 	case UseTriangle:
 		// Table 4(a): LxU sorted — Heap at low compression ratio, Hash at
 		// high. The paper only tabulates the sorted case; for unsorted
 		// requests Hash applies (Heap cannot skip sorting anyway).
-		if sorted && cr <= 2 {
+		if sorted && lowCR() {
 			return AlgHeap
 		}
 		return AlgHash
 	default: // UseSquare
-		if skewed {
+		ef := a.AvgRowNNZ()
+		if IsSkewed(a) {
 			// Table 4(b) synthetic skewed columns. The dense+skewed cell is
 			// where heavy rows overflow a cache-resident accumulator — the
 			// hash kernel's pain case — so when the heavy-row detector fires
 			// the post-paper tiled mode takes over; otherwise the paper's
 			// Hash pick stands.
-			if ef > 8 {
-				if HasHeavyRows(a, b) {
-					return AlgTiled
-				}
-				return AlgHash
+			if ef > 8 && HasHeavyRows(a, b) {
+				return AlgTiled
 			}
-			if sorted {
+			if ef <= 8 && sorted {
 				return AlgHeap
 			}
-			return AlgHashVec
+			return AlgHash
 		}
 		// Uniform/real data: Table 4(a) by compression ratio.
-		if !sorted && cr > 2 {
+		if !sorted && !lowCR() {
 			return AlgMKLInspector
 		}
-		if sorted && ef <= 8 && cr <= 2 {
+		if sorted && ef <= 8 && lowCR() {
 			return AlgHeap
 		}
 		return AlgHash

@@ -109,6 +109,49 @@ func TestRecommendCoversTable4(t *testing.T) {
 	}
 }
 
+// TestRecommendNeverReturnsHashVec: the two Table 4 cells the paper gives to
+// HashVector (tall-skinny sorted dense skewed, square unsorted sparse skewed)
+// resolve to Hash, and no other cell reaches the chunked kernel either.
+func TestRecommendNeverReturnsHashVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(128))
+	skewed := func(heavyDeg int) *matrix.CSR {
+		c := matrix.NewCOO(500, 500)
+		for i := 0; i < 500; i++ {
+			deg := 1
+			if i < 20 {
+				deg = heavyDeg
+			}
+			for j := 0; j < deg; j++ {
+				c.Append(int32(i), int32(rng.Intn(500)), 1)
+			}
+		}
+		return c.ToCSR()
+	}
+	denseSkewed, sparseSkewed := skewed(400), skewed(60)
+	if !IsSkewed(denseSkewed) || denseSkewed.AvgRowNNZ() <= 8 {
+		t.Fatal("fixture: dense skewed matrix is not dense and skewed")
+	}
+	if !IsSkewed(sparseSkewed) || sparseSkewed.AvgRowNNZ() > 8 {
+		t.Fatal("fixture: sparse skewed matrix is not sparse and skewed")
+	}
+	if alg := Recommend(denseSkewed, denseSkewed, true, UseTallSkinny); alg != AlgHash {
+		t.Errorf("tall-skinny sorted dense skewed: %v, want hash", alg)
+	}
+	if alg := Recommend(sparseSkewed, sparseSkewed, false, UseSquare); alg != AlgHash {
+		t.Errorf("square unsorted sparse skewed: %v, want hash", alg)
+	}
+	uniform := matrix.RandomWithDegree(300, 300, 16, rng)
+	for _, m := range []*matrix.CSR{denseSkewed, sparseSkewed, uniform, bandedMatrix(400, 24)} {
+		for _, uc := range []UseCase{UseSquare, UseTallSkinny, UseTriangle} {
+			for _, sorted := range []bool{true, false} {
+				if alg := Recommend(m, m, sorted, uc); alg == AlgHashVec {
+					t.Errorf("Recommend(%v, sorted=%v) = hashvec", uc, sorted)
+				}
+			}
+		}
+	}
+}
+
 // bandedMatrix builds a dense band: row i has entries in columns
 // [i-w/2, i+w/2] — a regular pattern with high compression ratio, like the
 // paper's FEM matrices.
