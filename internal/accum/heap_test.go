@@ -182,7 +182,7 @@ func TestSPAGenerationWraparound(t *testing.T) {
 	s := NewSPA(10)
 	plusAcc(s, 3, 7)
 	// Force the generation counter to the wrap point.
-	s.gen = ^uint32(0)
+	s.marks.gen = ^uint32(0)
 	s.Reset() // wraps to 1 after clearing stamps
 	if _, ok := s.Lookup(3); ok {
 		t.Fatal("entry survived generation wraparound")

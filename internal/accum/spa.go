@@ -8,13 +8,12 @@ import "repro/internal/semiring"
 // collisions ever — at the cost of O(n) space per thread, which is the
 // trade-off the paper's Section 4.2.3 cites against hash and heap.
 //
-// Occupancy uses generation stamps so a per-row reset is O(1): bumping the
+// Occupancy is a StampSet, so a per-row reset is O(1): bumping the
 // generation invalidates all marks at once. Only the index list is walked
 // during extraction.
 type SPAG[V semiring.Value] struct {
 	vals  []V
-	stamp []uint32
-	gen   uint32
+	marks StampSet
 	idx   []int32 // occupied columns in insertion order
 	rank  ranker  // sorted-extraction scratch (rank.go)
 }
@@ -29,8 +28,7 @@ func NewSPA(ncols int) *SPA { return NewSPAG[float64](ncols) }
 func NewSPAG[V semiring.Value](ncols int) *SPAG[V] {
 	return &SPAG[V]{
 		vals:  make([]V, ncols),
-		stamp: make([]uint32, ncols),
-		gen:   1,
+		marks: StampSet{stamp: make([]uint32, ncols), gen: 1},
 		idx:   make([]int32, 0, 256),
 	}
 }
@@ -40,8 +38,7 @@ func NewSPAG[V semiring.Value](ncols int) *SPAG[V] {
 func (s *SPAG[V]) Reserve(ncols int) {
 	if len(s.vals) < ncols {
 		s.vals = make([]V, ncols)
-		s.stamp = make([]uint32, ncols)
-		s.gen = 1
+		s.marks.Reserve(ncols)
 	}
 }
 
@@ -51,13 +48,7 @@ func (s *SPAG[V]) Reserve(ncols int) {
 //spgemm:hotpath
 func (s *SPAG[V]) Reset() {
 	s.idx = s.idx[:0]
-	s.gen++
-	if s.gen == 0 { // wrapped: all stamps are stale-but-matching; clear them
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.gen = 1
-	}
+	s.marks.Clear()
 }
 
 // Len returns the number of distinct columns accumulated this row.
@@ -67,10 +58,9 @@ func (s *SPAG[V]) Len() int { return len(s.idx) }
 //
 //spgemm:hotpath
 func (s *SPAG[V]) InsertSymbolic(col int32) bool {
-	if s.stamp[col] == s.gen {
+	if !s.marks.Mark(col) {
 		return false
 	}
-	s.stamp[col] = s.gen
 	s.idx = append(s.idx, col)
 	return true
 }
@@ -81,10 +71,9 @@ func (s *SPAG[V]) InsertSymbolic(col int32) bool {
 //
 //spgemm:hotpath
 func (s *SPAG[V]) Upsert(col int32) (*V, bool) {
-	if s.stamp[col] == s.gen {
+	if !s.marks.Mark(col) {
 		return &s.vals[col], false
 	}
-	s.stamp[col] = s.gen
 	s.idx = append(s.idx, col)
 	return &s.vals[col], true
 }
@@ -93,7 +82,7 @@ func (s *SPAG[V]) Upsert(col int32) (*V, bool) {
 //
 //spgemm:hotpath
 func (s *SPAG[V]) Lookup(col int32) (V, bool) {
-	if s.stamp[col] == s.gen {
+	if s.marks.Has(col) {
 		return s.vals[col], true
 	}
 	var zero V

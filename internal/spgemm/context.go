@@ -9,14 +9,17 @@ import (
 )
 
 // ContextG is the reusable execution state of the SpGEMM kernels: the
-// per-worker accumulators (hash tables, chunked hash tables, merge heaps),
-// the per-worker temp buffers of the one-phase kernels, and the per-row
-// bookkeeping arrays (flop counts, row sizes, partition offsets, prefix-sum
-// scratch). All of it grows monotonically and is reused across Multiply
-// calls, so iterative workloads — MCL's repeated M·M, multi-source BFS
-// frontiers, label propagation, betweenness — pay the paper's Section 3.2
-// memory-management bill once instead of every call. After warm-up, a hash
-// SpGEMM through a Context allocates only the output matrix.
+// per-worker accumulators (hash tables, chunked hash tables, merge heaps,
+// symbolic stamp sets), the per-worker temp buffers of the one-phase kernels,
+// and the per-row bookkeeping arrays (flop counts, row sizes, partition
+// offsets, prefix-sum scratch). All of it grows monotonically and is reused
+// across Multiply calls, so iterative workloads — MCL's repeated M·M,
+// multi-source BFS frontiers, label propagation, betweenness — pay the
+// paper's Section 3.2 memory-management bill once instead of every call.
+// After warm-up, a hash SpGEMM through a Context allocates only the output
+// matrix. The price is what the Context retains: besides tables sized by the
+// widest row, up to 4·Cols bytes of symbolic stamps per worker (see
+// rowCounter).
 //
 // A Context is specific to one value type V: its accumulators and value
 // scratch hold V entries. The ring used for a given call is independent —
@@ -43,6 +46,7 @@ type ContextG[V semiring.Value] struct {
 	hashVec []*accum.HashVecTableG[V]
 	heaps   []*accum.MergeHeapG[V]
 	spa     []*accum.SPAG[V]
+	stamps  []*accum.StampSet
 	scratch *mempool.Pool
 
 	// Per-worker value scratch (the V-typed counterpart of the index buffers
@@ -191,38 +195,25 @@ func (c *ContextG[V]) rowNnzBuf(rows int) []int64 {
 	return c.rowNnz
 }
 
+// growTo returns s extended to at least n slots, keeping its contents.
+func growTo[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	grown := make([]T, n)
+	copy(grown, s)
+	return grown
+}
+
 // ensureWorkers grows the per-worker accumulator slices to at least n slots.
 func (c *ContextG[V]) ensureWorkers(n int) {
-	if n > len(c.hash) {
-		grown := make([]*accum.HashTableG[V], n)
-		copy(grown, c.hash)
-		c.hash = grown
-	}
-	if n > len(c.hashVec) {
-		grown := make([]*accum.HashVecTableG[V], n)
-		copy(grown, c.hashVec)
-		c.hashVec = grown
-	}
-	if n > len(c.heaps) {
-		grown := make([]*accum.MergeHeapG[V], n)
-		copy(grown, c.heaps)
-		c.heaps = grown
-	}
-	if n > len(c.spa) {
-		grown := make([]*accum.SPAG[V], n)
-		copy(grown, c.spa)
-		c.spa = grown
-	}
-	if n > len(c.valA) {
-		grown := make([][]V, n)
-		copy(grown, c.valA)
-		c.valA = grown
-	}
-	if n > len(c.valB) {
-		grown := make([][]V, n)
-		copy(grown, c.valB)
-		c.valB = grown
-	}
+	c.hash = growTo(c.hash, n)
+	c.hashVec = growTo(c.hashVec, n)
+	c.heaps = growTo(c.heaps, n)
+	c.spa = growTo(c.spa, n)
+	c.stamps = growTo(c.stamps, n)
+	c.valA = growTo(c.valA, n)
+	c.valB = growTo(c.valB, n)
 	if c.scratch == nil {
 		c.scratch = mempool.NewPool(n)
 	} else {
@@ -327,6 +318,22 @@ func (c *ContextG[V]) spaTable(w, ncols int) *accum.SPAG[V] {
 	mCtxReuse.Inc()
 	s.Reserve(ncols)
 	s.Reset()
+	return s
+}
+
+// stampSet returns worker w's symbolic stamp set covering ncols columns
+// (contents undefined; callers Clear per row). ensureWorkers(>w) must have
+// been called.
+func (c *ContextG[V]) stampSet(w, ncols int) *accum.StampSet {
+	s := c.stamps[w]
+	if s == nil {
+		mCtxAlloc.Inc()
+		s = accum.NewStampSet(ncols)
+		c.stamps[w] = s
+		return s
+	}
+	mCtxReuse.Inc()
+	s.Reserve(ncols)
 	return s
 }
 

@@ -145,6 +145,19 @@ func Cases(rng *rand.Rand) []Case {
 	// Sparse rectangular with interleaved empty rows.
 	cases = append(cases, Case{Name: "ragged-rect", A: randomCSR(rng, 31, 17, 40), B: randomCSR(rng, 17, 23, 30)})
 
+	// The whole-row hash kernel's two row decisions, each on both sides. A
+	// permutation matrix times ER has compression ratio 1: no output row
+	// repeats a column, so every unsorted row is written by concatenation. A
+	// thin ER square mixes such rows with rows that do repeat a column. Both
+	// count symbolic with stamps (Cols <= flop); the wide product, whose
+	// column space dwarfs its flop, keeps the hash table there.
+	thin := gen.ER(7, 2, rng)
+	cases = append(cases,
+		Case{Name: "perm-times-er", A: matrix.Identity(er.Rows).PermuteRows(rng.Perm(er.Rows)), B: gen.Unsorted(er, rng)},
+		Case{Name: "er-mixed-duplicate-rows", A: thin, B: gen.Unsorted(thin, rng)},
+		Case{Name: "wide-hypersparse", A: randomCSR(rng, 16, 16, 24), B: randomCSR(rng, 16, 1<<14, 40)},
+	)
+
 	return cases
 }
 

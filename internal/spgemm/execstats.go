@@ -62,7 +62,9 @@ type WorkerStats struct {
 	Flop int64
 	// HashLookups counts insert/accumulate operations into a hash-family
 	// accumulator (each corresponds to one intermediate product or one
-	// symbolic insert).
+	// symbolic insert). Products the whole-row hash kernel handles without
+	// its table are counted by StampMarks and DirectFlop instead: for an
+	// unmasked AlgHash, HashLookups + StampMarks + DirectFlop == 2·Flop.
 	HashLookups int64
 	// HashProbes counts collision probe steps beyond the first slot/chunk;
 	// HashProbes/HashLookups is the mean collision factor of the paper's
@@ -73,6 +75,12 @@ type WorkerStats struct {
 	// L2Overflows counts keys delegated to the level-2 table of the
 	// two-level (Kokkos-style) accumulator.
 	L2Overflows int64
+	// StampMarks counts symbolic products tested against generation stamps
+	// rather than inserted into a hash table.
+	StampMarks int64
+	// DirectFlop counts numeric products written straight to the output by
+	// concatenation, in rows symbolic proved free of repeated columns.
+	DirectFlop int64
 }
 
 func (w *WorkerStats) add(o WorkerStats) {
@@ -82,6 +90,8 @@ func (w *WorkerStats) add(o WorkerStats) {
 	w.HashProbes += o.HashProbes
 	w.HeapPushes += o.HeapPushes
 	w.L2Overflows += o.L2Overflows
+	w.StampMarks += o.StampMarks
+	w.DirectFlop += o.DirectFlop
 }
 
 // ExecStats collects per-phase wall times and per-worker counters for one
@@ -281,6 +291,9 @@ func (s *ExecStats) String() string {
 	if t.L2Overflows > 0 {
 		fmt.Fprintf(&b, " l2_overflows=%d", t.L2Overflows)
 	}
+	if t.StampMarks > 0 || t.DirectFlop > 0 {
+		fmt.Fprintf(&b, " stamp_marks=%d direct_flop=%d", t.StampMarks, t.DirectFlop)
+	}
 	if n := len(s.Stripes); n > 0 {
 		split, spilled := 0, 0
 		for i := range s.Stripes {
@@ -388,9 +401,6 @@ func statsSince(st *ExecStats, start time.Time) time.Duration {
 // rangeFlop sums flopRow over [lo, hi) — the per-worker Flop counter for
 // contiguous partitions.
 func rangeFlop(flopRow []int64, lo, hi int) int64 {
-	var f int64
-	for i := lo; i < hi; i++ {
-		f += flopRow[i]
-	}
-	return f
+	sum, _ := rangeFlopMax(flopRow, lo, hi)
+	return sum
 }

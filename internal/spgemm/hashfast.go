@@ -14,6 +14,9 @@ import (
 // measured position relative to the hand-written heap driver (which has no
 // interface in its inner loop either) is the headline result; routing them
 // through an interface would tax exactly the algorithms the paper optimizes.
+// The row loops themselves are not duplicated: both drivers share the
+// symbolic pass, and Hash its numeric pass, with every other whole-row hash
+// caller through hashrow.go.
 //
 // Since the drivers are generic over the ring type, the same specialized
 // code path serves every semiring, and the historic plus-times-only
@@ -47,31 +50,8 @@ func hashFast[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V]
 	pt.tick(PhasePartition)
 	rowNnz := ctx.rowNnzBuf(a.Rows)
 
-	// Symbolic phase.
 	ctx.runWorkers("symbolic", workers, func(w int) {
-		lo, hi := offsets[w], offsets[w+1]
-		if lo >= hi {
-			return
-		}
-		bound := int64(0)
-		for i := lo; i < hi; i++ {
-			if flopRow[i] > bound {
-				bound = flopRow[i]
-			}
-		}
-		table := ctx.hashTable(w, capBound(bound, b.Cols))
-		for i := lo; i < hi; i++ {
-			table.Reset()
-			alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-			for p := alo; p < ahi; p++ {
-				k := a.ColIdx[p]
-				blo, bhi := b.RowPtr[k], b.RowPtr[k+1]
-				for q := blo; q < bhi; q++ {
-					table.InsertSymbolic(b.ColIdx[q])
-				}
-			}
-			rowNnz[i] = int64(table.Len())
-		}
+		ctx.hashSymbolic(w, a, b, flopRow, offsets[w], offsets[w+1], rowNnz, pt.worker(w))
 	})
 	pt.tick(PhaseSymbolic)
 
@@ -79,49 +59,15 @@ func hashFast[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V]
 	c := outputShell[V](a.Rows, b.Cols, rowPtr, !opt.Unsorted)
 	pt.tick(PhaseAlloc)
 
-	// Numeric phase.
 	ctx.runWorkers("numeric", workers, func(w int) {
 		lo, hi := offsets[w], offsets[w+1]
-		if lo >= hi {
-			return
-		}
-		table := ctx.hash[w]
-		fa, fb, ftab, fastF64 := ptF64Hash(ring, a, b, table)
-		for i := lo; i < hi; i++ {
-			table.Reset()
-			if fastF64 {
-				hashRowNumericF64(ftab, fa, fb, i)
-			} else {
-				alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-				for p := alo; p < ahi; p++ {
-					k := a.ColIdx[p]
-					av := a.Val[p]
-					blo, bhi := b.RowPtr[k], b.RowPtr[k+1]
-					for q := blo; q < bhi; q++ {
-						prod := ring.Mul(av, b.Val[q])
-						slot, fresh := table.Upsert(b.ColIdx[q])
-						if fresh {
-							*slot = prod
-						} else {
-							*slot = ring.Add(*slot, prod)
-						}
-					}
-				}
-			}
-			start := c.RowPtr[i]
-			cols := c.ColIdx[start : start+rowNnz[i]]
-			vals := c.Val[start : start+rowNnz[i]]
-			if opt.Unsorted {
-				table.ExtractUnsorted(cols, vals)
-			} else {
-				table.ExtractSorted(cols, vals)
-			}
-		}
+		flop, max := rangeFlopMax(flopRow, lo, hi)
+		h := newHashNumeric(ring, ctx.hashTable(w, capBound(max, b.Cols)), a, b, c.ColIdx, c.Val, !opt.Unsorted)
+		h.rows(flopRow, c.RowPtr, lo, hi, 0)
 		if ws := pt.worker(w); ws != nil {
 			ws.Rows = int64(hi - lo)
-			ws.Flop = rangeFlop(flopRow, lo, hi)
-			ws.HashLookups = table.Lookups()
-			ws.HashProbes = table.Probes()
+			ws.Flop = flop
+			h.report(ws)
 		}
 	})
 	pt.tick(PhaseNumeric)
@@ -129,7 +75,10 @@ func hashFast[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V]
 	return c, nil
 }
 
-// hashVecFast is the unmasked HashVector SpGEMM over an arbitrary ring.
+// hashVecFast is the unmasked HashVector SpGEMM over an arbitrary ring. Its
+// symbolic phase is hashFast's — counting distinct columns does not depend
+// on the numeric accumulator — and its numeric phase probes the chunked
+// table.
 func hashVecFast[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
 	workers := opt.workers()
 	if workers > a.Rows && a.Rows > 0 {
@@ -147,29 +96,7 @@ func hashVecFast[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG
 	rowNnz := ctx.rowNnzBuf(a.Rows)
 
 	ctx.runWorkers("symbolic", workers, func(w int) {
-		lo, hi := offsets[w], offsets[w+1]
-		if lo >= hi {
-			return
-		}
-		bound := int64(0)
-		for i := lo; i < hi; i++ {
-			if flopRow[i] > bound {
-				bound = flopRow[i]
-			}
-		}
-		table := ctx.hashVecTable(w, capBound(bound, b.Cols))
-		for i := lo; i < hi; i++ {
-			table.Reset()
-			alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-			for p := alo; p < ahi; p++ {
-				k := a.ColIdx[p]
-				blo, bhi := b.RowPtr[k], b.RowPtr[k+1]
-				for q := blo; q < bhi; q++ {
-					table.InsertSymbolic(b.ColIdx[q])
-				}
-			}
-			rowNnz[i] = int64(table.Len())
-		}
+		ctx.hashSymbolic(w, a, b, flopRow, offsets[w], offsets[w+1], rowNnz, pt.worker(w))
 	})
 	pt.tick(PhaseSymbolic)
 
@@ -182,7 +109,8 @@ func hashVecFast[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG
 		if lo >= hi {
 			return
 		}
-		table := ctx.hashVec[w]
+		flop, max := rangeFlopMax(flopRow, lo, hi)
+		table := ctx.hashVecTable(w, capBound(max, b.Cols))
 		for i := lo; i < hi; i++ {
 			table.Reset()
 			alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
@@ -211,9 +139,9 @@ func hashVecFast[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG
 		}
 		if ws := pt.worker(w); ws != nil {
 			ws.Rows = int64(hi - lo)
-			ws.Flop = rangeFlop(flopRow, lo, hi)
-			ws.HashLookups = table.Lookups()
-			ws.HashProbes = table.Probes()
+			ws.Flop = flop
+			ws.HashLookups += table.Lookups()
+			ws.HashProbes += table.Probes()
 		}
 	})
 	pt.tick(PhaseNumeric)

@@ -1,0 +1,218 @@
+package spgemm
+
+import (
+	"repro/internal/accum"
+	"repro/internal/matrix"
+	"repro/internal/semiring"
+)
+
+// The whole-row hash kernel, written once. Hash, HashVector's symbolic
+// phase, the light rows of Tiled, the unsplit stripes of Sharded, every Plan
+// build and replay of those, and the recipe's compression-ratio sample all
+// run the two row functions below, which each take one exact decision from
+// numbers the phases compute anyway:
+//
+//   - Symbolic counts a row's distinct columns with generation stamps over
+//     B's column space when that space is no larger than the flop of the
+//     rows the worker counts (Cols <= flop), with hash probes otherwise. The
+//     rule needs no constant: under it the O(Cols) array is never larger
+//     than the work it replaces, so even a one-shot call's zeroing is paid
+//     for, while hypersparse products — where a per-thread O(Cols) array is
+//     the paper's Section 4.2.3 objection to SPA — keep Figure 7's table.
+//   - Numeric writes a row whose symbolic size equals its flop, when the
+//     caller wants unsorted output, as the concatenation of the scaled B
+//     rows: no two products share a column, so the table would only hand
+//     every product a fresh slot and copy it back in insertion order, which
+//     is product order. The output is bit-identical to Upsert +
+//     ExtractUnsorted. Rows with a repeated column and every sorted request
+//     keep the table.
+
+// rangeFlopMax returns the sum and the largest entry of flopRow over
+// [lo, hi): a worker's flop and its accumulator bound before capBound.
+func rangeFlopMax(flopRow []int64, lo, hi int) (sum, max int64) {
+	for _, f := range flopRow[lo:hi] {
+		sum += f
+		if f > max {
+			max = f
+		}
+	}
+	return sum, max
+}
+
+// rowCounter is one worker's symbolic accumulator: stamps or a hash table,
+// never both.
+type rowCounter[V semiring.Value] struct {
+	stamps *accum.StampSet
+	table  *accum.HashTableG[V]
+}
+
+// rowCounter picks worker w's symbolic accumulator for rows carrying flop
+// products, none of them more than bound (already capped at cols) per row.
+// This is the only place the stamp/hash choice is made.
+func (c *ContextG[V]) rowCounter(w, cols int, flop, bound int64) rowCounter[V] {
+	if int64(cols) <= flop {
+		return rowCounter[V]{stamps: c.stampSet(w, cols)}
+	}
+	return rowCounter[V]{table: c.hashTable(w, bound)}
+}
+
+// count returns the number of distinct columns in row i of A·B.
+//
+//spgemm:hotpath
+func (rc *rowCounter[V]) count(a, b *matrix.CSRG[V], i int) int64 {
+	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
+	acols := a.ColIdx[alo:ahi]
+	if st := rc.stamps; st != nil {
+		st.Clear()
+		n := 0
+		for _, k := range acols {
+			brp := b.RowPtr[k : int(k)+2]
+			n += st.CountNew(b.ColIdx[brp[0]:brp[1]])
+		}
+		return int64(n)
+	}
+	table := rc.table
+	table.Reset()
+	for _, k := range acols {
+		brp := b.RowPtr[k : int(k)+2]
+		for _, col := range b.ColIdx[brp[0]:brp[1]] {
+			table.InsertSymbolic(col)
+		}
+	}
+	return int64(table.Len())
+}
+
+// hashSymbolic is worker w's symbolic pass: the output size of every row of
+// [lo, hi) with a non-zero weight goes to rowNnz (the rest stay as the
+// caller zeroed them — tiled callers zero the weights of heavy rows). It
+// returns the capped accumulator bound the numeric pass sizes its table by.
+// ws may be nil.
+func (c *ContextG[V]) hashSymbolic(w int, a, b *matrix.CSRG[V], flopRow []int64, lo, hi int, rowNnz []int64, ws *WorkerStats) int64 {
+	flop, max := rangeFlopMax(flopRow, lo, hi)
+	bound := capBound(max, b.Cols)
+	if flop == 0 {
+		return bound
+	}
+	rc := c.rowCounter(w, b.Cols, flop, bound)
+	for i := lo; i < hi; i++ {
+		if flopRow[i] != 0 {
+			rowNnz[i] = rc.count(a, b, i)
+		}
+	}
+	if ws != nil {
+		if rc.stamps != nil {
+			ws.StampMarks += flop
+		} else {
+			ws.HashLookups += rc.table.Lookups()
+			ws.HashProbes += rc.table.Probes()
+		}
+	}
+	return bound
+}
+
+// hashNumeric is one worker's numeric state: the operands, the table, and
+// the output window its rows land in. When the ring is the float64
+// plus-times flagship, fa/fb/ftab/fvals are the same objects under their
+// concrete types (one assertion per worker, see ringfast.go) and rows run
+// the monomorphized twin.
+type hashNumeric[V semiring.Value, R semiring.Ring[V]] struct {
+	ring   R
+	table  *accum.HashTableG[V]
+	a, b   *matrix.CSRG[V]
+	cols   []int32
+	vals   []V
+	sorted bool
+	direct int64 // flop written by concatenation
+
+	fa, fb *matrix.CSR
+	ftab   *accum.HashTable
+	fvals  []float64
+}
+
+func newHashNumeric[V semiring.Value, R semiring.Ring[V]](ring R, table *accum.HashTableG[V], a, b *matrix.CSRG[V], cols []int32, vals []V, sorted bool) hashNumeric[V, R] {
+	h := hashNumeric[V, R]{ring: ring, table: table, a: a, b: b, cols: cols, vals: vals, sorted: sorted}
+	h.fa, h.fb, h.ftab, h.fvals, _ = ptF64Hash(ring, a, b, table, vals)
+	return h
+}
+
+// row writes the n entries of row i of A·B at offset start of the window.
+// This is the only place the concatenate/table choice is made.
+//
+//spgemm:hotpath
+func (h *hashNumeric[V, R]) row(i int, start, n, flop int64) {
+	direct := !h.sorted && n == flop
+	if direct {
+		h.direct += flop
+	}
+	cols := h.cols[start : start+n]
+	if h.fa != nil {
+		hashRowNumericF64(h.ftab, h.fa, h.fb, i, cols, h.fvals[start:start+n], direct, h.sorted)
+	} else {
+		hashRowNumeric(h.ring, h.table, h.a, h.b, i, cols, h.vals[start:start+n], direct, h.sorted)
+	}
+}
+
+// rows runs row over every row of [lo, hi) with a non-zero weight. base is
+// the output offset of the window's first entry.
+func (h *hashNumeric[V, R]) rows(flopRow, rowPtr []int64, lo, hi int, base int64) {
+	for i := lo; i < hi; i++ {
+		if flopRow[i] != 0 {
+			h.row(i, rowPtr[i]-base, rowPtr[i+1]-rowPtr[i], flopRow[i])
+		}
+	}
+}
+
+// report adds the pass's accumulator counters to ws, which may be nil.
+func (h *hashNumeric[V, R]) report(ws *WorkerStats) {
+	if ws != nil {
+		ws.HashLookups += h.table.Lookups()
+		ws.HashProbes += h.table.Probes()
+		ws.DirectFlop += h.direct
+	}
+}
+
+// hashRowNumeric computes row i of A·B into cols/vals, which are exactly the
+// row's size: by concatenation when direct, else through table with sorted
+// or insertion-order extraction. hashRowNumericF64 is its float64
+// plus-times twin; the two must fold in the same order.
+//
+//spgemm:hotpath
+func hashRowNumeric[V semiring.Value, R semiring.Ring[V]](ring R, table *accum.HashTableG[V], a, b *matrix.CSRG[V], i int, cols []int32, vals []V, direct, sorted bool) {
+	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
+	acols := a.ColIdx[alo:ahi]
+	avals := a.Val[alo:ahi]
+	if direct {
+		for x, k := range acols {
+			av := avals[x]
+			brp := b.RowPtr[k : int(k)+2]
+			bvals := b.Val[brp[0]:brp[1]]
+			n := copy(cols, b.ColIdx[brp[0]:brp[1]])
+			out := vals[:n]
+			for y := range out {
+				out[y] = ring.Mul(av, bvals[y])
+			}
+			cols, vals = cols[n:], vals[n:]
+		}
+		return
+	}
+	table.Reset()
+	for x, k := range acols {
+		av := avals[x]
+		brp := b.RowPtr[k : int(k)+2]
+		bvals := b.Val[brp[0]:brp[1]]
+		for y, col := range b.ColIdx[brp[0]:brp[1]] {
+			prod := ring.Mul(av, bvals[y])
+			slot, fresh := table.Upsert(col)
+			if fresh {
+				*slot = prod
+			} else {
+				*slot = ring.Add(*slot, prod)
+			}
+		}
+	}
+	if sorted {
+		table.ExtractSorted(cols, vals)
+	} else {
+		table.ExtractUnsorted(cols, vals)
+	}
+}

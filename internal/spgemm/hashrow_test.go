@@ -1,0 +1,255 @@
+package spgemm
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/accum"
+	"repro/internal/gen"
+	"repro/internal/matrix"
+)
+
+// Tests for the whole-row hash kernel's two row decisions (hashrow.go).
+// Bit-identity of the decisions across rings, kernels and geometries is the
+// differential suite's job (difftest.Cases carries inputs on both sides of
+// each); the tests here pin which side an input takes.
+
+// TestHashCounterInvariant: every product of an unmasked AlgHash is counted
+// exactly twice — once by symbolic (hash lookup or stamp mark), once by
+// numeric (hash lookup or direct write) — and the counters say which.
+func TestHashCounterInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	g500 := gen.RMAT(8, 8, gen.G500Params, rng)
+	wideA := matrix.RandomWithDegree(64, 64, 4, rng)
+	wideB := matrix.RandomWithDegree(64, 1<<16, 4, rng)
+	// ER thin enough that most rows of its square repeat no column while a
+	// few do: the concatenate/table choice takes both sides.
+	thin := gen.Unsorted(gen.ER(10, 3, rng), rng)
+	for _, in := range []struct {
+		name       string
+		a, b       *matrix.CSR
+		wantStamps bool // symbolic side taken at one worker
+		wantTable  bool // some row repeats a column
+	}{
+		{"thin-er", thin, thin, true, true},
+		{"g500", g500, g500, true, true},
+		{"wide", wideA, wideB, false, false},
+	} {
+		flop, _ := Flop(in.a, in.b)
+		for _, unsorted := range []bool{false, true} {
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("%s/unsorted=%v/workers=%d", in.name, unsorted, workers)
+				ctx := NewContext()
+				var st ExecStats
+				opt := &Options{Algorithm: AlgHash, Unsorted: unsorted, Workers: workers, Stats: &st, Context: ctx}
+				if _, err := Multiply(in.a, in.b, opt); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				tot := st.TotalWorker()
+				if got := tot.HashLookups + tot.StampMarks + tot.DirectFlop; got != 2*flop {
+					t.Errorf("%s: lookups %d + marks %d + direct %d = %d, want 2·flop = %d",
+						name, tot.HashLookups, tot.StampMarks, tot.DirectFlop, got, 2*flop)
+				}
+				if !unsorted && tot.DirectFlop != 0 {
+					t.Errorf("%s: sorted request wrote %d products directly", name, tot.DirectFlop)
+				}
+				if unsorted && workers == 1 {
+					if (tot.StampMarks == flop) != in.wantStamps || tot.DirectFlop == 0 || (tot.DirectFlop < flop) != in.wantTable {
+						t.Errorf("%s: flop %d marks %d direct %d lookups %d: wrong sides taken", name, flop, tot.StampMarks, tot.DirectFlop, tot.HashLookups)
+					}
+				}
+				// The counters reach the Context's running totals, and a Plan
+				// splits the same count between its build and its replay.
+				if cum := ctx.CumulativeStats().TotalWorker(); cum != tot {
+					t.Errorf("%s: cumulative %+v != call %+v", name, cum, tot)
+				}
+				var build, exec ExecStats
+				popt := *opt
+				popt.Stats = &build
+				plan, err := NewPlan(in.a, in.b, &popt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if _, err := plan.ExecuteIn(ctx, &exec); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				bt, et := build.TotalWorker(), exec.TotalWorker()
+				if bt.HashLookups+bt.StampMarks != flop || et.HashLookups+et.DirectFlop != flop ||
+					bt.StampMarks != tot.StampMarks || et.DirectFlop != tot.DirectFlop {
+					t.Errorf("%s: plan build %+v / replay %+v do not split %+v", name, bt, et, tot)
+				}
+			}
+		}
+	}
+}
+
+// TestHashRepeatedColumnInBRow: a non-canonical B that stores one column
+// twice in a row makes flop exceed the row's distinct columns, so the row
+// must take the table (where the two products fold) and not concatenation.
+func TestHashRepeatedColumnInBRow(t *testing.T) {
+	a := matrix.Identity(3)
+	b := &matrix.CSR{Rows: 3, Cols: 6, RowPtr: []int64{0, 3, 5, 6},
+		ColIdx: []int32{5, 2, 5, 1, 4, 3}, Val: []float64{1, 2, 4, 8, 16, 32}}
+	want := matrix.NaiveMultiply(a, b)
+	for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgTiled, AlgSharded} {
+		var st ExecStats
+		got, err := Multiply(a, b, &Options{Algorithm: alg, Unsorted: true, Workers: 1, Stats: &st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matrix.EqualApprox(got, want, 0) {
+			t.Errorf("%v: product differs from NaiveMultiply", alg)
+		}
+		if tot := st.TotalWorker(); alg != AlgHashVec && (tot.DirectFlop != 3 || tot.HashLookups != 3) {
+			// Row 0 (flop 3, two distinct columns) through the table, rows
+			// 1 and 2 (flop 3 together) by concatenation; symbolic by stamps.
+			t.Errorf("%v: direct %d lookups %d, want 3 and 3", alg, tot.DirectFlop, tot.HashLookups)
+		}
+	}
+}
+
+// TestHashHypersparseKeepsHashSymbolic is the guard on the rule's other
+// side: with 2^24 columns and a few thousand products no worker may touch an
+// O(Cols) array, so symbolic stays on the hash table and the call allocates
+// far less than the 64 MB a stamp array would be.
+func TestHashHypersparseKeepsHashSymbolic(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	a := matrix.RandomWithDegree(256, 256, 4, rng)
+	b := matrix.RandomWithDegree(256, 1<<24, 4, rng)
+	want := matrix.NaiveMultiply(a, b)
+	for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgSharded} {
+		var st ExecStats
+		opt := &Options{Algorithm: alg, Unsorted: true, Workers: 2, Stats: &st}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := Multiply(a, b, opt)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matrix.EqualApprox(got, want, 1e-12) {
+			t.Errorf("%v: product differs from NaiveMultiply", alg)
+		}
+		if marks := st.TotalWorker().StampMarks; marks != 0 {
+			t.Errorf("%v: %d stamp marks on a product with Cols >> flop", alg, marks)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Errorf("%v: allocated %d B, want under 1 MB", alg, d)
+		}
+	}
+}
+
+// TestContextStampsAcrossColumnSpaces: one Context serves products whose
+// column spaces grow and shrink; the cached stamp sets (and the stale stamps
+// earlier, wider products left in them) must never change a result.
+func TestContextStampsAcrossColumnSpaces(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	ctx := NewContext()
+	for round, cols := range []int{64, 2048, 128, 1024, 32, 2048} {
+		a := matrix.RandomWithDegree(96, 80, 6, rng)
+		b := matrix.RandomWithDegree(80, cols, 12, rng)
+		for _, unsorted := range []bool{false, true} {
+			want, err := Multiply(a, b, &Options{Algorithm: AlgHash, Workers: 2, Unsorted: unsorted})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st ExecStats
+			got, err := Multiply(a, b, &Options{Algorithm: AlgHash, Workers: 2, Unsorted: unsorted, Context: ctx, Stats: &st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameCSR(t, want, got)
+			if st.TotalWorker().StampMarks == 0 {
+				t.Fatalf("round %d: %d columns did not count with stamps", round, cols)
+			}
+		}
+	}
+}
+
+// TestPlanReplayMatchesMultiplyOnERUnsorted: a Plan's replay takes the same
+// per-row decisions as the one-shot kernel and reproduces it bit for bit, on
+// the benchmark's CR = 1 shape.
+func TestPlanReplayMatchesMultiplyOnERUnsorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	a := gen.Unsorted(gen.ER(12, 8, rng), rng)
+	for _, alg := range []Algorithm{AlgHash, AlgTiled, AlgSharded} {
+		opt := &Options{Algorithm: alg, Unsorted: true, Workers: 3}
+		want, err := Multiply(a, a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := NewPlan(a, a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st ExecStats
+		got, err := plan.ExecuteIn(NewContext(), &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameCSR(t, want, got)
+		if st.TotalWorker().DirectFlop == 0 {
+			t.Errorf("%v: replay wrote no row directly on a CR = 1 product", alg)
+		}
+	}
+}
+
+// BenchmarkSymbolic times one worker's symbolic pass over a whole product
+// with each of rowCounter's two accumulators forced, on both sides of the
+// Cols <= flop rule: the BENCHMARK.json workloads all sit on the stamp side,
+// so this sweep is where the rule's other side is measured (table in
+// EXPERIMENTS.md). "rule" in the name is what rowCounter would pick.
+func BenchmarkSymbolic(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	hyperA := gen.ER(12, 8, rng)
+	inputs := []struct {
+		name string
+		a, b *matrix.CSR
+	}{
+		{"ER/cols=2^9", gen.ER(9, 8, rng), nil},
+		{"ER/cols=2^11", gen.ER(11, 8, rng), nil},
+		{"ER/cols=2^15", gen.ER(15, 8, rng), nil},
+		{"ER/cols=2^18", gen.ER(18, 8, rng), nil},
+		{"ER/cols=2^20", gen.ER(20, 4, rng), nil},
+		{"G500/cols=2^9", gen.RMAT(9, 16, gen.G500Params, rng), nil},
+		{"G500/cols=2^11", gen.RMAT(11, 16, gen.G500Params, rng), nil},
+		{"G500/cols=2^15", gen.RMAT(15, 4, gen.G500Params, rng), nil},
+		{"G500/cols=2^18", gen.RMAT(18, 1, gen.G500Params, rng), nil},
+		{"G500/cols=2^20", gen.RMAT(20, 1, gen.G500Params, rng), nil},
+		// Past the rule: 2^12 rows of 64 products each against 2^24 columns.
+		{"hypersparse/cols=2^24", hyperA, matrix.RandomWithDegree(hyperA.Cols, 1<<24, 8, rng)},
+	}
+	for _, in := range inputs {
+		a, bm := in.a, in.b
+		if bm == nil {
+			bm = a
+		}
+		_, flopRow := Flop(a, bm)
+		flop, max := rangeFlopMax(flopRow, 0, a.Rows)
+		rule := "hash"
+		if int64(bm.Cols) <= flop {
+			rule = "stamps"
+		}
+		for _, kind := range []string{"hash", "stamps"} {
+			b.Run(fmt.Sprintf("%s/flop=%d/rule=%s/%s", in.name, flop, rule, kind), func(b *testing.B) {
+				for n := 0; n < b.N; n++ {
+					// A fresh accumulator per pass, as a one-shot Multiply
+					// pays for it; the stamps' O(Cols) zeroing is in the time.
+					rc := rowCounter[float64]{table: accum.NewHashTable(capBound(max, bm.Cols))}
+					if kind == "stamps" {
+						rc = rowCounter[float64]{stamps: accum.NewStampSet(bm.Cols)}
+					}
+					var nnz int64
+					for i := 0; i < a.Rows; i++ {
+						nnz += rc.count(a, bm, i)
+					}
+					if nnz == 0 {
+						b.Fatal("empty product")
+					}
+				}
+			})
+		}
+	}
+}

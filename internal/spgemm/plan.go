@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/matrix"
 	"repro/internal/sched"
+	"repro/internal/semiring"
 )
 
 // ErrPlanStale is returned by Plan.Execute when the plan no longer applies:
@@ -27,11 +28,11 @@ var ErrPlanStale = errors.New("spgemm: plan is stale (input structure changed or
 // structural change, however the values moved. The O(nnz) check is far
 // cheaper than the O(flop) symbolic pass it replaces.
 //
-// Plans are part of the legacy float64 surface and fix the plus-times ring:
-// the numeric phase below hard-codes the multiply-add so it stays exactly
-// the monomorphized fast path. (A generic plan would have to carry its ring
-// as a value or re-instantiate per ring type; the reuse-heavy iterative
-// callers plans serve are the float64 solvers.)
+// Plans are part of the legacy float64 surface and fix the plus-times ring,
+// so the numeric phase below is always the monomorphized fast path. (A
+// generic plan would have to carry its ring as a value or re-instantiate per
+// ring type; the reuse-heavy iterative callers plans serve are the float64
+// solvers.)
 //
 // A Plan's cached inspector results (offsets, bounds, flop counts, output
 // row pointers) are read-only after NewPlan; the mutable execution state
@@ -166,44 +167,7 @@ func NewPlan(a, b *matrix.CSR, opt *Options) (*Plan, error) {
 	p.bounds = make([]int64, workers)
 	rowNnz := ctx.rowNnzBuf(a.Rows)
 	ctx.runWorkers("inspect-symbolic", workers, func(w int) {
-		lo, hi := p.offsets[w], p.offsets[w+1]
-		if lo >= hi {
-			return
-		}
-		bound := int64(0)
-		for i := lo; i < hi; i++ {
-			if p.flopRow[i] > bound {
-				bound = p.flopRow[i]
-			}
-		}
-		p.bounds[w] = capBound(bound, b.Cols)
-		if p.alg == AlgHashVec {
-			table := ctx.hashVecTable(w, p.bounds[w])
-			for i := lo; i < hi; i++ {
-				table.Reset()
-				alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-				for q := alo; q < ahi; q++ {
-					k := a.ColIdx[q]
-					for r := b.RowPtr[k]; r < b.RowPtr[k+1]; r++ {
-						table.InsertSymbolic(b.ColIdx[r])
-					}
-				}
-				rowNnz[i] = int64(table.Len())
-			}
-		} else {
-			table := ctx.hashTable(w, p.bounds[w])
-			for i := lo; i < hi; i++ {
-				table.Reset()
-				alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-				for q := alo; q < ahi; q++ {
-					k := a.ColIdx[q]
-					for r := b.RowPtr[k]; r < b.RowPtr[k+1]; r++ {
-						table.InsertSymbolic(b.ColIdx[r])
-					}
-				}
-				rowNnz[i] = int64(table.Len())
-			}
-		}
+		p.bounds[w] = ctx.hashSymbolic(w, a, b, p.flopRow, p.offsets[w], p.offsets[w+1], rowNnz, pt.worker(w))
 	})
 	pt.tick(PhaseSymbolic)
 	p.rowPtr = ctx.prefixSum(rowNnz, make([]int64, a.Rows+1), workers)
@@ -272,70 +236,46 @@ func (p *Plan) ExecuteIn(ctx *Context, stats *ExecStats) (*matrix.CSR, error) {
 		if lo >= hi {
 			return
 		}
-		if p.alg == AlgHashVec {
-			table := ctx.hashVecTable(w, p.bounds[w])
-			for i := lo; i < hi; i++ {
-				table.Reset()
-				alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-				for q := alo; q < ahi; q++ {
-					k := a.ColIdx[q]
-					av := a.Val[q]
-					for r := b.RowPtr[k]; r < b.RowPtr[k+1]; r++ {
-						prod := av * b.Val[r]
-						slot, fresh := table.Upsert(b.ColIdx[r])
-						if fresh {
-							*slot = prod
-						} else {
-							*slot += prod
-						}
-					}
-				}
-				start := c.RowPtr[i]
-				n := c.RowPtr[i+1] - start
-				if p.unsorted {
-					table.ExtractUnsorted(c.ColIdx[start:start+n], c.Val[start:start+n])
-				} else {
-					table.ExtractSorted(c.ColIdx[start:start+n], c.Val[start:start+n])
-				}
-			}
+		if p.alg == AlgHash {
+			h := newHashNumeric(semiring.PlusTimesF64{}, ctx.hashTable(w, p.bounds[w]), a, b, c.ColIdx, c.Val, !p.unsorted)
+			h.rows(p.flopRow, c.RowPtr, lo, hi, 0)
 			if ws := pt.worker(w); ws != nil {
 				ws.Rows = int64(hi - lo)
 				ws.Flop = rangeFlop(p.flopRow, lo, hi)
-				ws.HashLookups = table.Lookups()
-				ws.HashProbes = table.Probes()
+				h.report(ws)
 			}
-		} else {
-			table := ctx.hashTable(w, p.bounds[w])
-			for i := lo; i < hi; i++ {
-				table.Reset()
-				alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-				for q := alo; q < ahi; q++ {
-					k := a.ColIdx[q]
-					av := a.Val[q]
-					for r := b.RowPtr[k]; r < b.RowPtr[k+1]; r++ {
-						prod := av * b.Val[r]
-						slot, fresh := table.Upsert(b.ColIdx[r])
-						if fresh {
-							*slot = prod
-						} else {
-							*slot += prod
-						}
+			return
+		}
+		table := ctx.hashVecTable(w, p.bounds[w])
+		for i := lo; i < hi; i++ {
+			table.Reset()
+			alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
+			for q := alo; q < ahi; q++ {
+				k := a.ColIdx[q]
+				av := a.Val[q]
+				for r := b.RowPtr[k]; r < b.RowPtr[k+1]; r++ {
+					prod := av * b.Val[r]
+					slot, fresh := table.Upsert(b.ColIdx[r])
+					if fresh {
+						*slot = prod
+					} else {
+						*slot += prod
 					}
 				}
-				start := c.RowPtr[i]
-				n := c.RowPtr[i+1] - start
-				if p.unsorted {
-					table.ExtractUnsorted(c.ColIdx[start:start+n], c.Val[start:start+n])
-				} else {
-					table.ExtractSorted(c.ColIdx[start:start+n], c.Val[start:start+n])
-				}
 			}
-			if ws := pt.worker(w); ws != nil {
-				ws.Rows = int64(hi - lo)
-				ws.Flop = rangeFlop(p.flopRow, lo, hi)
-				ws.HashLookups = table.Lookups()
-				ws.HashProbes = table.Probes()
+			start := c.RowPtr[i]
+			n := c.RowPtr[i+1] - start
+			if p.unsorted {
+				table.ExtractUnsorted(c.ColIdx[start:start+n], c.Val[start:start+n])
+			} else {
+				table.ExtractSorted(c.ColIdx[start:start+n], c.Val[start:start+n])
 			}
+		}
+		if ws := pt.worker(w); ws != nil {
+			ws.Rows = int64(hi - lo)
+			ws.Flop = rangeFlop(p.flopRow, lo, hi)
+			ws.HashLookups = table.Lookups()
+			ws.HashProbes = table.Probes()
 		}
 	})
 	pt.tick(PhaseNumeric)

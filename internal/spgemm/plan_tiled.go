@@ -93,32 +93,7 @@ func (p *Plan) buildTiled(opt *Options, ctx *Context) {
 	p.bounds = make([]int64, workers)
 	rowNnz := ctx.rowNnzBuf(a.Rows)
 	ctx.runWorkers("inspect-symbolic", workers, func(w int) {
-		lo, hi := p.offsets[w], p.offsets[w+1]
-		if lo >= hi {
-			return
-		}
-		bound := int64(0)
-		for i := lo; i < hi; i++ {
-			if p.lightFlop[i] > bound {
-				bound = p.lightFlop[i]
-			}
-		}
-		p.bounds[w] = capBound(bound, b.Cols)
-		table := ctx.hashTable(w, p.bounds[w])
-		for i := lo; i < hi; i++ {
-			if p.nHeavy > 0 && capBound(p.flopRow[i], b.Cols) > p.heavyFlop {
-				continue
-			}
-			table.Reset()
-			alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-			for q := alo; q < ahi; q++ {
-				k := a.ColIdx[q]
-				for r := b.RowPtr[k]; r < b.RowPtr[k+1]; r++ {
-					table.InsertSymbolic(b.ColIdx[r])
-				}
-			}
-			rowNnz[i] = int64(table.Len())
-		}
+		p.bounds[w] = ctx.hashSymbolic(w, a, b, p.lightFlop, p.offsets[w], p.offsets[w+1], rowNnz, pt.worker(w))
 	})
 	if nUnits > 0 {
 		tiles := tiledSplit[float64]{rowPtr: p.tileRowPtr, colIdx: p.tileIdx, rows: b.Rows}
@@ -189,44 +164,12 @@ func (p *Plan) executeTiled(ctx *Context, stats *ExecStats) (*matrix.CSR, error)
 
 	ctx.runWorkers("plan-numeric", p.workers, func(w int) {
 		lo, hi := p.offsets[w], p.offsets[w+1]
-		if lo >= hi {
-			return
-		}
-		table := ctx.hashTable(w, p.bounds[w])
-		rows := int64(0)
-		for i := lo; i < hi; i++ {
-			if p.nHeavy > 0 && capBound(p.flopRow[i], b.Cols) > p.heavyFlop {
-				continue
-			}
-			rows++
-			table.Reset()
-			alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-			for q := alo; q < ahi; q++ {
-				k := a.ColIdx[q]
-				av := a.Val[q]
-				for r := b.RowPtr[k]; r < b.RowPtr[k+1]; r++ {
-					prod := av * b.Val[r]
-					slot, fresh := table.Upsert(b.ColIdx[r])
-					if fresh {
-						*slot = prod
-					} else {
-						*slot += prod
-					}
-				}
-			}
-			start := c.RowPtr[i]
-			n := c.RowPtr[i+1] - start
-			if p.unsorted {
-				table.ExtractUnsorted(c.ColIdx[start:start+n], c.Val[start:start+n])
-			} else {
-				table.ExtractSorted(c.ColIdx[start:start+n], c.Val[start:start+n])
-			}
-		}
+		h := newHashNumeric(ring, ctx.hashTable(w, p.bounds[w]), a, b, c.ColIdx, c.Val, !p.unsorted)
+		h.rows(p.lightFlop, c.RowPtr, lo, hi, 0)
 		if ws := pt.worker(w); ws != nil {
-			ws.Rows += rows
+			ws.Rows += lightRows(p.lightFlop, p.flopRow, lo, hi)
 			ws.Flop += rangeFlop(p.lightFlop, lo, hi)
-			ws.HashLookups += table.Lookups()
-			ws.HashProbes += table.Probes()
+			h.report(ws)
 		}
 	})
 	if nUnits > 0 {

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"repro/internal/accum"
 	"repro/internal/matrix"
 	"repro/internal/semiring"
 )
@@ -84,6 +83,23 @@ func shardedRecommended[V semiring.Value](a, b *matrix.CSRG[V]) bool {
 	if limit <= 0 {
 		return false
 	}
+	var zero V
+	per := float64(4 + unsafe.Sizeof(zero))
+	// Two upper-bound pre-checks, cheapest first, before paying for the
+	// sampled symbolic phase. flop <= nnz(A)·maxRowNNZ(B) costs O(Rows(B))
+	// and settles ordinary products without the O(nnz(A)) flop walk, which
+	// the kernel is about to repeat anyway; the exact flop settles the rest.
+	// If even the no-compression bound stays under the threshold, the
+	// estimate below cannot reach it either (cr >= 1).
+	var maxRow int64
+	for k := 0; k < b.Rows; k++ {
+		if n := b.RowPtr[k+1] - b.RowPtr[k]; n > maxRow {
+			maxRow = n
+		}
+	}
+	if float64(a.NNZ())*float64(maxRow)*per < float64(limit) {
+		return false
+	}
 	var totalFlop int64
 	for i := 0; i < a.Rows; i++ {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
@@ -91,14 +107,6 @@ func shardedRecommended[V semiring.Value](a, b *matrix.CSRG[V]) bool {
 			totalFlop += b.RowPtr[k+1] - b.RowPtr[k]
 		}
 	}
-	if totalFlop <= 0 {
-		return false
-	}
-	var zero V
-	per := float64(4 + unsafe.Sizeof(zero))
-	// Cheap upper-bound pre-check before paying for the sampled symbolic
-	// phase: if even the no-compression bound stays under the threshold,
-	// the estimate below cannot reach it either (cr >= 1).
 	if float64(totalFlop)*per < float64(limit) {
 		return false
 	}
@@ -198,7 +206,7 @@ func HasHeavyRows[V semiring.Value](a, b *matrix.CSRG[V]) bool {
 // phase on a sample of up to sampleRows rows (stride-sampled so both head
 // and tail of the matrix contribute). An exact value requires the full
 // symbolic phase; the estimate is what a recipe-driven caller can afford.
-// Structure-only: the sampling hash table never touches values.
+// Structure-only: the sampling counter never touches values.
 func EstimateCompressionRatio[V semiring.Value](a, b *matrix.CSRG[V], sampleRows int) float64 {
 	if a.Rows == 0 {
 		return 1
@@ -210,21 +218,22 @@ func EstimateCompressionRatio[V semiring.Value](a, b *matrix.CSRG[V], sampleRows
 	if stride < 1 {
 		stride = 1
 	}
-	table := accum.NewHashTable(256)
-	table.SetGrow(true)
-	var flop, nnz int64
+	var flop, max, nnz int64
 	for i := 0; i < a.Rows; i += stride {
-		table.Reset()
-		alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-		for p := alo; p < ahi; p++ {
-			k := a.ColIdx[p]
-			blo, bhi := b.RowPtr[k], b.RowPtr[k+1]
-			flop += bhi - blo
-			for q := blo; q < bhi; q++ {
-				table.InsertSymbolic(b.ColIdx[q])
-			}
+		var f int64
+		for _, k := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
+			f += b.RowPtr[k+1] - b.RowPtr[k]
 		}
-		nnz += int64(table.Len())
+		flop += f
+		if f > max {
+			max = f
+		}
+	}
+	ctx := &ContextG[V]{}
+	ctx.ensureWorkers(1)
+	rc := ctx.rowCounter(0, b.Cols, flop, capBound(max, b.Cols))
+	for i := 0; i < a.Rows; i += stride {
+		nnz += rc.count(a, b, i)
 	}
 	if nnz == 0 {
 		return 1

@@ -229,3 +229,57 @@ func TestAccessStatsDenserMeansLongerStanzas(t *testing.T) {
 		t.Fatal("denser matrix should have longer stanzas")
 	}
 }
+
+// TestShardedRecommendedPreCheck: the O(Rows) bound nnz(A)·maxRowNNZ(B) in
+// front of shardedRecommended may only ever answer "no" early; on both sides
+// of it the decision is the one the exact flop and the sampled compression
+// ratio give. B has one long row, so the bound is far above the true flop
+// and thresholds between the two reach the exact scan.
+func TestShardedRecommendedPreCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(129))
+	a := matrix.RandomWithDegree(300, 300, 5, rng)
+	coo := matrix.NewCOO(300, 300)
+	for i := 0; i < 300; i++ {
+		deg := 3
+		if i == 7 {
+			deg = 250
+		}
+		for j := 0; j < deg; j++ {
+			coo.Append(int32(i), int32(rng.Intn(300)), 1)
+		}
+	}
+	b := coo.ToCSR()
+	flop, _ := Flop(a, b)
+	var maxRow int64
+	for k := 0; k < b.Rows; k++ {
+		if n := b.RowPtr[k+1] - b.RowPtr[k]; n > maxRow {
+			maxRow = n
+		}
+	}
+	const per = 12 // int32 column + float64 value
+	bound := a.NNZ() * maxRow * per
+	out := int64(float64(flop) / EstimateCompressionRatio(a, b, 1000) * per)
+	if !(out < flop*per && flop*per < bound/4) {
+		t.Fatalf("fixture: output %d, flop bytes %d, bound %d do not separate", out, flop*per, bound)
+	}
+	prev := ShardedAutoBytes()
+	defer SetShardedAutoBytes(prev)
+	for _, c := range []struct {
+		limit int64
+		want  bool
+		side  string
+	}{
+		{bound + 1, false, "under the pre-check bound"},
+		{bound, false, "past the pre-check, under the exact flop"},
+		{flop*per + 1, false, "past the pre-check, just under the exact flop"},
+		{flop * per, false, "past both bounds, under the estimate"},
+		{out + 1, false, "just over the estimate"},
+		{out, true, "at the estimate"},
+		{1, true, "any output"},
+	} {
+		SetShardedAutoBytes(c.limit)
+		if got := shardedRecommended(a, b); got != c.want {
+			t.Errorf("limit %d (%s): shardedRecommended = %v, want %v", c.limit, c.side, got, c.want)
+		}
+	}
+}

@@ -29,24 +29,28 @@ import (
 //
 // The type assertions live in un-annotated setup code on purpose: an
 // interface conversion inside a //spgemm:hotpath body would trip the
-// deferhot analyzer. hashVecFast keeps the dictionary path for now; its
-// chunked table has a different Upsert contract and the hash/tiled pair
+// deferhot analyzer. hashVecFast's numeric phase keeps the dictionary path;
+// its chunked table has a different Upsert contract and the hash/tiled pair
 // covers the kernels the tiled work (PR 7) made the defaults.
 
 // ptF64Hash reports whether this hash-kernel instantiation is the float64
 // plus-times flagship and, if so, returns the concretely-typed views of the
-// operands that the fast path needs. The assertions are exhaustive only in
-// the ring: if ring is PlusTimesF64 then V = float64 and the remaining
-// assertions cannot fail (the ok result guards against that invariant
-// breaking silently).
-func ptF64Hash[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], table *accum.HashTableG[V]) (*matrix.CSRG[float64], *matrix.CSRG[float64], *accum.HashTableG[float64], bool) {
+// operands, the table and the output values that the fast path needs. The
+// assertions are exhaustive only in the ring: if ring is PlusTimesF64 then
+// V = float64 and the remaining assertions cannot fail (the ok result guards
+// against that invariant breaking silently).
+func ptF64Hash[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], table *accum.HashTableG[V], vals []V) (*matrix.CSR, *matrix.CSR, *accum.HashTable, []float64, bool) {
 	if _, ok := any(ring).(semiring.PlusTimesF64); !ok {
-		return nil, nil, nil, false
+		return nil, nil, nil, nil, false
 	}
-	fa, aok := any(a).(*matrix.CSRG[float64])
-	fb, bok := any(b).(*matrix.CSRG[float64])
-	ft, tok := any(table).(*accum.HashTableG[float64])
-	return fa, fb, ft, aok && bok && tok
+	fa, aok := any(a).(*matrix.CSR)
+	fb, bok := any(b).(*matrix.CSR)
+	ft, tok := any(table).(*accum.HashTable)
+	fv, vok := any(vals).([]float64)
+	if !(aok && bok && tok && vok) {
+		return nil, nil, nil, nil, false
+	}
+	return fa, fb, ft, fv, true
 }
 
 // ptF64Tiled is ptF64Hash for the tiled kernel's heavy-unit path: SPA
@@ -61,25 +65,38 @@ func ptF64Tiled[V semiring.Value, R semiring.Ring[V]](ring R, a *matrix.CSRG[V],
 	return fa, ft, fs, aok && tok && sok
 }
 
-// hashRowNumericF64 accumulates one output row of C = A·B into table with
-// plus-times float64 arithmetic — the concrete twin of the generic numeric
-// row loop in hashFast and the tiled light path. The Mul/Add calls below
-// must inline (required entries in lint/inline_allowlist.txt).
+// hashRowNumericF64 is hashRowNumeric (hashrow.go) with plus-times float64
+// arithmetic. The Mul/Add calls below must inline (required entries in
+// lint/inline_allowlist.txt).
 //
 //spgemm:hotpath
-func hashRowNumericF64(table *accum.HashTable, a, b *matrix.CSR, i int) {
+func hashRowNumericF64(table *accum.HashTable, a, b *matrix.CSR, i int, cols []int32, vals []float64, direct, sorted bool) {
 	var ring semiring.PlusTimesF64
 	// Row sub-slices collapse the per-entry CSR bounds checks into one
 	// slice check per row segment (spgemm-lint -mode=bce budgets the rest).
 	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
 	acols := a.ColIdx[alo:ahi]
 	avals := a.Val[alo:ahi]
+	if direct {
+		for x, k := range acols {
+			av := avals[x]
+			brp := b.RowPtr[k : int(k)+2]
+			bvals := b.Val[brp[0]:brp[1]]
+			n := copy(cols, b.ColIdx[brp[0]:brp[1]])
+			out := vals[:n]
+			for y := range out {
+				out[y] = ring.Mul(av, bvals[y])
+			}
+			cols, vals = cols[n:], vals[n:]
+		}
+		return
+	}
+	table.Reset()
 	for x, k := range acols {
 		av := avals[x]
 		brp := b.RowPtr[k : int(k)+2]
-		bcols := b.ColIdx[brp[0]:brp[1]]
 		bvals := b.Val[brp[0]:brp[1]]
-		for y, col := range bcols {
+		for y, col := range b.ColIdx[brp[0]:brp[1]] {
 			prod := ring.Mul(av, bvals[y])
 			slot, fresh := table.Upsert(col)
 			if fresh {
@@ -88,6 +105,11 @@ func hashRowNumericF64(table *accum.HashTable, a, b *matrix.CSR, i int) {
 				*slot = ring.Add(*slot, prod)
 			}
 		}
+	}
+	if sorted {
+		table.ExtractSorted(cols, vals)
+	} else {
+		table.ExtractUnsorted(cols, vals)
 	}
 }
 

@@ -45,27 +45,43 @@ func (slowPlusTimesF64) Mul(a, b float64) float64 { return a * b }
 func (slowPlusTimesF64) Zero() float64            { return 0 }
 
 // TestRingFastEquivalence checks that the devirtualized float64 plus-times
-// kernels produce bit-identical output to the generic path on both a uniform
-// and a skewed input, sorted and unsorted, for the kernels with a fast path.
+// kernels — one-shot and as a Plan replay — produce bit-identical output to
+// the generic path, sorted and unsorted, for every kernel that runs the
+// whole-row hash functions: on a uniform and a skewed input (rows fold
+// through the table) and on two compression-ratio-1 products, a thin ER
+// square and a permutation times ER (unsorted rows are concatenated).
 func TestRingFastEquivalence(t *testing.T) {
 	er, g500 := ringfastMatrices()
-	for _, alg := range []Algorithm{AlgHash, AlgTiled} {
+	rng := rand.New(rand.NewSource(20180619))
+	thin := gen.Unsorted(gen.ER(13, 2, rng), rng)
+	perm := matrix.Identity(er.Rows).PermuteRows(rng.Perm(er.Rows))
+	for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgTiled, AlgSharded} {
 		for _, m := range []struct {
 			name string
-			a    *matrix.CSR
-		}{{"ER", er}, {"G500", g500}} {
+			a, b *matrix.CSR
+		}{{"ER", er, er}, {"G500", g500, g500}, {"ER-CR1", thin, thin}, {"Perm", perm, er}} {
 			for _, unsorted := range []bool{false, true} {
 				name := fmt.Sprintf("%v/%s/unsorted=%v", alg, m.name, unsorted)
 				t.Run(name, func(t *testing.T) {
-					fast, err := Multiply(m.a, m.a, &Options{Algorithm: alg, Workers: ringfastWorkers, Unsorted: unsorted})
+					opt := &Options{Algorithm: alg, Workers: ringfastWorkers, Unsorted: unsorted}
+					fast, err := Multiply(m.a, m.b, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					slow, err := MultiplyRing[float64, slowPlusTimesF64](slowPlusTimesF64{}, m.a, m.a, &OptionsG[float64]{Algorithm: alg, Workers: ringfastWorkers, Unsorted: unsorted})
+					slow, err := MultiplyRing[float64, slowPlusTimesF64](slowPlusTimesF64{}, m.a, m.b, &OptionsG[float64]{Algorithm: alg, Workers: ringfastWorkers, Unsorted: unsorted})
 					if err != nil {
 						t.Fatal(err)
 					}
 					requireSameCSR(t, slow, fast)
+					plan, err := NewPlan(m.a, m.b, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					replay, err := plan.Execute()
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameCSR(t, slow, replay)
 				})
 			}
 		}
@@ -98,13 +114,13 @@ func requireSameCSR(t *testing.T, want, got *matrix.CSR) {
 func TestRingFastSelection(t *testing.T) {
 	er, _ := ringfastMatrices()
 	table := accum.NewHashTable(16)
-	if _, _, _, ok := ptF64Hash(semiring.PlusTimesF64{}, er, er, table); !ok {
+	if _, _, _, _, ok := ptF64Hash(semiring.PlusTimesF64{}, er, er, table, er.Val); !ok {
 		t.Fatal("PlusTimesF64 over *matrix.CSR must select the hash fast path")
 	}
-	if _, _, _, ok := ptF64Hash(slowPlusTimesF64{}, er, er, table); ok {
+	if _, _, _, _, ok := ptF64Hash(slowPlusTimesF64{}, er, er, table, er.Val); ok {
 		t.Fatal("a foreign ring type must not select the fast path")
 	}
-	if _, _, _, ok := ptF64Hash(semiring.MaxTimesF64{}, er, er, table); ok {
+	if _, _, _, _, ok := ptF64Hash(semiring.MaxTimesF64{}, er, er, table, er.Val); ok {
 		t.Fatal("MaxTimesF64 must not select the fast path (different Add)")
 	}
 }

@@ -183,8 +183,7 @@ func (h *hashShardSource[V, R]) Rows(s int) (int, int) {
 func (h *hashShardSource[V, R]) Unit(s int) ShardUnit[V] { return &h.units[s] }
 
 // hashStripeUnit is the hash kernel scoped to one row stripe. The narrow
-// path replicates hashFast's inner loops exactly (including the
-// monomorphized float64 plus-times row loop), with global row indices, so
+// path runs hashFast's row functions (hashrow.go) with global row indices, so
 // stripe outputs are byte-for-byte what the monolithic kernel would write at
 // the same offsets. The wide path sweeps B in ascending column blocks with a
 // table bounded by the block width — the cache-resident regime — and relies
@@ -205,19 +204,7 @@ type hashStripeUnit[V semiring.Value, R semiring.Ring[V]] struct {
 func (u *hashStripeUnit[V, R]) Symbolic(w int, rowNnz []int64) {
 	a, b := u.a, u.b
 	if !u.wide {
-		table := u.ctx.hashTable(w, u.bound)
-		for i := u.lo; i < u.hi; i++ {
-			table.Reset()
-			alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-			for p := alo; p < ahi; p++ {
-				k := a.ColIdx[p]
-				blo, bhi := b.RowPtr[k], b.RowPtr[k+1]
-				for q := blo; q < bhi; q++ {
-					table.InsertSymbolic(b.ColIdx[q])
-				}
-			}
-			rowNnz[i] = int64(table.Len())
-		}
+		u.ctx.hashSymbolic(w, a, b, u.flopRow, u.lo, u.hi, rowNnz, nil)
 		return
 	}
 	table := u.ctx.hashTable(w, capBound(u.bound, u.blockCols))
@@ -255,42 +242,12 @@ func (u *hashStripeUnit[V, R]) Numeric(w int, rowPtr []int64, cols []int32, vals
 	a, b := u.a, u.b
 	base := rowPtr[u.lo]
 	if !u.wide {
-		table := u.ctx.hashTable(w, u.bound)
-		fa, fb, ftab, fastF64 := ptF64Hash(u.ring, a, b, table)
-		for i := u.lo; i < u.hi; i++ {
-			table.Reset()
-			if fastF64 {
-				hashRowNumericF64(ftab, fa, fb, i)
-			} else {
-				alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-				for p := alo; p < ahi; p++ {
-					k := a.ColIdx[p]
-					av := a.Val[p]
-					blo, bhi := b.RowPtr[k], b.RowPtr[k+1]
-					for q := blo; q < bhi; q++ {
-						prod := u.ring.Mul(av, b.Val[q])
-						slot, fresh := table.Upsert(b.ColIdx[q])
-						if fresh {
-							*slot = prod
-						} else {
-							*slot = u.ring.Add(*slot, prod)
-						}
-					}
-				}
-			}
-			start := rowPtr[i] - base
-			n := rowPtr[i+1] - rowPtr[i]
-			if u.unsorted {
-				table.ExtractUnsorted(cols[start:start+n], vals[start:start+n])
-			} else {
-				table.ExtractSorted(cols[start:start+n], vals[start:start+n])
-			}
-		}
+		h := newHashNumeric(u.ring, u.ctx.hashTable(w, u.bound), a, b, cols, vals, !u.unsorted)
+		h.rows(u.flopRow, rowPtr, u.lo, u.hi, base)
 		if ws != nil {
 			ws.Rows += int64(u.hi - u.lo)
 			ws.Flop += rangeFlop(u.flopRow, u.lo, u.hi)
-			ws.HashLookups += table.Lookups()
-			ws.HashProbes += table.Probes()
+			h.report(ws)
 		}
 		return
 	}

@@ -149,6 +149,17 @@ func tiledUnitNumeric[V semiring.Value, R semiring.Ring[V]](ring R, spa *accum.S
 	}
 }
 
+// lightRows counts the rows of [lo, hi) the light pass owns: every row but
+// the heavy ones, whose weight was zeroed.
+func lightRows(lightFlop, flopRow []int64, lo, hi int) (n int64) {
+	for i := lo; i < hi; i++ {
+		if lightFlop[i] == flopRow[i] {
+			n++
+		}
+	}
+	return n
+}
+
 // tiledMultiply is the AlgTiled driver.
 func tiledMultiply[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
 	workers := opt.workers()
@@ -240,34 +251,10 @@ func tiledMultiply[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CS
 
 	rowNnz := ctx.rowNnzBuf(a.Rows)
 
-	// Symbolic, light rows: the hash path of hashFast, skipping heavy rows.
+	// Symbolic, light rows: the hash path of hashFast; heavy rows carry a
+	// zero weight and are skipped.
 	ctx.runWorkers("tiled-symbolic", workers, func(w int) {
-		lo, hi := offsets[w], offsets[w+1]
-		if lo >= hi {
-			return
-		}
-		bound := int64(0)
-		for i := lo; i < hi; i++ {
-			if lightFlop[i] > bound {
-				bound = lightFlop[i]
-			}
-		}
-		table := ctx.hashTable(w, capBound(bound, b.Cols))
-		for i := lo; i < hi; i++ {
-			if heavyRow(i) {
-				continue
-			}
-			table.Reset()
-			alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-			for p := alo; p < ahi; p++ {
-				k := a.ColIdx[p]
-				blo, bhi := b.RowPtr[k], b.RowPtr[k+1]
-				for q := blo; q < bhi; q++ {
-					table.InsertSymbolic(b.ColIdx[q])
-				}
-			}
-			rowNnz[i] = int64(table.Len())
-		}
+		ctx.hashSymbolic(w, a, b, lightFlop, offsets[w], offsets[w+1], rowNnz, pt.worker(w))
 	})
 
 	// Symbolic, heavy units: flop-balanced unit-grain scheduling; each unit
@@ -309,51 +296,13 @@ func tiledMultiply[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CS
 	// Numeric, light rows.
 	ctx.runWorkers("tiled-numeric", workers, func(w int) {
 		lo, hi := offsets[w], offsets[w+1]
-		if lo >= hi {
-			return
-		}
-		table := ctx.hash[w]
-		fa, fb, ftab, fastF64 := ptF64Hash(ring, a, b, table)
-		rows := int64(0)
-		for i := lo; i < hi; i++ {
-			if heavyRow(i) {
-				continue
-			}
-			rows++
-			table.Reset()
-			if fastF64 {
-				hashRowNumericF64(ftab, fa, fb, i)
-			} else {
-				alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-				for p := alo; p < ahi; p++ {
-					k := a.ColIdx[p]
-					av := a.Val[p]
-					blo, bhi := b.RowPtr[k], b.RowPtr[k+1]
-					for q := blo; q < bhi; q++ {
-						prod := ring.Mul(av, b.Val[q])
-						slot, fresh := table.Upsert(b.ColIdx[q])
-						if fresh {
-							*slot = prod
-						} else {
-							*slot = ring.Add(*slot, prod)
-						}
-					}
-				}
-			}
-			start := c.RowPtr[i]
-			cols := c.ColIdx[start : start+rowNnz[i]]
-			vals := c.Val[start : start+rowNnz[i]]
-			if opt.Unsorted {
-				table.ExtractUnsorted(cols, vals)
-			} else {
-				table.ExtractSorted(cols, vals)
-			}
-		}
+		flop, max := rangeFlopMax(lightFlop, lo, hi)
+		h := newHashNumeric(ring, ctx.hashTable(w, capBound(max, b.Cols)), a, b, c.ColIdx, c.Val, !opt.Unsorted)
+		h.rows(lightFlop, c.RowPtr, lo, hi, 0)
 		if ws := pt.worker(w); ws != nil {
-			ws.Rows += rows
-			ws.Flop += rangeFlop(lightFlop, lo, hi)
-			ws.HashLookups += table.Lookups()
-			ws.HashProbes += table.Probes()
+			ws.Rows += lightRows(lightFlop, flopRow, lo, hi)
+			ws.Flop += flop
+			h.report(ws)
 		}
 	})
 
