@@ -297,30 +297,6 @@ func BenchmarkUnsortedSpeedup(b *testing.B) {
 	b.Run("hash/unsorted", func(b *testing.B) { benchSquare(b, f.g500u, spgemm.AlgHash, true) })
 }
 
-// --- Workspace reuse (iterative applications like MCL) ---------------------
-
-func BenchmarkWorkspaceReuse(b *testing.B) {
-	f := fx(b)
-	b.Run("fresh-scratch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := spgemm.Multiply(f.g500, f.g500, &spgemm.Options{Algorithm: spgemm.AlgHash}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportMFLOPS(b, f.g500, f.g500)
-	})
-	b.Run("workspace", func(b *testing.B) {
-		ws := spgemm.NewWorkspace(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ws.Multiply(f.g500, f.g500, false); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportMFLOPS(b, f.g500, f.g500)
-	})
-}
-
 // --- Table 4: the recipe's auto-selection overhead -------------------------
 
 func BenchmarkTable4AutoSelect(b *testing.B) {

@@ -162,22 +162,6 @@ func (p *Pool) BalancedPartitionInto(weights []int64, parts, workers int, offset
 	return offsets
 }
 
-// BalancedForNamed fuses the Figure 6 partition with worker dispatch: it
-// flop-balances weights over workers and runs body once per worker with its
-// contiguous [lo, hi) item range, labelling the region name on the tracer's
-// worker lanes. This is the unit-grain scheduling entry of the tiled SpGEMM
-// kernel, where items are (row, tile) units rather than rows. offsets and ps
-// are caller-provided reusable buffers (either may be nil; ps must have
-// capacity len(weights)+1 to avoid an allocation); the computed offsets are
-// returned for reuse.
-func (p *Pool) BalancedForNamed(name string, weights []int64, workers int, offsets []int, ps []int64, body func(worker, lo, hi int)) []int {
-	offsets = p.BalancedPartitionInto(weights, workers, workers, offsets, ps)
-	p.RunWorkersNamed(name, workers, func(w int) {
-		body(w, offsets[w], offsets[w+1])
-	})
-	return offsets
-}
-
 // PartitionImbalance returns max thread weight divided by average thread
 // weight for the given partition — 1.0 is perfect balance. Used by tests and
 // the Fig 9 experiment report.

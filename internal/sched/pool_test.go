@@ -166,48 +166,3 @@ func TestBalancedPartitionIntoReusesBuffers(t *testing.T) {
 		t.Fatalf("reused-buffer partition wrong: %v", got2)
 	}
 }
-
-// TestPoolBalancedForNamed checks the fused partition+dispatch helper: every
-// index is covered exactly once, ranges are contiguous and ascending, and a
-// skewed weight vector still spreads across workers.
-func TestPoolBalancedForNamed(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	weights := make([]int64, 100)
-	for i := range weights {
-		weights[i] = 1
-	}
-	weights[0] = 500 // one mega-unit
-	var covered [100]atomic.Int32
-	offsets := p.BalancedForNamed("test-balanced", weights, 4, nil, nil, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			covered[i].Add(1)
-		}
-	})
-	if len(offsets) != 5 || offsets[0] != 0 || offsets[4] != 100 {
-		t.Fatalf("offsets = %v, want 5 entries spanning [0,100]", offsets)
-	}
-	for w := 0; w < 4; w++ {
-		if offsets[w] > offsets[w+1] {
-			t.Fatalf("offsets not monotone: %v", offsets)
-		}
-	}
-	for i := range covered {
-		if n := covered[i].Load(); n != 1 {
-			t.Fatalf("index %d ran %d times, want 1", i, n)
-		}
-	}
-	// The mega-unit must not drag the rest of the work onto its worker.
-	if offsets[1]-offsets[0] > 60 {
-		t.Errorf("skewed partition: worker 0 got %d of 100 units", offsets[1])
-	}
-	// Preallocated offsets/scratch are reused in place (the zero-alloc
-	// contract the tiled kernel's steady state depends on): the returned
-	// slice aliases the one passed in.
-	off := make([]int, 5)
-	ps := make([]int64, 8)
-	got := p.BalancedForNamed("test-balanced", weights, 4, off, ps, func(w, lo, hi int) {})
-	if &got[0] != &off[0] {
-		t.Error("BalancedForNamed reallocated caller-provided offsets")
-	}
-}

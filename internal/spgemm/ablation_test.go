@@ -79,7 +79,7 @@ func BenchmarkAblationPhases(b *testing.B) {
 	a := ablMatrix(b)
 	b.Run("two-phase", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := hashMultiply(semiring.PlusTimesF64{}, a, a, &OptionsG[float64]{}, false); err != nil {
+			if _, err := inspectExecute(semiring.PlusTimesF64{}, AlgHash, a, a, &OptionsG[float64]{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -145,7 +145,7 @@ func BenchmarkAblationSortSkip(b *testing.B) {
 	for _, unsorted := range []bool{false, true} {
 		b.Run(fmt.Sprintf("unsorted=%v", unsorted), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := hashMultiply(semiring.PlusTimesF64{}, a, a, &OptionsG[float64]{Unsorted: unsorted}, false); err != nil {
+				if _, err := inspectExecute(semiring.PlusTimesF64{}, AlgHash, a, a, &OptionsG[float64]{Unsorted: unsorted}); err != nil {
 					b.Fatal(err)
 				}
 			}

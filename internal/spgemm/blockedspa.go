@@ -42,13 +42,7 @@ func blockedSPAMultiply[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matr
 	if nBlocks < 1 {
 		nBlocks = 1
 	}
-	workers := opt.workers()
-	if workers > a.Rows && a.Rows > 0 {
-		workers = a.Rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := opt.workersFor(a.Rows)
 	pt := startPhases(opt.Stats, workers)
 	// Split B by columns: blocks[k] holds B's entries with column in
 	// [k·blockCols, (k+1)·blockCols), columns relabeled to block-local.

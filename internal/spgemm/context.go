@@ -371,9 +371,9 @@ func (c *ContextG[V]) unitBufs(n int) (row, tile []int32, flop, nnz, off []int64
 	return c.unitRow, c.unitTile, c.unitFlop, c.unitNnz, c.unitOff
 }
 
-// tileValBuf returns the reusable tile-value gather buffer of length n
-// (contents undefined) — the Plan execute path refreshes B's split values
-// into it on every call.
+// tileValBuf returns the reusable split-value buffer of length n (contents
+// undefined): splitTiles scatters B's values into it, a Plan execution
+// gathers them.
 func (c *ContextG[V]) tileValBuf(n int) []V {
 	if cap(c.tileVal) < n {
 		c.tileVal = make([]V, n)
@@ -401,15 +401,4 @@ func (c *ContextG[V]) partitionUnits(unitFlop []int64, parts, workers int) []int
 	}
 	c.uoffsets = c.pool().BalancedPartitionInto(unitFlop, parts, workers, c.uoffsets, c.ups)
 	return c.uoffsets
-}
-
-// balancedUnits is the fused partition+dispatch entry for unit-grain
-// scheduling: it flop-balances weights and runs body once per worker with
-// its unit range, via sched.Pool.BalancedForNamed, reusing the secondary
-// partition buffers.
-func (c *ContextG[V]) balancedUnits(name string, weights []int64, workers int, body func(worker, lo, hi int)) {
-	if n := len(weights); cap(c.ups) < n+1 {
-		c.ups = make([]int64, n+1)
-	}
-	c.uoffsets = c.pool().BalancedForNamed(name, weights, workers, c.uoffsets, c.ups, body)
 }

@@ -43,7 +43,8 @@ func csrEqual(a, b *matrix.CSR) bool {
 // TestContextReuseMatchesOneShot drives every algorithm through one shared
 // Context over a sequence of products with varying shapes and checks each
 // result is bit-identical to a fresh one-shot call: cached state growing,
-// shrinking and re-resetting must never leak into the output.
+// shrinking and re-resetting must never leak into the output, and no result
+// may share storage with the Context — the next call must leave it intact.
 func TestContextReuseMatchesOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type pair struct{ a, b *matrix.CSR }
@@ -56,12 +57,17 @@ func TestContextReuseMatchesOneShot(t *testing.T) {
 	for _, tc := range allAlgorithms {
 		t.Run(tc.alg.String(), func(t *testing.T) {
 			ctx := NewContext()
+			var prev, prevSaved *matrix.CSR
 			for round, p := range seq {
 				opt := Options{Algorithm: tc.alg, Workers: 3, Context: ctx}
 				got, err := Multiply(p.a, p.b, &opt)
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
+				if prev != nil && !csrEqual(prev, prevSaved) {
+					t.Fatalf("round %d overwrote the result of round %d", round, round-1)
+				}
+				prev, prevSaved = got, got.Clone()
 				fresh := Options{Algorithm: tc.alg, Workers: 3}
 				want, err := Multiply(p.a, p.b, &fresh)
 				if err != nil {

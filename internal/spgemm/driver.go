@@ -1,0 +1,232 @@
+package spgemm
+
+import (
+	"repro/internal/accum"
+	"repro/internal/matrix"
+	"repro/internal/semiring"
+)
+
+// The hash-family driver. Hash, HashVector, Tiled and Sharded SpGEMM are the
+// paper's two-phase pipeline (Figure 7) over different row geometries, and
+// the pipeline has one seam: once the symbolic phase has sized the output,
+// everything that depends on the operands' structure is known and only
+// values remain. inspect runs up to that seam and returns an inspection;
+// execute runs from it. A one-shot Multiply is execute(inspect(...)) with no
+// copy in between; a Plan is an inspection cloned out of the Context's
+// buffers, executed as often as the caller likes (plan.go).
+//
+// Both halves are generic over the ring with concrete accumulator types, so
+// the symbolic insert and numeric accumulate compile to direct calls: these
+// are the paper's contribution, and routing them through the rowAcc
+// interface the baselines share (twophase.go) would tax exactly the
+// algorithms it optimizes. Generics alone do not devirtualize the ring —
+// Go's shape stenciling passes Add/Mul through a runtime dictionary — so
+// the numeric workers test once, outside the row loop, for the float64
+// plus-times flagship and route whole rows through the hand-monomorphized
+// loops of ringfast.go.
+//
+// All transient state lives in the call's Context: an iterative caller that
+// passes Options.Context reaches a steady state where only the output
+// matrix is allocated.
+
+// inspection is everything the structure of A and B determines about one
+// product under one geometry: the result of the partition and symbolic
+// phases. Its slices alias the Context that inspect ran on (rowPtr and perm
+// excepted) and are valid until that Context's next call; execute only reads
+// it, so one inspection may serve concurrent executions on distinct Contexts.
+type inspection[V semiring.Value] struct {
+	alg     Algorithm // AlgHash, AlgHashVec, AlgTiled or AlgSharded
+	workers int
+	flopRow []int64
+	// rowPtr is the output's row-pointer array, allocated for this product
+	// alone: a one-shot multiply hands it to the output matrix.
+	rowPtr []int64
+
+	// Hash, HashVec, Tiled: the whole-row hash pass. lightFlop is flopRow
+	// with the rows the pass does not own zeroed (the same slice when it
+	// owns all of them); offsets is its flop-balanced partition over workers.
+	lightFlop []int64
+	offsets   []int
+
+	// Tiled with heavy rows: the column split of B (perm, filled only for
+	// Plans, maps each split entry back to its B entry so an execution can
+	// gather current values), and the heavy (row, tile) units — flop weight,
+	// output size and stitched output offset of each — with their own
+	// flop-balanced partition.
+	tileCols          int
+	tiles             tiledSplit[V]
+	perm              []int64
+	unitRow, unitTile []int32
+	unitFlop, unitNnz []int64
+	unitOff           []int64
+	uoffsets          []int
+
+	// Sharded: the stripe geometry.
+	geom shardGeometry
+}
+
+// clone copies every Context-owned slice into memory of its own, which is
+// all that separates a Plan from a one-shot inspection. The split values are
+// dropped, not copied: executions gather them through perm.
+func (in *inspection[V]) clone() inspection[V] {
+	out := *in
+	out.flopRow = append([]int64(nil), in.flopRow...)
+	out.lightFlop = out.flopRow
+	if len(in.unitRow) > 0 {
+		out.lightFlop = append([]int64(nil), in.lightFlop...)
+	}
+	out.offsets = append([]int(nil), in.offsets...)
+	out.tiles.rowPtr = append([]int64(nil), in.tiles.rowPtr...)
+	out.tiles.colIdx = append([]int32(nil), in.tiles.colIdx...)
+	out.tiles.vals = nil
+	out.unitRow = append([]int32(nil), in.unitRow...)
+	out.unitTile = append([]int32(nil), in.unitTile...)
+	out.unitFlop = append([]int64(nil), in.unitFlop...)
+	out.unitNnz = append([]int64(nil), in.unitNnz...)
+	out.unitOff = append([]int64(nil), in.unitOff...)
+	out.uoffsets = append([]int(nil), in.uoffsets...)
+	out.geom.offsets = append([]int(nil), in.geom.offsets...)
+	out.geom.bound = append([]int64(nil), in.geom.bound...)
+	out.geom.wide = append([]bool(nil), in.geom.wide...)
+	return out
+}
+
+// inspect runs the structure-only phases of alg on ctx: flop counts, the
+// geometry and its flop-balanced partition (PhasePartition), the symbolic
+// pass (PhaseSymbolic) and the row-pointer prefix sum, which the next tick
+// of the returned timer charges to whatever the caller does next. wantPerm
+// asks the tiled split for its entry permutation (Plans).
+func inspect[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V], ctx *ContextG[V], wantPerm bool) (*inspection[V], *phaseTimer) {
+	workers := opt.workersFor(a.Rows)
+	ctx.ensureWorkers(workers)
+	pt := startPhases(opt.Stats, workers)
+	in := &inspection[V]{alg: alg, workers: workers, flopRow: ctx.perRowFlop(a, b)}
+	rowNnz := ctx.rowNnzBuf(a.Rows)
+
+	if alg == AlgSharded {
+		in.geom = opt.shardPlanGeometry(ctx, in.flopRow, a.Rows, b.Cols, workers)
+		pt.tick(PhasePartition)
+		src := newHashShardSource(ring, a, b, ctx, &in.geom, in.flopRow, opt.Unsorted)
+		shardSymbolic[V](ctx, src, workers, rowNnz)
+	} else {
+		in.lightFlop = in.flopRow
+		if alg == AlgTiled {
+			in.inspectTiles(ctx, a, b, opt, wantPerm)
+		}
+		in.offsets = ctx.partition(in.lightFlop, workers, workers)
+		pt.tick(PhasePartition)
+		// HashVector counts with Hash's symbolic pass: the number of
+		// distinct columns does not depend on the numeric accumulator.
+		ctx.runWorkers("symbolic", workers, func(w int) {
+			ctx.hashSymbolic(w, a, b, in.lightFlop, in.offsets[w], in.offsets[w+1], rowNnz, pt.worker(w))
+		})
+		in.heavySymbolic(ctx, a, rowNnz)
+	}
+	pt.tick(PhaseSymbolic)
+
+	in.rowPtr = ctx.prefixSum(rowNnz, nil, workers)
+	in.stitchUnits()
+	return in, &pt
+}
+
+// execute runs the value-dependent phases of an inspected product: bind the
+// output to rowPtr (PhaseAlloc), fill it (PhaseNumeric) and, for Sharded,
+// assemble the sink (PhaseAssemble). ctx need not be the Context inspect ran
+// on but must hold in.workers worker slots. rowPtr is in.rowPtr or a copy of
+// it and belongs to the result from here on. sink is Sharded's stripe sink;
+// nil means in RAM.
+func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, unsorted bool, sink ShardSink[V], pt *phaseTimer) (*matrix.CSRG[V], error) {
+	if in.alg == AlgSharded {
+		src := newHashShardSource(ring, a, b, ctx, &in.geom, in.flopRow, unsorted)
+		if sink == nil {
+			sink = &memShardSink[V]{}
+		}
+		if err := sink.Bind(a.Rows, b.Cols, rowPtr, !unsorted); err != nil {
+			return nil, err
+		}
+		pt.tick(PhaseAlloc)
+		if err := shardNumeric[V](ctx, src, in.workers, rowPtr, sink, pt); err != nil {
+			return nil, err
+		}
+		pt.tick(PhaseNumeric)
+		c, err := sink.Assemble()
+		if err != nil {
+			return nil, err
+		}
+		pt.tick(PhaseAssemble)
+		fillStripeStats(pt.st, &in.geom, in.flopRow, rowPtr, sink)
+		pt.finish()
+		return c, nil
+	}
+
+	c := outputShell[V](a.Rows, b.Cols, rowPtr, !unsorted)
+	pt.tick(PhaseAlloc)
+
+	ctx.runWorkers("numeric", in.workers, func(w int) {
+		lo, hi := in.offsets[w], in.offsets[w+1]
+		if lo >= hi {
+			return
+		}
+		flop, max := rangeFlopMax(in.lightFlop, lo, hi)
+		bound := capBound(max, b.Cols)
+		ws := pt.worker(w)
+		if in.alg == AlgHashVec {
+			hashVecRows(ring, ctx.hashVecTable(w, bound), a, b, c, in.lightFlop, lo, hi, ws)
+		} else {
+			h := newHashNumeric(ring, ctx.hashTable(w, bound), a, b, c.ColIdx, c.Val, c.Sorted)
+			h.rows(in.lightFlop, c.RowPtr, lo, hi, 0)
+			h.report(ws)
+		}
+		if ws != nil {
+			ws.Rows += in.lightRows(lo, hi)
+			ws.Flop += flop
+		}
+	})
+	tiledHeavyNumeric(ring, ctx, a, b, in, c, pt)
+	pt.tick(PhaseNumeric)
+	pt.finish()
+	return c, nil
+}
+
+// inspectExecute is the one-shot driver of the four plannable kernels.
+func inspectExecute[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
+	ctx := opt.ctx()
+	in, pt := inspect(ring, alg, a, b, opt, ctx, false)
+	return execute(ring, a, b, ctx, in, in.rowPtr, opt.Unsorted, opt.ShardSink, pt)
+}
+
+// hashVecRows is HashVector's numeric pass over the rows of [lo, hi) with a
+// non-zero weight: Hash's row loop (hashRowNumeric) probing the chunked
+// table, which has its own Upsert contract and no monomorphized twin.
+func hashVecRows[V semiring.Value, R semiring.Ring[V]](ring R, table *accum.HashVecTableG[V], a, b, c *matrix.CSRG[V], flopRow []int64, lo, hi int, ws *WorkerStats) {
+	for i := lo; i < hi; i++ {
+		if flopRow[i] == 0 {
+			continue
+		}
+		table.Reset()
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			k := a.ColIdx[p]
+			av := a.Val[p]
+			for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
+				prod := ring.Mul(av, b.Val[q])
+				slot, fresh := table.Upsert(b.ColIdx[q])
+				if fresh {
+					*slot = prod
+				} else {
+					*slot = ring.Add(*slot, prod)
+				}
+			}
+		}
+		cols := c.ColIdx[c.RowPtr[i]:c.RowPtr[i+1]]
+		vals := c.Val[c.RowPtr[i]:c.RowPtr[i+1]]
+		if c.Sorted {
+			table.ExtractSorted(cols, vals)
+		} else {
+			table.ExtractUnsorted(cols, vals)
+		}
+	}
+	if ws != nil {
+		ws.HashLookups += table.Lookups()
+		ws.HashProbes += table.Probes()
+	}
+}

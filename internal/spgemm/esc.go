@@ -15,13 +15,7 @@ import (
 // makes it a lower bound illustration of why accumulator-based formulations
 // win — exactly the framing of the paper's Section 2.
 func escMultiply[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
-	workers := opt.workers()
-	if workers > a.Rows && a.Rows > 0 {
-		workers = a.Rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := opt.workersFor(a.Rows)
 	ctx := opt.ctx()
 	ctx.ensureWorkers(workers)
 	pt := startPhases(opt.Stats, workers)

@@ -7,21 +7,12 @@ import (
 	"repro/internal/semiring"
 )
 
-// hashMultiply is Hash SpGEMM (Figure 7) and, with vectorized=true,
-// HashVector SpGEMM: two-phase, balanced scheduling, thread-private tables
-// sized to each thread's maximum per-row flop.
-//
-// The unmasked case runs through the specialized concrete-type driver in
-// hashfast.go for every ring — the headline algorithm must not pay an
+// maskedHashMultiply is Hash SpGEMM (Figure 7) and, with vectorized=true,
+// HashVector SpGEMM with an output mask fused in, on the generic two-phase
+// driver. Unmasked products — the headline algorithms, which must not pay an
 // interface dispatch per intermediate product when the hand-written heap
-// driver does not. Masked multiplications take the generic two-phase driver.
-func hashMultiply[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V], vectorized bool) (*matrix.CSRG[V], error) {
-	if opt.Mask == nil {
-		if vectorized {
-			return hashVecFast(ring, a, b, opt)
-		}
-		return hashFast(ring, a, b, opt)
-	}
+// driver does not — run the concrete-type driver in driver.go instead.
+func maskedHashMultiply[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V], vectorized bool) (*matrix.CSRG[V], error) {
 	cfg := twoPhaseConfig[V]{
 		schedule: sched.Balanced,
 		factory: func(ctx *ContextG[V], w int, bound int64) rowAcc[V] {

@@ -84,16 +84,14 @@ func (rc *rowCounter[V]) count(a, b *matrix.CSRG[V], i int) int64 {
 
 // hashSymbolic is worker w's symbolic pass: the output size of every row of
 // [lo, hi) with a non-zero weight goes to rowNnz (the rest stay as the
-// caller zeroed them — tiled callers zero the weights of heavy rows). It
-// returns the capped accumulator bound the numeric pass sizes its table by.
-// ws may be nil.
-func (c *ContextG[V]) hashSymbolic(w int, a, b *matrix.CSRG[V], flopRow []int64, lo, hi int, rowNnz []int64, ws *WorkerStats) int64 {
+// caller zeroed them — tiled callers zero the weights of heavy rows). ws may
+// be nil.
+func (c *ContextG[V]) hashSymbolic(w int, a, b *matrix.CSRG[V], flopRow []int64, lo, hi int, rowNnz []int64, ws *WorkerStats) {
 	flop, max := rangeFlopMax(flopRow, lo, hi)
-	bound := capBound(max, b.Cols)
 	if flop == 0 {
-		return bound
+		return
 	}
-	rc := c.rowCounter(w, b.Cols, flop, bound)
+	rc := c.rowCounter(w, b.Cols, flop, capBound(max, b.Cols))
 	for i := lo; i < hi; i++ {
 		if flopRow[i] != 0 {
 			rowNnz[i] = rc.count(a, b, i)
@@ -107,7 +105,6 @@ func (c *ContextG[V]) hashSymbolic(w int, a, b *matrix.CSRG[V], flopRow []int64,
 			ws.HashProbes += rc.table.Probes()
 		}
 	}
-	return bound
 }
 
 // hashNumeric is one worker's numeric state: the operands, the table, and

@@ -76,13 +76,7 @@ func heapRow[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 // space out of one shared slab ("single"), reproducing the costly variant of
 // Figures 4 and 9.
 func heapBalanced[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
-	workers := opt.workers()
-	if workers > a.Rows && a.Rows > 0 {
-		workers = a.Rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := opt.workersFor(a.Rows)
 	ctx := opt.ctx()
 	ctx.ensureWorkers(workers)
 	pt := startPhases(opt.Stats, workers)
@@ -182,13 +176,7 @@ func heapBalanced[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 // rows to growable private buffers and the matrix is stitched together at
 // the end.
 func heapScheduled[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V], schedule sched.Schedule, grain int) (*matrix.CSRG[V], error) {
-	workers := opt.workers()
-	if workers > a.Rows && a.Rows > 0 {
-		workers = a.Rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := opt.workersFor(a.Rows)
 	ctx := opt.ctx()
 	ctx.ensureWorkers(workers)
 	pt := startPhases(opt.Stats, workers)

@@ -18,13 +18,7 @@ import (
 // the k-loop is a dense scan (the cache-friendly access pattern that
 // motivated the original work), then each hit streams row b_k*.
 func ikjMultiply[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
-	workers := opt.workers()
-	if workers > a.Rows && a.Rows > 0 {
-		workers = a.Rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := opt.workersFor(a.Rows)
 	pt := startPhases(opt.Stats, workers)
 	flopRow := perRowFlop(a, b)
 	// Balance by flop + the O(n) dense scan each row pays.

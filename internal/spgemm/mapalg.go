@@ -96,13 +96,7 @@ func mapMultiply[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG
 // worker's buffer as soon as they are computed and stitched into the final
 // matrix afterwards, trading memory for the skipped symbolic pass.
 func inspectorMultiply[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
-	workers := opt.workers()
-	if workers > a.Rows && a.Rows > 0 {
-		workers = a.Rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := opt.workersFor(a.Rows)
 	type rowRef struct {
 		row    int
 		offset int64

@@ -17,13 +17,7 @@ func mergeMultiply[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CS
 	if !b.Sorted {
 		return nil, fmt.Errorf("spgemm: merge algorithm requires sorted input rows (B is unsorted)")
 	}
-	workers := opt.workers()
-	if workers > a.Rows && a.Rows > 0 {
-		workers = a.Rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := opt.workersFor(a.Rows)
 	ctx := opt.ctx()
 	ctx.ensureWorkers(workers)
 	pt := startPhases(opt.Stats, workers)

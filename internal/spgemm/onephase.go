@@ -15,13 +15,7 @@ import (
 // Kept unexported: the exported AlgHash is the paper's two-phase design;
 // this variant exists for the ablation study.
 func hashOnePhase[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
-	workers := opt.workers()
-	if workers > a.Rows && a.Rows > 0 {
-		workers = a.Rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := opt.workersFor(a.Rows)
 	ctx := opt.ctx()
 	ctx.ensureWorkers(workers)
 	pt := startPhases(opt.Stats, workers)

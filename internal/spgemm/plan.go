@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/matrix"
-	"repro/internal/sched"
 	"repro/internal/semiring"
 )
 
@@ -28,14 +27,15 @@ var ErrPlanStale = errors.New("spgemm: plan is stale (input structure changed or
 // structural change, however the values moved. The O(nnz) check is far
 // cheaper than the O(flop) symbolic pass it replaces.
 //
-// Plans are part of the legacy float64 surface and fix the plus-times ring,
-// so the numeric phase below is always the monomorphized fast path. (A
-// generic plan would have to carry its ring as a value or re-instantiate per
-// ring type; the reuse-heavy iterative callers plans serve are the float64
-// solvers.)
+// A Plan is nothing more than the driver's two halves held apart (driver.go):
+// NewPlan is inspect plus one clone of the inspection into plan-owned memory,
+// Execute is execute on a copy of the row pointers. Plans are part of the
+// legacy float64 surface and fix the plus-times ring, so the numeric phase is
+// always the monomorphized fast path; inspect and execute are generic, the
+// Plan type is not because its callers — the iterative float64 solvers and
+// the multiply server — are not.
 //
-// A Plan's cached inspector results (offsets, bounds, flop counts, output
-// row pointers) are read-only after NewPlan; the mutable execution state
+// A Plan's inspection is read-only after NewPlan; the mutable execution state
 // lives in a Context. Execute is therefore NOT safe for concurrent use —
 // it runs on the plan's own Context — but ExecuteIn with distinct Contexts
 // is: concurrent ExecuteIn calls on one shared Plan are exactly how the
@@ -43,59 +43,31 @@ var ErrPlanStale = errors.New("spgemm: plan is stale (input structure changed or
 // pool. Invalidate must not race in-flight Executes.
 type Plan struct {
 	a, b     *matrix.CSR
-	alg      Algorithm
-	workers  int
 	unsorted bool
 	stats    *ExecStats
 	ctx      *Context
 
 	fpA, fpB uint64
-	// Plan-owned copies of the inspector results: the Context's own buffers
-	// may be overwritten by unrelated Multiply calls between Executes.
-	offsets []int
-	bounds  []int64 // per-worker accumulator size bound (capped at Cols)
-	flopRow []int64
-	rowPtr  []int64
-	valid   bool
-
-	// Tiled-plan state (alg == AlgTiled): the cached tile geometry and
-	// column-split structure of B plus the heavy (row, tile) unit
-	// bookkeeping. Values are NOT cached — perm maps each split entry back
-	// to its originating B entry, and every execution re-gathers B's current
-	// values through it into the Context's buffer, which keeps executions
+	// in is the plan's own copy of the inspection (see inspection.clone): the
+	// Context's buffers may be overwritten by unrelated Multiply calls
+	// between Executes. For a tiled plan it holds the split's structure and
+	// entry permutation but never values — every execution gathers B's
+	// current values into its Context's buffer, which keeps executions
 	// bit-identical to Multiply after value updates and keeps concurrent
 	// ExecuteIn calls (distinct Contexts) safe on one shared Plan.
-	tileCols   int
-	nTiles     int
-	heavyFlop  int64
-	nHeavy     int
-	lightFlop  []int64 // flopRow with heavy rows zeroed (aliases flopRow when none)
-	tileRowPtr []int64
-	tileIdx    []int32
-	perm       []int64
-	unitRow    []int32
-	unitTile   []int32
-	unitFlop   []int64
-	unitNnz    []int64
-	unitOff    []int64
-	uoffsets   []int
-
-	// Sharded-plan state (alg == AlgSharded): the cached stripe geometry —
-	// flop-balanced row offsets, per-stripe accumulator bounds, column-split
-	// flags and the block width (see shardGeometry).
-	stripeOffsets  []int
-	stripeBounds   []int64
-	stripeWide     []bool
-	shardBlockCols int
+	in    inspection[float64]
+	valid bool
 }
 
 // NewPlan runs the inspector: flop counts, balanced partition and symbolic
 // phase for C = A·B, and returns a Plan whose Execute performs the numeric
 // phase only. Supported algorithms are AlgHash, AlgHashVec, AlgTiled and
 // AlgSharded (AlgAuto resolves through the recipe and then must land on one
-// of those); Mask, Semiring and ShardSink are not supported. opt.Context, when set, supplies the
-// reusable accumulators Execute will use; opt.Stats, when set, receives
-// per-phase times for the inspector call and for every Execute.
+// of those); Mask, Semiring and ShardSink are not supported — a spilled
+// product aliases its temp-file mapping and is single-use, the opposite of
+// what a reusable plan is for. opt.Context, when set, supplies the reusable
+// accumulators Execute will use; opt.Stats, when set, receives per-phase
+// times for the inspector call and for every Execute.
 func NewPlan(a, b *matrix.CSR, opt *Options) (*Plan, error) {
 	if opt == nil {
 		opt = &Options{}
@@ -116,26 +88,12 @@ func NewPlan(a, b *matrix.CSR, opt *Options) (*Plan, error) {
 	if opt.ShardSink != nil {
 		return nil, fmt.Errorf("spgemm: plans do not support a ShardSink (spilled products are single-use)")
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = sched.DefaultWorkers()
-	}
-	if workers > a.Rows && a.Rows > 0 {
-		workers = a.Rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	ctx := opt.Context
 	if ctx == nil {
 		ctx = NewContext()
 	}
-	ctx.ensureWorkers(workers)
-
 	p := &Plan{
 		a: a, b: b,
-		alg:      alg,
-		workers:  workers,
 		unsorted: opt.Unsorted,
 		stats:    opt.Stats,
 		ctx:      ctx,
@@ -145,40 +103,16 @@ func NewPlan(a, b *matrix.CSR, opt *Options) (*Plan, error) {
 	if opt.Stats != nil {
 		opt.Stats.Algorithm = alg
 	}
-	if alg == AlgTiled {
-		p.buildTiled(opt, ctx)
-		p.valid = true
-		mPlanBuilds.Inc()
-		return p, nil
-	}
-	if alg == AlgSharded {
-		p.buildSharded(opt, ctx)
-		p.valid = true
-		mPlanBuilds.Inc()
-		return p, nil
-	}
-
-	pt := startPhases(opt.Stats, workers)
-	flopRow := ctx.perRowFlop(a, b)
-	p.flopRow = append(p.flopRow[:0], flopRow...)
-	p.offsets = append(p.offsets[:0], ctx.partition(flopRow, workers, workers)...)
-	pt.tick(PhasePartition)
-
-	p.bounds = make([]int64, workers)
-	rowNnz := ctx.rowNnzBuf(a.Rows)
-	ctx.runWorkers("inspect-symbolic", workers, func(w int) {
-		p.bounds[w] = ctx.hashSymbolic(w, a, b, p.flopRow, p.offsets[w], p.offsets[w+1], rowNnz, pt.worker(w))
-	})
-	pt.tick(PhaseSymbolic)
-	p.rowPtr = ctx.prefixSum(rowNnz, make([]int64, a.Rows+1), workers)
+	in, pt := inspect(semiring.PlusTimesF64{}, alg, a, b, opt.generic(), ctx, true)
 	pt.finish()
+	p.in = in.clone()
 	p.valid = true
 	mPlanBuilds.Inc()
 	return p, nil
 }
 
 // NNZ returns the number of nonzeros every Execute will produce.
-func (p *Plan) NNZ() int64 { return p.rowPtr[len(p.rowPtr)-1] }
+func (p *Plan) NNZ() int64 { return p.in.rowPtr[len(p.in.rowPtr)-1] }
 
 // Invalidate marks the plan stale; every later Execute returns ErrPlanStale.
 // Call it after changing the structure of A or B in a way the caller knows
@@ -210,76 +144,18 @@ func (p *Plan) ExecuteIn(ctx *Context, stats *ExecStats) (*matrix.CSR, error) {
 		mPlanStale.Inc()
 		return nil, ErrPlanStale
 	}
-	if p.alg == AlgTiled {
-		return p.executeTiled(ctx, stats)
-	}
-	if p.alg == AlgSharded {
-		return p.executeSharded(ctx, stats)
-	}
-	a, b := p.a, p.b
 	if ctx == nil {
 		ctx = NewContext()
 	}
-	ctx.ensureWorkers(p.workers)
-	pt := startPhases(stats, p.workers)
+	ctx.ensureWorkers(p.in.workers)
+	pt := startPhases(stats, p.in.workers)
 	if stats != nil {
-		stats.Algorithm = p.alg
+		stats.Algorithm = p.in.alg
 	}
-
-	outPtr := make([]int64, len(p.rowPtr))
-	copy(outPtr, p.rowPtr)
-	c := outputShell[float64](a.Rows, b.Cols, outPtr, !p.unsorted)
-	pt.tick(PhaseAlloc)
-
-	ctx.runWorkers("plan-numeric", p.workers, func(w int) {
-		lo, hi := p.offsets[w], p.offsets[w+1]
-		if lo >= hi {
-			return
-		}
-		if p.alg == AlgHash {
-			h := newHashNumeric(semiring.PlusTimesF64{}, ctx.hashTable(w, p.bounds[w]), a, b, c.ColIdx, c.Val, !p.unsorted)
-			h.rows(p.flopRow, c.RowPtr, lo, hi, 0)
-			if ws := pt.worker(w); ws != nil {
-				ws.Rows = int64(hi - lo)
-				ws.Flop = rangeFlop(p.flopRow, lo, hi)
-				h.report(ws)
-			}
-			return
-		}
-		table := ctx.hashVecTable(w, p.bounds[w])
-		for i := lo; i < hi; i++ {
-			table.Reset()
-			alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-			for q := alo; q < ahi; q++ {
-				k := a.ColIdx[q]
-				av := a.Val[q]
-				for r := b.RowPtr[k]; r < b.RowPtr[k+1]; r++ {
-					prod := av * b.Val[r]
-					slot, fresh := table.Upsert(b.ColIdx[r])
-					if fresh {
-						*slot = prod
-					} else {
-						*slot += prod
-					}
-				}
-			}
-			start := c.RowPtr[i]
-			n := c.RowPtr[i+1] - start
-			if p.unsorted {
-				table.ExtractUnsorted(c.ColIdx[start:start+n], c.Val[start:start+n])
-			} else {
-				table.ExtractSorted(c.ColIdx[start:start+n], c.Val[start:start+n])
-			}
-		}
-		if ws := pt.worker(w); ws != nil {
-			ws.Rows = int64(hi - lo)
-			ws.Flop = rangeFlop(p.flopRow, lo, hi)
-			ws.HashLookups = table.Lookups()
-			ws.HashProbes = table.Probes()
-		}
-	})
-	pt.tick(PhaseNumeric)
-	pt.finish()
+	c, err := execute(semiring.PlusTimesF64{}, p.a, p.b, ctx, &p.in, append([]int64(nil), p.in.rowPtr...), p.unsorted, nil, &pt)
+	if err != nil {
+		return nil, err
+	}
 	mPlanExecs.Inc()
 	if stats != nil {
 		ctx.accumulate(stats)

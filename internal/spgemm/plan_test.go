@@ -2,10 +2,12 @@ package spgemm
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/matrix"
 )
 
@@ -234,6 +236,78 @@ func TestPlanConcurrentExecuteIn(t *testing.T) {
 		}
 		if !csrEqual(results[g], want) {
 			t.Fatalf("goroutine %d produced a different product", g)
+		}
+	}
+}
+
+// TestPlanAndMultiplyReportSameWork: a Plan is Multiply's two phases held
+// apart, so for every plannable geometry the inspector's counters plus the
+// first execution's add up to the one-shot call's, and later executions
+// spend nothing on partition or symbolic.
+func TestPlanAndMultiplyReportSameWork(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	sorted := gen.RMAT(8, 8, gen.G500Params, rng)
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"hash", Options{Algorithm: AlgHash}},
+		{"hashvec", Options{Algorithm: AlgHashVec}},
+		{"tiled", Options{Algorithm: AlgTiled, TileCols: 64, TileHeavyFlop: 16}},
+		{"sharded", Options{Algorithm: AlgSharded, ShardStripes: 16, TileCols: 64, TileHeavyFlop: 255}},
+	} {
+		for _, unsorted := range []bool{false, true} {
+			a := sorted
+			if unsorted {
+				a = gen.Unsorted(sorted, rng)
+			}
+			t.Run(fmt.Sprintf("%s/unsorted=%v", tc.name, unsorted), func(t *testing.T) {
+				var oneShot, planned ExecStats
+				opt := tc.opt
+				opt.Workers, opt.Unsorted, opt.Stats = 3, unsorted, &oneShot
+				if _, err := Multiply(a, a, &opt); err != nil {
+					t.Fatal(err)
+				}
+				want := oneShot.TotalWorker()
+				switch tc.name {
+				case "tiled":
+					if want.L2Overflows == 0 {
+						t.Fatal("forced tile geometry routed no heavy units")
+					}
+				case "sharded":
+					wide := 0
+					for _, s := range oneShot.Stripes {
+						if s.ColSplit {
+							wide++
+						}
+					}
+					if wide == 0 || wide == len(oneShot.Stripes) {
+						t.Fatalf("%d of %d stripes column-split; want both kinds", wide, len(oneShot.Stripes))
+					}
+				}
+
+				opt.Stats = &planned
+				plan, err := NewPlan(a, a, &opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := planned.Clone()
+				if _, err := plan.Execute(); err != nil {
+					t.Fatal(err)
+				}
+				sum.Add(&planned)
+				got := sum.TotalWorker()
+				got.HashProbes, want.HashProbes = 0, 0 // depends on table capacity, not on the work
+				if got != want {
+					t.Errorf("NewPlan + Execute report %+v, Multiply reports %+v", got, want)
+				}
+				if _, err := plan.Execute(); err != nil {
+					t.Fatal(err)
+				}
+				if planned.Phases[PhasePartition] != 0 || planned.Phases[PhaseSymbolic] != 0 {
+					t.Errorf("second Execute spent partition=%v symbolic=%v", planned.Phases[PhasePartition], planned.Phases[PhaseSymbolic])
+				}
+			})
 		}
 	}
 }

@@ -29,9 +29,9 @@ import (
 //
 // The type assertions live in un-annotated setup code on purpose: an
 // interface conversion inside a //spgemm:hotpath body would trip the
-// deferhot analyzer. hashVecFast's numeric phase keeps the dictionary path;
-// its chunked table has a different Upsert contract and the hash/tiled pair
-// covers the kernels the tiled work (PR 7) made the defaults.
+// deferhot analyzer. HashVector's numeric pass (hashVecRows) keeps the
+// dictionary path; its chunked table has a different Upsert contract and the
+// hash/tiled pair covers the kernels the tiled work (PR 7) made the defaults.
 
 // ptF64Hash reports whether this hash-kernel instantiation is the float64
 // plus-times flagship and, if so, returns the concretely-typed views of the

@@ -48,8 +48,11 @@ func (slowPlusTimesF64) Zero() float64            { return 0 }
 // kernels — one-shot and as a Plan replay — produce bit-identical output to
 // the generic path, sorted and unsorted, for every kernel that runs the
 // whole-row hash functions: on a uniform and a skewed input (rows fold
-// through the table) and on two compression-ratio-1 products, a thin ER
-// square and a permutation times ER (unsorted rows are concatenated).
+// through the table), on two compression-ratio-1 products, a thin ER square
+// and a permutation times ER (unsorted rows are concatenated), and on the
+// skewed input under tiles narrow enough that Tiled routes heavy rows
+// through its dense unit kernel, which has a twin of its own, and Sharded
+// column-splits its stripes.
 func TestRingFastEquivalence(t *testing.T) {
 	er, g500 := ringfastMatrices()
 	rng := rand.New(rand.NewSource(20180619))
@@ -57,18 +60,23 @@ func TestRingFastEquivalence(t *testing.T) {
 	perm := matrix.Identity(er.Rows).PermuteRows(rng.Perm(er.Rows))
 	for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgTiled, AlgSharded} {
 		for _, m := range []struct {
-			name string
-			a, b *matrix.CSR
-		}{{"ER", er, er}, {"G500", g500, g500}, {"ER-CR1", thin, thin}, {"Perm", perm, er}} {
+			name     string
+			a, b     *matrix.CSR
+			tileCols int
+		}{{"ER", er, er, 0}, {"G500", g500, g500, 0}, {"ER-CR1", thin, thin, 0}, {"Perm", perm, er, 0}, {"G500-heavy", g500, g500, 256}} {
 			for _, unsorted := range []bool{false, true} {
 				name := fmt.Sprintf("%v/%s/unsorted=%v", alg, m.name, unsorted)
 				t.Run(name, func(t *testing.T) {
-					opt := &Options{Algorithm: alg, Workers: ringfastWorkers, Unsorted: unsorted}
+					var st ExecStats
+					opt := &Options{Algorithm: alg, Workers: ringfastWorkers, Unsorted: unsorted, TileCols: m.tileCols, Stats: &st}
 					fast, err := Multiply(m.a, m.b, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					slow, err := MultiplyRing[float64, slowPlusTimesF64](slowPlusTimesF64{}, m.a, m.b, &OptionsG[float64]{Algorithm: alg, Workers: ringfastWorkers, Unsorted: unsorted})
+					if alg == AlgTiled && m.tileCols > 0 && st.TotalWorker().L2Overflows == 0 {
+						t.Fatal("forced tile width routed no heavy units")
+					}
+					slow, err := MultiplyRing[float64, slowPlusTimesF64](slowPlusTimesF64{}, m.a, m.b, &OptionsG[float64]{Algorithm: alg, Workers: ringfastWorkers, Unsorted: unsorted, TileCols: m.tileCols})
 					if err != nil {
 						t.Fatal(err)
 					}

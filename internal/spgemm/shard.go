@@ -157,13 +157,16 @@ type shardGeometry struct {
 // each against the tile geometry (TileCols/TileHeavyFlop overrides win,
 // otherwise the analytic memmodel width — the same knobs AlgTiled uses, so
 // tests can force the column-split path at toy scale). The returned slices
-// alias the Context's reusable buffers; Plan copies what it keeps.
-func (o *OptionsG[V]) shardPlanGeometry(ctx *ContextG[V], flopRow []int64, totalFlop int64, rows, cols, workers int) shardGeometry {
-	var zero V
-	elem := int(unsafe.Sizeof(zero))
+// alias the Context's reusable buffers; inspection.clone copies them for Plans.
+func (o *OptionsG[V]) shardPlanGeometry(ctx *ContextG[V], flopRow []int64, rows, cols, workers int) shardGeometry {
 	nStripes := o.ShardStripes
 	if nStripes <= 0 {
-		nStripes = shardStripeCount(totalFlop, rows, workers, elem, o.ShardMemBudget)
+		var zero V
+		var totalFlop int64
+		for _, f := range flopRow {
+			totalFlop += f
+		}
+		nStripes = shardStripeCount(totalFlop, rows, workers, int(unsafe.Sizeof(zero)), o.ShardMemBudget)
 	}
 	if nStripes > rows && rows > 0 {
 		nStripes = rows

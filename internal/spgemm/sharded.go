@@ -6,9 +6,9 @@ import (
 	"repro/internal/semiring"
 )
 
-// AlgSharded: the staged shard driver. The monolithic hash pipeline
-// (hashfast.go) partitions rows over exactly `workers` ranges and runs each
-// range start-to-finish on its worker; here the same pipeline is cut into
+// AlgSharded: the staged shard geometry of the hash-family driver
+// (driver.go). AlgHash partitions rows over exactly `workers` ranges and runs
+// each range start-to-finish on its worker; here the same pipeline is cut into
 // stripe-local ShardUnits — usually many more stripes than workers — that
 // flow through the pool with dynamic scheduling and land in a pluggable
 // ShardSink. The decomposition follows the 1.5D/row-stripe shape of
@@ -26,56 +26,6 @@ import (
 // offsets the monolithic kernel computes. With unsorted output the entry
 // *sets* match but the order within a row may differ — hash-table iteration
 // order depends on table capacity, which legitimately differs per stripe.
-
-// shardedMultiply is the AlgSharded driver.
-func shardedMultiply[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
-	workers := opt.workers()
-	if workers > a.Rows && a.Rows > 0 {
-		workers = a.Rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ctx := opt.ctx()
-	ctx.ensureWorkers(workers)
-	pt := startPhases(opt.Stats, workers)
-	flopRow := ctx.perRowFlop(a, b)
-	var totalFlop int64
-	for _, f := range flopRow {
-		totalFlop += f
-	}
-	geom := opt.shardPlanGeometry(ctx, flopRow, totalFlop, a.Rows, b.Cols, workers)
-	pt.tick(PhasePartition)
-
-	rowNnz := ctx.rowNnzBuf(a.Rows)
-	src := newHashShardSource(ring, a, b, ctx, &geom, flopRow, opt.Unsorted)
-	shardSymbolic[V](ctx, src, workers, rowNnz)
-	pt.tick(PhaseSymbolic)
-
-	rowPtr := ctx.prefixSum(rowNnz, nil, workers)
-	var sink ShardSink[V] = opt.ShardSink
-	if sink == nil {
-		sink = &memShardSink[V]{}
-	}
-	if err := sink.Bind(a.Rows, b.Cols, rowPtr, !opt.Unsorted); err != nil {
-		return nil, err
-	}
-	pt.tick(PhaseAlloc)
-
-	if err := shardNumeric[V](ctx, src, workers, rowPtr, sink, &pt); err != nil {
-		return nil, err
-	}
-	pt.tick(PhaseNumeric)
-
-	c, err := sink.Assemble()
-	if err != nil {
-		return nil, err
-	}
-	pt.tick(PhaseAssemble)
-	fillStripeStats(opt.Stats, &geom, flopRow, rowPtr, sink)
-	pt.finish()
-	return c, nil
-}
 
 // shardSymbolic runs every stripe's symbolic stage through the pool with
 // dynamic scheduling (stripes are flop-balanced, but symbolic cost still
@@ -183,7 +133,7 @@ func (h *hashShardSource[V, R]) Rows(s int) (int, int) {
 func (h *hashShardSource[V, R]) Unit(s int) ShardUnit[V] { return &h.units[s] }
 
 // hashStripeUnit is the hash kernel scoped to one row stripe. The narrow
-// path runs hashFast's row functions (hashrow.go) with global row indices, so
+// path runs AlgHash's row functions (hashrow.go) with global row indices, so
 // stripe outputs are byte-for-byte what the monolithic kernel would write at
 // the same offsets. The wide path sweeps B in ascending column blocks with a
 // table bounded by the block width — the cache-resident regime — and relies

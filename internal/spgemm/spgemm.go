@@ -289,11 +289,21 @@ type OptionsG[V semiring.Value] struct {
 	ShardSink      ShardSink[V]
 }
 
-func (o *OptionsG[V]) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
+// workersFor resolves the worker count of a product with the given number
+// of output rows: Workers (GOMAXPROCS when unset), at most one per row, at
+// least one. Every kernel and NewPlan size their parallel regions with it.
+func (o *OptionsG[V]) workersFor(rows int) int {
+	workers := o.Workers
+	if workers <= 0 {
+		workers = sched.DefaultWorkers()
 	}
-	return sched.DefaultWorkers()
+	if workers > rows {
+		workers = rows
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	return workers
 }
 
 // Multiply computes C = A·B with the selected algorithm. A and B must agree
@@ -303,27 +313,32 @@ func Multiply(a, b *matrix.CSR, opt *Options) (*matrix.CSR, error) {
 	if opt == nil {
 		opt = &Options{}
 	}
-	g := &OptionsG[float64]{
-		Algorithm:   opt.Algorithm,
-		Workers:     opt.Workers,
-		Unsorted:    opt.Unsorted,
-		HeapVariant: opt.HeapVariant,
-		Mask:        opt.Mask,
-		UseCase:     opt.UseCase,
-		Stats:       opt.Stats,
-		Context:     opt.Context,
-
-		TileCols:      opt.TileCols,
-		TileHeavyFlop: opt.TileHeavyFlop,
-
-		ShardStripes:   opt.ShardStripes,
-		ShardMemBudget: opt.ShardMemBudget,
-		ShardSink:      opt.ShardSink,
-	}
 	if opt.Semiring != nil {
-		return MultiplyRing(semiring.Func{S: opt.Semiring}, a, b, g)
+		return MultiplyRing(semiring.Func{S: opt.Semiring}, a, b, opt.generic())
 	}
-	return MultiplyRing(semiring.PlusTimesF64{}, a, b, g)
+	return MultiplyRing(semiring.PlusTimesF64{}, a, b, opt.generic())
+}
+
+// generic returns the OptionsG[float64] carrying every field of o but
+// Semiring, which the generic API takes as the ring argument.
+func (o *Options) generic() *OptionsG[float64] {
+	return &OptionsG[float64]{
+		Algorithm:   o.Algorithm,
+		Workers:     o.Workers,
+		Unsorted:    o.Unsorted,
+		HeapVariant: o.HeapVariant,
+		Mask:        o.Mask,
+		UseCase:     o.UseCase,
+		Stats:       o.Stats,
+		Context:     o.Context,
+
+		TileCols:      o.TileCols,
+		TileHeavyFlop: o.TileHeavyFlop,
+
+		ShardStripes:   o.ShardStripes,
+		ShardMemBudget: o.ShardMemBudget,
+		ShardSink:      o.ShardSink,
+	}
 }
 
 // MultiplyRing computes C = A·B over the given semiring ring. The kernels
@@ -342,7 +357,13 @@ func MultiplyRing[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 	}
 	alg := opt.Algorithm
 	if alg == AlgAuto {
-		alg = Recommend(a, b, !opt.Unsorted, opt.UseCase)
+		// The Table 4 recipe knows nothing of masks and may answer Heap; of
+		// the kernels it can return, only Hash fuses one.
+		if opt.Mask != nil {
+			alg = AlgHash
+		} else {
+			alg = Recommend(a, b, !opt.Unsorted, opt.UseCase)
+		}
 	}
 	if opt.Stats != nil {
 		opt.Stats.Algorithm = alg
@@ -369,10 +390,13 @@ func MultiplyRing[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 // dispatch routes to the concrete kernel.
 func dispatch[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
 	switch alg {
-	case AlgHash:
-		return hashMultiply(ring, a, b, opt, false)
-	case AlgHashVec:
-		return hashMultiply(ring, a, b, opt, true)
+	case AlgHash, AlgHashVec:
+		if opt.Mask != nil {
+			return maskedHashMultiply(ring, a, b, opt, alg == AlgHashVec)
+		}
+		return inspectExecute(ring, alg, a, b, opt)
+	case AlgTiled, AlgSharded:
+		return inspectExecute(ring, alg, a, b, opt)
 	case AlgHeap:
 		return heapMultiply(ring, a, b, opt)
 	case AlgSPA:
@@ -391,10 +415,6 @@ func dispatch[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b 
 		return blockedSPAMultiply(ring, a, b, opt, blockedSPAConfig{})
 	case AlgESC:
 		return escMultiply(ring, a, b, opt)
-	case AlgTiled:
-		return tiledMultiply(ring, a, b, opt)
-	case AlgSharded:
-		return shardedMultiply(ring, a, b, opt)
 	}
 	return nil, fmt.Errorf("spgemm: unknown algorithm %d", alg)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/semiring"
 )
@@ -313,6 +314,41 @@ func TestMaskedMultiply(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestAutoWithMaskResolvesToHash: AlgAuto must not hand a masked product to
+// a kernel that cannot fuse the mask. On this input the unmasked Table 4
+// recipe answers Heap for the sorted request, which used to fail the call.
+func TestAutoWithMaskResolvesToHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(112))
+	a := gen.RMAT(9, 4, gen.G500Params, rng)
+	if alg := Recommend(a, a, true, UseSquare); alg != AlgHeap {
+		t.Fatalf("recipe answers %v here; the test needs an input it answers heap on", alg)
+	}
+	pattern := a.Clone()
+	for i := range pattern.Val {
+		pattern.Val[i] = 1
+	}
+	want, err := matrix.Hadamard(matrix.NaiveMultiply(a, a), pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, unsorted := range []bool{false, true} {
+		var st ExecStats
+		got, err := Multiply(a, a, &Options{Mask: a, Unsorted: unsorted, Workers: 2, Stats: &st})
+		if err != nil {
+			t.Fatalf("unsorted=%v: %v", unsorted, err)
+		}
+		if st.Algorithm != AlgHash {
+			t.Errorf("unsorted=%v: auto with a mask ran %v, want hash", unsorted, st.Algorithm)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("unsorted=%v: %v", unsorted, err)
+		}
+		if !matrix.EqualApprox(want, got, 1e-9) {
+			t.Fatalf("unsorted=%v: masked auto product differs from NaiveMultiply .* mask", unsorted)
 		}
 	}
 }

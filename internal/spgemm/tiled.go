@@ -149,205 +149,177 @@ func tiledUnitNumeric[V semiring.Value, R semiring.Ring[V]](ring R, spa *accum.S
 	}
 }
 
-// lightRows counts the rows of [lo, hi) the light pass owns: every row but
-// the heavy ones, whose weight was zeroed.
-func lightRows(lightFlop, flopRow []int64, lo, hi int) (n int64) {
+// heavy reports whether row i is routed through tiling: its weight was
+// zeroed out of lightFlop, and a heavy row's flop is never zero.
+func (in *inspection[V]) heavy(i int) bool { return in.lightFlop[i] != in.flopRow[i] }
+
+// lightRows counts the rows of [lo, hi) the whole-row hash pass owns: every
+// row but the heavy ones.
+func (in *inspection[V]) lightRows(lo, hi int) (n int64) {
+	if len(in.unitRow) == 0 {
+		return int64(hi - lo)
+	}
 	for i := lo; i < hi; i++ {
-		if lightFlop[i] == flopRow[i] {
+		if !in.heavy(i) {
 			n++
 		}
 	}
 	return n
 }
 
-// tiledMultiply is the AlgTiled driver.
-func tiledMultiply[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
-	workers := opt.workers()
-	if workers > a.Rows && a.Rows > 0 {
-		workers = a.Rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ctx := opt.ctx()
-	ctx.ensureWorkers(workers)
-	pt := startPhases(opt.Stats, workers)
-
-	flopRow := ctx.perRowFlop(a, b)
+// inspectTiles is the tiled part of inspect's partition phase. A row whose
+// accumulator bound exceeds the threshold cannot stay cache-resident on the
+// single-pass hash path; with a single tile there is nothing to split, so
+// every row is light. When there are heavy rows it zeroes them out of
+// lightFlop — so the light partition spreads only the work the light pass
+// will actually do — column-splits B, and enumerates the heavy (row, tile)
+// units with their flop (the unit scheduling weights) and partition.
+func (in *inspection[V]) inspectTiles(ctx *ContextG[V], a, b *matrix.CSRG[V], opt *OptionsG[V], wantPerm bool) {
 	tileCols, heavyFlop := opt.tileGeometry()
-	nTiles := 1
-	if b.Cols > tileCols {
-		nTiles = (b.Cols + tileCols - 1) / tileCols
+	in.tileCols = tileCols
+	nTiles := (b.Cols + tileCols - 1) / tileCols
+	if nTiles <= 1 {
+		return
 	}
-
-	// Heavy-row detection: a row whose accumulator bound exceeds the
-	// threshold cannot stay cache-resident on the single-pass hash path.
-	// With a single tile there is nothing to split, so every row is light.
+	flopRow := in.flopRow
 	nHeavy := 0
-	if nTiles > 1 {
-		for i := 0; i < a.Rows; i++ {
-			if capBound(flopRow[i], b.Cols) > heavyFlop {
-				nHeavy++
-			}
+	for _, f := range flopRow {
+		if capBound(f, b.Cols) > heavyFlop {
+			nHeavy++
 		}
 	}
-	heavyRow := func(i int) bool {
-		return nHeavy > 0 && capBound(flopRow[i], b.Cols) > heavyFlop
+	if nHeavy == 0 {
+		return
+	}
+	in.lightFlop = ctx.lightFlopBuf(a.Rows)
+	for i, f := range flopRow {
+		if capBound(f, b.Cols) > heavyFlop {
+			f = 0
+		}
+		in.lightFlop[i] = f
 	}
 
-	// Light rows are flop-balanced as usual; heavy rows are zeroed out of
-	// the weights so the light partition spreads only the work the light
-	// pass will actually do.
-	lightFlop := flopRow
-	if nHeavy > 0 {
-		lightFlop = ctx.lightFlopBuf(a.Rows)
-		for i, f := range flopRow {
-			if capBound(f, b.Cols) > heavyFlop {
-				lightFlop[i] = 0
-			} else {
-				lightFlop[i] = f
+	if wantPerm {
+		in.perm = make([]int64, b.RowPtr[b.Rows])
+	}
+	in.tiles = splitTiles(ctx, b, tileCols, nTiles, in.perm)
+	in.unitRow, in.unitTile, in.unitFlop, in.unitNnz, in.unitOff = ctx.unitBufs(nHeavy * nTiles)
+	base := 0
+	for i := 0; i < a.Rows; i++ {
+		if !in.heavy(i) {
+			continue
+		}
+		for t := 0; t < nTiles; t++ {
+			in.unitRow[base+t] = int32(i)
+			in.unitTile[base+t] = int32(t)
+			in.unitFlop[base+t] = 0
+		}
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			k := int(a.ColIdx[p])
+			for t := 0; t < nTiles; t++ {
+				lo, hi := in.tiles.rowRange(t, k)
+				in.unitFlop[base+t] += hi - lo
 			}
 		}
+		base += nTiles
 	}
-	offsets := ctx.partition(lightFlop, workers, workers)
+	in.uoffsets = ctx.partitionUnits(in.unitFlop, in.workers, in.workers)
+}
 
-	// Column-split B and enumerate the heavy (row, tile) units with their
-	// per-unit flop (the unit scheduling weights).
-	var (
-		tiles    tiledSplit[V]
-		unitRow  []int32
-		unitTile []int32
-		unitFlop []int64
-		unitNnz  []int64
-		unitOff  []int64
-		nUnits   int
-	)
-	if nHeavy > 0 {
-		tiles = splitTiles(ctx, b, tileCols, nTiles, nil)
-		nUnits = nHeavy * nTiles
-		unitRow, unitTile, unitFlop, unitNnz, unitOff = ctx.unitBufs(nUnits)
-		u := 0
-		for i := 0; i < a.Rows; i++ {
-			if !heavyRow(i) {
+// heavySymbolic sizes the heavy units — flop-balanced unit-grain scheduling,
+// each unit counting into a dense tile-wide accumulator — and adds them to
+// their rows' sizes. No-op without heavy rows.
+func (in *inspection[V]) heavySymbolic(ctx *ContextG[V], a *matrix.CSRG[V], rowNnz []int64) {
+	if len(in.unitRow) == 0 {
+		return
+	}
+	ctx.runWorkers("symbolic-heavy", in.workers, func(w int) {
+		ulo, uhi := in.uoffsets[w], in.uoffsets[w+1]
+		if ulo >= uhi {
+			return
+		}
+		spa := ctx.spaTable(w, in.tileCols)
+		for u := ulo; u < uhi; u++ {
+			in.unitNnz[u] = 0
+			if in.unitFlop[u] != 0 {
+				in.unitNnz[u] = tiledUnitSymbolic(spa, a, &in.tiles, int(in.unitRow[u]), int(in.unitTile[u]))
+			}
+		}
+	})
+	for u, row := range in.unitRow {
+		rowNnz[row] += in.unitNnz[u]
+	}
+}
+
+// stitchUnits places each heavy unit in the output once rowPtr is final:
+// units of a row appear consecutively in ascending tile order, so a unit's
+// slice starts at the row base plus the sizes of the row's earlier tiles —
+// one serial scan, no temp buffers.
+func (in *inspection[V]) stitchUnits() {
+	for u, row := range in.unitRow {
+		if in.unitTile[u] == 0 {
+			in.unitOff[u] = in.rowPtr[row]
+		} else {
+			in.unitOff[u] = in.unitOff[u-1] + in.unitNnz[u-1]
+		}
+	}
+}
+
+// tiledHeavyNumeric fills the heavy units: each writes its tile's slice of
+// the row straight into c at the stitched offset. L2Overflows counts the
+// units routed through tiling (the rows that would have overflowed the
+// cache-resident accumulator on the hash path). No-op without heavy rows.
+func tiledHeavyNumeric[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V], a, b *matrix.CSRG[V], in *inspection[V], c *matrix.CSRG[V], pt *phaseTimer) {
+	if len(in.unitRow) == 0 {
+		return
+	}
+	// A Plan caches the split's structure, never its values: gather B's
+	// current ones through the permutation — O(nnz(B)), no allocation at
+	// steady state.
+	tiles := &in.tiles
+	if in.perm != nil {
+		gathered := in.tiles
+		gathered.vals = ctx.tileValBuf(len(in.perm))
+		for q, src := range in.perm {
+			gathered.vals[q] = b.Val[src]
+		}
+		tiles = &gathered
+	}
+	ctx.runWorkers("numeric-heavy", in.workers, func(w int) {
+		ulo, uhi := in.uoffsets[w], in.uoffsets[w+1]
+		if ulo >= uhi {
+			return
+		}
+		spa := ctx.spaTable(w, in.tileCols)
+		fa, ftl, fspa, fastF64 := ptF64Tiled(ring, a, tiles, spa)
+		var fc *matrix.CSRG[float64]
+		if fastF64 {
+			fc, _ = any(c).(*matrix.CSRG[float64])
+			fastF64 = fc != nil
+		}
+		var flop, rows int64
+		for u := ulo; u < uhi; u++ {
+			t := int(in.unitTile[u])
+			if t == 0 {
+				rows++
+			}
+			n := in.unitNnz[u]
+			if n == 0 {
 				continue
 			}
-			base := u
-			for t := 0; t < nTiles; t++ {
-				unitRow[base+t] = int32(i)
-				unitTile[base+t] = int32(t)
-				unitFlop[base+t] = 0
-			}
-			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-				k := int(a.ColIdx[p])
-				for t := 0; t < nTiles; t++ {
-					lo, hi := tiles.rowRange(t, k)
-					unitFlop[base+t] += hi - lo
-				}
-			}
-			u += nTiles
-		}
-	}
-	pt.tick(PhasePartition)
-
-	rowNnz := ctx.rowNnzBuf(a.Rows)
-
-	// Symbolic, light rows: the hash path of hashFast; heavy rows carry a
-	// zero weight and are skipped.
-	ctx.runWorkers("tiled-symbolic", workers, func(w int) {
-		ctx.hashSymbolic(w, a, b, lightFlop, offsets[w], offsets[w+1], rowNnz, pt.worker(w))
-	})
-
-	// Symbolic, heavy units: flop-balanced unit-grain scheduling; each unit
-	// counts into a dense tile-wide accumulator.
-	if nUnits > 0 {
-		ctx.balancedUnits("tiled-symbolic-heavy", unitFlop, workers, func(w, ulo, uhi int) {
-			if ulo >= uhi {
-				return
-			}
-			spa := ctx.spaTable(w, tileCols)
-			for u := ulo; u < uhi; u++ {
-				if unitFlop[u] == 0 {
-					unitNnz[u] = 0
-					continue
-				}
-				unitNnz[u] = tiledUnitSymbolic(spa, a, &tiles, int(unitRow[u]), int(unitTile[u]))
-			}
-		})
-		for u := 0; u < nUnits; u++ {
-			rowNnz[unitRow[u]] += unitNnz[u]
-		}
-	}
-	pt.tick(PhaseSymbolic)
-
-	rowPtr := ctx.prefixSum(rowNnz, nil, workers)
-	c := outputShell[V](a.Rows, b.Cols, rowPtr, !opt.Unsorted)
-	// Stitch offsets: units of a row appear consecutively in ascending tile
-	// order, so each unit's output slice starts at the row base plus the
-	// sizes of the row's earlier tiles — one serial scan, no temp buffers.
-	for u := 0; u < nUnits; u++ {
-		if unitTile[u] == 0 {
-			unitOff[u] = rowPtr[unitRow[u]]
-		} else {
-			unitOff[u] = unitOff[u-1] + unitNnz[u-1]
-		}
-	}
-	pt.tick(PhaseAlloc)
-
-	// Numeric, light rows.
-	ctx.runWorkers("tiled-numeric", workers, func(w int) {
-		lo, hi := offsets[w], offsets[w+1]
-		flop, max := rangeFlopMax(lightFlop, lo, hi)
-		h := newHashNumeric(ring, ctx.hashTable(w, capBound(max, b.Cols)), a, b, c.ColIdx, c.Val, !opt.Unsorted)
-		h.rows(lightFlop, c.RowPtr, lo, hi, 0)
-		if ws := pt.worker(w); ws != nil {
-			ws.Rows += lightRows(lightFlop, flopRow, lo, hi)
-			ws.Flop += flop
-			h.report(ws)
-		}
-	})
-
-	// Numeric, heavy units: each unit writes its tile's slice of the row
-	// straight into the output at the stitched offset. L2Overflows counts
-	// the units routed through tiling (the rows that would have overflowed
-	// the cache-resident accumulator on the hash path).
-	if nUnits > 0 {
-		ctx.balancedUnits("tiled-numeric-heavy", unitFlop, workers, func(w, ulo, uhi int) {
-			if ulo >= uhi {
-				return
-			}
-			spa := ctx.spaTable(w, tileCols)
-			fa, ftl, fspa, fastF64 := ptF64Tiled(ring, a, &tiles, spa)
-			var fc *matrix.CSRG[float64]
+			start := in.unitOff[u]
+			cols := c.ColIdx[start : start+n]
 			if fastF64 {
-				fc, _ = any(c).(*matrix.CSRG[float64])
-				fastF64 = fc != nil
+				tiledUnitNumericF64(fspa, fa, ftl, int(in.unitRow[u]), t, cols, fc.Val[start:start+n], int32(t*in.tileCols), c.Sorted)
+			} else {
+				tiledUnitNumeric(ring, spa, a, tiles, int(in.unitRow[u]), t, cols, c.Val[start:start+n], int32(t*in.tileCols), c.Sorted)
 			}
-			var flop, rows int64
-			for u := ulo; u < uhi; u++ {
-				t := int(unitTile[u])
-				if t == 0 {
-					rows++
-				}
-				if unitNnz[u] == 0 {
-					continue
-				}
-				start := unitOff[u]
-				cols := c.ColIdx[start : start+unitNnz[u]]
-				if fastF64 {
-					tiledUnitNumericF64(fspa, fa, ftl, int(unitRow[u]), t, cols, fc.Val[start:start+unitNnz[u]], int32(t*tileCols), !opt.Unsorted)
-				} else {
-					tiledUnitNumeric(ring, spa, a, &tiles, int(unitRow[u]), t, cols, c.Val[start:start+unitNnz[u]], int32(t*tileCols), !opt.Unsorted)
-				}
-				flop += unitFlop[u]
-			}
-			if ws := pt.worker(w); ws != nil {
-				ws.Rows += rows
-				ws.Flop += flop
-				ws.L2Overflows += int64(uhi - ulo)
-			}
-		})
-	}
-	pt.tick(PhaseNumeric)
-	pt.finish()
-	return c, nil
+			flop += in.unitFlop[u]
+		}
+		if ws := pt.worker(w); ws != nil {
+			ws.Rows += rows
+			ws.Flop += flop
+			ws.L2Overflows += int64(uhi - ulo)
+		}
+	})
 }

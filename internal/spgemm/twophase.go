@@ -58,13 +58,7 @@ type twoPhaseConfig[V semiring.Value] struct {
 // into the exactly-sized output — Figure 7 of the paper. The ring is applied
 // by this driver alone; the accumulators only store values.
 func twoPhase[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V], cfg twoPhaseConfig[V]) (*matrix.CSRG[V], error) {
-	workers := opt.workers()
-	if workers > a.Rows && a.Rows > 0 {
-		workers = a.Rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := opt.workersFor(a.Rows)
 	ctx := opt.ctx()
 	ctx.ensureWorkers(workers)
 	pt := startPhases(opt.Stats, workers)
