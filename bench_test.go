@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench/baseline"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matrix"
@@ -143,21 +144,37 @@ func BenchmarkFig10MCDRAM(b *testing.B) {
 
 // --- Figures 11/12: A² across algorithms (density/size scaling) -----------
 
-func benchSquare(b *testing.B, a *matrix.CSR, alg spgemm.Algorithm, unsorted bool) {
+// multiply runs one curve of a figure: a spgemm.Algorithm (production
+// kernel) or a baseline.Kind (stand-in for a library the paper compares to).
+func multiply(alg fmt.Stringer, a, b *matrix.CSR, unsorted bool) (*matrix.CSR, error) {
+	if k, ok := alg.(baseline.Kind); ok {
+		return baseline.Multiply(k, a, b, &baseline.Options{Unsorted: unsorted})
+	}
+	return spgemm.Multiply(a, b, &spgemm.Options{Algorithm: alg.(spgemm.Algorithm), Unsorted: unsorted})
+}
+
+func benchSquare(b *testing.B, a *matrix.CSR, alg fmt.Stringer, unsorted bool) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if _, err := spgemm.Multiply(a, a, &spgemm.Options{Algorithm: alg, Unsorted: unsorted}); err != nil {
+		if _, err := multiply(alg, a, a, unsorted); err != nil {
 			b.Fatal(err)
 		}
 	}
 	reportMFLOPS(b, a, a)
 }
 
+// sortedTrack and unsortedTrack are the contenders of the paper's two
+// evaluation tracks (Section 5).
+var (
+	sortedTrack   = []fmt.Stringer{baseline.MKL, spgemm.AlgHeap, spgemm.AlgHash, spgemm.AlgHashVec}
+	unsortedTrack = []fmt.Stringer{baseline.MKL, baseline.MKLInspector, baseline.Kokkos, spgemm.AlgHash, spgemm.AlgHashVec}
+)
+
 func BenchmarkFig11Density(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, ef := range []int{4, 16} {
 		a := gen.RMAT(10, ef, gen.G500Params, rng)
-		for _, alg := range []spgemm.Algorithm{spgemm.AlgMKL, spgemm.AlgHeap, spgemm.AlgHash, spgemm.AlgHashVec} {
+		for _, alg := range sortedTrack {
 			b.Run(fmt.Sprintf("ef=%d/%v", ef, alg), func(b *testing.B) { benchSquare(b, a, alg, false) })
 		}
 	}
@@ -169,12 +186,12 @@ func BenchmarkFig12Scale(b *testing.B) {
 		name string
 		m    *matrix.CSR
 	}{{"ER", f.er}, {"G500", f.g500}} {
-		for _, alg := range []spgemm.Algorithm{spgemm.AlgMKL, spgemm.AlgHeap, spgemm.AlgHash, spgemm.AlgHashVec} {
+		for _, alg := range sortedTrack {
 			b.Run(fmt.Sprintf("%s/%v/sorted", tc.name, alg), func(b *testing.B) { benchSquare(b, tc.m, alg, false) })
 		}
 	}
 	// The unsorted track (permuted inputs, unsorted output).
-	for _, alg := range []spgemm.Algorithm{spgemm.AlgMKL, spgemm.AlgMKLInspector, spgemm.AlgKokkos, spgemm.AlgHash, spgemm.AlgHashVec} {
+	for _, alg := range unsortedTrack {
 		b.Run(fmt.Sprintf("G500/%v/unsorted", alg), func(b *testing.B) { benchSquare(b, f.g500u, alg, true) })
 	}
 }
@@ -203,7 +220,7 @@ func BenchmarkFig14Suite(b *testing.B) {
 		name string
 		m    *matrix.CSR
 	}{{"lowCR=patents_main", f.proxyLo}, {"highCR=cant", f.proxyHi}} {
-		for _, alg := range []spgemm.Algorithm{spgemm.AlgMKL, spgemm.AlgHeap, spgemm.AlgHash, spgemm.AlgHashVec} {
+		for _, alg := range sortedTrack {
 			b.Run(fmt.Sprintf("%s/%v", tc.name, alg), func(b *testing.B) { benchSquare(b, tc.m, alg, false) })
 		}
 	}
@@ -229,10 +246,20 @@ func BenchmarkFig16TallSkinny(b *testing.B) {
 
 func BenchmarkFig17Triangle(b *testing.B) {
 	f := fx(b)
-	for _, alg := range []spgemm.Algorithm{spgemm.AlgMKL, spgemm.AlgHeap, spgemm.AlgHash, spgemm.AlgHashVec} {
+	for _, alg := range sortedTrack {
 		b.Run(alg.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := graph.CountFromLU(f.triangle.L, f.triangle.U, &spgemm.Options{Algorithm: alg}); err != nil {
+				var err error
+				if k, ok := alg.(baseline.Kind); ok {
+					// A library without masks: form L·U, then filter by L.
+					var lu *matrix.CSR
+					if lu, err = baseline.Multiply(k, f.triangle.L, f.triangle.U, nil); err == nil {
+						_, err = matrix.Hadamard(lu, f.triangle.L)
+					}
+				} else {
+					_, err = graph.CountFromLU(f.triangle.L, f.triangle.U, &spgemm.Options{Algorithm: alg.(spgemm.Algorithm)})
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/matrix"
@@ -19,21 +20,13 @@ import (
 	"repro/internal/spgemm"
 )
 
-var algNames = map[string]spgemm.Algorithm{
-	"auto":          spgemm.AlgAuto,
-	"hash":          spgemm.AlgHash,
-	"hashvec":       spgemm.AlgHashVec,
-	"heap":          spgemm.AlgHeap,
-	"spa":           spgemm.AlgSPA,
-	"mkl":           spgemm.AlgMKL,
-	"mkl-inspector": spgemm.AlgMKLInspector,
-	"kokkos":        spgemm.AlgKokkos,
-	"merge":         spgemm.AlgMerge,
-	"ikj":           spgemm.AlgIKJ,
-	"blockedspa":    spgemm.AlgBlockedSPA,
-	"esc":           spgemm.AlgESC,
-	"tiled":         spgemm.AlgTiled,
-	"sharded":       spgemm.AlgSharded,
+// algNames lists every name -alg accepts, in Algorithm order.
+func algNames() string {
+	names := make([]string, spgemm.NumAlgorithms)
+	for i := range names {
+		names[i] = spgemm.Algorithm(i).String()
+	}
+	return strings.Join(names, "|")
 }
 
 func main() {
@@ -42,7 +35,7 @@ func main() {
 		bPath    = flag.String("b", "", "right operand (Matrix Market file)")
 		square   = flag.Bool("square", false, "compute A·A (ignore -b)")
 		outPath  = flag.String("o", "", "write the product to this file (optional)")
-		algName  = flag.String("alg", "auto", "algorithm: auto|hash|hashvec|heap|spa|mkl|mkl-inspector|kokkos|merge|ikj|blockedspa|esc|tiled|sharded")
+		algName  = flag.String("alg", "auto", "algorithm: "+algNames())
 		unsorted = flag.Bool("unsorted", false, "emit unsorted output rows (skips per-row sorting)")
 		workers  = flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
 		stats    = flag.Bool("stats", false, "print the per-phase ExecStats breakdown of the multiply")
@@ -66,9 +59,9 @@ func main() {
 		defer writeTrace(*trace)
 	}
 
-	alg, ok := algNames[*algName]
+	alg, ok := spgemm.ParseAlgorithm(*algName)
 	if !ok {
-		fatalf("unknown algorithm %q", *algName)
+		fatalf("unknown algorithm %q (want %s)", *algName, algNames())
 	}
 	if *aPath == "" {
 		fatalf("-a is required")

@@ -33,14 +33,10 @@ func main() {
 
 	// Compare every algorithm on the same product, sorted and unsorted.
 	fmt.Printf("%-14s %12s %12s\n", "algorithm", "sorted", "unsorted")
-	for _, alg := range []spgemm.Algorithm{
-		spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgHeap, spgemm.AlgSPA,
-		spgemm.AlgMKL, spgemm.AlgMKLInspector, spgemm.AlgKokkos, spgemm.AlgMerge,
-		spgemm.AlgTiled,
-	} {
+	for alg := spgemm.AlgHash; int(alg) < spgemm.NumAlgorithms; alg++ {
 		fmt.Printf("%-14s %12s %12s\n", alg, run(a, alg, false), run(a, alg, true))
 	}
-	fmt.Println("\ncells are MFLOPS; '-' = mode unsupported (heap/merge cannot skip sorting)")
+	fmt.Println("\ncells are MFLOPS; '-' = mode unsupported (heap cannot skip sorting)")
 }
 
 func run(a *matrix.CSR, alg spgemm.Algorithm, unsorted bool) string {

@@ -32,7 +32,7 @@ func main() {
 	fmt.Printf("L: %v  U: %v  flop(LxU)=%d  CR=%.2f\n\n", prep.L, prep.U, st.Flop, st.CompressionRatio)
 
 	var reference int64 = -1
-	for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgHeap, spgemm.AlgMKL} {
+	for alg := spgemm.AlgAuto; int(alg) < spgemm.NumAlgorithms; alg++ {
 		start := time.Now()
 		count, err := graph.CountFromLU(prep.L, prep.U, &spgemm.Options{Algorithm: alg})
 		if err != nil {
@@ -47,5 +47,5 @@ func main() {
 			log.Fatalf("algorithms disagree: %d vs %d", count, reference)
 		}
 	}
-	fmt.Println("\nhash/hashvec fuse the L mask into the SpGEMM; the others filter afterwards")
+	fmt.Println("\nhash (and auto, which resolves to it here) fuses the L mask into the SpGEMM; the others filter afterwards")
 }

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/bench/baseline"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/spgemm"
@@ -177,14 +178,29 @@ func mflops(flop int64, d time.Duration) float64 {
 	return 2 * float64(flop) / s / 1e6
 }
 
+// contender is one curve of a figure: a spgemm.Algorithm (a production
+// kernel) or a baseline.Kind (a stand-in the paper compares against). Both
+// print their column name.
+type contender = fmt.Stringer
+
+// multiply runs contender c once.
+func multiply(c contender, a, b *matrix.CSR, workers int, unsorted bool, st *spgemm.ExecStats) (*matrix.CSR, error) {
+	switch c := c.(type) {
+	case spgemm.Algorithm:
+		return spgemm.Multiply(a, b, &spgemm.Options{Algorithm: c, Workers: workers, Unsorted: unsorted, Stats: st})
+	case baseline.Kind:
+		return baseline.Multiply(c, a, b, &baseline.Options{Workers: workers, Unsorted: unsorted, Stats: st})
+	}
+	return nil, fmt.Errorf("bench: %v is neither an algorithm nor a baseline", c)
+}
+
 // timedMultiply runs one timed SpGEMM and returns MFLOPS. Errors (e.g. an
 // algorithm rejecting unsorted input) surface to the caller.
-func timedMultiply(a, b *matrix.CSR, opt *spgemm.Options, reps int) (float64, error) {
+func timedMultiply(c contender, a, b *matrix.CSR, workers int, unsorted bool, reps int) (float64, error) {
 	flop, _ := matrix.Flop(a, b)
 	var err error
 	d := timeAvg(reps, func() {
-		_, e := spgemm.Multiply(a, b, opt)
-		if e != nil {
+		if _, e := multiply(c, a, b, workers, unsorted, nil); e != nil {
 			err = e
 		}
 	})

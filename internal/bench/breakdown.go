@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/bench/baseline"
 	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/obs"
@@ -53,9 +54,9 @@ func runFig8(cfg Config, w io.Writer) error {
 		{"ER", gen.ER(scale, ef, rng)},
 		{"G500", gen.RMAT(scale, ef, gen.G500Params, rng)},
 	}
-	algs := []spgemm.Algorithm{
-		spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgHeap, spgemm.AlgSPA,
-		spgemm.AlgMKL, spgemm.AlgMKLInspector, spgemm.AlgKokkos, spgemm.AlgTiled,
+	algs := []contender{
+		spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgHeap, baseline.SPA,
+		baseline.MKL, baseline.MKLInspector, baseline.Kokkos, spgemm.AlgTiled,
 	}
 
 	t := newTable("matrix", "alg", "total_ms", "partition%", "symbolic%", "alloc%", "numeric%", "assemble%", "mflops", "cf", "heap_pushes", "l2_overflow", "imb")
@@ -65,12 +66,11 @@ func runFig8(cfg Config, w io.Writer) error {
 		flop, _ := matrix.Flop(in.m, in.m)
 		for _, alg := range algs {
 			var st spgemm.ExecStats
-			opt := &spgemm.Options{Algorithm: alg, Workers: cfg.Workers, Stats: &st}
 			var err error
 			var d time.Duration
 			imb := tracedImbalance(func() {
 				d = timeAvg(cfg.reps(), func() {
-					if _, e := spgemm.Multiply(in.m, in.m, opt); e != nil {
+					if _, e := multiply(alg, in.m, in.m, cfg.Workers, false, &st); e != nil {
 						err = e
 					}
 				})

@@ -10,7 +10,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matrix"
-	"repro/internal/spgemm"
 )
 
 // proxyMaxN caps the proxy row counts per preset (DESIGN.md: scaled-down
@@ -59,18 +58,12 @@ func runSuite(cfg Config) []suiteResult {
 		st := matrix.ProductStats(a, a)
 		res := suiteResult{profile: p, cr: st.CompressionRatio}
 		for _, alg := range sortedAlgos {
-			mf, err := timedMultiply(a, a, &spgemm.Options{Algorithm: alg, Workers: cfg.Workers}, reps)
-			if err != nil {
-				mf = 0
-			}
+			mf, _ := timedMultiply(alg, a, a, cfg.Workers, false, reps) // 0 on error
 			res.sorted = append(res.sorted, mf)
 		}
 		ua := gen.Unsorted(a, rng)
 		for _, alg := range unsortedAlgos {
-			mf, err := timedMultiply(ua, ua, &spgemm.Options{Algorithm: alg, Workers: cfg.Workers, Unsorted: true}, reps)
-			if err != nil {
-				mf = 0
-			}
+			mf, _ := timedMultiply(alg, ua, ua, cfg.Workers, true, reps) // 0 on error
 			res.unsorted = append(res.unsorted, mf)
 		}
 		runs = append(runs, res)
@@ -123,7 +116,7 @@ func runFig14(cfg Config, w io.Writer) error {
 	return nil
 }
 
-func names(algos []spgemm.Algorithm) []string {
+func names(algos []contender) []string {
 	out := make([]string, len(algos))
 	for i, a := range algos {
 		out[i] = a.String()
@@ -131,7 +124,7 @@ func names(algos []spgemm.Algorithm) []string {
 	return out
 }
 
-func namesSuffixed(algos []spgemm.Algorithm, suffix string) []string {
+func namesSuffixed(algos []contender, suffix string) []string {
 	out := names(algos)
 	for i := range out {
 		out[i] += suffix
@@ -184,7 +177,7 @@ func runFig15(cfg Config, w io.Writer) error {
 	runs := runSuite(cfg)
 	taus := []float64{1, 1.25, 1.5, 2, 2.5, 3, 4, 5}
 
-	emit := func(label string, algos []spgemm.Algorithm, get func(r suiteResult) []float64) {
+	emit := func(label string, algos []contender, get func(r suiteResult) []float64) {
 		fmt.Fprintf(w, "-- %s track --\n", label)
 		// Build time ratios: best MFLOPS / own MFLOPS per problem.
 		ratios := make([][]float64, len(algos))
@@ -263,10 +256,7 @@ func runFig17(cfg Config, w io.Writer) error {
 		st := matrix.ProductStats(prep.L, prep.U)
 		r := res{name: p.Name, cr: st.CompressionRatio}
 		for _, alg := range sortedAlgos {
-			mf, err := timedMultiply(prep.L, prep.U, &spgemm.Options{Algorithm: alg, Workers: cfg.Workers}, reps)
-			if err != nil {
-				mf = 0
-			}
+			mf, _ := timedMultiply(alg, prep.L, prep.U, cfg.Workers, false, reps) // 0 on error
 			r.mflops = append(r.mflops, mf)
 		}
 		results = append(results, r)
@@ -344,10 +334,10 @@ func runTable4(cfg Config, w io.Writer) error {
 			}
 			a := synth(pattern, ef)
 			ua := gen.Unsorted(a, rng)
-			best := func(algos []spgemm.Algorithm, in *matrix.CSR, unsorted bool) string {
+			best := func(algos []contender, in *matrix.CSR, unsorted bool) string {
 				bestName, bestMf := "-", 0.0
 				for _, alg := range algos {
-					mf, err := timedMultiply(in, in, &spgemm.Options{Algorithm: alg, Workers: cfg.Workers, Unsorted: unsorted}, reps)
+					mf, err := timedMultiply(alg, in, in, cfg.Workers, unsorted, reps)
 					if err == nil && mf > bestMf {
 						bestMf = mf
 						bestName = alg.String()
@@ -380,7 +370,7 @@ func paperSynth(sorted bool, density, pattern string) string {
 
 // winner returns the name of the algorithm that wins the most problems in
 // the filtered subset.
-func winner(runs []suiteResult, algos []spgemm.Algorithm, get func(r suiteResult) ([]float64, bool)) string {
+func winner(runs []suiteResult, algos []contender, get func(r suiteResult) ([]float64, bool)) string {
 	wins := make([]int, len(algos))
 	any := false
 	for _, r := range runs {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 
+	"repro/internal/bench/baseline"
 	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/memmodel"
@@ -16,48 +17,36 @@ import (
 // evaluate MKL, Heap and Hash/HashVector, and for the case where they are
 // unsorted we evaluate MKL, MKL-inspector, KokkosKernels and
 // Hash/HashVector."
-var sortedAlgos = []spgemm.Algorithm{spgemm.AlgMKL, spgemm.AlgHeap, spgemm.AlgHash, spgemm.AlgHashVec}
+var sortedAlgos = []contender{baseline.MKL, spgemm.AlgHeap, spgemm.AlgHash, spgemm.AlgHashVec}
 
-var unsortedAlgos = []spgemm.Algorithm{spgemm.AlgMKL, spgemm.AlgMKLInspector, spgemm.AlgKokkos, spgemm.AlgHash, spgemm.AlgHashVec}
+var unsortedAlgos = []contender{baseline.MKL, baseline.MKLInspector, baseline.Kokkos, spgemm.AlgHash, spgemm.AlgHashVec}
 
 // algoColumns builds the combined header the figures use.
 func algoColumns() []string {
-	cols := []string{}
-	for _, a := range sortedAlgos {
-		cols = append(cols, a.String())
-	}
-	for _, a := range unsortedAlgos {
-		cols = append(cols, a.String()+"(unsorted)")
-	}
-	return cols
+	return append(names(sortedAlgos), namesSuffixed(unsortedAlgos, "(unsorted)")...)
 }
 
 // runBothTracks measures MFLOPS for the sorted track on (a,b) and the
 // unsorted track on the column-permuted variants, in header order.
 func runBothTracks(a, b *matrix.CSR, sameOperand bool, cfg Config, rng *rand.Rand) []string {
-	reps := cfg.reps()
 	var cells []string
-	for _, alg := range sortedAlgos {
-		mf, err := timedMultiply(a, b, &spgemm.Options{Algorithm: alg, Workers: cfg.Workers}, reps)
-		if err != nil {
-			cells = append(cells, "-")
-			continue
+	track := func(algos []contender, a, b *matrix.CSR, unsorted bool) {
+		for _, alg := range algos {
+			mf, err := timedMultiply(alg, a, b, cfg.Workers, unsorted, cfg.reps())
+			if err != nil {
+				cells = append(cells, "-")
+				continue
+			}
+			cells = append(cells, f1(mf))
 		}
-		cells = append(cells, f1(mf))
 	}
+	track(sortedAlgos, a, b, false)
 	ua := gen.Unsorted(a, rng)
 	ub := ua
 	if !sameOperand {
 		ub = gen.Unsorted(b, rng)
 	}
-	for _, alg := range unsortedAlgos {
-		mf, err := timedMultiply(ua, ub, &spgemm.Options{Algorithm: alg, Workers: cfg.Workers, Unsorted: true}, reps)
-		if err != nil {
-			cells = append(cells, "-")
-			continue
-		}
-		cells = append(cells, f1(mf))
-	}
+	track(unsortedAlgos, ua, ub, true)
 	return cells
 }
 
@@ -245,15 +234,15 @@ func runFig13(cfg Config, w io.Writer) error {
 	}
 	algos := []struct {
 		name     string
-		alg      spgemm.Algorithm
+		alg      contender
 		unsorted bool
 	}{
 		{"heap", spgemm.AlgHeap, false},
 		{"hash", spgemm.AlgHash, false},
 		{"hashvec", spgemm.AlgHashVec, false},
-		{"mkl(unsorted)", spgemm.AlgMKL, true},
-		{"mkl-inspector(unsorted)", spgemm.AlgMKLInspector, true},
-		{"kokkos(unsorted)", spgemm.AlgKokkos, true},
+		{"mkl(unsorted)", baseline.MKL, true},
+		{"mkl-inspector(unsorted)", baseline.MKLInspector, true},
+		{"kokkos(unsorted)", baseline.Kokkos, true},
 		{"hash(unsorted)", spgemm.AlgHash, true},
 		{"hashvec(unsorted)", spgemm.AlgHashVec, true},
 	}
@@ -278,7 +267,7 @@ func runFig13(cfg Config, w io.Writer) error {
 				if al.unsorted {
 					in = ua
 				}
-				mf, err := timedMultiply(in, in, &spgemm.Options{Algorithm: al.alg, Workers: th, Unsorted: al.unsorted}, cfg.reps())
+				mf, err := timedMultiply(al.alg, in, in, th, al.unsorted, cfg.reps())
 				if err != nil {
 					row = append(row, "-")
 					continue

@@ -60,20 +60,12 @@ var ErrPlanStale = spgemm.ErrPlanStale
 
 // Re-exported algorithm selectors.
 const (
-	AlgAuto         = spgemm.AlgAuto
-	AlgHash         = spgemm.AlgHash
-	AlgHashVec      = spgemm.AlgHashVec
-	AlgHeap         = spgemm.AlgHeap
-	AlgSPA          = spgemm.AlgSPA
-	AlgMKL          = spgemm.AlgMKL
-	AlgMKLInspector = spgemm.AlgMKLInspector
-	AlgKokkos       = spgemm.AlgKokkos
-	AlgMerge        = spgemm.AlgMerge
-	AlgIKJ          = spgemm.AlgIKJ
-	AlgBlockedSPA   = spgemm.AlgBlockedSPA
-	AlgESC          = spgemm.AlgESC
-	AlgTiled        = spgemm.AlgTiled
-	AlgSharded      = spgemm.AlgSharded
+	AlgAuto    = spgemm.AlgAuto
+	AlgHash    = spgemm.AlgHash
+	AlgHashVec = spgemm.AlgHashVec
+	AlgHeap    = spgemm.AlgHeap
+	AlgTiled   = spgemm.AlgTiled
+	AlgSharded = spgemm.AlgSharded
 )
 
 // NewSpillSink returns a temp-file-backed shard sink that bounds resident

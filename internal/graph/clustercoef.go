@@ -27,11 +27,7 @@ func ClusteringCoefficients(adj *matrix.CSR, opt *spgemm.Options) ([]float64, er
 		opt = &spgemm.Options{Algorithm: spgemm.AlgHash}
 	}
 	inner := *opt
-	switch inner.Algorithm {
-	case spgemm.AlgHash, spgemm.AlgHashVec:
-	default:
-		inner.Algorithm = spgemm.AlgHash
-	}
+	inner.Algorithm = spgemm.AlgHash // the one kernel that fuses a mask
 	inner.Mask = a
 	inner.Semiring = nil
 	b, err := spgemm.Multiply(a, a, &inner)

@@ -66,8 +66,8 @@ func CountTriangles(adj *matrix.CSR, opt *spgemm.Options) (*TriangleResult, erro
 }
 
 // CountFromLU computes the number of triangles given the triangular split:
-// triangles = Σ ((L·U) .* L). With a hash-family algorithm the mask is
-// fused into the SpGEMM; otherwise the product is formed and filtered.
+// triangles = Σ ((L·U) .* L). With AlgHash the mask is fused into the
+// SpGEMM; with any other algorithm the product is formed and filtered.
 // AlgAuto is resolved here, through the recipe's L·U row, before that choice
 // is made, so an auto-selected hash kernel fuses the mask too.
 //
@@ -100,7 +100,7 @@ func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 		UseCase:   spgemm.UseTriangle,
 		Stats:     opt.Stats,
 	}
-	useMask := alg == spgemm.AlgHash || alg == spgemm.AlgHashVec
+	useMask := alg == spgemm.AlgHash
 	if useMask {
 		inner.Mask = li
 	}

@@ -47,7 +47,6 @@ func LiveBytes() int64 { return mLive.Value() }
 // thread, reinitialize per row" discipline.
 type Scratch struct {
 	Int32A   []int32
-	Int32B   []int32
 	Int64A   []int64
 	Float64  []float64
 	Float64B []float64
@@ -61,16 +60,6 @@ func (s *Scratch) EnsureInt32A(n int) []int32 {
 	}
 	s.Int32A = s.Int32A[:n]
 	return s.Int32A
-}
-
-// EnsureInt32B returns s.Int32B with length at least n (contents undefined).
-func (s *Scratch) EnsureInt32B(n int) []int32 {
-	if cap(s.Int32B) < n {
-		grew(cap(s.Int32B), n, 4)
-		s.Int32B = make([]int32, n)
-	}
-	s.Int32B = s.Int32B[:n]
-	return s.Int32B
 }
 
 // EnsureInt64A returns s.Int64A with length at least n (contents undefined).

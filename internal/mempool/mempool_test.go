@@ -28,8 +28,8 @@ func TestScratchEnsureGrowsAndReuses(t *testing.T) {
 
 func TestScratchAllBuffers(t *testing.T) {
 	var s Scratch
-	if len(s.EnsureInt32B(7)) != 7 {
-		t.Fatal("Int32B")
+	if len(s.EnsureInt32A(7)) != 7 {
+		t.Fatal("Int32A")
 	}
 	if len(s.EnsureInt64A(8)) != 8 {
 		t.Fatal("Int64A")
@@ -39,8 +39,8 @@ func TestScratchAllBuffers(t *testing.T) {
 	}
 	// Buffers are independent.
 	s.EnsureInt32A(3)[0] = 1
-	s.EnsureInt32B(3)[0] = 2
-	if s.Int32A[0] == s.Int32B[0] {
+	s.EnsureInt64A(3)[0] = 2
+	if int64(s.Int32A[0]) == s.Int64A[0] {
 		t.Fatal("buffers alias")
 	}
 }

@@ -382,7 +382,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	}
 	alg, ok := spgemm.ParseAlgorithm(req.Algorithm)
 	if !ok {
-		fail(http.StatusBadRequest, "unknown algorithm %q", req.Algorithm)
+		fail(http.StatusBadRequest, "unknown algorithm %q (want %s)", req.Algorithm, algorithmNames())
 		return
 	}
 	switch req.Semiring {
@@ -639,8 +639,8 @@ func (s *Server) multiply(ctx *spgemm.Context, stats *spgemm.ExecStats, a, b *ma
 	bt := kernelClock(rt)
 	plan, err := spgemm.NewPlan(a, b, opt)
 	if err != nil {
-		// Not plan-eligible (auto resolved to a non-hash kernel, explicit
-		// heap/merge/... request): one-shot multiply through the Context.
+		// Not plan-eligible (heap, asked for by name or by the recipe):
+		// one-shot multiply through the Context.
 		kt := kernelClock(rt)
 		c, merr := spgemm.Multiply(a, b, opt)
 		if merr == nil {
@@ -677,6 +677,15 @@ func ringName(s string) string {
 		return "plus-times"
 	}
 	return s
+}
+
+// algorithmNames lists every name the "algorithm" field accepts.
+func algorithmNames() string {
+	names := make([]string, spgemm.NumAlgorithms)
+	for i := range names {
+		names[i] = spgemm.Algorithm(i).String()
+	}
+	return strings.Join(names, ", ")
 }
 
 // resolvedAlgorithm names the kernel that actually ran: AlgAuto resolves

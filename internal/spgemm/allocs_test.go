@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/accum"
 	"repro/internal/gen"
+	"repro/internal/matrix"
 	"repro/internal/mempool"
 	"repro/internal/obs"
 )
@@ -133,18 +134,29 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 // TestContextReuseSteadyAllocs pins the per-call allocation count of a
 // Context-reused Multiply: after warmup the only allocations left are the
 // output matrix's three arrays plus the result header — per-row numeric
-// state must come from the Context's cached tables.
+// state must come from the Context's cached tables. A masked product is held
+// to the same bound: its mask table is a Context slot too.
 func TestContextReuseSteadyAllocs(t *testing.T) {
 	if obs.Active() != nil {
 		t.Skip("tracing enabled")
 	}
 	rng := rand.New(rand.NewSource(7))
 	a := gen.ER(8, 8, rng) // 256×256, ~8 nnz/row: real per-row numeric work
-	for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgHeap, AlgTiled} {
-		t.Run(alg.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		alg  Algorithm
+		mask *matrix.CSR
+	}{
+		{"hash", AlgHash, nil},
+		{"hash+mask", AlgHash, a},
+		{"hashvec", AlgHashVec, nil},
+		{"heap", AlgHeap, nil},
+		{"tiled", AlgTiled, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			// Forced tiny tiles so AlgTiled's split + heavy-unit + stitch
 			// machinery runs every call (ignored by the other algorithms).
-			opt := &Options{Algorithm: alg, Workers: 1, Context: NewContext(),
+			opt := &Options{Algorithm: tc.alg, Mask: tc.mask, Workers: 1, Context: NewContext(),
 				TileCols: 64, TileHeavyFlop: 16}
 			run := func() {
 				if _, err := Multiply(a, a, opt); err != nil {

@@ -43,6 +43,7 @@ type ContextG[V semiring.Value] struct {
 
 	// Per-worker accumulator state, grown on demand.
 	hash    []*accum.HashTableG[V]
+	mask    []*accum.HashTableG[V] // mask-row column sets of masked products
 	hashVec []*accum.HashVecTableG[V]
 	heaps   []*accum.MergeHeapG[V]
 	spa     []*accum.SPAG[V]
@@ -51,9 +52,7 @@ type ContextG[V semiring.Value] struct {
 
 	// Per-worker value scratch (the V-typed counterpart of the index buffers
 	// in mempool.Scratch), grown monotonically like everything else here.
-	// Two independent buffers per worker because the merge kernel ping-pongs.
-	valA [][]V
-	valB [][]V
+	vals [][]V
 
 	// Per-row bookkeeping, grown on demand.
 	flopRow []int64
@@ -208,12 +207,12 @@ func growTo[T any](s []T, n int) []T {
 // ensureWorkers grows the per-worker accumulator slices to at least n slots.
 func (c *ContextG[V]) ensureWorkers(n int) {
 	c.hash = growTo(c.hash, n)
+	c.mask = growTo(c.mask, n)
 	c.hashVec = growTo(c.hashVec, n)
 	c.heaps = growTo(c.heaps, n)
 	c.spa = growTo(c.spa, n)
 	c.stamps = growTo(c.stamps, n)
-	c.valA = growTo(c.valA, n)
-	c.valB = growTo(c.valB, n)
+	c.vals = growTo(c.vals, n)
 	if c.scratch == nil {
 		c.scratch = mempool.NewPool(n)
 	} else {
@@ -225,12 +224,22 @@ func (c *ContextG[V]) ensureWorkers(n int) {
 // cached when large enough (reset), re-reserved when the bound grew,
 // allocated on first use. ensureWorkers(>w) must have been called.
 func (c *ContextG[V]) hashTable(w int, bound int64) *accum.HashTableG[V] {
-	t := c.hash[w]
+	return reviveTable(c.hash, w, bound)
+}
+
+// maskTable is hashTable for worker w's second table, which holds the mask
+// row's columns while hashTable's accumulates a masked product's row.
+func (c *ContextG[V]) maskTable(w int, bound int64) *accum.HashTableG[V] {
+	return reviveTable(c.mask, w, bound)
+}
+
+func reviveTable[V semiring.Value](slots []*accum.HashTableG[V], w int, bound int64) *accum.HashTableG[V] {
+	t := slots[w]
 	switch {
 	case t == nil:
 		mCtxAlloc.Inc()
 		t = accum.NewHashTableG[V](bound)
-		c.hash[w] = t
+		slots[w] = t
 		return t
 	case int64(t.Cap()) <= bound:
 		mCtxReuse.Inc()
@@ -285,22 +294,14 @@ func (c *ContextG[V]) workerScratch(w int) *mempool.Scratch {
 	return c.scratch.Get(w)
 }
 
-// valScratchA returns worker w's first value buffer with length at least n
+// valScratch returns worker w's value buffer with length at least n
 // (contents undefined), growing it monotonically like mempool.Scratch does
 // for the index buffers. ensureWorkers must have been called above w.
-func (c *ContextG[V]) valScratchA(w, n int) []V {
-	if cap(c.valA[w]) < n {
-		c.valA[w] = make([]V, n)
+func (c *ContextG[V]) valScratch(w, n int) []V {
+	if cap(c.vals[w]) < n {
+		c.vals[w] = make([]V, n)
 	}
-	return c.valA[w][:n]
-}
-
-// valScratchB is the second, independent value buffer (merge ping-pong).
-func (c *ContextG[V]) valScratchB(w, n int) []V {
-	if cap(c.valB[w]) < n {
-		c.valB[w] = make([]V, n)
-	}
-	return c.valB[w][:n]
+	return c.vals[w][:n]
 }
 
 // spaTable returns worker w's dense accumulator covering ncols columns,

@@ -40,20 +40,13 @@ import (
 const Tol = 1e-9
 
 // Algorithms is every concrete algorithm the harness cross-checks, plus
-// AlgAuto (whose recipe dispatch is itself under test).
+// AlgAuto (whose recipe dispatch is itself under test). The figure baselines
+// have their own oracle test in internal/bench/baseline.
 var Algorithms = []spgemm.Algorithm{
 	spgemm.AlgAuto,
 	spgemm.AlgHash,
 	spgemm.AlgHashVec,
 	spgemm.AlgHeap,
-	spgemm.AlgSPA,
-	spgemm.AlgMKL,
-	spgemm.AlgMKLInspector,
-	spgemm.AlgKokkos,
-	spgemm.AlgMerge,
-	spgemm.AlgIKJ,
-	spgemm.AlgBlockedSPA,
-	spgemm.AlgESC,
 	spgemm.AlgTiled,
 	spgemm.AlgSharded,
 }
@@ -272,7 +265,7 @@ func Check(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 // Sorted flag, same row pointers, columns and value bytes. Stricter than
 // Equivalent — used to pin down reusable-state paths (Context, Plan), which
 // must reproduce the one-shot result exactly, not merely up to tolerance.
-func identical(got, want *matrix.CSR) error {
+func identical[V semiring.Value](got, want *matrix.CSRG[V]) error {
 	if got.Rows != want.Rows || got.Cols != want.Cols || got.Sorted != want.Sorted {
 		return fmt.Errorf("shape/sortedness differ: %dx%d sorted=%v vs %dx%d sorted=%v",
 			got.Rows, got.Cols, got.Sorted, want.Rows, want.Cols, want.Sorted)
@@ -389,10 +382,8 @@ func CheckContext(c Case, alg spgemm.Algorithm, unsorted bool, workers int, ctx 
 		if err != nil {
 			return fmt.Errorf("%s/%v one-shot: %w", c.Name, alg, err)
 		}
-		if fresh.Sorted { // map-backed baselines emit nondeterministic order pre-sort only
-			if err := identical(got, fresh); err != nil {
-				return fmt.Errorf("%s/%v ctx result not bit-identical to one-shot: %w", c.Name, alg, err)
-			}
+		if err := identical(got, fresh); err != nil {
+			return fmt.Errorf("%s/%v ctx result not bit-identical to one-shot: %w", c.Name, alg, err)
 		}
 	}
 	if tc, hf := tinyTiles(alg); tc > 0 {

@@ -6,36 +6,52 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
+	"repro/internal/semiring"
 	"repro/internal/spgemm"
 )
 
 // FuzzMultiplyDifferential is the native fuzz entry: the fuzzer drives the
 // shape, density, sortedness and algorithm choice, the harness builds the
 // matrices deterministically from the seed and cross-checks against the
-// oracle. Run with
+// oracle. With masked set, the product instead runs the masked leg (AlgHash
+// and AlgAuto under every mask shape of masksFor). Run with
 //
 //	go test -fuzz=FuzzMultiplyDifferential ./internal/spgemm/difftest
 //
-// The seed corpus covers each algorithm once, square and rectangular shapes,
-// zero dimensions and unsorted inputs.
+// The seed corpus covers each algorithm once, the masked leg over sorted and
+// unsorted inputs and outputs, square and rectangular shapes, zero
+// dimensions and unsorted inputs.
 func FuzzMultiplyDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(8), uint8(8), uint8(8), uint8(16), uint8(0), false, false)
-	f.Add(int64(2), uint8(16), uint8(4), uint8(32), uint8(40), uint8(1), true, false)
-	f.Add(int64(3), uint8(0), uint8(0), uint8(0), uint8(0), uint8(3), false, false)
-	f.Add(int64(4), uint8(9), uint8(0), uint8(7), uint8(5), uint8(4), false, true)
+	f.Add(int64(1), uint8(8), uint8(8), uint8(8), uint8(16), uint8(0), false, false, false)
+	f.Add(int64(2), uint8(16), uint8(4), uint8(32), uint8(40), uint8(1), true, false, false)
+	f.Add(int64(3), uint8(0), uint8(0), uint8(0), uint8(0), uint8(3), false, false, false)
+	f.Add(int64(4), uint8(9), uint8(0), uint8(7), uint8(5), uint8(4), false, true, false)
 	for i := range Algorithms {
-		f.Add(int64(100+i), uint8(12), uint8(12), uint8(12), uint8(30), uint8(i), true, true)
+		f.Add(int64(100+i), uint8(12), uint8(12), uint8(12), uint8(30), uint8(i), true, true, false)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, rowsA, inner, colsB, density, algPick uint8, shuffleB, unsortedOut bool) {
+	for i := 0; i < 8; i++ {
+		// Square (the "self" mask applies) and rectangular, each over both
+		// input and output orders.
+		cols := uint8(12 + 9*(i/4))
+		f.Add(int64(200+i), uint8(12), uint8(12), cols, uint8(30), uint8(0), i&1 != 0, i&2 != 0, true)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, rowsA, inner, colsB, density, algPick uint8, shuffleB, unsortedOut, masked bool) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomCSR(rng, int(rowsA)%64, int(inner)%64, int(density)*2)
 		b := randomCSR(rng, int(inner)%64, int(colsB)%64, int(density)*2)
 		if shuffleB && b.NNZ() > 0 {
 			b = gen.Unsorted(b, rng)
 		}
+		workers := 1 + int(seed%4)
+		if masked {
+			if err := CheckRingMasked("fuzz", semiring.PlusTimesF64{}, a, b, unsortedOut, workers, nil, ApproxF64); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
 		alg := Algorithms[int(algPick)%len(Algorithms)]
 		c := Case{Name: "fuzz", A: a, B: b}
-		if err := Check(c, alg, unsortedOut, 1+int(seed%4)); err != nil {
+		if err := Check(c, alg, unsortedOut, workers); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -87,6 +87,117 @@ func CheckRing[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a,
 	return nil
 }
 
+// The masked leg. Options.Mask restricts the output to the mask's pattern,
+// so the oracle is the unmasked oracle result with the entries outside the
+// pattern removed — and nothing else: an entry inside it survives even when
+// its value equals ring.Zero(), and a mask position no product reaches
+// fabricates nothing.
+
+// maskCase is one mask shape of the masked leg.
+type maskCase[V semiring.Value] struct {
+	name string
+	m    *matrix.CSRG[V]
+}
+
+// masksFor builds the masked leg's masks for a product whose unmasked oracle
+// result is want: an empty mask, every other row fully dense, per row the
+// first column the product reaches next to two it never touches, and A itself
+// when it has the output's shape (the triangle-counting mask). The built
+// masks carry the zero V everywhere: only the pattern may matter.
+func masksFor[V semiring.Value](a, want *matrix.CSRG[V]) []maskCase[V] {
+	rows, cols := want.Rows, want.Cols
+	empty := &matrix.CSRG[V]{Rows: rows, Cols: cols, RowPtr: make([]int64, rows+1)}
+	full, untouched := empty.Clone(), empty.Clone()
+	for i := 0; i < rows; i++ {
+		touched, _ := want.Row(i)
+		reached := make(map[int32]bool, len(touched))
+		for _, c := range touched {
+			reached[c] = true
+		}
+		misses := 0
+		for j := int32(0); int(j) < cols; j++ {
+			if i%2 == 0 {
+				full.ColIdx = append(full.ColIdx, j)
+			}
+			if !reached[j] && misses < 2 {
+				misses++
+				untouched.ColIdx = append(untouched.ColIdx, j)
+			} else if reached[j] && j == touched[0] {
+				untouched.ColIdx = append(untouched.ColIdx, j)
+			}
+		}
+		full.RowPtr[i+1], untouched.RowPtr[i+1] = int64(len(full.ColIdx)), int64(len(untouched.ColIdx))
+	}
+	full.Val, untouched.Val = make([]V, len(full.ColIdx)), make([]V, len(untouched.ColIdx))
+	masks := []maskCase[V]{{"empty", empty}, {"full-rows", full}, {"untouched", untouched}}
+	if a.Rows == rows && a.Cols == cols {
+		masks = append(masks, maskCase[V]{"self", a})
+	}
+	return masks
+}
+
+// filterByPattern returns the entries of m (sorted rows) whose position is
+// in mask's pattern.
+func filterByPattern[V semiring.Value](m, mask *matrix.CSRG[V]) *matrix.CSRG[V] {
+	out := &matrix.CSRG[V]{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int64, m.Rows+1), Sorted: true}
+	for i := 0; i < m.Rows; i++ {
+		keep := make(map[int32]bool)
+		mcols, _ := mask.Row(i)
+		for _, c := range mcols {
+			keep[c] = true
+		}
+		cols, vals := m.Row(i)
+		for p, c := range cols {
+			if keep[c] {
+				out.ColIdx = append(out.ColIdx, c)
+				out.Val = append(out.Val, vals[p])
+			}
+		}
+		out.RowPtr[i+1] = int64(len(out.ColIdx))
+	}
+	return out
+}
+
+// CheckRingMasked runs the masked leg over a·b: AlgHash and AlgAuto (which
+// must resolve to it) under every mask of masksFor, each verified against the
+// filtered oracle via EquivalentRing. ctx, when non-nil, is a reused Context:
+// the result must then also be bit-identical to the one-shot call's.
+func CheckRingMasked[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a, b *matrix.CSRG[V], unsorted bool, workers int, ctx *spgemm.ContextG[V], close func(x, y V) bool) error {
+	full := matrix.NaiveMultiplyRing(ring, a, b)
+	for _, mc := range masksFor(a, full) {
+		want := filterByPattern(full, mc.m)
+		var oneShot *matrix.CSRG[V]
+		for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgAuto} {
+			name := fmt.Sprintf("%s/mask=%s/%v unsorted=%v workers=%d", caseName, mc.name, alg, unsorted, workers)
+			var st spgemm.ExecStats
+			got, err := spgemm.MultiplyRing(ring, a, b, &spgemm.OptionsG[V]{
+				Algorithm: alg, Unsorted: unsorted, Workers: workers, Mask: mc.m, Stats: &st})
+			if err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+			if st.Algorithm != spgemm.AlgHash {
+				return fmt.Errorf("%s: ran %v, want hash", name, st.Algorithm)
+			}
+			if err := EquivalentRing(got, want, close); err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+			oneShot = got
+		}
+		if ctx == nil {
+			continue
+		}
+		got, err := spgemm.MultiplyRing(ring, a, b, &spgemm.OptionsG[V]{
+			Algorithm: spgemm.AlgHash, Unsorted: unsorted, Workers: workers, Mask: mc.m, Context: ctx})
+		if err == nil {
+			err = identical(got, oneShot)
+		}
+		if err != nil {
+			return fmt.Errorf("%s/mask=%s ctx unsorted=%v workers=%d: %w", caseName, mc.name, unsorted, workers, err)
+		}
+	}
+	return nil
+}
+
 // Value-closeness predicates for EquivalentRing.
 
 // ExactEq is bit equality — the right predicate for bool and integer rings,

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,16 @@ import (
 // (degenerate shapes included) mapped into each value type.
 func TestDifferentialRings(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
+	// The masked leg runs one-shot and, inside the same check, through one
+	// Context per value type reused across the whole suite.
+	ctxF64, ctxF32 := spgemm.NewContextG[float64](), spgemm.NewContextG[float32]()
+	ctxBool, ctxI64 := spgemm.NewContextG[bool](), spgemm.NewContextG[int64]()
 	for _, c := range Cases(rng) {
+		for _, unsorted := range []bool{false, true} {
+			if err := checkMaskedRings(c, unsorted, ctxF64, ctxF32, ctxBool, ctxI64); err != nil {
+				t.Error(err)
+			}
+		}
 		for _, alg := range Algorithms {
 			for _, unsorted := range []bool{false, true} {
 				// plus-times float64 through the generic entry point: must
@@ -42,6 +52,19 @@ func TestDifferentialRings(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkMaskedRings runs the masked leg of c over the six ring instantiations
+// TestDifferentialRings covers.
+func checkMaskedRings(c Case, unsorted bool, f64 *spgemm.ContextG[float64], f32 *spgemm.ContextG[float32], bl *spgemm.ContextG[bool], i64 *spgemm.ContextG[int64]) error {
+	return errors.Join(
+		CheckRingMasked(c.Name+"/f64", semiring.PlusTimesF64{}, c.A, c.B, unsorted, 3, f64, ApproxF64),
+		CheckRingMasked(c.Name+"/f32", semiring.PlusTimesF32{}, AsF32(c.A), AsF32(c.B), unsorted, 3, f32, ApproxF32),
+		CheckRingMasked(c.Name+"/bool", semiring.OrAndBool{}, AsBool(c.A), AsBool(c.B), unsorted, 3, bl, ExactEq),
+		CheckRingMasked(c.Name+"/i64", semiring.PlusTimesI64{}, AsI64(c.A), AsI64(c.B), unsorted, 3, i64, ExactEq),
+		CheckRingMasked(c.Name+"/minplus", semiring.MinPlusF64{}, AsMinPlus(c.A), AsMinPlus(c.B), unsorted, 3, f64, ApproxF64),
+		CheckRingMasked(c.Name+"/maxtimes", semiring.MaxTimesF64{}, c.A, c.B, unsorted, 3, f64, ApproxF64),
+	)
 }
 
 // TestLegacySemiringAdapter pins the adapter contract: Multiply with a

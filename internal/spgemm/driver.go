@@ -17,11 +17,11 @@ import (
 //
 // Both halves are generic over the ring with concrete accumulator types, so
 // the symbolic insert and numeric accumulate compile to direct calls: these
-// are the paper's contribution, and routing them through the rowAcc
-// interface the baselines share (twophase.go) would tax exactly the
-// algorithms it optimizes. Generics alone do not devirtualize the ring —
-// Go's shape stenciling passes Add/Mul through a runtime dictionary — so
-// the numeric workers test once, outside the row loop, for the float64
+// are the paper's contribution, and routing them through an accumulator
+// interface (as the figure baselines of internal/bench/baseline do) would tax
+// exactly the algorithms it optimizes. Generics alone do not devirtualize the
+// ring — Go's shape stenciling passes Add/Mul through a runtime dictionary —
+// so the numeric workers test once, outside the row loop, for the float64
 // plus-times flagship and route whole rows through the hand-monomorphized
 // loops of ringfast.go.
 //
@@ -47,6 +47,12 @@ type inspection[V semiring.Value] struct {
 	// owns all of them); offsets is its flop-balanced partition over workers.
 	lightFlop []int64
 	offsets   []int
+
+	// Hash under an output mask (never a Plan): the mask and the mask-table
+	// bound, its widest row. Partition, prefix sum, allocation and stats are
+	// the unmasked product's; only the two row functions differ (hashrow.go).
+	mask      *matrix.CSRG[V]
+	maskBound int64
 
 	// Tiled with heavy rows: the column split of B (perm, filled only for
 	// Plans, maps each split entry back to its B entry so an execution can
@@ -115,10 +121,18 @@ func inspect[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b *
 		}
 		in.offsets = ctx.partition(in.lightFlop, workers, workers)
 		pt.tick(PhasePartition)
+		if in.mask = opt.Mask; in.mask != nil {
+			in.maskBound = capBound(in.mask.MaxRowNNZ(), b.Cols)
+		}
 		// HashVector counts with Hash's symbolic pass: the number of
 		// distinct columns does not depend on the numeric accumulator.
 		ctx.runWorkers("symbolic", workers, func(w int) {
-			ctx.hashSymbolic(w, a, b, in.lightFlop, in.offsets[w], in.offsets[w+1], rowNnz, pt.worker(w))
+			lo, hi := in.offsets[w], in.offsets[w+1]
+			if in.mask != nil {
+				ctx.maskedSymbolic(w, a, b, in, lo, hi, rowNnz, pt.worker(w))
+			} else {
+				ctx.hashSymbolic(w, a, b, in.lightFlop, lo, hi, rowNnz, pt.worker(w))
+			}
 		})
 		in.heavySymbolic(ctx, a, rowNnz)
 	}
@@ -174,7 +188,11 @@ func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 			hashVecRows(ring, ctx.hashVecTable(w, bound), a, b, c, in.lightFlop, lo, hi, ws)
 		} else {
 			h := newHashNumeric(ring, ctx.hashTable(w, bound), a, b, c.ColIdx, c.Val, c.Sorted)
-			h.rows(in.lightFlop, c.RowPtr, lo, hi, 0)
+			if in.mask != nil {
+				h.maskedRows(ctx.maskTable(w, in.maskBound), in.mask, in.lightFlop, c.RowPtr, lo, hi)
+			} else {
+				h.rows(in.lightFlop, c.RowPtr, lo, hi, 0)
+			}
 			h.report(ws)
 		}
 		if ws != nil {

@@ -15,9 +15,8 @@ import (
 type Phase int
 
 const (
-	// PhasePartition is the pre-pass: per-row flop counting and the
-	// flop-balanced row partition (Figure 6), or whatever input
-	// preprocessing a baseline needs (e.g. BlockedSPA's column split).
+	// PhasePartition is the pre-pass: per-row flop counting, the
+	// flop-balanced row partition (Figure 6) and Tiled's column split of B.
 	PhasePartition Phase = iota
 	// PhaseSymbolic is the symbolic pass of two-phase algorithms: computing
 	// per-row output sizes without touching values (Figure 7, left half).
@@ -29,8 +28,7 @@ const (
 	// including per-row extraction/sorting.
 	PhaseNumeric
 	// PhaseAssemble is the final stitching of per-worker temp buffers into
-	// the output matrix (one-phase algorithms), plus any post-pass such as
-	// sorting rows to honor a sorted-output request.
+	// the output matrix (one-phase algorithms and sharded sinks).
 	PhaseAssemble
 	// NumPhases is the number of phases; ExecStats.Phases has this length.
 	NumPhases
@@ -72,8 +70,9 @@ type WorkerStats struct {
 	HashProbes int64
 	// HeapPushes counts cursor pushes into the merge heap (Heap SpGEMM).
 	HeapPushes int64
-	// L2Overflows counts keys delegated to the level-2 table of the
-	// two-level (Kokkos-style) accumulator.
+	// L2Overflows counts heavy (row, tile) units AlgTiled routed through
+	// column tiling — and, for the Kokkos-style baseline, keys delegated to
+	// the level-2 table of its two-level accumulator.
 	L2Overflows int64
 	// StampMarks counts symbolic products tested against generation stamps
 	// rather than inserted into a hash table.
@@ -153,8 +152,7 @@ func (s *ExecStats) reset(workers int) {
 
 // PhaseSum returns the sum of the per-phase times. The accounting invariant
 // every kernel maintains is PhaseSum() <= Total: phase times are measured
-// back-to-back inside the window finish() stamps as Total, and out-of-band
-// post-passes (addPhase) extend the phase and Total by the same duration.
+// back-to-back inside the window finish() stamps as Total.
 // TestExecStatsPhaseSumInvariant enforces this across all algorithms.
 func (s *ExecStats) PhaseSum() time.Duration {
 	var t time.Duration
@@ -245,23 +243,6 @@ func (s *ExecStats) CollisionFactor() float64 {
 		return 0
 	}
 	return 1 + float64(t.HashProbes)/float64(t.HashLookups)
-}
-
-// addPhase adds an out-of-band duration (e.g. a post-pass sort that runs
-// after the kernel's own finish() stamped its wall time) to a phase and to
-// the total. Charging both sides is what keeps post-passes from being
-// double-counted: the post-pass interval lies outside the window finish()
-// measured, so extending Phases[p] and Total by the same d preserves the
-// PhaseSum() <= Total invariant exactly. Post-passes measured *inside* the
-// finish() window (e.g. the inspector baseline's SortRows before its
-// PhaseAssemble tick) must use tick, never addPhase — they are already part
-// of Total. Safe on a nil receiver so call sites need no guard.
-func (s *ExecStats) addPhase(p Phase, d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.Phases[p] += d
-	s.Total += d
 }
 
 // String renders a compact one-call breakdown: phase times with percentages
@@ -378,24 +359,6 @@ func (t *phaseTimer) worker(w int) *WorkerStats {
 		return nil
 	}
 	return &t.st.Workers[w]
-}
-
-// statsNow reads the clock only when stats are enabled; paired with
-// statsSince it brackets post-passes (e.g. a sorted-output SortRows) without
-// costing disabled callers a clock read.
-func statsNow(st *ExecStats) time.Time {
-	if st == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// statsSince returns the elapsed time since start, or 0 with stats disabled.
-func statsSince(st *ExecStats, start time.Time) time.Duration {
-	if st == nil {
-		return 0
-	}
-	return time.Since(start)
 }
 
 // rangeFlop sums flopRow over [lo, hi) — the per-worker Flop counter for

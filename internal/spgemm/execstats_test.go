@@ -10,10 +10,7 @@ import (
 )
 
 // statsAlgorithms is every algorithm the breakdown instrumentation covers.
-var statsAlgorithms = []Algorithm{
-	AlgHash, AlgHashVec, AlgHeap, AlgSPA, AlgMKL, AlgMKLInspector,
-	AlgKokkos, AlgMerge, AlgIKJ, AlgBlockedSPA, AlgESC,
-}
+var statsAlgorithms = []Algorithm{AlgHash, AlgHashVec, AlgHeap, AlgTiled, AlgSharded}
 
 // TestExecStatsPhaseSumMatchesTotal is the tentpole acceptance criterion:
 // phases are timed back-to-back, so their sum must account for the measured
@@ -123,12 +120,6 @@ func TestExecStatsCounters(t *testing.T) {
 			if tot.HeapPushes == 0 {
 				t.Errorf("%v: no heap pushes recorded", alg)
 			}
-		case AlgKokkos:
-			// The two-level table counts only level-2 traffic (the L1 CAS
-			// loop stays uncounted by design), so lookups == delegations.
-			if tot.HashLookups != tot.L2Overflows {
-				t.Errorf("%v: HashLookups %d != L2Overflows %d", alg, tot.HashLookups, tot.L2Overflows)
-			}
 		}
 	}
 }
@@ -199,14 +190,6 @@ func TestExecStatsNilSafe(t *testing.T) {
 	if ws := pt.worker(0); ws != nil {
 		t.Fatal("worker() on disabled timer returned non-nil")
 	}
-	var nilStats *ExecStats
-	nilStats.addPhase(PhaseAssemble, 1) // must not panic
-	if !statsNow(nil).IsZero() {
-		t.Fatal("statsNow(nil) read the clock")
-	}
-	if statsSince(nil, statsNow(nil)) != 0 {
-		t.Fatal("statsSince(nil) nonzero")
-	}
 }
 
 // TestCapBoundDegenerate is the regression for the capBound bug: a
@@ -229,7 +212,7 @@ func TestCapBoundDegenerate(t *testing.T) {
 
 // TestRecommendNeverReturnsSortedOnlyForUnsortedB is the dispatch-bug
 // regression (the PR's headline fix): whatever Table 4 says, Recommend must
-// not hand an unsorted B to Heap or Merge. The ER scale-10 sorted-output
+// not hand an unsorted B to Heap. The ER scale-10 sorted-output
 // request is the original repro — low compression ratio and low degree made
 // Table 4 pick Heap, which then rejected the unsorted input.
 func TestRecommendNeverReturnsSortedOnlyForUnsortedB(t *testing.T) {

@@ -26,6 +26,28 @@ import (
 //     is product order. The output is bit-identical to Upsert +
 //     ExtractUnsorted. Rows with a repeated column and every sorted request
 //     keep the table.
+//
+// A product under an output mask (Options.Mask, AlgHash only) runs the same
+// driver with the masked pair at the end of this file in place of those two:
+// neither decision applies to it — a masked row's size is not its flop, and
+// its symbolic count is bounded by the mask row, not by B's column space.
+
+// capBound clamps an accumulator size bound at the number of output columns
+// (a row cannot have more distinct entries than columns) — the min(Ncol,
+// size) of the paper's Figure 7. A matrix with no columns needs no
+// accumulator capacity at all, so cols == 0 yields 0 (the accumulator
+// constructors apply their own minimum capacities).
+//
+//spgemm:hotpath
+func capBound(bound int64, cols int) int64 {
+	if bound > int64(cols) {
+		bound = int64(cols)
+	}
+	if bound < 0 {
+		bound = 0
+	}
+	return bound
+}
 
 // rangeFlopMax returns the sum and the largest entry of flopRow over
 // [lo, hi): a worker's flop and its accumulator bound before capBound.
@@ -211,5 +233,96 @@ func hashRowNumeric[V semiring.Value, R semiring.Ring[V]](ring R, table *accum.H
 		table.ExtractSorted(cols, vals)
 	} else {
 		table.ExtractUnsorted(cols, vals)
+	}
+}
+
+// loadMask fills set with the column pattern of mask row i. Only the mask's
+// structure matters; its values are never read.
+func loadMask[V semiring.Value](set *accum.HashTableG[V], mask *matrix.CSRG[V], i int) {
+	set.Reset()
+	for _, col := range mask.ColIdx[mask.RowPtr[i]:mask.RowPtr[i+1]] {
+		set.InsertSymbolic(col)
+	}
+}
+
+// maskedRowCount is rowCounter.count under an output mask: the number of
+// distinct columns of row i of A·B that row i of mask admits. set is the
+// worker's mask table, table its accumulator.
+func maskedRowCount[V semiring.Value](set, table *accum.HashTableG[V], a, b, mask *matrix.CSRG[V], i int) int64 {
+	loadMask(set, mask, i)
+	table.Reset()
+	for _, k := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
+		brp := b.RowPtr[k : int(k)+2]
+		for _, col := range b.ColIdx[brp[0]:brp[1]] {
+			if _, ok := set.Lookup(col); ok {
+				table.InsertSymbolic(col)
+			}
+		}
+	}
+	return int64(table.Len())
+}
+
+// maskedRowNumeric is hashRowNumeric under an output mask: products whose
+// column row i of mask does not admit are dropped before they reach the
+// table; the rest fold in product order, so the row is what the unmasked
+// kernel would produce with the other entries removed.
+func maskedRowNumeric[V semiring.Value, R semiring.Ring[V]](ring R, set, table *accum.HashTableG[V], a, b, mask *matrix.CSRG[V], i int, cols []int32, vals []V, sorted bool) {
+	loadMask(set, mask, i)
+	table.Reset()
+	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
+	acols := a.ColIdx[alo:ahi]
+	avals := a.Val[alo:ahi]
+	for x, k := range acols {
+		av := avals[x]
+		brp := b.RowPtr[k : int(k)+2]
+		bvals := b.Val[brp[0]:brp[1]]
+		for y, col := range b.ColIdx[brp[0]:brp[1]] {
+			if _, ok := set.Lookup(col); !ok {
+				continue
+			}
+			prod := ring.Mul(av, bvals[y])
+			slot, fresh := table.Upsert(col)
+			if fresh {
+				*slot = prod
+			} else {
+				*slot = ring.Add(*slot, prod)
+			}
+		}
+	}
+	if sorted {
+		table.ExtractSorted(cols, vals)
+	} else {
+		table.ExtractUnsorted(cols, vals)
+	}
+}
+
+// maskedSymbolic is hashSymbolic for the masked product in describes: worker
+// w's pass over the rows of [lo, hi).
+func (c *ContextG[V]) maskedSymbolic(w int, a, b *matrix.CSRG[V], in *inspection[V], lo, hi int, rowNnz []int64, ws *WorkerStats) {
+	_, max := rangeFlopMax(in.flopRow, lo, hi)
+	if max == 0 {
+		return
+	}
+	set := c.maskTable(w, in.maskBound)
+	table := c.hashTable(w, capBound(max, b.Cols))
+	for i := lo; i < hi; i++ {
+		if in.flopRow[i] != 0 {
+			rowNnz[i] = maskedRowCount(set, table, a, b, in.mask, i)
+		}
+	}
+	if ws != nil {
+		ws.HashLookups += table.Lookups()
+		ws.HashProbes += table.Probes()
+	}
+}
+
+// maskedRows is hashNumeric.rows for a masked product; set is the worker's
+// mask table.
+func (h *hashNumeric[V, R]) maskedRows(set *accum.HashTableG[V], mask *matrix.CSRG[V], flopRow, rowPtr []int64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if flopRow[i] != 0 {
+			start, end := rowPtr[i], rowPtr[i+1]
+			maskedRowNumeric(h.ring, set, h.table, h.a, h.b, mask, i, h.cols[start:end], h.vals[start:end], h.sorted)
+		}
 	}
 }

@@ -128,7 +128,7 @@ func heapBalanced[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 			// share (first-touched locally, reused across calls).
 			s := ctx.workerScratch(w)
 			tmpCols[w] = s.EnsureInt32A(int(tempSize[w]))
-			tmpVals[w] = ctx.valScratchA(w, int(tempSize[w]))
+			tmpVals[w] = ctx.valScratch(w, int(tempSize[w]))
 		}
 		var maxK int64
 		for i := lo; i < hi; i++ {
@@ -198,7 +198,7 @@ func heapScheduled[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CS
 			f := flopRow[i]
 			if int64(cap(rowCols)) < f {
 				rowCols = sw.EnsureInt32A(int(f))
-				rowVals = ctx.valScratchA(w, int(f))
+				rowVals = ctx.valScratch(w, int(f))
 			}
 			n := heapRow(ring, a, b, i, h, rowCols[:f], rowVals[:f])
 			rowNnz[i] = int64(n)

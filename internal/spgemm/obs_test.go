@@ -14,9 +14,7 @@ import (
 
 // TestExecStatsPhaseSumInvariant pins the accounting audit's conclusion:
 // under a monotonic clock, PhaseSum() <= Total holds exactly for every
-// algorithm — including the ones with post-passes (kokkos adds its sort via
-// addPhase to both sides; the inspector sorts inside the finish window) —
-// for sorted and unsorted output and across worker counts.
+// algorithm, for sorted and unsorted output and across worker counts.
 func TestExecStatsPhaseSumInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := gen.ER(9, 8, rng)

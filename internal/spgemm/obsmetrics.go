@@ -12,8 +12,6 @@ var (
 		"successful Multiply calls by resolved algorithm", "alg")
 	mFlop = obs.NewCounter("spgemm_flop_total",
 		"multiply-accumulate operations counted by the partition pre-pass")
-	mSortPost = obs.NewCounter("spgemm_sort_postpasses_total",
-		"sorted-output post-pass sorts forced on unsorted-native kernels")
 	mCollision = obs.NewHistogram("spgemm_collision_factor",
 		"hash collision factor per stats-enabled Multiply call (Equation 2)",
 		[]float64{1, 1.1, 1.25, 1.5, 2, 3, 5})
@@ -33,10 +31,10 @@ var (
 
 // multiplyCounter caches the per-algorithm child of spgemm_multiplies_total
 // so recording a call is a single atomic add.
-var multiplyCounter = func() [algLast + 1]*obs.Counter {
-	var t [algLast + 1]*obs.Counter
-	for a := Algorithm(0); a <= algLast; a++ {
-		t[a] = mMultiplies.With(a.String())
+var multiplyCounter = func() [NumAlgorithms]*obs.Counter {
+	var t [NumAlgorithms]*obs.Counter
+	for a, name := range algNames {
+		t[a] = mMultiplies.With(name)
 	}
 	return t
 }()

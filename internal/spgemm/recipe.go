@@ -35,14 +35,14 @@ func (u UseCase) String() string {
 
 // Recommend implements the paper's Table 4 recipe: the empirically (and, via
 // the cost model of Section 4.2.4, theoretically) best algorithm for the
-// given inputs, sortedness requirement and use case, expressed with this
-// repository's algorithm set (MKL-inspector stands in for the paper's
-// MKL-inspector column).
+// given inputs, sortedness requirement and use case, among this package's
+// kernels — the answer is always one of Hash, Heap, Tiled or Sharded, never
+// a figure baseline.
 // Recommendations are additionally constrained by the inputs themselves:
-// algorithms that consume sorted row streams (Heap, Merge) are never
-// proposed when B's rows are unsorted — Hash accepts any input order and is
-// the recipe's fallback, so Multiply with AlgAuto succeeds for every
-// (sorted, unsorted) input combination.
+// Heap consumes sorted row streams and is never proposed when B's rows are
+// unsorted — Hash accepts any input order and is the recipe's fallback, so
+// Multiply with AlgAuto succeeds for every (sorted, unsorted) input
+// combination.
 //
 // The recipe only inspects sparsity structure, so it applies unchanged to
 // any value type.
@@ -122,12 +122,15 @@ func shardedRecommended[V semiring.Value](a, b *matrix.CSRG[V]) bool {
 // matrix size. The cells below only ask which side of 2 the ratio falls.
 const recipeSampleRows = 64
 
-// recommendTable4 is the unconstrained Table 4 lookup. Two departures from
+// recommendTable4 is the unconstrained Table 4 lookup. Three departures from
 // the paper's table: the skewed dense square cell goes to AlgTiled when heavy
-// rows are present, and the two cells the paper gives to HashVector go to
-// Hash — without vector compare instructions the chunked probe loses to
-// linear probing in every cell this repository has measured (EXPERIMENTS.md),
-// so AlgHashVec is reachable by name only.
+// rows are present; the two cells the paper gives to HashVector go to Hash —
+// without vector compare instructions the chunked probe loses to linear
+// probing in every cell this repository has measured (EXPERIMENTS.md), so
+// AlgHashVec is reachable by name only; and the uniform / unsorted / high
+// compression-ratio cell the paper gives to MKL-inspector goes to Hash, which
+// beats the map-based stand-in on 96 % of unsorted inputs (EXPERIMENTS.md,
+// Figure 15) — so no unsorted request pays for the ratio sample.
 func recommendTable4[V semiring.Value](a, b *matrix.CSRG[V], sorted bool, uc UseCase) Algorithm {
 	// The compression ratio costs a sampled symbolic phase, so only the
 	// cells that branch on it pay for it.
@@ -162,9 +165,6 @@ func recommendTable4[V semiring.Value](a, b *matrix.CSRG[V], sorted bool, uc Use
 			return AlgHash
 		}
 		// Uniform/real data: Table 4(a) by compression ratio.
-		if !sorted && !lowCR() {
-			return AlgMKLInspector
-		}
 		if sorted && ef <= 8 && lowCR() {
 			return AlgHeap
 		}

@@ -71,10 +71,7 @@ func requireExactStructure(t *testing.T, alg Algorithm, got, want *matrix.CSR) {
 func TestMinPlusZeroHandlingAllKernels(t *testing.T) {
 	ring := semiring.MinPlusF64{}
 	rng := rand.New(rand.NewSource(909))
-	algs := []Algorithm{
-		AlgHash, AlgHashVec, AlgHeap, AlgSPA, AlgMKL, AlgMKLInspector,
-		AlgKokkos, AlgMerge, AlgIKJ, AlgBlockedSPA, AlgESC,
-	}
+	algs := []Algorithm{AlgHash, AlgHashVec, AlgHeap, AlgTiled, AlgSharded}
 	for trial := 0; trial < 8; trial++ {
 		a := minPlusInput(rng, 40, 0.15)
 		b := minPlusInput(rng, 40, 0.15)
@@ -102,8 +99,8 @@ func TestMinPlusZeroHandlingAllKernels(t *testing.T) {
 	}
 }
 
-// TestMinPlusZeroHandlingMasked covers the masked two-phase path (hash
-// family only), where symbolic inserts are filtered by the mask: entries
+// TestMinPlusZeroHandlingMasked covers the masked row functions (AlgHash
+// only), where symbolic inserts are filtered by the mask: entries
 // whose value is +Inf must survive exactly when the mask admits them.
 func TestMinPlusZeroHandlingMasked(t *testing.T) {
 	ring := semiring.MinPlusF64{}
@@ -117,12 +114,12 @@ func TestMinPlusZeroHandlingMasked(t *testing.T) {
 	// mask keeps an entry iff the full product has it AND the mask has the
 	// position, with the full product's value — even 0 or +Inf.
 	want := maskFilter(full, mask)
-	for _, alg := range []Algorithm{AlgHash, AlgHashVec} {
-		got, err := MultiplyRing(ring, a, b, &OptionsG[float64]{Algorithm: alg, Mask: mask})
+	for _, unsorted := range []bool{false, true} {
+		got, err := MultiplyRing(ring, a, b, &OptionsG[float64]{Algorithm: AlgHash, Mask: mask, Unsorted: unsorted})
 		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
+			t.Fatal(err)
 		}
-		requireExactStructure(t, alg, sortedClone(got), want)
+		requireExactStructure(t, AlgHash, sortedClone(got), want)
 	}
 }
 

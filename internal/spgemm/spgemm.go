@@ -1,13 +1,13 @@
 // Package spgemm implements the paper's primary contribution: optimized
 // shared-memory sparse matrix-matrix multiplication (SpGEMM) kernels for
-// highly-threaded processors, together with the baseline algorithms the
-// paper evaluates against.
+// highly-threaded processors. The stand-ins the paper's figures compare them
+// against (MKL, KokkosKernels, plain SPA) live in internal/bench/baseline.
 //
 // All algorithms follow Gustavson's row-wise formulation (Figure 1 of the
 // paper): output row i is the sum of rows b_k* of B scaled by the nonzeros
 // a_ik of row a_i*. They differ in the accumulator that merges intermediate
-// products — hash table, chunked hash table, heap, dense SPA, sorted-list
-// merge, or a general-purpose map — and in phase structure (one-phase with
+// products — hash table, chunked hash table, heap, or a dense SPA over one
+// cache-sized column tile — and in phase structure (one-phase with
 // upper-bound allocation vs two-phase symbolic+numeric).
 //
 // Shared architecture-specific machinery (Section 4.1 and 3.2 of the paper):
@@ -34,7 +34,8 @@ const (
 	// AlgHash is the paper's optimized hash-table SpGEMM (Section 4.2.1):
 	// two-phase, thread-private linear-probing tables sized to the per-
 	// thread flop upper bound, balanced scheduling. Accepts any input
-	// order; emits sorted or unsorted output ("Any/Select").
+	// order; emits sorted or unsorted output ("Any/Select"). The only
+	// kernel that fuses an output mask.
 	AlgHash
 	// AlgHashVec is Hash with chunked ("vectorized") probing (Section
 	// 4.2.2), emulating the AVX2/AVX-512 in-register compare.
@@ -44,42 +45,6 @@ const (
 	// upper-bound output buffers. Requires sorted inputs and always emits
 	// sorted output ("Sorted/Sorted").
 	AlgHeap
-	// AlgSPA is Gustavson's algorithm with a dense sparse accumulator:
-	// O(Cols) memory per thread, no collisions. Included as the classic
-	// baseline the paper discusses (Section 2).
-	AlgSPA
-	// AlgMKL stands in for Intel MKL's mkl_sparse_spmm: a two-phase
-	// general-purpose map accumulator with plain static scheduling
-	// ("Any/Select"). Proprietary MKL is unavailable; see DESIGN.md for
-	// why this baseline reproduces MKL's qualitative profile (competitive
-	// on small uniform inputs, load-imbalanced on skew, large benefit
-	// from unsorted output).
-	AlgMKL
-	// AlgMKLInspector stands in for the MKL inspector-executor API:
-	// one-phase, unsorted-output-only map accumulation with guided
-	// scheduling; strongest at high compression ratios.
-	AlgMKLInspector
-	// AlgKokkos stands in for KokkosKernels' kkmem: two-phase with a
-	// cache-sized level-1 hash and a growable level-2 overflow,
-	// dynamic scheduling, unsorted output only ("Any/Unsorted").
-	AlgKokkos
-	// AlgMerge is an iterative sorted-list row-merging SpGEMM in the style
-	// of ViennaCL/Gremse et al., included as an additional baseline.
-	// Requires sorted inputs; output is inherently sorted.
-	AlgMerge
-	// AlgIKJ is the IKJ method of Sulatycke and Ghose (Section 2 of the
-	// paper): a dense scan over the inner dimension per row, O(n² + flop)
-	// work, "only competitive when flop ≥ n²". Historical baseline.
-	AlgIKJ
-	// AlgBlockedSPA is the cache-blocked SPA of Patwary et al. (ISC 2015,
-	// the paper's reference [26]): B partitioned into column blocks so the
-	// dense accumulator stays cache-resident.
-	AlgBlockedSPA
-	// AlgESC is the expansion/sorting/compression formulation of Dalton,
-	// Olson and Bell (reference [10]): materialize all intermediate
-	// products, sort, and merge. GPU-oriented; a sort-cost lower-bound
-	// baseline on CPUs.
-	AlgESC
 	// AlgTiled is the cache-conscious tiled execution mode (DBCSR/SpArch
 	// direction): B is split into column tiles sized from the installed
 	// cache parameters, rows whose accumulator bound overflows one tile are
@@ -98,49 +63,22 @@ const (
 	// bit-identical to AlgHash. Accepts any input order.
 	AlgSharded
 
-	// algLast is the highest defined Algorithm value; keep in sync when
-	// adding algorithms (ParseAlgorithm and the metrics cache iterate to it).
-	algLast = AlgSharded
-
 	// NumAlgorithms is the number of defined Algorithm values — the size of
-	// any per-algorithm lookup table (the server's cached histogram children,
-	// the package's own cached counters).
-	NumAlgorithms = int(algLast) + 1
+	// any per-algorithm lookup table (algNames below, the server's cached
+	// histogram children, the package's own cached counters).
+	NumAlgorithms = int(AlgSharded) + 1
 )
+
+// algNames is the one name table: String, ParseAlgorithm, the CLIs' -alg
+// help and the server's error for an unknown name all read it.
+var algNames = [NumAlgorithms]string{"auto", "hash", "hashvec", "heap", "tiled", "sharded"}
 
 // String returns the name used in benchmark tables.
 func (a Algorithm) String() string {
-	switch a {
-	case AlgAuto:
-		return "auto"
-	case AlgHash:
-		return "hash"
-	case AlgHashVec:
-		return "hashvec"
-	case AlgHeap:
-		return "heap"
-	case AlgSPA:
-		return "spa"
-	case AlgMKL:
-		return "mkl"
-	case AlgMKLInspector:
-		return "mkl-inspector"
-	case AlgKokkos:
-		return "kokkos"
-	case AlgMerge:
-		return "merge"
-	case AlgIKJ:
-		return "ikj"
-	case AlgBlockedSPA:
-		return "blockedspa"
-	case AlgESC:
-		return "esc"
-	case AlgTiled:
-		return "tiled"
-	case AlgSharded:
-		return "sharded"
+	if a < 0 || int(a) >= NumAlgorithms {
+		return "unknown"
 	}
-	return "unknown"
+	return algNames[a]
 }
 
 // ParseAlgorithm is the inverse of Algorithm.String: it resolves the names
@@ -150,9 +88,9 @@ func ParseAlgorithm(name string) (Algorithm, bool) {
 	if name == "" {
 		return AlgAuto, true
 	}
-	for alg := AlgAuto; alg <= algLast; alg++ {
-		if alg.String() == name {
-			return alg, true
+	for alg, n := range algNames {
+		if n == name {
+			return Algorithm(alg), true
 		}
 	}
 	return AlgAuto, false
@@ -207,8 +145,8 @@ type Options struct {
 	// Workers is the number of parallel workers; 0 means GOMAXPROCS.
 	Workers int
 	// Unsorted requests unsorted output rows where the algorithm supports
-	// the choice (Hash, HashVec, MKL, SPA). Skipping the per-row sort is
-	// the significant optimization of the paper's Section 5.4.4.
+	// the choice (see SupportsUnsorted). Skipping the per-row sort is the
+	// significant optimization of the paper's Section 5.4.4.
 	Unsorted bool
 	// HeapVariant selects the Figure 9 scheduling/memory variant of
 	// AlgHeap.
@@ -218,7 +156,8 @@ type Options struct {
 	Semiring *semiring.Semiring
 	// Mask, when non-nil, restricts the output pattern: only entries whose
 	// position is nonzero in Mask are produced. Used by the triangle
-	// counting use case. Supported by the hash-family algorithms.
+	// counting use case. Supported by AlgHash (and AlgAuto, which resolves
+	// to it).
 	Mask *matrix.CSR
 	// UseCase tells the AlgAuto recipe which Table 4 scenario this product
 	// is (squaring-like, square × tall-skinny, or triangular L×U). The zero
@@ -235,9 +174,9 @@ type Options struct {
 	// matrix is allocated. nil preserves one-shot behavior. A Context must
 	// not be shared by concurrent Multiply calls.
 	Context *Context
-	// TileCols overrides the column-tile width used by AlgTiled (and the
-	// block width of AlgBlockedSPA). 0 means the analytic width derived
-	// from the installed cache parameters (see TileColsForElem).
+	// TileCols overrides the column-tile width used by AlgTiled. 0 means
+	// the analytic width derived from the installed cache parameters (see
+	// TileColsForElem).
 	TileCols int
 	// TileHeavyFlop overrides AlgTiled's heavy-row threshold: rows whose
 	// accumulator bound exceeds it are routed through column tiling. 0
@@ -277,8 +216,8 @@ type OptionsG[V semiring.Value] struct {
 	// Context must be a ContextG over the same V as the inputs.
 	Context *ContextG[V]
 	// TileCols and TileHeavyFlop mirror the Options fields: tile-geometry
-	// overrides for AlgTiled and AlgBlockedSPA (and AlgSharded's
-	// column-split decision); zero means analytic.
+	// overrides for AlgTiled (and AlgSharded's column-split decision); zero
+	// means analytic.
 	TileCols      int
 	TileHeavyFlop int64
 	// ShardStripes, ShardMemBudget and ShardSink mirror the Options
@@ -369,10 +308,8 @@ func MultiplyRing[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 		opt.Stats.Algorithm = alg
 	}
 	if opt.Mask != nil {
-		switch alg {
-		case AlgHash, AlgHashVec:
-		default:
-			return nil, fmt.Errorf("spgemm: mask is only supported by hash and hashvec, not %v", alg)
+		if alg != AlgHash {
+			return nil, fmt.Errorf("spgemm: mask is only supported by hash, not %v", alg)
 		}
 		if opt.Mask.Rows != a.Rows || opt.Mask.Cols != b.Cols {
 			return nil, fmt.Errorf("spgemm: mask dimensions %dx%d do not match output %dx%d",
@@ -387,34 +324,14 @@ func MultiplyRing[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 	return c, nil
 }
 
-// dispatch routes to the concrete kernel.
+// dispatch routes to the concrete kernel: the two-phase hash family through
+// the one inspect/execute driver, Heap through its one-phase driver.
 func dispatch[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
 	switch alg {
-	case AlgHash, AlgHashVec:
-		if opt.Mask != nil {
-			return maskedHashMultiply(ring, a, b, opt, alg == AlgHashVec)
-		}
-		return inspectExecute(ring, alg, a, b, opt)
-	case AlgTiled, AlgSharded:
+	case AlgHash, AlgHashVec, AlgTiled, AlgSharded:
 		return inspectExecute(ring, alg, a, b, opt)
 	case AlgHeap:
 		return heapMultiply(ring, a, b, opt)
-	case AlgSPA:
-		return spaMultiply(ring, a, b, opt)
-	case AlgMKL:
-		return mapMultiply(ring, a, b, opt)
-	case AlgMKLInspector:
-		return inspectorMultiply(ring, a, b, opt)
-	case AlgKokkos:
-		return kokkosMultiply(ring, a, b, opt)
-	case AlgMerge:
-		return mergeMultiply(ring, a, b, opt)
-	case AlgIKJ:
-		return ikjMultiply(ring, a, b, opt)
-	case AlgBlockedSPA:
-		return blockedSPAMultiply(ring, a, b, opt, blockedSPAConfig{})
-	case AlgESC:
-		return escMultiply(ring, a, b, opt)
 	}
 	return nil, fmt.Errorf("spgemm: unknown algorithm %d", alg)
 }
@@ -439,20 +356,19 @@ func Flop[V, W semiring.Value](a *matrix.CSRG[V], b *matrix.CSRG[W]) (total int6
 }
 
 // SupportsUnsorted reports whether the algorithm can skip output sorting
-// (the paper's Table 1 "Sortedness" column).
+// (the paper's Table 1 "Sortedness" column). Heap merges sorted streams and
+// can only emit sorted rows.
 func SupportsUnsorted(a Algorithm) bool {
 	switch a {
-	case AlgHash, AlgHashVec, AlgSPA, AlgMKL, AlgMKLInspector, AlgKokkos, AlgIKJ, AlgBlockedSPA, AlgTiled, AlgSharded:
+	case AlgHash, AlgHashVec, AlgTiled, AlgSharded:
 		return true
 	}
 	return false
 }
 
 // RequiresSortedInput reports whether the algorithm needs sorted input rows
-// (Heap and Merge operate on sorted streams).
-func RequiresSortedInput(a Algorithm) bool {
-	return a == AlgHeap || a == AlgMerge
-}
+// (Heap operates on sorted streams).
+func RequiresSortedInput(a Algorithm) bool { return a == AlgHeap }
 
 // outputShell allocates the column/value arrays of the result once the row
 // pointer array is final.

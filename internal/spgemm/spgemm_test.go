@@ -2,6 +2,7 @@ package spgemm
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -19,14 +20,7 @@ var allAlgorithms = []struct {
 	{AlgHash, true, true},
 	{AlgHashVec, true, true},
 	{AlgHeap, false, false},
-	{AlgSPA, true, true},
-	{AlgMKL, true, true},
-	{AlgMKLInspector, true, true},
-	{AlgKokkos, true, true},
-	{AlgMerge, false, false},
-	{AlgIKJ, true, true},
-	{AlgBlockedSPA, true, true},
-	{AlgESC, false, true},
+	{AlgTiled, true, true},
 	{AlgSharded, true, true},
 }
 
@@ -88,8 +82,8 @@ func TestAllAlgorithmsMatchNaiveUnsortedOutput(t *testing.T) {
 }
 
 func TestUnsortedInputAccepted(t *testing.T) {
-	// Hash-family and map algorithms must accept randomly permuted
-	// (unsorted) inputs — the paper's unsorted evaluation mode.
+	// The hash family must accept randomly permuted (unsorted) inputs — the
+	// paper's unsorted evaluation mode.
 	rng := rand.New(rand.NewSource(103))
 	a := matrix.Random(30, 30, 0.2, rng)
 	perm := matrix.RandomPermutation(30, rng)
@@ -113,10 +107,8 @@ func TestSortedInputRequiredErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
 	a := matrix.Random(10, 10, 0.3, rng)
 	b := a.PermuteCols(matrix.RandomPermutation(10, rng)) // unsorted
-	for _, alg := range []Algorithm{AlgHeap, AlgMerge} {
-		if _, err := Multiply(a, b, &Options{Algorithm: alg}); err == nil {
-			t.Fatalf("%v: expected error on unsorted B", alg)
-		}
+	if _, err := Multiply(a, b, &Options{Algorithm: AlgHeap}); err == nil {
+		t.Fatal("heap: expected error on unsorted B")
 	}
 }
 
@@ -233,7 +225,8 @@ func TestSemiringMinPlus(t *testing.T) {
 			}
 		}
 	}
-	for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgHeap, AlgSPA, AlgMKL, AlgMKLInspector, AlgKokkos, AlgMerge, AlgIKJ, AlgBlockedSPA, AlgESC} {
+	for _, tc := range allAlgorithms {
+		alg := tc.alg
 		got, err := Multiply(a, b, &Options{Algorithm: alg, Semiring: sr, Workers: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
@@ -265,7 +258,7 @@ func TestSemiringOrAnd(t *testing.T) {
 		a.Val[i] = 1
 	}
 	want := matrix.NaiveMultiply(a, a) // plus-times pattern == or-and pattern
-	for _, alg := range []Algorithm{AlgHash, AlgHeap, AlgSPA} {
+	for _, alg := range []Algorithm{AlgHash, AlgHeap, AlgTiled} {
 		got, err := Multiply(a, a, &Options{Algorithm: alg, Semiring: semiring.OrAnd()})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
@@ -297,21 +290,19 @@ func TestMaskedMultiply(t *testing.T) {
 				}
 			}
 		}
-		for _, alg := range []Algorithm{AlgHash, AlgHashVec} {
-			got, err := Multiply(a, b, &Options{Algorithm: alg, Mask: mask, Workers: 2})
-			if err != nil {
-				t.Fatalf("%v: %v", alg, err)
-			}
-			if !got.ToDense().EqualApprox(wantD, 1e-10) {
-				t.Fatalf("trial %d %v: masked product wrong", trial, alg)
-			}
-			// No entry outside the mask.
-			for i := 0; i < got.Rows; i++ {
-				cols, _ := got.Row(i)
-				for _, c := range cols {
-					if maskD.At(i, int(c)) == 0 {
-						t.Fatalf("%v: entry (%d,%d) outside mask", alg, i, c)
-					}
+		got, err := Multiply(a, b, &Options{Algorithm: AlgHash, Mask: mask, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.ToDense().EqualApprox(wantD, 1e-10) {
+			t.Fatalf("trial %d: masked product wrong", trial)
+		}
+		// No entry outside the mask.
+		for i := 0; i < got.Rows; i++ {
+			cols, _ := got.Row(i)
+			for _, c := range cols {
+				if maskD.At(i, int(c)) == 0 {
+					t.Fatalf("entry (%d,%d) outside mask", i, c)
 				}
 			}
 		}
@@ -354,9 +345,13 @@ func TestAutoWithMaskResolvesToHash(t *testing.T) {
 }
 
 func TestMaskRejectedForOtherAlgorithms(t *testing.T) {
+	// One masked kernel: every algorithm but Hash gets the same error.
 	a := matrix.Identity(4)
-	if _, err := Multiply(a, a, &Options{Algorithm: AlgHeap, Mask: a}); err == nil {
-		t.Fatal("expected error: mask unsupported for heap")
+	for _, tc := range allAlgorithms[1:] {
+		_, err := Multiply(a, a, &Options{Algorithm: tc.alg, Mask: a})
+		if err == nil || !strings.Contains(err.Error(), "mask is only supported by hash") {
+			t.Fatalf("%v with a mask: err = %v, want the mask-unsupported error", tc.alg, err)
+		}
 	}
 }
 
@@ -424,7 +419,7 @@ func TestWorkerCountsDoNotChangeResult(t *testing.T) {
 	a, b := randPair(rng, 60, 0.1)
 	want, _ := Multiply(a, b, &Options{Algorithm: AlgHash, Workers: 1})
 	for _, workers := range []int{2, 3, 7, 16, 64, 1000} {
-		for _, alg := range []Algorithm{AlgHash, AlgHeap, AlgMKLInspector} {
+		for _, alg := range []Algorithm{AlgHash, AlgHeap, AlgSharded} {
 			got, err := Multiply(a, b, &Options{Algorithm: alg, Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d %v: %v", workers, alg, err)
@@ -437,11 +432,10 @@ func TestWorkerCountsDoNotChangeResult(t *testing.T) {
 }
 
 func TestSupportsUnsortedTable(t *testing.T) {
-	if SupportsUnsorted(AlgHeap) || SupportsUnsorted(AlgMerge) {
-		t.Fatal("heap/merge cannot skip sorting (output inherently sorted)")
-	}
-	if !SupportsUnsorted(AlgHash) || !SupportsUnsorted(AlgMKLInspector) {
-		t.Fatal("hash family must support unsorted")
+	for _, tc := range allAlgorithms {
+		if SupportsUnsorted(tc.alg) != tc.unsortedOut || RequiresSortedInput(tc.alg) == tc.unsortedInput {
+			t.Fatalf("%v: SupportsUnsorted/RequiresSortedInput disagree with the capability table", tc.alg)
+		}
 	}
 	if !RequiresSortedInput(AlgHeap) || RequiresSortedInput(AlgHash) {
 		t.Fatal("sorted-input requirements wrong")

@@ -29,8 +29,8 @@ func withCacheParams(t *testing.T, p CacheParams, installed bool) {
 func TestTileColsForElem(t *testing.T) {
 	// No parameters installed: the legacy constant is the fallback.
 	withCacheParams(t, CacheParams{}, false)
-	if w := TileColsForElem(8); w != defaultSPABlock {
-		t.Errorf("fallback width = %d, want defaultSPABlock = %d", w, defaultSPABlock)
+	if w := TileColsForElem(8); w != defaultTileCols {
+		t.Errorf("fallback width = %d, want defaultTileCols = %d", w, defaultTileCols)
 	}
 
 	// The KNL-tile geometry (1 MiB L2 slice) must reproduce the legacy

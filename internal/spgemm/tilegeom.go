@@ -82,12 +82,11 @@ func CurrentCacheParams() (CacheParams, bool) {
 // accumulator with elemBytes-wide values: the largest power of two whose
 // value+stamp+index working set fits half the installed L2, clamped below by
 // the latency-amortization floor. With no parameters installed it returns
-// the legacy defaultSPABlock constant (which the analytic rule reproduces
-// exactly for float64 on a 1 MiB KNL-tile L2 slice).
+// defaultTileCols.
 func TileColsForElem(elemBytes int) int {
 	p, ok := CurrentCacheParams()
 	if !ok {
-		return defaultSPABlock
+		return defaultTileCols
 	}
 	if elemBytes < 1 {
 		elemBytes = 1
@@ -101,6 +100,11 @@ func TileColsForElem(elemBytes int) int {
 	}
 	return w
 }
+
+// defaultTileCols holds the dense value+stamp arrays of one float64 tile in
+// ~384 KiB (32768 × 12 bytes) — what the analytic rule gives for a 1 MiB
+// KNL-tile L2 slice.
+const defaultTileCols = 32768
 
 // tileColsFor is TileColsForElem for a concrete value type.
 func tileColsFor[V semiring.Value]() int {
