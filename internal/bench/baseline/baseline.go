@@ -2,8 +2,10 @@
 // own kernels, and nothing a product should ever run on: the MKL and
 // MKL-inspector substitutes (Go's map as the accumulator), the
 // KokkosKernels kkmem substitute (two-level hash, dynamic schedule), plain
-// Gustavson SPA, and the one-phase hash ablation. DESIGN.md's substitution
-// table says why each reproduces its original's qualitative profile.
+// Gustavson SPA, the one-phase hash ablation, and the four scheduling and
+// memory-management variants of Heap SpGEMM that Figure 9 draws under the
+// paper's final design. DESIGN.md's substitution table says why each
+// reproduces its original's qualitative profile.
 //
 // The package is a leaf under internal/bench: the experiments, the root
 // benchmarks and the ablation benchmarks call it; internal/spgemm, core,
@@ -46,11 +48,26 @@ const (
 	// its symbolic+numeric design: no symbolic pass, rows written to
 	// flop-sized per-worker buffers and stitched.
 	HashOnePhase
+	// HeapStatic, HeapDynamic and HeapGuided are one-phase Heap SpGEMM
+	// parallelized naively by row under the corresponding OpenMP-style
+	// schedule; HeapBalancedSingle partitions rows by flop like the
+	// production kernel but carves every worker's temp space out of one
+	// shared allocation. Sorted inputs required, sorted output always. They
+	// print as their Figure 9 curve labels.
+	HeapStatic
+	HeapDynamic
+	HeapGuided
+	HeapBalancedSingle
 	// NumKinds is the number of baselines.
 	NumKinds
 )
 
-var kindNames = [NumKinds]string{"spa", "mkl", "mkl-inspector", "kokkos", "hash-onephase"}
+var kindNames = [NumKinds]string{"spa", "mkl", "mkl-inspector", "kokkos", "hash-onephase",
+	"static", "dynamic", "guided", "balanced single"}
+
+// heapSchedules is the schedule of each Figure 9 kind, from HeapStatic on;
+// sched.Balanced is what makes heapOnePhase carve one shared slab.
+var heapSchedules = [...]sched.Schedule{sched.Static, sched.Dynamic, sched.Guided, sched.Balanced}
 
 // String returns the name used in benchmark tables.
 func (k Kind) String() string {
@@ -104,6 +121,8 @@ func Multiply(k Kind, a, b *matrix.CSR, opt *Options) (*matrix.CSR, error) {
 		return inspector(a, b, opt), nil
 	case HashOnePhase:
 		return hashOnePhase(a, b, opt), nil
+	case HeapStatic, HeapDynamic, HeapGuided, HeapBalancedSingle:
+		return heapOnePhase(a, b, opt, heapSchedules[k-HeapStatic])
 	}
 	return nil, fmt.Errorf("baseline: unknown kind %d", k)
 }

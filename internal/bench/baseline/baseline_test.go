@@ -16,7 +16,9 @@ import (
 // kind, sorted and unsorted output, over the three input families the
 // figures draw (uniform, skewed, square × tall-skinny) plus unsorted inputs,
 // against the NaiveMultiply oracle at the differential harness's tolerance,
-// with stats on so the instrumented paths run too.
+// with stats on so the instrumented paths run too. The Figure 9 Heap kinds
+// merge sorted streams: they refuse an unsorted B, emit sorted rows whatever
+// the request, and count heap pushes.
 func TestKindsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(20180618))
 	er := gen.ER(7, 4, rng)
@@ -32,6 +34,7 @@ func TestKindsMatchNaive(t *testing.T) {
 		{"empty", matrix.NewCSR(5, 4), matrix.NewCSR(4, 6)},
 	}
 	for k := Kind(0); k < NumKinds; k++ {
+		heap := k >= HeapStatic && k <= HeapBalancedSingle
 		for _, unsorted := range []bool{false, true} {
 			name := k.String() + "/sorted"
 			if unsorted {
@@ -42,18 +45,36 @@ func TestKindsMatchNaive(t *testing.T) {
 					for _, workers := range []int{1, 3} {
 						var st spgemm.ExecStats
 						got, err := Multiply(k, in.a, in.b, &Options{Workers: workers, Unsorted: unsorted, Stats: &st})
+						if heap && !in.b.Sorted {
+							if err == nil {
+								t.Fatalf("%s: accepted unsorted input instead of rejecting it", in.name)
+							}
+							continue
+						}
 						if err != nil {
 							t.Fatalf("%s: %v", in.name, err)
 						}
 						if err := difftest.Equivalent(got, matrix.NaiveMultiply(in.a, in.b)); err != nil {
 							t.Fatalf("%s workers=%d: %v", in.name, workers, err)
 						}
-						if got.Sorted == unsorted {
+						if got.Sorted != (heap || !unsorted) {
 							t.Fatalf("%s: Sorted=%v for unsorted=%v", in.name, got.Sorted, unsorted)
 						}
 						flop, _ := matrix.Flop(in.a, in.b)
-						if tot := st.TotalWorker(); tot.Rows != int64(in.a.Rows) || tot.Flop != flop {
+						tot := st.TotalWorker()
+						if tot.Rows != int64(in.a.Rows) || tot.Flop != flop {
 							t.Errorf("%s workers=%d: stats rows=%d flop=%d, want %d and %d", in.name, workers, tot.Rows, tot.Flop, in.a.Rows, flop)
+						}
+						if heap {
+							// One push per non-empty contributing row of B —
+							// what the production kernel counts on the same pair.
+							var prod spgemm.ExecStats
+							if _, err := spgemm.Multiply(in.a, in.b, &spgemm.Options{Algorithm: spgemm.AlgHeap, Workers: workers, Stats: &prod}); err != nil {
+								t.Fatalf("%s: spgemm heap: %v", in.name, err)
+							}
+							if want := prod.TotalWorker().HeapPushes; tot.HeapPushes != want {
+								t.Errorf("%s workers=%d: %d heap pushes, want %d", in.name, workers, tot.HeapPushes, want)
+							}
 						}
 						if st.PhaseSum() > st.Total {
 							t.Errorf("%s: PhaseSum %v > Total %v", in.name, st.PhaseSum(), st.Total)

@@ -62,29 +62,21 @@ func runFig9(cfg Config, w io.Writer) error {
 		lo, hi = 6, 18
 	}
 	rng := rand.New(rand.NewSource(cfg.seed()))
-	variants := []spgemm.HeapVariant{
-		spgemm.HeapStatic, spgemm.HeapDynamic, spgemm.HeapGuided,
-		spgemm.HeapBalancedSingle, spgemm.HeapBalancedParallel,
-	}
-	header := []string{"scale"}
-	for _, v := range variants {
-		header = append(header, v.String())
-	}
+	// The paper's final design, "balanced parallel", is the production kernel.
+	variants := []contender{baseline.HeapStatic, baseline.HeapDynamic, baseline.HeapGuided,
+		baseline.HeapBalancedSingle, spgemm.AlgHeap}
+	header := append([]string{"scale"}, names(variants)...)
+	header[len(header)-1] = "balanced parallel"
 	t := newTable(header...)
 	for scale := lo; scale <= hi; scale += 2 {
 		a := gen.RMAT(scale, 16, gen.G500Params, rng)
-		flop, _ := matrix.Flop(a, a)
 		row := []string{fmt.Sprintf("%d", scale)}
 		for _, v := range variants {
-			d := timeAvg(cfg.reps(), func() {
-				_, err := spgemm.Multiply(a, a, &spgemm.Options{
-					Algorithm: spgemm.AlgHeap, HeapVariant: v, Workers: cfg.Workers,
-				})
-				if err != nil {
-					panic(err)
-				}
-			})
-			row = append(row, f1(mflops(flop, d)))
+			mf, err := timedMultiply(v, a, a, cfg.Workers, false, cfg.reps())
+			if err != nil {
+				return err
+			}
+			row = append(row, f1(mf))
 		}
 		t.add(row...)
 	}

@@ -22,8 +22,6 @@ type (
 	Options = spgemm.Options
 	// Algorithm selects the SpGEMM implementation.
 	Algorithm = spgemm.Algorithm
-	// HeapVariant selects the Figure 9 scheduling/memory variant of AlgHeap.
-	HeapVariant = spgemm.HeapVariant
 	// UseCase classifies the multiplication scenario for the recipe.
 	UseCase = spgemm.UseCase
 	// ExecStats receives per-phase wall times and per-worker counters when

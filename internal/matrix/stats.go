@@ -52,12 +52,16 @@ func FlopInto[V, W semiring.Value](a *CSRG[V], b *CSRG[W], buf []int64) (total i
 	return total, perRow
 }
 
-// StructureChecksum returns an FNV-1a hash over the matrix's dimensions, row
-// pointers and column indices — the sparsity structure, deliberately blind to
-// the values. spgemm.Plan uses it to validate that a cached symbolic phase
-// still applies: numeric re-execution is sound whenever the structure is
-// unchanged, however much the values moved. Cost is O(rows + nnz), far below
-// the O(flop) symbolic pass it guards.
+// StructureChecksum returns an FNV-1a-style hash over the matrix's
+// dimensions, row pointers and column indices — the sparsity structure,
+// deliberately blind to the values. spgemm.Plan uses it to validate that a
+// cached symbolic phase still applies: numeric re-execution is sound whenever
+// the structure is unchanged, however much the values moved. Cost is
+// O(rows + nnz), far below the O(flop) symbolic pass it guards, but paid by
+// every Plan execution, so the hash folds a whole word per multiply where FNV
+// folds a byte: each step is a bijection of the state (structures that differ
+// in one word never collide), and at two or three products per row a
+// byte-wise walk cost more than a Heap replay saves over one-shot Heap.
 func (m *CSRG[V]) StructureChecksum() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -65,11 +69,8 @@ func (m *CSRG[V]) StructureChecksum() uint64 {
 	)
 	h := uint64(offset64)
 	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
+		h ^= v
+		h *= prime64
 	}
 	mix(uint64(m.Rows))
 	mix(uint64(m.Cols))

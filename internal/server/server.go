@@ -580,12 +580,14 @@ func kernelClock(rt *obs.RequestTrace) time.Time {
 	return time.Now()
 }
 
-// multiply runs the product through the Plan cache when the request is
-// plan-eligible (plus-times, hash-family algorithm), falling back to a
-// plain Multiply otherwise. The checked-out Context supplies all mutable
-// kernel state either way. A non-nil rt receives the plan-cache and kernel
-// spans; kernel phase sub-spans are reconstructed from stats after the call
-// (ExecuteIn resets stats, so Total covers exactly the bracketed kernel).
+// multiply runs a plus-times product through the Plan cache — every kernel
+// has a Plan, so after a miss there is one path: build, cache, execute, and a
+// product no kernel accepts (heap on unsorted rows of B) fails at the build —
+// and the other semirings through a plain MultiplyRing. The checked-out
+// Context supplies all mutable kernel state either way. A non-nil rt receives
+// the plan-cache and kernel spans; kernel phase sub-spans are reconstructed
+// from stats after the call (ExecuteIn resets stats, so Total covers exactly
+// the bracketed kernel).
 func (s *Server) multiply(ctx *spgemm.Context, stats *spgemm.ExecStats, a, b *matrix.CSR,
 	alg spgemm.Algorithm, req MultiplyRequest, workers int, rt *obs.RequestTrace) (*matrix.CSR, bool, error) {
 
@@ -639,14 +641,7 @@ func (s *Server) multiply(ctx *spgemm.Context, stats *spgemm.ExecStats, a, b *ma
 	bt := kernelClock(rt)
 	plan, err := spgemm.NewPlan(a, b, opt)
 	if err != nil {
-		// Not plan-eligible (heap, asked for by name or by the recipe):
-		// one-shot multiply through the Context.
-		kt := kernelClock(rt)
-		c, merr := spgemm.Multiply(a, b, opt)
-		if merr == nil {
-			stampKernel(rt, kt, stats)
-		}
-		return c, false, merr
+		return nil, false, err
 	}
 	if rt != nil {
 		rt.Span("plan.build", bt, time.Now())

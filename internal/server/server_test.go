@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/spgemm"
 )
@@ -733,6 +734,69 @@ func TestMultiplySharded(t *testing.T) {
 	for i := range want.ColIdx {
 		if got.ColIdx[i] != want.ColIdx[i] || got.Val[i] != want.Val[i] {
 			t.Fatalf("sharded product differs from hash at entry %d", i)
+		}
+	}
+}
+
+// TestMultiplyHeapIsPlanCached: Heap has a Plan like every other kernel, so a
+// pair sent to it — by name, or by the recipe under "auto" — is a plan-cache
+// hit from the second request on, with the product NaiveMultiply computes;
+// and the one product no kernel accepts, heap on unsorted rows of B, is the
+// same 422 every time rather than a silent one-shot fallback.
+func TestMultiplyHeapIsPlanCached(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	rng := rand.New(rand.NewSource(12))
+	a := matrix.Random(60, 50, 0.1, rng)
+	b := matrix.Random(50, 70, 0.1, rng)
+	er := gen.ER(9, 2, rng)
+	if alg := spgemm.Recommend(er, er, true, spgemm.UseSquare); alg != spgemm.AlgHeap {
+		t.Fatalf("fixture: the recipe answers %v on ER ef 2, want heap", alg)
+	}
+
+	// multiply posts one return=matrix request and decodes the product.
+	multiply := func(req MultiplyRequest) (product *matrix.CSR, alg string, hit bool) {
+		t.Helper()
+		req.Return = "matrix"
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(ts.URL+"/v1/multiply", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			msg, _ := io.ReadAll(resp.Body)
+			t.Fatalf("%+v: status %d: %s", req, resp.StatusCode, msg)
+		}
+		if product, err = matrix.ReadCSRBinary(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return product, resp.Header.Get("X-Spgemm-Algorithm"), resp.Header.Get("X-Spgemm-Plan-Cache-Hit") == "true"
+	}
+	for _, tc := range []struct {
+		name, algorithm string
+		a, b            *matrix.CSR
+	}{
+		{"by name", "heap", a, b},
+		{"by recipe", "auto", er, er},
+	} {
+		req := MultiplyRequest{A: uploadBinary(t, ts.URL, tc.a).Hash, B: uploadBinary(t, ts.URL, tc.b).Hash, Algorithm: tc.algorithm}
+		want := matrix.NaiveMultiply(tc.a, tc.b)
+		for round, wantHit := range []bool{false, true} {
+			got, alg, hit := multiply(req)
+			if alg != "heap" || hit != wantHit {
+				t.Errorf("%s, request %d: algorithm %q planCacheHit %v, want heap and %v", tc.name, round+1, alg, hit, wantHit)
+			}
+			if !matrix.EqualApprox(got, want, 1e-9) {
+				t.Errorf("%s, request %d: product differs from NaiveMultiply", tc.name, round+1)
+			}
+		}
+	}
+
+	unsortedB := uploadBinary(t, ts.URL, gen.Unsorted(b, rng)).Hash
+	for round := 1; round <= 2; round++ {
+		code, body := postMultiply(t, ts.URL, MultiplyRequest{A: uploadBinary(t, ts.URL, a).Hash, B: unsortedB, Algorithm: "heap"})
+		if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), "sorted") {
+			t.Errorf("heap on unsorted B, request %d: status %d: %s", round, code, body)
 		}
 	}
 }

@@ -122,7 +122,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 
 	t.Run("DisabledStatsPhaseTimer", func(t *testing.T) {
 		// With Stats == nil the phase timer must cost nothing.
-		pt := startPhases(nil, 1)
+		pt := startPhases(nil, AlgHash, 1)
 		requireZeroAllocs(t, "phaseTimer", func() {
 			pt.tick(PhaseSymbolic)
 			pt.tick(PhaseNumeric)
@@ -135,7 +135,9 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 // Context-reused Multiply: after warmup the only allocations left are the
 // output matrix's three arrays plus the result header — per-row numeric
 // state must come from the Context's cached tables. A masked product is held
-// to the same bound: its mask table is a Context slot too.
+// to the same bound: its mask table is a Context slot too. So are one-shot
+// Heap (its upper-bound buffers are the Context's) and a Heap Plan replay,
+// which has no buffers at all.
 func TestContextReuseSteadyAllocs(t *testing.T) {
 	if obs.Active() != nil {
 		t.Skip("tracing enabled")
@@ -146,12 +148,14 @@ func TestContextReuseSteadyAllocs(t *testing.T) {
 		name string
 		alg  Algorithm
 		mask *matrix.CSR
+		plan bool
 	}{
-		{"hash", AlgHash, nil},
-		{"hash+mask", AlgHash, a},
-		{"hashvec", AlgHashVec, nil},
-		{"heap", AlgHeap, nil},
-		{"tiled", AlgTiled, nil},
+		{"hash", AlgHash, nil, false},
+		{"hash+mask", AlgHash, a, false},
+		{"hashvec", AlgHashVec, nil, false},
+		{"heap", AlgHeap, nil, false},
+		{"heap/plan", AlgHeap, nil, true},
+		{"tiled", AlgTiled, nil, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Forced tiny tiles so AlgTiled's split + heavy-unit + stitch
@@ -161,6 +165,17 @@ func TestContextReuseSteadyAllocs(t *testing.T) {
 			run := func() {
 				if _, err := Multiply(a, a, opt); err != nil {
 					t.Fatal(err)
+				}
+			}
+			if tc.plan {
+				plan, err := NewPlan(a, a, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run = func() {
+					if _, err := plan.Execute(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			run() // warm the context's tables and partitions

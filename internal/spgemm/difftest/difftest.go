@@ -412,10 +412,12 @@ func CheckContext(c Case, alg spgemm.Algorithm, unsorted bool, workers int, ctx 
 }
 
 // CheckPlan builds a Plan for c.A·c.B, executes it repeatedly (perturbing
-// values between rounds), and verifies every execution is bit-identical to a
-// fresh Multiply with the same options — the plan-reuse soundness criterion.
-// It then perturbs B's structure and verifies the fingerprint rejects the
-// plan.
+// the values of A and B between rounds), and verifies every execution is
+// bit-identical to a fresh Multiply with the same options — the plan-reuse
+// soundness criterion. It then perturbs B's structure and verifies the
+// fingerprint rejects the plan. An algorithm that requires sorted input rows
+// is expected to refuse the Plan for an unsorted B, as Multiply refuses the
+// product.
 func CheckPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 	opt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, Context: spgemm.NewContext()}
 	// For the tiled and sharded algorithms, force tiny geometry so the plan's
@@ -425,6 +427,12 @@ func CheckPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 	opt.TileCols, opt.TileHeavyFlop = tinyTiles(alg)
 	opt.ShardStripes = tinyShards(alg)
 	plan, err := spgemm.NewPlan(c.A, c.B, opt)
+	if spgemm.RequiresSortedInput(alg) && !c.B.Sorted {
+		if err == nil {
+			return fmt.Errorf("%s/%v plan: accepted unsorted input instead of rejecting it", c.Name, alg)
+		}
+		return nil // documented rejection, not a defect
+	}
 	if err != nil {
 		return fmt.Errorf("%s/%v plan: %w", c.Name, alg, err)
 	}
@@ -443,6 +451,9 @@ func CheckPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 		want := matrix.NaiveMultiply(c.A, c.B)
 		if err := Equivalent(got, want); err != nil {
 			return fmt.Errorf("%s/%v round %d vs oracle: %w", c.Name, alg, round, err)
+		}
+		for i := range c.A.Val {
+			c.A.Val[i] *= 1.25
 		}
 		for i := range c.B.Val {
 			c.B.Val[i] *= 0.5

@@ -190,12 +190,12 @@ func TestDifferentialSharded(t *testing.T) {
 
 // TestDifferentialPlanReuse runs the plan-reuse soundness check (repeated
 // bit-identical executions, value perturbation, structural-staleness
-// detection) for every plannable algorithm across the suite. The tiled
-// algorithm runs under forced tiny tiles (see CheckPlan), so its cached
-// split structure and per-execute value re-gather are covered too.
+// detection) for every algorithm across the suite. The tiled algorithm runs
+// under forced tiny tiles (see CheckPlan), so its cached split structure and
+// per-execute value re-gather are covered too.
 func TestDifferentialPlanReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
-	for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgTiled, spgemm.AlgSharded} {
+	for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgHeap, spgemm.AlgTiled, spgemm.AlgSharded} {
 		for _, c := range Cases(rng) {
 			for _, unsorted := range []bool{false, true} {
 				for _, workers := range []int{1, 4} {

@@ -6,14 +6,18 @@ import (
 	"repro/internal/semiring"
 )
 
-// The hash-family driver. Hash, HashVector, Tiled and Sharded SpGEMM are the
-// paper's two-phase pipeline (Figure 7) over different row geometries, and
-// the pipeline has one seam: once the symbolic phase has sized the output,
+// The driver. Hash, HashVector, Tiled and Sharded SpGEMM are the paper's
+// two-phase pipeline (Figure 7) over different row geometries, and the
+// pipeline has one seam: once the symbolic phase has sized the output,
 // everything that depends on the operands' structure is known and only
 // values remain. inspect runs up to that seam and returns an inspection;
 // execute runs from it. A one-shot Multiply is execute(inspect(...)) with no
 // copy in between; a Plan is an inspection cloned out of the Context's
-// buffers, executed as often as the caller likes (plan.go).
+// buffers, executed as often as the caller likes (plan.go). Heap is the
+// one-phase geometry (heap.go): one-shot, its inspection ends at the
+// partition and execute sizes the output by producing it; for a Plan the
+// same symbolic pass fixes the row pointers, so a replay differs from the
+// two-phase kernels' only in its row function.
 //
 // Both halves are generic over the ring with concrete accumulator types, so
 // the symbolic insert and numeric accumulate compile to direct calls: these
@@ -35,14 +39,15 @@ import (
 // excepted) and are valid until that Context's next call; execute only reads
 // it, so one inspection may serve concurrent executions on distinct Contexts.
 type inspection[V semiring.Value] struct {
-	alg     Algorithm // AlgHash, AlgHashVec, AlgTiled or AlgSharded
+	alg     Algorithm // any but AlgAuto
 	workers int
 	flopRow []int64
 	// rowPtr is the output's row-pointer array, allocated for this product
-	// alone: a one-shot multiply hands it to the output matrix.
+	// alone: a one-shot multiply hands it to the output matrix. nil for a
+	// one-shot Heap, whose execution is what sizes the output.
 	rowPtr []int64
 
-	// Hash, HashVec, Tiled: the whole-row hash pass. lightFlop is flopRow
+	// Hash, HashVec, Tiled, Heap: the whole-row pass. lightFlop is flopRow
 	// with the rows the pass does not own zeroed (the same slice when it
 	// owns all of them); offsets is its flop-balanced partition over workers.
 	lightFlop []int64
@@ -100,32 +105,39 @@ func (in *inspection[V]) clone() inspection[V] {
 // inspect runs the structure-only phases of alg on ctx: flop counts, the
 // geometry and its flop-balanced partition (PhasePartition), the symbolic
 // pass (PhaseSymbolic) and the row-pointer prefix sum, which the next tick
-// of the returned timer charges to whatever the caller does next. wantPerm
-// asks the tiled split for its entry permutation (Plans).
-func inspect[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V], ctx *ContextG[V], wantPerm bool) (*inspection[V], *phaseTimer) {
+// of the returned timer charges to whatever the caller does next. forPlan
+// asks for everything a replay needs that a one-shot multiply does not: the
+// tiled split's entry permutation, and Heap's row pointers.
+func inspect[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V], ctx *ContextG[V], forPlan bool) (*inspection[V], *phaseTimer) {
 	workers := opt.workersFor(a.Rows)
 	ctx.ensureWorkers(workers)
-	pt := startPhases(opt.Stats, workers)
+	pt := startPhases(opt.Stats, alg, workers)
 	in := &inspection[V]{alg: alg, workers: workers, flopRow: ctx.perRowFlop(a, b)}
-	rowNnz := ctx.rowNnzBuf(a.Rows)
+	var rowNnz []int64
 
 	if alg == AlgSharded {
 		in.geom = opt.shardPlanGeometry(ctx, in.flopRow, a.Rows, b.Cols, workers)
 		pt.tick(PhasePartition)
 		src := newHashShardSource(ring, a, b, ctx, &in.geom, in.flopRow, opt.Unsorted)
+		rowNnz = ctx.rowNnzBuf(a.Rows)
 		shardSymbolic[V](ctx, src, workers, rowNnz)
 	} else {
 		in.lightFlop = in.flopRow
 		if alg == AlgTiled {
-			in.inspectTiles(ctx, a, b, opt, wantPerm)
+			in.inspectTiles(ctx, a, b, opt, forPlan)
 		}
 		in.offsets = ctx.partition(in.lightFlop, workers, workers)
 		pt.tick(PhasePartition)
+		if alg == AlgHeap && !forPlan {
+			return in, &pt
+		}
 		if in.mask = opt.Mask; in.mask != nil {
 			in.maskBound = capBound(in.mask.MaxRowNNZ(), b.Cols)
 		}
-		// HashVector counts with Hash's symbolic pass: the number of
-		// distinct columns does not depend on the numeric accumulator.
+		// HashVector and a Heap Plan count with Hash's symbolic pass: the
+		// number of distinct columns does not depend on the numeric
+		// accumulator.
+		rowNnz = ctx.rowNnzBuf(a.Rows)
 		ctx.runWorkers("symbolic", workers, func(w int) {
 			lo, hi := in.offsets[w], in.offsets[w+1]
 			if in.mask != nil {
@@ -150,6 +162,9 @@ func inspect[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b *
 // it and belongs to the result from here on. sink is Sharded's stripe sink;
 // nil means in RAM.
 func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, unsorted bool, sink ShardSink[V], pt *phaseTimer) (*matrix.CSRG[V], error) {
+	if in.alg == AlgHeap {
+		return heapExecute(ring, a, b, ctx, in, rowPtr, pt), nil
+	}
 	if in.alg == AlgSharded {
 		src := newHashShardSource(ring, a, b, ctx, &in.geom, in.flopRow, unsorted)
 		if sink == nil {
@@ -206,7 +221,7 @@ func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 	return c, nil
 }
 
-// inspectExecute is the one-shot driver of the four plannable kernels.
+// inspectExecute is the one-shot driver.
 func inspectExecute[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
 	ctx := opt.ctx()
 	in, pt := inspect(ring, alg, a, b, opt, ctx, false)

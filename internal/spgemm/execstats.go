@@ -309,16 +309,17 @@ type phaseTimer struct {
 	last  time.Time
 }
 
-// startPhases resets st for a run with the given worker count, picks up the
-// process tracer, and starts the clock. With st nil and no active tracer it
-// yields an inert timer without reading the clock.
-func startPhases(st *ExecStats, workers int) phaseTimer {
+// startPhases resets st for a run of alg with the given worker count, picks
+// up the process tracer, and starts the clock. With st nil and no active
+// tracer it yields an inert timer without reading the clock.
+func startPhases(st *ExecStats, alg Algorithm, workers int) phaseTimer {
 	tr := obs.Active()
 	if st == nil && tr == nil {
 		return phaseTimer{}
 	}
 	if st != nil {
 		st.reset(workers)
+		st.Algorithm = alg
 	}
 	now := time.Now()
 	return phaseTimer{st: st, tr: tr, start: now, last: now}

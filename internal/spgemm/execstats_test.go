@@ -124,22 +124,6 @@ func TestExecStatsCounters(t *testing.T) {
 	}
 }
 
-// TestExecStatsHeapVariants covers the Figure 9 scheduling variants, which
-// take a different driver than the default balanced heap.
-func TestExecStatsHeapVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	g := gen.ER(8, 4, rng)
-	for _, v := range []HeapVariant{HeapBalancedParallel, HeapBalancedSingle, HeapStatic, HeapDynamic, HeapGuided} {
-		var st ExecStats
-		if _, err := Multiply(g, g, &Options{Algorithm: AlgHeap, HeapVariant: v, Workers: 3, Stats: &st}); err != nil {
-			t.Fatalf("%v: %v", v, err)
-		}
-		if tot := st.TotalWorker(); tot.Rows != int64(g.Rows) || tot.HeapPushes == 0 {
-			t.Errorf("%v: rows=%d pushes=%d", v, tot.Rows, tot.HeapPushes)
-		}
-	}
-}
-
 // TestExecStatsReusedAcrossCalls verifies a Stats struct is reset per call,
 // not accumulated, including when the worker count changes.
 func TestExecStatsReusedAcrossCalls(t *testing.T) {
@@ -184,7 +168,7 @@ func TestExecStatsString(t *testing.T) {
 // TestExecStatsNilSafe pins the nil-Stats contract: the helpers used on hot
 // paths must be inert on nil.
 func TestExecStatsNilSafe(t *testing.T) {
-	pt := startPhases(nil, 8)
+	pt := startPhases(nil, AlgHash, 8)
 	pt.tick(PhaseNumeric)
 	pt.finish()
 	if ws := pt.worker(0); ws != nil {
@@ -212,15 +196,15 @@ func TestCapBoundDegenerate(t *testing.T) {
 
 // TestRecommendNeverReturnsSortedOnlyForUnsortedB is the dispatch-bug
 // regression (the PR's headline fix): whatever Table 4 says, Recommend must
-// not hand an unsorted B to Heap. The ER scale-10 sorted-output
-// request is the original repro — low compression ratio and low degree made
-// Table 4 pick Heap, which then rejected the unsorted input.
+// not hand an unsorted B to Heap. An ER scale-10 sorted-output request is the
+// original repro — low compression ratio and low degree make Table 4 pick
+// Heap, which then rejected the unsorted input.
 func TestRecommendNeverReturnsSortedOnlyForUnsortedB(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	er := gen.ER(10, 4, rng)
+	er := gen.ER(10, 2, rng)
 	erU := gen.Unsorted(er, rng)
-	if alg := recommendTable4(er, er, true, UseSquare); alg != AlgHeap {
-		t.Skipf("table 4 no longer picks heap for this input (got %v); repro void", alg)
+	if alg := Recommend(er, er, true, UseSquare); alg != AlgHeap {
+		t.Fatalf("fixture: the recipe answers %v for the sorted pair, want heap", alg)
 	}
 	for _, uc := range []UseCase{UseSquare, UseTallSkinny, UseTriangle} {
 		for _, sorted := range []bool{true, false} {

@@ -1,41 +1,27 @@
 package spgemm
 
 import (
-	"fmt"
-
 	"repro/internal/accum"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 	"repro/internal/semiring"
 )
 
-// heapMultiply is Heap SpGEMM (Section 4.2.3): one-phase, k-way merge of the
-// sorted contributing rows of B with a thread-private binary heap. Output
-// rows are produced in sorted order by construction. The five HeapVariant
-// values reproduce the scheduling/memory-management comparison of Figure 9.
-func heapMultiply[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
-	if !b.Sorted {
-		return nil, fmt.Errorf("spgemm: heap algorithm requires sorted input rows (B is unsorted)")
-	}
-	switch opt.HeapVariant {
-	case HeapBalancedParallel, HeapBalancedSingle:
-		return heapBalanced(ring, a, b, opt)
-	case HeapStatic:
-		return heapScheduled(ring, a, b, opt, sched.Static, 1)
-	case HeapDynamic:
-		return heapScheduled(ring, a, b, opt, sched.Dynamic, 16)
-	case HeapGuided:
-		return heapScheduled(ring, a, b, opt, sched.Guided, 16)
-	}
-	return nil, fmt.Errorf("spgemm: unknown heap variant %d", opt.HeapVariant)
-}
+// Heap SpGEMM (Section 4.2.3) is the driver's one-phase geometry: a k-way
+// merge of the sorted contributing rows of B with a thread-private binary
+// heap, rows flop-partitioned like every other kernel's (Figure 6), output
+// rows sorted by construction. inspect stops after the partition — there is
+// no symbolic phase to run — and heapExecute below sizes the output by
+// producing it. Only a Plan asks inspect for row pointers, and then replays
+// skip the temp buffers as well. The scheduling and memory-management
+// variants Figure 9 compares this design against live in
+// internal/bench/baseline.
 
-// heapRow merges output row i into cols/vals (which must hold at least
-// flop(i) entries) and returns the number of entries produced. An output
-// entry exists iff at least one product landed on it; the first product is
-// stored directly and later ones folded with ring.Add, so entries whose
-// value happens to equal ring.Zero() (min-plus: +Inf inputs) are kept, and
-// none are fabricated.
+// heapRow merges output row i into cols/vals (which must hold at least the
+// row's entries; its flop bounds them) and returns the number of entries
+// produced. An output entry exists iff at least one product landed on it; the
+// first product is stored directly and later ones folded with ring.Add, so
+// entries whose value happens to equal ring.Zero() (min-plus: +Inf inputs)
+// are kept, and none are fabricated.
 //
 //spgemm:hotpath
 func heapRow[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], i int, h *accum.MergeHeapG[V], cols []int32, vals []V) int {
@@ -69,167 +55,68 @@ func heapRow[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 	return n
 }
 
-// heapBalanced implements the paper's final Heap design: rows partitioned by
-// flop (Figure 6), one-phase with per-thread upper-bound temp buffers.
-// HeapBalancedParallel gives each worker its own allocation ("parallel"
-// memory management, Figure 3); HeapBalancedSingle carves all workers' temp
-// space out of one shared slab ("single"), reproducing the costly variant of
-// Figures 4 and 9.
-func heapBalanced[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
-	workers := opt.workersFor(a.Rows)
-	ctx := opt.ctx()
-	ctx.ensureWorkers(workers)
-	pt := startPhases(opt.Stats, workers)
-	flopRow := ctx.perRowFlop(a, b)
-	offsets := ctx.partition(flopRow, workers, workers)
-	pt.tick(PhasePartition)
-
-	// Per-worker temp sizes: sum of flop over the worker's rows (each row's
-	// nnz is at most its flop).
-	tempSize := make([]int64, workers)
-	for w := 0; w < workers; w++ {
-		var s int64
-		for i := offsets[w]; i < offsets[w+1]; i++ {
-			s += flopRow[i]
-		}
-		tempSize[w] = s
+// heapExecute is execute for the Heap geometry. With no row pointers (a
+// one-shot multiply) it is the paper's one-phase design: every worker merges
+// its rows into its own Context-owned buffers, sized at the flop of those
+// rows — an upper bound of their output, first-touched by the worker that
+// fills them ("parallel" memory management, Figure 3) — then the row sizes
+// found on the way are prefix-summed into the row pointers and each worker's
+// rows, contiguous in its buffers and in the output alike, move with one bulk
+// copy (PhaseAssemble). With the row pointers of a Plan every row is merged
+// straight into its final place: no buffer, no copy.
+func heapExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, pt *phaseTimer) *matrix.CSRG[V] {
+	var c *matrix.CSRG[V] // a replay's output, merged into directly
+	var rowNnz []int64    // a one-shot multiply's row sizes, found on the way
+	if rowPtr != nil {
+		c = outputShell[V](a.Rows, b.Cols, rowPtr, true)
+		pt.tick(PhaseAlloc)
+	} else {
+		rowNnz = ctx.rowNnzBuf(a.Rows)
 	}
-
-	tmpCols := make([][]int32, workers)
-	tmpVals := make([][]V, workers)
-	if opt.HeapVariant == HeapBalancedSingle {
-		// One shared slab, carved into per-worker segments. Deliberately
-		// never drawn from the Context: the point of this variant is to
-		// reproduce the costly "single" allocation of Figures 4 and 9.
-		var total int64
-		for _, s := range tempSize {
-			total += s
-		}
-		allCols := make([]int32, total)
-		allVals := make([]V, total)
-		var off int64
-		for w := 0; w < workers; w++ {
-			tmpCols[w] = allCols[off : off+tempSize[w]]
-			tmpVals[w] = allVals[off : off+tempSize[w]]
-			off += tempSize[w]
-		}
-	}
-
-	rowNnz := ctx.rowNnzBuf(a.Rows)
-	used := make([]int64, workers)
-
-	ctx.runWorkers("numeric", workers, func(w int) {
-		lo, hi := offsets[w], offsets[w+1]
+	ctx.runWorkers("numeric", in.workers, func(w int) {
+		lo, hi := in.offsets[w], in.offsets[w+1]
 		if lo >= hi {
 			return
 		}
-		if opt.HeapVariant == HeapBalancedParallel {
-			// "parallel" memory management: the worker ensures its own
-			// share (first-touched locally, reused across calls).
-			s := ctx.workerScratch(w)
-			tmpCols[w] = s.EnsureInt32A(int(tempSize[w]))
-			tmpVals[w] = ctx.valScratch(w, int(tempSize[w]))
-		}
-		var maxK int64
-		for i := lo; i < hi; i++ {
-			if k := a.RowPtr[i+1] - a.RowPtr[i]; k > maxK {
-				maxK = k
+		flop := rangeFlop(in.flopRow, lo, hi)
+		h := ctx.mergeHeap(w, 8) // first-use hint: the heap grows to its widest row
+		if c != nil {
+			for i := lo; i < hi; i++ {
+				heapRow(ring, a, b, i, h, c.ColIdx[rowPtr[i]:rowPtr[i+1]], c.Val[rowPtr[i]:rowPtr[i+1]])
+			}
+		} else {
+			cols := ctx.workerScratch(w).EnsureInt32A(int(flop))
+			vals := ctx.valScratch(w, int(flop))
+			pos := 0
+			for i := lo; i < hi; i++ {
+				n := heapRow(ring, a, b, i, h, cols[pos:], vals[pos:])
+				rowNnz[i] = int64(n)
+				pos += n
 			}
 		}
-		h := ctx.mergeHeap(w, maxK)
-		var pos int64
-		for i := lo; i < hi; i++ {
-			n := heapRow(ring, a, b, i, h, tmpCols[w][pos:], tmpVals[w][pos:])
-			rowNnz[i] = int64(n)
-			pos += int64(n)
-		}
-		used[w] = pos
 		if ws := pt.worker(w); ws != nil {
 			ws.Rows = int64(hi - lo)
-			ws.Flop = rangeFlop(flopRow, lo, hi)
+			ws.Flop = flop
 			ws.HeapPushes = h.Pushes()
 		}
 	})
 	pt.tick(PhaseNumeric)
+	if c != nil {
+		pt.finish()
+		return c
+	}
 
-	rowPtr := ctx.prefixSum(rowNnz, nil, workers)
-	c := outputShell[V](a.Rows, b.Cols, rowPtr, true)
+	sized := ctx.prefixSum(rowNnz, nil, in.workers)
+	out := outputShell[V](a.Rows, b.Cols, sized, true)
 	pt.tick(PhaseAlloc)
-	// Each worker's rows are contiguous in both temp and final storage:
-	// one bulk copy per worker.
-	ctx.runWorkers("assemble", workers, func(w int) {
-		lo := offsets[w]
-		if lo >= offsets[w+1] {
-			return
-		}
-		dst := rowPtr[lo]
-		copy(c.ColIdx[dst:dst+used[w]], tmpCols[w][:used[w]])
-		copy(c.Val[dst:dst+used[w]], tmpVals[w][:used[w]])
+	ctx.runWorkers("assemble", in.workers, func(w int) {
+		// The worker's buffers are where the numeric region left them; the
+		// destination's length stops the copy at what the worker produced.
+		lo, hi := sized[in.offsets[w]], sized[in.offsets[w+1]]
+		copy(out.ColIdx[lo:hi], ctx.workerScratch(w).Int32A)
+		copy(out.Val[lo:hi], ctx.vals[w])
 	})
 	pt.tick(PhaseAssemble)
 	pt.finish()
-	return c, nil
-}
-
-// heapScheduled is the naive row-parallel Heap with an OpenMP-style schedule
-// (the static/dynamic/guided curves of Figure 9). Workers append finished
-// rows to growable private buffers and the matrix is stitched together at
-// the end.
-func heapScheduled[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V], schedule sched.Schedule, grain int) (*matrix.CSRG[V], error) {
-	workers := opt.workersFor(a.Rows)
-	ctx := opt.ctx()
-	ctx.ensureWorkers(workers)
-	pt := startPhases(opt.Stats, workers)
-	flopRow := ctx.perRowFlop(a, b)
-	pt.tick(PhasePartition)
-
-	bufCols := make([][]int32, workers)
-	bufVals := make([][]V, workers)
-	rowNnz := ctx.rowNnzBuf(a.Rows)
-	rowWorker := make([]int32, a.Rows)
-	rowOffset := make([]int64, a.Rows)
-
-	ctx.parallelFor("numeric", workers, a.Rows, schedule, grain, func(w, lo, hi int) {
-		h := ctx.mergeHeap(w, 8)
-		sw := ctx.workerScratch(w)
-		var rowCols []int32
-		var rowVals []V
-		for i := lo; i < hi; i++ {
-			f := flopRow[i]
-			if int64(cap(rowCols)) < f {
-				rowCols = sw.EnsureInt32A(int(f))
-				rowVals = ctx.valScratch(w, int(f))
-			}
-			n := heapRow(ring, a, b, i, h, rowCols[:f], rowVals[:f])
-			rowNnz[i] = int64(n)
-			rowWorker[i] = int32(w)
-			rowOffset[i] = int64(len(bufCols[w]))
-			bufCols[w] = append(bufCols[w], rowCols[:n]...)
-			bufVals[w] = append(bufVals[w], rowVals[:n]...)
-		}
-		if ws := pt.worker(w); ws != nil {
-			// The heap is chunk-local under dynamic/guided schedules, so
-			// its cumulative count is added, not assigned.
-			ws.Rows += int64(hi - lo)
-			ws.Flop += rangeFlop(flopRow, lo, hi)
-			ws.HeapPushes += h.Pushes()
-		}
-	})
-	pt.tick(PhaseNumeric)
-
-	rowPtr := ctx.prefixSum(rowNnz, nil, workers)
-	c := outputShell[V](a.Rows, b.Cols, rowPtr, true)
-	pt.tick(PhaseAlloc)
-	ctx.parallelFor("assemble", workers, a.Rows, sched.Static, 1, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			src := rowWorker[i]
-			off := rowOffset[i]
-			n := rowNnz[i]
-			copy(c.ColIdx[rowPtr[i]:rowPtr[i]+n], bufCols[src][off:off+n])
-			copy(c.Val[rowPtr[i]:rowPtr[i]+n], bufVals[src][off:off+n])
-		}
-	})
-	pt.tick(PhaseAssemble)
-	pt.finish()
-	return c, nil
+	return out
 }

@@ -13,16 +13,18 @@ import (
 // Build a new plan with NewPlan.
 var ErrPlanStale = errors.New("spgemm: plan is stale (input structure changed or plan invalidated)")
 
-// Plan caches the structure-dependent work of a hash SpGEMM — the flop
-// counts, the balanced row partition (Figure 6) and the symbolic phase's
-// per-row output sizes — so that repeated products with the same sparsity
-// structure but updated values skip straight to the numeric phase. This is
-// the inspector-executor separation of MKL's two-stage API
-// (mkl_sparse_sp2m) and KokkosKernels' reusable handle: inspect once,
+// Plan caches the structure-dependent work of an SpGEMM — the flop counts,
+// the balanced row partition (Figure 6) and the symbolic phase's per-row
+// output sizes — so that repeated products with the same sparsity structure
+// but updated values skip straight to the numeric phase. Every kernel has
+// one: a Heap Plan pays at build time for the symbolic pass the one-phase
+// kernel otherwise avoids, and its replays write each merged row straight
+// into place. This is the inspector-executor separation of MKL's two-stage
+// API (mkl_sparse_sp2m) and KokkosKernels' reusable handle: inspect once,
 // execute many times.
 //
 // Soundness is guarded by a structure fingerprint (matrix.StructureChecksum,
-// an FNV-1a hash of dimensions, row pointers and column indices, blind to
+// an FNV-1a-style hash of dimensions, row pointers and column indices, blind to
 // values): Execute revalidates both inputs and returns ErrPlanStale on any
 // structural change, however the values moved. The O(nnz) check is far
 // cheaper than the O(flop) symbolic pass it replaces.
@@ -61,37 +63,29 @@ type Plan struct {
 
 // NewPlan runs the inspector: flop counts, balanced partition and symbolic
 // phase for C = A·B, and returns a Plan whose Execute performs the numeric
-// phase only. Supported algorithms are AlgHash, AlgHashVec, AlgTiled and
-// AlgSharded (AlgAuto resolves through the recipe and then must land on one
-// of those); Mask, Semiring and ShardSink are not supported — a spilled
-// product aliases its temp-file mapping and is single-use, the opposite of
-// what a reusable plan is for. opt.Context, when set, supplies the reusable
+// phase only. Every algorithm Multiply accepts is supported, under Multiply's
+// own conditions (AlgHeap needs sorted rows in B; AlgAuto resolves through
+// the recipe); Mask, Semiring and ShardSink are not — a spilled product
+// aliases its temp-file mapping and is single-use, the opposite of what a
+// reusable plan is for. opt.Context, when set, supplies the reusable
 // accumulators Execute will use; opt.Stats, when set, receives per-phase
 // times for the inspector call and for every Execute.
 func NewPlan(a, b *matrix.CSR, opt *Options) (*Plan, error) {
 	if opt == nil {
 		opt = &Options{}
 	}
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("spgemm: dimension mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
 	if opt.Mask != nil || opt.Semiring != nil {
 		return nil, fmt.Errorf("spgemm: plans support plus-times unmasked products only")
 	}
-	alg := opt.Algorithm
-	if alg == AlgAuto {
-		alg = Recommend(a, b, !opt.Unsorted, opt.UseCase)
-	}
-	if alg != AlgHash && alg != AlgHashVec && alg != AlgTiled && alg != AlgSharded {
-		return nil, fmt.Errorf("spgemm: plans support hash, hashvec, tiled and sharded, not %v", alg)
+	g := opt.generic()
+	alg, err := g.kernelFor(a, b)
+	if err != nil {
+		return nil, err
 	}
 	if opt.ShardSink != nil {
 		return nil, fmt.Errorf("spgemm: plans do not support a ShardSink (spilled products are single-use)")
 	}
-	ctx := opt.Context
-	if ctx == nil {
-		ctx = NewContext()
-	}
+	ctx := g.ctx()
 	p := &Plan{
 		a: a, b: b,
 		unsorted: opt.Unsorted,
@@ -100,10 +94,7 @@ func NewPlan(a, b *matrix.CSR, opt *Options) (*Plan, error) {
 		fpA:      a.StructureChecksum(),
 		fpB:      b.StructureChecksum(),
 	}
-	if opt.Stats != nil {
-		opt.Stats.Algorithm = alg
-	}
-	in, pt := inspect(semiring.PlusTimesF64{}, alg, a, b, opt.generic(), ctx, true)
+	in, pt := inspect(semiring.PlusTimesF64{}, alg, a, b, g, ctx, true)
 	pt.finish()
 	p.in = in.clone()
 	p.valid = true
@@ -136,11 +127,7 @@ func (p *Plan) Execute() (*matrix.CSR, error) {
 // safe as long as each uses a distinct Context — the contract the multiply
 // server's plan cache relies on.
 func (p *Plan) ExecuteIn(ctx *Context, stats *ExecStats) (*matrix.CSR, error) {
-	if !p.valid {
-		mPlanStale.Inc()
-		return nil, ErrPlanStale
-	}
-	if p.a.StructureChecksum() != p.fpA || p.b.StructureChecksum() != p.fpB {
+	if !p.valid || p.a.StructureChecksum() != p.fpA || p.b.StructureChecksum() != p.fpB {
 		mPlanStale.Inc()
 		return nil, ErrPlanStale
 	}
@@ -148,10 +135,7 @@ func (p *Plan) ExecuteIn(ctx *Context, stats *ExecStats) (*matrix.CSR, error) {
 		ctx = NewContext()
 	}
 	ctx.ensureWorkers(p.in.workers)
-	pt := startPhases(stats, p.in.workers)
-	if stats != nil {
-		stats.Algorithm = p.in.alg
-	}
+	pt := startPhases(stats, p.in.alg, p.in.workers)
 	c, err := execute(semiring.PlusTimesF64{}, p.a, p.b, ctx, &p.in, append([]int64(nil), p.in.rowPtr...), p.unsorted, nil, &pt)
 	if err != nil {
 		return nil, err

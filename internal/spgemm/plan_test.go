@@ -15,7 +15,7 @@ func TestPlanExecuteMatchesMultiply(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	a := matrix.Random(120, 100, 0.06, rng)
 	b := matrix.Random(100, 110, 0.06, rng)
-	for _, alg := range []Algorithm{AlgHash, AlgHashVec} {
+	for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgHeap} {
 		for _, unsorted := range []bool{false, true} {
 			opt := &Options{Algorithm: alg, Workers: 3, Unsorted: unsorted, Context: NewContext()}
 			plan, err := NewPlan(a, b, opt)
@@ -39,6 +39,9 @@ func TestPlanExecuteMatchesMultiply(t *testing.T) {
 				}
 				// Mutate values in place: same structure, new numbers. The
 				// plan must keep applying, the outputs must keep matching.
+				for i := range a.Val {
+					a.Val[i] *= 0.75
+				}
 				for i := range b.Val {
 					b.Val[i] *= 1.5
 				}
@@ -48,29 +51,31 @@ func TestPlanExecuteMatchesMultiply(t *testing.T) {
 }
 
 func TestPlanStaleOnStructureChange(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	a := matrix.Random(60, 60, 0.08, rng)
-	b := matrix.Random(60, 60, 0.08, rng)
-	plan, err := NewPlan(a, b, &Options{Algorithm: AlgHash, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plan.Execute(); err != nil {
-		t.Fatal(err)
-	}
-	// Move one stored entry of B to a different column: identical nnz and
-	// row pointers, different pattern — exactly the case a cheap dims+nnz
-	// check would miss.
-	if len(b.ColIdx) == 0 {
-		t.Skip("empty B")
-	}
-	old := b.ColIdx[0]
-	b.ColIdx[0] = (old + 1) % int32(b.Cols)
-	if b.ColIdx[0] == old {
-		t.Skip("cannot perturb single-column matrix")
-	}
-	if _, err := plan.Execute(); !errors.Is(err, ErrPlanStale) {
-		t.Fatalf("structure change not detected: err = %v", err)
+	for _, alg := range []Algorithm{AlgHash, AlgHeap} {
+		rng := rand.New(rand.NewSource(22))
+		a := matrix.Random(60, 60, 0.08, rng)
+		b := matrix.Random(60, 60, 0.08, rng)
+		plan, err := NewPlan(a, b, &Options{Algorithm: alg, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := plan.Execute(); err != nil {
+			t.Fatal(err)
+		}
+		// Move one stored entry of B to a different column: identical nnz and
+		// row pointers, different pattern — exactly the case a cheap dims+nnz
+		// check would miss.
+		if len(b.ColIdx) == 0 {
+			t.Skip("empty B")
+		}
+		old := b.ColIdx[0]
+		b.ColIdx[0] = (old + 1) % int32(b.Cols)
+		if b.ColIdx[0] == old {
+			t.Skip("cannot perturb single-column matrix")
+		}
+		if _, err := plan.Execute(); !errors.Is(err, ErrPlanStale) {
+			t.Fatalf("%v: structure change not detected: err = %v", alg, err)
+		}
 	}
 }
 
@@ -90,13 +95,21 @@ func TestPlanInvalidate(t *testing.T) {
 func TestPlanRejectsUnsupported(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	a := matrix.Random(30, 30, 0.1, rng)
-	if _, err := NewPlan(a, a, &Options{Algorithm: AlgHeap}); err == nil {
-		t.Fatal("heap plan accepted")
+	// Every kernel has a Plan, under Multiply's own conditions: Heap needs
+	// sorted rows in B, and an out-of-range Algorithm names no kernel.
+	if _, err := NewPlan(a, a, &Options{Algorithm: AlgHeap}); err != nil {
+		t.Fatalf("heap plan rejected: %v", err)
+	}
+	if _, err := NewPlan(a, gen.Unsorted(a, rng), &Options{Algorithm: AlgHeap}); err == nil {
+		t.Fatal("heap plan on unsorted B accepted")
+	}
+	if _, err := NewPlan(a, a, &Options{Algorithm: Algorithm(NumAlgorithms)}); err == nil {
+		t.Fatal("plan for an unknown algorithm accepted")
 	}
 	if _, err := NewPlan(a, a, &Options{Algorithm: AlgHash, Mask: a}); err == nil {
 		t.Fatal("masked plan accepted")
 	}
-	bad := matrix.Random(30, 20, 0.1, rng)
+	bad := matrix.Random(20, 30, 0.1, rng) // 30x30 · 20x30
 	if _, err := NewPlan(a, bad, nil); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
@@ -241,9 +254,12 @@ func TestPlanConcurrentExecuteIn(t *testing.T) {
 }
 
 // TestPlanAndMultiplyReportSameWork: a Plan is Multiply's two phases held
-// apart, so for every plannable geometry the inspector's counters plus the
+// apart, so for every two-phase geometry the inspector's counters plus the
 // first execution's add up to the one-shot call's, and later executions
-// spend nothing on partition or symbolic.
+// spend nothing on partition or symbolic. A Heap Plan's inspector runs the
+// symbolic pass the one-phase kernel has none of, so its build reports
+// counting work (stamps or lookups) the one-shot call does not; rows, flop
+// and heap pushes still agree.
 func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	sorted := gen.RMAT(8, 8, gen.G500Params, rng)
@@ -253,12 +269,16 @@ func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 	}{
 		{"hash", Options{Algorithm: AlgHash}},
 		{"hashvec", Options{Algorithm: AlgHashVec}},
+		{"heap", Options{Algorithm: AlgHeap}},
 		{"tiled", Options{Algorithm: AlgTiled, TileCols: 64, TileHeavyFlop: 16}},
 		{"sharded", Options{Algorithm: AlgSharded, ShardStripes: 16, TileCols: 64, TileHeavyFlop: 255}},
 	} {
 		for _, unsorted := range []bool{false, true} {
 			a := sorted
 			if unsorted {
+				if tc.name == "heap" {
+					continue // sorted inputs only
+				}
 				a = gen.Unsorted(sorted, rng)
 			}
 			t.Run(fmt.Sprintf("%s/unsorted=%v", tc.name, unsorted), func(t *testing.T) {
@@ -298,6 +318,13 @@ func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 				sum.Add(&planned)
 				got := sum.TotalWorker()
 				got.HashProbes, want.HashProbes = 0, 0 // depends on table capacity, not on the work
+				if tc.name == "heap" {
+					if got.StampMarks+got.HashLookups == 0 || oneShot.Phases[PhaseSymbolic] != 0 {
+						t.Errorf("heap: plan build counted %d+%d columns, one-shot spent %v on symbolic; want some and none",
+							got.StampMarks, got.HashLookups, oneShot.Phases[PhaseSymbolic])
+					}
+					got.StampMarks, got.HashLookups = 0, 0
+				}
 				if got != want {
 					t.Errorf("NewPlan + Execute report %+v, Multiply reports %+v", got, want)
 				}

@@ -1,7 +1,6 @@
 package spgemm
 
 import (
-	"math"
 	"sync/atomic"
 	"unsafe"
 
@@ -31,30 +30,6 @@ func (u UseCase) String() string {
 		return "LxU"
 	}
 	return "unknown"
-}
-
-// Recommend implements the paper's Table 4 recipe: the empirically (and, via
-// the cost model of Section 4.2.4, theoretically) best algorithm for the
-// given inputs, sortedness requirement and use case, among this package's
-// kernels — the answer is always one of Hash, Heap, Tiled or Sharded, never
-// a figure baseline.
-// Recommendations are additionally constrained by the inputs themselves:
-// Heap consumes sorted row streams and is never proposed when B's rows are
-// unsorted — Hash accepts any input order and is the recipe's fallback, so
-// Multiply with AlgAuto succeeds for every (sorted, unsorted) input
-// combination.
-//
-// The recipe only inspects sparsity structure, so it applies unchanged to
-// any value type.
-func Recommend[V semiring.Value](a, b *matrix.CSRG[V], sorted bool, uc UseCase) Algorithm {
-	if shardedRecommended(a, b) {
-		return AlgSharded
-	}
-	alg := recommendTable4(a, b, sorted, uc)
-	if RequiresSortedInput(alg) && !b.Sorted {
-		return AlgHash
-	}
-	return alg
 }
 
 // shardedAutoBytes is the estimated-output-size threshold (bytes) above
@@ -119,57 +94,65 @@ func shardedRecommended[V semiring.Value](a, b *matrix.CSRG[V]) bool {
 
 // recipeSampleRows bounds the recipe's compression-ratio estimate by work:
 // the symbolic phase of at most this many stride-sampled rows, whatever the
-// matrix size. The cells below only ask which side of 2 the ratio falls.
+// matrix size. The Heap cell below only asks which side of 2 the ratio falls.
 const recipeSampleRows = 64
 
-// recommendTable4 is the unconstrained Table 4 lookup. Three departures from
-// the paper's table: the skewed dense square cell goes to AlgTiled when heavy
-// rows are present; the two cells the paper gives to HashVector go to Hash —
-// without vector compare instructions the chunked probe loses to linear
-// probing in every cell this repository has measured (EXPERIMENTS.md), so
-// AlgHashVec is reachable by name only; and the uniform / unsorted / high
-// compression-ratio cell the paper gives to MKL-inspector goes to Hash, which
-// beats the map-based stand-in on 96 % of unsorted inputs (EXPERIMENTS.md,
-// Figure 15) — so no unsorted request pays for the ratio sample.
-func recommendTable4[V semiring.Value](a, b *matrix.CSRG[V], sorted bool, uc UseCase) Algorithm {
-	// The compression ratio costs a sampled symbolic phase, so only the
-	// cells that branch on it pay for it.
-	lowCR := func() bool { return EstimateCompressionRatio(a, b, recipeSampleRows) <= 2 }
+// heapMaxEF is the densest uniform square product (average nonzeros per row
+// of A) the recipe still gives to Heap: the k-way merge pays log k per
+// product where Hash pays a probe. At 3 Heap's median is still ahead but it
+// no longer wins nine pairs of ten on every input; from 5 the probe wins.
+const heapMaxEF = 2
 
-	switch uc {
-	case UseTallSkinny:
-		// Table 4(b): TallSkinny row.
+// Recommend is the paper's Table 4 recipe cut down to the cells this
+// repository has measured a winner in (EXPERIMENTS.md, "Heap vs Hash by
+// recipe cell"): the best of this package's kernels for the given inputs,
+// sortedness requirement and use case. The answer is one of Hash, Heap,
+// Tiled or Sharded — never a figure baseline, and never a kernel the inputs
+// rule out: Heap consumes sorted row streams and is not proposed when B's
+// rows are unsorted, so Multiply and NewPlan with AlgAuto succeed for every
+// (sorted, unsorted) input combination. The recipe only inspects sparsity
+// structure, so it applies unchanged to any value type.
+//
+// Where the paper's table and this repository's measurements disagree, the
+// measurements stand:
+//
+//   - Heap keeps one cell — uniform, square, sorted in and out, at most
+//     heapMaxEF nonzeros per row, compression ratio at most 2 — the only one
+//     where it beat Hash. The paper's skewed ef <= 8 and L·U low-ratio cells
+//     measured 1.6-3x and 1.05-4.4x slower and go to Hash.
+//   - The skewed dense square cell goes to AlgTiled when heavy rows are
+//     present.
+//   - The two cells the paper gives to HashVector go to Hash: without vector
+//     compare instructions the chunked probe loses to linear probing in
+//     every cell measured, so AlgHashVec is reachable by name only.
+//   - The uniform / unsorted / high-ratio cell the paper gives to
+//     MKL-inspector goes to Hash, which beats the map-based stand-in on 96 %
+//     of unsorted inputs (Figure 15).
+//
+// So only the Heap cell pays for the ratio sample, and it asks last.
+func Recommend[V semiring.Value](a, b *matrix.CSRG[V], sorted bool, uc UseCase) Algorithm {
+	if shardedRecommended(a, b) {
+		return AlgSharded
+	}
+	if uc != UseSquare {
+		// Table 4(b) TallSkinny row, and Table 4(a) LxU after measurement.
 		return AlgHash
-	case UseTriangle:
-		// Table 4(a): LxU sorted — Heap at low compression ratio, Hash at
-		// high. The paper only tabulates the sorted case; for unsorted
-		// requests Hash applies (Heap cannot skip sorting anyway).
-		if sorted && lowCR() {
-			return AlgHeap
-		}
-		return AlgHash
-	default: // UseSquare
-		ef := a.AvgRowNNZ()
-		if IsSkewed(a) {
-			// Table 4(b) synthetic skewed columns. The dense+skewed cell is
-			// where heavy rows overflow a cache-resident accumulator — the
-			// hash kernel's pain case — so when the heavy-row detector fires
-			// the post-paper tiled mode takes over; otherwise the paper's
-			// Hash pick stands.
-			if ef > 8 && HasHeavyRows(a, b) {
-				return AlgTiled
-			}
-			if ef <= 8 && sorted {
-				return AlgHeap
-			}
-			return AlgHash
-		}
-		// Uniform/real data: Table 4(a) by compression ratio.
-		if sorted && ef <= 8 && lowCR() {
-			return AlgHeap
+	}
+	ef := a.AvgRowNNZ()
+	if IsSkewed(a) {
+		// The dense+skewed cell is where heavy rows overflow a
+		// cache-resident accumulator — the hash kernel's pain case — so when
+		// the heavy-row detector fires the post-paper tiled mode takes over;
+		// otherwise the paper's Hash pick stands.
+		if ef > 8 && HasHeavyRows(a, b) {
+			return AlgTiled
 		}
 		return AlgHash
 	}
+	if sorted && b.Sorted && ef <= heapMaxEF && EstimateCompressionRatio(a, b, recipeSampleRows) <= 2 {
+		return AlgHeap
+	}
+	return AlgHash
 }
 
 // MaxRowFlop returns the largest per-row flop count of a·b — the row-skew
@@ -242,8 +225,13 @@ func EstimateCompressionRatio[V semiring.Value](a, b *matrix.CSRG[V], sampleRows
 }
 
 // IsSkewed reports whether the row-degree distribution of m looks power-law
-// rather than uniform, using the coefficient of variation of row nnz. R-MAT
-// G500 matrices have CoV well above 1; ER matrices sit near 1/sqrt(ef).
+// rather than uniform: whether the variance of row nnz, beyond the share
+// uniform placement produces by itself (Poisson: variance = mean), exceeds
+// the squared mean — the coefficient of variation above 1, net of sampling
+// noise. R-MAT G500 matrices exceed it eight- to twenty-fold; ER matrices sit
+// at zero excess for every edge factor. Without the discount an ER matrix
+// with one nonzero per row (CoV 1/sqrt(ef) = 1) lands on the threshold and
+// reads as skewed or not by the seed.
 func IsSkewed[V semiring.Value](m *matrix.CSRG[V]) bool {
 	if m.Rows < 2 {
 		return false
@@ -257,6 +245,5 @@ func IsSkewed[V semiring.Value](m *matrix.CSRG[V]) bool {
 		d := float64(m.RowPtr[i+1]-m.RowPtr[i]) - mean
 		ss += d * d
 	}
-	cov := math.Sqrt(ss/float64(m.Rows)) / mean
-	return cov > 1.0
+	return ss/float64(m.Rows)-mean > mean*mean
 }

@@ -65,17 +65,31 @@ func TestRecommendCoversTable4(t *testing.T) {
 	rng := rand.New(rand.NewSource(124))
 	dense := matrix.RandomWithDegree(300, 300, 16, rng) // uniform, EF 16
 	sparse := matrix.RandomWithDegree(300, 300, 4, rng) // uniform, EF 4
+	thin := matrix.RandomWithDegree(300, 300, 2, rng)   // uniform, EF 2
 
-	// Uniform dense sorted AxA: hash-family expected.
-	if alg := Recommend(dense, dense, true, UseSquare); alg != AlgHash && alg != AlgHeap {
+	// Uniform dense sorted AxA: hash.
+	if alg := Recommend(dense, dense, true, UseSquare); alg != AlgHash {
 		t.Fatalf("uniform dense sorted: %v", alg)
 	}
-	// Uniform sparse sorted AxA with low CR: heap (Table 4b).
-	cr := EstimateCompressionRatio(sparse, sparse, 300)
-	if cr <= 2 {
-		if alg := Recommend(sparse, sparse, true, UseSquare); alg != AlgHeap {
-			t.Fatalf("uniform sparse low-CR sorted: %v", alg)
+	// Uniform sorted AxA with low CR: heap up to heapMaxEF nonzeros per row
+	// (the one cell it measured faster in), hash above, and hash whenever
+	// the output may stay unsorted or B's rows are.
+	if cr := EstimateCompressionRatio(thin, thin, 300); cr > 2 {
+		t.Fatalf("fixture: EF 2 matrix has compression ratio %v", cr)
+	}
+	if alg := Recommend(thin, thin, true, UseSquare); alg != AlgHeap {
+		t.Fatalf("uniform EF 2 low-CR sorted: %v", alg)
+	}
+	for _, m := range []*matrix.CSR{matrix.RandomWithDegree(300, 300, 3, rng), sparse} {
+		if alg := Recommend(m, m, true, UseSquare); alg != AlgHash {
+			t.Fatalf("uniform EF %v low-CR sorted: %v", m.AvgRowNNZ(), alg)
 		}
+	}
+	if alg := Recommend(thin, thin, false, UseSquare); alg != AlgHash {
+		t.Fatalf("uniform EF 2 unsorted output: %v", alg)
+	}
+	if alg := Recommend(thin, thin.PermuteCols(matrix.RandomPermutation(thin.Cols, rng)), true, UseSquare); alg != AlgHash {
+		t.Fatalf("uniform EF 2 unsorted B: %v", alg)
 	}
 	// Unsorted high-CR: the paper's Table 4a says MKL-inspector; the recipe
 	// only answers production kernels, so Hash.
@@ -90,9 +104,12 @@ func TestRecommendCoversTable4(t *testing.T) {
 	if alg := Recommend(dense, dense, false, UseTallSkinny); alg != AlgHash {
 		t.Fatalf("tallskinny unsorted: %v", alg)
 	}
-	// Triangle, low CR: heap.
-	if alg := Recommend(sparse, sparse, true, UseTriangle); cr <= 2 && alg != AlgHeap {
-		t.Fatalf("LxU low CR: %v", alg)
+	// Triangle: the paper's low-CR Heap cell measured slower; hash, so the
+	// mask always fuses.
+	for _, m := range []*matrix.CSR{thin, sparse, dense} {
+		if alg := Recommend(m, m, true, UseTriangle); alg != AlgHash {
+			t.Fatalf("LxU sorted: %v", alg)
+		}
 	}
 	// Every recommendation must be a concrete algorithm.
 	for _, uc := range []UseCase{UseSquare, UseTallSkinny, UseTriangle} {
@@ -154,9 +171,9 @@ func TestRecommendNeverReturnsHashVec(t *testing.T) {
 // TestRecommendOnlyProductionKernels: AlgAuto never answers a figure
 // stand-in. Over uniform, banded and skewed inputs (sorted and unsorted
 // rows) × output order × use case the recipe returns one of the four kernels
-// it is documented to, and every answer but Heap — the one-phase kernel with
-// no symbolic result to cache — builds a Plan, so the multiply server keeps
-// such pairs on its plan cache.
+// it is documented to — Heap among them, so that leg is not vacuous — and
+// every answer builds a Plan, so the multiply server keeps every pair on its
+// plan cache.
 func TestRecommendOnlyProductionKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(130))
 	skewed := matrix.NewCOO(500, 500)
@@ -172,27 +189,33 @@ func TestRecommendOnlyProductionKernels(t *testing.T) {
 	inputs := []*matrix.CSR{
 		matrix.RandomWithDegree(300, 300, 16, rng),
 		matrix.RandomWithDegree(300, 300, 4, rng),
+		matrix.RandomWithDegree(300, 300, 2, rng),
 		bandedMatrix(400, 24),
 		skewed.ToCSR(),
 	}
 	for _, m := range inputs {
 		inputs = append(inputs, m.PermuteCols(matrix.RandomPermutation(m.Cols, rng)))
 	}
+	heapAnswers := 0
 	for i, m := range inputs {
 		for _, uc := range []UseCase{UseSquare, UseTallSkinny, UseTriangle} {
 			for _, sorted := range []bool{true, false} {
 				alg := Recommend(m, m, sorted, uc)
 				switch alg {
-				case AlgHash, AlgHeap, AlgTiled, AlgSharded:
+				case AlgHeap:
+					heapAnswers++
+				case AlgHash, AlgTiled, AlgSharded:
 				default:
 					t.Errorf("input %d %v sorted=%v: Recommend = %v", i, uc, sorted, alg)
 				}
-				_, err := NewPlan(m, m, &Options{Unsorted: !sorted, UseCase: uc})
-				if (err == nil) != (alg != AlgHeap) {
-					t.Errorf("input %d %v sorted=%v (%v): NewPlan(AlgAuto) err = %v", i, uc, sorted, alg, err)
+				if _, err := NewPlan(m, m, &Options{Unsorted: !sorted, UseCase: uc}); err != nil {
+					t.Errorf("input %d %v sorted=%v (%v): NewPlan(AlgAuto): %v", i, uc, sorted, alg, err)
 				}
 			}
 		}
+	}
+	if heapAnswers == 0 {
+		t.Error("no input reached the recipe's Heap cell")
 	}
 }
 

@@ -96,41 +96,6 @@ func ParseAlgorithm(name string) (Algorithm, bool) {
 	return AlgAuto, false
 }
 
-// HeapVariant selects the scheduling/memory-management combination for
-// AlgHeap, reproducing the five curves of the paper's Figure 9.
-type HeapVariant int
-
-const (
-	// HeapBalancedParallel is the paper's final design: flop-balanced row
-	// partition, thread-private temp buffers. The default.
-	HeapBalancedParallel HeapVariant = iota
-	// HeapBalancedSingle uses the balanced partition but one shared temp
-	// allocation carved into per-thread segments ("balanced single").
-	HeapBalancedSingle
-	// HeapStatic, HeapDynamic and HeapGuided parallelize naively by row
-	// with the corresponding OpenMP-style schedule.
-	HeapStatic
-	HeapDynamic
-	HeapGuided
-)
-
-// String returns the Figure 9 curve label.
-func (v HeapVariant) String() string {
-	switch v {
-	case HeapBalancedParallel:
-		return "balanced parallel"
-	case HeapBalancedSingle:
-		return "balanced single"
-	case HeapStatic:
-		return "static"
-	case HeapDynamic:
-		return "dynamic"
-	case HeapGuided:
-		return "guided"
-	}
-	return "unknown"
-}
-
 // Options configures the float64 Multiply entry point. The zero value
 // means: auto algorithm, GOMAXPROCS workers, sorted output, plus-times.
 //
@@ -148,9 +113,6 @@ type Options struct {
 	// the choice (see SupportsUnsorted). Skipping the per-row sort is the
 	// significant optimization of the paper's Section 5.4.4.
 	Unsorted bool
-	// HeapVariant selects the Figure 9 scheduling/memory variant of
-	// AlgHeap.
-	HeapVariant HeapVariant
 	// Semiring, when non-nil, replaces (+, ×) via the semiring.Func
 	// adapter ring. The nil default uses the monomorphized plus-times ring.
 	Semiring *semiring.Semiring
@@ -204,10 +166,9 @@ type Options struct {
 // field, so each instantiation compiles its Add/Mul directly into the
 // kernels' inner loops.
 type OptionsG[V semiring.Value] struct {
-	Algorithm   Algorithm
-	Workers     int
-	Unsorted    bool
-	HeapVariant HeapVariant
+	Algorithm Algorithm
+	Workers   int
+	Unsorted  bool
 	// Mask, when non-nil, restricts the output pattern (its values are
 	// ignored; only the sparsity structure matters).
 	Mask    *matrix.CSRG[V]
@@ -262,14 +223,13 @@ func Multiply(a, b *matrix.CSR, opt *Options) (*matrix.CSR, error) {
 // Semiring, which the generic API takes as the ring argument.
 func (o *Options) generic() *OptionsG[float64] {
 	return &OptionsG[float64]{
-		Algorithm:   o.Algorithm,
-		Workers:     o.Workers,
-		Unsorted:    o.Unsorted,
-		HeapVariant: o.HeapVariant,
-		Mask:        o.Mask,
-		UseCase:     o.UseCase,
-		Stats:       o.Stats,
-		Context:     o.Context,
+		Algorithm: o.Algorithm,
+		Workers:   o.Workers,
+		Unsorted:  o.Unsorted,
+		Mask:      o.Mask,
+		UseCase:   o.UseCase,
+		Stats:     o.Stats,
+		Context:   o.Context,
 
 		TileCols:      o.TileCols,
 		TileHeavyFlop: o.TileHeavyFlop,
@@ -291,21 +251,9 @@ func MultiplyRing[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 	if opt == nil {
 		opt = &OptionsG[V]{}
 	}
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("spgemm: dimension mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	alg := opt.Algorithm
-	if alg == AlgAuto {
-		// The Table 4 recipe knows nothing of masks and may answer Heap; of
-		// the kernels it can return, only Hash fuses one.
-		if opt.Mask != nil {
-			alg = AlgHash
-		} else {
-			alg = Recommend(a, b, !opt.Unsorted, opt.UseCase)
-		}
-	}
-	if opt.Stats != nil {
-		opt.Stats.Algorithm = alg
+	alg, err := opt.kernelFor(a, b)
+	if err != nil {
+		return nil, err
 	}
 	if opt.Mask != nil {
 		if alg != AlgHash {
@@ -316,7 +264,7 @@ func MultiplyRing[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 				opt.Mask.Rows, opt.Mask.Cols, a.Rows, b.Cols)
 		}
 	}
-	c, err := dispatch(ring, alg, a, b, opt)
+	c, err := inspectExecute(ring, alg, a, b, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -324,16 +272,31 @@ func MultiplyRing[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 	return c, nil
 }
 
-// dispatch routes to the concrete kernel: the two-phase hash family through
-// the one inspect/execute driver, Heap through its one-phase driver.
-func dispatch[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
-	switch alg {
-	case AlgHash, AlgHashVec, AlgTiled, AlgSharded:
-		return inspectExecute(ring, alg, a, b, opt)
-	case AlgHeap:
-		return heapMultiply(ring, a, b, opt)
+// kernelFor checks that a·b is a product some kernel can compute under o and
+// names that kernel — Algorithm itself, or the recipe's answer for AlgAuto.
+// Multiply and NewPlan both start here, so a product has a Plan exactly when
+// it has a one-shot result.
+func (o *OptionsG[V]) kernelFor(a, b *matrix.CSRG[V]) (Algorithm, error) {
+	if a.Cols != b.Rows {
+		return 0, fmt.Errorf("spgemm: dimension mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	return nil, fmt.Errorf("spgemm: unknown algorithm %d", alg)
+	alg := o.Algorithm
+	if alg == AlgAuto {
+		// The Table 4 recipe knows nothing of masks and may answer Heap; of
+		// the kernels it can return, only Hash fuses one.
+		if o.Mask != nil {
+			alg = AlgHash
+		} else {
+			alg = Recommend(a, b, !o.Unsorted, o.UseCase)
+		}
+	}
+	if alg <= AlgAuto || int(alg) >= NumAlgorithms {
+		return 0, fmt.Errorf("spgemm: unknown algorithm %d", alg)
+	}
+	if RequiresSortedInput(alg) && !b.Sorted {
+		return 0, fmt.Errorf("spgemm: %v algorithm requires sorted input rows (B is unsorted)", alg)
+	}
+	return alg, nil
 }
 
 // recordMultiply stamps the per-call metrics after a successful kernel run
