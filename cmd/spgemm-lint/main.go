@@ -430,6 +430,9 @@ const (
 var requiredInlines = []compilerfb.RequiredInline{
 	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Mul"},
 	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Add"},
+	// A Plan's streamed replay is nothing but these two calls per product.
+	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Mul", Func: "planReplayRowsF64"},
+	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Add", Func: "planReplayRowsF64"},
 }
 
 // runInline diffs the compiler's -m=2 inline/devirtualization decisions

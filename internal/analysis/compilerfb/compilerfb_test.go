@@ -130,8 +130,9 @@ func TestBuildInlineReport(t *testing.T) {
 	ix := scanFixture(t)
 	lines := ParseInlineOutput(readCorpus(t, "inline_m2.txt"))
 	required := []RequiredInline{
-		{File: "hotpkg/hot.go", Callee: "PlusTimesF64.Mul"}, // witnessed, package-qualified in corpus
-		{File: "hotpkg/hot.go", Callee: "PlusTimesF64.Add"}, // witnessed, unqualified in corpus
+		{File: "hotpkg/hot.go", Callee: "PlusTimesF64.Mul"},                       // witnessed, package-qualified in corpus
+		{File: "hotpkg/hot.go", Callee: "PlusTimesF64.Add"},                       // witnessed, unqualified in corpus
+		{File: "hotpkg/hot.go", Callee: "PlusTimesF64.Add", Func: "table.Upsert"}, // witnessed inside that function
 	}
 	rep := BuildInlineReport(lines, ix, "fakering", required)
 	wantViolations := map[string]bool{
@@ -163,10 +164,14 @@ func TestBuildInlineReportMissingRequired(t *testing.T) {
 	required := []RequiredInline{
 		{File: "hotpkg/hot.go", Callee: "PlusTimesF64.Zero"},
 		{File: "hotpkg/other.go", Callee: "PlusTimesF64.Mul"},
+		{File: "hotpkg/hot.go", Callee: "PlusTimesF64.Mul", Func: "scatter"}, // witnessed in the file, not in scatter
 	}
 	rep := BuildInlineReport(lines, ix, "fakering", required)
-	if len(rep.MissingRequired) != 2 {
-		t.Fatalf("MissingRequired = %v, want 2 entries", rep.MissingRequired)
+	if len(rep.MissingRequired) != 3 {
+		t.Fatalf("MissingRequired = %v, want 3 entries", rep.MissingRequired)
+	}
+	if !strings.Contains(rep.MissingRequired[2], "hotpkg/hot.go: scatter") {
+		t.Errorf("third missing entry = %q, want it to name the function", rep.MissingRequired[2])
 	}
 	if !strings.Contains(rep.MissingRequired[0], "PlusTimesF64.Zero") {
 		t.Errorf("first missing entry = %q, want mention of PlusTimesF64.Zero", rep.MissingRequired[0])

@@ -113,6 +113,10 @@ func normalizeReason(reason string) string {
 type RequiredInline struct {
 	File   string // module-relative file containing the call sites
 	Callee string // canonical callee name, e.g. "PlusTimesF64.Mul"
+	// Func, when set, narrows the contract to call sites inside that
+	// //spgemm:hotpath function of File (its HotFunc name): a witness
+	// elsewhere in the file does not count.
+	Func string
 }
 
 // InlineReport is the gate's verdict over one -m=2 run.
@@ -168,8 +172,10 @@ func BuildInlineReport(lines []InlineLine, ix *HotIndex, semiringDir string, req
 			// accepts both qualified and local spellings.
 			canon := CanonicalFuncName(il.Func)
 			for _, req := range required {
-				if il.File == req.File &&
-					(canon == req.Callee || strings.HasSuffix(canon, "."+req.Callee)) {
+				if il.File != req.File || !(canon == req.Callee || strings.HasSuffix(canon, "."+req.Callee)) {
+					continue
+				}
+				if hf, ok := ix.Enclosing(il.File, il.Line); req.Func == "" || (ok && hf.Name == req.Func) {
 					witnessed[req] = true
 				}
 			}
@@ -177,8 +183,12 @@ func BuildInlineReport(lines []InlineLine, ix *HotIndex, semiringDir string, req
 	}
 	for _, req := range required {
 		if !witnessed[req] {
+			where := req.File
+			if req.Func != "" {
+				where += ": " + req.Func
+			}
 			rep.MissingRequired = append(rep.MissingRequired,
-				fmt.Sprintf("%s: no \"inlining call to %s\" reported — the devirtualized ring fast path regressed", req.File, req.Callee))
+				fmt.Sprintf("%s: no \"inlining call to %s\" reported — the devirtualized ring fast path regressed", where, req.Callee))
 		}
 	}
 	return rep

@@ -26,7 +26,8 @@ import (
 //	          still run every call.
 //	plan    — spgemm.NewPlan once, Plan.Execute per call: the symbolic
 //	          result itself is cached, so re-execution runs only the numeric
-//	          phase (plus the structure-fingerprint check).
+//	          phase (plus the structure-fingerprint check) — streamed through
+//	          the plan's replay map, which the warm-up builds.
 //
 // Reported per variant: time and MFLOPS per iteration, plus heap allocations
 // and bytes per iteration (runtime.MemStats deltas — the analogue of
@@ -123,9 +124,13 @@ func measureReuse(cfg Config) (scale int, flop int64, out []reuseVariant, err er
 			pctx.Pool.Close()
 			return
 		}
-		if _, err = plan.Execute(); err != nil {
-			pctx.Pool.Close()
-			return
+		// Warm-up is two executions: the second builds the plan's replay
+		// map, so the timed ones are the steady state a cached Plan serves.
+		for warm := 0; warm < 2; warm++ {
+			if _, err = plan.Execute(); err != nil {
+				pctx.Pool.Close()
+				return
+			}
 		}
 		d, allocs, bytes = timedAllocs(iters, func() {
 			if _, e := plan.Execute(); e != nil {

@@ -37,6 +37,8 @@ var (
 		"Plans evicted from the cache (LRU capacity or matrix eviction)")
 	mPlanEntries = obs.NewGauge("server_plan_cache_entries",
 		"Plans currently cached")
+	mPlanBytes = obs.NewGauge("server_plan_cache_bytes",
+		"bytes the cached Plans retain: inspections plus replay maps at their built size")
 
 	// Request-level families (PR 8). server_request_seconds splits latency
 	// by the *resolved* algorithm (after AlgAuto dispatch), which is what

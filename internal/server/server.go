@@ -12,10 +12,11 @@
 //     they are checked out exclusively per request through a channel
 //     (ownership transfer with a happens-before edge) with bounded-queue
 //     admission control in front — saturation degrades to fast 429s.
-//   - PlanCache: Plans are read-only after inspection; Plan.ExecuteIn
-//     supplies the mutable state per call, so one cached Plan serves any
-//     number of concurrent requests, each through its own checked-out
-//     Context.
+//   - PlanCache: Plans are immutable after inspection but for the replay
+//     map a Plan publishes atomically on its first cache hit;
+//     Plan.ExecuteIn supplies the mutable state per call, so one cached
+//     Plan serves any number of concurrent requests, each through its own
+//     checked-out Context.
 package server
 
 import (
@@ -58,7 +59,9 @@ type Config struct {
 	// setting is small; the default is 1.
 	Workers int
 	// MaxStoreBytes bounds the interned matrix payload; least recently
-	// used matrices (and their Plans) are evicted past it. Default 4 GiB.
+	// used matrices (and their Plans) are evicted past it. The same number
+	// of bytes, counted separately, bounds what the cached Plans retain
+	// (PlanCache.SetMaxBytes). Default 4 GiB.
 	MaxStoreBytes int64
 	// MaxUploadBytes bounds one upload request body. Default 1 GiB.
 	MaxUploadBytes int64
@@ -141,6 +144,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg}
 	s.plans = NewPlanCache(cfg.PlanCacheSize)
+	s.plans.SetMaxBytes(cfg.MaxStoreBytes)
 	s.store = NewStore(cfg.MaxStoreBytes, s.plans.InvalidateMatrix)
 	s.pool = NewContextPool(cfg.Contexts, cfg.QueueDepth)
 	s.reqobs = newRequestObs(cfg)
@@ -193,14 +197,15 @@ func (s *Server) Sentry() *Sentry { return s.sentry }
 // balancers rotate traffic away from a machine that has stopped performing.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	type healthz struct {
-		Status   string      `json:"status"`
-		Contexts int         `json:"contexts"`
-		Matrices int         `json:"matrices"`
-		Plans    int         `json:"plans"`
-		Degraded []AlgHealth `json:"degraded,omitempty"`
-		Since    string      `json:"degradedSince,omitempty"`
+		Status    string      `json:"status"`
+		Contexts  int         `json:"contexts"`
+		Matrices  int         `json:"matrices"`
+		Plans     int         `json:"plans"`
+		PlanBytes int64       `json:"planBytes"`
+		Degraded  []AlgHealth `json:"degraded,omitempty"`
+		Since     string      `json:"degradedSince,omitempty"`
 	}
-	body := healthz{Status: "ok", Contexts: s.pool.Size(), Matrices: s.store.Len(), Plans: s.plans.Len()}
+	body := healthz{Status: "ok", Contexts: s.pool.Size(), Matrices: s.store.Len(), Plans: s.plans.Len(), PlanBytes: s.plans.Bytes()}
 	code := http.StatusOK
 	if s.sentry != nil {
 		if degraded, failing, since := s.sentry.State(); degraded {

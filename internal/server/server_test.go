@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
+	"repro/internal/obs"
 	"repro/internal/spgemm"
 )
 
@@ -798,5 +799,114 @@ func TestMultiplyHeapIsPlanCached(t *testing.T) {
 		if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), "sorted") {
 			t.Errorf("heap on unsorted B, request %d: status %d: %s", round, code, body)
 		}
+	}
+}
+
+// replayMaps is the kernel package's spgemm_plan_replay_maps_total, fetched
+// by name from the shared registry.
+func replayMaps() int64 {
+	return obs.DefaultRegistry().Counter("spgemm_plan_replay_maps_total", "").Value()
+}
+
+// TestReplayMapOnFirstCacheHitOnly drives the two served shapes through one
+// server. Churn — every product a fresh B, so every Plan is built, executed
+// once and never seen again — must build no replay map at all. A hot pair
+// builds exactly one, on its first cache hit, and /healthz and the gauge
+// report the bytes the cache then retains.
+func TestReplayMapOnFirstCacheHitOnly(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	rng := rand.New(rand.NewSource(12))
+	a := gen.RMAT(7, 8, gen.G500Params, rng)
+	ha := uploadBinary(t, ts.URL, a).Hash
+	multiply := func(hb string) MultiplyResponse {
+		t.Helper()
+		code, body := postMultiply(t, ts.URL, MultiplyRequest{A: ha, B: hb})
+		if code != http.StatusOK {
+			t.Fatalf("multiply: status %d: %s", code, body)
+		}
+		return decodeMultiply(t, body)
+	}
+
+	before := replayMaps()
+	for j := 0; j < 6; j++ {
+		hb := uploadBinary(t, ts.URL, gen.RMAT(7, 8, gen.G500Params, rng)).Hash
+		if multiply(hb).PlanCacheHit {
+			t.Fatalf("churn product %d hit the plan cache", j)
+		}
+	}
+	if n := replayMaps() - before; n != 0 {
+		t.Fatalf("churn built %d replay maps, want 0: no Plan ran twice", n)
+	}
+
+	for i, wantMaps := range []int64{0, 1, 1} {
+		if hit := multiply(ha).PlanCacheHit; hit != (i > 0) {
+			t.Fatalf("hot request %d: planCacheHit = %v", i, hit)
+		}
+		if n := replayMaps() - before; n != wantMaps {
+			t.Fatalf("after hot request %d: %d replay maps, want %d", i, n, wantMaps)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health struct {
+		Plans     int   `json:"plans"`
+		PlanBytes int64 `json:"planBytes"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Plans != 7 || health.PlanBytes <= 0 || health.PlanBytes != s.plans.Bytes() || mPlanBytes.Value() != health.PlanBytes {
+		t.Fatalf("/healthz reports %+v; cache holds %d bytes, gauge %d", health, s.plans.Bytes(), mPlanBytes.Value())
+	}
+}
+
+// TestPlanCacheByteBudget: with a byte budget the cache evicts the LRU of
+// two Plans whose Bytes sum exceeds it; NewPlanCache alone stays bounded by
+// count only.
+func TestPlanCacheByteBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	a := matrix.Random(40, 40, 0.2, rng)
+	mkPlan := func() *spgemm.Plan {
+		p, err := spgemm.NewPlan(a, a, &spgemm.Options{Algorithm: spgemm.AlgHash})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	k1 := PlanKey{A: "1", B: "1", Workers: 1}
+	k2 := PlanKey{A: "2", B: "2", Workers: 1}
+	one := mkPlan().Bytes()
+	if one <= 0 {
+		t.Fatalf("Plan.Bytes() = %d", one)
+	}
+
+	counted := NewPlanCache(2)
+	counted.Add(k1, mkPlan())
+	counted.Add(k2, mkPlan())
+	if counted.Len() != 2 || counted.Bytes() != 2*one {
+		t.Fatalf("count-bounded cache: %d plans, %d bytes; want 2 and %d", counted.Len(), counted.Bytes(), 2*one)
+	}
+
+	budgeted := NewPlanCache(2)
+	budgeted.SetMaxBytes(2*one - 1)
+	budgeted.Add(k1, mkPlan())
+	budgeted.Add(k2, mkPlan())
+	if _, ok := budgeted.Get(k1); ok {
+		t.Fatal("k1 survived a byte budget below the two plans' sum")
+	}
+	if _, ok := budgeted.Get(k2); !ok {
+		t.Fatal("the plan just added was evicted")
+	}
+	if budgeted.Len() != 1 || budgeted.Bytes() != one {
+		t.Fatalf("byte-bounded cache: %d plans, %d bytes; want 1 and %d", budgeted.Len(), budgeted.Bytes(), one)
+	}
+	// Replacing a key must not double-count its bytes.
+	budgeted.Add(k2, mkPlan())
+	if budgeted.Len() != 1 || budgeted.Bytes() != one {
+		t.Fatalf("after replacing k2: %d plans, %d bytes", budgeted.Len(), budgeted.Bytes())
 	}
 }

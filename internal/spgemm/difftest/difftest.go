@@ -25,7 +25,9 @@
 package difftest
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/gen"
@@ -154,6 +156,51 @@ func Cases(rng *rand.Rand) []Case {
 	return cases
 }
 
+// SpecialValueCases are products whose entries are signed zeros, infinities
+// and NaNs — the values on which "first product stored" and "first product
+// added to zero" part ways (0 + -0 is +0, Upsert leaves -0). They exist for
+// the bit-identity legs (CheckPlan, CheckSharded); the tolerance predicate
+// and the non-float rings have nothing to say about them, so Cases does not
+// include them.
+func SpecialValueCases(rng *rand.Rand) []Case {
+	negZero, inf := math.Copysign(0, -1), math.Inf(1)
+	// Built by hand: COO.ToCSR drops the explicit zeros these cases are about.
+	dense := func(rows [][]float64) *matrix.CSR {
+		m := &matrix.CSR{Rows: len(rows), Cols: len(rows[0]), RowPtr: make([]int64, 1, len(rows)+1), Sorted: true}
+		for _, row := range rows {
+			for j, v := range row {
+				if !math.IsNaN(v) { // NaN marks a structural hole
+					m.ColIdx = append(m.ColIdx, int32(j))
+					m.Val = append(m.Val, v)
+				}
+			}
+			m.RowPtr = append(m.RowPtr, int64(len(m.ColIdx)))
+		}
+		return m
+	}
+	hole := math.NaN()
+	// C = [-0 +0 10; -0 -0 5; +0 -0 +0]: -0 alone, -0 + -0, -0 + +0, and
+	// the cancellation 5 - 5.
+	zeroA := dense([][]float64{{1, 1}, {1, hole}, {1, -1}})
+	zeroB := dense([][]float64{{negZero, negZero, 5}, {negZero, 0, 5}})
+	// C = [NaN Inf Inf; NaN NaN Inf; NaN -Inf -Inf]: Inf·0, Inf - Inf, and
+	// sums that stay infinite.
+	infA := dense([][]float64{{inf, 1}, {inf, -inf}, {-inf, hole}})
+	infB := dense([][]float64{{0, 1, 1}, {1, 1, -1}})
+
+	// The ER square's structure (rows that repeat columns, several workers'
+	// worth) with every value drawn from the palette.
+	palette := []float64{1, -1, 0, negZero, inf, -inf, 2.5, -2.5}
+	er := gen.ER(6, 4, rng)
+	special := matrix.MapValues(er, func(float64) float64 { return palette[rng.Intn(len(palette))] })
+	return []Case{
+		{Name: "signed-zero", A: zeroA, B: zeroB},
+		{Name: "non-finite", A: infA, B: infB},
+		{Name: "palette-er", A: special, B: special},
+		{Name: "palette-er-unsortedB", A: special, B: gen.Unsorted(special, rng)},
+	}
+}
+
 // randomCSR builds a rows×cols matrix with about nnz uniform entries
 // (duplicates merged), leaving some rows empty by construction.
 func randomCSR(rng *rand.Rand, rows, cols, nnz int) *matrix.CSR {
@@ -261,10 +308,22 @@ func Check(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 	return nil
 }
 
+// sameBits is value identity at the bit level: -0 is not +0, and a NaN is a
+// NaN (its payload is the hardware's business, not the kernels').
+func sameBits[V semiring.Value](x, y V) bool {
+	fx, ok := any(x).(float64)
+	if !ok {
+		return x == y
+	}
+	fy := any(y).(float64)
+	return math.Float64bits(fx) == math.Float64bits(fy) || (fx != fx && fy != fy)
+}
+
 // identical reports whether two results are bit-identical: same shape, same
-// Sorted flag, same row pointers, columns and value bytes. Stricter than
-// Equivalent — used to pin down reusable-state paths (Context, Plan), which
-// must reproduce the one-shot result exactly, not merely up to tolerance.
+// Sorted flag, same row pointers, columns and value bits (sameBits). Stricter
+// than Equivalent — used to pin down reusable-state paths (Context, Plan),
+// which must reproduce the one-shot result exactly, not merely up to
+// tolerance.
 func identical[V semiring.Value](got, want *matrix.CSRG[V]) error {
 	if got.Rows != want.Rows || got.Cols != want.Cols || got.Sorted != want.Sorted {
 		return fmt.Errorf("shape/sortedness differ: %dx%d sorted=%v vs %dx%d sorted=%v",
@@ -282,7 +341,7 @@ func identical[V semiring.Value](got, want *matrix.CSRG[V]) error {
 		if got.ColIdx[i] != want.ColIdx[i] {
 			return fmt.Errorf("ColIdx[%d] = %d, want %d", i, got.ColIdx[i], want.ColIdx[i])
 		}
-		if got.Val[i] != want.Val[i] {
+		if !sameBits(got.Val[i], want.Val[i]) {
 			return fmt.Errorf("Val[%d] = %v, want %v", i, got.Val[i], want.Val[i])
 		}
 	}
@@ -414,12 +473,16 @@ func CheckContext(c Case, alg spgemm.Algorithm, unsorted bool, workers int, ctx 
 // CheckPlan builds a Plan for c.A·c.B, executes it repeatedly (perturbing
 // the values of A and B between rounds), and verifies every execution is
 // bit-identical to a fresh Multiply with the same options — the plan-reuse
-// soundness criterion. It then perturbs B's structure and verifies the
-// fingerprint rejects the plan. An algorithm that requires sorted input rows
-// is expected to refuse the Plan for an unsorted B, as Multiply refuses the
-// product.
+// soundness criterion. Four rounds: the first two run the plan's kernel (the
+// second builds the replay map), the last two must stream through the map —
+// for every algorithm but Heap, which must not — and ExecStats has to say so.
+// It then perturbs B's structure and verifies the fingerprint still rejects
+// the plan now that the map exists, and that Invalidate does. An algorithm
+// that requires sorted input rows is expected to refuse the Plan for an
+// unsorted B, as Multiply refuses the product.
 func CheckPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
-	opt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, Context: spgemm.NewContext()}
+	var st spgemm.ExecStats
+	opt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, Context: spgemm.NewContext(), Stats: &st}
 	// For the tiled and sharded algorithms, force tiny geometry so the plan's
 	// cached split structure, unit bookkeeping and per-execute value re-gather
 	// are all exercised (the analytic geometry would make every suite row
@@ -436,10 +499,19 @@ func CheckPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 	if err != nil {
 		return fmt.Errorf("%s/%v plan: %w", c.Name, alg, err)
 	}
-	for round := 0; round < 3; round++ {
+	for round := 0; round < 4; round++ {
 		got, err := plan.Execute()
 		if err != nil {
 			return fmt.Errorf("%s/%v execute round %d: %w", c.Name, alg, round, err)
+		}
+		tw := st.TotalWorker() // before the fresh Multiply below reuses st
+		wantReplay := int64(0)
+		if round >= 2 && st.Algorithm != spgemm.AlgHeap {
+			wantReplay = tw.Flop
+		}
+		if tw.ReplayFlop != wantReplay || (wantReplay > 0 && tw.HashLookups+tw.StampMarks+tw.DirectFlop+tw.HeapPushes != 0) {
+			return fmt.Errorf("%s/%v round %d: streamed %d of %d products (want %d), accumulator counters %+v",
+				c.Name, st.Algorithm, round, tw.ReplayFlop, tw.Flop, wantReplay, tw)
 		}
 		fresh, err := spgemm.Multiply(c.A, c.B, opt)
 		if err != nil {
@@ -464,11 +536,15 @@ func CheckPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 		old := c.B.ColIdx[0]
 		c.B.ColIdx[0] = (old + 1) % int32(c.B.Cols)
 		if c.B.ColIdx[0] != old {
-			if _, err := plan.Execute(); err == nil {
-				return fmt.Errorf("%s/%v: structure change not detected by plan fingerprint", c.Name, alg)
+			if _, err := plan.Execute(); !errors.Is(err, spgemm.ErrPlanStale) {
+				return fmt.Errorf("%s/%v: structure change not detected by plan fingerprint (err = %v)", c.Name, alg, err)
 			}
 		}
 		c.B.ColIdx[0] = old
+	}
+	plan.Invalidate()
+	if _, err := plan.Execute(); !errors.Is(err, spgemm.ErrPlanStale) {
+		return fmt.Errorf("%s/%v: invalidated plan executed (err = %v)", c.Name, alg, err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -188,15 +189,46 @@ func TestDifferentialSharded(t *testing.T) {
 	}
 }
 
+// TestSpecialValueCases pins what the hand-built special-value cases are
+// for: their products, from the one-shot Hash kernel, hold exactly the
+// signed zeros, infinities and NaNs their comments promise — so a Plan leg
+// that is bit-identical on them has handled each.
+func TestSpecialValueCases(t *testing.T) {
+	negZero, inf, nan := math.Copysign(0, -1), math.Inf(1), math.NaN()
+	want := map[string][]float64{
+		"signed-zero": {negZero, 0, 10, negZero, negZero, 5, 0, negZero, 0},
+		"non-finite":  {nan, inf, inf, nan, nan, inf, nan, -inf, -inf},
+	}
+	for _, c := range SpecialValueCases(rand.New(rand.NewSource(1))) {
+		w, ok := want[c.Name]
+		if !ok {
+			continue
+		}
+		got, err := spgemm.Multiply(c.A, c.B, &spgemm.Options{Algorithm: spgemm.AlgHash})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Val) != len(w) {
+			t.Fatalf("%s: %d entries, want %d (explicit zeros must be kept)", c.Name, len(got.Val), len(w))
+		}
+		for i := range w {
+			if !sameBits(got.Val[i], w[i]) {
+				t.Errorf("%s: Val[%d] = %v, want %v", c.Name, i, got.Val[i], w[i])
+			}
+		}
+	}
+}
+
 // TestDifferentialPlanReuse runs the plan-reuse soundness check (repeated
-// bit-identical executions, value perturbation, structural-staleness
-// detection) for every algorithm across the suite. The tiled algorithm runs
-// under forced tiny tiles (see CheckPlan), so its cached split structure and
-// per-execute value re-gather are covered too.
+// bit-identical executions through the kernel and then through the replay
+// map, value perturbation, structural-staleness detection) for every
+// algorithm across the suite and the special-value cases. The tiled algorithm
+// runs under forced tiny tiles (see CheckPlan), so its cached split structure
+// and per-execute value re-gather are covered too.
 func TestDifferentialPlanReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgHeap, spgemm.AlgTiled, spgemm.AlgSharded} {
-		for _, c := range Cases(rng) {
+		for _, c := range append(Cases(rng), SpecialValueCases(rng)...) {
 			for _, unsorted := range []bool{false, true} {
 				for _, workers := range []int{1, 4} {
 					if err := CheckPlan(c, alg, unsorted, workers); err != nil {

@@ -63,6 +63,8 @@ type WorkerStats struct {
 	// symbolic insert). Products the whole-row hash kernel handles without
 	// its table are counted by StampMarks and DirectFlop instead: for an
 	// unmasked AlgHash, HashLookups + StampMarks + DirectFlop == 2·Flop.
+	// A Plan's streamed replay touches no accumulator at all: there
+	// ReplayFlop == Flop and the three are zero.
 	HashLookups int64
 	// HashProbes counts collision probe steps beyond the first slot/chunk;
 	// HashProbes/HashLookups is the mean collision factor of the paper's
@@ -80,6 +82,9 @@ type WorkerStats struct {
 	// DirectFlop counts numeric products written straight to the output by
 	// concatenation, in rows symbolic proved free of repeated columns.
 	DirectFlop int64
+	// ReplayFlop counts numeric products a Plan streamed through its replay
+	// map (plan.go) instead of running its kernel.
+	ReplayFlop int64
 }
 
 func (w *WorkerStats) add(o WorkerStats) {
@@ -91,6 +96,7 @@ func (w *WorkerStats) add(o WorkerStats) {
 	w.L2Overflows += o.L2Overflows
 	w.StampMarks += o.StampMarks
 	w.DirectFlop += o.DirectFlop
+	w.ReplayFlop += o.ReplayFlop
 }
 
 // ExecStats collects per-phase wall times and per-worker counters for one

@@ -27,6 +27,10 @@ var (
 		"successful Plan.Execute calls (symbolic phase skipped)")
 	mPlanStale = obs.NewCounter("spgemm_plan_stale_total",
 		"Plan.Execute calls rejected with ErrPlanStale")
+	mReplayMaps = obs.NewCounter("spgemm_plan_replay_maps_total",
+		"replay maps built and published by a Plan's second execution")
+	mReplayMapBytes = obs.NewCounter("spgemm_plan_replay_map_bytes_total",
+		"bytes of replay maps built (4 per product + 4 per output entry)")
 )
 
 // multiplyCounter caches the per-algorithm child of spgemm_multiplies_total

@@ -3,6 +3,7 @@ package spgemm
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/matrix"
 	"repro/internal/semiring"
@@ -37,12 +38,12 @@ var ErrPlanStale = errors.New("spgemm: plan is stale (input structure changed or
 // Plan type is not because its callers — the iterative float64 solvers and
 // the multiply server — are not.
 //
-// A Plan's inspection is read-only after NewPlan; the mutable execution state
-// lives in a Context. Execute is therefore NOT safe for concurrent use —
-// it runs on the plan's own Context — but ExecuteIn with distinct Contexts
-// is: concurrent ExecuteIn calls on one shared Plan are exactly how the
-// multiply server executes cache-hit products from its Context checkout
-// pool. Invalidate must not race in-flight Executes.
+// A Plan is immutable after NewPlan but for one atomically published replay
+// map (replayMap); the mutable execution state lives in a Context. Execute is
+// therefore NOT safe for concurrent use — it runs on the plan's own Context —
+// but ExecuteIn with distinct Contexts is: concurrent ExecuteIn calls on one
+// shared Plan are how the multiply server executes cache-hit products from
+// its Context checkout pool. Invalidate must not race in-flight Executes.
 type Plan struct {
 	a, b     *matrix.CSR
 	unsorted bool
@@ -59,6 +60,28 @@ type Plan struct {
 	// ExecuteIn calls (distinct Contexts) safe on one shared Plan.
 	in    inspection[float64]
 	valid bool
+
+	// replay is nil until the second execution (counted by execs) publishes
+	// it; mapBytes is its size, 0 if there will be none.
+	replay   atomic.Pointer[replayMap]
+	execs    atomic.Int32
+	mapBytes int64
+}
+
+// replayMap is what a kernel replay rediscovers although structure alone
+// fixes it: C's column indices (4 B per output entry) and, per intermediate
+// product in A-row/B-row order, the rank of its destination inside its output
+// row (4 B per flop). It is read off the product the plan's own kernel
+// returns, so whatever layout that kernel emits replays reproduce; by the
+// second execution, not by NewPlan, because a plan executed once (the server
+// under churn builds one per request) would pay a second pass over the
+// products for nothing. A plan gets one iff it is not AlgHeap's — the merge
+// heap folds equal columns in pop order, not product order — and the map's
+// bytes do not exceed ShardedAutoBytes, the recipe's "too big to hold whole".
+type replayMap struct {
+	cols    []int32
+	offsets []int      // flop-balanced row partition over the plan's workers
+	dst     [][]uint32 // per worker, one rank per product of its rows
 }
 
 // NewPlan runs the inspector: flop counts, balanced partition and symbolic
@@ -98,12 +121,19 @@ func NewPlan(a, b *matrix.CSR, opt *Options) (*Plan, error) {
 	pt.finish()
 	p.in = in.clone()
 	p.valid = true
+	if n := 4 * (rangeFlop(p.in.flopRow, 0, a.Rows) + p.NNZ()); alg != AlgHeap && n <= ShardedAutoBytes() {
+		p.mapBytes = n
+	}
 	mPlanBuilds.Inc()
 	return p, nil
 }
 
 // NNZ returns the number of nonzeros every Execute will produce.
 func (p *Plan) NNZ() int64 { return p.in.rowPtr[len(p.in.rowPtr)-1] }
+
+// Bytes returns the memory the plan retains: its inspection plus the replay
+// map at its eventual size, built yet or not (fixed at NewPlan).
+func (p *Plan) Bytes() int64 { return p.in.bytes() + p.mapBytes }
 
 // Invalidate marks the plan stale; every later Execute returns ErrPlanStale.
 // Call it after changing the structure of A or B in a way the caller knows
@@ -122,10 +152,11 @@ func (p *Plan) Execute() (*matrix.CSR, error) {
 
 // ExecuteIn is Execute with caller-supplied mutable state: the numeric
 // phase draws its accumulators and scratch from ctx (nil means a fresh
-// transient context) and reports into stats (nil disables stats). The plan
-// itself is only read, so concurrent ExecuteIn calls on the same Plan are
-// safe as long as each uses a distinct Context — the contract the multiply
-// server's plan cache relies on.
+// transient context) and reports into stats (nil disables stats). Concurrent
+// ExecuteIn calls on the same Plan are safe as long as each uses a distinct
+// Context — the contract the multiply server's plan cache relies on. The
+// second execution also builds the replay map (charged to PhaseSymbolic);
+// one that finds the map streams through it (WorkerStats.ReplayFlop).
 func (p *Plan) ExecuteIn(ctx *Context, stats *ExecStats) (*matrix.CSR, error) {
 	if !p.valid || p.a.StructureChecksum() != p.fpA || p.b.StructureChecksum() != p.fpB {
 		mPlanStale.Inc()
@@ -136,13 +167,84 @@ func (p *Plan) ExecuteIn(ctx *Context, stats *ExecStats) (*matrix.CSR, error) {
 	}
 	ctx.ensureWorkers(p.in.workers)
 	pt := startPhases(stats, p.in.alg, p.in.workers)
-	c, err := execute(semiring.PlusTimesF64{}, p.a, p.b, ctx, &p.in, append([]int64(nil), p.in.rowPtr...), p.unsorted, nil, &pt)
-	if err != nil {
-		return nil, err
+	rowPtr := append([]int64(nil), p.in.rowPtr...)
+	var c *matrix.CSR
+	if m := p.replay.Load(); m != nil {
+		c = m.execute(p.a, p.b, ctx, rowPtr, p.unsorted, &pt)
+	} else {
+		build := p.mapBytes > 0 && p.execs.Add(1) == 2
+		var err error
+		c, err = execute(semiring.PlusTimesF64{}, p.a, p.b, ctx, &p.in, rowPtr, p.unsorted, nil, &pt)
+		if err != nil {
+			return nil, err
+		}
+		if build {
+			p.replay.Store(newReplayMap(p.a, p.b, c, ctx, &p.in))
+			mReplayMaps.Inc()
+			mReplayMapBytes.Add(p.mapBytes)
+			pt.tick(PhaseSymbolic)
+			pt.finish()
+		}
 	}
 	mPlanExecs.Inc()
 	if stats != nil {
 		ctx.accumulate(stats)
 	}
 	return c, nil
+}
+
+// newReplayMap reads the map off c, the product the kernel just returned on
+// ctx: per row, scatter column -> rank over Cols, then look up its products.
+func newReplayMap(a, b, c *matrix.CSR, ctx *Context, in *inspection[float64]) *replayMap {
+	m := &replayMap{
+		cols:    append([]int32(nil), c.ColIdx...),
+		offsets: append([]int(nil), ctx.partition(in.flopRow, in.workers, in.workers)...),
+		dst:     make([][]uint32, in.workers),
+	}
+	rank := ctx.workerScratch(0).EnsureInt32A(b.Cols)
+	for w := range m.dst {
+		lo, hi := m.offsets[w], m.offsets[w+1]
+		dst := make([]uint32, rangeFlop(in.flopRow, lo, hi))
+		m.dst[w] = dst
+		for i := lo; i < hi; i++ {
+			for r, col := range c.ColIdx[c.RowPtr[i]:c.RowPtr[i+1]] {
+				rank[col] = int32(r)
+			}
+			for _, k := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
+				bcols := b.ColIdx[b.RowPtr[k]:b.RowPtr[k+1]]
+				for y, col := range bcols {
+					dst[y] = uint32(rank[col])
+				}
+				dst = dst[len(bcols):]
+			}
+		}
+	}
+	return m
+}
+
+// execute is the streamed replay; each worker copies and folds its own rows.
+func (m *replayMap) execute(a, b *matrix.CSR, ctx *Context, rowPtr []int64, unsorted bool, pt *phaseTimer) *matrix.CSR {
+	c := outputShell[float64](a.Rows, b.Cols, rowPtr, !unsorted)
+	pt.tick(PhaseAlloc)
+	ctx.runWorkers("numeric", len(m.dst), func(w int) {
+		lo, hi := m.offsets[w], m.offsets[w+1]
+		copy(c.ColIdx[rowPtr[lo]:rowPtr[hi]], m.cols[rowPtr[lo]:rowPtr[hi]])
+		planReplayRowsF64(a, b, rowPtr, c.Val, m.dst[w], lo, hi)
+		if ws := pt.worker(w); ws != nil {
+			ws.Rows, ws.Flop, ws.ReplayFlop = int64(hi-lo), int64(len(m.dst[w])), int64(len(m.dst[w]))
+		}
+	})
+	pt.tick(PhaseNumeric)
+	pt.finish()
+	return c
+}
+
+// bytes is the memory clone copied (per-worker and per-stripe arrays aside),
+// plus rowPtr and perm.
+func (in *inspection[V]) bytes() int64 {
+	n := 8 * (len(in.flopRow) + len(in.rowPtr) + len(in.tiles.rowPtr) + len(in.perm) + 3*len(in.unitFlop))
+	if len(in.unitRow) > 0 {
+		n += 8 * len(in.lightFlop)
+	}
+	return int64(n + 4*(len(in.tiles.colIdx)+2*len(in.unitRow)))
 }

@@ -255,11 +255,14 @@ func TestPlanConcurrentExecuteIn(t *testing.T) {
 
 // TestPlanAndMultiplyReportSameWork: a Plan is Multiply's two phases held
 // apart, so for every two-phase geometry the inspector's counters plus the
-// first execution's add up to the one-shot call's, and later executions
-// spend nothing on partition or symbolic. A Heap Plan's inspector runs the
-// symbolic pass the one-phase kernel has none of, so its build reports
-// counting work (stamps or lookups) the one-shot call does not; rows, flop
-// and heap pushes still agree.
+// first execution's add up to the one-shot call's. The second execution
+// never repartitions and spends symbolic time exactly when it builds the
+// replay map (every algorithm but Heap); from the third on an execution
+// spends nothing on partition or symbolic, and either streams every product
+// through the map — ReplayFlop == Flop, no accumulator touched — or, for
+// Heap, none. A Heap Plan's inspector runs the symbolic pass the one-phase
+// kernel has none of, so its build reports counting work (stamps or lookups)
+// the one-shot call does not; rows, flop and heap pushes still agree.
 func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	sorted := gen.RMAT(8, 8, gen.G500Params, rng)
@@ -331,10 +334,135 @@ func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 				if _, err := plan.Execute(); err != nil {
 					t.Fatal(err)
 				}
+				streams := tc.name != "heap"
+				if planned.Phases[PhasePartition] != 0 || (planned.Phases[PhaseSymbolic] != 0) != streams {
+					t.Errorf("second Execute spent partition=%v symbolic=%v; want none and the map build (%v)",
+						planned.Phases[PhasePartition], planned.Phases[PhaseSymbolic], streams)
+				}
+				if second := planned.TotalWorker(); second.ReplayFlop != 0 || second.Flop != want.Flop {
+					t.Errorf("second Execute reports %+v; want the kernel's %d flop", second, want.Flop)
+				}
+				if _, err := plan.Execute(); err != nil {
+					t.Fatal(err)
+				}
 				if planned.Phases[PhasePartition] != 0 || planned.Phases[PhaseSymbolic] != 0 {
-					t.Errorf("second Execute spent partition=%v symbolic=%v", planned.Phases[PhasePartition], planned.Phases[PhaseSymbolic])
+					t.Errorf("third Execute spent partition=%v symbolic=%v", planned.Phases[PhasePartition], planned.Phases[PhaseSymbolic])
+				}
+				third := planned.TotalWorker()
+				replayed := WorkerStats{Rows: want.Rows, Flop: want.Flop, ReplayFlop: want.Flop}
+				if third.HashProbes = 0; streams && third != replayed {
+					t.Errorf("third Execute reports %+v, want a streamed replay %+v", third, replayed)
+				} else if !streams && (third.ReplayFlop != 0 || third.HeapPushes != want.HeapPushes) {
+					t.Errorf("third Execute of a Heap plan reports %+v, want its kernel's work", third)
 				}
 			})
 		}
+	}
+}
+
+// TestPlanReplayMapBuiltOnce is the -race leg of the replay map: eight
+// goroutines with distinct Contexts hit a fresh shared Plan at once, so the
+// first two executions, the map build and the first streamed replays all
+// overlap. Exactly one map is built and published, and every product —
+// kernel or streamed — is bit-identical to Multiply.
+func TestPlanReplayMapBuiltOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	a := gen.RMAT(8, 8, gen.G500Params, rng)
+	for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgTiled, AlgSharded} {
+		opt := &Options{Algorithm: alg, Workers: 2, TileCols: 64, TileHeavyFlop: 16, ShardStripes: 4}
+		want, err := Multiply(a, a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := NewPlan(a, a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps, bytes := mReplayMaps.Value(), mReplayMapBytes.Value()
+		const goroutines, rounds = 8, 4
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ctx := NewContext()
+				<-start
+				for round := 0; round < rounds; round++ {
+					got, err := plan.ExecuteIn(ctx, &ExecStats{})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !bitIdentical(got, want) {
+						t.Errorf("%v: round %d differs from Multiply", alg, round)
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if n := mReplayMaps.Value() - maps; n != 1 {
+			t.Errorf("%v: %d replay maps built, want exactly 1", alg, n)
+		}
+		built := 4 * int64(len(plan.replay.Load().cols))
+		for _, dst := range plan.replay.Load().dst {
+			built += 4 * int64(len(dst))
+		}
+		if n := mReplayMapBytes.Value() - bytes; n != plan.mapBytes || n != built {
+			t.Errorf("%v: %d map bytes counted, plan says %d, the map holds %d", alg, n, plan.mapBytes, built)
+		}
+		// A goroutine may finish all its rounds before the builder publishes;
+		// the execution after the join cannot miss the map.
+		st := &ExecStats{}
+		if _, err := plan.ExecuteIn(nil, st); err != nil {
+			t.Fatal(err)
+		}
+		if tw := st.TotalWorker(); tw.ReplayFlop != tw.Flop || tw.Flop == 0 {
+			t.Errorf("%v: execution after the build streamed %d of %d products", alg, tw.ReplayFlop, tw.Flop)
+		}
+	}
+}
+
+// TestPlanReplayMapBound: a plan whose map would exceed ShardedAutoBytes —
+// lowered here to one byte under it — never builds one, keeps replaying
+// through its kernel, and does not count the map in Bytes.
+func TestPlanReplayMapBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	a := gen.ER(7, 6, rng)
+	opt := &Options{Algorithm: AlgHash, Workers: 2}
+	within, err := NewPlan(a, a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if within.mapBytes == 0 || within.Bytes() <= within.mapBytes {
+		t.Fatalf("plan within the bound: mapBytes %d of Bytes %d", within.mapBytes, within.Bytes())
+	}
+	defer SetShardedAutoBytes(SetShardedAutoBytes(within.mapBytes - 1))
+	over, err := NewPlan(a, a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if over.mapBytes != 0 || over.Bytes() != within.Bytes()-within.mapBytes {
+		t.Fatalf("plan over the bound: mapBytes %d, Bytes %d; want 0 and the inspection's %d",
+			over.mapBytes, over.Bytes(), within.Bytes()-within.mapBytes)
+	}
+	want, err := Multiply(a, a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maps := mReplayMaps.Value()
+	var st ExecStats
+	for round := 0; round < 4; round++ {
+		got, err := over.ExecuteIn(nil, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tw := st.TotalWorker(); !bitIdentical(got, want) || tw.ReplayFlop != 0 || tw.HashLookups == 0 {
+			t.Fatalf("round %d: want the kernel's product and counters, got %+v", round, tw)
+		}
+	}
+	if n := mReplayMaps.Value() - maps; n != 0 || over.replay.Load() != nil {
+		t.Fatalf("%d replay maps built over the bound", n)
 	}
 }

@@ -1,6 +1,8 @@
 package spgemm
 
 import (
+	"math"
+
 	"repro/internal/accum"
 	"repro/internal/matrix"
 	"repro/internal/semiring"
@@ -143,5 +145,41 @@ func tiledUnitNumericF64(spa *accum.SPA, a *matrix.CSR, tiles *tiledSplit[float6
 		spa.ExtractSortedBias(cols, vals, bias)
 	} else {
 		spa.ExtractUnsortedBias(cols, vals, bias)
+	}
+}
+
+// negZero is the additive identity at the bit level: -0 + x == x for every
+// x, where +0 + (-0) is +0. Folding an entry's first product onto it leaves
+// what Upsert's store-if-fresh leaves.
+var negZero = math.Copysign(0, -1)
+
+// planReplayRowsF64 is a Plan's streamed numeric pass over rows [lo, hi)
+// (plan.go): their p-th intermediate product, in A-row/B-row order, folds
+// into entry dst[p] of its output row, which is every hash-family kernel's
+// per-entry fold order. Mul and Add must inline (spgemm-lint -mode=inline).
+//
+//spgemm:hotpath
+func planReplayRowsF64(a, b *matrix.CSR, rowPtr []int64, vals []float64, dst []uint32, lo, hi int) {
+	var ring semiring.PlusTimesF64
+	for i := lo; i < hi; i++ {
+		out := vals[rowPtr[i]:rowPtr[i+1]]
+		for j := range out {
+			out[j] = negZero
+		}
+		alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
+		acols := a.ColIdx[alo:ahi]
+		avals := a.Val[alo:ahi]
+		for x, k := range acols {
+			av := avals[x]
+			brp := b.RowPtr[k : int(k)+2]
+			bvals := b.Val[brp[0]:brp[1]]
+			d := dst[:len(bvals)]
+			dst = dst[len(bvals):]
+			for y, bv := range bvals {
+				// float64() rounds the product as the kernels' stored prod
+				// is rounded: no fused multiply-add where a target has one.
+				out[d[y]] = ring.Add(out[d[y]], float64(ring.Mul(av, bv)))
+			}
+		}
 	}
 }
