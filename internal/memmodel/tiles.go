@@ -36,8 +36,6 @@ func CacheParamsFrom(t Tier, c CacheConfig) spgemm.CacheParams {
 		L2Bytes:     c.SizeBytes,
 		LineBytes:   c.LineBytes,
 		MinTileCols: min,
-		TierFitted:  true,
-		Source:      t.Name,
 	}
 }
 
@@ -89,9 +87,7 @@ func InstallHostCacheParams(t Tier) bool {
 	}
 	c := KNLTileL2
 	c.SizeBytes = l2
-	p := CacheParamsFrom(t, c)
-	p.Source = t.Name + "+host-l2"
-	spgemm.SetCacheParams(p)
+	InstallCacheParams(t, c)
 	return true
 }
 

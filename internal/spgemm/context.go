@@ -1,6 +1,8 @@
 package spgemm
 
 import (
+	"sync/atomic"
+
 	"repro/internal/accum"
 	"repro/internal/matrix"
 	"repro/internal/mempool"
@@ -60,6 +62,10 @@ type ContextG[V semiring.Value] struct {
 	offsets []int
 	ps      []int64
 
+	// stripeNext is the first stripe no worker of the running parallel
+	// region has started (see dealStripes).
+	stripeNext atomic.Int64
+
 	// Tiled-execution state (AlgTiled): the light-row weight copy, the flat
 	// column-split of B (nTiles row-pointer blocks plus tile-local column
 	// ids and gathered values), the heavy (row, tile) unit bookkeeping, and
@@ -77,11 +83,6 @@ type ContextG[V semiring.Value] struct {
 	unitOff    []int64
 	uoffsets   []int
 	ups        []int64
-
-	// Sharded-execution state (AlgSharded): per-stripe accumulator bounds
-	// and column-split flags of the stripe geometry.
-	stripeBound []int64
-	stripeWide  []bool
 
 	// Cumulative stats across stats-enabled calls through this context
 	// (see CumulativeStats).
@@ -124,11 +125,14 @@ func (c *ContextG[V]) runWorkers(name string, workers int, body func(worker int)
 	c.pool().RunWorkersNamed(name, workers, body)
 }
 
-// parallelFor runs a scheduled loop on the context's pool (or the default).
-// name labels the region on the tracer's worker lanes.
-func (c *ContextG[V]) parallelFor(name string, workers, n int, s sched.Schedule, grain int, body func(worker, lo, hi int)) {
-	c.pool().ParallelForNamed(name, workers, n, s, grain, body)
-}
+// dealStripes readies the stripe cursor for a parallel region of the given
+// number of workers: worker w runs stripe w first, without asking, so the
+// stripes left to claim through nextStripe start at workers.
+func (c *ContextG[V]) dealStripes(workers int) { c.stripeNext.Store(int64(workers)) }
+
+// nextStripe claims the next stripe nobody has started; the caller checks it
+// against the stripe count.
+func (c *ContextG[V]) nextStripe() int { return int(c.stripeNext.Add(1)) - 1 }
 
 // accumulate folds one stats-enabled call into the context's running totals.
 func (c *ContextG[V]) accumulate(st *ExecStats) {
@@ -380,17 +384,6 @@ func (c *ContextG[V]) tileValBuf(n int) []V {
 		c.tileVal = make([]V, n)
 	}
 	return c.tileVal[:n]
-}
-
-// stripeBufs returns the per-stripe geometry arrays for n stripes (contents
-// undefined).
-func (c *ContextG[V]) stripeBufs(n int) (bound []int64, wide []bool) {
-	c.stripeBound = ensureI64(c.stripeBound, n)
-	if cap(c.stripeWide) < n {
-		c.stripeWide = make([]bool, n)
-	}
-	c.stripeWide = c.stripeWide[:n]
-	return c.stripeBound, c.stripeWide
 }
 
 // partitionUnits flop-balances the heavy (row, tile) units over workers into

@@ -58,18 +58,17 @@ var Algorithms = []spgemm.Algorithm{
 // of one flop routes essentially every non-empty row through column tiling.
 // The analytic width (tens of thousands of columns) never triggers it on the
 // small differential inputs, so without the override the suite would only
-// cover the light path. The sharded engine reuses the same geometry as its
-// column-split trigger, so it gets the same override.
+// cover the light path.
 func tinyTiles(alg spgemm.Algorithm) (tileCols int, heavyFlop int64) {
-	if alg == spgemm.AlgTiled || alg == spgemm.AlgSharded {
+	if alg == spgemm.AlgTiled {
 		return 8, 1
 	}
 	return 0, 0
 }
 
-// tinyShards forces a multi-stripe cut for the sharded engine: the auto
-// stripe count collapses to the worker floor on suite-scale inputs, which
-// would leave the stripe-boundary and merge logic single-stripe-trivial.
+// tinyShards forces a cut of the sharded engine that is not one stripe per
+// worker: the auto stripe count collapses to the worker floor on suite-scale
+// inputs, which would leave it running exactly AlgHash's static schedule.
 func tinyShards(alg spgemm.Algorithm) int {
 	if alg == spgemm.AlgSharded {
 		return 3
@@ -294,7 +293,7 @@ func Check(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 	if err := Equivalent(got, want); err != nil {
 		return fmt.Errorf("%s/%v unsorted=%v workers=%d: %w", c.Name, alg, unsorted, workers, err)
 	}
-	if tc, hf := tinyTiles(alg); tc > 0 {
+	if tc, hf := tinyTiles(alg); tc > 0 || tinyShards(alg) > 0 {
 		fopt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers,
 			TileCols: tc, TileHeavyFlop: hf, ShardStripes: tinyShards(alg)}
 		forced, err := spgemm.Multiply(c.A, c.B, fopt)
@@ -349,30 +348,30 @@ func identical[V semiring.Value](got, want *matrix.CSRG[V]) error {
 }
 
 // CheckSharded pins the sharded engine's identity contract against AlgHash
-// over one case, under forced tiny stripe/column-split geometry: sorted
-// output must be bit-identical to the hash engine's (the AlgSharded
-// acceptance criterion), unsorted output set-equivalent via the oracle. The
-// same comparison then repeats through an out-of-core SpillSink whose budget
-// is far below the output size, so the spill/admission/mmap path at toy
-// scale produces the very same bytes. spillDir hosts the temp spill files.
-func CheckSharded(c Case, unsorted bool, workers int, spillDir string) error {
+// over one case, cut into the given number of stripes (0 is the engine's own
+// count): sorted output must be bit-identical to the hash engine's (the
+// AlgSharded acceptance criterion), unsorted output set-equivalent via the
+// oracle. The same comparison then repeats through an out-of-core SpillSink
+// whose budget is far below the output size, so the spill/admission/mmap
+// path at toy scale produces the very same bytes. spillDir hosts the temp
+// spill files.
+func CheckSharded(c Case, unsorted bool, workers, stripes int, spillDir string) error {
 	hash, err := spgemm.Multiply(c.A, c.B, &spgemm.Options{Algorithm: spgemm.AlgHash, Unsorted: unsorted, Workers: workers})
 	if err != nil {
 		return fmt.Errorf("%s/hash unsorted=%v: %w", c.Name, unsorted, err)
 	}
 	want := matrix.NaiveMultiply(c.A, c.B)
-	opt := &spgemm.Options{Algorithm: spgemm.AlgSharded, Unsorted: unsorted, Workers: workers,
-		ShardStripes: 3, TileCols: 8, TileHeavyFlop: 1}
+	opt := &spgemm.Options{Algorithm: spgemm.AlgSharded, Unsorted: unsorted, Workers: workers, ShardStripes: stripes}
 	got, err := spgemm.Multiply(c.A, c.B, opt)
 	if err != nil {
-		return fmt.Errorf("%s/sharded unsorted=%v workers=%d: %w", c.Name, unsorted, workers, err)
+		return fmt.Errorf("%s/sharded unsorted=%v workers=%d stripes=%d: %w", c.Name, unsorted, workers, stripes, err)
 	}
 	if err := Equivalent(got, want); err != nil {
-		return fmt.Errorf("%s/sharded unsorted=%v workers=%d: %w", c.Name, unsorted, workers, err)
+		return fmt.Errorf("%s/sharded unsorted=%v workers=%d stripes=%d: %w", c.Name, unsorted, workers, stripes, err)
 	}
 	if !unsorted {
 		if err := identical(got, hash); err != nil {
-			return fmt.Errorf("%s/sharded not bit-identical to hash (workers=%d): %w", c.Name, workers, err)
+			return fmt.Errorf("%s/sharded not bit-identical to hash (workers=%d stripes=%d): %w", c.Name, workers, stripes, err)
 		}
 	}
 
@@ -445,7 +444,7 @@ func CheckContext(c Case, alg spgemm.Algorithm, unsorted bool, workers int, ctx 
 			return fmt.Errorf("%s/%v ctx result not bit-identical to one-shot: %w", c.Name, alg, err)
 		}
 	}
-	if tc, hf := tinyTiles(alg); tc > 0 {
+	if tc, hf := tinyTiles(alg); tc > 0 || tinyShards(alg) > 0 {
 		fopt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, Context: ctx,
 			TileCols: tc, TileHeavyFlop: hf, ShardStripes: tinyShards(alg)}
 		forced, err := spgemm.Multiply(c.A, c.B, fopt)
@@ -486,7 +485,7 @@ func CheckPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 	// For the tiled and sharded algorithms, force tiny geometry so the plan's
 	// cached split structure, unit bookkeeping and per-execute value re-gather
 	// are all exercised (the analytic geometry would make every suite row
-	// light, and the auto stripe cut single-stripe-trivial).
+	// light, and the auto stripe cut one stripe per worker).
 	opt.TileCols, opt.TileHeavyFlop = tinyTiles(alg)
 	opt.ShardStripes = tinyShards(alg)
 	plan, err := spgemm.NewPlan(c.A, c.B, opt)

@@ -172,17 +172,55 @@ func TestDifferentialContextReuse(t *testing.T) {
 }
 
 // TestDifferentialSharded pins the sharded engine's bit-identity contract
-// against AlgHash across the whole suite — all rings of inputs the suite
-// generates, sorted and unsorted output, serial and parallel — including the
-// out-of-core SpillSink repeat at toy scale (see CheckSharded).
+// against AlgHash across the whole suite and the special-value cases (-0,
+// ±Inf and NaN survive a stripe boundary like any other value), sorted and
+// unsorted output, at every kind of cut: one stripe, one per worker (the
+// static schedule Hash itself runs), more stripes than workers (the dynamic
+// one), and one stripe per row — each also through the out-of-core SpillSink
+// repeat at toy scale (see CheckSharded).
 func TestDifferentialSharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	dir := t.TempDir()
-	for _, c := range Cases(rng) {
-		for _, unsorted := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				if err := CheckSharded(c, unsorted, workers, dir); err != nil {
-					t.Error(err)
+	for _, c := range append(Cases(rng), SpecialValueCases(rng)...) {
+		for _, workers := range []int{1, 2, 3} {
+			for _, stripes := range []int{1, workers, 3 * workers, c.A.Rows} {
+				for _, unsorted := range []bool{false, true} {
+					if err := CheckSharded(c, unsorted, workers, stripes, dir); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDifferentialStripeLoopMatchesHash: HashVector and the masked Hash run
+// the driver's stripe loop with row functions of their own, folding a row's
+// products in the order Hash does. Sorted, HashVector's product is therefore
+// Hash's bit for bit, and a masked product is Hash's with the entries outside
+// the mask's pattern removed.
+func TestDifferentialStripeLoopMatchesHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	for _, c := range append(Cases(rng), SpecialValueCases(rng)...) {
+		for _, workers := range []int{1, 2, 3} {
+			hash, err := spgemm.Multiply(c.A, c.B, &spgemm.Options{Algorithm: spgemm.AlgHash, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s/hash: %v", c.Name, err)
+			}
+			vec, err := spgemm.Multiply(c.A, c.B, &spgemm.Options{Algorithm: spgemm.AlgHashVec, Workers: workers})
+			if err == nil {
+				err = identical(vec, hash)
+			}
+			if err != nil {
+				t.Errorf("%s/hashvec workers=%d: %v", c.Name, workers, err)
+			}
+			for _, mc := range masksFor(c.A, hash) {
+				got, err := spgemm.Multiply(c.A, c.B, &spgemm.Options{Algorithm: spgemm.AlgHash, Workers: workers, Mask: mc.m})
+				if err == nil {
+					err = identical(got, filterByPattern(hash, mc.m))
+				}
+				if err != nil {
+					t.Errorf("%s/mask=%s workers=%d: %v", c.Name, mc.name, workers, err)
 				}
 			}
 		}

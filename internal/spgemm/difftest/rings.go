@@ -73,7 +73,7 @@ func CheckRing[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a,
 	if err := EquivalentRing(got, want, close); err != nil {
 		return fmt.Errorf("%s/%v unsorted=%v workers=%d: %w", caseName, alg, unsorted, workers, err)
 	}
-	if tc, hf := tinyTiles(alg); tc > 0 {
+	if tc, hf := tinyTiles(alg); tc > 0 || tinyShards(alg) > 0 {
 		fopt := &spgemm.OptionsG[V]{Algorithm: alg, Unsorted: unsorted, Workers: workers,
 			TileCols: tc, TileHeavyFlop: hf, ShardStripes: tinyShards(alg)}
 		forced, err := spgemm.MultiplyRing(ring, a, b, fopt)

@@ -19,6 +19,18 @@ import (
 // same symbolic pass fixes the row pointers, so a replay differs from the
 // two-phase kernels' only in its row function.
 //
+// The geometry is data: a flop-balanced cut of the rows into stripes
+// (Figure 6). Each half runs one loop over the stripes, a stripe's rows going
+// through the whole-row passes of hashrow.go into the stripe's window of the
+// output. Hash, HashVector, the masked product, Tiled's light rows and Heap
+// cut one stripe per worker; Sharded cuts as many as keep a stripe's output
+// within its memory budget (shard.go) and may land them in a sink. Nothing
+// past the cut asks which of them is running, the schedule included: worker
+// w starts on stripe w and then takes whichever stripe nobody has started
+// (ContextG.nextStripe). Cut one per worker, nothing is left to take and that
+// is the paper's static mapping; cut finer, the rest flow through the pool
+// one at a time, so a blocking sink holds back only the worker waiting on it.
+//
 // Both halves are generic over the ring with concrete accumulator types, so
 // the symbolic insert and numeric accumulate compile to direct calls: these
 // are the paper's contribution, and routing them through an accumulator
@@ -47,9 +59,9 @@ type inspection[V semiring.Value] struct {
 	// one-shot Heap, whose execution is what sizes the output.
 	rowPtr []int64
 
-	// Hash, HashVec, Tiled, Heap: the whole-row pass. lightFlop is flopRow
-	// with the rows the pass does not own zeroed (the same slice when it
-	// owns all of them); offsets is its flop-balanced partition over workers.
+	// The whole-row pass. lightFlop is flopRow with the rows the pass does
+	// not own zeroed (the same slice when it owns all of them); offsets is
+	// its flop-balanced cut into stripes, len(offsets)-1 of them.
 	lightFlop []int64
 	offsets   []int
 
@@ -71,10 +83,10 @@ type inspection[V semiring.Value] struct {
 	unitFlop, unitNnz []int64
 	unitOff           []int64
 	uoffsets          []int
-
-	// Sharded: the stripe geometry.
-	geom shardGeometry
 }
+
+// stripes is the number of row stripes the product is cut into.
+func (in *inspection[V]) stripes() int { return len(in.offsets) - 1 }
 
 // clone copies every Context-owned slice into memory of its own, which is
 // all that separates a Plan from a one-shot inspection. The split values are
@@ -96,9 +108,6 @@ func (in *inspection[V]) clone() inspection[V] {
 	out.unitNnz = append([]int64(nil), in.unitNnz...)
 	out.unitOff = append([]int64(nil), in.unitOff...)
 	out.uoffsets = append([]int(nil), in.uoffsets...)
-	out.geom.offsets = append([]int(nil), in.geom.offsets...)
-	out.geom.bound = append([]int64(nil), in.geom.bound...)
-	out.geom.wide = append([]bool(nil), in.geom.wide...)
 	return out
 }
 
@@ -108,46 +117,42 @@ func (in *inspection[V]) clone() inspection[V] {
 // of the returned timer charges to whatever the caller does next. forPlan
 // asks for everything a replay needs that a one-shot multiply does not: the
 // tiled split's entry permutation, and Heap's row pointers.
-func inspect[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V], ctx *ContextG[V], forPlan bool) (*inspection[V], *phaseTimer) {
+func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V], ctx *ContextG[V], forPlan bool) (*inspection[V], *phaseTimer) {
 	workers := opt.workersFor(a.Rows)
 	ctx.ensureWorkers(workers)
 	pt := startPhases(opt.Stats, alg, workers)
 	in := &inspection[V]{alg: alg, workers: workers, flopRow: ctx.perRowFlop(a, b)}
-	var rowNnz []int64
-
+	in.lightFlop = in.flopRow
+	if alg == AlgTiled {
+		in.inspectTiles(ctx, a, b, opt, forPlan)
+	}
+	stripes := workers
 	if alg == AlgSharded {
-		in.geom = opt.shardPlanGeometry(ctx, in.flopRow, a.Rows, b.Cols, workers)
-		pt.tick(PhasePartition)
-		src := newHashShardSource(ring, a, b, ctx, &in.geom, in.flopRow, opt.Unsorted)
-		rowNnz = ctx.rowNnzBuf(a.Rows)
-		shardSymbolic[V](ctx, src, workers, rowNnz)
-	} else {
-		in.lightFlop = in.flopRow
-		if alg == AlgTiled {
-			in.inspectTiles(ctx, a, b, opt, forPlan)
-		}
-		in.offsets = ctx.partition(in.lightFlop, workers, workers)
-		pt.tick(PhasePartition)
-		if alg == AlgHeap && !forPlan {
-			return in, &pt
-		}
-		if in.mask = opt.Mask; in.mask != nil {
-			in.maskBound = capBound(in.mask.MaxRowNNZ(), b.Cols)
-		}
-		// HashVector and a Heap Plan count with Hash's symbolic pass: the
-		// number of distinct columns does not depend on the numeric
-		// accumulator.
-		rowNnz = ctx.rowNnzBuf(a.Rows)
-		ctx.runWorkers("symbolic", workers, func(w int) {
-			lo, hi := in.offsets[w], in.offsets[w+1]
+		stripes = opt.shardStripes(in.flopRow, workers)
+	}
+	in.offsets = ctx.partition(in.lightFlop, stripes, workers)
+	pt.tick(PhasePartition)
+	if alg == AlgHeap && !forPlan {
+		return in, &pt
+	}
+	if in.mask = opt.Mask; in.mask != nil {
+		in.maskBound = capBound(in.mask.MaxRowNNZ(), b.Cols)
+	}
+	// HashVector and a Heap Plan count with Hash's symbolic pass: the number
+	// of distinct columns does not depend on the numeric accumulator.
+	rowNnz := ctx.rowNnzBuf(a.Rows)
+	ctx.dealStripes(workers)
+	ctx.runWorkers("symbolic", workers, func(w int) {
+		for s := w; s < in.stripes(); s = ctx.nextStripe() {
+			lo, hi := in.offsets[s], in.offsets[s+1]
 			if in.mask != nil {
 				ctx.maskedSymbolic(w, a, b, in, lo, hi, rowNnz, pt.worker(w))
 			} else {
 				ctx.hashSymbolic(w, a, b, in.lightFlop, lo, hi, rowNnz, pt.worker(w))
 			}
-		})
-		in.heavySymbolic(ctx, a, rowNnz)
-	}
+		}
+	})
+	in.heavySymbolic(ctx, a, rowNnz)
 	pt.tick(PhaseSymbolic)
 
 	in.rowPtr = ctx.prefixSum(rowNnz, nil, workers)
@@ -156,82 +161,100 @@ func inspect[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b *
 }
 
 // execute runs the value-dependent phases of an inspected product: bind the
-// output to rowPtr (PhaseAlloc), fill it (PhaseNumeric) and, for Sharded,
-// assemble the sink (PhaseAssemble). ctx need not be the Context inspect ran
-// on but must hold in.workers worker slots. rowPtr is in.rowPtr or a copy of
-// it and belongs to the result from here on. sink is Sharded's stripe sink;
-// nil means in RAM.
+// output to rowPtr (PhaseAlloc), fill it stripe by stripe (PhaseNumeric) and,
+// when the stripes went to a sink, have it assemble them (PhaseAssemble). ctx
+// need not be the Context inspect ran on but must hold in.workers worker
+// slots. rowPtr is in.rowPtr or a copy of it and belongs to the result from
+// here on. A nil sink is the output itself: every stripe's window is its own
+// rows' slice of the result, written in place.
 func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, unsorted bool, sink ShardSink[V], pt *phaseTimer) (*matrix.CSRG[V], error) {
 	if in.alg == AlgHeap {
 		return heapExecute(ring, a, b, ctx, in, rowPtr, pt), nil
 	}
-	if in.alg == AlgSharded {
-		src := newHashShardSource(ring, a, b, ctx, &in.geom, in.flopRow, unsorted)
-		if sink == nil {
-			sink = &memShardSink[V]{}
+	c, errs, err := bindOutput(sink, in.stripes(), a.Rows, b.Cols, rowPtr, !unsorted)
+	if err != nil {
+		return nil, err
+	}
+	pt.tick(PhaseAlloc)
+
+	ctx.dealStripes(in.workers)
+	ctx.runWorkers("numeric", in.workers, func(w int) {
+		ws := pt.worker(w) // stripes sharing a worker slot accumulate into it
+		for s := w; s < in.stripes(); s = ctx.nextStripe() {
+			lo, hi := in.offsets[s], in.offsets[s+1]
+			base := rowPtr[lo]
+			var cols []int32
+			var vals []V
+			if sink == nil {
+				cols, vals = c.ColIdx[base:rowPtr[hi]], c.Val[base:rowPtr[hi]]
+			} else if cols, vals, errs[s] = sink.Stripe(s, lo, hi); errs[s] != nil {
+				continue
+			}
+			if lo < hi {
+				flop, max := rangeFlopMax(in.lightFlop, lo, hi)
+				bound := capBound(max, b.Cols)
+				if in.alg == AlgHashVec {
+					hashVecRows(ring, ctx.hashVecTable(w, bound), a, b, cols, vals, !unsorted, in.lightFlop, rowPtr, lo, hi, base, ws)
+				} else {
+					h := newHashNumeric(ring, ctx.hashTable(w, bound), a, b, cols, vals, !unsorted)
+					if in.mask != nil {
+						h.maskedRows(ctx.maskTable(w, in.maskBound), in.mask, in.lightFlop, rowPtr, lo, hi, base)
+					} else {
+						h.rows(in.lightFlop, rowPtr, lo, hi, base)
+					}
+					h.report(ws)
+				}
+				if ws != nil {
+					ws.Rows += in.lightRows(lo, hi)
+					ws.Flop += flop
+				}
+			}
+			if sink != nil {
+				errs[s] = sink.Commit(s)
+			}
 		}
-		if err := sink.Bind(a.Rows, b.Cols, rowPtr, !unsorted); err != nil {
-			return nil, err
-		}
-		pt.tick(PhaseAlloc)
-		if err := shardNumeric[V](ctx, src, in.workers, rowPtr, sink, pt); err != nil {
-			return nil, err
-		}
-		pt.tick(PhaseNumeric)
-		c, err := sink.Assemble()
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		pt.tick(PhaseAssemble)
-		fillStripeStats(pt.st, &in.geom, in.flopRow, rowPtr, sink)
-		pt.finish()
-		return c, nil
 	}
-
-	c := outputShell[V](a.Rows, b.Cols, rowPtr, !unsorted)
-	pt.tick(PhaseAlloc)
-
-	ctx.runWorkers("numeric", in.workers, func(w int) {
-		lo, hi := in.offsets[w], in.offsets[w+1]
-		if lo >= hi {
-			return
-		}
-		flop, max := rangeFlopMax(in.lightFlop, lo, hi)
-		bound := capBound(max, b.Cols)
-		ws := pt.worker(w)
-		if in.alg == AlgHashVec {
-			hashVecRows(ring, ctx.hashVecTable(w, bound), a, b, c, in.lightFlop, lo, hi, ws)
-		} else {
-			h := newHashNumeric(ring, ctx.hashTable(w, bound), a, b, c.ColIdx, c.Val, c.Sorted)
-			if in.mask != nil {
-				h.maskedRows(ctx.maskTable(w, in.maskBound), in.mask, in.lightFlop, c.RowPtr, lo, hi)
-			} else {
-				h.rows(in.lightFlop, c.RowPtr, lo, hi, 0)
-			}
-			h.report(ws)
-		}
-		if ws != nil {
-			ws.Rows += in.lightRows(lo, hi)
-			ws.Flop += flop
-		}
-	})
 	tiledHeavyNumeric(ring, ctx, a, b, in, c, pt)
 	pt.tick(PhaseNumeric)
+	out := c // not c itself: assigned once, the workers' closure holds it by value
+	if sink != nil {
+		if out, err = sink.Assemble(); err != nil {
+			return nil, err
+		}
+		pt.tick(PhaseAssemble)
+	}
+	in.fillStripeStats(pt.st, rowPtr, sink)
 	pt.finish()
-	return c, nil
+	return out, nil
+}
+
+// bindOutput readies where the stripes land: the output shell when sink is
+// nil, else the sink and one error slot per stripe — a sink can fail, the
+// shell cannot.
+func bindOutput[V semiring.Value](sink ShardSink[V], stripes, rows, cols int, rowPtr []int64, sorted bool) (*matrix.CSRG[V], []error, error) {
+	if sink == nil {
+		return outputShell[V](rows, cols, rowPtr, sorted), nil, nil
+	}
+	return nil, make([]error, stripes), sink.Bind(rows, cols, rowPtr, sorted)
 }
 
 // inspectExecute is the one-shot driver.
 func inspectExecute[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
 	ctx := opt.ctx()
-	in, pt := inspect(ring, alg, a, b, opt, ctx, false)
-	return execute(ring, a, b, ctx, in, in.rowPtr, opt.Unsorted, opt.ShardSink, pt)
+	in, pt := inspect(alg, a, b, opt, ctx, false)
+	return execute(ring, a, b, ctx, in, in.rowPtr, opt.Unsorted, opt.sinkFor(alg), pt)
 }
 
 // hashVecRows is HashVector's numeric pass over the rows of [lo, hi) with a
 // non-zero weight: Hash's row loop (hashRowNumeric) probing the chunked
-// table, which has its own Upsert contract and no monomorphized twin.
-func hashVecRows[V semiring.Value, R semiring.Ring[V]](ring R, table *accum.HashVecTableG[V], a, b, c *matrix.CSRG[V], flopRow []int64, lo, hi int, ws *WorkerStats) {
+// table, which has its own Upsert contract and no monomorphized twin. cols
+// and vals are the output window whose first entry has output offset base.
+func hashVecRows[V semiring.Value, R semiring.Ring[V]](ring R, table *accum.HashVecTableG[V], a, b *matrix.CSRG[V], cols []int32, vals []V, sorted bool, flopRow, rowPtr []int64, lo, hi int, base int64, ws *WorkerStats) {
 	for i := lo; i < hi; i++ {
 		if flopRow[i] == 0 {
 			continue
@@ -250,12 +273,11 @@ func hashVecRows[V semiring.Value, R semiring.Ring[V]](ring R, table *accum.Hash
 				}
 			}
 		}
-		cols := c.ColIdx[c.RowPtr[i]:c.RowPtr[i+1]]
-		vals := c.Val[c.RowPtr[i]:c.RowPtr[i+1]]
-		if c.Sorted {
-			table.ExtractSorted(cols, vals)
+		start, end := rowPtr[i]-base, rowPtr[i+1]-base
+		if sorted {
+			table.ExtractSorted(cols[start:end], vals[start:end])
 		} else {
-			table.ExtractUnsorted(cols, vals)
+			table.ExtractUnsorted(cols[start:end], vals[start:end])
 		}
 	}
 	if ws != nil {

@@ -133,8 +133,6 @@ type StripeStats struct {
 	Flop int64
 	// Nnz is the stripe's output entry count.
 	Nnz int64
-	// ColSplit reports whether the stripe swept B in column blocks.
-	ColSplit bool
 	// Spilled reports whether the stripe was committed to an out-of-core
 	// sink.
 	Spilled bool
@@ -282,19 +280,13 @@ func (s *ExecStats) String() string {
 		fmt.Fprintf(&b, " stamp_marks=%d direct_flop=%d", t.StampMarks, t.DirectFlop)
 	}
 	if n := len(s.Stripes); n > 0 {
-		split, spilled := 0, 0
+		spilled := 0
 		for i := range s.Stripes {
-			if s.Stripes[i].ColSplit {
-				split++
-			}
 			if s.Stripes[i].Spilled {
 				spilled++
 			}
 		}
 		fmt.Fprintf(&b, " stripes=%d", n)
-		if split > 0 {
-			fmt.Fprintf(&b, " col_split=%d", split)
-		}
 		if spilled > 0 {
 			fmt.Fprintf(&b, " spilled=%d", spilled)
 		}

@@ -7,8 +7,8 @@ import (
 )
 
 // The whole-row hash kernel, written once. Hash, HashVector's symbolic
-// phase, the light rows of Tiled, the unsplit stripes of Sharded, every Plan
-// build and replay of those, and the recipe's compression-ratio sample all
+// phase, the light rows of Tiled, the stripes of Sharded, every Plan build
+// and replay of those, and the recipe's compression-ratio sample all
 // run the two row functions below, which each take one exact decision from
 // numbers the phases compute anyway:
 //
@@ -318,10 +318,10 @@ func (c *ContextG[V]) maskedSymbolic(w int, a, b *matrix.CSRG[V], in *inspection
 
 // maskedRows is hashNumeric.rows for a masked product; set is the worker's
 // mask table.
-func (h *hashNumeric[V, R]) maskedRows(set *accum.HashTableG[V], mask *matrix.CSRG[V], flopRow, rowPtr []int64, lo, hi int) {
+func (h *hashNumeric[V, R]) maskedRows(set *accum.HashTableG[V], mask *matrix.CSRG[V], flopRow, rowPtr []int64, lo, hi int, base int64) {
 	for i := lo; i < hi; i++ {
 		if flopRow[i] != 0 {
-			start, end := rowPtr[i], rowPtr[i+1]
+			start, end := rowPtr[i]-base, rowPtr[i+1]-base
 			maskedRowNumeric(h.ring, set, h.table, h.a, h.b, mask, i, h.cols[start:end], h.vals[start:end], h.sorted)
 		}
 	}

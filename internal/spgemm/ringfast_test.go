@@ -51,8 +51,7 @@ func (slowPlusTimesF64) Zero() float64            { return 0 }
 // through the table), on two compression-ratio-1 products, a thin ER square
 // and a permutation times ER (unsorted rows are concatenated), and on the
 // skewed input under tiles narrow enough that Tiled routes heavy rows
-// through its dense unit kernel, which has a twin of its own, and Sharded
-// column-splits its stripes.
+// through its dense unit kernel, which has a twin of its own.
 func TestRingFastEquivalence(t *testing.T) {
 	er, g500 := ringfastMatrices()
 	rng := rand.New(rand.NewSource(20180619))

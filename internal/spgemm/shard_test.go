@@ -32,8 +32,7 @@ func bitIdentical(a, b *matrix.CSR) bool {
 
 // TestShardedBitIdenticalToHash is the engine's acceptance criterion: sorted
 // sharded output must be bit-identical to AlgHash on the same inputs, across
-// stripe counts (including auto), worker counts, and with the column-split
-// path forced at toy scale via tiny tile geometry.
+// stripe counts (including auto) and worker counts.
 func TestShardedBitIdenticalToHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	inputs := []struct {
@@ -81,7 +80,7 @@ func TestShardedUnsortedEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Multiply(a, b, &Options{Algorithm: AlgSharded, Unsorted: true, ShardStripes: 5, TileCols: 8, TileHeavyFlop: 1})
+	got, err := Multiply(a, b, &Options{Algorithm: AlgSharded, Unsorted: true, ShardStripes: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,26 +93,6 @@ func TestShardedUnsortedEquivalent(t *testing.T) {
 	ws.Sorted, gs.Sorted = true, true
 	if !bitIdentical(ws, gs) {
 		t.Error("sharded unsorted entry sets differ from hash")
-	}
-}
-
-// TestShardedUnsortedInputColSplit drives the inexact ColBlock path: B's
-// rows unsorted, column split forced.
-func TestShardedUnsortedInputColSplit(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	a := gen.RMAT(8, 8, gen.G500Params, rng)
-	b := gen.RMAT(8, 8, gen.G500Params, rng)
-	b = gen.Unsorted(b, rng)
-	want, err := Multiply(a, b, &Options{Algorithm: AlgHash})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Multiply(a, b, &Options{Algorithm: AlgSharded, ShardStripes: 4, TileCols: 8, TileHeavyFlop: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bitIdentical(want, got) {
-		t.Error("sharded over unsorted B differs from hash")
 	}
 }
 
@@ -223,7 +202,7 @@ func TestShardedPlanReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	a := gen.RMAT(8, 8, gen.G500Params, rng)
 	b := gen.RMAT(8, 8, gen.G500Params, rng)
-	opt := &Options{Algorithm: AlgSharded, ShardStripes: 6, TileCols: 8, TileHeavyFlop: 1}
+	opt := &Options{Algorithm: AlgSharded, ShardStripes: 6}
 	plan, err := NewPlan(a, b, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -287,25 +266,22 @@ func TestShardedPlanRejectsSpillSink(t *testing.T) {
 }
 
 // TestShardedStripeStats: per-stripe counters cover every output row and
-// entry, the column-split flag follows the forced geometry, and PhaseSpans
-// gains assemble coverage.
+// entry, and a product assembled by a sink reports the assemble phase the
+// in-place one has none of.
 func TestShardedStripeStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	a := gen.RMAT(8, 8, gen.G500Params, rng)
 	b := gen.RMAT(8, 8, gen.G500Params, rng)
 	var st ExecStats
-	c, err := Multiply(a, b, &Options{
-		Algorithm: AlgSharded, ShardStripes: 5, TileCols: 8, TileHeavyFlop: 1, Stats: &st,
-	})
+	c, err := Multiply(a, b, &Options{Algorithm: AlgSharded, ShardStripes: 5, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Stripes) == 0 {
-		t.Fatal("no stripe stats recorded")
+	if len(st.Stripes) != 5 {
+		t.Fatalf("%d stripe stats recorded, want 5", len(st.Stripes))
 	}
 	var nnz, flop int64
 	prevHi := 0
-	anySplit := false
 	for _, s := range st.Stripes {
 		if s.Lo != prevHi {
 			t.Fatalf("stripe gap: lo=%d after hi=%d", s.Lo, prevHi)
@@ -313,7 +289,6 @@ func TestShardedStripeStats(t *testing.T) {
 		prevHi = s.Hi
 		nnz += s.Nnz
 		flop += s.Flop
-		anySplit = anySplit || s.ColSplit
 		if s.Spilled {
 			t.Error("in-RAM sink reported spilled stripes")
 		}
@@ -327,17 +302,28 @@ func TestShardedStripeStats(t *testing.T) {
 	if tw := st.TotalWorker(); tw.Flop != flop {
 		t.Errorf("worker flop %d != stripe flop %d", tw.Flop, flop)
 	}
-	if !anySplit {
-		t.Error("forced tiny tile geometry produced no column-split stripes")
-	}
-	if st.Phases[PhaseAssemble] <= 0 {
-		t.Error("sharded run recorded no assemble phase")
+	if st.Phases[PhaseAssemble] != 0 {
+		t.Error("in-place sharded run recorded an assemble phase")
 	}
 	if st.PhaseSum() > st.Total {
 		t.Errorf("PhaseSum %v exceeds Total %v", st.PhaseSum(), st.Total)
 	}
 	if st.String() == "" {
 		t.Error("empty stats string")
+	}
+
+	// Through a sink the same stripes report as spilled, and assembling
+	// them is a phase.
+	sink := NewSpillSink[float64](t.TempDir(), 1<<20)
+	defer sink.Close()
+	if _, err := Multiply(a, b, &Options{Algorithm: AlgSharded, ShardStripes: 5, ShardSink: sink, Stats: &st}); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Stripes) != 5 || !st.Stripes[0].Spilled {
+		t.Errorf("spilled run recorded stripes %+v", st.Stripes)
+	}
+	if st.Phases[PhaseAssemble] <= 0 {
+		t.Error("spilled run recorded no assemble phase")
 	}
 
 	// Stats reset on reuse: a hash call through the same ExecStats must
@@ -362,9 +348,7 @@ func TestShardedContextReuseSteady(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Multiply(a, b, &Options{
-			Algorithm: AlgSharded, Context: ctx, ShardStripes: 1 + round*3, TileCols: 8, TileHeavyFlop: 1,
-		})
+		got, err := Multiply(a, b, &Options{Algorithm: AlgSharded, Context: ctx, ShardStripes: 1 + round*3})
 		if err != nil {
 			t.Fatal(err)
 		}

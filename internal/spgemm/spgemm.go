@@ -53,14 +53,14 @@ const (
 	// single-pass hash path. Tiles ascend in column space, so output rows
 	// are stitched sorted with no merge pass. Accepts any input order.
 	AlgTiled
-	// AlgSharded is the staged shard execution engine: A is cut into
-	// flop-balanced row stripes that run the hash pipeline shard-locally
-	// (symbolic → numeric → merge behind the ShardUnit interface), with B
-	// swept in cache-sized column blocks for stripes whose accumulator
-	// bound overflows the memmodel tier, and finished stripes landed in a
-	// pluggable ShardSink (in-RAM by default; SpillSink for out-of-core
-	// products whose output exceeds resident memory). Sorted output is
-	// bit-identical to AlgHash. Accepts any input order.
+	// AlgSharded is AlgHash cut into more stripes: where Hash partitions
+	// the rows into one flop-balanced range per worker, Sharded cuts the
+	// same partition into N >= workers row stripes, sized so one stripe's
+	// output fits ShardMemBudget, runs them through the pool one at a time
+	// and lands each finished stripe in a pluggable ShardSink (the output
+	// itself by default; SpillSink for out-of-core products whose output
+	// exceeds resident memory). Sorted output is bit-identical to AlgHash.
+	// Accepts any input order.
 	AlgSharded
 
 	// NumAlgorithms is the number of defined Algorithm values — the size of
@@ -142,8 +142,7 @@ type Options struct {
 	TileCols int
 	// TileHeavyFlop overrides AlgTiled's heavy-row threshold: rows whose
 	// accumulator bound exceeds it are routed through column tiling. 0
-	// means the tile width itself. AlgSharded reuses both tile-geometry
-	// knobs for its column-split decision.
+	// means the tile width itself.
 	TileHeavyFlop int64
 	// ShardStripes overrides AlgSharded's stripe count. 0 means derive it
 	// from the flop total and ShardMemBudget (at least one stripe per
@@ -155,7 +154,7 @@ type Options struct {
 	// 0 means a 256 MiB default.
 	ShardMemBudget int64
 	// ShardSink overrides where AlgSharded lands finished stripes. nil
-	// means in-RAM assembly (bit-identical to AlgHash for sorted output);
+	// means the output itself (bit-identical to AlgHash for sorted output);
 	// a SpillSink bounds peak resident output memory for out-of-core
 	// products. A sink serves a single Multiply call.
 	ShardSink ShardSink[float64]
@@ -177,8 +176,7 @@ type OptionsG[V semiring.Value] struct {
 	// Context must be a ContextG over the same V as the inputs.
 	Context *ContextG[V]
 	// TileCols and TileHeavyFlop mirror the Options fields: tile-geometry
-	// overrides for AlgTiled (and AlgSharded's column-split decision); zero
-	// means analytic.
+	// overrides for AlgTiled; zero means analytic.
 	TileCols      int
 	TileHeavyFlop int64
 	// ShardStripes, ShardMemBudget and ShardSink mirror the Options

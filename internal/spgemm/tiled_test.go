@@ -89,42 +89,6 @@ func TestTileGeometryOverrides(t *testing.T) {
 	}
 }
 
-func TestRecommendTileCols(t *testing.T) {
-	withCacheParams(t, CacheParams{L2Bytes: 1 << 20, MinTileCols: 1024}, true)
-	if w := RecommendTileCols(nil, 8); w != 32768 {
-		t.Errorf("nil stats width = %d, want analytic 32768", w)
-	}
-	// Benign run: collision factor ~1, balanced workers — keep the width.
-	benign := &ExecStats{Workers: []WorkerStats{
-		{Flop: 100, HashLookups: 100, HashProbes: 5},
-		{Flop: 100, HashLookups: 100, HashProbes: 5},
-	}}
-	if w := RecommendTileCols(benign, 8); w != 32768 {
-		t.Errorf("benign stats width = %d, want 32768", w)
-	}
-	// Degrading hash tables (collision factor > 2): halve.
-	colliding := &ExecStats{Workers: []WorkerStats{
-		{Flop: 100, HashLookups: 100, HashProbes: 150},
-		{Flop: 100, HashLookups: 100, HashProbes: 150},
-	}}
-	if w := RecommendTileCols(colliding, 8); w != 16384 {
-		t.Errorf("colliding stats width = %d, want 16384", w)
-	}
-	// Collisions AND load imbalance: quarter.
-	both := &ExecStats{Workers: []WorkerStats{
-		{Flop: 400, HashLookups: 100, HashProbes: 150},
-		{Flop: 10, HashLookups: 100, HashProbes: 150},
-	}}
-	if w := RecommendTileCols(both, 8); w != 8192 {
-		t.Errorf("colliding+imbalanced width = %d, want 8192", w)
-	}
-	// Never below the installed floor.
-	withCacheParams(t, CacheParams{L2Bytes: 64 << 10, MinTileCols: 2048}, true)
-	if w := RecommendTileCols(both, 8); w != 2048 {
-		t.Errorf("floored recommendation = %d, want MinTileCols = 2048", w)
-	}
-}
-
 // heavyRowCase builds a skewed product with one genuinely heavy row at
 // default geometry: A is 64×n with row 0 touching 40000 columns, B is the
 // n×n identity (so row flop = row nnz), n = 70000 > the 32768 analytic

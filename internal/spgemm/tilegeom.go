@@ -34,11 +34,6 @@ type CacheParams struct {
 	// MinTileCols is the narrowest tile worth creating: below it, per-tile
 	// B-row stanzas are too short to amortize memory latency.
 	MinTileCols int
-	// TierFitted records whether these parameters came from a fitted
-	// memmodel.Tier (true) or a hardcoded default.
-	TierFitted bool
-	// Source names where the parameters came from, for reports.
-	Source string
 }
 
 var (
@@ -130,57 +125,6 @@ func (o *OptionsG[V]) tileGeometry() (tileCols int, heavyFlop int64) {
 		heavyFlop = int64(tileCols)
 	}
 	return tileCols, heavyFlop
-}
-
-// RecommendTileCols refines the analytic tile width with the observability
-// signals of a previous run on the same workload (the ExecStats collision
-// factor and per-worker flop imbalance): a collision factor beyond 2 means
-// the hash tables were degrading, and an imbalance beyond 1.5 means there
-// were too few schedulable units — both argue for narrower tiles (more rows
-// diverted to the cache-resident path, more (row, tile) units to balance).
-// The width never drops below the installed MinTileCols floor. A nil stats
-// returns the analytic width unchanged.
-func RecommendTileCols(st *ExecStats, elemBytes int) int {
-	w := TileColsForElem(elemBytes)
-	if st == nil {
-		return w
-	}
-	shrink := 0
-	if st.CollisionFactor() > 2 {
-		shrink++
-	}
-	if flopImbalance(st) > 1.5 {
-		shrink++
-	}
-	w >>= shrink
-	floor := 1024
-	if p, ok := CurrentCacheParams(); ok {
-		floor = p.MinTileCols
-	}
-	if w < floor {
-		w = floor
-	}
-	return w
-}
-
-// flopImbalance is max per-worker flop over mean — the load-balance signal
-// already collected by every kernel's worker stats.
-func flopImbalance(st *ExecStats) float64 {
-	if st == nil || len(st.Workers) == 0 {
-		return 1
-	}
-	var total, max int64
-	for i := range st.Workers {
-		f := st.Workers[i].Flop
-		total += f
-		if f > max {
-			max = f
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(max) * float64(len(st.Workers)) / float64(total)
 }
 
 // floorPow2 returns the largest power of two not exceeding n (minimum 1).
