@@ -43,6 +43,7 @@ func Betweenness(adj *matrix.CSR, sources []int32, batchSize int, opt *spgemm.Op
 	inner := *opt
 	inner.Semiring = nil
 	inner.Mask = nil
+	inner.ShardSink = nil // single-use, and its products cannot be donated
 	inner.Unsorted = false
 	if inner.Context == nil {
 		// One reusable context across both sweeps of every batch.
@@ -110,6 +111,7 @@ func betweennessBatch(a *matrix.CSR, sources []int32, opt *spgemm.Options, bc []
 			}
 		}
 		frontiers = append(frontiers, next.ToCSR())
+		opt.Context.Recycle(p)
 	}
 
 	// Backward sweep: delta[v] += sum over successors w of
@@ -158,6 +160,7 @@ func betweennessBatch(a *matrix.CSR, sources []int32, opt *spgemm.Options, bc []
 				}
 			}
 		}
+		opt.Context.Recycle(u)
 	}
 
 	// Accumulate: sources are excluded from their own counts.

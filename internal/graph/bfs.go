@@ -95,6 +95,7 @@ func MSBFS(g *matrix.CSR, sources []int32, opt *spgemm.Options) (*BFSResult, err
 			}
 		}
 		f = nf.ToCSR()
+		inner.Context.Recycle(next)
 	}
 	return res, nil
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -353,5 +354,49 @@ func TestPattern(t *testing.T) {
 		if v != 1 {
 			t.Fatal("pattern value != 1")
 		}
+	}
+}
+
+// TestIteratesAreDonatedInputsAreNot: the iterative algorithms hand every
+// consumed product back to their Context (spgemm.ContextG.Recycle leaves a
+// donated matrix without arrays and a later product overwrites them), and the
+// caller's graph must be neither. Two runs on one caller-supplied Context — the
+// second building its products in the first's last donation — agree with each
+// other and leave the input as it was.
+func TestIteratesAreDonatedInputsAreNot(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	coo := matrix.FromCSR(gen.RMAT(7, 6, gen.G500Params, rng))
+	coo.Symmetrize()
+	g := coo.ToCSR()
+	orig := g.Clone()
+	sources := []int32{0, 5, 9, 33}
+	opt := &spgemm.Options{Algorithm: spgemm.AlgHash, Context: spgemm.NewContext()}
+
+	run := func() (clusters, labels []int, bc []float64, levels [][]int32) {
+		mcl, err := MCL(g, &MCLOptions{SpGEMM: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp, err := LabelPropagation(g, 20, rand.New(rand.NewSource(1)), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bc, err = Betweenness(g, sources, 2, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bfs, err := MSBFS(g, sources, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mcl.Cluster, lp.Label, bc, bfs.Level
+	}
+	c1, l1, b1, v1 := run()
+	c2, l2, b2, v2 := run()
+	if !reflect.DeepEqual(c1, c2) || !reflect.DeepEqual(l1, l2) || !reflect.DeepEqual(b1, b2) || !reflect.DeepEqual(v1, v2) {
+		t.Error("a run on a Context holding the previous run's donation differs from that run")
+	}
+	if !matrix.Equal(g, orig) {
+		t.Error("the caller's graph was modified")
 	}
 }

@@ -54,6 +54,7 @@ func LabelPropagation(adj *matrix.CSR, maxIters int, rng *rand.Rand, opt *spgemm
 	inner := *opt
 	inner.Mask = nil
 	inner.Semiring = nil
+	inner.ShardSink = nil // single-use, and its products cannot be donated
 	inner.Unsorted = true // argmax scan does not need sorted rows
 	if inner.Context == nil {
 		// One reusable context across the propagation rounds.
@@ -86,6 +87,7 @@ func LabelPropagation(adj *matrix.CSR, maxIters int, rng *rand.Rand, opt *spgemm
 				changed++
 			}
 		}
+		inner.Context.Recycle(counts)
 		if changed == 0 {
 			break
 		}

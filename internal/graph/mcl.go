@@ -92,6 +92,9 @@ func MCL(adj *matrix.CSR, o *MCLOptions) (*MCLResult, error) {
 	if inner.Context == nil {
 		inner.Context = spgemm.NewContext()
 	}
+	// Iterates are inflated in place and donated back: a single-use sink's
+	// read-only mapping can serve neither.
+	inner.ShardSink = nil
 
 	iters := 0
 	for ; iters < opt.MaxIters; iters++ {
@@ -102,6 +105,9 @@ func MCL(adj *matrix.CSR, o *MCLOptions) (*MCLResult, error) {
 		}
 		mclIters.Inc()
 		mclNNZ.Add(next.NNZ())
+		// The consumed iterate — MCL's own normalized copy on the first
+		// round, never adj — becomes the storage of the next expansion.
+		inner.Context.Recycle(m)
 		// Inflation + pruning + normalization, then convergence check.
 		inflate(next, opt.Inflation, opt.Prune)
 		if chaos(next) < opt.ChaosTol {

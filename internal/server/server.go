@@ -499,8 +499,18 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	if rt != nil {
 		w.Header().Set("X-Request-Id", rt.ID)
 	}
+	// Once the response is written nothing reads a meta or matrix product
+	// again, so it goes back to the Context (still checked out) for the next
+	// request's output. A stored product is the store's: never donated.
 	switch req.Return {
 	case "store":
+		// The store budgets by payload; a product built in a larger recycled
+		// array would pin the whole array, so intern a right-sized copy.
+		if cap(c.Val) > len(c.Val) {
+			built := c
+			c = built.Clone()
+			ctx.Recycle(built)
+		}
 		hash, _, err := s.store.Put(c)
 		if err != nil {
 			fail(http.StatusInternalServerError, "intern product: %v", err)
@@ -513,8 +523,10 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Spgemm-Algorithm", resp.Algorithm)
 		w.Header().Set("X-Spgemm-Plan-Cache-Hit", strconv.FormatBool(planHit))
 		_ = matrix.WriteCSRBinary(w, c)
+		ctx.Recycle(c)
 	default:
 		writeJSON(w, http.StatusOK, resp)
+		ctx.Recycle(c)
 	}
 
 	// Close the trace (response serialization included) and write the
@@ -723,12 +735,23 @@ func recordMultiplyMetrics(stats *spgemm.ExecStats, elapsed time.Duration, planH
 	}
 }
 
+// Connection timeouts of Serve. readHeaderTimeout is a variable so that a test
+// can see a silent client dropped without waiting ten seconds for it.
+var readHeaderTimeout = 10 * time.Second
+
+const idleTimeout = 2 * time.Minute
+
 // Serve runs h on ln until ctx is canceled, then shuts down gracefully:
 // the listener closes immediately, in-flight requests drain for up to
 // grace, then remaining connections are closed. This is the same
 // drain-don't-truncate exit path the CLIs use for their debug servers.
+//
+// A connection gets readHeaderTimeout to send a request's headers and is
+// closed after idleTimeout between requests, so clients that connect and say
+// nothing cannot hold sockets forever. There is no write timeout: a matrix
+// response is as large as the product and as slow as its reader.
 func Serve(ctx context.Context, ln net.Listener, h http.Handler, grace time.Duration) error {
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +22,7 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/spgemm"
+	"repro/internal/spgemm/difftest"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -908,5 +912,151 @@ func TestPlanCacheByteBudget(t *testing.T) {
 	budgeted.Add(k2, mkPlan())
 	if budgeted.Len() != 1 || budgeted.Bytes() != one {
 		t.Fatalf("after replacing k2: %d plans, %d bytes", budgeted.Len(), budgeted.Bytes())
+	}
+}
+
+// TestStoreModeProductSurvivesRecycling: with one Context, so that every
+// request builds its product in what the previous one donated, a stored
+// product must stay what it was while meta and matrix requests of other pairs
+// come and go; a product stored after them must not pin the larger array it
+// was built in; and a hot meta request must no longer allocate its product.
+func TestStoreModeProductSurvivesRecycling(t *testing.T) {
+	s, ts := newTestServer(t, Config{Contexts: 1})
+	rng := rand.New(rand.NewSource(19))
+	a := gen.RMAT(10, 16, gen.G500Params, rng)
+	b := gen.RMAT(10, 16, gen.G500Params, rng)
+	small := matrix.Random(40, 40, 0.1, rng)
+	ha, hb, hs := uploadBinary(t, ts.URL, a).Hash, uploadBinary(t, ts.URL, b).Hash, uploadBinary(t, ts.URL, small).Hash
+
+	multiply := func(req MultiplyRequest) MultiplyResponse {
+		t.Helper()
+		code, body := postMultiply(t, ts.URL, req)
+		if code != http.StatusOK {
+			t.Fatalf("%+v: status %d: %s", req, code, body)
+		}
+		if req.Return == "matrix" {
+			return MultiplyResponse{}
+		}
+		return decodeMultiply(t, body)
+	}
+	stored := multiply(MultiplyRequest{A: ha, B: hb, Return: "store"}).Hash
+	for round := 0; round < 3; round++ {
+		for _, pair := range [][2]string{{hb, ha}, {ha, ha}, {hs, hs}, {hb, hb}} {
+			multiply(MultiplyRequest{A: pair[0], B: pair[1]})
+			multiply(MultiplyRequest{A: pair[0], B: pair[1], Return: "matrix"})
+		}
+	}
+	got, ok := s.Store().Get(stored)
+	if !ok {
+		t.Fatal("stored product is gone")
+	}
+	if err := difftest.Equivalent(got, matrix.NaiveMultiply(a, b)); err != nil {
+		t.Fatalf("stored product: %v", err)
+	}
+
+	// The Context now holds a G500-sized donation; the small product built in
+	// it is interned at its own size.
+	tiny, ok := s.Store().Get(multiply(MultiplyRequest{A: hs, B: hs, Return: "store"}).Hash)
+	if !ok {
+		t.Fatal("stored product is gone")
+	}
+	if err := difftest.Equivalent(tiny, matrix.NaiveMultiply(small, small)); err != nil {
+		t.Fatalf("small stored product: %v", err)
+	}
+	if slack := cap(tiny.Val) - len(tiny.Val); slack > len(tiny.Val) {
+		t.Errorf("stored product of %d entries pins an array of %d", len(tiny.Val), cap(tiny.Val))
+	}
+
+	// A hot pair: the Plan exists and streams (the rounds above saw to that),
+	// and the product lands in the previous request's arrays. The handler is
+	// called directly so the delta is the request's own.
+	body, err := json.Marshal(MultiplyRequest{A: ha, B: ha})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func() {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/multiply", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	serve()
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+		t.Errorf("hot meta request allocated %d bytes, want < 64 KiB (its product is %d)", alloc, 12*matrix.NaiveMultiply(a, a).NNZ())
+	}
+}
+
+// TestServeDropsSilentClient: a client that connects and never sends a request
+// is disconnected after the header timeout, while a multiply that was already
+// in flight — and stays in flight well past that timeout — still completes,
+// because no write timeout bounds a response.
+func TestServeDropsSilentClient(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+
+	s := New(Config{})
+	silentGone := make(chan struct{})
+	held := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/multiply" {
+			<-silentGone // in flight until the silent client has been dropped
+		}
+		s.Handler().ServeHTTP(w, r)
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- Serve(ctx, ln, held, 2*time.Second) }()
+	base := "http://" + ln.Addr().String()
+
+	a := matrix.Random(30, 30, 0.2, rand.New(rand.NewSource(5)))
+	ha := uploadBinary(t, base, a).Hash
+	type reply struct {
+		code int
+		body []byte
+	}
+	replies := make(chan reply, 1)
+	go func() {
+		body, _ := json.Marshal(MultiplyRequest{A: ha, B: ha})
+		resp, err := http.Post(base+"/v1/multiply", "application/json", bytes.NewReader(body))
+		if err != nil {
+			replies <- reply{body: []byte(err.Error())}
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		replies <- reply{resp.StatusCode, b}
+	}()
+
+	silent, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	if err := silent.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := silent.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("silent client read %d bytes, err %v: the server did not drop it", n, err)
+	}
+	close(silentGone)
+
+	r := <-replies
+	if r.code != http.StatusOK {
+		t.Fatalf("in-flight multiply: status %d: %s", r.code, r.body)
+	}
+	if mr := decodeMultiply(t, r.body); mr.NNZ != matrix.NaiveMultiply(a, a).NNZ() {
+		t.Fatalf("in-flight multiply: nnz %d, want %d", mr.NNZ, matrix.NaiveMultiply(a, a).NNZ())
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve returned %v", err)
 	}
 }

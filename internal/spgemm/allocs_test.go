@@ -2,6 +2,7 @@ package spgemm
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/accum"
@@ -139,7 +140,11 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 // Heap (its upper-bound buffers are the Context's) and a Heap Plan replay,
 // which has no buffers at all. A Plan's streamed replay (hash/replay) is
 // pinned tighter, at the 6 allocations a Hash Plan's kernel replay measured
-// before replay maps existed: the map costs none per execution.
+// before replay maps existed: the map costs none per execution. The +recycle
+// rows hand every product back (Context.Recycle) before the next call and are
+// pinned at exactly the three arrays fewer — what is left is the result
+// header, the phase timer, the inspection and the parallel regions' closures,
+// under 1 KiB together and none of it growing with the product.
 func TestContextReuseSteadyAllocs(t *testing.T) {
 	if obs.Active() != nil {
 		t.Skip("tracing enabled")
@@ -147,39 +152,43 @@ func TestContextReuseSteadyAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := gen.ER(8, 8, rng) // 256×256, ~8 nnz/row: real per-row numeric work
 	for _, tc := range []struct {
-		name string
-		alg  Algorithm
-		mask *matrix.CSR
-		plan bool
-		max  float64
+		name    string
+		alg     Algorithm
+		mask    *matrix.CSR
+		plan    bool
+		recycle bool
+		max     float64
 	}{
-		{"hash", AlgHash, nil, false, 16},
-		{"hash+mask", AlgHash, a, false, 16},
-		{"hashvec", AlgHashVec, nil, false, 16},
-		{"heap", AlgHeap, nil, false, 16},
-		{"heap/plan", AlgHeap, nil, true, 16},
-		{"hash/replay", AlgHash, nil, true, 6},
-		{"tiled", AlgTiled, nil, false, 16},
+		{"hash", AlgHash, nil, false, false, 16},
+		{"hash+mask", AlgHash, a, false, false, 16},
+		{"hashvec", AlgHashVec, nil, false, false, 16},
+		{"heap", AlgHeap, nil, false, false, 16},
+		{"heap/plan", AlgHeap, nil, true, false, 16},
+		{"hash/replay", AlgHash, nil, true, false, 6},
+		{"tiled", AlgTiled, nil, false, false, 16},
+		{"hash+recycle", AlgHash, nil, false, true, 5},
+		{"hash/replay+recycle", AlgHash, nil, true, true, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Forced tiny tiles so AlgTiled's split + heavy-unit + stitch
 			// machinery runs every call (ignored by the other algorithms).
 			opt := &Options{Algorithm: tc.alg, Mask: tc.mask, Workers: 1, Context: NewContext(),
 				TileCols: 64, TileHeavyFlop: 16}
-			run := func() {
-				if _, err := Multiply(a, a, opt); err != nil {
-					t.Fatal(err)
-				}
-			}
+			multiply := func() (*matrix.CSR, error) { return Multiply(a, a, opt) }
 			if tc.plan {
 				plan, err := NewPlan(a, a, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				run = func() {
-					if _, err := plan.Execute(); err != nil {
-						t.Fatal(err)
-					}
+				multiply = plan.Execute
+			}
+			run := func() {
+				c, err := multiply()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.recycle {
+					opt.Context.Recycle(c)
 				}
 			}
 			run() // warm the context's tables and partitions
@@ -191,6 +200,17 @@ func TestContextReuseSteadyAllocs(t *testing.T) {
 			// means per-row state stopped being reused.
 			if allocs > tc.max {
 				t.Errorf("Multiply with Context: %v allocs/op, want <= %v (output-only)", allocs, tc.max)
+			}
+			if tc.recycle {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < 10; i++ {
+					run()
+				}
+				runtime.ReadMemStats(&after)
+				if perCall := (after.TotalAlloc - before.TotalAlloc) / 10; perCall >= 1<<10 {
+					t.Errorf("Multiply with Context and Recycle: %d B/op, want < 1 KiB", perCall)
+				}
 			}
 		})
 	}

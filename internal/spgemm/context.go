@@ -2,6 +2,7 @@ package spgemm
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/accum"
 	"repro/internal/matrix"
@@ -19,9 +20,10 @@ import (
 // multi-source BFS frontiers, label propagation, betweenness — pay the
 // paper's Section 3.2 memory-management bill once instead of every call.
 // After warm-up, a hash SpGEMM through a Context allocates only the output
-// matrix. The price is what the Context retains: besides tables sized by the
-// widest row, up to 4·Cols bytes of symbolic stamps per worker (see
-// rowCounter).
+// matrix — and not even that once the caller hands finished products back
+// through Recycle. The price is what the Context retains: besides tables sized
+// by the widest row, up to 4·Cols bytes of symbolic stamps per worker (see
+// rowCounter) and the arrays of at most one donated product.
 //
 // A Context is specific to one value type V: its accumulators and value
 // scratch hold V entries. The ring used for a given call is independent —
@@ -61,6 +63,12 @@ type ContextG[V semiring.Value] struct {
 	rowNnz  []int64
 	offsets []int
 	ps      []int64
+
+	// The arrays of the largest product donated through Recycle that no
+	// multiply has taken yet, one slot per array of a CSR (see drawOutput).
+	outRowPtr []int64
+	outCols   []int32
+	outVals   []V
 
 	// stripeNext is the first stripe no worker of the running parallel
 	// region has started (see dealStripes).
@@ -159,6 +167,70 @@ func (c *ContextG[V]) CumulativeCalls() int64 { return c.cumCalls }
 func (c *ContextG[V]) ResetCumulative() {
 	c.cum = ExecStats{}
 	c.cumCalls = 0
+}
+
+// Recycle donates m, a product the caller is finished with, to c: its arrays
+// become the storage of the next product of c that fits in them. Every product
+// Multiply, MultiplyRing or a Plan returns is the caller's for as long as it
+// likes; Recycle is how it gives one back. Two kinds of matrix must never be
+// donated: a product assembled by a ShardSink (a SpillSink's aliases a file
+// mapping that Close unmaps), and one anything else still reads — a later
+// multiply overwrites the arrays. m is left without arrays, so a use after the
+// donation fails on its first index rather than reading another product. c
+// keeps, per array, the larger of what it held and what m brought; a nil m or
+// one with no entries changes nothing worth keeping.
+func (c *ContextG[V]) Recycle(m *matrix.CSRG[V]) {
+	if m == nil {
+		return
+	}
+	if cap(m.RowPtr) > cap(c.outRowPtr) {
+		c.outRowPtr = m.RowPtr
+	}
+	if cap(m.ColIdx) > cap(c.outCols) {
+		c.outCols = m.ColIdx
+	}
+	if cap(m.Val) > cap(c.outVals) {
+		c.outVals = m.Val
+	}
+	m.RowPtr, m.ColIdx, m.Val = nil, nil, nil
+}
+
+// drawOutput returns an output array of n entries, contents undefined: the
+// donated one in *slot when it is large enough, which empties the slot — the
+// array now belongs to the product being built — and a fresh one otherwise.
+func drawOutput[T any](slot *[]T, n int64) []T {
+	var elem T
+	bytes := n * int64(unsafe.Sizeof(elem))
+	if s := *slot; n > 0 && int64(cap(s)) >= n {
+		*slot = nil
+		mOutputReused.Inc()
+		mOutputReusedBytes.Add(bytes)
+		return s[:n]
+	}
+	mOutputAllocated.Inc()
+	mOutputAllocatedBytes.Add(bytes)
+	return make([]T, n)
+}
+
+// rowPtrBuf returns the row-pointer array of a product with the given number
+// of rows (contents undefined), the product's own from here on.
+func (c *ContextG[V]) rowPtrBuf(rows int) []int64 {
+	return drawOutput(&c.outRowPtr, int64(rows)+1)
+}
+
+// outputShell binds the column/value arrays of the result once the row
+// pointer array is final. The arrays may be recycled ones: every kernel
+// writes every entry of every row it sizes.
+func (c *ContextG[V]) outputShell(rows, cols int, rowPtr []int64, sorted bool) *matrix.CSRG[V] {
+	nnz := rowPtr[rows]
+	return &matrix.CSRG[V]{
+		Rows:   rows,
+		Cols:   cols,
+		RowPtr: rowPtr,
+		ColIdx: drawOutput(&c.outCols, nnz),
+		Val:    drawOutput(&c.outVals, nnz),
+		Sorted: sorted,
+	}
 }
 
 // prefixSum computes the exclusive prefix sum on the context's pool.

@@ -205,3 +205,36 @@ func TestContextStatsPerCall(t *testing.T) {
 		t.Fatalf("lookup counters not per-call: first %d, second %d", l1, l2)
 	}
 }
+
+// TestRecycleCounters pins what /metrics reports about output storage: a
+// product's three arrays are counted as allocated, or — once the previous
+// product was donated — as reused, byte for byte.
+func TestRecycleCounters(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a := matrix.Random(80, 80, 0.1, rng)
+	opt := &Options{Algorithm: AlgHash, Workers: 2, Context: NewContext()}
+	counters := func() [4]int64 {
+		return [4]int64{mOutputAllocated.Value(), mOutputAllocatedBytes.Value(), mOutputReused.Value(), mOutputReusedBytes.Value()}
+	}
+	multiply := func() (*matrix.CSR, [4]int64) {
+		before := counters()
+		c, err := Multiply(a, a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := counters()
+		for i := range after {
+			after[i] -= before[i]
+		}
+		return c, after
+	}
+	c, delta := multiply()
+	bytes := 8*int64(len(c.RowPtr)) + 12*c.NNZ()
+	if want := [4]int64{3, bytes, 0, 0}; delta != want {
+		t.Errorf("first multiply: allocated/bytes/reused/bytes = %v, want %v", delta, want)
+	}
+	opt.Context.Recycle(c)
+	if _, delta = multiply(); delta != [4]int64{0, 0, 3, bytes} {
+		t.Errorf("multiply after Recycle: allocated/bytes/reused/bytes = %v, want %v", delta, [4]int64{0, 0, 3, bytes})
+	}
+}

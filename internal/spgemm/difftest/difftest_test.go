@@ -265,7 +265,7 @@ func TestSpecialValueCases(t *testing.T) {
 // and per-execute value re-gather are covered too.
 func TestDifferentialPlanReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
-	for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgHeap, spgemm.AlgTiled, spgemm.AlgSharded} {
+	for _, alg := range kernels {
 		for _, c := range append(Cases(rng), SpecialValueCases(rng)...) {
 			for _, unsorted := range []bool{false, true} {
 				for _, workers := range []int{1, 4} {

@@ -43,7 +43,9 @@ import (
 //
 // All transient state lives in the call's Context: an iterative caller that
 // passes Options.Context reaches a steady state where only the output
-// matrix is allocated.
+// matrix is allocated — and one that also hands its finished products back
+// (ContextG.Recycle), a steady state where the output is built in the
+// previous one's arrays.
 
 // inspection is everything the structure of A and B determines about one
 // product under one geometry: the result of the partition and symbolic
@@ -155,7 +157,7 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 	in.heavySymbolic(ctx, a, rowNnz)
 	pt.tick(PhaseSymbolic)
 
-	in.rowPtr = ctx.prefixSum(rowNnz, nil, workers)
+	in.rowPtr = ctx.prefixSum(rowNnz, ctx.rowPtrBuf(a.Rows), workers)
 	in.stitchUnits()
 	return in, &pt
 }
@@ -171,7 +173,7 @@ func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 	if in.alg == AlgHeap {
 		return heapExecute(ring, a, b, ctx, in, rowPtr, pt), nil
 	}
-	c, errs, err := bindOutput(sink, in.stripes(), a.Rows, b.Cols, rowPtr, !unsorted)
+	c, errs, err := ctx.bindOutput(sink, in.stripes(), a.Rows, b.Cols, rowPtr, !unsorted)
 	if err != nil {
 		return nil, err
 	}
@@ -236,9 +238,9 @@ func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 // bindOutput readies where the stripes land: the output shell when sink is
 // nil, else the sink and one error slot per stripe — a sink can fail, the
 // shell cannot.
-func bindOutput[V semiring.Value](sink ShardSink[V], stripes, rows, cols int, rowPtr []int64, sorted bool) (*matrix.CSRG[V], []error, error) {
+func (c *ContextG[V]) bindOutput(sink ShardSink[V], stripes, rows, cols int, rowPtr []int64, sorted bool) (*matrix.CSRG[V], []error, error) {
 	if sink == nil {
-		return outputShell[V](rows, cols, rowPtr, sorted), nil, nil
+		return c.outputShell(rows, cols, rowPtr, sorted), nil, nil
 	}
 	return nil, make([]error, stripes), sink.Bind(rows, cols, rowPtr, sorted)
 }

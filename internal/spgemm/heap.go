@@ -68,7 +68,7 @@ func heapExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG
 	var c *matrix.CSRG[V] // a replay's output, merged into directly
 	var rowNnz []int64    // a one-shot multiply's row sizes, found on the way
 	if rowPtr != nil {
-		c = outputShell[V](a.Rows, b.Cols, rowPtr, true)
+		c = ctx.outputShell(a.Rows, b.Cols, rowPtr, true)
 		pt.tick(PhaseAlloc)
 	} else {
 		rowNnz = ctx.rowNnzBuf(a.Rows)
@@ -106,8 +106,8 @@ func heapExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG
 		return c
 	}
 
-	sized := ctx.prefixSum(rowNnz, nil, in.workers)
-	out := outputShell[V](a.Rows, b.Cols, sized, true)
+	sized := ctx.prefixSum(rowNnz, ctx.rowPtrBuf(a.Rows), in.workers)
+	out := ctx.outputShell(a.Rows, b.Cols, sized, true)
 	pt.tick(PhaseAlloc)
 	ctx.runWorkers("assemble", in.workers, func(w int) {
 		// The worker's buffers are where the numeric region left them; the

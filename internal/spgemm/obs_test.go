@@ -176,6 +176,10 @@ func TestMetricsExposedSeries(t *testing.T) {
 		"spgemm_plan_builds_total",
 		"spgemm_plan_executes_total",
 		"spgemm_plan_stale_total",
+		"spgemm_output_reused_total",
+		"spgemm_output_allocated_total",
+		"spgemm_output_reused_bytes_total",
+		"spgemm_output_allocated_bytes_total",
 	} {
 		if !strings.Contains(out, series) {
 			t.Errorf("/metrics missing series %q", series)

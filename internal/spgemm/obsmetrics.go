@@ -3,7 +3,7 @@ package spgemm
 import "repro/internal/obs"
 
 // Kernel observability: coarse per-call counters on the package metrics
-// registry. Everything here costs one atomic add per Multiply call (or per
+// registry. Everything here costs a few atomic adds per Multiply call (or per
 // plan build/execute), never per-row work; series are registered once at init
 // and the per-algorithm children are cached in an array so the hot path does
 // no map lookups.
@@ -31,6 +31,15 @@ var (
 		"replay maps built and published by a Plan's second execution")
 	mReplayMapBytes = obs.NewCounter("spgemm_plan_replay_map_bytes_total",
 		"bytes of replay maps built (4 per product + 4 per output entry)")
+
+	mOutputReused = obs.NewCounter("spgemm_output_reused_total",
+		"output arrays (row pointers, columns, values) drawn from a product donated through Context.Recycle")
+	mOutputAllocated = obs.NewCounter("spgemm_output_allocated_total",
+		"output arrays freshly allocated")
+	mOutputReusedBytes = obs.NewCounter("spgemm_output_reused_bytes_total",
+		"bytes of output arrays drawn from a donated product")
+	mOutputAllocatedBytes = obs.NewCounter("spgemm_output_allocated_bytes_total",
+		"bytes of output arrays freshly allocated")
 )
 
 // multiplyCounter caches the per-algorithm child of spgemm_multiplies_total

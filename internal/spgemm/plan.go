@@ -142,7 +142,8 @@ func (p *Plan) Bytes() int64 { return p.in.bytes() + p.mapBytes }
 func (p *Plan) Invalidate() { p.valid = false }
 
 // Execute runs the numeric phase against the current values of A and B and
-// returns a freshly allocated product, bit-identical to what
+// returns a product of the caller's own (built in fresh arrays, or in those
+// of one the caller donated to the Context), bit-identical to what
 // Multiply(a, b, ...) with the plan's options would produce. The inputs'
 // structure is revalidated by fingerprint; ErrPlanStale means the plan (and
 // its cached symbolic result) no longer applies.
@@ -167,7 +168,8 @@ func (p *Plan) ExecuteIn(ctx *Context, stats *ExecStats) (*matrix.CSR, error) {
 	}
 	ctx.ensureWorkers(p.in.workers)
 	pt := startPhases(stats, p.in.alg, p.in.workers)
-	rowPtr := append([]int64(nil), p.in.rowPtr...)
+	rowPtr := ctx.rowPtrBuf(p.a.Rows)
+	copy(rowPtr, p.in.rowPtr)
 	var c *matrix.CSR
 	if m := p.replay.Load(); m != nil {
 		c = m.execute(p.a, p.b, ctx, rowPtr, p.unsorted, &pt)
@@ -224,7 +226,7 @@ func newReplayMap(a, b, c *matrix.CSR, ctx *Context, in *inspection[float64]) *r
 
 // execute is the streamed replay; each worker copies and folds its own rows.
 func (m *replayMap) execute(a, b *matrix.CSR, ctx *Context, rowPtr []int64, unsorted bool, pt *phaseTimer) *matrix.CSR {
-	c := outputShell[float64](a.Rows, b.Cols, rowPtr, !unsorted)
+	c := ctx.outputShell(a.Rows, b.Cols, rowPtr, !unsorted)
 	pt.tick(PhaseAlloc)
 	ctx.runWorkers("numeric", len(m.dst), func(w int) {
 		lo, hi := m.offsets[w], m.offsets[w+1]

@@ -460,3 +460,41 @@ func TestPlanReplayMapBound(t *testing.T) {
 		t.Fatalf("%d replay maps built over the bound", n)
 	}
 }
+
+// TestPlanRecycleConcurrent is the multiply server's steady state under
+// -race: goroutines share one Plan, each executes it on a Context of its own
+// and donates every product back once it has compared it. A donation is
+// private to its Context, so no product may ever show another's writes.
+func TestPlanRecycleConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	a := gen.RMAT(8, 8, gen.G500Params, rng)
+	opt := &Options{Algorithm: AlgHash, Workers: 2}
+	want, err := Multiply(a, a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := NewPlan(a, a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := NewContext()
+			for round := 0; round < 6; round++ {
+				got, err := plan.ExecuteIn(ctx, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bitIdentical(got, want) {
+					t.Errorf("round %d differs from Multiply", round)
+				}
+				ctx.Recycle(got)
+			}
+		}()
+	}
+	wg.Wait()
+}

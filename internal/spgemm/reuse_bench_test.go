@@ -16,7 +16,8 @@ import (
 // visible. Run with -benchmem: the context and plan variants must sit at a
 // small fraction (≥10× reduction) of the one-shot allocs/op, and the plan
 // variant additionally skips partition+symbolic (see
-// TestPlanExecuteSkipsInspection for the ExecStats assertion).
+// TestPlanExecuteSkipsInspection for the ExecStats assertion). plan+recycle
+// also hands each product back (Context.Recycle), which takes C out of B/op.
 //
 // The worker count is pinned rather than taken from GOMAXPROCS so the
 // allocation accounting is comparable across machines: one-shot allocations
@@ -86,6 +87,33 @@ func BenchmarkMultiplyReuse(b *testing.B) {
 					if _, err := plan.Execute(); err != nil {
 						b.Fatal(err)
 					}
+				}
+			})
+			b.Run("plan+recycle", func(b *testing.B) {
+				// plan with every product donated back before the next
+				// execution: B/op drops by the size of C.
+				ctx := NewContext()
+				ctx.Pool = sched.NewPool(reuseWorkers)
+				defer ctx.Pool.Close()
+				plan, err := NewPlan(a, a, &Options{Algorithm: alg, Workers: reuseWorkers, Context: ctx})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for warm := 0; warm < 2; warm++ {
+					c, err := plan.Execute()
+					if err != nil {
+						b.Fatal(err)
+					}
+					ctx.Recycle(c)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c, err := plan.Execute()
+					if err != nil {
+						b.Fatal(err)
+					}
+					ctx.Recycle(c)
 				}
 			})
 		})

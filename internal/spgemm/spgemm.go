@@ -133,8 +133,9 @@ type Options struct {
 	// Context, when non-nil, carries reusable execution state (per-worker
 	// accumulators, scratch buffers, per-row bookkeeping) across Multiply
 	// calls; iterative callers reach a steady state where only the output
-	// matrix is allocated. nil preserves one-shot behavior. A Context must
-	// not be shared by concurrent Multiply calls.
+	// matrix is allocated (and Context.Recycle takes a finished product back
+	// to build the next one in). nil preserves one-shot behavior. A Context
+	// must not be shared by concurrent Multiply calls.
 	Context *Context
 	// TileCols overrides the column-tile width used by AlgTiled. 0 means
 	// the analytic width derived from the installed cache parameters (see
@@ -330,17 +331,3 @@ func SupportsUnsorted(a Algorithm) bool {
 // RequiresSortedInput reports whether the algorithm needs sorted input rows
 // (Heap operates on sorted streams).
 func RequiresSortedInput(a Algorithm) bool { return a == AlgHeap }
-
-// outputShell allocates the column/value arrays of the result once the row
-// pointer array is final.
-func outputShell[V semiring.Value](rows, cols int, rowPtr []int64, sorted bool) *matrix.CSRG[V] {
-	nnz := rowPtr[rows]
-	return &matrix.CSRG[V]{
-		Rows:   rows,
-		Cols:   cols,
-		RowPtr: rowPtr,
-		ColIdx: make([]int32, nnz),
-		Val:    make([]V, nnz),
-		Sorted: sorted,
-	}
-}
