@@ -9,7 +9,6 @@
 //	spgemm-bench -exp all -preset quick -csv
 //	spgemm-bench -breakdown -preset tiny
 //	spgemm-bench -snapshot BENCH_spgemm.json
-//	spgemm-bench -compare BENCH_spgemm.json -compare-tolerance 1.0
 //
 // Presets: tiny (seconds, CI-sized), quick (default, minutes), full
 // (paper-scale inputs; hours and tens of GiB for the largest proxies).
@@ -36,8 +35,6 @@ func main() {
 		list      = flag.Bool("list", false, "list experiments and exit")
 		brk       = flag.Bool("breakdown", false, "print the per-phase ExecStats breakdown (shortcut for -exp fig8)")
 		snap      = flag.String("snapshot", "", "run the reuse experiment and write a JSON snapshot to this path")
-		compare   = flag.String("compare", "", "re-run the reuse experiment at a snapshot's recorded config and gate against it (exit 1 on regression)")
-		cmpTol    = flag.Float64("compare-tolerance", 0.5, "allowed fractional slowdown vs the -compare baseline (0.5 = 1.5x)")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event JSON of phases and pool regions to this path (load in Perfetto)")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
 	)
@@ -72,30 +69,10 @@ func main() {
 		}
 		return
 	}
-	if *exp == "" && *snap == "" && *compare == "" {
-		fmt.Fprintln(os.Stderr, "spgemm-bench: -exp is required (or -list, -snapshot, -compare); try -exp all")
+	if *exp == "" && *snap == "" {
+		fmt.Fprintln(os.Stderr, "spgemm-bench: -exp is required (or -list, -snapshot); try -exp all")
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *compare != "" {
-		base, err := bench.ReadSnapshot(*compare)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spgemm-bench:", err)
-			os.Exit(1)
-		}
-		regressions, err := bench.CompareSnapshots(base, *cmpTol, os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spgemm-bench:", err)
-			os.Exit(1)
-		}
-		if len(regressions) > 0 {
-			for _, r := range regressions {
-				fmt.Fprintln(os.Stderr, "spgemm-bench: regression:", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Println("bench regression gate OK")
-		return
 	}
 	p, err := bench.ParsePreset(*preset)
 	if err != nil {

@@ -1,75 +1,45 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// The vet smoke tests drive runVetUnit in-process with hand-built unit
-// configs, exactly as `go vet -vettool=spgemm-lint` would: a JSON .cfg names
-// the unit's files and the vetx facts output, the tool exits 0/2 for
-// clean/diagnosed units, and the vetx file must exist afterwards in every
-// case (its absence makes the go command treat the run as a tool crash).
-
-// writeVetUnit lays out a one-file package plus its .cfg in a temp dir and
-// returns the cfg path and the vetx path the unit must produce.
-func writeVetUnit(t *testing.T, src string, mutate func(*vetConfig)) (cfgPath, vetxPath string) {
+// lintModule lays src out as the one file of a throwaway module and runs the
+// lint driver over it the way `spgemm-lint ./...` would, returning the exit
+// code and what was printed to stderr.
+func lintModule(t *testing.T, src string) (code int, stderr string) {
 	t.Helper()
 	dir := t.TempDir()
-	goFile := filepath.Join(dir, "unit.go")
-	if err := os.WriteFile(goFile, []byte(src), 0o666); err != nil {
-		t.Fatal(err)
+	for name, data := range map[string]string{
+		"go.mod":  "module example.test/unitpkg\n\ngo 1.24\n",
+		"unit.go": src,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o666); err != nil {
+			t.Fatal(err)
+		}
 	}
-	vetxPath = filepath.Join(dir, "unit.vetx")
-	cfg := vetConfig{
-		ID:         "unitpkg",
-		Dir:        dir,
-		ImportPath: "example.test/unitpkg",
-		GoFiles:    []string{goFile},
-		VetxOutput: vetxPath,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath = filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	return cfgPath, vetxPath
-}
-
-// captureStderr runs f with os.Stderr redirected to a file and returns what
-// was written (runVetUnit prints diagnostics straight to stderr, per the vet
-// protocol).
-func captureStderr(t *testing.T, f func()) string {
-	t.Helper()
 	tmp, err := os.CreateTemp(t.TempDir(), "stderr")
 	if err != nil {
 		t.Fatal(err)
 	}
 	old := os.Stderr
 	os.Stderr = tmp
-	defer func() {
-		os.Stderr = old
-		tmp.Close()
-	}()
-	f()
-	data, err := os.ReadFile(tmp.Name())
+	code = runLint(dir, []string{"./..."})
+	os.Stderr = old
+	tmp.Close()
+	out, err := os.ReadFile(tmp.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(data)
+	return code, string(out)
 }
 
-func TestRunVetUnitReportsHotpathDefer(t *testing.T) {
-	const src = `package unitpkg
+func TestRunLintReportsHotpathDefer(t *testing.T) {
+	code, out := lintModule(t, `package unitpkg
 
 //spgemm:hotpath
 func drain(xs []int32) (n int) {
@@ -81,23 +51,19 @@ func drain(xs []int32) (n int) {
 }
 
 func cleanup() {}
-`
-	cfgPath, vetxPath := writeVetUnit(t, src, nil)
-	var code int
-	out := captureStderr(t, func() { code = runVetUnit(cfgPath) })
-	if code != 2 {
-		t.Fatalf("runVetUnit = %d, want 2 (diagnostics reported); stderr:\n%s", code, out)
+`)
+	if code != 1 {
+		t.Fatalf("runLint = %d, want 1 (diagnostics reported); stderr:\n%s", code, out)
 	}
-	if !strings.Contains(out, "deferhot") || !strings.Contains(out, "defer in hotpath function") {
-		t.Errorf("stderr missing deferhot diagnostic:\n%s", out)
-	}
-	if _, err := os.Stat(vetxPath); err != nil {
-		t.Errorf("vetx facts file not written: %v", err)
+	for _, want := range []string{"unit.go:5:2: [deferhot] defer in hotpath function", "\thint: ", "1 problem(s)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stderr missing %q:\n%s", want, out)
+		}
 	}
 }
 
-func TestRunVetUnitCleanPackage(t *testing.T) {
-	const src = `package unitpkg
+func TestRunLintCleanPackage(t *testing.T) {
+	code, out := lintModule(t, `package unitpkg
 
 //spgemm:hotpath
 func scatter(dst, idx []int32) {
@@ -105,60 +71,26 @@ func scatter(dst, idx []int32) {
 		dst[i] = s
 	}
 }
-`
-	cfgPath, vetxPath := writeVetUnit(t, src, nil)
-	var code int
-	out := captureStderr(t, func() { code = runVetUnit(cfgPath) })
-	if code != 0 {
-		t.Fatalf("runVetUnit = %d, want 0; stderr:\n%s", code, out)
-	}
-	if out != "" {
-		t.Errorf("clean unit produced output:\n%s", out)
-	}
-	if _, err := os.Stat(vetxPath); err != nil {
-		t.Errorf("vetx facts file not written: %v", err)
+`)
+	if code != 0 || out != "" {
+		t.Fatalf("runLint = %d, want 0 and no output; stderr:\n%s", code, out)
 	}
 }
 
-func TestRunVetUnitVetxOnlySkipsAnalysis(t *testing.T) {
-	// Dependency units are loaded for facts only; the tool must write the
-	// vetx file and stop without even parsing the (here: broken) sources.
-	cfgPath, vetxPath := writeVetUnit(t, "package unitpkg\nfunc {", func(cfg *vetConfig) {
-		cfg.VetxOnly = true
-	})
-	var code int
-	out := captureStderr(t, func() { code = runVetUnit(cfgPath) })
-	if code != 0 {
-		t.Fatalf("runVetUnit = %d, want 0 for VetxOnly unit; stderr:\n%s", code, out)
+func TestEscapeEntries(t *testing.T) {
+	out := strings.Join([]string{
+		"# repro/internal/accum",
+		"internal/accum/hash.go:40:9: &HashTableG[go.shape.float64]{} escapes to heap",
+		"internal/accum/hash.go:91:9: &accum.HashTableG[go.shape.float64]{} escapes to heap", // re-reported from a dependent package
+		"internal/accum/hash.go:52:2: moved to heap: scratch",
+		"internal/accum/hash.go:60:7: t does not escape",
+		"<autogenerated>:1: .this escapes to heap",
+	}, "\n")
+	want := map[string]bool{
+		"internal/accum/hash.go: &HashTableG[float64]{} escapes to heap": true,
+		"internal/accum/hash.go: moved to heap: scratch":                 true,
 	}
-	if _, err := os.Stat(vetxPath); err != nil {
-		t.Errorf("vetx facts file not written: %v", err)
-	}
-}
-
-func TestRunVetUnitSucceedOnTypecheckFailure(t *testing.T) {
-	// With the go command's SucceedOnTypecheckFailure set (e.g. under
-	// `go vet -e=false`), unparseable units exit 0 instead of failing the
-	// build a second time.
-	cfgPath, _ := writeVetUnit(t, "package unitpkg\nfunc {", func(cfg *vetConfig) {
-		cfg.SucceedOnTypecheckFailure = true
-	})
-	var code int
-	captureStderr(t, func() { code = runVetUnit(cfgPath) })
-	if code != 0 {
-		t.Fatalf("runVetUnit = %d, want 0 with SucceedOnTypecheckFailure", code)
-	}
-}
-
-func TestRunVetUnitBadConfig(t *testing.T) {
-	dir := t.TempDir()
-	cfgPath := filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(cfgPath, []byte("{not json"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	var code int
-	captureStderr(t, func() { code = runVetUnit(cfgPath) })
-	if code != 1 {
-		t.Fatalf("runVetUnit = %d, want 1 for malformed config", code)
+	if got := escapeEntries(out); !reflect.DeepEqual(got, want) {
+		t.Errorf("escapeEntries:\n got %v\nwant %v", got, want)
 	}
 }

@@ -8,12 +8,12 @@
 // loader (loader.go) and an analysistest-style want-comment harness
 // (analysistest/) — on the standard library's go/ast, go/parser and go/types.
 //
-// The seven analyzers under passes/ encode the repository's performance and
-// concurrency contracts (see DESIGN.md "Static analysis"): hotalloc,
-// deferhot, spanpair, poolpair, chanown, parcapture and statsnil.
-// cmd/spgemm-lint drives them standalone or as a `go vet -vettool`, and its
-// escapes/inline/bce modes add the compiler-feedback budget gates
-// (internal/analysis/compilerfb).
+// The two analyzers under passes/, hotalloc and deferhot, hold
+// //spgemm:hotpath functions to the allocate-once discipline of the paper's
+// Section 3.2 (see DESIGN.md "Static analysis"). cmd/spgemm-lint drives them
+// over the module, and its budget mode adds the compiler-feedback gate
+// (internal/analysis/compilerfb). A new pass arrives with the defect it
+// caught; CI counts the directories under passes/.
 package analysis
 
 import (
@@ -73,48 +73,9 @@ type Analyzer struct {
 	Run  func(*Pass) error
 }
 
-// ---------------------------------------------------------------------------
-// Shared AST/type helpers used by several passes.
-// ---------------------------------------------------------------------------
-
-// NamedTypeName returns the name of t's underlying named type, following one
-// pointer indirection: *obs.Tracer and obs.Tracer both yield "Tracer".
-// Returns "" for unnamed types.
-func NamedTypeName(t types.Type) string {
-	if t == nil {
-		return ""
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	// Alias-resolve then look for a named type.
-	t = types.Unalias(t)
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-// ReceiverTypeName resolves the named type of a method call's receiver, e.g.
-// "Tracer" for tr.Begin(...) with tr a *obs.Tracer. Returns "" when the call
-// is not a method call or types are unavailable.
-func ReceiverTypeName(info *types.Info, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	if info == nil {
-		return ""
-	}
-	if tv, ok := info.Types[sel.X]; ok {
-		return NamedTypeName(tv.Type)
-	}
-	return ""
-}
-
 // CalleeName returns the bare name of the function or method being called:
-// "Begin" for tr.Begin(...), "RunWorkers" for sched.RunWorkers(...) and for
-// a plain RunWorkers(...). Returns "" for indirect calls.
+// "append" for append(...), "RunWorkers" for sched.RunWorkers(...) and for a
+// plain RunWorkers(...). Returns "" for indirect calls.
 func CalleeName(call *ast.CallExpr) string {
 	switch f := call.Fun.(type) {
 	case *ast.Ident:
@@ -123,51 +84,4 @@ func CalleeName(call *ast.CallExpr) string {
 		return f.Sel.Name
 	}
 	return ""
-}
-
-// ExprString renders an expression compactly for textual matching (e.g.
-// pairing tr.Begin(w+1, name) with tr.End(w+1, name) by argument text).
-// It is a lossy printer: good enough to compare small receiver/argument
-// expressions, not a formatter.
-func ExprString(e ast.Expr) string {
-	switch e := e.(type) {
-	case nil:
-		return ""
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return ExprString(e.X) + "." + e.Sel.Name
-	case *ast.BasicLit:
-		return e.Value
-	case *ast.CallExpr:
-		s := ExprString(e.Fun) + "("
-		for i, a := range e.Args {
-			if i > 0 {
-				s += ","
-			}
-			s += ExprString(a)
-		}
-		return s + ")"
-	case *ast.IndexExpr:
-		return ExprString(e.X) + "[" + ExprString(e.Index) + "]"
-	case *ast.BinaryExpr:
-		return ExprString(e.X) + e.Op.String() + ExprString(e.Y)
-	case *ast.UnaryExpr:
-		return e.Op.String() + ExprString(e.X)
-	case *ast.StarExpr:
-		return "*" + ExprString(e.X)
-	case *ast.ParenExpr:
-		return "(" + ExprString(e.X) + ")"
-	case *ast.SliceExpr:
-		return ExprString(e.X) + "[" + ExprString(e.Low) + ":" + ExprString(e.High) + "]"
-	case *ast.TypeAssertExpr:
-		return ExprString(e.X) + ".(type)"
-	case *ast.CompositeLit:
-		return ExprString(e.Type) + "{…}"
-	case *ast.ArrayType:
-		return "[]" + ExprString(e.Elt)
-	case *ast.FuncLit:
-		return "func literal"
-	}
-	return fmt.Sprintf("%T", e)
 }

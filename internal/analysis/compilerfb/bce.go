@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -54,7 +53,7 @@ func ParseBCEOutput(out string) []BCELine {
 	return res
 }
 
-// BuildBCEReport folds residual checks into allowlist entries, one per
+// BuildBCEReport folds residual checks into budget entries, one per
 // (hotpath function, check kind) with the count of distinct source positions:
 //
 //	internal/accum/hash.go: HashTableG.Upsert: IsInBounds x2
@@ -76,16 +75,4 @@ func BuildBCEReport(lines []BCELine, ix *HotIndex) map[string]bool {
 		entries[fmt.Sprintf("%s x%d", k, n)] = true
 	}
 	return entries
-}
-
-// FormatBCESummary renders a per-function residual-check summary for
-// human-readable gate output and EXPERIMENTS bookkeeping.
-func FormatBCESummary(lines []BCELine, ix *HotIndex) string {
-	entries := BuildBCEReport(lines, ix)
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
 }

@@ -1,14 +1,14 @@
 // Package compilerfb turns compiler feedback into lintable facts: it drives
-// go build with diagnostic gcflags (-m=2 for inlining decisions,
-// -d=ssa/check_bce for residual bounds checks), parses the version-sensitive
-// output into stable normalized entries, and diffs them against checked-in
-// allowlists — the same budget workflow as the heap-escape gate, extended to
-// the other two compiler decisions the paper's kernels depend on.
+// go build with diagnostic gcflags (-m for heap escapes, -m=2 for inlining
+// decisions, -d=ssa/check_bce for residual bounds checks), parses the version-sensitive
+// output into stable normalized entries, and diffs them against the one
+// checked-in budget file (lint/budget.txt), a section per report.
 //
-// Everything here is keyed by the //spgemm:hotpath directive: only functions
-// that carry it are budgeted, so the gates track exactly the loops whose
-// micro-properties (inlined ring ops, no bounds checks) the kernels' measured
-// position rests on.
+// The inline and bounds-check sections are keyed by the //spgemm:hotpath
+// directive: only functions that carry it are budgeted, so they track exactly
+// the loops whose micro-properties (inlined ring ops, no bounds checks) the
+// kernels' measured position rests on. The escape section covers the hot
+// packages whole.
 package compilerfb
 
 import (
@@ -148,7 +148,7 @@ func (ix *HotIndex) MatchHot(file, rawName string) (HotFunc, bool) {
 }
 
 // CanonicalFuncName reduces a compiler-printed function name to the stable
-// "Func" / "Recv.Method" form used in allowlists: type-parameter brackets
+// "Func" / "Recv.Method" form used in the budget: type-parameter brackets
 // are dropped, receiver parentheses and stars unwrapped, and package paths
 // in receiver position stripped. A plain leading "pkg." qualifier on a
 // function is kept (MatchHot tolerates it); receiver-qualified methods are
@@ -204,7 +204,7 @@ var qualifierRe = regexp.MustCompile(`\b[a-z][a-zA-Z0-9_]*\.([A-Za-z_(])`)
 // StripQualifiers removes lowercase package/shape qualifiers from the
 // identifiers inside a diagnostic message so the same diagnostic reported
 // from two build contexts (in-package vs. re-exported during cross-package
-// inlining) normalizes to one allowlist entry.
+// inlining) normalizes to one budget entry.
 func StripQualifiers(msg string) string {
 	for {
 		next := qualifierRe.ReplaceAllString(msg, "$1")
@@ -235,7 +235,7 @@ func CompilerOutput(root string, pkgs []string, gcflag string) (string, error) {
 }
 
 // Toolchain returns the running go toolchain's major.minor version
-// ("go1.24"), the key the inline/BCE allowlists are pinned to: both parse
+// ("go1.24"), the key the budget file is pinned to: every section parses
 // compiler output whose shape and decisions may change between releases.
 func Toolchain() (string, error) {
 	out, err := exec.Command("go", "env", "GOVERSION").Output()
@@ -249,59 +249,75 @@ func Toolchain() (string, error) {
 	return v, nil
 }
 
-// toolchainPrefix marks the allowlist header line carrying the pinned
-// toolchain version.
+// toolchainPrefix marks the budget header line carrying the pinned toolchain
+// version.
 const toolchainPrefix = "# toolchain: "
 
-// Allowlist is a budget file: a set of allowed normalized entries plus the
-// toolchain version they were generated under.
-type Allowlist struct {
-	Entries   map[string]bool
-	Toolchain string
+// Section is one named part of the budget file: the normalized entries one
+// compiler report is allowed to contain, under the comment lines that say
+// how to read them.
+type Section struct {
+	Name    string
+	Doc     []string // comment lines, without "# "
+	Entries map[string]bool
 }
 
-// ReadAllowlist loads path, treating '#' lines as comments except for the
-// toolchain pin.
-func ReadAllowlist(path string) (*Allowlist, error) {
+// Budget is the one checked-in budget file: a toolchain pin and one
+// "[name]" section per compiler report.
+type Budget struct {
+	Toolchain string
+	Sections  map[string]map[string]bool
+}
+
+// ReadBudget loads path. '#' lines are comments except for the toolchain
+// pin; an entry before the first "[name]" line is an error.
+func ReadBudget(path string) (*Budget, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	al := &Allowlist{Entries: map[string]bool{}}
+	b := &Budget{Sections: map[string]map[string]bool{}}
+	var cur map[string]bool
 	for _, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, toolchainPrefix) {
-			al.Toolchain = strings.TrimSpace(strings.TrimPrefix(line, toolchainPrefix))
-			continue
+		switch {
+		case strings.HasPrefix(line, toolchainPrefix):
+			b.Toolchain = strings.TrimSpace(strings.TrimPrefix(line, toolchainPrefix))
+		case line == "" || strings.HasPrefix(line, "#"):
+		case strings.HasPrefix(line, "[") && strings.HasSuffix(line, "]"):
+			cur = map[string]bool{}
+			b.Sections[line[1:len(line)-1]] = cur
+		case cur == nil:
+			return nil, fmt.Errorf("%s: entry %q before the first [section]", path, line)
+		default:
+			cur[line] = true
 		}
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		al.Entries[line] = true
 	}
-	return al, nil
+	return b, nil
 }
 
-// WriteAllowlist writes entries sorted under the given header comment lines
-// (without "# ") and a toolchain pin.
-func WriteAllowlist(path string, header []string, toolchain string, entries map[string]bool) error {
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+// WriteBudget writes the header comment lines (without "# "), the toolchain
+// pin, and the sections in the given order with their entries sorted, so an
+// -update on an unchanged tree rewrites the same bytes.
+func WriteBudget(path string, header []string, toolchain string, sections []Section) error {
 	var b strings.Builder
 	for _, h := range header {
-		b.WriteString("# ")
-		b.WriteString(h)
-		b.WriteString("\n")
+		b.WriteString("# " + h + "\n")
 	}
-	b.WriteString(toolchainPrefix)
-	b.WriteString(toolchain)
-	b.WriteString("\n")
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteString("\n")
+	b.WriteString(toolchainPrefix + toolchain + "\n")
+	for _, sec := range sections {
+		b.WriteString("\n[" + sec.Name + "]\n")
+		for _, d := range sec.Doc {
+			b.WriteString("# " + d + "\n")
+		}
+		keys := make([]string, 0, len(sec.Entries))
+		for k := range sec.Entries {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			b.WriteString(k + "\n")
+		}
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
 		return err
@@ -309,8 +325,8 @@ func WriteAllowlist(path string, header []string, toolchain string, entries map[
 	return os.WriteFile(path, []byte(b.String()), 0o666)
 }
 
-// Diff splits observed entries into those missing from the allowlist (budget
-// violations) and allowed entries no longer observed (prune candidates).
+// Diff splits observed entries into those missing from the budget
+// (violations) and budgeted entries no longer observed (prune candidates).
 func Diff(got map[string]bool, allowed map[string]bool) (added, removed []string) {
 	for e := range got {
 		if !allowed[e] {
@@ -327,15 +343,15 @@ func Diff(got map[string]bool, allowed map[string]bool) (added, removed []string
 	return added, removed
 }
 
-// CheckToolchain compares an allowlist's pinned toolchain against the
-// current one, returning a regeneration instruction on mismatch. Compiler
-// upgrades must fail loudly: inlining budgets and bounds-check elimination
-// both shift between releases, and a stale allowlist would mask or invent
-// regressions.
-func CheckToolchain(al *Allowlist, current, listPath, regen string) error {
-	if al.Toolchain == "" || al.Toolchain == current {
+// CheckToolchain compares the budget's pinned toolchain against the current
+// one, returning a regeneration instruction on mismatch. Compiler upgrades
+// must fail loudly: escape analysis, inlining budgets and bounds-check
+// elimination all shift between releases, and a stale budget would mask or
+// invent regressions.
+func CheckToolchain(b *Budget, current, path, regen string) error {
+	if b.Toolchain == "" || b.Toolchain == current {
 		return nil
 	}
 	return fmt.Errorf("%s was generated with %s but the current toolchain is %s; inspect the diff and regenerate with: %s",
-		listPath, al.Toolchain, current, regen)
+		path, b.Toolchain, current, regen)
 }

@@ -9,26 +9,22 @@ import (
 )
 
 // -m=2 parsing: the inline/devirtualization side of the compiler-feedback
-// gate. The decisions we consume come in four line shapes (Go 1.24):
+// gate. The decisions we consume come in two line shapes (Go 1.24):
 //
 //	file.go:l:c: cannot inline F: function too complex: cost 178 exceeds budget 80
-//	file.go:l:c: can inline F with cost 57 as: method(...) func(...) { ... }
 //	file.go:l:c: inlining call to F
-//	file.go:l:c: devirtualizing x.M to T
 //
 // where F may be mangled: "(*HashTableG[go.shape.float64]).Upsert",
 // "sortPairs[go.shape.float64]", or package-qualified for cross-package
-// re-reports. Everything else -m=2 prints (escape flow, parameter leaks) is
-// ignored here.
+// re-reports. Everything else -m=2 prints (can-inline costs, devirtualization
+// notes, escape flow, parameter leaks) is ignored here.
 
 // InlineKind classifies one parsed -m=2 decision line.
 type InlineKind int
 
 const (
 	CannotInline InlineKind = iota
-	CanInline
 	InliningCall
-	Devirtualized
 )
 
 // InlineLine is one parsed -m=2 decision.
@@ -39,8 +35,7 @@ type InlineLine struct {
 	Kind InlineKind
 	Func string // raw function name as printed
 	// Detail is the failure reason for CannotInline ("function too complex:
-	// cost 178 exceeds budget 80", "recursive", ...), the cost for CanInline,
-	// and the target type for Devirtualized.
+	// cost 178 exceeds budget 80", "recursive", ...).
 	Detail string
 }
 
@@ -70,22 +65,8 @@ func ParseInlineOutput(out string) []InlineLine {
 				continue
 			}
 			il.Kind, il.Func, il.Detail = CannotInline, name, detail
-		case strings.HasPrefix(msg, "can inline "):
-			rest := strings.TrimPrefix(msg, "can inline ")
-			// "F with cost N as: ..." — F itself can contain spaces only in
-			// the "as:" clause, so cut at the marker.
-			name, detail, ok := strings.Cut(rest, " with cost ")
-			if !ok {
-				continue
-			}
-			cost, _, _ := strings.Cut(detail, " ")
-			il.Kind, il.Func, il.Detail = CanInline, name, cost
 		case strings.HasPrefix(msg, "inlining call to "):
 			il.Kind, il.Func = InliningCall, strings.TrimPrefix(msg, "inlining call to ")
-		case strings.HasPrefix(msg, "devirtualizing "):
-			rest := strings.TrimPrefix(msg, "devirtualizing ")
-			name, detail, _ := strings.Cut(rest, " to ")
-			il.Kind, il.Func, il.Detail = Devirtualized, name, detail
 		default:
 			continue
 		}
@@ -108,7 +89,7 @@ func normalizeReason(reason string) string {
 // RequiredInline asserts that the compiler must report at least one
 // "inlining call to <Callee>" at a call site in File. These are the gate's
 // hard guarantees — the hand-devirtualized ring call sites — and are never
-// allowlisted away: losing one is a silent-performance-bug class the gate
+// budgeted away: losing one is a silent-performance-bug class the gate
 // exists to catch.
 type RequiredInline struct {
 	File   string // module-relative file containing the call sites
@@ -121,15 +102,12 @@ type RequiredInline struct {
 
 // InlineReport is the gate's verdict over one -m=2 run.
 type InlineReport struct {
-	// Violations are allowlist-format entries:
+	// Violations are budget-format entries:
 	// "file.go: cannot inline Func: reason".
 	Violations map[string]bool
 	// MissingRequired lists RequiredInline contracts with no matching
 	// inlining-call line; always fatal.
 	MissingRequired []string
-	// RingFailures are semiring Add/Mul/Zero methods reported cannot-inline;
-	// they surface as Violations too, with this slice for messaging.
-	RingFailures []string
 }
 
 // ringMethods are the Ring[V] operations whose implementations must stay
@@ -139,7 +117,7 @@ var ringMethods = map[string]bool{"Add": true, "Mul": true, "Zero": true}
 // BuildInlineReport applies the gate policy to parsed -m=2 lines:
 //
 //   - a //spgemm:hotpath function reported "cannot inline" is a violation
-//     (diffed against the allowlist; sortPairs' recursion lives there);
+//     (diffed against the budget; sortPairs' recursion lives there);
 //   - a semiring ring method (Add/Mul/Zero) reported "cannot inline" is a
 //     violation — the rings are the one abstraction every kernel's inner
 //     loop depends on;
@@ -163,7 +141,6 @@ func BuildInlineReport(lines []InlineLine, ix *HotIndex, semiringDir string, req
 				if i := strings.LastIndex(canon, "."); i >= 0 && ringMethods[canon[i+1:]] {
 					entry := fmt.Sprintf("%s: cannot inline %s: %s", il.File, StripQualifiers(canon), normalizeReason(il.Detail))
 					rep.Violations[entry] = true
-					rep.RingFailures = append(rep.RingFailures, entry)
 				}
 			}
 		case InliningCall:

@@ -88,7 +88,7 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 			if !ok || analysis.CalleeName(call) != "append" || len(call.Args) == 0 {
 				continue
 			}
-			if analysis.ExprString(as.Lhs[i]) == analysis.ExprString(call.Args[0]) {
+			if types.ExprString(as.Lhs[i]) == types.ExprString(call.Args[0]) {
 				selfAppend[call] = true
 			}
 		}
@@ -217,7 +217,7 @@ func allocatingConversion(pass *analysis.Pass, call *ast.CallExpr) (string, bool
 	dstSlice := isByteOrRuneSlice(dst)
 	srcSlice := isByteOrRuneSlice(src)
 	if (dstStr && srcSlice) || (dstSlice && srcStr) {
-		return analysis.ExprString(call.Fun) + "(...)", true
+		return types.ExprString(call.Fun) + "(...)", true
 	}
 	return "", false
 }

@@ -104,14 +104,14 @@ func TestReuseSnapshot(t *testing.T) {
 	// The reuse variants must allocate strictly less than one-shot. Plan and
 	// context differ by a handful of allocations, and the counter is a
 	// process-wide MemStats.Mallocs delta that goroutine stacks and GC
-	// bookkeeping land in, so that comparison gets the compare gate's slack.
+	// bookkeeping land in, so that comparison gets a handful of slack.
 	byVariant := map[string]uint64{}
 	for _, r := range s.Results {
 		if r.Alg == "hash" {
 			byVariant[r.Variant] = r.Allocs
 		}
 	}
-	if byVariant["context"] >= byVariant["oneshot"] || byVariant["plan"] > allocBudget(byVariant["context"]) {
+	if byVariant["context"] >= byVariant["oneshot"] || byVariant["plan"] > byVariant["context"]+max(4, byVariant["context"]/4) {
 		t.Fatalf("allocs not monotone: %v", byVariant)
 	}
 	path := t.TempDir() + "/snap.json"

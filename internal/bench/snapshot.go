@@ -7,10 +7,10 @@ import (
 )
 
 // Snapshot is the machine-readable record of a reuse-experiment run, written
-// by spgemm-bench -snapshot. Checked-in snapshots (BENCH_spgemm.json at the
-// repository root) give later sessions a baseline to diff regressions
-// against; the file is deterministic modulo timings for a fixed
-// preset/seed/workers triple.
+// by spgemm-bench -snapshot. The checked-in one (BENCH_spgemm.json at the
+// repository root) is what the server's perf sentry loads as its baseline
+// (server.LoadSentryBaseline); the file is deterministic modulo timings for
+// a fixed preset/seed/workers triple.
 type Snapshot struct {
 	Schema     int            `json:"schema"`
 	Experiment string         `json:"experiment"`
@@ -42,8 +42,7 @@ func presetName(p Preset) string {
 
 // ReuseSnapshot runs the reuse experiment plus the skewed G500 and
 // out-of-core experiments and packages the results. The skewed rows (variant
-// "g500-s<scale>") carry the tiled-vs-best comparison the -compare win gate
-// enforces; the outofcore rows (variant "outofcore-s<scale>") track the
+// "g500-s<scale>") carry the tiled-vs-best comparison; the outofcore rows (variant "outofcore-s<scale>") track the
 // spill-backed sharded engine so residency-bound regressions show up in the
 // same diff.
 func ReuseSnapshot(cfg Config) (*Snapshot, error) {

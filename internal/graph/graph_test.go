@@ -7,8 +7,26 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
+	"repro/internal/obs"
 	"repro/internal/spgemm"
 )
+
+// scratchOut is mempool's own gauge of Scratch buffers checked out and not
+// yet released, fetched from the registry by name.
+var scratchOut = obs.NewGauge("mempool_acquired_scratch", "")
+
+// scratchReturned fails the test if it ends with more (or fewer) Scratch
+// buffers checked out than it started with: every mempool.Acquire under the
+// call, on whichever return, met its Release.
+func scratchReturned(t *testing.T) {
+	t.Helper()
+	before := scratchOut.Value()
+	t.Cleanup(func() {
+		if after := scratchOut.Value(); after != before {
+			t.Errorf("mempool_acquired_scratch went %d -> %d over the test: an Acquire was not Released", before, after)
+		}
+	})
+}
 
 // adjacency builds a symmetric 0/1 adjacency from an edge list.
 func adjacency(n int, edges [][2]int32) *matrix.CSR {
@@ -278,6 +296,7 @@ func TestMSBFSBadSource(t *testing.T) {
 }
 
 func TestMCLTwoCliques(t *testing.T) {
+	scratchReturned(t)
 	// Two K4 cliques joined by a single weak edge: MCL must find exactly
 	// two clusters with the cliques intact.
 	var edges [][2]int32
@@ -309,6 +328,7 @@ func TestMCLTwoCliques(t *testing.T) {
 }
 
 func TestMCLDisconnectedComponents(t *testing.T) {
+	scratchReturned(t)
 	a := adjacency(6, [][2]int32{{0, 1}, {1, 2}, {3, 4}, {4, 5}})
 	res, err := MCL(a, nil)
 	if err != nil {
@@ -326,8 +346,19 @@ func TestMCLDisconnectedComponents(t *testing.T) {
 }
 
 func TestMCLRejectsNonSquare(t *testing.T) {
+	scratchReturned(t)
 	if _, err := MCL(matrix.NewCSR(2, 3), nil); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestMCLExpansionError takes MCL's other error return, out of the iteration
+// loop: the expansion itself fails.
+func TestMCLExpansionError(t *testing.T) {
+	scratchReturned(t)
+	a := adjacency(4, [][2]int32{{0, 1}, {2, 3}})
+	if _, err := MCL(a, &MCLOptions{SpGEMM: &spgemm.Options{Algorithm: spgemm.Algorithm(99)}}); err == nil {
+		t.Fatal("expected the unknown algorithm to fail the expansion")
 	}
 }
 

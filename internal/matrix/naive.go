@@ -85,7 +85,9 @@ func Equal[V semiring.Value](a, b *CSRG[V]) bool {
 // EqualApprox reports whether a and b represent the same float64 matrix up to
 // floating-point tolerance, after canonicalizing both (sorting rows and
 // merging duplicates). Entries smaller than tol in both matrices are treated
-// as zero, so algorithms that drop or keep numeric zeros both pass. Note the
+// as zero, so algorithms that drop or keep numeric zeros both pass. Non-finite
+// values are outside any tolerance: a NaN matches only a NaN, an infinity only
+// the infinity of its sign, and neither matches a missing entry. Note the
 // Compact canonicalization merges with + and drops machine zeros, which is
 // only meaningful under plus-times; ring-aware comparisons (MinPlus et al.)
 // must compare structure exactly instead (see spgemm/difftest).
@@ -102,20 +104,17 @@ func EqualApprox(a, b *CSR, tol float64) bool {
 		for pa < ahi || pb < bhi {
 			switch {
 			case pb >= bhi || (pa < ahi && ca.ColIdx[pa] < cb.ColIdx[pb]):
-				if math.Abs(ca.Val[pa]) > tol {
+				if !(math.Abs(ca.Val[pa]) <= tol) { // NaN is not within tol of a hole
 					return false
 				}
 				pa++
 			case pa >= ahi || cb.ColIdx[pb] < ca.ColIdx[pa]:
-				if math.Abs(cb.Val[pb]) > tol {
+				if !(math.Abs(cb.Val[pb]) <= tol) {
 					return false
 				}
 				pb++
 			default:
-				va, vb := ca.Val[pa], cb.Val[pb]
-				diff := math.Abs(va - vb)
-				scale := math.Max(math.Abs(va), math.Abs(vb))
-				if diff > tol && diff > tol*scale {
+				if !approxEqual(ca.Val[pa], cb.Val[pb], tol) {
 					return false
 				}
 				pa++
@@ -124,4 +123,19 @@ func EqualApprox(a, b *CSR, tol float64) bool {
 		}
 	}
 	return true
+}
+
+// approxEqual is EqualApprox's predicate for an entry both sides hold: finite values within tol of
+// each other, absolutely or relative to the larger; non-finite values by
+// class and sign. Written as "not within" rather than "beyond" so that a NaN
+// difference, for which every comparison is false, is a mismatch.
+func approxEqual(va, vb, tol float64) bool {
+	if math.IsNaN(va) || math.IsNaN(vb) {
+		return math.IsNaN(va) && math.IsNaN(vb)
+	}
+	if math.IsInf(va, 0) || math.IsInf(vb, 0) {
+		return va == vb
+	}
+	diff := math.Abs(va - vb)
+	return diff <= tol || diff <= tol*math.Max(math.Abs(va), math.Abs(vb))
 }

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -81,6 +82,40 @@ func TestEqualApproxTreatsTinyAsZero(t *testing.T) {
 	}
 	if EqualApprox(a, b, 1e-16) {
 		t.Fatal("tight tolerance should reject extra entry")
+	}
+}
+
+// TestEqualApproxNonFinite: NaN and ±Inf match by class and sign, never by
+// tolerance — every comparison against a NaN difference is false, and
+// tol·Inf swallows any difference, so "beyond tol" alone accepted them all.
+func TestEqualApproxNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	one := func(v float64) *CSR {
+		return &CSR{Rows: 1, Cols: 2, RowPtr: []int64{0, 1}, ColIdx: []int32{0}, Val: []float64{v}, Sorted: true}
+	}
+	empty := NewCSR(1, 2)
+	for _, tc := range []struct {
+		name string
+		a, b *CSR
+		want bool
+	}{
+		{"NaN vs NaN", one(nan), one(nan), true},
+		{"+Inf vs +Inf", one(inf), one(inf), true},
+		{"-Inf vs -Inf", one(-inf), one(-inf), true},
+		{"NaN vs finite", one(nan), one(1), false},
+		{"finite vs NaN", one(1), one(nan), false},
+		{"NaN vs +Inf", one(nan), one(inf), false},
+		{"+Inf vs finite", one(inf), one(1e300), false},
+		{"finite vs -Inf", one(-1e300), one(-inf), false},
+		{"+Inf vs -Inf", one(inf), one(-inf), false},
+		{"unmatched NaN", one(nan), empty, false},
+		{"unmatched NaN, other side", empty, one(nan), false},
+		{"unmatched +Inf", one(inf), empty, false},
+		{"unmatched -Inf, other side", empty, one(-inf), false},
+	} {
+		if got := EqualApprox(tc.a, tc.b, 1e-9); got != tc.want {
+			t.Errorf("%s: EqualApprox = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -149,7 +149,8 @@ var (
 // fresh one when the list is empty. Every Acquire must be paired with exactly
 // one Release on all control-flow paths, early returns and panics included —
 // `defer mempool.Release(s)` directly after Acquire is the recommended form.
-// The pairing is enforced by spgemm-lint's poolpair analyzer.
+// The mempool_acquired_scratch gauge counts checkouts not yet returned; tests
+// of code that acquires pin it across the call.
 func Acquire() *Scratch {
 	mOutstanding.Add(1)
 	freeMu.Lock()

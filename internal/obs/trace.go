@@ -16,23 +16,22 @@ import (
 // on the driver goroutine.
 const DriverLane = 0
 
-// event is one begin or end mark on a lane.
-type event struct {
-	name string
-	ts   int64 // nanoseconds since the tracer started
-	ph   byte  // 'B' or 'E'
+// span is one closed interval on a lane.
+type span struct {
+	name       string
+	start, end int64 // nanoseconds since the tracer started
 }
 
-// lane is one append-only per-worker event buffer. Each lane has its own
+// lane is one append-only per-worker span buffer. Each lane has its own
 // mutex: within one kernel a lane is only touched by its own worker, but the
 // pool is shared, so concurrent kernels may land on the same lane index.
 type lane struct {
-	mu sync.Mutex
-	ev []event
+	mu    sync.Mutex
+	spans []span
 }
 
-// Tracer records span begin/end events on per-worker lanes and exports them
-// as Chrome trace-event JSON (loadable in Perfetto / chrome://tracing).
+// Tracer records spans on per-worker lanes and exports them as begin/end
+// pairs of Chrome trace-event JSON (loadable in Perfetto / chrome://tracing).
 //
 // A Tracer is safe for concurrent use. It is enabled by installing it
 // process-wide with SetActive; disabled code paths never reach a Tracer
@@ -69,47 +68,29 @@ func (t *Tracer) lane(i int) *lane {
 	return l
 }
 
-// Begin records the start of a span named name on the given lane. The
-// timestamp is taken under the lane lock, so per-lane timestamps are
-// monotonically non-decreasing.
-func (t *Tracer) Begin(laneID int, name string) {
-	l := t.lane(laneID)
-	l.mu.Lock()
-	l.ev = append(l.ev, event{name: name, ts: int64(time.Since(t.start)), ph: 'B'})
-	l.mu.Unlock()
-}
-
-// End records the end of the innermost open span named name on the lane.
-func (t *Tracer) End(laneID int, name string) {
-	l := t.lane(laneID)
-	l.mu.Lock()
-	l.ev = append(l.ev, event{name: name, ts: int64(time.Since(t.start)), ph: 'E'})
-	l.mu.Unlock()
-}
-
-// Span records an already-measured [start, end] interval on the lane as a
-// matched begin/end pair in one lock round-trip. Sequential drivers that
-// already read the clock at phase boundaries (spgemm's phaseTimer) use this
-// so tracing adds no further clock reads.
+// Span records an already-measured [start, end] interval on the lane — the
+// only way onto a lane, so there is no begin mark to leave unmatched.
+// Sequential drivers that already
+// read the clock at phase boundaries (spgemm's phaseTimer) pass those reads;
+// sched.Pool's parallel regions time each worker's body around the call.
 func (t *Tracer) Span(laneID int, name string, start, end time.Time) {
 	l := t.lane(laneID)
-	bts := start.Sub(t.start).Nanoseconds()
-	ets := end.Sub(t.start).Nanoseconds()
+	sp := span{name: name, start: start.Sub(t.start).Nanoseconds(), end: end.Sub(t.start).Nanoseconds()}
 	l.mu.Lock()
-	l.ev = append(l.ev, event{name: name, ts: bts, ph: 'B'}, event{name: name, ts: ets, ph: 'E'})
+	l.spans = append(l.spans, sp)
 	l.mu.Unlock()
 }
 
-// snapshot copies every lane's events under their locks.
-func (t *Tracer) snapshot() [][]event {
+// snapshot copies every lane's spans under their locks.
+func (t *Tracer) snapshot() [][]span {
 	t.mu.RLock()
 	lanes := make([]*lane, len(t.lanes))
 	copy(lanes, t.lanes)
 	t.mu.RUnlock()
-	out := make([][]event, len(lanes))
+	out := make([][]span, len(lanes))
 	for i, l := range lanes {
 		l.mu.Lock()
-		out[i] = append([]event(nil), l.ev...)
+		out[i] = append([]span(nil), l.spans...)
 		l.mu.Unlock()
 	}
 	return out
@@ -156,16 +137,12 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			Args: map[string]any{"name": laneName(id)},
 		})
 	}
-	for id, evs := range lanes {
-		for _, e := range evs {
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: e.name,
-				Cat:  "spgemm",
-				Ph:   string(e.ph),
-				TS:   float64(e.ts) / 1e3,
-				PID:  1,
-				TID:  id,
-			})
+	for id, spans := range lanes {
+		for _, sp := range spans {
+			ev := chromeEvent{Name: sp.name, Cat: "spgemm", Ph: "B", TS: float64(sp.start) / 1e3, PID: 1, TID: id}
+			out.TraceEvents = append(out.TraceEvents, ev)
+			ev.Ph, ev.TS = "E", float64(sp.end)/1e3
+			out.TraceEvents = append(out.TraceEvents, ev)
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -176,7 +153,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 type WorkerBusy struct {
 	Worker int
 	Busy   time.Duration
-	Spans  int // top-level spans summed into Busy
+	Spans  int // spans summed into Busy
 }
 
 // Imbalance is a per-worker busy-time reduction of a trace — the plain-text
@@ -186,32 +163,18 @@ type Imbalance struct {
 	Workers []WorkerBusy
 }
 
-// Imbalance sums, for every worker lane, the durations of its top-level
-// spans (nested spans are covered by their parents and not double-counted).
-// The driver lane is excluded: phase spans there cover all workers' time.
+// Imbalance sums, for every worker lane, the durations of its spans. Worker
+// lanes are written by sched.Pool's parallel regions alone, one span per
+// worker per region, and a worker body does not open a region of its own, so
+// the spans of a lane do not nest and the sum counts no time twice. The
+// driver lane is excluded: phase spans there cover all workers' time.
 func (t *Tracer) Imbalance() Imbalance {
 	lanes := t.snapshot()
 	var im Imbalance
 	for id := 1; id < len(lanes); id++ {
-		wb := WorkerBusy{Worker: id - 1}
-		depth := 0
-		var open int64
-		for _, e := range lanes[id] {
-			switch e.ph {
-			case 'B':
-				if depth == 0 {
-					open = e.ts
-				}
-				depth++
-			case 'E':
-				if depth > 0 {
-					depth--
-					if depth == 0 {
-						wb.Busy += time.Duration(e.ts - open)
-						wb.Spans++
-					}
-				}
-			}
+		wb := WorkerBusy{Worker: id - 1, Spans: len(lanes[id])}
+		for _, sp := range lanes[id] {
+			wb.Busy += time.Duration(sp.end - sp.start)
 		}
 		im.Workers = append(im.Workers, wb)
 	}

@@ -20,10 +20,8 @@ func scriptedTracer() *Tracer {
 	tr := NewTracer()
 	t0 := tr.start
 	tr.Span(DriverLane, "partition", t0, t0.Add(time.Millisecond))
-	tr.Begin(1, "symbolic")
-	tr.Begin(2, "symbolic")
-	tr.End(2, "symbolic")
-	tr.End(1, "symbolic")
+	tr.Span(1, "symbolic", t0.Add(time.Millisecond), t0.Add(3*time.Millisecond))
+	tr.Span(2, "symbolic", t0.Add(time.Millisecond), t0.Add(2*time.Millisecond))
 	tr.Span(DriverLane, "symbolic", t0.Add(time.Millisecond), t0.Add(3*time.Millisecond))
 	return tr
 }
@@ -138,16 +136,11 @@ func validateTrace(t *testing.T, ct chromeTrace) {
 func TestImbalance(t *testing.T) {
 	tr := NewTracer()
 	t0 := tr.start
-	// Worker 0 busy 4ms in two spans, worker 1 busy 2ms; a nested span on
-	// worker 0 must not be double-counted.
-	tr.Span(1, "numeric", t0, t0.Add(3*time.Millisecond))
-	tr.Begin(1, "numeric")
-	tr.Begin(1, "inner")
-	tr.End(1, "inner")
-	tr.End(1, "numeric")
-	// Overwrite the Begin/End timestamps deterministically via Span for the
-	// second worker only; worker 0's Begin/End pair above has a real (tiny)
-	// duration that we bound below rather than pin.
+	// Worker 0 busy 4ms in two regions, worker 1 busy 2ms in one; the driver
+	// lane's phase span covers both and is not a worker.
+	tr.Span(DriverLane, "numeric", t0, t0.Add(5*time.Millisecond))
+	tr.Span(1, "symbolic", t0, t0.Add(3*time.Millisecond))
+	tr.Span(1, "numeric", t0.Add(3*time.Millisecond), t0.Add(4*time.Millisecond))
 	tr.Span(2, "numeric", t0, t0.Add(2*time.Millisecond))
 
 	im := tr.Imbalance()
@@ -158,17 +151,14 @@ func TestImbalance(t *testing.T) {
 	if w0.Worker != 0 || w1.Worker != 1 {
 		t.Fatalf("worker ids = %d,%d", w0.Worker, w1.Worker)
 	}
-	if w0.Spans != 2 {
-		t.Errorf("worker 0 top-level spans = %d, want 2 (nested span double-counted?)", w0.Spans)
-	}
-	if w0.Busy < 3*time.Millisecond {
-		t.Errorf("worker 0 busy = %v, want >= 3ms", w0.Busy)
+	if w0.Busy != 4*time.Millisecond || w0.Spans != 2 {
+		t.Errorf("worker 0 = %+v, want busy 4ms / 2 spans", w0)
 	}
 	if w1.Busy != 2*time.Millisecond || w1.Spans != 1 {
 		t.Errorf("worker 1 = %+v, want busy 2ms / 1 span", w1)
 	}
-	if r := im.Ratio(); r < 1 {
-		t.Errorf("ratio = %v, want >= 1", r)
+	if r := im.Ratio(); r != 4.0/3 {
+		t.Errorf("ratio = %v, want max 4ms over mean 3ms", r)
 	}
 	if im.Report() == "" {
 		t.Error("empty report")
@@ -189,8 +179,8 @@ func TestTracerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				lane := g%4 + 1 // overlap lanes across goroutines on purpose
-				tr.Begin(lane, "work")
-				tr.End(lane, "work")
+				now := time.Now()
+				tr.Span(lane, "work", now, now)
 			}
 		}(g)
 	}

@@ -13,6 +13,7 @@ package sched
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -111,9 +112,9 @@ func (p *Pool) RunWorkersNamed(name string, workers int, body func(worker int)) 
 	if tr := obs.Active(); tr != nil {
 		inner := body
 		body = func(w int) {
-			tr.Begin(w+1, name)
+			t0 := time.Now()
 			inner(w)
-			tr.End(w+1, name)
+			tr.Span(w+1, name, t0, time.Now())
 		}
 	}
 	if workers == 1 {

@@ -225,6 +225,9 @@ func (s *Sentry) State() (degraded bool, failing []AlgHealth, since time.Time) {
 // from a BENCH_spgemm.json snapshot written by spgemm-bench: for every
 // algorithm it takes the best mflops across recorded variants (oneshot /
 // context / plan) — the machine's demonstrated capability for that kernel.
+// The snapshot's mflops is the paper's metric, 2·flop per microsecond (a
+// multiply and an add per product, bench.mflops); Observe is fed ExecStats'
+// flop, one per product, so a row of M mflops is a baseline of M·1e6/2.
 func LoadSentryBaseline(path string) (map[string]float64, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -241,7 +244,7 @@ func LoadSentryBaseline(path string) (map[string]float64, error) {
 	}
 	base := make(map[string]float64)
 	for _, r := range snap.Results {
-		if f := r.Mflops * 1e6; f > base[r.Alg] {
+		if f := r.Mflops * 1e6 / 2; f > base[r.Alg] {
 			base[r.Alg] = f
 		}
 	}

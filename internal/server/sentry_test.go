@@ -95,12 +95,40 @@ func TestLoadSentryBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Best variant wins, mflops scaled to flop/s.
-	if base["hash"] != 250e6 || base["heap"] != 80e6 {
+	// Best variant wins; mflops counts two operations per product, the
+	// sentry's flop/s one.
+	if base["hash"] != 125e6 || base["heap"] != 40e6 {
 		t.Fatalf("baseline = %v", base)
 	}
 	if _, err := LoadSentryBaseline(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file did not error")
+	}
+}
+
+// TestSentryBaselineUnit closes the loop between the two units: a kernel
+// the snapshot recorded at 2 MFLOPS, observed doing 1e6 flop a second, is
+// running at exactly its baseline — slowdown 1.0, not 2.0.
+func TestSentryBaselineUnit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := os.WriteFile(path, []byte(`{"results":[{"alg":"hash","variant":"oneshot","mflops":2}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := LoadSentryBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ratio 1 tolerates no slowdown at all, so the verdict is the unit check.
+	s := NewSentry(SentryConfig{Baseline: base, Ratio: 1, Sustain: 1, MinSamples: 1, alpha: 1})
+	s.Observe("hash", 1_000_000, time.Second)
+	s.check()
+	if degraded, failing, _ := s.State(); degraded {
+		t.Fatalf("a kernel at its recorded throughput reads as slowed down: %+v", failing)
+	}
+	s.Observe("hash", 999_999, time.Second)
+	s.check()
+	degraded, failing, _ := s.State()
+	if !degraded || len(failing) != 1 || failing[0].Ratio < 1 || failing[0].Ratio > 1.00001 {
+		t.Fatalf("one flop/s under baseline: degraded=%v report=%+v, want slowdown just over 1.0", degraded, failing)
 	}
 }
 

@@ -25,12 +25,24 @@ import (
 	"repro/internal/spgemm/difftest"
 )
 
+// newTestServer starts a server whose ContextPool must be whole again once
+// the test is over: every handler path that checks a Context out hands it
+// back, whatever the request came to. Cleanups run last-in first-out, so
+// ts.Close has waited out every handler before the pool is counted.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { assertPoolWhole(t, s.pool) })
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+func assertPoolWhole(t *testing.T, p *ContextPool) {
+	t.Helper()
+	if got, waiting := len(p.contexts), p.waiting.Load(); got != p.size || waiting != 0 {
+		t.Errorf("ContextPool not whole: %d of %d Contexts home, %d waiting (a handler path kept its checkout)", got, p.size, waiting)
+	}
 }
 
 func uploadBinary(t *testing.T, base string, m *matrix.CSR) MatrixInfo {
@@ -397,6 +409,48 @@ func TestAdmissionControl429(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("queued request never completed")
 	}
+}
+
+// TestMultiplyClientCanceledWhileQueued covers AcquireTraced's other failure
+// arm: the client gives up while its request waits for a Context. Nothing is
+// answered; the wait is observed as canceled, the request counted as a 499,
+// and the queue slot given back.
+func TestMultiplyClientCanceledWhileQueued(t *testing.T) {
+	s, ts := newTestServer(t, Config{Contexts: 1, QueueDepth: 1})
+	a := matrix.Random(10, 10, 0.3, rand.New(rand.NewSource(12)))
+	ha := uploadBinary(t, ts.URL, a).Hash
+
+	held, err := s.pool.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs499, canceled := mErrors.With("499").Value(), mQueueWaitCanceled.Count()
+
+	body, _ := json.Marshal(MultiplyRequest{A: ha, B: ha})
+	cctx, cancel := context.WithCancel(context.Background())
+	req, _ := http.NewRequestWithContext(cctx, http.MethodPost, ts.URL+"/v1/multiply", bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	waitFor(t, func() bool { return s.pool.waiting.Load() == 1 })
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled request returned %v, want context.Canceled", err)
+	}
+	// The handler sees the disconnect asynchronously.
+	waitFor(t, func() bool { return s.pool.waiting.Load() == 0 })
+	waitFor(t, func() bool { return mErrors.With("499").Value() == errs499+1 })
+	if got := mQueueWaitCanceled.Count(); got != canceled+1 {
+		t.Errorf("server_queue_wait_seconds{outcome=\"canceled\"} count moved by %d, want 1", got-canceled)
+	}
+	s.pool.Release(held)
+	assertPoolWhole(t, s.pool)
 }
 
 func waitFor(t *testing.T, cond func() bool) {

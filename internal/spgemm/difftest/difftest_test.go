@@ -13,10 +13,12 @@ import (
 // TestDifferentialSuite cross-checks every algorithm against the oracle over
 // the full generated suite, with sorted and unsorted output requests and
 // both serial and parallel worker counts. Runs cleanly under -race: worker
-// counters and phase timers must not introduce data races.
+// counters and phase timers must not introduce data races. The special-value
+// cases ride along: the oracle's predicate matches NaN and ±Inf by class and
+// sign (matrix.EqualApprox), so a kernel that lost or invented one fails here.
 func TestDifferentialSuite(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, c := range Cases(rng) {
+	for _, c := range append(Cases(rng), SpecialValueCases(rng)...) {
 		for _, alg := range Algorithms {
 			for _, unsorted := range []bool{false, true} {
 				for _, workers := range []int{1, 4} {
