@@ -97,7 +97,7 @@ func (h *HashTableG[V]) Reserve(bound int64) {
 func (h *HashTableG[V]) Reset() {
 	// Deriving the mask from len(keys) lets the prove pass see
 	// s&mask < len(keys) and drop the bounds check in the loop
-	// (spgemm-lint -mode=bce budgets the residuals).
+	// (lint/budget.txt [bce] budgets the residuals).
 	keys := h.keys
 	mask := len(keys) - 1
 	if mask < 0 {

@@ -25,10 +25,9 @@ type BFSResult struct {
 // The sweep runs natively over CSRG[bool] with the monomorphized OrAndBool
 // ring: frontier values are 1-byte booleans rather than 8-byte floats, which
 // cuts the value-stream bandwidth of every product by 8×, and the or-and
-// fold compiles to direct boolean ops instead of going through a func-pointer
-// semiring. opt carries the algorithm/worker selection; its Semiring, Mask
-// and Context fields are ignored (the semiring is fixed, and a float64
-// Context cannot serve a bool product — MSBFS keeps its own).
+// fold compiles to direct boolean ops. opt carries the algorithm/worker
+// selection; its Mask and Context fields are ignored (a float64 Context
+// cannot serve a bool product — MSBFS keeps its own).
 func MSBFS(g *matrix.CSR, sources []int32, opt *spgemm.Options) (*BFSResult, error) {
 	if g.Rows != g.Cols {
 		return nil, fmt.Errorf("graph: adjacency must be square, got %dx%d", g.Rows, g.Cols)

@@ -29,7 +29,6 @@ func ClusteringCoefficients(adj *matrix.CSR, opt *spgemm.Options) ([]float64, er
 	inner := *opt
 	inner.Algorithm = spgemm.AlgHash // the one kernel that fuses a mask
 	inner.Mask = a
-	inner.Semiring = nil
 	b, err := spgemm.Multiply(a, a, &inner)
 	if err != nil {
 		return nil, err

@@ -53,7 +53,6 @@ func LabelPropagation(adj *matrix.CSR, maxIters int, rng *rand.Rand, opt *spgemm
 	}
 	inner := *opt
 	inner.Mask = nil
-	inner.Semiring = nil
 	inner.ShardSink = nil // single-use, and its products cannot be donated
 	inner.Unsorted = true // argmax scan does not need sorted rows
 	if inner.Context == nil {

@@ -75,7 +75,7 @@ func CountTriangles(adj *matrix.CSR, opt *spgemm.Options) (*TriangleResult, erro
 // wedge counts are integers, so summing them in int64 is exact at any
 // scale, where the historical float64 accumulation relied on counts staying
 // under 2^53 and a final +0.5 rounding. opt carries the algorithm/worker
-// selection; Semiring, Mask and Context are ignored (the mask is derived
+// selection; Mask and Context are ignored (the mask is derived
 // from L, and a float64 Context cannot serve an int64 product).
 func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 	if opt == nil {

@@ -53,7 +53,10 @@ func (c *COOG[V]) Validate() error {
 // ToCSR converts to CSR, merging duplicate (row,col) entries (numeric +,
 // logical OR for bool) and dropping entries whose merged value is the
 // storage zero. Rows come out sorted.
-func (c *COOG[V]) ToCSR() *CSRG[V] {
+func (c *COOG[V]) ToCSR() *CSRG[V] { return c.toCSR(false) }
+
+// toCSR is ToCSR with the choice of keeping storage zeros (see compact).
+func (c *COOG[V]) toCSR(keepZeros bool) *CSRG[V] {
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
@@ -84,7 +87,7 @@ func (c *COOG[V]) ToCSR() *CSRG[V] {
 		Sorted: false,
 	}
 	m.SortRows()
-	return m.Compact()
+	return m.compact(keepZeros)
 }
 
 // FromCSR converts back to coordinate format with entries in row-major order.

@@ -174,7 +174,12 @@ func (s *rowSorter[V]) Swap(i, j int) {
 // values with V's conventional addition — numeric +, logical OR for bool)
 // and drops explicit storage zeros. Rows are left sorted. The matrix is
 // modified in place and also returned for chaining.
-func (m *CSRG[V]) Compact() *CSRG[V] {
+func (m *CSRG[V]) Compact() *CSRG[V] { return m.compact(false) }
+
+// compact is Compact with the choice of keeping the storage zeros: a reader
+// of a format that lists its entries one by one (Matrix Market) must hand
+// back every position the text names, a stored 0 or -0 included.
+func (m *CSRG[V]) compact(keepZeros bool) *CSRG[V] {
 	if !m.Sorted {
 		m.SortRows()
 	}
@@ -191,7 +196,7 @@ func (m *CSRG[V]) Compact() *CSRG[V] {
 				v = addValue(v, m.Val[p])
 				p++
 			}
-			if !isZeroValue(v) {
+			if keepZeros || !isZeroValue(v) {
 				m.ColIdx[out] = c
 				m.Val[out] = v
 				out++

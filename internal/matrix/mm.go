@@ -44,7 +44,10 @@ func (l *ReadLimits) check(rows, cols int, nnz int64) error {
 
 // ReadMatrixMarket parses a Matrix Market coordinate stream into a CSR
 // matrix. Pattern matrices get value 1 for every entry; symmetric matrices
-// are expanded to full storage.
+// are expanded to full storage. Every position the text lists is an entry of
+// the matrix whatever its value — an explicit 0 or -0, ±Inf and NaN are
+// stored as written, the way SpGEMM treats a stored zero as structure —
+// and positions listed twice are summed. Rows come out sorted.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	return ReadMatrixMarketLimited(r, nil)
 }
@@ -167,7 +170,7 @@ func ReadMatrixMarketLimited(r io.Reader, lim *ReadLimits) (*CSR, error) {
 	if err := coo.Validate(); err != nil {
 		return nil, err
 	}
-	return coo.ToCSR(), nil
+	return coo.toCSR(true), nil
 }
 
 // WriteMatrixMarket writes m in "matrix coordinate real general" format.

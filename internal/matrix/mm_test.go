@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -20,6 +21,38 @@ func TestMatrixMarketRoundTrip(t *testing.T) {
 	}
 	if !Equal(m, back) {
 		t.Fatal("Matrix Market round trip changed matrix")
+	}
+}
+
+// TestMatrixMarketKeepsWhatTheTextLists: a stored 0, a -0, ±Inf and NaN all
+// survive the text round trip with their bits, and positions listed twice sum
+// to one entry even when the sum is zero.
+func TestMatrixMarketKeepsWhatTheTextLists(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 2.5}
+	m := &CSR{Rows: 1, Cols: len(vals), RowPtr: []int64{0, int64(len(vals))}, Val: vals, Sorted: true}
+	for j := range vals {
+		m.ColIdx = append(m.ColIdx, int32(j))
+	}
+	var buf bytes.Buffer
+	if err := WriteMatrixMarket(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadMatrixMarket(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.NNZ() != m.NNZ() {
+		t.Fatalf("round trip kept %d of %d entries", back.NNZ(), m.NNZ())
+	}
+	for j, want := range vals {
+		got := back.Val[j]
+		if math.Float64bits(got) != math.Float64bits(want) && !(got != got && want != want) {
+			t.Errorf("entry %d: %v came back as %v", j, want, got)
+		}
+	}
+	cancel, err := ReadMatrixMarket(strings.NewReader("%%MatrixMarket matrix coordinate real general\n1 1 2\n1 1 5\n1 1 -5\n"))
+	if err != nil || cancel.NNZ() != 1 || cancel.Val[0] != 0 {
+		t.Fatalf("5 + -5 at one position: %v, %v", cancel, err)
 	}
 }
 

@@ -9,16 +9,16 @@ import (
 )
 
 // RequestTrace is a request-scoped span timeline: one served request's
-// end-to-end story (admission queue wait → Context checkout → plan-cache
-// lookup → kernel phases) as named intervals on a single track, plus a small
-// bag of attributes (matrix hashes, resolved algorithm, flop, collision
+// end-to-end story (decode → admission wait → plan-cache lookup → kernel
+// phases → respond) as named intervals on a single track, plus a small bag
+// of attributes (matrix hashes, resolved algorithm, flop, collision
 // factor). It is the per-request counterpart of the process-wide Tracer:
 // where the Tracer interleaves every concurrent kernel onto shared worker
 // lanes, a RequestTrace isolates exactly one request, so a slow outlier can
 // be exported and read on its own.
 //
-// Ownership contract: a RequestTrace is built by the single goroutine
-// handling the request and becomes immutable once published to a
+// Ownership contract: a RequestTrace is built, complete, by the goroutine
+// that finished the request and is immutable once published to a
 // RequestRing; the ring's lock is the happens-before edge to concurrent
 // /debug/requests readers. No internal locking is needed or provided.
 type RequestTrace struct {
@@ -34,7 +34,8 @@ type RequestTrace struct {
 	// Spans are the timeline intervals, in recording order, with offsets
 	// relative to Start.
 	Spans []ReqSpan `json:"spans"`
-	// Err is the error message for non-2xx requests.
+	// Err is the error message of a request that failed — or, beside a 200,
+	// whose response could not be written out.
 	Err string `json:"err,omitempty"`
 }
 
@@ -45,71 +46,16 @@ type ReqSpan struct {
 	DurMs   float64 `json:"durMs"`
 }
 
-// NewRequestTrace starts a trace for one request; its clock starts now.
-func NewRequestTrace(id string) *RequestTrace {
-	return &RequestTrace{ID: id, Start: time.Now()}
-}
-
-// Span records the interval [start, end] under the given name. Offsets are
-// taken against the trace's start time, so spans recorded from wall-clock
-// reads the handler already performed add no further clock reads.
-func (t *RequestTrace) Span(name string, start, end time.Time) {
-	t.SpanAt(name, start.Sub(t.Start), end.Sub(start))
-}
-
-// SpanAt records an interval by explicit offset and duration — the form used
-// when reconstructing kernel phase sub-spans from ExecStats, whose phase
-// durations are measured back-to-back from the kernel start.
+// SpanAt appends the interval [offset, offset+dur) of the request under the
+// given name. The server lays a request's stages out this way, end to end
+// from 0, and the kernel's phases (ExecStats.PhaseSpans, measured
+// back-to-back from the kernel start) inside the kernel stage.
 func (t *RequestTrace) SpanAt(name string, offset, dur time.Duration) {
 	t.Spans = append(t.Spans, ReqSpan{
 		Name:    name,
 		StartMs: float64(offset) / 1e6,
 		DurMs:   float64(dur) / 1e6,
 	})
-}
-
-// SetAttr attaches one metadata key to the trace.
-func (t *RequestTrace) SetAttr(key string, v any) {
-	if t.Attrs == nil {
-		t.Attrs = make(map[string]any, 8)
-	}
-	t.Attrs[key] = v
-}
-
-// Finish stamps the total latency and response status. The trace must not be
-// mutated after Finish + ring publication.
-func (t *RequestTrace) Finish(status int) {
-	t.Status = status
-	t.TotalMs = float64(time.Since(t.Start)) / 1e6
-}
-
-// Total returns the recorded end-to-end latency.
-func (t *RequestTrace) Total() time.Duration {
-	return time.Duration(t.TotalMs * 1e6)
-}
-
-// SpanSum returns the summed duration of the named spans (all spans when no
-// names are given). The request-level accounting invariant mirrors
-// ExecStats.PhaseSum() <= Total: every recorded span lies inside the
-// [Start, Start+Total] window and sibling spans do not overlap.
-func (t *RequestTrace) SpanSum(names ...string) time.Duration {
-	var sum time.Duration
-	for _, s := range t.Spans {
-		if len(names) > 0 {
-			found := false
-			for _, n := range names {
-				if s.Name == n {
-					found = true
-					break
-				}
-			}
-			if !found {
-				continue
-			}
-		}
-		sum += time.Duration(s.DurMs * 1e6)
-	}
-	return sum
 }
 
 // WriteChromeTrace exports the request as a self-contained Chrome trace-event

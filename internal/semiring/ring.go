@@ -1,14 +1,17 @@
+// Package semiring defines the algebraic structures SpGEMM can run over.
+//
+// The paper's SpGEMM kernels compute over the ordinary (+, ×) arithmetic
+// semiring, but the graph applications it motivates — multi-source BFS,
+// triangle counting, Markov clustering — are SpGEMM over other semirings
+// (boolean or-and, tropical min-plus). Ring[V] is the constraint-style
+// interface the generic kernels are parameterized over, and the concrete
+// rings below are zero-size types whose Add/Mul/Zero methods inline into the
+// kernel inner loops.
 package semiring
 
 import "math"
 
 var inf = math.Inf(1)
-
-// This file is the generic (compile-time) side of the package: Ring[V] is the
-// constraint-style interface the generic kernels are parameterized over, and
-// the concrete rings below are zero-size types whose Add/Mul/Zero methods
-// inline into the kernel inner loops. The func-pointer Semiring type survives
-// only behind the Func adapter.
 
 // Value is the set of element types the generic matrix / accumulator / kernel
 // layer supports. The list is exact (no ~ terms) on purpose: helpers such as
@@ -114,14 +117,3 @@ func (MaxTimesF64) Add(a, b float64) float64 {
 func (MaxTimesF64) Mul(a, b float64) float64 { return a * b }
 func (MaxTimesF64) Zero() float64            { return 0 }
 func (MaxTimesF64) String() string           { return "max-times<f64>" }
-
-// Func adapts the legacy func-pointer *Semiring to Ring[float64]. This is
-// the one place an indirect call per multiply-add survives; every shipped
-// ring above monomorphizes instead. Options.Semiring routes through it, so
-// existing callers keep working at their old (slow-path) cost.
-type Func struct{ S *Semiring }
-
-func (f Func) Add(a, b float64) float64 { return f.S.Add(a, b) }
-func (f Func) Mul(a, b float64) float64 { return f.S.Mul(a, b) }
-func (f Func) Zero() float64            { return f.S.Zero }
-func (f Func) String() string           { return f.S.Name + "<func>" }

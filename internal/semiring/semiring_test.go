@@ -8,20 +8,24 @@ import (
 )
 
 func TestPlusTimesBasics(t *testing.T) {
-	s := PlusTimes()
-	if s.Add(2, 3) != 5 || s.Mul(2, 3) != 6 || s.Zero != 0 {
-		t.Fatal("plus-times wrong")
+	if s := (PlusTimesF64{}); s.Add(2, 3) != 5 || s.Mul(2, 3) != 6 || s.Zero() != 0 {
+		t.Fatal("plus-times<f64> wrong")
+	}
+	if s := (PlusTimesF32{}); s.Add(2, 3) != 5 || s.Mul(2, 3) != 6 || s.Zero() != 0 {
+		t.Fatal("plus-times<f32> wrong")
+	}
+	if s := (PlusTimesI64{}); s.Add(2, 3) != 5 || s.Mul(2, 3) != 6 || s.Zero() != 0 {
+		t.Fatal("plus-times<i64> wrong")
 	}
 }
 
 func TestOrAndTruthTable(t *testing.T) {
-	s := OrAnd()
-	cases := []struct{ a, b, or, and float64 }{
-		{0, 0, 0, 0},
-		{0, 1, 1, 0},
-		{1, 0, 1, 0},
-		{1, 1, 1, 1},
-		{0.5, 2, 1, 1}, // any nonzero is true
+	s := OrAndBool{}
+	cases := []struct{ a, b, or, and bool }{
+		{false, false, false, false},
+		{false, true, true, false},
+		{true, false, true, false},
+		{true, true, true, true},
 	}
 	for _, c := range cases {
 		if got := s.Add(c.a, c.b); got != c.or {
@@ -31,65 +35,62 @@ func TestOrAndTruthTable(t *testing.T) {
 			t.Fatalf("Mul(%v,%v)=%v want %v", c.a, c.b, got, c.and)
 		}
 	}
+	if s.Zero() {
+		t.Fatal("or-and identity must be false")
+	}
 }
 
 func TestMinPlusIdentityAndOps(t *testing.T) {
-	s := MinPlus()
-	if !math.IsInf(s.Zero, 1) {
+	s := MinPlusF64{}
+	if !math.IsInf(s.Zero(), 1) {
 		t.Fatal("min-plus identity must be +Inf")
 	}
 	if s.Add(3, 5) != 3 || s.Mul(3, 5) != 8 {
 		t.Fatal("min-plus ops wrong")
 	}
-	if s.Add(7, s.Zero) != 7 {
+	if s.Add(7, s.Zero()) != 7 {
 		t.Fatal("Add(x, Zero) != x")
 	}
 }
 
 func TestMaxTimes(t *testing.T) {
-	s := MaxTimes()
-	if s.Add(3, 5) != 5 || s.Mul(3, 5) != 15 || s.Zero != 0 {
+	s := MaxTimesF64{}
+	if s.Add(3, 5) != 5 || s.Mul(3, 5) != 15 || s.Zero() != 0 {
 		t.Fatal("max-times wrong")
 	}
 }
 
-// Semiring laws (on non-negative values where applicable): Add associative
-// and commutative, Zero is the Add identity, Mul distributes over Add for
-// the rings where that holds exactly (plus-times with exact values excluded
-// due to float rounding — checked with tolerance).
-func TestSemiringLaws(t *testing.T) {
-	rings := []*Semiring{PlusTimes(), OrAnd(), MinPlus(), MaxTimes()}
-	for _, s := range rings {
-		s := s
-		f := func(seed int64) bool {
-			rng := rand.New(rand.NewSource(seed))
-			lim := 10
-			if s.Name == "or-and" {
-				// The float encoding of booleans only forms a semiring on
-				// the carrier {0, 1}.
-				lim = 2
-			}
-			a := float64(rng.Intn(lim))
-			b := float64(rng.Intn(lim))
-			c := float64(rng.Intn(lim))
-			// Commutativity and associativity of Add.
-			if s.Add(a, b) != s.Add(b, a) {
-				return false
-			}
-			if s.Add(s.Add(a, b), c) != s.Add(a, s.Add(b, c)) {
-				return false
-			}
-			// Identity.
-			if s.Add(a, s.Zero) != a {
-				return false
-			}
-			// Distributivity: a*(b+c) == a*b + a*c (exact on small ints).
-			left := s.Mul(a, s.Add(b, c))
-			right := s.Add(s.Mul(a, b), s.Mul(a, c))
-			return left == right || (math.IsInf(left, 1) && math.IsInf(right, 1))
+// checkLaws draws triples from small (small non-negative integers, exact in
+// every V) and checks: Add commutative and associative, Zero the Add identity,
+// Mul distributive over Add.
+func checkLaws[V comparable, R Ring[V]](t *testing.T, name string, r R, small func(int) V) {
+	t.Helper()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		a, b, c := small(rng.Intn(10)), small(rng.Intn(10)), small(rng.Intn(10))
+		if r.Add(a, b) != r.Add(b, a) {
+			return false
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-			t.Errorf("%s: %v", s.Name, err)
+		if r.Add(r.Add(a, b), c) != r.Add(a, r.Add(b, c)) {
+			return false
 		}
+		if r.Add(a, r.Zero()) != a {
+			return false
+		}
+		return r.Mul(a, r.Add(b, c)) == r.Add(r.Mul(a, b), r.Mul(a, c))
 	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Errorf("%s: %v", name, err)
+	}
+}
+
+// TestSemiringLaws holds every shipped ring to the semiring laws.
+func TestSemiringLaws(t *testing.T) {
+	f64 := func(n int) float64 { return float64(n) }
+	checkLaws(t, "plus-times<f64>", PlusTimesF64{}, f64)
+	checkLaws(t, "plus-times<f32>", PlusTimesF32{}, func(n int) float32 { return float32(n) })
+	checkLaws(t, "plus-times<i64>", PlusTimesI64{}, func(n int) int64 { return int64(n) })
+	checkLaws(t, "or-and<bool>", OrAndBool{}, func(n int) bool { return n%2 == 1 })
+	checkLaws(t, "min-plus<f64>", MinPlusF64{}, f64)
+	checkLaws(t, "max-times<f64>", MaxTimesF64{}, f64)
 }

@@ -64,7 +64,7 @@ func (p *ContextPool) Acquire(ctx context.Context) (*spgemm.Context, error) {
 	return c, err
 }
 
-// AcquireTraced is Acquire plus the queueing fact the request trace wants:
+// AcquireTraced is Acquire plus the queueing fact the request record wants:
 // queued reports whether the fast path missed and the request actually
 // waited in the admission queue (as opposed to checking a free Context out
 // immediately).

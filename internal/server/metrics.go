@@ -21,9 +21,6 @@ var (
 		"multiply requests waiting for a Context")
 	mMultiplies = obs.NewCounter("server_multiplies_total",
 		"multiply requests completed successfully")
-	mMultiplySeconds = obs.NewHistogram("server_multiply_seconds",
-		"end-to-end multiply handler latency in seconds",
-		[]float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10})
 	mPhaseNanos = obs.NewCounterVec("server_multiply_phase_nanos_total",
 		"cumulative per-phase kernel time across multiply requests, by phase", "phase")
 	mMultiplyFlop = obs.NewCounter("server_multiply_flop_total",
@@ -73,7 +70,8 @@ var (
 
 // requestSecondsByAlg caches the per-algorithm child of server_request_seconds
 // so recording a request is one alloc-free Observe, never a locked map lookup
-// — the same discipline as spgemm's multiplyCounter.
+// — the same discipline as spgemm's multiplyCounter. Summed over alg it is
+// the latency of every successful multiply.
 var requestSecondsByAlg = func() [spgemm.NumAlgorithms]*obs.Histogram {
 	var t [spgemm.NumAlgorithms]*obs.Histogram
 	for a := spgemm.Algorithm(0); int(a) < len(t); a++ {
@@ -88,11 +86,3 @@ var (
 	mQueueWaitRejected = mQueueWait.With("rejected")
 	mQueueWaitCanceled = mQueueWait.With("canceled")
 )
-
-// observeRequestSeconds records one request's end-to-end latency under its
-// resolved algorithm.
-func observeRequestSeconds(alg spgemm.Algorithm, seconds float64) {
-	if int(alg) < len(requestSecondsByAlg) {
-		requestSecondsByAlg[alg].Observe(seconds)
-	}
-}

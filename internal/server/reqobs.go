@@ -14,14 +14,13 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/spgemm"
 )
 
-// requestObs is the server's request-level observability state: ID
-// generation, the recent-request ring behind /debug/requests, the
-// slow-request capturer, and the optional on-spike CPU profile. A nil
-// *requestObs (request tracing disabled) makes every hook a nil check —
-// the zero-extra-allocation contract TestRequestObsDisabledZeroAllocs pins.
+// requestObs is the ring side of request observability: ID generation, the
+// recent-request ring behind /debug/requests, the slow-request capturer, and
+// the optional on-spike CPU profile. A nil *requestObs (RequestRing == 0)
+// issues no IDs and publishes nothing, so a record is never turned into a
+// trace — the zero-allocation contract TestRequestObsDisabledZeroAllocs pins.
 type requestObs struct {
 	recent *obs.RequestRing
 	slow   *obs.RequestRing
@@ -64,30 +63,27 @@ func newRequestObs(cfg Config) *requestObs {
 	return o
 }
 
-// begin opens a trace for one request. Nil receiver (tracing disabled)
-// yields a nil trace, which every downstream stamp accepts.
-func (o *requestObs) begin() *obs.RequestTrace {
+// nextID issues a request ID, or "" while the ring is off.
+func (o *requestObs) nextID() string {
 	if o == nil {
-		return nil
+		return ""
 	}
-	return obs.NewRequestTrace(fmt.Sprintf("r-%s-%06d", o.idPrefix, o.idSeq.Add(1)))
+	return fmt.Sprintf("r-%s-%06d", o.idPrefix, o.idSeq.Add(1))
 }
 
-// finish completes a trace: stamps status, publishes it to the recent ring,
-// and runs the slow-request capturer. The trace is immutable afterwards.
-func (o *requestObs) finish(t *obs.RequestTrace, status int) {
-	if o == nil || t == nil {
+// publish builds the finished record's trace, adds it to the recent ring and
+// runs the slow-request capturer. The trace is immutable afterwards.
+func (o *requestObs) publish(rec *record) {
+	if o == nil {
 		return
 	}
-	t.Finish(status)
+	t := rec.trace()
 	o.recent.Add(t)
-	if o.slowThreshold > 0 && t.Total() >= o.slowThreshold {
+	if o.slowThreshold > 0 && rec.total() >= o.slowThreshold {
 		mSlowRequests.Inc()
 		o.slow.Add(t)
-		log := obs.Logger()
-		log.Warn("slow request",
-			"reqID", t.ID, "ms", t.TotalMs, "thresholdMs",
-			float64(o.slowThreshold)/1e6, "status", status)
+		obs.Logger().Warn("slow request",
+			"reqID", t.ID, "ms", t.TotalMs, "thresholdMs", ms(o.slowThreshold), "status", t.Status)
 		o.maybeProfile(t.ID)
 	}
 }
@@ -116,7 +112,7 @@ func (o *requestObs) maybeProfile(reqID string) {
 		o.profReqID = reqID
 		o.profMu.Unlock()
 		obs.Logger().Info("slow-request CPU profile captured",
-			"reqID", reqID, "bytes", buf.Len(), "windowMs", float64(o.profileDur)/1e6)
+			"reqID", reqID, "bytes", buf.Len(), "windowMs", ms(o.profileDur))
 	}()
 }
 
@@ -130,6 +126,21 @@ type requestsDebugBody struct {
 	Slow            []*obs.RequestTrace `json:"slow,omitempty"`
 }
 
+// debugBody snapshots both rings, newest first.
+func (o *requestObs) debugBody() requestsDebugBody {
+	body := requestsDebugBody{
+		Capacity: o.recent.Cap(),
+		Dropped:  o.recent.Dropped(),
+		Recent:   o.recent.Snapshot(),
+	}
+	if o.slow != nil {
+		body.SlowThresholdMs = ms(o.slowThreshold)
+		body.Slow = o.slow.Snapshot()
+		body.SlowDropped = o.slow.Dropped()
+	}
+	return body
+}
+
 // handleRequests serves GET /debug/requests: the recent and slow rings as
 // JSON, newest first, optionally limited with ?n=.
 func (o *requestObs) handleRequests(w http.ResponseWriter, r *http.Request) {
@@ -137,16 +148,7 @@ func (o *requestObs) handleRequests(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "request tracing disabled (run with -request-ring > 0)", http.StatusNotFound)
 		return
 	}
-	body := requestsDebugBody{
-		Capacity: o.recent.Cap(),
-		Dropped:  o.recent.Dropped(),
-		Recent:   o.recent.Snapshot(),
-	}
-	if o.slow != nil {
-		body.SlowThresholdMs = float64(o.slowThreshold) / 1e6
-		body.Slow = o.slow.Snapshot()
-		body.SlowDropped = o.slow.Dropped()
-	}
+	body := o.debugBody()
 	if s := r.URL.Query().Get("n"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
@@ -207,21 +209,6 @@ func (o *requestObs) handleSlowProfile(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
-// stampKernel appends the kernel window and its per-phase sub-spans to the
-// trace: the bridge from the request timeline to the paper's Fig. 8
-// breakdown. Phases come from ExecStats.PhaseSpans (measured back-to-back
-// from kernel start), anchored at where the kernel began inside the request.
-func stampKernel(t *obs.RequestTrace, kernelStart time.Time, stats *spgemm.ExecStats) {
-	if t == nil || stats == nil {
-		return
-	}
-	off := kernelStart.Sub(t.Start)
-	t.SpanAt("kernel", off, stats.Total)
-	for _, sp := range stats.PhaseSpans() {
-		t.SpanAt("kernel."+sp.Phase.String(), off+sp.Offset, sp.Dur)
-	}
-}
-
 // DrainRequests writes every retained request trace (recent and slow rings)
 // as the /debug/requests JSON document — the shutdown path: a terminated
 // server dumps the tail of its request history instead of losing it.
@@ -229,16 +216,7 @@ func (s *Server) DrainRequests(w func(b []byte)) int {
 	if s.reqobs == nil {
 		return 0
 	}
-	body := requestsDebugBody{
-		Capacity: s.reqobs.recent.Cap(),
-		Dropped:  s.reqobs.recent.Dropped(),
-		Recent:   s.reqobs.recent.Snapshot(),
-	}
-	if s.reqobs.slow != nil {
-		body.SlowThresholdMs = float64(s.reqobs.slowThreshold) / 1e6
-		body.Slow = s.reqobs.slow.Snapshot()
-		body.SlowDropped = s.reqobs.slow.Dropped()
-	}
+	body := s.reqobs.debugBody()
 	out, err := json.MarshalIndent(body, "", "  ")
 	if err != nil {
 		return 0

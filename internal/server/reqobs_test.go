@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -58,11 +59,14 @@ func TestConcurrentRequestTraces(t *testing.T) {
 	}
 
 	traces := s.reqobs.recent.Snapshot()
-	if len(traces) != N {
-		t.Fatalf("ring holds %d traces, want %d", len(traces), N)
+	if len(traces) != N+2 { // the two uploads have records too
+		t.Fatalf("ring holds %d traces, want %d", len(traces), N+2)
 	}
 	const slackMs = 2.0
 	for _, tr := range traces {
+		if tr.Attrs["route"] == "upload" {
+			continue
+		}
 		if !seen[tr.ID] {
 			t.Fatalf("ring trace %q not among issued IDs", tr.ID)
 		}
@@ -113,11 +117,12 @@ func TestRequestDebugEndpoints(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&dbg); err != nil {
 		t.Fatal(err)
 	}
-	if dbg.Capacity != 8 || len(dbg.Recent) != 1 || dbg.Recent[0].ID != id {
+	// Newest first: the multiply, then the upload before it.
+	if dbg.Capacity != 8 || len(dbg.Recent) != 2 || dbg.Recent[0].ID != id {
 		t.Fatalf("debug body: capacity %d, %d recent", dbg.Capacity, len(dbg.Recent))
 	}
-	// Every request beats a 1ns threshold, so the slow ring caught it too.
-	if len(dbg.Slow) != 1 || dbg.SlowThresholdMs == 0 {
+	// Every request beats a 1ns threshold, so the slow ring caught them too.
+	if len(dbg.Slow) != 2 || dbg.SlowThresholdMs == 0 {
 		t.Fatalf("slow capture missing: %d slow entries, threshold %v", len(dbg.Slow), dbg.SlowThresholdMs)
 	}
 
@@ -163,22 +168,21 @@ func TestRequestDebugEndpoints(t *testing.T) {
 // request against testdata/slow_requests.golden — the contract dashboards
 // and the shutdown drain parse.
 func TestSlowRequestGoldenJSON(t *testing.T) {
-	rt := obs.NewRequestTrace("r-cafe0123-000042")
-	rt.Start = time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+	rt := &obs.RequestTrace{
+		ID:      "r-cafe0123-000042",
+		Start:   time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC),
+		Status:  200,
+		TotalMs: 206.5,
+		Attrs: map[string]any{
+			"a": "aaaa", "b": "bbbb", "alg": "hash", "algResolved": "hash",
+			"planHit": false, "flop": int64(123456), "collisionFactor": 1.25,
+		},
+	}
 	rt.SpanAt("queue.wait", 0, 4*time.Millisecond)
 	rt.SpanAt("plan.lookup", 4*time.Millisecond, 10*time.Microsecond)
 	rt.SpanAt("kernel", 5*time.Millisecond, 200*time.Millisecond)
 	rt.SpanAt("kernel.symbolic", 5*time.Millisecond, 80*time.Millisecond)
 	rt.SpanAt("kernel.numeric", 85*time.Millisecond, 120*time.Millisecond)
-	rt.SetAttr("a", "aaaa")
-	rt.SetAttr("b", "bbbb")
-	rt.SetAttr("alg", "hash")
-	rt.SetAttr("algResolved", "hash")
-	rt.SetAttr("planHit", false)
-	rt.SetAttr("flop", int64(123456))
-	rt.SetAttr("collisionFactor", 1.25)
-	rt.Finish(200)
-	rt.TotalMs = 206.5 // deterministic synthetic stamp replacing the wall clock
 
 	body := requestsDebugBody{
 		Capacity:        64,
@@ -208,29 +212,37 @@ func TestSlowRequestGoldenJSON(t *testing.T) {
 }
 
 // TestRequestObsDisabledZeroAllocs pins the zero-cost-when-disabled
-// contract: with request tracing off (nil *requestObs) and logging at the
-// disabled default, the per-request instrumentation hooks on the multiply
-// hot path add zero allocations.
+// contract: with the request ring off and logging at the disabled default, a
+// request's whole record — begin, a tick per stage, the outcome, finish with
+// every metric it moves — allocates nothing.
 func TestRequestObsDisabledZeroAllocs(t *testing.T) {
-	var o *requestObs
-	stats := &spgemm.ExecStats{}
+	s := New(Config{})
+	defer s.Close()
+	w := httptest.NewRecorder()
+	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
-		rt := o.begin()
-		if rt != nil {
-			t.Fatal("nil requestObs produced a trace")
+		rec := s.begin("multiply")
+		rec.tick(stageDecode)
+		rec.admission = mQueueWaitAcquired
+		rec.tick(stageCtxCheckout)
+		rec.tick(stagePlanLookup)
+		rec.planHit = true
+		rec.stats.Algorithm = spgemm.AlgHash
+		rec.tick(stageKernel)
+		rec.wrote(nil)
+		s.finish(ctx, w, &rec)
+		if rec.id != "" || rec.total() <= 0 {
+			t.Fatalf("disabled ring issued ID %q, total %v", rec.id, rec.total())
 		}
-		kt := kernelClock(rt)
-		stampKernel(rt, kt, stats)
-		o.finish(rt, http.StatusOK)
-		_ = traceID(rt)
-		observeRequestSeconds(spgemm.AlgHash, 0.001)
-		mQueueWaitAcquired.Observe(0.0001)
-		if log := obs.Logger(); log.Enabled(nil, 0) {
-			t.Fatal("logger unexpectedly enabled")
-		}
+
+		up := s.begin("upload")
+		up.tick(stageDecode)
+		up.tick(stageIntern)
+		up.wrote(nil)
+		s.finish(ctx, w, &up)
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled request-obs hooks allocate %v per request, want 0", allocs)
+		t.Fatalf("a record with the ring and the log off allocates %v per request, want 0", allocs)
 	}
 }
 
@@ -246,15 +258,15 @@ func TestDrainRequests(t *testing.T) {
 	}
 	var out bytes.Buffer
 	n := s.DrainRequests(func(b []byte) { out.Write(b) })
-	if n != 2 {
-		t.Fatalf("drained %d traces, want 2", n)
+	if n != 3 { // one upload, two multiplies
+		t.Fatalf("drained %d traces, want 3", n)
 	}
 	var dbg requestsDebugBody
 	if err := json.Unmarshal(out.Bytes(), &dbg); err != nil {
 		t.Fatalf("drain output is not the debug JSON: %v", err)
 	}
-	if len(dbg.Recent) != 2 {
-		t.Fatalf("drain recorded %d recent traces, want 2", len(dbg.Recent))
+	if len(dbg.Recent) != 3 {
+		t.Fatalf("drain recorded %d recent traces, want 3", len(dbg.Recent))
 	}
 
 	// Disabled server drains nothing.

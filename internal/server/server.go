@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"strconv"
@@ -73,9 +72,9 @@ type Config struct {
 	MaxNNZ int64
 
 	// RequestRing enables request-level tracing: the last RequestRing
-	// multiply requests are retained with full span timelines at
-	// /debug/requests. 0 (the default) disables request tracing entirely;
-	// the disabled path adds zero allocations to the multiply hot path
+	// multiply and upload requests are retained with full span timelines at
+	// /debug/requests. 0 (the default) issues no request IDs and builds no
+	// traces; a request's record then allocates nothing
 	// (TestRequestObsDisabledZeroAllocs).
 	RequestRing int
 	// SlowThreshold marks a request slow: slow requests are retained in a
@@ -273,30 +272,30 @@ type MultiplyResponse struct {
 	RequestID string `json:"requestID,omitempty"`
 }
 
+// statusClientClosed is what a request is recorded as when its client left
+// before there was anything to answer (nginx's 499; never sent).
+const statusClientClosed = 499
+
 // jsonError is the uniform error body.
 type jsonError struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	mErrors.With(strconv.Itoa(code)).Inc()
-	w.Header().Set("Content-Type", "application/json")
-	if code == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(jsonError{Error: fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
+func writeJSON(w http.ResponseWriter, code int, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	return json.NewEncoder(w).Encode(v)
 }
 
 // handleUpload parses, validates and interns one matrix.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	mRequests.With("upload").Inc()
+	rec := s.begin("upload")
+	s.upload(w, r, &rec)
+	s.finish(r.Context(), w, &rec)
+}
+
+// upload fills rec with the stages and the outcome of one upload.
+func (s *Server) upload(w http.ResponseWriter, r *http.Request, rec *record) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
 	lim := &matrix.ReadLimits{MaxRows: s.cfg.MaxDim, MaxCols: s.cfg.MaxDim, MaxNNZ: s.cfg.MaxNNZ}
 
@@ -311,6 +310,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	} else {
 		m, err = matrix.ReadMatrixMarketLimited(body, lim)
 	}
+	rec.tick(stageDecode)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if !errors.As(err, &tooBig) {
@@ -321,21 +321,23 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			errors.As(probeErr, &tooBig)
 		}
 		if tooBig != nil {
-			s.writeError(w, http.StatusRequestEntityTooLarge, "upload exceeds %d bytes", tooBig.Limit)
-			return
+			rec.fail(http.StatusRequestEntityTooLarge, "upload exceeds %d bytes", tooBig.Limit)
+		} else {
+			rec.fail(http.StatusBadRequest, "parse upload: %v", err)
 		}
-		s.writeError(w, http.StatusBadRequest, "parse upload: %v", err)
 		return
 	}
 	hash, existed, err := s.store.Put(m)
+	rec.tick(stageIntern)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "intern: %v", err)
+		rec.fail(http.StatusInternalServerError, "intern: %v", err)
 		return
 	}
 	// Put interns the first copy: respond with the stored matrix, which
 	// is m unless this upload deduplicated.
 	stored, _ := s.store.Get(hash)
-	writeJSON(w, http.StatusOK, matrixInfo(hash, stored, existed))
+	rec.hash, rec.nnz, rec.interned = hash, stored.NNZ(), existed
+	rec.wrote(writeJSON(w, http.StatusOK, matrixInfo(hash, stored, existed)))
 }
 
 // handleMatrixInfo returns metadata for one interned matrix.
@@ -344,165 +346,69 @@ func (s *Server) handleMatrixInfo(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	m, ok := s.store.Get(hash)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, "unknown matrix %q", hash)
+		mErrors.With("404").Inc()
+		_ = writeJSON(w, http.StatusNotFound, jsonError{Error: fmt.Sprintf("unknown matrix %q", hash)})
 		return
 	}
-	writeJSON(w, http.StatusOK, matrixInfo(hash, m, false))
-}
-
-// traceID returns the request ID of a trace, or "" when tracing is off.
-func traceID(t *obs.RequestTrace) string {
-	if t == nil {
-		return ""
-	}
-	return t.ID
+	_ = writeJSON(w, http.StatusOK, matrixInfo(hash, m, false))
 }
 
 // handleMultiply is the core endpoint: admission control, Plan cache,
-// checked-out Context, per-request stats — and, when request tracing is on,
-// the end-to-end span timeline linking queue wait → Context checkout →
-// plan-cache lookup → kernel phases for /debug/requests.
+// checked-out Context, kernel. multiply fills the request's record stage by
+// stage; finish is the one place anything is made of it.
 func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
-	mRequests.With("multiply").Inc()
-	rt := s.reqobs.begin()
+	rec := s.begin("multiply")
+	s.multiply(w, r, &rec)
+	s.finish(r.Context(), w, &rec)
+}
 
-	// fail answers an error, closes the trace, and emits the error log — the
-	// single exit for every non-2xx outcome of this handler.
-	fail := func(code int, format string, args ...any) {
-		s.writeError(w, code, format, args...)
-		log := obs.Logger()
-		if rt != nil || log.Enabled(r.Context(), slog.LevelWarn) {
-			msg := fmt.Sprintf(format, args...)
-			if rt != nil {
-				rt.Err = msg
-				s.reqobs.finish(rt, code)
-			}
-			log.Warn("multiply failed", "reqID", traceID(rt), "status", code, "err", msg)
-		}
-	}
-
-	req, ok := s.decodeMultiplyRequestTraced(w, r, rt)
+// multiply fills rec with the stages and the outcome of one multiply. Every
+// return leaves rec either failed (finish answers it) or already answered.
+func (s *Server) multiply(w http.ResponseWriter, r *http.Request, rec *record) {
+	a, b, ok := s.decodeMultiply(w, r, rec)
+	rec.tick(stageDecode)
 	if !ok {
 		return
-	}
-	alg, ok := spgemm.ParseAlgorithm(req.Algorithm)
-	if !ok {
-		fail(http.StatusBadRequest, "unknown algorithm %q (want %s)", req.Algorithm, algorithmNames())
-		return
-	}
-	switch req.Semiring {
-	case "", "plus-times", "min-plus", "max-times":
-	default:
-		fail(http.StatusBadRequest, "unknown semiring %q (want plus-times, min-plus or max-times)", req.Semiring)
-		return
-	}
-	switch req.Return {
-	case "", "meta", "store", "matrix":
-	default:
-		fail(http.StatusBadRequest, "unknown return mode %q (want meta, store or matrix)", req.Return)
-		return
-	}
-	if req.Workers < 0 || req.Workers > 4096 {
-		fail(http.StatusBadRequest, "workers %d out of range [0,4096]", req.Workers)
-		return
-	}
-	a, ok := s.store.Get(req.A)
-	if !ok {
-		fail(http.StatusNotFound, "unknown matrix %q (upload it first)", req.A)
-		return
-	}
-	b, ok := s.store.Get(req.B)
-	if !ok {
-		fail(http.StatusNotFound, "unknown matrix %q (upload it first)", req.B)
-		return
-	}
-	if a.Cols != b.Rows {
-		fail(http.StatusBadRequest,
-			"dimension mismatch: %dx%d × %dx%d (inner dimensions %d and %d differ)",
-			a.Rows, a.Cols, b.Rows, b.Cols, a.Cols, b.Rows)
-		return
-	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.cfg.Workers
-	}
-	if rt != nil {
-		rt.SetAttr("a", req.A)
-		rt.SetAttr("b", req.B)
-		rt.SetAttr("alg", alg.String())
-		rt.SetAttr("semiring", ringName(req.Semiring))
-		rt.SetAttr("workers", workers)
 	}
 
 	// Admission control: check a Context out or shed load. The wait is
-	// observed per outcome (acquired/rejected/canceled), and on the trace it
-	// is "queue.wait" when the request actually queued, "ctx.checkout" when
-	// a Context was free immediately.
-	start := time.Now()
+	// "queue.wait" when the request actually queued, "ctx.checkout" when a
+	// Context was free immediately, and is observed per outcome
+	// (acquired/rejected/canceled).
 	ctx, queued, err := s.pool.AcquireTraced(r.Context())
-	queueWait := time.Since(start)
+	rec.queued = queued
+	if queued {
+		rec.tick(stageQueueWait)
+	} else {
+		rec.tick(stageCtxCheckout)
+	}
+	if errors.Is(err, ErrSaturated) {
+		rec.admission = mQueueWaitRejected
+		rec.fail(http.StatusTooManyRequests,
+			"server saturated: %d multiplies in flight, %d queued", s.pool.Size(), s.cfg.QueueDepth)
+		return
+	}
 	if err != nil {
-		if errors.Is(err, ErrSaturated) {
-			mQueueWaitRejected.Observe(queueWait.Seconds())
-			fail(http.StatusTooManyRequests,
-				"server saturated: %d multiplies in flight, %d queued", s.pool.Size(), s.cfg.QueueDepth)
-			return
-		}
-		// Client went away while queued; nothing to answer.
-		mQueueWaitCanceled.Observe(queueWait.Seconds())
-		mErrors.With("499").Inc()
-		if rt != nil {
-			rt.Err = "client canceled while queued"
-			rt.Span("queue.wait", start, start.Add(queueWait))
-			s.reqobs.finish(rt, 499)
-		}
+		rec.admission = mQueueWaitCanceled
+		rec.fail(statusClientClosed, "client canceled while queued")
 		return
 	}
 	defer s.pool.Release(ctx)
-	mQueueWaitAcquired.Observe(queueWait.Seconds())
-	if rt != nil {
-		name := "ctx.checkout"
-		if queued {
-			name = "queue.wait"
-		}
-		rt.Span(name, start, start.Add(queueWait))
-		rt.SetAttr("queued", queued)
-	}
+	rec.admission = mQueueWaitAcquired
 
-	stats := &spgemm.ExecStats{}
-	c, planHit, err := s.multiply(ctx, stats, a, b, alg, req, workers, rt)
+	c, err := s.product(ctx, a, b, rec)
 	if err != nil {
-		fail(http.StatusUnprocessableEntity, "multiply: %v", err)
+		rec.fail(http.StatusUnprocessableEntity, "multiply: %v", err)
 		return
 	}
-	elapsed := time.Since(start)
-	recordMultiplyMetrics(stats, elapsed, planHit)
-	if stats != nil {
-		observeRequestSeconds(stats.Algorithm, elapsed.Seconds())
-		if s.sentry != nil {
-			s.sentry.Observe(stats.Algorithm.String(), totalFlop(stats), stats.Total)
-		}
-	}
-
-	resp := MultiplyResponse{
-		Rows:           c.Rows,
-		Cols:           c.Cols,
-		NNZ:            c.NNZ(),
-		Algorithm:      resolvedAlgorithm(stats, alg),
-		Semiring:       ringName(req.Semiring),
-		PlanCacheHit:   planHit,
-		ElapsedSeconds: elapsed.Seconds(),
-		QueueSeconds:   queueWait.Seconds(),
-		Flop:           totalFlop(stats),
-		RequestID:      traceID(rt),
-	}
-	if rt != nil {
-		w.Header().Set("X-Request-Id", rt.ID)
+	resp := rec.response(c)
+	if rec.id != "" {
+		w.Header().Set("X-Request-Id", rec.id)
 	}
 	// Once the response is written nothing reads a meta or matrix product
 	// again, so it goes back to the Context (still checked out) for the next
 	// request's output. A stored product is the store's: never donated.
-	switch req.Return {
+	switch rec.req.Return {
 	case "store":
 		// The store budgets by payload; a product built in a larger recycled
 		// array would pin the whole array, so intern a right-sized copy.
@@ -512,176 +418,125 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 			ctx.Recycle(built)
 		}
 		hash, _, err := s.store.Put(c)
+		rec.tick(stageIntern)
 		if err != nil {
-			fail(http.StatusInternalServerError, "intern product: %v", err)
+			rec.fail(http.StatusInternalServerError, "intern product: %v", err)
 			return
 		}
 		resp.Hash = hash
-		writeJSON(w, http.StatusOK, resp)
+		rec.wrote(writeJSON(w, http.StatusOK, resp))
 	case "matrix":
 		w.Header().Set("Content-Type", ContentTypeCSRBinary)
 		w.Header().Set("X-Spgemm-Algorithm", resp.Algorithm)
-		w.Header().Set("X-Spgemm-Plan-Cache-Hit", strconv.FormatBool(planHit))
-		_ = matrix.WriteCSRBinary(w, c)
+		w.Header().Set("X-Spgemm-Plan-Cache-Hit", strconv.FormatBool(rec.planHit))
+		rec.wrote(matrix.WriteCSRBinary(w, c))
 		ctx.Recycle(c)
 	default:
-		writeJSON(w, http.StatusOK, resp)
+		rec.wrote(writeJSON(w, http.StatusOK, resp))
 		ctx.Recycle(c)
 	}
-
-	// Close the trace (response serialization included) and write the
-	// access-log line. The Enabled guard keeps attribute construction off
-	// the path when logging is quiet.
-	if rt != nil {
-		rt.SetAttr("algResolved", resp.Algorithm)
-		rt.SetAttr("planHit", planHit)
-		rt.SetAttr("flop", resp.Flop)
-		rt.SetAttr("nnz", resp.NNZ)
-		if stats != nil {
-			if cf := stats.CollisionFactor(); cf > 0 {
-				rt.SetAttr("collisionFactor", cf)
-			}
-		}
-		s.reqobs.finish(rt, http.StatusOK)
-	}
-	if log := obs.Logger(); log.Enabled(r.Context(), slog.LevelInfo) {
-		log.Info("multiply",
-			"reqID", traceID(rt), "status", http.StatusOK,
-			"a", req.A, "b", req.B,
-			"alg", resp.Algorithm, "planHit", planHit,
-			"ms", float64(elapsed)/1e6, "queueMs", float64(queueWait)/1e6,
-			"flop", resp.Flop, "nnz", resp.NNZ)
-	}
 }
 
-// decodeMultiplyRequest strictly parses the JSON body: unknown fields,
-// trailing garbage and non-JSON bodies are all 400s — silently ignoring
-// malformed requests is how wrong answers hide.
-func (s *Server) decodeMultiplyRequest(w http.ResponseWriter, r *http.Request) (MultiplyRequest, bool) {
-	var req MultiplyRequest
+// decodeMultiply strictly parses the JSON body into rec.req — unknown fields,
+// trailing garbage and non-JSON bodies are all 400s: silently ignoring
+// malformed requests is how wrong answers hide — validates it, and looks both
+// operands up.
+func (s *Server) decodeMultiply(w http.ResponseWriter, r *http.Request, rec *record) (a, b *matrix.CSR, ok bool) {
+	req := &rec.req
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decode request: %v", err)
-		return req, false
+	if err := dec.Decode(req); err != nil {
+		return nil, nil, rec.fail(http.StatusBadRequest, "decode request: %v", err)
 	}
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		s.writeError(w, http.StatusBadRequest, "trailing data after request body")
-		return req, false
+		return nil, nil, rec.fail(http.StatusBadRequest, "trailing data after request body")
 	}
 	if req.A == "" || req.B == "" {
-		s.writeError(w, http.StatusBadRequest, "both \"a\" and \"b\" matrix hashes are required")
-		return req, false
+		return nil, nil, rec.fail(http.StatusBadRequest, "both \"a\" and \"b\" matrix hashes are required")
 	}
-	return req, true
+	if rec.alg, ok = spgemm.ParseAlgorithm(req.Algorithm); !ok {
+		return nil, nil, rec.fail(http.StatusBadRequest, "unknown algorithm %q (want %s)", req.Algorithm, algorithmNames())
+	}
+	switch req.Semiring {
+	case "", "plus-times", "min-plus", "max-times":
+	default:
+		return nil, nil, rec.fail(http.StatusBadRequest, "unknown semiring %q (want plus-times, min-plus or max-times)", req.Semiring)
+	}
+	switch req.Return {
+	case "", "meta", "store", "matrix":
+	default:
+		return nil, nil, rec.fail(http.StatusBadRequest, "unknown return mode %q (want meta, store or matrix)", req.Return)
+	}
+	if req.Workers < 0 || req.Workers > 4096 {
+		return nil, nil, rec.fail(http.StatusBadRequest, "workers %d out of range [0,4096]", req.Workers)
+	}
+	if a, ok = s.store.Get(req.A); !ok {
+		return nil, nil, rec.fail(http.StatusNotFound, "unknown matrix %q (upload it first)", req.A)
+	}
+	if b, ok = s.store.Get(req.B); !ok {
+		return nil, nil, rec.fail(http.StatusNotFound, "unknown matrix %q (upload it first)", req.B)
+	}
+	if a.Cols != b.Rows {
+		return nil, nil, rec.fail(http.StatusBadRequest,
+			"dimension mismatch: %dx%d × %dx%d (inner dimensions %d and %d differ)",
+			a.Rows, a.Cols, b.Rows, b.Cols, a.Cols, b.Rows)
+	}
+	rec.workers = req.Workers
+	if rec.workers == 0 {
+		rec.workers = s.cfg.Workers
+	}
+	return a, b, true
 }
 
-// decodeMultiplyRequestTraced is decodeMultiplyRequest plus trace closure on
-// the failure path (decodeMultiplyRequest writes its own 400 body).
-func (s *Server) decodeMultiplyRequestTraced(w http.ResponseWriter, r *http.Request, rt *obs.RequestTrace) (MultiplyRequest, bool) {
-	req, ok := s.decodeMultiplyRequest(w, r)
-	if !ok && rt != nil {
-		rt.Err = "malformed request body"
-		s.reqobs.finish(rt, http.StatusBadRequest)
-	}
-	return req, ok
-}
-
-// kernelClock reads the wall clock only when a trace wants it — paired with
-// stampKernel, it brackets the kernel call without costing the disabled path
-// a clock read.
-func kernelClock(rt *obs.RequestTrace) time.Time {
-	if rt == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// multiply runs a plus-times product through the Plan cache — every kernel
+// product runs a plus-times product through the Plan cache — every kernel
 // has a Plan, so after a miss there is one path: build, cache, execute, and a
 // product no kernel accepts (heap on unsorted rows of B) fails at the build —
 // and the other semirings through a plain MultiplyRing. The checked-out
-// Context supplies all mutable kernel state either way. A non-nil rt receives
-// the plan-cache and kernel spans; kernel phase sub-spans are reconstructed
-// from stats after the call (ExecuteIn resets stats, so Total covers exactly
-// the bracketed kernel).
-func (s *Server) multiply(ctx *spgemm.Context, stats *spgemm.ExecStats, a, b *matrix.CSR,
-	alg spgemm.Algorithm, req MultiplyRequest, workers int, rt *obs.RequestTrace) (*matrix.CSR, bool, error) {
-
-	opt := &spgemm.Options{
-		Algorithm: alg,
-		Unsorted:  req.Unsorted,
-		Workers:   workers,
-		Context:   ctx,
-		Stats:     stats,
-	}
-	switch req.Semiring {
-	case "min-plus":
-		kt := kernelClock(rt)
-		c, err := spgemm.MultiplyRing(semiring.MinPlusF64{}, a, b, optG(opt))
-		if err == nil {
-			stampKernel(rt, kt, stats)
+// Context supplies all mutable kernel state either way, rec.stats receives
+// the kernel's phases (ExecuteIn resets it, so Total covers exactly the call
+// the kernel stage brackets), and each step closes its stage.
+func (s *Server) product(ctx *spgemm.Context, a, b *matrix.CSR, rec *record) (*matrix.CSR, error) {
+	opt := spgemm.Options{Algorithm: rec.alg, Unsorted: rec.req.Unsorted, Workers: rec.workers, Context: ctx}
+	if ring := rec.req.Semiring; ring == "min-plus" || ring == "max-times" {
+		opt.Stats = &rec.stats
+		var c *matrix.CSR
+		var err error
+		if ring == "min-plus" {
+			c, err = spgemm.MultiplyRing(semiring.MinPlusF64{}, a, b, &opt)
+		} else {
+			c, err = spgemm.MultiplyRing(semiring.MaxTimesF64{}, a, b, &opt)
 		}
-		return c, false, err
-	case "max-times":
-		kt := kernelClock(rt)
-		c, err := spgemm.MultiplyRing(semiring.MaxTimesF64{}, a, b, optG(opt))
-		if err == nil {
-			stampKernel(rt, kt, stats)
-		}
-		return c, false, err
+		rec.tick(stageKernel)
+		return c, err
 	}
 
-	key := PlanKey{A: req.A, B: req.B, Algorithm: alg, Unsorted: req.Unsorted, Workers: workers}
-	lt := kernelClock(rt)
+	key := PlanKey{A: rec.req.A, B: rec.req.B, Algorithm: rec.alg, Unsorted: rec.req.Unsorted, Workers: rec.workers}
 	plan, hit := s.plans.Get(key)
-	if rt != nil {
-		rt.Span("plan.lookup", lt, time.Now())
-		rt.SetAttr("planHit", hit)
-	}
+	rec.tick(stagePlanLookup)
 	if hit {
-		kt := kernelClock(rt)
-		c, err := plan.ExecuteIn(ctx, stats)
-		if err == nil {
-			stampKernel(rt, kt, stats)
-			mPlanHits.Inc()
-			return c, true, nil
+		c, err := plan.ExecuteIn(ctx, &rec.stats)
+		if !errors.Is(err, spgemm.ErrPlanStale) {
+			rec.tick(stageKernel)
+			rec.planHit = err == nil
+			return c, err
 		}
 		// Interned matrices are immutable, so a stale plan should be
-		// impossible — but if one surfaces, drop it and rebuild below.
-		if !errors.Is(err, spgemm.ErrPlanStale) {
-			return nil, false, err
-		}
+		// impossible — but if one surfaces, drop it and rebuild below (the
+		// refused execute did no work; its time goes to plan.build).
 		s.plans.Remove(key)
 	}
-	mPlanMisses.Inc()
-	bt := kernelClock(rt)
-	plan, err := spgemm.NewPlan(a, b, opt)
-	if err != nil {
-		return nil, false, err
-	}
-	if rt != nil {
-		rt.Span("plan.build", bt, time.Now())
-	}
-	s.plans.Add(key, plan)
-	kt := kernelClock(rt)
-	c, err := plan.ExecuteIn(ctx, stats)
+	rec.planMiss = true
+	plan, err := spgemm.NewPlan(a, b, &opt)
 	if err == nil {
-		stampKernel(rt, kt, stats)
+		s.plans.Add(key, plan)
 	}
-	return c, false, err
-}
-
-// optG converts the float64 Options to the generic form for MultiplyRing
-// with a named ring.
-func optG(o *spgemm.Options) *spgemm.OptionsG[float64] {
-	return &spgemm.OptionsG[float64]{
-		Algorithm: o.Algorithm,
-		Workers:   o.Workers,
-		Unsorted:  o.Unsorted,
-		Stats:     o.Stats,
-		Context:   o.Context,
+	rec.tick(stagePlanBuild)
+	if err != nil {
+		return nil, err
 	}
+	c, err := plan.ExecuteIn(ctx, &rec.stats)
+	rec.tick(stageKernel)
+	return c, err
 }
 
 func ringName(s string) string {
@@ -698,41 +553,6 @@ func algorithmNames() string {
 		names[i] = spgemm.Algorithm(i).String()
 	}
 	return strings.Join(names, ", ")
-}
-
-// resolvedAlgorithm names the kernel that actually ran: AlgAuto resolves
-// during execution and the choice is recorded in the stats.
-func resolvedAlgorithm(stats *spgemm.ExecStats, requested spgemm.Algorithm) string {
-	if stats != nil {
-		return stats.Algorithm.String()
-	}
-	return requested.String()
-}
-
-func totalFlop(stats *spgemm.ExecStats) int64 {
-	if stats == nil {
-		return 0
-	}
-	var flop int64
-	for _, ws := range stats.Workers {
-		flop += ws.Flop
-	}
-	return flop
-}
-
-// recordMultiplyMetrics folds one request's ExecStats into the server_*
-// families.
-func recordMultiplyMetrics(stats *spgemm.ExecStats, elapsed time.Duration, planHit bool) {
-	mMultiplies.Inc()
-	mMultiplySeconds.Observe(elapsed.Seconds())
-	if stats != nil {
-		mMultiplyFlop.Add(totalFlop(stats))
-		for p := spgemm.Phase(0); p < spgemm.NumPhases; p++ {
-			if d := stats.Phases[p]; d > 0 {
-				mPhaseNanos.With(p.String()).Add(int64(d))
-			}
-		}
-	}
 }
 
 // Connection timeouts of Serve. readHeaderTimeout is a variable so that a test

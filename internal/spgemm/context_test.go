@@ -102,12 +102,12 @@ func TestContextReuseMaskedAndSemiring(t *testing.T) {
 		if !csrEqual(got, want) {
 			t.Fatalf("round %d: masked context result differs", round)
 		}
-		sr := semiring.MinPlus()
-		got, err = Multiply(a, b, &Options{Algorithm: AlgHash, Workers: 2, Semiring: sr, Context: ctx})
+		sr := semiring.MinPlusF64{}
+		got, err = MultiplyRing(sr, a, b, &Options{Algorithm: AlgHash, Workers: 2, Context: ctx})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err = Multiply(a, b, &Options{Algorithm: AlgHash, Workers: 2, Semiring: sr})
+		want, err = MultiplyRing(sr, a, b, &Options{Algorithm: AlgHash, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,57 +67,15 @@ func checkMaskedRings(c Case, unsorted bool, f64 *spgemm.ContextG[float64], f32 
 	)
 }
 
-// TestLegacySemiringAdapter pins the adapter contract: Multiply with a
-// non-nil Options.Semiring routes through the semiring.Func adapter ring
-// and must agree with (a) the same semiring evaluated by the oracle and
-// (b) the monomorphized bool ring on the same pattern.
-func TestLegacySemiringAdapter(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for _, c := range Cases(rng) {
-		pa := matrix.MapValues(c.A, func(v float64) float64 {
-			if v != 0 {
-				return 1
-			}
-			return 0
-		})
-		pb := matrix.MapValues(c.B, func(v float64) float64 {
-			if v != 0 {
-				return 1
-			}
-			return 0
-		})
-		for _, alg := range Algorithms {
-			legacy, err := spgemm.Multiply(pa, pb, &spgemm.Options{Algorithm: alg, Semiring: semiring.OrAnd()})
-			if err != nil {
-				if spgemm.RequiresSortedInput(alg) && !pb.Sorted {
-					continue
-				}
-				t.Fatalf("%s/%v legacy semiring: %v", c.Name, alg, err)
-			}
-			want := matrix.NaiveMultiplyRing(semiring.Func{S: semiring.OrAnd()}, pa, pb)
-			if err := EquivalentRing(legacy, want, ApproxF64); err != nil {
-				t.Errorf("%s/%v legacy semiring vs oracle: %v", c.Name, alg, err)
-			}
-			// Same pattern through the monomorphized bool ring.
-			boolGot, err := spgemm.MultiplyRing(semiring.OrAndBool{}, AsBool(c.A), AsBool(c.B), &spgemm.OptionsG[bool]{Algorithm: alg})
-			if err != nil {
-				t.Fatalf("%s/%v bool ring: %v", c.Name, alg, err)
-			}
-			boolWant := matrix.MapValues(want, func(v float64) bool { return v != 0 })
-			if err := EquivalentRing(boolGot, boolWant, ExactEq); err != nil {
-				t.Errorf("%s/%v bool ring vs legacy OrAnd pattern: %v", c.Name, alg, err)
-			}
-		}
-	}
-}
-
 // legacyMSBFS is the pre-generics reference implementation of the MSBFS
-// sweep: float64 frontier, func-pointer or-and semiring. Kept here as the
-// oracle for the bool re-plumb of graph.MSBFS.
+// sweep over a float64 frontier. It reads only the pattern of each product —
+// an entry exists iff a product landed on it, whatever the ring — so the
+// default plus-times ring stands in for the historical float or-and. Kept
+// here as the oracle for the bool re-plumb of graph.MSBFS.
 func legacyMSBFS(g *matrix.CSR, sources []int32, alg spgemm.Algorithm) ([][]int32, error) {
 	n := g.Rows
 	k := len(sources)
-	inner := spgemm.Options{Algorithm: alg, Semiring: semiring.OrAnd(), Context: spgemm.NewContext()}
+	inner := spgemm.Options{Algorithm: alg, Context: spgemm.NewContext()}
 	at := g.Transpose()
 	level := make([][]int32, n)
 	for v := range level {

@@ -88,7 +88,7 @@ type replayMap struct {
 // phase for C = A·B, and returns a Plan whose Execute performs the numeric
 // phase only. Every algorithm Multiply accepts is supported, under Multiply's
 // own conditions (AlgHeap needs sorted rows in B; AlgAuto resolves through
-// the recipe); Mask, Semiring and ShardSink are not — a spilled product
+// the recipe); Mask and ShardSink are not — a spilled product
 // aliases its temp-file mapping and is single-use, the opposite of what a
 // reusable plan is for. opt.Context, when set, supplies the reusable
 // accumulators Execute will use; opt.Stats, when set, receives per-phase
@@ -97,18 +97,17 @@ func NewPlan(a, b *matrix.CSR, opt *Options) (*Plan, error) {
 	if opt == nil {
 		opt = &Options{}
 	}
-	if opt.Mask != nil || opt.Semiring != nil {
-		return nil, fmt.Errorf("spgemm: plans support plus-times unmasked products only")
+	if opt.Mask != nil {
+		return nil, fmt.Errorf("spgemm: plans support unmasked products only")
 	}
-	g := opt.generic()
-	alg, err := g.kernelFor(a, b)
+	alg, err := opt.kernelFor(a, b)
 	if err != nil {
 		return nil, err
 	}
 	if opt.ShardSink != nil {
 		return nil, fmt.Errorf("spgemm: plans do not support a ShardSink (spilled products are single-use)")
 	}
-	ctx := g.ctx()
+	ctx := opt.ctx()
 	p := &Plan{
 		a: a, b: b,
 		unsorted: opt.Unsorted,
@@ -117,7 +116,7 @@ func NewPlan(a, b *matrix.CSR, opt *Options) (*Plan, error) {
 		fpA:      a.StructureChecksum(),
 		fpB:      b.StructureChecksum(),
 	}
-	in, pt := inspect(alg, a, b, g, ctx, true)
+	in, pt := inspect(alg, a, b, opt, ctx, true)
 	pt.finish()
 	p.in = in.clone()
 	p.valid = true

@@ -24,7 +24,7 @@ import (
 // through the concrete loops below. The ring operations are still written as
 // method calls on a concrete PlusTimesF64 value — not bare + and * — so the
 // compiler reports "inlining call to semiring.PlusTimesF64.Add/.Mul" for
-// these sites and `spgemm-lint -mode=inline` can require those lines to be
+// these sites and `spgemm-lint -mode=budget` can require those lines to be
 // present: deleting or regressing the fast path fails CI. Fold order is
 // identical to the generic loops, so results are bit-identical
 // (TestRingFastEquivalence).
@@ -69,13 +69,13 @@ func ptF64Tiled[V semiring.Value, R semiring.Ring[V]](ring R, a *matrix.CSRG[V],
 
 // hashRowNumericF64 is hashRowNumeric (hashrow.go) with plus-times float64
 // arithmetic. The Mul/Add calls below must inline (required entries in
-// lint/inline_allowlist.txt).
+// the [inline] section of lint/budget.txt).
 //
 //spgemm:hotpath
 func hashRowNumericF64(table *accum.HashTable, a, b *matrix.CSR, i int, cols []int32, vals []float64, direct, sorted bool) {
 	var ring semiring.PlusTimesF64
 	// Row sub-slices collapse the per-entry CSR bounds checks into one
-	// slice check per row segment (spgemm-lint -mode=bce budgets the rest).
+	// slice check per row segment (lint/budget.txt [bce] budgets the rest).
 	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
 	acols := a.ColIdx[alo:ahi]
 	avals := a.Val[alo:ahi]
@@ -156,7 +156,7 @@ var negZero = math.Copysign(0, -1)
 // planReplayRowsF64 is a Plan's streamed numeric pass over rows [lo, hi)
 // (plan.go): their p-th intermediate product, in A-row/B-row order, folds
 // into entry dst[p] of its output row, which is every hash-family kernel's
-// per-entry fold order. Mul and Add must inline (spgemm-lint -mode=inline).
+// per-entry fold order. Mul and Add must inline (lint/budget.txt [inline]).
 //
 //spgemm:hotpath
 func planReplayRowsF64(a, b *matrix.CSR, rowPtr []int64, vals []float64, dst []uint32, lo, hi int) {

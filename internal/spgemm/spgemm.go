@@ -96,16 +96,11 @@ func ParseAlgorithm(name string) (Algorithm, bool) {
 	return AlgAuto, false
 }
 
-// Options configures the float64 Multiply entry point. The zero value
-// means: auto algorithm, GOMAXPROCS workers, sorted output, plus-times.
-//
-// Options is the legacy float64 surface; MultiplyRing with an OptionsG[V]
-// is the generic one. The only field that does not carry over is Semiring:
-// a ring is a type in the generic API, not a value, so Multiply routes a
-// non-nil Semiring through the semiring.Func adapter ring (one indirect
-// call per operation — the price of runtime-chosen semantics; the shipped
-// rings monomorphize instead).
-type Options struct {
+// OptionsG configures MultiplyRing over value type V. The zero value means:
+// auto algorithm, GOMAXPROCS workers, sorted output. The semiring is the ring
+// argument of MultiplyRing rather than a field, so each instantiation
+// compiles its Add/Mul directly into the kernels' inner loops.
+type OptionsG[V semiring.Value] struct {
 	Algorithm Algorithm
 	// Workers is the number of parallel workers; 0 means GOMAXPROCS.
 	Workers int
@@ -113,14 +108,11 @@ type Options struct {
 	// the choice (see SupportsUnsorted). Skipping the per-row sort is the
 	// significant optimization of the paper's Section 5.4.4.
 	Unsorted bool
-	// Semiring, when non-nil, replaces (+, ×) via the semiring.Func
-	// adapter ring. The nil default uses the monomorphized plus-times ring.
-	Semiring *semiring.Semiring
 	// Mask, when non-nil, restricts the output pattern: only entries whose
-	// position is nonzero in Mask are produced. Used by the triangle
-	// counting use case. Supported by AlgHash (and AlgAuto, which resolves
-	// to it).
-	Mask *matrix.CSR
+	// position is stored in Mask are produced (its values are ignored). Used
+	// by the triangle counting use case. Supported by AlgHash (and AlgAuto,
+	// which resolves to it).
+	Mask *matrix.CSRG[V]
 	// UseCase tells the AlgAuto recipe which Table 4 scenario this product
 	// is (squaring-like, square × tall-skinny, or triangular L×U). The zero
 	// value is UseSquare. Ignored unless Algorithm is AlgAuto.
@@ -135,8 +127,9 @@ type Options struct {
 	// calls; iterative callers reach a steady state where only the output
 	// matrix is allocated (and Context.Recycle takes a finished product back
 	// to build the next one in). nil preserves one-shot behavior. A Context
-	// must not be shared by concurrent Multiply calls.
-	Context *Context
+	// must be over the same V as the inputs and must not be shared by
+	// concurrent Multiply calls.
+	Context *ContextG[V]
 	// TileCols overrides the column-tile width used by AlgTiled. 0 means
 	// the analytic width derived from the installed cache parameters (see
 	// TileColsForElem).
@@ -158,35 +151,12 @@ type Options struct {
 	// means the output itself (bit-identical to AlgHash for sorted output);
 	// a SpillSink bounds peak resident output memory for out-of-core
 	// products. A sink serves a single Multiply call.
-	ShardSink ShardSink[float64]
+	ShardSink ShardSink[V]
 }
 
-// OptionsG configures MultiplyRing over value type V. Field semantics match
-// Options; the semiring is the ring argument of MultiplyRing rather than a
-// field, so each instantiation compiles its Add/Mul directly into the
-// kernels' inner loops.
-type OptionsG[V semiring.Value] struct {
-	Algorithm Algorithm
-	Workers   int
-	Unsorted  bool
-	// Mask, when non-nil, restricts the output pattern (its values are
-	// ignored; only the sparsity structure matters).
-	Mask    *matrix.CSRG[V]
-	UseCase UseCase
-	Stats   *ExecStats
-	// Context must be a ContextG over the same V as the inputs.
-	Context *ContextG[V]
-	// TileCols and TileHeavyFlop mirror the Options fields: tile-geometry
-	// overrides for AlgTiled; zero means analytic.
-	TileCols      int
-	TileHeavyFlop int64
-	// ShardStripes, ShardMemBudget and ShardSink mirror the Options
-	// fields: AlgSharded's stripe-count override, resident-bytes target
-	// and stripe sink.
-	ShardStripes   int
-	ShardMemBudget int64
-	ShardSink      ShardSink[V]
-}
+// Options configures the float64 Multiply entry point: OptionsG over
+// float64, field for field.
+type Options = OptionsG[float64]
 
 // workersFor resolves the worker count of a product with the given number
 // of output rows: Workers (GOMAXPROCS when unset), at most one per row, at
@@ -209,34 +179,7 @@ func (o *OptionsG[V]) workersFor(rows int) int {
 // on the inner dimension. The returned matrix has compacted rows; its Sorted
 // flag reflects the actual ordering produced.
 func Multiply(a, b *matrix.CSR, opt *Options) (*matrix.CSR, error) {
-	if opt == nil {
-		opt = &Options{}
-	}
-	if opt.Semiring != nil {
-		return MultiplyRing(semiring.Func{S: opt.Semiring}, a, b, opt.generic())
-	}
-	return MultiplyRing(semiring.PlusTimesF64{}, a, b, opt.generic())
-}
-
-// generic returns the OptionsG[float64] carrying every field of o but
-// Semiring, which the generic API takes as the ring argument.
-func (o *Options) generic() *OptionsG[float64] {
-	return &OptionsG[float64]{
-		Algorithm: o.Algorithm,
-		Workers:   o.Workers,
-		Unsorted:  o.Unsorted,
-		Mask:      o.Mask,
-		UseCase:   o.UseCase,
-		Stats:     o.Stats,
-		Context:   o.Context,
-
-		TileCols:      o.TileCols,
-		TileHeavyFlop: o.TileHeavyFlop,
-
-		ShardStripes:   o.ShardStripes,
-		ShardMemBudget: o.ShardMemBudget,
-		ShardSink:      o.ShardSink,
-	}
+	return MultiplyRing(semiring.PlusTimesF64{}, a, b, opt)
 }
 
 // MultiplyRing computes C = A·B over the given semiring ring. The kernels

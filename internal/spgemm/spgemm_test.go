@@ -182,7 +182,6 @@ func TestSemiringMinPlus(t *testing.T) {
 	// Min-plus matrix "product" computes single-hop shortest path combos;
 	// verify against a dense reference.
 	rng := rand.New(rand.NewSource(109))
-	sr := semiring.MinPlus()
 	a := matrix.Random(12, 12, 0.4, rng)
 	b := matrix.Random(12, 12, 0.4, rng)
 	// Make all values positive path lengths.
@@ -209,7 +208,7 @@ func TestSemiringMinPlus(t *testing.T) {
 	}
 	for _, tc := range allAlgorithms {
 		alg := tc.alg
-		got, err := Multiply(a, b, &Options{Algorithm: alg, Semiring: sr, Workers: 2})
+		got, err := MultiplyRing(semiring.MinPlusF64{}, a, b, &Options{Algorithm: alg, Workers: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -236,12 +235,10 @@ func TestSemiringMinPlus(t *testing.T) {
 func TestSemiringOrAnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(110))
 	a := matrix.Random(15, 15, 0.3, rng)
-	for i := range a.Val {
-		a.Val[i] = 1
-	}
 	want := matrix.NaiveMultiply(a, a) // plus-times pattern == or-and pattern
+	ab := matrix.MapValues(a, func(float64) bool { return true })
 	for _, alg := range []Algorithm{AlgHash, AlgHeap, AlgTiled} {
-		got, err := Multiply(a, a, &Options{Algorithm: alg, Semiring: semiring.OrAnd()})
+		got, err := MultiplyRing(semiring.OrAndBool{}, ab, ab, &OptionsG[bool]{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -249,8 +246,8 @@ func TestSemiringOrAnd(t *testing.T) {
 			t.Fatalf("%v: nnz = %d, want %d", alg, got.NNZ(), want.NNZ())
 		}
 		for _, v := range got.Val {
-			if v != 1 {
-				t.Fatalf("%v: boolean product value %v", alg, v)
+			if !v {
+				t.Fatalf("%v: boolean product stored a false", alg)
 			}
 		}
 	}
