@@ -218,7 +218,10 @@ func (h *HashTableG[V]) upsertGrow(key int32) (*V, bool) {
 	return &h.vals[s], true
 }
 
-// Lookup returns the value stored for key and whether it is present.
+// Lookup returns the value stored for key and whether it is present: one
+// call per product of a masked row whose mask is indexed by a table.
+//
+//spgemm:hotpath
 func (h *HashTableG[V]) Lookup(key int32) (V, bool) {
 	s := h.slot(key)
 	for {

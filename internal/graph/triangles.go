@@ -67,7 +67,8 @@ func CountTriangles(adj *matrix.CSR, opt *spgemm.Options) (*TriangleResult, erro
 
 // CountFromLU computes the number of triangles given the triangular split:
 // triangles = Σ ((L·U) .* L). With AlgHash the mask is fused into the
-// SpGEMM; with any other algorithm the product is formed and filtered.
+// SpGEMM — one phase, row i accumulated straight into the slots of L's row i
+// — and with any other algorithm the product is formed and filtered.
 // AlgAuto is resolved here, through the recipe's L·U row, before that choice
 // is made, so an auto-selected hash kernel fuses the mask too.
 //
@@ -81,14 +82,7 @@ func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 	if opt == nil {
 		opt = &spgemm.Options{Algorithm: spgemm.AlgHash}
 	}
-	toCount := func(v float64) int64 {
-		if v != 0 {
-			return 1
-		}
-		return 0
-	}
-	li := matrix.MapValues(l, toCount)
-	ui := matrix.MapValues(u, toCount)
+	li, ui := countView(l), countView(u)
 	alg := opt.Algorithm
 	if alg == spgemm.AlgAuto {
 		alg = spgemm.Recommend(li, ui, !opt.Unsorted, spgemm.UseTriangle)
@@ -117,6 +111,19 @@ func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 		return 0, err
 	}
 	return masked.Sum(), nil
+}
+
+// countView is m over int64 with every stored non-zero as 1. Only the values
+// are new: the product reads its operands and never writes them, so the view
+// shares m's row pointers and column indices instead of copying them.
+func countView(m *matrix.CSR) *matrix.CSRG[int64] {
+	out := &matrix.CSRG[int64]{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: make([]int64, len(m.Val)), Sorted: m.Sorted}
+	for p, v := range m.Val {
+		if v != 0 {
+			out.Val[p] = 1
+		}
+	}
+	return out
 }
 
 // Pattern returns a copy of m with every stored value set to 1.

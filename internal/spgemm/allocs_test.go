@@ -135,10 +135,11 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 // TestContextReuseSteadyAllocs pins the per-call allocation count of a
 // Context-reused Multiply: after warmup the only allocations left are the
 // output matrix's three arrays plus the result header — per-row numeric
-// state must come from the Context's cached tables. A masked product is held
-// to the same bound: its mask table is a Context slot too. So are one-shot
-// Heap (its upper-bound buffers are the Context's) and a Heap Plan replay,
-// which has no buffers at all. A Plan's streamed replay (hash/replay) is
+// state must come from the Context's cached tables. The one-phase geometry is
+// held to the same bound: one-shot Heap and a masked product fill upper-bound
+// buffers that are the Context's, as is the mask's col→slot index (the masked
+// row is pinned at the 8 it measures: three arrays, the header and what the
+// +recycle rows list), and a Heap Plan replay has no buffers at all. A Plan's streamed replay (hash/replay) is
 // pinned tighter, at the 6 allocations a Hash Plan's kernel replay measured
 // before replay maps existed: the map costs none per execution. The +recycle
 // rows hand every product back (Context.Recycle) before the next call and are
@@ -160,13 +161,14 @@ func TestContextReuseSteadyAllocs(t *testing.T) {
 		max     float64
 	}{
 		{"hash", AlgHash, nil, false, false, 16},
-		{"hash+mask", AlgHash, a, false, false, 16},
+		{"hash+mask", AlgHash, a, false, false, 8},
 		{"hashvec", AlgHashVec, nil, false, false, 16},
 		{"heap", AlgHeap, nil, false, false, 16},
 		{"heap/plan", AlgHeap, nil, true, false, 16},
 		{"hash/replay", AlgHash, nil, true, false, 6},
 		{"tiled", AlgTiled, nil, false, false, 16},
 		{"hash+recycle", AlgHash, nil, false, true, 5},
+		{"hash+mask+recycle", AlgHash, a, false, true, 5},
 		{"hash/replay+recycle", AlgHash, nil, true, true, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -46,13 +46,14 @@ type ContextG[V semiring.Value] struct {
 	Pool *sched.Pool
 
 	// Per-worker accumulator state, grown on demand.
-	hash    []*accum.HashTableG[V]
-	mask    []*accum.HashTableG[V] // mask-row column sets of masked products
-	hashVec []*accum.HashVecTableG[V]
-	heaps   []*accum.MergeHeapG[V]
-	spa     []*accum.SPAG[V]
-	stamps  []*accum.StampSet
-	scratch *mempool.Pool
+	hash      []*accum.HashTableG[V]
+	maskDense [][]int32                  // a masked product's col→slot index
+	maskHash  []*accum.HashTableG[int32] // (maskedRow), dense or hashed
+	hashVec   []*accum.HashVecTableG[V]
+	heaps     []*accum.MergeHeapG[V]
+	spa       []*accum.SPAG[V]
+	stamps    []*accum.StampSet
+	scratch   *mempool.Pool
 
 	// Per-worker value scratch (the V-typed counterpart of the index buffers
 	// in mempool.Scratch), grown monotonically like everything else here.
@@ -283,7 +284,8 @@ func growTo[T any](s []T, n int) []T {
 // ensureWorkers grows the per-worker accumulator slices to at least n slots.
 func (c *ContextG[V]) ensureWorkers(n int) {
 	c.hash = growTo(c.hash, n)
-	c.mask = growTo(c.mask, n)
+	c.maskDense = growTo(c.maskDense, n)
+	c.maskHash = growTo(c.maskHash, n)
 	c.hashVec = growTo(c.hashVec, n)
 	c.heaps = growTo(c.heaps, n)
 	c.spa = growTo(c.spa, n)
@@ -300,22 +302,18 @@ func (c *ContextG[V]) ensureWorkers(n int) {
 // cached when large enough (reset), re-reserved when the bound grew,
 // allocated on first use. ensureWorkers(>w) must have been called.
 func (c *ContextG[V]) hashTable(w int, bound int64) *accum.HashTableG[V] {
-	return reviveTable(c.hash, w, bound)
+	return reviveTable(&c.hash[w], bound)
 }
 
-// maskTable is hashTable for worker w's second table, which holds the mask
-// row's columns while hashTable's accumulates a masked product's row.
-func (c *ContextG[V]) maskTable(w int, bound int64) *accum.HashTableG[V] {
-	return reviveTable(c.mask, w, bound)
-}
-
-func reviveTable[V semiring.Value](slots []*accum.HashTableG[V], w int, bound int64) *accum.HashTableG[V] {
-	t := slots[w]
+// reviveTable is hashTable on any worker's table slot (a masked product's
+// index is a table over slots, not over V).
+func reviveTable[T semiring.Value](slot **accum.HashTableG[T], bound int64) *accum.HashTableG[T] {
+	t := *slot
 	switch {
 	case t == nil:
 		mCtxAlloc.Inc()
-		t = accum.NewHashTableG[V](bound)
-		slots[w] = t
+		t = accum.NewHashTableG[T](bound)
+		*slot = t
 		return t
 	case int64(t.Cap()) <= bound:
 		mCtxReuse.Inc()
@@ -414,18 +412,10 @@ func (c *ContextG[V]) stampSet(w, ncols int) *accum.StampSet {
 	return s
 }
 
-// ensureI64 grows an int64 buffer to length n, reusing capacity.
-func ensureI64(buf []int64, n int) []int64 {
+// ensureLen returns buf with length n (contents undefined), reusing capacity.
+func ensureLen[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int64, n)
-	}
-	return buf[:n]
-}
-
-// ensureI32 grows an int32 buffer to length n, reusing capacity.
-func ensureI32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -433,18 +423,18 @@ func ensureI32(buf []int32, n int) []int32 {
 // lightFlopBuf returns the reusable weight array the tiled kernel zeroes
 // heavy rows out of (contents undefined).
 func (c *ContextG[V]) lightFlopBuf(n int) []int64 {
-	c.lightFlop = ensureI64(c.lightFlop, n)
+	c.lightFlop = ensureLen(c.lightFlop, n)
 	return c.lightFlop
 }
 
 // unitBufs returns the (row, tile) unit bookkeeping arrays for n units
 // (contents undefined).
 func (c *ContextG[V]) unitBufs(n int) (row, tile []int32, flop, nnz, off []int64) {
-	c.unitRow = ensureI32(c.unitRow, n)
-	c.unitTile = ensureI32(c.unitTile, n)
-	c.unitFlop = ensureI64(c.unitFlop, n)
-	c.unitNnz = ensureI64(c.unitNnz, n)
-	c.unitOff = ensureI64(c.unitOff, n)
+	c.unitRow = ensureLen(c.unitRow, n)
+	c.unitTile = ensureLen(c.unitTile, n)
+	c.unitFlop = ensureLen(c.unitFlop, n)
+	c.unitNnz = ensureLen(c.unitNnz, n)
+	c.unitOff = ensureLen(c.unitOff, n)
 	return c.unitRow, c.unitTile, c.unitFlop, c.unitNnz, c.unitOff
 }
 
@@ -452,10 +442,8 @@ func (c *ContextG[V]) unitBufs(n int) (row, tile []int32, flop, nnz, off []int64
 // undefined): splitTiles scatters B's values into it, a Plan execution
 // gathers them.
 func (c *ContextG[V]) tileValBuf(n int) []V {
-	if cap(c.tileVal) < n {
-		c.tileVal = make([]V, n)
-	}
-	return c.tileVal[:n]
+	c.tileVal = ensureLen(c.tileVal, n)
+	return c.tileVal
 }
 
 // partitionUnits flop-balances the heavy (row, tile) units over workers into

@@ -81,9 +81,9 @@ func TestContextReuseMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestContextReuseMaskedAndSemiring exercises the generic two-phase path
-// (which owns the ctx-aware accumulator factories) with a mask and with a
-// non-default semiring through the same reused Context.
+// TestContextReuseMaskedAndSemiring runs a masked product (one phase, its
+// index and upper-bound buffers the Context's) and a non-default semiring
+// (the generic two-phase path) through the same reused Context.
 func TestContextReuseMaskedAndSemiring(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := matrix.Random(80, 70, 0.08, rng)

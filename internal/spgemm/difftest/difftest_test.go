@@ -196,11 +196,12 @@ func TestDifferentialSharded(t *testing.T) {
 	}
 }
 
-// TestDifferentialStripeLoopMatchesHash: HashVector and the masked Hash run
-// the driver's stripe loop with row functions of their own, folding a row's
-// products in the order Hash does. Sorted, HashVector's product is therefore
-// Hash's bit for bit, and a masked product is Hash's with the entries outside
-// the mask's pattern removed.
+// TestDifferentialStripeLoopMatchesHash: HashVector runs the driver's stripe
+// loop and the masked Hash the one-phase geometry, each with a row function
+// of its own that folds a row's products in the order Hash does. Sorted,
+// HashVector's product is therefore Hash's bit for bit, and a masked product
+// is Hash's with the entries outside the mask's pattern removed — whatever
+// the order of the mask's rows and however often they repeat a column.
 func TestDifferentialStripeLoopMatchesHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	for _, c := range append(Cases(rng), SpecialValueCases(rng)...) {

@@ -3,6 +3,7 @@ package difftest
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"repro/internal/matrix"
 	"repro/internal/semiring"
@@ -102,22 +103,31 @@ type maskCase[V semiring.Value] struct {
 // masksFor builds the masked leg's masks for a product whose unmasked oracle
 // result is want: an empty mask, every other row fully dense, per row the
 // first column the product reaches next to two it never touches, and A itself
-// when it has the output's shape (the triangle-counting mask). The built
-// masks carry the zero V everywhere: only the pattern may matter.
+// when it has the output's shape (the triangle-counting mask). Two more are
+// what a col→slot index must survive: on the remaining rows two columns in
+// three, each stored twice, in ascending order (flagged Sorted, so the output
+// row has to ascend with no sort behind it); and per row everything the
+// product reaches plus the "untouched" row again, which repeats its reached
+// column, in shuffled order. The built masks carry the zero V everywhere:
+// only the pattern may matter.
 func masksFor[V semiring.Value](a, want *matrix.CSRG[V]) []maskCase[V] {
 	rows, cols := want.Rows, want.Cols
 	empty := &matrix.CSRG[V]{Rows: rows, Cols: cols, RowPtr: make([]int64, rows+1)}
-	full, untouched := empty.Clone(), empty.Clone()
+	full, untouched, dup, shuffled := empty.Clone(), empty.Clone(), empty.Clone(), empty.Clone()
+	dup.Sorted = true
+	rng := rand.New(rand.NewSource(int64(rows)<<32 + int64(cols)))
 	for i := 0; i < rows; i++ {
 		touched, _ := want.Row(i)
 		reached := make(map[int32]bool, len(touched))
 		for _, c := range touched {
 			reached[c] = true
 		}
-		misses := 0
+		misses, start := 0, len(untouched.ColIdx)
 		for j := int32(0); int(j) < cols; j++ {
 			if i%2 == 0 {
 				full.ColIdx = append(full.ColIdx, j)
+			} else if j%3 != 2 {
+				dup.ColIdx = append(dup.ColIdx, j, j)
 			}
 			if !reached[j] && misses < 2 {
 				misses++
@@ -126,10 +136,16 @@ func masksFor[V semiring.Value](a, want *matrix.CSRG[V]) []maskCase[V] {
 				untouched.ColIdx = append(untouched.ColIdx, j)
 			}
 		}
+		row := append(append([]int32(nil), touched...), untouched.ColIdx[start:]...)
+		rng.Shuffle(len(row), func(x, y int) { row[x], row[y] = row[y], row[x] })
+		shuffled.ColIdx = append(shuffled.ColIdx, row...)
 		full.RowPtr[i+1], untouched.RowPtr[i+1] = int64(len(full.ColIdx)), int64(len(untouched.ColIdx))
+		dup.RowPtr[i+1], shuffled.RowPtr[i+1] = int64(len(dup.ColIdx)), int64(len(shuffled.ColIdx))
 	}
-	full.Val, untouched.Val = make([]V, len(full.ColIdx)), make([]V, len(untouched.ColIdx))
-	masks := []maskCase[V]{{"empty", empty}, {"full-rows", full}, {"untouched", untouched}}
+	masks := []maskCase[V]{{"empty", empty}, {"full-rows", full}, {"untouched", untouched}, {"dup-cols", dup}, {"shuffled", shuffled}}
+	for _, mc := range masks {
+		mc.m.Val = make([]V, len(mc.m.ColIdx))
+	}
 	if a.Rows == rows && a.Cols == cols {
 		masks = append(masks, maskCase[V]{"self", a})
 	}

@@ -17,12 +17,13 @@ import (
 // one-phase geometry (heap.go): one-shot, its inspection ends at the
 // partition and execute sizes the output by producing it; for a Plan the
 // same symbolic pass fixes the row pointers, so a replay differs from the
-// two-phase kernels' only in its row function.
+// two-phase kernels' only in its row function. A product under an output mask
+// is that geometry's second row function, bounded by its mask rows.
 //
 // The geometry is data: a flop-balanced cut of the rows into stripes
 // (Figure 6). Each half runs one loop over the stripes, a stripe's rows going
 // through the whole-row passes of hashrow.go into the stripe's window of the
-// output. Hash, HashVector, the masked product, Tiled's light rows and Heap
+// output. Hash, HashVector, Tiled's light rows and the one-phase geometry
 // cut one stripe per worker; Sharded cuts as many as keep a stripe's output
 // within its memory budget (shard.go) and may land them in a sink. Nothing
 // past the cut asks which of them is running, the schedule included: worker
@@ -58,7 +59,7 @@ type inspection[V semiring.Value] struct {
 	flopRow []int64
 	// rowPtr is the output's row-pointer array, allocated for this product
 	// alone: a one-shot multiply hands it to the output matrix. nil for a
-	// one-shot Heap, whose execution is what sizes the output.
+	// one-shot one-phase product, whose execution is what sizes the output.
 	rowPtr []int64
 
 	// The whole-row pass. lightFlop is flopRow with the rows the pass does
@@ -67,11 +68,9 @@ type inspection[V semiring.Value] struct {
 	lightFlop []int64
 	offsets   []int
 
-	// Hash under an output mask (never a Plan): the mask and the mask-table
-	// bound, its widest row. Partition, prefix sum, allocation and stats are
-	// the unmasked product's; only the two row functions differ (hashrow.go).
-	mask      *matrix.CSRG[V]
-	maskBound int64
+	// The output mask of a masked product (AlgHash, never a Plan), which runs
+	// the one-phase geometry with maskedRow as its row function (heap.go).
+	mask *matrix.CSRG[V]
 
 	// Tiled with heavy rows: the column split of B (perm, filled only for
 	// Plans, maps each split entry back to its B entry so an execution can
@@ -86,6 +85,10 @@ type inspection[V semiring.Value] struct {
 	unitOff           []int64
 	uoffsets          []int
 }
+
+// onePhase reports whether a row is bounded before it is computed — by its
+// flop for Heap's merge, by its mask row under a mask (onePhaseExecute).
+func (in *inspection[V]) onePhase() bool { return in.alg == AlgHeap || in.mask != nil }
 
 // stripes is the number of row stripes the product is cut into.
 func (in *inspection[V]) stripes() int { return len(in.offsets) - 1 }
@@ -123,7 +126,7 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 	workers := opt.workersFor(a.Rows)
 	ctx.ensureWorkers(workers)
 	pt := startPhases(opt.Stats, alg, workers)
-	in := &inspection[V]{alg: alg, workers: workers, flopRow: ctx.perRowFlop(a, b)}
+	in := &inspection[V]{alg: alg, workers: workers, flopRow: ctx.perRowFlop(a, b), mask: opt.Mask}
 	in.lightFlop = in.flopRow
 	if alg == AlgTiled {
 		in.inspectTiles(ctx, a, b, opt, forPlan)
@@ -134,11 +137,8 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 	}
 	in.offsets = ctx.partition(in.lightFlop, stripes, workers)
 	pt.tick(PhasePartition)
-	if alg == AlgHeap && !forPlan {
+	if in.onePhase() && !forPlan {
 		return in, &pt
-	}
-	if in.mask = opt.Mask; in.mask != nil {
-		in.maskBound = capBound(in.mask.MaxRowNNZ(), b.Cols)
 	}
 	// HashVector and a Heap Plan count with Hash's symbolic pass: the number
 	// of distinct columns does not depend on the numeric accumulator.
@@ -146,12 +146,7 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 	ctx.dealStripes(workers)
 	ctx.runWorkers("symbolic", workers, func(w int) {
 		for s := w; s < in.stripes(); s = ctx.nextStripe() {
-			lo, hi := in.offsets[s], in.offsets[s+1]
-			if in.mask != nil {
-				ctx.maskedSymbolic(w, a, b, in, lo, hi, rowNnz, pt.worker(w))
-			} else {
-				ctx.hashSymbolic(w, a, b, in.lightFlop, lo, hi, rowNnz, pt.worker(w))
-			}
+			ctx.hashSymbolic(w, a, b, in.lightFlop, in.offsets[s], in.offsets[s+1], rowNnz, pt.worker(w))
 		}
 	})
 	in.heavySymbolic(ctx, a, rowNnz)
@@ -170,8 +165,8 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 // here on. A nil sink is the output itself: every stripe's window is its own
 // rows' slice of the result, written in place.
 func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, unsorted bool, sink ShardSink[V], pt *phaseTimer) (*matrix.CSRG[V], error) {
-	if in.alg == AlgHeap {
-		return heapExecute(ring, a, b, ctx, in, rowPtr, pt), nil
+	if in.onePhase() {
+		return onePhaseExecute(ring, a, b, ctx, in, rowPtr, unsorted, pt), nil
 	}
 	c, errs, err := ctx.bindOutput(sink, in.stripes(), a.Rows, b.Cols, rowPtr, !unsorted)
 	if err != nil {
@@ -199,11 +194,7 @@ func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 					hashVecRows(ring, ctx.hashVecTable(w, bound), a, b, cols, vals, !unsorted, in.lightFlop, rowPtr, lo, hi, base, ws)
 				} else {
 					h := newHashNumeric(ring, ctx.hashTable(w, bound), a, b, cols, vals, !unsorted)
-					if in.mask != nil {
-						h.maskedRows(ctx.maskTable(w, in.maskBound), in.mask, in.lightFlop, rowPtr, lo, hi, base)
-					} else {
-						h.rows(in.lightFlop, rowPtr, lo, hi, base)
-					}
+					h.rows(in.lightFlop, rowPtr, lo, hi, base)
 					h.report(ws)
 				}
 				if ws != nil {

@@ -40,6 +40,32 @@ func TestExecStatsPhaseSumMatchesTotal(t *testing.T) {
 	}
 }
 
+// TestExecStatsMaskedIsOnePhase: a masked product has no symbolic pass — its
+// mask rows bound its output — so its stats are the one-phase geometry's:
+// nothing under PhaseSymbolic, an assemble phase, phases that still sum to
+// Total, and the worker counters of the unmasked product (every product is
+// looked at, the mask only decides where it lands).
+func TestExecStatsMaskedIsOnePhase(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	g := gen.ER(10, 8, rng)
+	flop, _ := Flop(g, g)
+	for _, workers := range []int{1, 3} {
+		var st ExecStats
+		if _, err := Multiply(g, g, &Options{Algorithm: AlgHash, Mask: g, Workers: workers, Stats: &st}); err != nil {
+			t.Fatal(err)
+		}
+		if st.Phases[PhaseSymbolic] != 0 || st.Phases[PhaseNumeric] <= 0 || st.Phases[PhaseAssemble] <= 0 {
+			t.Errorf("workers=%d: phases %v, want no symbolic, some numeric and assemble", workers, st.Phases)
+		}
+		if diff := (st.Total - st.PhaseSum()).Abs(); float64(diff) > 0.05*float64(st.Total)+200_000 {
+			t.Errorf("workers=%d: PhaseSum %v vs Total %v", workers, st.PhaseSum(), st.Total)
+		}
+		if tot := st.TotalWorker(); tot.Flop != flop || tot.Rows != int64(g.Rows) || len(st.Workers) != workers {
+			t.Errorf("workers=%d: %d workers counted flop %d rows %d, want %d and %d", workers, len(st.Workers), tot.Flop, tot.Rows, flop, g.Rows)
+		}
+	}
+}
+
 // TestExecStatsPhaseSpans pins the interval reconstruction the multiply
 // server's request traces are built from: spans are back-to-back, in phase
 // order, cover exactly PhaseSum(), and stay inside the Total window.

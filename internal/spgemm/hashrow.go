@@ -27,10 +27,10 @@ import (
 //     ExtractUnsorted. Rows with a repeated column and every sorted request
 //     keep the table.
 //
-// A product under an output mask (Options.Mask, AlgHash only) runs the same
-// driver with the masked pair at the end of this file in place of those two:
-// neither decision applies to it — a masked row's size is not its flop, and
-// its symbolic count is bounded by the mask row, not by B's column space.
+// A product under an output mask (Options.Mask, AlgHash only) runs neither:
+// its mask row bounds row i of (A·B).*M, so it is the one-phase geometry's
+// second row function (heap.go) — maskedRow at the end of this file, one index
+// lookup per product, no accumulator table, no symbolic pass, B streamed once.
 
 // capBound clamps an accumulator size bound at the number of output columns
 // (a row cannot have more distinct entries than columns) — the min(Ncol,
@@ -236,93 +236,105 @@ func hashRowNumeric[V semiring.Value, R semiring.Ring[V]](ring R, table *accum.H
 	}
 }
 
-// loadMask fills set with the column pattern of mask row i. Only the mask's
-// structure matters; its values are never read.
-func loadMask[V semiring.Value](set *accum.HashTableG[V], mask *matrix.CSRG[V], i int) {
-	set.Reset()
-	for _, col := range mask.ColIdx[mask.RowPtr[i]:mask.RowPtr[i+1]] {
-		set.InsertSymbolic(col)
+// maskedRow computes row i of (A·B).*M, mcols being row i of M, into the
+// first len(mcols) entries of cols/vals and returns how many it produced. The
+// index — dense over B's columns and all zero between rows, or table, never
+// both — maps a column of the mask row to its slot in that window, as slot+1
+// so that zero means absent; a column the row repeats owns its last slot. A
+// product lands on its column's slot — the first stored, later ones folded
+// with ring.Add in product order, which is hashRowNumeric's — and the touched
+// slots are then compacted leftwards: an entry exists iff a product landed on
+// it, whatever its value, and the row ascends if the mask row does; sort is
+// set when it must and the mask row may not. cols[s] < 0 marks slot s untouched.
+//
+//spgemm:hotpath
+func maskedRow[V semiring.Value, R semiring.Ring[V]](ring R, dense []int32, table *accum.HashTableG[int32], a, b *matrix.CSRG[V], mcols []int32, i int, cols []int32, vals []V, sort bool) int {
+	cols, vals = cols[:len(mcols)], vals[:len(mcols)]
+	if table != nil {
+		table.Reset()
 	}
-}
-
-// maskedRowCount is rowCounter.count under an output mask: the number of
-// distinct columns of row i of A·B that row i of mask admits. set is the
-// worker's mask table, table its accumulator.
-func maskedRowCount[V semiring.Value](set, table *accum.HashTableG[V], a, b, mask *matrix.CSRG[V], i int) int64 {
-	loadMask(set, mask, i)
-	table.Reset()
-	for _, k := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
-		brp := b.RowPtr[k : int(k)+2]
-		for _, col := range b.ColIdx[brp[0]:brp[1]] {
-			if _, ok := set.Lookup(col); ok {
-				table.InsertSymbolic(col)
-			}
+	for s, col := range mcols {
+		cols[s] = -1
+		if dense != nil {
+			dense[col] = int32(s) + 1
+		} else {
+			slot, _ := table.Upsert(col)
+			*slot = int32(s) + 1
 		}
 	}
-	return int64(table.Len())
-}
-
-// maskedRowNumeric is hashRowNumeric under an output mask: products whose
-// column row i of mask does not admit are dropped before they reach the
-// table; the rest fold in product order, so the row is what the unmasked
-// kernel would produce with the other entries removed.
-func maskedRowNumeric[V semiring.Value, R semiring.Ring[V]](ring R, set, table *accum.HashTableG[V], a, b, mask *matrix.CSRG[V], i int, cols []int32, vals []V, sorted bool) {
-	loadMask(set, mask, i)
-	table.Reset()
 	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-	acols := a.ColIdx[alo:ahi]
-	avals := a.Val[alo:ahi]
+	acols, avals := a.ColIdx[alo:ahi], a.Val[alo:ahi]
 	for x, k := range acols {
 		av := avals[x]
 		brp := b.RowPtr[k : int(k)+2]
 		bvals := b.Val[brp[0]:brp[1]]
 		for y, col := range b.ColIdx[brp[0]:brp[1]] {
-			if _, ok := set.Lookup(col); !ok {
+			var e int32
+			if dense != nil {
+				e = dense[col]
+			} else {
+				e, _ = table.Lookup(col)
+			}
+			if e == 0 {
 				continue
 			}
 			prod := ring.Mul(av, bvals[y])
-			slot, fresh := table.Upsert(col)
-			if fresh {
-				*slot = prod
+			if s := e - 1; cols[s] < 0 {
+				cols[s], vals[s] = col, prod
 			} else {
-				*slot = ring.Add(*slot, prod)
+				vals[s] = ring.Add(vals[s], prod)
 			}
 		}
 	}
-	if sorted {
-		table.ExtractSorted(cols, vals)
-	} else {
-		table.ExtractUnsorted(cols, vals)
-	}
-}
-
-// maskedSymbolic is hashSymbolic for the masked product in describes: worker
-// w's pass over the rows of [lo, hi).
-func (c *ContextG[V]) maskedSymbolic(w int, a, b *matrix.CSRG[V], in *inspection[V], lo, hi int, rowNnz []int64, ws *WorkerStats) {
-	_, max := rangeFlopMax(in.flopRow, lo, hi)
-	if max == 0 {
-		return
-	}
-	set := c.maskTable(w, in.maskBound)
-	table := c.hashTable(w, capBound(max, b.Cols))
-	for i := lo; i < hi; i++ {
-		if in.flopRow[i] != 0 {
-			rowNnz[i] = maskedRowCount(set, table, a, b, in.mask, i)
+	n := 0
+	for s, col := range cols {
+		if col >= 0 {
+			cols[n], vals[n] = col, vals[s]
+			n++
 		}
 	}
-	if ws != nil {
-		ws.HashLookups += table.Lookups()
-		ws.HashProbes += table.Probes()
+	if dense != nil { // unloaded by re-walking the row: no generation counter
+		for _, col := range mcols {
+			dense[col] = 0
+		}
 	}
+	if sort {
+		accum.SortPairs(cols[:n], vals[:n])
+	}
+	return n
 }
 
-// maskedRows is hashNumeric.rows for a masked product; set is the worker's
-// mask table.
-func (h *hashNumeric[V, R]) maskedRows(set *accum.HashTableG[V], mask *matrix.CSRG[V], flopRow, rowPtr []int64, lo, hi int, base int64) {
+// maskedRows is worker w's pass over the rows of [lo, hi), flop products in
+// all, of a one-shot masked product: each row goes through maskedRow into the
+// worker's Context-owned buffers, behind the one before, and its size into
+// rowNnz (zeroed by the caller). Row i keeps at most min(flopRow[i], nnz(mask
+// row i)) entries but needs its whole mask row's slots while it accumulates.
+func maskedRows[V semiring.Value, R semiring.Ring[V]](ring R, c *ContextG[V], w int, a, b, mask *matrix.CSRG[V], flopRow []int64, lo, hi int, flop int64, sort bool, rowNnz []int64) {
+	var kept, need, widest int64
 	for i := lo; i < hi; i++ {
-		if flopRow[i] != 0 {
-			start, end := rowPtr[i]-base, rowPtr[i+1]-base
-			maskedRowNumeric(h.ring, set, h.table, h.a, h.b, mask, i, h.cols[start:end], h.vals[start:end], h.sorted)
+		if m := mask.RowPtr[i+1] - mask.RowPtr[i]; flopRow[i] != 0 {
+			need, widest = max(need, kept+m), max(widest, m)
+			kept += min(flopRow[i], m)
+		}
+	}
+	cols := c.workerScratch(w).EnsureInt32A(int(need))
+	vals := c.valScratch(w, int(need))
+	// The index goes by rowCounter's rule, for its reason, and nowhere else:
+	// the O(Cols) array only where the worker's flop pays for it.
+	var dense []int32
+	var table *accum.HashTableG[int32]
+	if int64(b.Cols) <= flop {
+		c.maskDense[w] = growTo(c.maskDense[w], b.Cols)
+		dense = c.maskDense[w]
+	} else {
+		table = reviveTable(&c.maskHash[w], widest)
+	}
+	pos := 0
+	for i := lo; i < hi; i++ {
+		if mcols := mask.ColIdx[mask.RowPtr[i]:mask.RowPtr[i+1]]; flopRow[i] != 0 && len(mcols) != 0 {
+			n := maskedRow(ring, dense, table, a, b, mcols, i, cols[pos:], vals[pos:], sort)
+			rowNnz[i] = int64(n)
+			pos += n
 		}
 	}
 }

@@ -159,6 +159,58 @@ func TestHashHypersparseKeepsHashSymbolic(t *testing.T) {
 	}
 }
 
+// TestMaskedHypersparseKeepsHashIndex is the same guard for the masked row
+// function's col→slot index: with 2^28 columns and a few hundred entries the
+// index must be the hash table — a dense one would be 1 GiB per worker — on a
+// fresh Context and on a warm one, whose index and buffers are then reused.
+func TestMaskedHypersparseKeepsHashIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	a := matrix.RandomWithDegree(64, 64, 3, rng)
+	b := matrix.RandomWithDegree(64, 1<<28, 3, rng)
+	full := matrix.NaiveMultiply(a, b)
+	// The mask: every second entry of the product, and per row one column
+	// no product reaches, stored out of order.
+	mask := &matrix.CSR{Rows: full.Rows, Cols: full.Cols, RowPtr: make([]int64, full.Rows+1)}
+	want := &matrix.CSR{Rows: full.Rows, Cols: full.Cols, RowPtr: make([]int64, full.Rows+1), Sorted: true}
+	for i := 0; i < full.Rows; i++ {
+		cols, vals := full.Row(i)
+		mask.ColIdx = append(mask.ColIdx, int32(1<<28-1-i))
+		for p := 0; p < len(cols); p += 2 {
+			mask.ColIdx = append(mask.ColIdx, cols[p])
+			want.ColIdx, want.Val = append(want.ColIdx, cols[p]), append(want.Val, vals[p])
+		}
+		mask.RowPtr[i+1], want.RowPtr[i+1] = int64(len(mask.ColIdx)), int64(len(want.ColIdx))
+	}
+	mask.Val = make([]float64, len(mask.ColIdx))
+	ctx := NewContext()
+	for _, tc := range []struct {
+		name     string
+		ctx      *Context
+		unsorted bool
+		max      uint64
+	}{
+		{"one-shot", nil, false, 1 << 20},
+		{"one-shot-unsorted", nil, true, 1 << 20},
+		{"context-cold", ctx, false, 1 << 20},
+		{"context-warm", ctx, false, 16 << 10}, // the product's arrays and little else
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := Multiply(a, b, &Options{Algorithm: AlgHash, Mask: mask, Workers: 2, Unsorted: tc.unsorted, Context: tc.ctx})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.unsorted {
+			got.SortRows()
+		}
+		requireSameCSR(t, want, got)
+		if d := after.TotalAlloc - before.TotalAlloc; d > tc.max {
+			t.Errorf("%s: allocated %d B, want at most %d", tc.name, d, tc.max)
+		}
+	}
+}
+
 // TestContextStampsAcrossColumnSpaces: one Context serves products whose
 // column spaces grow and shrink; the cached stamp sets (and the stale stamps
 // earlier, wider products left in them) must never change a result.

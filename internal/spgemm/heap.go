@@ -6,15 +6,15 @@ import (
 	"repro/internal/semiring"
 )
 
-// Heap SpGEMM (Section 4.2.3) is the driver's one-phase geometry: a k-way
+// The driver's one-phase geometry (Section 4.1): inspect stops after the
+// partition and onePhaseExecute below sizes the output by producing it, with
+// one of two row functions. Heap SpGEMM (Section 4.2.3) is heapRow: a k-way
 // merge of the sorted contributing rows of B with a thread-private binary
-// heap, rows flop-partitioned like every other kernel's (Figure 6), output
-// rows sorted by construction. inspect stops after the partition — there is
-// no symbolic phase to run — and heapExecute below sizes the output by
-// producing it. Only a Plan asks inspect for row pointers, and then replays
-// skip the temp buffers as well. The scheduling and memory-management
-// variants Figure 9 compares this design against live in
-// internal/bench/baseline.
+// heap, output rows sorted by construction and bounded by their flop. A
+// product under an output mask is maskedRow (hashrow.go), a row bounded by
+// its mask row. Only a Heap Plan asks inspect for row pointers, and then
+// replays skip the temp buffers as well. The scheduling and memory-management
+// variants Figure 9 compares Heap against live in internal/bench/baseline.
 
 // heapRow merges output row i into cols/vals (which must hold at least the
 // row's entries; its flop bounds them) and returns the number of entries
@@ -55,18 +55,20 @@ func heapRow[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 	return n
 }
 
-// heapExecute is execute for the Heap geometry. With no row pointers (a
-// one-shot multiply) it is the paper's one-phase design: every worker merges
-// its rows into its own Context-owned buffers, sized at the flop of those
-// rows — an upper bound of their output, first-touched by the worker that
-// fills them ("parallel" memory management, Figure 3) — then the row sizes
-// found on the way are prefix-summed into the row pointers and each worker's
-// rows, contiguous in its buffers and in the output alike, move with one bulk
-// copy (PhaseAssemble). With the row pointers of a Plan every row is merged
+// onePhaseExecute is execute for the one-phase geometry. With no row pointers
+// (a one-shot multiply) it is the paper's one-phase design: every worker
+// computes its rows into its own Context-owned buffers, sized at an upper
+// bound of their output — the flop of those rows for Heap, what their mask
+// rows admit under a mask — and first-touched by the worker that fills them
+// ("parallel" memory management, Figure 3); then the row sizes found on the
+// way are prefix-summed into the row pointers and each worker's rows,
+// contiguous in its buffers and in the output alike, move with one bulk copy
+// (PhaseAssemble). With the row pointers of a Heap Plan every row is merged
 // straight into its final place: no buffer, no copy.
-func heapExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, pt *phaseTimer) *matrix.CSRG[V] {
-	var c *matrix.CSRG[V] // a replay's output, merged into directly
-	var rowNnz []int64    // a one-shot multiply's row sizes, found on the way
+func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, unsorted bool, pt *phaseTimer) *matrix.CSRG[V] {
+	sorted := in.mask == nil || !unsorted // a merged row is sorted by construction
+	var c *matrix.CSRG[V]                 // a replay's output, merged into directly
+	var rowNnz []int64                    // a one-shot multiply's row sizes, found on the way
 	if rowPtr != nil {
 		c = ctx.outputShell(a.Rows, b.Cols, rowPtr, true)
 		pt.tick(PhaseAlloc)
@@ -79,6 +81,15 @@ func heapExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG
 			return
 		}
 		flop := rangeFlop(in.flopRow, lo, hi)
+		ws := pt.worker(w)
+		if ws != nil {
+			ws.Rows = int64(hi - lo)
+			ws.Flop = flop
+		}
+		if in.mask != nil {
+			maskedRows(ring, ctx, w, a, b, in.mask, in.flopRow, lo, hi, flop, sorted && !in.mask.Sorted, rowNnz)
+			return
+		}
 		h := ctx.mergeHeap(w, 8) // first-use hint: the heap grows to its widest row
 		if c != nil {
 			for i := lo; i < hi; i++ {
@@ -94,9 +105,7 @@ func heapExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG
 				pos += n
 			}
 		}
-		if ws := pt.worker(w); ws != nil {
-			ws.Rows = int64(hi - lo)
-			ws.Flop = flop
+		if ws != nil {
 			ws.HeapPushes = h.Pushes()
 		}
 	})
@@ -107,7 +116,7 @@ func heapExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG
 	}
 
 	sized := ctx.prefixSum(rowNnz, ctx.rowPtrBuf(a.Rows), in.workers)
-	out := ctx.outputShell(a.Rows, b.Cols, sized, true)
+	out := ctx.outputShell(a.Rows, b.Cols, sized, sorted)
 	pt.tick(PhaseAlloc)
 	ctx.runWorkers("assemble", in.workers, func(w int) {
 		// The worker's buffers are where the numeric region left them; the

@@ -99,9 +99,9 @@ func TestMinPlusZeroHandlingAllKernels(t *testing.T) {
 	}
 }
 
-// TestMinPlusZeroHandlingMasked covers the masked row functions (AlgHash
-// only), where symbolic inserts are filtered by the mask: entries
-// whose value is +Inf must survive exactly when the mask admits them.
+// TestMinPlusZeroHandlingMasked covers the masked row function (AlgHash
+// only), where a product lands on the slot of its mask entry: entries whose
+// value is +Inf must survive exactly when the mask admits them.
 func TestMinPlusZeroHandlingMasked(t *testing.T) {
 	ring := semiring.MinPlusF64{}
 	rng := rand.New(rand.NewSource(910))

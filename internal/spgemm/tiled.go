@@ -60,9 +60,9 @@ func splitTiles[V semiring.Value](ctx *ContextG[V], b *matrix.CSRG[V], tileCols,
 	nnz := int(b.RowPtr[b.Rows])
 	rows1 := b.Rows + 1
 	rpLen := nTiles * rows1
-	ctx.tileRowPtr = ensureI64(ctx.tileRowPtr, rpLen)
-	ctx.tileCur = ensureI64(ctx.tileCur, rpLen)
-	ctx.tileIdx = ensureI32(ctx.tileIdx, nnz)
+	ctx.tileRowPtr = ensureLen(ctx.tileRowPtr, rpLen)
+	ctx.tileCur = ensureLen(ctx.tileCur, rpLen)
+	ctx.tileIdx = ensureLen(ctx.tileIdx, nnz)
 	vals := ctx.tileValBuf(nnz)
 	rp := ctx.tileRowPtr
 	for j := range rp {
