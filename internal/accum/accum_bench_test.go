@@ -79,7 +79,7 @@ func BenchmarkAblationAccumulators(b *testing.B) {
 	}
 	h := NewHashTable(8192)
 	run("hash", h.Reset, func(k int32) { plusAcc(h, k, 1) })
-	hv := NewHashVecTable(8192)
+	hv := NewHashVecTableG[float64](8192)
 	run("hashvec", hv.Reset, func(k int32) { plusAcc(hv, k, 1) })
 	s := NewSPA(4096)
 	run("spa", s.Reset, func(k int32) { plusAcc(s, k, 1) })

@@ -306,26 +306,6 @@ func (h *HashTableG[V]) ExtractSorted(cols []int32, vals []V) int {
 	return extractSortedSlots(&h.rank, h.keys, h.vals, h.used, cols, vals)
 }
 
-// ExtractKeysSorted writes just the keys, sorted; used by symbolic-phase
-// consumers that want patterns.
-//
-//spgemm:hotpath
-func (h *HashTableG[V]) ExtractKeysSorted(cols []int32) int {
-	used := h.used
-	n := len(used)
-	cols = cols[:n]
-	keys := h.keys
-	mask := len(keys) - 1
-	if mask < 0 {
-		return 0
-	}
-	for i, s := range used {
-		cols[i] = keys[int(s)&mask]
-	}
-	h.rank.sortKeys(cols)
-	return n
-}
-
 // sortPairs sorts cols ascending carrying vals along: insertion sort for
 // short rows, median-of-three quicksort above. It is the fallback of the
 // ranked extraction (rows the window rule of rank.go turns away) and the

@@ -33,7 +33,7 @@ type accumulator interface {
 func accumulators(bound int64) map[string]accumulator {
 	return map[string]accumulator{
 		"hash":     NewHashTable(bound),
-		"hashvec":  NewHashVecTable(bound),
+		"hashvec":  NewHashVecTableG[float64](bound),
 		"twolevel": NewTwoLevelHash(64), // tiny L1 to force overflow
 	}
 }
@@ -225,7 +225,7 @@ func TestTwoLevelOverflowsToL2(t *testing.T) {
 	if tl.Len() != 500 {
 		t.Fatalf("Len = %d", tl.Len())
 	}
-	if tl.L2Len() == 0 {
+	if tl.Overflows() == 0 {
 		t.Fatal("expected level-2 overflow with tiny level 1")
 	}
 	for k := int32(0); k < 500; k++ {
@@ -254,7 +254,7 @@ func TestUpsertNonPlusSemiring(t *testing.T) {
 	if v, _ := h.Lookup(3); v != 9 {
 		t.Fatalf("hash max = %v", v)
 	}
-	hv := NewHashVecTable(64)
+	hv := NewHashVecTableG[float64](64)
 	maxAcc(hv, 3, 5)
 	maxAcc(hv, 3, 9)
 	maxAcc(hv, 3, 2)
@@ -269,7 +269,7 @@ func TestHashFamiliesAgreeQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := NewHashTable(512)
-		hv := NewHashVecTable(512)
+		hv := NewHashVecTableG[float64](512)
 		tl := NewTwoLevelHash(32)
 		n := rng.Intn(400)
 		for i := 0; i < n; i++ {

@@ -34,12 +34,6 @@ type HashVecTable = HashVecTableG[float64]
 // (the paper's Haswell configuration; KNL's AVX-512 doubles it to 16).
 const DefaultChunkWidth = 8
 
-// NewHashVecTable returns a float64 chunked table sized for bound entries
-// with the default chunk width.
-func NewHashVecTable(bound int64) *HashVecTable {
-	return NewHashVecTableWidth(bound, DefaultChunkWidth)
-}
-
 // NewHashVecTableG returns a chunked table over V sized for bound entries
 // with the default chunk width.
 func NewHashVecTableG[V semiring.Value](bound int64) *HashVecTableG[V] {

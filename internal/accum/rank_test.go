@@ -195,12 +195,11 @@ func TestRankedExtractionTakesBothPaths(t *testing.T) {
 	}
 }
 
-// TestRankedKeysAndSPA covers the keys-only consumers of the ranker:
-// HashTableG.ExtractKeysSorted and the SPA's sorted extractions.
+// TestRankedKeysAndSPA covers the keys-only consumer of the ranker: the SPA's
+// sorted extractions.
 func TestRankedKeysAndSPA(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const ncols = 1 << 16
-	h := NewHashTable(4096)
 	spa := NewSPA(ncols)
 	for round := 0; round < 3; round++ {
 		for _, n := range []int{0, 1, 24, 25, rankMinN, rankMinN + 1, 64, 4096} {
@@ -212,19 +211,12 @@ func TestRankedKeysAndSPA(t *testing.T) {
 				want := slices.Clone(keys)
 				slices.Sort(want)
 
-				h.Reset()
 				spa.Reset()
 				for i, k := range keys {
-					h.InsertSymbolic(k)
 					slot, _ := spa.Upsert(k)
 					*slot = float64(i)
 				}
 				got := make([]int32, n)
-				if h.ExtractKeysSorted(got) != n || !slices.Equal(got, want) {
-					t.Fatalf("ExtractKeysSorted n=%d span=%d differs from slices.Sort", n, span)
-				}
-				assertScratchClean(t, "hash keys", &h.rank)
-
 				vals := make([]float64, n)
 				if spa.ExtractSorted(got, vals) != n || !slices.Equal(got, want) {
 					t.Fatalf("SPA.ExtractSorted n=%d span=%d keys differ", n, span)

@@ -87,9 +87,6 @@ func (t *TwoLevelHashG[V]) Reset() {
 // Len returns the number of distinct keys across both levels.
 func (t *TwoLevelHashG[V]) Len() int { return len(t.l1Used) + t.l2.Len() }
 
-// L2Len returns the number of keys that overflowed to level 2 (test hook).
-func (t *TwoLevelHashG[V]) L2Len() int { return t.l2.Len() }
-
 // Overflows returns the cumulative count of operations delegated to level 2.
 func (t *TwoLevelHashG[V]) Overflows() int64 { return t.overflows }
 

@@ -224,10 +224,6 @@ func newTable(header ...string) *table { return &table{header: header} }
 
 func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
 
-func (t *table) addf(format string, args ...any) {
-	t.add(fmt.Sprintf(format, args...))
-}
-
 func (t *table) write(w io.Writer, csv bool) {
 	if csv {
 		writeCSVRow(w, t.header)

@@ -2,7 +2,6 @@ package matrix
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/semiring"
 )
@@ -112,15 +111,4 @@ func (c *COOG[V]) Symmetrize() {
 			c.Entries = append(c.Entries, EntryG[V]{e.Col, e.Row, e.Val})
 		}
 	}
-}
-
-// SortRowMajor sorts the entries in (row, col) order. Duplicates stay adjacent.
-func (c *COOG[V]) SortRowMajor() {
-	sort.Slice(c.Entries, func(a, b int) bool {
-		ea, eb := c.Entries[a], c.Entries[b]
-		if ea.Row != eb.Row {
-			return ea.Row < eb.Row
-		}
-		return ea.Col < eb.Col
-	})
 }

@@ -55,20 +55,6 @@ func TestSymmetrize(t *testing.T) {
 	}
 }
 
-func TestSortRowMajor(t *testing.T) {
-	c := NewCOO(3, 3)
-	c.Append(2, 0, 1)
-	c.Append(0, 2, 1)
-	c.Append(0, 1, 1)
-	c.SortRowMajor()
-	if c.Entries[0].Row != 0 || c.Entries[0].Col != 1 {
-		t.Fatalf("entries not sorted: %+v", c.Entries)
-	}
-	if c.Entries[2].Row != 2 {
-		t.Fatalf("entries not sorted: %+v", c.Entries)
-	}
-}
-
 func TestEmptyCOO(t *testing.T) {
 	m := NewCOO(4, 4).ToCSR()
 	mustValid(t, m)

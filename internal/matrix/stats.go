@@ -152,29 +152,3 @@ func SymbolicNNZ[V, W semiring.Value](a *CSRG[V], b *CSRG[W]) int64 {
 	}
 	return total
 }
-
-// DegreeHistogram returns counts of rows by nnz bucket: bucket i counts rows
-// with nnz in [2^(i-1), 2^i), bucket 0 counts empty rows. Used to
-// characterize skew (ER vs G500) in the experiment reports.
-func (m *CSRG[V]) DegreeHistogram() []int64 {
-	var hist []int64
-	bump := func(b int) {
-		for len(hist) <= b {
-			hist = append(hist, 0)
-		}
-		hist[b]++
-	}
-	for i := 0; i < m.Rows; i++ {
-		d := m.RowPtr[i+1] - m.RowPtr[i]
-		if d == 0 {
-			bump(0)
-			continue
-		}
-		b := 1
-		for v := d; v > 1; v >>= 1 {
-			b++
-		}
-		bump(b)
-	}
-	return hist
-}

@@ -92,27 +92,6 @@ func TestMaxAvgRowNNZ(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	m := &CSR{
-		Rows: 4, Cols: 8,
-		RowPtr: []int64{0, 0, 1, 3, 7},
-		ColIdx: []int32{0, 1, 2, 3, 4, 5, 6},
-		Val:    make([]float64, 7),
-		Sorted: true,
-	}
-	h := m.DegreeHistogram()
-	// Row degrees: 0, 1, 2, 4 → buckets 0, 1, 2, 3.
-	want := []int64{1, 1, 1, 1}
-	if len(h) != len(want) {
-		t.Fatalf("hist = %v", h)
-	}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Fatalf("hist = %v, want %v", h, want)
-		}
-	}
-}
-
 func TestFlopIntoReusesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := Random(40, 30, 0.2, rng)

@@ -83,7 +83,7 @@ func oneValue[V semiring.Value]() V {
 }
 
 // toFloat64 converts v to float64 (bool maps to 0/1), for utilities that
-// bridge into float64-typed reporting (ToDense, InfNorm).
+// bridge into float64-typed reporting (ToDense).
 func toFloat64[V semiring.Value](v V) float64 {
 	switch p := any(&v).(type) {
 	case *float64:

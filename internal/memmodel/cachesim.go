@@ -228,143 +228,3 @@ func SimulateHashSpGEMM(a, b *matrix.CSR, cfg CacheConfig, maxFlop int64) SimSta
 	st.SampledFlop = replayed
 	return st
 }
-
-// SimulateHeapSpGEMM replays the numeric phase of Heap SpGEMM: a k-way
-// merge whose cursors advance one element at a time through the contributing
-// rows of B, interleaved in column order — the fine-grained access pattern
-// that denies the heap algorithm any MCDRAM benefit in the paper's
-// Figure 10. The heap itself is tiny (nnz(a_i*) cursors) and thread-private,
-// so only the B reads are replayed against the cache.
-func SimulateHeapSpGEMM(a, b *matrix.CSR, cfg CacheConfig, maxFlop int64) SimStats {
-	if maxFlop <= 0 {
-		maxFlop = 2 << 20
-	}
-	cache := NewCache(cfg)
-	const gap = uint64(1) << 40
-	baseBCols := gap
-	baseBVals := 2 * gap
-
-	_, flopRow := matrix.Flop(a, b)
-	var total int64
-	for _, f := range flopRow {
-		total += f
-	}
-	stride := 1
-	if total > maxFlop {
-		stride = int(total / maxFlop)
-		if stride < 1 {
-			stride = 1
-		}
-	}
-
-	var st SimStats
-	st.LineBytes = cfg.LineBytes
-	var replayed int64
-	h := newSimHeap()
-	for i := 0; i < a.Rows && replayed < maxFlop; i += stride {
-		st.SampledRows++
-		h.reset()
-		alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-		for p := alo; p < ahi; p++ {
-			k := a.ColIdx[p]
-			blo, bhi := b.RowPtr[k], b.RowPtr[k+1]
-			if blo < bhi {
-				h.push(b.ColIdx[blo], blo, bhi)
-			}
-		}
-		for h.len() > 0 && replayed < maxFlop {
-			pos := h.minPos()
-			// Touch the cursor's current element: index + value.
-			if !cache.Access(baseBCols + uint64(pos)*4) {
-				st.BMisses++
-			}
-			st.BAccesses++
-			if !cache.Access(baseBVals + uint64(pos)*8) {
-				st.BMisses++
-			}
-			st.BAccesses++
-			st.AccAccesses++ // heap sift: cache-resident, counted not replayed
-			replayed++
-			if pos+1 < h.minEnd() {
-				h.advance(b.ColIdx[pos+1])
-			} else {
-				h.pop()
-			}
-		}
-	}
-	st.SampledFlop = replayed
-	return st
-}
-
-// simHeap is a minimal column-ordered cursor heap for the replay (kept local
-// to avoid an import cycle with internal/accum, whose MergeHeap carries the
-// value state the simulator does not need).
-type simHeap struct {
-	col []int32
-	pos []int64
-	end []int64
-}
-
-func newSimHeap() *simHeap { return &simHeap{} }
-
-func (h *simHeap) len() int { return len(h.col) }
-func (h *simHeap) reset()   { h.col, h.pos, h.end = h.col[:0], h.pos[:0], h.end[:0] }
-
-func (h *simHeap) push(col int32, pos, end int64) {
-	h.col = append(h.col, col)
-	h.pos = append(h.pos, pos)
-	h.end = append(h.end, end)
-	for i := len(h.col) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if h.col[parent] <= h.col[i] {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *simHeap) minPos() int64 { return h.pos[0] }
-func (h *simHeap) minEnd() int64 { return h.end[0] }
-
-func (h *simHeap) advance(nextCol int32) {
-	h.col[0] = nextCol
-	h.pos[0]++
-	h.siftDown()
-}
-
-func (h *simHeap) pop() {
-	last := len(h.col) - 1
-	h.swap(0, last)
-	h.col = h.col[:last]
-	h.pos = h.pos[:last]
-	h.end = h.end[:last]
-	if last > 0 {
-		h.siftDown()
-	}
-}
-
-func (h *simHeap) swap(i, j int) {
-	h.col[i], h.col[j] = h.col[j], h.col[i]
-	h.pos[i], h.pos[j] = h.pos[j], h.pos[i]
-	h.end[i], h.end[j] = h.end[j], h.end[i]
-}
-
-func (h *simHeap) siftDown() {
-	i, n := 0, len(h.col)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		small := l
-		if r := l + 1; r < n && h.col[r] < h.col[l] {
-			small = r
-		}
-		if h.col[i] <= h.col[small] {
-			return
-		}
-		h.swap(i, small)
-		i = small
-	}
-}

@@ -280,13 +280,3 @@ func ModeledTimeWithSim(st spgemm.AccessStats, sim SimStats, tier Tier, profile 
 	t += float64(st.Flop) * computeNsPerFlop * 1e-9
 	return t
 }
-
-// ModeledSpeedupWithSim is ModeledSpeedup using simulated cache behaviour.
-func ModeledSpeedupWithSim(st spgemm.AccessStats, sim SimStats, ddr, mcdram Tier, profile AccessProfile) float64 {
-	td := ModeledTimeWithSim(st, sim, ddr, profile)
-	tm := ModeledTimeWithSim(st, sim, mcdram, profile)
-	if tm == 0 {
-		return 1
-	}
-	return td / tm
-}

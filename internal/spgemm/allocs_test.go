@@ -138,14 +138,15 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 // state must come from the Context's cached tables. The one-phase geometry is
 // held to the same bound: one-shot Heap and a masked product fill upper-bound
 // buffers that are the Context's, as is the mask's col→slot index (the masked
-// row is pinned at the 8 it measures: three arrays, the header and what the
-// +recycle rows list), and a Heap Plan replay has no buffers at all. A Plan's streamed replay (hash/replay) is
-// pinned tighter, at the 6 allocations a Hash Plan's kernel replay measured
-// before replay maps existed: the map costs none per execution. The +recycle
-// rows hand every product back (Context.Recycle) before the next call and are
-// pinned at exactly the three arrays fewer — what is left is the result
-// header, the phase timer, the inspection and the parallel regions' closures,
-// under 1 KiB together and none of it growing with the product.
+// row is pinned at the 6 it measures: three arrays and what the +recycle rows
+// list), and a Heap Plan replay has no buffers at all. A Plan's streamed
+// replay (hash/replay) is pinned at its 5: the map costs none per execution.
+// The +recycle rows hand every product back (Context.Recycle) before the next
+// call and are pinned at exactly the three arrays fewer — what is left is the
+// result header, which the caller keeps, and one closure per parallel region
+// (symbolic and numeric; a replay has only the second), which the pool's
+// workers hold while they run — under 1 KiB together and none of it growing
+// with the product. The inspection and the phase timer are the Context's.
 func TestContextReuseSteadyAllocs(t *testing.T) {
 	if obs.Active() != nil {
 		t.Skip("tracing enabled")
@@ -161,15 +162,15 @@ func TestContextReuseSteadyAllocs(t *testing.T) {
 		max     float64
 	}{
 		{"hash", AlgHash, nil, false, false, 16},
-		{"hash+mask", AlgHash, a, false, false, 8},
+		{"hash+mask", AlgHash, a, false, false, 6},
 		{"hashvec", AlgHashVec, nil, false, false, 16},
 		{"heap", AlgHeap, nil, false, false, 16},
 		{"heap/plan", AlgHeap, nil, true, false, 16},
-		{"hash/replay", AlgHash, nil, true, false, 6},
+		{"hash/replay", AlgHash, nil, true, false, 5},
 		{"tiled", AlgTiled, nil, false, false, 16},
-		{"hash+recycle", AlgHash, nil, false, true, 5},
-		{"hash+mask+recycle", AlgHash, a, false, true, 5},
-		{"hash/replay+recycle", AlgHash, nil, true, true, 3},
+		{"hash+recycle", AlgHash, nil, false, true, 3},
+		{"hash+mask+recycle", AlgHash, a, false, true, 3},
+		{"hash/replay+recycle", AlgHash, nil, true, true, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Forced tiny tiles so AlgTiled's split + heavy-unit + stitch

@@ -93,6 +93,12 @@ type ContextG[V semiring.Value] struct {
 	uoffsets   []int
 	ups        []int64
 
+	// The running call's inspection and phase timer (driver.go): fields, so
+	// a steady-state call allocates neither. They keep that call's Mask and
+	// Stats reachable until the next call overwrites them.
+	in inspection[V]
+	pt phaseTimer
+
 	// Cumulative stats across stats-enabled calls through this context
 	// (see CumulativeStats).
 	cum      ExecStats
@@ -161,22 +167,13 @@ func (c *ContextG[V]) CumulativeStats() *ExecStats {
 	return c.cum.Clone()
 }
 
-// CumulativeCalls returns how many stats-enabled calls have been accumulated.
-func (c *ContextG[V]) CumulativeCalls() int64 { return c.cumCalls }
-
-// ResetCumulative clears the running totals (e.g. between benchmark reps).
-func (c *ContextG[V]) ResetCumulative() {
-	c.cum = ExecStats{}
-	c.cumCalls = 0
-}
-
 // Recycle donates m, a product the caller is finished with, to c: its arrays
 // become the storage of the next product of c that fits in them. Every product
 // Multiply, MultiplyRing or a Plan returns is the caller's for as long as it
 // likes; Recycle is how it gives one back. Two kinds of matrix must never be
-// donated: a product assembled by a ShardSink (a SpillSink's aliases a file
-// mapping that Close unmaps), and one anything else still reads — a later
-// multiply overwrites the arrays. m is left without arrays, so a use after the
+// donated: a product assembled by a SpillSink (it aliases a file mapping that
+// Close unmaps), and one anything else still reads — a later multiply
+// overwrites the arrays. m is left without arrays, so a use after the
 // donation fails on its first index rather than reading another product. c
 // keeps, per array, the larger of what it held and what m brought; a nil m or
 // one with no entries changes nothing worth keeping.
@@ -420,13 +417,6 @@ func ensureLen[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// lightFlopBuf returns the reusable weight array the tiled kernel zeroes
-// heavy rows out of (contents undefined).
-func (c *ContextG[V]) lightFlopBuf(n int) []int64 {
-	c.lightFlop = ensureLen(c.lightFlop, n)
-	return c.lightFlop
-}
-
 // unitBufs returns the (row, tile) unit bookkeeping arrays for n units
 // (contents undefined).
 func (c *ContextG[V]) unitBufs(n int) (row, tile []int32, flop, nnz, off []int64) {
@@ -436,14 +426,6 @@ func (c *ContextG[V]) unitBufs(n int) (row, tile []int32, flop, nnz, off []int64
 	c.unitNnz = ensureLen(c.unitNnz, n)
 	c.unitOff = ensureLen(c.unitOff, n)
 	return c.unitRow, c.unitTile, c.unitFlop, c.unitNnz, c.unitOff
-}
-
-// tileValBuf returns the reusable split-value buffer of length n (contents
-// undefined): splitTiles scatters B's values into it, a Plan execution
-// gathers them.
-func (c *ContextG[V]) tileValBuf(n int) []V {
-	c.tileVal = ensureLen(c.tileVal, n)
-	return c.tileVal
 }
 
 // partitionUnits flop-balances the heavy (row, tile) units over workers into

@@ -56,7 +56,7 @@ var Algorithms = []spgemm.Algorithm{
 // tinyTiles returns geometry overrides that force the tiled kernel's heavy
 // (row, tile) path at suite scale: an 8-column tile with a heavy threshold
 // of one flop routes essentially every non-empty row through column tiling.
-// The analytic width (tens of thousands of columns) never triggers it on the
+// The default width (32768 columns) never triggers it on the
 // small differential inputs, so without the override the suite would only
 // cover the light path.
 func tinyTiles(alg spgemm.Algorithm) (tileCols int, heavyFlop int64) {
@@ -483,8 +483,8 @@ func CheckPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 	var st spgemm.ExecStats
 	opt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, Context: spgemm.NewContext(), Stats: &st}
 	// For the tiled and sharded algorithms, force tiny geometry so the plan's
-	// cached split structure, unit bookkeeping and per-execute value re-gather
-	// are all exercised (the analytic geometry would make every suite row
+	// unit bookkeeping and per-execute column split of B are both
+	// exercised (the default geometry would make every suite row
 	// light, and the auto stripe cut one stripe per worker).
 	opt.TileCols, opt.TileHeavyFlop = tinyTiles(alg)
 	opt.ShardStripes = tinyShards(alg)

@@ -50,9 +50,10 @@ import (
 
 // inspection is everything the structure of A and B determines about one
 // product under one geometry: the result of the partition and symbolic
-// phases. Its slices alias the Context that inspect ran on (rowPtr and perm
-// excepted) and are valid until that Context's next call; execute only reads
-// it, so one inspection may serve concurrent executions on distinct Contexts.
+// phases. It is a field of the Context inspect ran on and its slices alias
+// that Context's buffers (rowPtr excepted), so it is valid until the Context's
+// next call; execute only reads it, so one inspection — a Plan's clone — may
+// serve concurrent executions on distinct Contexts.
 type inspection[V semiring.Value] struct {
 	alg     Algorithm // any but AlgAuto
 	workers int
@@ -72,14 +73,13 @@ type inspection[V semiring.Value] struct {
 	// the one-phase geometry with maskedRow as its row function (heap.go).
 	mask *matrix.CSRG[V]
 
-	// Tiled with heavy rows: the column split of B (perm, filled only for
-	// Plans, maps each split entry back to its B entry so an execution can
-	// gather current values), and the heavy (row, tile) units — flop weight,
-	// output size and stitched output offset of each — with their own
-	// flop-balanced partition.
+	// Tiled with heavy rows: the column split of B (a one-shot product's
+	// only; a Plan's clone drops it and every execution splits B afresh into
+	// its own Context), and the heavy (row, tile) units — flop weight, output
+	// size and stitched output offset of each — with their own flop-balanced
+	// partition.
 	tileCols          int
 	tiles             tiledSplit[V]
-	perm              []int64
 	unitRow, unitTile []int32
 	unitFlop, unitNnz []int64
 	unitOff           []int64
@@ -94,8 +94,9 @@ func (in *inspection[V]) onePhase() bool { return in.alg == AlgHeap || in.mask !
 func (in *inspection[V]) stripes() int { return len(in.offsets) - 1 }
 
 // clone copies every Context-owned slice into memory of its own, which is
-// all that separates a Plan from a one-shot inspection. The split values are
-// dropped, not copied: executions gather them through perm.
+// all that separates a Plan from a one-shot inspection. The column split is
+// dropped, not copied: it is nnz(B)-sized, holds B's values as they were, and
+// costs an execution one O(nnz(B)) pass to redo in front of its O(flop) one.
 func (in *inspection[V]) clone() inspection[V] {
 	out := *in
 	out.flopRow = append([]int64(nil), in.flopRow...)
@@ -104,9 +105,7 @@ func (in *inspection[V]) clone() inspection[V] {
 		out.lightFlop = append([]int64(nil), in.lightFlop...)
 	}
 	out.offsets = append([]int(nil), in.offsets...)
-	out.tiles.rowPtr = append([]int64(nil), in.tiles.rowPtr...)
-	out.tiles.colIdx = append([]int32(nil), in.tiles.colIdx...)
-	out.tiles.vals = nil
+	out.tiles = tiledSplit[V]{}
 	out.unitRow = append([]int32(nil), in.unitRow...)
 	out.unitTile = append([]int32(nil), in.unitTile...)
 	out.unitFlop = append([]int64(nil), in.unitFlop...)
@@ -120,16 +119,19 @@ func (in *inspection[V]) clone() inspection[V] {
 // geometry and its flop-balanced partition (PhasePartition), the symbolic
 // pass (PhaseSymbolic) and the row-pointer prefix sum, which the next tick
 // of the returned timer charges to whatever the caller does next. forPlan
-// asks for everything a replay needs that a one-shot multiply does not: the
-// tiled split's entry permutation, and Heap's row pointers.
+// asks for the one thing a replay needs that a one-shot multiply does not:
+// the row pointers of a one-phase product. Both results are ctx's own
+// (ctx.in, ctx.pt), not allocations.
 func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V], ctx *ContextG[V], forPlan bool) (*inspection[V], *phaseTimer) {
 	workers := opt.workersFor(a.Rows)
 	ctx.ensureWorkers(workers)
-	pt := startPhases(opt.Stats, alg, workers)
-	in := &inspection[V]{alg: alg, workers: workers, flopRow: ctx.perRowFlop(a, b), mask: opt.Mask}
+	ctx.pt = startPhases(opt.Stats, alg, workers)
+	pt := &ctx.pt
+	ctx.in = inspection[V]{alg: alg, workers: workers, flopRow: ctx.perRowFlop(a, b), mask: opt.Mask}
+	in := &ctx.in
 	in.lightFlop = in.flopRow
 	if alg == AlgTiled {
-		in.inspectTiles(ctx, a, b, opt, forPlan)
+		in.inspectTiles(ctx, a, b, opt)
 	}
 	stripes := workers
 	if alg == AlgSharded {
@@ -138,7 +140,7 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 	in.offsets = ctx.partition(in.lightFlop, stripes, workers)
 	pt.tick(PhasePartition)
 	if in.onePhase() && !forPlan {
-		return in, &pt
+		return in, pt
 	}
 	// HashVector and a Heap Plan count with Hash's symbolic pass: the number
 	// of distinct columns does not depend on the numeric accumulator.
@@ -154,7 +156,7 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 
 	in.rowPtr = ctx.prefixSum(rowNnz, ctx.rowPtrBuf(a.Rows), workers)
 	in.stitchUnits()
-	return in, &pt
+	return in, pt
 }
 
 // execute runs the value-dependent phases of an inspected product: bind the
@@ -164,7 +166,7 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 // slots. rowPtr is in.rowPtr or a copy of it and belongs to the result from
 // here on. A nil sink is the output itself: every stripe's window is its own
 // rows' slice of the result, written in place.
-func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, unsorted bool, sink ShardSink[V], pt *phaseTimer) (*matrix.CSRG[V], error) {
+func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, unsorted bool, sink *SpillSink[V], pt *phaseTimer) (*matrix.CSRG[V], error) {
 	if in.onePhase() {
 		return onePhaseExecute(ring, a, b, ctx, in, rowPtr, unsorted, pt), nil
 	}
@@ -221,7 +223,7 @@ func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 		}
 		pt.tick(PhaseAssemble)
 	}
-	in.fillStripeStats(pt.st, rowPtr, sink)
+	in.fillStripeStats(pt.st, rowPtr, sink != nil)
 	pt.finish()
 	return out, nil
 }
@@ -229,7 +231,7 @@ func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 // bindOutput readies where the stripes land: the output shell when sink is
 // nil, else the sink and one error slot per stripe — a sink can fail, the
 // shell cannot.
-func (c *ContextG[V]) bindOutput(sink ShardSink[V], stripes, rows, cols int, rowPtr []int64, sorted bool) (*matrix.CSRG[V], []error, error) {
+func (c *ContextG[V]) bindOutput(sink *SpillSink[V], stripes, rows, cols int, rowPtr []int64, sorted bool) (*matrix.CSRG[V], []error, error) {
 	if sink == nil {
 		return c.outputShell(rows, cols, rowPtr, sorted), nil, nil
 	}

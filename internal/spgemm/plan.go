@@ -53,11 +53,11 @@ type Plan struct {
 	fpA, fpB uint64
 	// in is the plan's own copy of the inspection (see inspection.clone): the
 	// Context's buffers may be overwritten by unrelated Multiply calls
-	// between Executes. For a tiled plan it holds the split's structure and
-	// entry permutation but never values — every execution gathers B's
-	// current values into its Context's buffer, which keeps executions
-	// bit-identical to Multiply after value updates and keeps concurrent
-	// ExecuteIn calls (distinct Contexts) safe on one shared Plan.
+	// between Executes. For a tiled plan it holds the heavy units but not the
+	// column split of B — every execution cuts B's current values into its
+	// own Context's buffers, which keeps executions bit-identical to Multiply
+	// after value updates and keeps concurrent ExecuteIn calls (distinct
+	// Contexts) safe on one shared Plan.
 	in    inspection[float64]
 	valid bool
 
@@ -88,9 +88,9 @@ type replayMap struct {
 // phase for C = A·B, and returns a Plan whose Execute performs the numeric
 // phase only. Every algorithm Multiply accepts is supported, under Multiply's
 // own conditions (AlgHeap needs sorted rows in B; AlgAuto resolves through
-// the recipe); Mask and ShardSink are not — a spilled product
-// aliases its temp-file mapping and is single-use, the opposite of what a
-// reusable plan is for. opt.Context, when set, supplies the reusable
+// the recipe); Mask and ShardSink are not — a spilled product aliases its
+// temp-file mapping and is single-use, the opposite of what a reusable plan
+// is for. opt.Context, when set, supplies the reusable
 // accumulators Execute will use; opt.Stats, when set, receives per-phase
 // times for the inspector call and for every Execute.
 func NewPlan(a, b *matrix.CSR, opt *Options) (*Plan, error) {
@@ -166,16 +166,17 @@ func (p *Plan) ExecuteIn(ctx *Context, stats *ExecStats) (*matrix.CSR, error) {
 		ctx = NewContext()
 	}
 	ctx.ensureWorkers(p.in.workers)
-	pt := startPhases(stats, p.in.alg, p.in.workers)
+	ctx.pt = startPhases(stats, p.in.alg, p.in.workers)
+	pt := &ctx.pt
 	rowPtr := ctx.rowPtrBuf(p.a.Rows)
 	copy(rowPtr, p.in.rowPtr)
 	var c *matrix.CSR
 	if m := p.replay.Load(); m != nil {
-		c = m.execute(p.a, p.b, ctx, rowPtr, p.unsorted, &pt)
+		c = m.execute(p.a, p.b, ctx, rowPtr, p.unsorted, pt)
 	} else {
 		build := p.mapBytes > 0 && p.execs.Add(1) == 2
 		var err error
-		c, err = execute(semiring.PlusTimesF64{}, p.a, p.b, ctx, &p.in, rowPtr, p.unsorted, nil, &pt)
+		c, err = execute(semiring.PlusTimesF64{}, p.a, p.b, ctx, &p.in, rowPtr, p.unsorted, nil, pt)
 		if err != nil {
 			return nil, err
 		}
@@ -241,11 +242,11 @@ func (m *replayMap) execute(a, b *matrix.CSR, ctx *Context, rowPtr []int64, unso
 }
 
 // bytes is the memory clone copied (per-worker and per-stripe offsets aside),
-// plus rowPtr and perm.
+// plus rowPtr.
 func (in *inspection[V]) bytes() int64 {
-	n := 8 * (len(in.flopRow) + len(in.rowPtr) + len(in.tiles.rowPtr) + len(in.perm) + 3*len(in.unitFlop))
+	n := 8 * (len(in.flopRow) + len(in.rowPtr) + 3*len(in.unitFlop))
 	if len(in.unitRow) > 0 {
 		n += 8 * len(in.lightFlop)
 	}
-	return int64(n + 4*(len(in.tiles.colIdx)+2*len(in.unitRow)))
+	return int64(n + 4*2*len(in.unitRow))
 }

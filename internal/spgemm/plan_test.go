@@ -205,51 +205,109 @@ func TestPlanExecuteInMatchesExecute(t *testing.T) {
 	if stats.Algorithm != AlgHash || stats.Total <= 0 {
 		t.Fatalf("stats not populated: %+v", stats)
 	}
-	if ctx.CumulativeCalls() != 1 {
-		t.Fatalf("stats accumulated into the wrong context: %d calls", ctx.CumulativeCalls())
+	if cum := ctx.CumulativeStats(); cum == nil || cum.TotalWorker().Rows != int64(a.Rows) {
+		t.Fatalf("stats accumulated into the wrong context: %+v", cum)
 	}
 }
 
 // TestPlanConcurrentExecuteIn pins the contract the multiply server's plan
 // cache relies on: one shared Plan, concurrently executed through distinct
-// Contexts, is race-free (run under -race) and every result is identical.
+// Contexts, is race-free (run under -race) and every result is Multiply's.
+// The tiled row has heavy rows and no replay map, so every execution of every
+// goroutine column-splits B into its own Context and runs the unit kernel.
 func TestPlanConcurrentExecuteIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	a := matrix.Random(150, 130, 0.05, rng)
 	b := matrix.Random(130, 140, 0.05, rng)
-	plan, err := NewPlan(a, b, &Options{Algorithm: AlgHashVec, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plan.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const goroutines = 8
-	results := make([]*matrix.CSR, goroutines)
-	errs := make([]error, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ctx := NewContext()
-			for round := 0; round < 4; round++ {
-				results[g], errs[g] = plan.ExecuteIn(ctx, &ExecStats{})
+	for _, tc := range []struct {
+		name  string
+		opt   Options
+		noMap bool
+	}{
+		{"hashvec", Options{Algorithm: AlgHashVec, Workers: 2}, false},
+		{"tiled", Options{Algorithm: AlgTiled, Workers: 2, TileCols: 32, TileHeavyFlop: 4}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.noMap {
+				defer SetShardedAutoBytes(SetShardedAutoBytes(1))
+			}
+			plan, err := NewPlan(a, b, &tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.noMap && (plan.mapBytes != 0 || len(plan.in.unitRow) == 0) {
+				t.Fatalf("want a map-less plan with heavy units, got mapBytes %d and %d units", plan.mapBytes, len(plan.in.unitRow))
+			}
+			want, err := Multiply(a, b, &tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const goroutines = 8
+			results := make([]*matrix.CSR, goroutines)
+			errs := make([]error, goroutines)
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					ctx := NewContext()
+					for round := 0; round < 4; round++ {
+						results[g], errs[g] = plan.ExecuteIn(ctx, &ExecStats{})
+						if errs[g] != nil {
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			for g := 0; g < goroutines; g++ {
 				if errs[g] != nil {
-					return
+					t.Fatalf("goroutine %d: %v", g, errs[g])
+				}
+				if !csrEqual(results[g], want) {
+					t.Fatalf("goroutine %d produced a different product", g)
 				}
 			}
-		}(g)
+		})
 	}
-	wg.Wait()
-	for g := 0; g < goroutines; g++ {
-		if errs[g] != nil {
-			t.Fatalf("goroutine %d: %v", g, errs[g])
+}
+
+// TestTiledPlanBytesIgnoreNnzB: a Tiled Plan keeps its heavy units, not the
+// column split of B, so entries of B that no row of A reaches — which change
+// neither the flop counts nor the units — do not change what it retains.
+func TestTiledPlanBytesIgnoreNnzB(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	a := matrix.Random(60, 100, 0.1, rng)
+	a.Cols = 200 // columns 100..199 stay empty: A never reads those rows of B
+	top := matrix.Random(100, 300, 0.1, rng)
+	bottom := matrix.Random(100, 300, 0.5, rng)
+	stack := func(withBottom bool) *matrix.CSR {
+		b := top.Clone()
+		for i := 0; i < bottom.Rows; i++ {
+			if withBottom {
+				b.ColIdx = append(b.ColIdx, bottom.ColIdx[bottom.RowPtr[i]:bottom.RowPtr[i+1]]...)
+				b.Val = append(b.Val, bottom.Val[bottom.RowPtr[i]:bottom.RowPtr[i+1]]...)
+			}
+			b.RowPtr = append(b.RowPtr, int64(len(b.ColIdx)))
 		}
-		if !csrEqual(results[g], want) {
-			t.Fatalf("goroutine %d produced a different product", g)
+		b.Rows += bottom.Rows
+		return b
+	}
+	opt := &Options{Algorithm: AlgTiled, Workers: 2, TileCols: 32, TileHeavyFlop: 4}
+	var bytes [2]int64
+	for i, b := range []*matrix.CSR{stack(false), stack(true)} {
+		plan, err := NewPlan(a, b, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(plan.in.unitRow) == 0 {
+			t.Fatal("no heavy units: the plan never split B")
+		}
+		bytes[i] = plan.Bytes()
+	}
+	if bytes[0] != bytes[1] {
+		t.Errorf("Plan.Bytes() = %d with nnz(B) = %d, %d with %d more entries nothing reads",
+			bytes[0], top.NNZ(), bytes[1], bottom.NNZ())
 	}
 }
 

@@ -174,15 +174,14 @@ func MaxRowFlop[V semiring.Value](a, b *matrix.CSRG[V]) int64 {
 }
 
 // HasHeavyRows reports whether some output row's accumulator bound exceeds
-// the analytic cache-resident tile width — the regime where AlgTiled's
+// the cache-resident tile width (tileCols) — the regime where AlgTiled's
 // column split beats the single-pass hash path. Deterministic and
 // structure-only, so AlgAuto stays reproducible across Context reuse.
 func HasHeavyRows[V semiring.Value](a, b *matrix.CSRG[V]) bool {
-	tc := tileColsFor[V]()
-	if b.Cols <= tc {
+	if b.Cols <= tileCols {
 		return false
 	}
-	return capBound(MaxRowFlop(a, b), b.Cols) > int64(tc)
+	return capBound(MaxRowFlop(a, b), b.Cols) > tileCols
 }
 
 // EstimateCompressionRatio estimates flop/nnz(C) by running the symbolic

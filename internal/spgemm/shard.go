@@ -3,42 +3,26 @@ package spgemm
 import (
 	"math"
 	"unsafe"
-
-	"repro/internal/matrix"
-	"repro/internal/semiring"
 )
 
-// AlgSharded's two decisions, which are all that sets it apart from AlgHash
-// in the driver (driver.go): how many row stripes the product is cut into
-// (shardStripes — enough that one stripe's output fits a memory budget,
-// where Hash cuts one per worker) and where a finished stripe lands
-// (ShardSink — nil for the output itself, the SpillSink of spill.go to bound
-// the peak resident output memory by writing finished stripes to a
-// temp-file-backed CSR).
-
-// ShardSink receives finished stripes and assembles the product. The call
-// protocol per multiply is: one Bind, then for every stripe one Stripe —
-// which may block to bound resident memory — followed by writes into the
-// returned window and one Commit, from pool workers concurrently; finally
-// one Assemble from the driver after every stripe committed. Stripe windows
-// for distinct s never overlap, so no synchronization covers the writes
-// themselves. A failed Stripe or Commit fails the multiply once the running
-// stripes have finished.
-type ShardSink[V semiring.Value] interface {
-	// Bind fixes the output geometry. rowPtr is the final global row
-	// pointer array (length rows+1); the sink may retain it.
-	Bind(rows, cols int, rowPtr []int64, sorted bool) error
-	// Stripe returns the entry window for stripe s covering the global rows
-	// [lo, hi): slices of length rowPtr[hi]-rowPtr[lo] the driver writes the
-	// stripe's columns and values into. May block until resident space is
-	// available.
-	Stripe(s, lo, hi int) (cols []int32, vals []V, err error)
-	// Commit marks stripe s's window fully written. After Commit the window
-	// must no longer be touched (an out-of-core sink reuses its buffers).
-	Commit(s int) error
-	// Assemble returns the finished product once every stripe committed.
-	Assemble() (*matrix.CSRG[V], error)
-}
+// AlgSharded: AlgHash cut into more stripes. Where Hash partitions the rows
+// over exactly `workers` flop-balanced ranges (Figure 6 of the paper, via
+// sched.BalancedPartition) and runs each start-to-finish on its worker,
+// Sharded cuts the same partition finer — the row-stripe shape of
+// distributed SpGEMM (Deveci et al., arXiv:1801.03065), sized so one stripe's
+// output fits Options.ShardMemBudget (shardStripes) — lets the stripes flow
+// through the pool one at a time, and can land each finished stripe in a
+// SpillSink (spill.go) instead of holding the whole output. Both run the
+// driver's one stripe loop (driver.go); this file only cuts the stripes and
+// reports what the cut looked like.
+//
+// Identity guarantee: with sorted output, the product is bit-identical to
+// AlgHash on the same inputs, whatever the stripe count and the sink. A row's
+// products fold in A-row order through the same row function whichever stripe
+// the row falls in, per-row extraction sorts canonically, and rows land at
+// the offsets the one row-pointer array dictates. With unsorted output the
+// entry *sets* match but the order within a row may differ — hash-table
+// iteration order depends on table capacity, which is sized per stripe.
 
 // defaultShardMemBudget is the resident-bytes target one stripe's output
 // upper bound is sized against when Options.ShardMemBudget is zero.
@@ -110,9 +94,27 @@ func (o *OptionsG[V]) shardStripes(flopRow []int64, workers int) int {
 }
 
 // sinkFor hands Options.ShardSink to the kernel it is documented for.
-func (o *OptionsG[V]) sinkFor(alg Algorithm) ShardSink[V] {
+func (o *OptionsG[V]) sinkFor(alg Algorithm) *SpillSink[V] {
 	if alg != AlgSharded {
 		return nil
 	}
 	return o.ShardSink
+}
+
+// fillStripeStats records AlgSharded's per-stripe breakdown into st, which
+// may be nil.
+func (in *inspection[V]) fillStripeStats(st *ExecStats, rowPtr []int64, spilled bool) {
+	if st == nil || st.Algorithm != AlgSharded {
+		return
+	}
+	for s := 0; s < in.stripes(); s++ {
+		lo, hi := in.offsets[s], in.offsets[s+1]
+		st.Stripes = append(st.Stripes, StripeStats{
+			Lo:      lo,
+			Hi:      hi,
+			Flop:    rangeFlop(in.flopRow, lo, hi),
+			Nnz:     rowPtr[hi] - rowPtr[lo],
+			Spilled: spilled,
+		})
+	}
 }

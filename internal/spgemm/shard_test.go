@@ -32,7 +32,10 @@ func bitIdentical(a, b *matrix.CSR) bool {
 
 // TestShardedBitIdenticalToHash is the engine's acceptance criterion: sorted
 // sharded output must be bit-identical to AlgHash on the same inputs, across
-// stripe counts (including auto) and worker counts.
+// stripe counts (including auto) and worker counts. The typed-nil-sink rows
+// (TestShardedTypedNilSink, as rows here) pin that a nil *SpillSink is the nil
+// sink: when Options.ShardSink was an interface, one compared unequal to nil
+// and was dereferenced in Bind.
 func TestShardedBitIdenticalToHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	inputs := []struct {
@@ -51,17 +54,20 @@ func TestShardedBitIdenticalToHash(t *testing.T) {
 		}
 		for _, stripes := range []int{0, 1, 3, 16} {
 			for _, workers := range []int{1, 4} {
-				for _, tiny := range []bool{false, true} {
+				for _, variant := range []string{"plain", "tiny tiles", "typed-nil sink"} {
 					opt := &Options{Algorithm: AlgSharded, Workers: workers, ShardStripes: stripes}
-					if tiny {
+					switch variant {
+					case "tiny tiles":
 						opt.TileCols, opt.TileHeavyFlop = 8, 1
+					case "typed-nil sink":
+						opt.ShardSink = (*SpillSink[float64])(nil)
 					}
 					got, err := Multiply(in.a, in.b, opt)
 					if err != nil {
-						t.Fatalf("%s stripes=%d workers=%d tiny=%v: %v", in.name, stripes, workers, tiny, err)
+						t.Fatalf("%s stripes=%d workers=%d %s: %v", in.name, stripes, workers, variant, err)
 					}
 					if !bitIdentical(want, got) {
-						t.Errorf("%s stripes=%d workers=%d tiny=%v: sharded differs from hash", in.name, stripes, workers, tiny)
+						t.Errorf("%s stripes=%d workers=%d %s: sharded differs from hash", in.name, stripes, workers, variant)
 					}
 				}
 			}

@@ -46,20 +46,20 @@ const (
 	// sorted output ("Sorted/Sorted").
 	AlgHeap
 	// AlgTiled is the cache-conscious tiled execution mode (DBCSR/SpArch
-	// direction): B is split into column tiles sized from the installed
-	// cache parameters, rows whose accumulator bound overflows one tile are
-	// decomposed into (row, tile) units processed by dense cache-resident
-	// SPAs and flop-balanced across workers, while light rows keep the
-	// single-pass hash path. Tiles ascend in column space, so output rows
-	// are stitched sorted with no merge pass. Accepts any input order.
+	// direction): B is split into cache-sized column tiles (tilegeom.go),
+	// rows whose accumulator bound overflows one tile are decomposed into
+	// (row, tile) units processed by dense cache-resident SPAs and
+	// flop-balanced across workers, while light rows keep the single-pass
+	// hash path. Tiles ascend in column space, so output rows are stitched
+	// sorted with no merge pass. Accepts any input order.
 	AlgTiled
 	// AlgSharded is AlgHash cut into more stripes: where Hash partitions
 	// the rows into one flop-balanced range per worker, Sharded cuts the
 	// same partition into N >= workers row stripes, sized so one stripe's
 	// output fits ShardMemBudget, runs them through the pool one at a time
-	// and lands each finished stripe in a pluggable ShardSink (the output
-	// itself by default; SpillSink for out-of-core products whose output
-	// exceeds resident memory). Sorted output is bit-identical to AlgHash.
+	// and lands each finished stripe in the output itself or, for
+	// out-of-core products whose output exceeds resident memory, in
+	// Options.ShardSink. Sorted output is bit-identical to AlgHash.
 	// Accepts any input order.
 	AlgSharded
 
@@ -131,8 +131,7 @@ type OptionsG[V semiring.Value] struct {
 	// concurrent Multiply calls.
 	Context *ContextG[V]
 	// TileCols overrides the column-tile width used by AlgTiled. 0 means
-	// the analytic width derived from the installed cache parameters (see
-	// TileColsForElem).
+	// the cache-resident width of tilegeom.go, 32768 columns.
 	TileCols int
 	// TileHeavyFlop overrides AlgTiled's heavy-row threshold: rows whose
 	// accumulator bound exceeds it are routed through column tiling. 0
@@ -151,7 +150,7 @@ type OptionsG[V semiring.Value] struct {
 	// means the output itself (bit-identical to AlgHash for sorted output);
 	// a SpillSink bounds peak resident output memory for out-of-core
 	// products. A sink serves a single Multiply call.
-	ShardSink ShardSink[V]
+	ShardSink *SpillSink[V]
 }
 
 // Options configures the float64 Multiply entry point: OptionsG over

@@ -10,11 +10,20 @@ import (
 	"repro/internal/semiring"
 )
 
-// SpillSink is the out-of-core ShardSink: finished stripes are written to a
+// SpillSink is where AlgSharded lands finished stripes when the output must
+// not be held whole (Options.ShardSink): they are written to a
 // temp-file-backed CSR and re-mapped (read-only) for the merge, so the peak
-// resident memory of the *output* is bounded by Budget regardless of how
+// resident memory of the *output* is bounded by its budget regardless of how
 // large the product is — the row-stripe analogue of the out-of-core path the
 // Gao et al. SpGEMM survey (arXiv:2002.11273) describes.
+//
+// The driver's call protocol per multiply is: one Bind, then for every stripe
+// one Stripe — which may block to bound resident memory — followed by writes
+// into the returned window and one Commit, from pool workers concurrently;
+// finally one Assemble after every stripe committed. Stripe windows for
+// distinct s never overlap, so no synchronization covers the writes
+// themselves. A failed Stripe or Commit fails the multiply once the running
+// stripes have finished.
 //
 // Spill file format (host byte order; the file never leaves the process):
 //
@@ -29,7 +38,7 @@ import (
 // what out-of-core execution is bounding.
 //
 // Admission control: Stripe blocks while admitting the stripe's buffer would
-// push resident bytes over Budget, and always admits a stripe when nothing
+// push resident bytes over the budget, and always admits a stripe when nothing
 // else is resident, so one stripe larger than the whole budget degrades to
 // serial spilling rather than deadlocking. Commit releases the stripe's
 // bytes and recycles its buffer.
@@ -78,9 +87,6 @@ func NewSpillSink[V semiring.Value](dir string, budget int64) *SpillSink[V] {
 	return k
 }
 
-// Budget returns the configured resident-bytes budget.
-func (k *SpillSink[V]) Budget() int64 { return k.budget }
-
 // PeakResident returns the high-water mark of resident stripe-buffer bytes.
 func (k *SpillSink[V]) PeakResident() int64 {
 	k.mu.Lock()
@@ -88,14 +94,13 @@ func (k *SpillSink[V]) PeakResident() int64 {
 	return k.peak
 }
 
-// Spills reports that this sink is out-of-core (see StripeStats.Spilled).
-func (k *SpillSink[V]) Spills() bool { return true }
-
 func (k *SpillSink[V]) elemBytes() int64 {
 	var zero V
 	return int64(unsafe.Sizeof(zero))
 }
 
+// Bind fixes the output geometry and creates the spill file. rowPtr is the
+// final global row pointer array (length rows+1); the sink retains it.
 func (k *SpillSink[V]) Bind(rows, cols int, rowPtr []int64, sorted bool) error {
 	if k.f != nil || k.result != nil {
 		return fmt.Errorf("spgemm: SpillSink serves one multiply; create a fresh sink")
@@ -115,6 +120,9 @@ func (k *SpillSink[V]) Bind(rows, cols int, rowPtr []int64, sorted bool) error {
 	return nil
 }
 
+// Stripe returns the entry window for stripe s covering the global rows
+// [lo, hi): slices of length rowPtr[hi]-rowPtr[lo] the driver writes the
+// stripe's columns and values into. Blocks until resident space is available.
 func (k *SpillSink[V]) Stripe(s, lo, hi int) ([]int32, []V, error) {
 	if k.f == nil {
 		return nil, nil, fmt.Errorf("spgemm: SpillSink.Stripe before Bind")
@@ -147,6 +155,8 @@ func (k *SpillSink[V]) Stripe(s, lo, hi int) ([]int32, []V, error) {
 	return buf.cols, buf.vals, nil
 }
 
+// Commit writes stripe s's window to the file. After Commit the window must
+// no longer be touched: its buffer goes to the next stripe that fits it.
 func (k *SpillSink[V]) Commit(s int) error {
 	k.mu.Lock()
 	buf, ok := k.inFlight[s]
@@ -172,6 +182,8 @@ func (k *SpillSink[V]) Commit(s int) error {
 	return err
 }
 
+// Assemble maps the file and returns the finished product once every stripe
+// committed.
 func (k *SpillSink[V]) Assemble() (*matrix.CSRG[V], error) {
 	if k.f == nil {
 		return nil, fmt.Errorf("spgemm: SpillSink.Assemble before Bind")

@@ -12,7 +12,7 @@ import (
 // in cache. On power-law inputs (G500/R-MAT) the heavy rows break it: their
 // tables spill out of L2, every probe becomes a memory round-trip, and the
 // per-row sort of the widest rows dominates. This mode splits B into column
-// tiles sized by the installed cache parameters (tilegeom.go) and decomposes
+// tiles of the cache-resident width (tilegeom.go) and decomposes
 // each heavy row into (row, tile) units: a unit accumulates into a dense
 // cache-resident SPA over one tile's column range — direct indexing, no
 // collisions, O(1) generation-stamp reset — and units are flop-balanced over
@@ -53,17 +53,16 @@ func (s *tiledSplit[V]) rowRange(t, i int) (int64, int64) {
 // offsets (tile-start slots contribute zero, so the sum carries across tile
 // boundaries), and a second pass scatters tile-local column ids and values
 // through a separate cursor copy. O(nnz(B)) work, zero allocations at steady
-// state. When perm is non-nil (plan builds) it receives, per split entry,
-// the index of the originating B entry, so a later execution can re-gather
-// fresh values without redoing the split.
-func splitTiles[V semiring.Value](ctx *ContextG[V], b *matrix.CSRG[V], tileCols, nTiles int, perm []int64) tiledSplit[V] {
+// state.
+func splitTiles[V semiring.Value](ctx *ContextG[V], b *matrix.CSRG[V], tileCols, nTiles int) tiledSplit[V] {
 	nnz := int(b.RowPtr[b.Rows])
 	rows1 := b.Rows + 1
 	rpLen := nTiles * rows1
 	ctx.tileRowPtr = ensureLen(ctx.tileRowPtr, rpLen)
 	ctx.tileCur = ensureLen(ctx.tileCur, rpLen)
 	ctx.tileIdx = ensureLen(ctx.tileIdx, nnz)
-	vals := ctx.tileValBuf(nnz)
+	ctx.tileVal = ensureLen(ctx.tileVal, nnz)
+	vals := ctx.tileVal
 	rp := ctx.tileRowPtr
 	for j := range rp {
 		rp[j] = 0
@@ -90,9 +89,6 @@ func splitTiles[V semiring.Value](ctx *ContextG[V], b *matrix.CSRG[V], tileCols,
 			q := cur[slot]
 			idx[q] = col - int32(t*tileCols)
 			vals[q] = b.Val[p]
-			if perm != nil {
-				perm[q] = p
-			}
 			cur[slot] = q + 1
 		}
 	}
@@ -174,7 +170,7 @@ func (in *inspection[V]) lightRows(lo, hi int) (n int64) {
 // lightFlop — so the light partition spreads only the work the light pass
 // will actually do — column-splits B, and enumerates the heavy (row, tile)
 // units with their flop (the unit scheduling weights) and partition.
-func (in *inspection[V]) inspectTiles(ctx *ContextG[V], a, b *matrix.CSRG[V], opt *OptionsG[V], wantPerm bool) {
+func (in *inspection[V]) inspectTiles(ctx *ContextG[V], a, b *matrix.CSRG[V], opt *OptionsG[V]) {
 	tileCols, heavyFlop := opt.tileGeometry()
 	in.tileCols = tileCols
 	nTiles := (b.Cols + tileCols - 1) / tileCols
@@ -191,7 +187,8 @@ func (in *inspection[V]) inspectTiles(ctx *ContextG[V], a, b *matrix.CSRG[V], op
 	if nHeavy == 0 {
 		return
 	}
-	in.lightFlop = ctx.lightFlopBuf(a.Rows)
+	ctx.lightFlop = ensureLen(ctx.lightFlop, a.Rows)
+	in.lightFlop = ctx.lightFlop
 	for i, f := range flopRow {
 		if capBound(f, b.Cols) > heavyFlop {
 			f = 0
@@ -199,10 +196,7 @@ func (in *inspection[V]) inspectTiles(ctx *ContextG[V], a, b *matrix.CSRG[V], op
 		in.lightFlop[i] = f
 	}
 
-	if wantPerm {
-		in.perm = make([]int64, b.RowPtr[b.Rows])
-	}
-	in.tiles = splitTiles(ctx, b, tileCols, nTiles, in.perm)
+	in.tiles = splitTiles(ctx, b, tileCols, nTiles)
 	in.unitRow, in.unitTile, in.unitFlop, in.unitNnz, in.unitOff = ctx.unitBufs(nHeavy * nTiles)
 	base := 0
 	for i := 0; i < a.Rows; i++ {
@@ -273,17 +267,13 @@ func tiledHeavyNumeric[V semiring.Value, R semiring.Ring[V]](ring R, ctx *Contex
 	if len(in.unitRow) == 0 {
 		return
 	}
-	// A Plan caches the split's structure, never its values: gather B's
-	// current ones through the permutation — O(nnz(B)), no allocation at
-	// steady state.
+	// A Plan keeps the units, never the split: cut B's current values into
+	// this execution's Context — O(nnz(B)) in front of the units' O(flop), no
+	// allocation at steady state, and nothing two executions share.
 	tiles := &in.tiles
-	if in.perm != nil {
-		gathered := in.tiles
-		gathered.vals = ctx.tileValBuf(len(in.perm))
-		for q, src := range in.perm {
-			gathered.vals[q] = b.Val[src]
-		}
-		tiles = &gathered
+	if tiles.rowPtr == nil {
+		split := splitTiles(ctx, b, in.tileCols, (b.Cols+in.tileCols-1)/in.tileCols)
+		tiles = &split
 	}
 	ctx.runWorkers("numeric-heavy", in.workers, func(w int) {
 		ulo, uhi := in.uoffsets[w], in.uoffsets[w+1]

@@ -1,6 +1,7 @@
 package spgemm
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -10,74 +11,28 @@ import (
 	"repro/internal/obs"
 )
 
-// withCacheParams swaps the installed tile-geometry cache parameters for the
-// duration of one test (same-package access to the guarded globals), so
-// geometry tests neither depend on nor disturb what other tests see.
-func withCacheParams(t *testing.T, p CacheParams, installed bool) {
-	t.Helper()
-	cacheParamsMu.Lock()
-	prevP, prevHave := cacheParams, haveParams
-	cacheParams, haveParams = p, installed
-	cacheParamsMu.Unlock()
-	t.Cleanup(func() {
-		cacheParamsMu.Lock()
-		cacheParams, haveParams = prevP, prevHave
-		cacheParamsMu.Unlock()
-	})
-}
-
-func TestTileColsForElem(t *testing.T) {
-	// No parameters installed: the legacy constant is the fallback.
-	withCacheParams(t, CacheParams{}, false)
-	if w := TileColsForElem(8); w != defaultTileCols {
-		t.Errorf("fallback width = %d, want defaultTileCols = %d", w, defaultTileCols)
+// TestTileColsIsTheDerivation keeps tilegeom.go's comment executable: the
+// constant is the working-set rule evaluated for the 1 MiB KNL L2 slice —
+// the widest power of two whose value + stamp + index entries fit half of it
+// — for every value width the kernels are instantiated at, and it clears the
+// 1024-column floor below which B-row stanzas turn latency-bound.
+func TestTileColsIsTheDerivation(t *testing.T) {
+	for _, elem := range []int{1, 4, 8} {
+		fit := (1 << 20 / 2) / (elem + 8)
+		if w := 1 << (bits.Len(uint(fit)) - 1); w != tileCols {
+			t.Errorf("elem %d B: floorPow2(%d) = %d, tileCols = %d", elem, fit, w, tileCols)
+		}
 	}
-
-	// The KNL-tile geometry (1 MiB L2 slice) must reproduce the legacy
-	// constant exactly for float64: floorPow2((1<<20 / 2) / (8+8)) = 32768.
-	withCacheParams(t, CacheParams{L2Bytes: 1 << 20, LineBytes: 64, MinTileCols: 1024}, true)
-	if w := TileColsForElem(8); w != 32768 {
-		t.Errorf("KNL-tile f64 width = %d, want 32768", w)
-	}
-	// Narrower values get wider tiles out of the same budget (bool: 1+8=9
-	// bytes/col → floorPow2(524288/9) = 32768 still; float32: 12 bytes/col
-	// → floorPow2(43690) = 32768). A small L2 separates them.
-	withCacheParams(t, CacheParams{L2Bytes: 96 << 10, MinTileCols: 256}, true)
-	if w := TileColsForElem(8); w != 2048 { // floorPow2(49152/16) = 2048
-		t.Errorf("96K f64 width = %d, want 2048", w)
-	}
-	if w := TileColsForElem(4); w != 4096 { // floorPow2(49152/12) = 4096
-		t.Errorf("96K f32 width = %d, want 4096", w)
-	}
-	// The MinTileCols floor clamps from below.
-	withCacheParams(t, CacheParams{L2Bytes: 1 << 10, MinTileCols: 512}, true)
-	if w := TileColsForElem(8); w != 512 {
-		t.Errorf("floored width = %d, want MinTileCols = 512", w)
-	}
-}
-
-func TestSetCacheParamsRejectsAndDefaults(t *testing.T) {
-	withCacheParams(t, CacheParams{}, false)
-	SetCacheParams(CacheParams{L2Bytes: 0}) // rejected
-	if _, ok := CurrentCacheParams(); ok {
-		t.Fatal("SetCacheParams accepted L2Bytes=0")
-	}
-	SetCacheParams(CacheParams{L2Bytes: 1 << 20})
-	p, ok := CurrentCacheParams()
-	if !ok {
-		t.Fatal("SetCacheParams did not install valid parameters")
-	}
-	if p.LineBytes != 64 || p.MinTileCols != 1024 {
-		t.Errorf("defaults not applied: LineBytes=%d MinTileCols=%d", p.LineBytes, p.MinTileCols)
+	if tileCols < 1024 {
+		t.Errorf("tileCols = %d is under the 1024-column latency floor", tileCols)
 	}
 }
 
 func TestTileGeometryOverrides(t *testing.T) {
-	withCacheParams(t, CacheParams{L2Bytes: 1 << 20, MinTileCols: 1024}, true)
 	o := &OptionsG[float64]{}
 	tc, hf := o.tileGeometry()
 	if tc != 32768 || hf != 32768 {
-		t.Errorf("analytic geometry = (%d, %d), want (32768, 32768)", tc, hf)
+		t.Errorf("default geometry = (%d, %d), want (32768, 32768)", tc, hf)
 	}
 	o = &OptionsG[float64]{TileCols: 64}
 	if tc, hf = o.tileGeometry(); tc != 64 || hf != 64 {
