@@ -35,7 +35,6 @@ func main() {
 		list      = flag.Bool("list", false, "list experiments and exit")
 		brk       = flag.Bool("breakdown", false, "print the per-phase ExecStats breakdown (shortcut for -exp fig8)")
 		snap      = flag.String("snapshot", "", "run the reuse experiment and write a JSON snapshot to this path")
-		tracePath = flag.String("trace", "", "write a Chrome trace-event JSON of phases and pool regions to this path (load in Perfetto)")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
@@ -50,10 +49,6 @@ func main() {
 		// racing process exit; drain in-flight requests briefly instead.
 		defer srv.ShutdownTimeout(2 * time.Second)
 		fmt.Fprintf(os.Stderr, "spgemm-bench: debug server on http://%s\n", srv.Addr())
-	}
-	if *tracePath != "" {
-		obs.SetActive(obs.NewTracer())
-		defer writeTrace(*tracePath)
 	}
 
 	if *brk {
@@ -100,24 +95,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "spgemm-bench:", err)
 		os.Exit(1)
 	}
-}
-
-// writeTrace exports the active tracer as Chrome trace-event JSON.
-func writeTrace(path string) {
-	tr := obs.Active()
-	if tr == nil {
-		return
-	}
-	obs.SetActive(nil)
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spgemm-bench:", err)
-		return
-	}
-	defer f.Close()
-	if err := tr.WriteChromeTrace(f); err != nil {
-		fmt.Fprintln(os.Stderr, "spgemm-bench: write trace:", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "spgemm-bench: wrote trace to %s\n", path)
 }

@@ -60,7 +60,6 @@ func main() {
 		sentrySustain = flag.Int("sentry-sustain", 0, "consecutive failing checks before /healthz degrades (0 = default)")
 		sentryMinObs  = flag.Int64("sentry-min-samples", 0, "per-algorithm observations before the sentry judges it (0 = default)")
 
-		tracePath = flag.String("trace", "", "write the process Chrome trace (worker-lane phases) to this path on shutdown")
 		drainPath = flag.String("drain", "", "dump the request rings as JSON to this path on shutdown (\"-\" = stderr)")
 	)
 	flag.Parse()
@@ -76,10 +75,6 @@ func main() {
 		obs.SetLogger(obs.ConfigureLogger(os.Stderr, lvl))
 	}
 	log := obs.Logger()
-
-	if *tracePath != "" {
-		obs.SetActive(obs.NewTracer())
-	}
 
 	cfg := server.Config{
 		Contexts:       *contexts,
@@ -130,8 +125,8 @@ func main() {
 	err = server.Serve(ctx, ln, s.Handler(), *grace)
 
 	// Shutdown order: in-flight requests have drained (server.Serve), so the
-	// rings and tracer are quiescent — flush them before the process exits.
-	flushObservability(s, *tracePath, *drainPath)
+	// rings are quiescent — flush them before the process exits.
+	drainRequests(s, *drainPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spgemm-serve: %v\n", err)
 		os.Exit(1)
@@ -139,43 +134,24 @@ func main() {
 	log.Info("shutdown complete")
 }
 
-// flushObservability exports what the process learned before it exits: the
-// request rings (the tail of request history) and the process tracer's
-// worker-lane spans. Losing either on SIGTERM is losing the evidence of
+// drainRequests exports the request rings — the tail of request history —
+// before the process exits. Losing them on SIGTERM is losing the evidence of
 // whatever made someone send the SIGTERM.
-func flushObservability(s *server.Server, tracePath, drainPath string) {
+func drainRequests(s *server.Server, drainPath string) {
+	if drainPath == "" {
+		return
+	}
 	log := obs.Logger()
-	if drainPath != "" {
-		out := os.Stderr
-		if drainPath != "-" {
-			f, err := os.Create(drainPath)
-			if err != nil {
-				log.Error("drain requests", "err", err)
-				out = nil
-			} else {
-				defer f.Close()
-				out = f
-			}
+	out := os.Stderr
+	if drainPath != "-" {
+		f, err := os.Create(drainPath)
+		if err != nil {
+			log.Error("drain requests", "err", err)
+			return
 		}
-		if out != nil {
-			n := s.DrainRequests(func(b []byte) { _, _ = out.Write(b) })
-			log.Info("drained request rings", "traces", n, "to", drainPath)
-		}
+		defer f.Close()
+		out = f
 	}
-	if tracePath != "" {
-		if tr := obs.Active(); tr != nil {
-			obs.SetActive(nil)
-			f, err := os.Create(tracePath)
-			if err != nil {
-				log.Error("write trace", "err", err)
-				return
-			}
-			defer f.Close()
-			if err := tr.WriteChromeTrace(f); err != nil {
-				log.Error("write trace", "err", err)
-				return
-			}
-			log.Info("flushed process trace", "to", tracePath)
-		}
-	}
+	n := s.DrainRequests(func(b []byte) { _, _ = out.Write(b) })
+	log.Info("drained request rings", "traces", n, "to", drainPath)
 }

@@ -39,7 +39,6 @@ func main() {
 		unsorted = flag.Bool("unsorted", false, "emit unsorted output rows (skips per-row sorting)")
 		workers  = flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
 		stats    = flag.Bool("stats", false, "print the per-phase ExecStats breakdown of the multiply")
-		trace    = flag.String("trace", "", "write a Chrome trace-event JSON of phases and pool regions to this path")
 		debug    = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 	)
 	flag.Parse()
@@ -53,10 +52,6 @@ func main() {
 		// racing process exit; drain in-flight requests briefly instead.
 		defer srv.ShutdownTimeout(2 * time.Second)
 		fmt.Fprintf(os.Stderr, "spgemm: debug server on http://%s\n", srv.Addr())
-	}
-	if *trace != "" {
-		obs.SetActive(obs.NewTracer())
-		defer writeTrace(*trace)
 	}
 
 	alg, ok := spgemm.ParseAlgorithm(*algName)
@@ -88,8 +83,11 @@ func main() {
 
 	flop, _ := matrix.Flop(a, b)
 	fmt.Printf("A: %v\nB: %v\nC: %v\n", a, b, c)
-	fmt.Printf("flop: %d  time: %v  MFLOPS: %.1f  compression ratio: %.2f\n",
-		flop, elapsed, 2*float64(flop)/elapsed.Seconds()/1e6, float64(flop)/float64(c.NNZ()))
+	fmt.Printf("flop: %d  time: %v  MFLOPS: %.1f", flop, elapsed, 2*float64(flop)/elapsed.Seconds()/1e6)
+	if c.NNZ() > 0 {
+		fmt.Printf("  compression ratio: %.2f", float64(flop)/float64(c.NNZ()))
+	}
+	fmt.Println()
 	if opt.Stats != nil {
 		fmt.Printf("stats: %s\n", opt.Stats)
 	}
@@ -128,24 +126,4 @@ func readMatrix(path string) *matrix.CSR {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "spgemm: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// writeTrace exports the active tracer as Chrome trace-event JSON.
-func writeTrace(path string) {
-	tr := obs.Active()
-	if tr == nil {
-		return
-	}
-	obs.SetActive(nil)
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spgemm: %v\n", err)
-		return
-	}
-	defer f.Close()
-	if err := tr.WriteChromeTrace(f); err != nil {
-		fmt.Fprintf(os.Stderr, "spgemm: write trace: %v\n", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "spgemm: wrote trace to %s\n", path)
 }

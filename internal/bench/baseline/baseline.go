@@ -170,6 +170,21 @@ func (t *phases) worker(w int) *spgemm.WorkerStats {
 	return &t.st.Workers[w]
 }
 
+// timed returns body stamping each call's wall time into its worker's Busy,
+// or body itself with stats disabled — the one place a baseline's parallel
+// regions are timed. A worker handed several chunks sums them.
+func (t *phases) timed(body func(w, lo, hi int)) func(w, lo, hi int) {
+	st := t.st
+	if st == nil {
+		return body
+	}
+	return func(w, lo, hi int) {
+		start := time.Now()
+		body(w, lo, hi)
+		st.Workers[w].Busy += time.Since(start)
+	}
+}
+
 // flopSumMax returns the sum and the largest entry of flopRow over [lo, hi).
 func flopSumMax(flopRow []int64, lo, hi int) (sum, max int64) {
 	for _, f := range flopRow[lo:hi] {

@@ -3,6 +3,7 @@ package baseline
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/accum"
 	"repro/internal/gen"
@@ -78,6 +79,9 @@ func TestKindsMatchNaive(t *testing.T) {
 						}
 						if st.PhaseSum() > st.Total {
 							t.Errorf("%s: PhaseSum %v > Total %v", in.name, st.PhaseSum(), st.Total)
+						}
+						if tot.Busy <= 0 || tot.Busy > time.Duration(workers)*st.Total {
+							t.Errorf("%s workers=%d: Σ Busy %v, want in (0, W·Total %v]", in.name, workers, tot.Busy, time.Duration(workers)*st.Total)
 						}
 					}
 				}

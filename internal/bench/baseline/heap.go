@@ -79,7 +79,7 @@ func heapOnePhase(a, b *matrix.CSR, opt *Options, schedule sched.Schedule) (*mat
 
 	rowNnz := make([]int64, a.Rows)
 	heaps := make([]*accum.MergeHeap, workers)
-	numeric := func(w, lo, hi int) {
+	numeric := pt.timed(func(w, lo, hi int) {
 		if heaps[w] == nil {
 			heaps[w] = accum.NewMergeHeap(8)
 		}
@@ -109,11 +109,11 @@ func heapOnePhase(a, b *matrix.CSR, opt *Options, schedule sched.Schedule) (*mat
 			// The heap's count is cumulative over the worker's chunks.
 			ws.HeapPushes = h.Pushes()
 		}
-	}
+	})
 	if single {
-		sched.RunWorkersNamed("numeric", workers, func(w int) { numeric(w, offsets[w], offsets[w+1]) })
+		sched.RunWorkers(workers, func(w int) { numeric(w, offsets[w], offsets[w+1]) })
 	} else {
-		sched.ParallelForNamed("numeric", workers, a.Rows, schedule, 16, numeric)
+		sched.ParallelFor(workers, a.Rows, schedule, 16, numeric)
 	}
 	pt.tick(spgemm.PhaseNumeric)
 
@@ -122,19 +122,19 @@ func heapOnePhase(a, b *matrix.CSR, opt *Options, schedule sched.Schedule) (*mat
 	pt.tick(spgemm.PhaseAlloc)
 	if single {
 		// A worker's rows are contiguous in its segment and in the output.
-		sched.RunWorkersNamed("assemble", workers, func(w int) {
-			lo, hi := rowPtr[offsets[w]], rowPtr[offsets[w+1]]
-			copy(c.ColIdx[lo:hi], bufCols[w])
-			copy(c.Val[lo:hi], bufVals[w])
+		assemble := pt.timed(func(w, lo, hi int) {
+			copy(c.ColIdx[rowPtr[lo]:rowPtr[hi]], bufCols[w])
+			copy(c.Val[rowPtr[lo]:rowPtr[hi]], bufVals[w])
 		})
+		sched.RunWorkers(workers, func(w int) { assemble(w, offsets[w], offsets[w+1]) })
 	} else {
-		sched.ParallelForNamed("assemble", workers, a.Rows, sched.Static, 1, func(_, lo, hi int) {
+		sched.ParallelFor(workers, a.Rows, sched.Static, 1, pt.timed(func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				src, off, n := rowWorker[i], rowOffset[i], rowNnz[i]
 				copy(c.ColIdx[rowPtr[i]:rowPtr[i]+n], bufCols[src][off:off+n])
 				copy(c.Val[rowPtr[i]:rowPtr[i]+n], bufVals[src][off:off+n])
 			}
-		})
+		}))
 	}
 	pt.tick(spgemm.PhaseAssemble)
 	return c, nil

@@ -74,7 +74,7 @@ func inspector(a, b *matrix.CSR, opt *Options) *matrix.CSR {
 	rowWorker := make([]int32, a.Rows)
 	rowOffset := make([]int64, a.Rows)
 
-	sched.ParallelForNamed("numeric", workers, a.Rows, sched.Guided, 16, func(w, lo, hi int) {
+	sched.ParallelFor(workers, a.Rows, sched.Guided, 16, pt.timed(func(w, lo, hi int) {
 		acc := newMapAcc()
 		var flop int64
 		for i := lo; i < hi; i++ {
@@ -101,19 +101,19 @@ func inspector(a, b *matrix.CSR, opt *Options) *matrix.CSR {
 			ws.Rows += int64(hi - lo)
 			ws.Flop += flop
 		}
-	})
+	}))
 	pt.tick(spgemm.PhaseNumeric)
 
 	rowPtr := sched.PrefixSum(rowNnz, nil, workers)
 	c := outputShell(a.Rows, b.Cols, rowPtr, false)
 	pt.tick(spgemm.PhaseAlloc)
-	sched.ParallelForNamed("assemble", workers, a.Rows, sched.Static, 1, func(_, lo, hi int) {
+	sched.ParallelFor(workers, a.Rows, sched.Static, 1, pt.timed(func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			src, off, n := rowWorker[i], rowOffset[i], rowNnz[i]
 			copy(c.ColIdx[rowPtr[i]:rowPtr[i+1]], bufCols[src][off:off+n])
 			copy(c.Val[rowPtr[i]:rowPtr[i+1]], bufVals[src][off:off+n])
 		}
-	})
+	}))
 	if !opt.Unsorted {
 		c.SortRows()
 	}

@@ -22,8 +22,7 @@ func hashOnePhase(a, b *matrix.CSR, opt *Options) *matrix.CSR {
 	tmpVals := make([][]float64, workers)
 	rowNnz := make([]int64, a.Rows)
 
-	sched.RunWorkersNamed("numeric", workers, func(w int) {
-		lo, hi := offsets[w], offsets[w+1]
+	numeric := pt.timed(func(w, lo, hi int) {
 		if lo >= hi {
 			return
 		}
@@ -61,16 +60,17 @@ func hashOnePhase(a, b *matrix.CSR, opt *Options) *matrix.CSR {
 			ws.HashLookups, ws.HashProbes = table.Lookups(), table.Probes()
 		}
 	})
+	sched.RunWorkers(workers, func(w int) { numeric(w, offsets[w], offsets[w+1]) })
 	pt.tick(spgemm.PhaseNumeric)
 
 	rowPtr := sched.PrefixSum(rowNnz, nil, workers)
 	c := outputShell(a.Rows, b.Cols, rowPtr, !opt.Unsorted)
 	pt.tick(spgemm.PhaseAlloc)
-	sched.RunWorkersNamed("assemble", workers, func(w int) {
-		dst := rowPtr[offsets[w]]
-		copy(c.ColIdx[dst:], tmpCols[w])
-		copy(c.Val[dst:], tmpVals[w])
+	assemble := pt.timed(func(w, lo, _ int) {
+		copy(c.ColIdx[rowPtr[lo]:], tmpCols[w])
+		copy(c.Val[rowPtr[lo]:], tmpVals[w])
 	})
+	sched.RunWorkers(workers, func(w int) { assemble(w, offsets[w], offsets[w+1]) })
 	pt.tick(spgemm.PhaseAssemble)
 	return c
 }

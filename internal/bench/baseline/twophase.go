@@ -68,17 +68,18 @@ func twoPhase(a, b *matrix.CSR, opt *Options, cfg twoPhaseConfig) *matrix.CSR {
 		return accs[w]
 	}
 	// forRows runs body over every row, under cfg.schedule.
-	forRows := func(name string, body func(w, lo, hi int)) {
+	forRows := func(body func(w, lo, hi int)) {
+		body = pt.timed(body)
 		if balanced {
-			sched.RunWorkersNamed(name, workers, func(w int) { body(w, offsets[w], offsets[w+1]) })
+			sched.RunWorkers(workers, func(w int) { body(w, offsets[w], offsets[w+1]) })
 		} else {
-			sched.ParallelForNamed(name, workers, a.Rows, cfg.schedule, cfg.grain, body)
+			sched.ParallelFor(workers, a.Rows, cfg.schedule, cfg.grain, body)
 		}
 	}
 	pt.tick(spgemm.PhasePartition)
 
 	rowNnz := make([]int64, a.Rows)
-	forRows("symbolic", func(w, lo, hi int) {
+	forRows(func(w, lo, hi int) {
 		acc := getAcc(w, lo, hi)
 		for i := lo; i < hi; i++ {
 			acc.Reset()
@@ -97,7 +98,7 @@ func twoPhase(a, b *matrix.CSR, opt *Options, cfg twoPhaseConfig) *matrix.CSR {
 	c := outputShell(a.Rows, b.Cols, rowPtr, !unsorted)
 	pt.tick(spgemm.PhaseAlloc)
 
-	forRows("numeric", func(w, lo, hi int) {
+	forRows(func(w, lo, hi int) {
 		acc := getAcc(w, lo, hi)
 		for i := lo; i < hi; i++ {
 			acc.Reset()

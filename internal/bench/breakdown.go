@@ -4,32 +4,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"time"
 
 	"repro/internal/bench/baseline"
 	"repro/internal/gen"
 	"repro/internal/matrix"
-	"repro/internal/obs"
 	"repro/internal/spgemm"
 )
-
-// tracedImbalance runs f with a tracer observing its worker-pool regions and
-// returns the resulting load-imbalance summary. When the process already has
-// an active tracer (the -trace flag), it is reused and the delta attributed to
-// f is returned — so the trace file still sees the breakdown's spans.
-// Otherwise a temporary tracer is installed for the duration of f.
-func tracedImbalance(f func()) obs.Imbalance {
-	if tr := obs.Active(); tr != nil {
-		before := tr.Imbalance()
-		f()
-		return tr.Imbalance().Sub(before)
-	}
-	tr := obs.NewTracer()
-	obs.SetActive(tr)
-	f()
-	obs.SetActive(nil)
-	return tr.Imbalance()
-}
 
 // runFig8 reproduces the paper's Figure 8-style phase breakdown: for each
 // algorithm, the share of execution time spent in the partition, symbolic,
@@ -60,26 +42,26 @@ func runFig8(cfg Config, w io.Writer) error {
 	}
 
 	t := newTable("matrix", "alg", "total_ms", "partition%", "symbolic%", "alloc%", "numeric%", "assemble%", "mflops", "cf", "heap_pushes", "l2_overflow", "imb")
-	reports := make(map[string]obs.Imbalance)
+	hashStats := make(map[string]*spgemm.ExecStats)
 	tiledStats := make(map[string]*spgemm.ExecStats)
 	for _, in := range inputs {
 		flop, _ := matrix.Flop(in.m, in.m)
 		for _, alg := range algs {
-			var st spgemm.ExecStats
+			// st is the last rep, reps all of them: the balance view sums
+			// every rep's per-worker Busy.
+			var st, reps spgemm.ExecStats
 			var err error
-			var d time.Duration
-			imb := tracedImbalance(func() {
-				d = timeAvg(cfg.reps(), func() {
-					if _, e := multiply(alg, in.m, in.m, cfg.Workers, false, &st); e != nil {
-						err = e
-					}
-				})
+			d := timeAvg(cfg.reps(), func() {
+				if _, e := multiply(alg, in.m, in.m, cfg.Workers, false, &st); e != nil {
+					err = e
+				}
+				reps.Add(&st)
 			})
 			if err != nil {
 				return fmt.Errorf("fig8 %s/%v: %w", in.name, alg, err)
 			}
 			if alg == spgemm.AlgHash {
-				reports[in.name] = imb
+				hashStats[in.name] = &reps
 			}
 			if alg == spgemm.AlgTiled {
 				s := st
@@ -94,20 +76,22 @@ func runFig8(cfg Config, w io.Writer) error {
 				row = append(row, f1(pct))
 			}
 			tot := st.TotalWorker()
+			_, _, imb := busyBalance(&reps)
 			row = append(row, f1(mflops(flop, d)), f2(st.CollisionFactor()),
 				fmt.Sprintf("%d", tot.HeapPushes), fmt.Sprintf("%d", tot.L2Overflows),
-				f2(imb.Ratio()))
+				f2(imb))
 			t.add(row...)
 		}
 	}
 	t.write(w, cfg.CSV)
 	fmt.Fprintln(w, "# phase shares of total wall time; cf = hash collision factor (Eq. 2)")
-	fmt.Fprintln(w, "# imb = max/mean per-worker busy time over the pool regions of the runs")
+	fmt.Fprintln(w, "# imb = max/mean per-worker busy time (WorkerStats.Busy) over the runs' parallel regions")
 	fmt.Fprintln(w, "# expectation (paper): numeric dominates; symbolic adds ~30-50% on two-phase")
 	fmt.Fprintln(w, "# algorithms; G500 raises the collision factor and heap pushes vs ER")
 	for _, in := range inputs {
-		if imb, ok := reports[in.name]; ok && len(imb.Workers) > 0 {
-			fmt.Fprintf(w, "\n# load balance, %s / hash (%d reps):\n%s", in.name, cfg.reps(), imb.Report())
+		if st := hashStats[in.name]; st != nil && len(st.Workers) > 0 {
+			fmt.Fprintf(w, "\n# load balance, %s / hash (%d reps):\n", in.name, cfg.reps())
+			writeBalance(w, st)
 		}
 	}
 	// The tiled kernel's ExecStats-side imbalance view: per worker, the rows
@@ -127,4 +111,34 @@ func runFig8(cfg Config, w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// busyBalance returns the largest and the mean per-worker Busy of st and
+// their ratio — 1.0 is perfect balance, and the value the flop-balanced
+// partition (Figure 6) is meant to keep near 1.0 where naive static
+// scheduling does not. The ratio is 1 when no worker was timed.
+func busyBalance(st *spgemm.ExecStats) (hi, mean time.Duration, ratio float64) {
+	var sum time.Duration
+	for _, ws := range st.Workers {
+		sum += ws.Busy
+		hi = max(hi, ws.Busy)
+	}
+	if sum == 0 {
+		return 0, 0, 1
+	}
+	mean = sum / time.Duration(len(st.Workers))
+	return hi, mean, float64(hi) / float64(mean)
+}
+
+// writeBalance renders st's per-worker busy table with the max/mean line.
+func writeBalance(w io.Writer, st *spgemm.ExecStats) {
+	hi, mean, ratio := busyBalance(st)
+	for wi, ws := range st.Workers {
+		bar := ""
+		if hi > 0 {
+			bar = strings.Repeat("#", int(40*ws.Busy/hi))
+		}
+		fmt.Fprintf(w, "worker %2d busy %12v rows %8d %s\n", wi, ws.Busy, ws.Rows, bar)
+	}
+	fmt.Fprintf(w, "workers %d  max %v  mean %v  max/mean %.2f\n", len(st.Workers), hi, mean, ratio)
 }

@@ -32,7 +32,6 @@ func publishExpvar() {
 //	/metrics      Prometheus text exposition of the registry
 //	/debug/vars   expvar (runtime memstats + the registry bridge)
 //	/debug/pprof  the standard pprof index (profile, heap, trace, ...)
-//	/trace.json   the active Tracer's Chrome trace snapshot, if tracing is on
 //
 // Close shuts the listener down; a DebugServer holds no other state.
 type DebugServer struct {
@@ -41,7 +40,7 @@ type DebugServer struct {
 }
 
 // RegisterDebugHandlers mounts the debug surface (/metrics, /debug/vars,
-// /debug/pprof, /trace.json) on mux for reg (nil = the default registry).
+// /debug/pprof, /debug/loglevel) on mux for reg (nil = the default registry).
 // The multiply server reuses this to expose the same endpoints on its API
 // listener; StartDebugServer wraps it in a standalone server for the CLIs.
 func RegisterDebugHandlers(mux *http.ServeMux, reg *Registry) {
@@ -60,15 +59,6 @@ func RegisterDebugHandlers(mux *http.ServeMux, reg *Registry) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/debug/loglevel", handleLogLevel)
-	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, r *http.Request) {
-		tr := Active()
-		if tr == nil {
-			http.Error(w, "no active tracer (run with -trace)", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = tr.WriteChromeTrace(w)
-	})
 }
 
 // StartDebugServer listens on addr (e.g. "localhost:6060", or "localhost:0"
@@ -85,7 +75,7 @@ func StartDebugServer(addr string, reg *Registry) (*DebugServer, error) {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "spgemm debug surface\n\n/metrics\n/debug/vars\n/debug/pprof/\n/trace.json\n")
+		fmt.Fprint(w, "spgemm debug surface\n\n/metrics\n/debug/vars\n/debug/pprof/\n")
 	})
 	RegisterDebugHandlers(mux, reg)
 	s := &DebugServer{ln: ln, srv: &http.Server{Handler: mux}}

@@ -57,27 +57,6 @@ func TestDebugServer(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/: code %d", code)
 	}
-
-	// No active tracer: 404. With one: a valid Chrome trace.
-	code, _ = get(t, base+"/trace.json")
-	if code != http.StatusNotFound {
-		t.Errorf("/trace.json without tracer: code %d, want 404", code)
-	}
-	tr := NewTracer()
-	tr.Span(DriverLane, "phase", tr.start, tr.start.Add(time.Millisecond))
-	SetActive(tr)
-	defer SetActive(nil)
-	code, body = get(t, base+"/trace.json")
-	if code != http.StatusOK {
-		t.Fatalf("/trace.json: code %d", code)
-	}
-	var ct chromeTrace
-	if err := json.Unmarshal([]byte(body), &ct); err != nil {
-		t.Fatalf("/trace.json not valid trace JSON: %v", err)
-	}
-	if len(ct.TraceEvents) == 0 {
-		t.Error("/trace.json: empty trace")
-	}
 }
 
 // TestDebugServerGracefulShutdown pins the Shutdown contract the CLIs and

@@ -11,7 +11,7 @@ import (
 )
 
 // Structured logging for the long-running binaries (the multiply server
-// first of all). The same zero-cost-when-disabled discipline as tracing:
+// first of all), zero-cost when disabled:
 //
 //   - The process logger defaults to a disabled handler whose Enabled always
 //     reports false, so an un-configured binary pays one atomic load plus a

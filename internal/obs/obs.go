@@ -1,40 +1,14 @@
-// Package obs is the observability subsystem: a per-worker timeline tracer
-// with Chrome trace-event export, a registry of atomic counters/gauges/
-// histograms with Prometheus text exposition and an expvar bridge, and an
-// opt-in debug HTTP surface (/metrics, /debug/vars, /debug/pprof).
+// Package obs is the observability subsystem: a registry of atomic counters/
+// gauges/histograms with Prometheus text exposition and an expvar bridge, a
+// structured logger, the per-request timelines behind the multiply server's
+// /debug/requests with Chrome trace-event export, and an opt-in debug HTTP
+// surface (/metrics, /debug/vars, /debug/pprof).
 //
-// The package is always compiled in and zero-cost when disabled. The contract
-// every instrumentation hook follows (the same discipline as spgemm's
-// phaseTimer):
-//
-//   - With no active tracer, a trace hook is one atomic pointer load and a
-//     nil compare — no clock reads, no allocations, no locks.
-//   - Metric updates are single uncontended atomic adds placed at per-call or
-//     per-region granularity, never inside per-row or per-element loops.
-//
-// Tracing is enabled process-wide by installing a Tracer with SetActive; the
-// spgemm kernels then stamp their phase boundaries onto the driver lane and
-// sched.Pool stamps every worker's region execution onto that worker's lane.
-// The resulting timeline loads in Perfetto / chrome://tracing and makes the
-// paper's Figure 6 load-balance claim visually checkable; Imbalance reduces
-// it to a per-worker busy-time table with a max/mean ratio.
+// The package keeps no clock of its own. What one multiply spent, per phase
+// and per worker, is the caller's spgemm.ExecStats — the record a request
+// timeline is built from and the -stats / -breakdown views print — and a
+// goroutine timeline of the whole process is Go's execution tracer at
+// /debug/pprof/trace. Metric updates are single uncontended atomic adds
+// placed at per-call or per-region granularity, never inside per-row or
+// per-element loops.
 package obs
-
-import "sync/atomic"
-
-// active is the process-wide tracer, nil when tracing is disabled.
-var active atomic.Pointer[Tracer]
-
-// SetActive installs t as the process-wide tracer; nil disables tracing.
-// Instrumented code picks the tracer up at the start of each region or
-// kernel, so a swap takes effect at the next region boundary.
-func SetActive(t *Tracer) {
-	active.Store(t)
-}
-
-// Active returns the process-wide tracer, or nil when tracing is disabled.
-// The nil path is one atomic load; callers must treat a nil result as
-// "perform no instrumentation work at all".
-func Active() *Tracer {
-	return active.Load()
-}

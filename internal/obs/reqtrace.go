@@ -12,10 +12,10 @@ import (
 // end-to-end story (decode → admission wait → plan-cache lookup → kernel
 // phases → respond) as named intervals on a single track, plus a small bag
 // of attributes (matrix hashes, resolved algorithm, flop, collision
-// factor). It is the per-request counterpart of the process-wide Tracer:
-// where the Tracer interleaves every concurrent kernel onto shared worker
-// lanes, a RequestTrace isolates exactly one request, so a slow outlier can
-// be exported and read on its own.
+// factor). Its kernel spans are the request's spgemm.ExecStats, laid out in
+// time, and it isolates exactly one request — where /debug/pprof/trace
+// interleaves every goroutine of the process — so a slow outlier can be
+// exported and read on its own.
 //
 // Ownership contract: a RequestTrace is built, complete, by the goroutine
 // that finished the request and is immutable once published to a
@@ -58,10 +58,29 @@ func (t *RequestTrace) SpanAt(name string, offset, dur time.Duration) {
 	})
 }
 
+// chromeEvent is one entry of the Chrome trace-event JSON array. ts is in
+// microseconds, per the trace-event format specification.
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	Ph   string         `json:"ph"`
+	TS   float64        `json:"ts"`
+	Dur  float64        `json:"dur,omitempty"` // complete ("X") events only
+	PID  int            `json:"pid"`
+	TID  int            `json:"tid"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+// chromeTrace is the JSON-object form of the trace-event format.
+type chromeTrace struct {
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
 // WriteChromeTrace exports the request as a self-contained Chrome trace-event
 // JSON document (complete "X" events on one named track), loadable in
-// Perfetto exactly like the process Tracer's /trace.json — but containing
-// only this request. Attributes ride along as args of the root span.
+// Perfetto or chrome://tracing. Attributes ride along as args of the root
+// span.
 func (t *RequestTrace) WriteChromeTrace(w io.Writer) error {
 	var out chromeTrace
 	out.DisplayTimeUnit = "ms"

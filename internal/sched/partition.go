@@ -43,7 +43,7 @@ func (p *Pool) PrefixSum(weights []int64, out []int64, workers int) []int64 {
 		workers = n
 	}
 	blockSums := make([]int64, workers)
-	p.RunWorkersNamed("prefix-sum", workers, func(w int) {
+	p.RunWorkers(workers, func(w int) {
 		lo := w * n / workers
 		hi := (w + 1) * n / workers
 		var acc int64
@@ -60,7 +60,7 @@ func (p *Pool) PrefixSum(weights []int64, out []int64, workers int) []int64 {
 		acc += blockSums[w]
 	}
 	out[0] = 0
-	p.RunWorkersNamed("prefix-sum", workers, func(w int) {
+	p.RunWorkers(workers, func(w int) {
 		lo := w * n / workers
 		hi := (w + 1) * n / workers
 		off := offsets[w]

@@ -13,14 +13,11 @@ package sched
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
 
-// Pool observability: coarse per-region counters (never per-iteration) and,
-// when a tracer is active, one span per worker per region on that worker's
-// lane — the raw material of the load-imbalance report.
+// Pool observability: coarse per-region counters, never per-iteration.
 var (
 	mRegions = obs.NewCounter("sched_pool_regions_total",
 		"parallel regions executed by worker pools")
@@ -97,26 +94,10 @@ func (p *Pool) Close() {
 // are handed to parked pool goroutines (or spawned when none is idle — e.g.
 // when workers exceeds the pool size or regions overlap).
 func (p *Pool) RunWorkers(workers int, body func(worker int)) {
-	p.RunWorkersNamed("region", workers, body)
-}
-
-// RunWorkersNamed is RunWorkers with a region name used by the tracer: when
-// observability is on, every worker's execution of body is recorded as a span
-// named name on that worker's timeline lane. With tracing off the name costs
-// nothing (one atomic load and a nil compare decide).
-func (p *Pool) RunWorkersNamed(name string, workers int, body func(worker int)) {
 	if workers <= 0 {
 		workers = p.size
 	}
 	mRegions.Inc()
-	if tr := obs.Active(); tr != nil {
-		inner := body
-		body = func(w int) {
-			t0 := time.Now()
-			inner(w)
-			tr.Span(w+1, name, t0, time.Now())
-		}
-	}
 	if workers == 1 {
 		body(0)
 		return
@@ -147,12 +128,6 @@ func (p *Pool) RunWorkersNamed(name string, workers int, body func(worker int)) 
 // ParallelFor runs body(worker, lo, hi) over [0, n) split according to the
 // schedule, on this pool. Semantics match the package-level ParallelFor.
 func (p *Pool) ParallelFor(workers, n int, s Schedule, grain int, body func(worker, lo, hi int)) {
-	p.ParallelForNamed("parallel-for", workers, n, s, grain, body)
-}
-
-// ParallelForNamed is ParallelFor with a region name for the tracer (see
-// RunWorkersNamed).
-func (p *Pool) ParallelForNamed(name string, workers, n int, s Schedule, grain int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -172,7 +147,7 @@ func (p *Pool) ParallelForNamed(name string, workers, n int, s Schedule, grain i
 	switch s {
 	case Static, Balanced:
 		// Contiguous blocks, sized within ±1 iteration of each other.
-		p.RunWorkersNamed(name, workers, func(w int) {
+		p.RunWorkers(workers, func(w int) {
 			lo := w * n / workers
 			hi := (w + 1) * n / workers
 			if lo < hi {
@@ -181,7 +156,7 @@ func (p *Pool) ParallelForNamed(name string, workers, n int, s Schedule, grain i
 		})
 	case Dynamic:
 		var next int64
-		p.RunWorkersNamed(name, workers, func(w int) {
+		p.RunWorkers(workers, func(w int) {
 			for {
 				lo := int(atomic.AddInt64(&next, int64(grain))) - grain
 				if lo >= n {
@@ -196,7 +171,7 @@ func (p *Pool) ParallelForNamed(name string, workers, n int, s Schedule, grain i
 		})
 	case Guided:
 		var next int64
-		p.RunWorkersNamed(name, workers, func(w int) {
+		p.RunWorkers(workers, func(w int) {
 			for {
 				// Chunk size proportional to remaining work: the classic
 				// guided heuristic remaining/(2P), floored at the grain.

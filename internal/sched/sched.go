@@ -67,22 +67,10 @@ func ParallelFor(workers, n int, s Schedule, grain int, body func(worker, lo, hi
 	Default().ParallelFor(workers, n, s, grain, body)
 }
 
-// ParallelForNamed is ParallelFor with a tracer region name (see
-// Pool.RunWorkersNamed), on the process-wide default Pool.
-func ParallelForNamed(name string, workers, n int, s Schedule, grain int, body func(worker, lo, hi int)) {
-	Default().ParallelForNamed(name, workers, n, s, grain, body)
-}
-
 // RunWorkers starts exactly `workers` invocations of body(worker) and waits
 // for all of them. It is the building block for drivers that manage their
 // own iteration ranges (e.g. the balanced partition of Figure 6). Workers
 // run on the process-wide default Pool.
 func RunWorkers(workers int, body func(worker int)) {
 	Default().RunWorkers(workers, body)
-}
-
-// RunWorkersNamed is RunWorkers with a tracer region name (see
-// Pool.RunWorkersNamed), on the process-wide default Pool.
-func RunWorkersNamed(name string, workers int, body func(worker int)) {
-	Default().RunWorkersNamed(name, workers, body)
 }

@@ -168,7 +168,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /debug/requests/{id}", s.reqobs.handleRequestTrace)
 	// The same observability surface the CLIs expose with -debug-addr:
 	// /metrics (now including the server_* families), /debug/vars,
-	// /debug/pprof, /debug/loglevel, /trace.json.
+	// /debug/pprof, /debug/loglevel.
 	obs.RegisterDebugHandlers(mux, nil)
 	s.mux = mux
 	return s

@@ -9,7 +9,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/mempool"
-	"repro/internal/obs"
 )
 
 // These tests pin the steady-state allocation behavior the hot paths are
@@ -29,10 +28,6 @@ func requireZeroAllocs(t *testing.T, name string, f func()) {
 }
 
 func TestSteadyStateZeroAllocs(t *testing.T) {
-	if obs.Active() != nil {
-		t.Skip("tracing enabled; allocation pinning requires the disabled-obs configuration")
-	}
-
 	t.Run("HashTableCycle", func(t *testing.T) {
 		h := accum.NewHashTable(256)
 		cols := make([]int32, 256)
@@ -148,9 +143,6 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 // workers hold while they run — under 1 KiB together and none of it growing
 // with the product. The inspection and the phase timer are the Context's.
 func TestContextReuseSteadyAllocs(t *testing.T) {
-	if obs.Active() != nil {
-		t.Skip("tracing enabled")
-	}
 	rng := rand.New(rand.NewSource(7))
 	a := gen.ER(8, 8, rng) // 256×256, ~8 nnz/row: real per-row numeric work
 	for _, tc := range []struct {

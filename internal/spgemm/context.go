@@ -2,6 +2,7 @@ package spgemm
 
 import (
 	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"repro/internal/accum"
@@ -134,10 +135,19 @@ func (c *ContextG[V]) pool() *sched.Pool {
 	return sched.Default()
 }
 
-// runWorkers runs a parallel region on the context's pool (or the default).
-// name labels the region on the tracer's worker lanes.
-func (c *ContextG[V]) runWorkers(name string, workers int, body func(worker int)) {
-	c.pool().RunWorkersNamed(name, workers, body)
+// runWorkers runs a parallel region of the running call on the context's pool
+// (or the default). It is the one place WorkerStats.Busy is stamped; a call
+// without stats reads no clock and wraps nothing.
+func (c *ContextG[V]) runWorkers(workers int, body func(worker int)) {
+	if st := c.pt.st; st != nil {
+		inner := body
+		body = func(w int) {
+			start := time.Now()
+			inner(w)
+			st.Workers[w].Busy += time.Since(start)
+		}
+	}
+	c.pool().RunWorkers(workers, body)
 }
 
 // dealStripes readies the stripe cursor for a parallel region of the given

@@ -146,7 +146,7 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 	// of distinct columns does not depend on the numeric accumulator.
 	rowNnz := ctx.rowNnzBuf(a.Rows)
 	ctx.dealStripes(workers)
-	ctx.runWorkers("symbolic", workers, func(w int) {
+	ctx.runWorkers(workers, func(w int) {
 		for s := w; s < in.stripes(); s = ctx.nextStripe() {
 			ctx.hashSymbolic(w, a, b, in.lightFlop, in.offsets[s], in.offsets[s+1], rowNnz, pt.worker(w))
 		}
@@ -177,7 +177,7 @@ func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 	pt.tick(PhaseAlloc)
 
 	ctx.dealStripes(in.workers)
-	ctx.runWorkers("numeric", in.workers, func(w int) {
+	ctx.runWorkers(in.workers, func(w int) {
 		ws := pt.worker(w) // stripes sharing a worker slot accumulate into it
 		for s := w; s < in.stripes(); s = ctx.nextStripe() {
 			lo, hi := in.offsets[s], in.offsets[s+1]

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Phase identifies one stage of a SpGEMM kernel. Not every algorithm has
@@ -85,6 +83,9 @@ type WorkerStats struct {
 	// ReplayFlop counts numeric products a Plan streamed through its replay
 	// map (plan.go) instead of running its kernel.
 	ReplayFlop int64
+	// Busy is the worker's wall time inside the call's parallel regions:
+	// max/mean Busy is the balance Figure 6's partition keeps near 1.
+	Busy time.Duration
 }
 
 func (w *WorkerStats) add(o WorkerStats) {
@@ -97,6 +98,7 @@ func (w *WorkerStats) add(o WorkerStats) {
 	w.StampMarks += o.StampMarks
 	w.DirectFlop += o.DirectFlop
 	w.ReplayFlop += o.ReplayFlop
+	w.Busy += o.Busy
 }
 
 // ExecStats collects per-phase wall times and per-worker counters for one
@@ -143,14 +145,11 @@ type StripeStats struct {
 func (s *ExecStats) reset(workers int) {
 	s.Phases = [NumPhases]time.Duration{}
 	s.Total = 0
-	if cap(s.Workers) >= workers {
-		s.Workers = s.Workers[:workers]
-		for i := range s.Workers {
-			s.Workers[i] = WorkerStats{}
-		}
-	} else {
+	if cap(s.Workers) < workers {
 		s.Workers = make([]WorkerStats, workers)
 	}
+	s.Workers = s.Workers[:workers]
+	clear(s.Workers)
 	s.Stripes = s.Stripes[:0]
 }
 
@@ -179,10 +178,9 @@ type PhaseSpan struct {
 // and returns them as intervals. Phase times are measured back-to-back by
 // phaseTimer inside the window Total stamps (see PhaseSum), so the
 // reconstruction is exact up to clock granularity: span k starts where span
-// k-1 ended, and the last span ends at PhaseSum() <= Total. This is how a
-// per-request trace gets kernel sub-spans without threading a tracer through
-// every kernel: the server appends these intervals, offset by the kernel's
-// start within the request, to the request's timeline.
+// k-1 ended, and the last span ends at PhaseSum() <= Total. The server
+// appends these intervals, offset by the kernel's start within the request,
+// to the request's timeline.
 func (s *ExecStats) PhaseSpans() []PhaseSpan {
 	out := make([]PhaseSpan, 0, NumPhases)
 	var off time.Duration
@@ -211,10 +209,8 @@ func (s *ExecStats) Add(o *ExecStats) {
 		s.Phases[p] += o.Phases[p]
 	}
 	s.Total += o.Total
-	if len(o.Workers) > len(s.Workers) {
-		grown := make([]WorkerStats, len(o.Workers))
-		copy(grown, s.Workers)
-		s.Workers = grown
+	if n := len(o.Workers) - len(s.Workers); n > 0 {
+		s.Workers = append(s.Workers, make([]WorkerStats, n)...)
 	}
 	for i := range o.Workers {
 		s.Workers[i].add(o.Workers[i])
@@ -279,6 +275,17 @@ func (s *ExecStats) String() string {
 	if t.StampMarks > 0 || t.DirectFlop > 0 {
 		fmt.Fprintf(&b, " stamp_marks=%d direct_flop=%d", t.StampMarks, t.DirectFlop)
 	}
+	if t.ReplayFlop > 0 {
+		fmt.Fprintf(&b, " replay_flop=%d", t.ReplayFlop)
+	}
+	if t.Busy > 0 {
+		var hi time.Duration
+		for i := range s.Workers {
+			hi = max(hi, s.Workers[i].Busy)
+		}
+		mean := t.Busy / time.Duration(len(s.Workers))
+		fmt.Fprintf(&b, " busy max/mean=%v/%v=%.2f", hi, mean, float64(hi)/float64(mean))
+	}
 	if n := len(s.Stripes); n > 0 {
 		spilled := 0
 		for i := range s.Stripes {
@@ -294,51 +301,34 @@ func (s *ExecStats) String() string {
 	return b.String()
 }
 
-// phaseTimer stamps phase boundaries into an ExecStats and, when a tracer is
-// active, onto the tracer's driver lane as begin/end span pairs. The zero
-// value (from a nil *ExecStats with tracing off) is inert: tick and finish
-// return immediately without reading the clock, which is what keeps the
-// disabled-observability overhead to one atomic load and a couple of nil
-// compares per kernel call.
+// phaseTimer stamps phase boundaries into an ExecStats. The zero value (from
+// a nil *ExecStats) is inert: tick and finish return without reading the
+// clock, so disabled stats cost a couple of nil compares per kernel call.
 type phaseTimer struct {
 	st    *ExecStats
-	tr    *obs.Tracer
 	start time.Time
 	last  time.Time
 }
 
-// startPhases resets st for a run of alg with the given worker count, picks
-// up the process tracer, and starts the clock. With st nil and no active
-// tracer it yields an inert timer without reading the clock.
+// startPhases resets st for a run of alg on workers workers and starts the
+// clock; a nil st yields the inert timer.
 func startPhases(st *ExecStats, alg Algorithm, workers int) phaseTimer {
-	tr := obs.Active()
-	if st == nil && tr == nil {
+	if st == nil {
 		return phaseTimer{}
 	}
-	if st != nil {
-		st.reset(workers)
-		st.Algorithm = alg
-	}
+	st.reset(workers)
+	st.Algorithm = alg
 	now := time.Now()
-	return phaseTimer{st: st, tr: tr, start: now, last: now}
+	return phaseTimer{st: st, start: now, last: now}
 }
 
-// active reports whether the timer records anything.
-func (t *phaseTimer) active() bool { return t.st != nil || t.tr != nil }
-
-// tick charges the time since the previous boundary to phase p, and records
-// the interval as a driver-lane span. One clock read serves both sinks.
+// tick charges the time since the previous boundary to phase p.
 func (t *phaseTimer) tick(p Phase) {
-	if !t.active() {
+	if t.st == nil {
 		return
 	}
 	now := time.Now()
-	if t.st != nil {
-		t.st.Phases[p] += now.Sub(t.last)
-	}
-	if t.tr != nil {
-		t.tr.Span(obs.DriverLane, p.String(), t.last, now)
-	}
+	t.st.Phases[p] += now.Sub(t.last)
 	t.last = now
 }
 

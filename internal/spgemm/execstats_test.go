@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
@@ -150,6 +151,69 @@ func TestExecStatsCounters(t *testing.T) {
 	}
 }
 
+// TestWorkerBusy pins WorkerStats.Busy on every geometry that runs parallel
+// regions — the two-phase stripes, Heap's one-phase merge, Tiled's heavy
+// units, Sharded's extra stripes, a masked product and a Plan's streamed
+// replay: every worker that produced rows was timed, and no worker can be busy
+// longer than the call, so Σ Busy ≤ W·Total.
+func TestWorkerBusy(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	g := gen.RMAT(9, 8, gen.G500Params, rng)
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		plan bool
+	}{
+		{"hash", Options{Algorithm: AlgHash}, false},
+		{"heap", Options{Algorithm: AlgHeap}, false},
+		{"tiled/heavy", Options{Algorithm: AlgTiled, TileCols: 64, TileHeavyFlop: 16}, false},
+		{"sharded", Options{Algorithm: AlgSharded, ShardStripes: 7}, false},
+		{"hash+mask", Options{Algorithm: AlgHash, Mask: g}, false},
+		{"hash/replay", Options{Algorithm: AlgHash}, true},
+	} {
+		for _, workers := range []int{1, 3} {
+			var st ExecStats
+			opt := tc.opt
+			opt.Workers = workers
+			if !tc.plan {
+				opt.Stats = &st
+				if _, err := Multiply(g, g, &opt); err != nil {
+					t.Fatalf("%s W=%d: %v", tc.name, workers, err)
+				}
+			} else {
+				p, err := NewPlan(g, g, &opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2; i++ { // the second execution builds the map
+					if _, err := p.Execute(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := p.ExecuteIn(nil, &st); err != nil {
+					t.Fatal(err)
+				}
+				if tot := st.TotalWorker(); tot.ReplayFlop == 0 || tot.ReplayFlop != tot.Flop {
+					t.Fatalf("%s W=%d: ReplayFlop %d of flop %d, want a streamed replay", tc.name, workers, tot.ReplayFlop, tot.Flop)
+				}
+			}
+			if tc.opt.Algorithm == AlgTiled && st.TotalWorker().L2Overflows == 0 {
+				t.Fatalf("%s W=%d: no heavy units ran", tc.name, workers)
+			}
+			var sum time.Duration
+			for w, ws := range st.Workers {
+				if ws.Rows > 0 && ws.Busy <= 0 {
+					t.Errorf("%s W=%d: worker %d produced %d rows with Busy %v", tc.name, workers, w, ws.Rows, ws.Busy)
+				}
+				sum += ws.Busy
+			}
+			if len(st.Workers) != workers || sum > time.Duration(workers)*st.Total {
+				t.Errorf("%s W=%d: %d workers, Σ Busy %v > W·Total %v", tc.name, workers, len(st.Workers), sum, time.Duration(workers)*st.Total)
+			}
+		}
+	}
+}
+
 // TestExecStatsReusedAcrossCalls verifies a Stats struct is reset per call,
 // not accumulated, including when the worker count changes.
 func TestExecStatsReusedAcrossCalls(t *testing.T) {
@@ -181,13 +245,28 @@ func TestExecStatsString(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := st.String()
-	for _, want := range []string{"hash", "total=", "numeric=", "flop="} {
+	for _, want := range []string{"hash", "total=", "numeric=", "flop=", "busy max/mean="} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q, missing %q", s, want)
 		}
 	}
 	for p := Phase(0); p <= NumPhases; p++ {
 		_ = p.String()
+	}
+
+	// A streamed replay touches no accumulator; its line names the counter
+	// that replaced them.
+	p, err := NewPlan(g, g, &Options{Algorithm: AlgHash, Stats: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := p.Execute(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := st.String(); !strings.Contains(s, "replay_flop=") {
+		t.Errorf("replay String() = %q, missing replay_flop=", s)
 	}
 }
 

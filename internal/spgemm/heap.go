@@ -75,7 +75,7 @@ func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.
 	} else {
 		rowNnz = ctx.rowNnzBuf(a.Rows)
 	}
-	ctx.runWorkers("numeric", in.workers, func(w int) {
+	ctx.runWorkers(in.workers, func(w int) {
 		lo, hi := in.offsets[w], in.offsets[w+1]
 		if lo >= hi {
 			return
@@ -118,7 +118,7 @@ func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.
 	sized := ctx.prefixSum(rowNnz, ctx.rowPtrBuf(a.Rows), in.workers)
 	out := ctx.outputShell(a.Rows, b.Cols, sized, sorted)
 	pt.tick(PhaseAlloc)
-	ctx.runWorkers("assemble", in.workers, func(w int) {
+	ctx.runWorkers(in.workers, func(w int) {
 		// The worker's buffers are where the numeric region left them; the
 		// destination's length stops the copy at what the worker produced.
 		lo, hi := sized[in.offsets[w]], sized[in.offsets[w+1]]

@@ -2,7 +2,6 @@ package spgemm
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -54,16 +53,16 @@ func TestExecStatsPhaseSumInvariant(t *testing.T) {
 }
 
 // TestExecStatsAdd covers the accumulation API: phases, totals and worker
-// counters fold together, and the worker slice grows to the larger run.
+// counters (Busy included) fold together, and the worker slice grows to the larger run.
 func TestExecStatsAdd(t *testing.T) {
 	a := ExecStats{Algorithm: AlgHash, Total: 10 * time.Millisecond}
 	a.Phases[PhaseNumeric] = 6 * time.Millisecond
-	a.Workers = []WorkerStats{{Rows: 3, Flop: 30}}
+	a.Workers = []WorkerStats{{Rows: 3, Flop: 30, Busy: 5 * time.Millisecond}}
 
 	b := ExecStats{Algorithm: AlgHashVec, Total: 4 * time.Millisecond}
 	b.Phases[PhaseNumeric] = 2 * time.Millisecond
 	b.Phases[PhaseSymbolic] = time.Millisecond
-	b.Workers = []WorkerStats{{Rows: 1, Flop: 10}, {Rows: 2, Flop: 20, HashLookups: 5}}
+	b.Workers = []WorkerStats{{Rows: 1, Flop: 10, Busy: 2 * time.Millisecond}, {Rows: 2, Flop: 20, HashLookups: 5, Busy: time.Millisecond}}
 
 	a.Add(&b)
 	if a.Total != 14*time.Millisecond {
@@ -75,7 +74,8 @@ func TestExecStatsAdd(t *testing.T) {
 	if a.Algorithm != AlgHashVec {
 		t.Errorf("Algorithm = %v", a.Algorithm)
 	}
-	if len(a.Workers) != 2 || a.Workers[0].Rows != 4 || a.Workers[1].HashLookups != 5 {
+	if len(a.Workers) != 2 || a.Workers[0].Rows != 4 || a.Workers[1].HashLookups != 5 ||
+		a.Workers[0].Busy != 7*time.Millisecond || a.Workers[1].Busy != time.Millisecond {
 		t.Errorf("Workers = %+v", a.Workers)
 	}
 	a.Add(nil) // must not panic
@@ -175,58 +175,6 @@ func TestMetricsExposedSeries(t *testing.T) {
 	} {
 		if !strings.Contains(out, series) {
 			t.Errorf("/metrics missing series %q", series)
-		}
-	}
-}
-
-// TestTracerKernelSpans checks the end-to-end tracer integration: with an
-// active tracer, a Multiply emits driver-lane phase spans and worker-lane
-// region spans into the Chrome trace export.
-func TestTracerKernelSpans(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	g := gen.ER(8, 6, rng)
-	tr := obs.NewTracer()
-	obs.SetActive(tr)
-	_, err := Multiply(g, g, &Options{Algorithm: AlgHash, Workers: 2})
-	obs.SetActive(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var trace struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-			TID  int    `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
-		t.Fatalf("trace not valid JSON: %v", err)
-	}
-	driver := map[string]bool{}
-	worker := map[string]bool{}
-	for _, e := range trace.TraceEvents {
-		if e.Ph != "B" {
-			continue
-		}
-		if e.TID == obs.DriverLane {
-			driver[e.Name] = true
-		} else {
-			worker[e.Name] = true
-		}
-	}
-	for _, phase := range []string{"partition", "symbolic", "alloc", "numeric"} {
-		if !driver[phase] {
-			t.Errorf("driver lane missing phase span %q (got %v)", phase, driver)
-		}
-	}
-	for _, region := range []string{"symbolic", "numeric"} {
-		if !worker[region] {
-			t.Errorf("worker lanes missing region span %q (got %v)", region, worker)
 		}
 	}
 }

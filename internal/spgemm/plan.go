@@ -228,7 +228,7 @@ func newReplayMap(a, b, c *matrix.CSR, ctx *Context, in *inspection[float64]) *r
 func (m *replayMap) execute(a, b *matrix.CSR, ctx *Context, rowPtr []int64, unsorted bool, pt *phaseTimer) *matrix.CSR {
 	c := ctx.outputShell(a.Rows, b.Cols, rowPtr, !unsorted)
 	pt.tick(PhaseAlloc)
-	ctx.runWorkers("numeric", len(m.dst), func(w int) {
+	ctx.runWorkers(len(m.dst), func(w int) {
 		lo, hi := m.offsets[w], m.offsets[w+1]
 		copy(c.ColIdx[rowPtr[lo]:rowPtr[hi]], m.cols[rowPtr[lo]:rowPtr[hi]])
 		planReplayRowsF64(a, b, rowPtr, c.Val, m.dst[w], lo, hi)

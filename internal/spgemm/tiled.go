@@ -227,7 +227,7 @@ func (in *inspection[V]) heavySymbolic(ctx *ContextG[V], a *matrix.CSRG[V], rowN
 	if len(in.unitRow) == 0 {
 		return
 	}
-	ctx.runWorkers("symbolic-heavy", in.workers, func(w int) {
+	ctx.runWorkers(in.workers, func(w int) {
 		ulo, uhi := in.uoffsets[w], in.uoffsets[w+1]
 		if ulo >= uhi {
 			return
@@ -275,7 +275,7 @@ func tiledHeavyNumeric[V semiring.Value, R semiring.Ring[V]](ring R, ctx *Contex
 		split := splitTiles(ctx, b, in.tileCols, (b.Cols+in.tileCols-1)/in.tileCols)
 		tiles = &split
 	}
-	ctx.runWorkers("numeric-heavy", in.workers, func(w int) {
+	ctx.runWorkers(in.workers, func(w int) {
 		ulo, uhi := in.uoffsets[w], in.uoffsets[w+1]
 		if ulo >= uhi {
 			return

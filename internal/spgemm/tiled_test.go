@@ -8,7 +8,6 @@ import (
 	"repro/internal/accum"
 	"repro/internal/gen"
 	"repro/internal/matrix"
-	"repro/internal/obs"
 )
 
 // TestTileColsIsTheDerivation keeps tilegeom.go's comment executable: the
@@ -212,9 +211,6 @@ func TestTiledSortedInvariant(t *testing.T) {
 // other kernels — the split buffers, unit arrays, and stitch must all come
 // from the Context.
 func TestTiledSteadyStateAllocs(t *testing.T) {
-	if obs.Active() != nil {
-		t.Skip("tracing enabled")
-	}
 	rng := rand.New(rand.NewSource(7))
 	a := gen.RMAT(8, 8, gen.G500Params, rng)
 	opt := &Options{
