@@ -303,7 +303,7 @@ func BenchmarkGenericF32Square(b *testing.B) {
 	}
 }
 
-func BenchmarkGenericBoolMSBFS(b *testing.B) {
+func BenchmarkGenericPackedMSBFS(b *testing.B) {
 	f := fx(b)
 	sources := []int32{0, 7, 42, 99, 512, 777, 900, 1013}
 	for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec} {

@@ -1,6 +1,6 @@
 // Multi-source BFS as SpGEMM (the paper's Section 5.5 use case): the graph
-// is multiplied by a tall-skinny frontier matrix — one column per BFS — over
-// the boolean or-and semiring, level by level.
+// is multiplied by a tall-skinny frontier matrix, level by level, over the
+// bit-wise or-and semiring: one uint64 column holds 64 of the BFS frontiers.
 //
 //	go run ./examples/msbfs
 package main

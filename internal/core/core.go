@@ -85,9 +85,10 @@ func Multiply(a, b *matrix.CSR, opt *Options) (*matrix.CSR, error) {
 }
 
 // MultiplyRing computes C = A·B over an arbitrary value type and semiring.
-// With one of the shipped zero-size rings (semiring.PlusTimesF64,
-// PlusTimesF32, OrAndBool, MinPlusF64, ...) the ring operations inline into
-// each kernel's inner loop. See spgemm.MultiplyRing.
+// Each shipped zero-size ring (semiring.PlusTimesF64, PlusTimesF32,
+// OrAndBool, OrAndU64, MinPlusF64, ...) gets its own kernel instantiation,
+// which calls the ring's Add and Mul once per product; only float64
+// plus-times has hand-inlined hash and tiled loops. See spgemm.MultiplyRing.
 func MultiplyRing[V semiring.Value, R Ring[V]](ring R, a, b *CSR[V], opt *OptionsG[V]) (*CSR[V], error) {
 	return spgemm.MultiplyRing(ring, a, b, opt)
 }

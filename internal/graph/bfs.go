@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/matrix"
 	"repro/internal/semiring"
@@ -16,24 +18,21 @@ type BFSResult struct {
 }
 
 // MSBFS runs breadth-first search from all sources simultaneously by
-// repeated SpGEMM of the graph with a tall-skinny frontier matrix over the
-// boolean or-and semiring — the paper's Section 5.5 use case ("the
-// left-hand-side matrix represents the graph and the right-hand-side matrix
-// represents the stack of frontiers, each column representing one BFS
-// frontier").
-//
-// The sweep runs natively over CSRG[bool] with the monomorphized OrAndBool
-// ring: frontier values are 1-byte booleans rather than 8-byte floats, which
-// cuts the value-stream bandwidth of every product by 8×, and the or-and
-// fold compiles to direct boolean ops. opt carries the algorithm/worker
-// selection; its Mask and Context fields are ignored (a float64 Context
-// cannot serve a bool product — MSBFS keeps its own).
+// repeated SpGEMM of the graph with a tall-skinny frontier matrix, the
+// paper's Section 5.5 use case. The frontiers are bit-packed (Then et al.,
+// "The More the Merrier", PVLDB 8(4), 2014): source j is bit j%64 of column
+// j/64 of an n × ⌈k/64⌉ CSRG[uint64], so one OrAndU64 product advances up to
+// 64 sources. Aᵀ holds all-ones words on the graph's pattern (a stored zero
+// is an edge). Each level filters the product in place (fresh = next &^
+// visited), records the fresh bits' levels and keeps the non-zero fresh
+// words, in order, as the next frontier. opt carries the algorithm, workers
+// and Stats (the last level's); its Mask and Context are ignored: MSBFS keeps
+// its own uint64 Context, which spent frontiers are recycled into.
 func MSBFS(g *matrix.CSR, sources []int32, opt *spgemm.Options) (*BFSResult, error) {
 	if g.Rows != g.Cols {
 		return nil, fmt.Errorf("graph: adjacency must be square, got %dx%d", g.Rows, g.Cols)
 	}
-	n := g.Rows
-	k := len(sources)
+	n, k, words := g.Rows, len(sources), (len(sources)+63)/64
 	for _, s := range sources {
 		if s < 0 || int(s) >= n {
 			return nil, fmt.Errorf("graph: source %d out of range [0,%d)", s, n)
@@ -42,61 +41,61 @@ func MSBFS(g *matrix.CSR, sources []int32, opt *spgemm.Options) (*BFSResult, err
 	if opt == nil {
 		opt = &spgemm.Options{Algorithm: spgemm.AlgHash}
 	}
-	inner := spgemm.OptionsG[bool]{
-		Algorithm: opt.Algorithm,
-		Workers:   opt.Workers,
-		UseCase:   spgemm.UseTallSkinny,
-		Stats:     opt.Stats,
-		// One reusable context across the frontier sweeps.
-		Context: spgemm.NewContextG[bool](),
-	}
+	inner := spgemm.OptionsG[uint64]{Algorithm: opt.Algorithm, Workers: opt.Workers,
+		UseCase: spgemm.UseTallSkinny, Stats: opt.Stats, Context: spgemm.NewContextG[uint64]()}
+	// The frontier advances along edges u→v, so the next frontier is Aᵀ·F.
+	at := matrix.TransposePattern(g, ^uint64(0))
 
-	// The frontier advances along edges u→v for each edge (u,v); with the
-	// frontier stored as an n×k matrix F, the next frontier is Aᵀ·F. Build
-	// the (boolean pattern of the) transpose once.
-	at := matrix.MapValues(g.Transpose(), func(v float64) bool { return v != 0 })
-
-	res := &BFSResult{Sources: append([]int32(nil), sources...)}
-	res.Level = make([][]int32, n)
+	// Level rows are capped windows of one flat array: appending to one
+	// reallocates it rather than overwriting the next vertex's levels.
+	res := &BFSResult{Sources: append([]int32(nil), sources...), Level: make([][]int32, n)}
+	level := slices.Repeat([]int32{-1}, n*k)
 	for v := range res.Level {
-		row := make([]int32, k)
-		for j := range row {
-			row[j] = -1
-		}
-		res.Level[v] = row
+		res.Level[v] = level[v*k : (v+1)*k : (v+1)*k]
 	}
+	visited := make([]uint64, n*words)
 
-	// Initial frontier: F[s][j] = true for source j.
-	frontier := matrix.NewCOOG[bool](n, k)
+	// Depth 0's "product" stores every (vertex, word) with the sources that
+	// start there; the filter turns it into the first frontier.
+	next := &matrix.CSRG[uint64]{Rows: n, Cols: words, RowPtr: make([]int64, n+1),
+		ColIdx: make([]int32, n*words), Val: make([]uint64, n*words), Sorted: true}
+	for p := range next.ColIdx {
+		next.ColIdx[p] = int32(p % words)
+		next.RowPtr[p/words+1] = int64(p + 1)
+	}
 	for j, s := range sources {
-		frontier.Append(s, int32(j), true)
-		res.Level[s][j] = 0
+		next.Val[int(s)*words+j/64] |= 1 << (j % 64)
 	}
-	f := frontier.ToCSR()
-
-	for depth := int32(1); f.NNZ() > 0; depth++ {
-		next, err := spgemm.MultiplyRing(semiring.OrAndBool{}, at, f, &inner)
-		if err != nil {
-			return nil, err
-		}
-		bfsIters.Inc()
-		bfsNNZ.Add(next.NNZ())
-		// Mask out already-visited (vertex, source) pairs and record
-		// levels for the fresh ones.
-		nf := matrix.NewCOOG[bool](n, k)
+	for depth := int32(0); ; depth++ {
+		var out int64
 		for v := 0; v < n; v++ {
-			cols, _ := next.Row(v)
-			for _, j := range cols {
-				if res.Level[v][j] < 0 {
-					res.Level[v][j] = depth
-					nf.Append(int32(v), j, true)
+			lo, hi := next.RowPtr[v], next.RowPtr[v+1]
+			next.RowPtr[v] = out
+			for p := lo; p < hi; p++ {
+				w := int(next.ColIdx[p])
+				if fresh := next.Val[p] &^ visited[v*words+w]; fresh != 0 {
+					visited[v*words+w] |= fresh
+					for b := fresh; b != 0; b &= b - 1 {
+						level[v*k+w*64+bits.TrailingZeros64(b)] = depth
+					}
+					next.ColIdx[out], next.Val[out] = int32(w), fresh
+					out++
 				}
 			}
 		}
-		f = nf.ToCSR()
+		next.RowPtr[n], next.ColIdx, next.Val = out, next.ColIdx[:out], next.Val[:out]
+		if out == 0 {
+			return res, nil
+		}
+		c, err := spgemm.MultiplyRing(semiring.OrAndU64{}, at, next, &inner)
+		if err != nil {
+			return nil, err
+		}
 		inner.Context.Recycle(next)
+		next = c
+		bfsIters.Inc()
+		bfsNNZ.Add(c.NNZ())
 	}
-	return res, nil
 }
 
 // Reached returns how many (vertex, source) pairs were reached.

@@ -245,25 +245,78 @@ func TestMSBFSMultipleSourcesAndUnreachable(t *testing.T) {
 	}
 }
 
+// TestMSBFSMatchesSequentialBFS checks every source's levels against a queue
+// BFS on a directed and a symmetrized graph, under every kernel MSBFS can be
+// forced onto, at source counts on both sides of the 64-bit word boundaries
+// (no word at 0, a partial last word at 1, 63, 65 and 130). The sources repeat
+// a vertex and include one with no out-edges, and every fifth stored edge
+// holds an explicit 0, which is still an edge.
 func TestMSBFSMatchesSequentialBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
-	g := gen.RMAT(7, 4, gen.G500Params, rng)
-	// Symmetrize for an undirected graph.
-	coo := matrix.FromCSR(g)
+	directed := gen.RMAT(7, 4, gen.G500Params, rng)
+	coo := matrix.FromCSR(directed)
 	coo.Symmetrize()
-	a := coo.ToCSR()
-	sources := []int32{0, 5, 17}
-	res, err := MSBFS(a, sources, &spgemm.Options{Algorithm: spgemm.AlgHash, Workers: 2})
+	for gi, a := range []*matrix.CSR{directed, coo.ToCSR()} {
+		for p := 0; p < len(a.Val); p += 5 {
+			a.Val[p] = 0
+		}
+		sink := int32(-1)
+		for v := 0; v < a.Rows && sink < 0; v++ {
+			if a.RowNNZ(v) == 0 {
+				sink = int32(v)
+			}
+		}
+		if sink < 0 {
+			t.Fatalf("graph %d: every vertex has out-edges", gi)
+		}
+		for _, k := range []int{0, 1, 63, 64, 65, 130} {
+			sources := make([]int32, k)
+			for j := range sources {
+				sources[j] = int32(rng.Intn(a.Rows))
+			}
+			if k >= 3 {
+				sources[1], sources[k-1] = sources[0], sink
+			}
+			want := make([][]int32, k)
+			for j, s := range sources {
+				want[j] = sequentialBFS(a, s)
+			}
+			for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHeap, spgemm.AlgTiled, spgemm.AlgAuto} {
+				res, err := MSBFS(a, sources, &spgemm.Options{Algorithm: alg, Workers: 2})
+				if err != nil {
+					t.Fatalf("graph %d k=%d %v: %v", gi, k, alg, err)
+				}
+				if len(res.Level) != a.Rows {
+					t.Fatalf("graph %d k=%d %v: %d level rows, want %d", gi, k, alg, len(res.Level), a.Rows)
+				}
+				for v, row := range res.Level {
+					if len(row) != k {
+						t.Fatalf("graph %d k=%d %v: vertex %d has %d levels", gi, k, alg, v, len(row))
+					}
+					for j, l := range row {
+						if l != want[j][v] {
+							t.Fatalf("graph %d k=%d %v: source %d (vertex %d) at vertex %d: level %d, want %d",
+								gi, k, alg, j, sources[j], v, l, want[j][v])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMSBFSLevelRowsAreCapped: Level's rows are windows of one flat array,
+// each capped at its own length, so appending to one row copies it rather
+// than writing over the next vertex's levels.
+func TestMSBFSLevelRowsAreCapped(t *testing.T) {
+	a := adjacency(3, [][2]int32{{0, 1}, {1, 2}})
+	res, err := MSBFS(a, []int32{0, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j, s := range sources {
-		want := sequentialBFS(a, s)
-		for v := 0; v < a.Rows; v++ {
-			if res.Level[v][j] != want[v] {
-				t.Fatalf("source %d vertex %d: level %d, want %d", s, v, res.Level[v][j], want[v])
-			}
-		}
+	_ = append(res.Level[0], 99, 99)
+	if want := [][]int32{{0, 2}, {1, 1}, {2, 0}}; !reflect.DeepEqual(res.Level, want) {
+		t.Fatalf("after appending to Level[0]: levels %v, want %v", res.Level, want)
 	}
 }
 

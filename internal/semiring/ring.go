@@ -5,8 +5,10 @@
 // triangle counting, Markov clustering — are SpGEMM over other semirings
 // (boolean or-and, tropical min-plus). Ring[V] is the constraint-style
 // interface the generic kernels are parameterized over, and the concrete
-// rings below are zero-size types whose Add/Mul/Zero methods inline into the
-// kernel inner loops.
+// rings below are zero-size types. The generic kernels reach their Add/Mul
+// through the instantiation's dictionary: a call per product, not inlined
+// code (spgemm/ringfast.go hand-monomorphizes the float64 plus-times loops
+// for that reason).
 package semiring
 
 import "math"
@@ -22,9 +24,8 @@ type Value interface {
 }
 
 // Ring is a semiring over V presented as a (usually zero-size) value type.
-// Kernels take R as a type parameter constrained by Ring[V], so Add and Mul
-// are resolved at compile time and inline — no func-pointer call per
-// multiply-add, which is the entire point of this layer.
+// Kernels take R as a type parameter constrained by Ring[V], so the ring is
+// a type chosen at compile time, never a func value a caller passes in.
 //
 // Zero is the additive identity: Add(x, Zero()) == x for all stored x.
 // Kernels must not assume Zero() is the machine zero of V (MinPlusF64 has
@@ -37,15 +38,18 @@ type Ring[V any] interface {
 }
 
 // Every concrete ring below embeds a zero-size array of a uniquely named
-// zero-size type. This gives each ring a DISTINCT underlying type, which
-// keeps Go's GC-shape stenciling from collapsing them into one shared
-// dictionary-based instantiation: each kernel×ring pair compiles separately
-// and the ring methods devirtualize and inline.
+// zero-size type. This gives each ring a DISTINCT underlying type, so Go's
+// GC-shape stenciling compiles each kernel×ring pair as its own
+// instantiation (go.shape.struct{[0]tag…}) rather than one shared by every
+// zero-size ring. Inside that instantiation Add and Mul are still called
+// through its dictionary, not inlined: `go build -gcflags=-m=2` reports them
+// inlined only into the autogenerated wrappers the dictionary points at.
 type (
 	tagPlusTimesF64 struct{}
 	tagPlusTimesF32 struct{}
 	tagPlusTimesI64 struct{}
 	tagOrAndBool    struct{}
+	tagOrAndU64     struct{}
 	tagMinPlusF64   struct{}
 	tagMaxTimesF64  struct{}
 )
@@ -86,6 +90,17 @@ func (OrAndBool) Add(a, b bool) bool { return a || b }
 func (OrAndBool) Mul(a, b bool) bool { return a && b }
 func (OrAndBool) Zero() bool         { return false }
 func (OrAndBool) String() string     { return "or-and<bool>" }
+
+// OrAndU64 is the boolean semiring on each of the 64 bits of a word at
+// once: Add is |, Mul is &, Zero is 0. Multi-source BFS packs 64 sources
+// into one word per vertex, so one product advances all of them. A product
+// of disjoint words is 0 == Zero(), and the entry it lands on still exists.
+type OrAndU64 struct{ _ [0]tagOrAndU64 }
+
+func (OrAndU64) Add(a, b uint64) uint64 { return a | b }
+func (OrAndU64) Mul(a, b uint64) uint64 { return a & b }
+func (OrAndU64) Zero() uint64           { return 0 }
+func (OrAndU64) String() string         { return "or-and<u64>" }
 
 // MinPlusF64 is the tropical semiring (shortest paths): Add is min, Mul is +,
 // and the additive identity is +Inf. The non-machine-zero identity makes it

@@ -40,6 +40,29 @@ func TestOrAndTruthTable(t *testing.T) {
 	}
 }
 
+// TestOrAndU64Table pins the word ring bit-wise: the all-ones word is the Mul
+// identity, Add is idempotent, and Zero is the Add identity that absorbs Mul.
+func TestOrAndU64Table(t *testing.T) {
+	s := OrAndU64{}
+	for _, x := range []uint64{0, 1, 1 << 63, 0x9E3779B97F4A7C15, ^uint64(0)} {
+		if got := s.Mul(x, ^uint64(0)); got != x {
+			t.Errorf("Mul(%#x, ^0) = %#x", x, got)
+		}
+		if got := s.Add(x, x); got != x {
+			t.Errorf("Add(%#x, %#x) = %#x, want idempotent", x, x, got)
+		}
+		if got := s.Add(x, s.Zero()); got != x {
+			t.Errorf("Add(%#x, Zero) = %#x", x, got)
+		}
+		if got := s.Mul(x, s.Zero()); got != s.Zero() {
+			t.Errorf("Mul(%#x, Zero) = %#x, want Zero to absorb", x, got)
+		}
+	}
+	if s.Add(0xF0, 0x0F) != 0xFF || s.Mul(0xF0, 0x3C) != 0x30 {
+		t.Fatal("or-and<u64> ops wrong")
+	}
+}
+
 func TestMinPlusIdentityAndOps(t *testing.T) {
 	s := MinPlusF64{}
 	if !math.IsInf(s.Zero(), 1) {
@@ -91,6 +114,9 @@ func TestSemiringLaws(t *testing.T) {
 	checkLaws(t, "plus-times<f32>", PlusTimesF32{}, func(n int) float32 { return float32(n) })
 	checkLaws(t, "plus-times<i64>", PlusTimesI64{}, func(n int) int64 { return int64(n) })
 	checkLaws(t, "or-and<bool>", OrAndBool{}, func(n int) bool { return n%2 == 1 })
+	// Full-width words: small n times the golden-ratio constant sets bits
+	// across all 64 positions, the top one included.
+	checkLaws(t, "or-and<u64>", OrAndU64{}, func(n int) uint64 { return uint64(n) * 0x9E3779B97F4A7C15 })
 	checkLaws(t, "min-plus<f64>", MinPlusF64{}, f64)
 	checkLaws(t, "max-times<f64>", MaxTimesF64{}, f64)
 }

@@ -13,8 +13,10 @@ import (
 // FuzzMultiplyDifferential is the native fuzz entry: the fuzzer drives the
 // shape, density, sortedness and algorithm choice, the harness builds the
 // matrices deterministically from the seed and cross-checks against the
-// oracle. With masked set, the product instead runs the masked leg (AlgHash
-// and AlgAuto under every mask shape of masksFor). Run with
+// oracle, over float64 plus-times and over the OrAndU64 word ring (AsU64
+// views, whose products are mostly 0 and must still be stored). With masked
+// set, both instead run the masked leg (AlgHash and AlgAuto under every mask
+// shape of masksFor). Run with
 //
 //	go test -fuzz=FuzzMultiplyDifferential ./internal/spgemm/difftest
 //
@@ -47,11 +49,17 @@ func FuzzMultiplyDifferential(f *testing.F) {
 			if err := CheckRingMasked("fuzz", semiring.PlusTimesF64{}, a, b, unsortedOut, workers, nil, ApproxF64); err != nil {
 				t.Fatal(err)
 			}
+			if err := CheckRingMasked("fuzz/u64", semiring.OrAndU64{}, AsU64(a), AsU64(b), unsortedOut, workers, nil, ExactEq); err != nil {
+				t.Fatal(err)
+			}
 			return
 		}
 		alg := Algorithms[int(algPick)%len(Algorithms)]
 		c := Case{Name: "fuzz", A: a, B: b}
 		if err := Check(c, alg, unsortedOut, workers); err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckRing("fuzz/u64", semiring.OrAndU64{}, AsU64(a), AsU64(b), alg, unsortedOut, workers, ExactEq); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -10,6 +10,9 @@ import (
 	"repro/internal/spgemm"
 )
 
+// poisonU64 is the donated-array sentinel for AsU64 inputs (see AsU64).
+const poisonU64 uint64 = 1 << 1
+
 // kernels are the five concrete algorithms; AlgAuto resolves to one of them.
 var kernels = []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgHeap, spgemm.AlgTiled, spgemm.AlgSharded}
 
@@ -17,12 +20,13 @@ var kernels = []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgHe
 // the special-value cases: every kernel (Tiled under tiny tiles, so its
 // stitched heavy units run; Sharded cut finer than one stripe per worker) and
 // the masked Hash, sorted and unsorted, serial and parallel, one-shot and
-// through one Context reused across the whole sweep — then the bool and int64
-// rings, whose sentinels are a value their products never hold (every or-and
-// product of the suite is true) and the smallest integer.
+// through one Context reused across the whole sweep — then the bool, int64
+// and uint64 rings, whose sentinels are a value their products never hold
+// (every or-and product of the suite is true, the smallest integer, and
+// poisonU64's bit, which no AsU64 word has).
 func TestDifferentialRecycled(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
-	ctx, ctxBool, ctxI64 := spgemm.NewContext(), spgemm.NewContextG[bool](), spgemm.NewContextG[int64]()
+	ctx, ctxBool, ctxI64, ctxU64 := spgemm.NewContext(), spgemm.NewContextG[bool](), spgemm.NewContextG[int64](), spgemm.NewContextG[uint64]()
 	for _, c := range append(Cases(rng), SpecialValueCases(rng)...) {
 		masks := masksFor(c.A, matrix.NaiveMultiply(c.A, c.B))
 		for _, unsorted := range []bool{false, true} {
@@ -35,6 +39,9 @@ func TestDifferentialRecycled(t *testing.T) {
 						t.Error(err)
 					}
 					if err := CheckRecycled(c.Name+"/i64", semiring.PlusTimesI64{}, AsI64(c.A), AsI64(c.B), alg, unsorted, workers, nil, ctxI64, math.MinInt64); err != nil {
+						t.Error(err)
+					}
+					if err := CheckRecycled(c.Name+"/u64", semiring.OrAndU64{}, AsU64(c.A), AsU64(c.B), alg, unsorted, workers, nil, ctxU64, poisonU64); err != nil {
 						t.Error(err)
 					}
 				}

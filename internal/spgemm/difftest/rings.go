@@ -260,6 +260,21 @@ func AsBool(m *matrix.CSR) *matrix.CSRG[bool] {
 	return matrix.MapValues(m, func(v float64) bool { return v != 0 })
 }
 
+// u64Bits are the word positions AsU64 draws from: both ends of the word and
+// both sides of its 32-bit halves.
+var u64Bits = [4]uint{0, 31, 32, 63}
+
+// AsU64 converts to one-bit words for OrAndU64, the bit drawn from u64Bits by
+// a hash of the value: two words share their bit a quarter of the time, so
+// most & products are 0 == Zero() and the entries they land on must still
+// exist — the min-plus hazard in bit form. No product or sum of these words
+// holds bit 1, so a word with bit 1 set is a sentinel no kernel writes.
+func AsU64(m *matrix.CSR) *matrix.CSRG[uint64] {
+	return matrix.MapValues(m, func(v float64) uint64 {
+		return 1 << u64Bits[math.Float64bits(v)*0x9E3779B97F4A7C15>>62]
+	})
+}
+
 // AsI64 converts to small integer weights (round toward a [-3,3] range, so
 // products and sums stay far from overflow while zeros still occur).
 func AsI64(m *matrix.CSR) *matrix.CSRG[int64] {

@@ -3,6 +3,7 @@ package difftest
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -20,10 +21,10 @@ func TestDifferentialRings(t *testing.T) {
 	// The masked leg runs one-shot and, inside the same check, through one
 	// Context per value type reused across the whole suite.
 	ctxF64, ctxF32 := spgemm.NewContextG[float64](), spgemm.NewContextG[float32]()
-	ctxBool, ctxI64 := spgemm.NewContextG[bool](), spgemm.NewContextG[int64]()
+	ctxBool, ctxI64, ctxU64 := spgemm.NewContextG[bool](), spgemm.NewContextG[int64](), spgemm.NewContextG[uint64]()
 	for _, c := range Cases(rng) {
 		for _, unsorted := range []bool{false, true} {
-			if err := checkMaskedRings(c, unsorted, ctxF64, ctxF32, ctxBool, ctxI64); err != nil {
+			if err := checkMaskedRings(c, unsorted, ctxF64, ctxF32, ctxBool, ctxI64, ctxU64); err != nil {
 				t.Error(err)
 			}
 		}
@@ -43,6 +44,9 @@ func TestDifferentialRings(t *testing.T) {
 				if err := CheckRing(c.Name+"/i64", semiring.PlusTimesI64{}, AsI64(c.A), AsI64(c.B), alg, unsorted, 3, ExactEq); err != nil {
 					t.Error(err)
 				}
+				if err := CheckRing(c.Name+"/u64", semiring.OrAndU64{}, AsU64(c.A), AsU64(c.B), alg, unsorted, 3, ExactEq); err != nil {
+					t.Error(err)
+				}
 				if err := CheckRing(c.Name+"/minplus", semiring.MinPlusF64{}, AsMinPlus(c.A), AsMinPlus(c.B), alg, unsorted, 3, ApproxF64); err != nil {
 					t.Error(err)
 				}
@@ -54,14 +58,15 @@ func TestDifferentialRings(t *testing.T) {
 	}
 }
 
-// checkMaskedRings runs the masked leg of c over the six ring instantiations
-// TestDifferentialRings covers.
-func checkMaskedRings(c Case, unsorted bool, f64 *spgemm.ContextG[float64], f32 *spgemm.ContextG[float32], bl *spgemm.ContextG[bool], i64 *spgemm.ContextG[int64]) error {
+// checkMaskedRings runs the masked leg of c over the seven ring
+// instantiations TestDifferentialRings covers.
+func checkMaskedRings(c Case, unsorted bool, f64 *spgemm.ContextG[float64], f32 *spgemm.ContextG[float32], bl *spgemm.ContextG[bool], i64 *spgemm.ContextG[int64], u64 *spgemm.ContextG[uint64]) error {
 	return errors.Join(
 		CheckRingMasked(c.Name+"/f64", semiring.PlusTimesF64{}, c.A, c.B, unsorted, 3, f64, ApproxF64),
 		CheckRingMasked(c.Name+"/f32", semiring.PlusTimesF32{}, AsF32(c.A), AsF32(c.B), unsorted, 3, f32, ApproxF32),
 		CheckRingMasked(c.Name+"/bool", semiring.OrAndBool{}, AsBool(c.A), AsBool(c.B), unsorted, 3, bl, ExactEq),
 		CheckRingMasked(c.Name+"/i64", semiring.PlusTimesI64{}, AsI64(c.A), AsI64(c.B), unsorted, 3, i64, ExactEq),
+		CheckRingMasked(c.Name+"/u64", semiring.OrAndU64{}, AsU64(c.A), AsU64(c.B), unsorted, 3, u64, ExactEq),
 		CheckRingMasked(c.Name+"/minplus", semiring.MinPlusF64{}, AsMinPlus(c.A), AsMinPlus(c.B), unsorted, 3, f64, ApproxF64),
 		CheckRingMasked(c.Name+"/maxtimes", semiring.MaxTimesF64{}, c.A, c.B, unsorted, 3, f64, ApproxF64),
 	)
@@ -71,7 +76,7 @@ func checkMaskedRings(c Case, unsorted bool, f64 *spgemm.ContextG[float64], f32 
 // sweep over a float64 frontier. It reads only the pattern of each product —
 // an entry exists iff a product landed on it, whatever the ring — so the
 // default plus-times ring stands in for the historical float or-and. Kept
-// here as the oracle for the bool re-plumb of graph.MSBFS.
+// here as the oracle for the bit-packed graph.MSBFS.
 func legacyMSBFS(g *matrix.CSR, sources []int32, alg spgemm.Algorithm) ([][]int32, error) {
 	n := g.Rows
 	k := len(sources)
@@ -111,10 +116,12 @@ func legacyMSBFS(g *matrix.CSR, sources []int32, alg spgemm.Algorithm) ([][]int3
 	return level, nil
 }
 
-// TestMSBFSBoolMatchesLegacyFloat is the MSBFS-equivalence acceptance test:
-// the bool-ring MSBFS must produce exactly the levels of the historical
-// float64 or-and implementation on the same graph and sources.
-func TestMSBFSBoolMatchesLegacyFloat(t *testing.T) {
+// TestMSBFSMatchesLegacyFloat: the bit-packed MSBFS must produce exactly the
+// levels of the historical float64 implementation on the same graph and
+// sources, under every kernel it can be forced onto, at source counts on both
+// sides of the 64-bit word boundaries. The sources repeat a vertex and end on
+// one with no out-edges, and a stored explicit 0 is an edge on both sides.
+func TestMSBFSMatchesLegacyFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(2718))
 	for _, build := range []struct {
 		name string
@@ -123,22 +130,33 @@ func TestMSBFSBoolMatchesLegacyFloat(t *testing.T) {
 		{"er", gen.ER(8, 6, rng)},
 		{"g500", gen.RMAT(8, 10, gen.G500Params, rng)},
 	} {
-		sources := []int32{0, 3, 17, 63}
-		for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec} {
-			got, err := graph.MSBFS(build.g, sources, &spgemm.Options{Algorithm: alg})
-			if err != nil {
-				t.Fatalf("%s/%v MSBFS: %v", build.name, alg, err)
+		g := build.g
+		for p := 0; p < len(g.Val); p += 7 {
+			g.Val[p] = 0
+		}
+		sink := int32(0)
+		for g.RowNNZ(int(sink)) > 0 {
+			sink++
+		}
+		for _, k := range []int{0, 1, 63, 64, 65, 130} {
+			sources := make([]int32, k)
+			for j := range sources {
+				sources[j] = int32(rng.Intn(g.Rows))
 			}
-			want, err := legacyMSBFS(build.g, sources, alg)
-			if err != nil {
-				t.Fatalf("%s/%v legacy MSBFS: %v", build.name, alg, err)
+			if k >= 3 {
+				sources[1], sources[k-1] = sources[0], sink
 			}
-			for v := range want {
-				for j := range want[v] {
-					if got.Level[v][j] != want[v][j] {
-						t.Fatalf("%s/%v: Level[%d][%d]=%d, want %d",
-							build.name, alg, v, j, got.Level[v][j], want[v][j])
-					}
+			want, err := legacyMSBFS(g, sources, spgemm.AlgHash)
+			if err != nil {
+				t.Fatalf("%s k=%d legacy MSBFS: %v", build.name, k, err)
+			}
+			for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHeap, spgemm.AlgTiled, spgemm.AlgAuto} {
+				got, err := graph.MSBFS(g, sources, &spgemm.Options{Algorithm: alg, Workers: 3})
+				if err != nil {
+					t.Fatalf("%s k=%d %v MSBFS: %v", build.name, k, alg, err)
+				}
+				if !reflect.DeepEqual(got.Level, want) {
+					t.Fatalf("%s k=%d %v: levels differ from the legacy float64 sweep", build.name, k, alg)
 				}
 			}
 		}
