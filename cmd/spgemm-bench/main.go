@@ -8,7 +8,6 @@
 //	spgemm-bench -exp fig11
 //	spgemm-bench -exp all -preset quick -csv
 //	spgemm-bench -breakdown -preset tiny
-//	spgemm-bench -snapshot BENCH_spgemm.json
 //
 // Presets: tiny (seconds, CI-sized), quick (default, minutes), full
 // (paper-scale inputs; hours and tens of GiB for the largest proxies).
@@ -34,7 +33,6 @@ func main() {
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned columns")
 		list      = flag.Bool("list", false, "list experiments and exit")
 		brk       = flag.Bool("breakdown", false, "print the per-phase ExecStats breakdown (shortcut for -exp fig8)")
-		snap      = flag.String("snapshot", "", "run the reuse experiment and write a JSON snapshot to this path")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
@@ -64,8 +62,8 @@ func main() {
 		}
 		return
 	}
-	if *exp == "" && *snap == "" {
-		fmt.Fprintln(os.Stderr, "spgemm-bench: -exp is required (or -list, -snapshot); try -exp all")
+	if *exp == "" {
+		fmt.Fprintln(os.Stderr, "spgemm-bench: -exp is required (or -list); try -exp all")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -75,21 +73,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := bench.Config{Preset: p, Workers: *workers, Seed: *seed, Reps: *reps, CSV: *csv}
-	if *snap != "" {
-		s, err := bench.ReuseSnapshot(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spgemm-bench:", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteSnapshot(*snap, s); err != nil {
-			fmt.Fprintln(os.Stderr, "spgemm-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *snap)
-		if *exp == "" {
-			return
-		}
-	}
 	bench.Environment(os.Stdout)
 	if err := bench.Run(*exp, cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "spgemm-bench:", err)

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	spgemm-serve -addr :8080 -contexts 8 -queue 128
-//	spgemm-serve -addr :8080 -slow-threshold 250ms -baseline BENCH_spgemm.json
+//	spgemm-serve -addr :8080 -slow-threshold 250ms -sentry
 //
 // Endpoints:
 //
@@ -54,11 +54,7 @@ func main() {
 		slowRing = flag.Int("slow-ring", 0, "slow-request ring capacity (0 = default)")
 		slowProf = flag.Duration("slow-profile", 0, "CPU profile window captured when a slow request lands (0 disables; served at /debug/requests/profile)")
 
-		baseline      = flag.String("baseline", "", "BENCH_spgemm.json to baseline the perf sentry against (empty disables the sentry)")
-		sentryRatio   = flag.Float64("sentry-ratio", 0, "tolerated live-vs-baseline slowdown before degrading (0 = default)")
-		sentryEvery   = flag.Duration("sentry-interval", 0, "perf sentry check cadence (0 = default)")
-		sentrySustain = flag.Int("sentry-sustain", 0, "consecutive failing checks before /healthz degrades (0 = default)")
-		sentryMinObs  = flag.Int64("sentry-min-samples", 0, "per-algorithm observations before the sentry judges it (0 = default)")
+		sentry = flag.Bool("sentry", false, "arm the perf sentry: /healthz degrades while an algorithm runs 4x under its own peak flop/s")
 
 		drainPath = flag.String("drain", "", "dump the request rings as JSON to this path on shutdown (\"-\" = stderr)")
 	)
@@ -91,21 +87,8 @@ func main() {
 		SlowRing:       *slowRing,
 		SlowProfileDur: *slowProf,
 
-		SentryRatio:      *sentryRatio,
-		SentryInterval:   *sentryEvery,
-		SentrySustain:    *sentrySustain,
-		SentryMinSamples: *sentryMinObs,
+		Sentry: *sentry,
 	}
-	if *baseline != "" {
-		base, err := server.LoadSentryBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spgemm-serve: %v\n", err)
-			os.Exit(1)
-		}
-		cfg.SentryBaseline = base
-		log.Info("perf sentry armed", "baseline", *baseline, "algorithms", len(base))
-	}
-
 	s := server.New(cfg)
 	defer s.Close()
 
@@ -120,7 +103,7 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "spgemm-serve: listening on http://%s\n", ln.Addr())
 	log.Info("serving", "addr", ln.Addr().String(),
-		"requestRing", *reqRing, "slowThreshold", (*slowThr).String(), "logLevel", obs.LogLevel().String())
+		"requestRing", *reqRing, "slowThreshold", (*slowThr).String(), "sentry", *sentry, "logLevel", obs.LogLevel().String())
 
 	err = server.Serve(ctx, ln, s.Handler(), *grace)
 

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"math"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -65,21 +63,33 @@ func TestRegistryCompleteAndUnique(t *testing.T) {
 	}
 }
 
-func TestReuseSnapshot(t *testing.T) {
+// TestReuseRows measures the reuse, skewed and outofcore experiments at the
+// Tiny preset and checks the rows they tabulate.
+func TestReuseRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	s, err := ReuseSnapshot(Config{Preset: Tiny})
+	cfg := Config{Preset: Tiny}
+	scale, _, rows, err := measureReuse(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _, skewed, err := measureSkewed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ooc, err := measureOutOfCore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = append(append(rows, skewed...), ooc.Rows...)
 	// 6 reuse rows (2 algs × 3 variants) + 4 skewed G500 rows + 2 outofcore
 	// rows (hash baseline and sharded-spill).
-	if s.Experiment != "reuse" || s.Scale != 8 || len(s.Results) != 12 {
-		t.Fatalf("unexpected snapshot: %+v", s)
+	if scale != 8 || len(rows) != 12 {
+		t.Fatalf("scale %d, %d rows: %+v", scale, len(rows), rows)
 	}
 	var skewedRows, oocRows int
-	for _, r := range s.Results {
+	for _, r := range rows {
 		if r.Variant == "g500-s8" {
 			skewedRows++
 		}
@@ -96,7 +106,7 @@ func TestReuseSnapshot(t *testing.T) {
 	if oocRows != 2 {
 		t.Fatalf("want 2 outofcore rows, got %d", oocRows)
 	}
-	for _, r := range s.Results {
+	for _, r := range rows {
 		if r.NsPerOp <= 0 || r.MFLOPS <= 0 {
 			t.Fatalf("degenerate measurement: %+v", r)
 		}
@@ -106,28 +116,13 @@ func TestReuseSnapshot(t *testing.T) {
 	// process-wide MemStats.Mallocs delta that goroutine stacks and GC
 	// bookkeeping land in, so that comparison gets a handful of slack.
 	byVariant := map[string]uint64{}
-	for _, r := range s.Results {
+	for _, r := range rows {
 		if r.Alg == "hash" {
 			byVariant[r.Variant] = r.Allocs
 		}
 	}
 	if byVariant["context"] >= byVariant["oneshot"] || byVariant["plan"] > byVariant["context"]+max(4, byVariant["context"]/4) {
 		t.Fatalf("allocs not monotone: %v", byVariant)
-	}
-	path := t.TempDir() + "/snap.json"
-	if err := WriteSnapshot(path, s); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Snapshot
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Experiment != s.Experiment || len(back.Results) != len(s.Results) {
-		t.Fatalf("round-trip mismatch: %+v", back)
 	}
 }
 

@@ -92,7 +92,7 @@ func measureOutOfCore(cfg Config) (*outOfCoreResult, error) {
 	}
 
 	// The live-bytes gauge is process-wide; other experiments in the same
-	// process (snapshot runs) have already grown scratch, so the budget is
+	// process (-exp all, the tests) have already grown scratch, so the budget is
 	// asserted on the growth this experiment causes, not the absolute level.
 	// In the standalone CI smoke the baseline is zero and they coincide.
 	live0 := mempool.LiveBytes()

@@ -35,15 +35,15 @@ import (
 
 // reuseVariant names one measured configuration.
 type reuseVariant struct {
-	Alg     string  `json:"alg"`
-	Variant string  `json:"variant"`
-	NsPerOp int64   `json:"ns_per_op"`
-	MFLOPS  float64 `json:"mflops"`
-	Allocs  uint64  `json:"allocs_per_op"`
-	Bytes   uint64  `json:"bytes_per_op"`
+	Alg     string
+	Variant string
+	NsPerOp int64
+	MFLOPS  float64
+	Allocs  uint64
+	Bytes   uint64
 	// Resolved records the algorithm AlgAuto dispatched to (empty for
 	// explicit algorithms). The skewed-preset gate asserts on it.
-	Resolved string `json:"resolved,omitempty"`
+	Resolved string
 }
 
 // timedAllocs runs f iters times and returns per-iteration wall time, heap

@@ -18,7 +18,7 @@ import (
 // cache-resident accumulator and both the hash kernel's probe cost and its
 // per-row load imbalance blow up. Each algorithm runs Context-reused (the
 // iterative-workload configuration the reuse experiment motivates), and
-// AlgAuto runs last with its resolved pick recorded, so the snapshot gate
+// AlgAuto runs last with its resolved pick recorded, so the experiment's gate
 // can assert both that the tiled kernel wins here and that the recipe
 // actually routes this regime to it.
 

@@ -85,10 +85,10 @@ func Multiply(a, b *matrix.CSR, opt *Options) (*matrix.CSR, error) {
 }
 
 // MultiplyRing computes C = A·B over an arbitrary value type and semiring.
-// Each shipped zero-size ring (semiring.PlusTimesF64, PlusTimesF32,
-// OrAndBool, OrAndU64, MinPlusF64, ...) gets its own kernel instantiation,
-// which calls the ring's Add and Mul once per product; only float64
-// plus-times has hand-inlined hash and tiled loops. See spgemm.MultiplyRing.
+// Each value type gets its own kernel instantiation (the three float64 rings
+// share one), which calls the ring's Add and Mul once per product through
+// its dictionary; only float64 plus-times has hand-inlined hash and tiled
+// loops. See spgemm.MultiplyRing.
 func MultiplyRing[V semiring.Value, R Ring[V]](ring R, a, b *CSR[V], opt *OptionsG[V]) (*CSR[V], error) {
 	return spgemm.MultiplyRing(ring, a, b, opt)
 }

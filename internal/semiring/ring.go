@@ -5,7 +5,9 @@
 // triangle counting, Markov clustering — are SpGEMM over other semirings
 // (boolean or-and, tropical min-plus). Ring[V] is the constraint-style
 // interface the generic kernels are parameterized over, and the concrete
-// rings below are zero-size types. The generic kernels reach their Add/Mul
+// rings below are empty structs. Go's GC-shape stenciling compiles one kernel
+// instantiation per shape of V, so the three float64 rings share one and
+// the other value types get one each. The generic kernels reach their Add/Mul
 // through the instantiation's dictionary: a call per product, not inlined
 // code (spgemm/ringfast.go hand-monomorphizes the float64 plus-times loops
 // for that reason).
@@ -23,7 +25,7 @@ type Value interface {
 	bool | int | int32 | int64 | uint32 | uint64 | float32 | float64
 }
 
-// Ring is a semiring over V presented as a (usually zero-size) value type.
+// Ring is a semiring over V presented as a value type, usually an empty struct.
 // Kernels take R as a type parameter constrained by Ring[V], so the ring is
 // a type chosen at compile time, never a func value a caller passes in.
 //
@@ -37,26 +39,9 @@ type Ring[V any] interface {
 	Zero() V
 }
 
-// Every concrete ring below embeds a zero-size array of a uniquely named
-// zero-size type. This gives each ring a DISTINCT underlying type, so Go's
-// GC-shape stenciling compiles each kernel×ring pair as its own
-// instantiation (go.shape.struct{[0]tag…}) rather than one shared by every
-// zero-size ring. Inside that instantiation Add and Mul are still called
-// through its dictionary, not inlined: `go build -gcflags=-m=2` reports them
-// inlined only into the autogenerated wrappers the dictionary points at.
-type (
-	tagPlusTimesF64 struct{}
-	tagPlusTimesF32 struct{}
-	tagPlusTimesI64 struct{}
-	tagOrAndBool    struct{}
-	tagOrAndU64     struct{}
-	tagMinPlusF64   struct{}
-	tagMaxTimesF64  struct{}
-)
-
 // PlusTimesF64 is ordinary float64 arithmetic — the semiring of numerical
 // linear algebra and the default instantiation of every kernel.
-type PlusTimesF64 struct{ _ [0]tagPlusTimesF64 }
+type PlusTimesF64 struct{}
 
 func (PlusTimesF64) Add(a, b float64) float64 { return a + b }
 func (PlusTimesF64) Mul(a, b float64) float64 { return a * b }
@@ -65,7 +50,7 @@ func (PlusTimesF64) String() string           { return "plus-times<f64>" }
 
 // PlusTimesF32 is ordinary float32 arithmetic. Halves the value-stream
 // bandwidth of the numeric phase relative to float64.
-type PlusTimesF32 struct{ _ [0]tagPlusTimesF32 }
+type PlusTimesF32 struct{}
 
 func (PlusTimesF32) Add(a, b float32) float32 { return a + b }
 func (PlusTimesF32) Mul(a, b float32) float32 { return a * b }
@@ -74,7 +59,7 @@ func (PlusTimesF32) String() string           { return "plus-times<f32>" }
 
 // PlusTimesI64 is integer plus-times; exact counting (triangle counting,
 // path counting) with no rounding concerns.
-type PlusTimesI64 struct{ _ [0]tagPlusTimesI64 }
+type PlusTimesI64 struct{}
 
 func (PlusTimesI64) Add(a, b int64) int64 { return a + b }
 func (PlusTimesI64) Mul(a, b int64) int64 { return a * b }
@@ -84,7 +69,7 @@ func (PlusTimesI64) String() string       { return "plus-times<i64>" }
 // OrAndBool is the boolean semiring over real bools: one byte per stored
 // value instead of the eight the legacy 0/1-in-float64 encoding pays.
 // Reachability-style algorithms (multi-source BFS) run over this ring.
-type OrAndBool struct{ _ [0]tagOrAndBool }
+type OrAndBool struct{}
 
 func (OrAndBool) Add(a, b bool) bool { return a || b }
 func (OrAndBool) Mul(a, b bool) bool { return a && b }
@@ -95,7 +80,7 @@ func (OrAndBool) String() string     { return "or-and<bool>" }
 // once: Add is |, Mul is &, Zero is 0. Multi-source BFS packs 64 sources
 // into one word per vertex, so one product advances all of them. A product
 // of disjoint words is 0 == Zero(), and the entry it lands on still exists.
-type OrAndU64 struct{ _ [0]tagOrAndU64 }
+type OrAndU64 struct{}
 
 func (OrAndU64) Add(a, b uint64) uint64 { return a | b }
 func (OrAndU64) Mul(a, b uint64) uint64 { return a & b }
@@ -106,7 +91,7 @@ func (OrAndU64) String() string         { return "or-and<u64>" }
 // and the additive identity is +Inf. The non-machine-zero identity makes it
 // the canonical stress test for kernels that confuse "value is Zero" with
 // "entry absent".
-type MinPlusF64 struct{ _ [0]tagMinPlusF64 }
+type MinPlusF64 struct{}
 
 func (MinPlusF64) Add(a, b float64) float64 {
 	// Branch rather than math.Min: no NaN/±0 special-casing, so it inlines.
@@ -121,7 +106,7 @@ func (MinPlusF64) String() string           { return "min-plus<f64>" }
 
 // MaxTimesF64 selects the strongest product path: Add is max, Mul is ×,
 // identity 0 (for non-negative weights).
-type MaxTimesF64 struct{ _ [0]tagMaxTimesF64 }
+type MaxTimesF64 struct{}
 
 func (MaxTimesF64) Add(a, b float64) float64 {
 	if a > b {

@@ -171,7 +171,7 @@ func (s *Server) finish(ctx context.Context, w http.ResponseWriter, rec *record)
 		}
 		requestSecondsByAlg[rec.stats.Algorithm].Observe(rec.elapsed().Seconds())
 		if s.sentry != nil {
-			s.sentry.Observe(rec.stats.Algorithm.String(), flop, rec.stats.Total)
+			s.sentry.observe(rec.stats.Algorithm.String(), flop, rec.stats.Total)
 		}
 	}
 

@@ -1,82 +1,58 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// SentryConfig tunes the perf sentry: the background watchdog that compares
-// the server's live per-algorithm throughput against the machine's own
-// recorded baseline and degrades /healthz when the gap is sustained. The
-// paper's own method — trust per-kernel measurement, not assumptions — turned
-// into a production control loop: BENCH_spgemm.json says what this machine
-// can do; the sentry says when the serving process stops doing it (GC
-// thrash, noisy neighbor, a regression shipped in a kernel).
-type SentryConfig struct {
-	// Baseline maps algorithm name → expected throughput in flop/s,
-	// typically from LoadSentryBaseline(BENCH_spgemm.json). Algorithms
-	// without a baseline are never judged.
-	Baseline map[string]float64
-	// Ratio is the tolerated slowdown: the sentry flags an algorithm when
-	// its live EWMA throughput drops below Baseline/Ratio. Default 4 —
-	// serving overhead, small operands and contended contexts legitimately
-	// cost a few x against an offline single-threaded bench; a sustained 4x
-	// regression is pathological. Must be >= 1.
-	Ratio float64
-	// Interval is the check cadence. Default 5s.
-	Interval time.Duration
-	// Sustain is how many consecutive failing checks flip the state to
-	// degraded (and how many passing checks flip it back) — one slow
-	// interval is noise, Sustain of them is a condition. Default 2.
-	Sustain int
-	// MinSamples is the per-algorithm observation count before the sentry
-	// judges it at all. Default 20.
-	MinSamples int64
-	// alpha is the EWMA smoothing factor (tests only; default 0.2).
+// sentryConfig tunes the perf sentry: the background watchdog that compares
+// each algorithm's live throughput with the best this process has sustained
+// for it and degrades /healthz when the gap is sustained. The paper's own
+// method — trust what the kernels measure on the machine that runs them —
+// turned into a production control loop: the peak says what this process
+// can do, the live EWMA says when it stops doing it (GC thrash, a noisy
+// neighbour, a regression in a kernel), and no recorded file from another
+// host sits between the two.
+type sentryConfig struct {
+	// ratio is the tolerated slowdown: an algorithm fails a check when its
+	// live EWMA throughput is below peak/ratio. A sustained 4x drop from what
+	// the same process has already done is pathological, not load.
+	ratio float64
+	// interval is the check cadence.
+	interval time.Duration
+	// sustain is how many consecutive failing checks flip the state to
+	// degraded (and how many passing checks flip it back): one slow interval
+	// is noise, sustain of them is a condition.
+	sustain int
+	// minSamples is the per-algorithm observation count before its EWMA
+	// counts towards its peak; until then the algorithm is never judged.
+	minSamples int64
+	// alpha is the EWMA smoothing factor.
 	alpha float64
 }
 
-func (c SentryConfig) withDefaults() SentryConfig {
-	if c.Ratio < 1 {
-		c.Ratio = 4
-	}
-	if c.Interval <= 0 {
-		c.Interval = 5 * time.Second
-	}
-	if c.Sustain < 1 {
-		c.Sustain = 2
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 20
-	}
-	if c.alpha <= 0 || c.alpha > 1 {
-		c.alpha = 0.2
-	}
-	return c
-}
+// defaultSentry is the tuning Config.Sentry arms; tests build their own.
+var defaultSentry = sentryConfig{ratio: 4, interval: 5 * time.Second, sustain: 2, minSamples: 20, alpha: 0.2}
 
-// AlgHealth is one algorithm's live-vs-baseline standing in the sentry's
-// report (part of the /healthz body while degraded).
+// AlgHealth is one algorithm's live-vs-peak standing in the sentry's report
+// (part of the /healthz body while degraded).
 type AlgHealth struct {
 	Alg       string  `json:"alg"`
 	LiveFlops float64 `json:"liveFlops"`
-	Baseline  float64 `json:"baselineFlops"`
-	Ratio     float64 `json:"slowdown"` // baseline / live
+	Baseline  float64 `json:"baselineFlops"` // the peak EWMA this process reached
+	Ratio     float64 `json:"slowdown"`      // baseline / live
 	Samples   int64   `json:"samples"`
 	Failing   bool    `json:"failing"`
 }
 
-// Sentry maintains per-algorithm flop/s EWMAs fed from each request's
-// ExecStats and a background check loop that compares them to the baseline.
-// Observe is called from request handlers (mutex-guarded, ~ns against
+// sentry maintains per-algorithm flop/s EWMAs, and their peaks, fed from
+// each request's ExecStats, and a background check loop that compares the
+// two. observe is called from request handlers (mutex-guarded, ~ns against
 // ms-scale requests); the loop goroutine owns the health state machine.
-type Sentry struct {
-	cfg SentryConfig
+type sentry struct {
+	cfg sentryConfig
 
 	mu   sync.Mutex
 	live map[string]*ewma
@@ -87,29 +63,30 @@ type Sentry struct {
 	streak   int         // consecutive checks agreeing against current state
 	since    time.Time   // when the current state was entered
 
-	stop chan struct{}
-	done chan struct{}
+	haltOnce sync.Once
+	stop     chan struct{}
+	done     chan struct{}
 }
 
 type ewma struct {
 	value   float64
+	peak    float64 // highest value once samples >= minSamples
 	samples int64
 }
 
-// NewSentry returns a sentry; Start launches its check loop.
-func NewSentry(cfg SentryConfig) *Sentry {
-	return &Sentry{
-		cfg:  cfg.withDefaults(),
+func newSentry(cfg sentryConfig) *sentry {
+	return &sentry{
+		cfg:  cfg,
 		live: make(map[string]*ewma),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
 }
 
-// Observe feeds one completed multiply: flop of work done in kernelTime
+// observe feeds one completed multiply: flop of work done in kernelTime
 // (ExecStats.Total — kernel wall time, not end-to-end latency, so queue
 // waits under load do not masquerade as kernel regressions).
-func (s *Sentry) Observe(alg string, flop int64, kernelTime time.Duration) {
+func (s *sentry) observe(alg string, flop int64, kernelTime time.Duration) {
 	if flop <= 0 || kernelTime <= 0 {
 		return
 	}
@@ -122,14 +99,17 @@ func (s *Sentry) Observe(alg string, flop int64, kernelTime time.Duration) {
 	}
 	e.value += s.cfg.alpha * (tput - e.value)
 	e.samples++
+	if e.samples >= s.cfg.minSamples && e.value > e.peak {
+		e.peak = e.value
+	}
 	s.mu.Unlock()
 }
 
-// Start launches the check loop; Stop ends it.
-func (s *Sentry) Start() {
+// start launches the check loop; halt ends it.
+func (s *sentry) start() {
 	go func() {
 		defer close(s.done)
-		t := time.NewTicker(s.cfg.Interval)
+		t := time.NewTicker(s.cfg.interval)
 		defer t.Stop()
 		for {
 			select {
@@ -142,42 +122,35 @@ func (s *Sentry) Start() {
 	}()
 }
 
-// Stop terminates the check loop and waits for it to exit.
-func (s *Sentry) Stop() {
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-	}
+// halt terminates the check loop and waits for it to exit.
+func (s *sentry) halt() {
+	s.haltOnce.Do(func() { close(s.stop) })
 	<-s.done
 }
 
-// check is one control-loop step: evaluate every baselined algorithm, then
-// advance the sustained-state machine.
-func (s *Sentry) check() {
+// check is one control-loop step: judge every algorithm that has a peak,
+// then advance the sustained-state machine.
+func (s *sentry) check() {
 	var failing []AlgHealth
 	s.mu.Lock()
-	for alg, base := range s.cfg.Baseline {
-		e := s.live[alg]
-		if e == nil || e.samples < s.cfg.MinSamples || base <= 0 {
+	for alg, e := range s.live {
+		if e.peak <= 0 {
 			continue
 		}
-		h := AlgHealth{
-			Alg: alg, LiveFlops: e.value, Baseline: base,
-			Ratio: base / e.value, Samples: e.samples,
-			Failing: e.value < base/s.cfg.Ratio,
-		}
-		if h.Failing {
-			failing = append(failing, h)
+		if e.value < e.peak/s.cfg.ratio {
+			failing = append(failing, AlgHealth{
+				Alg: alg, LiveFlops: e.value, Baseline: e.peak,
+				Ratio: e.peak / e.value, Samples: e.samples, Failing: true,
+			})
 		}
 	}
 	s.mu.Unlock()
 	s.advance(len(failing) > 0, failing)
 }
 
-// advance runs the hysteresis: Sustain consecutive checks disagreeing with
+// advance runs the hysteresis: sustain consecutive checks disagreeing with
 // the current state flip it, anything else only moves the streak.
-func (s *Sentry) advance(bad bool, failing []AlgHealth) {
+func (s *sentry) advance(bad bool, failing []AlgHealth) {
 	s.stateMu.Lock()
 	if bad == s.degraded {
 		s.streak = 0
@@ -188,7 +161,7 @@ func (s *Sentry) advance(bad bool, failing []AlgHealth) {
 		return
 	}
 	s.streak++
-	if s.streak < s.cfg.Sustain {
+	if s.streak < s.cfg.sustain {
 		s.stateMu.Unlock()
 		return
 	}
@@ -213,43 +186,10 @@ func (s *Sentry) advance(bad bool, failing []AlgHealth) {
 	}
 }
 
-// State returns the current health state and, while degraded, the failing
+// state returns the current health state and, while degraded, the failing
 // algorithms from the most recent check.
-func (s *Sentry) State() (degraded bool, failing []AlgHealth, since time.Time) {
+func (s *sentry) state() (degraded bool, failing []AlgHealth, since time.Time) {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	return s.degraded, append([]AlgHealth(nil), s.failing...), s.since
-}
-
-// LoadSentryBaseline extracts per-algorithm throughput baselines (flop/s)
-// from a BENCH_spgemm.json snapshot written by spgemm-bench: for every
-// algorithm it takes the best mflops across recorded variants (oneshot /
-// context / plan) — the machine's demonstrated capability for that kernel.
-// The snapshot's mflops is the paper's metric, 2·flop per microsecond (a
-// multiply and an add per product, bench.mflops); Observe is fed ExecStats'
-// flop, one per product, so a row of M mflops is a baseline of M·1e6/2.
-func LoadSentryBaseline(path string) (map[string]float64, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var snap struct {
-		Results []struct {
-			Alg    string  `json:"alg"`
-			Mflops float64 `json:"mflops"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
-	}
-	base := make(map[string]float64)
-	for _, r := range snap.Results {
-		if f := r.Mflops * 1e6 / 2; f > base[r.Alg] {
-			base[r.Alg] = f
-		}
-	}
-	if len(base) == 0 {
-		return nil, fmt.Errorf("%s: no per-algorithm results to baseline against", path)
-	}
-	return base, nil
 }

@@ -88,15 +88,10 @@ type Config struct {
 	// profile is served at /debug/requests/profile).
 	SlowProfileDur time.Duration
 
-	// SentryBaseline enables the perf sentry: algorithm name → expected
-	// flop/s (see LoadSentryBaseline). Empty disables the sentry.
-	SentryBaseline map[string]float64
-	// SentryRatio / SentryInterval / SentrySustain / SentryMinSamples tune
-	// the sentry; zero values take SentryConfig defaults.
-	SentryRatio      float64
-	SentryInterval   time.Duration
-	SentrySustain    int
-	SentryMinSamples int64
+	// Sentry arms the perf sentry: /healthz answers 503 while an
+	// algorithm's live flop/s stays under a quarter of the peak this process
+	// has sustained for it (sentry.go). Off by default.
+	Sentry bool
 }
 
 func (c Config) withDefaults() Config {
@@ -134,7 +129,7 @@ type Server struct {
 	plans  *PlanCache
 	pool   *ContextPool
 	reqobs *requestObs // nil = request tracing disabled
-	sentry *Sentry     // nil = perf sentry disabled
+	sentry *sentry     // nil = perf sentry disabled
 	mux    *http.ServeMux
 }
 
@@ -147,15 +142,9 @@ func New(cfg Config) *Server {
 	s.store = NewStore(cfg.MaxStoreBytes, s.plans.InvalidateMatrix)
 	s.pool = NewContextPool(cfg.Contexts, cfg.QueueDepth)
 	s.reqobs = newRequestObs(cfg)
-	if len(cfg.SentryBaseline) > 0 {
-		s.sentry = NewSentry(SentryConfig{
-			Baseline:   cfg.SentryBaseline,
-			Ratio:      cfg.SentryRatio,
-			Interval:   cfg.SentryInterval,
-			Sustain:    cfg.SentrySustain,
-			MinSamples: cfg.SentryMinSamples,
-		})
-		s.sentry.Start()
+	if cfg.Sentry {
+		s.sentry = newSentry(defaultSentry)
+		s.sentry.start()
 	}
 
 	mux := http.NewServeMux()
@@ -178,7 +167,7 @@ func New(cfg Config) *Server {
 // not touch in-flight HTTP requests — Serve's drain does that.
 func (s *Server) Close() {
 	if s.sentry != nil {
-		s.sentry.Stop()
+		s.sentry.halt()
 	}
 }
 
@@ -187,9 +176,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Store exposes the matrix intern table (tests and the serve CLI preload).
 func (s *Server) Store() *Store { return s.store }
-
-// Sentry exposes the perf sentry, nil when disabled (tests and /healthz).
-func (s *Server) Sentry() *Sentry { return s.sentry }
 
 // handleHealthz reports liveness — and, when the perf sentry holds the
 // process degraded, says so with 503 and the failing algorithms, so load
@@ -207,7 +193,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body := healthz{Status: "ok", Contexts: s.pool.Size(), Matrices: s.store.Len(), Plans: s.plans.Len(), PlanBytes: s.plans.Bytes()}
 	code := http.StatusOK
 	if s.sentry != nil {
-		if degraded, failing, since := s.sentry.State(); degraded {
+		if degraded, failing, since := s.sentry.state(); degraded {
 			body.Status = "degraded"
 			body.Degraded = failing
 			body.Since = since.UTC().Format(time.RFC3339)

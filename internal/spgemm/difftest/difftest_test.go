@@ -157,10 +157,11 @@ func TestInvariantsRejectsBadOutputs(t *testing.T) {
 // TestDifferentialContextReuse drives every algorithm over the whole suite
 // through ONE shared Context per algorithm: cached accumulators and
 // bookkeeping grown by one case must never corrupt the next (including the
-// degenerate 0×0 and empty-row shapes).
+// degenerate 0×0 and empty-row shapes, and the -0, ±Inf and NaN cases, whose
+// values must come through a warm Context bit-identical to a fresh call).
 func TestDifferentialContextReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	cases := Cases(rng)
+	cases := append(Cases(rng), SpecialValueCases(rng)...)
 	for _, alg := range Algorithms {
 		ctx := spgemm.NewContext()
 		for _, c := range cases {

@@ -77,7 +77,7 @@ type Plan struct {
 // under churn builds one per request) would pay a second pass over the
 // products for nothing. A plan gets one iff it is not AlgHeap's — the merge
 // heap folds equal columns in pop order, not product order — and the map's
-// bytes do not exceed ShardedAutoBytes, the recipe's "too big to hold whole".
+// bytes do not exceed shardedAutoBytes, the recipe's "too big to hold whole".
 type replayMap struct {
 	cols    []int32
 	offsets []int      // flop-balanced row partition over the plan's workers
@@ -120,7 +120,7 @@ func NewPlan(a, b *matrix.CSR, opt *Options) (*Plan, error) {
 	pt.finish()
 	p.in = in.clone()
 	p.valid = true
-	if n := 4 * (rangeFlop(p.in.flopRow, 0, a.Rows) + p.NNZ()); alg != AlgHeap && n <= ShardedAutoBytes() {
+	if n := 4 * (rangeFlop(p.in.flopRow, 0, a.Rows) + p.NNZ()); alg != AlgHeap && n <= shardedAutoBytes.Load() {
 		p.mapBytes = n
 	}
 	mPlanBuilds.Inc()

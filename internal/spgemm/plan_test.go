@@ -229,7 +229,7 @@ func TestPlanConcurrentExecuteIn(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.noMap {
-				defer SetShardedAutoBytes(SetShardedAutoBytes(1))
+				defer shardedAutoBytes.Store(shardedAutoBytes.Swap(1))
 			}
 			plan, err := NewPlan(a, b, &tc.opt)
 			if err != nil {
@@ -477,7 +477,7 @@ func TestPlanReplayMapBuiltOnce(t *testing.T) {
 	}
 }
 
-// TestPlanReplayMapBound: a plan whose map would exceed ShardedAutoBytes —
+// TestPlanReplayMapBound: a plan whose map would exceed shardedAutoBytes —
 // lowered here to one byte under it — never builds one, keeps replaying
 // through its kernel, and does not count the map in Bytes.
 func TestPlanReplayMapBound(t *testing.T) {
@@ -491,7 +491,7 @@ func TestPlanReplayMapBound(t *testing.T) {
 	if within.mapBytes == 0 || within.Bytes() <= within.mapBytes {
 		t.Fatalf("plan within the bound: mapBytes %d of Bytes %d", within.mapBytes, within.Bytes())
 	}
-	defer SetShardedAutoBytes(SetShardedAutoBytes(within.mapBytes - 1))
+	defer shardedAutoBytes.Store(shardedAutoBytes.Swap(within.mapBytes - 1))
 	over, err := NewPlan(a, a, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -36,18 +36,11 @@ func (u UseCase) String() string {
 // which the recipe overrides Table 4 with AlgSharded: products this large
 // are past the regime the paper's per-thread recipe was tuned on, and the
 // stripe-wise engine bounds peak memory where the monolithic pipeline
-// cannot. Atomic so tests adjusting it stay race-clean.
+// cannot. No caller sets it; it is atomic only so the tests that Swap it
+// stay race-clean. A threshold <= 0 disables the routing.
 var shardedAutoBytes atomic.Int64
 
 func init() { shardedAutoBytes.Store(1 << 31) } // 2 GiB of output entries
-
-// SetShardedAutoBytes replaces the output-size threshold routing AlgAuto to
-// AlgSharded and returns the previous value. A threshold <= 0 disables the
-// routing.
-func SetShardedAutoBytes(n int64) int64 { return shardedAutoBytes.Swap(n) }
-
-// ShardedAutoBytes returns the current threshold.
-func ShardedAutoBytes() int64 { return shardedAutoBytes.Load() }
 
 // shardedRecommended estimates the output size in bytes — flop over the
 // sampled compression ratio, times the per-entry cost — and fires when it

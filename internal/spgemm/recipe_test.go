@@ -329,8 +329,8 @@ func TestShardedRecommendedPreCheck(t *testing.T) {
 	if !(out < flop*per && flop*per < bound/4) {
 		t.Fatalf("fixture: output %d, flop bytes %d, bound %d do not separate", out, flop*per, bound)
 	}
-	prev := ShardedAutoBytes()
-	defer SetShardedAutoBytes(prev)
+	prev := shardedAutoBytes.Load()
+	defer shardedAutoBytes.Store(prev)
 	for _, c := range []struct {
 		limit int64
 		want  bool
@@ -344,7 +344,7 @@ func TestShardedRecommendedPreCheck(t *testing.T) {
 		{out, true, "at the estimate"},
 		{1, true, "any output"},
 	} {
-		SetShardedAutoBytes(c.limit)
+		shardedAutoBytes.Store(c.limit)
 		if got := shardedRecommended(a, b); got != c.want {
 			t.Errorf("limit %d (%s): shardedRecommended = %v, want %v", c.limit, c.side, got, c.want)
 		}

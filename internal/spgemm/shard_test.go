@@ -371,8 +371,8 @@ func TestShardedAutoRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	a := gen.RMAT(8, 8, gen.G500Params, rng)
 	b := gen.RMAT(8, 8, gen.G500Params, rng)
-	prev := SetShardedAutoBytes(1) // any nonzero output crosses it
-	defer SetShardedAutoBytes(prev)
+	prev := shardedAutoBytes.Swap(1) // any nonzero output crosses it
+	defer shardedAutoBytes.Store(prev)
 	if alg := Recommend(a, b, true, UseSquare); alg != AlgSharded {
 		t.Errorf("tiny threshold: Recommend = %v, want sharded", alg)
 	}
@@ -383,11 +383,11 @@ func TestShardedAutoRouting(t *testing.T) {
 	if st.Algorithm != AlgSharded {
 		t.Errorf("auto multiply ran %v, want sharded", st.Algorithm)
 	}
-	SetShardedAutoBytes(1 << 60)
+	shardedAutoBytes.Store(1 << 60)
 	if alg := Recommend(a, b, true, UseSquare); alg == AlgSharded {
 		t.Error("huge threshold still routed to sharded")
 	}
-	SetShardedAutoBytes(0)
+	shardedAutoBytes.Store(0)
 	if alg := Recommend(a, b, true, UseSquare); alg == AlgSharded {
 		t.Error("disabled threshold still routed to sharded")
 	}
