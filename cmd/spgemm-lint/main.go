@@ -144,6 +144,8 @@ var requiredInlines = []compilerfb.RequiredInline{
 	// A Plan's streamed replay is nothing but these two calls per product.
 	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Mul", Func: "planReplayRowsF64"},
 	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Add", Func: "planReplayRowsF64"},
+	// The one-pass route scales each copied B row with nothing but this call.
+	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Mul", Func: "onePassRowF64"},
 }
 
 // budgetSection is one compiler report of the budget: which packages to

@@ -3,6 +3,7 @@ package accum
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -52,6 +53,23 @@ func TestStampSetAgainstMap(t *testing.T) {
 				}
 				if got := s.CountNew(batch); got != fresh {
 					t.Fatalf("round %d: CountNew(%v) = %d, want %d", round, batch, got, fresh)
+				}
+				continue
+			}
+			if op%3 == 1 {
+				// CopyNew stops at the first member, the batch's own repeat included.
+				batch := []int32{col, int32(rng.Intn(n)), int32(rng.Intn(n)), col}
+				dst := make([]int32, len(batch))
+				added := len(batch)
+				for y, c := range batch {
+					if want[c] {
+						added = y
+						break
+					}
+					want[c] = true
+				}
+				if got := s.CopyNew(dst, batch); got != added || !slices.Equal(dst[:added], batch[:added]) {
+					t.Fatalf("round %d: CopyNew(%v) = %d copying %v, want %d", round, batch, got, dst[:got], added)
 				}
 				continue
 			}

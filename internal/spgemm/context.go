@@ -220,6 +220,27 @@ func drawOutput[T any](slot *[]T, n int64) []T {
 	return make([]T, n)
 }
 
+// drawUpTo is drawOutput for a product that learns its size as it writes, n
+// at most: it takes a donation of any size and outgrows a short one (regrow).
+func drawUpTo[T any](slot *[]T, n int64) []T {
+	if have := int64(cap(*slot)); have > 0 {
+		n = min(n, have)
+	}
+	return drawOutput(slot, n)
+}
+
+// regrow returns s if it holds n entries, else a fresh array of n holding
+// s[:keep], and hands s, a donation drawUpTo emptied slot of, back to slot.
+func regrow[T any](slot *[]T, s []T, keep, n int64) []T {
+	if int64(len(s)) >= n {
+		return s
+	}
+	grown := drawOutput(slot, n)
+	copy(grown, s[:keep])
+	*slot = s
+	return grown
+}
+
 // rowPtrBuf returns the row-pointer array of a product with the given number
 // of rows (contents undefined), the product's own from here on.
 func (c *ContextG[V]) rowPtrBuf(rows int) []int64 {

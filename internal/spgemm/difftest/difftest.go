@@ -152,6 +152,27 @@ func Cases(rng *rand.Rand) []Case {
 		Case{Name: "wide-hypersparse", A: randomCSR(rng, 16, 16, 24), B: randomCSR(rng, 16, 1<<14, 40)},
 	)
 
+	// The one-pass route: an unsorted Hash product in one stripe whose flop
+	// bounds its output within 5 %. Row k of B holds columns k, k+1, k+2
+	// (mod n), shuffled, and A permutes B's rows, so rows repeat no column —
+	// but rows 5 and n-1 also take the next row of B, which repeats two
+	// columns of the B row already written: a partial write, then the table
+	// redo. Row n-1 is last, where an output of exactly nnz(C) entries has
+	// room for its 4 entries but not its 6 products (CheckRecycled's exact
+	// donation), and one of nnz(C)-1 has to grow (the small one).
+	n := 64
+	onePassA, onePassB := matrix.NewCOO(n, n), matrix.NewCOO(n, n)
+	for i, p := range rng.Perm(n) {
+		onePassA.Append(int32(i), int32(p), rng.NormFloat64())
+		if i == 5 || i == n-1 {
+			onePassA.Append(int32(i), int32((p+1)%n), rng.NormFloat64())
+		}
+		for d := 0; d < 3; d++ {
+			onePassB.Append(int32(i), int32((i+d)%n), rng.NormFloat64())
+		}
+	}
+	cases = append(cases, Case{Name: "one-pass-redo", A: onePassA.ToCSR(), B: gen.Unsorted(onePassB.ToCSR(), rng)})
+
 	return cases
 }
 

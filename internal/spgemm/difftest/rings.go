@@ -88,6 +88,34 @@ func CheckRing[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a,
 	return nil
 }
 
+// CheckOnePass is the one-pass route's leg: the unsorted one-worker Hash
+// product of a·b, which takes the route when its flop bounds its output
+// tightly, must be bit-identical to what the two-phase stripe loop writes
+// (AlgSharded cut into one stripe runs it) and match the ring oracle via
+// EquivalentRing. With mustRoute the product must also have taken the route,
+// which spends nothing on symbolic.
+func CheckOnePass[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a, b *matrix.CSRG[V], mustRoute bool, close func(x, y V) bool) error {
+	var st spgemm.ExecStats
+	got, err := spgemm.MultiplyRing(ring, a, b, &spgemm.OptionsG[V]{Algorithm: spgemm.AlgHash, Unsorted: true, Workers: 1, Stats: &st})
+	if err == nil && mustRoute && st.Phases[spgemm.PhaseSymbolic] != 0 {
+		err = fmt.Errorf("ran a symbolic pass (%v), want the one-pass route", st.Phases[spgemm.PhaseSymbolic])
+	}
+	if err == nil {
+		var twoPhase *matrix.CSRG[V]
+		twoPhase, err = spgemm.MultiplyRing(ring, a, b, &spgemm.OptionsG[V]{Algorithm: spgemm.AlgSharded, ShardStripes: 1, Unsorted: true, Workers: 1})
+		if err == nil {
+			err = identical(got, twoPhase)
+		}
+	}
+	if err == nil {
+		err = EquivalentRing(got, matrix.NaiveMultiplyRing(ring, a, b), close)
+	}
+	if err != nil {
+		return fmt.Errorf("%s/one-pass: %w", caseName, err)
+	}
+	return nil
+}
+
 // The masked leg. Options.Mask restricts the output to the mask's pattern,
 // so the oracle is the unmasked oracle result with the entries outside the
 // pattern removed — and nothing else: an entry inside it survives even when

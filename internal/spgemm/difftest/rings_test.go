@@ -58,6 +58,28 @@ func TestDifferentialRings(t *testing.T) {
 	}
 }
 
+// TestDifferentialOnePass runs the one-pass leg (CheckOnePass) over the whole
+// suite on the seven ring instantiations TestDifferentialRings covers, whose
+// three workers keep every product off the one-worker route. The
+// one-pass-redo case has to take the route on each of them.
+func TestDifferentialOnePass(t *testing.T) {
+	rng := rand.New(rand.NewSource(1235))
+	for _, c := range Cases(rng) {
+		must := c.Name == "one-pass-redo"
+		if err := errors.Join(
+			CheckOnePass(c.Name+"/f64", semiring.PlusTimesF64{}, c.A, c.B, must, ApproxF64),
+			CheckOnePass(c.Name+"/f32", semiring.PlusTimesF32{}, AsF32(c.A), AsF32(c.B), must, ApproxF32),
+			CheckOnePass(c.Name+"/bool", semiring.OrAndBool{}, AsBool(c.A), AsBool(c.B), must, ExactEq),
+			CheckOnePass(c.Name+"/i64", semiring.PlusTimesI64{}, AsI64(c.A), AsI64(c.B), must, ExactEq),
+			CheckOnePass(c.Name+"/u64", semiring.OrAndU64{}, AsU64(c.A), AsU64(c.B), must, ExactEq),
+			CheckOnePass(c.Name+"/minplus", semiring.MinPlusF64{}, AsMinPlus(c.A), AsMinPlus(c.B), must, ApproxF64),
+			CheckOnePass(c.Name+"/maxtimes", semiring.MaxTimesF64{}, c.A, c.B, must, ApproxF64),
+		); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // checkMaskedRings runs the masked leg of c over the seven ring
 // instantiations TestDifferentialRings covers.
 func checkMaskedRings(c Case, unsorted bool, f64 *spgemm.ContextG[float64], f32 *spgemm.ContextG[float32], bl *spgemm.ContextG[bool], i64 *spgemm.ContextG[int64], u64 *spgemm.ContextG[uint64]) error {

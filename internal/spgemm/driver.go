@@ -17,8 +17,10 @@ import (
 // one-phase geometry (heap.go): one-shot, its inspection ends at the
 // partition and execute sizes the output by producing it; for a Plan the
 // same symbolic pass fixes the row pointers, so a replay differs from the
-// two-phase kernels' only in its row function. A product under an output mask
-// is that geometry's second row function, bounded by its mask rows.
+// two-phase kernels' only in its row function. Its other two row functions
+// are a product under an output mask, bounded by its mask rows, and the
+// one-pass route: an unsorted Hash product in one stripe at compression
+// ratio about 1, whose flop already bounds its output.
 //
 // The geometry is data: a flop-balanced cut of the rows into stripes
 // (Figure 6). Each half runs one loop over the stripes, a stripe's rows going
@@ -71,7 +73,8 @@ type inspection[V semiring.Value] struct {
 
 	// The output mask of a masked product (AlgHash, never a Plan), which runs
 	// the one-phase geometry with maskedRow as its row function (heap.go).
-	mask *matrix.CSRG[V]
+	mask    *matrix.CSRG[V]
+	onePass bool // the one-pass route (inspect): onePassRow's geometry
 
 	// Tiled with heavy rows: the column split of B (a one-shot product's
 	// only; a Plan's clone drops it and every execution splits B afresh into
@@ -87,8 +90,12 @@ type inspection[V semiring.Value] struct {
 }
 
 // onePhase reports whether a row is bounded before it is computed — by its
-// flop for Heap's merge, by its mask row under a mask (onePhaseExecute).
-func (in *inspection[V]) onePhase() bool { return in.alg == AlgHeap || in.mask != nil }
+// flop (Heap, the one-pass route) or its mask row (onePhaseExecute).
+func (in *inspection[V]) onePhase() bool { return in.alg == AlgHeap || in.mask != nil || in.onePass }
+
+// onePassMaxCR is the sampled compression ratio up to which the one-pass
+// route's flop-sized output overshoots nnz(C) by at most 5 %.
+const onePassMaxCR = 1.05
 
 // stripes is the number of row stripes the product is cut into.
 func (in *inspection[V]) stripes() int { return len(in.offsets) - 1 }
@@ -138,6 +145,12 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 		stripes = opt.shardStripes(in.flopRow, workers)
 	}
 	in.offsets = ctx.partition(in.lightFlop, stripes, workers)
+	// The one-pass route: an unsorted one-shot Hash product in one stripe,
+	// whose running offset is its row pointer, on stamps by rowCounter's rule
+	// (Cols <= flop) and at a ratio the recipe's sample, run on ctx's
+	// worker-0 counter, reads as about 1.
+	in.onePass = !forPlan && opt.Unsorted && alg == AlgHash && in.mask == nil && in.stripes() == 1 &&
+		int64(b.Cols) <= rangeFlop(in.flopRow, 0, a.Rows) && ctx.compressionRatio(a, b, recipeSampleRows) <= onePassMaxCR
 	pt.tick(PhasePartition)
 	if in.onePhase() && !forPlan {
 		return in, pt

@@ -60,9 +60,11 @@ type WorkerStats struct {
 	// accumulator (each corresponds to one intermediate product or one
 	// symbolic insert). Products the whole-row hash kernel handles without
 	// its table are counted by StampMarks and DirectFlop instead: for an
-	// unmasked AlgHash, HashLookups + StampMarks + DirectFlop == 2·Flop.
-	// A Plan's streamed replay touches no accumulator at all: there
-	// ReplayFlop == Flop and the three are zero.
+	// unmasked AlgHash, HashLookups + StampMarks + DirectFlop == 2·Flop
+	// (two-phase products only: the one-pass route writes every product
+	// once, DirectFlop + HashLookups == Flop). A Plan's streamed replay
+	// touches no accumulator at all: there ReplayFlop == Flop and the
+	// three are zero.
 	HashLookups int64
 	// HashProbes counts collision probe steps beyond the first slot/chunk;
 	// HashProbes/HashLookups is the mean collision factor of the paper's
@@ -75,10 +77,10 @@ type WorkerStats struct {
 	// the level-2 table of its two-level accumulator.
 	L2Overflows int64
 	// StampMarks counts symbolic products tested against generation stamps
-	// rather than inserted into a hash table.
+	// rather than inserted into a hash table (one-pass: before the verdict).
 	StampMarks int64
 	// DirectFlop counts numeric products written straight to the output by
-	// concatenation, in rows symbolic proved free of repeated columns.
+	// concatenation, in rows the stamps proved free of repeated columns.
 	DirectFlop int64
 	// ReplayFlop counts numeric products a Plan streamed through its replay
 	// map (plan.go) instead of running its kernel.

@@ -27,10 +27,13 @@ import (
 //     ExtractUnsorted. Rows with a repeated column and every sorted request
 //     keep the table.
 //
-// A product under an output mask (Options.Mask, AlgHash only) runs neither:
-// its mask row bounds row i of (A·B).*M, so it is the one-phase geometry's
-// second row function (heap.go) — maskedRow at the end of this file, one index
+// The one-phase geometry's other two row functions (heap.go) are here too.
+// A product under an output mask (Options.Mask, AlgHash only) runs neither
+// of the above: its mask row bounds row i of (A·B).*M — maskedRow, one index
 // lookup per product, no accumulator table, no symbolic pass, B streamed once.
+// On the one-pass route (driver.go) numeric decides without symbolic's count:
+// onePassRow stamps and copies, and gives the table the rows whose stamps see
+// a column twice — the rows numeric would — so B is streamed once.
 
 // capBound clamps an accumulator size bound at the number of output columns
 // (a row cannot have more distinct entries than columns) — the min(Ncol,
@@ -234,6 +237,81 @@ func hashRowNumeric[V semiring.Value, R semiring.Ring[V]](ring R, table *accum.H
 	} else {
 		table.ExtractUnsorted(cols, vals)
 	}
+}
+
+// onePassRow writes row i of A·B, unsorted, from the start of cols/vals
+// (room for its flop): each B row's columns are stamped and copied, its
+// values scaled behind them. On the first column already stamped the row is
+// redone through table, as two-phase numeric does a row whose count fell
+// short of its flop. It returns the row's size (the flop unless the table
+// ran) and the products it tested. onePassRowF64 is its float64 twin.
+//
+//spgemm:hotpath
+func onePassRow[V semiring.Value, R semiring.Ring[V]](ring R, st *accum.StampSet, table *accum.HashTableG[V], a, b *matrix.CSRG[V], i int, cols []int32, vals []V) (n, marks int) {
+	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
+	acols := a.ColIdx[alo:ahi]
+	avals := a.Val[alo:ahi]
+	st.Clear()
+	for x, k := range acols {
+		brp := b.RowPtr[k : int(k)+2]
+		bcols := b.ColIdx[brp[0]:brp[1]]
+		if c := st.CopyNew(cols[n:], bcols); c < len(bcols) {
+			hashRowNumeric(ring, table, a, b, i, cols, vals, false, false)
+			return table.Len(), n + c + 1
+		}
+		av := avals[x]
+		bvals := b.Val[brp[0]:brp[1]]
+		out := vals[n : n+len(bvals)]
+		for y, bv := range bvals {
+			out[y] = ring.Mul(av, bv)
+		}
+		n += len(bvals)
+	}
+	return n, n
+}
+
+// onePassRows is the one-pass route's numeric pass: every row of A·B (flop
+// products, at most max in one) in order through onePassRow straight into c,
+// whose arrays hold flop entries or a donation of any size; the running
+// offset is the row pointer. A row whose flop overflows what is left is
+// counted first and written as two-phase numeric would, and only one whose
+// count overflows too grows c, to hold every later row at its flop.
+func onePassRows[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V], a, b *matrix.CSRG[V], flopRow []int64, flop, max int64, c *matrix.CSRG[V], ws *WorkerStats) {
+	rc := rowCounter[V]{stamps: ctx.stampSet(0, b.Cols)}
+	h := newHashNumeric(ring, ctx.hashTable(0, capBound(max, b.Cols)), a, b, c.ColIdx, c.Val, false)
+	var pos, marks, direct int64
+	rest := flop
+	for i, f := range flopRow {
+		c.RowPtr[i] = pos
+		rest -= f
+		var n, m int
+		switch room := int64(min(len(c.ColIdx), len(c.Val))); {
+		case f == 0:
+		case pos+f <= room && h.fa != nil:
+			n, m = onePassRowF64(rc.stamps, h.ftab, h.fa, h.fb, i, c.ColIdx[pos:], h.fvals[pos:])
+		case pos+f <= room:
+			n, m = onePassRow(ring, rc.stamps, h.table, a, b, i, c.ColIdx[pos:], c.Val[pos:])
+		default:
+			n, m = int(rc.count(a, b, i)), int(f)
+			if pos+int64(n) > room {
+				c.ColIdx = regrow(&ctx.outCols, c.ColIdx, pos, pos+int64(n)+rest)
+				c.Val = regrow(&ctx.outVals, c.Val, pos, pos+int64(n)+rest)
+				h = newHashNumeric(ring, h.table, a, b, c.ColIdx, c.Val, false)
+			}
+			h.row(i, pos, int64(n), f)
+		}
+		if int64(n) == f {
+			direct += f
+		}
+		pos, marks = pos+int64(n), marks+int64(m)
+	}
+	c.RowPtr[a.Rows] = pos
+	c.ColIdx, c.Val = c.ColIdx[:pos], c.Val[:pos]
+	h.direct = direct // h.row's own count does not survive c growing
+	if ws != nil {
+		ws.Rows, ws.Flop, ws.StampMarks = int64(a.Rows), flop, marks
+	}
+	h.report(ws)
 }
 
 // maskedRow computes row i of (A·B).*M, mcols being row i of M, into the

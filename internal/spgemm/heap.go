@@ -8,13 +8,15 @@ import (
 
 // The driver's one-phase geometry (Section 4.1): inspect stops after the
 // partition and onePhaseExecute below sizes the output by producing it, with
-// one of two row functions. Heap SpGEMM (Section 4.2.3) is heapRow: a k-way
+// one of three row functions. Heap SpGEMM (Section 4.2.3) is heapRow: a k-way
 // merge of the sorted contributing rows of B with a thread-private binary
 // heap, output rows sorted by construction and bounded by their flop. A
 // product under an output mask is maskedRow (hashrow.go), a row bounded by
-// its mask row. Only a Heap Plan asks inspect for row pointers, and then
-// replays skip the temp buffers as well. The scheduling and memory-management
-// variants Figure 9 compares Heap against live in internal/bench/baseline.
+// its mask row. The one-pass route is onePassRow (hashrow.go), an unsorted
+// Hash row bounded by its flop. Only a Heap Plan asks inspect for row
+// pointers, and then replays skip the temp buffers as well. The scheduling
+// and memory-management variants Figure 9 compares Heap against live in
+// internal/bench/baseline.
 
 // heapRow merges output row i into cols/vals (which must hold at least the
 // row's entries; its flop bounds them) and returns the number of entries
@@ -66,6 +68,9 @@ func heapRow[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 // (PhaseAssemble). With the row pointers of a Heap Plan every row is merged
 // straight into its final place: no buffer, no copy.
 func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, unsorted bool, pt *phaseTimer) *matrix.CSRG[V] {
+	if in.onePass {
+		return onePassExecute(ring, a, b, ctx, in, pt)
+	}
 	sorted := in.mask == nil || !unsorted // a merged row is sorted by construction
 	var c *matrix.CSRG[V]                 // a replay's output, merged into directly
 	var rowNnz []int64                    // a one-shot multiply's row sizes, found on the way
@@ -128,4 +133,18 @@ func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.
 	pt.tick(PhaseAssemble)
 	pt.finish()
 	return out
+}
+
+// onePassExecute is onePhaseExecute on the one-pass route: one stripe, so
+// every row goes in order straight into an output drawn at the flop
+// (onePassRows). No temp buffers, no copy.
+func onePassExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], pt *phaseTimer) *matrix.CSRG[V] {
+	flop, max := rangeFlopMax(in.flopRow, 0, a.Rows)
+	c := &matrix.CSRG[V]{Rows: a.Rows, Cols: b.Cols, RowPtr: ctx.rowPtrBuf(a.Rows),
+		ColIdx: drawUpTo(&ctx.outCols, flop), Val: drawUpTo(&ctx.outVals, flop)}
+	pt.tick(PhaseAlloc)
+	ctx.runWorkers(1, func(int) { onePassRows(ring, ctx, a, b, in.flopRow, flop, max, c, pt.worker(0)) })
+	pt.tick(PhaseNumeric)
+	pt.finish()
+	return c
 }

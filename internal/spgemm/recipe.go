@@ -183,16 +183,22 @@ func HasHeavyRows[V semiring.Value](a, b *matrix.CSRG[V]) bool {
 // symbolic phase; the estimate is what a recipe-driven caller can afford.
 // Structure-only: the sampling counter never touches values.
 func EstimateCompressionRatio[V semiring.Value](a, b *matrix.CSRG[V], sampleRows int) float64 {
+	ctx := &ContextG[V]{}
+	ctx.ensureWorkers(1)
+	return ctx.compressionRatio(a, b, sampleRows)
+}
+
+// compressionRatio is EstimateCompressionRatio counting on c's worker-0
+// counter, which a product on c goes on to use. ensureWorkers(1) must have
+// been called.
+func (c *ContextG[V]) compressionRatio(a, b *matrix.CSRG[V], sampleRows int) float64 {
 	if a.Rows == 0 {
 		return 1
 	}
 	if sampleRows <= 0 || sampleRows > a.Rows {
 		sampleRows = a.Rows
 	}
-	stride := a.Rows / sampleRows
-	if stride < 1 {
-		stride = 1
-	}
+	stride := (a.Rows + sampleRows - 1) / sampleRows // ceil: at most sampleRows rows
 	var flop, max, nnz int64
 	for i := 0; i < a.Rows; i += stride {
 		var f int64
@@ -204,9 +210,7 @@ func EstimateCompressionRatio[V semiring.Value](a, b *matrix.CSRG[V], sampleRows
 			max = f
 		}
 	}
-	ctx := &ContextG[V]{}
-	ctx.ensureWorkers(1)
-	rc := ctx.rowCounter(0, b.Cols, flop, capBound(max, b.Cols))
+	rc := c.rowCounter(0, b.Cols, flop, capBound(max, b.Cols))
 	for i := 0; i < a.Rows; i += stride {
 		nnz += rc.count(a, b, i)
 	}

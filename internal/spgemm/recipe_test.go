@@ -39,6 +39,28 @@ func TestEstimateCompressionRatioDegenerate(t *testing.T) {
 	}
 }
 
+// TestCompressionRatioSamplesAtMostSampleRows: the stride rounds up, so a
+// sample never counts more than sampleRows rows — a truncated stride counted
+// up to twice as many just past each multiple. Every row of A·B here is one
+// product into a column space wide enough that the counter is the hash
+// table, so its lookups are the sampled rows; the Context's worker-0 table is
+// the one the sample ran on.
+func TestCompressionRatioSamplesAtMostSampleRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(124))
+	for _, rows := range []int{65, 127, 129} {
+		a := matrix.Identity(rows)
+		b := matrix.RandomWithDegree(rows, 1<<16, 1, rng)
+		ctx := NewContext()
+		ctx.ensureWorkers(1)
+		if cr := ctx.compressionRatio(a, b, recipeSampleRows); cr != 1 {
+			t.Errorf("rows %d: ratio %v, want 1", rows, cr)
+		}
+		if n := ctx.hash[0].Lookups(); n > recipeSampleRows || 2*n < recipeSampleRows {
+			t.Errorf("rows %d: sampled %d rows, want at most %d and at least half of it", rows, n, recipeSampleRows)
+		}
+	}
+}
+
 func TestIsSkewedDistinguishesUniformFromPowerLaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	uniform := matrix.RandomWithDegree(500, 500, 8, rng)

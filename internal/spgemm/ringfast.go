@@ -115,6 +115,34 @@ func hashRowNumericF64(table *accum.HashTable, a, b *matrix.CSR, i int, cols []i
 	}
 }
 
+// onePassRowF64 is onePassRow (hashrow.go) with plus-times float64
+// arithmetic; its Mul must inline.
+//
+//spgemm:hotpath
+func onePassRowF64(st *accum.StampSet, table *accum.HashTable, a, b *matrix.CSR, i int, cols []int32, vals []float64) (n, marks int) {
+	var ring semiring.PlusTimesF64
+	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
+	acols := a.ColIdx[alo:ahi]
+	avals := a.Val[alo:ahi]
+	st.Clear()
+	for x, k := range acols {
+		brp := b.RowPtr[k : int(k)+2]
+		bcols := b.ColIdx[brp[0]:brp[1]]
+		if c := st.CopyNew(cols[n:], bcols); c < len(bcols) {
+			hashRowNumericF64(table, a, b, i, cols, vals, false, false)
+			return table.Len(), n + c + 1
+		}
+		av := avals[x]
+		bvals := b.Val[brp[0]:brp[1]]
+		out := vals[n : n+len(bvals)]
+		for y, bv := range bvals {
+			out[y] = ring.Mul(av, bv)
+		}
+		n += len(bvals)
+	}
+	return n, n
+}
+
 // tiledUnitNumericF64 is the concrete twin of tiledUnitNumeric: accumulate
 // one heavy (row, tile) unit into the dense SPA and extract it, biased back
 // to global columns, into the unit's stitched slice of the output row.
