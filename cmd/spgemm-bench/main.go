@@ -38,7 +38,7 @@ func main() {
 	flag.Parse()
 
 	if *debugAddr != "" {
-		srv, err := obs.StartDebugServer(*debugAddr, nil)
+		srv, err := obs.StartDebugServer(*debugAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "spgemm-bench:", err)
 			os.Exit(1)

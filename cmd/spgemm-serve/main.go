@@ -6,7 +6,7 @@
 // Usage:
 //
 //	spgemm-serve -addr :8080 -contexts 8 -queue 128
-//	spgemm-serve -addr :8080 -slow-threshold 250ms -sentry
+//	spgemm-serve -addr :8080 -sentry -drain requests.json
 //
 // Endpoints:
 //
@@ -15,9 +15,10 @@
 //	POST /v1/multiply          multiply two interned matrices by hash
 //	GET  /healthz              liveness (503 while the perf sentry is degraded)
 //	GET  /metrics              Prometheus text exposition (server_* series)
-//	GET  /debug/requests       recent + slow request traces (JSON)
+//	GET  /debug/requests       the last 256 requests with their stage spans (JSON)
 //	GET  /debug/requests/{id}  one request as Chrome trace JSON (Perfetto)
 //	GET  /debug/loglevel       read or switch the structured log level
+//	GET  /debug/pprof/         Go's profiles (a CPU profile: profile?seconds=N)
 package main
 
 import (
@@ -49,14 +50,9 @@ func main() {
 
 		logLevel = flag.String("log-level", "info", "structured log level: debug|info|warn|error|off (runtime-switchable at /debug/loglevel)")
 
-		reqRing  = flag.Int("request-ring", 256, "request traces retained at /debug/requests (0 disables request tracing)")
-		slowThr  = flag.Duration("slow-threshold", 0, "latency marking a request slow (retained, logged, optionally profiled; 0 disables)")
-		slowRing = flag.Int("slow-ring", 0, "slow-request ring capacity (0 = default)")
-		slowProf = flag.Duration("slow-profile", 0, "CPU profile window captured when a slow request lands (0 disables; served at /debug/requests/profile)")
-
 		sentry = flag.Bool("sentry", false, "arm the perf sentry: /healthz degrades while an algorithm runs 4x under its own peak flop/s")
 
-		drainPath = flag.String("drain", "", "dump the request rings as JSON to this path on shutdown (\"-\" = stderr)")
+		drainPath = flag.String("drain", "", "dump the request ring as JSON to this path on shutdown (\"-\" = stderr)")
 	)
 	flag.Parse()
 
@@ -81,13 +77,7 @@ func main() {
 		MaxUploadBytes: *uploadMax,
 		MaxDim:         *maxDim,
 		MaxNNZ:         *maxNNZ,
-
-		RequestRing:    *reqRing,
-		SlowThreshold:  *slowThr,
-		SlowRing:       *slowRing,
-		SlowProfileDur: *slowProf,
-
-		Sentry: *sentry,
+		Sentry:         *sentry,
 	}
 	s := server.New(cfg)
 	defer s.Close()
@@ -102,13 +92,12 @@ func main() {
 	defer stop()
 
 	fmt.Fprintf(os.Stderr, "spgemm-serve: listening on http://%s\n", ln.Addr())
-	log.Info("serving", "addr", ln.Addr().String(),
-		"requestRing", *reqRing, "slowThreshold", (*slowThr).String(), "sentry", *sentry, "logLevel", obs.LogLevel().String())
+	log.Info("serving", "addr", ln.Addr().String(), "sentry", *sentry, "logLevel", obs.LogLevel().String())
 
 	err = server.Serve(ctx, ln, s.Handler(), *grace)
 
 	// Shutdown order: in-flight requests have drained (server.Serve), so the
-	// rings are quiescent — flush them before the process exits.
+	// ring is quiescent — flush it before the process exits.
 	drainRequests(s, *drainPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spgemm-serve: %v\n", err)
@@ -117,7 +106,7 @@ func main() {
 	log.Info("shutdown complete")
 }
 
-// drainRequests exports the request rings — the tail of request history —
+// drainRequests exports the request ring — the tail of request history —
 // before the process exits. Losing them on SIGTERM is losing the evidence of
 // whatever made someone send the SIGTERM.
 func drainRequests(s *server.Server, drainPath string) {
@@ -136,5 +125,5 @@ func drainRequests(s *server.Server, drainPath string) {
 		out = f
 	}
 	n := s.DrainRequests(func(b []byte) { _, _ = out.Write(b) })
-	log.Info("drained request rings", "traces", n, "to", drainPath)
+	log.Info("drained request ring", "requests", n, "to", drainPath)
 }

@@ -44,7 +44,7 @@ func main() {
 	flag.Parse()
 
 	if *debug != "" {
-		srv, err := obs.StartDebugServer(*debug, nil)
+		srv, err := obs.StartDebugServer(*debug)
 		if err != nil {
 			fatalf("%v", err)
 		}

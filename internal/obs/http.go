@@ -29,7 +29,7 @@ func publishExpvar() {
 
 // DebugServer is the opt-in debug HTTP surface. It serves:
 //
-//	/metrics      Prometheus text exposition of the registry
+//	/metrics      Prometheus text exposition of the default registry
 //	/debug/vars   expvar (runtime memstats + the registry bridge)
 //	/debug/pprof  the standard pprof index (profile, heap, trace, ...)
 //
@@ -40,17 +40,14 @@ type DebugServer struct {
 }
 
 // RegisterDebugHandlers mounts the debug surface (/metrics, /debug/vars,
-// /debug/pprof, /debug/loglevel) on mux for reg (nil = the default registry).
-// The multiply server reuses this to expose the same endpoints on its API
-// listener; StartDebugServer wraps it in a standalone server for the CLIs.
-func RegisterDebugHandlers(mux *http.ServeMux, reg *Registry) {
-	if reg == nil {
-		reg = defaultRegistry
-	}
+// /debug/pprof, /debug/loglevel) of the default registry on mux. The multiply
+// server reuses this to expose the same endpoints on its API listener;
+// StartDebugServer wraps it in a standalone server for the CLIs.
+func RegisterDebugHandlers(mux *http.ServeMux) {
 	publishExpvar()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WritePrometheus(w)
+		_ = defaultRegistry.WritePrometheus(w)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -62,9 +59,9 @@ func RegisterDebugHandlers(mux *http.ServeMux, reg *Registry) {
 }
 
 // StartDebugServer listens on addr (e.g. "localhost:6060", or "localhost:0"
-// to pick a free port) and serves the debug surface for reg in a background
-// goroutine. A nil reg serves the default registry.
-func StartDebugServer(addr string, reg *Registry) (*DebugServer, error) {
+// to pick a free port) and serves the debug surface in a background
+// goroutine.
+func StartDebugServer(addr string) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug listener: %w", err)
@@ -77,7 +74,7 @@ func StartDebugServer(addr string, reg *Registry) (*DebugServer, error) {
 		}
 		fmt.Fprint(w, "spgemm debug surface\n\n/metrics\n/debug/vars\n/debug/pprof/\n")
 	})
-	RegisterDebugHandlers(mux, reg)
+	RegisterDebugHandlers(mux)
 	s := &DebugServer{ln: ln, srv: &http.Server{Handler: mux}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -24,9 +25,10 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestDebugServer(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("http_test_total", "test counter").Add(5)
-	srv, err := StartDebugServer("localhost:0", reg)
+	// The default registry outlives a run, so -count=N sees the sum.
+	c := NewCounter("obs_debug_server_test_total", "test counter")
+	c.Add(5)
+	srv, err := StartDebugServer("localhost:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestDebugServer(t *testing.T) {
 	base := "http://" + srv.Addr()
 
 	code, body := get(t, base+"/metrics")
-	if code != http.StatusOK || !strings.Contains(body, "http_test_total 5") {
+	if code != http.StatusOK || !strings.Contains(body, fmt.Sprint("obs_debug_server_test_total ", c.Value())) {
 		t.Errorf("/metrics: code %d body %q", code, body)
 	}
 
@@ -64,9 +66,9 @@ func TestDebugServer(t *testing.T) {
 // called completes with its full body instead of being truncated, and new
 // connections are refused.
 func TestDebugServerGracefulShutdown(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("shutdown_test_total", "test counter").Add(1)
-	srv, err := StartDebugServer("localhost:0", reg)
+	c := NewCounter("obs_debug_shutdown_test_total", "test counter")
+	c.Add(1)
+	srv, err := StartDebugServer("localhost:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestDebugServerGracefulShutdown(t *testing.T) {
 	r := <-ch
 	// The scrape either completed fully (body intact) or never connected
 	// (listener already closed) — partial bodies are the bug.
-	if r.err == nil && !strings.Contains(r.body, "shutdown_test_total 1") {
+	if r.err == nil && !strings.Contains(r.body, fmt.Sprint("obs_debug_shutdown_test_total ", c.Value())) {
 		t.Errorf("scrape racing shutdown returned truncated body %q", r.body)
 	}
 

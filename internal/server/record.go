@@ -39,12 +39,13 @@ var stageNames = [numStages]string{
 
 // record is everything the server knows about one request. The handlers fill
 // it and do nothing else with what they learn; finish is their only exit and
-// the only place a metric, a log line, a sentry sample or a trace is derived
-// from it. A path that does not reach finish is not observed at all, so there
-// is no partially observed request.
+// the only place a metric, a log line or a sentry sample is derived from it,
+// and the request ring keeps a copy from which the trace views are rendered.
+// A path that does not reach finish is not observed at all, so there is no
+// partially observed request.
 type record struct {
-	route string // "multiply" or "upload"
-	id    string // "" while the request ring is off
+	route string // "multiply", "upload" or "matrix_info"
+	id    string // issued by begin
 
 	start, last time.Time
 	stages      [numStages]time.Duration
@@ -63,15 +64,15 @@ type record struct {
 	queued    bool
 	planHit   bool   // a cached Plan produced the product
 	planMiss  bool   // the lookup missed, or hit a stale Plan
-	nnz       int64  // of the product, or of the uploaded matrix
-	hash      string // of the uploaded matrix
+	nnz       int64  // of the product, or of the uploaded or looked-up matrix
+	hash      string // of the uploaded or looked-up matrix
 	interned  bool   // the upload deduplicated
 }
 
 // begin opens the record of one request; its clock starts now.
 func (s *Server) begin(route string) record {
 	now := time.Now()
-	return record{route: route, id: s.reqobs.nextID(), start: now, last: now}
+	return record{route: route, id: s.ring.nextID(), start: now, last: now}
 }
 
 // tick charges the time since the previous tick to st.
@@ -133,10 +134,10 @@ func (rec *record) response(c *matrix.CSR) MultiplyResponse {
 	}
 }
 
-// finish is the one exit of handleMultiply and handleUpload. It answers a
-// request the handler failed, closes the respond stage, and derives every
-// view of the record: the server_* families, the sentry sample, the log line
-// and — only when the ring is on — the trace.
+// finish is the one exit of every /v1 handler. It answers a request the
+// handler failed, closes the respond stage, derives the server_* families,
+// the sentry sample and the log line, and copies the record into the request
+// ring, from which /debug/requests renders its trace when asked.
 func (s *Server) finish(ctx context.Context, w http.ResponseWriter, rec *record) {
 	failed := rec.status != http.StatusOK
 	if failed && rec.status != statusClientClosed {
@@ -182,14 +183,14 @@ func (s *Server) finish(ctx context.Context, w http.ResponseWriter, rec *record)
 	if log := obs.Logger(); log.Enabled(ctx, level) {
 		log.LogAttrs(ctx, level, msg, rec.logAttrs()...)
 	}
-	s.reqobs.publish(rec)
+	s.ring.add(rec)
 }
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 
-// facts is what the log line and the trace both say of the request beyond
-// its outcome and its timing: what was asked for, as far as it validated,
-// and what a request that was answered 200 produced.
+// facts is what the log line and the request view both say of the request
+// beyond its outcome and its timing: what was asked for, as far as it
+// validated, and what a request that was answered 200 produced.
 func (rec *record) facts() []slog.Attr {
 	f := append(make([]slog.Attr, 0, 12), slog.String("route", rec.route))
 	if rec.workers > 0 {
@@ -204,12 +205,15 @@ func (rec *record) facts() []slog.Attr {
 	}
 	switch {
 	case rec.status != http.StatusOK:
-	case rec.route == "upload":
-		f = append(f, slog.String("hash", rec.hash), slog.Int64("nnz", rec.nnz), slog.Bool("interned", rec.interned))
-	default:
+	case rec.route == "multiply":
 		f = append(f, slog.String("algResolved", rec.stats.Algorithm.String()), slog.Int64("flop", rec.flop()), slog.Int64("nnz", rec.nnz))
 		if cf := rec.stats.CollisionFactor(); cf > 0 {
 			f = append(f, slog.Float64("collisionFactor", cf))
+		}
+	default:
+		f = append(f, slog.String("hash", rec.hash), slog.Int64("nnz", rec.nnz))
+		if rec.route == "upload" {
+			f = append(f, slog.Bool("interned", rec.interned))
 		}
 	}
 	return f
@@ -231,29 +235,32 @@ func (rec *record) logAttrs() []slog.Attr {
 	return append(append(attrs, rec.facts()...), slog.Float64("totalMs", ms(rec.total())), slog.Group("stageMs", stages...))
 }
 
-// trace is the /debug/requests view: one top-level span per stage that took
+// view is the /debug/requests view: one top-level span per stage that took
 // time, laid end to end from 0 to the total — the root span has no self time
 // — and under "kernel" the phases ExecStats measured inside it.
-func (rec *record) trace() *obs.RequestTrace {
-	t := &obs.RequestTrace{
+func (rec *record) view() requestView {
+	v := requestView{
 		ID: rec.id, Start: rec.start, Status: rec.status, TotalMs: ms(rec.total()), Err: rec.err,
 		Attrs: map[string]any{},
 	}
 	for _, f := range rec.facts() {
-		t.Attrs[f.Key] = f.Value.Any()
+		v.Attrs[f.Key] = f.Value.Any()
+	}
+	at := func(name string, off, dur time.Duration) {
+		v.Spans = append(v.Spans, span{Name: name, StartMs: ms(off), DurMs: ms(dur)})
 	}
 	var off time.Duration
 	for st, d := range rec.stages {
 		if d == 0 {
 			continue
 		}
-		t.SpanAt(stageNames[st], off, d)
+		at(stageNames[st], off, d)
 		if stage(st) == stageKernel {
 			for _, sp := range rec.stats.PhaseSpans() {
-				t.SpanAt("kernel."+sp.Phase.String(), off+sp.Offset, sp.Dur)
+				at("kernel."+sp.Phase.String(), off+sp.Offset, sp.Dur)
 			}
 		}
 		off += d
 	}
-	return t
+	return v
 }

@@ -30,7 +30,6 @@ type ledger struct {
 	multiplies, flop            int64
 	requestSeconds              int64
 	planLookups                 int64
-	slow                        int64
 	ringAdds                    int64
 }
 
@@ -41,7 +40,7 @@ var (
 
 func readLedger(s *Server) ledger {
 	l := ledger{requests: map[string]int64{}, errors: map[string]int64{}, queueWait: map[string]int64{}}
-	for _, route := range []string{"multiply", "upload"} {
+	for _, route := range []string{"multiply", "upload", "matrix_info"} {
 		l.requests[route] = mRequests.With(route).Value()
 	}
 	for _, code := range ledgerCodes {
@@ -55,36 +54,52 @@ func readLedger(s *Server) ledger {
 		l.requestSeconds += h.Count()
 	}
 	l.planLookups = mPlanHits.Value() + mPlanMisses.Value()
-	l.slow = mSlowRequests.Value()
-	l.ringAdds = int64(s.reqobs.recent.Len()) + s.reqobs.recent.Dropped()
+	s.ring.mu.Lock()
+	l.ringAdds = s.ring.adds
+	s.ring.mu.Unlock()
 	return l
 }
 
-// drive is the body of handleMultiply / handleUpload with the record kept in
-// hand: begin, fill, finish.
+// drive is the body of a /v1 handler with the record kept in hand: begin,
+// fill, finish.
 func drive(s *Server, route string, r *http.Request) (record, *httptest.ResponseRecorder) {
 	w := httptest.NewRecorder()
 	rec := s.begin(route)
-	if route == "upload" {
+	switch route {
+	case "upload":
 		s.upload(w, r, &rec)
-	} else {
+	case "matrix_info":
+		s.info(w, r, &rec)
+	default:
 		s.multiply(w, r, &rec)
 	}
 	s.finish(r.Context(), w, &rec)
 	return rec, w
 }
 
+func infoRequest(hash string) *http.Request {
+	r := httptest.NewRequest("GET", "/v1/matrices/"+hash, nil)
+	r.SetPathValue("hash", hash)
+	return r
+}
+
+// newest renders the record the ring took last.
+func newest(s *Server) requestView {
+	recs, _ := s.ring.snapshot(1)
+	return recs[0].view()
+}
+
 func multiplyRequest(body string) *http.Request {
 	return httptest.NewRequest("POST", "/v1/multiply", strings.NewReader(body))
 }
 
-// TestRecordAccounting drives every outcome of the two recorded handlers and
+// TestRecordAccounting drives every outcome of the three recorded handlers and
 // holds each to the same ledger: the stages sum to the total exactly (they
-// are differences of the same clock reads), the trace's top-level spans tile
+// are differences of the same clock reads), the view's top-level spans tile
 // [0, total] so the request span has no self time, every metric family moves
-// once or not at all, one trace reaches the ring, and the pool is whole.
+// once or not at all, one record reaches the ring, and the pool is whole.
 func TestRecordAccounting(t *testing.T) {
-	s, _ := newTestServer(t, Config{Contexts: 1, QueueDepth: 1, RequestRing: 8, SlowThreshold: time.Nanosecond, MaxUploadBytes: 4096})
+	s, _ := newTestServer(t, Config{Contexts: 1, QueueDepth: 1, MaxUploadBytes: 4096})
 	rng := rand.New(rand.NewSource(21))
 	put := func(m *matrix.CSR) string {
 		t.Helper()
@@ -174,6 +189,12 @@ func TestRecordAccounting(t *testing.T) {
 		{"400 upload", "upload", 400, func() (record, *httptest.ResponseRecorder) {
 			return drive(s, "upload", httptest.NewRequest("POST", "/v1/matrices", strings.NewReader("not a matrix")))
 		}, []stage{stageDecode, stageRespond}},
+		{"200 matrix_info", "matrix_info", 200, func() (record, *httptest.ResponseRecorder) {
+			return drive(s, "matrix_info", infoRequest(ha))
+		}, []stage{stageDecode, stageRespond}},
+		{"404 matrix_info", "matrix_info", 404, func() (record, *httptest.ResponseRecorder) {
+			return drive(s, "matrix_info", infoRequest("beef"))
+		}, []stage{stageDecode, stageRespond}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -211,17 +232,18 @@ func TestRecordAccounting(t *testing.T) {
 				t.Errorf("ExecStats.Total %v exceeds the kernel stage %v", rec.stats.Total, rec.stages[stageKernel])
 			}
 
-			// One trace, whose top-level spans tile the request.
+			// One record in the ring, whose view's top-level spans tile the
+			// request.
 			if got := after.ringAdds - before.ringAdds; got != 1 {
-				t.Fatalf("%d traces reached the ring, want 1", got)
+				t.Fatalf("%d records reached the ring, want 1", got)
 			}
-			tr := s.reqobs.recent.Snapshot()[0]
+			tr := newest(s)
 			if tr.ID != rec.id || tr.Status != tc.status || tr.Err != rec.err || tr.Attrs["route"] != tc.route {
-				t.Errorf("trace %+v does not describe record %s", tr, rec.id)
+				t.Errorf("view %+v does not describe record %s", tr, rec.id)
 			}
 			const ns = 1e-6 // ms
 			end, top := 0.0, 0
-			var kernel obs.ReqSpan
+			var kernel span
 			for _, sp := range tr.Spans {
 				if strings.HasPrefix(sp.Name, "kernel.") {
 					if sp.StartMs < kernel.StartMs-ns || sp.StartMs+sp.DurMs > kernel.StartMs+kernel.DurMs+ns {
@@ -276,9 +298,6 @@ func TestRecordAccounting(t *testing.T) {
 			}
 			if got, want := after.planLookups-before.planLookups, b2i(rec.stages[stagePlanLookup] > 0); got != want {
 				t.Errorf("plan cache hits+misses moved by %d, want %d", got, want)
-			}
-			if got := after.slow - before.slow; got != 1 {
-				t.Errorf("server_slow_requests_total moved by %d, want 1 (threshold 1ns)", got)
 			}
 		})
 	}
@@ -335,26 +354,29 @@ func (w *brokenWriter) Write([]byte) (int, error) { return 0, errors.New("broken
 
 // TestEveryOutcomeLogsOnce is the regression test of the single exit: each
 // request, whatever came of it, writes exactly one log line — a malformed
-// body (400) and a client that left the queue (499) wrote none before — and
-// a matrix response that could not be written out is a warning carrying the
+// body (400), a client that left the queue (499) and a metadata lookup wrote
+// none before — and a matrix response that could not be written out is a warning carrying the
 // write error, not a clean 200.
 func TestEveryOutcomeLogsOnce(t *testing.T) {
 	var logs logCapture
 	obs.SetLogger(slog.New(slog.NewJSONHandler(&logs, &slog.HandlerOptions{Level: slog.LevelInfo})))
 	t.Cleanup(func() { obs.SetLogger(nil) })
 
-	s, ts := newTestServer(t, Config{Contexts: 1, QueueDepth: 1, RequestRing: 8})
+	s, ts := newTestServer(t, Config{Contexts: 1, QueueDepth: 1})
 	ha := uploadBinary(t, ts.URL, matrix.Random(10, 10, 0.3, rand.New(rand.NewSource(22)))).Hash
 	pair := fmt.Sprintf(`{"a":%q,"b":%q}`, ha, ha)
-	post := func(body string) {
+	drain := func(resp *http.Response, err error) {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/multiply", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
+	post := func(body string) {
+		drain(http.Post(ts.URL+"/v1/multiply", "application/json", strings.NewReader(body)))
+	}
+	get := func(url string) { drain(http.Get(url)) }
 
 	steps := []struct {
 		name   string
@@ -367,6 +389,8 @@ func TestEveryOutcomeLogsOnce(t *testing.T) {
 		{"200", func() { post(pair) }, "INFO", 200, ""},
 		{"400 malformed", func() { post(`{"a":`) }, "WARN", 400, "decode request"},
 		{"404", func() { post(`{"a":"beef","b":"beef"}`) }, "WARN", 404, "unknown matrix"},
+		{"200 matrix_info", func() { get(ts.URL + "/v1/matrices/" + ha) }, "INFO", 200, ""},
+		{"404 matrix_info", func() { get(ts.URL + "/v1/matrices/beef") }, "WARN", 404, "unknown matrix"},
 		{"499", func() {
 			held, err := s.pool.Acquire(context.Background())
 			if err != nil {
@@ -407,9 +431,9 @@ func TestEveryOutcomeLogsOnce(t *testing.T) {
 			t.Errorf("%s: logged %v", step.name, line)
 		}
 	}
-	// The failed write is on the trace too.
-	if tr := s.reqobs.recent.Snapshot()[0]; tr.Status != 200 || !strings.Contains(tr.Err, "broken pipe") {
-		t.Errorf("trace of the failed write: status %d, err %q", tr.Status, tr.Err)
+	// The failed write is in the ring too.
+	if tr := newest(s); tr.Status != 200 || !strings.Contains(tr.Err, "broken pipe") {
+		t.Errorf("view of the failed write: status %d, err %q", tr.Status, tr.Err)
 	}
 }
 

@@ -1,226 +1,208 @@
 package server
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
-	"runtime/pprof"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
-// requestObs is the ring side of request observability: ID generation, the
-// recent-request ring behind /debug/requests, the slow-request capturer, and
-// the optional on-spike CPU profile. A nil *requestObs (RequestRing == 0)
-// issues no IDs and publishes nothing, so a record is never turned into a
-// trace — the zero-allocation contract TestRequestObsDisabledZeroAllocs pins.
-type requestObs struct {
-	recent *obs.RequestRing
-	slow   *obs.RequestRing
-	// slowThreshold marks a request slow; 0 disables the capturer.
-	slowThreshold time.Duration
+// ringSize is how many finished requests the server keeps for
+// /debug/requests, /debug/requests/{id} and DrainRequests.
+const ringSize = 256
+
+// requestRing holds the records of the last finished requests, and issues
+// request IDs. finish copies each record into the next slot under mu, which
+// is the happens-before edge to the readers. Nothing writes a record after
+// finish, so a copy may share its stats.Workers with the handler's; the
+// views are rendered from the copies when they are read.
+type requestRing struct {
+	mu   sync.Mutex
+	buf  []record
+	next int   // slot the next add writes
+	adds int64 // records ever added, for drop accounting
 
 	idPrefix string
 	idSeq    atomic.Uint64
-
-	// Slow-spike CPU profiling: at most one capture in flight; the last
-	// completed profile is retained for /debug/requests/profile.
-	profileDur  time.Duration
-	profileBusy atomic.Bool
-	profMu      sync.Mutex
-	profData    []byte
-	profReqID   string
 }
 
-// newRequestObs sizes the observer from the server config, or returns nil
-// when request tracing is off (RequestRing == 0).
-func newRequestObs(cfg Config) *requestObs {
-	if cfg.RequestRing <= 0 {
-		return nil
-	}
+func newRequestRing(capacity int) *requestRing {
 	var pfx [4]byte
-	_, _ = rand.Read(pfx[:])
-	o := &requestObs{
-		recent:        obs.NewRequestRing(cfg.RequestRing),
-		slowThreshold: cfg.SlowThreshold,
-		idPrefix:      hex.EncodeToString(pfx[:]),
-		profileDur:    cfg.SlowProfileDur,
+	_, _ = rand.Read(pfx[:]) // never fails (crypto/rand); the prefix only tells processes apart
+	return &requestRing{buf: make([]record, capacity), idPrefix: hex.EncodeToString(pfx[:])}
+}
+
+// nextID issues a request ID, r-<process prefix>-<sequence>, in one
+// allocation: the string.
+func (r *requestRing) nextID() string {
+	var b [32]byte
+	id := append(append(append(b[:0], "r-"...), r.idPrefix...), '-')
+	var d [20]byte
+	seq := strconv.AppendUint(d[:0], r.idSeq.Add(1), 10)
+	for i := len(seq); i < 6; i++ {
+		id = append(id, '0')
 	}
-	if cfg.SlowThreshold > 0 {
-		n := cfg.SlowRing
-		if n <= 0 {
-			n = 32
+	return string(append(id, seq...))
+}
+
+// add copies a finished record into the ring, displacing the oldest.
+func (r *requestRing) add(rec *record) {
+	r.mu.Lock()
+	r.buf[r.next] = *rec
+	r.next = (r.next + 1) % len(r.buf)
+	r.adds++
+	r.mu.Unlock()
+}
+
+// lenLocked is the number of live records.
+func (r *requestRing) lenLocked() int { return int(min(r.adds, int64(len(r.buf)))) }
+
+// snapshot copies out up to n live records (all of them when n < 0), newest
+// first, with the number displaced so far.
+func (r *requestRing) snapshot(n int) (recs []record, dropped int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	live := r.lenLocked()
+	if n < 0 || n > live {
+		n = live
+	}
+	recs = make([]record, n)
+	for i := range recs {
+		recs[i] = r.buf[(r.next-1-i+len(r.buf))%len(r.buf)]
+	}
+	return recs, r.adds - int64(live)
+}
+
+// get returns a copy of the live record with the given request ID. The live
+// records are buf[:lenLocked()], whether or not the ring has wrapped.
+func (r *requestRing) get(id string) (record, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range r.lenLocked() {
+		if r.buf[i].id == id {
+			return r.buf[i], true
 		}
-		o.slow = obs.NewRequestRing(n)
 	}
-	return o
+	return record{}, false
 }
 
-// nextID issues a request ID, or "" while the ring is off.
-func (o *requestObs) nextID() string {
-	if o == nil {
-		return ""
-	}
-	return fmt.Sprintf("r-%s-%06d", o.idPrefix, o.idSeq.Add(1))
+// requestsDoc is the JSON document served at /debug/requests and written by
+// DrainRequests.
+type requestsDoc struct {
+	Capacity int           `json:"capacity"`
+	Dropped  int64         `json:"dropped"`
+	Recent   []requestView `json:"recent"`
 }
 
-// publish builds the finished record's trace, adds it to the recent ring and
-// runs the slow-request capturer. The trace is immutable afterwards.
-func (o *requestObs) publish(rec *record) {
-	if o == nil {
-		return
-	}
-	t := rec.trace()
-	o.recent.Add(t)
-	if o.slowThreshold > 0 && rec.total() >= o.slowThreshold {
-		mSlowRequests.Inc()
-		o.slow.Add(t)
-		obs.Logger().Warn("slow request",
-			"reqID", t.ID, "ms", t.TotalMs, "thresholdMs", ms(o.slowThreshold), "status", t.Status)
-		o.maybeProfile(t.ID)
-	}
+// requestView is one record as /debug/requests shows it: its outcome, the
+// facts its log line carries as attrs (encoding/json sorts map keys, so the
+// shape is deterministic), and its stages as spans (record.view).
+type requestView struct {
+	ID      string         `json:"id"`
+	Start   time.Time      `json:"start"`
+	Status  int            `json:"status"`
+	TotalMs float64        `json:"totalMs"`
+	Attrs   map[string]any `json:"attrs,omitempty"`
+	Spans   []span         `json:"spans"`
+	Err     string         `json:"err,omitempty"`
 }
 
-// maybeProfile starts one short CPU profile when a slow request lands and no
-// capture is already running — the spike evidence a postmortem wants: if the
-// condition persists (GC thrash, a stuck neighbor, an algorithm regression),
-// the profile window catches it in the act.
-func (o *requestObs) maybeProfile(reqID string) {
-	if o.profileDur <= 0 || !o.profileBusy.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer o.profileBusy.Store(false)
-		var buf bytes.Buffer
-		if err := pprof.StartCPUProfile(&buf); err != nil {
-			// Another profiler (e.g. a live /debug/pprof/profile scrape)
-			// owns the CPU profile; skip this spike.
-			obs.Logger().Debug("slow-request profile skipped", "err", err)
-			return
-		}
-		time.Sleep(o.profileDur)
-		pprof.StopCPUProfile()
-		o.profMu.Lock()
-		o.profData = buf.Bytes()
-		o.profReqID = reqID
-		o.profMu.Unlock()
-		obs.Logger().Info("slow-request CPU profile captured",
-			"reqID", reqID, "bytes", buf.Len(), "windowMs", ms(o.profileDur))
-	}()
+// span is one named interval of a request, in milliseconds from its start.
+type span struct {
+	Name    string  `json:"name"`
+	StartMs float64 `json:"startMs"`
+	DurMs   float64 `json:"durMs"`
 }
 
-// requestsDebugBody is the JSON document served at /debug/requests.
-type requestsDebugBody struct {
-	Capacity        int                 `json:"capacity"`
-	Dropped         int64               `json:"dropped"`
-	SlowThresholdMs float64             `json:"slowThresholdMs,omitempty"`
-	SlowDropped     int64               `json:"slowDropped,omitempty"`
-	Recent          []*obs.RequestTrace `json:"recent"`
-	Slow            []*obs.RequestTrace `json:"slow,omitempty"`
+// doc renders up to n records (all when n < 0), newest first.
+func (r *requestRing) doc(n int) requestsDoc {
+	recs, dropped := r.snapshot(n)
+	d := requestsDoc{Capacity: len(r.buf), Dropped: dropped, Recent: make([]requestView, len(recs))}
+	for i := range recs {
+		d.Recent[i] = recs[i].view()
+	}
+	return d
 }
 
-// debugBody snapshots both rings, newest first.
-func (o *requestObs) debugBody() requestsDebugBody {
-	body := requestsDebugBody{
-		Capacity: o.recent.Cap(),
-		Dropped:  o.recent.Dropped(),
-		Recent:   o.recent.Snapshot(),
-	}
-	if o.slow != nil {
-		body.SlowThresholdMs = ms(o.slowThreshold)
-		body.Slow = o.slow.Snapshot()
-		body.SlowDropped = o.slow.Dropped()
-	}
-	return body
-}
-
-// handleRequests serves GET /debug/requests: the recent and slow rings as
-// JSON, newest first, optionally limited with ?n=.
-func (o *requestObs) handleRequests(w http.ResponseWriter, r *http.Request) {
-	if o == nil {
-		http.Error(w, "request tracing disabled (run with -request-ring > 0)", http.StatusNotFound)
-		return
-	}
-	body := o.debugBody()
-	if s := r.URL.Query().Get("n"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
+// handleRequests serves GET /debug/requests: the ring as JSON, newest first,
+// optionally limited with ?n=.
+func (r *requestRing) handleRequests(w http.ResponseWriter, req *http.Request) {
+	n := -1
+	if s := req.URL.Query().Get("n"); s != "" {
+		var err error
+		if n, err = strconv.Atoi(s); err != nil || n < 0 {
 			http.Error(w, "bad n", http.StatusBadRequest)
 			return
-		}
-		if n < len(body.Recent) {
-			body.Recent = body.Recent[:n]
-		}
-		if n < len(body.Slow) {
-			body.Slow = body.Slow[:n]
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
+	_ = enc.Encode(r.doc(n))
 }
 
-// handleRequestTrace serves GET /debug/requests/{id}: one request's full
-// span tree as a self-contained Chrome trace JSON document (drag into
-// Perfetto). Slow-ring entries outlive the recent ring, so a slow request's
-// trace stays loadable after heavy traffic displaced it from recent.
-func (o *requestObs) handleRequestTrace(w http.ResponseWriter, r *http.Request) {
-	if o == nil {
-		http.Error(w, "request tracing disabled (run with -request-ring > 0)", http.StatusNotFound)
-		return
-	}
-	id := r.PathValue("id")
-	t, ok := o.recent.Get(id)
-	if !ok && o.slow != nil {
-		t, ok = o.slow.Get(id)
-	}
+// handleRequestTrace serves GET /debug/requests/{id}: one request as a
+// self-contained Chrome trace-event document (drag into Perfetto).
+func (r *requestRing) handleRequestTrace(w http.ResponseWriter, req *http.Request) {
+	id := req.PathValue("id")
+	rec, ok := r.get(id)
 	if !ok {
 		http.Error(w, fmt.Sprintf("no retained trace for request %q", id), http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = t.WriteChromeTrace(w)
+	_ = rec.view().writeChromeTrace(w)
 }
 
-// handleSlowProfile serves GET /debug/requests/profile: the most recent
-// slow-spike CPU profile in pprof format (go tool pprof reads it directly).
-func (o *requestObs) handleSlowProfile(w http.ResponseWriter, r *http.Request) {
-	if o == nil {
-		http.Error(w, "request tracing disabled", http.StatusNotFound)
-		return
-	}
-	o.profMu.Lock()
-	data, reqID := o.profData, o.profReqID
-	o.profMu.Unlock()
-	if len(data) == 0 {
-		http.Error(w, "no slow-request profile captured yet", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Spgemm-Slow-Request", reqID)
-	_, _ = w.Write(data)
+// chromeEvent is one entry of the Chrome trace-event JSON array. ts is in
+// microseconds, per the trace-event format specification.
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	Ph   string         `json:"ph"`
+	TS   float64        `json:"ts"`
+	Dur  float64        `json:"dur,omitempty"` // complete ("X") events only
+	PID  int            `json:"pid"`
+	TID  int            `json:"tid"`
+	Args map[string]any `json:"args,omitempty"`
 }
 
-// DrainRequests writes every retained request trace (recent and slow rings)
-// as the /debug/requests JSON document — the shutdown path: a terminated
-// server dumps the tail of its request history instead of losing it.
+// writeChromeTrace writes the request as complete ("X") events on one named
+// track, in the JSON-object form of the trace-event format. The attrs ride
+// along as args of the root span.
+func (v requestView) writeChromeTrace(w io.Writer) error {
+	root := chromeEvent{
+		Name: "request", Cat: "request", Ph: "X", Dur: v.TotalMs * 1e3, PID: 1,
+		Args: map[string]any{"id": v.ID, "status": v.Status},
+	}
+	for k, a := range v.Attrs {
+		root.Args[k] = a
+	}
+	events := []chromeEvent{{Name: "thread_name", Ph: "M", PID: 1, Args: map[string]any{"name": "request " + v.ID}}, root}
+	for _, s := range v.Spans {
+		events = append(events, chromeEvent{Name: s.Name, Cat: "request", Ph: "X", TS: s.StartMs * 1e3, Dur: s.DurMs * 1e3, PID: 1})
+	}
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents     []chromeEvent `json:"traceEvents"`
+		DisplayTimeUnit string        `json:"displayTimeUnit"`
+	}{events, "ms"})
+}
+
+// DrainRequests writes the ring as the /debug/requests JSON document — the
+// shutdown path: a terminated server dumps the tail of its request history
+// instead of losing it. It returns the number of records written.
 func (s *Server) DrainRequests(w func(b []byte)) int {
-	if s.reqobs == nil {
-		return 0
-	}
-	body := s.reqobs.debugBody()
-	out, err := json.MarshalIndent(body, "", "  ")
+	d := s.ring.doc(-1)
+	out, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
 		return 0
 	}
 	w(append(out, '\n'))
-	return len(body.Recent) + len(body.Slow)
+	return len(d.Recent)
 }

@@ -23,7 +23,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -71,23 +70,6 @@ type Config struct {
 	MaxDim int
 	MaxNNZ int64
 
-	// RequestRing enables request-level tracing: the last RequestRing
-	// multiply and upload requests are retained with full span timelines at
-	// /debug/requests. 0 (the default) issues no request IDs and builds no
-	// traces; a request's record then allocates nothing
-	// (TestRequestObsDisabledZeroAllocs).
-	RequestRing int
-	// SlowThreshold marks a request slow: slow requests are retained in a
-	// separate ring (surviving recent-ring turnover), logged at warn, and
-	// optionally CPU-profiled. 0 disables the slow capturer.
-	SlowThreshold time.Duration
-	// SlowRing is the slow-request ring capacity (default 32).
-	SlowRing int
-	// SlowProfileDur, when > 0, captures one CPU profile of this duration
-	// when a slow request lands (at most one capture in flight; the last
-	// profile is served at /debug/requests/profile).
-	SlowProfileDur time.Duration
-
 	// Sentry arms the perf sentry: /healthz answers 503 while an
 	// algorithm's live flop/s stays under a quarter of the peak this process
 	// has sustained for it (sentry.go). Off by default.
@@ -128,8 +110,8 @@ type Server struct {
 	store  *Store
 	plans  *PlanCache
 	pool   *ContextPool
-	reqobs *requestObs // nil = request tracing disabled
-	sentry *sentry     // nil = perf sentry disabled
+	ring   *requestRing
+	sentry *sentry // nil = perf sentry disabled
 	mux    *http.ServeMux
 }
 
@@ -141,7 +123,7 @@ func New(cfg Config) *Server {
 	s.plans.SetMaxBytes(cfg.MaxStoreBytes)
 	s.store = NewStore(cfg.MaxStoreBytes, s.plans.InvalidateMatrix)
 	s.pool = NewContextPool(cfg.Contexts, cfg.QueueDepth)
-	s.reqobs = newRequestObs(cfg)
+	s.ring = newRequestRing(ringSize)
 	if cfg.Sentry {
 		s.sentry = newSentry(defaultSentry)
 		s.sentry.start()
@@ -152,13 +134,12 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /v1/matrices/{hash}", s.handleMatrixInfo)
 	mux.HandleFunc("POST /v1/multiply", s.handleMultiply)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /debug/requests", s.reqobs.handleRequests)
-	mux.HandleFunc("GET /debug/requests/profile", s.reqobs.handleSlowProfile)
-	mux.HandleFunc("GET /debug/requests/{id}", s.reqobs.handleRequestTrace)
+	mux.HandleFunc("GET /debug/requests", s.ring.handleRequests)
+	mux.HandleFunc("GET /debug/requests/{id}", s.ring.handleRequestTrace)
 	// The same observability surface the CLIs expose with -debug-addr:
 	// /metrics (now including the server_* families), /debug/vars,
 	// /debug/pprof, /debug/loglevel.
-	obs.RegisterDebugHandlers(mux, nil)
+	obs.RegisterDebugHandlers(mux)
 	s.mux = mux
 	return s
 }
@@ -253,8 +234,8 @@ type MultiplyResponse struct {
 	QueueSeconds float64 `json:"queueSeconds"`
 	Flop         int64   `json:"flop"`
 	Hash         string  `json:"hash,omitempty"` // set with Return "store"
-	// RequestID links the response to its /debug/requests entry and log
-	// lines; empty when request tracing is disabled.
+	// RequestID links the response to its log line and, while the request
+	// is among the last 256, to its /debug/requests entry.
 	RequestID string `json:"requestID,omitempty"`
 }
 
@@ -319,24 +300,31 @@ func (s *Server) upload(w http.ResponseWriter, r *http.Request, rec *record) {
 		rec.fail(http.StatusInternalServerError, "intern: %v", err)
 		return
 	}
-	// Put interns the first copy: respond with the stored matrix, which
-	// is m unless this upload deduplicated.
-	stored, _ := s.store.Get(hash)
-	rec.hash, rec.nnz, rec.interned = hash, stored.NNZ(), existed
-	rec.wrote(writeJSON(w, http.StatusOK, matrixInfo(hash, stored, existed)))
+	// Answer from m even when the upload deduplicated: an equal hash is an
+	// equal SPGB encoding, so m has the stored copy's shape, nnz and
+	// sortedness, and a concurrent upload may already have evicted that copy.
+	rec.hash, rec.nnz, rec.interned = hash, m.NNZ(), existed
+	rec.wrote(writeJSON(w, http.StatusOK, matrixInfo(hash, m, existed)))
 }
 
 // handleMatrixInfo returns metadata for one interned matrix.
 func (s *Server) handleMatrixInfo(w http.ResponseWriter, r *http.Request) {
-	mRequests.With("matrix_info").Inc()
+	rec := s.begin("matrix_info")
+	s.info(w, r, &rec)
+	s.finish(r.Context(), w, &rec)
+}
+
+// info fills rec with the lookup and the outcome of one metadata request.
+func (s *Server) info(w http.ResponseWriter, r *http.Request, rec *record) {
 	hash := r.PathValue("hash")
 	m, ok := s.store.Get(hash)
+	rec.tick(stageDecode)
 	if !ok {
-		mErrors.With("404").Inc()
-		_ = writeJSON(w, http.StatusNotFound, jsonError{Error: fmt.Sprintf("unknown matrix %q", hash)})
+		rec.fail(http.StatusNotFound, "unknown matrix %q", hash)
 		return
 	}
-	_ = writeJSON(w, http.StatusOK, matrixInfo(hash, m, false))
+	rec.hash, rec.nnz = hash, m.NNZ()
+	rec.wrote(writeJSON(w, http.StatusOK, matrixInfo(hash, m, false)))
 }
 
 // handleMultiply is the core endpoint: admission control, Plan cache,
@@ -388,9 +376,7 @@ func (s *Server) multiply(w http.ResponseWriter, r *http.Request, rec *record) {
 		return
 	}
 	resp := rec.response(c)
-	if rec.id != "" {
-		w.Header().Set("X-Request-Id", rec.id)
-	}
+	w.Header().Set("X-Request-Id", rec.id)
 	// Once the response is written nothing reads a meta or matrix product
 	// again, so it goes back to the Context (still checked out) for the next
 	// request's output. A stored product is the store's: never donated.

@@ -575,6 +575,64 @@ func TestStoreEvictionDropsPlans(t *testing.T) {
 	}
 }
 
+// TestUploadRacingEviction uploads into a store that keeps one matrix, from
+// several goroutines at once, so a matrix is routinely evicted by another
+// upload between its own Put and its response. Every upload must still be
+// answered 200 with its own metadata.
+func TestUploadRacingEviction(t *testing.T) {
+	s := New(Config{MaxStoreBytes: 1})
+	defer s.Close()
+	rng := rand.New(rand.NewSource(24))
+	type upload struct {
+		wire []byte
+		want MatrixInfo
+	}
+	uploads := make([]upload, 64)
+	for i := range uploads {
+		m := matrix.Random(40, 40, 0.1, rng)
+		var buf bytes.Buffer
+		if err := matrix.WriteCSRBinary(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		hash, err := HashMatrix(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uploads[i] = upload{buf.Bytes(), matrixInfo(hash, m, false)}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("upload handler panicked: %v", p)
+				}
+			}()
+			for i := 0; i < 200; i++ {
+				up := uploads[(g*8+i)%len(uploads)]
+				r := httptest.NewRequest("POST", "/v1/matrices", bytes.NewReader(up.wire))
+				r.Header.Set("Content-Type", ContentTypeCSRBinary)
+				w := httptest.NewRecorder()
+				s.Handler().ServeHTTP(w, r)
+				var got MatrixInfo
+				if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil || w.Code != http.StatusOK {
+					t.Errorf("upload: status %d, %v: %s", w.Code, err, w.Body.Bytes())
+					return
+				}
+				got.Interned = false
+				if got != up.want {
+					t.Errorf("upload answered %+v, want %+v", got, up.want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 func TestPlanCacheLRUEviction(t *testing.T) {
 	cache := NewPlanCache(2)
 	rng := rand.New(rand.NewSource(10))

@@ -60,7 +60,8 @@ func HashMatrix(m *matrix.CSR) (string, error) {
 
 // Put interns m and returns its content hash. If an identical matrix is
 // already stored, the existing copy wins (existed = true) and m is
-// discarded — callers must use Get's copy, never m, after interning.
+// discarded — callers must compute with Get's copy, never m, after
+// interning. m's metadata is the stored copy's: the hash covers all of it.
 func (s *Store) Put(m *matrix.CSR) (hash string, existed bool, err error) {
 	hash, err = HashMatrix(m)
 	if err != nil {
