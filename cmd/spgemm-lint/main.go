@@ -146,6 +146,10 @@ var requiredInlines = []compilerfb.RequiredInline{
 	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Add", Func: "planReplayRowsF64"},
 	// The one-pass route scales each copied B row with nothing but this call.
 	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Mul", Func: "onePassRowF64"},
+	// Where Cols <= flop every accumulated numeric product folds through
+	// these two into the SPA.
+	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Mul", Func: "spaRowNumericF64"},
+	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Add", Func: "spaRowNumericF64"},
 }
 
 // budgetSection is one compiler report of the budget: which packages to

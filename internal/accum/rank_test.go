@@ -196,7 +196,8 @@ func TestRankedExtractionTakesBothPaths(t *testing.T) {
 }
 
 // TestRankedKeysAndSPA covers the keys-only consumer of the ranker: the SPA's
-// sorted extractions.
+// sorted extractions, from its own list (ExtractSorted) and from a Row
+// loop's (Gather).
 func TestRankedKeysAndSPA(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const ncols = 1 << 16
@@ -226,13 +227,25 @@ func TestRankedKeysAndSPA(t *testing.T) {
 						t.Fatalf("SPA.ExtractSorted n=%d: value of key %d is %v, want %v", n, k, vals[i], v)
 					}
 				}
-				const bias = 1000
-				if spa.ExtractSortedBias(got, vals, bias) != n {
-					t.Fatalf("SPA.ExtractSortedBias n=%d: wrong count", n)
+				// The same row through a Row loop seeded with its first half,
+				// which lists the rest itself, then Gather.
+				seed := make([]float64, n/2)
+				for i := range seed {
+					seed[i] = float64(i)
 				}
-				for i, k := range got {
-					if v, _ := spa.Lookup(k - bias); k != want[i]+bias || v != vals[i] {
-						t.Fatalf("SPA.ExtractSortedBias n=%d: entry %d is (%d, %v)", n, i, k, vals[i])
+				dense, stamp, gen := spa.Row(keys[:n/2], seed)
+				listed := slices.Clone(keys[:n/2])
+				for i, k := range keys[n/2:] {
+					stamp[k], dense[k] = gen, float64(n/2+i)
+					listed = append(listed, k)
+				}
+				spa.Gather(listed, vals, true)
+				if !slices.Equal(listed, want) {
+					t.Fatalf("SPA.Gather n=%d span=%d keys differ", n, span)
+				}
+				for i, k := range listed {
+					if v, _ := spa.Lookup(k); v != vals[i] || v != float64(slices.Index(keys, k)) {
+						t.Fatalf("SPA.Gather n=%d: entry %d is (%d, %v)", n, i, k, vals[i])
 					}
 				}
 				assertScratchClean(t, "spa", &spa.rank)

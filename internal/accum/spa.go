@@ -24,8 +24,13 @@ type SPA = SPAG[float64]
 // NewSPA returns a float64 SPA over a column space of size ncols.
 func NewSPA(ncols int) *SPA { return NewSPAG[float64](ncols) }
 
-// NewSPAG returns a SPA over V with a column space of size ncols.
+// NewSPAG returns a SPA over V with a column space of size ncols, at least 64
+// columns wide: the dense arrays are written on every product, and two
+// workers' one-column SPAs (a tall-skinny product's) would otherwise share a
+// cache line and pass it back and forth — MSBFS's numeric pass ran 1.6×
+// slower at W = 2 for it (EXPERIMENTS.md).
 func NewSPAG[V semiring.Value](ncols int) *SPAG[V] {
+	ncols = max(ncols, 64)
 	return &SPAG[V]{
 		vals:  make([]V, ncols),
 		marks: StampSet{stamp: make([]uint32, ncols), gen: 1},
@@ -111,49 +116,47 @@ func (s *SPAG[V]) ExtractUnsorted(cols []int32, vals []V) int {
 //
 //spgemm:hotpath
 func (s *SPAG[V]) ExtractSorted(cols []int32, vals []V) int {
-	n := len(s.idx)
-	cols = cols[:n]
-	vals = vals[:n]
-	copy(cols, s.idx)
-	s.rank.sortKeys(cols)
-	for i, col := range cols {
-		vals[i] = s.vals[col]
-	}
+	n := copy(cols[:len(s.idx)], s.idx)
+	s.Gather(cols[:n], vals, true)
 	return n
 }
 
-// ExtractUnsortedBias is ExtractUnsorted with bias added to every emitted
-// column id — the tile-local → global column translation of the tiled
-// kernel's stitch pass, fused into the extraction so no temp copy exists.
+// Row starts a row holding the entries cols/vals — none for a fresh row, or
+// the distinct columns a caller wrote before it turned to the SPA — for a
+// loop of the caller's own over the raw dense arrays: column col is in the
+// row iff stamp[col] == gen. On a column's first touch the loop sets its
+// stamp, stores the product at dense[col] and lists the column itself; later
+// products it folds into dense[col] with its ring. Gather then extracts.
+// Unlike Upsert, nothing is appended per product and no field is reloaded
+// after each store: the hash kernels' numeric row runs about 5 % faster on
+// it (EXPERIMENTS.md). dense and stamp have the same length.
 //
 //spgemm:hotpath
-func (s *SPAG[V]) ExtractUnsortedBias(cols []int32, vals []V, bias int32) int {
-	idx := s.idx
-	n := len(idx)
-	cols = cols[:n]
-	vals = vals[:n]
-	for i, c := range idx {
-		cols[i] = c + bias
-		vals[i] = s.vals[c]
+func (s *SPAG[V]) Row(cols []int32, vals []V) (dense []V, stamp []uint32, gen uint32) {
+	s.Reset()
+	dense, stamp, gen = s.vals, s.marks.stamp[:len(s.vals)], s.marks.gen
+	vals = vals[:len(cols)]
+	for j, col := range cols {
+		stamp[col], dense[col] = gen, vals[j]
 	}
-	return n
+	return dense, stamp, gen
 }
 
-// ExtractSortedBias is ExtractSorted with bias added to every emitted column
-// id. Because a tile covers a contiguous column range, sorting the local ids
-// and biasing afterwards yields globally sorted output for the tile's slice
-// of the row.
+// Marks is the SPA's occupancy, for a caller that tests columns against it
+// (StampSet.CopyNew) before it folds any: a Row or a Reset clears it.
+func (s *SPAG[V]) Marks() *StampSet { return &s.marks }
+
+// Gather writes the value of every column of cols to vals, after sorting
+// cols ascending when sorted: the extraction of a row whose columns a Row
+// loop listed, each once.
 //
 //spgemm:hotpath
-func (s *SPAG[V]) ExtractSortedBias(cols []int32, vals []V, bias int32) int {
-	n := len(s.idx)
-	cols = cols[:n]
-	vals = vals[:n]
-	copy(cols, s.idx)
-	s.rank.sortKeys(cols)
+func (s *SPAG[V]) Gather(cols []int32, vals []V, sorted bool) {
+	if sorted {
+		s.rank.sortKeys(cols)
+	}
+	vals = vals[:len(cols)]
 	for i, col := range cols {
 		vals[i] = s.vals[col]
-		cols[i] = col + bias
 	}
-	return n
 }

@@ -130,7 +130,8 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 // TestContextReuseSteadyAllocs pins the per-call allocation count of a
 // Context-reused Multiply: after warmup the only allocations left are the
 // output matrix's three arrays plus the result header — per-row numeric
-// state must come from the Context's cached tables. The one-phase geometry is
+// state must come from the Context's cached tables (for Hash on this square,
+// Cols <= flop, the SPA: the hash rows check it runs). The one-phase geometry is
 // held to the same bound: one-shot Heap and a masked product fill upper-bound
 // buffers that are the Context's, as is the mask's col→slot index (the masked
 // row is pinned at the 6 it measures: three arrays and what the +recycle rows
@@ -188,6 +189,19 @@ func TestContextReuseSteadyAllocs(t *testing.T) {
 			}
 			run() // warm the context's tables and partitions
 			run() // a Plan's second execution builds its replay map
+			if tc.alg == AlgHash && tc.mask == nil && !tc.plan {
+				// Cols <= flop: the steady state measured below is the SPA's,
+				// every numeric product folded into the Context's dense arrays.
+				var st ExecStats
+				sopt := *opt
+				sopt.Stats = &st
+				if _, err := Multiply(a, a, &sopt); err != nil {
+					t.Fatal(err)
+				}
+				if tw := st.TotalWorker(); tw.DenseFlop != tw.Flop || tw.HashLookups != 0 {
+					t.Fatalf("numeric folded %d of %d products in the SPA (%d table lookups), want all (none)", tw.DenseFlop, tw.Flop, tw.HashLookups)
+				}
+			}
 			allocs := testing.AllocsPerRun(10, run)
 			// Output CSR: RowPtr + ColIdx + Val + header, plus minor
 			// per-call bookkeeping. The bound is deliberately tight: the

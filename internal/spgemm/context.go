@@ -14,7 +14,7 @@ import (
 
 // ContextG is the reusable execution state of the SpGEMM kernels: the
 // per-worker accumulators (hash tables, chunked hash tables, merge heaps,
-// symbolic stamp sets), the per-worker temp buffers of the one-phase kernels,
+// dense SPAs), the per-worker temp buffers of the one-phase kernels,
 // and the per-row bookkeeping arrays (flop counts, row sizes, partition
 // offsets, prefix-sum scratch). All of it grows monotonically and is reused
 // across Multiply calls, so iterative workloads — MCL's repeated M·M,
@@ -23,8 +23,10 @@ import (
 // After warm-up, a hash SpGEMM through a Context allocates only the output
 // matrix — and not even that once the caller hands finished products back
 // through Recycle. The price is what the Context retains: besides tables sized
-// by the widest row, up to 4·Cols bytes of symbolic stamps per worker (see
-// rowCounter) and the arrays of at most one donated product.
+// by the widest row, up to 12·Cols bytes per worker where Cols <= flop
+// (denseRule) — its SPA, 4·Cols of stamps that symbolic counts with too plus
+// 8·Cols of values for V = float64 — and the arrays of at most one donated
+// product.
 //
 // A Context is specific to one value type V: its accumulators and value
 // scratch hold V entries. The ring used for a given call is independent —
@@ -53,7 +55,6 @@ type ContextG[V semiring.Value] struct {
 	hashVec   []*accum.HashVecTableG[V]
 	heaps     []*accum.MergeHeapG[V]
 	spa       []*accum.SPAG[V]
-	stamps    []*accum.StampSet
 	scratch   *mempool.Pool
 
 	// Per-worker value scratch (the V-typed counterpart of the index buffers
@@ -78,7 +79,8 @@ type ContextG[V semiring.Value] struct {
 
 	// Tiled-execution state (AlgTiled): the light-row weight copy, the flat
 	// column-split of B (nTiles row-pointer blocks plus tile-local column
-	// ids and gathered values), the heavy (row, tile) unit bookkeeping, and
+	// ids and gathered values, and the tiles' CSR headers over them), the
+	// heavy (row, tile) unit bookkeeping, and
 	// a second offsets/prefix-sum pair so unit partitioning never aliases
 	// the row partition's buffers.
 	lightFlop  []int64
@@ -86,6 +88,7 @@ type ContextG[V semiring.Value] struct {
 	tileCur    []int64
 	tileIdx    []int32
 	tileVal    []V
+	tiles      []matrix.CSRG[V]
 	unitRow    []int32
 	unitTile   []int32
 	unitFlop   []int64
@@ -317,7 +320,6 @@ func (c *ContextG[V]) ensureWorkers(n int) {
 	c.hashVec = growTo(c.hashVec, n)
 	c.heaps = growTo(c.heaps, n)
 	c.spa = growTo(c.spa, n)
-	c.stamps = growTo(c.stamps, n)
 	c.vals = growTo(c.vals, n)
 	if c.scratch == nil {
 		c.scratch = mempool.NewPool(n)
@@ -421,22 +423,6 @@ func (c *ContextG[V]) spaTable(w, ncols int) *accum.SPAG[V] {
 	mCtxReuse.Inc()
 	s.Reserve(ncols)
 	s.Reset()
-	return s
-}
-
-// stampSet returns worker w's symbolic stamp set covering ncols columns
-// (contents undefined; callers Clear per row). ensureWorkers(>w) must have
-// been called.
-func (c *ContextG[V]) stampSet(w, ncols int) *accum.StampSet {
-	s := c.stamps[w]
-	if s == nil {
-		mCtxAlloc.Inc()
-		s = accum.NewStampSet(ncols)
-		c.stamps[w] = s
-		return s
-	}
-	mCtxReuse.Inc()
-	s.Reserve(ncols)
 	return s
 }
 

@@ -179,16 +179,18 @@ func TestContextWithDedicatedPool(t *testing.T) {
 
 // TestContextStatsPerCall checks that ExecStats counters through a reused
 // Context stay per-call (cached accumulators must not leak lifetime counters
-// into later calls' stats).
+// into later calls' stats). B is hypersparse (wide), so both phases keep the
+// hash tables whose counters are cached with them.
 func TestContextStatsPerCall(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := matrix.Random(100, 100, 0.05, rng)
+	wide := matrix.RandomWithDegree(100, 1<<16, 5, rng)
 	ctx := NewContext()
 	var first, second ExecStats
-	if _, err := Multiply(a, a, &Options{Algorithm: AlgHash, Workers: 2, Context: ctx, Stats: &first}); err != nil {
+	if _, err := Multiply(a, wide, &Options{Algorithm: AlgHash, Workers: 2, Context: ctx, Stats: &first}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Multiply(a, a, &Options{Algorithm: AlgHash, Workers: 2, Context: ctx, Stats: &second}); err != nil {
+	if _, err := Multiply(a, wide, &Options{Algorithm: AlgHash, Workers: 2, Context: ctx, Stats: &second}); err != nil {
 		t.Fatal(err)
 	}
 	var l1, l2 int64

@@ -331,12 +331,15 @@ func Check(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 // sameBits is value identity at the bit level: -0 is not +0, and a NaN is a
 // NaN (its payload is the hardware's business, not the kernels').
 func sameBits[V semiring.Value](x, y V) bool {
-	fx, ok := any(x).(float64)
-	if !ok {
-		return x == y
+	switch fx := any(x).(type) {
+	case float64:
+		fy := any(y).(float64)
+		return math.Float64bits(fx) == math.Float64bits(fy) || (fx != fx && fy != fy)
+	case float32:
+		fy := any(y).(float32)
+		return math.Float32bits(fx) == math.Float32bits(fy) || (fx != fx && fy != fy)
 	}
-	fy := any(y).(float64)
-	return math.Float64bits(fx) == math.Float64bits(fy) || (fx != fx && fy != fy)
+	return x == y
 }
 
 // identical reports whether two results are bit-identical: same shape, same
@@ -529,7 +532,7 @@ func CheckPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 		if round >= 2 && st.Algorithm != spgemm.AlgHeap {
 			wantReplay = tw.Flop
 		}
-		if tw.ReplayFlop != wantReplay || (wantReplay > 0 && tw.HashLookups+tw.StampMarks+tw.DirectFlop+tw.HeapPushes != 0) {
+		if tw.ReplayFlop != wantReplay || (wantReplay > 0 && tw.HashLookups+tw.StampMarks+tw.DirectFlop+tw.DenseFlop+tw.HeapPushes != 0) {
 			return fmt.Errorf("%s/%v round %d: streamed %d of %d products (want %d), accumulator counters %+v",
 				c.Name, st.Algorithm, round, tw.ReplayFlop, tw.Flop, wantReplay, tw)
 		}

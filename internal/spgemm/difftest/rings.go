@@ -116,6 +116,39 @@ func CheckOnePass[V semiring.Value, R semiring.Ring[V]](caseName string, ring R,
 	return nil
 }
 
+// CheckRuleSides is the leg of the kernels' one O(Cols) rule (Cols <= flop):
+// the one-worker Hash product of a·b, sorted and unsorted, must be
+// bit-identical to the same product with B padded by empty columns until
+// Cols > flop — the padding moves both phases from stamps and the SPA to the
+// hash table, and the padded product must have taken the table. An unpadded
+// product whose flop reaches its columns must have taken the SPA.
+func CheckRuleSides[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a, b *matrix.CSRG[V]) error {
+	flop, _ := matrix.Flop(a, b)
+	padded := *b
+	padded.Cols = max(b.Cols, int(flop)+1)
+	for _, unsorted := range []bool{false, true} {
+		var dense, table spgemm.ExecStats
+		opt := spgemm.OptionsG[V]{Algorithm: spgemm.AlgHash, Unsorted: unsorted, Workers: 1, Stats: &dense}
+		want, err := spgemm.MultiplyRing(ring, a, b, &opt)
+		if err == nil {
+			opt.Stats = &table
+			var got *matrix.CSRG[V]
+			if got, err = spgemm.MultiplyRing(ring, a, &padded, &opt); err == nil {
+				got.Cols = b.Cols
+				err = identical(got, want)
+			}
+		}
+		dw, tw := dense.TotalWorker(), table.TotalWorker()
+		if err == nil && (tw.DenseFlop != 0 || tw.StampMarks != 0 || flop > 0 && (flop >= int64(b.Cols)) != (dw.HashLookups == 0)) {
+			err = fmt.Errorf("flop %d, %d columns: sides taken %+v and, padded, %+v", flop, b.Cols, dw, tw)
+		}
+		if err != nil {
+			return fmt.Errorf("%s/rule sides unsorted=%v: %w", caseName, unsorted, err)
+		}
+	}
+	return nil
+}
+
 // The masked leg. Options.Mask restricts the output to the mask's pattern,
 // so the oracle is the unmasked oracle result with the entries outside the
 // pattern removed — and nothing else: an entry inside it survives even when

@@ -80,6 +80,27 @@ func TestDifferentialOnePass(t *testing.T) {
 	}
 }
 
+// TestDifferentialRuleSides runs the rule leg (CheckRuleSides) over the whole
+// suite and the special-value cases (-0, ±Inf and NaN come out of the SPA
+// and the table with the same bits) on the seven ring instantiations
+// TestDifferentialRings covers.
+func TestDifferentialRuleSides(t *testing.T) {
+	rng := rand.New(rand.NewSource(1236))
+	for _, c := range append(Cases(rng), SpecialValueCases(rng)...) {
+		if err := errors.Join(
+			CheckRuleSides(c.Name+"/f64", semiring.PlusTimesF64{}, c.A, c.B),
+			CheckRuleSides(c.Name+"/f32", semiring.PlusTimesF32{}, AsF32(c.A), AsF32(c.B)),
+			CheckRuleSides(c.Name+"/bool", semiring.OrAndBool{}, AsBool(c.A), AsBool(c.B)),
+			CheckRuleSides(c.Name+"/i64", semiring.PlusTimesI64{}, AsI64(c.A), AsI64(c.B)),
+			CheckRuleSides(c.Name+"/u64", semiring.OrAndU64{}, AsU64(c.A), AsU64(c.B)),
+			CheckRuleSides(c.Name+"/minplus", semiring.MinPlusF64{}, AsMinPlus(c.A), AsMinPlus(c.B)),
+			CheckRuleSides(c.Name+"/maxtimes", semiring.MaxTimesF64{}, c.A, c.B),
+		); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // checkMaskedRings runs the masked leg of c over the seven ring
 // instantiations TestDifferentialRings covers.
 func checkMaskedRings(c Case, unsorted bool, f64 *spgemm.ContextG[float64], f32 *spgemm.ContextG[float32], bl *spgemm.ContextG[bool], i64 *spgemm.ContextG[int64], u64 *spgemm.ContextG[uint64]) error {

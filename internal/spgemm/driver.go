@@ -112,7 +112,7 @@ func (in *inspection[V]) clone() inspection[V] {
 		out.lightFlop = append([]int64(nil), in.lightFlop...)
 	}
 	out.offsets = append([]int(nil), in.offsets...)
-	out.tiles = tiledSplit[V]{}
+	out.tiles = nil
 	out.unitRow = append([]int32(nil), in.unitRow...)
 	out.unitTile = append([]int32(nil), in.unitTile...)
 	out.unitFlop = append([]int64(nil), in.unitFlop...)
@@ -146,11 +146,11 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 	}
 	in.offsets = ctx.partition(in.lightFlop, stripes, workers)
 	// The one-pass route: an unsorted one-shot Hash product in one stripe,
-	// whose running offset is its row pointer, on stamps by rowCounter's rule
-	// (Cols <= flop) and at a ratio the recipe's sample, run on ctx's
-	// worker-0 counter, reads as about 1.
+	// whose running offset is its row pointer, on stamps and the SPA by
+	// denseRule and at a ratio the recipe's sample, run on ctx's worker-0
+	// counter, reads as about 1.
 	in.onePass = !forPlan && opt.Unsorted && alg == AlgHash && in.mask == nil && in.stripes() == 1 &&
-		int64(b.Cols) <= rangeFlop(in.flopRow, 0, a.Rows) && ctx.compressionRatio(a, b, recipeSampleRows) <= onePassMaxCR
+		denseRule(b.Cols, rangeFlop(in.flopRow, 0, a.Rows)) && ctx.compressionRatio(a, b, recipeSampleRows) <= onePassMaxCR
 	pt.tick(PhasePartition)
 	if in.onePhase() && !forPlan {
 		return in, pt
@@ -208,7 +208,8 @@ func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 				if in.alg == AlgHashVec {
 					hashVecRows(ring, ctx.hashVecTable(w, bound), a, b, cols, vals, !unsorted, in.lightFlop, rowPtr, lo, hi, base, ws)
 				} else {
-					h := newHashNumeric(ring, ctx.hashTable(w, bound), a, b, cols, vals, !unsorted)
+					h := newHashNumeric(ring, ctx, w, a, b, flop, bound, !unsorted)
+					h.bind(cols, vals)
 					h.rows(in.lightFlop, rowPtr, lo, hi, base)
 					h.report(ws)
 				}

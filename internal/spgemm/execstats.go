@@ -59,12 +59,12 @@ type WorkerStats struct {
 	// HashLookups counts insert/accumulate operations into a hash-family
 	// accumulator (each corresponds to one intermediate product or one
 	// symbolic insert). Products the whole-row hash kernel handles without
-	// its table are counted by StampMarks and DirectFlop instead: for an
-	// unmasked AlgHash, HashLookups + StampMarks + DirectFlop == 2·Flop
-	// (two-phase products only: the one-pass route writes every product
-	// once, DirectFlop + HashLookups == Flop). A Plan's streamed replay
-	// touches no accumulator at all: there ReplayFlop == Flop and the
-	// three are zero.
+	// its table are counted by StampMarks, DirectFlop and DenseFlop instead
+	// — where Cols <= flop it has no table at all: for an unmasked AlgHash,
+	// HashLookups + StampMarks + DirectFlop + DenseFlop == 2·Flop (two-phase
+	// products only: the one-pass route writes every product once,
+	// DirectFlop + DenseFlop == Flop). A Plan's streamed replay touches no
+	// accumulator at all: there ReplayFlop == Flop and the four are zero.
 	HashLookups int64
 	// HashProbes counts collision probe steps beyond the first slot/chunk;
 	// HashProbes/HashLookups is the mean collision factor of the paper's
@@ -82,6 +82,10 @@ type WorkerStats struct {
 	// DirectFlop counts numeric products written straight to the output by
 	// concatenation, in rows the stamps proved free of repeated columns.
 	DirectFlop int64
+	// DenseFlop counts numeric products folded into the worker's dense
+	// accumulator (SPA) instead of a hash table: the rows concatenation does
+	// not write, where B's columns are no more than the worker's flop.
+	DenseFlop int64
 	// ReplayFlop counts numeric products a Plan streamed through its replay
 	// map (plan.go) instead of running its kernel.
 	ReplayFlop int64
@@ -99,6 +103,7 @@ func (w *WorkerStats) add(o WorkerStats) {
 	w.L2Overflows += o.L2Overflows
 	w.StampMarks += o.StampMarks
 	w.DirectFlop += o.DirectFlop
+	w.DenseFlop += o.DenseFlop
 	w.ReplayFlop += o.ReplayFlop
 	w.Busy += o.Busy
 }
@@ -274,8 +279,8 @@ func (s *ExecStats) String() string {
 	if t.L2Overflows > 0 {
 		fmt.Fprintf(&b, " l2_overflows=%d", t.L2Overflows)
 	}
-	if t.StampMarks > 0 || t.DirectFlop > 0 {
-		fmt.Fprintf(&b, " stamp_marks=%d direct_flop=%d", t.StampMarks, t.DirectFlop)
+	if t.StampMarks > 0 || t.DirectFlop > 0 || t.DenseFlop > 0 {
+		fmt.Fprintf(&b, " stamp_marks=%d direct_flop=%d dense_flop=%d", t.StampMarks, t.DirectFlop, t.DenseFlop)
 	}
 	if t.ReplayFlop > 0 {
 		fmt.Fprintf(&b, " replay_flop=%d", t.ReplayFlop)

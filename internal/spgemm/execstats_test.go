@@ -117,35 +117,45 @@ func TestExecStatsPhaseSpans(t *testing.T) {
 
 // TestExecStatsCounters checks the per-worker counters against ground truth:
 // rows and flop are exact, and each accumulator family reports its own
-// operation counts.
+// operation counts — Hash on both sides of the Cols <= flop rule: the
+// hypersparse (wide) product keeps the table in both phases, the square folds
+// every numeric product into the SPA.
 func TestExecStatsCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	g := gen.ER(9, 8, rng)
-	totalFlop, _ := Flop(g, g)
-	for _, alg := range statsAlgorithms {
-		var st ExecStats
-		if _, err := Multiply(g, g, &Options{Algorithm: alg, Workers: 4, Stats: &st}); err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		tot := st.TotalWorker()
-		if tot.Rows != int64(g.Rows) {
-			t.Errorf("%v: worker rows sum to %d, want %d", alg, tot.Rows, g.Rows)
-		}
-		if tot.Flop != totalFlop {
-			t.Errorf("%v: worker flop sums to %d, want %d", alg, tot.Flop, totalFlop)
-		}
-		switch alg {
-		case AlgHash, AlgHashVec:
-			if tot.HashLookups < totalFlop {
-				// Symbolic + numeric passes each touch every product once.
-				t.Errorf("%v: HashLookups = %d, want >= flop %d", alg, tot.HashLookups, totalFlop)
+	wide := matrix.RandomWithDegree(g.Cols, 1<<16, 4, rng)
+	for _, b := range []*matrix.CSR{g, wide} {
+		totalFlop, _ := Flop(g, b)
+		for _, alg := range statsAlgorithms {
+			var st ExecStats
+			if _, err := Multiply(g, b, &Options{Algorithm: alg, Workers: 4, Stats: &st}); err != nil {
+				t.Fatalf("%v: %v", alg, err)
 			}
-			if cf := st.CollisionFactor(); cf < 1 {
-				t.Errorf("%v: collision factor %f < 1", alg, cf)
+			tot := st.TotalWorker()
+			if tot.Rows != int64(g.Rows) {
+				t.Errorf("%v: worker rows sum to %d, want %d", alg, tot.Rows, g.Rows)
 			}
-		case AlgHeap:
-			if tot.HeapPushes == 0 {
-				t.Errorf("%v: no heap pushes recorded", alg)
+			if tot.Flop != totalFlop {
+				t.Errorf("%v: worker flop sums to %d, want %d", alg, tot.Flop, totalFlop)
+			}
+			switch {
+			case alg == AlgHash && b == g:
+				if tot.DenseFlop != totalFlop || tot.HashLookups != 0 {
+					t.Errorf("%v: DenseFlop = %d, HashLookups = %d; want flop %d and 0", alg, tot.DenseFlop, tot.HashLookups, totalFlop)
+				}
+			case alg == AlgHash, alg == AlgHashVec:
+				if tot.HashLookups < totalFlop {
+					// The numeric pass touches every product once (and
+					// symbolic too, on the wide product).
+					t.Errorf("%v: HashLookups = %d, want >= flop %d", alg, tot.HashLookups, totalFlop)
+				}
+				if cf := st.CollisionFactor(); cf < 1 {
+					t.Errorf("%v: collision factor %f < 1", alg, cf)
+				}
+			case alg == AlgHeap:
+				if tot.HeapPushes == 0 {
+					t.Errorf("%v: no heap pushes recorded", alg)
+				}
 			}
 		}
 	}

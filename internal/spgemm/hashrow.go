@@ -7,33 +7,39 @@ import (
 )
 
 // The whole-row hash kernel, written once. Hash, HashVector's symbolic
-// phase, the light rows of Tiled, the stripes of Sharded, every Plan build
-// and replay of those, and the recipe's compression-ratio sample all
-// run the two row functions below, which each take one exact decision from
-// numbers the phases compute anyway:
+// phase, the light rows of Tiled and its heavy units (against one column tile
+// of B), the stripes of Sharded, every Plan build and replay of those, and
+// the recipe's compression-ratio sample all run the row functions below,
+// which take two exact decisions from numbers the phases compute anyway:
 //
-//   - Symbolic counts a row's distinct columns with generation stamps over
-//     B's column space when that space is no larger than the flop of the
-//     rows the worker counts (Cols <= flop), with hash probes otherwise. The
-//     rule needs no constant: under it the O(Cols) array is never larger
-//     than the work it replaces, so even a one-shot call's zeroing is paid
-//     for, while hypersparse products — where a per-thread O(Cols) array is
-//     the paper's Section 4.2.3 objection to SPA — keep Figure 7's table.
+//   - Both phases pick their accumulator by one rule (denseRule): where B's
+//     column space is no larger than the flop of the rows a worker serves
+//     (Cols <= flop), symbolic counts a row's distinct columns with the
+//     generation stamps of a dense SPA over that space and numeric folds its
+//     products into the same SPA (one direct index per product); otherwise
+//     both keep Figure 7's hash table. The rule needs no constant: under it
+//     an O(Cols) array is never larger than the work it replaces, so even a
+//     one-shot call's zeroing is paid for, while hypersparse products —
+//     where a per-thread O(Cols) array is the paper's Section 4.2.3
+//     objection to SPA — keep the table.
 //   - Numeric writes a row whose symbolic size equals its flop, when the
 //     caller wants unsorted output, as the concatenation of the scaled B
-//     rows: no two products share a column, so the table would only hand
+//     rows: no two products share a column, so an accumulator would only hand
 //     every product a fresh slot and copy it back in insertion order, which
 //     is product order. The output is bit-identical to Upsert +
 //     ExtractUnsorted. Rows with a repeated column and every sorted request
-//     keep the table.
+//     go to the accumulator the rule picked; SPA and table both list a row's
+//     columns in first-touch order and fold in product order, so which one
+//     ran never shows in the output.
 //
 // The one-phase geometry's other two row functions (heap.go) are here too.
 // A product under an output mask (Options.Mask, AlgHash only) runs neither
 // of the above: its mask row bounds row i of (A·B).*M — maskedRow, one index
 // lookup per product, no accumulator table, no symbolic pass, B streamed once.
 // On the one-pass route (driver.go) numeric decides without symbolic's count:
-// onePassRow stamps and copies, and gives the table the rows whose stamps see
-// a column twice — the rows numeric would — so B is streamed once.
+// onePassRow stamps and copies, and on the first column its stamps see twice
+// — the rows numeric would fold — goes on in the SPA from there, seeded with
+// what it wrote, so B is streamed once.
 
 // capBound clamps an accumulator size bound at the number of output columns
 // (a row cannot have more distinct entries than columns) — the min(Ncol,
@@ -64,8 +70,15 @@ func rangeFlopMax(flopRow []int64, lo, hi int) (sum, max int64) {
 	return sum, max
 }
 
-// rowCounter is one worker's symbolic accumulator: stamps or a hash table,
-// never both.
+// denseRule is the one rule that puts an O(Cols) array in a worker's hands:
+// B's column space is no larger than the flop of the rows the array serves.
+// Symbolic counting (rowCounter), the numeric accumulator (newHashNumeric), a
+// masked row's col→slot index (maskedRows) and the one-pass route (inspect)
+// all ask it, and nothing else compares a column count with a flop.
+func denseRule(cols int, flop int64) bool { return int64(cols) <= flop }
+
+// rowCounter is one worker's symbolic accumulator: stamps — its SPA's, which
+// numeric folds into next — or a hash table, never both.
 type rowCounter[V semiring.Value] struct {
 	stamps *accum.StampSet
 	table  *accum.HashTableG[V]
@@ -73,10 +86,9 @@ type rowCounter[V semiring.Value] struct {
 
 // rowCounter picks worker w's symbolic accumulator for rows carrying flop
 // products, none of them more than bound (already capped at cols) per row.
-// This is the only place the stamp/hash choice is made.
 func (c *ContextG[V]) rowCounter(w, cols int, flop, bound int64) rowCounter[V] {
-	if int64(cols) <= flop {
-		return rowCounter[V]{stamps: c.stampSet(w, cols)}
+	if denseRule(cols, flop) {
+		return rowCounter[V]{stamps: c.spaTable(w, cols).Marks()}
 	}
 	return rowCounter[V]{table: c.hashTable(w, bound)}
 }
@@ -132,45 +144,71 @@ func (c *ContextG[V]) hashSymbolic(w int, a, b *matrix.CSRG[V], flopRow []int64,
 	}
 }
 
-// hashNumeric is one worker's numeric state: the operands, the table, and
-// the output window its rows land in. When the ring is the float64
-// plus-times flagship, fa/fb/ftab/fvals are the same objects under their
-// concrete types (one assertion per worker, see ringfast.go) and rows run
-// the monomorphized twin.
+// hashNumeric is one worker's numeric state: the operands, the accumulator —
+// the SPA or the table, never both — and the output window its rows land in.
+// When the ring is the float64 plus-times flagship, fa/fb/ftab/fspa/fvals are
+// the same objects under their concrete types (one assertion per window, see
+// ringfast.go) and rows run the monomorphized twins.
 type hashNumeric[V semiring.Value, R semiring.Ring[V]] struct {
 	ring   R
+	spa    *accum.SPAG[V]
 	table  *accum.HashTableG[V]
 	a, b   *matrix.CSRG[V]
 	cols   []int32
 	vals   []V
 	sorted bool
 	direct int64 // flop written by concatenation
+	dense  int64 // flop folded into the SPA
 
 	fa, fb *matrix.CSR
+	fspa   *accum.SPA
 	ftab   *accum.HashTable
 	fvals  []float64
 }
 
-func newHashNumeric[V semiring.Value, R semiring.Ring[V]](ring R, table *accum.HashTableG[V], a, b *matrix.CSRG[V], cols []int32, vals []V, sorted bool) hashNumeric[V, R] {
-	h := hashNumeric[V, R]{ring: ring, table: table, a: a, b: b, cols: cols, vals: vals, sorted: sorted}
-	h.fa, h.fb, h.ftab, h.fvals, _ = ptF64Hash(ring, a, b, table, vals)
+// newHashNumeric readies worker w's numeric pass over rows carrying flop
+// products, none of them more than bound (already capped at B's columns) per
+// row: by denseRule the worker's SPA over B's columns, else its table — the
+// side rowCounter took for the same rows. bind gives it its window.
+func newHashNumeric[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V], w int, a, b *matrix.CSRG[V], flop, bound int64, sorted bool) hashNumeric[V, R] {
+	h := hashNumeric[V, R]{ring: ring, a: a, b: b, sorted: sorted}
+	if denseRule(b.Cols, flop) {
+		h.spa = ctx.spaTable(w, b.Cols)
+	} else {
+		h.table = ctx.hashTable(w, bound)
+	}
 	return h
 }
 
+// bind points the pass at the output window cols/vals.
+func (h *hashNumeric[V, R]) bind(cols []int32, vals []V) {
+	h.cols, h.vals = cols, vals
+	h.fa, h.fb, h.fspa, h.ftab, h.fvals, _ = ptF64Hash(h.ring, h.a, h.b, h.spa, h.table, vals)
+}
+
 // row writes the n entries of row i of A·B at offset start of the window.
-// This is the only place the concatenate/table choice is made.
+// This is the only place the concatenate/accumulate choice is made.
 //
 //spgemm:hotpath
 func (h *hashNumeric[V, R]) row(i int, start, n, flop int64) {
 	direct := !h.sorted && n == flop
+	dense := !direct && h.spa != nil
 	if direct {
 		h.direct += flop
+	} else if dense {
+		h.dense += flop
 	}
 	cols := h.cols[start : start+n]
 	if h.fa != nil {
-		hashRowNumericF64(h.ftab, h.fa, h.fb, i, cols, h.fvals[start:start+n], direct, h.sorted)
+		if vals := h.fvals[start : start+n]; dense {
+			spaRowNumericF64(h.fspa, h.fa, h.fb, i, 0, 0, cols, vals, h.sorted)
+		} else {
+			hashRowNumericF64(h.ftab, h.fa, h.fb, i, cols, vals, direct, h.sorted)
+		}
+	} else if vals := h.vals[start : start+n]; dense {
+		spaRowNumeric(h.ring, h.spa, h.a, h.b, i, 0, 0, cols, vals, h.sorted)
 	} else {
-		hashRowNumeric(h.ring, h.table, h.a, h.b, i, cols, h.vals[start:start+n], direct, h.sorted)
+		hashRowNumeric(h.ring, h.table, h.a, h.b, i, cols, vals, direct, h.sorted)
 	}
 }
 
@@ -186,10 +224,14 @@ func (h *hashNumeric[V, R]) rows(flopRow, rowPtr []int64, lo, hi int, base int64
 
 // report adds the pass's accumulator counters to ws, which may be nil.
 func (h *hashNumeric[V, R]) report(ws *WorkerStats) {
-	if ws != nil {
+	if ws == nil {
+		return
+	}
+	ws.DirectFlop += h.direct
+	ws.DenseFlop += h.dense
+	if h.table != nil {
 		ws.HashLookups += h.table.Lookups()
 		ws.HashProbes += h.table.Probes()
-		ws.DirectFlop += h.direct
 	}
 }
 
@@ -239,25 +281,62 @@ func hashRowNumeric[V semiring.Value, R semiring.Ring[V]](ring R, table *accum.H
 	}
 }
 
-// onePassRow writes row i of A·B, unsorted, from the start of cols/vals
-// (room for its flop): each B row's columns are stamped and copied, its
-// values scaled behind them. On the first column already stamped the row is
-// redone through table, as two-phase numeric does a row whose count fell
-// short of its flop. It returns the row's size (the flop unless the table
-// ran) and the products it tested. onePassRowF64 is its float64 twin.
+// spaRowNumeric is hashRowNumeric's accumulating half on the dense SPA, in
+// a Row loop: the first product of a column is stored and listed in cols,
+// later ones folded with ring.Add in product order, so the row lists its
+// columns in first-touch order as the table's used list does and is
+// bit-identical to the table's. The first seeded entries of cols/vals are the
+// row's products through its B rows before from, written by concatenation
+// (onePassRow; two-phase numeric passes 0 and 0): the SPA takes them as they
+// stand and folds on from B row from. It returns the row's size.
+// spaRowNumericF64 is its float64 plus-times twin.
 //
 //spgemm:hotpath
-func onePassRow[V semiring.Value, R semiring.Ring[V]](ring R, st *accum.StampSet, table *accum.HashTableG[V], a, b *matrix.CSRG[V], i int, cols []int32, vals []V) (n, marks int) {
+func spaRowNumeric[V semiring.Value, R semiring.Ring[V]](ring R, spa *accum.SPAG[V], a, b *matrix.CSRG[V], i, from, seeded int, cols []int32, vals []V, sorted bool) int {
+	arp := a.RowPtr[i : i+2]
+	acols := a.ColIdx[arp[0]+int64(from) : arp[1]]
+	avals := a.Val[arp[0]+int64(from) : arp[1]]
+	dense, stamp, gen := spa.Row(cols[:seeded], vals)
+	stamp = stamp[:len(dense)] // one check per product covers both
+	n := seeded
+	for x, k := range acols {
+		av := avals[x]
+		brp := b.RowPtr[k : int(k)+2]
+		bvals := b.Val[brp[0]:brp[1]]
+		for y, col := range b.ColIdx[brp[0]:brp[1]] {
+			prod := ring.Mul(av, bvals[y])
+			if stamp[col] != gen {
+				stamp[col], dense[col], cols[n] = gen, prod, col
+				n++
+			} else {
+				dense[col] = ring.Add(dense[col], prod)
+			}
+		}
+	}
+	spa.Gather(cols[:n], vals, sorted)
+	return n
+}
+
+// onePassRow writes row i of A·B, unsorted, from the start of cols/vals
+// (room for its flop): each B row's columns are stamped with the SPA's own
+// stamps and copied, its values scaled behind them. On the first column
+// already stamped the row goes on in the SPA from that B row, seeded with the
+// entries already written, as two-phase numeric folds a row whose count fell
+// short of its flop. It returns the row's size (the flop unless the SPA ran)
+// and the products it tested. onePassRowF64 is its float64 twin.
+//
+//spgemm:hotpath
+func onePassRow[V semiring.Value, R semiring.Ring[V]](ring R, spa *accum.SPAG[V], a, b *matrix.CSRG[V], i int, cols []int32, vals []V) (n, marks int) {
 	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
 	acols := a.ColIdx[alo:ahi]
 	avals := a.Val[alo:ahi]
+	st := spa.Marks()
 	st.Clear()
 	for x, k := range acols {
 		brp := b.RowPtr[k : int(k)+2]
 		bcols := b.ColIdx[brp[0]:brp[1]]
 		if c := st.CopyNew(cols[n:], bcols); c < len(bcols) {
-			hashRowNumeric(ring, table, a, b, i, cols, vals, false, false)
-			return table.Len(), n + c + 1
+			return spaRowNumeric(ring, spa, a, b, i, x, n, cols, vals, false), n + c + 1
 		}
 		av := avals[x]
 		bvals := b.Val[brp[0]:brp[1]]
@@ -277,8 +356,9 @@ func onePassRow[V semiring.Value, R semiring.Ring[V]](ring R, st *accum.StampSet
 // counted first and written as two-phase numeric would, and only one whose
 // count overflows too grows c, to hold every later row at its flop.
 func onePassRows[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V], a, b *matrix.CSRG[V], flopRow []int64, flop, max int64, c *matrix.CSRG[V], ws *WorkerStats) {
-	rc := rowCounter[V]{stamps: ctx.stampSet(0, b.Cols)}
-	h := newHashNumeric(ring, ctx.hashTable(0, capBound(max, b.Cols)), a, b, c.ColIdx, c.Val, false)
+	h := newHashNumeric(ring, ctx, 0, a, b, flop, capBound(max, b.Cols), false) // the SPA: the route is denseRule's
+	h.bind(c.ColIdx, c.Val)
+	rc := rowCounter[V]{stamps: h.spa.Marks()}
 	var pos, marks, direct int64
 	rest := flop
 	for i, f := range flopRow {
@@ -288,15 +368,15 @@ func onePassRows[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V],
 		switch room := int64(min(len(c.ColIdx), len(c.Val))); {
 		case f == 0:
 		case pos+f <= room && h.fa != nil:
-			n, m = onePassRowF64(rc.stamps, h.ftab, h.fa, h.fb, i, c.ColIdx[pos:], h.fvals[pos:])
+			n, m = onePassRowF64(h.fspa, h.fa, h.fb, i, c.ColIdx[pos:], h.fvals[pos:])
 		case pos+f <= room:
-			n, m = onePassRow(ring, rc.stamps, h.table, a, b, i, c.ColIdx[pos:], c.Val[pos:])
+			n, m = onePassRow(ring, h.spa, a, b, i, c.ColIdx[pos:], c.Val[pos:])
 		default:
 			n, m = int(rc.count(a, b, i)), int(f)
 			if pos+int64(n) > room {
 				c.ColIdx = regrow(&ctx.outCols, c.ColIdx, pos, pos+int64(n)+rest)
 				c.Val = regrow(&ctx.outVals, c.Val, pos, pos+int64(n)+rest)
-				h = newHashNumeric(ring, h.table, a, b, c.ColIdx, c.Val, false)
+				h.bind(c.ColIdx, c.Val)
 			}
 			h.row(i, pos, int64(n), f)
 		}
@@ -307,7 +387,9 @@ func onePassRows[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V],
 	}
 	c.RowPtr[a.Rows] = pos
 	c.ColIdx, c.Val = c.ColIdx[:pos], c.Val[:pos]
-	h.direct = direct // h.row's own count does not survive c growing
+	// Every row was concatenated or folded into the SPA, whichever function
+	// wrote it.
+	h.direct, h.dense = direct, flop-direct
 	if ws != nil {
 		ws.Rows, ws.Flop, ws.StampMarks = int64(a.Rows), flop, marks
 	}
@@ -397,11 +479,11 @@ func maskedRows[V semiring.Value, R semiring.Ring[V]](ring R, c *ContextG[V], w 
 	}
 	cols := c.workerScratch(w).EnsureInt32A(int(need))
 	vals := c.valScratch(w, int(need))
-	// The index goes by rowCounter's rule, for its reason, and nowhere else:
-	// the O(Cols) array only where the worker's flop pays for it.
+	// The index goes by denseRule, for its reason: the O(Cols) array only
+	// where the worker's flop pays for it.
 	var dense []int32
 	var table *accum.HashTableG[int32]
-	if int64(b.Cols) <= flop {
+	if denseRule(b.Cols, flop) {
 		c.maskDense[w] = growTo(c.maskDense[w], b.Cols)
 		dense = c.maskDense[w]
 	} else {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/accum"
 	"repro/internal/gen"
 	"repro/internal/matrix"
+	"repro/internal/semiring"
 )
 
 // Tests for the whole-row hash kernel's two row decisions (hashrow.go).
@@ -18,27 +19,30 @@ import (
 
 // TestHashCounterInvariant: every product of an unmasked two-phase product
 // through the whole-row passes is counted exactly twice — once by symbolic
-// (hash lookup or stamp mark), once by numeric (hash lookup or direct write) —
-// and the counters say which. That holds however the rows are cut into
+// (hash lookup or stamp mark), once by numeric (hash lookup, SPA fold or
+// direct write) — and the counters say which; a sorted request, which writes
+// nothing directly, shows both phases on the same side of denseRule (as many
+// SPA folds as stamp marks). That holds however the rows are cut into
 // stripes: for AlgHash's one per worker, for AlgSharded at one stripe, one per
 // worker and one per row (several stripes then accumulate into one worker's
-// counters), and for AlgTiled when every row is light. On the one-pass route
-// (an unsorted AlgHash product in one stripe at compression ratio about 1)
-// every product is written once, so direct writes and hash lookups sum to the
-// flop, the stamps test at most the flop, and no time goes to symbolic.
+// counters, on either side), and for AlgTiled when every row is light. On the
+// one-pass route (an unsorted AlgHash product in one stripe at compression
+// ratio about 1) every product is written once, so direct writes and SPA
+// folds sum to the flop, the stamps test at most the flop, and no time goes
+// to symbolic.
 func TestHashCounterInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g500 := gen.RMAT(8, 8, gen.G500Params, rng)
 	wideA := matrix.RandomWithDegree(64, 64, 4, rng)
 	wideB := matrix.RandomWithDegree(64, 1<<16, 4, rng)
 	// ER thin enough that most rows of its square repeat no column while a
-	// few do: the concatenate/table choice takes both sides.
+	// few do: the concatenate/accumulate choice takes both sides.
 	thin := gen.Unsorted(gen.ER(10, 3, rng), rng)
 	for _, in := range []struct {
 		name       string
 		a, b       *matrix.CSR
-		wantStamps bool // symbolic side taken at one worker
-		wantTable  bool // some row repeats a column
+		wantStamps bool // dense side taken at one worker
+		wantRepeat bool // some row repeats a column
 		onePass    bool // compression ratio near 1 and Cols <= flop
 	}{
 		{"thin-er", thin, thin, true, true, true},
@@ -72,22 +76,26 @@ func TestHashCounterInvariant(t *testing.T) {
 						t.Errorf("%s: symbolic took %v, want none iff on the one-pass route (%v)", name, st.Phases[PhaseSymbolic], onePass)
 					}
 					if onePass {
-						if tot.HashLookups+tot.DirectFlop != flop || tot.StampMarks > flop {
-							t.Errorf("%s: one pass: lookups %d + direct %d, want flop %d; marks %d, want at most flop", name, tot.HashLookups, tot.DirectFlop, flop, tot.StampMarks)
+						if tot.DirectFlop+tot.DenseFlop != flop || tot.HashLookups != 0 || tot.StampMarks > flop {
+							t.Errorf("%s: one pass: direct %d + dense %d, want flop %d; lookups %d, want 0; marks %d, want at most flop",
+								name, tot.DirectFlop, tot.DenseFlop, flop, tot.HashLookups, tot.StampMarks)
 						}
-					} else if got := tot.HashLookups + tot.StampMarks + tot.DirectFlop; got != 2*flop || tot.L2Overflows != 0 {
-						t.Errorf("%s: lookups %d + marks %d + direct %d = %d, want 2·flop = %d (and %d heavy units, want 0)",
-							name, tot.HashLookups, tot.StampMarks, tot.DirectFlop, got, 2*flop, tot.L2Overflows)
+					} else if got := tot.HashLookups + tot.StampMarks + tot.DirectFlop + tot.DenseFlop; got != 2*flop || tot.L2Overflows != 0 {
+						t.Errorf("%s: lookups %d + marks %d + direct %d + dense %d = %d, want 2·flop = %d (and %d heavy units, want 0)",
+							name, tot.HashLookups, tot.StampMarks, tot.DirectFlop, tot.DenseFlop, got, 2*flop, tot.L2Overflows)
 					}
-					if !unsorted && tot.DirectFlop != 0 {
-						t.Errorf("%s: sorted request wrote %d products directly", name, tot.DirectFlop)
+					if !unsorted && (tot.DirectFlop != 0 || tot.DenseFlop != tot.StampMarks) {
+						t.Errorf("%s: sorted request wrote %d products directly and folded %d in the SPA, stamped %d; want 0 and the same",
+							name, tot.DirectFlop, tot.DenseFlop, tot.StampMarks)
 					}
-					// Which side symbolic takes depends on the stripe's flop;
+					// Which side the phases take depends on the stripe's flop;
 					// one stripe over all rows is the case the table states. The
 					// one-pass route stamps a repeating row only up to its repeat.
 					if oneStripe := workers == 1 && geom.stripes <= 1; unsorted && oneStripe {
-						if (tot.StampMarks == flop || onePass && tot.StampMarks > 0) != in.wantStamps || tot.DirectFlop == 0 || (tot.DirectFlop < flop) != in.wantTable {
-							t.Errorf("%s: flop %d marks %d direct %d lookups %d: wrong sides taken", name, flop, tot.StampMarks, tot.DirectFlop, tot.HashLookups)
+						if (tot.StampMarks == flop || onePass && tot.StampMarks > 0) != in.wantStamps || tot.DirectFlop == 0 || (tot.DirectFlop < flop) != in.wantRepeat ||
+							(tot.DenseFlop > 0) != (in.wantStamps && in.wantRepeat) || (tot.HashLookups > 0) == in.wantStamps {
+							t.Errorf("%s: flop %d marks %d direct %d dense %d lookups %d: wrong sides taken",
+								name, flop, tot.StampMarks, tot.DirectFlop, tot.DenseFlop, tot.HashLookups)
 						}
 					}
 					// The counters reach the Context's running totals, and a Plan,
@@ -108,8 +116,8 @@ func TestHashCounterInvariant(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					bt, et := build.TotalWorker(), exec.TotalWorker()
-					if bt.HashLookups+bt.StampMarks != flop || et.HashLookups+et.DirectFlop != flop ||
-						bt.StampMarks < tot.StampMarks || !onePass && bt.StampMarks != tot.StampMarks || et.DirectFlop != tot.DirectFlop {
+					if bt.HashLookups+bt.StampMarks != flop || et.HashLookups+et.DirectFlop+et.DenseFlop != flop || bt.StampMarks < tot.StampMarks ||
+						!onePass && bt.StampMarks != tot.StampMarks || et.DirectFlop != tot.DirectFlop || et.DenseFlop != tot.DenseFlop {
 						t.Errorf("%s: plan build %+v / replay %+v do not split %+v", name, bt, et, tot)
 					}
 				}
@@ -120,25 +128,34 @@ func TestHashCounterInvariant(t *testing.T) {
 
 // TestHashRepeatedColumnInBRow: a non-canonical B that stores one column
 // twice in a row makes flop exceed the row's distinct columns, so the row
-// must take the table (where the two products fold) and not concatenation.
+// must take an accumulator (where the two products fold) and not
+// concatenation — the SPA here (Cols = flop), the table for a B padded with
+// empty columns past the rule.
 func TestHashRepeatedColumnInBRow(t *testing.T) {
 	a := matrix.Identity(3)
-	b := &matrix.CSR{Rows: 3, Cols: 6, RowPtr: []int64{0, 3, 5, 6},
-		ColIdx: []int32{5, 2, 5, 1, 4, 3}, Val: []float64{1, 2, 4, 8, 16, 32}}
-	want := matrix.NaiveMultiply(a, b)
-	for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgTiled, AlgSharded} {
-		var st ExecStats
-		got, err := Multiply(a, b, &Options{Algorithm: alg, Unsorted: true, Workers: 1, Stats: &st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matrix.EqualApprox(got, want, 0) {
-			t.Errorf("%v: product differs from NaiveMultiply", alg)
-		}
-		if tot := st.TotalWorker(); alg != AlgHashVec && (tot.DirectFlop != 3 || tot.HashLookups != 3) {
-			// Row 0 (flop 3, two distinct columns) through the table, rows
-			// 1 and 2 (flop 3 together) by concatenation; symbolic by stamps.
-			t.Errorf("%v: direct %d lookups %d, want 3 and 3", alg, tot.DirectFlop, tot.HashLookups)
+	for _, cols := range []int{6, 7} {
+		b := &matrix.CSR{Rows: 3, Cols: cols, RowPtr: []int64{0, 3, 5, 6},
+			ColIdx: []int32{5, 2, 5, 1, 4, 3}, Val: []float64{1, 2, 4, 8, 16, 32}}
+		want := matrix.NaiveMultiply(a, b)
+		for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgTiled, AlgSharded} {
+			var st ExecStats
+			got, err := Multiply(a, b, &Options{Algorithm: alg, Unsorted: true, Workers: 1, Stats: &st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !matrix.EqualApprox(got, want, 0) {
+				t.Errorf("%v cols=%d: product differs from NaiveMultiply", alg, cols)
+			}
+			// Row 0 (flop 3, two distinct columns) through the accumulator,
+			// rows 1 and 2 (flop 3 together) by concatenation; symbolic counts
+			// on the same side of the rule (stamps, or 6 table lookups).
+			dense, lookups := int64(3), int64(0)
+			if cols > 6 {
+				dense, lookups = 0, 6+3
+			}
+			if tot := st.TotalWorker(); alg != AlgHashVec && (tot.DirectFlop != 3 || tot.DenseFlop != dense || tot.HashLookups != lookups) {
+				t.Errorf("%v cols=%d: direct %d dense %d lookups %d, want 3, %d and %d", alg, cols, tot.DirectFlop, tot.DenseFlop, tot.HashLookups, dense, lookups)
+			}
 		}
 	}
 }
@@ -281,40 +298,51 @@ func TestPlanReplayMatchesMultiplyOnERUnsorted(t *testing.T) {
 	}
 }
 
-// BenchmarkSymbolic times one worker's symbolic pass over a whole product
-// with each of rowCounter's two accumulators forced, on both sides of the
-// Cols <= flop rule: the BENCHMARK.json workloads all sit on the stamp side,
-// so this sweep is where the rule's other side is measured (table in
-// EXPERIMENTS.md). "rule" in the name is what rowCounter would pick.
-func BenchmarkSymbolic(b *testing.B) {
+// ruleInput is one product of the sweeps across the Cols <= flop rule.
+type ruleInput struct {
+	name string
+	a, b *matrix.CSR
+}
+
+// ruleInputs are the products BenchmarkSymbolic and BenchmarkNumeric sweep
+// across the Cols <= flop rule (denseRule): the BENCHMARK.json workloads all
+// sit on its dense side, so these are where its other side and its boundary
+// are measured (tables in EXPERIMENTS.md). The last four sit at flop/Cols 1
+// to 9.
+func ruleInputs() []ruleInput {
 	rng := rand.New(rand.NewSource(13))
+	square := func(name string, m *matrix.CSR) ruleInput { return ruleInput{name, m, m} }
 	hyperA := gen.ER(12, 8, rng)
-	inputs := []struct {
-		name string
-		a, b *matrix.CSR
-	}{
-		{"ER/cols=2^9", gen.ER(9, 8, rng), nil},
-		{"ER/cols=2^11", gen.ER(11, 8, rng), nil},
-		{"ER/cols=2^15", gen.ER(15, 8, rng), nil},
-		{"ER/cols=2^18", gen.ER(18, 8, rng), nil},
-		{"ER/cols=2^20", gen.ER(20, 4, rng), nil},
-		{"G500/cols=2^9", gen.RMAT(9, 16, gen.G500Params, rng), nil},
-		{"G500/cols=2^11", gen.RMAT(11, 16, gen.G500Params, rng), nil},
-		{"G500/cols=2^15", gen.RMAT(15, 4, gen.G500Params, rng), nil},
-		{"G500/cols=2^18", gen.RMAT(18, 1, gen.G500Params, rng), nil},
-		{"G500/cols=2^20", gen.RMAT(20, 1, gen.G500Params, rng), nil},
+	return []ruleInput{
+		square("ER/cols=2^9", gen.ER(9, 8, rng)),
+		square("ER/cols=2^11", gen.ER(11, 8, rng)),
+		square("ER/cols=2^15", gen.ER(15, 8, rng)),
+		square("ER/cols=2^18", gen.ER(18, 8, rng)),
+		square("ER/cols=2^20", gen.ER(20, 4, rng)),
+		square("G500/cols=2^9", gen.RMAT(9, 16, gen.G500Params, rng)),
+		square("G500/cols=2^11", gen.RMAT(11, 16, gen.G500Params, rng)),
+		square("G500/cols=2^15", gen.RMAT(15, 4, gen.G500Params, rng)),
+		square("G500/cols=2^18", gen.RMAT(18, 1, gen.G500Params, rng)),
+		square("G500/cols=2^20", gen.RMAT(20, 1, gen.G500Params, rng)),
 		// Past the rule: 2^12 rows of 64 products each against 2^24 columns.
 		{"hypersparse/cols=2^24", hyperA, matrix.RandomWithDegree(hyperA.Cols, 1<<24, 8, rng)},
+		square("ER/cols=2^16/ef=1", gen.ER(16, 1, rng)),
+		square("ER/cols=2^16/ef=2", gen.ER(16, 2, rng)),
+		square("ER/cols=2^16/ef=3", gen.ER(16, 3, rng)),
+		square("ER/cols=2^17/ef=1", gen.ER(17, 1, rng)),
 	}
-	for _, in := range inputs {
+}
+
+// BenchmarkSymbolic times one worker's symbolic pass over a whole product
+// with each of rowCounter's two accumulators forced, on both sides of the
+// rule. "rule" in the name is what rowCounter would pick.
+func BenchmarkSymbolic(b *testing.B) {
+	for _, in := range ruleInputs() {
 		a, bm := in.a, in.b
-		if bm == nil {
-			bm = a
-		}
 		_, flopRow := Flop(a, bm)
 		flop, max := rangeFlopMax(flopRow, 0, a.Rows)
 		rule := "hash"
-		if int64(bm.Cols) <= flop {
+		if denseRule(bm.Cols, flop) {
 			rule = "stamps"
 		}
 		for _, kind := range []string{"hash", "stamps"} {
@@ -336,5 +364,48 @@ func BenchmarkSymbolic(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkNumeric is BenchmarkSymbolic's twin for the numeric pass: one
+// worker's sorted numeric pass over a whole product (every row through the
+// accumulator, none by concatenation) with the table or the SPA forced, into
+// an output the symbolic pass sized outside the timer. "rule" in the name is
+// what newHashNumeric would pick.
+func BenchmarkNumeric(b *testing.B) {
+	for _, in := range ruleInputs() {
+		b.Run(in.name, func(b *testing.B) {
+			a, bm := in.a, in.b
+			_, flopRow := Flop(a, bm)
+			flop, max := rangeFlopMax(flopRow, 0, a.Rows)
+			ctx := NewContext()
+			ctx.ensureWorkers(1)
+			rc := ctx.rowCounter(0, bm.Cols, flop, capBound(max, bm.Cols))
+			rowPtr := make([]int64, a.Rows+1)
+			for i := 0; i < a.Rows; i++ {
+				rowPtr[i+1] = rowPtr[i] + rc.count(a, bm, i)
+			}
+			cols, vals := make([]int32, rowPtr[a.Rows]), make([]float64, rowPtr[a.Rows])
+			rule := "table"
+			if denseRule(bm.Cols, flop) {
+				rule = "spa"
+			}
+			for _, kind := range []string{"table", "spa"} {
+				b.Run(fmt.Sprintf("flop=%d/rule=%s/%s", flop, rule, kind), func(b *testing.B) {
+					for n := 0; n < b.N; n++ {
+						// A fresh accumulator per pass, as a one-shot Multiply
+						// pays for it; the SPA's O(Cols) zeroing is in the time.
+						h := hashNumeric[float64, semiring.PlusTimesF64]{a: a, b: bm, sorted: true}
+						if kind == "spa" {
+							h.spa = accum.NewSPA(bm.Cols)
+						} else {
+							h.table = accum.NewHashTable(capBound(max, bm.Cols))
+						}
+						h.bind(cols, vals)
+						h.rows(flopRow, rowPtr, 0, a.Rows, 0)
+					}
+				})
+			}
+		})
 	}
 }

@@ -511,7 +511,7 @@ func TestPlanReplayMapBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tw := st.TotalWorker(); !bitIdentical(got, want) || tw.ReplayFlop != 0 || tw.HashLookups == 0 {
+		if tw := st.TotalWorker(); !bitIdentical(got, want) || tw.ReplayFlop != 0 || tw.HashLookups+tw.DirectFlop+tw.DenseFlop != tw.Flop {
 			t.Fatalf("round %d: want the kernel's product and counters, got %+v", round, tw)
 		}
 	}

@@ -37,34 +37,23 @@ import (
 
 // ptF64Hash reports whether this hash-kernel instantiation is the float64
 // plus-times flagship and, if so, returns the concretely-typed views of the
-// operands, the table and the output values that the fast path needs. The
-// assertions are exhaustive only in the ring: if ring is PlusTimesF64 then
-// V = float64 and the remaining assertions cannot fail (the ok result guards
-// against that invariant breaking silently).
-func ptF64Hash[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], table *accum.HashTableG[V], vals []V) (*matrix.CSR, *matrix.CSR, *accum.HashTable, []float64, bool) {
+// operands, the accumulators (either may be nil) and the output values that
+// the fast path needs. The assertions are exhaustive only in the ring: if
+// ring is PlusTimesF64 then V = float64 and the remaining assertions cannot
+// fail (the ok result guards against that invariant breaking silently).
+func ptF64Hash[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], spa *accum.SPAG[V], table *accum.HashTableG[V], vals []V) (*matrix.CSR, *matrix.CSR, *accum.SPA, *accum.HashTable, []float64, bool) {
 	if _, ok := any(ring).(semiring.PlusTimesF64); !ok {
-		return nil, nil, nil, nil, false
+		return nil, nil, nil, nil, nil, false
 	}
 	fa, aok := any(a).(*matrix.CSR)
 	fb, bok := any(b).(*matrix.CSR)
+	fs, sok := any(spa).(*accum.SPA)
 	ft, tok := any(table).(*accum.HashTable)
 	fv, vok := any(vals).([]float64)
-	if !(aok && bok && tok && vok) {
-		return nil, nil, nil, nil, false
+	if !(aok && bok && sok && tok && vok) {
+		return nil, nil, nil, nil, nil, false
 	}
-	return fa, fb, ft, fv, true
-}
-
-// ptF64Tiled is ptF64Hash for the tiled kernel's heavy-unit path: SPA
-// accumulator and column-split view instead of the hash table.
-func ptF64Tiled[V semiring.Value, R semiring.Ring[V]](ring R, a *matrix.CSRG[V], tiles *tiledSplit[V], spa *accum.SPAG[V]) (*matrix.CSRG[float64], *tiledSplit[float64], *accum.SPAG[float64], bool) {
-	if _, ok := any(ring).(semiring.PlusTimesF64); !ok {
-		return nil, nil, nil, false
-	}
-	fa, aok := any(a).(*matrix.CSRG[float64])
-	ft, tok := any(tiles).(*tiledSplit[float64])
-	fs, sok := any(spa).(*accum.SPAG[float64])
-	return fa, ft, fs, aok && tok && sok
+	return fa, fb, fs, ft, fv, true
 }
 
 // hashRowNumericF64 is hashRowNumeric (hashrow.go) with plus-times float64
@@ -115,22 +104,52 @@ func hashRowNumericF64(table *accum.HashTable, a, b *matrix.CSR, i int, cols []i
 	}
 }
 
+// spaRowNumericF64 is spaRowNumeric (hashrow.go) with plus-times float64
+// arithmetic. Its Mul and Add must inline (lint/budget.txt [inline]).
+//
+//spgemm:hotpath
+func spaRowNumericF64(spa *accum.SPA, a, b *matrix.CSR, i, from, seeded int, cols []int32, vals []float64, sorted bool) int {
+	var ring semiring.PlusTimesF64
+	arp := a.RowPtr[i : i+2]
+	acols := a.ColIdx[arp[0]+int64(from) : arp[1]]
+	avals := a.Val[arp[0]+int64(from) : arp[1]]
+	dense, stamp, gen := spa.Row(cols[:seeded], vals)
+	stamp = stamp[:len(dense)] // one check per product covers both
+	n := seeded
+	for x, k := range acols {
+		av := avals[x]
+		brp := b.RowPtr[k : int(k)+2]
+		bvals := b.Val[brp[0]:brp[1]]
+		for y, col := range b.ColIdx[brp[0]:brp[1]] {
+			prod := ring.Mul(av, bvals[y])
+			if stamp[col] != gen {
+				stamp[col], dense[col], cols[n] = gen, prod, col
+				n++
+			} else {
+				dense[col] = ring.Add(dense[col], prod)
+			}
+		}
+	}
+	spa.Gather(cols[:n], vals, sorted)
+	return n
+}
+
 // onePassRowF64 is onePassRow (hashrow.go) with plus-times float64
 // arithmetic; its Mul must inline.
 //
 //spgemm:hotpath
-func onePassRowF64(st *accum.StampSet, table *accum.HashTable, a, b *matrix.CSR, i int, cols []int32, vals []float64) (n, marks int) {
+func onePassRowF64(spa *accum.SPA, a, b *matrix.CSR, i int, cols []int32, vals []float64) (n, marks int) {
 	var ring semiring.PlusTimesF64
 	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
 	acols := a.ColIdx[alo:ahi]
 	avals := a.Val[alo:ahi]
+	st := spa.Marks()
 	st.Clear()
 	for x, k := range acols {
 		brp := b.RowPtr[k : int(k)+2]
 		bcols := b.ColIdx[brp[0]:brp[1]]
 		if c := st.CopyNew(cols[n:], bcols); c < len(bcols) {
-			hashRowNumericF64(table, a, b, i, cols, vals, false, false)
-			return table.Len(), n + c + 1
+			return spaRowNumericF64(spa, a, b, i, x, n, cols, vals, false), n + c + 1
 		}
 		av := avals[x]
 		bvals := b.Val[brp[0]:brp[1]]
@@ -141,39 +160,6 @@ func onePassRowF64(st *accum.StampSet, table *accum.HashTable, a, b *matrix.CSR,
 		n += len(bvals)
 	}
 	return n, n
-}
-
-// tiledUnitNumericF64 is the concrete twin of tiledUnitNumeric: accumulate
-// one heavy (row, tile) unit into the dense SPA and extract it, biased back
-// to global columns, into the unit's stitched slice of the output row.
-//
-//spgemm:hotpath
-func tiledUnitNumericF64(spa *accum.SPA, a *matrix.CSR, tiles *tiledSplit[float64], row, tile int, cols []int32, vals []float64, bias int32, sorted bool) {
-	var ring semiring.PlusTimesF64
-	spa.Reset()
-	alo, ahi := a.RowPtr[row], a.RowPtr[row+1]
-	acols := a.ColIdx[alo:ahi]
-	avals := a.Val[alo:ahi]
-	for x, k := range acols {
-		av := avals[x]
-		qlo, qhi := tiles.rowRange(tile, int(k))
-		tcols := tiles.colIdx[qlo:qhi]
-		tvals := tiles.vals[qlo:qhi]
-		for y, c := range tcols {
-			prod := ring.Mul(av, tvals[y])
-			slot, fresh := spa.Upsert(c)
-			if fresh {
-				*slot = prod
-			} else {
-				*slot = ring.Add(*slot, prod)
-			}
-		}
-	}
-	if sorted {
-		spa.ExtractSortedBias(cols, vals, bias)
-	} else {
-		spa.ExtractUnsortedBias(cols, vals, bias)
-	}
 }
 
 // negZero is the additive identity at the bit level: -0 + x == x for every

@@ -121,13 +121,16 @@ func requireSameCSR(t *testing.T, want, got *matrix.CSR) {
 func TestRingFastSelection(t *testing.T) {
 	er, _ := ringfastMatrices()
 	table := accum.NewHashTable(16)
-	if _, _, _, _, ok := ptF64Hash(semiring.PlusTimesF64{}, er, er, table, er.Val); !ok {
+	if _, _, _, _, _, ok := ptF64Hash(semiring.PlusTimesF64{}, er, er, nil, table, er.Val); !ok {
 		t.Fatal("PlusTimesF64 over *matrix.CSR must select the hash fast path")
 	}
-	if _, _, _, _, ok := ptF64Hash(slowPlusTimesF64{}, er, er, table, er.Val); ok {
+	if _, _, fs, _, _, ok := ptF64Hash(semiring.PlusTimesF64{}, er, er, accum.NewSPA(er.Cols), nil, er.Val); !ok || fs == nil {
+		t.Fatal("PlusTimesF64 over *matrix.CSR must select the SPA fast path")
+	}
+	if _, _, _, _, _, ok := ptF64Hash(slowPlusTimesF64{}, er, er, nil, table, er.Val); ok {
 		t.Fatal("a foreign ring type must not select the fast path")
 	}
-	if _, _, _, _, ok := ptF64Hash(semiring.MaxTimesF64{}, er, er, table, er.Val); ok {
+	if _, _, _, _, _, ok := ptF64Hash(semiring.MaxTimesF64{}, er, er, nil, table, er.Val); ok {
 		t.Fatal("MaxTimesF64 must not select the fast path (different Add)")
 	}
 }

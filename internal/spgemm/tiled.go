@@ -1,7 +1,6 @@
 package spgemm
 
 import (
-	"repro/internal/accum"
 	"repro/internal/matrix"
 	"repro/internal/semiring"
 )
@@ -13,39 +12,23 @@ import (
 // tables spill out of L2, every probe becomes a memory round-trip, and the
 // per-row sort of the widest rows dominates. This mode splits B into column
 // tiles of the cache-resident width (tilegeom.go) and decomposes
-// each heavy row into (row, tile) units: a unit accumulates into a dense
-// cache-resident SPA over one tile's column range — direct indexing, no
-// collisions, O(1) generation-stamp reset — and units are flop-balanced over
-// workers independently of rows, which also fixes the load imbalance a
-// single mega-row causes. Light rows keep the single-pass hash path
-// unchanged.
+// each heavy row into (row, tile) units: a unit is the whole-row kernel of
+// hashrow.go run against one tile of B, counted with stamps and folded into
+// a dense cache-resident SPA over the tile's column range — direct indexing,
+// no collisions, O(1) generation-stamp reset — and units are flop-balanced
+// over workers independently of rows, which also fixes the load imbalance a
+// single mega-row causes. Light rows keep the whole-row pass unchanged.
 //
 // Output stitching is free: tiles cover ascending disjoint column ranges, so
-// a heavy row's units extract (sorted within the tile, biased to global
-// column ids) directly into the row's final [rowPtr + earlier-tiles-nnz)
-// slice of the output — in order, with no merge pass and no temp copy.
+// a heavy row's units land (sorted within the tile, biased to global column
+// ids) directly in the row's final [rowPtr + earlier-tiles-nnz) slice of the
+// output — in order, with no merge pass and no temp copy.
 
-// tiledSplit is the column-split view of B: tile t holds B's entries whose
-// columns fall in [t·tileCols, (t+1)·tileCols), with tile-local column ids,
-// stored in flat arrays (nTiles row-pointer blocks of rows+1 entries each,
-// holding global offsets into the shared colIdx/vals arrays).
-type tiledSplit[V semiring.Value] struct {
-	rowPtr []int64
-	colIdx []int32
-	vals   []V
-	rows   int
-}
-
-// rowRange returns the entry range of row i within tile t.
-//
-//spgemm:hotpath
-func (s *tiledSplit[V]) rowRange(t, i int) (int64, int64) {
-	// One two-element slice check instead of two index checks; the
-	// constant indexes below are then provably in bounds.
-	base := t*(s.rows+1) + i
-	rp := s.rowPtr[base : base+2]
-	return rp[0], rp[1]
-}
+// tiledSplit is the column-split view of B: tile t is a CSR over B's rows
+// holding B's entries whose columns fall in [t·tileCols, (t+1)·tileCols),
+// with tile-local column ids. The tiles share flat arrays (nTiles row-pointer
+// blocks of rows+1 entries each, holding offsets into shared colIdx/vals).
+type tiledSplit[V semiring.Value] []matrix.CSRG[V]
 
 // splitTiles column-splits B into nTiles tiles of width tileCols using the
 // context's flat buffers: one pass counts per-(tile, row) entries into the
@@ -92,57 +75,11 @@ func splitTiles[V semiring.Value](ctx *ContextG[V], b *matrix.CSRG[V], tileCols,
 			cur[slot] = q + 1
 		}
 	}
-	return tiledSplit[V]{rowPtr: rp[:rpLen], colIdx: idx[:nnz], vals: vals, rows: b.Rows}
-}
-
-// tiledUnitSymbolic counts the distinct output columns of one (row, tile)
-// unit with a dense accumulator over the tile's column range.
-//
-//spgemm:hotpath
-func tiledUnitSymbolic[V semiring.Value](spa *accum.SPAG[V], a *matrix.CSRG[V], tiles *tiledSplit[V], row, tile int) int64 {
-	spa.Reset()
-	// Ranging over row sub-slices collapses the per-entry CSR bounds
-	// checks into one slice check per row segment.
-	alo, ahi := a.RowPtr[row], a.RowPtr[row+1]
-	for _, k := range a.ColIdx[alo:ahi] {
-		qlo, qhi := tiles.rowRange(tile, int(k))
-		for _, c := range tiles.colIdx[qlo:qhi] {
-			spa.InsertSymbolic(c)
-		}
+	ctx.tiles = ensureLen(ctx.tiles, nTiles)
+	for t := range ctx.tiles {
+		ctx.tiles[t] = matrix.CSRG[V]{Rows: b.Rows, Cols: tileCols, RowPtr: rp[t*rows1 : (t+1)*rows1], ColIdx: idx[:nnz], Val: vals[:nnz]}
 	}
-	return int64(spa.Len())
-}
-
-// tiledUnitNumeric accumulates one (row, tile) unit and extracts it directly
-// into the unit's slice of the output row, biasing tile-local columns back
-// to global ids.
-//
-//spgemm:hotpath
-func tiledUnitNumeric[V semiring.Value, R semiring.Ring[V]](ring R, spa *accum.SPAG[V], a *matrix.CSRG[V], tiles *tiledSplit[V], row, tile int, cols []int32, vals []V, bias int32, sorted bool) {
-	spa.Reset()
-	alo, ahi := a.RowPtr[row], a.RowPtr[row+1]
-	acols := a.ColIdx[alo:ahi]
-	avals := a.Val[alo:ahi]
-	for x, k := range acols {
-		av := avals[x]
-		qlo, qhi := tiles.rowRange(tile, int(k))
-		tcols := tiles.colIdx[qlo:qhi]
-		tvals := tiles.vals[qlo:qhi]
-		for y, c := range tcols {
-			prod := ring.Mul(av, tvals[y])
-			slot, fresh := spa.Upsert(c)
-			if fresh {
-				*slot = prod
-			} else {
-				*slot = ring.Add(*slot, prod)
-			}
-		}
-	}
-	if sorted {
-		spa.ExtractSortedBias(cols, vals, bias)
-	} else {
-		spa.ExtractUnsortedBias(cols, vals, bias)
-	}
+	return ctx.tiles
 }
 
 // heavy reports whether row i is routed through tiling: its weight was
@@ -211,8 +148,8 @@ func (in *inspection[V]) inspectTiles(ctx *ContextG[V], a, b *matrix.CSRG[V], op
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			k := int(a.ColIdx[p])
 			for t := 0; t < nTiles; t++ {
-				lo, hi := in.tiles.rowRange(t, k)
-				in.unitFlop[base+t] += hi - lo
+				rp := in.tiles[t].RowPtr
+				in.unitFlop[base+t] += rp[k+1] - rp[k]
 			}
 		}
 		base += nTiles
@@ -221,7 +158,7 @@ func (in *inspection[V]) inspectTiles(ctx *ContextG[V], a, b *matrix.CSRG[V], op
 }
 
 // heavySymbolic sizes the heavy units — flop-balanced unit-grain scheduling,
-// each unit counting into a dense tile-wide accumulator — and adds them to
+// each unit counting with the stamps of a tile-wide SPA — and adds them to
 // their rows' sizes. No-op without heavy rows.
 func (in *inspection[V]) heavySymbolic(ctx *ContextG[V], a *matrix.CSRG[V], rowNnz []int64) {
 	if len(in.unitRow) == 0 {
@@ -232,11 +169,11 @@ func (in *inspection[V]) heavySymbolic(ctx *ContextG[V], a *matrix.CSRG[V], rowN
 		if ulo >= uhi {
 			return
 		}
-		spa := ctx.spaTable(w, in.tileCols)
+		rc := rowCounter[V]{stamps: ctx.spaTable(w, in.tileCols).Marks()} // numeric's SPA over the tile
 		for u := ulo; u < uhi; u++ {
 			in.unitNnz[u] = 0
 			if in.unitFlop[u] != 0 {
-				in.unitNnz[u] = tiledUnitSymbolic(spa, a, &in.tiles, int(in.unitRow[u]), int(in.unitTile[u]))
+				in.unitNnz[u] = rc.count(a, &in.tiles[in.unitTile[u]], int(in.unitRow[u]))
 			}
 		}
 	})
@@ -260,9 +197,11 @@ func (in *inspection[V]) stitchUnits() {
 }
 
 // tiledHeavyNumeric fills the heavy units: each writes its tile's slice of
-// the row straight into c at the stitched offset. L2Overflows counts the
-// units routed through tiling (the rows that would have overflowed the
-// cache-resident accumulator on the hash path). No-op without heavy rows.
+// the row straight into c at the stitched offset, through the whole-row
+// numeric pass on the worker's tile-wide SPA, and biases its columns back to
+// global ids. L2Overflows counts the units routed through tiling (the rows
+// that would have overflowed the cache-resident accumulator on the hash
+// path). No-op without heavy rows.
 func tiledHeavyNumeric[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V], a, b *matrix.CSRG[V], in *inspection[V], c *matrix.CSRG[V], pt *phaseTimer) {
 	if len(in.unitRow) == 0 {
 		return
@@ -270,23 +209,16 @@ func tiledHeavyNumeric[V semiring.Value, R semiring.Ring[V]](ring R, ctx *Contex
 	// A Plan keeps the units, never the split: cut B's current values into
 	// this execution's Context — O(nnz(B)) in front of the units' O(flop), no
 	// allocation at steady state, and nothing two executions share.
-	tiles := &in.tiles
-	if tiles.rowPtr == nil {
-		split := splitTiles(ctx, b, in.tileCols, (b.Cols+in.tileCols-1)/in.tileCols)
-		tiles = &split
+	tiles := in.tiles
+	if tiles == nil {
+		tiles = splitTiles(ctx, b, in.tileCols, (b.Cols+in.tileCols-1)/in.tileCols)
 	}
 	ctx.runWorkers(in.workers, func(w int) {
 		ulo, uhi := in.uoffsets[w], in.uoffsets[w+1]
 		if ulo >= uhi {
 			return
 		}
-		spa := ctx.spaTable(w, in.tileCols)
-		fa, ftl, fspa, fastF64 := ptF64Tiled(ring, a, tiles, spa)
-		var fc *matrix.CSRG[float64]
-		if fastF64 {
-			fc, _ = any(c).(*matrix.CSRG[float64])
-			fastF64 = fc != nil
-		}
+		h := hashNumeric[V, R]{ring: ring, spa: ctx.spaTable(w, in.tileCols), a: a, sorted: c.Sorted}
 		var flop, rows int64
 		for u := ulo; u < uhi; u++ {
 			t := int(in.unitTile[u])
@@ -298,15 +230,18 @@ func tiledHeavyNumeric[V semiring.Value, R semiring.Ring[V]](ring R, ctx *Contex
 				continue
 			}
 			start := in.unitOff[u]
-			cols := c.ColIdx[start : start+n]
-			if fastF64 {
-				tiledUnitNumericF64(fspa, fa, ftl, int(in.unitRow[u]), t, cols, fc.Val[start:start+n], int32(t*in.tileCols), c.Sorted)
-			} else {
-				tiledUnitNumeric(ring, spa, a, tiles, int(in.unitRow[u]), t, cols, c.Val[start:start+n], int32(t*in.tileCols), c.Sorted)
+			h.b = &tiles[t]
+			h.bind(c.ColIdx, c.Val)
+			h.row(int(in.unitRow[u]), start, n, in.unitFlop[u])
+			out, bias := c.ColIdx[start:start+n], int32(t*in.tileCols)
+			for j := range out {
+				out[j] += bias
 			}
 			flop += in.unitFlop[u]
 		}
-		if ws := pt.worker(w); ws != nil {
+		ws := pt.worker(w)
+		h.report(ws)
+		if ws != nil {
 			ws.Rows += rows
 			ws.Flop += flop
 			ws.L2Overflows += int64(uhi - ulo)

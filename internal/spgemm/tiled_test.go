@@ -234,22 +234,22 @@ func TestTiledSteadyStateAllocs(t *testing.T) {
 	}
 	_ = sink
 
-	// The stitch primitive itself: extracting a unit into a preallocated
-	// output slice allocates nothing at all.
+	// The stitch primitive itself: a unit's Row loop and its extraction into
+	// a preallocated output slice allocate nothing at all.
 	spa := accum.NewSPAG[float64](64)
 	cols := make([]int32, 64)
 	vals := make([]float64, 64)
 	requireZeroAllocs(t, "tiled stitch extract", func() {
-		spa.Reset()
+		dense, stamp, gen := spa.Row(nil, nil)
+		n := 0
 		for k := int32(60); k > 0; k -= 3 {
-			slot, fresh := spa.Upsert(k)
-			if fresh {
-				*slot = float64(k)
+			if stamp[k] != gen {
+				stamp[k], dense[k], cols[n] = gen, float64(k), k
+				n++
 			} else {
-				*slot += 1
+				dense[k] += 1
 			}
 		}
-		n := spa.Len()
-		spa.ExtractSortedBias(cols[:n], vals[:n], 128)
+		spa.Gather(cols[:n], vals, true)
 	})
 }
