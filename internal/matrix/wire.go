@@ -38,11 +38,21 @@ const WireVersion = 1
 const (
 	wireHeaderSize = 32
 	wireFlagSorted = 1 << 0
-	// wireChunk is the element-count granularity of array reads: bounded
+	// wireChunk is the byte granularity of array writes and reads: bounded
 	// so a header claiming a huge nnz on a truncated stream fails at the
-	// first short chunk instead of committing the full allocation.
-	wireChunk = 1 << 16
+	// first short chunk instead of committing the full allocation, and so
+	// each call's scratch is at most this, or the largest array if smaller.
+	wireChunk = 32 << 10
 )
+
+// wireScratch returns a codec's scratch buffer for arrays of at most n
+// 8-byte elements: one chunk, or less when every array fits in less.
+func wireScratch(n int64) []byte {
+	if n < wireChunk/8 {
+		return make([]byte, 8*n)
+	}
+	return make([]byte, wireChunk)
+}
 
 // WireSize returns the exact encoded size of m in bytes.
 func WireSize(m *CSR) int64 {
@@ -69,39 +79,36 @@ func WriteCSRBinary(w io.Writer, m *CSR) error {
 		return err
 	}
 
-	buf := make([]byte, wireChunk*8)
-	for lo := 0; lo < len(m.RowPtr); lo += wireChunk {
-		hi := min(lo+wireChunk, len(m.RowPtr))
-		n := 0
-		for _, v := range m.RowPtr[lo:hi] {
-			binary.LittleEndian.PutUint64(buf[n:], uint64(v))
-			n += 8
+	buf := wireScratch(int64(max(len(m.RowPtr), len(m.ColIdx), len(m.Val))))
+	for rest := m.RowPtr; len(rest) > 0; {
+		chunk := rest[:min(len(rest), len(buf)/8)]
+		for j, v := range chunk {
+			binary.LittleEndian.PutUint64(buf[8*j:], uint64(v))
 		}
-		if _, err := w.Write(buf[:n]); err != nil {
+		if _, err := w.Write(buf[:8*len(chunk)]); err != nil {
 			return err
 		}
+		rest = rest[len(chunk):]
 	}
-	for lo := 0; lo < len(m.ColIdx); lo += wireChunk {
-		hi := min(lo+wireChunk, len(m.ColIdx))
-		n := 0
-		for _, v := range m.ColIdx[lo:hi] {
-			binary.LittleEndian.PutUint32(buf[n:], uint32(v))
-			n += 4
+	for rest := m.ColIdx; len(rest) > 0; {
+		chunk := rest[:min(len(rest), len(buf)/4)]
+		for j, v := range chunk {
+			binary.LittleEndian.PutUint32(buf[4*j:], uint32(v))
 		}
-		if _, err := w.Write(buf[:n]); err != nil {
+		if _, err := w.Write(buf[:4*len(chunk)]); err != nil {
 			return err
 		}
+		rest = rest[len(chunk):]
 	}
-	for lo := 0; lo < len(m.Val); lo += wireChunk {
-		hi := min(lo+wireChunk, len(m.Val))
-		n := 0
-		for _, v := range m.Val[lo:hi] {
-			binary.LittleEndian.PutUint64(buf[n:], math.Float64bits(v))
-			n += 8
+	for rest := m.Val; len(rest) > 0; {
+		chunk := rest[:min(len(rest), len(buf)/8)]
+		for j, v := range chunk {
+			binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
 		}
-		if _, err := w.Write(buf[:n]); err != nil {
+		if _, err := w.Write(buf[:8*len(chunk)]); err != nil {
 			return err
 		}
+		rest = rest[len(chunk):]
 	}
 	return nil
 }
@@ -148,8 +155,8 @@ func ReadCSRBinaryLimited(r io.Reader, lim *ReadLimits) (*CSR, error) {
 		Cols:   int(cols),
 		Sorted: flags&wireFlagSorted != 0,
 	}
-	buf := make([]byte, wireChunk*8)
-	rowPtr, err := readInt64Chunked(r, buf, rows+1, nil)
+	buf := wireScratch(max(rows+1, nnz))
+	rowPtr, err := readInt64Chunked(r, buf, rows+1)
 	if err != nil {
 		return nil, fmt.Errorf("matrix: wire rowptr: %w", err)
 	}
@@ -170,50 +177,68 @@ func ReadCSRBinaryLimited(r io.Reader, lim *ReadLimits) (*CSR, error) {
 	return m, nil
 }
 
-// readInt64Chunked reads n little-endian int64s, growing dst one chunk at a
-// time so allocation tracks delivered bytes, not the claimed count.
-func readInt64Chunked(r io.Reader, buf []byte, n int64, dst []int64) ([]int64, error) {
+// growChunk extends dst by want elements for the next chunk of an array of
+// n, so allocation tracks delivered bytes, not the claimed count: capacity
+// at least doubles when it runs out, and never passes n.
+func growChunk[T any](dst []T, want, n int64) []T {
+	if need := int64(len(dst)) + want; need > int64(cap(dst)) {
+		grown := make([]T, len(dst), min(n, max(need, 2*int64(cap(dst)))))
+		copy(grown, dst)
+		dst = grown
+	}
+	return dst[:int64(len(dst))+want]
+}
+
+// readInt64Chunked reads n little-endian int64s, one chunk of buf at a time.
+func readInt64Chunked(r io.Reader, buf []byte, n int64) ([]int64, error) {
+	dst := []int64{}
 	for int64(len(dst)) < n {
-		want := min(n-int64(len(dst)), wireChunk)
+		want := min(n-int64(len(dst)), int64(len(buf)/8))
 		b := buf[:want*8]
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
-		for i := int64(0); i < want; i++ {
-			dst = append(dst, int64(binary.LittleEndian.Uint64(b[i*8:])))
+		dst = growChunk(dst, want, n)
+		out := dst[int64(len(dst))-want:]
+		for j := range out {
+			out[j] = int64(binary.LittleEndian.Uint64(b[8*j:]))
 		}
-	}
-	if dst == nil {
-		dst = []int64{}
 	}
 	return dst, nil
 }
 
+// readInt32Chunked reads n little-endian int32s, one chunk of buf at a time.
 func readInt32Chunked(r io.Reader, buf []byte, n int64) ([]int32, error) {
 	dst := []int32{}
 	for int64(len(dst)) < n {
-		want := min(n-int64(len(dst)), wireChunk)
+		want := min(n-int64(len(dst)), int64(len(buf)/4))
 		b := buf[:want*4]
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
-		for i := int64(0); i < want; i++ {
-			dst = append(dst, int32(binary.LittleEndian.Uint32(b[i*4:])))
+		dst = growChunk(dst, want, n)
+		out := dst[int64(len(dst))-want:]
+		for j := range out {
+			out[j] = int32(binary.LittleEndian.Uint32(b[4*j:]))
 		}
 	}
 	return dst, nil
 }
 
+// readFloat64Chunked reads n little-endian float64s, one chunk of buf at a
+// time.
 func readFloat64Chunked(r io.Reader, buf []byte, n int64) ([]float64, error) {
 	dst := []float64{}
 	for int64(len(dst)) < n {
-		want := min(n-int64(len(dst)), wireChunk)
+		want := min(n-int64(len(dst)), int64(len(buf)/8))
 		b := buf[:want*8]
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
-		for i := int64(0); i < want; i++ {
-			dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:])))
+		dst = growChunk(dst, want, n)
+		out := dst[int64(len(dst))-want:]
+		for j := range out {
+			out[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
 		}
 	}
 	return dst, nil

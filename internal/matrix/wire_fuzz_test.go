@@ -8,14 +8,18 @@ import (
 
 // FuzzReadCSRBinary checks that the wire-format parser never panics and
 // that anything it accepts is a structurally valid matrix that survives an
-// encode/decode round trip. The seed corpus covers valid encodings plus the
-// header-level corruptions the unit tests pin individually.
+// encode/decode round trip. The seed corpus covers valid encodings, one
+// whose every array spans several chunks, plus the header-level corruptions
+// the unit tests pin individually.
 func FuzzReadCSRBinary(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	for _, m := range []*CSR{
 		NewCSR(0, 0),
 		Identity(4),
 		Random(7, 9, 0.4, rng),
+		// Every array crosses a chunk boundary, so decoding grows each
+		// destination more than once.
+		RandomWithDegree(wireChunk/8+5, 16, 3, rng),
 	} {
 		var buf bytes.Buffer
 		if err := WriteCSRBinary(&buf, m); err != nil {

@@ -3,6 +3,7 @@ package matrix
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -132,6 +133,31 @@ func TestWireHeaderBombFailsFast(t *testing.T) {
 	b[24], b[25], b[26], b[27], b[28], b[29] = 0, 0, 0, 0, 0, 1
 	if _, err := ReadCSRBinary(bytes.NewReader(b)); err == nil {
 		t.Fatal("accepted header bomb")
+	}
+}
+
+// TestWireLyingHeaderAllocatesLittle: a header claiming nnz = 2^30 (12 GiB
+// of arrays) over a body that ends a few bytes into its column indices
+// fails at the first short chunk, having allocated one chunk of scratch and
+// what the body delivered — not the claim.
+func TestWireLyingHeaderAllocatesLittle(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteCSRBinary(&buf, NewCSR(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	b[24], b[25], b[26], b[27] = 0, 0, 0, 0x40                // nnz = 2^30
+	b[wireHeaderSize+8+3] = 0x40                              // rowptr[1] = 2^30
+	b = append(b[:wireHeaderSize+16], 1, 0, 0, 0, 2, 0, 0, 0) // two column indices
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadCSRBinary(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("accepted a header claiming 2^30 nonzeros over 8 bytes of them")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("allocated %d B on a lying header, want under 1 MiB", d)
 	}
 }
 

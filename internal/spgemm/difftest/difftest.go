@@ -173,6 +173,36 @@ func Cases(rng *rand.Rand) []Case {
 	}
 	cases = append(cases, Case{Name: "one-pass-redo", A: onePassA.ToCSR(), B: gen.Unsorted(onePassB.ToCSR(), rng)})
 
+	// Rows whose size the flop fixes, min(flop, Cols) at most 1: symbolic
+	// sizes them by that bound, and numeric folds a row of one entry straight
+	// into its slot. Into a one-column B every row with a product has one
+	// entry, however many products fold into it — two that sum to 0 must still
+	// leave a stored entry. Where A and B hold at most one entry per row, every
+	// row has at most one product, over many columns.
+	column := matrix.NewCOO(er.Cols, 1)
+	for k := 0; k < er.Cols; k++ {
+		if rng.Intn(3) != 0 {
+			column.Append(int32(k), 0, rng.NormFloat64())
+		}
+	}
+	onesColumn := matrix.NewCOO(2, 1)
+	onesColumn.Append(0, 0, 1)
+	onesColumn.Append(1, 0, 1)
+	single := func(rows, cols int) *matrix.CSR {
+		m := matrix.NewCOO(rows, cols)
+		for i := 0; i < rows; i++ {
+			if rng.Intn(4) != 0 {
+				m.Append(int32(i), int32(rng.Intn(cols)), rng.NormFloat64())
+			}
+		}
+		return m.ToCSR()
+	}
+	cases = append(cases,
+		Case{Name: "er-times-column", A: er, B: column.ToCSR()},
+		Case{Name: "cancellation-column", A: cancel.ToCSR(), B: onesColumn.ToCSR()},
+		Case{Name: "flop-at-most-one", A: single(48, 40), B: gen.Unsorted(single(40, 36), rng)},
+	)
+
 	return cases
 }
 

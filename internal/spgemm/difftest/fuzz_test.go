@@ -22,12 +22,15 @@ import (
 //
 // The seed corpus covers each algorithm once, the masked leg over sorted and
 // unsorted inputs and outputs, square and rectangular shapes, zero
-// dimensions and unsorted inputs.
+// dimensions, a one-column B and unsorted inputs.
 func FuzzMultiplyDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(8), uint8(8), uint8(16), uint8(0), false, false, false)
 	f.Add(int64(2), uint8(16), uint8(4), uint8(32), uint8(40), uint8(1), true, false, false)
 	f.Add(int64(3), uint8(0), uint8(0), uint8(0), uint8(0), uint8(3), false, false, false)
 	f.Add(int64(4), uint8(9), uint8(0), uint8(7), uint8(5), uint8(4), false, true, false)
+	// A one-column B: every output row is sized by its bound and folded into
+	// its one slot.
+	f.Add(int64(5), uint8(24), uint8(24), uint8(1), uint8(20), uint8(1), false, false, false)
 	for i := range Algorithms {
 		f.Add(int64(100+i), uint8(12), uint8(12), uint8(12), uint8(30), uint8(i), true, true, false)
 	}

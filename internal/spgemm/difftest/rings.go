@@ -120,8 +120,10 @@ func CheckOnePass[V semiring.Value, R semiring.Ring[V]](caseName string, ring R,
 // the one-worker Hash product of a·b, sorted and unsorted, must be
 // bit-identical to the same product with B padded by empty columns until
 // Cols > flop — the padding moves both phases from stamps and the SPA to the
-// hash table, and the padded product must have taken the table. An unpadded
-// product whose flop reaches its columns must have taken the SPA.
+// hash table, and the padded product must not have touched stamps or the SPA.
+// An unpadded product whose flop reaches its columns must not have touched
+// the table, one short of them neither stamps nor the SPA; rows sized by
+// their bound and rows of one entry touch none of the three.
 func CheckRuleSides[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a, b *matrix.CSRG[V]) error {
 	flop, _ := matrix.Flop(a, b)
 	padded := *b
@@ -139,7 +141,8 @@ func CheckRuleSides[V semiring.Value, R semiring.Ring[V]](caseName string, ring 
 			}
 		}
 		dw, tw := dense.TotalWorker(), table.TotalWorker()
-		if err == nil && (tw.DenseFlop != 0 || tw.StampMarks != 0 || flop > 0 && (flop >= int64(b.Cols)) != (dw.HashLookups == 0)) {
+		denseSide := flop >= int64(b.Cols)
+		if err == nil && (tw.DenseFlop != 0 || tw.StampMarks != 0 || denseSide && dw.HashLookups != 0 || !denseSide && dw.DenseFlop+dw.StampMarks != 0) {
 			err = fmt.Errorf("flop %d, %d columns: sides taken %+v and, padded, %+v", flop, b.Cols, dw, tw)
 		}
 		if err != nil {

@@ -61,10 +61,12 @@ type WorkerStats struct {
 	// symbolic insert). Products the whole-row hash kernel handles without
 	// its table are counted by StampMarks, DirectFlop and DenseFlop instead
 	// — where Cols <= flop it has no table at all: for an unmasked AlgHash,
-	// HashLookups + StampMarks + DirectFlop + DenseFlop == 2·Flop (two-phase
-	// products only: the one-pass route writes every product once,
-	// DirectFlop + DenseFlop == Flop). A Plan's streamed replay touches no
-	// accumulator at all: there ReplayFlop == Flop and the four are zero.
+	// HashLookups + StampMarks + DirectFlop + DenseFlop == 2·Flop minus the
+	// flop of the rows symbolic sized by their bound, min(flop, Cols) ≤ 1,
+	// without counting them (two-phase products only: the one-pass route
+	// writes every product once, DirectFlop + DenseFlop == Flop). A Plan's
+	// streamed replay touches no accumulator at all: there ReplayFlop == Flop
+	// and the four are zero.
 	HashLookups int64
 	// HashProbes counts collision probe steps beyond the first slot/chunk;
 	// HashProbes/HashLookups is the mean collision factor of the paper's
@@ -79,8 +81,9 @@ type WorkerStats struct {
 	// StampMarks counts symbolic products tested against generation stamps
 	// rather than inserted into a hash table (one-pass: before the verdict).
 	StampMarks int64
-	// DirectFlop counts numeric products written straight to the output by
-	// concatenation, in rows the stamps proved free of repeated columns.
+	// DirectFlop counts numeric products written into the output without an
+	// accumulator: concatenated, in rows symbolic proved free of repeated
+	// columns, or folded into a row's single entry.
 	DirectFlop int64
 	// DenseFlop counts numeric products folded into the worker's dense
 	// accumulator (SPA) instead of a hash table: the rows concatenation does

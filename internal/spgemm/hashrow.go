@@ -10,7 +10,7 @@ import (
 // phase, the light rows of Tiled and its heavy units (against one column tile
 // of B), the stripes of Sharded, every Plan build and replay of those, and
 // the recipe's compression-ratio sample all run the row functions below,
-// which take two exact decisions from numbers the phases compute anyway:
+// which take three exact decisions from numbers the phases compute anyway:
 //
 //   - Both phases pick their accumulator by one rule (denseRule): where B's
 //     column space is no larger than the flop of the rows a worker serves
@@ -31,6 +31,11 @@ import (
 //     go to the accumulator the rule picked; SPA and table both list a row's
 //     columns in first-touch order and fold in product order, so which one
 //     ran never shows in the output.
+//   - Where Figure 7's bound min(flop, Cols) is at most 1 it is a row's size
+//     — one product, or one column all its products land on — so symbolic
+//     writes it without counting; and numeric writes a row of one entry with
+//     neither accumulator (oneEntryRow): the first product in its slot, the
+//     rest folded onto it in product order, as either accumulator would.
 //
 // The one-phase geometry's other two row functions (heap.go) are here too.
 // A product under an output mask (Options.Mask, AlgHash only) runs neither
@@ -129,14 +134,21 @@ func (c *ContextG[V]) hashSymbolic(w int, a, b *matrix.CSRG[V], flopRow []int64,
 		return
 	}
 	rc := c.rowCounter(w, b.Cols, flop, capBound(max, b.Cols))
+	counted := flop
 	for i := lo; i < hi; i++ {
-		if flopRow[i] != 0 {
-			rowNnz[i] = rc.count(a, b, i)
+		if f := flopRow[i]; f != 0 {
+			// Figure 7's bound min(flop, Cols) is the size itself where it is
+			// at most 1: one product, or one column every product lands on.
+			if n := capBound(f, b.Cols); n <= 1 {
+				rowNnz[i], counted = n, counted-f
+			} else {
+				rowNnz[i] = rc.count(a, b, i)
+			}
 		}
 	}
 	if ws != nil {
 		if rc.stamps != nil {
-			ws.StampMarks += flop
+			ws.StampMarks += counted
 		} else {
 			ws.HashLookups += rc.table.Lookups()
 			ws.HashProbes += rc.table.Probes()
@@ -157,7 +169,7 @@ type hashNumeric[V semiring.Value, R semiring.Ring[V]] struct {
 	cols   []int32
 	vals   []V
 	sorted bool
-	direct int64 // flop written by concatenation
+	direct int64 // flop written without an accumulator
 	dense  int64 // flop folded into the SPA
 
 	fa, fb *matrix.CSR
@@ -191,6 +203,12 @@ func (h *hashNumeric[V, R]) bind(cols []int32, vals []V) {
 //
 //spgemm:hotpath
 func (h *hashNumeric[V, R]) row(i int, start, n, flop int64) {
+	cols, vals := h.cols[start:start+n], h.vals[start:start+n]
+	if n == 1 { // every product lands in the one slot: no accumulator
+		h.direct += flop
+		cols[0], vals[0] = oneEntryRow(h.ring, h.a, h.b, i)
+		return
+	}
 	direct := !h.sorted && n == flop
 	dense := !direct && h.spa != nil
 	if direct {
@@ -198,14 +216,13 @@ func (h *hashNumeric[V, R]) row(i int, start, n, flop int64) {
 	} else if dense {
 		h.dense += flop
 	}
-	cols := h.cols[start : start+n]
 	if h.fa != nil {
-		if vals := h.fvals[start : start+n]; dense {
-			spaRowNumericF64(h.fspa, h.fa, h.fb, i, 0, 0, cols, vals, h.sorted)
+		if fvals := h.fvals[start : start+n]; dense {
+			spaRowNumericF64(h.fspa, h.fa, h.fb, i, 0, 0, cols, fvals, h.sorted)
 		} else {
-			hashRowNumericF64(h.ftab, h.fa, h.fb, i, cols, vals, direct, h.sorted)
+			hashRowNumericF64(h.ftab, h.fa, h.fb, i, cols, fvals, direct, h.sorted)
 		}
-	} else if vals := h.vals[start : start+n]; dense {
+	} else if dense {
 		spaRowNumeric(h.ring, h.spa, h.a, h.b, i, 0, 0, cols, vals, h.sorted)
 	} else {
 		hashRowNumeric(h.ring, h.table, h.a, h.b, i, cols, vals, direct, h.sorted)
@@ -279,6 +296,30 @@ func hashRowNumeric[V semiring.Value, R semiring.Ring[V]](ring R, table *accum.H
 	} else {
 		table.ExtractUnsorted(cols, vals)
 	}
+}
+
+// oneEntryRow returns the one entry of row i of A·B, a row symbolic sized 1:
+// every product lands on one column, so the first product is the entry and
+// the rest fold into it with ring.Add in product order — what the SPA and the
+// table leave in their one slot, with neither touched.
+//
+//spgemm:hotpath
+func oneEntryRow[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], i int) (col int32, val V) {
+	arp := a.RowPtr[i : i+2]
+	acols := a.ColIdx[arp[0]:arp[1]]
+	avals := a.Val[arp[0]:arp[1]]
+	first := true
+	for x, k := range acols {
+		brp := b.RowPtr[k : int(k)+2]
+		for p := brp[0]; p < brp[1]; p++ {
+			if prod := ring.Mul(avals[x], b.Val[p]); first {
+				col, val, first = b.ColIdx[p], prod, false
+			} else {
+				val = ring.Add(val, prod)
+			}
+		}
+	}
+	return col, val
 }
 
 // spaRowNumeric is hashRowNumeric's accumulating half on the dense SPA, in
@@ -359,12 +400,13 @@ func onePassRows[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V],
 	h := newHashNumeric(ring, ctx, 0, a, b, flop, capBound(max, b.Cols), false) // the SPA: the route is denseRule's
 	h.bind(c.ColIdx, c.Val)
 	rc := rowCounter[V]{stamps: h.spa.Marks()}
-	var pos, marks, direct int64
+	var pos, marks int64
 	rest := flop
 	for i, f := range flopRow {
 		c.RowPtr[i] = pos
 		rest -= f
 		var n, m int
+		booked := false // by h.row; onePassRow's rows are booked below
 		switch room := int64(min(len(c.ColIdx), len(c.Val))); {
 		case f == 0:
 		case pos+f <= room && h.fa != nil:
@@ -379,17 +421,19 @@ func onePassRows[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V],
 				h.bind(c.ColIdx, c.Val)
 			}
 			h.row(i, pos, int64(n), f)
+			booked = true
 		}
-		if int64(n) == f {
-			direct += f
+		if !booked { // onePassRow concatenated the row, or resumed it in the SPA
+			if int64(n) == f {
+				h.direct += f
+			} else {
+				h.dense += f
+			}
 		}
 		pos, marks = pos+int64(n), marks+int64(m)
 	}
 	c.RowPtr[a.Rows] = pos
 	c.ColIdx, c.Val = c.ColIdx[:pos], c.Val[:pos]
-	// Every row was concatenated or folded into the SPA, whichever function
-	// wrote it.
-	h.direct, h.dense = direct, flop-direct
 	if ws != nil {
 		ws.Rows, ws.Flop, ws.StampMarks = int64(a.Rows), flop, marks
 	}

@@ -12,24 +12,26 @@ import (
 	"repro/internal/semiring"
 )
 
-// Tests for the whole-row hash kernel's two row decisions (hashrow.go).
+// Tests for the whole-row hash kernel's row decisions (hashrow.go).
 // Bit-identity of the decisions across rings, kernels and geometries is the
 // differential suite's job (difftest.Cases carries inputs on both sides of
 // each); the tests here pin which side an input takes.
 
 // TestHashCounterInvariant: every product of an unmasked two-phase product
-// through the whole-row passes is counted exactly twice — once by symbolic
-// (hash lookup or stamp mark), once by numeric (hash lookup, SPA fold or
-// direct write) — and the counters say which; a sorted request, which writes
-// nothing directly, shows both phases on the same side of denseRule (as many
-// SPA folds as stamp marks). That holds however the rows are cut into
-// stripes: for AlgHash's one per worker, for AlgSharded at one stripe, one per
-// worker and one per row (several stripes then accumulate into one worker's
-// counters, on either side), and for AlgTiled when every row is light. On the
-// one-pass route (an unsorted AlgHash product in one stripe at compression
-// ratio about 1) every product is written once, so direct writes and SPA
-// folds sum to the flop, the stamps test at most the flop, and no time goes
-// to symbolic.
+// through the whole-row passes is counted once by numeric (hash lookup, SPA
+// fold or direct write) and once by symbolic (hash lookup or stamp mark) —
+// unless its row is sized by its bound, min(flop, Cols) <= 1, which symbolic
+// does not count — and the counters say which:
+// HashLookups + StampMarks + DirectFlop + DenseFlop == 2·Flop − (flop of rows
+// sized by their bound). A sorted request writes exactly its one-entry rows
+// without an accumulator (folded into their slot). That holds however the
+// rows are cut into stripes: for AlgHash's one per worker, for AlgSharded at
+// one stripe, one per worker and one per row (several stripes then accumulate
+// into one worker's counters, on either side), and for AlgTiled when every
+// row is light. On the one-pass route (an unsorted AlgHash product in one
+// stripe at compression ratio about 1) every product is written once, so
+// direct writes and SPA folds sum to the flop, the stamps test at most the
+// flop, and no time goes to symbolic.
 func TestHashCounterInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g500 := gen.RMAT(8, 8, gen.G500Params, rng)
@@ -38,18 +40,31 @@ func TestHashCounterInvariant(t *testing.T) {
 	// ER thin enough that most rows of its square repeat no column while a
 	// few do: the concatenate/accumulate choice takes both sides.
 	thin := gen.Unsorted(gen.ER(10, 3, rng), rng)
+	// One column: every row with a product is sized by its bound and folded
+	// into its one slot, however many products it has.
+	oneCol := matrix.NewCOO(g500.Cols, 1)
+	for k := 0; k < g500.Cols; k += 2 {
+		oneCol.Append(int32(k), 0, rng.NormFloat64())
+	}
 	for _, in := range []struct {
 		name       string
 		a, b       *matrix.CSR
 		wantStamps bool // dense side taken at one worker
-		wantRepeat bool // some row repeats a column
+		wantRepeat bool // some row of two or more entries repeats a column
 		onePass    bool // compression ratio near 1 and Cols <= flop
 	}{
 		{"thin-er", thin, thin, true, true, true},
 		{"g500", g500, g500, true, true, false},
 		{"wide", wideA, wideB, false, false, false},
+		{"one-column", g500, oneCol.ToCSR(), true, false, false},
 	} {
-		flop, _ := Flop(in.a, in.b)
+		flop, flopRow := Flop(in.a, in.b)
+		var sized int64
+		for _, f := range flopRow {
+			if capBound(f, in.b.Cols) <= 1 {
+				sized += f
+			}
+		}
 		for _, unsorted := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
 				for _, geom := range []struct {
@@ -67,8 +82,15 @@ func TestHashCounterInvariant(t *testing.T) {
 					ctx := NewContext()
 					var st ExecStats
 					opt := &Options{Algorithm: geom.alg, ShardStripes: geom.stripes, Unsorted: unsorted, Workers: workers, Stats: &st, Context: ctx}
-					if _, err := Multiply(in.a, in.b, opt); err != nil {
+					c, err := Multiply(in.a, in.b, opt)
+					if err != nil {
 						t.Fatalf("%s: %v", name, err)
+					}
+					var oneEntry int64 // flop of the rows with one entry
+					for i, f := range flopRow {
+						if c.RowPtr[i+1]-c.RowPtr[i] == 1 {
+							oneEntry += f
+						}
 					}
 					tot := st.TotalWorker()
 					onePass := in.onePass && geom.alg == AlgHash && unsorted && workers == 1
@@ -80,22 +102,24 @@ func TestHashCounterInvariant(t *testing.T) {
 							t.Errorf("%s: one pass: direct %d + dense %d, want flop %d; lookups %d, want 0; marks %d, want at most flop",
 								name, tot.DirectFlop, tot.DenseFlop, flop, tot.HashLookups, tot.StampMarks)
 						}
-					} else if got := tot.HashLookups + tot.StampMarks + tot.DirectFlop + tot.DenseFlop; got != 2*flop || tot.L2Overflows != 0 {
-						t.Errorf("%s: lookups %d + marks %d + direct %d + dense %d = %d, want 2·flop = %d (and %d heavy units, want 0)",
-							name, tot.HashLookups, tot.StampMarks, tot.DirectFlop, tot.DenseFlop, got, 2*flop, tot.L2Overflows)
+					} else if got := tot.HashLookups + tot.StampMarks + tot.DirectFlop + tot.DenseFlop; got != 2*flop-sized || tot.L2Overflows != 0 {
+						t.Errorf("%s: lookups %d + marks %d + direct %d + dense %d = %d, want 2·flop − sized = %d (and %d heavy units, want 0)",
+							name, tot.HashLookups, tot.StampMarks, tot.DirectFlop, tot.DenseFlop, got, 2*flop-sized, tot.L2Overflows)
 					}
-					if !unsorted && (tot.DirectFlop != 0 || tot.DenseFlop != tot.StampMarks) {
-						t.Errorf("%s: sorted request wrote %d products directly and folded %d in the SPA, stamped %d; want 0 and the same",
-							name, tot.DirectFlop, tot.DenseFlop, tot.StampMarks)
+					if !unsorted && tot.DirectFlop != oneEntry {
+						t.Errorf("%s: sorted request wrote %d products without an accumulator, want the %d of its one-entry rows",
+							name, tot.DirectFlop, oneEntry)
 					}
 					// Which side the phases take depends on the stripe's flop;
 					// one stripe over all rows is the case the table states. The
 					// one-pass route stamps a repeating row only up to its repeat.
-					if oneStripe := workers == 1 && geom.stripes <= 1; unsorted && oneStripe {
-						if (tot.StampMarks == flop || onePass && tot.StampMarks > 0) != in.wantStamps || tot.DirectFlop == 0 || (tot.DirectFlop < flop) != in.wantRepeat ||
-							(tot.DenseFlop > 0) != (in.wantStamps && in.wantRepeat) || (tot.HashLookups > 0) == in.wantStamps {
-							t.Errorf("%s: flop %d marks %d direct %d dense %d lookups %d: wrong sides taken",
-								name, flop, tot.StampMarks, tot.DirectFlop, tot.DenseFlop, tot.HashLookups)
+					if workers == 1 && geom.stripes <= 1 {
+						if (tot.StampMarks == flop-sized || onePass && tot.StampMarks > 0) != in.wantStamps || (tot.HashLookups > 0) == in.wantStamps {
+							t.Errorf("%s: flop %d sized %d marks %d lookups %d: wrong symbolic side taken",
+								name, flop, sized, tot.StampMarks, tot.HashLookups)
+						}
+						if unsorted && (tot.DirectFlop == 0 || (tot.DirectFlop < flop) != in.wantRepeat || (tot.DenseFlop > 0) != (in.wantStamps && in.wantRepeat)) {
+							t.Errorf("%s: flop %d direct %d dense %d: wrong numeric side taken", name, flop, tot.DirectFlop, tot.DenseFlop)
 						}
 					}
 					// The counters reach the Context's running totals, and a Plan,
@@ -116,7 +140,7 @@ func TestHashCounterInvariant(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					bt, et := build.TotalWorker(), exec.TotalWorker()
-					if bt.HashLookups+bt.StampMarks != flop || et.HashLookups+et.DirectFlop+et.DenseFlop != flop || bt.StampMarks < tot.StampMarks ||
+					if bt.HashLookups+bt.StampMarks != flop-sized || et.HashLookups+et.DirectFlop+et.DenseFlop != flop || bt.StampMarks < tot.StampMarks ||
 						!onePass && bt.StampMarks != tot.StampMarks || et.DirectFlop != tot.DirectFlop || et.DenseFlop != tot.DenseFlop {
 						t.Errorf("%s: plan build %+v / replay %+v do not split %+v", name, bt, et, tot)
 					}
@@ -130,7 +154,7 @@ func TestHashCounterInvariant(t *testing.T) {
 // twice in a row makes flop exceed the row's distinct columns, so the row
 // must take an accumulator (where the two products fold) and not
 // concatenation — the SPA here (Cols = flop), the table for a B padded with
-// empty columns past the rule.
+// empty columns past the rule. Row 2's one product sizes it without a count.
 func TestHashRepeatedColumnInBRow(t *testing.T) {
 	a := matrix.Identity(3)
 	for _, cols := range []int{6, 7} {
@@ -147,14 +171,19 @@ func TestHashRepeatedColumnInBRow(t *testing.T) {
 				t.Errorf("%v cols=%d: product differs from NaiveMultiply", alg, cols)
 			}
 			// Row 0 (flop 3, two distinct columns) through the accumulator,
-			// rows 1 and 2 (flop 3 together) by concatenation; symbolic counts
-			// on the same side of the rule (stamps, or 6 table lookups).
+			// row 1 (flop 2) by concatenation and row 2 (flop 1) into its one
+			// slot; symbolic counts rows 0 and 1 on the same side of the rule
+			// (stamps, or 5 table lookups): 2·6 − 1 counts in all.
 			dense, lookups := int64(3), int64(0)
 			if cols > 6 {
-				dense, lookups = 0, 6+3
+				dense, lookups = 0, 5+3
 			}
-			if tot := st.TotalWorker(); alg != AlgHashVec && (tot.DirectFlop != 3 || tot.DenseFlop != dense || tot.HashLookups != lookups) {
+			tot := st.TotalWorker()
+			if alg != AlgHashVec && (tot.DirectFlop != 3 || tot.DenseFlop != dense || tot.HashLookups != lookups) {
 				t.Errorf("%v cols=%d: direct %d dense %d lookups %d, want 3, %d and %d", alg, cols, tot.DirectFlop, tot.DenseFlop, tot.HashLookups, dense, lookups)
+			}
+			if got := tot.HashLookups + tot.StampMarks + tot.DirectFlop + tot.DenseFlop; got != 2*6-1 {
+				t.Errorf("%v cols=%d: %d counts, want 2·flop − 1 = 11", alg, cols, got)
 			}
 		}
 	}
