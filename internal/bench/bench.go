@@ -107,7 +107,6 @@ func Registry() []Experiment {
 		{"hmean", "Harmonic-mean unsorted speedup (Section 5.4.4)", runHMean},
 		{"apps", "Graph applications built on SpGEMM (Section 1 workloads)", runApps},
 		{"reuse", "Context/Plan reuse for iterative SpGEMM (inspector-executor)", runReuse},
-		{"skewed", "Tiled vs hash/heap on skewed G500 A² (cache-conscious tiling)", runSkewed},
 		{"outofcore", "Bounded-memory sharded SpGEMM through a spill-to-disk sink", runOutOfCore},
 	}
 }

@@ -41,7 +41,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestRegistryCompleteAndUnique(t *testing.T) {
 	reg := Registry()
-	want := []string{"fig2", "fig4", "fig5", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "table2", "table4", "hmean", "apps", "reuse", "skewed", "outofcore"}
+	want := []string{"fig2", "fig4", "fig5", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "table2", "table4", "hmean", "apps", "reuse", "outofcore"}
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(reg), len(want))
 	}
@@ -63,8 +63,8 @@ func TestRegistryCompleteAndUnique(t *testing.T) {
 	}
 }
 
-// TestReuseRows measures the reuse, skewed and outofcore experiments at the
-// Tiny preset and checks the rows they tabulate.
+// TestReuseRows measures the reuse and outofcore experiments at the Tiny
+// preset and checks the rows they tabulate.
 func TestReuseRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
@@ -74,34 +74,21 @@ func TestReuseRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, skewed, err := measureSkewed(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ooc, err := measureOutOfCore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows = append(append(rows, skewed...), ooc.Rows...)
-	// 6 reuse rows (2 algs × 3 variants) + 4 skewed G500 rows + 2 outofcore
-	// rows (hash baseline and sharded-spill).
-	if scale != 8 || len(rows) != 12 {
+	rows = append(rows, ooc.Rows...)
+	// 6 reuse rows (2 algs × 3 variants) + 2 outofcore rows (hash baseline
+	// and sharded-spill).
+	if scale != 8 || len(rows) != 8 {
 		t.Fatalf("scale %d, %d rows: %+v", scale, len(rows), rows)
 	}
-	var skewedRows, oocRows int
+	var oocRows int
 	for _, r := range rows {
-		if r.Variant == "g500-s8" {
-			skewedRows++
-		}
 		if r.Variant == "outofcore-s8" {
 			oocRows++
 		}
-		if r.Alg == "auto" && r.Resolved == "" {
-			t.Fatalf("auto row missing resolved algorithm: %+v", r)
-		}
-	}
-	if skewedRows != 4 {
-		t.Fatalf("want 4 skewed rows, got %d", skewedRows)
 	}
 	if oocRows != 2 {
 		t.Fatalf("want 2 outofcore rows, got %d", oocRows)

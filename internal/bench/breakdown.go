@@ -38,12 +38,11 @@ func runFig8(cfg Config, w io.Writer) error {
 	}
 	algs := []contender{
 		spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgHeap, baseline.SPA,
-		baseline.MKL, baseline.MKLInspector, baseline.Kokkos, spgemm.AlgTiled,
+		baseline.MKL, baseline.MKLInspector, baseline.Kokkos,
 	}
 
 	t := newTable("matrix", "alg", "total_ms", "partition%", "symbolic%", "alloc%", "numeric%", "assemble%", "mflops", "cf", "heap_pushes", "l2_overflow", "imb")
 	hashStats := make(map[string]*spgemm.ExecStats)
-	tiledStats := make(map[string]*spgemm.ExecStats)
 	for _, in := range inputs {
 		flop, _ := matrix.Flop(in.m, in.m)
 		for _, alg := range algs {
@@ -62,10 +61,6 @@ func runFig8(cfg Config, w io.Writer) error {
 			}
 			if alg == spgemm.AlgHash {
 				hashStats[in.name] = &reps
-			}
-			if alg == spgemm.AlgTiled {
-				s := st
-				tiledStats[in.name] = &s
 			}
 			row := []string{in.name, alg.String(), fmt.Sprintf("%.2f", float64(st.Total)/float64(time.Millisecond))}
 			for p := spgemm.Phase(0); p < spgemm.NumPhases; p++ {
@@ -92,22 +87,6 @@ func runFig8(cfg Config, w io.Writer) error {
 		if st := hashStats[in.name]; st != nil && len(st.Workers) > 0 {
 			fmt.Fprintf(w, "\n# load balance, %s / hash (%d reps):\n", in.name, cfg.reps())
 			writeBalance(w, st)
-		}
-	}
-	// The tiled kernel's ExecStats-side imbalance view: per worker, the rows
-	// it owned, the flop it executed, and how many heavy (row, tile) units
-	// were routed through the cache-resident tiling path. Zero overflows
-	// means every row fit one analytic tile at this preset's scale; the
-	// skewed experiment (spgemm-bench -exp skewed) is the heavy regime.
-	for _, in := range inputs {
-		st := tiledStats[in.name]
-		if st == nil || len(st.Workers) == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "\n# tiled per-worker routing, %s (%d reps):\n", in.name, cfg.reps())
-		for wi := range st.Workers {
-			ws := st.Workers[wi]
-			fmt.Fprintf(w, "#   worker %d: rows=%d flop=%d l2_overflows=%d\n", wi, ws.Rows, ws.Flop, ws.L2Overflows)
 		}
 	}
 	return nil

@@ -79,7 +79,7 @@ func measureOutOfCore(cfg Config) (*outOfCoreResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, reuseVariant{"hash", variant, d.Nanoseconds(), mflops(res.Flop, d), allocs, bytes, ""})
+	res.Rows = append(res.Rows, reuseVariant{"hash", variant, d.Nanoseconds(), mflops(res.Flop, d), allocs, bytes})
 
 	res.OutBytes = want.NNZ() * 12
 	res.Budget = res.OutBytes / 4
@@ -158,7 +158,7 @@ func measureOutOfCore(cfg Config) (*outOfCoreResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, reuseVariant{"sharded-spill", variant, d.Nanoseconds(), mflops(res.Flop, d), allocs, bytes, ""})
+	res.Rows = append(res.Rows, reuseVariant{"sharded-spill", variant, d.Nanoseconds(), mflops(res.Flop, d), allocs, bytes})
 
 	if res.Peak > res.Budget {
 		return nil, fmt.Errorf("outofcore: peak resident %d bytes exceeds the %d-byte budget", res.Peak, res.Budget)

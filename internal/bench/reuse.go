@@ -41,9 +41,6 @@ type reuseVariant struct {
 	MFLOPS  float64
 	Allocs  uint64
 	Bytes   uint64
-	// Resolved records the algorithm AlgAuto dispatched to (empty for
-	// explicit algorithms). The skewed-preset gate asserts on it.
-	Resolved string
 }
 
 // timedAllocs runs f iters times and returns per-iteration wall time, heap
@@ -63,6 +60,31 @@ func timedAllocs(iters int, f func()) (time.Duration, uint64, uint64) {
 	runtime.ReadMemStats(&m1)
 	n := uint64(iters)
 	return d / time.Duration(iters), (m1.Mallocs - m0.Mallocs) / n, (m1.TotalAlloc - m0.TotalAlloc) / n
+}
+
+// timedAllocsMin is timedAllocs reporting the MINIMUM iteration time instead
+// of the mean: one scheduling hiccup, GC pause train or burst of hypervisor
+// steal time can inflate a mean of a few long iterations by tens of percent,
+// and the minimum is the least-disturbed observation of the same
+// deterministic work. Allocation counters stay per-iteration means.
+func timedAllocsMin(iters int, f func()) (time.Duration, uint64, uint64) {
+	if iters < 1 {
+		iters = 1
+	}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	best := time.Duration(0)
+	for i := 0; i < iters; i++ {
+		start := time.Now()
+		f()
+		if d := time.Since(start); best == 0 || d < best {
+			best = d
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	n := uint64(iters)
+	return best, (m1.Mallocs - m0.Mallocs) / n, (m1.TotalAlloc - m0.TotalAlloc) / n
 }
 
 // measureReuse runs the three variants for both hash algorithms on ER A².
@@ -94,7 +116,7 @@ func measureReuse(cfg Config) (scale int, flop int64, out []reuseVariant, err er
 		if err != nil {
 			return
 		}
-		out = append(out, reuseVariant{alg.String(), "oneshot", d.Nanoseconds(), mflops(flop, d), allocs, bytes, ""})
+		out = append(out, reuseVariant{alg.String(), "oneshot", d.Nanoseconds(), mflops(flop, d), allocs, bytes})
 
 		// Context: reusable state, on a dedicated persistent pool.
 		ctx := spgemm.NewContext()
@@ -113,7 +135,7 @@ func measureReuse(cfg Config) (scale int, flop int64, out []reuseVariant, err er
 		if err != nil {
 			return
 		}
-		out = append(out, reuseVariant{alg.String(), "context", d.Nanoseconds(), mflops(flop, d), allocs, bytes, ""})
+		out = append(out, reuseVariant{alg.String(), "context", d.Nanoseconds(), mflops(flop, d), allocs, bytes})
 
 		// Plan: symbolic phase cached, numeric-only re-execution.
 		pctx := spgemm.NewContext()
@@ -141,7 +163,7 @@ func measureReuse(cfg Config) (scale int, flop int64, out []reuseVariant, err er
 		if err != nil {
 			return
 		}
-		out = append(out, reuseVariant{alg.String(), "plan", d.Nanoseconds(), mflops(flop, d), allocs, bytes, ""})
+		out = append(out, reuseVariant{alg.String(), "plan", d.Nanoseconds(), mflops(flop, d), allocs, bytes})
 	}
 	return
 }

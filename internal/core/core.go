@@ -62,7 +62,6 @@ const (
 	AlgHash    = spgemm.AlgHash
 	AlgHashVec = spgemm.AlgHashVec
 	AlgHeap    = spgemm.AlgHeap
-	AlgTiled   = spgemm.AlgTiled
 	AlgSharded = spgemm.AlgSharded
 )
 
@@ -87,8 +86,8 @@ func Multiply(a, b *matrix.CSR, opt *Options) (*matrix.CSR, error) {
 // MultiplyRing computes C = A·B over an arbitrary value type and semiring.
 // Each value type gets its own kernel instantiation (the three float64 rings
 // share one), which calls the ring's Add and Mul once per product through
-// its dictionary; only float64 plus-times has hand-inlined hash and tiled
-// loops. See spgemm.MultiplyRing.
+// its dictionary; only float64 plus-times has hand-inlined hash loops. See
+// spgemm.MultiplyRing.
 func MultiplyRing[V semiring.Value, R Ring[V]](ring R, a, b *CSR[V], opt *OptionsG[V]) (*CSR[V], error) {
 	return spgemm.MultiplyRing(ring, a, b, opt)
 }

@@ -11,7 +11,7 @@ func TestFacadeMultiply(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := matrix.Random(20, 20, 0.2, rng)
 	want := matrix.NaiveMultiply(a, a)
-	for _, alg := range []Algorithm{AlgAuto, AlgHash, AlgHashVec, AlgHeap, AlgTiled, AlgSharded} {
+	for _, alg := range []Algorithm{AlgAuto, AlgHash, AlgHashVec, AlgHeap, AlgSharded} {
 		got, err := Multiply(a, a, &Options{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)

@@ -281,7 +281,7 @@ func TestMSBFSMatchesSequentialBFS(t *testing.T) {
 			for j, s := range sources {
 				want[j] = sequentialBFS(a, s)
 			}
-			for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHeap, spgemm.AlgTiled, spgemm.AlgAuto} {
+			for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHeap, spgemm.AlgAuto} {
 				res, err := MSBFS(a, sources, &spgemm.Options{Algorithm: alg, Workers: 2})
 				if err != nil {
 					t.Fatalf("graph %d k=%d %v: %v", gi, k, alg, err)

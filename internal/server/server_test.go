@@ -301,6 +301,7 @@ func TestMultiplyErrorPaths(t *testing.T) {
 		{"trailing garbage", fmt.Sprintf(`{"a":%q,"b":%q} extra`, ha, ha), http.StatusBadRequest},
 		{"missing hashes", `{}`, http.StatusBadRequest},
 		{"bad algorithm", fmt.Sprintf(`{"a":%q,"b":%q,"algorithm":"quantum"}`, ha, ha), http.StatusBadRequest},
+		{"retired algorithm", fmt.Sprintf(`{"a":%q,"b":%q,"algorithm":"tiled"}`, ha, ha), http.StatusBadRequest},
 		{"bad semiring", fmt.Sprintf(`{"a":%q,"b":%q,"semiring":"xor"}`, ha, ha), http.StatusBadRequest},
 		{"bad return", fmt.Sprintf(`{"a":%q,"b":%q,"return":"email"}`, ha, ha), http.StatusBadRequest},
 		{"negative workers", fmt.Sprintf(`{"a":%q,"b":%q,"workers":-1}`, ha, ha), http.StatusBadRequest},
@@ -312,6 +313,9 @@ func TestMultiplyErrorPaths(t *testing.T) {
 		}
 		if !strings.Contains(body, `"error"`) {
 			t.Errorf("%s: error body missing error field: %s", tc.name, body)
+		}
+		if strings.HasSuffix(tc.name, " algorithm") && !strings.Contains(body, "(want "+algorithmNames()+")") {
+			t.Errorf("%s: error does not list the valid names %s: %s", tc.name, algorithmNames(), body)
 		}
 	}
 }
@@ -699,14 +703,13 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestMultiplyTiledOverrideAndPlanKeyIsolation: "tiled" is accepted as an
-// algorithm override, produces the same product as "hash" (the tiled kernel
-// is bit-compatible), is plannable (second call hits the plan cache), and
-// its cached plan does NOT collide with the hash plan for the same operand
-// pair — PlanKey includes the algorithm, so switching algorithms on the
-// same matrices must miss the cache and recompute, not replay the other
-// kernel's plan.
-func TestMultiplyTiledOverrideAndPlanKeyIsolation(t *testing.T) {
+// TestMultiplyAlgorithmOverrideAndPlanKeyIsolation: "heap" is accepted as an
+// algorithm override, produces the same structure as "hash", is plannable
+// (second call hits the plan cache), and its cached plan does NOT collide
+// with the hash plan for the same operand pair — PlanKey includes the
+// algorithm, so switching algorithms on the same matrices must miss the
+// cache and recompute, not replay the other kernel's plan.
+func TestMultiplyAlgorithmOverrideAndPlanKeyIsolation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	rng := rand.New(rand.NewSource(9))
 	a := matrix.Random(60, 50, 0.12, rng)
@@ -714,40 +717,40 @@ func TestMultiplyTiledOverrideAndPlanKeyIsolation(t *testing.T) {
 	ha := uploadBinary(t, ts.URL, a).Hash
 	hb := uploadBinary(t, ts.URL, b).Hash
 
-	want, err := spgemm.Multiply(a, b, &spgemm.Options{Algorithm: spgemm.AlgHash})
+	want, err := spgemm.Multiply(a, b, &spgemm.Options{Algorithm: spgemm.AlgHeap})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// tiled: first call misses, second hits.
-	code, body := postMultiply(t, ts.URL, MultiplyRequest{A: ha, B: hb, Algorithm: "tiled"})
+	// heap: first call misses, second hits.
+	code, body := postMultiply(t, ts.URL, MultiplyRequest{A: ha, B: hb, Algorithm: "heap"})
 	if code != http.StatusOK {
-		t.Fatalf("tiled multiply: status %d: %s", code, body)
+		t.Fatalf("heap multiply: status %d: %s", code, body)
 	}
 	first := decodeMultiply(t, body)
 	if first.PlanCacheHit {
-		t.Fatal("first tiled multiply claims a plan cache hit")
+		t.Fatal("first heap multiply claims a plan cache hit")
 	}
 	if first.NNZ != want.NNZ() || first.Rows != want.Rows || first.Cols != want.Cols {
-		t.Fatalf("tiled product shape: %+v, want %dx%d/%d", first, want.Rows, want.Cols, want.NNZ())
+		t.Fatalf("heap product shape: %+v, want %dx%d/%d", first, want.Rows, want.Cols, want.NNZ())
 	}
-	code, body = postMultiply(t, ts.URL, MultiplyRequest{A: ha, B: hb, Algorithm: "tiled"})
+	code, body = postMultiply(t, ts.URL, MultiplyRequest{A: ha, B: hb, Algorithm: "heap"})
 	if code != http.StatusOK {
-		t.Fatalf("repeat tiled multiply: status %d: %s", code, body)
+		t.Fatalf("repeat heap multiply: status %d: %s", code, body)
 	}
 	if second := decodeMultiply(t, body); !second.PlanCacheHit {
-		t.Fatal("repeat tiled multiply missed the plan cache")
+		t.Fatal("repeat heap multiply missed the plan cache")
 	}
 
 	// hash on the SAME operands: a different PlanKey, so the first call
-	// must miss (no collision with the cached tiled plan) and still agree.
+	// must miss (no collision with the cached heap plan) and still agree.
 	code, body = postMultiply(t, ts.URL, MultiplyRequest{A: ha, B: hb, Algorithm: "hash"})
 	if code != http.StatusOK {
 		t.Fatalf("hash multiply: status %d: %s", code, body)
 	}
 	hashFirst := decodeMultiply(t, body)
 	if hashFirst.PlanCacheHit {
-		t.Fatal("hash multiply hit the tiled plan: PlanKey collision across algorithms")
+		t.Fatal("hash multiply hit the heap plan: PlanKey collision across algorithms")
 	}
 	if hashFirst.NNZ != want.NNZ() {
 		t.Fatalf("hash product nnz %d, want %d", hashFirst.NNZ, want.NNZ())
@@ -760,16 +763,16 @@ func TestMultiplyTiledOverrideAndPlanKeyIsolation(t *testing.T) {
 		t.Fatal("repeat hash multiply missed its own plan")
 	}
 
-	// Full-matrix round trip through the tiled path: entry-for-entry equal
-	// to the hash kernel's product.
-	req, _ := json.Marshal(MultiplyRequest{A: ha, B: hb, Algorithm: "tiled", Return: "matrix"})
+	// Full-matrix round trip through the heap plan: entry-for-entry equal to
+	// the heap kernel's one-shot product.
+	req, _ := json.Marshal(MultiplyRequest{A: ha, B: hb, Algorithm: "heap", Return: "matrix"})
 	resp, err := http.Post(ts.URL+"/v1/multiply", "application/json", bytes.NewReader(req))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("tiled matrix return: status %d", resp.StatusCode)
+		t.Fatalf("heap matrix return: status %d", resp.StatusCode)
 	}
 	got, err := matrix.ReadCSRBinary(resp.Body)
 	if err != nil {
@@ -777,7 +780,7 @@ func TestMultiplyTiledOverrideAndPlanKeyIsolation(t *testing.T) {
 	}
 	for i := range want.ColIdx {
 		if got.ColIdx[i] != want.ColIdx[i] || got.Val[i] != want.Val[i] {
-			t.Fatalf("tiled product differs from hash at entry %d", i)
+			t.Fatalf("heap plan's product differs from the one-shot heap product at entry %d", i)
 		}
 	}
 }

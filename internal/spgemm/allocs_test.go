@@ -160,16 +160,12 @@ func TestContextReuseSteadyAllocs(t *testing.T) {
 		{"heap", AlgHeap, nil, false, false, 16},
 		{"heap/plan", AlgHeap, nil, true, false, 16},
 		{"hash/replay", AlgHash, nil, true, false, 5},
-		{"tiled", AlgTiled, nil, false, false, 16},
 		{"hash+recycle", AlgHash, nil, false, true, 3},
 		{"hash+mask+recycle", AlgHash, a, false, true, 3},
 		{"hash/replay+recycle", AlgHash, nil, true, true, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Forced tiny tiles so AlgTiled's split + heavy-unit + stitch
-			// machinery runs every call (ignored by the other algorithms).
-			opt := &Options{Algorithm: tc.alg, Mask: tc.mask, Workers: 1, Context: NewContext(),
-				TileCols: 64, TileHeavyFlop: 16}
+			opt := &Options{Algorithm: tc.alg, Mask: tc.mask, Workers: 1, Context: NewContext()}
 			multiply := func() (*matrix.CSR, error) { return Multiply(a, a, opt) }
 			if tc.plan {
 				plan, err := NewPlan(a, a, opt)

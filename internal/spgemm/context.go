@@ -77,26 +77,6 @@ type ContextG[V semiring.Value] struct {
 	// region has started (see dealStripes).
 	stripeNext atomic.Int64
 
-	// Tiled-execution state (AlgTiled): the light-row weight copy, the flat
-	// column-split of B (nTiles row-pointer blocks plus tile-local column
-	// ids and gathered values, and the tiles' CSR headers over them), the
-	// heavy (row, tile) unit bookkeeping, and
-	// a second offsets/prefix-sum pair so unit partitioning never aliases
-	// the row partition's buffers.
-	lightFlop  []int64
-	tileRowPtr []int64
-	tileCur    []int64
-	tileIdx    []int32
-	tileVal    []V
-	tiles      []matrix.CSRG[V]
-	unitRow    []int32
-	unitTile   []int32
-	unitFlop   []int64
-	unitNnz    []int64
-	unitOff    []int64
-	uoffsets   []int
-	ups        []int64
-
 	// The running call's inspection and phase timer (driver.go): fields, so
 	// a steady-state call allocates neither. They keep that call's Mask and
 	// Stats reachable until the next call overwrites them.
@@ -424,34 +404,4 @@ func (c *ContextG[V]) spaTable(w, ncols int) *accum.SPAG[V] {
 	s.Reserve(ncols)
 	s.Reset()
 	return s
-}
-
-// ensureLen returns buf with length n (contents undefined), reusing capacity.
-func ensureLen[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
-}
-
-// unitBufs returns the (row, tile) unit bookkeeping arrays for n units
-// (contents undefined).
-func (c *ContextG[V]) unitBufs(n int) (row, tile []int32, flop, nnz, off []int64) {
-	c.unitRow = ensureLen(c.unitRow, n)
-	c.unitTile = ensureLen(c.unitTile, n)
-	c.unitFlop = ensureLen(c.unitFlop, n)
-	c.unitNnz = ensureLen(c.unitNnz, n)
-	c.unitOff = ensureLen(c.unitOff, n)
-	return c.unitRow, c.unitTile, c.unitFlop, c.unitNnz, c.unitOff
-}
-
-// partitionUnits flop-balances the heavy (row, tile) units over workers into
-// the context's secondary offsets/prefix-sum buffers (the primary pair holds
-// the light-row partition for the same call).
-func (c *ContextG[V]) partitionUnits(unitFlop []int64, parts, workers int) []int {
-	if n := len(unitFlop); cap(c.ups) < n+1 {
-		c.ups = make([]int64, n+1)
-	}
-	c.uoffsets = c.pool().BalancedPartitionInto(unitFlop, parts, workers, c.uoffsets, c.ups)
-	return c.uoffsets
 }

@@ -49,21 +49,7 @@ var Algorithms = []spgemm.Algorithm{
 	spgemm.AlgHash,
 	spgemm.AlgHashVec,
 	spgemm.AlgHeap,
-	spgemm.AlgTiled,
 	spgemm.AlgSharded,
-}
-
-// tinyTiles returns geometry overrides that force the tiled kernel's heavy
-// (row, tile) path at suite scale: an 8-column tile with a heavy threshold
-// of one flop routes essentially every non-empty row through column tiling.
-// The default width (32768 columns) never triggers it on the
-// small differential inputs, so without the override the suite would only
-// cover the light path.
-func tinyTiles(alg spgemm.Algorithm) (tileCols int, heavyFlop int64) {
-	if alg == spgemm.AlgTiled {
-		return 8, 1
-	}
-	return 0, 0
 }
 
 // tinyShards forces a cut of the sharded engine that is not one stripe per
@@ -344,15 +330,14 @@ func Check(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 	if err := Equivalent(got, want); err != nil {
 		return fmt.Errorf("%s/%v unsorted=%v workers=%d: %w", c.Name, alg, unsorted, workers, err)
 	}
-	if tc, hf := tinyTiles(alg); tc > 0 || tinyShards(alg) > 0 {
-		fopt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers,
-			TileCols: tc, TileHeavyFlop: hf, ShardStripes: tinyShards(alg)}
+	if tinyShards(alg) > 0 {
+		fopt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardStripes: tinyShards(alg)}
 		forced, err := spgemm.Multiply(c.A, c.B, fopt)
 		if err != nil {
-			return fmt.Errorf("%s/%v tiny-tiles unsorted=%v workers=%d: %w", c.Name, alg, unsorted, workers, err)
+			return fmt.Errorf("%s/%v tiny-shards unsorted=%v workers=%d: %w", c.Name, alg, unsorted, workers, err)
 		}
 		if err := Equivalent(forced, want); err != nil {
-			return fmt.Errorf("%s/%v tiny-tiles unsorted=%v workers=%d: %w", c.Name, alg, unsorted, workers, err)
+			return fmt.Errorf("%s/%v tiny-shards unsorted=%v workers=%d: %w", c.Name, alg, unsorted, workers, err)
 		}
 	}
 	return nil
@@ -498,25 +483,23 @@ func CheckContext(c Case, alg spgemm.Algorithm, unsorted bool, workers int, ctx 
 			return fmt.Errorf("%s/%v ctx result not bit-identical to one-shot: %w", c.Name, alg, err)
 		}
 	}
-	if tc, hf := tinyTiles(alg); tc > 0 || tinyShards(alg) > 0 {
-		fopt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, Context: ctx,
-			TileCols: tc, TileHeavyFlop: hf, ShardStripes: tinyShards(alg)}
+	if tinyShards(alg) > 0 {
+		fopt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, Context: ctx, ShardStripes: tinyShards(alg)}
 		forced, err := spgemm.Multiply(c.A, c.B, fopt)
 		if err != nil {
-			return fmt.Errorf("%s/%v ctx tiny-tiles: %w", c.Name, alg, err)
+			return fmt.Errorf("%s/%v ctx tiny-shards: %w", c.Name, alg, err)
 		}
 		if err := Equivalent(forced, want); err != nil {
-			return fmt.Errorf("%s/%v ctx tiny-tiles: %w", c.Name, alg, err)
+			return fmt.Errorf("%s/%v ctx tiny-shards: %w", c.Name, alg, err)
 		}
 		if !unsorted {
-			oneShot := &spgemm.Options{Algorithm: alg, Workers: workers,
-				TileCols: tc, TileHeavyFlop: hf, ShardStripes: tinyShards(alg)}
+			oneShot := &spgemm.Options{Algorithm: alg, Workers: workers, ShardStripes: tinyShards(alg)}
 			fresh, err := spgemm.Multiply(c.A, c.B, oneShot)
 			if err != nil {
-				return fmt.Errorf("%s/%v tiny-tiles one-shot: %w", c.Name, alg, err)
+				return fmt.Errorf("%s/%v tiny-shards one-shot: %w", c.Name, alg, err)
 			}
 			if err := identical(forced, fresh); err != nil {
-				return fmt.Errorf("%s/%v ctx tiny-tiles result not bit-identical to one-shot: %w", c.Name, alg, err)
+				return fmt.Errorf("%s/%v ctx tiny-shards result not bit-identical to one-shot: %w", c.Name, alg, err)
 			}
 		}
 	}
@@ -536,11 +519,8 @@ func CheckContext(c Case, alg spgemm.Algorithm, unsorted bool, workers int, ctx 
 func CheckPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 	var st spgemm.ExecStats
 	opt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, Context: spgemm.NewContext(), Stats: &st}
-	// For the tiled and sharded algorithms, force tiny geometry so the plan's
-	// unit bookkeeping and per-execute column split of B are both
-	// exercised (the default geometry would make every suite row
-	// light, and the auto stripe cut one stripe per worker).
-	opt.TileCols, opt.TileHeavyFlop = tinyTiles(alg)
+	// Cut Sharded finer than one stripe per worker, which its auto stripe
+	// count would be on every suite input.
 	opt.ShardStripes = tinyShards(alg)
 	plan, err := spgemm.NewPlan(c.A, c.B, opt)
 	if spgemm.RequiresSortedInput(alg) && !c.B.Sorted {

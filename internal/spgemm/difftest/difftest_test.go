@@ -264,9 +264,8 @@ func TestSpecialValueCases(t *testing.T) {
 // TestDifferentialPlanReuse runs the plan-reuse soundness check (repeated
 // bit-identical executions through the kernel and then through the replay
 // map, value perturbation, structural-staleness detection) for every
-// algorithm across the suite and the special-value cases. The tiled algorithm
-// runs under forced tiny tiles (see CheckPlan), so its cached split structure
-// and per-execute value re-gather are covered too.
+// algorithm across the suite and the special-value cases. Sharded runs cut
+// finer than one stripe per worker (see CheckPlan).
 func TestDifferentialPlanReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	for _, alg := range kernels {

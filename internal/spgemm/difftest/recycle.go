@@ -68,7 +68,6 @@ var poisonF64 = math.NaN()
 func CheckRecycled[V semiring.Value, R semiring.Ring[V]](name string, ring R, a, b *matrix.CSRG[V], alg spgemm.Algorithm, unsorted bool, workers int, mask *matrix.CSRG[V], ctx *spgemm.ContextG[V], sentinel V) error {
 	name = fmt.Sprintf("%s/%v unsorted=%v workers=%d masked=%v", name, alg, unsorted, workers, mask != nil)
 	opt := spgemm.OptionsG[V]{Algorithm: alg, Unsorted: unsorted, Workers: workers, Mask: mask, ShardStripes: tinyShards(alg)}
-	opt.TileCols, opt.TileHeavyFlop = tinyTiles(alg)
 	want, err := spgemm.MultiplyRing(ring, a, b, &opt)
 	if err != nil {
 		if spgemm.RequiresSortedInput(alg) && !b.Sorted {
@@ -120,7 +119,6 @@ func CheckRecycled[V semiring.Value, R semiring.Ring[V]](name string, ring R, a,
 func CheckPlanRecycled(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 	name := fmt.Sprintf("%s/%v plan unsorted=%v workers=%d", c.Name, alg, unsorted, workers)
 	opt := spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardStripes: tinyShards(alg)}
-	opt.TileCols, opt.TileHeavyFlop = tinyTiles(alg)
 	want, err := spgemm.Multiply(c.A, c.B, &opt)
 	if err != nil {
 		if spgemm.RequiresSortedInput(alg) && !c.B.Sorted {

@@ -13,12 +13,12 @@ import (
 // poisonU64 is the donated-array sentinel for AsU64 inputs (see AsU64).
 const poisonU64 uint64 = 1 << 1
 
-// kernels are the five concrete algorithms; AlgAuto resolves to one of them.
-var kernels = []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgHeap, spgemm.AlgTiled, spgemm.AlgSharded}
+// kernels are the four concrete algorithms; AlgAuto resolves to one of them.
+var kernels = []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgHeap, spgemm.AlgSharded}
 
 // TestDifferentialRecycled runs the poisoned-donation leg over the suite and
-// the special-value cases: every kernel (Tiled under tiny tiles, so its
-// stitched heavy units run; Sharded cut finer than one stripe per worker) and
+// the special-value cases: every kernel (Sharded cut finer than one stripe
+// per worker) and
 // the masked Hash, sorted and unsorted, serial and parallel, one-shot and
 // through one Context reused across the whole sweep — then the bool, int64
 // and uint64 rings, whose sentinels are a value their products never hold

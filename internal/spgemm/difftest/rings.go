@@ -74,15 +74,14 @@ func CheckRing[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a,
 	if err := EquivalentRing(got, want, close); err != nil {
 		return fmt.Errorf("%s/%v unsorted=%v workers=%d: %w", caseName, alg, unsorted, workers, err)
 	}
-	if tc, hf := tinyTiles(alg); tc > 0 || tinyShards(alg) > 0 {
-		fopt := &spgemm.OptionsG[V]{Algorithm: alg, Unsorted: unsorted, Workers: workers,
-			TileCols: tc, TileHeavyFlop: hf, ShardStripes: tinyShards(alg)}
+	if tinyShards(alg) > 0 {
+		fopt := &spgemm.OptionsG[V]{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardStripes: tinyShards(alg)}
 		forced, err := spgemm.MultiplyRing(ring, a, b, fopt)
 		if err != nil {
-			return fmt.Errorf("%s/%v tiny-tiles unsorted=%v workers=%d: %w", caseName, alg, unsorted, workers, err)
+			return fmt.Errorf("%s/%v tiny-shards unsorted=%v workers=%d: %w", caseName, alg, unsorted, workers, err)
 		}
 		if err := EquivalentRing(forced, want, close); err != nil {
-			return fmt.Errorf("%s/%v tiny-tiles unsorted=%v workers=%d: %w", caseName, alg, unsorted, workers, err)
+			return fmt.Errorf("%s/%v tiny-shards unsorted=%v workers=%d: %w", caseName, alg, unsorted, workers, err)
 		}
 	}
 	return nil

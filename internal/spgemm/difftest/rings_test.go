@@ -193,7 +193,7 @@ func TestMSBFSMatchesLegacyFloat(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s k=%d legacy MSBFS: %v", build.name, k, err)
 			}
-			for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHeap, spgemm.AlgTiled, spgemm.AlgAuto} {
+			for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHeap, spgemm.AlgAuto} {
 				got, err := graph.MSBFS(g, sources, &spgemm.Options{Algorithm: alg, Workers: 3})
 				if err != nil {
 					t.Fatalf("%s k=%d %v MSBFS: %v", build.name, k, alg, err)

@@ -6,11 +6,11 @@ import (
 	"repro/internal/semiring"
 )
 
-// The driver. Hash, HashVector, Tiled and Sharded SpGEMM are the paper's
-// two-phase pipeline (Figure 7) over different row geometries, and the
-// pipeline has one seam: once the symbolic phase has sized the output,
-// everything that depends on the operands' structure is known and only
-// values remain. inspect runs up to that seam and returns an inspection;
+// The driver. Hash, HashVector and Sharded SpGEMM are the paper's two-phase
+// pipeline (Figure 7) over one row geometry, and the pipeline has one seam:
+// once the symbolic phase has sized the output, everything that depends on
+// the operands' structure is known and only values remain. inspect runs up
+// to that seam and returns an inspection;
 // execute runs from it. A one-shot Multiply is execute(inspect(...)) with no
 // copy in between; a Plan is an inspection cloned out of the Context's
 // buffers, executed as often as the caller likes (plan.go). Heap is the
@@ -25,9 +25,9 @@ import (
 // The geometry is data: a flop-balanced cut of the rows into stripes
 // (Figure 6). Each half runs one loop over the stripes, a stripe's rows going
 // through the whole-row passes of hashrow.go into the stripe's window of the
-// output. Hash, HashVector, Tiled's light rows and the one-phase geometry
-// cut one stripe per worker; Sharded cuts as many as keep a stripe's output
-// within its memory budget (shard.go) and may land them in a sink. Nothing
+// output. Hash, HashVector and the one-phase geometry cut one stripe per
+// worker; Sharded cuts as many as keep a stripe's output within its memory
+// budget (shard.go) and may land them in a sink. Nothing
 // past the cut asks which of them is running, the schedule included: worker
 // w starts on stripe w and then takes whichever stripe nobody has started
 // (ContextG.nextStripe). Cut one per worker, nothing is left to take and that
@@ -65,28 +65,14 @@ type inspection[V semiring.Value] struct {
 	// one-shot one-phase product, whose execution is what sizes the output.
 	rowPtr []int64
 
-	// The whole-row pass. lightFlop is flopRow with the rows the pass does
-	// not own zeroed (the same slice when it owns all of them); offsets is
-	// its flop-balanced cut into stripes, len(offsets)-1 of them.
-	lightFlop []int64
-	offsets   []int
+	// offsets is the whole-row pass's flop-balanced cut of the rows into
+	// stripes, len(offsets)-1 of them.
+	offsets []int
 
 	// The output mask of a masked product (AlgHash, never a Plan), which runs
 	// the one-phase geometry with maskedRow as its row function (heap.go).
 	mask    *matrix.CSRG[V]
 	onePass bool // the one-pass route (inspect): onePassRow's geometry
-
-	// Tiled with heavy rows: the column split of B (a one-shot product's
-	// only; a Plan's clone drops it and every execution splits B afresh into
-	// its own Context), and the heavy (row, tile) units — flop weight, output
-	// size and stitched output offset of each — with their own flop-balanced
-	// partition.
-	tileCols          int
-	tiles             tiledSplit[V]
-	unitRow, unitTile []int32
-	unitFlop, unitNnz []int64
-	unitOff           []int64
-	uoffsets          []int
 }
 
 // onePhase reports whether a row is bounded before it is computed — by its
@@ -101,24 +87,11 @@ const onePassMaxCR = 1.05
 func (in *inspection[V]) stripes() int { return len(in.offsets) - 1 }
 
 // clone copies every Context-owned slice into memory of its own, which is
-// all that separates a Plan from a one-shot inspection. The column split is
-// dropped, not copied: it is nnz(B)-sized, holds B's values as they were, and
-// costs an execution one O(nnz(B)) pass to redo in front of its O(flop) one.
+// all that separates a Plan from a one-shot inspection.
 func (in *inspection[V]) clone() inspection[V] {
 	out := *in
 	out.flopRow = append([]int64(nil), in.flopRow...)
-	out.lightFlop = out.flopRow
-	if len(in.unitRow) > 0 {
-		out.lightFlop = append([]int64(nil), in.lightFlop...)
-	}
 	out.offsets = append([]int(nil), in.offsets...)
-	out.tiles = nil
-	out.unitRow = append([]int32(nil), in.unitRow...)
-	out.unitTile = append([]int32(nil), in.unitTile...)
-	out.unitFlop = append([]int64(nil), in.unitFlop...)
-	out.unitNnz = append([]int64(nil), in.unitNnz...)
-	out.unitOff = append([]int64(nil), in.unitOff...)
-	out.uoffsets = append([]int(nil), in.uoffsets...)
 	return out
 }
 
@@ -136,15 +109,11 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 	pt := &ctx.pt
 	ctx.in = inspection[V]{alg: alg, workers: workers, flopRow: ctx.perRowFlop(a, b), mask: opt.Mask}
 	in := &ctx.in
-	in.lightFlop = in.flopRow
-	if alg == AlgTiled {
-		in.inspectTiles(ctx, a, b, opt)
-	}
 	stripes := workers
 	if alg == AlgSharded {
 		stripes = opt.shardStripes(in.flopRow, workers)
 	}
-	in.offsets = ctx.partition(in.lightFlop, stripes, workers)
+	in.offsets = ctx.partition(in.flopRow, stripes, workers)
 	// The one-pass route: an unsorted one-shot Hash product in one stripe,
 	// whose running offset is its row pointer, on stamps and the SPA by
 	// denseRule and at a ratio the recipe's sample, run on ctx's worker-0
@@ -161,14 +130,12 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 	ctx.dealStripes(workers)
 	ctx.runWorkers(workers, func(w int) {
 		for s := w; s < in.stripes(); s = ctx.nextStripe() {
-			ctx.hashSymbolic(w, a, b, in.lightFlop, in.offsets[s], in.offsets[s+1], rowNnz, pt.worker(w))
+			ctx.hashSymbolic(w, a, b, in.flopRow, in.offsets[s], in.offsets[s+1], rowNnz, pt.worker(w))
 		}
 	})
-	in.heavySymbolic(ctx, a, rowNnz)
 	pt.tick(PhaseSymbolic)
 
 	in.rowPtr = ctx.prefixSum(rowNnz, ctx.rowPtrBuf(a.Rows), workers)
-	in.stitchUnits()
 	return in, pt
 }
 
@@ -203,18 +170,18 @@ func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 				continue
 			}
 			if lo < hi {
-				flop, max := rangeFlopMax(in.lightFlop, lo, hi)
+				flop, max := rangeFlopMax(in.flopRow, lo, hi)
 				bound := capBound(max, b.Cols)
 				if in.alg == AlgHashVec {
-					hashVecRows(ring, ctx.hashVecTable(w, bound), a, b, cols, vals, !unsorted, in.lightFlop, rowPtr, lo, hi, base, ws)
+					hashVecRows(ring, ctx.hashVecTable(w, bound), a, b, cols, vals, !unsorted, in.flopRow, rowPtr, lo, hi, base, ws)
 				} else {
 					h := newHashNumeric(ring, ctx, w, a, b, flop, bound, !unsorted)
 					h.bind(cols, vals)
-					h.rows(in.lightFlop, rowPtr, lo, hi, base)
+					h.rows(in.flopRow, rowPtr, lo, hi, base)
 					h.report(ws)
 				}
 				if ws != nil {
-					ws.Rows += in.lightRows(lo, hi)
+					ws.Rows += int64(hi - lo)
 					ws.Flop += flop
 				}
 			}
@@ -228,7 +195,6 @@ func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 			return nil, err
 		}
 	}
-	tiledHeavyNumeric(ring, ctx, a, b, in, c, pt)
 	pt.tick(PhaseNumeric)
 	out := c // not c itself: assigned once, the workers' closure holds it by value
 	if sink != nil {

@@ -14,7 +14,7 @@ type Phase int
 
 const (
 	// PhasePartition is the pre-pass: per-row flop counting, the
-	// flop-balanced row partition (Figure 6) and Tiled's column split of B.
+	// flop-balanced row partition (Figure 6).
 	PhasePartition Phase = iota
 	// PhaseSymbolic is the symbolic pass of two-phase algorithms: computing
 	// per-row output sizes without touching values (Figure 7, left half).
@@ -74,9 +74,9 @@ type WorkerStats struct {
 	HashProbes int64
 	// HeapPushes counts cursor pushes into the merge heap (Heap SpGEMM).
 	HeapPushes int64
-	// L2Overflows counts heavy (row, tile) units AlgTiled routed through
-	// column tiling — and, for the Kokkos-style baseline, keys delegated to
-	// the level-2 table of its two-level accumulator.
+	// L2Overflows counts the keys the Kokkos-style figure baseline
+	// delegates to the level-2 table of its two-level accumulator; no kernel
+	// of this package sets it.
 	L2Overflows int64
 	// StampMarks counts symbolic products tested against generation stamps
 	// rather than inserted into a hash table (one-pass: before the verdict).

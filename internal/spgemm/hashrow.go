@@ -7,8 +7,7 @@ import (
 )
 
 // The whole-row hash kernel, written once. Hash, HashVector's symbolic
-// phase, the light rows of Tiled and its heavy units (against one column tile
-// of B), the stripes of Sharded, every Plan build and replay of those, and
+// phase, the stripes of Sharded, every Plan build and replay of those, and
 // the recipe's compression-ratio sample all run the row functions below,
 // which take three exact decisions from numbers the phases compute anyway:
 //
@@ -126,8 +125,7 @@ func (rc *rowCounter[V]) count(a, b *matrix.CSRG[V], i int) int64 {
 
 // hashSymbolic is worker w's symbolic pass: the output size of every row of
 // [lo, hi) with a non-zero weight goes to rowNnz (the rest stay as the
-// caller zeroed them — tiled callers zero the weights of heavy rows). ws may
-// be nil.
+// caller zeroed them). ws may be nil.
 func (c *ContextG[V]) hashSymbolic(w int, a, b *matrix.CSRG[V], flopRow []int64, lo, hi int, rowNnz []int64, ws *WorkerStats) {
 	flop, max := rangeFlopMax(flopRow, lo, hi)
 	if flop == 0 {

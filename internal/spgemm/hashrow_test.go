@@ -27,11 +27,10 @@ import (
 // without an accumulator (folded into their slot). That holds however the
 // rows are cut into stripes: for AlgHash's one per worker, for AlgSharded at
 // one stripe, one per worker and one per row (several stripes then accumulate
-// into one worker's counters, on either side), and for AlgTiled when every
-// row is light. On the one-pass route (an unsorted AlgHash product in one
-// stripe at compression ratio about 1) every product is written once, so
-// direct writes and SPA folds sum to the flop, the stamps test at most the
-// flop, and no time goes to symbolic.
+// into one worker's counters, on either side). On the one-pass route (an
+// unsorted AlgHash product in one stripe at compression ratio about 1) every
+// product is written once, so direct writes and SPA folds sum to the flop,
+// the stamps test at most the flop, and no time goes to symbolic.
 func TestHashCounterInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g500 := gen.RMAT(8, 8, gen.G500Params, rng)
@@ -76,7 +75,6 @@ func TestHashCounterInvariant(t *testing.T) {
 					{"sharded-1", AlgSharded, 1},
 					{"sharded-workers", AlgSharded, workers},
 					{"sharded-rows", AlgSharded, in.a.Rows},
-					{"tiled-light", AlgTiled, 0},
 				} {
 					name := fmt.Sprintf("%s/%s/unsorted=%v/workers=%d", in.name, geom.name, unsorted, workers)
 					ctx := NewContext()
@@ -102,9 +100,9 @@ func TestHashCounterInvariant(t *testing.T) {
 							t.Errorf("%s: one pass: direct %d + dense %d, want flop %d; lookups %d, want 0; marks %d, want at most flop",
 								name, tot.DirectFlop, tot.DenseFlop, flop, tot.HashLookups, tot.StampMarks)
 						}
-					} else if got := tot.HashLookups + tot.StampMarks + tot.DirectFlop + tot.DenseFlop; got != 2*flop-sized || tot.L2Overflows != 0 {
-						t.Errorf("%s: lookups %d + marks %d + direct %d + dense %d = %d, want 2·flop − sized = %d (and %d heavy units, want 0)",
-							name, tot.HashLookups, tot.StampMarks, tot.DirectFlop, tot.DenseFlop, got, 2*flop-sized, tot.L2Overflows)
+					} else if got := tot.HashLookups + tot.StampMarks + tot.DirectFlop + tot.DenseFlop; got != 2*flop-sized {
+						t.Errorf("%s: lookups %d + marks %d + direct %d + dense %d = %d, want 2·flop − sized = %d",
+							name, tot.HashLookups, tot.StampMarks, tot.DirectFlop, tot.DenseFlop, got, 2*flop-sized)
 					}
 					if !unsorted && tot.DirectFlop != oneEntry {
 						t.Errorf("%s: sorted request wrote %d products without an accumulator, want the %d of its one-entry rows",
@@ -161,7 +159,7 @@ func TestHashRepeatedColumnInBRow(t *testing.T) {
 		b := &matrix.CSR{Rows: 3, Cols: cols, RowPtr: []int64{0, 3, 5, 6},
 			ColIdx: []int32{5, 2, 5, 1, 4, 3}, Val: []float64{1, 2, 4, 8, 16, 32}}
 		want := matrix.NaiveMultiply(a, b)
-		for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgTiled, AlgSharded} {
+		for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgSharded} {
 			var st ExecStats
 			got, err := Multiply(a, b, &Options{Algorithm: alg, Unsorted: true, Workers: 1, Stats: &st})
 			if err != nil {
@@ -305,7 +303,7 @@ func TestContextStampsAcrossColumnSpaces(t *testing.T) {
 func TestPlanReplayMatchesMultiplyOnERUnsorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	a := gen.Unsorted(gen.ER(12, 8, rng), rng)
-	for _, alg := range []Algorithm{AlgHash, AlgTiled, AlgSharded} {
+	for _, alg := range []Algorithm{AlgHash, AlgSharded} {
 		opt := &Options{Algorithm: alg, Unsorted: true, Workers: 3}
 		want, err := Multiply(a, a, opt)
 		if err != nil {

@@ -53,11 +53,7 @@ type Plan struct {
 	fpA, fpB uint64
 	// in is the plan's own copy of the inspection (see inspection.clone): the
 	// Context's buffers may be overwritten by unrelated Multiply calls
-	// between Executes. For a tiled plan it holds the heavy units but not the
-	// column split of B — every execution cuts B's current values into its
-	// own Context's buffers, which keeps executions bit-identical to Multiply
-	// after value updates and keeps concurrent ExecuteIn calls (distinct
-	// Contexts) safe on one shared Plan.
+	// between Executes.
 	in    inspection[float64]
 	valid bool
 
@@ -243,10 +239,4 @@ func (m *replayMap) execute(a, b *matrix.CSR, ctx *Context, rowPtr []int64, unso
 
 // bytes is the memory clone copied (per-worker and per-stripe offsets aside),
 // plus rowPtr.
-func (in *inspection[V]) bytes() int64 {
-	n := 8 * (len(in.flopRow) + len(in.rowPtr) + 3*len(in.unitFlop))
-	if len(in.unitRow) > 0 {
-		n += 8 * len(in.lightFlop)
-	}
-	return int64(n + 4*2*len(in.unitRow))
-}
+func (in *inspection[V]) bytes() int64 { return int64(8 * (len(in.flopRow) + len(in.rowPtr))) }

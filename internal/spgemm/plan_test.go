@@ -213,8 +213,8 @@ func TestPlanExecuteInMatchesExecute(t *testing.T) {
 // TestPlanConcurrentExecuteIn pins the contract the multiply server's plan
 // cache relies on: one shared Plan, concurrently executed through distinct
 // Contexts, is race-free (run under -race) and every result is Multiply's.
-// The tiled row has heavy rows and no replay map, so every execution of every
-// goroutine column-splits B into its own Context and runs the unit kernel.
+// The map-less row has no replay map, so every execution of every goroutine
+// runs the kernel on its own Context.
 func TestPlanConcurrentExecuteIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	a := matrix.Random(150, 130, 0.05, rng)
@@ -225,7 +225,7 @@ func TestPlanConcurrentExecuteIn(t *testing.T) {
 		noMap bool
 	}{
 		{"hashvec", Options{Algorithm: AlgHashVec, Workers: 2}, false},
-		{"tiled", Options{Algorithm: AlgTiled, Workers: 2, TileCols: 32, TileHeavyFlop: 4}, true},
+		{"hash-nomap", Options{Algorithm: AlgHash, Workers: 2}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.noMap {
@@ -235,8 +235,8 @@ func TestPlanConcurrentExecuteIn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.noMap && (plan.mapBytes != 0 || len(plan.in.unitRow) == 0) {
-				t.Fatalf("want a map-less plan with heavy units, got mapBytes %d and %d units", plan.mapBytes, len(plan.in.unitRow))
+			if tc.noMap && plan.mapBytes != 0 {
+				t.Fatalf("want a map-less plan, got mapBytes %d", plan.mapBytes)
 			}
 			want, err := Multiply(a, b, &tc.opt)
 			if err != nil {
@@ -272,45 +272,6 @@ func TestPlanConcurrentExecuteIn(t *testing.T) {
 	}
 }
 
-// TestTiledPlanBytesIgnoreNnzB: a Tiled Plan keeps its heavy units, not the
-// column split of B, so entries of B that no row of A reaches — which change
-// neither the flop counts nor the units — do not change what it retains.
-func TestTiledPlanBytesIgnoreNnzB(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	a := matrix.Random(60, 100, 0.1, rng)
-	a.Cols = 200 // columns 100..199 stay empty: A never reads those rows of B
-	top := matrix.Random(100, 300, 0.1, rng)
-	bottom := matrix.Random(100, 300, 0.5, rng)
-	stack := func(withBottom bool) *matrix.CSR {
-		b := top.Clone()
-		for i := 0; i < bottom.Rows; i++ {
-			if withBottom {
-				b.ColIdx = append(b.ColIdx, bottom.ColIdx[bottom.RowPtr[i]:bottom.RowPtr[i+1]]...)
-				b.Val = append(b.Val, bottom.Val[bottom.RowPtr[i]:bottom.RowPtr[i+1]]...)
-			}
-			b.RowPtr = append(b.RowPtr, int64(len(b.ColIdx)))
-		}
-		b.Rows += bottom.Rows
-		return b
-	}
-	opt := &Options{Algorithm: AlgTiled, Workers: 2, TileCols: 32, TileHeavyFlop: 4}
-	var bytes [2]int64
-	for i, b := range []*matrix.CSR{stack(false), stack(true)} {
-		plan, err := NewPlan(a, b, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(plan.in.unitRow) == 0 {
-			t.Fatal("no heavy units: the plan never split B")
-		}
-		bytes[i] = plan.Bytes()
-	}
-	if bytes[0] != bytes[1] {
-		t.Errorf("Plan.Bytes() = %d with nnz(B) = %d, %d with %d more entries nothing reads",
-			bytes[0], top.NNZ(), bytes[1], bottom.NNZ())
-	}
-}
-
 // TestPlanAndMultiplyReportSameWork: a Plan is Multiply's two phases held
 // apart, so for every two-phase geometry the inspector's counters plus the
 // first execution's add up to the one-shot call's. The second execution
@@ -331,7 +292,6 @@ func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 		{"hash", Options{Algorithm: AlgHash}},
 		{"hashvec", Options{Algorithm: AlgHashVec}},
 		{"heap", Options{Algorithm: AlgHeap}},
-		{"tiled", Options{Algorithm: AlgTiled, TileCols: 64, TileHeavyFlop: 16}},
 		{"sharded", Options{Algorithm: AlgSharded, ShardStripes: 16}},
 	} {
 		for _, unsorted := range []bool{false, true} {
@@ -350,15 +310,8 @@ func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := oneShot.TotalWorker()
-				switch tc.name {
-				case "tiled":
-					if want.L2Overflows == 0 {
-						t.Fatal("forced tile geometry routed no heavy units")
-					}
-				case "sharded":
-					if len(oneShot.Stripes) != 16 {
-						t.Fatalf("%d stripes, want 16", len(oneShot.Stripes))
-					}
+				if tc.name == "sharded" && len(oneShot.Stripes) != 16 {
+					t.Fatalf("%d stripes, want 16", len(oneShot.Stripes))
 				}
 
 				opt.Stats = &planned
@@ -421,8 +374,8 @@ func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 func TestPlanReplayMapBuiltOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	a := gen.RMAT(8, 8, gen.G500Params, rng)
-	for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgTiled, AlgSharded} {
-		opt := &Options{Algorithm: alg, Workers: 2, TileCols: 64, TileHeavyFlop: 16, ShardStripes: 4}
+	for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgSharded} {
+		opt := &Options{Algorithm: alg, Workers: 2, ShardStripes: 4}
 		want, err := Multiply(a, a, opt)
 		if err != nil {
 			t.Fatal(err)

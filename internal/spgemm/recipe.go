@@ -99,11 +99,11 @@ const heapMaxEF = 2
 // Recommend is the paper's Table 4 recipe cut down to the cells this
 // repository has measured a winner in (EXPERIMENTS.md, "Heap vs Hash by
 // recipe cell"): the best of this package's kernels for the given inputs,
-// sortedness requirement and use case. The answer is one of Hash, Heap,
-// Tiled or Sharded — never a figure baseline, and never a kernel the inputs
-// rule out: Heap consumes sorted row streams and is not proposed when B's
-// rows are unsorted, so Multiply and NewPlan with AlgAuto succeed for every
-// (sorted, unsorted) input combination. The recipe only inspects sparsity
+// sortedness requirement and use case. The answer is one of Hash, Heap and
+// Sharded — never a figure baseline, and never a kernel the inputs rule out:
+// Heap consumes sorted row streams and is not proposed when B's rows are
+// unsorted, so Multiply and NewPlan with AlgAuto succeed for every (sorted,
+// unsorted) input combination. The recipe only inspects sparsity
 // structure, so it applies unchanged to any value type.
 //
 // Where the paper's table and this repository's measurements disagree, the
@@ -113,8 +113,6 @@ const heapMaxEF = 2
 //     heapMaxEF nonzeros per row, compression ratio at most 2 — the only one
 //     where it beat Hash. The paper's skewed ef <= 8 and L·U low-ratio cells
 //     measured 1.6-3x and 1.05-4.4x slower and go to Hash.
-//   - The skewed dense square cell goes to AlgTiled when heavy rows are
-//     present.
 //   - The two cells the paper gives to HashVector go to Hash: without vector
 //     compare instructions the chunked probe loses to linear probing in
 //     every cell measured, so AlgHashVec is reachable by name only.
@@ -127,54 +125,15 @@ func Recommend[V semiring.Value](a, b *matrix.CSRG[V], sorted bool, uc UseCase) 
 	if shardedRecommended(a, b) {
 		return AlgSharded
 	}
-	if uc != UseSquare {
-		// Table 4(b) TallSkinny row, and Table 4(a) LxU after measurement.
+	// Table 4(b) TallSkinny row, Table 4(a) LxU and every skewed square cell
+	// after measurement.
+	if uc != UseSquare || IsSkewed(a) {
 		return AlgHash
 	}
-	ef := a.AvgRowNNZ()
-	if IsSkewed(a) {
-		// The dense+skewed cell is where heavy rows overflow a
-		// cache-resident accumulator — the hash kernel's pain case — so when
-		// the heavy-row detector fires the post-paper tiled mode takes over;
-		// otherwise the paper's Hash pick stands.
-		if ef > 8 && HasHeavyRows(a, b) {
-			return AlgTiled
-		}
-		return AlgHash
-	}
-	if sorted && b.Sorted && ef <= heapMaxEF && EstimateCompressionRatio(a, b, recipeSampleRows) <= 2 {
+	if sorted && b.Sorted && a.AvgRowNNZ() <= heapMaxEF && EstimateCompressionRatio(a, b, recipeSampleRows) <= 2 {
 		return AlgHeap
 	}
 	return AlgHash
-}
-
-// MaxRowFlop returns the largest per-row flop count of a·b — the row-skew
-// signal the heavy-row detector and the recipe use to spot accumulator
-// overflow. One O(nnz(A)) scan, structure-only, no allocations.
-func MaxRowFlop[V semiring.Value](a, b *matrix.CSRG[V]) int64 {
-	var max int64
-	for i := 0; i < a.Rows; i++ {
-		var f int64
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			k := a.ColIdx[p]
-			f += b.RowPtr[k+1] - b.RowPtr[k]
-		}
-		if f > max {
-			max = f
-		}
-	}
-	return max
-}
-
-// HasHeavyRows reports whether some output row's accumulator bound exceeds
-// the cache-resident tile width (tileCols) — the regime where AlgTiled's
-// column split beats the single-pass hash path. Deterministic and
-// structure-only, so AlgAuto stays reproducible across Context reuse.
-func HasHeavyRows[V semiring.Value](a, b *matrix.CSRG[V]) bool {
-	if b.Cols <= tileCols {
-		return false
-	}
-	return capBound(MaxRowFlop(a, b), b.Cols) > tileCols
 }
 
 // EstimateCompressionRatio estimates flop/nnz(C) by running the symbolic

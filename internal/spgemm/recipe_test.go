@@ -83,6 +83,47 @@ func TestIsSkewedDistinguishesUniformFromPowerLaw(t *testing.T) {
 	}
 }
 
+// heavyRowCase builds a skewed square product with one heavy row: A is
+// 64×n with row 0 touching 40000 columns, B is the n×n identity (so row flop
+// = row nnz), n = 70000.
+func heavyRowCase() (a, b *matrix.CSR) {
+	const n = 70000
+	const heavy = 40000
+	ca := matrix.NewCOO(64, n)
+	for j := 0; j < heavy; j++ {
+		ca.Append(0, int32(j), 1+float64(j%7))
+	}
+	for i := 1; i < 64; i++ {
+		ca.Append(int32(i), int32(i*997%n), 2)
+	}
+	cb := matrix.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		cb.Append(int32(i), int32(i), float64(1+i%3))
+	}
+	return ca.ToCSR(), cb.ToCSR()
+}
+
+// TestAutoSelectsHashOnHeavyRows: the skewed dense square cell, one 40000-flop
+// row over 70000 output columns, goes to Hash, and the AlgAuto product is
+// the oracle's.
+func TestAutoSelectsHashOnHeavyRows(t *testing.T) {
+	a, b := heavyRowCase()
+	if alg := Recommend(a, b, true, UseSquare); alg != AlgHash {
+		t.Fatalf("Recommend = %v, want hash", alg)
+	}
+	var st ExecStats
+	got, err := Multiply(a, b, &Options{Algorithm: AlgAuto, Stats: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Algorithm != AlgHash {
+		t.Fatalf("AlgAuto resolved to %v, want hash", st.Algorithm)
+	}
+	if !matrix.Equal(got, matrix.NaiveMultiply(a, b)) {
+		t.Fatal("AlgAuto product differs from NaiveMultiply")
+	}
+}
+
 func TestRecommendCoversTable4(t *testing.T) {
 	rng := rand.New(rand.NewSource(124))
 	dense := matrix.RandomWithDegree(300, 300, 16, rng) // uniform, EF 16
@@ -192,8 +233,8 @@ func TestRecommendNeverReturnsHashVec(t *testing.T) {
 
 // TestRecommendOnlyProductionKernels: AlgAuto never answers a figure
 // stand-in. Over uniform, banded and skewed inputs (sorted and unsorted
-// rows) × output order × use case the recipe returns one of the four kernels
-// it is documented to — Heap among them, so that leg is not vacuous — and
+// rows) × output order × use case the recipe returns one of the three
+// kernels it is documented to — Heap among them, so that leg is not vacuous — and
 // every answer builds a Plan, so the multiply server keeps every pair on its
 // plan cache.
 func TestRecommendOnlyProductionKernels(t *testing.T) {
@@ -226,7 +267,7 @@ func TestRecommendOnlyProductionKernels(t *testing.T) {
 				switch alg {
 				case AlgHeap:
 					heapAnswers++
-				case AlgHash, AlgTiled, AlgSharded:
+				case AlgHash, AlgSharded:
 				default:
 					t.Errorf("input %d %v sorted=%v: Recommend = %v", i, uc, sorted, alg)
 				}

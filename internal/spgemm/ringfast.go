@@ -32,8 +32,8 @@ import (
 // The type assertions live in un-annotated setup code on purpose: an
 // interface conversion inside a //spgemm:hotpath body would trip the
 // deferhot analyzer. HashVector's numeric pass (hashVecRows) keeps the
-// dictionary path; its chunked table has a different Upsert contract and the
-// hash/tiled pair covers the kernels the tiled work (PR 7) made the defaults.
+// dictionary path; its chunked table has a different Upsert contract, and
+// the recipe never picks it.
 
 // ptF64Hash reports whether this hash-kernel instantiation is the float64
 // plus-times flagship and, if so, returns the concretely-typed views of the

@@ -23,8 +23,8 @@ const ringfastWorkers = 8
 
 var ringfastFixture struct {
 	once sync.Once
-	er   *matrix.CSR // uniform: every row takes the hash path
-	g500 *matrix.CSR // power-law: heavy rows take the tiled unit path
+	er   *matrix.CSR // uniform
+	g500 *matrix.CSR // power-law: a few heavy rows
 }
 
 func ringfastMatrices() (*matrix.CSR, *matrix.CSR) {
@@ -50,32 +50,32 @@ func (slowPlusTimesF64) Zero() float64            { return 0 }
 // whole-row hash functions: on a uniform and a skewed input (rows fold
 // through the table), on two compression-ratio-1 products, a thin ER square
 // and a permutation times ER (unsorted rows are concatenated), and on the
-// skewed input under tiles narrow enough that Tiled routes heavy rows
-// through its dense unit kernel, which has a twin of its own.
+// skewed input times a hypersparse B wide enough (Cols > flop) that its heavy
+// rows fold through the hash table rather than the SPA.
 func TestRingFastEquivalence(t *testing.T) {
 	er, g500 := ringfastMatrices()
 	rng := rand.New(rand.NewSource(20180619))
 	thin := gen.Unsorted(gen.ER(13, 2, rng), rng)
 	perm := matrix.Identity(er.Rows).PermuteRows(rng.Perm(er.Rows))
-	for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgTiled, AlgSharded} {
+	wide := matrix.RandomWithDegree(g500.Cols, 1<<22, 4, rng)
+	for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgSharded} {
 		for _, m := range []struct {
-			name     string
-			a, b     *matrix.CSR
-			tileCols int
-		}{{"ER", er, er, 0}, {"G500", g500, g500, 0}, {"ER-CR1", thin, thin, 0}, {"Perm", perm, er, 0}, {"G500-heavy", g500, g500, 256}} {
+			name string
+			a, b *matrix.CSR
+		}{{"ER", er, er}, {"G500", g500, g500}, {"ER-CR1", thin, thin}, {"Perm", perm, er}, {"G500-heavy", g500, wide}} {
 			for _, unsorted := range []bool{false, true} {
 				name := fmt.Sprintf("%v/%s/unsorted=%v", alg, m.name, unsorted)
 				t.Run(name, func(t *testing.T) {
 					var st ExecStats
-					opt := &Options{Algorithm: alg, Workers: ringfastWorkers, Unsorted: unsorted, TileCols: m.tileCols, Stats: &st}
+					opt := &Options{Algorithm: alg, Workers: ringfastWorkers, Unsorted: unsorted, Stats: &st}
 					fast, err := Multiply(m.a, m.b, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if alg == AlgTiled && m.tileCols > 0 && st.TotalWorker().L2Overflows == 0 {
-						t.Fatal("forced tile width routed no heavy units")
+					if m.b == wide && st.TotalWorker().HashLookups == 0 {
+						t.Fatal("the wide product's rows did not fold through the hash table")
 					}
-					slow, err := MultiplyRing[float64, slowPlusTimesF64](slowPlusTimesF64{}, m.a, m.b, &OptionsG[float64]{Algorithm: alg, Workers: ringfastWorkers, Unsorted: unsorted, TileCols: m.tileCols})
+					slow, err := MultiplyRing[float64, slowPlusTimesF64](slowPlusTimesF64{}, m.a, m.b, &OptionsG[float64]{Algorithm: alg, Workers: ringfastWorkers, Unsorted: unsorted})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -145,29 +145,27 @@ func BenchmarkMultiply(b *testing.B) {
 		name string
 		a    *matrix.CSR
 	}{{"ER", er}, {"G500", g500}} {
-		for _, alg := range []Algorithm{AlgHash, AlgTiled} {
-			for _, unsorted := range []bool{false, true} {
-				mode := "sorted"
-				if unsorted {
-					mode = "unsorted"
+		for _, unsorted := range []bool{false, true} {
+			mode := "sorted"
+			if unsorted {
+				mode = "unsorted"
+			}
+			b.Run(fmt.Sprintf("%s/hash/%s", m.name, mode), func(b *testing.B) {
+				ctx := NewContext()
+				ctx.Pool = sched.NewPool(ringfastWorkers)
+				defer ctx.Pool.Close()
+				opt := &Options{Algorithm: AlgHash, Workers: ringfastWorkers, Unsorted: unsorted, Context: ctx}
+				if _, err := Multiply(m.a, m.a, opt); err != nil {
+					b.Fatal(err)
 				}
-				b.Run(fmt.Sprintf("%s/%v/%s", m.name, alg, mode), func(b *testing.B) {
-					ctx := NewContext()
-					ctx.Pool = sched.NewPool(ringfastWorkers)
-					defer ctx.Pool.Close()
-					opt := &Options{Algorithm: alg, Workers: ringfastWorkers, Unsorted: unsorted, Context: ctx}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
 					if _, err := Multiply(m.a, m.a, opt); err != nil {
 						b.Fatal(err)
 					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := Multiply(m.a, m.a, opt); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

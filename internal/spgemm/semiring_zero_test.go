@@ -71,7 +71,7 @@ func requireExactStructure(t *testing.T, alg Algorithm, got, want *matrix.CSR) {
 func TestMinPlusZeroHandlingAllKernels(t *testing.T) {
 	ring := semiring.MinPlusF64{}
 	rng := rand.New(rand.NewSource(909))
-	algs := []Algorithm{AlgHash, AlgHashVec, AlgHeap, AlgTiled, AlgSharded}
+	algs := []Algorithm{AlgHash, AlgHashVec, AlgHeap, AlgSharded}
 	for trial := 0; trial < 8; trial++ {
 		a := minPlusInput(rng, 40, 0.15)
 		b := minPlusInput(rng, 40, 0.15)

@@ -6,9 +6,9 @@
 // All algorithms follow Gustavson's row-wise formulation (Figure 1 of the
 // paper): output row i is the sum of rows b_k* of B scaled by the nonzeros
 // a_ik of row a_i*. They differ in the accumulator that merges intermediate
-// products — hash table, chunked hash table, heap, or a dense SPA over one
-// cache-sized column tile — and in phase structure (one-phase with
-// upper-bound allocation vs two-phase symbolic+numeric).
+// products — hash table, chunked hash table, heap, or a dense SPA over B's
+// columns — and in phase structure (one-phase with upper-bound allocation vs
+// two-phase symbolic+numeric).
 //
 // Shared architecture-specific machinery (Section 4.1 and 3.2 of the paper):
 // rows are partitioned over workers by per-row flop counts via prefix sum and
@@ -45,14 +45,6 @@ const (
 	// upper-bound output buffers. Requires sorted inputs and always emits
 	// sorted output ("Sorted/Sorted").
 	AlgHeap
-	// AlgTiled is the cache-conscious tiled execution mode (DBCSR/SpArch
-	// direction): B is split into cache-sized column tiles (tilegeom.go),
-	// rows whose accumulator bound overflows one tile are decomposed into
-	// (row, tile) units processed by dense cache-resident SPAs and
-	// flop-balanced across workers, while light rows keep the single-pass
-	// hash path. Tiles ascend in column space, so output rows are stitched
-	// sorted with no merge pass. Accepts any input order.
-	AlgTiled
 	// AlgSharded is AlgHash cut into more stripes: where Hash partitions
 	// the rows into one flop-balanced range per worker, Sharded cuts the
 	// same partition into N >= workers row stripes, sized so one stripe's
@@ -67,11 +59,14 @@ const (
 	// any per-algorithm lookup table (algNames below, the server's cached
 	// histogram children, the package's own cached counters).
 	NumAlgorithms = int(AlgSharded) + 1
+
+	// Deprecated: use AlgHash, which this name runs.
+	AlgTiled = AlgHash
 )
 
 // algNames is the one name table: String, ParseAlgorithm, the CLIs' -alg
 // help and the server's error for an unknown name all read it.
-var algNames = [NumAlgorithms]string{"auto", "hash", "hashvec", "heap", "tiled", "sharded"}
+var algNames = [NumAlgorithms]string{"auto", "hash", "hashvec", "heap", "sharded"}
 
 // String returns the name used in benchmark tables.
 func (a Algorithm) String() string {
@@ -130,13 +125,6 @@ type OptionsG[V semiring.Value] struct {
 	// must be over the same V as the inputs and must not be shared by
 	// concurrent Multiply calls.
 	Context *ContextG[V]
-	// TileCols overrides the column-tile width used by AlgTiled. 0 means
-	// the cache-resident width of tilegeom.go, 32768 columns.
-	TileCols int
-	// TileHeavyFlop overrides AlgTiled's heavy-row threshold: rows whose
-	// accumulator bound exceeds it are routed through column tiling. 0
-	// means the tile width itself.
-	TileHeavyFlop int64
 	// ShardStripes overrides AlgSharded's stripe count. 0 means derive it
 	// from the flop total and ShardMemBudget (at least one stripe per
 	// worker, at most one per row).
@@ -264,7 +252,7 @@ func Flop[V, W semiring.Value](a *matrix.CSRG[V], b *matrix.CSRG[W]) (total int6
 // can only emit sorted rows.
 func SupportsUnsorted(a Algorithm) bool {
 	switch a {
-	case AlgHash, AlgHashVec, AlgTiled, AlgSharded:
+	case AlgHash, AlgHashVec, AlgSharded:
 		return true
 	}
 	return false

@@ -20,7 +20,6 @@ var allAlgorithms = []struct {
 	{AlgHash, true, true},
 	{AlgHashVec, true, true},
 	{AlgHeap, false, false},
-	{AlgTiled, true, true},
 	{AlgSharded, true, true},
 }
 
@@ -237,7 +236,7 @@ func TestSemiringOrAnd(t *testing.T) {
 	a := matrix.Random(15, 15, 0.3, rng)
 	want := matrix.NaiveMultiply(a, a) // plus-times pattern == or-and pattern
 	ab := matrix.MapValues(a, func(float64) bool { return true })
-	for _, alg := range []Algorithm{AlgHash, AlgHeap, AlgTiled} {
+	for _, alg := range []Algorithm{AlgHash, AlgHeap} {
 		got, err := MultiplyRing(semiring.OrAndBool{}, ab, ab, &OptionsG[bool]{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)

@@ -57,7 +57,7 @@ func TestStressAssociativity(t *testing.T) {
 		a := matrix.Random(30, 25, 0.2, rng)
 		b := matrix.Random(25, 35, 0.2, rng)
 		c := matrix.Random(35, 20, 0.2, rng)
-		for _, alg := range []Algorithm{AlgHash, AlgHeap, AlgTiled} {
+		for _, alg := range []Algorithm{AlgHash, AlgHeap} {
 			opt := &Options{Algorithm: alg}
 			ab, err := Multiply(a, b, opt)
 			if err != nil {
