@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
@@ -152,6 +155,32 @@ func TestCountFromLUAutoFusesMask(t *testing.T) {
 	}
 	if a, h := autoStats.TotalWorker().HashLookups, hashStats.TotalWorker().HashLookups; a != h {
 		t.Errorf("auto did %d hash lookups, hash %d: mask not fused", a, h)
+	}
+}
+
+// BenchmarkMaskedLU times the masked product of triangle counting,
+// CountFromLU on L and U of G500 s13/ef16, at W = 1 and 2, and reports its
+// workers' balance as busy-max/min: the busiest worker's WorkerStats.Busy over
+// the idlest's, summed over every iteration.
+func BenchmarkMaskedLU(b *testing.B) {
+	prep, err := PrepareTriangles(gen.RMAT(13, 16, gen.G500Params, rand.New(rand.NewSource(1))))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("W=%d", workers), func(b *testing.B) {
+			busy := make([]time.Duration, workers)
+			for b.Loop() {
+				var st spgemm.ExecStats
+				if _, err := CountFromLU(prep.L, prep.U, &spgemm.Options{Algorithm: spgemm.AlgHash, Workers: workers, Stats: &st}); err != nil {
+					b.Fatal(err)
+				}
+				for w, ws := range st.Workers {
+					busy[w] += ws.Busy
+				}
+			}
+			b.ReportMetric(float64(slices.Max(busy))/float64(slices.Min(busy)), "busy-max/min")
+		})
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 // ContextG is the reusable execution state of the SpGEMM kernels: the
 // per-worker accumulators (hash tables, chunked hash tables, merge heaps,
-// dense SPAs), the per-worker temp buffers of the one-phase kernels,
+// dense SPAs), the temp buffers of the one-phase kernels,
 // and the per-row bookkeeping arrays (flop counts, row sizes, partition
 // offsets, prefix-sum scratch). All of it grows monotonically and is reused
 // across Multiply calls, so iterative workloads — MCL's repeated M·M,
@@ -57,9 +57,11 @@ type ContextG[V semiring.Value] struct {
 	spa       []*accum.SPAG[V]
 	scratch   *mempool.Pool
 
-	// Per-worker value scratch (the V-typed counterpart of the index buffers
-	// in mempool.Scratch), grown monotonically like everything else here.
-	vals [][]V
+	// The one-phase geometry's temp buffers and its stripes' windows in them
+	// (onePhaseExecute), grown monotonically like everything else here.
+	tmpCols []int32
+	tmpVals []V
+	windows []int64
 
 	// Per-row bookkeeping, grown on demand.
 	flopRow []int64
@@ -282,6 +284,27 @@ func (c *ContextG[V]) rowNnzBuf(rows int) []int64 {
 	return c.rowNnz
 }
 
+// stripeWindows returns where each stripe of a one-phase product writes:
+// stripe s into [win[s], win[s+1]). A replay's windows are its stripes' slices
+// of the output; a one-shot product's cut one buffer by what each stripe's
+// rows admit — their flop for Heap, maskNeed under a mask.
+func (c *ContextG[V]) stripeWindows(in *inspection[V], rowPtr []int64) []int64 {
+	win := tempBuf(&c.windows, int64(in.stripes()+1))
+	win[0] = 0
+	for s := range in.stripes() {
+		lo, hi := in.offsets[s], in.offsets[s+1]
+		switch {
+		case rowPtr != nil:
+			win[s+1] = rowPtr[hi]
+		case in.mask != nil:
+			win[s+1] = win[s] + maskNeed(in.mask, in.flopRow, lo, hi)
+		default:
+			win[s+1] = win[s] + rangeFlop(in.flopRow, lo, hi)
+		}
+	}
+	return win
+}
+
 // growTo returns s extended to at least n slots, keeping its contents.
 func growTo[T any](s []T, n int) []T {
 	if n <= len(s) {
@@ -300,7 +323,6 @@ func (c *ContextG[V]) ensureWorkers(n int) {
 	c.hashVec = growTo(c.hashVec, n)
 	c.heaps = growTo(c.heaps, n)
 	c.spa = growTo(c.spa, n)
-	c.vals = growTo(c.vals, n)
 	if c.scratch == nil {
 		c.scratch = mempool.NewPool(n)
 	} else {
@@ -378,14 +400,13 @@ func (c *ContextG[V]) workerScratch(w int) *mempool.Scratch {
 	return c.scratch.Get(w)
 }
 
-// valScratch returns worker w's value buffer with length at least n
-// (contents undefined), growing it monotonically like mempool.Scratch does
-// for the index buffers. ensureWorkers must have been called above w.
-func (c *ContextG[V]) valScratch(w, n int) []V {
-	if cap(c.vals[w]) < n {
-		c.vals[w] = make([]V, n)
+// tempBuf returns *s with length n (contents undefined), grown when short.
+func tempBuf[T any](s *[]T, n int64) []T {
+	if int64(cap(*s)) < n {
+		*s = make([]T, n)
 	}
-	return c.vals[w][:n]
+	*s = (*s)[:n]
+	return *s
 }
 
 // spaTable returns worker w's dense accumulator covering ncols columns,

@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,19 +16,23 @@ import (
 
 // TestDifferentialRings cross-checks every algorithm against the ring oracle
 // over every shipped semiring instantiation, reusing the float64 Cases suite
-// (degenerate shapes included) mapped into each value type.
+// (degenerate shapes included) mapped into each value type; the masked leg
+// runs the special-value cases too.
 func TestDifferentialRings(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	// The masked leg runs one-shot and, inside the same check, through one
 	// Context per value type reused across the whole suite.
 	ctxF64, ctxF32 := spgemm.NewContextG[float64](), spgemm.NewContextG[float32]()
 	ctxBool, ctxI64, ctxU64 := spgemm.NewContextG[bool](), spgemm.NewContextG[int64](), spgemm.NewContextG[uint64]()
-	for _, c := range Cases(rng) {
+	cases := Cases(rng)
+	for _, c := range append(cases, SpecialValueCases(rng)...) {
 		for _, unsorted := range []bool{false, true} {
 			if err := checkMaskedRings(c, unsorted, ctxF64, ctxF32, ctxBool, ctxI64, ctxU64); err != nil {
 				t.Error(err)
 			}
 		}
+	}
+	for _, c := range cases {
 		for _, alg := range Algorithms {
 			for _, unsorted := range []bool{false, true} {
 				// plus-times float64 through the generic entry point: must
@@ -102,18 +107,25 @@ func TestDifferentialRuleSides(t *testing.T) {
 }
 
 // checkMaskedRings runs the masked leg of c over the seven ring
-// instantiations TestDifferentialRings covers.
+// instantiations TestDifferentialRings covers. A masked row folds its products
+// in the oracle's order, so every ring's leg is bit-identical to the oracle —
+// -0, ±Inf and NaN of the special-value cases included.
 func checkMaskedRings(c Case, unsorted bool, f64 *spgemm.ContextG[float64], f32 *spgemm.ContextG[float32], bl *spgemm.ContextG[bool], i64 *spgemm.ContextG[int64], u64 *spgemm.ContextG[uint64]) error {
 	return errors.Join(
-		CheckRingMasked(c.Name+"/f64", semiring.PlusTimesF64{}, c.A, c.B, unsorted, 3, f64, ApproxF64),
-		CheckRingMasked(c.Name+"/f32", semiring.PlusTimesF32{}, AsF32(c.A), AsF32(c.B), unsorted, 3, f32, ApproxF32),
+		CheckRingMasked(c.Name+"/f64", semiring.PlusTimesF64{}, c.A, c.B, unsorted, 3, f64, sameBitsF64),
+		CheckRingMasked(c.Name+"/f32", semiring.PlusTimesF32{}, AsF32(c.A), AsF32(c.B), unsorted, 3, f32, sameBitsF32),
 		CheckRingMasked(c.Name+"/bool", semiring.OrAndBool{}, AsBool(c.A), AsBool(c.B), unsorted, 3, bl, ExactEq),
 		CheckRingMasked(c.Name+"/i64", semiring.PlusTimesI64{}, AsI64(c.A), AsI64(c.B), unsorted, 3, i64, ExactEq),
 		CheckRingMasked(c.Name+"/u64", semiring.OrAndU64{}, AsU64(c.A), AsU64(c.B), unsorted, 3, u64, ExactEq),
-		CheckRingMasked(c.Name+"/minplus", semiring.MinPlusF64{}, AsMinPlus(c.A), AsMinPlus(c.B), unsorted, 3, f64, ApproxF64),
-		CheckRingMasked(c.Name+"/maxtimes", semiring.MaxTimesF64{}, c.A, c.B, unsorted, 3, f64, ApproxF64),
+		CheckRingMasked(c.Name+"/minplus", semiring.MinPlusF64{}, AsMinPlus(c.A), AsMinPlus(c.B), unsorted, 3, f64, sameBitsF64),
+		CheckRingMasked(c.Name+"/maxtimes", semiring.MaxTimesF64{}, c.A, c.B, unsorted, 3, f64, sameBitsF64),
 	)
 }
+
+// sameBitsF64 and sameBitsF32 are bit equality: -0 matches only -0, a NaN only
+// a NaN of the same bits.
+func sameBitsF64(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+func sameBitsF32(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) }
 
 // legacyMSBFS is the pre-generics reference implementation of the MSBFS
 // sweep over a float64 frontier. It reads only the pattern of each product —

@@ -25,14 +25,15 @@ import (
 // The geometry is data: a flop-balanced cut of the rows into stripes
 // (Figure 6). Each half runs one loop over the stripes, a stripe's rows going
 // through the whole-row passes of hashrow.go into the stripe's window of the
-// output. Hash, HashVector and the one-phase geometry cut one stripe per
-// worker; Sharded cuts as many as keep a stripe's output within its memory
-// budget (shard.go) and may land them in a sink. Nothing
-// past the cut asks which of them is running, the schedule included: worker
-// w starts on stripe w and then takes whichever stripe nobody has started
-// (ContextG.nextStripe). Cut one per worker, nothing is left to take and that
-// is the paper's static mapping; cut finer, the rest flow through the pool
-// one at a time, so a blocking sink holds back only the worker waiting on it.
+// output. Hash and HashVector cut one stripe per worker; the one-phase
+// geometry cuts claimStripes per worker at W > 1; Sharded cuts as many as
+// keep a stripe's output within its memory budget (shard.go) and may land
+// them in a sink. Nothing past the cut asks which of them is running, the
+// schedule included: worker w starts on stripe w and then takes whichever
+// stripe nobody has started (ContextG.nextStripe). Cut one per worker,
+// nothing is left to take and that is the paper's static mapping; cut finer,
+// the rest flow through the pool one at a time, so a blocking sink or a slow
+// stripe holds back only the worker on it.
 //
 // Both halves are generic over the ring with concrete accumulator types, so
 // the symbolic insert and numeric accumulate compile to direct calls: these
@@ -79,6 +80,12 @@ type inspection[V semiring.Value] struct {
 // flop (Heap, the one-pass route) or its mask row (onePhaseExecute).
 func (in *inspection[V]) onePhase() bool { return in.alg == AlgHeap || in.mask != nil || in.onePass }
 
+// claimStripes is the stripes per worker of a masked or Heap product at W > 1:
+// a row's cost there is not its flop, so a static flop cut can leave one
+// worker the slow rows; finer stripes let the others claim the rest. 16 won
+// a sweep over 4, 8 and 16 on triangle counting's masked L·U (EXPERIMENTS.md).
+const claimStripes = 16
+
 // onePassMaxCR is the sampled compression ratio up to which the one-pass
 // route's flop-sized output overshoots nnz(C) by at most 5 %.
 const onePassMaxCR = 1.05
@@ -110,8 +117,11 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 	ctx.in = inspection[V]{alg: alg, workers: workers, flopRow: ctx.perRowFlop(a, b), mask: opt.Mask}
 	in := &ctx.in
 	stripes := workers
-	if alg == AlgSharded {
+	switch {
+	case alg == AlgSharded:
 		stripes = opt.shardStripes(in.flopRow, workers)
+	case workers > 1 && (alg == AlgHeap || in.mask != nil):
+		stripes = claimStripes * workers
 	}
 	in.offsets = ctx.partition(in.flopRow, stripes, workers)
 	// The one-pass route: an unsorted one-shot Hash product in one stripe,

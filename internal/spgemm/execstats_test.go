@@ -393,3 +393,48 @@ func BenchmarkStatsOverhead(b *testing.B) {
 		})
 	}
 }
+
+// TestOnePhaseStatsAcrossStripes: the one-phase geometry cuts masked and
+// Heap products into several stripes per worker, which the workers claim, so
+// each worker's Rows and Flop accumulate over every stripe it ran — as
+// execute's do — and sum to the product's rows and flop: one-shot, masked
+// and Heap, and through a Heap Plan's replay. Every row of A carries flop,
+// so the rows counted (every row of a worker's stripes) are the rows with
+// flop.
+func TestOnePhaseStatsAcrossStripes(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	a := matrix.RandomWithDegree(96, 96, 5, rng)
+	flop, _ := matrix.Flop(a, a)
+	for _, workers := range []int{2, 3} {
+		for _, tc := range []struct {
+			name string
+			opt  Options
+			plan bool
+		}{
+			{"hash+mask", Options{Algorithm: AlgHash, Mask: a}, false},
+			{"heap", Options{Algorithm: AlgHeap}, false},
+			{"heap/plan", Options{Algorithm: AlgHeap}, true},
+		} {
+			var st ExecStats
+			opt := tc.opt
+			opt.Workers = workers
+			if tc.plan {
+				p, err := NewPlan(a, a, &opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.ExecuteIn(nil, &st); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				opt.Stats = &st
+				if _, err := Multiply(a, a, &opt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tot := st.TotalWorker(); tot.Rows != int64(a.Rows) || tot.Flop != flop {
+				t.Errorf("%s W=%d: workers' Σ Rows %d, Σ Flop %d; want %d and %d", tc.name, workers, tot.Rows, tot.Flop, a.Rows, flop)
+			}
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package spgemm
 
 import (
+	"math"
+
 	"repro/internal/accum"
 	"repro/internal/matrix"
 	"repro/internal/semiring"
@@ -77,7 +79,7 @@ func rangeFlopMax(flopRow []int64, lo, hi int) (sum, max int64) {
 // denseRule is the one rule that puts an O(Cols) array in a worker's hands:
 // B's column space is no larger than the flop of the rows the array serves.
 // Symbolic counting (rowCounter), the numeric accumulator (newHashNumeric), a
-// masked row's col→slot index (maskedRows) and the one-pass route (inspect)
+// masked row's col→slot index (onePhaseExecute) and the one-pass route (inspect)
 // all ask it, and nothing else compares a column count with a flop.
 func denseRule(cols int, flop int64) bool { return int64(cols) <= flop }
 
@@ -447,7 +449,8 @@ func onePassRows[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V],
 // with ring.Add in product order, which is hashRowNumeric's — and the touched
 // slots are then compacted leftwards: an entry exists iff a product landed on
 // it, whatever its value, and the row ascends if the mask row does; sort is
-// set when it must and the mask row may not. cols[s] < 0 marks slot s untouched.
+// set when it must and the mask row may not. cols[s] < 0 marks slot s
+// untouched. A sorted B row stops past the mask row's largest column.
 //
 //spgemm:hotpath
 func maskedRow[V semiring.Value, R semiring.Ring[V]](ring R, dense []int32, table *accum.HashTableG[int32], a, b *matrix.CSRG[V], mcols []int32, i int, cols []int32, vals []V, sort bool) int {
@@ -455,14 +458,19 @@ func maskedRow[V semiring.Value, R semiring.Ring[V]](ring R, dense []int32, tabl
 	if table != nil {
 		table.Reset()
 	}
+	hi := int32(-1) // the mask row's largest column, wherever it sits
 	for s, col := range mcols {
 		cols[s] = -1
+		hi = max(hi, col)
 		if dense != nil {
 			dense[col] = int32(s) + 1
 		} else {
 			slot, _ := table.Upsert(col)
 			*slot = int32(s) + 1
 		}
+	}
+	if !b.Sorted {
+		hi = math.MaxInt32
 	}
 	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
 	acols, avals := a.ColIdx[alo:ahi], a.Val[alo:ahi]
@@ -471,6 +479,9 @@ func maskedRow[V semiring.Value, R semiring.Ring[V]](ring R, dense []int32, tabl
 		brp := b.RowPtr[k : int(k)+2]
 		bvals := b.Val[brp[0]:brp[1]]
 		for y, col := range b.ColIdx[brp[0]:brp[1]] {
+			if col > hi { // a sorted B row has nothing left the mask row holds
+				break
+			}
 			var e int32
 			if dense != nil {
 				e = dense[col]
@@ -506,35 +517,43 @@ func maskedRow[V semiring.Value, R semiring.Ring[V]](ring R, dense []int32, tabl
 	return n
 }
 
-// maskedRows is worker w's pass over the rows of [lo, hi), flop products in
-// all, of a one-shot masked product: each row goes through maskedRow into the
-// worker's Context-owned buffers, behind the one before, and its size into
-// rowNnz (zeroed by the caller). Row i keeps at most min(flopRow[i], nnz(mask
-// row i)) entries but needs its whole mask row's slots while it accumulates.
-func maskedRows[V semiring.Value, R semiring.Ring[V]](ring R, c *ContextG[V], w int, a, b, mask *matrix.CSRG[V], flopRow []int64, lo, hi int, flop int64, sort bool, rowNnz []int64) {
-	var kept, need, widest int64
+// maskNeed is the window the rows of [lo, hi) of a masked product need: row i
+// keeps at most min(flopRow[i], nnz(mask row i)) entries, behind the rows
+// before it, but needs its whole mask row's slots while it accumulates.
+func maskNeed[V semiring.Value](mask *matrix.CSRG[V], flopRow []int64, lo, hi int) int64 {
+	var kept, need int64
 	for i := lo; i < hi; i++ {
 		if m := mask.RowPtr[i+1] - mask.RowPtr[i]; flopRow[i] != 0 {
-			need, widest = max(need, kept+m), max(widest, m)
+			need = max(need, kept+m)
 			kept += min(flopRow[i], m)
 		}
 	}
-	cols := c.workerScratch(w).EnsureInt32A(int(need))
-	vals := c.valScratch(w, int(need))
-	// The index goes by denseRule, for its reason: the O(Cols) array only
-	// where the worker's flop pays for it.
-	var dense []int32
+	return need
+}
+
+// maskedRows is worker w's pass over the rows of [lo, hi), a stripe of a
+// one-shot masked product: each row goes through maskedRow into the stripe's
+// window cols/vals (maskNeed entries), behind the one before, and its size
+// into rowNnz (zeroed by the caller), on the dense index or the worker's table.
+func maskedRows[V semiring.Value, R semiring.Ring[V]](ring R, c *ContextG[V], w int, a, b, mask *matrix.CSRG[V], flopRow []int64, lo, hi int, dense bool, cols []int32, vals []V, sort bool, rowNnz []int64) {
+	var index []int32
 	var table *accum.HashTableG[int32]
-	if denseRule(b.Cols, flop) {
+	if dense {
 		c.maskDense[w] = growTo(c.maskDense[w], b.Cols)
-		dense = c.maskDense[w]
+		index = c.maskDense[w]
 	} else {
+		var widest int64
+		for i := lo; i < hi; i++ {
+			if flopRow[i] != 0 {
+				widest = max(widest, mask.RowPtr[i+1]-mask.RowPtr[i])
+			}
+		}
 		table = reviveTable(&c.maskHash[w], widest)
 	}
 	pos := 0
 	for i := lo; i < hi; i++ {
 		if mcols := mask.ColIdx[mask.RowPtr[i]:mask.RowPtr[i+1]]; flopRow[i] != 0 && len(mcols) != 0 {
-			n := maskedRow(ring, dense, table, a, b, mcols, i, cols[pos:], vals[pos:], sort)
+			n := maskedRow(ring, index, table, a, b, mcols, i, cols[pos:], vals[pos:], sort)
 			rowNnz[i] = int64(n)
 			pos += n
 		}

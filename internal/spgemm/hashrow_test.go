@@ -2,8 +2,10 @@ package spgemm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/accum"
@@ -435,4 +437,92 @@ func BenchmarkNumeric(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestMaskedRowCut: a masked row stops each sorted B row at the first column
+// past its mask row's largest, and the output stays bit-identical to the ring
+// oracle filtered by the mask's pattern — on a B whose rows run past the mask
+// rows' ends, the same B shuffled and flagged unsorted (no cut), a mask row
+// that repeats its largest column, one shuffled so its largest is not last,
+// empty mask rows, and an A of fewer rows than the one-phase geometry cuts
+// stripes, on the integer plus-times and the min-plus ring.
+func TestMaskedRowCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	a := matrix.RandomWithDegree(40, 32, 4, rng)
+	b := matrix.RandomWithDegree(32, 48, 12, rng)
+	few := matrix.RandomWithDegree(5, 32, 4, rng)
+	shuffled := b.ShuffleRowEntries(rng)
+	shuffled.Sorted = false
+	for _, ops := range []struct {
+		name string
+		a, b *matrix.CSR
+	}{
+		{"sortedB", a, b}, {"unsortedB", a, shuffled}, {"few-rows", few, b}, {"few-rows/unsortedB", few, shuffled},
+	} {
+		i64 := func(v float64) int64 { return int64(math.Round(3 * v)) }
+		checkMaskedCut(t, ops.name+"/i64", semiring.PlusTimesI64{}, matrix.MapValues(ops.a, i64), matrix.MapValues(ops.b, i64), rng)
+		checkMaskedCut(t, ops.name+"/minplus", semiring.MinPlusF64{}, matrix.MapValues(ops.a, math.Abs), matrix.MapValues(ops.b, math.Abs), rng)
+	}
+}
+
+// checkMaskedCut runs a·b over ring under TestMaskedRowCut's masks, built
+// from the product: row i's mask is the first half of its product row's
+// columns (at least one), so its largest column is reached and B's sorted
+// rows run past it; every fifth mask row is empty.
+func checkMaskedCut[V semiring.Value, R semiring.Ring[V]](t *testing.T, name string, ring R, a, b *matrix.CSRG[V], rng *rand.Rand) {
+	t.Helper()
+	full := matrix.NaiveMultiplyRing(ring, a, b)
+	prefix := &matrix.CSRG[V]{Rows: full.Rows, Cols: full.Cols, RowPtr: make([]int64, full.Rows+1), Sorted: true}
+	repeated := &matrix.CSRG[V]{Rows: full.Rows, Cols: full.Cols, RowPtr: make([]int64, full.Rows+1), Sorted: true}
+	maxFirst := &matrix.CSRG[V]{Rows: full.Rows, Cols: full.Cols, RowPtr: make([]int64, full.Rows+1)}
+	for i := 0; i < full.Rows; i++ {
+		if cols, _ := full.Row(i); i%5 != 4 && len(cols) > 0 {
+			half := cols[:(len(cols)+1)/2]
+			prefix.ColIdx = append(prefix.ColIdx, half...)
+			repeated.ColIdx = append(append(repeated.ColIdx, half...), half[len(half)-1])
+			row := append([]int32(nil), half...)
+			rng.Shuffle(len(row), func(x, y int) { row[x], row[y] = row[y], row[x] })
+			for x := range row { // the largest first, so it is not last
+				if row[x] == half[len(half)-1] {
+					row[0], row[x] = row[x], row[0]
+				}
+			}
+			maxFirst.ColIdx = append(maxFirst.ColIdx, row...)
+		}
+		prefix.RowPtr[i+1], repeated.RowPtr[i+1], maxFirst.RowPtr[i+1] = int64(len(prefix.ColIdx)), int64(len(repeated.ColIdx)), int64(len(maxFirst.ColIdx))
+	}
+	for _, m := range []*matrix.CSRG[V]{prefix, repeated, maxFirst} {
+		m.Val = make([]V, len(m.ColIdx))
+	}
+	for mname, mask := range map[string]*matrix.CSRG[V]{"prefix": prefix, "repeated-last": repeated, "max-first": maxFirst} {
+		want := filterByMask(full, mask)
+		for _, workers := range []int{1, 2, 3} {
+			for _, unsorted := range []bool{false, true} {
+				got, err := MultiplyRing(ring, a, b, &OptionsG[V]{Algorithm: AlgHash, Mask: mask, Workers: workers, Unsorted: unsorted})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if unsorted {
+					got.SortRows()
+				}
+				t.Run(fmt.Sprintf("%s/mask=%s/W=%d/unsorted=%v", name, mname, workers, unsorted), func(t *testing.T) { requireSameCSR(t, want, got) })
+			}
+		}
+	}
+}
+
+// filterByMask keeps the entries of c whose column row i of mask holds.
+func filterByMask[V semiring.Value](c, mask *matrix.CSRG[V]) *matrix.CSRG[V] {
+	out := &matrix.CSRG[V]{Rows: c.Rows, Cols: c.Cols, RowPtr: make([]int64, c.Rows+1), Sorted: c.Sorted}
+	for i := 0; i < c.Rows; i++ {
+		mcols, _ := mask.Row(i)
+		cols, vals := c.Row(i)
+		for p, col := range cols {
+			if slices.Contains(mcols, col) {
+				out.ColIdx, out.Val = append(out.ColIdx, col), append(out.Val, vals[p])
+			}
+		}
+		out.RowPtr[i+1] = int64(len(out.ColIdx))
+	}
+	return out
 }

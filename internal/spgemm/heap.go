@@ -57,61 +57,67 @@ func heapRow[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 	return n
 }
 
-// onePhaseExecute is execute for the one-phase geometry. With no row pointers
-// (a one-shot multiply) it is the paper's one-phase design: every worker
-// computes its rows into its own Context-owned buffers, sized at an upper
-// bound of their output — the flop of those rows for Heap, what their mask
-// rows admit under a mask — and first-touched by the worker that fills them
-// ("parallel" memory management, Figure 3); then the row sizes found on the
-// way are prefix-summed into the row pointers and each worker's rows,
-// contiguous in its buffers and in the output alike, move with one bulk copy
-// (PhaseAssemble). With the row pointers of a Heap Plan every row is merged
-// straight into its final place: no buffer, no copy.
+// onePhaseExecute is execute for the one-phase geometry, over execute's loop:
+// worker w starts on stripe w and then claims whichever stripe nobody has
+// started. With no row pointers (a one-shot multiply) it is the paper's
+// one-phase design: every stripe computes its rows into its own window of one
+// Context-owned buffer, sized at an upper bound of their output — the flop of
+// those rows for Heap, what their mask rows admit under a mask
+// (stripeWindows); then the row sizes found on the way are prefix-summed into
+// the row pointers and each stripe's rows, contiguous in its window and in
+// the output alike, move with one bulk copy (PhaseAssemble). With the row
+// pointers of a Heap Plan a stripe's window is its slice of the output, so
+// every row is merged straight into its final place: no buffer, no copy.
 func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, unsorted bool, pt *phaseTimer) *matrix.CSRG[V] {
 	if in.onePass {
 		return onePassExecute(ring, a, b, ctx, in, pt)
 	}
 	sorted := in.mask == nil || !unsorted // a merged row is sorted by construction
-	var c *matrix.CSRG[V]                 // a replay's output, merged into directly
-	var rowNnz []int64                    // a one-shot multiply's row sizes, found on the way
+	win := ctx.stripeWindows(in, rowPtr)
+	var c *matrix.CSRG[V] // a replay's output, merged into directly
+	var rowNnz []int64    // a one-shot multiply's row sizes, found on the way
+	var cols []int32
+	var vals []V
 	if rowPtr != nil {
 		c = ctx.outputShell(a.Rows, b.Cols, rowPtr, true)
+		cols, vals = c.ColIdx, c.Val
 		pt.tick(PhaseAlloc)
 	} else {
 		rowNnz = ctx.rowNnzBuf(a.Rows)
+		cols, vals = tempBuf(&ctx.tmpCols, win[in.stripes()]), tempBuf(&ctx.tmpVals, win[in.stripes()])
 	}
+	// The mask index goes by denseRule, for its reason: the O(Cols) array only
+	// where the flop one worker serves pays for it, however fine the cut.
+	dense := in.mask != nil && denseRule(b.Cols, rangeFlop(in.flopRow, 0, a.Rows)/int64(in.workers))
+	ctx.dealStripes(in.workers)
 	ctx.runWorkers(in.workers, func(w int) {
-		lo, hi := in.offsets[w], in.offsets[w+1]
-		if lo >= hi {
-			return
-		}
-		flop := rangeFlop(in.flopRow, lo, hi)
 		ws := pt.worker(w)
-		if ws != nil {
-			ws.Rows = int64(hi - lo)
-			ws.Flop = flop
+		var h *accum.MergeHeapG[V]
+		if in.mask == nil {
+			h = ctx.mergeHeap(w, 8) // first-use hint: the heap grows to its widest row
 		}
-		if in.mask != nil {
-			maskedRows(ring, ctx, w, a, b, in.mask, in.flopRow, lo, hi, flop, sorted && !in.mask.Sorted, rowNnz)
-			return
-		}
-		h := ctx.mergeHeap(w, 8) // first-use hint: the heap grows to its widest row
-		if c != nil {
-			for i := lo; i < hi; i++ {
-				heapRow(ring, a, b, i, h, c.ColIdx[rowPtr[i]:rowPtr[i+1]], c.Val[rowPtr[i]:rowPtr[i+1]])
+		for s := w; s < in.stripes(); s = ctx.nextStripe() {
+			lo, hi := in.offsets[s], in.offsets[s+1]
+			wcols, wvals := cols[win[s]:win[s+1]], vals[win[s]:win[s+1]]
+			if in.mask != nil {
+				maskedRows(ring, ctx, w, a, b, in.mask, in.flopRow, lo, hi, dense, wcols, wvals, sorted && !in.mask.Sorted, rowNnz)
+			} else {
+				pos := 0
+				for i := lo; i < hi; i++ {
+					n := heapRow(ring, a, b, i, h, wcols[pos:], wvals[pos:])
+					if rowNnz != nil {
+						rowNnz[i] = int64(n)
+					}
+					pos += n
+				}
 			}
-		} else {
-			cols := ctx.workerScratch(w).EnsureInt32A(int(flop))
-			vals := ctx.valScratch(w, int(flop))
-			pos := 0
-			for i := lo; i < hi; i++ {
-				n := heapRow(ring, a, b, i, h, cols[pos:], vals[pos:])
-				rowNnz[i] = int64(n)
-				pos += n
+			if ws != nil {
+				ws.Rows += int64(hi - lo)
+				ws.Flop += rangeFlop(in.flopRow, lo, hi)
 			}
 		}
-		if ws != nil {
-			ws.HeapPushes = h.Pushes()
+		if ws != nil && h != nil {
+			ws.HeapPushes += h.Pushes()
 		}
 	})
 	pt.tick(PhaseNumeric)
@@ -123,12 +129,14 @@ func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.
 	sized := ctx.prefixSum(rowNnz, ctx.rowPtrBuf(a.Rows), in.workers)
 	out := ctx.outputShell(a.Rows, b.Cols, sized, sorted)
 	pt.tick(PhaseAlloc)
+	ctx.dealStripes(in.workers)
 	ctx.runWorkers(in.workers, func(w int) {
-		// The worker's buffers are where the numeric region left them; the
-		// destination's length stops the copy at what the worker produced.
-		lo, hi := sized[in.offsets[w]], sized[in.offsets[w+1]]
-		copy(out.ColIdx[lo:hi], ctx.workerScratch(w).Int32A)
-		copy(out.Val[lo:hi], ctx.vals[w])
+		for s := w; s < in.stripes(); s = ctx.nextStripe() {
+			// The destination's length stops the copy at what the stripe produced.
+			lo, hi := sized[in.offsets[s]], sized[in.offsets[s+1]]
+			copy(out.ColIdx[lo:hi], cols[win[s]:])
+			copy(out.Val[lo:hi], vals[win[s]:])
+		}
 	})
 	pt.tick(PhaseAssemble)
 	pt.finish()

@@ -95,7 +95,7 @@ func TestRingFastEquivalence(t *testing.T) {
 	}
 }
 
-func requireSameCSR(t *testing.T, want, got *matrix.CSR) {
+func requireSameCSR[V semiring.Value](t *testing.T, want, got *matrix.CSRG[V]) {
 	t.Helper()
 	if want.Rows != got.Rows || want.Cols != got.Cols {
 		t.Fatalf("shape mismatch: want %dx%d, got %dx%d", want.Rows, want.Cols, got.Rows, got.Cols)
