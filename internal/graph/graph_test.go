@@ -160,8 +160,8 @@ func TestCountFromLUAutoFusesMask(t *testing.T) {
 
 // BenchmarkMaskedLU times the masked product of triangle counting,
 // CountFromLU on L and U of G500 s13/ef16, at W = 1 and 2, and reports its
-// workers' balance as busy-max/min: the busiest worker's WorkerStats.Busy over
-// the idlest's, summed over every iteration.
+// allocations and its workers' balance as busy-max/min: the busiest worker's
+// WorkerStats.Busy over the idlest's, summed over every iteration.
 func BenchmarkMaskedLU(b *testing.B) {
 	prep, err := PrepareTriangles(gen.RMAT(13, 16, gen.G500Params, rand.New(rand.NewSource(1))))
 	if err != nil {
@@ -169,6 +169,7 @@ func BenchmarkMaskedLU(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("W=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			busy := make([]time.Duration, workers)
 			for b.Loop() {
 				var st spgemm.ExecStats

@@ -239,10 +239,17 @@ func filterByPattern[V semiring.Value](m, mask *matrix.CSRG[V]) *matrix.CSRG[V] 
 
 // CheckRingMasked runs the masked leg over a·b: AlgHash and AlgAuto (which
 // must resolve to it) under every mask of masksFor, each verified against the
-// filtered oracle via EquivalentRing. ctx, when non-nil, is a reused Context:
-// the result must then also be bit-identical to the one-shot call's.
+// filtered oracle via EquivalentRing. The AlgHash product then runs again with
+// B and the mask padded by empty columns until Cols > flop, which puts the
+// mask index on the hash table whichever side denseRule gave the unpadded
+// one; it must be bit-identical to the unpadded result. ctx, when non-nil, is
+// a reused Context: the result must then also be bit-identical to the one-shot
+// call's.
 func CheckRingMasked[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a, b *matrix.CSRG[V], unsorted bool, workers int, ctx *spgemm.ContextG[V], close func(x, y V) bool) error {
 	full := matrix.NaiveMultiplyRing(ring, a, b)
+	flop, _ := matrix.Flop(a, b)
+	padded := *b
+	padded.Cols = max(b.Cols, int(flop)+1)
 	for _, mc := range masksFor(a, full) {
 		want := filterByPattern(full, mc.m)
 		var oneShot *matrix.CSRG[V]
@@ -262,10 +269,21 @@ func CheckRingMasked[V semiring.Value, R semiring.Ring[V]](caseName string, ring
 			}
 			oneShot = got
 		}
+		pmask := *mc.m
+		pmask.Cols = padded.Cols
+		got, err := spgemm.MultiplyRing(ring, a, &padded, &spgemm.OptionsG[V]{
+			Algorithm: spgemm.AlgHash, Unsorted: unsorted, Workers: workers, Mask: &pmask})
+		if err == nil {
+			got.Cols = b.Cols
+			err = identical(got, oneShot)
+		}
+		if err != nil {
+			return fmt.Errorf("%s/mask=%s padded unsorted=%v workers=%d: %w", caseName, mc.name, unsorted, workers, err)
+		}
 		if ctx == nil {
 			continue
 		}
-		got, err := spgemm.MultiplyRing(ring, a, b, &spgemm.OptionsG[V]{
+		got, err = spgemm.MultiplyRing(ring, a, b, &spgemm.OptionsG[V]{
 			Algorithm: spgemm.AlgHash, Unsorted: unsorted, Workers: workers, Mask: mc.m, Context: ctx})
 		if err == nil {
 			err = identical(got, oneShot)

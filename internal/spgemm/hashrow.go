@@ -440,38 +440,16 @@ func onePassRows[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V],
 	h.report(ws)
 }
 
-// maskedRow computes row i of (A·B).*M, mcols being row i of M, into the
-// first len(mcols) entries of cols/vals and returns how many it produced. The
-// index — dense over B's columns and all zero between rows, or table, never
-// both — maps a column of the mask row to its slot in that window, as slot+1
-// so that zero means absent; a column the row repeats owns its last slot. A
-// product lands on its column's slot — the first stored, later ones folded
-// with ring.Add in product order, which is hashRowNumeric's — and the touched
-// slots are then compacted leftwards: an entry exists iff a product landed on
-// it, whatever its value, and the row ascends if the mask row does; sort is
-// set when it must and the mask row may not. cols[s] < 0 marks slot s
-// untouched. A sorted B row stops past the mask row's largest column.
+// maskedRow computes row i of (A·B).*M, mcols being row i of M, in a window
+// of len(mcols)+1 slots (maskLoad) and returns the size maskCompact leaves. A
+// miss is dropped; a hit's product is stored on its slot's first touch and
+// folded with ring.Add after, in product order, which is hashRowNumeric's. A
+// sorted B row stops past the mask row's largest column.
 //
 //spgemm:hotpath
 func maskedRow[V semiring.Value, R semiring.Ring[V]](ring R, dense []int32, table *accum.HashTableG[int32], a, b *matrix.CSRG[V], mcols []int32, i int, cols []int32, vals []V, sort bool) int {
-	cols, vals = cols[:len(mcols)], vals[:len(mcols)]
-	if table != nil {
-		table.Reset()
-	}
-	hi := int32(-1) // the mask row's largest column, wherever it sits
-	for s, col := range mcols {
-		cols[s] = -1
-		hi = max(hi, col)
-		if dense != nil {
-			dense[col] = int32(s) + 1
-		} else {
-			slot, _ := table.Upsert(col)
-			*slot = int32(s) + 1
-		}
-	}
-	if !b.Sorted {
-		hi = math.MaxInt32
-	}
+	cols, vals = cols[:len(mcols)+1], vals[:len(mcols)+1]
+	hi := maskLoad(dense, table, mcols, cols, b.Sorted)
 	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
 	acols, avals := a.ColIdx[alo:ahi], a.Val[alo:ahi]
 	for x, k := range acols {
@@ -492,21 +470,95 @@ func maskedRow[V semiring.Value, R semiring.Ring[V]](ring R, dense []int32, tabl
 				continue
 			}
 			prod := ring.Mul(av, bvals[y])
-			if s := e - 1; cols[s] < 0 {
-				cols[s], vals[s] = col, prod
+			if cols[e] < 0 {
+				cols[e], vals[e] = col, prod
 			} else {
-				vals[s] = ring.Add(vals[s], prod)
+				vals[e] = ring.Add(vals[e], prod)
 			}
 		}
 	}
+	return maskCompact(dense, mcols, cols, vals, sort)
+}
+
+// maskedRowPT is maskedRow for the plus-times rings in Go's own * and +, which
+// compile to each shape's instruction: no dictionary call, and no branch on a
+// product. A slot starts at the bit-exact additive identity (-0 for floats,
+// see negZero) and a miss lands in the trash slot 0. V(·) rounds the product
+// before the add, as maskedRow's stored prod is: no fused multiply-add.
+//
+//spgemm:hotpath
+func maskedRowPT[V float64 | float32 | int64, W semiring.Value](dense []int32, table *accum.HashTableG[int32], a, b *matrix.CSRG[W], aval, bval []V, mcols []int32, i int, cols []int32, vals []V, sort bool) int {
+	cols, vals = cols[:len(mcols)+1], vals[:len(mcols)+1]
+	hi := maskLoad(dense, table, mcols, cols, b.Sorted)
+	var zero V
+	for s := 1; s < len(vals); s++ {
+		vals[s] = -zero
+	}
+	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
+	acols, avals := a.ColIdx[alo:ahi], aval[alo:ahi]
+	for x, k := range acols {
+		av := avals[x]
+		brp := b.RowPtr[k : int(k)+2]
+		bvals := bval[brp[0]:brp[1]]
+		for y, col := range b.ColIdx[brp[0]:brp[1]] {
+			if col > hi {
+				break
+			}
+			var e int32
+			if dense != nil {
+				e = dense[col]
+			} else {
+				e, _ = table.Lookup(col)
+			}
+			cols[e] = col
+			vals[e] += V(av * bvals[y])
+		}
+	}
+	return maskCompact(dense, mcols, cols, vals, sort)
+}
+
+// maskLoad points the index (dense over B's columns and zero between rows, or
+// table) at mask row mcols: mcols[s] to slot s+1 of the window, marked
+// untouched, so 0 is absent and the trash slot. It returns a sorted B's cut.
+//
+//spgemm:hotpath
+func maskLoad(dense []int32, table *accum.HashTableG[int32], mcols, cols []int32, sorted bool) int32 {
+	if table != nil {
+		table.Reset()
+	}
+	hi := int32(-1)
+	for s, col := range mcols {
+		cols[s+1] = -1
+		hi = max(hi, col)
+		if dense != nil {
+			dense[col] = int32(s) + 1
+		} else {
+			slot, _ := table.Upsert(col)
+			*slot = int32(s) + 1
+		}
+	}
+	if !sorted {
+		hi = math.MaxInt32
+	}
+	return hi
+}
+
+// maskCompact moves the touched slots 1… to the window's start in place — an
+// entry exists iff a product landed on it, and the row ascends if the mask row
+// does (sort is set when it must and the mask row may not) — unloads the
+// dense index and returns the row's size.
+//
+//spgemm:hotpath
+func maskCompact[V semiring.Value](dense []int32, mcols, cols []int32, vals []V, sort bool) int {
+	vals = vals[:len(cols)]
 	n := 0
-	for s, col := range cols {
-		if col >= 0 {
+	for s := 1; s < len(cols); s++ {
+		if col := cols[s]; col >= 0 {
 			cols[n], vals[n] = col, vals[s]
 			n++
 		}
 	}
-	if dense != nil { // unloaded by re-walking the row: no generation counter
+	if dense != nil {
 		for _, col := range mcols {
 			dense[col] = 0
 		}
@@ -519,12 +571,12 @@ func maskedRow[V semiring.Value, R semiring.Ring[V]](ring R, dense []int32, tabl
 
 // maskNeed is the window the rows of [lo, hi) of a masked product need: row i
 // keeps at most min(flopRow[i], nnz(mask row i)) entries, behind the rows
-// before it, but needs its whole mask row's slots while it accumulates.
+// before it, but needs one slot more than its mask row while it accumulates.
 func maskNeed[V semiring.Value](mask *matrix.CSRG[V], flopRow []int64, lo, hi int) int64 {
 	var kept, need int64
 	for i := lo; i < hi; i++ {
 		if m := mask.RowPtr[i+1] - mask.RowPtr[i]; flopRow[i] != 0 {
-			need = max(need, kept+m)
+			need = max(need, kept+m+1)
 			kept += min(flopRow[i], m)
 		}
 	}
@@ -550,10 +602,33 @@ func maskedRows[V semiring.Value, R semiring.Ring[V]](ring R, c *ContextG[V], w 
 		}
 		table = reviveTable(&c.maskHash[w], widest)
 	}
+	switch any(ring).(type) {
+	case semiring.PlusTimesF64:
+		maskedRowsPT[float64](index, table, a, b, mask, flopRow, lo, hi, cols, vals, sort, rowNnz)
+	case semiring.PlusTimesF32:
+		maskedRowsPT[float32](index, table, a, b, mask, flopRow, lo, hi, cols, vals, sort, rowNnz)
+	case semiring.PlusTimesI64:
+		maskedRowsPT[int64](index, table, a, b, mask, flopRow, lo, hi, cols, vals, sort, rowNnz)
+	default:
+		pos := 0
+		for i := lo; i < hi; i++ {
+			if mcols := mask.ColIdx[mask.RowPtr[i]:mask.RowPtr[i+1]]; flopRow[i] != 0 && len(mcols) != 0 {
+				n := maskedRow(ring, index, table, a, b, mcols, i, cols[pos:], vals[pos:], sort)
+				rowNnz[i] = int64(n)
+				pos += n
+			}
+		}
+	}
+}
+
+// maskedRowsPT is maskedRows' loop on maskedRowPT over T, V itself: only the
+// value slices are asserted, as *matrix.CSRG[T] would instantiate its methods.
+func maskedRowsPT[T float64 | float32 | int64, V semiring.Value](index []int32, table *accum.HashTableG[int32], a, b, mask *matrix.CSRG[V], flopRow []int64, lo, hi int, cols []int32, vals []V, sort bool, rowNnz []int64) {
+	aval, bval, tvals := any(a.Val).([]T), any(b.Val).([]T), any(vals).([]T)
 	pos := 0
 	for i := lo; i < hi; i++ {
 		if mcols := mask.ColIdx[mask.RowPtr[i]:mask.RowPtr[i+1]]; flopRow[i] != 0 && len(mcols) != 0 {
-			n := maskedRow(ring, index, table, a, b, mcols, i, cols[pos:], vals[pos:], sort)
+			n := maskedRowPT(index, table, a, b, aval, bval, mcols, i, cols[pos:], tvals[pos:], sort)
 			rowNnz[i] = int64(n)
 			pos += n
 		}

@@ -463,6 +463,86 @@ func TestMaskedRowCut(t *testing.T) {
 		checkMaskedCut(t, ops.name+"/i64", semiring.PlusTimesI64{}, matrix.MapValues(ops.a, i64), matrix.MapValues(ops.b, i64), rng)
 		checkMaskedCut(t, ops.name+"/minplus", semiring.MinPlusF64{}, matrix.MapValues(ops.a, math.Abs), matrix.MapValues(ops.b, math.Abs), rng)
 	}
+	// Row 0's products all miss its mask row, so it is empty: a miss lands in
+	// the trash slot, never on a mask slot. Row 1's products cancel, 2.5 +
+	// (-2.5) = +0, and row 2's one product is 1·(-0) = -0: both entries are
+	// kept, each with its sign — the plus-times slots start at -0, which +0
+	// would not be. On B's own columns and padded past the flop, which moves
+	// the mask index from the dense array to the table.
+	za := &matrix.CSR{Rows: 3, Cols: 3, RowPtr: []int64{0, 1, 3, 4}, ColIdx: []int32{0, 0, 1, 2}, Val: []float64{1, 1, 1, 1}, Sorted: true}
+	zb := &matrix.CSR{Rows: 3, Cols: 4, RowPtr: []int64{0, 2, 3, 4}, ColIdx: []int32{0, 1, 0, 3}, Val: []float64{2.5, 1, -2.5, negZero}, Sorted: true}
+	zm := &matrix.CSR{Rows: 3, Cols: 4, RowPtr: []int64{0, 2, 3, 4}, ColIdx: []int32{2, 3, 0, 3}, Val: make([]float64, 4), Sorted: true}
+	for _, cols := range []int{4, 7} {
+		b, mask := *zb, *zm
+		b.Cols, mask.Cols = cols, cols
+		for _, workers := range []int{1, 2} {
+			got, err := Multiply(za, &b, &Options{Algorithm: AlgHash, Mask: &mask, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []float64{0, negZero}
+			if !slices.Equal(got.RowPtr, []int64{0, 0, 1, 2}) || !slices.Equal(got.ColIdx, []int32{0, 3}) ||
+				math.Float64bits(got.Val[0]) != math.Float64bits(want[0]) || math.Float64bits(got.Val[1]) != math.Float64bits(want[1]) {
+				t.Errorf("misses/cancel cols=%d W=%d: got %v %v %v, want [0 0 1 2] [0 3] %v", cols, workers, got.RowPtr, got.ColIdx, got.Val, want)
+			}
+			i64 := matrix.MapValues(za, func(v float64) int64 { return int64(v) })
+			ib := matrix.MapValues(&b, func(v float64) int64 { return int64(2 * v) })
+			gi, err := MultiplyRing(semiring.PlusTimesI64{}, i64, ib, &OptionsG[int64]{Algorithm: AlgHash, Mask: matrix.MapValues(&mask, func(float64) int64 { return 0 }), Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(gi.RowPtr, []int64{0, 0, 1, 2}) || !slices.Equal(gi.ColIdx, []int32{0, 3}) || !slices.Equal(gi.Val, []int64{0, 0}) {
+				t.Errorf("i64 misses/cancel cols=%d W=%d: got %v %v %v", cols, workers, gi.RowPtr, gi.ColIdx, gi.Val)
+			}
+		}
+	}
+}
+
+// TestMaskedArithSelection pins which body folds a masked row: the three
+// plus-times rings take maskedRowPT, whose misses land in slot 0 of the row's
+// window, every other ring — a foreign one with plus-times methods included —
+// maskedRow, which skips a miss and leaves slot 0 alone. One row whose only
+// product misses, on the dense index and on the table.
+func TestMaskedArithSelection(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		trash      func(dense bool) bool
+		arithmetic bool
+	}{
+		{"plus-times<f64>", func(d bool) bool { return missHitsTrash(t, semiring.PlusTimesF64{}, 1.0, d) }, true},
+		{"plus-times<f32>", func(d bool) bool { return missHitsTrash(t, semiring.PlusTimesF32{}, float32(1), d) }, true},
+		{"plus-times<i64>", func(d bool) bool { return missHitsTrash(t, semiring.PlusTimesI64{}, int64(1), d) }, true},
+		{"min-plus<f64>", func(d bool) bool { return missHitsTrash(t, semiring.MinPlusF64{}, 1.0, d) }, false},
+		{"max-times<f64>", func(d bool) bool { return missHitsTrash(t, semiring.MaxTimesF64{}, 1.0, d) }, false},
+		{"or-and<bool>", func(d bool) bool { return missHitsTrash(t, semiring.OrAndBool{}, true, d) }, false},
+		{"or-and<u64>", func(d bool) bool { return missHitsTrash(t, semiring.OrAndU64{}, uint64(1), d) }, false},
+		{"foreign plus-times<f64>", func(d bool) bool { return missHitsTrash(t, slowPlusTimesF64{}, 1.0, d) }, false},
+	} {
+		for _, dense := range []bool{true, false} {
+			if got := tc.trash(dense); got != tc.arithmetic {
+				t.Errorf("%s dense=%v: miss in the trash slot = %v, want %v", tc.name, dense, got, tc.arithmetic)
+			}
+		}
+	}
+}
+
+// missHitsTrash runs maskedRows over the one-row product [one]·[one] (column
+// 0) under a mask row holding only column 1, and reports whether slot 0 of the
+// row's window was written with the missed column.
+func missHitsTrash[V semiring.Value, R semiring.Ring[V]](t *testing.T, ring R, one V, dense bool) bool {
+	t.Helper()
+	row := func(cols int, col int32) *matrix.CSRG[V] {
+		return &matrix.CSRG[V]{Rows: 1, Cols: cols, RowPtr: []int64{0, 1}, ColIdx: []int32{col}, Val: []V{one}, Sorted: true}
+	}
+	a, b, mask := row(1, 0), row(2, 0), row(2, 1)
+	ctx := NewContextG[V]()
+	ctx.ensureWorkers(1)
+	cols, vals, rowNnz := []int32{-7, -7}, make([]V, 2), make([]int64, 1)
+	maskedRows(ring, ctx, 0, a, b, mask, []int64{1}, 0, 1, dense, cols, vals, false, rowNnz)
+	if rowNnz[0] != 0 {
+		t.Errorf("%v dense=%v: a missed product made an entry", ring, dense)
+	}
+	return cols[0] == 0
 }
 
 // checkMaskedCut runs a·b over ring under TestMaskedRowCut's masks, built

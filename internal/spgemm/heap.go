@@ -98,7 +98,8 @@ func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.
 		}
 		for s := w; s < in.stripes(); s = ctx.nextStripe() {
 			lo, hi := in.offsets[s], in.offsets[s+1]
-			wcols, wvals := cols[win[s]:win[s+1]], vals[win[s]:win[s+1]]
+			// Capped at the window's end: a row overrunning it panics instead.
+			wcols, wvals := cols[win[s]:win[s+1]:win[s+1]], vals[win[s]:win[s+1]:win[s+1]]
 			if in.mask != nil {
 				maskedRows(ring, ctx, w, a, b, in.mask, in.flopRow, lo, hi, dense, wcols, wvals, sorted && !in.mask.Sorted, rowNnz)
 			} else {
