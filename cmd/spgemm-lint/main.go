@@ -9,9 +9,7 @@
 //	                                  decisions for //spgemm:hotpath functions
 //	                                  and ring methods (-m=2), and residual
 //	                                  bounds checks in hotpath functions
-//	                                  (-d=ssa/check_bce); and require the
-//	                                  devirtualized ring fast path's call
-//	                                  sites to inline
+//	                                  (-d=ssa/check_bce)
 //
 // Diagnostics print as file:line:col: [analyzer] message, followed by the
 // analyzer's fix hint. Any diagnostic makes the exit status nonzero, which
@@ -132,26 +130,6 @@ func importPaths(dirs ...string) []string {
 	return out
 }
 
-// requiredInlines are the gate's hard guarantees: the hand-devirtualized
-// float64 plus-times fast path (internal/spgemm/ringfast.go) writes its ring
-// operations as method calls on a concrete semiring.PlusTimesF64 precisely
-// so the compiler reports them as inlined; if these lines disappear the fast
-// path has regressed to indirect dictionary calls and no budget can excuse
-// it.
-var requiredInlines = []compilerfb.RequiredInline{
-	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Mul"},
-	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Add"},
-	// A Plan's streamed replay is nothing but these two calls per product.
-	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Mul", Func: "planReplayRowsF64"},
-	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Add", Func: "planReplayRowsF64"},
-	// The one-pass route scales each copied B row with nothing but this call.
-	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Mul", Func: "onePassRowF64"},
-	// Where Cols <= flop every accumulated numeric product folds through
-	// these two into the SPA.
-	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Mul", Func: "spaRowNumericF64"},
-	{File: "internal/spgemm/ringfast.go", Callee: "PlusTimesF64.Add", Func: "spaRowNumericF64"},
-}
-
 // budgetSection is one compiler report of the budget: which packages to
 // build with which gcflag, how its output folds into entries, and what a
 // new entry is called when the diff fails.
@@ -160,7 +138,7 @@ type budgetSection struct {
 	pkgs         []string
 	doc          []string
 	newMsg       string
-	entries      func(out string, ix *compilerfb.HotIndex) (entries map[string]bool, fatal []string)
+	entries      func(out string, ix *compilerfb.HotIndex) map[string]bool
 }
 
 var budgetSections = []budgetSection{{
@@ -170,21 +148,18 @@ var budgetSections = []budgetSection{{
 		"line: \"file.go: message\" (line numbers dropped, duplicates collapsed).",
 	},
 	newMsg: "new heap escape in hot package",
-	entries: func(out string, _ *compilerfb.HotIndex) (map[string]bool, []string) {
-		return escapeEntries(out), nil
+	entries: func(out string, _ *compilerfb.HotIndex) map[string]bool {
+		return escapeEntries(out)
 	},
 }, {
 	name: "inline", gcflag: "-m=2", pkgs: inlinePkgs,
 	doc: []string{
 		"//spgemm:hotpath functions and semiring Add/Mul/Zero methods the compiler",
-		"will not inline: \"file.go: cannot inline Func: reason\". The ring fast",
-		"path's \"inlining call to PlusTimesF64.Mul/.Add\" witnesses are required",
-		"unconditionally and cannot be budgeted here.",
+		"will not inline: \"file.go: cannot inline Func: reason\".",
 	},
 	newMsg: "function stopped inlining",
-	entries: func(out string, ix *compilerfb.HotIndex) (map[string]bool, []string) {
-		rep := compilerfb.BuildInlineReport(compilerfb.ParseInlineOutput(out), ix, semiringDir, requiredInlines)
-		return rep.Violations, rep.MissingRequired
+	entries: func(out string, ix *compilerfb.HotIndex) map[string]bool {
+		return compilerfb.BuildInlineReport(compilerfb.ParseInlineOutput(out), ix, semiringDir)
 	},
 }, {
 	name: "bce", gcflag: "-d=ssa/check_bce", pkgs: hotPkgs,
@@ -195,8 +170,8 @@ var budgetSections = []budgetSection{{
 		"one needs a re-slicing hint or a justified -update.",
 	},
 	newMsg: "new residual bounds check in hotpath function",
-	entries: func(out string, ix *compilerfb.HotIndex) (map[string]bool, []string) {
-		return compilerfb.BuildBCEReport(compilerfb.ParseBCEOutput(out), ix), nil
+	entries: func(out string, ix *compilerfb.HotIndex) map[string]bool {
+		return compilerfb.BuildBCEReport(compilerfb.ParseBCEOutput(out), ix)
 	},
 }}
 
@@ -225,12 +200,7 @@ func runBudget(update bool) (int, error) {
 		if err != nil {
 			return 2, err
 		}
-		entries, fatal := sec.entries(out, ix)
-		// The required-inline contract is checked before any budget logic:
-		// -update must not be able to bless its loss.
-		if len(fatal) > 0 {
-			return 1, fmt.Errorf("REQUIRED INLINE MISSING:\n\t%s", strings.Join(fatal, "\n\t"))
-		}
+		entries := sec.entries(out, ix)
 		got[i] = compilerfb.Section{Name: sec.name, Doc: sec.doc, Entries: entries}
 		total += len(entries)
 	}

@@ -80,7 +80,7 @@ func TestCanonicalFuncName(t *testing.T) {
 		{"(*repro/internal/accum.HashTableG[go.shape.float64]).Reset", "HashTableG.Reset"},
 		{"semiring.PlusTimesF64.Mul", "semiring.PlusTimesF64.Mul"},
 		{"plain", "plain"},
-		{"repro/internal/spgemm.hashRowNumericF64", "spgemm.hashRowNumericF64"},
+		{"repro/internal/spgemm.planReplayRowsF64", "spgemm.planReplayRowsF64"},
 	}
 	for _, c := range cases {
 		if got := CanonicalFuncName(c.raw); got != c.want {
@@ -108,18 +108,16 @@ func TestStripQualifiers(t *testing.T) {
 func TestParseInlineOutputGolden(t *testing.T) {
 	lines := ParseInlineOutput(readCorpus(t, "inline_m2.txt"))
 	// The corpus holds 13 lines; the parser must keep exactly the
-	// cannot-inline and inlining-call lines with a file position and a
-	// well-formed message (can-inline and devirtualizing lines are not
-	// consumed by the gate).
+	// cannot-inline lines with a file position and a well-formed message
+	// (can-inline, inlining-call and devirtualizing lines are not consumed by
+	// the gate).
 	want := []InlineLine{
-		{File: "hotpkg/hot.go", Line: 15, Col: 6, Kind: CannotInline, Func: "(*table[go.shape.int32]).Upsert", Detail: "function too complex: cost 178 exceeds budget 80"},
-		{File: "hotpkg/hot.go", Line: 29, Col: 6, Kind: CannotInline, Func: "hotpkg.scatter[go.shape.int32]", Detail: "unhandled op: RANGE"},
-		{File: "hotpkg/hot.go", Line: 37, Col: 6, Kind: CannotInline, Func: "setup", Detail: "function too complex: cost 90 exceeds budget 80"},
-		{File: "hotpkg/hot.go", Line: 19, Col: 20, Kind: InliningCall, Func: "semiring.PlusTimesF64.Mul"},
-		{File: "hotpkg/hot.go", Line: 20, Col: 21, Kind: InliningCall, Func: "PlusTimesF64.Add"},
-		{File: "fakering/ring.go", Line: 10, Col: 6, Kind: CannotInline, Func: "MaxTimesF64.Add", Detail: "function too complex: cost 90 exceeds budget 80"},
-		{File: "fakering/ring.go", Line: 11, Col: 6, Kind: CannotInline, Func: "fakering.helper", Detail: "function too complex: cost 99 exceeds budget 80"},
-		{File: "/usr/local/go/src/slices/sort.go", Line: 16, Col: 6, Kind: CannotInline, Func: "slices.Sort[[]int32,int32]", Detail: "function too complex: cost 81 exceeds budget 80"},
+		{File: "hotpkg/hot.go", Line: 15, Col: 6, Func: "(*table[go.shape.int32]).Upsert", Detail: "function too complex: cost 178 exceeds budget 80"},
+		{File: "hotpkg/hot.go", Line: 29, Col: 6, Func: "hotpkg.scatter[go.shape.int32]", Detail: "unhandled op: RANGE"},
+		{File: "hotpkg/hot.go", Line: 37, Col: 6, Func: "setup", Detail: "function too complex: cost 90 exceeds budget 80"},
+		{File: "fakering/ring.go", Line: 10, Col: 6, Func: "MaxTimesF64.Add", Detail: "function too complex: cost 90 exceeds budget 80"},
+		{File: "fakering/ring.go", Line: 11, Col: 6, Func: "fakering.helper", Detail: "function too complex: cost 99 exceeds budget 80"},
+		{File: "/usr/local/go/src/slices/sort.go", Line: 16, Col: 6, Func: "slices.Sort[[]int32,int32]", Detail: "function too complex: cost 81 exceeds budget 80"},
 	}
 	if !reflect.DeepEqual(lines, want) {
 		t.Errorf("ParseInlineOutput mismatch:\n got %+v\nwant %+v", lines, want)
@@ -129,13 +127,8 @@ func TestParseInlineOutputGolden(t *testing.T) {
 func TestBuildInlineReport(t *testing.T) {
 	ix := scanFixture(t)
 	lines := ParseInlineOutput(readCorpus(t, "inline_m2.txt"))
-	required := []RequiredInline{
-		{File: "hotpkg/hot.go", Callee: "PlusTimesF64.Mul"},                       // witnessed, package-qualified in corpus
-		{File: "hotpkg/hot.go", Callee: "PlusTimesF64.Add"},                       // witnessed, unqualified in corpus
-		{File: "hotpkg/hot.go", Callee: "PlusTimesF64.Add", Func: "table.Upsert"}, // witnessed inside that function
-	}
-	rep := BuildInlineReport(lines, ix, "fakering", required)
-	wantViolations := map[string]bool{
+	violations := BuildInlineReport(lines, ix, "fakering")
+	want := map[string]bool{
 		// Hotpath functions, canonicalized and with the reason truncated at
 		// its first clause; the un-annotated setup and the stdlib line are
 		// absent.
@@ -145,33 +138,8 @@ func TestBuildInlineReport(t *testing.T) {
 		// ring method and must not appear.
 		"fakering/ring.go: cannot inline MaxTimesF64.Add: function too complex": true,
 	}
-	if !reflect.DeepEqual(rep.Violations, wantViolations) {
-		t.Errorf("Violations:\n got %v\nwant %v", rep.Violations, wantViolations)
-	}
-	if len(rep.MissingRequired) != 0 {
-		t.Errorf("MissingRequired = %v, want none", rep.MissingRequired)
-	}
-}
-
-func TestBuildInlineReportMissingRequired(t *testing.T) {
-	// Negative scenario: the corpus has no inlining-call witness for Zero,
-	// and none at all in a different file — both must surface as fatal.
-	ix := scanFixture(t)
-	lines := ParseInlineOutput(readCorpus(t, "inline_m2.txt"))
-	required := []RequiredInline{
-		{File: "hotpkg/hot.go", Callee: "PlusTimesF64.Zero"},
-		{File: "hotpkg/other.go", Callee: "PlusTimesF64.Mul"},
-		{File: "hotpkg/hot.go", Callee: "PlusTimesF64.Mul", Func: "scatter"}, // witnessed in the file, not in scatter
-	}
-	rep := BuildInlineReport(lines, ix, "fakering", required)
-	if len(rep.MissingRequired) != 3 {
-		t.Fatalf("MissingRequired = %v, want 3 entries", rep.MissingRequired)
-	}
-	if !strings.Contains(rep.MissingRequired[2], "hotpkg/hot.go: scatter") {
-		t.Errorf("third missing entry = %q, want it to name the function", rep.MissingRequired[2])
-	}
-	if !strings.Contains(rep.MissingRequired[0], "PlusTimesF64.Zero") {
-		t.Errorf("first missing entry = %q, want mention of PlusTimesF64.Zero", rep.MissingRequired[0])
+	if !reflect.DeepEqual(violations, want) {
+		t.Errorf("violations:\n got %v\nwant %v", violations, want)
 	}
 }
 

@@ -9,8 +9,8 @@
 // defer and a panic-path the kernels must not have; and an interface
 // conversion is where devirtualization dies — once a concrete ring or
 // accumulator value is boxed, every method on it is an indirect call and,
-// for non-pointer non-zero-size values, a heap box as well. The
-// hand-devirtualized fast paths keep their one type assertion per worker in
+// for non-pointer non-zero-size values, a heap box as well. The kernels pick
+// their row bodies with one type switch per window (spgemm's bodiesFor) in
 // un-annotated setup code for exactly this reason.
 package deferhot
 

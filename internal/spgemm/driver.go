@@ -41,9 +41,9 @@ import (
 // interface (as the figure baselines of internal/bench/baseline do) would tax
 // exactly the algorithms it optimizes. Generics alone do not devirtualize the
 // ring — Go's shape stenciling passes Add/Mul through a runtime dictionary —
-// so the numeric workers test once, outside the row loop, for the float64
-// plus-times flagship and route whole rows through the hand-monomorphized
-// loops of ringfast.go.
+// so each numeric window takes its row bodies from bodiesFor, once, outside
+// the row loop: the three plus-times rings fold in Go's own * and +
+// (ringfast.go), every other ring through its dictionary.
 //
 // All transient state lives in the call's Context: an iterative caller that
 // passes Options.Context reaches a steady state where only the output
@@ -236,8 +236,8 @@ func inspectExecute[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm,
 }
 
 // hashVecRows is HashVector's numeric pass over the rows of [lo, hi) with a
-// non-zero weight: Hash's row loop (hashRowNumeric) probing the chunked
-// table, which has its own Upsert contract and no monomorphized twin. cols
+// non-zero weight: Hash's row loop (ringBodies.hashRow) probing the chunked
+// table, which has its own Upsert contract and no native plus-times body. cols
 // and vals are the output window whose first entry has output offset base.
 func hashVecRows[V semiring.Value, R semiring.Ring[V]](ring R, table *accum.HashVecTableG[V], a, b *matrix.CSRG[V], cols []int32, vals []V, sorted bool, flopRow, rowPtr []int64, lo, hi int, base int64, ws *WorkerStats) {
 	for i := lo; i < hi; i++ {

@@ -157,12 +157,11 @@ func (c *ContextG[V]) hashSymbolic(w int, a, b *matrix.CSRG[V], flopRow []int64,
 }
 
 // hashNumeric is one worker's numeric state: the operands, the accumulator —
-// the SPA or the table, never both — and the output window its rows land in.
-// When the ring is the float64 plus-times flagship, fa/fb/ftab/fspa/fvals are
-// the same objects under their concrete types (one assertion per window, see
-// ringfast.go) and rows run the monomorphized twins.
+// the SPA or the table, never both —, the output window its rows land in and
+// the row bodies its ring folds with (bodiesFor).
 type hashNumeric[V semiring.Value, R semiring.Ring[V]] struct {
 	ring   R
+	body   rowBodies[V, R]
 	spa    *accum.SPAG[V]
 	table  *accum.HashTableG[V]
 	a, b   *matrix.CSRG[V]
@@ -171,11 +170,6 @@ type hashNumeric[V semiring.Value, R semiring.Ring[V]] struct {
 	sorted bool
 	direct int64 // flop written without an accumulator
 	dense  int64 // flop folded into the SPA
-
-	fa, fb *matrix.CSR
-	fspa   *accum.SPA
-	ftab   *accum.HashTable
-	fvals  []float64
 }
 
 // newHashNumeric readies worker w's numeric pass over rows carrying flop
@@ -183,7 +177,7 @@ type hashNumeric[V semiring.Value, R semiring.Ring[V]] struct {
 // row: by denseRule the worker's SPA over B's columns, else its table — the
 // side rowCounter took for the same rows. bind gives it its window.
 func newHashNumeric[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V], w int, a, b *matrix.CSRG[V], flop, bound int64, sorted bool) hashNumeric[V, R] {
-	h := hashNumeric[V, R]{ring: ring, a: a, b: b, sorted: sorted}
+	h := hashNumeric[V, R]{ring: ring, body: bodiesFor[V](ring), a: a, b: b, sorted: sorted}
 	if denseRule(b.Cols, flop) {
 		h.spa = ctx.spaTable(w, b.Cols)
 	} else {
@@ -193,10 +187,7 @@ func newHashNumeric[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[
 }
 
 // bind points the pass at the output window cols/vals.
-func (h *hashNumeric[V, R]) bind(cols []int32, vals []V) {
-	h.cols, h.vals = cols, vals
-	h.fa, h.fb, h.fspa, h.ftab, h.fvals, _ = ptF64Hash(h.ring, h.a, h.b, h.spa, h.table, vals)
-}
+func (h *hashNumeric[V, R]) bind(cols []int32, vals []V) { h.cols, h.vals = cols, vals }
 
 // row writes the n entries of row i of A·B at offset start of the window.
 // This is the only place the concatenate/accumulate choice is made.
@@ -216,16 +207,10 @@ func (h *hashNumeric[V, R]) row(i int, start, n, flop int64) {
 	} else if dense {
 		h.dense += flop
 	}
-	if h.fa != nil {
-		if fvals := h.fvals[start : start+n]; dense {
-			spaRowNumericF64(h.fspa, h.fa, h.fb, i, 0, 0, cols, fvals, h.sorted)
-		} else {
-			hashRowNumericF64(h.ftab, h.fa, h.fb, i, cols, fvals, direct, h.sorted)
-		}
-	} else if dense {
-		spaRowNumeric(h.ring, h.spa, h.a, h.b, i, 0, 0, cols, vals, h.sorted)
+	if dense {
+		h.body.spaRow(h.ring, h.spa, h.a, h.b, i, 0, 0, cols, vals, h.sorted)
 	} else {
-		hashRowNumeric(h.ring, h.table, h.a, h.b, i, cols, vals, direct, h.sorted)
+		h.body.hashRow(h.ring, h.table, h.a, h.b, i, cols, vals, direct, h.sorted)
 	}
 }
 
@@ -252,13 +237,44 @@ func (h *hashNumeric[V, R]) report(ws *WorkerStats) {
 	}
 }
 
-// hashRowNumeric computes row i of A·B into cols/vals, which are exactly the
+// rowBodies are the whole-row bodies of one ring, one per row shape: hashRow
+// through the table (or by concatenation), spaRow in the dense SPA,
+// onePassRow on the one-pass route and maskedRow under a mask row. Each has
+// two implementations that fold in the same order: ringBodies with the
+// ring's Add and Mul, ptBodies (ringfast.go) in Go's * and +.
+type rowBodies[V semiring.Value, R semiring.Ring[V]] interface {
+	hashRow(ring R, table *accum.HashTableG[V], a, b *matrix.CSRG[V], i int, cols []int32, vals []V, direct, sorted bool)
+	spaRow(ring R, spa *accum.SPAG[V], a, b *matrix.CSRG[V], i, from, seeded int, cols []int32, vals []V, sorted bool) int
+	onePassRow(ring R, spa *accum.SPAG[V], a, b *matrix.CSRG[V], i int, cols []int32, vals []V) (n, marks int)
+	maskedRow(ring R, dense []int32, table *accum.HashTableG[int32], a, b *matrix.CSRG[V], mcols []int32, i int, cols []int32, vals []V, sort bool) int
+}
+
+// ringBodies are the rowBodies of any ring, through its Add and Mul.
+type ringBodies[V semiring.Value, R semiring.Ring[V]] struct{}
+
+// bodiesFor is the one selection of a ring's row bodies: ptBodies for the
+// three plus-times rings, ringBodies for every other. It runs once per
+// window, outside the row loops; both are zero-size, so the interface holds
+// no allocation.
+func bodiesFor[V semiring.Value, R semiring.Ring[V]](ring R) rowBodies[V, R] {
+	var body any = ringBodies[V, R]{}
+	switch any(ring).(type) {
+	case semiring.PlusTimesF64:
+		body = ptBodies[float64, semiring.PlusTimesF64]{}
+	case semiring.PlusTimesF32:
+		body = ptBodies[float32, semiring.PlusTimesF32]{}
+	case semiring.PlusTimesI64:
+		body = ptBodies[int64, semiring.PlusTimesI64]{}
+	}
+	return body.(rowBodies[V, R])
+}
+
+// hashRow computes row i of A·B into cols/vals, which are exactly the
 // row's size: by concatenation when direct, else through table with sorted
-// or insertion-order extraction. hashRowNumericF64 is its float64
-// plus-times twin; the two must fold in the same order.
+// or insertion-order extraction.
 //
 //spgemm:hotpath
-func hashRowNumeric[V semiring.Value, R semiring.Ring[V]](ring R, table *accum.HashTableG[V], a, b *matrix.CSRG[V], i int, cols []int32, vals []V, direct, sorted bool) {
+func (ringBodies[V, R]) hashRow(ring R, table *accum.HashTableG[V], a, b *matrix.CSRG[V], i int, cols []int32, vals []V, direct, sorted bool) {
 	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
 	acols := a.ColIdx[alo:ahi]
 	avals := a.Val[alo:ahi]
@@ -322,18 +338,17 @@ func oneEntryRow[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG
 	return col, val
 }
 
-// spaRowNumeric is hashRowNumeric's accumulating half on the dense SPA, in
-// a Row loop: the first product of a column is stored and listed in cols,
-// later ones folded with ring.Add in product order, so the row lists its
-// columns in first-touch order as the table's used list does and is
-// bit-identical to the table's. The first seeded entries of cols/vals are the
-// row's products through its B rows before from, written by concatenation
-// (onePassRow; two-phase numeric passes 0 and 0): the SPA takes them as they
-// stand and folds on from B row from. It returns the row's size.
-// spaRowNumericF64 is its float64 plus-times twin.
+// spaRow is hashRow's accumulating half on the dense SPA, in a Row loop: the
+// first product of a column is stored and listed in cols, later ones folded
+// with ring.Add in product order, so the row lists its columns in first-touch
+// order as the table's used list does and is bit-identical to the table's.
+// The first seeded entries of cols/vals are the row's products through its B
+// rows before from, written by concatenation (onePassRow; two-phase numeric
+// passes 0 and 0): the SPA takes them as they stand and folds on from B row
+// from. It returns the row's size.
 //
 //spgemm:hotpath
-func spaRowNumeric[V semiring.Value, R semiring.Ring[V]](ring R, spa *accum.SPAG[V], a, b *matrix.CSRG[V], i, from, seeded int, cols []int32, vals []V, sorted bool) int {
+func (ringBodies[V, R]) spaRow(ring R, spa *accum.SPAG[V], a, b *matrix.CSRG[V], i, from, seeded int, cols []int32, vals []V, sorted bool) int {
 	arp := a.RowPtr[i : i+2]
 	acols := a.ColIdx[arp[0]+int64(from) : arp[1]]
 	avals := a.Val[arp[0]+int64(from) : arp[1]]
@@ -364,10 +379,10 @@ func spaRowNumeric[V semiring.Value, R semiring.Ring[V]](ring R, spa *accum.SPAG
 // already stamped the row goes on in the SPA from that B row, seeded with the
 // entries already written, as two-phase numeric folds a row whose count fell
 // short of its flop. It returns the row's size (the flop unless the SPA ran)
-// and the products it tested. onePassRowF64 is its float64 twin.
+// and the products it tested.
 //
 //spgemm:hotpath
-func onePassRow[V semiring.Value, R semiring.Ring[V]](ring R, spa *accum.SPAG[V], a, b *matrix.CSRG[V], i int, cols []int32, vals []V) (n, marks int) {
+func (r ringBodies[V, R]) onePassRow(ring R, spa *accum.SPAG[V], a, b *matrix.CSRG[V], i int, cols []int32, vals []V) (n, marks int) {
 	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
 	acols := a.ColIdx[alo:ahi]
 	avals := a.Val[alo:ahi]
@@ -377,7 +392,7 @@ func onePassRow[V semiring.Value, R semiring.Ring[V]](ring R, spa *accum.SPAG[V]
 		brp := b.RowPtr[k : int(k)+2]
 		bcols := b.ColIdx[brp[0]:brp[1]]
 		if c := st.CopyNew(cols[n:], bcols); c < len(bcols) {
-			return spaRowNumeric(ring, spa, a, b, i, x, n, cols, vals, false), n + c + 1
+			return r.spaRow(ring, spa, a, b, i, x, n, cols, vals, false), n + c + 1
 		}
 		av := avals[x]
 		bvals := b.Val[brp[0]:brp[1]]
@@ -409,10 +424,8 @@ func onePassRows[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V],
 		booked := false // by h.row; onePassRow's rows are booked below
 		switch room := int64(min(len(c.ColIdx), len(c.Val))); {
 		case f == 0:
-		case pos+f <= room && h.fa != nil:
-			n, m = onePassRowF64(h.fspa, h.fa, h.fb, i, c.ColIdx[pos:], h.fvals[pos:])
 		case pos+f <= room:
-			n, m = onePassRow(ring, h.spa, a, b, i, c.ColIdx[pos:], c.Val[pos:])
+			n, m = h.body.onePassRow(ring, h.spa, a, b, i, c.ColIdx[pos:], c.Val[pos:])
 		default:
 			n, m = int(rc.count(a, b, i)), int(f)
 			if pos+int64(n) > room {
@@ -443,11 +456,11 @@ func onePassRows[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V],
 // maskedRow computes row i of (A·B).*M, mcols being row i of M, in a window
 // of len(mcols)+1 slots (maskLoad) and returns the size maskCompact leaves. A
 // miss is dropped; a hit's product is stored on its slot's first touch and
-// folded with ring.Add after, in product order, which is hashRowNumeric's. A
-// sorted B row stops past the mask row's largest column.
+// folded with ring.Add after, in product order, which is hashRow's. A sorted
+// B row stops past the mask row's largest column.
 //
 //spgemm:hotpath
-func maskedRow[V semiring.Value, R semiring.Ring[V]](ring R, dense []int32, table *accum.HashTableG[int32], a, b *matrix.CSRG[V], mcols []int32, i int, cols []int32, vals []V, sort bool) int {
+func (ringBodies[V, R]) maskedRow(ring R, dense []int32, table *accum.HashTableG[int32], a, b *matrix.CSRG[V], mcols []int32, i int, cols []int32, vals []V, sort bool) int {
 	cols, vals = cols[:len(mcols)+1], vals[:len(mcols)+1]
 	hi := maskLoad(dense, table, mcols, cols, b.Sorted)
 	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
@@ -475,43 +488,6 @@ func maskedRow[V semiring.Value, R semiring.Ring[V]](ring R, dense []int32, tabl
 			} else {
 				vals[e] = ring.Add(vals[e], prod)
 			}
-		}
-	}
-	return maskCompact(dense, mcols, cols, vals, sort)
-}
-
-// maskedRowPT is maskedRow for the plus-times rings in Go's own * and +, which
-// compile to each shape's instruction: no dictionary call, and no branch on a
-// product. A slot starts at the bit-exact additive identity (-0 for floats,
-// see negZero) and a miss lands in the trash slot 0. V(·) rounds the product
-// before the add, as maskedRow's stored prod is: no fused multiply-add.
-//
-//spgemm:hotpath
-func maskedRowPT[V float64 | float32 | int64, W semiring.Value](dense []int32, table *accum.HashTableG[int32], a, b *matrix.CSRG[W], aval, bval []V, mcols []int32, i int, cols []int32, vals []V, sort bool) int {
-	cols, vals = cols[:len(mcols)+1], vals[:len(mcols)+1]
-	hi := maskLoad(dense, table, mcols, cols, b.Sorted)
-	var zero V
-	for s := 1; s < len(vals); s++ {
-		vals[s] = -zero
-	}
-	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-	acols, avals := a.ColIdx[alo:ahi], aval[alo:ahi]
-	for x, k := range acols {
-		av := avals[x]
-		brp := b.RowPtr[k : int(k)+2]
-		bvals := bval[brp[0]:brp[1]]
-		for y, col := range b.ColIdx[brp[0]:brp[1]] {
-			if col > hi {
-				break
-			}
-			var e int32
-			if dense != nil {
-				e = dense[col]
-			} else {
-				e, _ = table.Lookup(col)
-			}
-			cols[e] = col
-			vals[e] += V(av * bvals[y])
 		}
 	}
 	return maskCompact(dense, mcols, cols, vals, sort)
@@ -602,33 +578,11 @@ func maskedRows[V semiring.Value, R semiring.Ring[V]](ring R, c *ContextG[V], w 
 		}
 		table = reviveTable(&c.maskHash[w], widest)
 	}
-	switch any(ring).(type) {
-	case semiring.PlusTimesF64:
-		maskedRowsPT[float64](index, table, a, b, mask, flopRow, lo, hi, cols, vals, sort, rowNnz)
-	case semiring.PlusTimesF32:
-		maskedRowsPT[float32](index, table, a, b, mask, flopRow, lo, hi, cols, vals, sort, rowNnz)
-	case semiring.PlusTimesI64:
-		maskedRowsPT[int64](index, table, a, b, mask, flopRow, lo, hi, cols, vals, sort, rowNnz)
-	default:
-		pos := 0
-		for i := lo; i < hi; i++ {
-			if mcols := mask.ColIdx[mask.RowPtr[i]:mask.RowPtr[i+1]]; flopRow[i] != 0 && len(mcols) != 0 {
-				n := maskedRow(ring, index, table, a, b, mcols, i, cols[pos:], vals[pos:], sort)
-				rowNnz[i] = int64(n)
-				pos += n
-			}
-		}
-	}
-}
-
-// maskedRowsPT is maskedRows' loop on maskedRowPT over T, V itself: only the
-// value slices are asserted, as *matrix.CSRG[T] would instantiate its methods.
-func maskedRowsPT[T float64 | float32 | int64, V semiring.Value](index []int32, table *accum.HashTableG[int32], a, b, mask *matrix.CSRG[V], flopRow []int64, lo, hi int, cols []int32, vals []V, sort bool, rowNnz []int64) {
-	aval, bval, tvals := any(a.Val).([]T), any(b.Val).([]T), any(vals).([]T)
+	body := bodiesFor[V](ring)
 	pos := 0
 	for i := lo; i < hi; i++ {
 		if mcols := mask.ColIdx[mask.RowPtr[i]:mask.RowPtr[i+1]]; flopRow[i] != 0 && len(mcols) != 0 {
-			n := maskedRowPT(index, table, a, b, aval, bval, mcols, i, cols[pos:], tvals[pos:], sort)
+			n := body.maskedRow(ring, index, table, a, b, mcols, i, cols[pos:], vals[pos:], sort)
 			rowNnz[i] = int64(n)
 			pos += n
 		}

@@ -424,7 +424,7 @@ func BenchmarkNumeric(b *testing.B) {
 					for n := 0; n < b.N; n++ {
 						// A fresh accumulator per pass, as a one-shot Multiply
 						// pays for it; the SPA's O(Cols) zeroing is in the time.
-						h := hashNumeric[float64, semiring.PlusTimesF64]{a: a, b: bm, sorted: true}
+						h := hashNumeric[float64, semiring.PlusTimesF64]{body: bodiesFor[float64](semiring.PlusTimesF64{}), a: a, b: bm, sorted: true}
 						if kind == "spa" {
 							h.spa = accum.NewSPA(bm.Cols)
 						} else {
@@ -499,10 +499,11 @@ func TestMaskedRowCut(t *testing.T) {
 }
 
 // TestMaskedArithSelection pins which body folds a masked row: the three
-// plus-times rings take maskedRowPT, whose misses land in slot 0 of the row's
-// window, every other ring — a foreign one with plus-times methods included —
-// maskedRow, which skips a miss and leaves slot 0 alone. One row whose only
-// product misses, on the dense index and on the table.
+// plus-times rings take ptBodies.maskedRow, whose misses land in slot 0 of the
+// row's window, every other ring — a foreign one with plus-times methods
+// included — ringBodies.maskedRow, which skips a miss and leaves slot 0
+// alone. One row whose only product misses, on the dense index and on the
+// table.
 func TestMaskedArithSelection(t *testing.T) {
 	for _, tc := range []struct {
 		name       string

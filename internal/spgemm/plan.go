@@ -33,10 +33,10 @@ var ErrPlanStale = errors.New("spgemm: plan is stale (input structure changed or
 // A Plan is nothing more than the driver's two halves held apart (driver.go):
 // NewPlan is inspect plus one clone of the inspection into plan-owned memory,
 // Execute is execute on a copy of the row pointers. Plans are part of the
-// legacy float64 surface and fix the plus-times ring, so the numeric phase is
-// always the monomorphized fast path; inspect and execute are generic, the
-// Plan type is not because its callers — the iterative float64 solvers and
-// the multiply server — are not.
+// legacy float64 surface and fix the plus-times ring, so the numeric phase
+// always folds in Go's own * and + (ringfast.go); inspect and execute are
+// generic, the Plan type is not because its callers — the iterative float64
+// solvers and the multiply server — are not.
 //
 // A Plan is immutable after NewPlan but for one atomically published replay
 // map (replayMap); the mutable execution state lives in a Context. Execute is

@@ -8,61 +8,35 @@ import (
 	"repro/internal/semiring"
 )
 
-// Hand-devirtualized float64 plus-times inner loops.
+// Native plus-times row bodies.
 //
 // The generic kernels are shape-stenciled, not fully monomorphized: Go
 // compiles one body per GC shape and passes the ring's method set through a
 // runtime dictionary, so ring.Add/ring.Mul in the inner loops are indirect
-// calls (objdump shows CALL AX at the product sites) that the inliner never
-// sees — each dictionary call also costs ~57 inliner units, so any generic
-// helper wrapping two of them is over the 80-unit budget before it starts.
-// For the flagship ring that every float64 Multiply uses, that indirection
-// taxes the exact two instructions the paper's kernels are built around.
+// calls the inliner never sees. On the plus-times rings that taxes the exact
+// two instructions the paper's kernels are built around.
 //
-// The fix is manual monomorphization: each worker asserts once, outside the
-// hot loop, whether its ring is semiring.PlusTimesF64, and routes whole rows
-// through the concrete loops below. The ring operations are still written as
-// method calls on a concrete PlusTimesF64 value — not bare + and * — so the
-// compiler reports "inlining call to semiring.PlusTimesF64.Add/.Mul" for
-// these sites and `spgemm-lint -mode=budget` can require those lines to be
-// present: deleting or regressing the fast path fails CI. Fold order is
-// identical to the generic loops, so results are bit-identical
-// (TestRingFastEquivalence).
-//
-// The type assertions live in un-annotated setup code on purpose: an
-// interface conversion inside a //spgemm:hotpath body would trip the
-// deferhot analyzer. HashVector's numeric pass (hashVecRows) keeps the
-// dictionary path; its chunked table has a different Upsert contract, and
-// the recipe never picks it.
+// ptBodies are the row bodies again, written in Go's own * and + over
+// T float64 | float32 | int64, which compile to each shape's instruction.
+// bodiesFor (hashrow.go) hands them to the three plus-times rings with one
+// type switch per window, in un-annotated setup code, and every other ring —
+// a foreign type with plus-times methods included — gets ringBodies, the
+// dictionary bodies; TestRingFastSelection pins which. Fold order is the
+// dictionary bodies', and T(·) rounds each product before it is added, as a
+// dictionary body's stored prod is: Go may otherwise fuse x*y + z into one
+// multiply-add where the target has one (arm64), and the output would no
+// longer be bit-identical (TestRingFastEquivalence; CI's arm64 fusion guard
+// reads the assembly). HashVector's numeric pass (hashVecRows) and Heap keep
+// the dictionary path.
 
-// ptF64Hash reports whether this hash-kernel instantiation is the float64
-// plus-times flagship and, if so, returns the concretely-typed views of the
-// operands, the accumulators (either may be nil) and the output values that
-// the fast path needs. The assertions are exhaustive only in the ring: if
-// ring is PlusTimesF64 then V = float64 and the remaining assertions cannot
-// fail (the ok result guards against that invariant breaking silently).
-func ptF64Hash[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], spa *accum.SPAG[V], table *accum.HashTableG[V], vals []V) (*matrix.CSR, *matrix.CSR, *accum.SPA, *accum.HashTable, []float64, bool) {
-	if _, ok := any(ring).(semiring.PlusTimesF64); !ok {
-		return nil, nil, nil, nil, nil, false
-	}
-	fa, aok := any(a).(*matrix.CSR)
-	fb, bok := any(b).(*matrix.CSR)
-	fs, sok := any(spa).(*accum.SPA)
-	ft, tok := any(table).(*accum.HashTable)
-	fv, vok := any(vals).([]float64)
-	if !(aok && bok && sok && tok && vok) {
-		return nil, nil, nil, nil, nil, false
-	}
-	return fa, fb, fs, ft, fv, true
-}
+// ptBodies are the rowBodies of the plus-times ring R over T, its own value
+// type; the ring argument is unused.
+type ptBodies[T float64 | float32 | int64, R semiring.Ring[T]] struct{}
 
-// hashRowNumericF64 is hashRowNumeric (hashrow.go) with plus-times float64
-// arithmetic. The Mul/Add calls below must inline (required entries in
-// the [inline] section of lint/budget.txt).
+// hashRow is ringBodies.hashRow (hashrow.go) in Go's * and +.
 //
 //spgemm:hotpath
-func hashRowNumericF64(table *accum.HashTable, a, b *matrix.CSR, i int, cols []int32, vals []float64, direct, sorted bool) {
-	var ring semiring.PlusTimesF64
+func (ptBodies[T, R]) hashRow(_ R, table *accum.HashTableG[T], a, b *matrix.CSRG[T], i int, cols []int32, vals []T, direct, sorted bool) {
 	// Row sub-slices collapse the per-entry CSR bounds checks into one
 	// slice check per row segment (lint/budget.txt [bce] budgets the rest).
 	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
@@ -76,7 +50,7 @@ func hashRowNumericF64(table *accum.HashTable, a, b *matrix.CSR, i int, cols []i
 			n := copy(cols, b.ColIdx[brp[0]:brp[1]])
 			out := vals[:n]
 			for y := range out {
-				out[y] = ring.Mul(av, bvals[y])
+				out[y] = av * bvals[y]
 			}
 			cols, vals = cols[n:], vals[n:]
 		}
@@ -88,12 +62,12 @@ func hashRowNumericF64(table *accum.HashTable, a, b *matrix.CSR, i int, cols []i
 		brp := b.RowPtr[k : int(k)+2]
 		bvals := b.Val[brp[0]:brp[1]]
 		for y, col := range b.ColIdx[brp[0]:brp[1]] {
-			prod := ring.Mul(av, bvals[y])
+			prod := T(av * bvals[y])
 			slot, fresh := table.Upsert(col)
 			if fresh {
 				*slot = prod
 			} else {
-				*slot = ring.Add(*slot, prod)
+				*slot += prod
 			}
 		}
 	}
@@ -104,12 +78,10 @@ func hashRowNumericF64(table *accum.HashTable, a, b *matrix.CSR, i int, cols []i
 	}
 }
 
-// spaRowNumericF64 is spaRowNumeric (hashrow.go) with plus-times float64
-// arithmetic. Its Mul and Add must inline (lint/budget.txt [inline]).
+// spaRow is ringBodies.spaRow (hashrow.go) in Go's * and +.
 //
 //spgemm:hotpath
-func spaRowNumericF64(spa *accum.SPA, a, b *matrix.CSR, i, from, seeded int, cols []int32, vals []float64, sorted bool) int {
-	var ring semiring.PlusTimesF64
+func (ptBodies[T, R]) spaRow(_ R, spa *accum.SPAG[T], a, b *matrix.CSRG[T], i, from, seeded int, cols []int32, vals []T, sorted bool) int {
 	arp := a.RowPtr[i : i+2]
 	acols := a.ColIdx[arp[0]+int64(from) : arp[1]]
 	avals := a.Val[arp[0]+int64(from) : arp[1]]
@@ -121,12 +93,12 @@ func spaRowNumericF64(spa *accum.SPA, a, b *matrix.CSR, i, from, seeded int, col
 		brp := b.RowPtr[k : int(k)+2]
 		bvals := b.Val[brp[0]:brp[1]]
 		for y, col := range b.ColIdx[brp[0]:brp[1]] {
-			prod := ring.Mul(av, bvals[y])
+			prod := T(av * bvals[y])
 			if stamp[col] != gen {
 				stamp[col], dense[col], cols[n] = gen, prod, col
 				n++
 			} else {
-				dense[col] = ring.Add(dense[col], prod)
+				dense[col] += prod
 			}
 		}
 	}
@@ -134,12 +106,10 @@ func spaRowNumericF64(spa *accum.SPA, a, b *matrix.CSR, i, from, seeded int, col
 	return n
 }
 
-// onePassRowF64 is onePassRow (hashrow.go) with plus-times float64
-// arithmetic; its Mul must inline.
+// onePassRow is ringBodies.onePassRow (hashrow.go) in Go's *.
 //
 //spgemm:hotpath
-func onePassRowF64(spa *accum.SPA, a, b *matrix.CSR, i int, cols []int32, vals []float64) (n, marks int) {
-	var ring semiring.PlusTimesF64
+func (p ptBodies[T, R]) onePassRow(ring R, spa *accum.SPAG[T], a, b *matrix.CSRG[T], i int, cols []int32, vals []T) (n, marks int) {
 	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
 	acols := a.ColIdx[alo:ahi]
 	avals := a.Val[alo:ahi]
@@ -149,17 +119,52 @@ func onePassRowF64(spa *accum.SPA, a, b *matrix.CSR, i int, cols []int32, vals [
 		brp := b.RowPtr[k : int(k)+2]
 		bcols := b.ColIdx[brp[0]:brp[1]]
 		if c := st.CopyNew(cols[n:], bcols); c < len(bcols) {
-			return spaRowNumericF64(spa, a, b, i, x, n, cols, vals, false), n + c + 1
+			return p.spaRow(ring, spa, a, b, i, x, n, cols, vals, false), n + c + 1
 		}
 		av := avals[x]
 		bvals := b.Val[brp[0]:brp[1]]
 		out := vals[n : n+len(bvals)]
 		for y, bv := range bvals {
-			out[y] = ring.Mul(av, bv)
+			out[y] = av * bv
 		}
 		n += len(bvals)
 	}
 	return n, n
+}
+
+// maskedRow is ringBodies.maskedRow (hashrow.go) in Go's * and +, with no
+// branch on a product: a slot starts at the bit-exact additive identity (-0
+// for floats, see negZero) and a miss lands in the trash slot 0.
+//
+//spgemm:hotpath
+func (ptBodies[T, R]) maskedRow(_ R, dense []int32, table *accum.HashTableG[int32], a, b *matrix.CSRG[T], mcols []int32, i int, cols []int32, vals []T, sort bool) int {
+	cols, vals = cols[:len(mcols)+1], vals[:len(mcols)+1]
+	hi := maskLoad(dense, table, mcols, cols, b.Sorted)
+	var zero T
+	for s := 1; s < len(vals); s++ {
+		vals[s] = -zero
+	}
+	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
+	acols, avals := a.ColIdx[alo:ahi], a.Val[alo:ahi]
+	for x, k := range acols {
+		av := avals[x]
+		brp := b.RowPtr[k : int(k)+2]
+		bvals := b.Val[brp[0]:brp[1]]
+		for y, col := range b.ColIdx[brp[0]:brp[1]] {
+			if col > hi {
+				break
+			}
+			var e int32
+			if dense != nil {
+				e = dense[col]
+			} else {
+				e, _ = table.Lookup(col)
+			}
+			cols[e] = col
+			vals[e] += T(av * bvals[y])
+		}
+	}
+	return maskCompact(dense, mcols, cols, vals, sort)
 }
 
 // negZero is the additive identity at the bit level: -0 + x == x for every
@@ -170,11 +175,11 @@ var negZero = math.Copysign(0, -1)
 // planReplayRowsF64 is a Plan's streamed numeric pass over rows [lo, hi)
 // (plan.go): their p-th intermediate product, in A-row/B-row order, folds
 // into entry dst[p] of its output row, which is every hash-family kernel's
-// per-entry fold order. Mul and Add must inline (lint/budget.txt [inline]).
+// per-entry fold order. Plans are float64 plus-times only, so this is the
+// one body of its kind.
 //
 //spgemm:hotpath
 func planReplayRowsF64(a, b *matrix.CSR, rowPtr []int64, vals []float64, dst []uint32, lo, hi int) {
-	var ring semiring.PlusTimesF64
 	for i := lo; i < hi; i++ {
 		out := vals[rowPtr[i]:rowPtr[i+1]]
 		for j := range out {
@@ -192,7 +197,7 @@ func planReplayRowsF64(a, b *matrix.CSR, rowPtr []int64, vals []float64, dst []u
 			for y, bv := range bvals {
 				// float64() rounds the product as the kernels' stored prod
 				// is rounded: no fused multiply-add where a target has one.
-				out[d[y]] = ring.Add(out[d[y]], float64(ring.Mul(av, bv)))
+				out[d[y]] += float64(av * bv)
 			}
 		}
 	}
