@@ -12,7 +12,7 @@ import (
 	"repro/internal/spgemm"
 )
 
-// The outofcore experiment exercises the sharded engine's bounded-memory
+// The outofcore experiment exercises the striped Hash product's bounded-memory
 // claim end to end: a G500 A² whose output entry storage exceeds the chosen
 // resident budget, executed through a SpillSink so finished stripes land in
 // the temp-file-backed CSR instead of RAM. The run self-asserts — output
@@ -46,7 +46,7 @@ type outOfCoreResult struct {
 	Rows     []reuseVariant
 }
 
-// measureOutOfCore times the spill-backed sharded multiply against the
+// measureOutOfCore times the spill-backed striped Hash multiply against the
 // fully-resident hash baseline on the same input, verifying bit-identity and
 // the residency bounds along the way. The budget is a quarter of the output
 // entry storage (floor 64 KiB), so the product can never fit: completing at
@@ -102,7 +102,7 @@ func measureOutOfCore(cfg Config) (*outOfCoreResult, error) {
 	defer ctx.Pool.Close()
 	mkOpt := func(sink *spgemm.SpillSink[float64], st *spgemm.ExecStats) *spgemm.Options {
 		return &spgemm.Options{
-			Algorithm: spgemm.AlgSharded, Workers: workers, Context: ctx,
+			Algorithm: spgemm.AlgHash, Workers: workers, Context: ctx,
 			// Cut stripes to a quarter of the budget so several can be
 			// resident at once and the peak stays strictly under it.
 			ShardMemBudget: res.Budget / 4,

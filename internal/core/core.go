@@ -62,11 +62,11 @@ const (
 	AlgHash    = spgemm.AlgHash
 	AlgHashVec = spgemm.AlgHashVec
 	AlgHeap    = spgemm.AlgHeap
-	AlgSharded = spgemm.AlgSharded
 )
 
-// NewSpillSink returns a temp-file-backed shard sink that bounds resident
-// output memory during an AlgSharded multiply. See spgemm.NewSpillSink.
+// NewSpillSink returns a temp-file-backed sink that bounds resident output
+// memory when set as Options.ShardSink of a two-phase (Hash or HashVec)
+// multiply. See spgemm.NewSpillSink.
 func NewSpillSink[V semiring.Value](dir string, budget int64) *spgemm.SpillSink[V] {
 	return spgemm.NewSpillSink[V](dir, budget)
 }
@@ -85,9 +85,9 @@ func Multiply(a, b *matrix.CSR, opt *Options) (*matrix.CSR, error) {
 
 // MultiplyRing computes C = A·B over an arbitrary value type and semiring.
 // Each value type gets its own kernel instantiation (the three float64 rings
-// share one), which calls the ring's Add and Mul once per product through
-// its dictionary; only float64 plus-times has hand-inlined hash loops. See
-// spgemm.MultiplyRing.
+// share one). The three plus-times rings (float64, float32, int64) fold in
+// Go's own * and +; every other ring calls its Add and Mul once per product
+// through its dictionary. See spgemm.MultiplyRing.
 func MultiplyRing[V semiring.Value, R Ring[V]](ring R, a, b *CSR[V], opt *OptionsG[V]) (*CSR[V], error) {
 	return spgemm.MultiplyRing(ring, a, b, opt)
 }

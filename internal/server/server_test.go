@@ -302,6 +302,7 @@ func TestMultiplyErrorPaths(t *testing.T) {
 		{"missing hashes", `{}`, http.StatusBadRequest},
 		{"bad algorithm", fmt.Sprintf(`{"a":%q,"b":%q,"algorithm":"quantum"}`, ha, ha), http.StatusBadRequest},
 		{"retired algorithm", fmt.Sprintf(`{"a":%q,"b":%q,"algorithm":"tiled"}`, ha, ha), http.StatusBadRequest},
+		{"retired algorithm", fmt.Sprintf(`{"a":%q,"b":%q,"algorithm":"sharded"}`, ha, ha), http.StatusBadRequest},
 		{"bad semiring", fmt.Sprintf(`{"a":%q,"b":%q,"semiring":"xor"}`, ha, ha), http.StatusBadRequest},
 		{"bad return", fmt.Sprintf(`{"a":%q,"b":%q,"return":"email"}`, ha, ha), http.StatusBadRequest},
 		{"negative workers", fmt.Sprintf(`{"a":%q,"b":%q,"workers":-1}`, ha, ha), http.StatusBadRequest},
@@ -706,9 +707,10 @@ func TestServeGracefulShutdown(t *testing.T) {
 // TestMultiplyAlgorithmOverrideAndPlanKeyIsolation: "heap" is accepted as an
 // algorithm override, produces the same structure as "hash", is plannable
 // (second call hits the plan cache), and its cached plan does NOT collide
-// with the hash plan for the same operand pair — PlanKey includes the
-// algorithm, so switching algorithms on the same matrices must miss the
-// cache and recompute, not replay the other kernel's plan.
+// with the hash plan for the same operand pair, nor the hash plan with
+// hashvec's — PlanKey includes the algorithm, so switching algorithms on the
+// same matrices must miss the cache and recompute, not replay the other
+// kernel's plan.
 func TestMultiplyAlgorithmOverrideAndPlanKeyIsolation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	rng := rand.New(rand.NewSource(9))
@@ -763,6 +765,16 @@ func TestMultiplyAlgorithmOverrideAndPlanKeyIsolation(t *testing.T) {
 		t.Fatal("repeat hash multiply missed its own plan")
 	}
 
+	// hashvec, two-phase like hash and cut the same way, still has a PlanKey
+	// of its own: with the hash plan cached, its first call must miss.
+	code, body = postMultiply(t, ts.URL, MultiplyRequest{A: ha, B: hb, Algorithm: "hashvec"})
+	if code != http.StatusOK {
+		t.Fatalf("hashvec multiply: status %d: %s", code, body)
+	}
+	if hv := decodeMultiply(t, body); hv.PlanCacheHit || hv.NNZ != want.NNZ() {
+		t.Fatalf("hashvec multiply: plan cache hit %v, nnz %d (want a miss and %d): PlanKey collision across algorithms", hv.PlanCacheHit, hv.NNZ, want.NNZ())
+	}
+
 	// Full-matrix round trip through the heap plan: entry-for-entry equal to
 	// the heap kernel's one-shot product.
 	req, _ := json.Marshal(MultiplyRequest{A: ha, B: hb, Algorithm: "heap", Return: "matrix"})
@@ -781,79 +793,6 @@ func TestMultiplyAlgorithmOverrideAndPlanKeyIsolation(t *testing.T) {
 	for i := range want.ColIdx {
 		if got.ColIdx[i] != want.ColIdx[i] || got.Val[i] != want.Val[i] {
 			t.Fatalf("heap plan's product differs from the one-shot heap product at entry %d", i)
-		}
-	}
-}
-
-// TestMultiplySharded: "sharded" is accepted as an algorithm override, its
-// product is bit-identical to "hash" (the stripe engine's acceptance
-// criterion), it is plannable (second call hits the plan cache), and the
-// cached sharded plan does not collide with the hash plan for the same
-// operand pair.
-func TestMultiplySharded(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	rng := rand.New(rand.NewSource(11))
-	a := matrix.Random(70, 55, 0.12, rng)
-	b := matrix.Random(55, 65, 0.12, rng)
-	ha := uploadBinary(t, ts.URL, a).Hash
-	hb := uploadBinary(t, ts.URL, b).Hash
-
-	want, err := spgemm.Multiply(a, b, &spgemm.Options{Algorithm: spgemm.AlgHash})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	code, body := postMultiply(t, ts.URL, MultiplyRequest{A: ha, B: hb, Algorithm: "sharded"})
-	if code != http.StatusOK {
-		t.Fatalf("sharded multiply: status %d: %s", code, body)
-	}
-	first := decodeMultiply(t, body)
-	if first.PlanCacheHit {
-		t.Fatal("first sharded multiply claims a plan cache hit")
-	}
-	if first.Algorithm != "sharded" {
-		t.Fatalf("resolved algorithm %q, want sharded", first.Algorithm)
-	}
-	if first.NNZ != want.NNZ() || first.Rows != want.Rows || first.Cols != want.Cols {
-		t.Fatalf("sharded product shape: %+v, want %dx%d/%d", first, want.Rows, want.Cols, want.NNZ())
-	}
-	code, body = postMultiply(t, ts.URL, MultiplyRequest{A: ha, B: hb, Algorithm: "sharded"})
-	if code != http.StatusOK {
-		t.Fatalf("repeat sharded multiply: status %d: %s", code, body)
-	}
-	if second := decodeMultiply(t, body); !second.PlanCacheHit {
-		t.Fatal("repeat sharded multiply missed the plan cache")
-	}
-
-	// hash on the same operands must miss: PlanKey includes the algorithm.
-	code, body = postMultiply(t, ts.URL, MultiplyRequest{A: ha, B: hb, Algorithm: "hash"})
-	if code != http.StatusOK {
-		t.Fatalf("hash multiply: status %d: %s", code, body)
-	}
-	if hashFirst := decodeMultiply(t, body); hashFirst.PlanCacheHit {
-		t.Fatal("hash multiply hit the sharded plan: PlanKey collision across algorithms")
-	}
-
-	// Full-matrix round trip: entry-for-entry equal to the hash product.
-	req, _ := json.Marshal(MultiplyRequest{A: ha, B: hb, Algorithm: "sharded", Return: "matrix"})
-	resp, err := http.Post(ts.URL+"/v1/multiply", "application/json", bytes.NewReader(req))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sharded matrix return: status %d", resp.StatusCode)
-	}
-	got, err := matrix.ReadCSRBinary(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NNZ() != want.NNZ() {
-		t.Fatalf("sharded nnz %d, want %d", got.NNZ(), want.NNZ())
-	}
-	for i := range want.ColIdx {
-		if got.ColIdx[i] != want.ColIdx[i] || got.Val[i] != want.Val[i] {
-			t.Fatalf("sharded product differs from hash at entry %d", i)
 		}
 	}
 }

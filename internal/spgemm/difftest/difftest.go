@@ -49,17 +49,20 @@ var Algorithms = []spgemm.Algorithm{
 	spgemm.AlgHash,
 	spgemm.AlgHashVec,
 	spgemm.AlgHeap,
-	spgemm.AlgSharded,
 }
 
-// tinyShards forces a cut of the sharded engine that is not one stripe per
-// worker: the auto stripe count collapses to the worker floor on suite-scale
-// inputs, which would leave it running exactly AlgHash's static schedule.
-func tinyShards(alg spgemm.Algorithm) int {
-	if alg == spgemm.AlgSharded {
-		return 3
+// tinyStripes is the cut of the harness's striped Hash leg: finer than one
+// stripe per worker, as a product past its ShardMemBudget is cut, which the
+// budget's own count never reaches on suite-scale inputs.
+const tinyStripes = 3
+
+// cuts is the Options.ShardStripes of each leg the harness runs alg in: its
+// own cut (0) and, for Hash, the striped leg.
+func cuts(alg spgemm.Algorithm) []int {
+	if alg == spgemm.AlgHash {
+		return []int{0, tinyStripes}
 	}
-	return 0
+	return []int{0}
 }
 
 // Case is one input pair of the differential suite.
@@ -310,35 +313,27 @@ func Equivalent(got, want *matrix.CSR) error {
 	return nil
 }
 
-// Check multiplies c.A·c.B with the given algorithm and options and verifies
-// the result against the NaiveMultiply oracle. Algorithms that require sorted
-// input rows are expected to reject unsorted B with an error — a wrong
-// result, or a sorted-only algorithm chosen by AlgAuto for unsorted input,
-// is a failure.
+// Check multiplies c.A·c.B with the given algorithm, in each of its cuts, and
+// verifies the result against the NaiveMultiply oracle. Algorithms that
+// require sorted input rows are expected to reject unsorted B with an error —
+// a wrong result, or a sorted-only algorithm chosen by AlgAuto for unsorted
+// input, is a failure.
 func Check(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
-	opt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers}
-	got, err := spgemm.Multiply(c.A, c.B, opt)
-	if err != nil {
-		if spgemm.RequiresSortedInput(alg) && !c.B.Sorted {
-			return nil // documented rejection, not a defect
-		}
-		return fmt.Errorf("%s/%v unsorted=%v workers=%d: %w", c.Name, alg, unsorted, workers, err)
-	}
-	if spgemm.RequiresSortedInput(alg) && !c.B.Sorted {
-		return fmt.Errorf("%s/%v: accepted unsorted input instead of rejecting it", c.Name, alg)
-	}
 	want := matrix.NaiveMultiply(c.A, c.B)
-	if err := Equivalent(got, want); err != nil {
-		return fmt.Errorf("%s/%v unsorted=%v workers=%d: %w", c.Name, alg, unsorted, workers, err)
-	}
-	if tinyShards(alg) > 0 {
-		fopt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardStripes: tinyShards(alg)}
-		forced, err := spgemm.Multiply(c.A, c.B, fopt)
+	for _, stripes := range cuts(alg) {
+		name := fmt.Sprintf("%s/%v unsorted=%v workers=%d stripes=%d", c.Name, alg, unsorted, workers, stripes)
+		got, err := spgemm.Multiply(c.A, c.B, &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardStripes: stripes})
 		if err != nil {
-			return fmt.Errorf("%s/%v tiny-shards unsorted=%v workers=%d: %w", c.Name, alg, unsorted, workers, err)
+			if spgemm.RequiresSortedInput(alg) && !c.B.Sorted {
+				return nil // documented rejection, not a defect
+			}
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		if err := Equivalent(forced, want); err != nil {
-			return fmt.Errorf("%s/%v tiny-shards unsorted=%v workers=%d: %w", c.Name, alg, unsorted, workers, err)
+		if spgemm.RequiresSortedInput(alg) && !c.B.Sorted {
+			return fmt.Errorf("%s: accepted unsorted input instead of rejecting it", name)
+		}
+		if err := Equivalent(got, want); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
 	return nil
@@ -387,21 +382,20 @@ func identical[V semiring.Value](got, want *matrix.CSRG[V]) error {
 	return nil
 }
 
-// CheckSharded pins the sharded engine's identity contract against AlgHash
-// over one case, cut into the given number of stripes (0 is the engine's own
-// count): sorted output must be bit-identical to the hash engine's (the
-// AlgSharded acceptance criterion), unsorted output set-equivalent via the
-// oracle. The same comparison then repeats through an out-of-core SpillSink
-// whose budget is far below the output size, so the spill/admission/mmap
-// path at toy scale produces the very same bytes. spillDir hosts the temp
-// spill files.
+// CheckSharded pins the striped Hash product's identity contract against
+// Hash's own cut over one case, cut into the given number of stripes (0 is
+// the product's own count): sorted output must be bit-identical to the
+// unstriped product, unsorted output set-equivalent via the oracle. The same
+// comparison then repeats through an out-of-core SpillSink whose budget is
+// far below the output size, so the spill/admission/mmap path at toy scale
+// produces the very same bytes. spillDir hosts the temp spill files.
 func CheckSharded(c Case, unsorted bool, workers, stripes int, spillDir string) error {
 	hash, err := spgemm.Multiply(c.A, c.B, &spgemm.Options{Algorithm: spgemm.AlgHash, Unsorted: unsorted, Workers: workers})
 	if err != nil {
 		return fmt.Errorf("%s/hash unsorted=%v: %w", c.Name, unsorted, err)
 	}
 	want := matrix.NaiveMultiply(c.A, c.B)
-	opt := &spgemm.Options{Algorithm: spgemm.AlgSharded, Unsorted: unsorted, Workers: workers, ShardStripes: stripes}
+	opt := &spgemm.Options{Algorithm: spgemm.AlgHash, Unsorted: unsorted, Workers: workers, ShardStripes: stripes}
 	got, err := spgemm.Multiply(c.A, c.B, opt)
 	if err != nil {
 		return fmt.Errorf("%s/sharded unsorted=%v workers=%d stripes=%d: %w", c.Name, unsorted, workers, stripes, err)
@@ -411,7 +405,7 @@ func CheckSharded(c Case, unsorted bool, workers, stripes int, spillDir string) 
 	}
 	if !unsorted {
 		if err := identical(got, hash); err != nil {
-			return fmt.Errorf("%s/sharded not bit-identical to hash (workers=%d stripes=%d): %w", c.Name, workers, stripes, err)
+			return fmt.Errorf("%s/sharded not bit-identical to unstriped hash (workers=%d stripes=%d): %w", c.Name, workers, stripes, err)
 		}
 	}
 
@@ -462,45 +456,28 @@ func CheckSharded(c Case, unsorted bool, workers, stripes int, spillDir string) 
 // Passing the same ctx across many calls is the point — cached state from
 // one case must never leak into the next.
 func CheckContext(c Case, alg spgemm.Algorithm, unsorted bool, workers int, ctx *spgemm.Context) error {
-	opt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, Context: ctx}
-	got, err := spgemm.Multiply(c.A, c.B, opt)
-	if err != nil {
-		if spgemm.RequiresSortedInput(alg) && !c.B.Sorted {
-			return nil
-		}
-		return fmt.Errorf("%s/%v ctx unsorted=%v workers=%d: %w", c.Name, alg, unsorted, workers, err)
-	}
 	want := matrix.NaiveMultiply(c.A, c.B)
-	if err := Equivalent(got, want); err != nil {
-		return fmt.Errorf("%s/%v ctx unsorted=%v workers=%d: %w", c.Name, alg, unsorted, workers, err)
-	}
-	if !unsorted {
-		oneShot := &spgemm.Options{Algorithm: alg, Workers: workers}
-		fresh, err := spgemm.Multiply(c.A, c.B, oneShot)
+	for _, stripes := range cuts(alg) {
+		name := fmt.Sprintf("%s/%v ctx unsorted=%v workers=%d stripes=%d", c.Name, alg, unsorted, workers, stripes)
+		opt := spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardStripes: stripes, Context: ctx}
+		got, err := spgemm.Multiply(c.A, c.B, &opt)
 		if err != nil {
-			return fmt.Errorf("%s/%v one-shot: %w", c.Name, alg, err)
+			if spgemm.RequiresSortedInput(alg) && !c.B.Sorted {
+				return nil
+			}
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		if err := identical(got, fresh); err != nil {
-			return fmt.Errorf("%s/%v ctx result not bit-identical to one-shot: %w", c.Name, alg, err)
-		}
-	}
-	if tinyShards(alg) > 0 {
-		fopt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, Context: ctx, ShardStripes: tinyShards(alg)}
-		forced, err := spgemm.Multiply(c.A, c.B, fopt)
-		if err != nil {
-			return fmt.Errorf("%s/%v ctx tiny-shards: %w", c.Name, alg, err)
-		}
-		if err := Equivalent(forced, want); err != nil {
-			return fmt.Errorf("%s/%v ctx tiny-shards: %w", c.Name, alg, err)
+		if err := Equivalent(got, want); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
 		if !unsorted {
-			oneShot := &spgemm.Options{Algorithm: alg, Workers: workers, ShardStripes: tinyShards(alg)}
-			fresh, err := spgemm.Multiply(c.A, c.B, oneShot)
+			opt.Context = nil
+			fresh, err := spgemm.Multiply(c.A, c.B, &opt)
 			if err != nil {
-				return fmt.Errorf("%s/%v tiny-shards one-shot: %w", c.Name, alg, err)
+				return fmt.Errorf("%s one-shot: %w", name, err)
 			}
-			if err := identical(forced, fresh); err != nil {
-				return fmt.Errorf("%s/%v ctx tiny-shards result not bit-identical to one-shot: %w", c.Name, alg, err)
+			if err := identical(got, fresh); err != nil {
+				return fmt.Errorf("%s: ctx result not bit-identical to one-shot: %w", name, err)
 			}
 		}
 	}
@@ -518,11 +495,17 @@ func CheckContext(c Case, alg spgemm.Algorithm, unsorted bool, workers int, ctx 
 // that requires sorted input rows is expected to refuse the Plan for an
 // unsorted B, as Multiply refuses the product.
 func CheckPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
+	for _, stripes := range cuts(alg) {
+		if err := checkPlan(c, alg, unsorted, workers, stripes); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func checkPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers, stripes int) error {
 	var st spgemm.ExecStats
-	opt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, Context: spgemm.NewContext(), Stats: &st}
-	// Cut Sharded finer than one stripe per worker, which its auto stripe
-	// count would be on every suite input.
-	opt.ShardStripes = tinyShards(alg)
+	opt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardStripes: stripes, Context: spgemm.NewContext(), Stats: &st}
 	plan, err := spgemm.NewPlan(c.A, c.B, opt)
 	if spgemm.RequiresSortedInput(alg) && !c.B.Sorted {
 		if err == nil {

@@ -174,8 +174,8 @@ func TestDifferentialContextReuse(t *testing.T) {
 	}
 }
 
-// TestDifferentialSharded pins the sharded engine's bit-identity contract
-// against AlgHash across the whole suite and the special-value cases (-0,
+// TestDifferentialSharded pins the striped Hash product's bit-identity
+// contract against Hash's own cut across the whole suite and the special-value cases (-0,
 // ±Inf and NaN survive a stripe boundary like any other value), sorted and
 // unsorted output, at every kind of cut: one stripe, one per worker (the
 // static schedule Hash itself runs), more stripes than workers (the dynamic
@@ -264,7 +264,7 @@ func TestSpecialValueCases(t *testing.T) {
 // TestDifferentialPlanReuse runs the plan-reuse soundness check (repeated
 // bit-identical executions through the kernel and then through the replay
 // map, value perturbation, structural-staleness detection) for every
-// algorithm across the suite and the special-value cases. Sharded runs cut
+// algorithm across the suite and the special-value cases; Hash also runs cut
 // finer than one stripe per worker (see CheckPlan).
 func TestDifferentialPlanReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))

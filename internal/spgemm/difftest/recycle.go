@@ -64,10 +64,24 @@ var poisonF64 = math.NaN()
 // bit-identical to the undonated one. On the Context of its own it also pins
 // the mechanism — a donation that fits is what the product is built in, one
 // that does not is not, and Recycle leaves the donated matrix without arrays.
-// mask, when non-nil, makes it the masked product (alg must be AlgHash).
+// mask, when non-nil, makes it the masked product (alg must be AlgHash),
+// which cuts its own stripes; an unmasked product runs in each of alg's cuts.
 func CheckRecycled[V semiring.Value, R semiring.Ring[V]](name string, ring R, a, b *matrix.CSRG[V], alg spgemm.Algorithm, unsorted bool, workers int, mask *matrix.CSRG[V], ctx *spgemm.ContextG[V], sentinel V) error {
-	name = fmt.Sprintf("%s/%v unsorted=%v workers=%d masked=%v", name, alg, unsorted, workers, mask != nil)
-	opt := spgemm.OptionsG[V]{Algorithm: alg, Unsorted: unsorted, Workers: workers, Mask: mask, ShardStripes: tinyShards(alg)}
+	stripes := cuts(alg)
+	if mask != nil {
+		stripes = stripes[:1]
+	}
+	for _, n := range stripes {
+		if err := checkRecycled(name, ring, a, b, alg, unsorted, workers, n, mask, ctx, sentinel); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func checkRecycled[V semiring.Value, R semiring.Ring[V]](name string, ring R, a, b *matrix.CSRG[V], alg spgemm.Algorithm, unsorted bool, workers, stripes int, mask *matrix.CSRG[V], ctx *spgemm.ContextG[V], sentinel V) error {
+	name = fmt.Sprintf("%s/%v unsorted=%v workers=%d stripes=%d masked=%v", name, alg, unsorted, workers, stripes, mask != nil)
+	opt := spgemm.OptionsG[V]{Algorithm: alg, Unsorted: unsorted, Workers: workers, Mask: mask, ShardStripes: stripes}
 	want, err := spgemm.MultiplyRing(ring, a, b, &opt)
 	if err != nil {
 		if spgemm.RequiresSortedInput(alg) && !b.Sorted {
@@ -117,8 +131,17 @@ func CheckRecycled[V semiring.Value, R semiring.Ring[V]](name string, ring R, a,
 // replays — which fold onto prefilled values, so a dirty array is theirs to
 // clean — must all be bit-identical to an undonated Multiply.
 func CheckPlanRecycled(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
-	name := fmt.Sprintf("%s/%v plan unsorted=%v workers=%d", c.Name, alg, unsorted, workers)
-	opt := spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardStripes: tinyShards(alg)}
+	for _, stripes := range cuts(alg) {
+		if err := checkPlanRecycled(c, alg, unsorted, workers, stripes); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func checkPlanRecycled(c Case, alg spgemm.Algorithm, unsorted bool, workers, stripes int) error {
+	name := fmt.Sprintf("%s/%v plan unsorted=%v workers=%d stripes=%d", c.Name, alg, unsorted, workers, stripes)
+	opt := spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardStripes: stripes}
 	want, err := spgemm.Multiply(c.A, c.B, &opt)
 	if err != nil {
 		if spgemm.RequiresSortedInput(alg) && !c.B.Sorted {

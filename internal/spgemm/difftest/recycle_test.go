@@ -13,13 +13,12 @@ import (
 // poisonU64 is the donated-array sentinel for AsU64 inputs (see AsU64).
 const poisonU64 uint64 = 1 << 1
 
-// kernels are the four concrete algorithms; AlgAuto resolves to one of them.
-var kernels = []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgHeap, spgemm.AlgSharded}
+// kernels are the three concrete algorithms; AlgAuto resolves to one of them.
+var kernels = []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgHeap}
 
 // TestDifferentialRecycled runs the poisoned-donation leg over the suite and
-// the special-value cases: every kernel (Sharded cut finer than one stripe
-// per worker) and
-// the masked Hash, sorted and unsorted, serial and parallel, one-shot and
+// the special-value cases: every kernel (Hash also cut finer than one stripe
+// per worker) and the masked Hash, sorted and unsorted, serial and parallel, one-shot and
 // through one Context reused across the whole sweep — then the bool, int64
 // and uint64 rings, whose sentinels are a value their products never hold
 // (every or-and product of the suite is true, the smallest integer, and

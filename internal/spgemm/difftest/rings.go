@@ -54,34 +54,26 @@ func EquivalentRing[V semiring.Value](got, want *matrix.CSRG[V], close func(x, y
 	return nil
 }
 
-// CheckRing multiplies a·b over ring with the given algorithm and verifies
-// the result against NaiveMultiplyRing via EquivalentRing. Like Check,
-// algorithms that require sorted input rows are expected to reject unsorted
-// B with an error.
+// CheckRing multiplies a·b over ring with the given algorithm, in each of its
+// cuts, and verifies the result against NaiveMultiplyRing via
+// EquivalentRing. Like Check, algorithms that require sorted input rows are
+// expected to reject unsorted B with an error.
 func CheckRing[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a, b *matrix.CSRG[V], alg spgemm.Algorithm, unsorted bool, workers int, close func(x, y V) bool) error {
-	opt := &spgemm.OptionsG[V]{Algorithm: alg, Unsorted: unsorted, Workers: workers}
-	got, err := spgemm.MultiplyRing(ring, a, b, opt)
-	if err != nil {
-		if spgemm.RequiresSortedInput(alg) && !b.Sorted {
-			return nil // documented rejection, not a defect
-		}
-		return fmt.Errorf("%s/%v unsorted=%v workers=%d: %w", caseName, alg, unsorted, workers, err)
-	}
-	if spgemm.RequiresSortedInput(alg) && !b.Sorted {
-		return fmt.Errorf("%s/%v: accepted unsorted input instead of rejecting it", caseName, alg)
-	}
 	want := matrix.NaiveMultiplyRing(ring, a, b)
-	if err := EquivalentRing(got, want, close); err != nil {
-		return fmt.Errorf("%s/%v unsorted=%v workers=%d: %w", caseName, alg, unsorted, workers, err)
-	}
-	if tinyShards(alg) > 0 {
-		fopt := &spgemm.OptionsG[V]{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardStripes: tinyShards(alg)}
-		forced, err := spgemm.MultiplyRing(ring, a, b, fopt)
+	for _, stripes := range cuts(alg) {
+		name := fmt.Sprintf("%s/%v unsorted=%v workers=%d stripes=%d", caseName, alg, unsorted, workers, stripes)
+		got, err := spgemm.MultiplyRing(ring, a, b, &spgemm.OptionsG[V]{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardStripes: stripes})
 		if err != nil {
-			return fmt.Errorf("%s/%v tiny-shards unsorted=%v workers=%d: %w", caseName, alg, unsorted, workers, err)
+			if spgemm.RequiresSortedInput(alg) && !b.Sorted {
+				return nil // documented rejection, not a defect
+			}
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		if err := EquivalentRing(forced, want, close); err != nil {
-			return fmt.Errorf("%s/%v tiny-shards unsorted=%v workers=%d: %w", caseName, alg, unsorted, workers, err)
+		if spgemm.RequiresSortedInput(alg) && !b.Sorted {
+			return fmt.Errorf("%s: accepted unsorted input instead of rejecting it", name)
+		}
+		if err := EquivalentRing(got, want, close); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
 	return nil
@@ -90,18 +82,25 @@ func CheckRing[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a,
 // CheckOnePass is the one-pass route's leg: the unsorted one-worker Hash
 // product of a·b, which takes the route when its flop bounds its output
 // tightly, must be bit-identical to what the two-phase stripe loop writes
-// (AlgSharded cut into one stripe runs it) and match the ring oracle via
-// EquivalentRing. With mustRoute the product must also have taken the route,
-// which spends nothing on symbolic.
-func CheckOnePass[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a, b *matrix.CSRG[V], mustRoute bool, close func(x, y V) bool) error {
-	var st spgemm.ExecStats
+// in one stripe and match the ring oracle via EquivalentRing. The reference
+// lands its stripe in a SpillSink under spillDir whose default budget holds
+// the whole output: a sink keeps the product off the route, and the
+// reference must show the symbolic pass the route skips. With mustRoute the
+// product must also have taken the route, which spends nothing on symbolic.
+func CheckOnePass[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a, b *matrix.CSRG[V], mustRoute bool, close func(x, y V) bool, spillDir string) error {
+	var st, ref spgemm.ExecStats
 	got, err := spgemm.MultiplyRing(ring, a, b, &spgemm.OptionsG[V]{Algorithm: spgemm.AlgHash, Unsorted: true, Workers: 1, Stats: &st})
 	if err == nil && mustRoute && st.Phases[spgemm.PhaseSymbolic] != 0 {
 		err = fmt.Errorf("ran a symbolic pass (%v), want the one-pass route", st.Phases[spgemm.PhaseSymbolic])
 	}
 	if err == nil {
+		sink := spgemm.NewSpillSink[V](spillDir, 0)
+		defer sink.Close()
 		var twoPhase *matrix.CSRG[V]
-		twoPhase, err = spgemm.MultiplyRing(ring, a, b, &spgemm.OptionsG[V]{Algorithm: spgemm.AlgSharded, ShardStripes: 1, Unsorted: true, Workers: 1})
+		twoPhase, err = spgemm.MultiplyRing(ring, a, b, &spgemm.OptionsG[V]{Algorithm: spgemm.AlgHash, Unsorted: true, Workers: 1, ShardSink: sink, Stats: &ref})
+		if err == nil && (ref.Phases[spgemm.PhaseSymbolic] == 0 || len(ref.Stripes) != 1) {
+			err = fmt.Errorf("reference ran symbolic for %v in %d stripes, want a two-phase product in one", ref.Phases[spgemm.PhaseSymbolic], len(ref.Stripes))
+		}
 		if err == nil {
 			err = identical(got, twoPhase)
 		}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/semiring"
 )
 
-// The driver. Hash, HashVector and Sharded SpGEMM are the paper's two-phase
+// The driver. Hash and HashVector SpGEMM are the paper's two-phase
 // pipeline (Figure 7) over one row geometry, and the pipeline has one seam:
 // once the symbolic phase has sized the output, everything that depends on
 // the operands' structure is known and only values remain. inspect runs up
@@ -25,10 +25,10 @@ import (
 // The geometry is data: a flop-balanced cut of the rows into stripes
 // (Figure 6). Each half runs one loop over the stripes, a stripe's rows going
 // through the whole-row passes of hashrow.go into the stripe's window of the
-// output. Hash and HashVector cut one stripe per worker; the one-phase
-// geometry cuts claimStripes per worker at W > 1; Sharded cuts as many as
-// keep a stripe's output within its memory budget (shard.go) and may land
-// them in a sink. Nothing past the cut asks which of them is running, the
+// output. Hash and HashVector cut one stripe per worker, or as many more as
+// keep a stripe's output within its memory budget (shard.go), and may land
+// them in a sink; the one-phase geometry cuts claimStripes per worker at
+// W > 1. Nothing past the cut asks which of them is running, the
 // schedule included: worker w starts on stripe w and then takes whichever
 // stripe nobody has started (ContextG.nextStripe). Cut one per worker,
 // nothing is left to take and that is the paper's static mapping; cut finer,
@@ -116,20 +116,21 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 	pt := &ctx.pt
 	ctx.in = inspection[V]{alg: alg, workers: workers, flopRow: ctx.perRowFlop(a, b), mask: opt.Mask}
 	in := &ctx.in
-	stripes := workers
+	flop := rangeFlop(in.flopRow, 0, a.Rows)
+	stripes := 1
 	switch {
-	case alg == AlgSharded:
-		stripes = opt.shardStripes(in.flopRow, workers)
-	case workers > 1 && (alg == AlgHeap || in.mask != nil):
+	case alg != AlgHeap && in.mask == nil:
+		stripes = opt.shardStripes(flop, a.Rows, workers)
+	case workers > 1:
 		stripes = claimStripes * workers
 	}
 	in.offsets = ctx.partition(in.flopRow, stripes, workers)
-	// The one-pass route: an unsorted one-shot Hash product in one stripe,
-	// whose running offset is its row pointer, on stamps and the SPA by
-	// denseRule and at a ratio the recipe's sample, run on ctx's worker-0
-	// counter, reads as about 1.
-	in.onePass = !forPlan && opt.Unsorted && alg == AlgHash && in.mask == nil && in.stripes() == 1 &&
-		denseRule(b.Cols, rangeFlop(in.flopRow, 0, a.Rows)) && ctx.compressionRatio(a, b, recipeSampleRows) <= onePassMaxCR
+	// The one-pass route: an unsorted one-shot Hash product in one stripe
+	// and without a sink, whose running offset is its row pointer, on stamps
+	// and the SPA by denseRule and at a ratio the recipe's sample, run on
+	// ctx's worker-0 counter, reads as about 1.
+	in.onePass = !forPlan && opt.Unsorted && alg == AlgHash && in.mask == nil && opt.ShardSink == nil && in.stripes() == 1 &&
+		denseRule(b.Cols, flop) && ctx.compressionRatio(a, b, recipeSampleRows) <= onePassMaxCR
 	pt.tick(PhasePartition)
 	if in.onePhase() && !forPlan {
 		return in, pt
@@ -232,7 +233,7 @@ func (c *ContextG[V]) bindOutput(sink *SpillSink[V], stripes, rows, cols int, ro
 func inspectExecute[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
 	ctx := opt.ctx()
 	in, pt := inspect(alg, a, b, opt, ctx, false)
-	return execute(ring, a, b, ctx, in, in.rowPtr, opt.Unsorted, opt.sinkFor(alg), pt)
+	return execute(ring, a, b, ctx, in, in.rowPtr, opt.Unsorted, opt.ShardSink, pt)
 }
 
 // hashVecRows is HashVector's numeric pass over the rows of [lo, hi) with a

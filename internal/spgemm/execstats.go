@@ -26,7 +26,7 @@ const (
 	// including per-row extraction/sorting.
 	PhaseNumeric
 	// PhaseAssemble is the final stitching of per-worker temp buffers into
-	// the output matrix (one-phase algorithms and sharded sinks).
+	// the output matrix (one-phase algorithms and spill sinks).
 	PhaseAssemble
 	// NumPhases is the number of phases; ExecStats.Phases has this length.
 	NumPhases
@@ -131,13 +131,15 @@ type ExecStats struct {
 	Total time.Duration
 	// Workers holds one entry per worker that ran.
 	Workers []WorkerStats
-	// Stripes holds AlgSharded's per-stripe breakdown, in ascending row
-	// order; empty for every other algorithm. Unlike the other fields it
-	// is per-call detail: Add does not accumulate stripes across calls.
+	// Stripes holds a two-phase product's per-stripe breakdown (Hash,
+	// HashVec, a Plan's kernel execution), in ascending row order; empty
+	// for one-phase products (Heap, a mask, the one-pass route) and a
+	// Plan's streamed replay. Unlike the other fields it is per-call
+	// detail: Add does not accumulate stripes across calls.
 	Stripes []StripeStats
 }
 
-// StripeStats describes one stripe of a sharded multiply.
+// StripeStats describes one stripe of a two-phase multiply.
 type StripeStats struct {
 	// Lo, Hi is the stripe's output row range [Lo, Hi).
 	Lo, Hi int

@@ -11,7 +11,7 @@ import (
 )
 
 // statsAlgorithms is every algorithm the breakdown instrumentation covers.
-var statsAlgorithms = []Algorithm{AlgHash, AlgHashVec, AlgHeap, AlgSharded}
+var statsAlgorithms = []Algorithm{AlgHash, AlgHashVec, AlgHeap}
 
 // TestExecStatsPhaseSumMatchesTotal is the tentpole acceptance criterion:
 // phases are timed back-to-back, so their sum must account for the measured
@@ -162,8 +162,8 @@ func TestExecStatsCounters(t *testing.T) {
 }
 
 // TestWorkerBusy pins WorkerStats.Busy on every geometry that runs parallel
-// regions — the two-phase stripes, Heap's one-phase merge, Sharded's extra
-// stripes, a masked product and a Plan's streamed replay: every worker that
+// regions — the two-phase stripes, Heap's one-phase merge, stripes past one
+// per worker, a masked product and a Plan's streamed replay: every worker that
 // produced rows was timed, and no worker can be busy longer than the call, so
 // Σ Busy ≤ W·Total.
 func TestWorkerBusy(t *testing.T) {
@@ -176,7 +176,7 @@ func TestWorkerBusy(t *testing.T) {
 	}{
 		{"hash", Options{Algorithm: AlgHash}, false},
 		{"heap", Options{Algorithm: AlgHeap}, false},
-		{"sharded", Options{Algorithm: AlgSharded, ShardStripes: 7}, false},
+		{"hash/7-stripes", Options{Algorithm: AlgHash, ShardStripes: 7}, false},
 		{"hash+mask", Options{Algorithm: AlgHash, Mask: g}, false},
 		{"hash/replay", Options{Algorithm: AlgHash}, true},
 	} {

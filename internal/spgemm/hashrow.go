@@ -8,8 +8,8 @@ import (
 	"repro/internal/semiring"
 )
 
-// The whole-row hash kernel, written once. Hash, HashVector's symbolic
-// phase, the stripes of Sharded, every Plan build and replay of those, and
+// The whole-row hash kernel, written once. Hash in any stripe count,
+// HashVector's symbolic phase, every Plan build and replay of those, and
 // the recipe's compression-ratio sample all run the row functions below,
 // which take three exact decisions from numbers the phases compute anyway:
 //

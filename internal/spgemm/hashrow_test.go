@@ -27,9 +27,9 @@ import (
 // HashLookups + StampMarks + DirectFlop + DenseFlop == 2·Flop − (flop of rows
 // sized by their bound). A sorted request writes exactly its one-entry rows
 // without an accumulator (folded into their slot). That holds however the
-// rows are cut into stripes: for AlgHash's one per worker, for AlgSharded at
-// one stripe, one per worker and one per row (several stripes then accumulate
-// into one worker's counters, on either side). On the one-pass route (an
+// rows are cut into stripes: one per worker by default, or by ShardStripes
+// one, one per worker and one per row (several stripes then accumulate into
+// one worker's counters, on either side). On the one-pass route (an
 // unsorted AlgHash product in one stripe at compression ratio about 1) every
 // product is written once, so direct writes and SPA folds sum to the flop,
 // the stamps test at most the flop, and no time goes to symbolic.
@@ -70,18 +70,17 @@ func TestHashCounterInvariant(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				for _, geom := range []struct {
 					name    string
-					alg     Algorithm
 					stripes int
 				}{
-					{"hash", AlgHash, 0},
-					{"sharded-1", AlgSharded, 1},
-					{"sharded-workers", AlgSharded, workers},
-					{"sharded-rows", AlgSharded, in.a.Rows},
+					{"hash", 0},
+					{"stripes-1", 1},
+					{"stripes-workers", workers},
+					{"stripes-rows", in.a.Rows},
 				} {
 					name := fmt.Sprintf("%s/%s/unsorted=%v/workers=%d", in.name, geom.name, unsorted, workers)
 					ctx := NewContext()
 					var st ExecStats
-					opt := &Options{Algorithm: geom.alg, ShardStripes: geom.stripes, Unsorted: unsorted, Workers: workers, Stats: &st, Context: ctx}
+					opt := &Options{Algorithm: AlgHash, ShardStripes: geom.stripes, Unsorted: unsorted, Workers: workers, Stats: &st, Context: ctx}
 					c, err := Multiply(in.a, in.b, opt)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -93,7 +92,11 @@ func TestHashCounterInvariant(t *testing.T) {
 						}
 					}
 					tot := st.TotalWorker()
-					onePass := in.onePass && geom.alg == AlgHash && unsorted && workers == 1
+					stripes := geom.stripes
+					if stripes == 0 {
+						stripes = workers
+					}
+					onePass := in.onePass && unsorted && stripes == 1
 					if (st.Phases[PhaseSymbolic] == 0) != onePass {
 						t.Errorf("%s: symbolic took %v, want none iff on the one-pass route (%v)", name, st.Phases[PhaseSymbolic], onePass)
 					}
@@ -161,7 +164,7 @@ func TestHashRepeatedColumnInBRow(t *testing.T) {
 		b := &matrix.CSR{Rows: 3, Cols: cols, RowPtr: []int64{0, 3, 5, 6},
 			ColIdx: []int32{5, 2, 5, 1, 4, 3}, Val: []float64{1, 2, 4, 8, 16, 32}}
 		want := matrix.NaiveMultiply(a, b)
-		for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgSharded} {
+		for _, alg := range []Algorithm{AlgHash, AlgHashVec} {
 			var st ExecStats
 			got, err := Multiply(a, b, &Options{Algorithm: alg, Unsorted: true, Workers: 1, Stats: &st})
 			if err != nil {
@@ -198,7 +201,7 @@ func TestHashHypersparseKeepsHashSymbolic(t *testing.T) {
 	a := matrix.RandomWithDegree(256, 256, 4, rng)
 	b := matrix.RandomWithDegree(256, 1<<24, 4, rng)
 	want := matrix.NaiveMultiply(a, b)
-	for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgSharded} {
+	for _, alg := range []Algorithm{AlgHash, AlgHashVec} {
 		var st ExecStats
 		opt := &Options{Algorithm: alg, Unsorted: true, Workers: 2, Stats: &st}
 		var before, after runtime.MemStats
@@ -305,25 +308,23 @@ func TestContextStampsAcrossColumnSpaces(t *testing.T) {
 func TestPlanReplayMatchesMultiplyOnERUnsorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	a := gen.Unsorted(gen.ER(12, 8, rng), rng)
-	for _, alg := range []Algorithm{AlgHash, AlgSharded} {
-		opt := &Options{Algorithm: alg, Unsorted: true, Workers: 3}
-		want, err := Multiply(a, a, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := NewPlan(a, a, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st ExecStats
-		got, err := plan.ExecuteIn(NewContext(), &st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameCSR(t, want, got)
-		if st.TotalWorker().DirectFlop == 0 {
-			t.Errorf("%v: replay wrote no row directly on a CR = 1 product", alg)
-		}
+	opt := &Options{Algorithm: AlgHash, Unsorted: true, Workers: 3}
+	want, err := Multiply(a, a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := NewPlan(a, a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st ExecStats
+	got, err := plan.ExecuteIn(NewContext(), &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameCSR(t, want, got)
+	if st.TotalWorker().DirectFlop == 0 {
+		t.Error("replay wrote no row directly on a CR = 1 product")
 	}
 }
 

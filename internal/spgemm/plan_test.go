@@ -292,7 +292,7 @@ func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 		{"hash", Options{Algorithm: AlgHash}},
 		{"hashvec", Options{Algorithm: AlgHashVec}},
 		{"heap", Options{Algorithm: AlgHeap}},
-		{"sharded", Options{Algorithm: AlgSharded, ShardStripes: 16}},
+		{"sharded", Options{Algorithm: AlgHash, ShardStripes: 16}},
 	} {
 		for _, unsorted := range []bool{false, true} {
 			a := sorted
@@ -374,8 +374,12 @@ func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 func TestPlanReplayMapBuiltOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	a := gen.RMAT(8, 8, gen.G500Params, rng)
-	for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgSharded} {
-		opt := &Options{Algorithm: alg, Workers: 2, ShardStripes: 4}
+	for _, leg := range []struct {
+		alg     Algorithm
+		stripes int
+	}{{AlgHash, 0}, {AlgHashVec, 0}, {AlgHash, 4}} {
+		alg := leg.alg
+		opt := &Options{Algorithm: alg, Workers: 2, ShardStripes: leg.stripes}
 		want, err := Multiply(a, a, opt)
 		if err != nil {
 			t.Fatal(err)

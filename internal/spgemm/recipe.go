@@ -32,12 +32,12 @@ func (u UseCase) String() string {
 	return "unknown"
 }
 
-// shardedAutoBytes is the estimated-output-size threshold (bytes) above
-// which the recipe overrides Table 4 with AlgSharded: products this large
-// are past the regime the paper's per-thread recipe was tuned on, and the
-// stripe-wise engine bounds peak memory where the monolithic pipeline
-// cannot. No caller sets it; it is atomic only so the tests that Swap it
-// stay race-clean. A threshold <= 0 disables the routing.
+// shardedAutoBytes is the estimated-output-size threshold (bytes) at which a
+// product counts as too big to hold whole: the recipe keeps it out of the
+// Heap cell, whose one-phase kernel holds upper-bound buffers and has no
+// budget stripes, and a Plan builds no replay map past it (plan.go). No
+// caller sets it; it is atomic only so the tests that Swap it stay
+// race-clean. At a threshold <= 0 the recipe's guard is off.
 var shardedAutoBytes atomic.Int64
 
 func init() { shardedAutoBytes.Store(1 << 31) } // 2 GiB of output entries
@@ -99,8 +99,8 @@ const heapMaxEF = 2
 // Recommend is the paper's Table 4 recipe cut down to the cells this
 // repository has measured a winner in (EXPERIMENTS.md, "Heap vs Hash by
 // recipe cell"): the best of this package's kernels for the given inputs,
-// sortedness requirement and use case. The answer is one of Hash, Heap and
-// Sharded — never a figure baseline, and never a kernel the inputs rule out:
+// sortedness requirement and use case. The answer is Hash or Heap — never a
+// figure baseline, and never a kernel the inputs rule out:
 // Heap consumes sorted row streams and is not proposed when B's rows are
 // unsorted, so Multiply and NewPlan with AlgAuto succeed for every (sorted,
 // unsorted) input combination. The recipe only inspects sparsity
@@ -110,9 +110,10 @@ const heapMaxEF = 2
 // measurements stand:
 //
 //   - Heap keeps one cell — uniform, square, sorted in and out, at most
-//     heapMaxEF nonzeros per row, compression ratio at most 2 — the only one
-//     where it beat Hash. The paper's skewed ef <= 8 and L·U low-ratio cells
-//     measured 1.6-3x and 1.05-4.4x slower and go to Hash.
+//     heapMaxEF nonzeros per row, compression ratio at most 2, an output
+//     under shardedAutoBytes — the only one where it beat Hash. The paper's
+//     skewed ef <= 8 and L·U low-ratio cells measured 1.6-3x and 1.05-4.4x
+//     slower and go to Hash.
 //   - The two cells the paper gives to HashVector go to Hash: without vector
 //     compare instructions the chunked probe loses to linear probing in
 //     every cell measured, so AlgHashVec is reachable by name only.
@@ -120,17 +121,15 @@ const heapMaxEF = 2
 //     MKL-inspector goes to Hash, which beats the map-based stand-in on 96 %
 //     of unsorted inputs (Figure 15).
 //
-// So only the Heap cell pays for the ratio sample, and it asks last.
+// So only the Heap cell pays for the ratio sample and the output estimate,
+// and it asks last.
 func Recommend[V semiring.Value](a, b *matrix.CSRG[V], sorted bool, uc UseCase) Algorithm {
-	if shardedRecommended(a, b) {
-		return AlgSharded
-	}
 	// Table 4(b) TallSkinny row, Table 4(a) LxU and every skewed square cell
 	// after measurement.
 	if uc != UseSquare || IsSkewed(a) {
 		return AlgHash
 	}
-	if sorted && b.Sorted && a.AvgRowNNZ() <= heapMaxEF && EstimateCompressionRatio(a, b, recipeSampleRows) <= 2 {
+	if sorted && b.Sorted && a.AvgRowNNZ() <= heapMaxEF && EstimateCompressionRatio(a, b, recipeSampleRows) <= 2 && !shardedRecommended(a, b) {
 		return AlgHeap
 	}
 	return AlgHash

@@ -267,7 +267,7 @@ func TestRecommendOnlyProductionKernels(t *testing.T) {
 				switch alg {
 				case AlgHeap:
 					heapAnswers++
-				case AlgHash, AlgSharded:
+				case AlgHash:
 				default:
 					t.Errorf("input %d %v sorted=%v: Recommend = %v", i, uc, sorted, alg)
 				}

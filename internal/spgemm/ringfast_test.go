@@ -76,37 +76,49 @@ func TestRingFastEquivalence(t *testing.T) {
 	special := matrix.MapValues(gen.ER(9, 8, rng), func(float64) float64 { return palette[rng.Intn(len(palette))] })
 	floats := append(pairs, ringfastPair{"special", special, special}, ringfastPair{"special-unsortedB", special, gen.Unsorted(special, rng)})
 
-	checkRingFast(t, semiring.PlusTimesF64{}, slowPlusTimes[float64]{}, []Algorithm{AlgHash, AlgHashVec, AlgSharded}, floats, wide, func(v float64) float64 { return v })
+	hash := ringfastLeg{"hash", AlgHash, 0}
+	legs := []ringfastLeg{hash, {"hashvec", AlgHashVec, 0}, {"sharded", AlgHash, 3 * ringfastWorkers}}
+	checkRingFast(t, semiring.PlusTimesF64{}, slowPlusTimes[float64]{}, legs, floats, wide, func(v float64) float64 { return v })
 	t.Run("f32", func(t *testing.T) {
-		checkRingFast(t, semiring.PlusTimesF32{}, slowPlusTimes[float32]{}, []Algorithm{AlgHash}, floats, wide, func(v float64) float32 { return float32(v) })
+		checkRingFast(t, semiring.PlusTimesF32{}, slowPlusTimes[float32]{}, []ringfastLeg{hash}, floats, wide, func(v float64) float32 { return float32(v) })
 	})
 	t.Run("i64", func(t *testing.T) {
-		checkRingFast(t, semiring.PlusTimesI64{}, slowPlusTimes[int64]{}, []Algorithm{AlgHash}, pairs, wide, func(v float64) int64 { return int64(math.Round(4 * v)) })
+		checkRingFast(t, semiring.PlusTimesI64{}, slowPlusTimes[int64]{}, []ringfastLeg{hash}, pairs, wide, func(v float64) int64 { return int64(math.Round(4 * v)) })
 	})
 }
 
+// ringfastLeg is one geometry of checkRingFast: an algorithm cut into its
+// own stripes, or into ShardStripes of them ("sharded": Hash cut finer than
+// one stripe per worker).
+type ringfastLeg struct {
+	name    string
+	alg     Algorithm
+	stripes int
+}
+
 // checkRingFast runs TestRingFastEquivalence's products, their values mapped
-// by conv, through algs on ring (the native bodies) and on slow (the
+// by conv, through legs on ring (the native bodies) and on slow (the
 // dictionary bodies). HashVector's numeric pass is the dictionary's on every
-// ring and Sharded's stripes run Hash's, so only the float64 leg, the Plans'
+// ring and finer stripes run Hash's rows, so only the float64 leg, the Plans'
 // ring, runs those two.
-func checkRingFast[V float64 | float32 | int64, R semiring.Ring[V]](t *testing.T, ring R, slow slowPlusTimes[V], algs []Algorithm, pairs []ringfastPair, wide *matrix.CSR, conv func(float64) V) {
-	for _, alg := range algs {
+func checkRingFast[V float64 | float32 | int64, R semiring.Ring[V]](t *testing.T, ring R, slow slowPlusTimes[V], legs []ringfastLeg, pairs []ringfastPair, wide *matrix.CSR, conv func(float64) V) {
+	for _, leg := range legs {
+		alg := leg.alg
 		for _, m := range pairs {
 			a, b := matrix.MapValues(m.a, conv), matrix.MapValues(m.b, conv)
 			for _, unsorted := range []bool{false, true} {
 				workers := []int{ringfastWorkers}
-				if alg == AlgHash && unsorted { // the one-pass route's geometry
+				if alg == AlgHash && leg.stripes == 0 && unsorted { // the one-pass route's geometry
 					workers = append(workers, 1)
 				}
 				for _, w := range workers {
-					name := fmt.Sprintf("%v/%s/unsorted=%v", alg, m.name, unsorted)
+					name := fmt.Sprintf("%s/%s/unsorted=%v", leg.name, m.name, unsorted)
 					if w != ringfastWorkers {
 						name += fmt.Sprintf("/W=%d", w)
 					}
 					t.Run(name, func(t *testing.T) {
 						var st ExecStats
-						fast, err := MultiplyRing(ring, a, b, &OptionsG[V]{Algorithm: alg, Workers: w, Unsorted: unsorted, Stats: &st})
+						fast, err := MultiplyRing(ring, a, b, &OptionsG[V]{Algorithm: alg, ShardStripes: leg.stripes, Workers: w, Unsorted: unsorted, Stats: &st})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -116,7 +128,7 @@ func checkRingFast[V float64 | float32 | int64, R semiring.Ring[V]](t *testing.T
 						if w == 1 && m.name == "ER-CR1" && st.Phases[PhaseSymbolic] != 0 {
 							t.Fatal("the compression-ratio-1 square did not take the one-pass route")
 						}
-						want, err := MultiplyRing(slow, a, b, &OptionsG[V]{Algorithm: alg, Workers: w, Unsorted: unsorted})
+						want, err := MultiplyRing(slow, a, b, &OptionsG[V]{Algorithm: alg, ShardStripes: leg.stripes, Workers: w, Unsorted: unsorted})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -125,7 +137,7 @@ func checkRingFast[V float64 | float32 | int64, R semiring.Ring[V]](t *testing.T
 						if !f64 {
 							return // a Plan is float64 plus-times only
 						}
-						plan, err := NewPlan(fa, any(b).(*matrix.CSR), &Options{Algorithm: alg, Workers: w, Unsorted: unsorted})
+						plan, err := NewPlan(fa, any(b).(*matrix.CSR), &Options{Algorithm: alg, ShardStripes: leg.stripes, Workers: w, Unsorted: unsorted})
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -5,30 +5,30 @@ import (
 	"unsafe"
 )
 
-// AlgSharded: AlgHash cut into more stripes. Where Hash partitions the rows
-// over exactly `workers` flop-balanced ranges (Figure 6 of the paper, via
-// sched.BalancedPartition) and runs each start-to-finish on its worker,
-// Sharded cuts the same partition finer — the row-stripe shape of
-// distributed SpGEMM (Deveci et al., arXiv:1801.03065), sized so one stripe's
-// output fits Options.ShardMemBudget (shardStripes) — lets the stripes flow
-// through the pool one at a time, and can land each finished stripe in a
-// SpillSink (spill.go) instead of holding the whole output. Both run the
-// driver's one stripe loop (driver.go); this file only cuts the stripes and
-// reports what the cut looked like.
+// Budget stripes. Where the paper partitions the rows over exactly `workers`
+// flop-balanced ranges (Figure 6, via sched.BalancedPartition), a two-phase
+// product cuts the same partition finer once its output outgrows the
+// resident budget — the row-stripe shape of distributed SpGEMM (Deveci et
+// al., arXiv:1801.03065), sized so one stripe's output fits
+// Options.ShardMemBudget (shardStripes). The stripes beyond the first W flow
+// through the pool one at a time, and each finished stripe can land in a
+// SpillSink (spill.go) instead of the whole output. The driver's one stripe
+// loop (driver.go) runs them; this file only counts the stripes and reports
+// what the cut looked like.
 //
-// Identity guarantee: with sorted output, the product is bit-identical to
-// AlgHash on the same inputs, whatever the stripe count and the sink. A row's
-// products fold in A-row order through the same row function whichever stripe
-// the row falls in, per-row extraction sorts canonically, and rows land at
-// the offsets the one row-pointer array dictates. With unsorted output the
-// entry *sets* match but the order within a row may differ — hash-table
-// iteration order depends on table capacity, which is sized per stripe.
+// Identity guarantee: with sorted output, the product is bit-identical
+// whatever the stripe count and the sink. A row's products fold in A-row
+// order through the same row function whichever stripe the row falls in,
+// per-row extraction sorts canonically, and rows land at the offsets the one
+// row-pointer array dictates. With unsorted output the entry *sets* match but
+// the order within a row may differ — hash-table iteration order depends on
+// table capacity, which is sized per stripe.
 
 // defaultShardMemBudget is the resident-bytes target one stripe's output
 // upper bound is sized against when Options.ShardMemBudget is zero.
 const defaultShardMemBudget int64 = 256 << 20
 
-// shardStripeCount picks the stripe count for AlgSharded: enough stripes
+// shardStripeCount picks the budget stripe count: enough stripes
 // that the flop upper bound on one stripe's output entries fits the resident
 // budget, at least one stripe per worker, at most one per row.
 //
@@ -74,15 +74,14 @@ func shardStripeCount(totalFlop int64, rows, workers, elemBytes int, budget int6
 	return int(n)
 }
 
-// shardStripes is AlgSharded's stripe count for a product with the given
-// per-row flop: Options.ShardStripes when set, shardStripeCount otherwise,
-// never more than one stripe per row.
-func (o *OptionsG[V]) shardStripes(flopRow []int64, workers int) int {
-	rows := len(flopRow)
+// shardStripes is the stripe count of a two-phase product with the given
+// flop total over rows: Options.ShardStripes when set, shardStripeCount
+// otherwise, never more than one stripe per row.
+func (o *OptionsG[V]) shardStripes(totalFlop int64, rows, workers int) int {
 	n := o.ShardStripes
 	if n <= 0 {
 		var zero V
-		n = shardStripeCount(rangeFlop(flopRow, 0, rows), rows, workers, int(unsafe.Sizeof(zero)), o.ShardMemBudget)
+		n = shardStripeCount(totalFlop, rows, workers, int(unsafe.Sizeof(zero)), o.ShardMemBudget)
 	}
 	if n > rows {
 		n = rows
@@ -93,18 +92,10 @@ func (o *OptionsG[V]) shardStripes(flopRow []int64, workers int) int {
 	return n
 }
 
-// sinkFor hands Options.ShardSink to the kernel it is documented for.
-func (o *OptionsG[V]) sinkFor(alg Algorithm) *SpillSink[V] {
-	if alg != AlgSharded {
-		return nil
-	}
-	return o.ShardSink
-}
-
-// fillStripeStats records AlgSharded's per-stripe breakdown into st, which
-// may be nil.
+// fillStripeStats records a two-phase product's per-stripe breakdown into st,
+// which may be nil.
 func (in *inspection[V]) fillStripeStats(st *ExecStats, rowPtr []int64, spilled bool) {
-	if st == nil || st.Algorithm != AlgSharded {
+	if st == nil {
 		return
 	}
 	for s := 0; s < in.stripes(); s++ {

@@ -30,12 +30,13 @@ func bitIdentical(a, b *matrix.CSR) bool {
 	return true
 }
 
-// TestShardedBitIdenticalToHash is the engine's acceptance criterion: sorted
-// sharded output must be bit-identical to AlgHash on the same inputs, across
-// stripe counts (including auto) and worker counts. The typed-nil-sink rows
-// (TestShardedTypedNilSink, as rows here) pin that a nil *SpillSink is the nil
-// sink: when Options.ShardSink was an interface, one compared unequal to nil
-// and was dereferenced in Bind.
+// TestShardedBitIdenticalToHash is the stripe loop's acceptance criterion:
+// sorted Hash output cut into budget stripes must be bit-identical to Hash's
+// one stripe per worker on the same inputs, across stripe counts (including
+// auto) and worker counts. The typed-nil-sink rows (TestShardedTypedNilSink,
+// as rows here) pin that a nil *SpillSink is the nil sink: when
+// Options.ShardSink was an interface, one compared unequal to nil and was
+// dereferenced in Bind.
 func TestShardedBitIdenticalToHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	inputs := []struct {
@@ -55,7 +56,7 @@ func TestShardedBitIdenticalToHash(t *testing.T) {
 		for _, stripes := range []int{0, 1, 3, 16} {
 			for _, workers := range []int{1, 4} {
 				for _, variant := range []string{"plain", "typed-nil sink"} {
-					opt := &Options{Algorithm: AlgSharded, Workers: workers, ShardStripes: stripes}
+					opt := &Options{Algorithm: AlgHash, Workers: workers, ShardStripes: stripes}
 					if variant == "typed-nil sink" {
 						opt.ShardSink = (*SpillSink[float64])(nil)
 					}
@@ -64,7 +65,7 @@ func TestShardedBitIdenticalToHash(t *testing.T) {
 						t.Fatalf("%s stripes=%d workers=%d %s: %v", in.name, stripes, workers, variant, err)
 					}
 					if !bitIdentical(want, got) {
-						t.Errorf("%s stripes=%d workers=%d %s: sharded differs from hash", in.name, stripes, workers, variant)
+						t.Errorf("%s stripes=%d workers=%d %s: striped product differs from hash", in.name, stripes, workers, variant)
 					}
 				}
 			}
@@ -83,7 +84,7 @@ func TestShardedUnsortedEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Multiply(a, b, &Options{Algorithm: AlgSharded, Unsorted: true, ShardStripes: 5})
+	got, err := Multiply(a, b, &Options{Algorithm: AlgHash, Unsorted: true, ShardStripes: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestShardedUnsortedEquivalent(t *testing.T) {
 	gs.SortRows()
 	ws.Sorted, gs.Sorted = true, true
 	if !bitIdentical(ws, gs) {
-		t.Error("sharded unsorted entry sets differ from hash")
+		t.Error("striped unsorted entry sets differ from hash")
 	}
 }
 
@@ -155,7 +156,7 @@ func TestSpillSinkShardedMatchesHash(t *testing.T) {
 		budget = 64
 	}
 	sink := NewSpillSink[float64](t.TempDir(), budget)
-	got, err := Multiply(a, b, &Options{Algorithm: AlgSharded, ShardStripes: 16, ShardSink: sink})
+	got, err := Multiply(a, b, &Options{Algorithm: AlgHash, ShardStripes: 16, ShardSink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,23 +190,23 @@ func TestSpillSinkSingleUse(t *testing.T) {
 	a, b := matrix.Random(20, 20, 0.2, rng), matrix.Random(20, 20, 0.2, rng)
 	sink := NewSpillSink[float64](t.TempDir(), 1<<20)
 	defer sink.Close()
-	if _, err := Multiply(a, b, &Options{Algorithm: AlgSharded, ShardSink: sink}); err != nil {
+	if _, err := Multiply(a, b, &Options{Algorithm: AlgHash, ShardSink: sink}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Multiply(a, b, &Options{Algorithm: AlgSharded, ShardSink: sink}); err == nil {
+	if _, err := Multiply(a, b, &Options{Algorithm: AlgHash, ShardSink: sink}); err == nil {
 		t.Error("second multiply through one SpillSink succeeded")
 	}
 }
 
-// TestShardedPlanReplay: sharded plans replay numeric-only and stay
-// bit-identical to one-shot Multiply across value updates; concurrent
+// TestShardedPlanReplay: plans of a striped product replay numeric-only and
+// stay bit-identical to one-shot Multiply across value updates; concurrent
 // ExecuteIn on one shared plan with distinct contexts is the server's
 // plan-cache contract.
 func TestShardedPlanReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	a := gen.RMAT(8, 8, gen.G500Params, rng)
 	b := gen.RMAT(8, 8, gen.G500Params, rng)
-	opt := &Options{Algorithm: AlgSharded, ShardStripes: 6}
+	opt := &Options{Algorithm: AlgHash, ShardStripes: 6}
 	plan, err := NewPlan(a, b, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +264,7 @@ func TestShardedPlanRejectsSpillSink(t *testing.T) {
 	a, b := matrix.Random(10, 10, 0.3, rng), matrix.Random(10, 10, 0.3, rng)
 	sink := NewSpillSink[float64](t.TempDir(), 1<<20)
 	defer sink.Close()
-	if _, err := NewPlan(a, b, &Options{Algorithm: AlgSharded, ShardSink: sink}); err == nil {
+	if _, err := NewPlan(a, b, &Options{Algorithm: AlgHash, ShardSink: sink}); err == nil {
 		t.Error("NewPlan accepted a ShardSink")
 	}
 }
@@ -276,7 +277,7 @@ func TestShardedStripeStats(t *testing.T) {
 	a := gen.RMAT(8, 8, gen.G500Params, rng)
 	b := gen.RMAT(8, 8, gen.G500Params, rng)
 	var st ExecStats
-	c, err := Multiply(a, b, &Options{Algorithm: AlgSharded, ShardStripes: 5, Stats: &st})
+	c, err := Multiply(a, b, &Options{Algorithm: AlgHash, ShardStripes: 5, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestShardedStripeStats(t *testing.T) {
 		t.Errorf("worker flop %d != stripe flop %d", tw.Flop, flop)
 	}
 	if st.Phases[PhaseAssemble] != 0 {
-		t.Error("in-place sharded run recorded an assemble phase")
+		t.Error("in-place striped run recorded an assemble phase")
 	}
 	if st.PhaseSum() > st.Total {
 		t.Errorf("PhaseSum %v exceeds Total %v", st.PhaseSum(), st.Total)
@@ -319,7 +320,7 @@ func TestShardedStripeStats(t *testing.T) {
 	// them is a phase.
 	sink := NewSpillSink[float64](t.TempDir(), 1<<20)
 	defer sink.Close()
-	if _, err := Multiply(a, b, &Options{Algorithm: AlgSharded, ShardStripes: 5, ShardSink: sink, Stats: &st}); err != nil {
+	if _, err := Multiply(a, b, &Options{Algorithm: AlgHash, ShardStripes: 5, ShardSink: sink, Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
 	if len(st.Stripes) != 5 || !st.Stripes[0].Spilled {
@@ -329,9 +330,9 @@ func TestShardedStripeStats(t *testing.T) {
 		t.Error("spilled run recorded no assemble phase")
 	}
 
-	// Stats reset on reuse: a hash call through the same ExecStats must
-	// clear the stripe breakdown.
-	if _, err := Multiply(a, b, &Options{Algorithm: AlgHash, Stats: &st}); err != nil {
+	// Stats reset on reuse: a Heap call, one-phase, through the same
+	// ExecStats must clear the stripe breakdown.
+	if _, err := Multiply(a, b, &Options{Algorithm: AlgHeap, Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
 	if len(st.Stripes) != 0 {
@@ -339,7 +340,7 @@ func TestShardedStripeStats(t *testing.T) {
 	}
 }
 
-// TestShardedContextReuseSteady: repeated sharded multiplies through one
+// TestShardedContextReuseSteady: repeated striped multiplies through one
 // Context must keep working as buffers are reused and stripe geometry
 // changes shape between calls.
 func TestShardedContextReuseSteady(t *testing.T) {
@@ -351,41 +352,123 @@ func TestShardedContextReuseSteady(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Multiply(a, b, &Options{Algorithm: AlgSharded, Context: ctx, ShardStripes: 1 + round*3})
+		got, err := Multiply(a, b, &Options{Algorithm: AlgHash, Context: ctx, ShardStripes: 1 + round*3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bitIdentical(want, got) {
-			t.Fatalf("round %d: context-reuse sharded differs from hash", round)
+			t.Fatalf("round %d: context-reuse striped product differs from hash", round)
 		}
 	}
 }
 
-// TestShardedAutoRouting: the recipe overrides Table 4 with AlgSharded once
-// the estimated output crosses the threshold, and leaves small products
-// alone.
+// TestShardedAutoRouting: the recipe's Heap cell holds only products whose
+// estimated output stays under shardedAutoBytes. Past the threshold a
+// uniform sorted ef <= 2 square goes to Hash, which cuts its own budget
+// stripes; under it, or with the threshold off, it stays with Heap.
 func TestShardedAutoRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
-	a := gen.RMAT(8, 8, gen.G500Params, rng)
-	b := gen.RMAT(8, 8, gen.G500Params, rng)
-	prev := shardedAutoBytes.Swap(1) // any nonzero output crosses it
+	a := matrix.RandomWithDegree(300, 300, 2, rng)
+	prev := shardedAutoBytes.Swap(0)
 	defer shardedAutoBytes.Store(prev)
-	if alg := Recommend(a, b, true, UseSquare); alg != AlgSharded {
-		t.Errorf("tiny threshold: Recommend = %v, want sharded", alg)
+	if alg := Recommend(a, a, true, UseSquare); alg != AlgHeap {
+		t.Fatalf("threshold off: Recommend = %v, want heap (the fixture must reach the Heap cell)", alg)
+	}
+	shardedAutoBytes.Store(1) // any nonzero output crosses it
+	if alg := Recommend(a, a, true, UseSquare); alg != AlgHash {
+		t.Errorf("tiny threshold: Recommend = %v, want hash", alg)
 	}
 	var st ExecStats
-	if _, err := Multiply(a, b, &Options{Stats: &st}); err != nil {
+	if _, err := Multiply(a, a, &Options{Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
-	if st.Algorithm != AlgSharded {
-		t.Errorf("auto multiply ran %v, want sharded", st.Algorithm)
+	if st.Algorithm != AlgHash {
+		t.Errorf("auto multiply ran %v, want hash", st.Algorithm)
 	}
 	shardedAutoBytes.Store(1 << 60)
-	if alg := Recommend(a, b, true, UseSquare); alg == AlgSharded {
-		t.Error("huge threshold still routed to sharded")
+	if alg := Recommend(a, a, true, UseSquare); alg != AlgHeap {
+		t.Errorf("huge threshold: Recommend = %v, want heap", alg)
 	}
-	shardedAutoBytes.Store(0)
-	if alg := Recommend(a, b, true, UseSquare); alg == AlgSharded {
-		t.Error("disabled threshold still routed to sharded")
+}
+
+// TestSpillSinkEveryTwoPhaseProduct: a sink belongs to the call, not to an
+// algorithm. AlgAuto (on an input the recipe would give Heap), Hash and
+// HashVec each land their stripes in it: the product spills, every stripe
+// says so, and the sorted output is bit-identical to the sink-less Hash
+// product. Heap and a masked product, which are one-phase, refuse a sink,
+// and an unsorted one-worker Hash product that takes the one-pass route
+// without one keeps its symbolic pass with one.
+func TestSpillSinkEveryTwoPhaseProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	a := matrix.RandomWithDegree(400, 400, 2, rng)
+	if alg := Recommend(a, a, true, UseSquare); alg != AlgHeap {
+		t.Fatalf("Recommend = %v, want heap (AlgAuto must be steered off it by the sink)", alg)
+	}
+	want, err := Multiply(a, a, &Options{Algorithm: AlgHash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := max(want.NNZ()*12/4, 64)
+	for _, alg := range []Algorithm{AlgAuto, AlgHash, AlgHashVec} {
+		sink := NewSpillSink[float64](t.TempDir(), budget)
+		var st ExecStats
+		got, err := Multiply(a, a, &Options{Algorithm: alg, Workers: 2, ShardSink: sink, Stats: &st})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if !bitIdentical(want, got) {
+			t.Errorf("%v: spilled product differs from hash", alg)
+		}
+		if sink.SpilledBytes() == 0 || len(st.Stripes) == 0 {
+			t.Errorf("%v: spilled %d bytes in %d stripes, want some", alg, sink.SpilledBytes(), len(st.Stripes))
+		}
+		for _, s := range st.Stripes {
+			if !s.Spilled {
+				t.Errorf("%v: stripe [%d,%d) not marked spilled", alg, s.Lo, s.Hi)
+			}
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, opt := range []Options{{Algorithm: AlgHeap}, {Algorithm: AlgHash, Mask: a}} {
+		sink := NewSpillSink[float64](t.TempDir(), budget)
+		opt.ShardSink = sink
+		if _, err := Multiply(a, a, &opt); err == nil {
+			t.Errorf("%v (masked: %v) accepted a sink", opt.Algorithm, opt.Mask != nil)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	thin := gen.Unsorted(gen.ER(10, 3, rng), rng)
+	opt := Options{Algorithm: AlgHash, Unsorted: true, Workers: 1}
+	var direct, spilled ExecStats
+	opt.Stats = &direct
+	ref, err := Multiply(thin, thin, &opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Phases[PhaseSymbolic] != 0 {
+		t.Fatal("the fixture did not take the one-pass route without a sink")
+	}
+	sink := NewSpillSink[float64](t.TempDir(), 64)
+	defer sink.Close()
+	opt.Stats, opt.ShardSink = &spilled, sink
+	got, err := Multiply(thin, thin, &opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spilled.Phases[PhaseSymbolic] == 0 || sink.SpilledBytes() == 0 {
+		t.Errorf("with a sink: symbolic %v, spilled %d bytes; want two phases into the sink", spilled.Phases[PhaseSymbolic], sink.SpilledBytes())
+	}
+	rs, gs := ref.Clone(), got.Clone()
+	rs.SortRows()
+	gs.SortRows()
+	rs.Sorted, gs.Sorted = true, true
+	if !bitIdentical(rs, gs) {
+		t.Error("unsorted spilled entry sets differ from the one-pass product")
 	}
 }

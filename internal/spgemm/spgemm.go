@@ -45,28 +45,22 @@ const (
 	// upper-bound output buffers. Requires sorted inputs and always emits
 	// sorted output ("Sorted/Sorted").
 	AlgHeap
-	// AlgSharded is AlgHash cut into more stripes: where Hash partitions
-	// the rows into one flop-balanced range per worker, Sharded cuts the
-	// same partition into N >= workers row stripes, sized so one stripe's
-	// output fits ShardMemBudget, runs them through the pool one at a time
-	// and lands each finished stripe in the output itself or, for
-	// out-of-core products whose output exceeds resident memory, in
-	// Options.ShardSink. Sorted output is bit-identical to AlgHash.
-	// Accepts any input order.
-	AlgSharded
 
 	// NumAlgorithms is the number of defined Algorithm values — the size of
 	// any per-algorithm lookup table (algNames below, the server's cached
 	// histogram children, the package's own cached counters).
-	NumAlgorithms = int(AlgSharded) + 1
+	NumAlgorithms = int(AlgHeap) + 1
 
 	// Deprecated: use AlgHash, which this name runs.
 	AlgTiled = AlgHash
+	// Deprecated: use AlgHash, which cuts its own budget stripes and lands
+	// them in Options.ShardSink.
+	AlgSharded = AlgHash
 )
 
 // algNames is the one name table: String, ParseAlgorithm, the CLIs' -alg
 // help and the server's error for an unknown name all read it.
-var algNames = [NumAlgorithms]string{"auto", "hash", "hashvec", "heap", "sharded"}
+var algNames = [NumAlgorithms]string{"auto", "hash", "hashvec", "heap"}
 
 // String returns the name used in benchmark tables.
 func (a Algorithm) String() string {
@@ -125,19 +119,20 @@ type OptionsG[V semiring.Value] struct {
 	// must be over the same V as the inputs and must not be shared by
 	// concurrent Multiply calls.
 	Context *ContextG[V]
-	// ShardStripes overrides AlgSharded's stripe count. 0 means derive it
-	// from the flop total and ShardMemBudget (at least one stripe per
-	// worker, at most one per row).
+	// ShardStripes overrides the stripe count of a two-phase product (Hash,
+	// HashVec, a Plan). 0 means derive it from the flop total and
+	// ShardMemBudget: at least one stripe per worker, at most one per row.
 	ShardStripes int
 	// ShardMemBudget is the resident-bytes target one stripe's output
-	// upper bound is sized against when AlgSharded derives its stripe
-	// count (and the budget an auto-created spill sink would enforce).
-	// 0 means a 256 MiB default.
+	// upper bound is sized against when a two-phase product derives its
+	// stripe count. 0 means a 256 MiB default.
 	ShardMemBudget int64
-	// ShardSink overrides where AlgSharded lands finished stripes. nil
-	// means the output itself (bit-identical to AlgHash for sorted output);
-	// a SpillSink bounds peak resident output memory for out-of-core
-	// products. A sink serves a single Multiply call.
+	// ShardSink overrides where a two-phase product lands finished stripes.
+	// nil means the output itself; a SpillSink bounds peak resident output
+	// memory for out-of-core products, and its sorted output is
+	// bit-identical to the in-place one. AlgAuto with a sink resolves to
+	// AlgHash; Heap and masked products, one-phase, reject one. A sink
+	// serves a single Multiply call.
 	ShardSink *SpillSink[V]
 }
 
@@ -193,6 +188,9 @@ func MultiplyRing[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 				opt.Mask.Rows, opt.Mask.Cols, a.Rows, b.Cols)
 		}
 	}
+	if opt.ShardSink != nil && (alg == AlgHeap || opt.Mask != nil) {
+		return nil, fmt.Errorf("spgemm: a ShardSink needs a two-phase product; heap and masked products are one-phase")
+	}
 	c, err := inspectExecute(ring, alg, a, b, opt)
 	if err != nil {
 		return nil, err
@@ -211,9 +209,10 @@ func (o *OptionsG[V]) kernelFor(a, b *matrix.CSRG[V]) (Algorithm, error) {
 	}
 	alg := o.Algorithm
 	if alg == AlgAuto {
-		// The Table 4 recipe knows nothing of masks and may answer Heap; of
-		// the kernels it can return, only Hash fuses one.
-		if o.Mask != nil {
+		// The Table 4 recipe knows nothing of masks or sinks and may answer
+		// Heap; of the kernels it can return, only Hash fuses a mask or
+		// lands its stripes in a sink.
+		if o.Mask != nil || o.ShardSink != nil {
 			alg = AlgHash
 		} else {
 			alg = Recommend(a, b, !o.Unsorted, o.UseCase)
@@ -252,7 +251,7 @@ func Flop[V, W semiring.Value](a *matrix.CSRG[V], b *matrix.CSRG[W]) (total int6
 // can only emit sorted rows.
 func SupportsUnsorted(a Algorithm) bool {
 	switch a {
-	case AlgHash, AlgHashVec, AlgSharded:
+	case AlgHash, AlgHashVec:
 		return true
 	}
 	return false

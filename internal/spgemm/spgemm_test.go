@@ -11,16 +11,20 @@ import (
 	"repro/internal/semiring"
 )
 
-// allAlgorithms lists every concrete algorithm with its capabilities.
+// allAlgorithms lists every concrete algorithm with its capabilities, and
+// Hash once more cut into budget stripes ("sharded": finer than one stripe
+// per worker, as a product past its ShardMemBudget is).
 var allAlgorithms = []struct {
+	name          string
 	alg           Algorithm
+	stripes       int  // Options.ShardStripes; 0 is the product's own cut
 	unsortedOut   bool // supports Unsorted option natively
 	unsortedInput bool // accepts unsorted input rows
 }{
-	{AlgHash, true, true},
-	{AlgHashVec, true, true},
-	{AlgHeap, false, false},
-	{AlgSharded, true, true},
+	{"hash", AlgHash, 0, true, true},
+	{"hashvec", AlgHashVec, 0, true, true},
+	{"heap", AlgHeap, 0, false, false},
+	{"sharded", AlgHash, 3, true, true},
 }
 
 func randPair(rng *rand.Rand, maxDim int, density float64) (*matrix.CSR, *matrix.CSR) {
@@ -32,12 +36,12 @@ func randPair(rng *rand.Rand, maxDim int, density float64) (*matrix.CSR, *matrix
 
 func TestAllAlgorithmsMatchNaiveSorted(t *testing.T) {
 	for _, tc := range allAlgorithms {
-		t.Run(tc.alg.String(), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(101))
 			for trial := 0; trial < 25; trial++ {
 				a, b := randPair(rng, 40, 0.15)
 				want := matrix.NaiveMultiply(a, b)
-				got, err := Multiply(a, b, &Options{Algorithm: tc.alg, Workers: 1 + trial%4})
+				got, err := Multiply(a, b, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: 1 + trial%4})
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
@@ -48,7 +52,7 @@ func TestAllAlgorithmsMatchNaiveSorted(t *testing.T) {
 					t.Fatalf("trial %d: sorted output requested but rows unsorted", trial)
 				}
 				if !matrix.EqualApprox(want, got, 1e-10) {
-					t.Fatalf("trial %d: %v product disagrees with naive (%v × %v)", trial, tc.alg, a, b)
+					t.Fatalf("trial %d: %v product disagrees with naive (%v × %v)", trial, tc.name, a, b)
 				}
 			}
 		})
@@ -60,12 +64,12 @@ func TestAllAlgorithmsMatchNaiveUnsortedOutput(t *testing.T) {
 		if !tc.unsortedOut {
 			continue
 		}
-		t.Run(tc.alg.String(), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(102))
 			for trial := 0; trial < 15; trial++ {
 				a, b := randPair(rng, 40, 0.15)
 				want := matrix.NaiveMultiply(a, b)
-				got, err := Multiply(a, b, &Options{Algorithm: tc.alg, Unsorted: true, Workers: 3})
+				got, err := Multiply(a, b, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Unsorted: true, Workers: 3})
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
@@ -73,7 +77,7 @@ func TestAllAlgorithmsMatchNaiveUnsortedOutput(t *testing.T) {
 					t.Fatal("unsorted output should not claim Sorted")
 				}
 				if !matrix.EqualApprox(want, got, 1e-10) {
-					t.Fatalf("trial %d: %v unsorted product disagrees with naive", trial, tc.alg)
+					t.Fatalf("trial %d: %v unsorted product disagrees with naive", trial, tc.name)
 				}
 			}
 		})
@@ -92,12 +96,12 @@ func TestUnsortedInputAccepted(t *testing.T) {
 		if !tc.unsortedInput {
 			continue
 		}
-		got, err := Multiply(ap, ap, &Options{Algorithm: tc.alg, Workers: 2})
+		got, err := Multiply(ap, ap, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: 2})
 		if err != nil {
-			t.Fatalf("%v: %v", tc.alg, err)
+			t.Fatalf("%v: %v", tc.name, err)
 		}
 		if !matrix.EqualApprox(want, got, 1e-10) {
-			t.Fatalf("%v: wrong product on unsorted input", tc.alg)
+			t.Fatalf("%v: wrong product on unsorted input", tc.name)
 		}
 	}
 }
@@ -122,12 +126,12 @@ func TestDimensionMismatch(t *testing.T) {
 func TestEmptyMatrices(t *testing.T) {
 	for _, tc := range allAlgorithms {
 		empty := matrix.NewCSR(5, 5)
-		got, err := Multiply(empty, empty, &Options{Algorithm: tc.alg})
+		got, err := Multiply(empty, empty, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes})
 		if err != nil {
-			t.Fatalf("%v: %v", tc.alg, err)
+			t.Fatalf("%v: %v", tc.name, err)
 		}
 		if got.NNZ() != 0 || got.Rows != 5 || got.Cols != 5 {
-			t.Fatalf("%v: empty product wrong: %v", tc.alg, got)
+			t.Fatalf("%v: empty product wrong: %v", tc.name, got)
 		}
 	}
 }
@@ -136,12 +140,12 @@ func TestEmptyTimesNonEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(106))
 	b := matrix.Random(5, 7, 0.4, rng)
 	for _, tc := range allAlgorithms {
-		got, err := Multiply(matrix.NewCSR(4, 5), b, &Options{Algorithm: tc.alg})
+		got, err := Multiply(matrix.NewCSR(4, 5), b, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes})
 		if err != nil {
-			t.Fatalf("%v: %v", tc.alg, err)
+			t.Fatalf("%v: %v", tc.name, err)
 		}
 		if got.NNZ() != 0 {
-			t.Fatalf("%v: nnz = %d", tc.alg, got.NNZ())
+			t.Fatalf("%v: nnz = %d", tc.name, got.NNZ())
 		}
 	}
 }
@@ -150,12 +154,12 @@ func TestIdentityProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	m := matrix.Random(25, 25, 0.2, rng)
 	for _, tc := range allAlgorithms {
-		got, err := Multiply(m, matrix.Identity(25), &Options{Algorithm: tc.alg})
+		got, err := Multiply(m, matrix.Identity(25), &Options{Algorithm: tc.alg, ShardStripes: tc.stripes})
 		if err != nil {
-			t.Fatalf("%v: %v", tc.alg, err)
+			t.Fatalf("%v: %v", tc.name, err)
 		}
 		if !matrix.EqualApprox(m, got, 1e-12) {
-			t.Fatalf("%v: M*I != M", tc.alg)
+			t.Fatalf("%v: M*I != M", tc.name)
 		}
 	}
 }
@@ -167,12 +171,12 @@ func TestRectangularShapes(t *testing.T) {
 	b := matrix.Random(40, 5, 0.3, rng)
 	want := matrix.NaiveMultiply(a, b)
 	for _, tc := range allAlgorithms {
-		got, err := Multiply(a, b, &Options{Algorithm: tc.alg, Workers: 4})
+		got, err := Multiply(a, b, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: 4})
 		if err != nil {
-			t.Fatalf("%v: %v", tc.alg, err)
+			t.Fatalf("%v: %v", tc.name, err)
 		}
 		if !matrix.EqualApprox(want, got, 1e-10) {
-			t.Fatalf("%v: wrong rectangular product", tc.alg)
+			t.Fatalf("%v: wrong rectangular product", tc.name)
 		}
 	}
 }
@@ -206,8 +210,8 @@ func TestSemiringMinPlus(t *testing.T) {
 		}
 	}
 	for _, tc := range allAlgorithms {
-		alg := tc.alg
-		got, err := MultiplyRing(semiring.MinPlusF64{}, a, b, &Options{Algorithm: alg, Workers: 2})
+		alg := tc.name
+		got, err := MultiplyRing(semiring.MinPlusF64{}, a, b, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -325,10 +329,10 @@ func TestAutoWithMaskResolvesToHash(t *testing.T) {
 func TestMaskRejectedForOtherAlgorithms(t *testing.T) {
 	// One masked kernel: every algorithm but Hash gets the same error.
 	a := matrix.Identity(4)
-	for _, tc := range allAlgorithms[1:] {
-		_, err := Multiply(a, a, &Options{Algorithm: tc.alg, Mask: a})
+	for _, alg := range []Algorithm{AlgHashVec, AlgHeap} {
+		_, err := Multiply(a, a, &Options{Algorithm: alg, Mask: a})
 		if err == nil || !strings.Contains(err.Error(), "mask is only supported by hash") {
-			t.Fatalf("%v with a mask: err = %v, want the mask-unsupported error", tc.alg, err)
+			t.Fatalf("%v with a mask: err = %v, want the mask-unsupported error", alg, err)
 		}
 	}
 }
@@ -380,7 +384,7 @@ func TestAlgorithmsAgreeQuick(t *testing.T) {
 			return false
 		}
 		for _, tc := range allAlgorithms[1:] {
-			got, err := Multiply(a, b, &Options{Algorithm: tc.alg, Workers: 1 + rng.Intn(4)})
+			got, err := Multiply(a, b, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: 1 + rng.Intn(4)})
 			if err != nil || !matrix.EqualApprox(base, got, 1e-10) {
 				return false
 			}
@@ -397,7 +401,7 @@ func TestWorkerCountsDoNotChangeResult(t *testing.T) {
 	a, b := randPair(rng, 60, 0.1)
 	want, _ := Multiply(a, b, &Options{Algorithm: AlgHash, Workers: 1})
 	for _, workers := range []int{2, 3, 7, 16, 64, 1000} {
-		for _, alg := range []Algorithm{AlgHash, AlgHeap, AlgSharded} {
+		for _, alg := range []Algorithm{AlgHash, AlgHeap} {
 			got, err := Multiply(a, b, &Options{Algorithm: alg, Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d %v: %v", workers, alg, err)
@@ -412,7 +416,7 @@ func TestWorkerCountsDoNotChangeResult(t *testing.T) {
 func TestSupportsUnsortedTable(t *testing.T) {
 	for _, tc := range allAlgorithms {
 		if SupportsUnsorted(tc.alg) != tc.unsortedOut || RequiresSortedInput(tc.alg) == tc.unsortedInput {
-			t.Fatalf("%v: SupportsUnsorted/RequiresSortedInput disagree with the capability table", tc.alg)
+			t.Fatalf("%v: SupportsUnsorted/RequiresSortedInput disagree with the capability table", tc.name)
 		}
 	}
 	if !RequiresSortedInput(AlgHeap) || RequiresSortedInput(AlgHash) {

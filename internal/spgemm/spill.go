@@ -10,8 +10,8 @@ import (
 	"repro/internal/semiring"
 )
 
-// SpillSink is where AlgSharded lands finished stripes when the output must
-// not be held whole (Options.ShardSink): they are written to a
+// SpillSink is where a two-phase product lands finished stripes when the
+// output must not be held whole (Options.ShardSink): they are written to a
 // temp-file-backed CSR and re-mapped (read-only) for the merge, so the peak
 // resident memory of the *output* is bounded by its budget regardless of how
 // large the product is — the row-stripe analogue of the out-of-core path the

@@ -25,20 +25,20 @@ func TestStressAllAlgorithmsOnRMAT(t *testing.T) {
 		want := matrix.NaiveMultiply(a, a)
 		for _, tc := range allAlgorithms {
 			for _, workers := range []int{1, 3, 8} {
-				got, err := Multiply(a, a, &Options{Algorithm: tc.alg, Workers: workers})
+				got, err := Multiply(a, a, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: workers})
 				if err != nil {
-					t.Fatalf("%v workers=%d: %v", tc.alg, workers, err)
+					t.Fatalf("%v workers=%d: %v", tc.name, workers, err)
 				}
 				if err := got.Validate(); err != nil {
-					t.Fatalf("%v workers=%d: %v", tc.alg, workers, err)
+					t.Fatalf("%v workers=%d: %v", tc.name, workers, err)
 				}
 				if !matrix.EqualApprox(want, got, 1e-9) {
-					t.Fatalf("%v workers=%d: wrong product on %v", tc.alg, workers, a)
+					t.Fatalf("%v workers=%d: wrong product on %v", tc.name, workers, a)
 				}
 				if tc.unsortedOut {
-					got, err = Multiply(a, a, &Options{Algorithm: tc.alg, Workers: workers, Unsorted: true})
+					got, err = Multiply(a, a, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: workers, Unsorted: true})
 					if err != nil || !matrix.EqualApprox(want, got, 1e-9) {
-						t.Fatalf("%v workers=%d unsorted: wrong product (%v)", tc.alg, workers, err)
+						t.Fatalf("%v workers=%d unsorted: wrong product (%v)", tc.name, workers, err)
 					}
 				}
 			}
@@ -91,18 +91,18 @@ func TestSpecialValuesPropagate(t *testing.T) {
 	a.Val[0] = math.NaN()
 	a.Val[1] = math.Inf(1)
 	for _, tc := range allAlgorithms {
-		got, err := Multiply(a, matrix.Identity(2), &Options{Algorithm: tc.alg})
+		got, err := Multiply(a, matrix.Identity(2), &Options{Algorithm: tc.alg, ShardStripes: tc.stripes})
 		if err != nil {
-			t.Fatalf("%v: %v", tc.alg, err)
+			t.Fatalf("%v: %v", tc.name, err)
 		}
 		if got.NNZ() != 2 {
-			t.Fatalf("%v: nnz = %d", tc.alg, got.NNZ())
+			t.Fatalf("%v: nnz = %d", tc.name, got.NNZ())
 		}
 		if !math.IsNaN(got.Val[0]) {
-			t.Fatalf("%v: NaN lost: %v", tc.alg, got.Val[0])
+			t.Fatalf("%v: NaN lost: %v", tc.name, got.Val[0])
 		}
 		if !math.IsInf(got.Val[1], 1) {
-			t.Fatalf("%v: Inf lost: %v", tc.alg, got.Val[1])
+			t.Fatalf("%v: Inf lost: %v", tc.name, got.Val[1])
 		}
 	}
 }
@@ -121,12 +121,12 @@ func TestNumericCancellationKeptStructural(t *testing.T) {
 		Val: []float64{1, 1}, Sorted: true,
 	}
 	for _, tc := range allAlgorithms {
-		got, err := Multiply(a, b, &Options{Algorithm: tc.alg})
+		got, err := Multiply(a, b, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes})
 		if err != nil {
-			t.Fatalf("%v: %v", tc.alg, err)
+			t.Fatalf("%v: %v", tc.name, err)
 		}
 		if got.NNZ() != 1 || got.Val[0] != 0 {
-			t.Fatalf("%v: cancelled entry handling: nnz=%d vals=%v", tc.alg, got.NNZ(), got.Val)
+			t.Fatalf("%v: cancelled entry handling: nnz=%d vals=%v", tc.name, got.NNZ(), got.Val)
 		}
 	}
 }
@@ -138,23 +138,23 @@ func TestSingleRowSingleColumn(t *testing.T) {
 	col := matrix.Random(20, 1, 0.5, rng)  // 20×1
 	want := matrix.NaiveMultiply(row, col) // 1×1
 	for _, tc := range allAlgorithms {
-		got, err := Multiply(row, col, &Options{Algorithm: tc.alg, Workers: 4})
+		got, err := Multiply(row, col, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: 4})
 		if err != nil {
-			t.Fatalf("%v: %v", tc.alg, err)
+			t.Fatalf("%v: %v", tc.name, err)
 		}
 		if !matrix.EqualApprox(want, got, 1e-12) {
-			t.Fatalf("%v: outer-ish product wrong", tc.alg)
+			t.Fatalf("%v: outer-ish product wrong", tc.name)
 		}
 	}
 	// Outer product: 20×1 · 1×20 → rank-1 20×20.
 	want = matrix.NaiveMultiply(col, row)
 	for _, tc := range allAlgorithms {
-		got, err := Multiply(col, row, &Options{Algorithm: tc.alg})
+		got, err := Multiply(col, row, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes})
 		if err != nil {
-			t.Fatalf("%v: %v", tc.alg, err)
+			t.Fatalf("%v: %v", tc.name, err)
 		}
 		if !matrix.EqualApprox(want, got, 1e-12) {
-			t.Fatalf("%v: rank-1 product wrong", tc.alg)
+			t.Fatalf("%v: rank-1 product wrong", tc.name)
 		}
 	}
 }
@@ -171,12 +171,12 @@ func TestRowsOfZeros(t *testing.T) {
 	a := coo.ToCSR()
 	want := matrix.NaiveMultiply(a, a)
 	for _, tc := range allAlgorithms {
-		got, err := Multiply(a, a, &Options{Algorithm: tc.alg, Workers: 8})
+		got, err := Multiply(a, a, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: 8})
 		if err != nil {
-			t.Fatalf("%v: %v", tc.alg, err)
+			t.Fatalf("%v: %v", tc.name, err)
 		}
 		if !matrix.EqualApprox(want, got, 1e-12) {
-			t.Fatalf("%v: sparse-rows product wrong", tc.alg)
+			t.Fatalf("%v: sparse-rows product wrong", tc.name)
 		}
 	}
 }
