@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/spgemm"
 )
@@ -90,6 +91,49 @@ func TestClusteringCoefficientsMatchBruteForce(t *testing.T) {
 		want := 2 * float64(tri) / (float64(deg) * float64(deg-1))
 		if math.Abs(cc[v]-want) > 1e-9 {
 			t.Fatalf("cc[%d] = %v, want %v", v, cc[v], want)
+		}
+	}
+}
+
+// TestClusteringCoefficientsMatchMaterializedSums: the row sums are the
+// materialized masked product's, summed from +0 in column order, so every
+// coefficient has the bits it had when the product was stored.
+func TestClusteringCoefficientsMatchMaterializedSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(312))
+	for _, g := range []struct {
+		name string
+		adj  *matrix.CSR
+	}{
+		{"rmat9", gen.RMAT(9, 8, gen.G500Params, rng)},
+		{"rmat8", gen.RMAT(8, 16, gen.G500Params, rng)},
+		{"er9", gen.ER(9, 6, rng)},
+	} {
+		coo := matrix.FromCSR(g.adj)
+		coo.Symmetrize()
+		a := dropDiagonal(Pattern(coo.ToCSR()))
+		for _, workers := range []int{1, 2} {
+			b, err := spgemm.Multiply(a, a, &spgemm.Options{Algorithm: spgemm.AlgHash, Mask: a, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cc, err := ClusteringCoefficients(g.adj, &spgemm.Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := 0; v < a.Rows; v++ {
+				var want float64
+				if deg := float64(a.RowNNZ(v)); deg >= 2 {
+					_, vals := b.Row(v)
+					var closures float64
+					for _, w := range vals {
+						closures += w
+					}
+					want = closures / (deg * (deg - 1))
+				}
+				if math.Float64bits(cc[v]) != math.Float64bits(want) {
+					t.Fatalf("%s W=%d: cc[%d] = %v, want %v", g.name, workers, v, cc[v], want)
+				}
+			}
 		}
 	}
 }

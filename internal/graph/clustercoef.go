@@ -4,15 +4,16 @@ import (
 	"fmt"
 
 	"repro/internal/matrix"
+	"repro/internal/semiring"
 	"repro/internal/spgemm"
 )
 
 // ClusteringCoefficients computes the local clustering coefficient of every
 // vertex — cc(v) = triangles(v) / C(deg(v), 2) — with one masked SpGEMM:
 // B = (A·A) .* A counts, for each edge (v,w), the wedges v–k–w that close,
-// so the row sums of B are 2·triangles(v). Clustering coefficients are
-// listed in the paper's Section 1 (reference [4]) among the graph kernels
-// whose bulk computation is SpGEMM.
+// so the row sums of B, all that is kept of it, are 2·triangles(v).
+// Clustering coefficients are listed in the paper's Section 1 (reference [4])
+// among the graph kernels whose bulk computation is SpGEMM.
 func ClusteringCoefficients(adj *matrix.CSR, opt *spgemm.Options) ([]float64, error) {
 	if adj.Rows != adj.Cols {
 		return nil, fmt.Errorf("graph: adjacency must be square, got %dx%d", adj.Rows, adj.Cols)
@@ -27,9 +28,8 @@ func ClusteringCoefficients(adj *matrix.CSR, opt *spgemm.Options) ([]float64, er
 		opt = &spgemm.Options{Algorithm: spgemm.AlgHash}
 	}
 	inner := *opt
-	inner.Algorithm = spgemm.AlgHash // the one kernel that fuses a mask
-	inner.Mask = a
-	b, err := spgemm.Multiply(a, a, &inner)
+	inner.Algorithm, inner.Mask = spgemm.AlgHash, a // the one kernel that fuses a mask
+	closures, err := spgemm.MaskedRowSums(semiring.PlusTimesF64{}, a, a, &inner)
 	if err != nil {
 		return nil, err
 	}
@@ -39,14 +39,9 @@ func ClusteringCoefficients(adj *matrix.CSR, opt *spgemm.Options) ([]float64, er
 		if deg < 2 {
 			continue // cc undefined/zero for degree < 2
 		}
-		_, vals := b.Row(v)
-		var wedgeClosures float64
-		for _, w := range vals {
-			wedgeClosures += w
-		}
 		// Row sum counts each triangle at v twice (once per incident edge
 		// direction); the number of potential wedges is deg·(deg−1).
-		cc[v] = wedgeClosures / (deg * (deg - 1))
+		cc[v] = closures[v] / (deg * (deg - 1))
 	}
 	return cc, nil
 }

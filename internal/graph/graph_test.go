@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -116,12 +117,14 @@ func TestCountTrianglesMatchesBruteForce(t *testing.T) {
 		want := bruteTriangles(a)
 		// Hash fuses the L mask; every other kernel takes product-then-filter.
 		for alg := spgemm.AlgAuto; int(alg) < spgemm.NumAlgorithms; alg++ {
-			got, err := CountFromLU(prep.L, prep.U, &spgemm.Options{Algorithm: alg})
-			if err != nil {
-				t.Fatalf("%v: %v", alg, err)
-			}
-			if got != want {
-				t.Fatalf("trial %d %v: triangles = %d, want %d", trial, alg, got, want)
+			for _, workers := range []int{1, 2} {
+				got, err := CountFromLU(prep.L, prep.U, &spgemm.Options{Algorithm: alg, Workers: workers})
+				if err != nil {
+					t.Fatalf("%v: %v", alg, err)
+				}
+				if got != want {
+					t.Fatalf("trial %d %v W=%d: triangles = %d, want %d", trial, alg, workers, got, want)
+				}
 			}
 		}
 	}
@@ -155,6 +158,125 @@ func TestCountFromLUAutoFusesMask(t *testing.T) {
 	}
 	if a, h := autoStats.TotalWorker().HashLookups, hashStats.TotalWorker().HashLookups; a != h {
 		t.Errorf("auto did %d hash lookups, hash %d: mask not fused", a, h)
+	}
+}
+
+// TestCountFromLUNonUnitFactors: factors holding explicit zeros and values
+// other than 1 (2.5, -1) count as they always have, which the float64 row
+// sums would get wrong, so they must take the int64 copies. A stored non-zero
+// of L or U is one edge and a stored zero none; the fused mask (Hash, and
+// Auto, which resolves to it here) keeps every stored position of L, zeros
+// included, where the filter after any other kernel multiplies by L's 0.
+func TestCountFromLUNonUnitFactors(t *testing.T) {
+	prep, err := PrepareTriangles(gen.RMAT(7, 8, gen.G500Params, rand.New(rand.NewSource(303))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, u := prep.L.Clone(), prep.U.Clone()
+	for p := range l.Val {
+		l.Val[p] = []float64{1, 0, 2.5, -1, 1}[p%5]
+	}
+	for p := range u.Val {
+		u.Val[p] = []float64{1, -1, 2.5, 1, 0, 1, 1}[p%7]
+	}
+	ld, ud := l.ToDense(), u.ToDense()
+	var masked, filtered int64
+	for i := 0; i < l.Rows; i++ {
+		cols, _ := l.Row(i)
+		for _, j := range cols {
+			for k := 0; k < l.Cols; k++ {
+				if ld.At(i, k) != 0 && ud.At(k, int(j)) != 0 {
+					masked++
+					if ld.At(i, int(j)) != 0 {
+						filtered++
+					}
+				}
+			}
+		}
+	}
+	if spgemm.Recommend(l, u, true, spgemm.UseTriangle) != spgemm.AlgHash {
+		t.Fatal("the recipe does not answer hash here; the test needs an input it does")
+	}
+	for _, alg := range []spgemm.Algorithm{spgemm.AlgAuto, spgemm.AlgHash, spgemm.AlgHeap} {
+		want := masked
+		if alg == spgemm.AlgHeap {
+			want = filtered
+		}
+		for _, workers := range []int{1, 2} {
+			got, err := CountFromLU(l, u, &spgemm.Options{Algorithm: alg, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%v W=%d: %d wedge closures, want %d", alg, workers, got, want)
+			}
+		}
+	}
+}
+
+// g500Factors is PrepareTriangles on G500 s13/ef16, the benchmark's
+// triangle-counting input.
+func g500Factors(t *testing.T) *TriangleResult {
+	t.Helper()
+	prep, err := PrepareTriangles(gen.RMAT(13, 16, gen.G500Params, rand.New(rand.NewSource(1))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prep
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCountFromLUAllocation: on unit factors one call, without a Context,
+// allocates less than one int64 per entry of L, where int64 copies of the
+// factors are two, and the stored product about one more.
+func TestCountFromLUAllocation(t *testing.T) {
+	prep := g500Factors(t)
+	opt := &spgemm.Options{Algorithm: spgemm.AlgHash, Workers: 2}
+	if _, err := CountFromLU(prep.L, prep.U, opt); err != nil { // the pool's workers start
+		t.Fatal(err)
+	}
+	var err error
+	bytes := allocated(func() { _, err = CountFromLU(prep.L, prep.U, opt) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := uint64(prep.L.NNZ()) * 8; bytes >= limit {
+		t.Errorf("CountFromLU allocated %d B, want < nnz(L)·8 = %d B", bytes, limit)
+	}
+}
+
+// TestCountFromLUContext: the caller's Context serves the unit-factor row
+// sums, so five calls on one count the same, and from the second on each
+// allocates only the row sums.
+func TestCountFromLUContext(t *testing.T) {
+	prep := g500Factors(t)
+	opt := &spgemm.Options{Algorithm: spgemm.AlgHash, Workers: 2, Context: spgemm.NewContext()}
+	var first int64
+	for call := range 5 {
+		var n int64
+		var err error
+		bytes := allocated(func() { n, err = CountFromLU(prep.L, prep.U, opt) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if call == 0 {
+			first = n
+			continue
+		}
+		if n != first {
+			t.Errorf("call %d counted %d triangles, the first %d", call, n, first)
+		}
+		if limit := uint64(prep.L.Rows*8 + 1<<10); bytes > limit {
+			t.Errorf("call %d allocated %d B, want <= %d (the row sums)", call, bytes, limit)
+		}
 	}
 }
 

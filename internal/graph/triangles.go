@@ -67,43 +67,35 @@ func CountTriangles(adj *matrix.CSR, opt *spgemm.Options) (*TriangleResult, erro
 
 // CountFromLU computes the number of triangles given the triangular split:
 // triangles = Σ ((L·U) .* L). With AlgHash the mask is fused into the
-// SpGEMM — one phase, row i accumulated straight into the slots of L's row i
-// — and with any other algorithm the product is formed and filtered.
-// AlgAuto is resolved here, through the recipe's L·U row, before that choice
-// is made, so an auto-selected hash kernel fuses the mask too.
+// SpGEMM and only its row sums are kept (spgemm.MaskedRowSums); with any
+// other algorithm the product is formed and filtered. AlgAuto is resolved
+// here, through the recipe's L·U row, before that choice is made, so an
+// auto-selected hash kernel fuses the mask too.
 //
-// The product runs over int64 with the monomorphized plus-times ring:
-// wedge counts are integers, so summing them in int64 is exact at any
-// scale, where the historical float64 accumulation relied on counts staying
-// under 2^53 and a final +0.5 rounding. opt carries the algorithm/worker
-// selection; Mask and Context are ignored (the mask is derived
-// from L, and a float64 Context cannot serve an int64 product).
+// The total is summed in int64. Where every stored value of L and U is 1 and
+// no row of L holds more than 2²⁶ entries, the row sums run over the float64
+// factors, exactly: a partial sum of row i is an integer ≤ nnz(Lᵢ)² < 2⁵³.
+// Otherwise they run over int64 copies with every stored non-zero as 1. opt's
+// Mask is ignored (L is the mask), and its Context is used unless copies are.
 func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 	if opt == nil {
 		opt = &spgemm.Options{Algorithm: spgemm.AlgHash}
 	}
-	li, ui := countView(l), countView(u)
 	alg := opt.Algorithm
 	if alg == spgemm.AlgAuto {
-		alg = spgemm.Recommend(li, ui, !opt.Unsorted, spgemm.UseTriangle)
+		alg = spgemm.Recommend(l, u, !opt.Unsorted, spgemm.UseTriangle)
 	}
-	inner := spgemm.OptionsG[int64]{
-		Algorithm: alg,
-		Workers:   opt.Workers,
-		Unsorted:  opt.Unsorted,
-		UseCase:   spgemm.UseTriangle,
-		Stats:     opt.Stats,
+	if alg == spgemm.AlgHash && unitFactors(l, u) {
+		return maskedCount(semiring.PlusTimesF64{}, l, u, spgemm.Options{Workers: opt.Workers, Stats: opt.Stats, Context: opt.Context})
 	}
-	useMask := alg == spgemm.AlgHash
-	if useMask {
-		inner.Mask = li
+	li, ui := countView(l), countView(u)
+	inner := spgemm.OptionsG[int64]{Algorithm: alg, Workers: opt.Workers, Unsorted: opt.Unsorted, UseCase: spgemm.UseTriangle, Stats: opt.Stats}
+	if alg == spgemm.AlgHash {
+		return maskedCount(semiring.PlusTimesI64{}, li, ui, inner)
 	}
 	b, err := spgemm.MultiplyRing(semiring.PlusTimesI64{}, li, ui, &inner)
 	if err != nil {
 		return 0, err
-	}
-	if useMask {
-		return b.Sum(), nil
 	}
 	// Filter the full product against L's pattern.
 	masked, err := matrix.HadamardG(b, li)
@@ -111,6 +103,34 @@ func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 		return 0, err
 	}
 	return masked.Sum(), nil
+}
+
+// maskedCount adds the row sums of (L·U) .* L, integers in V, into an int64.
+func maskedCount[V float64 | int64, R semiring.Ring[V]](ring R, l, u *matrix.CSRG[V], opt spgemm.OptionsG[V]) (int64, error) {
+	opt.Algorithm, opt.Mask = spgemm.AlgHash, l
+	sums, err := spgemm.MaskedRowSums(ring, l, u, &opt)
+	var n int64
+	for _, s := range sums {
+		n += int64(s)
+	}
+	return n, err
+}
+
+// unitFactors reports whether l and u store only 1s, in rows of l ≤ 2²⁶ long.
+func unitFactors(l, u *matrix.CSR) bool {
+	for i := 0; i < l.Rows; i++ {
+		if l.RowNNZ(i) > 1<<26 {
+			return false
+		}
+	}
+	for _, m := range [2]*matrix.CSR{l, u} {
+		for _, v := range m.Val {
+			if v != 1 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // countView is m over int64 with every stored non-zero as 1. Only the values

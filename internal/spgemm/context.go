@@ -287,13 +287,21 @@ func (c *ContextG[V]) rowNnzBuf(rows int) []int64 {
 // stripeWindows returns where each stripe of a one-phase product writes:
 // stripe s into [win[s], win[s+1]). A replay's windows are its stripes' slices
 // of the output; a one-shot product's cut one buffer by what each stripe's
-// rows admit — their flop for Heap, maskNeed under a mask.
-func (c *ContextG[V]) stripeWindows(in *inspection[V], rowPtr []int64) []int64 {
-	win := tempBuf(&c.windows, int64(in.stripes()+1))
+// rows admit — their flop for Heap, maskNeed under a mask. Row sums keep no
+// row, so theirs are the workers', worker w's at win[w]: the widest mask row
+// and the trash slot, reused row after row.
+func (c *ContextG[V]) stripeWindows(in *inspection[V], rowPtr []int64, sums bool) []int64 {
+	n, width := in.stripes(), int64(0)
+	if sums {
+		n, width = in.workers, maskWidest(in.mask, in.flopRow, 0, len(in.flopRow))+1
+	}
+	win := tempBuf(&c.windows, int64(n+1))
 	win[0] = 0
-	for s := range in.stripes() {
+	for s := range n {
 		lo, hi := in.offsets[s], in.offsets[s+1]
 		switch {
+		case sums:
+			win[s+1] = win[s] + width
 		case rowPtr != nil:
 			win[s+1] = rowPtr[hi]
 		case in.mask != nil:

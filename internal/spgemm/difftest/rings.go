@@ -243,7 +243,7 @@ func filterByPattern[V semiring.Value](m, mask *matrix.CSRG[V]) *matrix.CSRG[V] 
 // mask index on the hash table whichever side denseRule gave the unpadded
 // one; it must be bit-identical to the unpadded result. ctx, when non-nil, is
 // a reused Context: the result must then also be bit-identical to the one-shot
-// call's.
+// call's. Every mask then runs the row-sum leg (checkRowSums).
 func CheckRingMasked[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a, b *matrix.CSRG[V], unsorted bool, workers int, ctx *spgemm.ContextG[V], close func(x, y V) bool) error {
 	full := matrix.NaiveMultiplyRing(ring, a, b)
 	flop, _ := matrix.Flop(a, b)
@@ -279,6 +279,9 @@ func CheckRingMasked[V semiring.Value, R semiring.Ring[V]](caseName string, ring
 		if err != nil {
 			return fmt.Errorf("%s/mask=%s padded unsorted=%v workers=%d: %w", caseName, mc.name, unsorted, workers, err)
 		}
+		if err := checkRowSums(ring, a, b, &padded, mc.m, &pmask, want, workers, ctx, close); err != nil {
+			return fmt.Errorf("%s/mask=%s: %w", caseName, mc.name, err)
+		}
 		if ctx == nil {
 			continue
 		}
@@ -289,6 +292,47 @@ func CheckRingMasked[V semiring.Value, R semiring.Ring[V]](caseName string, ring
 		}
 		if err != nil {
 			return fmt.Errorf("%s/mask=%s ctx unsorted=%v workers=%d: %w", caseName, mc.name, unsorted, workers, err)
+		}
+	}
+	return nil
+}
+
+// checkRowSums is the masked leg's row-sum half: spgemm.MaskedRowSums of a·b
+// under mask must give every row the fold of want's row (the filtered oracle,
+// sorted) with ring.Add from ring.Zero(), as close judges: at W = 1 and at
+// workers, on B and the mask as given and padded (the index's table side), and
+// through ctx when it is non-nil.
+func checkRowSums[V semiring.Value, R semiring.Ring[V]](ring R, a, b, padded, mask, pmask, want *matrix.CSRG[V], workers int, ctx *spgemm.ContextG[V], close func(x, y V) bool) error {
+	sums := make([]V, want.Rows)
+	for i := range sums {
+		sums[i] = ring.Zero()
+		for _, v := range want.Val[want.RowPtr[i]:want.RowPtr[i+1]] {
+			sums[i] = ring.Add(sums[i], v)
+		}
+	}
+	type side struct {
+		name string
+		b, m *matrix.CSRG[V]
+		ctx  *spgemm.ContextG[V]
+	}
+	sides := []side{{"", b, mask, nil}, {" padded", padded, pmask, nil}}
+	if ctx != nil {
+		sides = append(sides, side{" ctx", b, mask, ctx})
+	}
+	for _, w := range []int{1, workers} {
+		for _, sd := range sides {
+			got, err := spgemm.MaskedRowSums(ring, a, sd.b, &spgemm.OptionsG[V]{Workers: w, Mask: sd.m, Context: sd.ctx})
+			if err == nil && len(got) != len(sums) {
+				err = fmt.Errorf("%d sums, want %d", len(got), len(sums))
+			}
+			for i := 0; err == nil && i < len(sums); i++ {
+				if !close(got[i], sums[i]) {
+					err = fmt.Errorf("row %d sums to %v, want %v", i, got[i], sums[i])
+				}
+			}
+			if err != nil {
+				return fmt.Errorf("row sums%s workers=%d: %w", sd.name, w, err)
+			}
 		}
 	}
 	return nil

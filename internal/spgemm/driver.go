@@ -159,7 +159,7 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 // rows' slice of the result, written in place.
 func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, unsorted bool, sink *SpillSink[V], pt *phaseTimer) (*matrix.CSRG[V], error) {
 	if in.onePhase() {
-		return onePhaseExecute(ring, a, b, ctx, in, rowPtr, unsorted, pt), nil
+		return onePhaseExecute(ring, a, b, ctx, in, rowPtr, unsorted, nil, pt), nil
 	}
 	c, errs, err := ctx.bindOutput(sink, in.stripes(), a.Rows, b.Cols, rowPtr, !unsorted)
 	if err != nil {

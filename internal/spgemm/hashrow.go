@@ -559,30 +559,47 @@ func maskNeed[V semiring.Value](mask *matrix.CSRG[V], flopRow []int64, lo, hi in
 	return need
 }
 
+// maskWidest is the widest mask row among the rows of [lo, hi) with a
+// non-zero weight: the most slots any of them indexes.
+func maskWidest[V semiring.Value](mask *matrix.CSRG[V], flopRow []int64, lo, hi int) int64 {
+	var widest int64
+	for i := lo; i < hi; i++ {
+		if flopRow[i] != 0 {
+			widest = max(widest, mask.RowPtr[i+1]-mask.RowPtr[i])
+		}
+	}
+	return widest
+}
+
 // maskedRows is worker w's pass over the rows of [lo, hi), a stripe of a
 // one-shot masked product: each row goes through maskedRow into the stripe's
 // window cols/vals (maskNeed entries), behind the one before, and its size
 // into rowNnz (zeroed by the caller), on the dense index or the worker's table.
-func maskedRows[V semiring.Value, R semiring.Ring[V]](ring R, c *ContextG[V], w int, a, b, mask *matrix.CSRG[V], flopRow []int64, lo, hi int, dense bool, cols []int32, vals []V, sort bool, rowNnz []int64) {
+// With sums in place of rowNnz every row starts at the window's head (its mask
+// row and one slot more) and leaves only its fold in sums[i].
+func maskedRows[V semiring.Value, R semiring.Ring[V]](ring R, c *ContextG[V], w int, a, b, mask *matrix.CSRG[V], flopRow []int64, lo, hi int, dense bool, cols []int32, vals []V, sort bool, rowNnz []int64, sums []V) {
 	var index []int32
 	var table *accum.HashTableG[int32]
 	if dense {
 		c.maskDense[w] = growTo(c.maskDense[w], b.Cols)
 		index = c.maskDense[w]
 	} else {
-		var widest int64
-		for i := lo; i < hi; i++ {
-			if flopRow[i] != 0 {
-				widest = max(widest, mask.RowPtr[i+1]-mask.RowPtr[i])
-			}
-		}
-		table = reviveTable(&c.maskHash[w], widest)
+		table = reviveTable(&c.maskHash[w], maskWidest(mask, flopRow, lo, hi))
 	}
 	body := bodiesFor[V](ring)
 	pos := 0
 	for i := lo; i < hi; i++ {
+		n := 0
 		if mcols := mask.ColIdx[mask.RowPtr[i]:mask.RowPtr[i+1]]; flopRow[i] != 0 && len(mcols) != 0 {
-			n := body.maskedRow(ring, index, table, a, b, mcols, i, cols[pos:], vals[pos:], sort)
+			n = body.maskedRow(ring, index, table, a, b, mcols, i, cols[pos:], vals[pos:], sort)
+		}
+		if sums != nil {
+			s := ring.Zero()
+			for _, v := range vals[:n] {
+				s = ring.Add(s, v)
+			}
+			sums[i] = s
+		} else {
 			rowNnz[i] = int64(n)
 			pos += n
 		}

@@ -540,7 +540,7 @@ func missHitsTrash[V semiring.Value, R semiring.Ring[V]](t *testing.T, ring R, o
 	ctx := NewContextG[V]()
 	ctx.ensureWorkers(1)
 	cols, vals, rowNnz := []int32{-7, -7}, make([]V, 2), make([]int64, 1)
-	maskedRows(ring, ctx, 0, a, b, mask, []int64{1}, 0, 1, dense, cols, vals, false, rowNnz)
+	maskedRows(ring, ctx, 0, a, b, mask, []int64{1}, 0, 1, dense, cols, vals, false, rowNnz, nil)
 	if rowNnz[0] != 0 {
 		t.Errorf("%v dense=%v: a missed product made an entry", ring, dense)
 	}

@@ -67,13 +67,16 @@ func heapRow[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 // the row pointers and each stripe's rows, contiguous in its window and in
 // the output alike, move with one bulk copy (PhaseAssemble). With the row
 // pointers of a Heap Plan a stripe's window is its slice of the output, so
-// every row is merged straight into its final place: no buffer, no copy.
-func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, unsorted bool, pt *phaseTimer) *matrix.CSRG[V] {
+// every row is merged straight into its final place: no buffer, no copy. With
+// sums (MaskedRowSums) a window is a worker's, one mask row wide, and each
+// row is folded into sums[i] and overwritten by the next: no output at all.
+func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, unsorted bool, sums []V, pt *phaseTimer) *matrix.CSRG[V] {
 	if in.onePass {
 		return onePassExecute(ring, a, b, ctx, in, pt)
 	}
-	sorted := in.mask == nil || !unsorted // a merged row is sorted by construction
-	win := ctx.stripeWindows(in, rowPtr)
+	// A merged row is sorted by construction, and a sum folds its row ascending.
+	sorted := in.mask == nil || !unsorted || sums != nil
+	win := ctx.stripeWindows(in, rowPtr, sums != nil)
 	var c *matrix.CSRG[V] // a replay's output, merged into directly
 	var rowNnz []int64    // a one-shot multiply's row sizes, found on the way
 	var cols []int32
@@ -83,8 +86,10 @@ func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.
 		cols, vals = c.ColIdx, c.Val
 		pt.tick(PhaseAlloc)
 	} else {
-		rowNnz = ctx.rowNnzBuf(a.Rows)
-		cols, vals = tempBuf(&ctx.tmpCols, win[in.stripes()]), tempBuf(&ctx.tmpVals, win[in.stripes()])
+		if sums == nil {
+			rowNnz = ctx.rowNnzBuf(a.Rows)
+		}
+		cols, vals = tempBuf(&ctx.tmpCols, win[len(win)-1]), tempBuf(&ctx.tmpVals, win[len(win)-1])
 	}
 	// The mask index goes by denseRule, for its reason: the O(Cols) array only
 	// where the flop one worker serves pays for it, however fine the cut.
@@ -98,10 +103,14 @@ func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.
 		}
 		for s := w; s < in.stripes(); s = ctx.nextStripe() {
 			lo, hi := in.offsets[s], in.offsets[s+1]
+			at := s // the stripe's window, or under sums the worker's
+			if sums != nil {
+				at = w
+			}
 			// Capped at the window's end: a row overrunning it panics instead.
-			wcols, wvals := cols[win[s]:win[s+1]:win[s+1]], vals[win[s]:win[s+1]:win[s+1]]
+			wcols, wvals := cols[win[at]:win[at+1]:win[at+1]], vals[win[at]:win[at+1]:win[at+1]]
 			if in.mask != nil {
-				maskedRows(ring, ctx, w, a, b, in.mask, in.flopRow, lo, hi, dense, wcols, wvals, sorted && !in.mask.Sorted, rowNnz)
+				maskedRows(ring, ctx, w, a, b, in.mask, in.flopRow, lo, hi, dense, wcols, wvals, sorted && !in.mask.Sorted, rowNnz, sums)
 			} else {
 				pos := 0
 				for i := lo; i < hi; i++ {
@@ -122,7 +131,7 @@ func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.
 		}
 	})
 	pt.tick(PhaseNumeric)
-	if c != nil {
+	if rowPtr != nil || sums != nil { // a replay merged into c; sums leave no output
 		pt.finish()
 		return c
 	}

@@ -98,9 +98,9 @@ type OptionsG[V semiring.Value] struct {
 	// significant optimization of the paper's Section 5.4.4.
 	Unsorted bool
 	// Mask, when non-nil, restricts the output pattern: only entries whose
-	// position is stored in Mask are produced (its values are ignored). Used
-	// by the triangle counting use case. Supported by AlgHash (and AlgAuto,
-	// which resolves to it).
+	// position is stored in Mask are produced (its values are ignored).
+	// Supported by AlgHash (and AlgAuto, which resolves to it); required by
+	// MaskedRowSums.
 	Mask *matrix.CSRG[V]
 	// UseCase tells the AlgAuto recipe which Table 4 scenario this product
 	// is (squaring-like, square × tall-skinny, or triangular L×U). The zero
@@ -179,18 +179,6 @@ func MultiplyRing[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 	if err != nil {
 		return nil, err
 	}
-	if opt.Mask != nil {
-		if alg != AlgHash {
-			return nil, fmt.Errorf("spgemm: mask is only supported by hash, not %v", alg)
-		}
-		if opt.Mask.Rows != a.Rows || opt.Mask.Cols != b.Cols {
-			return nil, fmt.Errorf("spgemm: mask dimensions %dx%d do not match output %dx%d",
-				opt.Mask.Rows, opt.Mask.Cols, a.Rows, b.Cols)
-		}
-	}
-	if opt.ShardSink != nil && (alg == AlgHeap || opt.Mask != nil) {
-		return nil, fmt.Errorf("spgemm: a ShardSink needs a two-phase product; heap and masked products are one-phase")
-	}
 	c, err := inspectExecute(ring, alg, a, b, opt)
 	if err != nil {
 		return nil, err
@@ -199,10 +187,32 @@ func MultiplyRing[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 	return c, nil
 }
 
+// MaskedRowSums returns, for each row i, the left fold with ring.Add, from
+// ring.Zero(), of row i of MultiplyRing(ring, a, b, opt) in ascending column
+// order: the row sums of (A·B).*M, M being opt.Mask, which is required. The
+// product is never stored (onePhaseExecute), so through a reused opt.Context
+// the returned slice is all a call allocates.
+func MaskedRowSums[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V]) ([]V, error) {
+	if opt == nil || opt.Mask == nil {
+		return nil, fmt.Errorf("spgemm: MaskedRowSums needs Options.Mask")
+	}
+	alg, err := opt.kernelFor(a, b)
+	if err != nil {
+		return nil, err
+	}
+	ctx := opt.ctx()
+	in, pt := inspect(alg, a, b, opt, ctx, false)
+	sums := make([]V, a.Rows)
+	onePhaseExecute(ring, a, b, ctx, in, nil, false, sums, pt)
+	recordMultiply(alg, opt)
+	return sums, nil
+}
+
 // kernelFor checks that a·b is a product some kernel can compute under o and
-// names that kernel — Algorithm itself, or the recipe's answer for AlgAuto.
-// Multiply and NewPlan both start here, so a product has a Plan exactly when
-// it has a one-shot result.
+// names that kernel — Algorithm itself, or the recipe's answer for AlgAuto:
+// a mask needs Hash and the output's shape, a sink a two-phase product.
+// MultiplyRing, MaskedRowSums and NewPlan all start here, so a product has a
+// Plan exactly when it has a one-shot result.
 func (o *OptionsG[V]) kernelFor(a, b *matrix.CSRG[V]) (Algorithm, error) {
 	if a.Cols != b.Rows {
 		return 0, fmt.Errorf("spgemm: dimension mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
@@ -223,6 +233,18 @@ func (o *OptionsG[V]) kernelFor(a, b *matrix.CSRG[V]) (Algorithm, error) {
 	}
 	if RequiresSortedInput(alg) && !b.Sorted {
 		return 0, fmt.Errorf("spgemm: %v algorithm requires sorted input rows (B is unsorted)", alg)
+	}
+	if o.Mask != nil {
+		if alg != AlgHash {
+			return 0, fmt.Errorf("spgemm: mask is only supported by hash, not %v", alg)
+		}
+		if o.Mask.Rows != a.Rows || o.Mask.Cols != b.Cols {
+			return 0, fmt.Errorf("spgemm: mask dimensions %dx%d do not match output %dx%d",
+				o.Mask.Rows, o.Mask.Cols, a.Rows, b.Cols)
+		}
+	}
+	if o.ShardSink != nil && (alg == AlgHeap || o.Mask != nil) {
+		return 0, fmt.Errorf("spgemm: a ShardSink needs a two-phase product; heap and masked products are one-phase")
 	}
 	return alg, nil
 }

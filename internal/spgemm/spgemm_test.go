@@ -1,7 +1,9 @@
 package spgemm
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -333,6 +335,78 @@ func TestMaskRejectedForOtherAlgorithms(t *testing.T) {
 		_, err := Multiply(a, a, &Options{Algorithm: alg, Mask: a})
 		if err == nil || !strings.Contains(err.Error(), "mask is only supported by hash") {
 			t.Fatalf("%v with a mask: err = %v, want the mask-unsupported error", alg, err)
+		}
+	}
+}
+
+// TestMaskedRowSumsRejects: MaskedRowSums runs MultiplyRing's own mask and
+// sink checks, and a missing mask is an error of its own.
+func TestMaskedRowSumsRejects(t *testing.T) {
+	a := matrix.Identity(4)
+	sink := NewSpillSink[float64](t.TempDir(), 0)
+	defer sink.Close()
+	for _, tc := range []struct {
+		name string
+		opt  *Options
+	}{
+		{"nil options", nil},
+		{"no mask", &Options{Algorithm: AlgHash}},
+		{"hashvec", &Options{Algorithm: AlgHashVec, Mask: a}},
+		{"heap", &Options{Algorithm: AlgHeap, Mask: a}},
+		{"mask shape", &Options{Mask: matrix.Identity(5)}},
+		{"sink", &Options{Mask: a, ShardSink: sink}},
+	} {
+		if _, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, tc.opt); err == nil {
+			t.Errorf("%s: MaskedRowSums returned no error", tc.name)
+		}
+	}
+}
+
+// TestMaskedRowSumsStoresNoProduct: the row sums are the product's, fold for
+// fold, yet no output array is drawn, no phase sizes or assembles one, and
+// through a reused Context a call allocates the returned slice and no more
+// than the closures of its parallel region.
+func TestMaskedRowSumsStoresNoProduct(t *testing.T) {
+	a := gen.RMAT(9, 8, gen.G500Params, rand.New(rand.NewSource(41)))
+	for _, workers := range []int{1, 2} {
+		ctx := NewContext()
+		prod, err := Multiply(a, a, &Options{Mask: a, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drawn, drawnBytes := mOutputAllocated.Value(), mOutputAllocatedBytes.Value()
+		var st ExecStats
+		sums, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, &Options{Mask: a, Workers: workers, Context: ctx, Stats: &st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, b := mOutputAllocated.Value()-drawn, mOutputAllocatedBytes.Value()-drawnBytes; d != 0 || b != 0 {
+			t.Errorf("W=%d: %d output arrays (%d B) drawn, want none", workers, d, b)
+		}
+		if st.Algorithm != AlgHash || st.Phases[PhaseSymbolic] != 0 || st.Phases[PhaseAlloc] != 0 || st.Phases[PhaseAssemble] != 0 {
+			t.Errorf("W=%d: ran %v with symbolic %v, alloc %v, assemble %v; want hash with none of them", workers,
+				st.Algorithm, st.Phases[PhaseSymbolic], st.Phases[PhaseAlloc], st.Phases[PhaseAssemble])
+		}
+		for i := range sums {
+			var want float64
+			for _, v := range prod.Val[prod.RowPtr[i]:prod.RowPtr[i+1]] {
+				want += v
+			}
+			if math.Float64bits(sums[i]) != math.Float64bits(want) {
+				t.Fatalf("W=%d: row %d sums to %v, want %v", workers, i, sums[i], want)
+			}
+		}
+		opt := &Options{Mask: a, Workers: workers, Context: ctx}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 5 {
+			if _, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if perCall, limit := (after.TotalAlloc-before.TotalAlloc)/5, uint64(a.Rows*8+1<<10); perCall > limit {
+			t.Errorf("W=%d: %d B per call through a reused Context, want <= %d (the sums)", workers, perCall, limit)
 		}
 	}
 }
