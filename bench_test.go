@@ -168,8 +168,8 @@ func benchSquare(b *testing.B, a *matrix.CSR, alg fmt.Stringer, unsorted bool) {
 // sortedTrack and unsortedTrack are the contenders of the paper's two
 // evaluation tracks (Section 5).
 var (
-	sortedTrack   = []fmt.Stringer{baseline.MKL, spgemm.AlgHeap, spgemm.AlgHash, spgemm.AlgHashVec}
-	unsortedTrack = []fmt.Stringer{baseline.MKL, baseline.MKLInspector, baseline.Kokkos, spgemm.AlgHash, spgemm.AlgHashVec}
+	sortedTrack   = []fmt.Stringer{baseline.MKL, spgemm.AlgHeap, spgemm.AlgHash, baseline.HashVec}
+	unsortedTrack = []fmt.Stringer{baseline.MKL, baseline.MKLInspector, baseline.Kokkos, spgemm.AlgHash, baseline.HashVec}
 )
 
 func BenchmarkFig11Density(b *testing.B) {
@@ -232,10 +232,10 @@ func BenchmarkFig14Suite(b *testing.B) {
 
 func BenchmarkFig16TallSkinny(b *testing.B) {
 	f := fx(b)
-	for _, alg := range []spgemm.Algorithm{spgemm.AlgHeap, spgemm.AlgHash, spgemm.AlgHashVec} {
+	for _, alg := range []fmt.Stringer{spgemm.AlgHeap, spgemm.AlgHash, baseline.HashVec} {
 		b.Run(alg.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := spgemm.Multiply(f.g500, f.tall, &spgemm.Options{Algorithm: alg}); err != nil {
+				if _, err := multiply(alg, f.g500, f.tall, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -280,42 +280,38 @@ func BenchmarkFig17Triangle(b *testing.B) {
 func BenchmarkGenericF32Square(b *testing.B) {
 	f := fx(b)
 	a32 := matrix.MapValues(f.g500, func(v float64) float32 { return float32(v) })
-	for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec} {
-		b.Run(fmt.Sprintf("%v/f64", alg), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := spgemm.MultiplyRing(semiring.PlusTimesF64{}, f.g500, f.g500, &spgemm.OptionsG[float64]{Algorithm: alg}); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("hash/f64", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := spgemm.MultiplyRing(semiring.PlusTimesF64{}, f.g500, f.g500, &spgemm.OptionsG[float64]{Algorithm: spgemm.AlgHash}); err != nil {
+				b.Fatal(err)
 			}
-			reportMFLOPS(b, f.g500, f.g500)
-		})
-		b.Run(fmt.Sprintf("%v/f32", alg), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := spgemm.MultiplyRing(semiring.PlusTimesF32{}, a32, a32, &spgemm.OptionsG[float32]{Algorithm: alg}); err != nil {
-					b.Fatal(err)
-				}
+		}
+		reportMFLOPS(b, f.g500, f.g500)
+	})
+	b.Run("hash/f32", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := spgemm.MultiplyRing(semiring.PlusTimesF32{}, a32, a32, &spgemm.OptionsG[float32]{Algorithm: spgemm.AlgHash}); err != nil {
+				b.Fatal(err)
 			}
-			// Same structure as the f64 track, so the flop count carries over.
-			reportMFLOPS(b, f.g500, f.g500)
-		})
-	}
+		}
+		// Same structure as the f64 track, so the flop count carries over.
+		reportMFLOPS(b, f.g500, f.g500)
+	})
 }
 
 func BenchmarkGenericPackedMSBFS(b *testing.B) {
 	f := fx(b)
 	sources := []int32{0, 7, 42, 99, 512, 777, 900, 1013}
-	for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec} {
-		b.Run(alg.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := graph.MSBFS(f.g500, sources, &spgemm.Options{Algorithm: alg}); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("hash", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := graph.MSBFS(f.g500, sources, &spgemm.Options{Algorithm: spgemm.AlgHash}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // --- Section 5.4.4: sorted vs unsorted ------------------------------------

@@ -8,7 +8,7 @@
 //   - internal/semiring  — (+,×), or-and, min-plus, max-times semirings
 //   - internal/sched     — static/dynamic/guided/balanced loop scheduling
 //   - internal/mempool   — thread-private memory management (single vs parallel)
-//   - internal/accum     — hash, chunked-hash, heap, SPA, two-level accumulators
+//   - internal/accum     — the kernels' hash, heap and SPA accumulators
 //   - internal/spgemm    — the SpGEMM algorithms and the Table 4 recipe
 //   - internal/gen       — R-MAT ER/G500 generators and Table 2 proxies
 //   - internal/graph     — triangle counting, multi-source BFS, Markov clustering

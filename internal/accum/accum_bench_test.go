@@ -7,7 +7,7 @@ import (
 )
 
 // Ablation benchmarks for the accumulator design choices DESIGN.md calls
-// out: probing scheme, chunk width, table load factor, and reset discipline.
+// out: probing scheme, table load factor, and reset discipline.
 
 func benchKeys(n int, span int32) []int32 {
 	rng := rand.New(rand.NewSource(99))
@@ -44,25 +44,7 @@ func BenchmarkAblationHashing(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationChunkWidth sweeps the HashVector chunk width (the
-// emulated vector-register width: 8 = AVX2 on Haswell, 16 = AVX-512 on KNL).
-func BenchmarkAblationChunkWidth(b *testing.B) {
-	keys := benchKeys(4096, 8192)
-	for _, w := range []int{2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("width=%d", w), func(b *testing.B) {
-			h := NewHashVecTableWidth(8192, w)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Reset()
-				for _, k := range keys {
-					plusAcc(h, k, 1)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationAccumulators races the four accumulator families on the
+// BenchmarkAblationAccumulators races the accumulator families on the
 // same key stream — the per-operation cost ranking that drives the paper's
 // algorithm ranking.
 func BenchmarkAblationAccumulators(b *testing.B) {
@@ -79,12 +61,8 @@ func BenchmarkAblationAccumulators(b *testing.B) {
 	}
 	h := NewHashTable(8192)
 	run("hash", h.Reset, func(k int32) { plusAcc(h, k, 1) })
-	hv := NewHashVecTableG[float64](8192)
-	run("hashvec", hv.Reset, func(k int32) { plusAcc(hv, k, 1) })
 	s := NewSPA(4096)
 	run("spa", s.Reset, func(k int32) { plusAcc(s, k, 1) })
-	tl := NewTwoLevelHash(0)
-	run("twolevel", tl.Reset, func(k int32) { plusAcc(tl, k, 1) })
 	m := map[int32]float64{}
 	run("gomap", func() { clear(m) }, func(k int32) { m[k] += 1 })
 }

@@ -21,47 +21,6 @@ func TestMergeHeapPushCounter(t *testing.T) {
 	}
 }
 
-// TestTwoLevelOverflowCounter forces level-1 exhaustion with a tiny L1 and
-// checks the delegation counters: every overflow is one level-2 operation,
-// and the table still returns correct contents.
-func TestTwoLevelOverflowCounter(t *testing.T) {
-	tl := NewTwoLevelHash(16)
-	if tl.Overflows() != 0 || tl.Lookups() != 0 {
-		t.Fatal("fresh table has nonzero counters")
-	}
-	// 64 distinct keys into 16 L1 slots with probe bound 8 must overflow.
-	for k := int32(0); k < 64; k++ {
-		plusAcc(tl, k, float64(k))
-	}
-	if tl.Overflows() == 0 {
-		t.Fatal("no overflows recorded for 64 keys in a 16-slot L1")
-	}
-	if tl.Lookups() != tl.Overflows() {
-		t.Fatalf("L2 lookups %d != overflow delegations %d", tl.Lookups(), tl.Overflows())
-	}
-	if tl.Probes() < 0 {
-		t.Fatalf("probes = %d", tl.Probes())
-	}
-	if tl.Len() != 64 {
-		t.Fatalf("len = %d, want 64", tl.Len())
-	}
-	for k := int32(0); k < 64; k++ {
-		v, ok := tl.Lookup(k)
-		if !ok || v != float64(k) {
-			t.Fatalf("key %d: %v %v", k, v, ok)
-		}
-	}
-	// Symbolic insertion also counts delegations.
-	before := tl.Overflows()
-	tl.Reset()
-	for k := int32(0); k < 64; k++ {
-		tl.InsertSymbolic(k)
-	}
-	if tl.Overflows() <= before {
-		t.Fatal("symbolic overflow not counted")
-	}
-}
-
 // TestHashTableOperationCounters pins the Lookups/Probes contract the
 // ExecStats collision factor is built on: lookups count operations, probes
 // count extra slot visits beyond the first.

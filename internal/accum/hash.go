@@ -1,9 +1,9 @@
 // Package accum implements the per-row accumulators that distinguish the
-// SpGEMM algorithm families studied in the paper (Section 4.2): the
-// linear-probing hash table of Hash SpGEMM, the chunked hash table of
-// HashVector SpGEMM, the k-way merge heap of Heap SpGEMM, the dense sparse
-// accumulator (SPA) of Gustavson's algorithm, and a two-level hashmap in the
-// style of KokkosKernels' kkmem.
+// SpGEMM kernels (Section 4.2): the linear-probing hash table of Hash
+// SpGEMM, the k-way merge heap of Heap SpGEMM, and the dense sparse
+// accumulator (SPA) of Gustavson's algorithm. The chunked table of
+// HashVector SpGEMM and KokkosKernels' two-level hashmap are figure
+// baselines and live with them in internal/bench/baseline.
 //
 // All accumulators are generic over the stored value type V and know nothing
 // about semirings: the single value-level operation they expose is
@@ -53,7 +53,8 @@ type HashTableG[V semiring.Value] struct {
 	lookups int64
 	// grow enables automatic rehashing at 3/4 load. The paper's Hash
 	// SpGEMM presizes tables from the flop upper bound and never grows;
-	// the two-level (Kokkos-style) accumulator uses a growing second level.
+	// the two-level table of the Kokkos figure baseline uses a growing
+	// second level.
 	grow bool
 	rank ranker // sorted-extraction scratch (rank.go)
 }

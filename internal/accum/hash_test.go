@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestNextPow2(t *testing.T) {
@@ -18,8 +17,8 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
-// accumulator is the interface shared by the hash-family accumulators, used
-// to run the same conformance tests over all of them.
+// accumulator is the interface shared by the hash table and the SPA, used
+// to run the same conformance tests over both.
 type accumulator interface {
 	Reset()
 	Len() int
@@ -32,9 +31,8 @@ type accumulator interface {
 
 func accumulators(bound int64) map[string]accumulator {
 	return map[string]accumulator{
-		"hash":     NewHashTable(bound),
-		"hashvec":  NewHashVecTableG[float64](bound),
-		"twolevel": NewTwoLevelHash(64), // tiny L1 to force overflow
+		"hash": NewHashTable(bound),
+		"spa":  NewSPA(int(bound)),
 	}
 }
 
@@ -182,68 +180,6 @@ func TestHashTableReserveShrinksAndClears(t *testing.T) {
 	}
 }
 
-func TestHashVecWidths(t *testing.T) {
-	for _, w := range []int{2, 4, 8, 16} {
-		h := NewHashVecTableWidth(100, w)
-		ref := map[int32]float64{}
-		rng := rand.New(rand.NewSource(int64(w)))
-		for i := 0; i < 500; i++ {
-			k := int32(rng.Intn(90))
-			plusAcc(h, k, 1)
-			ref[k]++
-		}
-		if h.Len() != len(ref) {
-			t.Fatalf("width %d: Len=%d want %d", w, h.Len(), len(ref))
-		}
-		for k, want := range ref {
-			if v, ok := h.Lookup(k); !ok || v != want {
-				t.Fatalf("width %d key %d: %v,%v want %v", w, k, v, ok, want)
-			}
-		}
-	}
-}
-
-func TestHashVecBadWidthPanics(t *testing.T) {
-	for _, w := range []int{0, 1, 3, 6} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("width %d: expected panic", w)
-				}
-			}()
-			NewHashVecTableWidth(10, w)
-		}()
-	}
-}
-
-func TestTwoLevelOverflowsToL2(t *testing.T) {
-	tl := NewTwoLevelHash(16)
-	// Insert far more keys than L1 can hold: overflow must engage.
-	for k := int32(0); k < 500; k++ {
-		plusAcc(tl, k, float64(k))
-	}
-	if tl.Len() != 500 {
-		t.Fatalf("Len = %d", tl.Len())
-	}
-	if tl.Overflows() == 0 {
-		t.Fatal("expected level-2 overflow with tiny level 1")
-	}
-	for k := int32(0); k < 500; k++ {
-		if v, ok := tl.Lookup(k); !ok || v != float64(k) {
-			t.Fatalf("Lookup(%d) = %v,%v", k, v, ok)
-		}
-	}
-}
-
-func TestTwoLevelBadSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-pow2 size")
-		}
-	}()
-	NewTwoLevelHash(100)
-}
-
 func TestUpsertNonPlusSemiring(t *testing.T) {
 	// The driver applies the ring operation to the Upsert slot; max here
 	// stands in for any non-plus additive operation.
@@ -253,51 +189,6 @@ func TestUpsertNonPlusSemiring(t *testing.T) {
 	maxAcc(h, 3, 9)
 	if v, _ := h.Lookup(3); v != 9 {
 		t.Fatalf("hash max = %v", v)
-	}
-	hv := NewHashVecTableG[float64](64)
-	maxAcc(hv, 3, 5)
-	maxAcc(hv, 3, 9)
-	maxAcc(hv, 3, 2)
-	if v, _ := hv.Lookup(3); v != 9 {
-		t.Fatalf("hashvec max = %v", v)
-	}
-}
-
-// Property: for any operation sequence, hash and hashvec extract identical
-// sorted contents.
-func TestHashFamiliesAgreeQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := NewHashTable(512)
-		hv := NewHashVecTableG[float64](512)
-		tl := NewTwoLevelHash(32)
-		n := rng.Intn(400)
-		for i := 0; i < n; i++ {
-			k := int32(rng.Intn(200))
-			v := float64(rng.Intn(10))
-			plusAcc(h, k, v)
-			plusAcc(hv, k, v)
-			plusAcc(tl, k, v)
-		}
-		if h.Len() != hv.Len() || h.Len() != tl.Len() {
-			return false
-		}
-		m := h.Len()
-		c1, v1 := make([]int32, m), make([]float64, m)
-		c2, v2 := make([]int32, m), make([]float64, m)
-		c3, v3 := make([]int32, m), make([]float64, m)
-		h.ExtractSorted(c1, v1)
-		hv.ExtractSorted(c2, v2)
-		tl.ExtractSorted(c3, v3)
-		for i := 0; i < m; i++ {
-			if c1[i] != c2[i] || c1[i] != c3[i] || v1[i] != v2[i] || v1[i] != v3[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 

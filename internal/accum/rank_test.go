@@ -19,15 +19,12 @@ type sortedAcc[V semiring.Value] interface {
 	ExtractUnsorted(cols []int32, vals []V) int
 }
 
-// hashAccs returns one of each hash-family accumulator, with the scratch of
-// each so tests can assert it is left all-zero.
+// hashAccs returns the accumulators with a ranked ExtractSorted over table
+// slots (the hash table), with the scratch of each so tests can assert it is
+// left all-zero.
 func hashAccs[V semiring.Value](bound int64) (names []string, accs []sortedAcc[V], scratch []*ranker) {
 	h := NewHashTableG[V](bound)
-	hv := NewHashVecTableG[V](bound)
-	tl := NewTwoLevelHashG[V](0)
-	return []string{"hash", "hashvec", "twolevel"},
-		[]sortedAcc[V]{h, hv, tl},
-		[]*ranker{&h.rank, &hv.rank, &tl.l2.rank}
+	return []string{"hash"}, []sortedAcc[V]{h}, []*ranker{&h.rank}
 }
 
 // distinctKeys draws n distinct keys from [lo, lo+span), in random order.
@@ -284,9 +281,9 @@ func TestExtractSortedSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// FuzzExtractSorted compares the ranked extraction of all three hash
-// accumulators with the sortPairs reference on fuzzer-chosen key sets: row
-// length, window width and window position are all free.
+// FuzzExtractSorted compares the ranked extraction of the hash table with
+// the sortPairs reference on fuzzer-chosen key sets: row length, window width
+// and window position are all free.
 func FuzzExtractSorted(f *testing.F) {
 	f.Add(int64(1), uint16(25), uint8(6), int32(0))
 	f.Add(int64(2), uint16(4096), uint8(12), int32(math.MaxInt32-4096))

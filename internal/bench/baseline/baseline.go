@@ -1,11 +1,12 @@
 // Package baseline holds the stand-ins the paper's figures draw next to its
 // own kernels, and nothing a product should ever run on: the MKL and
 // MKL-inspector substitutes (Go's map as the accumulator), the
-// KokkosKernels kkmem substitute (two-level hash, dynamic schedule), plain
-// Gustavson SPA, the one-phase hash ablation, and the four scheduling and
-// memory-management variants of Heap SpGEMM that Figure 9 draws under the
-// paper's final design. DESIGN.md's substitution table says why each
-// reproduces its original's qualitative profile.
+// KokkosKernels kkmem substitute (two-level hash, dynamic schedule), the
+// paper's own HashVector (a chunked table whose vector compare Go has no
+// instruction for), plain Gustavson SPA, the one-phase hash ablation, and
+// the four scheduling and memory-management variants of Heap SpGEMM that
+// Figure 9 draws under the paper's final design. DESIGN.md's substitution
+// table says why each reproduces its original's qualitative profile.
 //
 // The package is a leaf under internal/bench: the experiments, the root
 // benchmarks and the ablation benchmarks call it; internal/spgemm, core,
@@ -44,6 +45,11 @@ const (
 	// cache-sized level-1 hash and a growable level-2 overflow, dynamic
 	// scheduling, unsorted by nature ("Any/Unsorted").
 	Kokkos
+	// HashVec is the paper's HashVector SpGEMM (Section 4.2.2): Hash's
+	// two-phase pipeline and flop-balanced schedule over a chunked table
+	// probed a chunk at a time, the in-register compare of AVX2/AVX-512
+	// emulated by a loop.
+	HashVec
 	// HashOnePhase is the alternative the paper's Section 2 contrasts with
 	// its symbolic+numeric design: no symbolic pass, rows written to
 	// flop-sized per-worker buffers and stitched.
@@ -62,7 +68,7 @@ const (
 	NumKinds
 )
 
-var kindNames = [NumKinds]string{"spa", "mkl", "mkl-inspector", "kokkos", "hash-onephase",
+var kindNames = [NumKinds]string{"spa", "mkl", "mkl-inspector", "kokkos", "hashvec", "hash-onephase",
 	"static", "dynamic", "guided", "balanced single"}
 
 // heapSchedules is the schedule of each Figure 9 kind, from HeapStatic on;
@@ -115,7 +121,12 @@ func Multiply(k Kind, a, b *matrix.CSR, opt *Options) (*matrix.CSR, error) {
 			schedule:     sched.Dynamic,
 			grain:        64,
 			unsortedOnly: true,
-			factory:      func(int64) rowAcc { return accum.NewTwoLevelHash(0) },
+			factory:      func(int64) rowAcc { return newTwoLevelHash(defaultL1Size) },
+		}), nil
+	case HashVec:
+		return twoPhase(a, b, opt, twoPhaseConfig{
+			schedule: sched.Balanced,
+			factory:  func(bound int64) rowAcc { return newHashVecTable(bound, chunkWidth) },
 		}), nil
 	case MKLInspector:
 		return inspector(a, b, opt), nil

@@ -79,9 +79,9 @@ func TestReuseRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows = append(rows, ooc.Rows...)
-	// 6 reuse rows (2 algs × 3 variants) + 2 outofcore rows (hash baseline
+	// 3 reuse rows (hash × 3 variants) + 2 outofcore rows (hash baseline
 	// and sharded-spill).
-	if scale != 8 || len(rows) != 8 {
+	if scale != 8 || len(rows) != 5 {
 		t.Fatalf("scale %d, %d rows: %+v", scale, len(rows), rows)
 	}
 	var oocRows int

@@ -37,7 +37,7 @@ func runFig8(cfg Config, w io.Writer) error {
 		{"G500", gen.RMAT(scale, ef, gen.G500Params, rng)},
 	}
 	algs := []contender{
-		spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgHeap, baseline.SPA,
+		spgemm.AlgHash, baseline.HashVec, spgemm.AlgHeap, baseline.SPA,
 		baseline.MKL, baseline.MKLInspector, baseline.Kokkos,
 	}
 

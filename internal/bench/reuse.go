@@ -87,7 +87,7 @@ func timedAllocsMin(iters int, f func()) (time.Duration, uint64, uint64) {
 	return best, (m1.Mallocs - m0.Mallocs) / n, (m1.TotalAlloc - m0.TotalAlloc) / n
 }
 
-// measureReuse runs the three variants for both hash algorithms on ER A².
+// measureReuse runs the three variants for Hash on ER A².
 func measureReuse(cfg Config) (scale int, flop int64, out []reuseVariant, err error) {
 	scale = 14 // the acceptance workload: ER scale 14, edge factor 16
 	switch cfg.Preset {
@@ -102,69 +102,68 @@ func measureReuse(cfg Config) (scale int, flop int64, out []reuseVariant, err er
 	iters := cfg.reps()
 	workers := cfg.workers()
 
-	for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec} {
-		// One-shot: fresh state every call.
-		oneshot := &spgemm.Options{Algorithm: alg, Workers: workers}
-		if _, err = spgemm.Multiply(a, a, oneshot); err != nil {
-			return
+	const alg = spgemm.AlgHash
+	// One-shot: fresh state every call.
+	oneshot := &spgemm.Options{Algorithm: alg, Workers: workers}
+	if _, err = spgemm.Multiply(a, a, oneshot); err != nil {
+		return
+	}
+	d, allocs, bytes := timedAllocs(iters, func() {
+		if _, e := spgemm.Multiply(a, a, oneshot); e != nil {
+			err = e
 		}
-		d, allocs, bytes := timedAllocs(iters, func() {
-			if _, e := spgemm.Multiply(a, a, oneshot); e != nil {
-				err = e
-			}
-		})
-		if err != nil {
-			return
-		}
-		out = append(out, reuseVariant{alg.String(), "oneshot", d.Nanoseconds(), mflops(flop, d), allocs, bytes})
+	})
+	if err != nil {
+		return
+	}
+	out = append(out, reuseVariant{alg.String(), "oneshot", d.Nanoseconds(), mflops(flop, d), allocs, bytes})
 
-		// Context: reusable state, on a dedicated persistent pool.
-		ctx := spgemm.NewContext()
-		ctx.Pool = sched.NewPool(workers)
-		withCtx := &spgemm.Options{Algorithm: alg, Workers: workers, Context: ctx}
-		if _, err = spgemm.Multiply(a, a, withCtx); err != nil {
-			ctx.Pool.Close()
-			return
-		}
-		d, allocs, bytes = timedAllocs(iters, func() {
-			if _, e := spgemm.Multiply(a, a, withCtx); e != nil {
-				err = e
-			}
-		})
+	// Context: reusable state, on a dedicated persistent pool.
+	ctx := spgemm.NewContext()
+	ctx.Pool = sched.NewPool(workers)
+	withCtx := &spgemm.Options{Algorithm: alg, Workers: workers, Context: ctx}
+	if _, err = spgemm.Multiply(a, a, withCtx); err != nil {
 		ctx.Pool.Close()
-		if err != nil {
-			return
+		return
+	}
+	d, allocs, bytes = timedAllocs(iters, func() {
+		if _, e := spgemm.Multiply(a, a, withCtx); e != nil {
+			err = e
 		}
-		out = append(out, reuseVariant{alg.String(), "context", d.Nanoseconds(), mflops(flop, d), allocs, bytes})
+	})
+	ctx.Pool.Close()
+	if err != nil {
+		return
+	}
+	out = append(out, reuseVariant{alg.String(), "context", d.Nanoseconds(), mflops(flop, d), allocs, bytes})
 
-		// Plan: symbolic phase cached, numeric-only re-execution.
-		pctx := spgemm.NewContext()
-		pctx.Pool = sched.NewPool(workers)
-		var plan *spgemm.Plan
-		plan, err = spgemm.NewPlan(a, a, &spgemm.Options{Algorithm: alg, Workers: workers, Context: pctx})
-		if err != nil {
+	// Plan: symbolic phase cached, numeric-only re-execution.
+	pctx := spgemm.NewContext()
+	pctx.Pool = sched.NewPool(workers)
+	var plan *spgemm.Plan
+	plan, err = spgemm.NewPlan(a, a, &spgemm.Options{Algorithm: alg, Workers: workers, Context: pctx})
+	if err != nil {
+		pctx.Pool.Close()
+		return
+	}
+	// Warm-up is two executions: the second builds the plan's replay
+	// map, so the timed ones are the steady state a cached Plan serves.
+	for warm := 0; warm < 2; warm++ {
+		if _, err = plan.Execute(); err != nil {
 			pctx.Pool.Close()
 			return
 		}
-		// Warm-up is two executions: the second builds the plan's replay
-		// map, so the timed ones are the steady state a cached Plan serves.
-		for warm := 0; warm < 2; warm++ {
-			if _, err = plan.Execute(); err != nil {
-				pctx.Pool.Close()
-				return
-			}
-		}
-		d, allocs, bytes = timedAllocs(iters, func() {
-			if _, e := plan.Execute(); e != nil {
-				err = e
-			}
-		})
-		pctx.Pool.Close()
-		if err != nil {
-			return
-		}
-		out = append(out, reuseVariant{alg.String(), "plan", d.Nanoseconds(), mflops(flop, d), allocs, bytes})
 	}
+	d, allocs, bytes = timedAllocs(iters, func() {
+		if _, e := plan.Execute(); e != nil {
+			err = e
+		}
+	})
+	pctx.Pool.Close()
+	if err != nil {
+		return
+	}
+	out = append(out, reuseVariant{alg.String(), "plan", d.Nanoseconds(), mflops(flop, d), allocs, bytes})
 	return
 }
 

@@ -17,9 +17,9 @@ import (
 // evaluate MKL, Heap and Hash/HashVector, and for the case where they are
 // unsorted we evaluate MKL, MKL-inspector, KokkosKernels and
 // Hash/HashVector."
-var sortedAlgos = []contender{baseline.MKL, spgemm.AlgHeap, spgemm.AlgHash, spgemm.AlgHashVec}
+var sortedAlgos = []contender{baseline.MKL, spgemm.AlgHeap, spgemm.AlgHash, baseline.HashVec}
 
-var unsortedAlgos = []contender{baseline.MKL, baseline.MKLInspector, baseline.Kokkos, spgemm.AlgHash, spgemm.AlgHashVec}
+var unsortedAlgos = []contender{baseline.MKL, baseline.MKLInspector, baseline.Kokkos, spgemm.AlgHash, baseline.HashVec}
 
 // algoColumns builds the combined header the figures use.
 func algoColumns() []string {
@@ -231,12 +231,12 @@ func runFig13(cfg Config, w io.Writer) error {
 	}{
 		{"heap", spgemm.AlgHeap, false},
 		{"hash", spgemm.AlgHash, false},
-		{"hashvec", spgemm.AlgHashVec, false},
+		{"hashvec", baseline.HashVec, false},
 		{"mkl(unsorted)", baseline.MKL, true},
 		{"mkl-inspector(unsorted)", baseline.MKLInspector, true},
 		{"kokkos(unsorted)", baseline.Kokkos, true},
 		{"hash(unsorted)", spgemm.AlgHash, true},
-		{"hashvec(unsorted)", spgemm.AlgHashVec, true},
+		{"hashvec(unsorted)", baseline.HashVec, true},
 	}
 	for _, pattern := range []string{"ER", "G500"} {
 		fmt.Fprintf(w, "-- %s (scale %d, edge factor 16) --\n", pattern, scale)

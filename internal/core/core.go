@@ -58,15 +58,14 @@ var ErrPlanStale = spgemm.ErrPlanStale
 
 // Re-exported algorithm selectors.
 const (
-	AlgAuto    = spgemm.AlgAuto
-	AlgHash    = spgemm.AlgHash
-	AlgHashVec = spgemm.AlgHashVec
-	AlgHeap    = spgemm.AlgHeap
+	AlgAuto = spgemm.AlgAuto
+	AlgHash = spgemm.AlgHash
+	AlgHeap = spgemm.AlgHeap
 )
 
 // NewSpillSink returns a temp-file-backed sink that bounds resident output
-// memory when set as Options.ShardSink of a two-phase (Hash or HashVec)
-// multiply. See spgemm.NewSpillSink.
+// memory when set as Options.ShardSink of a two-phase (Hash) multiply. See
+// spgemm.NewSpillSink.
 func NewSpillSink[V semiring.Value](dir string, budget int64) *spgemm.SpillSink[V] {
 	return spgemm.NewSpillSink[V](dir, budget)
 }

@@ -62,7 +62,7 @@ func TestClusteringCoefficientsMixed(t *testing.T) {
 func TestClusteringCoefficientsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
 	m := matrix.Random(40, 40, 0.15, rng)
-	cc, err := ClusteringCoefficients(m, &spgemm.Options{Algorithm: spgemm.AlgHashVec})
+	cc, err := ClusteringCoefficients(m, &spgemm.Options{Algorithm: spgemm.AlgHeap})
 	if err != nil {
 		t.Fatal(err)
 	}

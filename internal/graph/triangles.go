@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/matrix"
@@ -75,8 +76,10 @@ func CountTriangles(adj *matrix.CSR, opt *spgemm.Options) (*TriangleResult, erro
 // The total is summed in int64. Where every stored value of L and U is 1 and
 // no row of L holds more than 2²⁶ entries, the row sums run over the float64
 // factors, exactly: a partial sum of row i is an integer ≤ nnz(Lᵢ)² < 2⁵³.
-// Otherwise they run over int64 copies with every stored non-zero as 1. opt's
-// Mask is ignored (L is the mask), and its Context is used unless copies are.
+// Otherwise they run over int64 copies with every stored non-zero as 1. A
+// stored zero is no edge: L is the mask as well as an operand, so its copy
+// leaves its zeros out, and every kernel counts the same wedges. opt's Mask
+// is ignored (L is the mask), and its Context is used unless copies are.
 func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 	if opt == nil {
 		opt = &spgemm.Options{Algorithm: spgemm.AlgHash}
@@ -88,7 +91,7 @@ func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 	if alg == spgemm.AlgHash && unitFactors(l, u) {
 		return maskedCount(semiring.PlusTimesF64{}, l, u, spgemm.Options{Workers: opt.Workers, Stats: opt.Stats, Context: opt.Context})
 	}
-	li, ui := countView(l), countView(u)
+	li, ui := countView(l, true), countView(u, false)
 	inner := spgemm.OptionsG[int64]{Algorithm: alg, Workers: opt.Workers, Unsorted: opt.Unsorted, UseCase: spgemm.UseTriangle, Stats: opt.Stats}
 	if alg == spgemm.AlgHash {
 		return maskedCount(semiring.PlusTimesI64{}, li, ui, inner)
@@ -135,13 +138,22 @@ func unitFactors(l, u *matrix.CSR) bool {
 
 // countView is m over int64 with every stored non-zero as 1. Only the values
 // are new: the product reads its operands and never writes them, so the view
-// shares m's row pointers and column indices instead of copying them.
-func countView(m *matrix.CSR) *matrix.CSRG[int64] {
+// shares m's row pointers and column indices instead of copying them. With
+// dropZeros a stored zero is no entry at all, which takes a compacted copy of
+// the structure where m stores one.
+func countView(m *matrix.CSR, dropZeros bool) *matrix.CSRG[int64] {
 	out := &matrix.CSRG[int64]{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: make([]int64, len(m.Val)), Sorted: m.Sorted}
+	zeros := false
 	for p, v := range m.Val {
 		if v != 0 {
 			out.Val[p] = 1
+		} else {
+			zeros = true
 		}
+	}
+	if dropZeros && zeros {
+		out.ColIdx = slices.Clone(m.ColIdx)
+		out.Compact()
 	}
 	return out
 }

@@ -203,8 +203,8 @@ type MultiplyRequest struct {
 	// A and B are content hashes of previously uploaded matrices.
 	A string `json:"a"`
 	B string `json:"b"`
-	// Algorithm overrides the kernel ("auto", "hash", "hashvec", "heap",
-	// ...); empty means auto.
+	// Algorithm overrides the kernel: "auto", "hash" or "heap"; empty means
+	// auto. The name of a retired kernel (tiled, sharded, hashvec) is a 400.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Semiring selects the ring: "" or "plus-times" (the default, Plan-
 	// cacheable), "min-plus", "max-times".

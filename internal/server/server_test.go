@@ -303,6 +303,7 @@ func TestMultiplyErrorPaths(t *testing.T) {
 		{"bad algorithm", fmt.Sprintf(`{"a":%q,"b":%q,"algorithm":"quantum"}`, ha, ha), http.StatusBadRequest},
 		{"retired algorithm", fmt.Sprintf(`{"a":%q,"b":%q,"algorithm":"tiled"}`, ha, ha), http.StatusBadRequest},
 		{"retired algorithm", fmt.Sprintf(`{"a":%q,"b":%q,"algorithm":"sharded"}`, ha, ha), http.StatusBadRequest},
+		{"retired algorithm", fmt.Sprintf(`{"a":%q,"b":%q,"algorithm":"hashvec"}`, ha, ha), http.StatusBadRequest},
 		{"bad semiring", fmt.Sprintf(`{"a":%q,"b":%q,"semiring":"xor"}`, ha, ha), http.StatusBadRequest},
 		{"bad return", fmt.Sprintf(`{"a":%q,"b":%q,"return":"email"}`, ha, ha), http.StatusBadRequest},
 		{"negative workers", fmt.Sprintf(`{"a":%q,"b":%q,"workers":-1}`, ha, ha), http.StatusBadRequest},
@@ -486,7 +487,7 @@ func TestConcurrentMultiplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSq, err := spgemm.Multiply(sq, sq, &spgemm.Options{Algorithm: spgemm.AlgHashVec})
+	wantSq, err := spgemm.Multiply(sq, sq, &spgemm.Options{Algorithm: spgemm.AlgHeap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +507,7 @@ func TestConcurrentMultiplies(t *testing.T) {
 					req = MultiplyRequest{A: ha, B: hb, Algorithm: "hash"}
 					wantNNZ = wantAB.NNZ()
 				} else {
-					req = MultiplyRequest{A: hsq, B: hsq, Algorithm: "hashvec"}
+					req = MultiplyRequest{A: hsq, B: hsq, Algorithm: "heap"}
 					wantNNZ = wantSq.NNZ()
 				}
 				body, _ := json.Marshal(req)
@@ -707,10 +708,9 @@ func TestServeGracefulShutdown(t *testing.T) {
 // TestMultiplyAlgorithmOverrideAndPlanKeyIsolation: "heap" is accepted as an
 // algorithm override, produces the same structure as "hash", is plannable
 // (second call hits the plan cache), and its cached plan does NOT collide
-// with the hash plan for the same operand pair, nor the hash plan with
-// hashvec's — PlanKey includes the algorithm, so switching algorithms on the
-// same matrices must miss the cache and recompute, not replay the other
-// kernel's plan.
+// with the hash plan for the same operand pair — PlanKey includes the
+// algorithm, so switching algorithms on the same matrices must miss the
+// cache and recompute, not replay the other kernel's plan.
 func TestMultiplyAlgorithmOverrideAndPlanKeyIsolation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	rng := rand.New(rand.NewSource(9))
@@ -763,16 +763,6 @@ func TestMultiplyAlgorithmOverrideAndPlanKeyIsolation(t *testing.T) {
 	}
 	if hashSecond := decodeMultiply(t, body); !hashSecond.PlanCacheHit {
 		t.Fatal("repeat hash multiply missed its own plan")
-	}
-
-	// hashvec, two-phase like hash and cut the same way, still has a PlanKey
-	// of its own: with the hash plan cached, its first call must miss.
-	code, body = postMultiply(t, ts.URL, MultiplyRequest{A: ha, B: hb, Algorithm: "hashvec"})
-	if code != http.StatusOK {
-		t.Fatalf("hashvec multiply: status %d: %s", code, body)
-	}
-	if hv := decodeMultiply(t, body); hv.PlanCacheHit || hv.NNZ != want.NNZ() {
-		t.Fatalf("hashvec multiply: plan cache hit %v, nnz %d (want a miss and %d): PlanKey collision across algorithms", hv.PlanCacheHit, hv.NNZ, want.NNZ())
 	}
 
 	// Full-matrix round trip through the heap plan: entry-for-entry equal to

@@ -156,7 +156,6 @@ func TestContextReuseSteadyAllocs(t *testing.T) {
 	}{
 		{"hash", AlgHash, nil, false, false, 16},
 		{"hash+mask", AlgHash, a, false, false, 6},
-		{"hashvec", AlgHashVec, nil, false, false, 16},
 		{"heap", AlgHeap, nil, false, false, 16},
 		{"heap/plan", AlgHeap, nil, true, false, 16},
 		{"hash/replay", AlgHash, nil, true, false, 5},

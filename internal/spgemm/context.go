@@ -52,7 +52,6 @@ type ContextG[V semiring.Value] struct {
 	hash      []*accum.HashTableG[V]
 	maskDense [][]int32                  // a masked product's col→slot index
 	maskHash  []*accum.HashTableG[int32] // (maskedRow), dense or hashed
-	hashVec   []*accum.HashVecTableG[V]
 	heaps     []*accum.MergeHeapG[V]
 	spa       []*accum.SPAG[V]
 	scratch   *mempool.Pool
@@ -328,7 +327,6 @@ func (c *ContextG[V]) ensureWorkers(n int) {
 	c.hash = growTo(c.hash, n)
 	c.maskDense = growTo(c.maskDense, n)
 	c.maskHash = growTo(c.maskHash, n)
-	c.hashVec = growTo(c.hashVec, n)
 	c.heaps = growTo(c.heaps, n)
 	c.spa = growTo(c.spa, n)
 	if c.scratch == nil {
@@ -363,26 +361,6 @@ func reviveTable[T semiring.Value](slot **accum.HashTableG[T], bound int64) *acc
 		t.Reset()
 	}
 	t.ResetCounters() // per-call ExecStats semantics, as with a fresh table
-	return t
-}
-
-// hashVecTable is hashTable for the chunked (HashVector) table.
-func (c *ContextG[V]) hashVecTable(w int, bound int64) *accum.HashVecTableG[V] {
-	t := c.hashVec[w]
-	switch {
-	case t == nil:
-		mCtxAlloc.Inc()
-		t = accum.NewHashVecTableG[V](bound)
-		c.hashVec[w] = t
-		return t
-	case int64(t.Cap()) <= bound:
-		mCtxReuse.Inc()
-		t.Reserve(bound)
-	default:
-		mCtxReuse.Inc()
-		t.Reset()
-	}
-	t.ResetCounters()
 	return t
 }
 

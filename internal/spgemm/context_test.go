@@ -164,11 +164,11 @@ func TestContextWithDedicatedPool(t *testing.T) {
 	defer pool.Close()
 	ctx := NewContext()
 	ctx.Pool = pool
-	got, err := Multiply(a, a, &Options{Algorithm: AlgHashVec, Workers: 3, Context: ctx})
+	got, err := Multiply(a, a, &Options{Algorithm: AlgHash, Workers: 3, Context: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Multiply(a, a, &Options{Algorithm: AlgHashVec, Workers: 3})
+	want, err := Multiply(a, a, &Options{Algorithm: AlgHash, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

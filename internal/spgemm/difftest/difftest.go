@@ -47,7 +47,6 @@ const Tol = 1e-9
 var Algorithms = []spgemm.Algorithm{
 	spgemm.AlgAuto,
 	spgemm.AlgHash,
-	spgemm.AlgHashVec,
 	spgemm.AlgHeap,
 }
 

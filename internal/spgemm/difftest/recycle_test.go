@@ -13,8 +13,8 @@ import (
 // poisonU64 is the donated-array sentinel for AsU64 inputs (see AsU64).
 const poisonU64 uint64 = 1 << 1
 
-// kernels are the three concrete algorithms; AlgAuto resolves to one of them.
-var kernels = []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHashVec, spgemm.AlgHeap}
+// kernels are the two concrete algorithms; AlgAuto resolves to one of them.
+var kernels = []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHeap}
 
 // TestDifferentialRecycled runs the poisoned-donation leg over the suite and
 // the special-value cases: every kernel (Hash also cut finer than one stripe

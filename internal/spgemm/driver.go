@@ -1,13 +1,12 @@
 package spgemm
 
 import (
-	"repro/internal/accum"
 	"repro/internal/matrix"
 	"repro/internal/semiring"
 )
 
-// The driver. Hash and HashVector SpGEMM are the paper's two-phase
-// pipeline (Figure 7) over one row geometry, and the pipeline has one seam:
+// The driver. Hash SpGEMM is the paper's two-phase pipeline (Figure 7)
+// over one row geometry, and the pipeline has one seam:
 // once the symbolic phase has sized the output, everything that depends on
 // the operands' structure is known and only values remain. inspect runs up
 // to that seam and returns an inspection;
@@ -25,7 +24,7 @@ import (
 // The geometry is data: a flop-balanced cut of the rows into stripes
 // (Figure 6). Each half runs one loop over the stripes, a stripe's rows going
 // through the whole-row passes of hashrow.go into the stripe's window of the
-// output. Hash and HashVector cut one stripe per worker, or as many more as
+// output. Hash cuts one stripe per worker, or as many more as
 // keep a stripe's output within its memory budget (shard.go), and may land
 // them in a sink; the one-phase geometry cuts claimStripes per worker at
 // W > 1. Nothing past the cut asks which of them is running, the
@@ -135,8 +134,8 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 	if in.onePhase() && !forPlan {
 		return in, pt
 	}
-	// HashVector and a Heap Plan count with Hash's symbolic pass: the number
-	// of distinct columns does not depend on the numeric accumulator.
+	// A Heap Plan counts with Hash's symbolic pass: the number of distinct
+	// columns does not depend on the numeric accumulator.
 	rowNnz := ctx.rowNnzBuf(a.Rows)
 	ctx.dealStripes(workers)
 	ctx.runWorkers(workers, func(w int) {
@@ -183,14 +182,10 @@ func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 			if lo < hi {
 				flop, max := rangeFlopMax(in.flopRow, lo, hi)
 				bound := capBound(max, b.Cols)
-				if in.alg == AlgHashVec {
-					hashVecRows(ring, ctx.hashVecTable(w, bound), a, b, cols, vals, !unsorted, in.flopRow, rowPtr, lo, hi, base, ws)
-				} else {
-					h := newHashNumeric(ring, ctx, w, a, b, flop, bound, !unsorted)
-					h.bind(cols, vals)
-					h.rows(in.flopRow, rowPtr, lo, hi, base)
-					h.report(ws)
-				}
+				h := newHashNumeric(ring, ctx, w, a, b, flop, bound, !unsorted)
+				h.bind(cols, vals)
+				h.rows(in.flopRow, rowPtr, lo, hi, base)
+				h.report(ws)
 				if ws != nil {
 					ws.Rows += int64(hi - lo)
 					ws.Flop += flop
@@ -234,40 +229,4 @@ func inspectExecute[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm,
 	ctx := opt.ctx()
 	in, pt := inspect(alg, a, b, opt, ctx, false)
 	return execute(ring, a, b, ctx, in, in.rowPtr, opt.Unsorted, opt.ShardSink, pt)
-}
-
-// hashVecRows is HashVector's numeric pass over the rows of [lo, hi) with a
-// non-zero weight: Hash's row loop (ringBodies.hashRow) probing the chunked
-// table, which has its own Upsert contract and no native plus-times body. cols
-// and vals are the output window whose first entry has output offset base.
-func hashVecRows[V semiring.Value, R semiring.Ring[V]](ring R, table *accum.HashVecTableG[V], a, b *matrix.CSRG[V], cols []int32, vals []V, sorted bool, flopRow, rowPtr []int64, lo, hi int, base int64, ws *WorkerStats) {
-	for i := lo; i < hi; i++ {
-		if flopRow[i] == 0 {
-			continue
-		}
-		table.Reset()
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			k := a.ColIdx[p]
-			av := a.Val[p]
-			for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
-				prod := ring.Mul(av, b.Val[q])
-				slot, fresh := table.Upsert(b.ColIdx[q])
-				if fresh {
-					*slot = prod
-				} else {
-					*slot = ring.Add(*slot, prod)
-				}
-			}
-		}
-		start, end := rowPtr[i]-base, rowPtr[i+1]-base
-		if sorted {
-			table.ExtractSorted(cols[start:end], vals[start:end])
-		} else {
-			table.ExtractUnsorted(cols[start:end], vals[start:end])
-		}
-	}
-	if ws != nil {
-		ws.HashLookups += table.Lookups()
-		ws.HashProbes += table.Probes()
-	}
 }

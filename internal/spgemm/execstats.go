@@ -131,8 +131,8 @@ type ExecStats struct {
 	Total time.Duration
 	// Workers holds one entry per worker that ran.
 	Workers []WorkerStats
-	// Stripes holds a two-phase product's per-stripe breakdown (Hash,
-	// HashVec, a Plan's kernel execution), in ascending row order; empty
+	// Stripes holds a two-phase product's per-stripe breakdown (Hash or a
+	// Plan's kernel execution), in ascending row order; empty
 	// for one-phase products (Heap, a mask, the one-pass route) and a
 	// Plan's streamed replay. Unlike the other fields it is per-call
 	// detail: Add does not accumulate stripes across calls.

@@ -11,7 +11,7 @@ import (
 )
 
 // statsAlgorithms is every algorithm the breakdown instrumentation covers.
-var statsAlgorithms = []Algorithm{AlgHash, AlgHashVec, AlgHeap}
+var statsAlgorithms = []Algorithm{AlgHash, AlgHeap}
 
 // TestExecStatsPhaseSumMatchesTotal is the tentpole acceptance criterion:
 // phases are timed back-to-back, so their sum must account for the measured
@@ -143,7 +143,7 @@ func TestExecStatsCounters(t *testing.T) {
 				if tot.DenseFlop != totalFlop || tot.HashLookups != 0 {
 					t.Errorf("%v: DenseFlop = %d, HashLookups = %d; want flop %d and 0", alg, tot.DenseFlop, tot.HashLookups, totalFlop)
 				}
-			case alg == AlgHash, alg == AlgHashVec:
+			case alg == AlgHash:
 				if tot.HashLookups < totalFlop {
 					// The numeric pass touches every product once (and
 					// symbolic too, on the wide product).

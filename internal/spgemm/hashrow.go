@@ -8,9 +8,9 @@ import (
 	"repro/internal/semiring"
 )
 
-// The whole-row hash kernel, written once. Hash in any stripe count,
-// HashVector's symbolic phase, every Plan build and replay of those, and
-// the recipe's compression-ratio sample all run the row functions below,
+// The whole-row hash kernel, written once. Hash in any stripe count, every
+// Plan build and replay of it, a Heap Plan's symbolic phase, and the
+// recipe's compression-ratio sample all run the row functions below,
 // which take three exact decisions from numbers the phases compute anyway:
 //
 //   - Both phases pick their accumulator by one rule (denseRule): where B's

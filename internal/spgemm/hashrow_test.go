@@ -164,30 +164,28 @@ func TestHashRepeatedColumnInBRow(t *testing.T) {
 		b := &matrix.CSR{Rows: 3, Cols: cols, RowPtr: []int64{0, 3, 5, 6},
 			ColIdx: []int32{5, 2, 5, 1, 4, 3}, Val: []float64{1, 2, 4, 8, 16, 32}}
 		want := matrix.NaiveMultiply(a, b)
-		for _, alg := range []Algorithm{AlgHash, AlgHashVec} {
-			var st ExecStats
-			got, err := Multiply(a, b, &Options{Algorithm: alg, Unsorted: true, Workers: 1, Stats: &st})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !matrix.EqualApprox(got, want, 0) {
-				t.Errorf("%v cols=%d: product differs from NaiveMultiply", alg, cols)
-			}
-			// Row 0 (flop 3, two distinct columns) through the accumulator,
-			// row 1 (flop 2) by concatenation and row 2 (flop 1) into its one
-			// slot; symbolic counts rows 0 and 1 on the same side of the rule
-			// (stamps, or 5 table lookups): 2·6 − 1 counts in all.
-			dense, lookups := int64(3), int64(0)
-			if cols > 6 {
-				dense, lookups = 0, 5+3
-			}
-			tot := st.TotalWorker()
-			if alg != AlgHashVec && (tot.DirectFlop != 3 || tot.DenseFlop != dense || tot.HashLookups != lookups) {
-				t.Errorf("%v cols=%d: direct %d dense %d lookups %d, want 3, %d and %d", alg, cols, tot.DirectFlop, tot.DenseFlop, tot.HashLookups, dense, lookups)
-			}
-			if got := tot.HashLookups + tot.StampMarks + tot.DirectFlop + tot.DenseFlop; got != 2*6-1 {
-				t.Errorf("%v cols=%d: %d counts, want 2·flop − 1 = 11", alg, cols, got)
-			}
+		var st ExecStats
+		got, err := Multiply(a, b, &Options{Algorithm: AlgHash, Unsorted: true, Workers: 1, Stats: &st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matrix.EqualApprox(got, want, 0) {
+			t.Errorf("cols=%d: product differs from NaiveMultiply", cols)
+		}
+		// Row 0 (flop 3, two distinct columns) through the accumulator,
+		// row 1 (flop 2) by concatenation and row 2 (flop 1) into its one
+		// slot; symbolic counts rows 0 and 1 on the same side of the rule
+		// (stamps, or 5 table lookups): 2·6 − 1 counts in all.
+		dense, lookups := int64(3), int64(0)
+		if cols > 6 {
+			dense, lookups = 0, 5+3
+		}
+		tot := st.TotalWorker()
+		if tot.DirectFlop != 3 || tot.DenseFlop != dense || tot.HashLookups != lookups {
+			t.Errorf("cols=%d: direct %d dense %d lookups %d, want 3, %d and %d", cols, tot.DirectFlop, tot.DenseFlop, tot.HashLookups, dense, lookups)
+		}
+		if got := tot.HashLookups + tot.StampMarks + tot.DirectFlop + tot.DenseFlop; got != 2*6-1 {
+			t.Errorf("cols=%d: %d counts, want 2·flop − 1 = 11", cols, got)
 		}
 	}
 }
@@ -201,25 +199,23 @@ func TestHashHypersparseKeepsHashSymbolic(t *testing.T) {
 	a := matrix.RandomWithDegree(256, 256, 4, rng)
 	b := matrix.RandomWithDegree(256, 1<<24, 4, rng)
 	want := matrix.NaiveMultiply(a, b)
-	for _, alg := range []Algorithm{AlgHash, AlgHashVec} {
-		var st ExecStats
-		opt := &Options{Algorithm: alg, Unsorted: true, Workers: 2, Stats: &st}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		got, err := Multiply(a, b, opt)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matrix.EqualApprox(got, want, 1e-12) {
-			t.Errorf("%v: product differs from NaiveMultiply", alg)
-		}
-		if marks := st.TotalWorker().StampMarks; marks != 0 {
-			t.Errorf("%v: %d stamp marks on a product with Cols >> flop", alg, marks)
-		}
-		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
-			t.Errorf("%v: allocated %d B, want under 1 MB", alg, d)
-		}
+	var st ExecStats
+	opt := &Options{Algorithm: AlgHash, Unsorted: true, Workers: 2, Stats: &st}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := Multiply(a, b, opt)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !matrix.EqualApprox(got, want, 1e-12) {
+		t.Errorf("product differs from NaiveMultiply")
+	}
+	if marks := st.TotalWorker().StampMarks; marks != 0 {
+		t.Errorf("%d stamp marks on a product with Cols >> flop", marks)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+		t.Errorf("allocated %d B, want under 1 MB", d)
 	}
 }
 

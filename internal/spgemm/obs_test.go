@@ -59,7 +59,7 @@ func TestExecStatsAdd(t *testing.T) {
 	a.Phases[PhaseNumeric] = 6 * time.Millisecond
 	a.Workers = []WorkerStats{{Rows: 3, Flop: 30, Busy: 5 * time.Millisecond}}
 
-	b := ExecStats{Algorithm: AlgHashVec, Total: 4 * time.Millisecond}
+	b := ExecStats{Algorithm: AlgHeap, Total: 4 * time.Millisecond}
 	b.Phases[PhaseNumeric] = 2 * time.Millisecond
 	b.Phases[PhaseSymbolic] = time.Millisecond
 	b.Workers = []WorkerStats{{Rows: 1, Flop: 10, Busy: 2 * time.Millisecond}, {Rows: 2, Flop: 20, HashLookups: 5, Busy: time.Millisecond}}
@@ -71,7 +71,7 @@ func TestExecStatsAdd(t *testing.T) {
 	if a.Phases[PhaseNumeric] != 8*time.Millisecond || a.Phases[PhaseSymbolic] != time.Millisecond {
 		t.Errorf("Phases = %v", a.Phases)
 	}
-	if a.Algorithm != AlgHashVec {
+	if a.Algorithm != AlgHeap {
 		t.Errorf("Algorithm = %v", a.Algorithm)
 	}
 	if len(a.Workers) != 2 || a.Workers[0].Rows != 4 || a.Workers[1].HashLookups != 5 ||

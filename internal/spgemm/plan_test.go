@@ -15,7 +15,7 @@ func TestPlanExecuteMatchesMultiply(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	a := matrix.Random(120, 100, 0.06, rng)
 	b := matrix.Random(100, 110, 0.06, rng)
-	for _, alg := range []Algorithm{AlgHash, AlgHashVec, AlgHeap} {
+	for _, alg := range []Algorithm{AlgHash, AlgHeap} {
 		for _, unsorted := range []bool{false, true} {
 			opt := &Options{Algorithm: alg, Workers: 3, Unsorted: unsorted, Context: NewContext()}
 			plan, err := NewPlan(a, b, opt)
@@ -160,7 +160,7 @@ func TestPlanSharedContextInterleaved(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		// Clobber the context's bookkeeping with a differently-shaped product.
-		if _, err := Multiply(other, other, &Options{Algorithm: AlgHashVec, Workers: 3, Context: ctx}); err != nil {
+		if _, err := Multiply(other, other, &Options{Algorithm: AlgHeap, Workers: 3, Context: ctx}); err != nil {
 			t.Fatal(err)
 		}
 		got, err := plan.Execute()
@@ -224,7 +224,7 @@ func TestPlanConcurrentExecuteIn(t *testing.T) {
 		opt   Options
 		noMap bool
 	}{
-		{"hashvec", Options{Algorithm: AlgHashVec, Workers: 2}, false},
+		{"hash", Options{Algorithm: AlgHash, Workers: 2}, false},
 		{"hash-nomap", Options{Algorithm: AlgHash, Workers: 2}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -290,7 +290,6 @@ func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 		opt  Options
 	}{
 		{"hash", Options{Algorithm: AlgHash}},
-		{"hashvec", Options{Algorithm: AlgHashVec}},
 		{"heap", Options{Algorithm: AlgHeap}},
 		{"sharded", Options{Algorithm: AlgHash, ShardStripes: 16}},
 	} {
@@ -377,7 +376,7 @@ func TestPlanReplayMapBuiltOnce(t *testing.T) {
 	for _, leg := range []struct {
 		alg     Algorithm
 		stripes int
-	}{{AlgHash, 0}, {AlgHashVec, 0}, {AlgHash, 4}} {
+	}{{AlgHash, 0}, {AlgHash, 4}} {
 		alg := leg.alg
 		opt := &Options{Algorithm: alg, Workers: 2, ShardStripes: leg.stripes}
 		want, err := Multiply(a, a, opt)

@@ -116,7 +116,8 @@ const heapMaxEF = 2
 //     slower and go to Hash.
 //   - The two cells the paper gives to HashVector go to Hash: without vector
 //     compare instructions the chunked probe loses to linear probing in
-//     every cell measured, so AlgHashVec is reachable by name only.
+//     every cell measured, so the chunked table is a figure baseline
+//     (baseline.HashVec) and no kernel.
 //   - The uniform / unsorted / high-ratio cell the paper gives to
 //     MKL-inspector goes to Hash, which beats the map-based stand-in on 96 %
 //     of unsorted inputs (Figure 15).

@@ -40,82 +40,81 @@ func reuseMatrix(b *testing.B) *matrix.CSR {
 
 func BenchmarkMultiplyReuse(b *testing.B) {
 	a := reuseMatrix(b)
-	for _, alg := range []Algorithm{AlgHash, AlgHashVec} {
-		b.Run(alg.String(), func(b *testing.B) {
-			b.Run("oneshot", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := Multiply(a, a, &Options{Algorithm: alg, Workers: reuseWorkers}); err != nil {
-						b.Fatal(err)
-					}
+	const alg = AlgHash
+	b.Run(alg.String(), func(b *testing.B) {
+		b.Run("oneshot", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Multiply(a, a, &Options{Algorithm: alg, Workers: reuseWorkers}); err != nil {
+					b.Fatal(err)
 				}
-			})
-			b.Run("context", func(b *testing.B) {
-				// A dedicated persistent pool keeps every dispatch on a
-				// parked goroutine (the default pool is sized to
-				// GOMAXPROCS and overflow-spawns beyond that).
-				ctx := NewContext()
-				ctx.Pool = sched.NewPool(reuseWorkers)
-				defer ctx.Pool.Close()
-				opt := &Options{Algorithm: alg, Workers: reuseWorkers, Context: ctx}
-				// Warm up outside the timer: steady state is the claim.
+			}
+		})
+		b.Run("context", func(b *testing.B) {
+			// A dedicated persistent pool keeps every dispatch on a
+			// parked goroutine (the default pool is sized to
+			// GOMAXPROCS and overflow-spawns beyond that).
+			ctx := NewContext()
+			ctx.Pool = sched.NewPool(reuseWorkers)
+			defer ctx.Pool.Close()
+			opt := &Options{Algorithm: alg, Workers: reuseWorkers, Context: ctx}
+			// Warm up outside the timer: steady state is the claim.
+			if _, err := Multiply(a, a, opt); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := Multiply(a, a, opt); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := Multiply(a, a, opt); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run("plan", func(b *testing.B) {
-				ctx := NewContext()
-				ctx.Pool = sched.NewPool(reuseWorkers)
-				defer ctx.Pool.Close()
-				plan, err := NewPlan(a, a, &Options{Algorithm: alg, Workers: reuseWorkers, Context: ctx})
-				if err != nil {
-					b.Fatal(err)
-				}
+			}
+		})
+		b.Run("plan", func(b *testing.B) {
+			ctx := NewContext()
+			ctx.Pool = sched.NewPool(reuseWorkers)
+			defer ctx.Pool.Close()
+			plan, err := NewPlan(a, a, &Options{Algorithm: alg, Workers: reuseWorkers, Context: ctx})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := plan.Execute(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := plan.Execute(); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := plan.Execute(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run("plan+recycle", func(b *testing.B) {
-				// plan with every product donated back before the next
-				// execution: B/op drops by the size of C.
-				ctx := NewContext()
-				ctx.Pool = sched.NewPool(reuseWorkers)
-				defer ctx.Pool.Close()
-				plan, err := NewPlan(a, a, &Options{Algorithm: alg, Workers: reuseWorkers, Context: ctx})
+			}
+		})
+		b.Run("plan+recycle", func(b *testing.B) {
+			// plan with every product donated back before the next
+			// execution: B/op drops by the size of C.
+			ctx := NewContext()
+			ctx.Pool = sched.NewPool(reuseWorkers)
+			defer ctx.Pool.Close()
+			plan, err := NewPlan(a, a, &Options{Algorithm: alg, Workers: reuseWorkers, Context: ctx})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for warm := 0; warm < 2; warm++ {
+				c, err := plan.Execute()
 				if err != nil {
 					b.Fatal(err)
 				}
-				for warm := 0; warm < 2; warm++ {
-					c, err := plan.Execute()
-					if err != nil {
-						b.Fatal(err)
-					}
-					ctx.Recycle(c)
+				ctx.Recycle(c)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c, err := plan.Execute()
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c, err := plan.Execute()
-					if err != nil {
-						b.Fatal(err)
-					}
-					ctx.Recycle(c)
-				}
-			})
+				ctx.Recycle(c)
+			}
 		})
-	}
+	})
 }

@@ -26,8 +26,7 @@ import (
 // dictionary body's stored prod is: Go may otherwise fuse x*y + z into one
 // multiply-add where the target has one (arm64), and the output would no
 // longer be bit-identical (TestRingFastEquivalence; CI's arm64 fusion guard
-// reads the assembly). HashVector's numeric pass (hashVecRows) and Heap keep
-// the dictionary path.
+// reads the assembly). Heap keeps the dictionary path.
 
 // ptBodies are the rowBodies of the plus-times ring R over T, its own value
 // type; the ring argument is unused.

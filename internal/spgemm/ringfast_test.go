@@ -77,7 +77,7 @@ func TestRingFastEquivalence(t *testing.T) {
 	floats := append(pairs, ringfastPair{"special", special, special}, ringfastPair{"special-unsortedB", special, gen.Unsorted(special, rng)})
 
 	hash := ringfastLeg{"hash", AlgHash, 0}
-	legs := []ringfastLeg{hash, {"hashvec", AlgHashVec, 0}, {"sharded", AlgHash, 3 * ringfastWorkers}}
+	legs := []ringfastLeg{hash, {"sharded", AlgHash, 3 * ringfastWorkers}}
 	checkRingFast(t, semiring.PlusTimesF64{}, slowPlusTimes[float64]{}, legs, floats, wide, func(v float64) float64 { return v })
 	t.Run("f32", func(t *testing.T) {
 		checkRingFast(t, semiring.PlusTimesF32{}, slowPlusTimes[float32]{}, []ringfastLeg{hash}, floats, wide, func(v float64) float32 { return float32(v) })
@@ -98,9 +98,8 @@ type ringfastLeg struct {
 
 // checkRingFast runs TestRingFastEquivalence's products, their values mapped
 // by conv, through legs on ring (the native bodies) and on slow (the
-// dictionary bodies). HashVector's numeric pass is the dictionary's on every
-// ring and finer stripes run Hash's rows, so only the float64 leg, the Plans'
-// ring, runs those two.
+// dictionary bodies). Finer stripes run Hash's rows, so only the float64
+// leg, the Plans' ring, runs them.
 func checkRingFast[V float64 | float32 | int64, R semiring.Ring[V]](t *testing.T, ring R, slow slowPlusTimes[V], legs []ringfastLeg, pairs []ringfastPair, wide *matrix.CSR, conv func(float64) V) {
 	for _, leg := range legs {
 		alg := leg.alg

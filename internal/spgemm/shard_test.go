@@ -392,8 +392,8 @@ func TestShardedAutoRouting(t *testing.T) {
 }
 
 // TestSpillSinkEveryTwoPhaseProduct: a sink belongs to the call, not to an
-// algorithm. AlgAuto (on an input the recipe would give Heap), Hash and
-// HashVec each land their stripes in it: the product spills, every stripe
+// algorithm. AlgAuto (on an input the recipe would give Heap) and Hash
+// each land their stripes in it: the product spills, every stripe
 // says so, and the sorted output is bit-identical to the sink-less Hash
 // product. Heap and a masked product, which are one-phase, refuse a sink,
 // and an unsorted one-worker Hash product that takes the one-pass route
@@ -409,7 +409,7 @@ func TestSpillSinkEveryTwoPhaseProduct(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := max(want.NNZ()*12/4, 64)
-	for _, alg := range []Algorithm{AlgAuto, AlgHash, AlgHashVec} {
+	for _, alg := range []Algorithm{AlgAuto, AlgHash} {
 		sink := NewSpillSink[float64](t.TempDir(), budget)
 		var st ExecStats
 		got, err := Multiply(a, a, &Options{Algorithm: alg, Workers: 2, ShardSink: sink, Stats: &st})

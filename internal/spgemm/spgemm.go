@@ -6,8 +6,8 @@
 // All algorithms follow Gustavson's row-wise formulation (Figure 1 of the
 // paper): output row i is the sum of rows b_k* of B scaled by the nonzeros
 // a_ik of row a_i*. They differ in the accumulator that merges intermediate
-// products — hash table, chunked hash table, heap, or a dense SPA over B's
-// columns — and in phase structure (one-phase with upper-bound allocation vs
+// products — hash table, heap, or a dense SPA over B's columns — and in
+// phase structure (one-phase with upper-bound allocation vs
 // two-phase symbolic+numeric).
 //
 // Shared architecture-specific machinery (Section 4.1 and 3.2 of the paper):
@@ -37,9 +37,6 @@ const (
 	// order; emits sorted or unsorted output ("Any/Select"). The only
 	// kernel that fuses an output mask.
 	AlgHash
-	// AlgHashVec is Hash with chunked ("vectorized") probing (Section
-	// 4.2.2), emulating the AVX2/AVX-512 in-register compare.
-	AlgHashVec
 	// AlgHeap is the optimized heap SpGEMM (Section 4.2.3): one-phase,
 	// k-way merge with a thread-private binary heap, thread-private
 	// upper-bound output buffers. Requires sorted inputs and always emits
@@ -56,11 +53,14 @@ const (
 	// Deprecated: use AlgHash, which cuts its own budget stripes and lands
 	// them in Options.ShardSink.
 	AlgSharded = AlgHash
+	// Deprecated: use AlgHash. The chunked table of the paper's HashVector
+	// (Section 4.2.2) is the figure baseline baseline.HashVec.
+	AlgHashVec = AlgHash
 )
 
 // algNames is the one name table: String, ParseAlgorithm, the CLIs' -alg
 // help and the server's error for an unknown name all read it.
-var algNames = [NumAlgorithms]string{"auto", "hash", "hashvec", "heap"}
+var algNames = [NumAlgorithms]string{"auto", "hash", "heap"}
 
 // String returns the name used in benchmark tables.
 func (a Algorithm) String() string {
@@ -71,7 +71,7 @@ func (a Algorithm) String() string {
 }
 
 // ParseAlgorithm is the inverse of Algorithm.String: it resolves the names
-// the CLIs and the multiply server accept ("auto", "hash", "hashvec", ...).
+// the CLIs and the multiply server accept ("auto", "hash", "heap").
 // The empty string parses as AlgAuto.
 func ParseAlgorithm(name string) (Algorithm, bool) {
 	if name == "" {
@@ -119,8 +119,8 @@ type OptionsG[V semiring.Value] struct {
 	// must be over the same V as the inputs and must not be shared by
 	// concurrent Multiply calls.
 	Context *ContextG[V]
-	// ShardStripes overrides the stripe count of a two-phase product (Hash,
-	// HashVec, a Plan). 0 means derive it from the flop total and
+	// ShardStripes overrides the stripe count of a two-phase product (Hash
+	// or a Plan). 0 means derive it from the flop total and
 	// ShardMemBudget: at least one stripe per worker, at most one per row.
 	ShardStripes int
 	// ShardMemBudget is the resident-bytes target one stripe's output
@@ -272,11 +272,7 @@ func Flop[V, W semiring.Value](a *matrix.CSRG[V], b *matrix.CSRG[W]) (total int6
 // (the paper's Table 1 "Sortedness" column). Heap merges sorted streams and
 // can only emit sorted rows.
 func SupportsUnsorted(a Algorithm) bool {
-	switch a {
-	case AlgHash, AlgHashVec:
-		return true
-	}
-	return false
+	return a == AlgHash
 }
 
 // RequiresSortedInput reports whether the algorithm needs sorted input rows

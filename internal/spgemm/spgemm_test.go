@@ -24,7 +24,6 @@ var allAlgorithms = []struct {
 	unsortedInput bool // accepts unsorted input rows
 }{
 	{"hash", AlgHash, 0, true, true},
-	{"hashvec", AlgHashVec, 0, true, true},
 	{"heap", AlgHeap, 0, false, false},
 	{"sharded", AlgHash, 3, true, true},
 }
@@ -331,11 +330,9 @@ func TestAutoWithMaskResolvesToHash(t *testing.T) {
 func TestMaskRejectedForOtherAlgorithms(t *testing.T) {
 	// One masked kernel: every algorithm but Hash gets the same error.
 	a := matrix.Identity(4)
-	for _, alg := range []Algorithm{AlgHashVec, AlgHeap} {
-		_, err := Multiply(a, a, &Options{Algorithm: alg, Mask: a})
-		if err == nil || !strings.Contains(err.Error(), "mask is only supported by hash") {
-			t.Fatalf("%v with a mask: err = %v, want the mask-unsupported error", alg, err)
-		}
+	_, err := Multiply(a, a, &Options{Algorithm: AlgHeap, Mask: a})
+	if err == nil || !strings.Contains(err.Error(), "mask is only supported by hash") {
+		t.Fatalf("heap with a mask: err = %v, want the mask-unsupported error", err)
 	}
 }
 
@@ -351,7 +348,6 @@ func TestMaskedRowSumsRejects(t *testing.T) {
 	}{
 		{"nil options", nil},
 		{"no mask", &Options{Algorithm: AlgHash}},
-		{"hashvec", &Options{Algorithm: AlgHashVec, Mask: a}},
 		{"heap", &Options{Algorithm: AlgHeap, Mask: a}},
 		{"mask shape", &Options{Mask: matrix.Identity(5)}},
 		{"sink", &Options{Mask: a, ShardSink: sink}},
