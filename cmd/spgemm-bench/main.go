@@ -7,7 +7,7 @@
 //	spgemm-bench -list
 //	spgemm-bench -exp fig11
 //	spgemm-bench -exp all -preset quick -csv
-//	spgemm-bench -breakdown -preset tiny
+//	spgemm-bench -exp fig8 -preset tiny
 //
 // Presets: tiny (seconds, CI-sized), quick (default, minutes), full
 // (paper-scale inputs; hours and tens of GiB for the largest proxies).
@@ -25,14 +25,13 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "experiment id (fig2..fig17, table2, table4, hmean, all)")
+		exp       = flag.String("exp", "", "experiment id (fig2..fig17, table2, table4, hmean, outofcore, all)")
 		preset    = flag.String("preset", "quick", "workload preset: tiny|quick|full")
 		workers   = flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
 		seed      = flag.Int64("seed", 0, "generator seed (0 = default)")
 		reps      = flag.Int("reps", 0, "timing repetitions (0 = preset default)")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned columns")
 		list      = flag.Bool("list", false, "list experiments and exit")
-		brk       = flag.Bool("breakdown", false, "print the per-phase ExecStats breakdown (shortcut for -exp fig8)")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
@@ -49,13 +48,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "spgemm-bench: debug server on http://%s\n", srv.Addr())
 	}
 
-	if *brk {
-		if *exp != "" && *exp != "fig8" {
-			fmt.Fprintln(os.Stderr, "spgemm-bench: -breakdown conflicts with -exp", *exp)
-			os.Exit(2)
-		}
-		*exp = "fig8"
-	}
 	if *list {
 		for _, e := range bench.Registry() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)

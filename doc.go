@@ -7,7 +7,7 @@
 //   - internal/matrix    — CSR/COO storage, Matrix Market I/O, statistics
 //   - internal/semiring  — (+,×), or-and, min-plus, max-times semirings
 //   - internal/sched     — static/dynamic/guided/balanced loop scheduling
-//   - internal/mempool   — thread-private memory management (single vs parallel)
+//   - internal/mempool   — scratch growth accounting, single vs parallel allocation
 //   - internal/accum     — the kernels' hash, heap and SPA accumulators
 //   - internal/spgemm    — the SpGEMM algorithms and the Table 4 recipe
 //   - internal/gen       — R-MAT ER/G500 generators and Table 2 proxies

@@ -18,8 +18,7 @@ import (
 // alloc, numeric and assemble phases, measured with the ExecStats
 // instrumentation, plus the accumulator counters (hash collision factor,
 // heap pushes, level-2 overflows) that explain the numeric-phase behavior.
-// Squares one ER and one G500 matrix; `spgemm-bench -breakdown` is a
-// shortcut for this experiment.
+// Squares one ER and one G500 matrix.
 func runFig8(cfg Config, w io.Writer) error {
 	scale, ef := 12, 8
 	switch cfg.Preset {

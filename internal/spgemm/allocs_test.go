@@ -8,7 +8,6 @@ import (
 	"repro/internal/accum"
 	"repro/internal/gen"
 	"repro/internal/matrix"
-	"repro/internal/mempool"
 )
 
 // These tests pin the steady-state allocation behavior the hot paths are
@@ -91,28 +90,6 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			for h.Len() > 0 {
 				h.PopMin()
 			}
-		})
-	})
-
-	t.Run("ScratchEnsureAtHighWater", func(t *testing.T) {
-		var s mempool.Scratch
-		requireZeroAllocs(t, "Ensure*", func() {
-			s.EnsureInt32A(512)
-			s.EnsureInt64A(512)
-			s.EnsureFloat64(512)
-		})
-	})
-
-	t.Run("AcquireReleaseCycle", func(t *testing.T) {
-		// Warm the free list so the cycle recycles instead of allocating.
-		warm := mempool.Acquire()
-		warm.EnsureInt64A(1024)
-		mempool.Release(warm)
-		requireZeroAllocs(t, "Acquire/Release", func() {
-			s := mempool.Acquire()
-			buf := s.EnsureInt64A(1024)
-			buf[0] = 1
-			mempool.Release(s)
 		})
 	})
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/accum"
 	"repro/internal/matrix"
-	"repro/internal/mempool"
 	"repro/internal/sched"
 	"repro/internal/semiring"
 )
@@ -54,7 +53,10 @@ type ContextG[V semiring.Value] struct {
 	maskHash  []*accum.HashTableG[int32] // (maskedRow), dense or hashed
 	heaps     []*accum.MergeHeapG[V]
 	spa       []*accum.SPAG[V]
-	scratch   *mempool.Pool
+
+	// The replay map's column -> rank array (newReplayMap), grown through
+	// mempool.Grow so LiveBytes counts it.
+	rank []int32
 
 	// The one-phase geometry's temp buffers and its stripes' windows in them
 	// (onePhaseExecute), grown monotonically like everything else here.
@@ -329,11 +331,6 @@ func (c *ContextG[V]) ensureWorkers(n int) {
 	c.maskHash = growTo(c.maskHash, n)
 	c.heaps = growTo(c.heaps, n)
 	c.spa = growTo(c.spa, n)
-	if c.scratch == nil {
-		c.scratch = mempool.NewPool(n)
-	} else {
-		c.scratch.Ensure(n)
-	}
 }
 
 // hashTable returns worker w's hash table with capacity for bound entries:
@@ -378,12 +375,6 @@ func (c *ContextG[V]) mergeHeap(w int, bound int64) *accum.MergeHeapG[V] {
 		h.ResetCounters()
 	}
 	return h
-}
-
-// workerScratch returns worker w's reusable index-buffer set. ensureWorkers
-// must have been called with a count above w.
-func (c *ContextG[V]) workerScratch(w int) *mempool.Scratch {
-	return c.scratch.Get(w)
 }
 
 // tempBuf returns *s with length n (contents undefined), grown when short.

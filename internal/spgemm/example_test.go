@@ -1,10 +1,10 @@
-package core_test
+package spgemm_test
 
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/matrix"
+	"repro/internal/spgemm"
 )
 
 // ExampleMultiply squares a small sparse matrix with the recipe-selected
@@ -19,7 +19,7 @@ func ExampleMultiply() {
 	coo.Append(2, 2, 1)
 	a := coo.ToCSR()
 
-	c, err := core.Multiply(a, a, &core.Options{Algorithm: core.AlgAuto})
+	c, err := spgemm.Multiply(a, a, &spgemm.Options{Algorithm: spgemm.AlgAuto})
 	if err != nil {
 		panic(err)
 	}
@@ -41,8 +41,8 @@ func ExampleMultiply() {
 // per-row sort when downstream consumers accept unsorted rows.
 func ExampleMultiply_unsorted() {
 	a := matrix.Identity(2)
-	c, err := core.Multiply(a, a, &core.Options{
-		Algorithm: core.AlgHash,
+	c, err := spgemm.Multiply(a, a, &spgemm.Options{
+		Algorithm: spgemm.AlgHash,
 		Unsorted:  true,
 	})
 	if err != nil {
@@ -56,16 +56,16 @@ func ExampleMultiply_unsorted() {
 // input characteristics.
 func ExampleRecommend() {
 	a := matrix.Identity(100)
-	alg := core.Recommend(a, a, true, core.UseSquare)
-	fmt.Println(alg == core.AlgAuto) // always a concrete algorithm
+	alg := spgemm.Recommend(a, a, true, spgemm.UseSquare)
+	fmt.Println(alg == spgemm.AlgAuto) // always a concrete algorithm
 	// Output: false
 }
 
-// ExampleFlop counts the scalar multiplications of a product without
+// Example_flop counts the scalar multiplications of a product without
 // computing it.
-func ExampleFlop() {
+func Example_flop() {
 	a := matrix.Identity(4)
-	total, perRow := core.Flop(a, a)
+	total, perRow := matrix.Flop(a, a)
 	fmt.Println(total, len(perRow))
 	// Output: 4 4
 }

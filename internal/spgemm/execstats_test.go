@@ -49,7 +49,7 @@ func TestExecStatsPhaseSumMatchesTotal(t *testing.T) {
 func TestExecStatsMaskedIsOnePhase(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	g := gen.ER(10, 8, rng)
-	flop, _ := Flop(g, g)
+	flop, _ := matrix.Flop(g, g)
 	for _, workers := range []int{1, 3} {
 		var st ExecStats
 		if _, err := Multiply(g, g, &Options{Algorithm: AlgHash, Mask: g, Workers: workers, Stats: &st}); err != nil {
@@ -125,7 +125,7 @@ func TestExecStatsCounters(t *testing.T) {
 	g := gen.ER(9, 8, rng)
 	wide := matrix.RandomWithDegree(g.Cols, 1<<16, 4, rng)
 	for _, b := range []*matrix.CSR{g, wide} {
-		totalFlop, _ := Flop(g, b)
+		totalFlop, _ := matrix.Flop(g, b)
 		for _, alg := range statsAlgorithms {
 			var st ExecStats
 			if _, err := Multiply(g, b, &Options{Algorithm: alg, Workers: 4, Stats: &st}); err != nil {

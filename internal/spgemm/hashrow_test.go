@@ -59,7 +59,7 @@ func TestHashCounterInvariant(t *testing.T) {
 		{"wide", wideA, wideB, false, false, false},
 		{"one-column", g500, oneCol.ToCSR(), true, false, false},
 	} {
-		flop, flopRow := Flop(in.a, in.b)
+		flop, flopRow := matrix.Flop(in.a, in.b)
 		var sized int64
 		for _, f := range flopRow {
 			if capBound(f, in.b.Cols) <= 1 {
@@ -365,7 +365,7 @@ func ruleInputs() []ruleInput {
 func BenchmarkSymbolic(b *testing.B) {
 	for _, in := range ruleInputs() {
 		a, bm := in.a, in.b
-		_, flopRow := Flop(a, bm)
+		_, flopRow := matrix.Flop(a, bm)
 		flop, max := rangeFlopMax(flopRow, 0, a.Rows)
 		rule := "hash"
 		if denseRule(bm.Cols, flop) {
@@ -402,7 +402,7 @@ func BenchmarkNumeric(b *testing.B) {
 	for _, in := range ruleInputs() {
 		b.Run(in.name, func(b *testing.B) {
 			a, bm := in.a, in.b
-			_, flopRow := Flop(a, bm)
+			_, flopRow := matrix.Flop(a, bm)
 			flop, max := rangeFlopMax(flopRow, 0, a.Rows)
 			ctx := NewContext()
 			ctx.ensureWorkers(1)

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/matrix"
+	"repro/internal/mempool"
 	"repro/internal/semiring"
 )
 
@@ -199,7 +200,7 @@ func newReplayMap(a, b, c *matrix.CSR, ctx *Context, in *inspection[float64]) *r
 		offsets: append([]int(nil), ctx.partition(in.flopRow, in.workers, in.workers)...),
 		dst:     make([][]uint32, in.workers),
 	}
-	rank := ctx.workerScratch(0).EnsureInt32A(b.Cols)
+	rank := mempool.Grow(&ctx.rank, b.Cols)
 	for w := range m.dst {
 		lo, hi := m.offsets[w], m.offsets[w+1]
 		dst := make([]uint32, rangeFlop(in.flopRow, lo, hi))

@@ -369,7 +369,7 @@ func TestShardedRecommendedPreCheck(t *testing.T) {
 		}
 	}
 	b := coo.ToCSR()
-	flop, _ := Flop(a, b)
+	flop, _ := matrix.Flop(a, b)
 	var maxRow int64
 	for k := 0; k < b.Rows; k++ {
 		if n := b.RowPtr[k+1] - b.RowPtr[k]; n > maxRow {

@@ -263,11 +263,6 @@ func recordMultiply[V semiring.Value](alg Algorithm, opt *OptionsG[V]) {
 	}
 }
 
-// Flop re-exports the flop count used for balancing and MFLOPS metrics.
-func Flop[V, W semiring.Value](a *matrix.CSRG[V], b *matrix.CSRG[W]) (total int64, perRow []int64) {
-	return matrix.Flop(a, b)
-}
-
 // SupportsUnsorted reports whether the algorithm can skip output sorting
 // (the paper's Table 1 "Sortedness" column). Heap merges sorted streams and
 // can only emit sorted rows.
