@@ -25,7 +25,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "experiment id (fig2..fig17, table2, table4, hmean, outofcore, all)")
+		exp       = flag.String("exp", "", "experiment id (fig2..fig17, table2, table4, hmean, all)")
 		preset    = flag.String("preset", "quick", "workload preset: tiny|quick|full")
 		workers   = flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
 		seed      = flag.Int64("seed", 0, "generator seed (0 = default)")

@@ -105,7 +105,6 @@ func Registry() []Experiment {
 		{"table2", "Matrix statistics: proxies vs paper (Table 2)", runTable2},
 		{"table4", "Best-algorithm recipe from measured runs (Table 4)", runTable4},
 		{"hmean", "Harmonic-mean unsorted speedup (Section 5.4.4)", runHMean},
-		{"outofcore", "Bounded-memory sharded SpGEMM through a spill-to-disk sink", runOutOfCore},
 	}
 }
 

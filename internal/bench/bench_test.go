@@ -41,7 +41,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestRegistryCompleteAndUnique(t *testing.T) {
 	reg := Registry()
-	want := []string{"fig2", "fig4", "fig5", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "table2", "table4", "hmean", "outofcore"}
+	want := []string{"fig2", "fig4", "fig5", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "table2", "table4", "hmean"}
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(reg), len(want))
 	}
@@ -60,27 +60,6 @@ func TestRegistryCompleteAndUnique(t *testing.T) {
 	}
 	if Find("fig11") == nil || Find("nope") != nil {
 		t.Fatal("Find broken")
-	}
-}
-
-// TestOutOfCoreRows measures the outofcore experiment at the Tiny preset
-// and checks the rows it tabulates: the in-RAM hash baseline and the
-// sharded-spill product.
-func TestOutOfCoreRows(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipped in -short")
-	}
-	ooc, err := measureOutOfCore(Config{Preset: Tiny})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ooc.Scale != 8 || len(ooc.Rows) != 2 {
-		t.Fatalf("scale %d, %d rows: %+v", ooc.Scale, len(ooc.Rows), ooc.Rows)
-	}
-	for i, alg := range []string{"hash", "sharded-spill"} {
-		if r := ooc.Rows[i]; r.Alg != alg || r.Variant != "outofcore-s8" || r.NsPerOp <= 0 || r.MFLOPS <= 0 {
-			t.Fatalf("row %d: %+v, want a measured %s row", i, r, alg)
-		}
 	}
 }
 

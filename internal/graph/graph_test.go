@@ -50,37 +50,40 @@ func bruteTriangles(a *matrix.CSR) int64 {
 	return count
 }
 
-func TestCountTrianglesK3(t *testing.T) {
-	a := adjacency(3, [][2]int32{{0, 1}, {1, 2}, {0, 2}})
-	res, err := CountTriangles(a, nil)
+// countTriangles runs the pipeline examples/triangles and the benchmark run:
+// PrepareTriangles, then CountFromLU with the default options.
+func countTriangles(t *testing.T, adj *matrix.CSR) int64 {
+	t.Helper()
+	prep, err := PrepareTriangles(adj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Triangles != 1 {
-		t.Fatalf("K3 triangles = %d, want 1", res.Triangles)
+	n, err := CountFromLU(prep.L, prep.U, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+func TestCountTrianglesK3(t *testing.T) {
+	a := adjacency(3, [][2]int32{{0, 1}, {1, 2}, {0, 2}})
+	if n := countTriangles(t, a); n != 1 {
+		t.Fatalf("K3 triangles = %d, want 1", n)
 	}
 }
 
 func TestCountTrianglesK4(t *testing.T) {
 	a := adjacency(4, [][2]int32{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
-	res, err := CountTriangles(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Triangles != 4 {
-		t.Fatalf("K4 triangles = %d, want 4", res.Triangles)
+	if n := countTriangles(t, a); n != 4 {
+		t.Fatalf("K4 triangles = %d, want 4", n)
 	}
 }
 
 func TestCountTrianglesTriangleFree(t *testing.T) {
 	// A 6-cycle has no triangles.
 	a := adjacency(6, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
-	res, err := CountTriangles(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Triangles != 0 {
-		t.Fatalf("cycle triangles = %d, want 0", res.Triangles)
+	if n := countTriangles(t, a); n != 0 {
+		t.Fatalf("cycle triangles = %d, want 0", n)
 	}
 }
 
@@ -341,7 +344,7 @@ func TestApplySymmetricPermutationPreservesTriangles(t *testing.T) {
 }
 
 func TestTrianglesRejectsNonSquare(t *testing.T) {
-	if _, err := CountTriangles(matrix.NewCSR(3, 4), nil); err == nil {
+	if _, err := PrepareTriangles(matrix.NewCSR(3, 4)); err == nil {
 		t.Fatal("expected error for non-square adjacency")
 	}
 }
@@ -642,12 +645,8 @@ func TestIteratesAreDonatedInputsAreNot(t *testing.T) {
 	sources := []int32{0, 5, 9, 33}
 	opt := &spgemm.Options{Algorithm: spgemm.AlgHash, Context: spgemm.NewContext()}
 
-	run := func() (clusters, labels []int, bc []float64, levels [][]int32) {
+	run := func() (clusters []int, bc []float64, levels [][]int32) {
 		mcl, err := MCL(g, &MCLOptions{SpGEMM: opt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lp, err := LabelPropagation(g, 20, rand.New(rand.NewSource(1)), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -659,11 +658,11 @@ func TestIteratesAreDonatedInputsAreNot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return mcl.Cluster, lp.Label, bc, bfs.Level
+		return mcl.Cluster, bc, bfs.Level
 	}
-	c1, l1, b1, v1 := run()
-	c2, l2, b2, v2 := run()
-	if !reflect.DeepEqual(c1, c2) || !reflect.DeepEqual(l1, l2) || !reflect.DeepEqual(b1, b2) || !reflect.DeepEqual(v1, v2) {
+	c1, b1, v1 := run()
+	c2, b2, v2 := run()
+	if !reflect.DeepEqual(c1, c2) || !reflect.DeepEqual(b1, b2) || !reflect.DeepEqual(v1, v2) {
 		t.Error("a run on a Context holding the previous run's donation differs from that run")
 	}
 	if !matrix.Equal(g, orig) {

@@ -19,8 +19,6 @@ var (
 	mclNNZ    = mIterNNZ.With("mcl")
 	bfsIters  = mIters.With("msbfs")
 	bfsNNZ    = mIterNNZ.With("msbfs")
-	lpIters   = mIters.With("labelprop")
-	lpNNZ     = mIterNNZ.With("labelprop")
 	betwIters = mIters.With("betweenness")
 	betwNNZ   = mIterNNZ.With("betweenness")
 )

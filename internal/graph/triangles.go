@@ -14,12 +14,10 @@ import (
 	"repro/internal/spgemm"
 )
 
-// TriangleResult reports a triangle count and the SpGEMM statistics of the
-// L·U step, which is what the paper's Figure 17 benchmarks.
+// TriangleResult holds the reordered triangular factors of a graph, the
+// operands of the L·U step the paper's Figure 17 benchmarks; CountFromLU
+// counts the triangles from them.
 type TriangleResult struct {
-	Triangles int64
-	// L and U are the reordered triangular factors, exposed so benchmarks
-	// can time the L·U SpGEMM step in isolation.
 	L, U *matrix.CSR
 }
 
@@ -47,22 +45,6 @@ func PrepareTriangles(adj *matrix.CSR) (*TriangleResult, error) {
 		L: a.LowerTriangle(),
 		U: a.UpperTriangle(),
 	}
-	return res, nil
-}
-
-// CountTriangles runs the full pipeline: preprocessing, the masked L·U
-// SpGEMM, and the final reduction. opt selects the SpGEMM algorithm for the
-// L·U step; the mask restricts output to wedges that close into triangles.
-func CountTriangles(adj *matrix.CSR, opt *spgemm.Options) (*TriangleResult, error) {
-	res, err := PrepareTriangles(adj)
-	if err != nil {
-		return nil, err
-	}
-	n, err := CountFromLU(res.L, res.U, opt)
-	if err != nil {
-		return nil, err
-	}
-	res.Triangles = n
 	return res, nil
 }
 

@@ -31,8 +31,8 @@ var (
 )
 
 // LiveBytes returns the bytes currently held by reusable scratch buffers
-// process-wide — the mempool_live_bytes gauge. Bounded-memory smokes assert
-// against it after an out-of-core run.
+// process-wide — the mempool_live_bytes gauge, which the benchmark reports
+// as mempool.live_mb.
 func LiveBytes() int64 { return mLive.Value() }
 
 // Grow returns *buf with length n (contents undefined). The buffer only ever

@@ -12,12 +12,11 @@ import (
 )
 
 // ContextG is the reusable execution state of the SpGEMM kernels: the
-// per-worker accumulators (hash tables, chunked hash tables, merge heaps,
-// dense SPAs), the temp buffers of the one-phase kernels,
-// and the per-row bookkeeping arrays (flop counts, row sizes, partition
-// offsets, prefix-sum scratch). All of it grows monotonically and is reused
-// across Multiply calls, so iterative workloads — MCL's repeated M·M,
-// multi-source BFS frontiers, label propagation, betweenness — pay the
+// per-worker accumulators (hash tables, merge heaps, dense SPAs), the temp
+// buffers of the one-phase kernels, and the per-row bookkeeping arrays (flop
+// counts, row sizes, partition offsets, prefix-sum scratch). All of it grows
+// monotonically and is reused across Multiply calls, so iterative workloads —
+// MCL's repeated M·M, multi-source BFS frontiers, betweenness — pay the
 // paper's Section 3.2 memory-management bill once instead of every call.
 // After warm-up, a hash SpGEMM through a Context allocates only the output
 // matrix — and not even that once the caller hands finished products back

@@ -59,7 +59,7 @@ func TestContextReuseMatchesOneShot(t *testing.T) {
 			ctx := NewContext()
 			var prev, prevSaved *matrix.CSR
 			for round, p := range seq {
-				opt := Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: 3, Context: ctx}
+				opt := Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(p.a, p.b, tc.stripes), Workers: 3, Context: ctx}
 				got, err := Multiply(p.a, p.b, &opt)
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
@@ -68,7 +68,7 @@ func TestContextReuseMatchesOneShot(t *testing.T) {
 					t.Fatalf("round %d overwrote the result of round %d", round, round-1)
 				}
 				prev, prevSaved = got, got.Clone()
-				fresh := Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: 3}
+				fresh := Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(p.a, p.b, tc.stripes), Workers: 3}
 				want, err := Multiply(p.a, p.b, &fresh)
 				if err != nil {
 					t.Fatalf("round %d fresh: %v", round, err)

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"unsafe"
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
@@ -52,16 +53,35 @@ var Algorithms = []spgemm.Algorithm{
 
 // tinyStripes is the cut of the harness's striped Hash leg: finer than one
 // stripe per worker, as a product past its ShardMemBudget is cut, which the
-// budget's own count never reaches on suite-scale inputs.
+// default budget never reaches on suite-scale inputs.
 const tinyStripes = 3
 
-// cuts is the Options.ShardStripes of each leg the harness runs alg in: its
-// own cut (0) and, for Hash, the striped leg.
+// cuts is the stripe count of each leg the harness runs alg in: its own cut
+// (0) and, for Hash, the striped leg. stripeBudget turns a count into the
+// Options.ShardMemBudget that asks for it.
 func cuts(alg spgemm.Algorithm) []int {
 	if alg == spgemm.AlgHash {
 		return []int{0, tinyStripes}
 	}
 	return []int{0}
+}
+
+// stripeBudget is the ShardMemBudget that cuts a·b into n stripes: 0 (the
+// default budget, the product's own cut) for n = 0, 1 (one stripe per row)
+// for n at or past a's rows. Between, the count is n wherever the output
+// bound, flop·(4 + sizeof V) bytes, is at least n·(n−1); the product still
+// cuts at least one stripe per worker.
+func stripeBudget[V semiring.Value](a, b *matrix.CSRG[V], n int) int64 {
+	if n <= 0 {
+		return 0
+	}
+	if n >= a.Rows {
+		return 1
+	}
+	var zero V
+	flop, _ := matrix.Flop(a, b)
+	est := flop * int64(4+unsafe.Sizeof(zero))
+	return max(1, (est+int64(n)-1)/int64(n))
 }
 
 // Case is one input pair of the differential suite.
@@ -321,7 +341,7 @@ func Check(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 	want := matrix.NaiveMultiply(c.A, c.B)
 	for _, stripes := range cuts(alg) {
 		name := fmt.Sprintf("%s/%v unsorted=%v workers=%d stripes=%d", c.Name, alg, unsorted, workers, stripes)
-		got, err := spgemm.Multiply(c.A, c.B, &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardStripes: stripes})
+		got, err := spgemm.Multiply(c.A, c.B, &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardMemBudget: stripeBudget(c.A, c.B, stripes)})
 		if err != nil {
 			if spgemm.RequiresSortedInput(alg) && !c.B.Sorted {
 				return nil // documented rejection, not a defect
@@ -382,8 +402,8 @@ func identical[V semiring.Value](got, want *matrix.CSRG[V]) error {
 }
 
 // CheckSharded pins the striped Hash product's identity contract against
-// Hash's own cut over one case, cut into the given number of stripes (0 is
-// the product's own count): sorted output must be bit-identical to the
+// Hash's own cut over one case, cut by a budget into the given number of
+// stripes (0 is the product's own count; see stripeBudget): sorted output must be bit-identical to the
 // unstriped product, unsorted output set-equivalent via the oracle. The same
 // comparison then repeats through an out-of-core SpillSink whose budget is
 // far below the output size, so the spill/admission/mmap path at toy scale
@@ -394,7 +414,7 @@ func CheckSharded(c Case, unsorted bool, workers, stripes int, spillDir string) 
 		return fmt.Errorf("%s/hash unsorted=%v: %w", c.Name, unsorted, err)
 	}
 	want := matrix.NaiveMultiply(c.A, c.B)
-	opt := &spgemm.Options{Algorithm: spgemm.AlgHash, Unsorted: unsorted, Workers: workers, ShardStripes: stripes}
+	opt := &spgemm.Options{Algorithm: spgemm.AlgHash, Unsorted: unsorted, Workers: workers, ShardMemBudget: stripeBudget(c.A, c.B, stripes)}
 	got, err := spgemm.Multiply(c.A, c.B, opt)
 	if err != nil {
 		return fmt.Errorf("%s/sharded unsorted=%v workers=%d stripes=%d: %w", c.Name, unsorted, workers, stripes, err)
@@ -458,7 +478,7 @@ func CheckContext(c Case, alg spgemm.Algorithm, unsorted bool, workers int, ctx 
 	want := matrix.NaiveMultiply(c.A, c.B)
 	for _, stripes := range cuts(alg) {
 		name := fmt.Sprintf("%s/%v ctx unsorted=%v workers=%d stripes=%d", c.Name, alg, unsorted, workers, stripes)
-		opt := spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardStripes: stripes, Context: ctx}
+		opt := spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardMemBudget: stripeBudget(c.A, c.B, stripes), Context: ctx}
 		got, err := spgemm.Multiply(c.A, c.B, &opt)
 		if err != nil {
 			if spgemm.RequiresSortedInput(alg) && !c.B.Sorted {
@@ -504,7 +524,7 @@ func CheckPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 
 func checkPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers, stripes int) error {
 	var st spgemm.ExecStats
-	opt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardStripes: stripes, Context: spgemm.NewContext(), Stats: &st}
+	opt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardMemBudget: stripeBudget(c.A, c.B, stripes), Context: spgemm.NewContext(), Stats: &st}
 	plan, err := spgemm.NewPlan(c.A, c.B, opt)
 	if spgemm.RequiresSortedInput(alg) && !c.B.Sorted {
 		if err == nil {

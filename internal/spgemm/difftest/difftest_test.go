@@ -177,7 +177,8 @@ func TestDifferentialContextReuse(t *testing.T) {
 // TestDifferentialSharded pins the striped Hash product's bit-identity
 // contract against Hash's own cut across the whole suite and the special-value cases (-0,
 // ±Inf and NaN survive a stripe boundary like any other value), sorted and
-// unsorted output, at every kind of cut: one stripe, one per worker (the
+// unsorted output, at every kind of cut a budget makes: one stripe (at one
+// worker; a budget cuts at least one per worker), one per worker (the
 // static schedule Hash itself runs), more stripes than workers (the dynamic
 // one), and one stripe per row — each also through the out-of-core SpillSink
 // repeat at toy scale (see CheckSharded).

@@ -81,7 +81,7 @@ func CheckRecycled[V semiring.Value, R semiring.Ring[V]](name string, ring R, a,
 
 func checkRecycled[V semiring.Value, R semiring.Ring[V]](name string, ring R, a, b *matrix.CSRG[V], alg spgemm.Algorithm, unsorted bool, workers, stripes int, mask *matrix.CSRG[V], ctx *spgemm.ContextG[V], sentinel V) error {
 	name = fmt.Sprintf("%s/%v unsorted=%v workers=%d stripes=%d masked=%v", name, alg, unsorted, workers, stripes, mask != nil)
-	opt := spgemm.OptionsG[V]{Algorithm: alg, Unsorted: unsorted, Workers: workers, Mask: mask, ShardStripes: stripes}
+	opt := spgemm.OptionsG[V]{Algorithm: alg, Unsorted: unsorted, Workers: workers, Mask: mask, ShardMemBudget: stripeBudget(a, b, stripes)}
 	want, err := spgemm.MultiplyRing(ring, a, b, &opt)
 	if err != nil {
 		if spgemm.RequiresSortedInput(alg) && !b.Sorted {
@@ -141,7 +141,7 @@ func CheckPlanRecycled(c Case, alg spgemm.Algorithm, unsorted bool, workers int)
 
 func checkPlanRecycled(c Case, alg spgemm.Algorithm, unsorted bool, workers, stripes int) error {
 	name := fmt.Sprintf("%s/%v plan unsorted=%v workers=%d stripes=%d", c.Name, alg, unsorted, workers, stripes)
-	opt := spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardStripes: stripes}
+	opt := spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardMemBudget: stripeBudget(c.A, c.B, stripes)}
 	want, err := spgemm.Multiply(c.A, c.B, &opt)
 	if err != nil {
 		if spgemm.RequiresSortedInput(alg) && !c.B.Sorted {

@@ -62,7 +62,7 @@ func CheckRing[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a,
 	want := matrix.NaiveMultiplyRing(ring, a, b)
 	for _, stripes := range cuts(alg) {
 		name := fmt.Sprintf("%s/%v unsorted=%v workers=%d stripes=%d", caseName, alg, unsorted, workers, stripes)
-		got, err := spgemm.MultiplyRing(ring, a, b, &spgemm.OptionsG[V]{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardStripes: stripes})
+		got, err := spgemm.MultiplyRing(ring, a, b, &spgemm.OptionsG[V]{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardMemBudget: stripeBudget(a, b, stripes)})
 		if err != nil {
 			if spgemm.RequiresSortedInput(alg) && !b.Sorted {
 				return nil // documented rejection, not a defect

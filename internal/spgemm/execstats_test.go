@@ -176,7 +176,7 @@ func TestWorkerBusy(t *testing.T) {
 	}{
 		{"hash", Options{Algorithm: AlgHash}, false},
 		{"heap", Options{Algorithm: AlgHeap}, false},
-		{"hash/7-stripes", Options{Algorithm: AlgHash, ShardStripes: 7}, false},
+		{"hash/7-stripes", Options{Algorithm: AlgHash, ShardMemBudget: stripeBudget(g, g, 7)}, false},
 		{"hash+mask", Options{Algorithm: AlgHash, Mask: g}, false},
 		{"hash/replay", Options{Algorithm: AlgHash}, true},
 	} {

@@ -27,12 +27,13 @@ import (
 // HashLookups + StampMarks + DirectFlop + DenseFlop == 2·Flop − (flop of rows
 // sized by their bound). A sorted request writes exactly its one-entry rows
 // without an accumulator (folded into their slot). That holds however the
-// rows are cut into stripes: one per worker by default, or by ShardStripes
-// one, one per worker and one per row (several stripes then accumulate into
-// one worker's counters, on either side). On the one-pass route (an
-// unsorted AlgHash product in one stripe at compression ratio about 1) every
-// product is written once, so direct writes and SPA folds sum to the flop,
-// the stamps test at most the flop, and no time goes to symbolic.
+// rows are cut into stripes: one per worker by default, or by a budget that
+// asks for one, one per worker or one per row (never fewer than one per
+// worker; several stripes then accumulate into one worker's counters, on
+// either side). On the one-pass route (an unsorted AlgHash product in one
+// stripe at compression ratio about 1) every product is written once, so
+// direct writes and SPA folds sum to the flop, the stamps test at most the
+// flop, and no time goes to symbolic.
 func TestHashCounterInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g500 := gen.RMAT(8, 8, gen.G500Params, rng)
@@ -80,7 +81,7 @@ func TestHashCounterInvariant(t *testing.T) {
 					name := fmt.Sprintf("%s/%s/unsorted=%v/workers=%d", in.name, geom.name, unsorted, workers)
 					ctx := NewContext()
 					var st ExecStats
-					opt := &Options{Algorithm: AlgHash, ShardStripes: geom.stripes, Unsorted: unsorted, Workers: workers, Stats: &st, Context: ctx}
+					opt := &Options{Algorithm: AlgHash, ShardMemBudget: stripeBudget(in.a, in.b, geom.stripes), Unsorted: unsorted, Workers: workers, Stats: &st, Context: ctx}
 					c, err := Multiply(in.a, in.b, opt)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -92,11 +93,7 @@ func TestHashCounterInvariant(t *testing.T) {
 						}
 					}
 					tot := st.TotalWorker()
-					stripes := geom.stripes
-					if stripes == 0 {
-						stripes = workers
-					}
-					onePass := in.onePass && unsorted && stripes == 1
+					onePass := in.onePass && unsorted && max(geom.stripes, workers) == 1
 					if (st.Phases[PhaseSymbolic] == 0) != onePass {
 						t.Errorf("%s: symbolic took %v, want none iff on the one-pass route (%v)", name, st.Phases[PhaseSymbolic], onePass)
 					}

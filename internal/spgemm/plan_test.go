@@ -291,7 +291,7 @@ func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 	}{
 		{"hash", Options{Algorithm: AlgHash}},
 		{"heap", Options{Algorithm: AlgHeap}},
-		{"sharded", Options{Algorithm: AlgHash, ShardStripes: 16}},
+		{"sharded", Options{Algorithm: AlgHash, ShardMemBudget: stripeBudget(sorted, sorted, 16)}},
 	} {
 		for _, unsorted := range []bool{false, true} {
 			a := sorted
@@ -378,7 +378,7 @@ func TestPlanReplayMapBuiltOnce(t *testing.T) {
 		stripes int
 	}{{AlgHash, 0}, {AlgHash, 4}} {
 		alg := leg.alg
-		opt := &Options{Algorithm: alg, Workers: 2, ShardStripes: leg.stripes}
+		opt := &Options{Algorithm: alg, Workers: 2, ShardMemBudget: stripeBudget(a, a, leg.stripes)}
 		want, err := Multiply(a, a, opt)
 		if err != nil {
 			t.Fatal(err)

@@ -88,8 +88,8 @@ func TestRingFastEquivalence(t *testing.T) {
 }
 
 // ringfastLeg is one geometry of checkRingFast: an algorithm cut into its
-// own stripes, or into ShardStripes of them ("sharded": Hash cut finer than
-// one stripe per worker).
+// own stripes, or by a budget into about that many ("sharded": Hash cut finer
+// than one stripe per worker; see stripeBudget).
 type ringfastLeg struct {
 	name    string
 	alg     Algorithm
@@ -117,7 +117,8 @@ func checkRingFast[V float64 | float32 | int64, R semiring.Ring[V]](t *testing.T
 					}
 					t.Run(name, func(t *testing.T) {
 						var st ExecStats
-						fast, err := MultiplyRing(ring, a, b, &OptionsG[V]{Algorithm: alg, ShardStripes: leg.stripes, Workers: w, Unsorted: unsorted, Stats: &st})
+						budget := stripeBudget(a, b, leg.stripes)
+						fast, err := MultiplyRing(ring, a, b, &OptionsG[V]{Algorithm: alg, ShardMemBudget: budget, Workers: w, Unsorted: unsorted, Stats: &st})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -127,7 +128,7 @@ func checkRingFast[V float64 | float32 | int64, R semiring.Ring[V]](t *testing.T
 						if w == 1 && m.name == "ER-CR1" && st.Phases[PhaseSymbolic] != 0 {
 							t.Fatal("the compression-ratio-1 square did not take the one-pass route")
 						}
-						want, err := MultiplyRing(slow, a, b, &OptionsG[V]{Algorithm: alg, ShardStripes: leg.stripes, Workers: w, Unsorted: unsorted})
+						want, err := MultiplyRing(slow, a, b, &OptionsG[V]{Algorithm: alg, ShardMemBudget: budget, Workers: w, Unsorted: unsorted})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -136,7 +137,7 @@ func checkRingFast[V float64 | float32 | int64, R semiring.Ring[V]](t *testing.T
 						if !f64 {
 							return // a Plan is float64 plus-times only
 						}
-						plan, err := NewPlan(fa, any(b).(*matrix.CSR), &Options{Algorithm: alg, ShardStripes: leg.stripes, Workers: w, Unsorted: unsorted})
+						plan, err := NewPlan(fa, any(b).(*matrix.CSR), &Options{Algorithm: alg, ShardMemBudget: budget, Workers: w, Unsorted: unsorted})
 						if err != nil {
 							t.Fatal(err)
 						}

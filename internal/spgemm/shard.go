@@ -75,21 +75,10 @@ func shardStripeCount(totalFlop int64, rows, workers, elemBytes int, budget int6
 }
 
 // shardStripes is the stripe count of a two-phase product with the given
-// flop total over rows: Options.ShardStripes when set, shardStripeCount
-// otherwise, never more than one stripe per row.
+// flop total over rows, by the budget.
 func (o *OptionsG[V]) shardStripes(totalFlop int64, rows, workers int) int {
-	n := o.ShardStripes
-	if n <= 0 {
-		var zero V
-		n = shardStripeCount(totalFlop, rows, workers, int(unsafe.Sizeof(zero)), o.ShardMemBudget)
-	}
-	if n > rows {
-		n = rows
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	var zero V
+	return shardStripeCount(totalFlop, rows, workers, int(unsafe.Sizeof(zero)), o.ShardMemBudget)
 }
 
 // fillStripeStats records a two-phase product's per-stripe breakdown into st,

@@ -6,10 +6,30 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
+	"repro/internal/semiring"
 )
+
+// stripeBudget is the ShardMemBudget that cuts a·b into n stripes: 0 (the
+// default budget, the product's own cut) for n = 0, 1 (one stripe per row)
+// for n at or past a's rows. Between, the count is n wherever the output
+// bound, flop·(4 + sizeof V) bytes, is at least n·(n−1); shardStripeCount
+// still cuts at least one stripe per worker.
+func stripeBudget[V semiring.Value](a, b *matrix.CSRG[V], n int) int64 {
+	if n <= 0 {
+		return 0
+	}
+	if n >= a.Rows {
+		return 1
+	}
+	var zero V
+	flop, _ := matrix.Flop(a, b)
+	est := flop * int64(4+unsafe.Sizeof(zero))
+	return max(1, (est+int64(n)-1)/int64(n))
+}
 
 // bitIdentical reports whether two products are byte-for-byte the same
 // (structure, values, sortedness flag).
@@ -56,7 +76,7 @@ func TestShardedBitIdenticalToHash(t *testing.T) {
 		for _, stripes := range []int{0, 1, 3, 16} {
 			for _, workers := range []int{1, 4} {
 				for _, variant := range []string{"plain", "typed-nil sink"} {
-					opt := &Options{Algorithm: AlgHash, Workers: workers, ShardStripes: stripes}
+					opt := &Options{Algorithm: AlgHash, Workers: workers, ShardMemBudget: stripeBudget(in.a, in.b, stripes)}
 					if variant == "typed-nil sink" {
 						opt.ShardSink = (*SpillSink[float64])(nil)
 					}
@@ -84,7 +104,7 @@ func TestShardedUnsortedEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Multiply(a, b, &Options{Algorithm: AlgHash, Unsorted: true, ShardStripes: 5})
+	got, err := Multiply(a, b, &Options{Algorithm: AlgHash, Unsorted: true, ShardMemBudget: stripeBudget(a, b, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +176,7 @@ func TestSpillSinkShardedMatchesHash(t *testing.T) {
 		budget = 64
 	}
 	sink := NewSpillSink[float64](t.TempDir(), budget)
-	got, err := Multiply(a, b, &Options{Algorithm: AlgHash, ShardStripes: 16, ShardSink: sink})
+	got, err := Multiply(a, b, &Options{Algorithm: AlgHash, ShardMemBudget: stripeBudget(a, b, 16), ShardSink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +226,7 @@ func TestShardedPlanReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	a := gen.RMAT(8, 8, gen.G500Params, rng)
 	b := gen.RMAT(8, 8, gen.G500Params, rng)
-	opt := &Options{Algorithm: AlgHash, ShardStripes: 6}
+	opt := &Options{Algorithm: AlgHash, ShardMemBudget: stripeBudget(a, b, 6)}
 	plan, err := NewPlan(a, b, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +297,7 @@ func TestShardedStripeStats(t *testing.T) {
 	a := gen.RMAT(8, 8, gen.G500Params, rng)
 	b := gen.RMAT(8, 8, gen.G500Params, rng)
 	var st ExecStats
-	c, err := Multiply(a, b, &Options{Algorithm: AlgHash, ShardStripes: 5, Stats: &st})
+	c, err := Multiply(a, b, &Options{Algorithm: AlgHash, ShardMemBudget: stripeBudget(a, b, 5), Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +340,7 @@ func TestShardedStripeStats(t *testing.T) {
 	// them is a phase.
 	sink := NewSpillSink[float64](t.TempDir(), 1<<20)
 	defer sink.Close()
-	if _, err := Multiply(a, b, &Options{Algorithm: AlgHash, ShardStripes: 5, ShardSink: sink, Stats: &st}); err != nil {
+	if _, err := Multiply(a, b, &Options{Algorithm: AlgHash, ShardMemBudget: stripeBudget(a, b, 5), ShardSink: sink, Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
 	if len(st.Stripes) != 5 || !st.Stripes[0].Spilled {
@@ -352,7 +372,7 @@ func TestShardedContextReuseSteady(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Multiply(a, b, &Options{Algorithm: AlgHash, Context: ctx, ShardStripes: 1 + round*3})
+		got, err := Multiply(a, b, &Options{Algorithm: AlgHash, Context: ctx, ShardMemBudget: stripeBudget(a, b, 1+round*3)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,13 +119,10 @@ type OptionsG[V semiring.Value] struct {
 	// must be over the same V as the inputs and must not be shared by
 	// concurrent Multiply calls.
 	Context *ContextG[V]
-	// ShardStripes overrides the stripe count of a two-phase product (Hash
-	// or a Plan). 0 means derive it from the flop total and
-	// ShardMemBudget: at least one stripe per worker, at most one per row.
-	ShardStripes int
 	// ShardMemBudget is the resident-bytes target one stripe's output
-	// upper bound is sized against when a two-phase product derives its
-	// stripe count. 0 means a 256 MiB default.
+	// upper bound is sized against: a two-phase product (Hash or a Plan)
+	// cuts enough stripes that each fits it, at least one per worker and
+	// at most one per row. 0 means a 256 MiB default.
 	ShardMemBudget int64
 	// ShardSink overrides where a two-phase product lands finished stripes.
 	// nil means the output itself; a SpillSink bounds peak resident output

@@ -19,7 +19,7 @@ import (
 var allAlgorithms = []struct {
 	name          string
 	alg           Algorithm
-	stripes       int  // Options.ShardStripes; 0 is the product's own cut
+	stripes       int  // the stripe count stripeBudget asks for; 0 is the product's own cut
 	unsortedOut   bool // supports Unsorted option natively
 	unsortedInput bool // accepts unsorted input rows
 }{
@@ -42,7 +42,7 @@ func TestAllAlgorithmsMatchNaiveSorted(t *testing.T) {
 			for trial := 0; trial < 25; trial++ {
 				a, b := randPair(rng, 40, 0.15)
 				want := matrix.NaiveMultiply(a, b)
-				got, err := Multiply(a, b, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: 1 + trial%4})
+				got, err := Multiply(a, b, &Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(a, b, tc.stripes), Workers: 1 + trial%4})
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
@@ -70,7 +70,7 @@ func TestAllAlgorithmsMatchNaiveUnsortedOutput(t *testing.T) {
 			for trial := 0; trial < 15; trial++ {
 				a, b := randPair(rng, 40, 0.15)
 				want := matrix.NaiveMultiply(a, b)
-				got, err := Multiply(a, b, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Unsorted: true, Workers: 3})
+				got, err := Multiply(a, b, &Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(a, b, tc.stripes), Unsorted: true, Workers: 3})
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
@@ -97,7 +97,7 @@ func TestUnsortedInputAccepted(t *testing.T) {
 		if !tc.unsortedInput {
 			continue
 		}
-		got, err := Multiply(ap, ap, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: 2})
+		got, err := Multiply(ap, ap, &Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(ap, ap, tc.stripes), Workers: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", tc.name, err)
 		}
@@ -127,7 +127,7 @@ func TestDimensionMismatch(t *testing.T) {
 func TestEmptyMatrices(t *testing.T) {
 	for _, tc := range allAlgorithms {
 		empty := matrix.NewCSR(5, 5)
-		got, err := Multiply(empty, empty, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes})
+		got, err := Multiply(empty, empty, &Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(empty, empty, tc.stripes)})
 		if err != nil {
 			t.Fatalf("%v: %v", tc.name, err)
 		}
@@ -139,9 +139,9 @@ func TestEmptyMatrices(t *testing.T) {
 
 func TestEmptyTimesNonEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(106))
-	b := matrix.Random(5, 7, 0.4, rng)
+	a, b := matrix.NewCSR(4, 5), matrix.Random(5, 7, 0.4, rng)
 	for _, tc := range allAlgorithms {
-		got, err := Multiply(matrix.NewCSR(4, 5), b, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes})
+		got, err := Multiply(a, b, &Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(a, b, tc.stripes)})
 		if err != nil {
 			t.Fatalf("%v: %v", tc.name, err)
 		}
@@ -153,9 +153,9 @@ func TestEmptyTimesNonEmpty(t *testing.T) {
 
 func TestIdentityProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
-	m := matrix.Random(25, 25, 0.2, rng)
+	m, id := matrix.Random(25, 25, 0.2, rng), matrix.Identity(25)
 	for _, tc := range allAlgorithms {
-		got, err := Multiply(m, matrix.Identity(25), &Options{Algorithm: tc.alg, ShardStripes: tc.stripes})
+		got, err := Multiply(m, id, &Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(m, id, tc.stripes)})
 		if err != nil {
 			t.Fatalf("%v: %v", tc.name, err)
 		}
@@ -172,7 +172,7 @@ func TestRectangularShapes(t *testing.T) {
 	b := matrix.Random(40, 5, 0.3, rng)
 	want := matrix.NaiveMultiply(a, b)
 	for _, tc := range allAlgorithms {
-		got, err := Multiply(a, b, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: 4})
+		got, err := Multiply(a, b, &Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(a, b, tc.stripes), Workers: 4})
 		if err != nil {
 			t.Fatalf("%v: %v", tc.name, err)
 		}
@@ -212,7 +212,7 @@ func TestSemiringMinPlus(t *testing.T) {
 	}
 	for _, tc := range allAlgorithms {
 		alg := tc.name
-		got, err := MultiplyRing(semiring.MinPlusF64{}, a, b, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: 2})
+		got, err := MultiplyRing(semiring.MinPlusF64{}, a, b, &Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(a, b, tc.stripes), Workers: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -454,7 +454,7 @@ func TestAlgorithmsAgreeQuick(t *testing.T) {
 			return false
 		}
 		for _, tc := range allAlgorithms[1:] {
-			got, err := Multiply(a, b, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: 1 + rng.Intn(4)})
+			got, err := Multiply(a, b, &Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(a, b, tc.stripes), Workers: 1 + rng.Intn(4)})
 			if err != nil || !matrix.EqualApprox(base, got, 1e-10) {
 				return false
 			}

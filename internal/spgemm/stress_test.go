@@ -25,7 +25,7 @@ func TestStressAllAlgorithmsOnRMAT(t *testing.T) {
 		want := matrix.NaiveMultiply(a, a)
 		for _, tc := range allAlgorithms {
 			for _, workers := range []int{1, 3, 8} {
-				got, err := Multiply(a, a, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: workers})
+				got, err := Multiply(a, a, &Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(a, a, tc.stripes), Workers: workers})
 				if err != nil {
 					t.Fatalf("%v workers=%d: %v", tc.name, workers, err)
 				}
@@ -36,7 +36,7 @@ func TestStressAllAlgorithmsOnRMAT(t *testing.T) {
 					t.Fatalf("%v workers=%d: wrong product on %v", tc.name, workers, a)
 				}
 				if tc.unsortedOut {
-					got, err = Multiply(a, a, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: workers, Unsorted: true})
+					got, err = Multiply(a, a, &Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(a, a, tc.stripes), Workers: workers, Unsorted: true})
 					if err != nil || !matrix.EqualApprox(want, got, 1e-9) {
 						t.Fatalf("%v workers=%d unsorted: wrong product (%v)", tc.name, workers, err)
 					}
@@ -90,8 +90,9 @@ func TestSpecialValuesPropagate(t *testing.T) {
 	a := matrix.Identity(2)
 	a.Val[0] = math.NaN()
 	a.Val[1] = math.Inf(1)
+	id := matrix.Identity(2)
 	for _, tc := range allAlgorithms {
-		got, err := Multiply(a, matrix.Identity(2), &Options{Algorithm: tc.alg, ShardStripes: tc.stripes})
+		got, err := Multiply(a, id, &Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(a, id, tc.stripes)})
 		if err != nil {
 			t.Fatalf("%v: %v", tc.name, err)
 		}
@@ -121,7 +122,7 @@ func TestNumericCancellationKeptStructural(t *testing.T) {
 		Val: []float64{1, 1}, Sorted: true,
 	}
 	for _, tc := range allAlgorithms {
-		got, err := Multiply(a, b, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes})
+		got, err := Multiply(a, b, &Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(a, b, tc.stripes)})
 		if err != nil {
 			t.Fatalf("%v: %v", tc.name, err)
 		}
@@ -138,7 +139,7 @@ func TestSingleRowSingleColumn(t *testing.T) {
 	col := matrix.Random(20, 1, 0.5, rng)  // 20×1
 	want := matrix.NaiveMultiply(row, col) // 1×1
 	for _, tc := range allAlgorithms {
-		got, err := Multiply(row, col, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: 4})
+		got, err := Multiply(row, col, &Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(row, col, tc.stripes), Workers: 4})
 		if err != nil {
 			t.Fatalf("%v: %v", tc.name, err)
 		}
@@ -149,7 +150,7 @@ func TestSingleRowSingleColumn(t *testing.T) {
 	// Outer product: 20×1 · 1×20 → rank-1 20×20.
 	want = matrix.NaiveMultiply(col, row)
 	for _, tc := range allAlgorithms {
-		got, err := Multiply(col, row, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes})
+		got, err := Multiply(col, row, &Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(col, row, tc.stripes)})
 		if err != nil {
 			t.Fatalf("%v: %v", tc.name, err)
 		}
@@ -171,7 +172,7 @@ func TestRowsOfZeros(t *testing.T) {
 	a := coo.ToCSR()
 	want := matrix.NaiveMultiply(a, a)
 	for _, tc := range allAlgorithms {
-		got, err := Multiply(a, a, &Options{Algorithm: tc.alg, ShardStripes: tc.stripes, Workers: 8})
+		got, err := Multiply(a, a, &Options{Algorithm: tc.alg, ShardMemBudget: stripeBudget(a, a, tc.stripes), Workers: 8})
 		if err != nil {
 			t.Fatalf("%v: %v", tc.name, err)
 		}
