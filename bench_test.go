@@ -256,7 +256,7 @@ func BenchmarkFig17Triangle(b *testing.B) {
 					// A library without masks: form L·U, then filter by L.
 					var lu *matrix.CSR
 					if lu, err = baseline.Multiply(k, f.triangle.L, f.triangle.U, nil); err == nil {
-						_, err = matrix.Hadamard(lu, f.triangle.L)
+						_, err = matrix.HadamardG(lu, f.triangle.L)
 					}
 				} else {
 					_, err = graph.CountFromLU(f.triangle.L, f.triangle.U, &spgemm.Options{Algorithm: alg.(spgemm.Algorithm)})

@@ -14,7 +14,8 @@
 //
 // All accumulators follow the paper's allocation discipline: they are owned
 // by one worker, allocated once at the upper-bound size for that worker's
-// rows, and reinitialized per row in O(entries) time rather than O(size).
+// rows, never grown, and reinitialized per row in O(entries) time rather than
+// O(size).
 package accum
 
 import "repro/internal/semiring"
@@ -40,7 +41,11 @@ func NextPow2(n int64) int64 {
 
 // HashTableG is the accumulator of Hash SpGEMM: open addressing with linear
 // probing over a power-of-two table, keys initialized to -1. It tracks the
-// occupied slots so a per-row reset costs O(entries), not O(capacity).
+// occupied slots so a per-row reset costs O(entries), not O(capacity). Like
+// the paper's table it is sized from the flop upper bound of the rows it
+// serves (Reserve) and never grows by itself: a row may hold at most the
+// bound it was reserved for, which always leaves an empty slot to end a
+// probe.
 type HashTableG[V semiring.Value] struct {
 	keys []int32
 	vals []V
@@ -51,12 +56,7 @@ type HashTableG[V semiring.Value] struct {
 	// factor c of Equation (2).
 	probes  int64
 	lookups int64
-	// grow enables automatic rehashing at 3/4 load. The paper's Hash
-	// SpGEMM presizes tables from the flop upper bound and never grows;
-	// the two-level table of the Kokkos figure baseline uses a growing
-	// second level.
-	grow bool
-	rank ranker // sorted-extraction scratch (rank.go)
+	rank    ranker // sorted-extraction scratch (rank.go)
 }
 
 // HashTable is the float64 instantiation — the historic type of this package.
@@ -156,7 +156,6 @@ func (h *HashTableG[V]) InsertSymbolic(key int32) bool {
 		if k == emptyKey {
 			keys[j] = key
 			h.used = append(h.used, int32(j))
-			h.maybeGrow()
 			return true
 		}
 		h.probes++
@@ -167,17 +166,15 @@ func (h *HashTableG[V]) InsertSymbolic(key int32) bool {
 // Upsert returns a pointer to the value slot for key and whether the key is
 // new. On fresh == true the slot's contents are stale; the caller must store
 // a value before the next extraction (the SpGEMM drivers write the first
-// product, then ring.Add into the slot on subsequent hits). The pointer is
-// invalidated by the next Upsert/InsertSymbolic on a grow-enabled table.
+// product, then ring.Add into the slot on subsequent hits). The table never
+// moves its storage, so the pointer stays valid until the next Reserve.
 //
 //spgemm:hotpath
 func (h *HashTableG[V]) Upsert(key int32) (*V, bool) {
 	h.lookups++
 	// Same masked-index shape as InsertSymbolic; vals is re-sliced to
 	// len(keys) so vals[j] shares the proof (one slice check at entry
-	// replaces an IsInBounds per probe step). The grow path lives in its
-	// own method so keys/mask/vals stay loop-invariant — reassigning them
-	// in the loop makes them phis and defeats the prove pass.
+	// replaces an IsInBounds per probe step).
 	keys := h.keys
 	mask := len(keys) - 1
 	if mask < 0 {
@@ -192,9 +189,6 @@ func (h *HashTableG[V]) Upsert(key int32) (*V, bool) {
 			return &vals[j], false
 		}
 		if k == emptyKey {
-			if h.grow && (len(h.used)+1)*4 >= len(keys)*3 {
-				return h.upsertGrow(key)
-			}
 			keys[j] = key
 			h.used = append(h.used, int32(j))
 			return &vals[j], true
@@ -202,21 +196,6 @@ func (h *HashTableG[V]) Upsert(key int32) (*V, bool) {
 		h.probes++
 		s++
 	}
-}
-
-// upsertGrow is Upsert's cold path: rehash into a doubled table, then insert
-// key (known absent — the caller only gets here after probing to an empty
-// slot) so the returned pointer aims at the post-rehash storage.
-func (h *HashTableG[V]) upsertGrow(key int32) (*V, bool) {
-	h.growRehash()
-	s := h.slot(key)
-	for h.keys[s] != emptyKey {
-		h.probes++
-		s = (s + 1) & h.mask
-	}
-	h.keys[s] = key
-	h.used = append(h.used, int32(s))
-	return &h.vals[s], true
 }
 
 // Lookup returns the value stored for key and whether it is present: one
@@ -235,39 +214,6 @@ func (h *HashTableG[V]) Lookup(key int32) (V, bool) {
 			return zero, false
 		}
 		s = (s + 1) & h.mask
-	}
-}
-
-// SetGrow enables or disables automatic rehashing at 3/4 load.
-func (h *HashTableG[V]) SetGrow(on bool) { h.grow = on }
-
-func (h *HashTableG[V]) maybeGrow() {
-	if !h.grow || len(h.used)*4 < len(h.keys)*3 {
-		return
-	}
-	h.growRehash()
-}
-
-func (h *HashTableG[V]) growRehash() {
-	oldKeys, oldVals, oldUsed := h.keys, h.vals, append([]int32(nil), h.used...)
-	capacity := int64(len(h.keys)) * 2
-	h.keys = make([]int32, capacity)
-	h.vals = make([]V, capacity)
-	for i := range h.keys {
-		h.keys[i] = emptyKey
-	}
-	h.mask = uint32(capacity - 1)
-	h.used = h.used[:0]
-	for _, s := range oldUsed {
-		key := oldKeys[s]
-		v := oldVals[s]
-		ns := h.slot(key)
-		for h.keys[ns] != emptyKey {
-			ns = (ns + 1) & h.mask
-		}
-		h.keys[ns] = key
-		h.vals[ns] = v
-		h.used = append(h.used, int32(ns))
 	}
 }
 

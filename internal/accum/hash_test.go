@@ -149,25 +149,6 @@ func TestHashTableNearFullLoad(t *testing.T) {
 	}
 }
 
-func TestHashTableGrow(t *testing.T) {
-	h := NewHashTable(15) // capacity 16
-	h.SetGrow(true)
-	for k := int32(0); k < 1000; k++ {
-		plusAcc(h, k, 1)
-	}
-	if h.Len() != 1000 {
-		t.Fatalf("Len = %d", h.Len())
-	}
-	if h.Cap() < 1000 {
-		t.Fatalf("Cap = %d, table did not grow", h.Cap())
-	}
-	for k := int32(0); k < 1000; k++ {
-		if _, ok := h.Lookup(k); !ok {
-			t.Fatalf("key %d lost during growth", k)
-		}
-	}
-}
-
 func TestHashTableReserveShrinksAndClears(t *testing.T) {
 	h := NewHashTable(1000)
 	plusAcc(h, 1, 1)

@@ -121,7 +121,7 @@ func Multiply(k Kind, a, b *matrix.CSR, opt *Options) (*matrix.CSR, error) {
 			schedule:     sched.Dynamic,
 			grain:        64,
 			unsortedOnly: true,
-			factory:      func(int64) rowAcc { return newTwoLevelHash(defaultL1Size) },
+			factory:      func(bound int64) rowAcc { return newTwoLevelHash(defaultL1Size, bound) },
 		}), nil
 	case HashVec:
 		return twoPhase(a, b, opt, twoPhaseConfig{

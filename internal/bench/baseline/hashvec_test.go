@@ -60,7 +60,7 @@ func TestHashVecBadWidthPanics(t *testing.T) {
 }
 
 func TestTwoLevelOverflowsToL2(t *testing.T) {
-	tl := newTwoLevelHash(16)
+	tl := newTwoLevelHash(16, 500)
 	// Insert far more keys than L1 can hold: overflow must engage.
 	for k := int32(0); k < 500; k++ {
 		plusAcc(tl, k, float64(k))
@@ -78,20 +78,44 @@ func TestTwoLevelOverflowsToL2(t *testing.T) {
 	}
 }
 
+// TestTwoLevelL2SizedOnce fills a row of bound distinct keys through a tiny
+// level 1, so most of them overflow, and checks that level 2, sized for the
+// row bound up front, held them without growing, in both phases.
+func TestTwoLevelL2SizedOnce(t *testing.T) {
+	const bound = 500
+	tl := newTwoLevelHash(16, bound)
+	capacity := tl.l2.Cap()
+	for k := int32(0); k < bound; k++ {
+		plusAcc(tl, k*7, float64(k))
+	}
+	tl.Reset()
+	for k := int32(0); k < bound; k++ {
+		if !tl.InsertSymbolic(k * 7) {
+			t.Fatalf("key %d not fresh after Reset", k*7)
+		}
+	}
+	if tl.Len() != bound || tl.Overflows() < bound {
+		t.Fatalf("len %d, overflows %d: want %d keys, most through level 2", tl.Len(), tl.Overflows(), bound)
+	}
+	if got := tl.l2.Cap(); got != capacity {
+		t.Fatalf("level 2 capacity %d after a row of bound keys, want %d (sized once)", got, capacity)
+	}
+}
+
 func TestTwoLevelBadSizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for non-pow2 size")
 		}
 	}()
-	newTwoLevelHash(100)
+	newTwoLevelHash(100, 16)
 }
 
 // TestTwoLevelOverflowCounter forces level-1 exhaustion with a tiny L1 and
 // checks the delegation counters: every overflow is one level-2 operation,
 // and the table still returns correct contents.
 func TestTwoLevelOverflowCounter(t *testing.T) {
-	tl := newTwoLevelHash(16)
+	tl := newTwoLevelHash(16, 64)
 	if tl.Overflows() != 0 || tl.Lookups() != 0 {
 		t.Fatal("fresh table has nonzero counters")
 	}
@@ -136,7 +160,7 @@ func TestHashFamiliesAgreeQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := accum.NewHashTable(512)
-		others := []rowAcc{newHashVecTable(512, chunkWidth), newTwoLevelHash(32)}
+		others := []rowAcc{newHashVecTable(512, chunkWidth), newTwoLevelHash(32, 512)}
 		accs := append([]rowAcc{h}, others...)
 		n := rng.Intn(400)
 		for i := 0; i < n; i++ {

@@ -7,9 +7,11 @@ import (
 )
 
 // twoLevelHash models KokkosKernels' kkmem accumulator: a small fixed-size
-// first-level hash table sized to fit in cache, with a growable second-level
-// table absorbing the overflow. Probing in level 1 is bounded; once a probe
-// sequence exceeds the bound the key is delegated to level 2.
+// first-level hash table sized to fit in cache, with a second-level table
+// absorbing the overflow. Probing in level 1 is bounded; once a probe
+// sequence exceeds the bound the key is delegated to level 2. Like kkmem's,
+// whose second level comes from a pool sized for the widest row, level 2 is
+// sized once for the worker's row bound and never grows.
 //
 // Key claims in level 1 go through atomic compare-and-swap, mirroring
 // kkmem's thread-team execution model in which several lanes may insert into
@@ -43,8 +45,9 @@ const l1ProbeBound = 8
 const defaultL1Size = 4096
 
 // newTwoLevelHash returns a two-level accumulator with the given level-1
-// capacity (a power of two ≥ 16).
-func newTwoLevelHash(l1Size int) *twoLevelHash {
+// capacity (a power of two ≥ 16) whose level 2 holds a row of up to bound
+// distinct keys.
+func newTwoLevelHash(l1Size int, bound int64) *twoLevelHash {
 	if l1Size < 16 || l1Size&(l1Size-1) != 0 {
 		panic("baseline: level-1 size must be a power of two >= 16")
 	}
@@ -52,9 +55,8 @@ func newTwoLevelHash(l1Size int) *twoLevelHash {
 		l1Keys: make([]int32, l1Size),
 		l1Vals: make([]float64, l1Size),
 		l1Mask: uint32(l1Size - 1),
-		l2:     accum.NewHashTable(64),
+		l2:     accum.NewHashTable(bound),
 	}
-	t.l2.SetGrow(true)
 	for i := range t.l1Keys {
 		t.l1Keys[i] = emptyKey
 	}
@@ -117,9 +119,7 @@ func (t *twoLevelHash) InsertSymbolic(key int32) bool {
 }
 
 // Upsert returns a pointer to key's value slot (level 1 or the overflow
-// table) and whether the key is new. The pointer is invalidated by the next
-// Upsert (the level-2 table grows); the caller must finish its read-modify-
-// write before the next operation, which the row-by-row drivers do.
+// table) and whether the key is new.
 func (t *twoLevelHash) Upsert(key int32) (*float64, bool) {
 	if s, fresh, ok := t.claimL1(key); ok {
 		return &t.l1Vals[s], fresh

@@ -6,53 +6,14 @@ import (
 	"repro/internal/semiring"
 )
 
-// Elementwise matrix algebra. These operate row-by-row on sorted matrices
-// (unsorted inputs are sorted into a copy first) and return sorted results.
-// Add is float64-specific (it scales by float64 factors); Hadamard and the
-// reductions below it are generic.
+// Elementwise matrix algebra: HadamardG operates row-by-row on sorted
+// matrices (unsorted inputs are sorted into a copy first) and returns a sorted
+// result; Sum reduces every stored value. Both are generic over V.
 
-// Add returns alpha·a + beta·b. Dimensions must match.
-func Add(a, b *CSR, alpha, beta float64) (*CSR, error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return nil, fmt.Errorf("matrix: Add dimension mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	a = ensureSorted(a)
-	b = ensureSorted(b)
-	out := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1), Sorted: true}
-	out.ColIdx = make([]int32, 0, a.NNZ()+b.NNZ())
-	out.Val = make([]float64, 0, a.NNZ()+b.NNZ())
-	for i := 0; i < a.Rows; i++ {
-		ac, av := a.Row(i)
-		bc, bv := b.Row(i)
-		p, q := 0, 0
-		for p < len(ac) || q < len(bc) {
-			switch {
-			case q >= len(bc) || (p < len(ac) && ac[p] < bc[q]):
-				out.push(ac[p], alpha*av[p])
-				p++
-			case p >= len(ac) || bc[q] < ac[p]:
-				out.push(bc[q], beta*bv[q])
-				q++
-			default:
-				if v := alpha*av[p] + beta*bv[q]; v != 0 {
-					out.push(ac[p], v)
-				}
-				p++
-				q++
-			}
-		}
-		out.RowPtr[i+1] = int64(len(out.ColIdx))
-	}
-	return out, nil
-}
-
-// Hadamard returns the elementwise product a .* b (intersection of
-// patterns). Dimensions must match.
-func Hadamard(a, b *CSR) (*CSR, error) { return HadamardG(a, b) }
-
-// HadamardG is the generic elementwise product: mulValue semantics (numeric
-// product; logical AND for bool), entries whose product is the storage zero
-// are dropped.
+// HadamardG returns the elementwise product a .* b (intersection of
+// patterns); dimensions must match. Values multiply with mulValue semantics
+// (numeric product; logical AND for bool), and entries whose product is the
+// storage zero are dropped.
 func HadamardG[V semiring.Value](a, b *CSRG[V]) (*CSRG[V], error) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return nil, fmt.Errorf("matrix: Hadamard dimension mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
@@ -83,15 +44,6 @@ func HadamardG[V semiring.Value](a, b *CSRG[V]) (*CSRG[V], error) {
 	return out, nil
 }
 
-// Scale multiplies every stored value by alpha (logical AND for bool), in
-// place, and returns m.
-func (m *CSRG[V]) Scale(alpha V) *CSRG[V] {
-	for i := range m.Val {
-		m.Val[i] = mulValue(m.Val[i], alpha)
-	}
-	return m
-}
-
 // Sum returns the combination of all stored values under V's conventional
 // addition (numeric sum; logical OR for bool).
 func (m *CSRG[V]) Sum() V {
@@ -100,20 +52,6 @@ func (m *CSRG[V]) Sum() V {
 		s = addValue(s, v)
 	}
 	return s
-}
-
-// RowSums returns the per-row sums of stored values.
-func (m *CSRG[V]) RowSums() []V {
-	out := make([]V, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		var s V
-		for p := lo; p < hi; p++ {
-			s = addValue(s, m.Val[p])
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // push appends one entry to the under-construction matrix.

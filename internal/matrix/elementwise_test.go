@@ -6,72 +6,29 @@ import (
 	"testing/quick"
 )
 
-func TestAddBasic(t *testing.T) {
-	a := FromDense(&Dense{Rows: 2, Cols: 2, Data: []float64{1, 2, 0, 3}})
-	b := FromDense(&Dense{Rows: 2, Cols: 2, Data: []float64{4, 0, 5, -3}})
-	c, err := Add(a, b, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustValid(t, c)
-	d := c.ToDense()
-	if d.At(0, 0) != 5 || d.At(0, 1) != 2 || d.At(1, 0) != 5 {
-		t.Fatalf("sum wrong: %+v", d)
-	}
-	// 3 + (-3) cancels and must be dropped.
-	if d.At(1, 1) != 0 {
-		t.Fatalf("cancellation value: %v", d.At(1, 1))
-	}
-	for i := 0; i < c.Rows; i++ {
-		cols, _ := c.Row(i)
-		for _, col := range cols {
-			if i == 1 && col == 1 {
-				t.Fatal("cancelled entry kept")
-			}
-		}
-	}
-}
-
-func TestAddScalars(t *testing.T) {
-	rng := rand.New(rand.NewSource(801))
-	a := Random(10, 10, 0.3, rng)
-	b := Random(10, 10, 0.3, rng)
-	c, err := Add(a, b, 2, -0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	da, db, dc := a.ToDense(), b.ToDense(), c.ToDense()
-	for i := range dc.Data {
-		want := 2*da.Data[i] - 0.5*db.Data[i]
-		if diff := dc.Data[i] - want; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("entry %d: %v want %v", i, dc.Data[i], want)
-		}
-	}
-}
-
-func TestAddDimensionMismatch(t *testing.T) {
-	if _, err := Add(NewCSR(2, 2), NewCSR(2, 3), 1, 1); err == nil {
+func TestHadamardDimensionMismatch(t *testing.T) {
+	if _, err := HadamardG(NewCSR(2, 2), NewCSR(3, 2)); err == nil {
 		t.Fatal("expected error")
 	}
-	if _, err := Hadamard(NewCSR(2, 2), NewCSR(3, 2)); err == nil {
+	if _, err := HadamardG(NewCSR(2, 2), NewCSR(2, 3)); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
-func TestAddUnsortedInputs(t *testing.T) {
+func TestHadamardUnsortedInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(802))
 	a := Random(8, 8, 0.4, rng)
 	au := a.ShuffleRowEntries(rng)
-	c1, err := Add(a, a, 1, 1)
+	c1, err := HadamardG(a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Add(au, au, 1, 1)
+	c2, err := HadamardG(au, au)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !Equal(c1, c2) {
-		t.Fatal("unsorted input changed Add result")
+		t.Fatal("unsorted input changed Hadamard result")
 	}
 	// Inputs must not be mutated.
 	if au.Sorted {
@@ -82,7 +39,7 @@ func TestAddUnsortedInputs(t *testing.T) {
 func TestHadamardBasic(t *testing.T) {
 	a := FromDense(&Dense{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 0}})
 	b := FromDense(&Dense{Rows: 2, Cols: 2, Data: []float64{5, 0, 2, 7}})
-	c, err := Hadamard(a, b)
+	c, err := HadamardG(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +58,7 @@ func TestHadamardAgainstDense(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := Random(1+rng.Intn(15), 1+rng.Intn(15), 0.4, rng)
 		b := Random(a.Rows, a.Cols, 0.4, rng)
-		c, err := Hadamard(a, b)
+		c, err := HadamardG(a, b)
 		if err != nil {
 			return false
 		}
@@ -118,27 +75,12 @@ func TestHadamardAgainstDense(t *testing.T) {
 	}
 }
 
-func TestScaleSumRowSums(t *testing.T) {
+func TestSum(t *testing.T) {
 	a := FromDense(&Dense{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}})
-	a.Scale(2)
-	if a.Sum() != 20 {
+	if a.Sum() != 10 {
 		t.Fatalf("Sum = %v", a.Sum())
 	}
-	rs := a.RowSums()
-	if rs[0] != 6 || rs[1] != 14 {
-		t.Fatalf("RowSums = %v", rs)
-	}
-}
-
-// Property: A + (-1)·A == empty matrix.
-func TestAddSelfCancellation(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := Random(1+rng.Intn(20), 1+rng.Intn(20), 0.3, rng)
-		c, err := Add(a, a, 1, -1)
-		return err == nil && c.NNZ() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
+	if !MapValues(a, func(v float64) bool { return v == 4 }).Sum() {
+		t.Fatal("bool Sum is not the OR of the stored values")
 	}
 }

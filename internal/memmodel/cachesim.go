@@ -104,8 +104,6 @@ type SimStats struct {
 	AccAccesses, AccMisses int64 // accumulator (hash table / heap) updates
 	AAccesses, AMisses     int64 // A row reads (streaming)
 	SampledRows            int   // rows actually replayed
-	SampledFlop            int64 // intermediate products actually replayed
-	LineBytes              int   // cache line size used (memory fetch unit)
 }
 
 // AccumulatorSpill is the fraction of accumulator updates that reached
@@ -181,7 +179,6 @@ func SimulateHashSpGEMM(a, b *matrix.CSR, cfg CacheConfig, maxFlop int64) SimSta
 	}
 
 	var st SimStats
-	st.LineBytes = cfg.LineBytes
 	var replayed int64
 	for i := 0; i < a.Rows && replayed < maxFlop; i += stride {
 		st.SampledRows++
@@ -225,6 +222,5 @@ func SimulateHashSpGEMM(a, b *matrix.CSR, cfg CacheConfig, maxFlop int64) SimSta
 			}
 		}
 	}
-	st.SampledFlop = replayed
 	return st
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
-	"repro/internal/spgemm"
 )
 
 func TestCacheBasicHitMiss(t *testing.T) {
@@ -144,23 +143,5 @@ func TestSimulateRespectsFlopBudget(t *testing.T) {
 	}
 	if st.SampledRows >= a.Rows {
 		t.Fatal("expected stride sampling to skip rows")
-	}
-}
-
-func TestModeledTimeWithSimConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(504))
-	a := gen.RMAT(11, 16, gen.G500Params, rng)
-	st := SimulateHashSpGEMM(a, a, KNLTileL2, 1<<20)
-	ast := spgemm.CollectAccessStats(a, a, 0)
-	ddr := DefaultDDR
-	mc := MCDRAMFrom(ddr)
-	tSim := ModeledTimeWithSim(ast, st, ddr, StanzaReads)
-	tConst := ModeledTime(ast, ddr, StanzaReads)
-	if tSim <= 0 || tConst <= 0 {
-		t.Fatal("non-positive modeled times")
-	}
-	sp := tSim / ModeledTimeWithSim(ast, st, mc, StanzaReads)
-	if sp < 0.5 || sp > MCDRAMPeakRatio {
-		t.Fatalf("sim-based speedup %v outside plausible band", sp)
 	}
 }

@@ -165,11 +165,6 @@ func FitTier(name string, results []StanzaResult) (Tier, error) {
 // ~90 GB/s peak (KNL's 6-channel DDR4), ~120 ns access latency.
 var DefaultDDR = Tier{Name: "DDR4 (default)", PeakGBps: 90, LatencyNs: 120}
 
-// computeNsPerFlop is the tier-independent per-product compute cost (hash,
-// probe, multiply-add) used by ModeledTimeWithSim: ~2 ns per intermediate
-// product on a 1.4 GHz KNL core.
-const computeNsPerFlop = 2.0
-
 // AccessProfile says how an algorithm's B-row traffic hits memory.
 type AccessProfile int
 
@@ -226,57 +221,4 @@ func ModeledSpeedup(st spgemm.AccessStats, ddr, mcdram Tier, profile AccessProfi
 		return 1
 	}
 	return td / tm
-}
-
-// ModeledTimeWithSim is ModeledTime with the memory traffic taken from a
-// cache-simulator replay instead of fixed constants: every simulated miss
-// fetches one cache line, and the sampled replay is scaled to the full
-// workload by the flop sampling fraction.
-func ModeledTimeWithSim(st spgemm.AccessStats, sim SimStats, tier Tier, profile AccessProfile) float64 {
-	line := float64(sim.LineBytes)
-	if line <= 0 {
-		line = 64
-	}
-	scale := 1.0
-	if sim.SampledFlop > 0 && st.Flop > sim.SampledFlop {
-		scale = float64(st.Flop) / float64(sim.SampledFlop)
-	}
-	bMemBytes := float64(sim.BMisses) * line * scale
-	accMemBytes := float64(sim.AccMisses) * line * scale
-
-	var t float64
-	if profile == FineGrained {
-		// The heap's merge touches one element per access, so every miss
-		// is an isolated line fetch: latency paid per line.
-		t += tier.TimeFor(bMemBytes, line)
-	} else {
-		// Distribute the miss traffic over the stanza-length histogram;
-		// a contiguous stanza amortizes latency over its whole length,
-		// but never over less than one line.
-		var totalStanza float64
-		for _, b := range st.StanzaBytes {
-			totalStanza += float64(b)
-		}
-		if totalStanza > 0 {
-			for k, b := range st.StanzaBytes {
-				if b == 0 {
-					continue
-				}
-				mid := float64(int64(3)<<uint(k)) / 2
-				if mid < line {
-					mid = line
-				}
-				t += tier.TimeFor(bMemBytes*float64(b)/totalStanza, mid)
-			}
-		}
-	}
-	t += tier.TimeFor(float64(st.StreamBytes), 1<<20)
-	// Accumulator misses are isolated line fetches.
-	t += tier.TimeFor(accMemBytes, line)
-	// Tier-independent compute: hashing, probing and FMA work per
-	// intermediate product. Without it the model predicts memory-ratio
-	// speedups even for compute-bound (sparse, cache-resident) workloads,
-	// which contradicts the paper's near-1 speedups at low edge factors.
-	t += float64(st.Flop) * computeNsPerFlop * 1e-9
-	return t
 }

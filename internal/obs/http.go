@@ -29,9 +29,10 @@ func publishExpvar() {
 
 // DebugServer is the opt-in debug HTTP surface. It serves:
 //
-//	/metrics      Prometheus text exposition of the default registry
-//	/debug/vars   expvar (runtime memstats + the registry bridge)
-//	/debug/pprof  the standard pprof index (profile, heap, trace, ...)
+//	/metrics         Prometheus text exposition of the default registry
+//	/debug/vars      expvar (runtime memstats + the registry bridge)
+//	/debug/pprof     the standard pprof index (profile, heap, trace, ...)
+//	/debug/loglevel  the log level, read with GET and set with PUT
 //
 // Close shuts the listener down; a DebugServer holds no other state.
 type DebugServer struct {
@@ -72,7 +73,7 @@ func StartDebugServer(addr string) (*DebugServer, error) {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "spgemm debug surface\n\n/metrics\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprint(w, "spgemm debug surface\n\n/metrics\n/debug/vars\n/debug/pprof/\n/debug/loglevel\n")
 	})
 	RegisterDebugHandlers(mux)
 	s := &DebugServer{ln: ln, srv: &http.Server{Handler: mux}}

@@ -59,6 +59,30 @@ func TestDebugServer(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/: code %d", code)
 	}
+
+	// The index lists every path RegisterDebugHandlers mounts (the pprof
+	// subpaths through their /debug/pprof/ index), and each one it lists
+	// answers.
+	code, body = get(t, base+"/")
+	if code != http.StatusOK {
+		t.Fatalf("/: code %d", code)
+	}
+	listed := map[string]bool{}
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "/") {
+			listed[line] = true
+		}
+	}
+	for _, path := range []string{"/metrics", "/debug/vars", "/debug/pprof/", "/debug/loglevel"} {
+		if !listed[path] {
+			t.Errorf("index %q does not list mounted path %s", body, path)
+		}
+	}
+	for path := range listed {
+		if code, _ := get(t, base+path); code != http.StatusOK {
+			t.Errorf("index lists %s, which answers %d", path, code)
+		}
+	}
 }
 
 // TestDebugServerGracefulShutdown pins the Shutdown contract the CLIs and

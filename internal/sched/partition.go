@@ -11,14 +11,8 @@ package sched
 // out. If out is nil a new slice is allocated. The sum is computed in
 // parallel for large inputs: each worker sums a block, block offsets are
 // combined serially (P values), then blocks are fixed up in parallel.
-// Parallel regions run on the process-wide default pool; callers with a
-// dedicated pool use the Pool method.
+// Parallel regions run on the process-wide default pool.
 func PrefixSum(weights []int64, out []int64, workers int) []int64 {
-	return Default().PrefixSum(weights, out, workers)
-}
-
-// PrefixSum is the free PrefixSum with parallel regions running on this pool.
-func (p *Pool) PrefixSum(weights []int64, out []int64, workers int) []int64 {
 	n := len(weights)
 	if out == nil {
 		out = make([]int64, n+1)
@@ -43,7 +37,7 @@ func (p *Pool) PrefixSum(weights []int64, out []int64, workers int) []int64 {
 		workers = n
 	}
 	blockSums := make([]int64, workers)
-	p.RunWorkers(workers, func(w int) {
+	RunWorkers(workers, func(w int) {
 		lo := w * n / workers
 		hi := (w + 1) * n / workers
 		var acc int64
@@ -60,7 +54,7 @@ func (p *Pool) PrefixSum(weights []int64, out []int64, workers int) []int64 {
 		acc += blockSums[w]
 	}
 	out[0] = 0
-	p.RunWorkers(workers, func(w int) {
+	RunWorkers(workers, func(w int) {
 		lo := w * n / workers
 		hi := (w + 1) * n / workers
 		off := offsets[w]
@@ -105,12 +99,6 @@ func BalancedPartition(weights []int64, parts int, workers int) []int {
 // Either may be nil. Iterative callers (spgemm.Context) pass the same buffers
 // every multiplication so the partition allocates nothing at steady state.
 func BalancedPartitionInto(weights []int64, parts, workers int, offsets []int, ps []int64) []int {
-	return Default().BalancedPartitionInto(weights, parts, workers, offsets, ps)
-}
-
-// BalancedPartitionInto is the free BalancedPartitionInto with the prefix sum
-// running on this pool.
-func (p *Pool) BalancedPartitionInto(weights []int64, parts, workers int, offsets []int, ps []int64) []int {
 	n := len(weights)
 	if parts <= 0 {
 		parts = 1
@@ -128,7 +116,7 @@ func (p *Pool) BalancedPartitionInto(weights []int64, parts, workers int, offset
 	if cap(ps) < n+1 {
 		ps = make([]int64, n+1)
 	}
-	ps = p.PrefixSum(weights, ps[:n+1], workers)
+	ps = PrefixSum(weights, ps[:n+1], workers)
 	total := ps[n]
 	if total == 0 {
 		// Degenerate: all weights zero; fall back to equal row counts.

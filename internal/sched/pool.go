@@ -39,9 +39,11 @@ type poolTask struct {
 // the parked workers, and submissions that find every worker busy fall back
 // to spawning (never block, never deadlock — even for nested regions).
 //
-// The free functions RunWorkers and ParallelFor run on a lazily-created
-// process-wide default Pool, so most code never constructs one; iterative
-// callers that want an isolated team (or a bounded lifetime via Close) can.
+// Every parallel region of the repository runs on the lazily-created
+// process-wide default Pool (Default); the free RunWorkers, ParallelFor,
+// PrefixSum and BalancedPartitionInto all dispatch to it. NewPool builds an
+// isolated team with a bounded lifetime (Close) for a caller that measures
+// the pool itself, like the repo benchmark's fork/join probe.
 type Pool struct {
 	work chan poolTask
 	quit chan struct{}
@@ -125,14 +127,23 @@ func (p *Pool) RunWorkers(workers int, body func(worker int)) {
 	wg.Wait()
 }
 
-// ParallelFor runs body(worker, lo, hi) over [0, n) split according to the
-// schedule, on this pool. Semantics match the package-level ParallelFor.
-func (p *Pool) ParallelFor(workers, n int, s Schedule, grain int, body func(worker, lo, hi int)) {
+// ParallelFor runs body(worker, lo, hi) over the half-open range [0, n) split
+// according to the schedule, using the given number of workers (0 means
+// DefaultWorkers). grain is the minimum chunk size for Dynamic and Guided
+// (0 means 1). It returns only when every iteration has run.
+//
+// body may be called concurrently from different goroutines with disjoint
+// [lo, hi) ranges; worker identifies the calling worker in [0, workers) so
+// bodies can use per-worker scratch space.
+//
+// The iterations run on the process-wide default Pool: goroutines are parked
+// between regions rather than spawned per call.
+func ParallelFor(workers, n int, s Schedule, grain int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	if workers <= 0 {
-		workers = p.size
+		workers = DefaultWorkers()
 	}
 	if workers > n {
 		workers = n
@@ -147,7 +158,7 @@ func (p *Pool) ParallelFor(workers, n int, s Schedule, grain int, body func(work
 	switch s {
 	case Static, Balanced:
 		// Contiguous blocks, sized within ±1 iteration of each other.
-		p.RunWorkers(workers, func(w int) {
+		RunWorkers(workers, func(w int) {
 			lo := w * n / workers
 			hi := (w + 1) * n / workers
 			if lo < hi {
@@ -156,7 +167,7 @@ func (p *Pool) ParallelFor(workers, n int, s Schedule, grain int, body func(work
 		})
 	case Dynamic:
 		var next int64
-		p.RunWorkers(workers, func(w int) {
+		RunWorkers(workers, func(w int) {
 			for {
 				lo := int(atomic.AddInt64(&next, int64(grain))) - grain
 				if lo >= n {
@@ -171,7 +182,7 @@ func (p *Pool) ParallelFor(workers, n int, s Schedule, grain int, body func(work
 		})
 	case Guided:
 		var next int64
-		p.RunWorkers(workers, func(w int) {
+		RunWorkers(workers, func(w int) {
 			for {
 				// Chunk size proportional to remaining work: the classic
 				// guided heuristic remaining/(2P), floored at the grain.
@@ -201,8 +212,8 @@ func (p *Pool) ParallelFor(workers, n int, s Schedule, grain int, body func(work
 	}
 }
 
-// defaultPool is the process-wide pool behind the free RunWorkers and
-// ParallelFor, created on first use with DefaultWorkers goroutines.
+// defaultPool is the process-wide pool behind every free function of the
+// package, created on first use with DefaultWorkers goroutines.
 var (
 	defaultPoolOnce sync.Once
 	defaultPool     *Pool

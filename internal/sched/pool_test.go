@@ -42,13 +42,13 @@ func TestPoolRunWorkersDefaultSize(t *testing.T) {
 }
 
 func TestPoolParallelForCoversEveryIndexExactlyOnce(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
+	// ParallelFor runs on the default pool; 8 workers exceed it on any host
+	// with fewer cores, so the overflow spawn path is covered too.
 	for _, s := range []Schedule{Static, Dynamic, Guided, Balanced} {
 		for _, workers := range []int{1, 2, 3, 8} {
 			for _, n := range []int{1, 7, 100, 1023} {
 				hits := make([]int32, n)
-				p.ParallelFor(workers, n, s, 4, func(w, lo, hi int) {
+				ParallelFor(workers, n, s, 4, func(w, lo, hi int) {
 					if lo < 0 || hi > n || lo > hi {
 						t.Errorf("bad range [%d,%d) for n=%d", lo, hi, n)
 					}
@@ -105,16 +105,15 @@ func TestPoolNestedRegionsDoNotDeadlock(t *testing.T) {
 }
 
 func TestPoolConcurrentRegions(t *testing.T) {
-	// Distinct goroutines submitting regions to one pool concurrently.
-	p := NewPool(4)
-	defer p.Close()
+	// Distinct goroutines submitting regions to the default pool
+	// concurrently.
 	var wg sync.WaitGroup
 	var total int64
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.ParallelFor(4, 1000, Dynamic, 16, func(w, lo, hi int) {
+			ParallelFor(4, 1000, Dynamic, 16, func(w, lo, hi int) {
 				atomic.AddInt64(&total, int64(hi-lo))
 			})
 		}()

@@ -52,21 +52,6 @@ func (s Schedule) String() string {
 // specify one: GOMAXPROCS, the Go analogue of omp_get_max_threads().
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// ParallelFor runs body(worker, lo, hi) over the half-open range [0, n) split
-// according to the schedule, using the given number of workers (0 means
-// DefaultWorkers). grain is the minimum chunk size for Dynamic and Guided
-// (0 means 1). It returns only when every iteration has run.
-//
-// body may be called concurrently from different goroutines with disjoint
-// [lo, hi) ranges; worker identifies the calling worker in [0, workers) so
-// bodies can use per-worker scratch space.
-//
-// The iterations run on the process-wide default Pool: goroutines are parked
-// between regions rather than spawned per call.
-func ParallelFor(workers, n int, s Schedule, grain int, body func(worker, lo, hi int)) {
-	Default().ParallelFor(workers, n, s, grain, body)
-}
-
 // RunWorkers starts exactly `workers` invocations of body(worker) and waits
 // for all of them. It is the building block for drivers that manage their
 // own iteration ranges (e.g. the balanced partition of Figure 6). Workers

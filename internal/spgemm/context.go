@@ -37,15 +37,9 @@ import (
 // call allocates fresh state, exactly as before Contexts existed).
 //
 // A Context is NOT safe for concurrent use: concurrent Multiply calls must
-// use distinct Contexts (or nil). The optional worker pool is the exception —
-// sched.Pool is concurrency-safe and may be shared.
+// use distinct Contexts (or nil). Its parallel regions run on the
+// process-wide worker pool (sched.Default), which every Context shares.
 type ContextG[V semiring.Value] struct {
-	// Pool, when non-nil, runs this context's parallel regions on a caller-
-	// managed worker pool instead of the process-wide default pool. Both are
-	// persistent (parked goroutines); a dedicated pool only isolates this
-	// context's regions from unrelated traffic.
-	Pool *sched.Pool
-
 	// Per-worker accumulator state, grown on demand.
 	hash      []*accum.HashTableG[V]
 	maskDense [][]int32                  // a masked product's col→slot index
@@ -111,18 +105,9 @@ func (o *OptionsG[V]) ctx() *ContextG[V] {
 	return &ContextG[V]{}
 }
 
-// pool returns the worker pool this context's parallel regions run on: the
-// caller-managed one when set, the process-wide default otherwise.
-func (c *ContextG[V]) pool() *sched.Pool {
-	if c.Pool != nil {
-		return c.Pool
-	}
-	return sched.Default()
-}
-
-// runWorkers runs a parallel region of the running call on the context's pool
-// (or the default). It is the one place WorkerStats.Busy is stamped; a call
-// without stats reads no clock and wraps nothing.
+// runWorkers runs a parallel region of the running call on the process-wide
+// pool. It is the one place WorkerStats.Busy is stamped; a call without stats
+// reads no clock and wraps nothing.
 func (c *ContextG[V]) runWorkers(workers int, body func(worker int)) {
 	if st := c.pt.st; st != nil {
 		inner := body
@@ -132,7 +117,7 @@ func (c *ContextG[V]) runWorkers(workers int, body func(worker int)) {
 			st.Workers[w].Busy += time.Since(start)
 		}
 	}
-	c.pool().RunWorkers(workers, body)
+	sched.RunWorkers(workers, body)
 }
 
 // dealStripes readies the stripe cursor for a parallel region of the given
@@ -247,11 +232,6 @@ func (c *ContextG[V]) outputShell(rows, cols int, rowPtr []int64, sorted bool) *
 	}
 }
 
-// prefixSum computes the exclusive prefix sum on the context's pool.
-func (c *ContextG[V]) prefixSum(weights, out []int64, workers int) []int64 {
-	return c.pool().PrefixSum(weights, out, workers)
-}
-
 // perRowFlop computes the per-row flop counts into the context's reusable
 // buffer (the FlopInto satellite of the allocate-once discipline). The total
 // the pre-pass computes anyway feeds the spgemm_flop_total counter.
@@ -268,7 +248,7 @@ func (c *ContextG[V]) partition(flopRow []int64, parts, workers int) []int {
 	if n := len(flopRow); cap(c.ps) < n+1 {
 		c.ps = make([]int64, n+1)
 	}
-	c.offsets = c.pool().BalancedPartitionInto(flopRow, parts, workers, c.offsets, c.ps)
+	c.offsets = sched.BalancedPartitionInto(flopRow, parts, workers, c.offsets, c.ps)
 	return c.offsets
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/matrix"
-	"repro/internal/sched"
 	"repro/internal/semiring"
 )
 
@@ -152,28 +151,6 @@ func TestContextConcurrentDistinct(t *testing.T) {
 		if err != nil {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
-	}
-}
-
-// TestContextWithDedicatedPool checks a caller-managed sched.Pool carried by
-// the Context produces identical results.
-func TestContextWithDedicatedPool(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := matrix.Random(120, 120, 0.05, rng)
-	pool := sched.NewPool(3)
-	defer pool.Close()
-	ctx := NewContext()
-	ctx.Pool = pool
-	got, err := Multiply(a, a, &Options{Algorithm: AlgHash, Workers: 3, Context: ctx})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Multiply(a, a, &Options{Algorithm: AlgHash, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !csrEqual(got, want) {
-		t.Fatal("dedicated-pool result differs")
 	}
 }
 

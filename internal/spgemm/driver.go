@@ -2,6 +2,7 @@ package spgemm
 
 import (
 	"repro/internal/matrix"
+	"repro/internal/sched"
 	"repro/internal/semiring"
 )
 
@@ -145,7 +146,7 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 	})
 	pt.tick(PhaseSymbolic)
 
-	in.rowPtr = ctx.prefixSum(rowNnz, ctx.rowPtrBuf(a.Rows), workers)
+	in.rowPtr = sched.PrefixSum(rowNnz, ctx.rowPtrBuf(a.Rows), workers)
 	return in, pt
 }
 

@@ -3,6 +3,7 @@ package spgemm
 import (
 	"repro/internal/accum"
 	"repro/internal/matrix"
+	"repro/internal/sched"
 	"repro/internal/semiring"
 )
 
@@ -136,7 +137,7 @@ func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.
 		return c
 	}
 
-	sized := ctx.prefixSum(rowNnz, ctx.rowPtrBuf(a.Rows), in.workers)
+	sized := sched.PrefixSum(rowNnz, ctx.rowPtrBuf(a.Rows), in.workers)
 	out := ctx.outputShell(a.Rows, b.Cols, sized, sorted)
 	pt.tick(PhaseAlloc)
 	ctx.dealStripes(in.workers)

@@ -19,11 +19,11 @@ import (
 // TestPlanExecuteSkipsInspection for the ExecStats assertion). plan+recycle
 // also hands each product back (Context.Recycle), which takes C out of B/op.
 //
-// The worker count is pinned rather than taken from GOMAXPROCS so the
-// allocation accounting is comparable across machines: one-shot allocations
-// grow with the worker count (per-worker tables), reuse stays flat.
-
-const reuseWorkers = 8
+// Every leg runs sched.DefaultWorkers() workers, the size of the process-wide
+// pool, so each region's dispatch goes to a parked goroutine and none falls
+// back to a spawn. One-shot allocations grow with the worker count
+// (per-worker tables), reuse stays flat: compare allocs/op across machines
+// only at equal GOMAXPROCS.
 
 var reuseFixture struct {
 	once sync.Once
@@ -40,6 +40,7 @@ func reuseMatrix(b *testing.B) *matrix.CSR {
 
 func BenchmarkMultiplyReuse(b *testing.B) {
 	a := reuseMatrix(b)
+	reuseWorkers := sched.DefaultWorkers()
 	const alg = AlgHash
 	b.Run(alg.String(), func(b *testing.B) {
 		b.Run("oneshot", func(b *testing.B) {
@@ -51,12 +52,7 @@ func BenchmarkMultiplyReuse(b *testing.B) {
 			}
 		})
 		b.Run("context", func(b *testing.B) {
-			// A dedicated persistent pool keeps every dispatch on a
-			// parked goroutine (the default pool is sized to
-			// GOMAXPROCS and overflow-spawns beyond that).
 			ctx := NewContext()
-			ctx.Pool = sched.NewPool(reuseWorkers)
-			defer ctx.Pool.Close()
 			opt := &Options{Algorithm: alg, Workers: reuseWorkers, Context: ctx}
 			// Warm up outside the timer: steady state is the claim.
 			if _, err := Multiply(a, a, opt); err != nil {
@@ -72,8 +68,6 @@ func BenchmarkMultiplyReuse(b *testing.B) {
 		})
 		b.Run("plan", func(b *testing.B) {
 			ctx := NewContext()
-			ctx.Pool = sched.NewPool(reuseWorkers)
-			defer ctx.Pool.Close()
 			plan, err := NewPlan(a, a, &Options{Algorithm: alg, Workers: reuseWorkers, Context: ctx})
 			if err != nil {
 				b.Fatal(err)
@@ -93,8 +87,6 @@ func BenchmarkMultiplyReuse(b *testing.B) {
 			// plan with every product donated back before the next
 			// execution: B/op drops by the size of C.
 			ctx := NewContext()
-			ctx.Pool = sched.NewPool(reuseWorkers)
-			defer ctx.Pool.Close()
 			plan, err := NewPlan(a, a, &Options{Algorithm: alg, Workers: reuseWorkers, Context: ctx})
 			if err != nil {
 				b.Fatal(err)

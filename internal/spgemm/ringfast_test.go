@@ -220,9 +220,10 @@ func nativeBodies[V semiring.Value, R semiring.Ring[V]](ring R) bool {
 }
 
 // BenchmarkMultiply is the kernel benchmark for the compiler-feedback gate
-// work: C = A² at a pinned worker count with a warm Context, so the numbers
-// isolate kernel time (ring-call devirtualization, bounds-check elimination)
-// from allocation effects.
+// work: C = A² with a warm Context at sched.DefaultWorkers() workers, the
+// size of the process-wide pool, so every dispatch goes to a parked goroutine
+// and the numbers isolate kernel time (ring-call devirtualization,
+// bounds-check elimination) from allocation effects.
 func BenchmarkMultiply(b *testing.B) {
 	er, g500 := ringfastMatrices()
 	for _, m := range []struct {
@@ -236,9 +237,7 @@ func BenchmarkMultiply(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("%s/hash/%s", m.name, mode), func(b *testing.B) {
 				ctx := NewContext()
-				ctx.Pool = sched.NewPool(ringfastWorkers)
-				defer ctx.Pool.Close()
-				opt := &Options{Algorithm: AlgHash, Workers: ringfastWorkers, Unsorted: unsorted, Context: ctx}
+				opt := &Options{Algorithm: AlgHash, Workers: sched.DefaultWorkers(), Unsorted: unsorted, Context: ctx}
 				if _, err := Multiply(m.a, m.a, opt); err != nil {
 					b.Fatal(err)
 				}

@@ -305,7 +305,7 @@ func TestAutoWithMaskResolvesToHash(t *testing.T) {
 	for i := range pattern.Val {
 		pattern.Val[i] = 1
 	}
-	want, err := matrix.Hadamard(matrix.NaiveMultiply(a, a), pattern)
+	want, err := matrix.HadamardG(matrix.NaiveMultiply(a, a), pattern)
 	if err != nil {
 		t.Fatal(err)
 	}
