@@ -25,7 +25,9 @@ import (
 //	...     ...   val     [nnz]float64
 //
 // The encoding is canonical for a given CSR (no padding, no optional
-// sections), so a content hash over the encoded bytes identifies the matrix
+// sections), and the reader rejects unknown flag bits and bytes after the
+// value array, so every accepted stream is the one encoding of what it
+// decodes to, and a content hash over the encoded bytes identifies the matrix
 // — dimensions, structure, values and sortedness — which is exactly what
 // the server's interning store keys on.
 
@@ -114,9 +116,10 @@ func WriteCSRBinary(w io.Writer, m *CSR) error {
 }
 
 // ReadCSRBinary parses a binary CSR stream and validates the result: the
-// magic, version and dimension bounds up front, then the full CSR
-// structural invariants (monotone row pointers, in-range column indices,
-// sortedness when flagged) once the arrays are in. Array storage is
+// magic, version, flag bits and dimension bounds up front, then that the
+// stream ends with the value array and the full CSR structural invariants
+// (monotone row pointers, in-range column indices, sortedness when flagged)
+// once the arrays are in. Array storage is
 // committed chunk by chunk as bytes actually arrive, so a truncated or
 // lying header errors out early instead of allocating what it claims.
 func ReadCSRBinary(r io.Reader) (*CSR, error) {
@@ -137,6 +140,9 @@ func ReadCSRBinaryLimited(r io.Reader, lim *ReadLimits) (*CSR, error) {
 		return nil, fmt.Errorf("matrix: wire: unsupported version %d", v)
 	}
 	flags := binary.LittleEndian.Uint16(hdr[6:8])
+	if flags&^wireFlagSorted != 0 {
+		return nil, fmt.Errorf("matrix: wire: unknown flag bits %#x", flags&^wireFlagSorted)
+	}
 	rows := int64(binary.LittleEndian.Uint64(hdr[8:16]))
 	cols := int64(binary.LittleEndian.Uint64(hdr[16:24]))
 	nnz := int64(binary.LittleEndian.Uint64(hdr[24:32]))
@@ -171,6 +177,12 @@ func ReadCSRBinaryLimited(r io.Reader, lim *ReadLimits) (*CSR, error) {
 		return nil, fmt.Errorf("matrix: wire val: %w", err)
 	}
 	m.Val = val
+	var extra [1]byte
+	if _, err := io.ReadFull(r, extra[:]); err == nil {
+		return nil, fmt.Errorf("matrix: wire: bytes after the value array")
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("matrix: wire trailer: %w", err)
+	}
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("matrix: wire: %w", err)
 	}

@@ -91,6 +91,10 @@ func TestWireRejectsCorruptInput(t *testing.T) {
 		"bad version":  corrupt(func(b []byte) { b[4] = 99 }),
 		"huge rows":    corrupt(func(b []byte) { b[8], b[9], b[10], b[11] = 0, 0, 0, 0x80 }), // rows = 2^31
 		"negative nnz": corrupt(func(b []byte) { b[31] = 0x80 }),
+		// Only bit 0 of the flags means anything, and nothing follows the
+		// values: either would give one matrix a second encoding.
+		"unknown flag bit": corrupt(func(b []byte) { b[6] |= 0x80 }),
+		"trailing bytes":   append(append([]byte(nil), good...), 0, 0),
 		// First row pointer nonzero breaks the CSR invariant.
 		"bad rowptr": corrupt(func(b []byte) { b[wireHeaderSize] = 1 }),
 		// A column index beyond Cols must be rejected by Validate.
