@@ -604,6 +604,33 @@ func TestMCLInflateInPlace(t *testing.T) {
 	}
 }
 
+// TestMCLStatsCoverOneRun: MCLResult.Stats sums this run's expansions only,
+// so a run on a Context and Stats an earlier run already used reports what a
+// run on fresh ones does.
+func TestMCLStatsCoverOneRun(t *testing.T) {
+	coo := matrix.FromCSR(gen.RMAT(7, 6, gen.G500Params, rand.New(rand.NewSource(31))))
+	coo.Symmetrize()
+	g := coo.ToCSR()
+	flop := func(opt *spgemm.Options) int64 {
+		t.Helper()
+		res, err := MCL(g, &MCLOptions{SpGEMM: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats == nil {
+			t.Fatal("MCL asked for stats returned none")
+		}
+		return res.Stats.TotalWorker().Flop
+	}
+	shared := &spgemm.Options{Algorithm: spgemm.AlgHash, Context: spgemm.NewContext(), Stats: &spgemm.ExecStats{}}
+	first := flop(shared)
+	second := flop(shared)
+	fresh := flop(&spgemm.Options{Algorithm: spgemm.AlgHash, Stats: &spgemm.ExecStats{}})
+	if fresh == 0 || first != fresh || second != fresh {
+		t.Fatalf("expansion flop: first run %d, second on the same Context %d, fresh Context %d; want all equal and > 0", first, second, fresh)
+	}
+}
+
 func TestMCLOptionDefaults(t *testing.T) {
 	var o *MCLOptions
 	d := o.defaults()

@@ -53,9 +53,9 @@ type MCLResult struct {
 	// Iterations is how many expansion/inflation rounds ran.
 	Iterations int
 	// Stats, when MCLOptions.SpGEMM.Stats was set, is the cumulative
-	// execution profile of all expansion products: per-phase times and
-	// worker counters summed over the whole run (spgemm.Context
-	// accumulation), not just the last iteration's.
+	// execution profile of this run's expansion products: per-phase times
+	// and worker counters summed with ExecStats.Add, not just the last
+	// iteration's.
 	Stats *spgemm.ExecStats
 }
 
@@ -95,6 +95,7 @@ func MCL(adj *matrix.CSR, o *MCLOptions) (*MCLResult, error) {
 	// read-only mapping can serve neither.
 	inner.ShardSink = nil
 
+	var stats spgemm.ExecStats
 	iters := 0
 	for ; iters < opt.MaxIters; iters++ {
 		// Expansion.
@@ -102,6 +103,7 @@ func MCL(adj *matrix.CSR, o *MCLOptions) (*MCLResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		stats.Add(inner.Stats)
 		mclIters.Inc()
 		mclNNZ.Add(next.NNZ())
 		// The consumed iterate — MCL's own normalized copy on the first
@@ -120,7 +122,7 @@ func MCL(adj *matrix.CSR, o *MCLOptions) (*MCLResult, error) {
 	clusters, count := components(m)
 	res := &MCLResult{Cluster: clusters, NumClusters: count, Iterations: iters}
 	if inner.Stats != nil {
-		res.Stats = inner.Context.CumulativeStats()
+		res.Stats = &stats
 	}
 	return res, nil
 }

@@ -1,11 +1,6 @@
 package server
 
-import (
-	"container/list"
-	"sync"
-
-	"repro/internal/spgemm"
-)
+import "repro/internal/spgemm"
 
 // PlanKey identifies a cached Plan: the content hashes of both operands
 // (which, being hashes of the full wire encoding, fingerprint the exact
@@ -21,134 +16,43 @@ type PlanKey struct {
 	Workers   int
 }
 
-// PlanCache is the concurrent LRU cache of inspector results. Cached Plans
-// are immutable after construction but for the replay map a Plan publishes
-// atomically on its first cache hit (their mutable execution state is
-// supplied per-call via Plan.ExecuteIn), so a single Plan may be handed to
-// any number of concurrent requests; the lock only guards the map and
-// recency list, never execution. The cache is bounded by entry count and,
-// after SetMaxBytes, by the sum of its Plans' Bytes as well.
+// PlanCache is the concurrent cache of inspector results, an lru bounded by
+// entry count and, when the server builds it, by the sum of its Plans' Bytes
+// too. Cached Plans are immutable after construction but for the replay map
+// a Plan publishes atomically on its first cache hit (their mutable
+// execution state is supplied per call via Plan.ExecuteIn), so a single Plan
+// may be handed to any number of concurrent requests.
 type PlanCache struct {
-	mu       sync.Mutex
-	cap      int
-	maxBytes int64 // 0 = count-bounded only
-	bytes    int64
-	byKey    map[PlanKey]*planEntry
-	lru      *list.List // front = most recently used
-}
-
-type planEntry struct {
-	key   PlanKey
-	plan  *spgemm.Plan
-	bytes int64
-	elem  *list.Element
+	*lru[PlanKey, *spgemm.Plan]
 }
 
 // NewPlanCache returns a cache holding at most capacity Plans (minimum 1),
 // whatever their size.
-func NewPlanCache(capacity int) *PlanCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &PlanCache{
-		cap:   capacity,
-		byKey: map[PlanKey]*planEntry{},
-		lru:   list.New(),
-	}
-}
+func NewPlanCache(capacity int) *PlanCache { return newPlanCache(capacity, 0) }
 
-// SetMaxBytes additionally bounds the cache at n bytes of Plan.Bytes — a
+// newPlanCache is NewPlanCache also bounded at maxBytes of Plan.Bytes — a
 // Plan's inspection plus its replay map, four bytes per multiply-add of the
-// product — evicting least-recently-used Plans past it (0 = no byte bound).
-// Call before the first Add.
-func (c *PlanCache) SetMaxBytes(n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxBytes = n
+// product (0 = no byte bound).
+func newPlanCache(capacity int, maxBytes int64) *PlanCache {
+	return &PlanCache{newLRU[PlanKey, *spgemm.Plan](max(capacity, 1), maxBytes, mPlanEntries, mPlanBytes, mPlanEvictions)}
 }
 
 // Get returns the cached Plan for k, bumping its recency.
-func (c *PlanCache) Get(k PlanKey) (*spgemm.Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.byKey[k]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(e.elem)
-	return e.plan, true
-}
+func (c *PlanCache) Get(k PlanKey) (*spgemm.Plan, bool) { return c.get(k) }
 
-// Add inserts a freshly built Plan, evicting least-recently-used entries
-// past the capacity or the byte budget — never the Plan just inserted, which
-// its request is about to execute anyway. Two requests racing a miss may
-// both build and Add the same key; the later Add wins and the loser's Plan
-// is simply garbage — correct either way, and cheaper than holding a lock
-// across an inspector run.
-func (c *PlanCache) Add(k PlanKey, p *spgemm.Plan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.byKey[k]; ok {
-		c.removeLocked(e)
-	}
-	e := &planEntry{key: k, plan: p, bytes: p.Bytes()}
-	e.elem = c.lru.PushFront(e)
-	c.byKey[k] = e
-	c.bytes += e.bytes
-	for c.lru.Len() > c.cap || (c.maxBytes > 0 && c.bytes > c.maxBytes && c.lru.Len() > 1) {
-		c.removeLocked(c.lru.Back().Value.(*planEntry))
-		mPlanEvictions.Inc()
-	}
-	c.updateGaugesLocked()
-}
+// Add caches a freshly built Plan, evicting least-recently-used Plans past
+// either bound — never the one just added, which its request is about to
+// execute anyway. Two requests racing a miss may both build and Add the same
+// key; the first Add wins and the loser's Plan is simply garbage — correct
+// either way, and cheaper than holding a lock across an inspector run.
+func (c *PlanCache) Add(k PlanKey, p *spgemm.Plan) { c.add(k, p, p.Bytes()) }
 
 // Remove drops the entry for k, if cached.
-func (c *PlanCache) Remove(k PlanKey) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.byKey[k]; ok {
-		c.removeLocked(e)
-		mPlanEvictions.Inc()
-		c.updateGaugesLocked()
-	}
-}
+func (c *PlanCache) Remove(k PlanKey) { c.removeIf(func(o PlanKey) bool { return o == k }) }
 
 // InvalidateMatrix drops every Plan that references the given matrix hash
 // as either operand — called when the matrix store evicts it, so dead
 // matrices do not stay pinned by their plans.
 func (c *PlanCache) InvalidateMatrix(hash string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, e := range c.byKey {
-		if k.A == hash || k.B == hash {
-			c.removeLocked(e)
-			mPlanEvictions.Inc()
-		}
-	}
-	c.updateGaugesLocked()
-}
-
-// Len returns the number of cached Plans.
-func (c *PlanCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
-// Bytes returns the sum of the cached Plans' Bytes.
-func (c *PlanCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-func (c *PlanCache) removeLocked(e *planEntry) {
-	c.lru.Remove(e.elem)
-	delete(c.byKey, e.key)
-	c.bytes -= e.bytes
-}
-
-func (c *PlanCache) updateGaugesLocked() {
-	mPlanEntries.Set(int64(c.lru.Len()))
-	mPlanBytes.Set(c.bytes)
+	c.removeIf(func(k PlanKey) bool { return k.A == hash || k.B == hash })
 }

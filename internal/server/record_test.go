@@ -103,7 +103,7 @@ func TestRecordAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	put := func(m *matrix.CSR) string {
 		t.Helper()
-		hash, _, err := s.Store().Put(m)
+		hash, _, err := s.store.Put(m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,7 +59,7 @@ type Config struct {
 	// MaxStoreBytes bounds the interned matrix payload; least recently
 	// used matrices (and their Plans) are evicted past it. The same number
 	// of bytes, counted separately, bounds what the cached Plans retain
-	// (PlanCache.SetMaxBytes). Default 4 GiB.
+	// (their Plan.Bytes). Default 4 GiB.
 	MaxStoreBytes int64
 	// MaxUploadBytes bounds one upload request body. Default 1 GiB.
 	MaxUploadBytes int64
@@ -119,8 +119,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg}
-	s.plans = NewPlanCache(cfg.PlanCacheSize)
-	s.plans.SetMaxBytes(cfg.MaxStoreBytes)
+	s.plans = newPlanCache(cfg.PlanCacheSize, cfg.MaxStoreBytes)
 	s.store = NewStore(cfg.MaxStoreBytes, s.plans.InvalidateMatrix)
 	s.pool = NewContextPool(cfg.Contexts, cfg.QueueDepth)
 	s.ring = newRequestRing(ringSize)
@@ -154,9 +153,6 @@ func (s *Server) Close() {
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Store exposes the matrix intern table (tests and the serve CLI preload).
-func (s *Server) Store() *Store { return s.store }
 
 // handleHealthz reports liveness — and, when the perf sentry holds the
 // process degraded, says so with 503 and the failing algorithms, so load
@@ -382,9 +378,10 @@ func (s *Server) multiply(w http.ResponseWriter, r *http.Request, rec *record) {
 	// request's output. A stored product is the store's: never donated.
 	switch rec.req.Return {
 	case "store":
-		// The store budgets by payload; a product built in a larger recycled
-		// array would pin the whole array, so intern a right-sized copy.
-		if cap(c.Val) > len(c.Val) {
+		// The store budgets by payload; a product built in larger recycled
+		// arrays would pin them whole, so intern a right-sized copy. Each
+		// array comes from its own donation slot, so any one may be larger.
+		if cap(c.RowPtr) > len(c.RowPtr) || cap(c.ColIdx) > len(c.ColIdx) || cap(c.Val) > len(c.Val) {
 			built := c
 			c = built.Clone()
 			ctx.Recycle(built)

@@ -914,7 +914,7 @@ func TestReplayMapOnFirstCacheHitOnly(t *testing.T) {
 
 // TestPlanCacheByteBudget: with a byte budget the cache evicts the LRU of
 // two Plans whose Bytes sum exceeds it; NewPlanCache alone stays bounded by
-// count only.
+// count only. Re-adding a cached key keeps the first Plan and its bytes.
 func TestPlanCacheByteBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := matrix.Random(40, 40, 0.2, rng)
@@ -939,8 +939,7 @@ func TestPlanCacheByteBudget(t *testing.T) {
 		t.Fatalf("count-bounded cache: %d plans, %d bytes; want 2 and %d", counted.Len(), counted.Bytes(), 2*one)
 	}
 
-	budgeted := NewPlanCache(2)
-	budgeted.SetMaxBytes(2*one - 1)
+	budgeted := newPlanCache(2, 2*one-1)
 	budgeted.Add(k1, mkPlan())
 	budgeted.Add(k2, mkPlan())
 	if _, ok := budgeted.Get(k1); ok {
@@ -952,18 +951,20 @@ func TestPlanCacheByteBudget(t *testing.T) {
 	if budgeted.Len() != 1 || budgeted.Bytes() != one {
 		t.Fatalf("byte-bounded cache: %d plans, %d bytes; want 1 and %d", budgeted.Len(), budgeted.Bytes(), one)
 	}
-	// Replacing a key must not double-count its bytes.
+	// Re-adding a key must not double-count its bytes.
+	first, _ := budgeted.Get(k2)
 	budgeted.Add(k2, mkPlan())
-	if budgeted.Len() != 1 || budgeted.Bytes() != one {
-		t.Fatalf("after replacing k2: %d plans, %d bytes", budgeted.Len(), budgeted.Bytes())
+	if got, _ := budgeted.Get(k2); got != first || budgeted.Len() != 1 || budgeted.Bytes() != one {
+		t.Fatalf("after re-adding k2: first plan kept %v, %d plans, %d bytes", got == first, budgeted.Len(), budgeted.Bytes())
 	}
 }
 
 // TestStoreModeProductSurvivesRecycling: with one Context, so that every
 // request builds its product in what the previous one donated, a stored
 // product must stay what it was while meta and matrix requests of other pairs
-// come and go; a product stored after them must not pin the larger array it
-// was built in; and a hot meta request must no longer allocate its product.
+// come and go; a product stored after them must not pin the larger arrays it
+// was built in, whichever of its three arrays they are; and a hot meta
+// request must no longer allocate its product.
 func TestStoreModeProductSurvivesRecycling(t *testing.T) {
 	s, ts := newTestServer(t, Config{Contexts: 1})
 	rng := rand.New(rand.NewSource(19))
@@ -990,7 +991,7 @@ func TestStoreModeProductSurvivesRecycling(t *testing.T) {
 			multiply(MultiplyRequest{A: pair[0], B: pair[1], Return: "matrix"})
 		}
 	}
-	got, ok := s.Store().Get(stored)
+	got, ok := s.store.Get(stored)
 	if !ok {
 		t.Fatal("stored product is gone")
 	}
@@ -1000,7 +1001,7 @@ func TestStoreModeProductSurvivesRecycling(t *testing.T) {
 
 	// The Context now holds a G500-sized donation; the small product built in
 	// it is interned at its own size.
-	tiny, ok := s.Store().Get(multiply(MultiplyRequest{A: hs, B: hs, Return: "store"}).Hash)
+	tiny, ok := s.store.Get(multiply(MultiplyRequest{A: hs, B: hs, Return: "store"}).Hash)
 	if !ok {
 		t.Fatal("stored product is gone")
 	}
@@ -1032,6 +1033,34 @@ func TestStoreModeProductSurvivesRecycling(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
 		t.Errorf("hot meta request allocated %d bytes, want < 64 KiB (its product is %d)", alloc, 12*matrix.NaiveMultiply(a, a).NNZ())
+	}
+
+	// Each array comes from its own donation slot. A small dense product
+	// builds its Plan and donates its arrays; a product of many rows and few
+	// entries takes and returns its value arrays and donates a long RowPtr.
+	// The small product's plan hit, stored, then has exact value arrays in
+	// that RowPtr, and must not pin it.
+	s, ts = newTestServer(t, Config{Contexts: 1})
+	dense, tall := matrix.Random(40, 40, 0.5, rng), matrix.Random(4096, 4096, 2e-5, rng)
+	hd, ht := uploadBinary(t, ts.URL, dense).Hash, uploadBinary(t, ts.URL, tall).Hash
+	multiply(MultiplyRequest{A: hd, B: hd})
+	if nnz := multiply(MultiplyRequest{A: ht, B: ht}).NNZ; nnz == 0 || nnz >= matrix.NaiveMultiply(dense, dense).NNZ() {
+		t.Fatalf("the many-row product has %d entries: it must take the small product's value arrays", nnz)
+	}
+	resp := multiply(MultiplyRequest{A: hd, B: hd, Return: "store"})
+	if !resp.PlanCacheHit {
+		t.Fatal("the stored product missed the plan cache")
+	}
+	got, ok = s.store.Get(resp.Hash)
+	if !ok {
+		t.Fatal("stored product is gone")
+	}
+	if err := difftest.Equivalent(got, matrix.NaiveMultiply(dense, dense)); err != nil {
+		t.Fatalf("stored product: %v", err)
+	}
+	if cap(got.RowPtr) > 2*len(got.RowPtr) || cap(got.ColIdx) > 2*len(got.ColIdx) || cap(got.Val) > 2*len(got.Val) {
+		t.Errorf("stored product of %d rows and %d entries pins arrays of %d, %d and %d",
+			got.Rows, len(got.Val), cap(got.RowPtr), cap(got.ColIdx), cap(got.Val))
 	}
 }
 

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"repro/internal/matrix"
 )
@@ -17,35 +15,19 @@ import (
 // can only ever mean one matrix. Stored matrices are immutable; everything
 // downstream (the Plan cache in particular) relies on that.
 //
-// The store holds at most MaxBytes of matrix payload, evicting least-
-// recently-used entries past the budget. Eviction notifies the onEvict
-// hook (the server drops the evicted matrix's cached Plans there).
+// The store is an lru bounded by bytes of matrix payload (matrix.WireSize).
+// Eviction notifies the onEvict hook (the server drops the evicted matrix's
+// cached Plans there).
 type Store struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	byHash   map[string]*storedMatrix
-	lru      *list.List // front = most recently used
-	onEvict  func(hash string)
-}
-
-type storedMatrix struct {
-	hash  string
-	m     *matrix.CSR
-	bytes int64
-	elem  *list.Element
+	*lru[string, *matrix.CSR]
+	onEvict func(hash string)
 }
 
 // NewStore returns an empty store holding at most maxBytes of matrix
 // payload (0 = unlimited). onEvict, when non-nil, is called (without the
 // store lock held) with the hash of every evicted matrix.
 func NewStore(maxBytes int64, onEvict func(hash string)) *Store {
-	return &Store{
-		maxBytes: maxBytes,
-		byHash:   map[string]*storedMatrix{},
-		lru:      list.New(),
-		onEvict:  onEvict,
-	}
+	return &Store{newLRU[string, *matrix.CSR](0, maxBytes, mStoreEntries, mStoreBytes, mStoreEvictions), onEvict}
 }
 
 // HashMatrix returns the content hash of m: hex SHA-256 over the canonical
@@ -67,33 +49,14 @@ func (s *Store) Put(m *matrix.CSR) (hash string, existed bool, err error) {
 	if err != nil {
 		return "", false, err
 	}
-	size := matrix.WireSize(m)
-
-	var evicted []string
-	s.mu.Lock()
-	if e, ok := s.byHash[hash]; ok {
-		s.lru.MoveToFront(e.elem)
-		s.mu.Unlock()
+	existed, evicted := s.add(hash, m, matrix.WireSize(m))
+	if existed {
 		mDedup.Inc()
 		return hash, true, nil
 	}
-	e := &storedMatrix{hash: hash, m: m, bytes: size}
-	e.elem = s.lru.PushFront(e)
-	s.byHash[hash] = e
-	s.bytes += size
-	// Evict past the byte budget, never the entry just inserted.
-	for s.maxBytes > 0 && s.bytes > s.maxBytes && s.lru.Len() > 1 {
-		back := s.lru.Back().Value.(*storedMatrix)
-		s.removeLocked(back)
-		evicted = append(evicted, back.hash)
-	}
-	s.updateGaugesLocked()
-	s.mu.Unlock()
-
 	mUploads.Inc()
-	for _, h := range evicted {
-		mStoreEvictions.Inc()
-		if s.onEvict != nil {
+	if s.onEvict != nil {
+		for _, h := range evicted {
 			s.onEvict(h)
 		}
 	}
@@ -101,38 +64,4 @@ func (s *Store) Put(m *matrix.CSR) (hash string, existed bool, err error) {
 }
 
 // Get returns the interned matrix for hash, bumping its recency.
-func (s *Store) Get(hash string) (*matrix.CSR, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.byHash[hash]
-	if !ok {
-		return nil, false
-	}
-	s.lru.MoveToFront(e.elem)
-	return e.m, true
-}
-
-// Len returns the number of interned matrices.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lru.Len()
-}
-
-// Bytes returns the approximate interned payload size.
-func (s *Store) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
-func (s *Store) removeLocked(e *storedMatrix) {
-	s.lru.Remove(e.elem)
-	delete(s.byHash, e.hash)
-	s.bytes -= e.bytes
-}
-
-func (s *Store) updateGaugesLocked() {
-	mStoreBytes.Set(s.bytes)
-	mStoreEntries.Set(int64(s.lru.Len()))
-}
+func (s *Store) Get(hash string) (*matrix.CSR, bool) { return s.get(hash) }

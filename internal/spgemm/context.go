@@ -78,11 +78,6 @@ type ContextG[V semiring.Value] struct {
 	// Stats reachable until the next call overwrites them.
 	in inspection[V]
 	pt phaseTimer
-
-	// Cumulative stats across stats-enabled calls through this context
-	// (see CumulativeStats).
-	cum      ExecStats
-	cumCalls int64
 }
 
 // Context is the float64 instantiation — the type existing callers hold.
@@ -128,24 +123,6 @@ func (c *ContextG[V]) dealStripes(workers int) { c.stripeNext.Store(int64(worker
 // nextStripe claims the next stripe nobody has started; the caller checks it
 // against the stripe count.
 func (c *ContextG[V]) nextStripe() int { return int(c.stripeNext.Add(1)) - 1 }
-
-// accumulate folds one stats-enabled call into the context's running totals.
-func (c *ContextG[V]) accumulate(st *ExecStats) {
-	c.cum.Add(st)
-	c.cumCalls++
-}
-
-// CumulativeStats returns a copy of the phase times and worker counters
-// accumulated over every stats-enabled Multiply (and Plan.Execute) routed
-// through this context — the aggregate breakdown iterative workloads like MCL
-// report instead of just the last call's. Returns nil before the first
-// stats-enabled call.
-func (c *ContextG[V]) CumulativeStats() *ExecStats {
-	if c.cumCalls == 0 {
-		return nil
-	}
-	return c.cum.Clone()
-}
 
 // Recycle donates m, a product the caller is finished with, to c: its arrays
 // become the storage of the next product of c that fits in them. Every product

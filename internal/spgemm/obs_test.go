@@ -90,46 +90,6 @@ func TestExecStatsAdd(t *testing.T) {
 	}
 }
 
-// TestContextCumulativeStats verifies the automatic accumulation iterative
-// workloads rely on: every stats-enabled Multiply through a Context folds
-// into CumulativeStats.
-func TestContextCumulativeStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	g := gen.ER(8, 6, rng)
-	var st ExecStats
-	opt := &Options{Algorithm: AlgHash, Workers: 2, Stats: &st, Context: NewContext()}
-
-	const calls = 3
-	var wantFlop int64
-	for i := 0; i < calls; i++ {
-		if _, err := Multiply(g, g, opt); err != nil {
-			t.Fatal(err)
-		}
-		wantFlop += st.TotalWorker().Flop
-	}
-	cum := opt.Context.CumulativeStats()
-	if cum == nil {
-		t.Fatal("CumulativeStats = nil after stats-enabled calls")
-	}
-	if cum.Total < st.Total {
-		t.Errorf("cumulative Total %v < last call's %v", cum.Total, st.Total)
-	}
-	if got := cum.TotalWorker().Flop; got != wantFlop {
-		t.Errorf("cumulative flop = %d, want %d", got, wantFlop)
-	}
-	if cum.TotalWorker().Rows != int64(calls*g.Rows) {
-		t.Errorf("cumulative rows = %d, want %d", cum.TotalWorker().Rows, calls*g.Rows)
-	}
-
-	// Stats-disabled calls do not accumulate.
-	if _, err := Multiply(g, g, &Options{Algorithm: AlgHash, Context: opt.Context}); err != nil {
-		t.Fatal(err)
-	}
-	if got := opt.Context.CumulativeStats().TotalWorker().Rows; got != int64(calls*g.Rows) {
-		t.Errorf("stats-disabled call accumulated: rows = %d, want %d", got, calls*g.Rows)
-	}
-}
-
 // TestMetricsExposedSeries pins the /metrics contract: after exercising the
 // kernels, the default registry exposes at least the pool, mempool, spgemm
 // and plan-reuse series.

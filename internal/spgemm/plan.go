@@ -186,9 +186,6 @@ func (p *Plan) ExecuteIn(ctx *Context, stats *ExecStats) (*matrix.CSR, error) {
 		}
 	}
 	mPlanExecs.Inc()
-	if stats != nil {
-		ctx.accumulate(stats)
-	}
 	return c, nil
 }
 

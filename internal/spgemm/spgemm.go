@@ -246,16 +246,12 @@ func (o *OptionsG[V]) kernelFor(a, b *matrix.CSRG[V]) (Algorithm, error) {
 	return alg, nil
 }
 
-// recordMultiply stamps the per-call metrics after a successful kernel run
-// and folds stats-enabled calls into the Context's cumulative totals.
+// recordMultiply stamps the per-call metrics after a successful kernel run.
 func recordMultiply[V semiring.Value](alg Algorithm, opt *OptionsG[V]) {
 	multiplyCounter[alg].Inc()
 	if opt.Stats != nil {
 		if cf := opt.Stats.CollisionFactor(); cf > 0 {
 			mCollision.Observe(cf)
-		}
-		if opt.Context != nil {
-			opt.Context.accumulate(opt.Stats)
 		}
 	}
 }

@@ -243,6 +243,17 @@ var structure = []row{
 	{name: "matrix-no-scale", kind: forbid, paths: []string{"internal/matrix/**/*.go"}, re: `^func \([a-z]+ \*[A-Za-z]+(\[V\])?\) (Scale|RowSums)\(`, change: "No knob without a second caller",
 		why:    "Scale and RowSums had no caller but tests",
 		mutant: plant{"internal/matrix/ops.go", "func (m *CSRG[V]) RowSums() []V {"}},
+
+	// The matrix store and the plan cache are one bounded LRU.
+	{name: "server-one-lru", kind: count, n: 1, paths: []string{"internal/server/**/*.go", "!**/*_test.go"}, re: `"container/list"`, change: "The matrix store and the plan cache are one bounded LRU",
+		why:    "the store and the plan cache are two instances of lru.go's cache, not two copies of its policy",
+		mutant: plant{"internal/server/store.go", "\t\"container/list\""}},
+	{name: "no-plan-cache-setter", kind: forbid, paths: retired, re: `\bSetMaxBytes\b`, change: "The matrix store and the plan cache are one bounded LRU",
+		why:    "both bounds of a cache are fixed when it is built",
+		mutant: plant{"internal/server/server.go", "\ts.plans.SetMaxBytes(cfg.MaxStoreBytes)"}},
+	{name: "no-cumulative-stats", kind: forbid, paths: retired, re: `\b(CumulativeStats|cumCalls)\b`, change: "The matrix store and the plan cache are one bounded LRU",
+		why:    "a Context keeps no stats of its callers; MCL sums its own expansions with ExecStats.Add",
+		mutant: plant{"internal/graph/mcl.go", "\t\tres.Stats = inner.Context.CumulativeStats()"}},
 }
 
 // allowed is the number of hits the tree may hold.
