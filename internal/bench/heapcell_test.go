@@ -81,11 +81,12 @@ func BenchmarkHeapVsHashByCell(b *testing.B) {
 				for k, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHeap} {
 					opt := &spgemm.Options{Algorithm: alg, Workers: workers, Context: spgemm.NewContext()}
 					run[k] = func() error { _, err := spgemm.Multiply(ma, mb, opt); return err }
-					plan, err := spgemm.NewPlan(ma, mb, &spgemm.Options{Algorithm: alg, Workers: workers, Context: spgemm.NewContext()})
+					pctx := spgemm.NewContext()
+					plan, err := spgemm.NewPlan(ma, mb, &spgemm.Options{Algorithm: alg, Workers: workers, Context: pctx})
 					if err != nil {
 						b.Fatal(err)
 					}
-					run[2+k] = func() error { _, err := plan.Execute(); return err }
+					run[2+k] = func() error { _, err := plan.ExecuteIn(pctx, nil); return err }
 				}
 				// One timed sample is calls multiplies back to back: three, or
 				// as many as fill 100 ms, so that a scheduler hiccup weighs

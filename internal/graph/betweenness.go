@@ -41,7 +41,6 @@ func Betweenness(adj *matrix.CSR, sources []int32, batchSize int, opt *spgemm.Op
 		opt = &spgemm.Options{Algorithm: spgemm.AlgHash}
 	}
 	inner := *opt
-	inner.Mask = nil
 	inner.ShardSink = nil // single-use, and its products cannot be donated
 	inner.Unsorted = false
 	if inner.Context == nil {

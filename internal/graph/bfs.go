@@ -26,7 +26,7 @@ type BFSResult struct {
 // is an edge). Each level filters the product in place (fresh = next &^
 // visited), records the fresh bits' levels and keeps the non-zero fresh
 // words, in order, as the next frontier. opt carries the algorithm, workers
-// and Stats (the last level's); its Mask and Context are ignored: MSBFS keeps
+// and Stats (the last level's); its Context is ignored: MSBFS keeps
 // its own uint64 Context, which spent frontiers are recycled into.
 func MSBFS(g *matrix.CSR, sources []int32, opt *spgemm.Options) (*BFSResult, error) {
 	if g.Rows != g.Cols {

@@ -60,8 +60,8 @@ func PrepareTriangles(adj *matrix.CSR) (*TriangleResult, error) {
 // factors, exactly: a partial sum of row i is an integer ≤ nnz(Lᵢ)² < 2⁵³.
 // Otherwise they run over int64 copies with every stored non-zero as 1. A
 // stored zero is no edge: L is the mask as well as an operand, so its copy
-// leaves its zeros out, and every kernel counts the same wedges. opt's Mask
-// is ignored (L is the mask), and its Context is used unless copies are.
+// leaves its zeros out, and every kernel counts the same wedges. opt's
+// Context is used unless copies are.
 func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 	if opt == nil {
 		opt = &spgemm.Options{Algorithm: spgemm.AlgHash}
@@ -92,8 +92,8 @@ func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 
 // maskedCount adds the row sums of (L·U) .* L, integers in V, into an int64.
 func maskedCount[V float64 | int64, R semiring.Ring[V]](ring R, l, u *matrix.CSRG[V], opt spgemm.OptionsG[V]) (int64, error) {
-	opt.Algorithm, opt.Mask = spgemm.AlgHash, l
-	sums, err := spgemm.MaskedRowSums(ring, l, u, &opt)
+	opt.Algorithm = spgemm.AlgHash
+	sums, err := spgemm.MaskedRowSums(ring, l, u, l, &opt)
 	var n int64
 	for _, s := range sums {
 		n += int64(s)

@@ -27,12 +27,15 @@ var (
 	mGrow = obs.NewCounter("mempool_grow_events_total",
 		"scratch buffer growth (re)allocations past the high-water mark")
 	mLive = obs.NewGauge("mempool_live_bytes",
-		"bytes currently held by reusable scratch buffers")
+		"bytes Grow has added to reusable scratch buffers")
 )
 
-// LiveBytes returns the bytes currently held by reusable scratch buffers
+// LiveBytes returns the bytes Grow has added to reusable scratch buffers
 // process-wide — the mempool_live_bytes gauge, which the benchmark reports
-// as mempool.live_mb.
+// as mempool.live_mb. It counts only what grows through Grow, today the
+// replay map's rank array of each spgemm.Context, not the Contexts' other
+// scratch, and it never falls: a buffer dropped with its Context stays
+// counted.
 func LiveBytes() int64 { return mLive.Value() }
 
 // Grow returns *buf with length n (contents undefined). The buffer only ever

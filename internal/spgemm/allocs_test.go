@@ -8,6 +8,7 @@ import (
 	"repro/internal/accum"
 	"repro/internal/gen"
 	"repro/internal/matrix"
+	"repro/internal/semiring"
 )
 
 // These tests pin the steady-state allocation behavior the hot paths are
@@ -109,10 +110,11 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 // output matrix's three arrays plus the result header — per-row numeric
 // state must come from the Context's cached tables (for Hash on this square,
 // Cols <= flop, the SPA: the hash rows check it runs). The one-phase geometry is
-// held to the same bound: one-shot Heap and a masked product fill upper-bound
-// buffers that are the Context's, as is the mask's col→slot index (the masked
-// row is pinned at the 6 it measures: three arrays and what the +recycle rows
-// list), and a Heap Plan replay has no buffers at all. A Plan's streamed
+// held to the same bound: one-shot Heap fills upper-bound buffers that are the
+// Context's, and a Heap Plan replay has no buffers at all. Masked row sums
+// (hash+mask) store no product: their windows and col→slot index are the
+// Context's, and the row is pinned at the 2 it measures, the returned sums
+// and the closure of its one parallel region. A Plan's streamed
 // replay (hash/replay) is pinned at its 5: the map costs none per execution.
 // The +recycle rows hand every product back (Context.Recycle) before the next
 // call and are pinned at exactly the three arrays fewer — what is left is the
@@ -126,29 +128,34 @@ func TestContextReuseSteadyAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		alg     Algorithm
-		mask    *matrix.CSR
+		mask    bool
 		plan    bool
 		recycle bool
 		max     float64
 	}{
-		{"hash", AlgHash, nil, false, false, 16},
-		{"hash+mask", AlgHash, a, false, false, 6},
-		{"heap", AlgHeap, nil, false, false, 16},
-		{"heap/plan", AlgHeap, nil, true, false, 16},
-		{"hash/replay", AlgHash, nil, true, false, 5},
-		{"hash+recycle", AlgHash, nil, false, true, 3},
-		{"hash+mask+recycle", AlgHash, a, false, true, 3},
-		{"hash/replay+recycle", AlgHash, nil, true, true, 2},
+		{"hash", AlgHash, false, false, false, 16},
+		{"hash+mask", AlgHash, true, false, false, 2},
+		{"heap", AlgHeap, false, false, false, 16},
+		{"heap/plan", AlgHeap, false, true, false, 16},
+		{"hash/replay", AlgHash, false, true, false, 5},
+		{"hash+recycle", AlgHash, false, false, true, 3},
+		{"hash/replay+recycle", AlgHash, false, true, true, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := &Options{Algorithm: tc.alg, Mask: tc.mask, Workers: 1, Context: NewContext()}
+			opt := &Options{Algorithm: tc.alg, Workers: 1, Context: NewContext()}
 			multiply := func() (*matrix.CSR, error) { return Multiply(a, a, opt) }
-			if tc.plan {
+			switch {
+			case tc.mask:
+				multiply = func() (*matrix.CSR, error) {
+					_, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, opt)
+					return nil, err
+				}
+			case tc.plan:
 				plan, err := NewPlan(a, a, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				multiply = plan.Execute
+				multiply = func() (*matrix.CSR, error) { return plan.ExecuteIn(opt.Context, nil) }
 			}
 			run := func() {
 				c, err := multiply()
@@ -161,7 +168,7 @@ func TestContextReuseSteadyAllocs(t *testing.T) {
 			}
 			run() // warm the context's tables and partitions
 			run() // a Plan's second execution builds its replay map
-			if tc.alg == AlgHash && tc.mask == nil && !tc.plan {
+			if tc.alg == AlgHash && !tc.mask && !tc.plan {
 				// Cols <= flop: the steady state measured below is the SPA's,
 				// every numeric product folded into the Context's dense arrays.
 				var st ExecStats

@@ -42,7 +42,7 @@ import (
 type ContextG[V semiring.Value] struct {
 	// Per-worker accumulator state, grown on demand.
 	hash      []*accum.HashTableG[V]
-	maskDense [][]int32                  // a masked product's col→slot index
+	maskDense [][]int32                  // masked row sums' col→slot index
 	maskHash  []*accum.HashTableG[int32] // (maskedRow), dense or hashed
 	heaps     []*accum.MergeHeapG[V]
 	spa       []*accum.SPAG[V]
@@ -74,7 +74,7 @@ type ContextG[V semiring.Value] struct {
 	stripeNext atomic.Int64
 
 	// The running call's inspection and phase timer (driver.go): fields, so
-	// a steady-state call allocates neither. They keep that call's Mask and
+	// a steady-state call allocates neither. They keep that call's mask and
 	// Stats reachable until the next call overwrites them.
 	in inspection[V]
 	pt phaseTimer
@@ -243,10 +243,9 @@ func (c *ContextG[V]) rowNnzBuf(rows int) []int64 {
 
 // stripeWindows returns where each stripe of a one-phase product writes:
 // stripe s into [win[s], win[s+1]). A replay's windows are its stripes' slices
-// of the output; a one-shot product's cut one buffer by what each stripe's
-// rows admit — their flop for Heap, maskNeed under a mask. Row sums keep no
-// row, so theirs are the workers', worker w's at win[w]: the widest mask row
-// and the trash slot, reused row after row.
+// of the output; a one-shot product's cut one buffer by its stripes' flop.
+// Row sums keep no row, so theirs are the workers', worker w's at win[w]: the
+// widest mask row and the trash slot, reused row after row.
 func (c *ContextG[V]) stripeWindows(in *inspection[V], rowPtr []int64, sums bool) []int64 {
 	n, width := in.stripes(), int64(0)
 	if sums {
@@ -261,8 +260,6 @@ func (c *ContextG[V]) stripeWindows(in *inspection[V], rowPtr []int64, sums bool
 			win[s+1] = win[s] + width
 		case rowPtr != nil:
 			win[s+1] = rowPtr[hi]
-		case in.mask != nil:
-			win[s+1] = win[s] + maskNeed(in.mask, in.flopRow, lo, hi)
 		default:
 			win[s+1] = win[s] + rangeFlop(in.flopRow, lo, hi)
 		}
@@ -296,7 +293,7 @@ func (c *ContextG[V]) hashTable(w int, bound int64) *accum.HashTableG[V] {
 	return reviveTable(&c.hash[w], bound)
 }
 
-// reviveTable is hashTable on any worker's table slot (a masked product's
+// reviveTable is hashTable on any worker's table slot (masked row sums'
 // index is a table over slots, not over V).
 func reviveTable[T semiring.Value](slot **accum.HashTableG[T], bound int64) *accum.HashTableG[T] {
 	t := *slot

@@ -403,11 +403,12 @@ func identical[V semiring.Value](got, want *matrix.CSRG[V]) error {
 
 // CheckSharded pins the striped Hash product's identity contract against
 // Hash's own cut over one case, cut by a budget into the given number of
-// stripes (0 is the product's own count; see stripeBudget): sorted output must be bit-identical to the
-// unstriped product, unsorted output set-equivalent via the oracle. The same
-// comparison then repeats through an out-of-core SpillSink whose budget is
-// far below the output size, so the spill/admission/mmap path at toy scale
-// produces the very same bytes. spillDir hosts the temp spill files.
+// stripes (0 is the product's own count; see stripeBudget): sorted and
+// unsorted output alike must match the oracle and be bit-identical to the
+// unstriped product, row order included. The same comparison then repeats
+// through an out-of-core SpillSink whose budget is far below the output size,
+// so the spill/admission/mmap path at toy scale produces the very same
+// bytes. spillDir hosts the temp spill files.
 func CheckSharded(c Case, unsorted bool, workers, stripes int, spillDir string) error {
 	hash, err := spgemm.Multiply(c.A, c.B, &spgemm.Options{Algorithm: spgemm.AlgHash, Unsorted: unsorted, Workers: workers})
 	if err != nil {
@@ -422,10 +423,8 @@ func CheckSharded(c Case, unsorted bool, workers, stripes int, spillDir string) 
 	if err := Equivalent(got, want); err != nil {
 		return fmt.Errorf("%s/sharded unsorted=%v workers=%d stripes=%d: %w", c.Name, unsorted, workers, stripes, err)
 	}
-	if !unsorted {
-		if err := identical(got, hash); err != nil {
-			return fmt.Errorf("%s/sharded not bit-identical to unstriped hash (workers=%d stripes=%d): %w", c.Name, workers, stripes, err)
-		}
+	if err := identical(got, hash); err != nil {
+		return fmt.Errorf("%s/sharded unsorted=%v not bit-identical to unstriped hash (workers=%d stripes=%d): %w", c.Name, unsorted, workers, stripes, err)
 	}
 
 	// Out-of-core repeat: resident budget a quarter of the output entries.
@@ -446,10 +445,8 @@ func CheckSharded(c Case, unsorted bool, workers, stripes int, spillDir string) 
 	if err := Equivalent(spilled, want); err != nil {
 		return fmt.Errorf("%s/sharded-spill unsorted=%v: %w", c.Name, unsorted, err)
 	}
-	if !unsorted {
-		if err := identical(spilled, hash); err != nil {
-			return fmt.Errorf("%s/sharded-spill not bit-identical to hash: %w", c.Name, err)
-		}
+	if err := identical(spilled, hash); err != nil {
+		return fmt.Errorf("%s/sharded-spill unsorted=%v not bit-identical to hash: %w", c.Name, unsorted, err)
 	}
 	// Peak resident stripe bytes stay under budget — except when one stripe
 	// alone exceeds it, where admission degrades to serial spilling and the
@@ -510,7 +507,7 @@ func CheckContext(c Case, alg spgemm.Algorithm, unsorted bool, workers int, ctx 
 // second builds the replay map), the last two must stream through the map —
 // for every algorithm but Heap, which must not — and ExecStats has to say so.
 // It then perturbs B's structure and verifies the fingerprint still rejects
-// the plan now that the map exists, and that Invalidate does. An algorithm
+// the plan now that the map exists. An algorithm
 // that requires sorted input rows is expected to refuse the Plan for an
 // unsorted B, as Multiply refuses the product.
 func CheckPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
@@ -524,7 +521,8 @@ func CheckPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers int) error {
 
 func checkPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers, stripes int) error {
 	var st spgemm.ExecStats
-	opt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardMemBudget: stripeBudget(c.A, c.B, stripes), Context: spgemm.NewContext(), Stats: &st}
+	ctx := spgemm.NewContext()
+	opt := &spgemm.Options{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardMemBudget: stripeBudget(c.A, c.B, stripes), Context: ctx, Stats: &st}
 	plan, err := spgemm.NewPlan(c.A, c.B, opt)
 	if spgemm.RequiresSortedInput(alg) && !c.B.Sorted {
 		if err == nil {
@@ -536,7 +534,7 @@ func checkPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers, stripes int
 		return fmt.Errorf("%s/%v plan: %w", c.Name, alg, err)
 	}
 	for round := 0; round < 4; round++ {
-		got, err := plan.Execute()
+		got, err := plan.ExecuteIn(ctx, &st)
 		if err != nil {
 			return fmt.Errorf("%s/%v execute round %d: %w", c.Name, alg, round, err)
 		}
@@ -572,15 +570,11 @@ func checkPlan(c Case, alg spgemm.Algorithm, unsorted bool, workers, stripes int
 		old := c.B.ColIdx[0]
 		c.B.ColIdx[0] = (old + 1) % int32(c.B.Cols)
 		if c.B.ColIdx[0] != old {
-			if _, err := plan.Execute(); !errors.Is(err, spgemm.ErrPlanStale) {
+			if _, err := plan.ExecuteIn(ctx, nil); !errors.Is(err, spgemm.ErrPlanStale) {
 				return fmt.Errorf("%s/%v: structure change not detected by plan fingerprint (err = %v)", c.Name, alg, err)
 			}
 		}
 		c.B.ColIdx[0] = old
-	}
-	plan.Invalidate()
-	if _, err := plan.Execute(); !errors.Is(err, spgemm.ErrPlanStale) {
-		return fmt.Errorf("%s/%v: invalidated plan executed (err = %v)", c.Name, alg, err)
 	}
 	return nil
 }

@@ -15,7 +15,7 @@ import (
 // matrices deterministically from the seed and cross-checks against the
 // oracle, over float64 plus-times and over the OrAndU64 word ring (AsU64
 // views, whose products are mostly 0 and must still be stored). With masked
-// set, both instead run the masked leg (AlgHash and AlgAuto under every mask
+// set, both instead run the masked leg (spgemm.MaskedRowSums under every mask
 // shape of masksFor). Run with
 //
 //	go test -fuzz=FuzzMultiplyDifferential ./internal/spgemm/difftest

@@ -64,24 +64,19 @@ var poisonF64 = math.NaN()
 // bit-identical to the undonated one. On the Context of its own it also pins
 // the mechanism — a donation that fits is what the product is built in, one
 // that does not is not, and Recycle leaves the donated matrix without arrays.
-// mask, when non-nil, makes it the masked product (alg must be AlgHash),
-// which cuts its own stripes; an unmasked product runs in each of alg's cuts.
-func CheckRecycled[V semiring.Value, R semiring.Ring[V]](name string, ring R, a, b *matrix.CSRG[V], alg spgemm.Algorithm, unsorted bool, workers int, mask *matrix.CSRG[V], ctx *spgemm.ContextG[V], sentinel V) error {
-	stripes := cuts(alg)
-	if mask != nil {
-		stripes = stripes[:1]
-	}
-	for _, n := range stripes {
-		if err := checkRecycled(name, ring, a, b, alg, unsorted, workers, n, mask, ctx, sentinel); err != nil {
+// The product runs in each of alg's cuts.
+func CheckRecycled[V semiring.Value, R semiring.Ring[V]](name string, ring R, a, b *matrix.CSRG[V], alg spgemm.Algorithm, unsorted bool, workers int, ctx *spgemm.ContextG[V], sentinel V) error {
+	for _, n := range cuts(alg) {
+		if err := checkRecycled(name, ring, a, b, alg, unsorted, workers, n, ctx, sentinel); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func checkRecycled[V semiring.Value, R semiring.Ring[V]](name string, ring R, a, b *matrix.CSRG[V], alg spgemm.Algorithm, unsorted bool, workers, stripes int, mask *matrix.CSRG[V], ctx *spgemm.ContextG[V], sentinel V) error {
-	name = fmt.Sprintf("%s/%v unsorted=%v workers=%d stripes=%d masked=%v", name, alg, unsorted, workers, stripes, mask != nil)
-	opt := spgemm.OptionsG[V]{Algorithm: alg, Unsorted: unsorted, Workers: workers, Mask: mask, ShardMemBudget: stripeBudget(a, b, stripes)}
+func checkRecycled[V semiring.Value, R semiring.Ring[V]](name string, ring R, a, b *matrix.CSRG[V], alg spgemm.Algorithm, unsorted bool, workers, stripes int, ctx *spgemm.ContextG[V], sentinel V) error {
+	name = fmt.Sprintf("%s/%v unsorted=%v workers=%d stripes=%d", name, alg, unsorted, workers, stripes)
+	opt := spgemm.OptionsG[V]{Algorithm: alg, Unsorted: unsorted, Workers: workers, ShardMemBudget: stripeBudget(a, b, stripes)}
 	want, err := spgemm.MultiplyRing(ring, a, b, &opt)
 	if err != nil {
 		if spgemm.RequiresSortedInput(alg) && !b.Sorted {
@@ -159,7 +154,7 @@ func checkPlanRecycled(c Case, alg spgemm.Algorithm, unsorted bool, workers, str
 		}
 		for round := 1; round <= 4; round++ {
 			ctx.Recycle(poisoned(d, c.A.Rows, int(want.NNZ()), poisonF64))
-			got, err := plan.Execute()
+			got, err := plan.ExecuteIn(ctx, nil)
 			if err == nil {
 				err = identical(got, want)
 			}

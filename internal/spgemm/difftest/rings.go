@@ -150,11 +150,11 @@ func CheckRuleSides[V semiring.Value, R semiring.Ring[V]](caseName string, ring 
 	return nil
 }
 
-// The masked leg. Options.Mask restricts the output to the mask's pattern,
-// so the oracle is the unmasked oracle result with the entries outside the
-// pattern removed — and nothing else: an entry inside it survives even when
-// its value equals ring.Zero(), and a mask position no product reaches
-// fabricates nothing.
+// The masked leg. spgemm.MaskedRowSums folds each row of (A·B).*M, so the
+// oracle is the unmasked oracle result with the entries outside the mask's
+// pattern removed — and nothing else: an entry inside it is folded even when
+// its value equals ring.Zero(), and a mask position no product reaches adds
+// nothing.
 
 // maskCase is one mask shape of the masked leg.
 type maskCase[V semiring.Value] struct {
@@ -236,102 +236,58 @@ func filterByPattern[V semiring.Value](m, mask *matrix.CSRG[V]) *matrix.CSRG[V] 
 	return out
 }
 
-// CheckRingMasked runs the masked leg over a·b: AlgHash and AlgAuto (which
-// must resolve to it) under every mask of masksFor, each verified against the
-// filtered oracle via EquivalentRing. The AlgHash product then runs again with
-// B and the mask padded by empty columns until Cols > flop, which puts the
-// mask index on the hash table whichever side denseRule gave the unpadded
-// one; it must be bit-identical to the unpadded result. ctx, when non-nil, is
-// a reused Context: the result must then also be bit-identical to the one-shot
-// call's. Every mask then runs the row-sum leg (checkRowSums).
+// CheckRingMasked runs the masked leg over a·b: under every mask of
+// masksFor, spgemm.MaskedRowSums must give every row the fold of the filtered
+// oracle's row (sorted) with ring.Add from ring.Zero(), as close judges, and
+// run Hash whatever Algorithm (AlgAuto here) asks. It does so at W = 1 and at
+// workers, on B and the mask as given and padded by empty columns until
+// Cols > flop, which puts the mask index on the hash table whichever side
+// denseRule gave the unpadded one, and through ctx when it is non-nil, a
+// Context the caller reuses across cases. unsorted is passed on and must
+// change nothing.
 func CheckRingMasked[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a, b *matrix.CSRG[V], unsorted bool, workers int, ctx *spgemm.ContextG[V], close func(x, y V) bool) error {
 	full := matrix.NaiveMultiplyRing(ring, a, b)
 	flop, _ := matrix.Flop(a, b)
 	padded := *b
 	padded.Cols = max(b.Cols, int(flop)+1)
-	for _, mc := range masksFor(a, full) {
-		want := filterByPattern(full, mc.m)
-		var oneShot *matrix.CSRG[V]
-		for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgAuto} {
-			name := fmt.Sprintf("%s/mask=%s/%v unsorted=%v workers=%d", caseName, mc.name, alg, unsorted, workers)
-			var st spgemm.ExecStats
-			got, err := spgemm.MultiplyRing(ring, a, b, &spgemm.OptionsG[V]{
-				Algorithm: alg, Unsorted: unsorted, Workers: workers, Mask: mc.m, Stats: &st})
-			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			if st.Algorithm != spgemm.AlgHash {
-				return fmt.Errorf("%s: ran %v, want hash", name, st.Algorithm)
-			}
-			if err := EquivalentRing(got, want, close); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			oneShot = got
-		}
-		pmask := *mc.m
-		pmask.Cols = padded.Cols
-		got, err := spgemm.MultiplyRing(ring, a, &padded, &spgemm.OptionsG[V]{
-			Algorithm: spgemm.AlgHash, Unsorted: unsorted, Workers: workers, Mask: &pmask})
-		if err == nil {
-			got.Cols = b.Cols
-			err = identical(got, oneShot)
-		}
-		if err != nil {
-			return fmt.Errorf("%s/mask=%s padded unsorted=%v workers=%d: %w", caseName, mc.name, unsorted, workers, err)
-		}
-		if err := checkRowSums(ring, a, b, &padded, mc.m, &pmask, want, workers, ctx, close); err != nil {
-			return fmt.Errorf("%s/mask=%s: %w", caseName, mc.name, err)
-		}
-		if ctx == nil {
-			continue
-		}
-		got, err = spgemm.MultiplyRing(ring, a, b, &spgemm.OptionsG[V]{
-			Algorithm: spgemm.AlgHash, Unsorted: unsorted, Workers: workers, Mask: mc.m, Context: ctx})
-		if err == nil {
-			err = identical(got, oneShot)
-		}
-		if err != nil {
-			return fmt.Errorf("%s/mask=%s ctx unsorted=%v workers=%d: %w", caseName, mc.name, unsorted, workers, err)
-		}
-	}
-	return nil
-}
-
-// checkRowSums is the masked leg's row-sum half: spgemm.MaskedRowSums of a·b
-// under mask must give every row the fold of want's row (the filtered oracle,
-// sorted) with ring.Add from ring.Zero(), as close judges: at W = 1 and at
-// workers, on B and the mask as given and padded (the index's table side), and
-// through ctx when it is non-nil.
-func checkRowSums[V semiring.Value, R semiring.Ring[V]](ring R, a, b, padded, mask, pmask, want *matrix.CSRG[V], workers int, ctx *spgemm.ContextG[V], close func(x, y V) bool) error {
-	sums := make([]V, want.Rows)
-	for i := range sums {
-		sums[i] = ring.Zero()
-		for _, v := range want.Val[want.RowPtr[i]:want.RowPtr[i+1]] {
-			sums[i] = ring.Add(sums[i], v)
-		}
-	}
 	type side struct {
 		name string
 		b, m *matrix.CSRG[V]
 		ctx  *spgemm.ContextG[V]
 	}
-	sides := []side{{"", b, mask, nil}, {" padded", padded, pmask, nil}}
-	if ctx != nil {
-		sides = append(sides, side{" ctx", b, mask, ctx})
-	}
-	for _, w := range []int{1, workers} {
-		for _, sd := range sides {
-			got, err := spgemm.MaskedRowSums(ring, a, sd.b, &spgemm.OptionsG[V]{Workers: w, Mask: sd.m, Context: sd.ctx})
-			if err == nil && len(got) != len(sums) {
-				err = fmt.Errorf("%d sums, want %d", len(got), len(sums))
+	for _, mc := range masksFor(a, full) {
+		want := filterByPattern(full, mc.m)
+		sums := make([]V, want.Rows)
+		for i := range sums {
+			sums[i] = ring.Zero()
+			for _, v := range want.Val[want.RowPtr[i]:want.RowPtr[i+1]] {
+				sums[i] = ring.Add(sums[i], v)
 			}
-			for i := 0; err == nil && i < len(sums); i++ {
-				if !close(got[i], sums[i]) {
-					err = fmt.Errorf("row %d sums to %v, want %v", i, got[i], sums[i])
+		}
+		pmask := *mc.m
+		pmask.Cols = padded.Cols
+		sides := []side{{"", b, mc.m, nil}, {" padded", &padded, &pmask, nil}}
+		if ctx != nil {
+			sides = append(sides, side{" ctx", b, mc.m, ctx})
+		}
+		for _, w := range []int{1, workers} {
+			for _, sd := range sides {
+				var st spgemm.ExecStats
+				got, err := spgemm.MaskedRowSums(ring, a, sd.b, sd.m, &spgemm.OptionsG[V]{Workers: w, Unsorted: unsorted, Context: sd.ctx, Stats: &st})
+				if err == nil && st.Algorithm != spgemm.AlgHash {
+					err = fmt.Errorf("ran %v, want hash", st.Algorithm)
 				}
-			}
-			if err != nil {
-				return fmt.Errorf("row sums%s workers=%d: %w", sd.name, w, err)
+				if err == nil && len(got) != len(sums) {
+					err = fmt.Errorf("%d sums, want %d", len(got), len(sums))
+				}
+				for i := 0; err == nil && i < len(sums); i++ {
+					if !close(got[i], sums[i]) {
+						err = fmt.Errorf("row %d sums to %v, want %v", i, got[i], sums[i])
+					}
+				}
+				if err != nil {
+					return fmt.Errorf("%s/mask=%s row sums%s unsorted=%v workers=%d: %w", caseName, mc.name, sd.name, unsorted, w, err)
+				}
 			}
 		}
 	}

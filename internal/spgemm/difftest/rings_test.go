@@ -109,7 +109,8 @@ func TestDifferentialRuleSides(t *testing.T) {
 
 // checkMaskedRings runs the masked leg of c over the seven ring
 // instantiations TestDifferentialRings covers. A masked row folds its products
-// in the oracle's order, so every ring's leg is bit-identical to the oracle —
+// in the oracle's order and its sum folds the row ascending, so every ring's
+// row sums are bit-identical to the oracle's —
 // -0, ±Inf and NaN of the special-value cases included, on the dense mask
 // index and on the table.
 func checkMaskedRings(c Case, unsorted bool, f64 *spgemm.ContextG[float64], f32 *spgemm.ContextG[float32], bl *spgemm.ContextG[bool], i64 *spgemm.ContextG[int64], u64 *spgemm.ContextG[uint64]) error {

@@ -18,9 +18,9 @@ import (
 // partition and execute sizes the output by producing it; for a Plan the
 // same symbolic pass fixes the row pointers, so a replay differs from the
 // two-phase kernels' only in its row function. Its other two row functions
-// are a product under an output mask, bounded by its mask rows, and the
-// one-pass route: an unsorted Hash product in one stripe at compression
-// ratio about 1, whose flop already bounds its output.
+// are the masked row sums (MaskedRowSums), each row bounded by its mask row
+// and folded away, and the one-pass route: an unsorted Hash product in one
+// stripe at compression ratio about 1, whose flop already bounds its output.
 //
 // The geometry is data: a flop-balanced cut of the rows into stripes
 // (Figure 6). Each half runs one loop over the stripes, a stripe's rows going
@@ -70,8 +70,8 @@ type inspection[V semiring.Value] struct {
 	// stripes, len(offsets)-1 of them.
 	offsets []int
 
-	// The output mask of a masked product (AlgHash, never a Plan), which runs
-	// the one-phase geometry with maskedRow as its row function (heap.go).
+	// The mask of MaskedRowSums (AlgHash, never a Plan), which runs the
+	// one-phase geometry with maskedRow as its row function (heap.go).
 	mask    *matrix.CSRG[V]
 	onePass bool // the one-pass route (inspect): onePassRow's geometry
 }
@@ -80,10 +80,11 @@ type inspection[V semiring.Value] struct {
 // flop (Heap, the one-pass route) or its mask row (onePhaseExecute).
 func (in *inspection[V]) onePhase() bool { return in.alg == AlgHeap || in.mask != nil || in.onePass }
 
-// claimStripes is the stripes per worker of a masked or Heap product at W > 1:
-// a row's cost there is not its flop, so a static flop cut can leave one
-// worker the slow rows; finer stripes let the others claim the rest. 16 won
-// a sweep over 4, 8 and 16 on triangle counting's masked L·U (EXPERIMENTS.md).
+// claimStripes is the stripes per worker of masked row sums or a Heap
+// product at W > 1: a row's cost there is not its flop, so a static flop cut
+// can leave one worker the slow rows; finer stripes let the others claim the
+// rest. 16 won a sweep over 4, 8 and 16 on triangle counting's masked L·U
+// (EXPERIMENTS.md).
 const claimStripes = 16
 
 // onePassMaxCR is the sampled compression ratio up to which the one-pass
@@ -105,21 +106,22 @@ func (in *inspection[V]) clone() inspection[V] {
 // inspect runs the structure-only phases of alg on ctx: flop counts, the
 // geometry and its flop-balanced partition (PhasePartition), the symbolic
 // pass (PhaseSymbolic) and the row-pointer prefix sum, which the next tick
-// of the returned timer charges to whatever the caller does next. forPlan
+// of the returned timer charges to whatever the caller does next. mask is
+// MaskedRowSums', nil for every stored product. forPlan
 // asks for the one thing a replay needs that a one-shot multiply does not:
 // the row pointers of a one-phase product. Both results are ctx's own
 // (ctx.in, ctx.pt), not allocations.
-func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V], ctx *ContextG[V], forPlan bool) (*inspection[V], *phaseTimer) {
+func inspect[V semiring.Value](alg Algorithm, a, b, mask *matrix.CSRG[V], opt *OptionsG[V], ctx *ContextG[V], forPlan bool) (*inspection[V], *phaseTimer) {
 	workers := opt.workersFor(a.Rows)
 	ctx.ensureWorkers(workers)
 	ctx.pt = startPhases(opt.Stats, alg, workers)
 	pt := &ctx.pt
-	ctx.in = inspection[V]{alg: alg, workers: workers, flopRow: ctx.perRowFlop(a, b), mask: opt.Mask}
+	ctx.in = inspection[V]{alg: alg, workers: workers, flopRow: ctx.perRowFlop(a, b), mask: mask}
 	in := &ctx.in
 	flop := rangeFlop(in.flopRow, 0, a.Rows)
 	stripes := 1
 	switch {
-	case alg != AlgHeap && in.mask == nil:
+	case alg != AlgHeap && mask == nil:
 		stripes = opt.shardStripes(flop, a.Rows, workers)
 	case workers > 1:
 		stripes = claimStripes * workers
@@ -129,7 +131,7 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 	// and without a sink, whose running offset is its row pointer, on stamps
 	// and the SPA by denseRule and at a ratio the recipe's sample, run on
 	// ctx's worker-0 counter, reads as about 1.
-	in.onePass = !forPlan && opt.Unsorted && alg == AlgHash && in.mask == nil && opt.ShardSink == nil && in.stripes() == 1 &&
+	in.onePass = !forPlan && opt.Unsorted && alg == AlgHash && mask == nil && opt.ShardSink == nil && in.stripes() == 1 &&
 		denseRule(b.Cols, flop) && ctx.compressionRatio(a, b, recipeSampleRows) <= onePassMaxCR
 	pt.tick(PhasePartition)
 	if in.onePhase() && !forPlan {
@@ -159,7 +161,7 @@ func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *Options
 // rows' slice of the result, written in place.
 func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, unsorted bool, sink *SpillSink[V], pt *phaseTimer) (*matrix.CSRG[V], error) {
 	if in.onePhase() {
-		return onePhaseExecute(ring, a, b, ctx, in, rowPtr, unsorted, nil, pt), nil
+		return onePhaseExecute(ring, a, b, ctx, in, rowPtr, nil, pt), nil
 	}
 	c, errs, err := ctx.bindOutput(sink, in.stripes(), a.Rows, b.Cols, rowPtr, !unsorted)
 	if err != nil {
@@ -228,6 +230,6 @@ func (c *ContextG[V]) bindOutput(sink *SpillSink[V], stripes, rows, cols int, ro
 // inspectExecute is the one-shot driver.
 func inspectExecute[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
 	ctx := opt.ctx()
-	in, pt := inspect(alg, a, b, opt, ctx, false)
+	in, pt := inspect(alg, a, b, nil, opt, ctx, false)
 	return execute(ring, a, b, ctx, in, in.rowPtr, opt.Unsorted, opt.ShardSink, pt)
 }

@@ -133,7 +133,7 @@ type ExecStats struct {
 	Workers []WorkerStats
 	// Stripes holds a two-phase product's per-stripe breakdown (Hash or a
 	// Plan's kernel execution), in ascending row order; empty
-	// for one-phase products (Heap, a mask, the one-pass route) and a
+	// for one-phase products (Heap, masked row sums, the one-pass route) and a
 	// Plan's streamed replay. Unlike the other fields it is per-call
 	// detail: Add does not accumulate stripes across calls.
 	Stripes []StripeStats
@@ -209,9 +209,9 @@ func (s *ExecStats) PhaseSpans() []PhaseSpan {
 
 // Add folds another call's stats into s: phase times, Total and per-worker
 // counters all accumulate (Workers grows to the larger worker count), and
-// Algorithm takes o's value. Iterative workloads use this — via the automatic
-// accumulation on spgemm.Context — to report aggregate phase breakdowns
-// across a whole expansion loop rather than just the last call.
+// Algorithm takes o's value. Iterative callers add each call's stats into one
+// ExecStats to report aggregate phase breakdowns across a whole loop rather
+// than just the last call.
 func (s *ExecStats) Add(o *ExecStats) {
 	if o == nil {
 		return

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
+	"repro/internal/semiring"
 )
 
 // statsAlgorithms is every algorithm the breakdown instrumentation covers.
@@ -41,22 +42,23 @@ func TestExecStatsPhaseSumMatchesTotal(t *testing.T) {
 	}
 }
 
-// TestExecStatsMaskedIsOnePhase: a masked product has no symbolic pass — its
-// mask rows bound its output — so its stats are the one-phase geometry's:
-// nothing under PhaseSymbolic, an assemble phase, phases that still sum to
-// Total, and the worker counters of the unmasked product (every product is
-// looked at, the mask only decides where it lands).
+// TestExecStatsMaskedIsOnePhase: masked row sums have no symbolic pass — the
+// mask rows bound each row — and store no product, so their stats are the
+// one-phase geometry's without its output: nothing under PhaseSymbolic,
+// PhaseAlloc or PhaseAssemble, phases that still sum to Total, and the worker
+// counters of the unmasked product (every product is looked at, the mask only
+// decides where it lands).
 func TestExecStatsMaskedIsOnePhase(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	g := gen.ER(10, 8, rng)
 	flop, _ := matrix.Flop(g, g)
 	for _, workers := range []int{1, 3} {
 		var st ExecStats
-		if _, err := Multiply(g, g, &Options{Algorithm: AlgHash, Mask: g, Workers: workers, Stats: &st}); err != nil {
+		if _, err := MaskedRowSums(semiring.PlusTimesF64{}, g, g, g, &Options{Algorithm: AlgHash, Workers: workers, Stats: &st}); err != nil {
 			t.Fatal(err)
 		}
-		if st.Phases[PhaseSymbolic] != 0 || st.Phases[PhaseNumeric] <= 0 || st.Phases[PhaseAssemble] <= 0 {
-			t.Errorf("workers=%d: phases %v, want no symbolic, some numeric and assemble", workers, st.Phases)
+		if st.Phases[PhaseSymbolic] != 0 || st.Phases[PhaseNumeric] <= 0 || st.Phases[PhaseAlloc] != 0 || st.Phases[PhaseAssemble] != 0 {
+			t.Errorf("workers=%d: phases %v, want some numeric and nothing under symbolic, alloc or assemble", workers, st.Phases)
 		}
 		if diff := (st.Total - st.PhaseSum()).Abs(); float64(diff) > 0.05*float64(st.Total)+200_000 {
 			t.Errorf("workers=%d: PhaseSum %v vs Total %v", workers, st.PhaseSum(), st.Total)
@@ -163,22 +165,22 @@ func TestExecStatsCounters(t *testing.T) {
 
 // TestWorkerBusy pins WorkerStats.Busy on every geometry that runs parallel
 // regions — the two-phase stripes, Heap's one-phase merge, stripes past one
-// per worker, a masked product and a Plan's streamed replay: every worker that
+// per worker, masked row sums and a Plan's streamed replay: every worker that
 // produced rows was timed, and no worker can be busy longer than the call, so
 // Σ Busy ≤ W·Total.
 func TestWorkerBusy(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	g := gen.RMAT(9, 8, gen.G500Params, rng)
 	for _, tc := range []struct {
-		name string
-		opt  Options
-		plan bool
+		name         string
+		opt          Options
+		masked, plan bool
 	}{
-		{"hash", Options{Algorithm: AlgHash}, false},
-		{"heap", Options{Algorithm: AlgHeap}, false},
-		{"hash/7-stripes", Options{Algorithm: AlgHash, ShardMemBudget: stripeBudget(g, g, 7)}, false},
-		{"hash+mask", Options{Algorithm: AlgHash, Mask: g}, false},
-		{"hash/replay", Options{Algorithm: AlgHash}, true},
+		{"hash", Options{Algorithm: AlgHash}, false, false},
+		{"heap", Options{Algorithm: AlgHeap}, false, false},
+		{"hash/7-stripes", Options{Algorithm: AlgHash, ShardMemBudget: stripeBudget(g, g, 7)}, false, false},
+		{"hash+mask", Options{Algorithm: AlgHash}, true, false},
+		{"hash/replay", Options{Algorithm: AlgHash}, false, true},
 	} {
 		for _, workers := range []int{1, 3} {
 			var st ExecStats
@@ -186,7 +188,13 @@ func TestWorkerBusy(t *testing.T) {
 			opt.Workers = workers
 			if !tc.plan {
 				opt.Stats = &st
-				if _, err := Multiply(g, g, &opt); err != nil {
+				var err error
+				if tc.masked {
+					_, err = MaskedRowSums(semiring.PlusTimesF64{}, g, g, g, &opt)
+				} else {
+					_, err = Multiply(g, g, &opt)
+				}
+				if err != nil {
 					t.Fatalf("%s W=%d: %v", tc.name, workers, err)
 				}
 			} else {
@@ -195,7 +203,7 @@ func TestWorkerBusy(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := 0; i < 2; i++ { // the second execution builds the map
-					if _, err := p.Execute(); err != nil {
+					if _, err := p.ExecuteIn(nil, nil); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -262,12 +270,12 @@ func TestExecStatsString(t *testing.T) {
 
 	// A streamed replay touches no accumulator; its line names the counter
 	// that replaced them.
-	p, err := NewPlan(g, g, &Options{Algorithm: AlgHash, Stats: &st})
+	p, err := NewPlan(g, g, &Options{Algorithm: AlgHash})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := p.Execute(); err != nil {
+		if _, err := p.ExecuteIn(nil, &st); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -394,11 +402,11 @@ func BenchmarkStatsOverhead(b *testing.B) {
 	}
 }
 
-// TestOnePhaseStatsAcrossStripes: the one-phase geometry cuts masked and
-// Heap products into several stripes per worker, which the workers claim, so
-// each worker's Rows and Flop accumulate over every stripe it ran — as
-// execute's do — and sum to the product's rows and flop: one-shot, masked
-// and Heap, and through a Heap Plan's replay. Every row of A carries flop,
+// TestOnePhaseStatsAcrossStripes: the one-phase geometry cuts masked row
+// sums and Heap products into several stripes per worker, which the workers
+// claim, so each worker's Rows and Flop accumulate over every stripe it ran —
+// as execute's do — and sum to the product's rows and flop: masked row sums,
+// one-shot Heap, and a Heap Plan's replay. Every row of A carries flop,
 // so the rows counted (every row of a worker's stripes) are the rows with
 // flop.
 func TestOnePhaseStatsAcrossStripes(t *testing.T) {
@@ -407,13 +415,13 @@ func TestOnePhaseStatsAcrossStripes(t *testing.T) {
 	flop, _ := matrix.Flop(a, a)
 	for _, workers := range []int{2, 3} {
 		for _, tc := range []struct {
-			name string
-			opt  Options
-			plan bool
+			name         string
+			opt          Options
+			masked, plan bool
 		}{
-			{"hash+mask", Options{Algorithm: AlgHash, Mask: a}, false},
-			{"heap", Options{Algorithm: AlgHeap}, false},
-			{"heap/plan", Options{Algorithm: AlgHeap}, true},
+			{"hash+mask", Options{Algorithm: AlgHash}, true, false},
+			{"heap", Options{Algorithm: AlgHeap}, false, false},
+			{"heap/plan", Options{Algorithm: AlgHeap}, false, true},
 		} {
 			var st ExecStats
 			opt := tc.opt
@@ -428,7 +436,13 @@ func TestOnePhaseStatsAcrossStripes(t *testing.T) {
 				}
 			} else {
 				opt.Stats = &st
-				if _, err := Multiply(a, a, &opt); err != nil {
+				var err error
+				if tc.masked {
+					_, err = MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, &opt)
+				} else {
+					_, err = Multiply(a, a, &opt)
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -39,9 +39,9 @@ import (
 //     rest folded onto it in product order, as either accumulator would.
 //
 // The one-phase geometry's other two row functions (heap.go) are here too.
-// A product under an output mask (Options.Mask, AlgHash only) runs neither
-// of the above: its mask row bounds row i of (A·B).*M — maskedRow, one index
-// lookup per product, no accumulator table, no symbolic pass, B streamed once.
+// A row of masked row sums (MaskedRowSums, AlgHash only) runs neither of the
+// above: its mask row bounds row i of (A·B).*M — maskedRow, one index lookup
+// per product, no accumulator table, no symbolic pass, B streamed once.
 // On the one-pass route (driver.go) numeric decides without symbolic's count:
 // onePassRow stamps and copies, and on the first column its stamps see twice
 // — the rows numeric would fold — goes on in the SPA from there, seeded with
@@ -545,20 +545,6 @@ func maskCompact[V semiring.Value](dense []int32, mcols, cols []int32, vals []V,
 	return n
 }
 
-// maskNeed is the window the rows of [lo, hi) of a masked product need: row i
-// keeps at most min(flopRow[i], nnz(mask row i)) entries, behind the rows
-// before it, but needs one slot more than its mask row while it accumulates.
-func maskNeed[V semiring.Value](mask *matrix.CSRG[V], flopRow []int64, lo, hi int) int64 {
-	var kept, need int64
-	for i := lo; i < hi; i++ {
-		if m := mask.RowPtr[i+1] - mask.RowPtr[i]; flopRow[i] != 0 {
-			need = max(need, kept+m+1)
-			kept += min(flopRow[i], m)
-		}
-	}
-	return need
-}
-
 // maskWidest is the widest mask row among the rows of [lo, hi) with a
 // non-zero weight: the most slots any of them indexes.
 func maskWidest[V semiring.Value](mask *matrix.CSRG[V], flopRow []int64, lo, hi int) int64 {
@@ -571,13 +557,12 @@ func maskWidest[V semiring.Value](mask *matrix.CSRG[V], flopRow []int64, lo, hi 
 	return widest
 }
 
-// maskedRows is worker w's pass over the rows of [lo, hi), a stripe of a
-// one-shot masked product: each row goes through maskedRow into the stripe's
-// window cols/vals (maskNeed entries), behind the one before, and its size
-// into rowNnz (zeroed by the caller), on the dense index or the worker's table.
-// With sums in place of rowNnz every row starts at the window's head (its mask
-// row and one slot more) and leaves only its fold in sums[i].
-func maskedRows[V semiring.Value, R semiring.Ring[V]](ring R, c *ContextG[V], w int, a, b, mask *matrix.CSRG[V], flopRow []int64, lo, hi int, dense bool, cols []int32, vals []V, sort bool, rowNnz []int64, sums []V) {
+// maskedRows is worker w's pass over the rows of [lo, hi), a stripe of
+// masked row sums: each row goes through maskedRow, on the dense index or the
+// worker's table, into the head of the worker's window cols/vals (its mask
+// row and one slot more), sorted when the mask row may not ascend, and leaves
+// only its fold in sums[i].
+func maskedRows[V semiring.Value, R semiring.Ring[V]](ring R, c *ContextG[V], w int, a, b, mask *matrix.CSRG[V], flopRow []int64, lo, hi int, dense bool, cols []int32, vals []V, sums []V) {
 	var index []int32
 	var table *accum.HashTableG[int32]
 	if dense {
@@ -587,21 +572,15 @@ func maskedRows[V semiring.Value, R semiring.Ring[V]](ring R, c *ContextG[V], w 
 		table = reviveTable(&c.maskHash[w], maskWidest(mask, flopRow, lo, hi))
 	}
 	body := bodiesFor[V](ring)
-	pos := 0
 	for i := lo; i < hi; i++ {
 		n := 0
 		if mcols := mask.ColIdx[mask.RowPtr[i]:mask.RowPtr[i+1]]; flopRow[i] != 0 && len(mcols) != 0 {
-			n = body.maskedRow(ring, index, table, a, b, mcols, i, cols[pos:], vals[pos:], sort)
+			n = body.maskedRow(ring, index, table, a, b, mcols, i, cols, vals, !mask.Sorted)
 		}
-		if sums != nil {
-			s := ring.Zero()
-			for _, v := range vals[:n] {
-				s = ring.Add(s, v)
-			}
-			sums[i] = s
-		} else {
-			rowNnz[i] = int64(n)
-			pos += n
+		s := ring.Zero()
+		for _, v := range vals[:n] {
+			s = ring.Add(s, v)
 		}
+		sums[i] = s
 	}
 }

@@ -11,13 +11,13 @@ import (
 // partition and onePhaseExecute below sizes the output by producing it, with
 // one of three row functions. Heap SpGEMM (Section 4.2.3) is heapRow: a k-way
 // merge of the sorted contributing rows of B with a thread-private binary
-// heap, output rows sorted by construction and bounded by their flop. A
-// product under an output mask is maskedRow (hashrow.go), a row bounded by
-// its mask row. The one-pass route is onePassRow (hashrow.go), an unsorted
-// Hash row bounded by its flop. Only a Heap Plan asks inspect for row
-// pointers, and then replays skip the temp buffers as well. The scheduling
-// and memory-management variants Figure 9 compares Heap against live in
-// internal/bench/baseline.
+// heap, output rows sorted by construction and bounded by their flop. A row
+// of masked row sums (MaskedRowSums) is maskedRow (hashrow.go), bounded by
+// its mask row and folded away. The one-pass route is onePassRow
+// (hashrow.go), an unsorted Hash row bounded by its flop. Only a Heap Plan
+// asks inspect for row pointers, and then replays skip the temp buffers as
+// well. The scheduling and memory-management variants Figure 9 compares Heap
+// against live in internal/bench/baseline.
 
 // heapRow merges output row i into cols/vals (which must hold at least the
 // row's entries; its flop bounds them) and returns the number of entries
@@ -62,21 +62,19 @@ func heapRow[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 // worker w starts on stripe w and then claims whichever stripe nobody has
 // started. With no row pointers (a one-shot multiply) it is the paper's
 // one-phase design: every stripe computes its rows into its own window of one
-// Context-owned buffer, sized at an upper bound of their output — the flop of
-// those rows for Heap, what their mask rows admit under a mask
-// (stripeWindows); then the row sizes found on the way are prefix-summed into
-// the row pointers and each stripe's rows, contiguous in its window and in
-// the output alike, move with one bulk copy (PhaseAssemble). With the row
-// pointers of a Heap Plan a stripe's window is its slice of the output, so
-// every row is merged straight into its final place: no buffer, no copy. With
-// sums (MaskedRowSums) a window is a worker's, one mask row wide, and each
-// row is folded into sums[i] and overwritten by the next: no output at all.
-func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, unsorted bool, sums []V, pt *phaseTimer) *matrix.CSRG[V] {
+// Context-owned buffer, sized at the flop of those rows (stripeWindows);
+// then the row sizes found on the way are prefix-summed into the row pointers
+// and each stripe's rows, contiguous in its window and in the output alike,
+// move with one bulk copy (PhaseAssemble). With the row pointers of a Heap
+// Plan a stripe's window is its slice of the output, so every row is merged
+// straight into its final place: no buffer, no copy. With sums
+// (MaskedRowSums) a window is a worker's, one mask row wide, and each row is
+// folded into sums[i] and overwritten by the next: no output at all. Every
+// row it stores is sorted, a merged row by construction.
+func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, sums []V, pt *phaseTimer) *matrix.CSRG[V] {
 	if in.onePass {
 		return onePassExecute(ring, a, b, ctx, in, pt)
 	}
-	// A merged row is sorted by construction, and a sum folds its row ascending.
-	sorted := in.mask == nil || !unsorted || sums != nil
 	win := ctx.stripeWindows(in, rowPtr, sums != nil)
 	var c *matrix.CSRG[V] // a replay's output, merged into directly
 	var rowNnz []int64    // a one-shot multiply's row sizes, found on the way
@@ -111,7 +109,7 @@ func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.
 			// Capped at the window's end: a row overrunning it panics instead.
 			wcols, wvals := cols[win[at]:win[at+1]:win[at+1]], vals[win[at]:win[at+1]:win[at+1]]
 			if in.mask != nil {
-				maskedRows(ring, ctx, w, a, b, in.mask, in.flopRow, lo, hi, dense, wcols, wvals, sorted && !in.mask.Sorted, rowNnz, sums)
+				maskedRows(ring, ctx, w, a, b, in.mask, in.flopRow, lo, hi, dense, wcols, wvals, sums)
 			} else {
 				pos := 0
 				for i := lo; i < hi; i++ {
@@ -138,7 +136,7 @@ func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.
 	}
 
 	sized := sched.PrefixSum(rowNnz, ctx.rowPtrBuf(a.Rows), in.workers)
-	out := ctx.outputShell(a.Rows, b.Cols, sized, sorted)
+	out := ctx.outputShell(a.Rows, b.Cols, sized, true)
 	pt.tick(PhaseAlloc)
 	ctx.dealStripes(in.workers)
 	ctx.runWorkers(in.workers, func(w int) {

@@ -44,11 +44,11 @@ func TestExecStatsPhaseSumInvariant(t *testing.T) {
 	if st.PhaseSum() > st.Total {
 		t.Errorf("NewPlan: PhaseSum %v > Total %v", st.PhaseSum(), st.Total)
 	}
-	if _, err := p.Execute(); err != nil {
+	if _, err := p.ExecuteIn(nil, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.PhaseSum() > st.Total {
-		t.Errorf("Execute: PhaseSum %v > Total %v", st.PhaseSum(), st.Total)
+		t.Errorf("ExecuteIn: PhaseSum %v > Total %v", st.PhaseSum(), st.Total)
 	}
 }
 
@@ -100,16 +100,17 @@ func TestMetricsExposedSeries(t *testing.T) {
 	if _, err := Multiply(g, g, &Options{Algorithm: AlgHash, Workers: 2, Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPlan(g, g, &Options{Algorithm: AlgHash, Workers: 2})
+	h := g.Clone()
+	p, err := NewPlan(h, h, &Options{Algorithm: AlgHash, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Execute(); err != nil {
+	if _, err := p.ExecuteIn(nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	p.Invalidate()
-	if _, err := p.Execute(); err != ErrPlanStale {
-		t.Fatalf("Execute after Invalidate: %v", err)
+	h.ColIdx[0] = (h.ColIdx[0] + 1) % int32(h.Cols)
+	if _, err := p.ExecuteIn(nil, nil); err != ErrPlanStale {
+		t.Fatalf("ExecuteIn after a structure change: %v", err)
 	}
 
 	var buf bytes.Buffer

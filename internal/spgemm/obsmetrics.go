@@ -24,9 +24,9 @@ var (
 	mPlanBuilds = obs.NewCounter("spgemm_plan_builds_total",
 		"symbolic plans built by NewPlan")
 	mPlanExecs = obs.NewCounter("spgemm_plan_executes_total",
-		"successful Plan.Execute calls (symbolic phase skipped)")
+		"successful Plan.ExecuteIn calls (symbolic phase skipped)")
 	mPlanStale = obs.NewCounter("spgemm_plan_stale_total",
-		"Plan.Execute calls rejected with ErrPlanStale")
+		"Plan.ExecuteIn calls rejected with ErrPlanStale")
 	mReplayMaps = obs.NewCounter("spgemm_plan_replay_maps_total",
 		"replay maps built and published by a Plan's second execution")
 	mReplayMapBytes = obs.NewCounter("spgemm_plan_replay_map_bytes_total",

@@ -10,10 +10,10 @@ import (
 	"repro/internal/semiring"
 )
 
-// ErrPlanStale is returned by Plan.Execute when the plan no longer applies:
-// the structure of A or B changed since NewPlan, or Invalidate was called.
-// Build a new plan with NewPlan.
-var ErrPlanStale = errors.New("spgemm: plan is stale (input structure changed or plan invalidated)")
+// ErrPlanStale is returned by Plan.ExecuteIn when the plan no longer
+// applies: the structure of A or B changed since NewPlan. Build a new plan
+// with NewPlan.
+var ErrPlanStale = errors.New("spgemm: plan is stale (input structure changed)")
 
 // Plan caches the structure-dependent work of an SpGEMM — the flop counts,
 // the balanced row partition (Figure 6) and the symbolic phase's per-row
@@ -27,36 +27,32 @@ var ErrPlanStale = errors.New("spgemm: plan is stale (input structure changed or
 //
 // Soundness is guarded by a structure fingerprint (matrix.StructureChecksum,
 // an FNV-1a-style hash of dimensions, row pointers and column indices, blind to
-// values): Execute revalidates both inputs and returns ErrPlanStale on any
+// values): ExecuteIn revalidates both inputs and returns ErrPlanStale on any
 // structural change, however the values moved. The O(nnz) check is far
 // cheaper than the O(flop) symbolic pass it replaces.
 //
 // A Plan is nothing more than the driver's two halves held apart (driver.go):
 // NewPlan is inspect plus one clone of the inspection into plan-owned memory,
-// Execute is execute on a copy of the row pointers. Plans are part of the
+// ExecuteIn is execute on a copy of the row pointers. Plans are part of the
 // legacy float64 surface and fix the plus-times ring, so the numeric phase
 // always folds in Go's own * and + (ringfast.go); inspect and execute are
 // generic, the Plan type is not because its callers — the iterative float64
 // solvers and the multiply server — are not.
 //
-// A Plan is immutable after NewPlan but for one atomically published replay
-// map (replayMap); the mutable execution state lives in a Context. Execute is
-// therefore NOT safe for concurrent use — it runs on the plan's own Context —
-// but ExecuteIn with distinct Contexts is: concurrent ExecuteIn calls on one
-// shared Plan are how the multiply server executes cache-hit products from
-// its Context checkout pool. Invalidate must not race in-flight Executes.
+// A Plan holds no execution state: it is immutable after NewPlan but for one
+// atomically published replay map (replayMap), and every execution brings
+// its own Context. Concurrent ExecuteIn calls on one shared Plan with
+// distinct Contexts are therefore safe; they are how the multiply server
+// executes cache-hit products from its Context checkout pool.
 type Plan struct {
 	a, b     *matrix.CSR
 	unsorted bool
-	stats    *ExecStats
-	ctx      *Context
 
 	fpA, fpB uint64
 	// in is the plan's own copy of the inspection (see inspection.clone): the
 	// Context's buffers may be overwritten by unrelated Multiply calls
-	// between Executes.
-	in    inspection[float64]
-	valid bool
+	// between executions.
+	in inspection[float64]
 
 	// replay is nil until the second execution (counted by execs) publishes
 	// it; mapBytes is its size, 0 if there will be none.
@@ -82,20 +78,16 @@ type replayMap struct {
 }
 
 // NewPlan runs the inspector: flop counts, balanced partition and symbolic
-// phase for C = A·B, and returns a Plan whose Execute performs the numeric
-// phase only. Every algorithm Multiply accepts is supported, under Multiply's
-// own conditions (AlgHeap needs sorted rows in B; AlgAuto resolves through
-// the recipe); Mask and ShardSink are not — a spilled product aliases its
-// temp-file mapping and is single-use, the opposite of what a reusable plan
-// is for. opt.Context, when set, supplies the reusable
-// accumulators Execute will use; opt.Stats, when set, receives per-phase
-// times for the inspector call and for every Execute.
+// phase for C = A·B, and returns a Plan whose ExecuteIn performs the
+// numeric phase only. Every algorithm Multiply accepts is supported, under
+// Multiply's own conditions (AlgHeap needs sorted rows in B; AlgAuto
+// resolves through the recipe); a ShardSink is not — a spilled product
+// aliases its temp-file mapping and is single-use, the opposite of what a
+// reusable plan is for. opt.Context, when set, is the inspector's scratch;
+// opt.Stats, when set, receives its per-phase times.
 func NewPlan(a, b *matrix.CSR, opt *Options) (*Plan, error) {
 	if opt == nil {
 		opt = &Options{}
-	}
-	if opt.Mask != nil {
-		return nil, fmt.Errorf("spgemm: plans support unmasked products only")
 	}
 	alg, err := opt.kernelFor(a, b)
 	if err != nil {
@@ -108,15 +100,12 @@ func NewPlan(a, b *matrix.CSR, opt *Options) (*Plan, error) {
 	p := &Plan{
 		a: a, b: b,
 		unsorted: opt.Unsorted,
-		stats:    opt.Stats,
-		ctx:      ctx,
 		fpA:      a.StructureChecksum(),
 		fpB:      b.StructureChecksum(),
 	}
-	in, pt := inspect(alg, a, b, opt, ctx, true)
+	in, pt := inspect(alg, a, b, nil, opt, ctx, true)
 	pt.finish()
 	p.in = in.clone()
-	p.valid = true
 	if n := 4 * (rangeFlop(p.in.flopRow, 0, a.Rows) + p.NNZ()); alg != AlgHeap && n <= shardedAutoBytes.Load() {
 		p.mapBytes = n
 	}
@@ -124,38 +113,26 @@ func NewPlan(a, b *matrix.CSR, opt *Options) (*Plan, error) {
 	return p, nil
 }
 
-// NNZ returns the number of nonzeros every Execute will produce.
+// NNZ returns the number of nonzeros every execution will produce.
 func (p *Plan) NNZ() int64 { return p.in.rowPtr[len(p.in.rowPtr)-1] }
 
 // Bytes returns the memory the plan retains: its inspection plus the replay
 // map at its eventual size, built yet or not (fixed at NewPlan).
 func (p *Plan) Bytes() int64 { return p.in.bytes() + p.mapBytes }
 
-// Invalidate marks the plan stale; every later Execute returns ErrPlanStale.
-// Call it after changing the structure of A or B in a way the caller knows
-// about — the fingerprint check would catch it anyway, but an explicit
-// invalidation documents intent and skips the checksum of a doomed Execute.
-func (p *Plan) Invalidate() { p.valid = false }
-
-// Execute runs the numeric phase against the current values of A and B and
-// returns a product of the caller's own (built in fresh arrays, or in those
-// of one the caller donated to the Context), bit-identical to what
-// Multiply(a, b, ...) with the plan's options would produce. The inputs'
-// structure is revalidated by fingerprint; ErrPlanStale means the plan (and
-// its cached symbolic result) no longer applies.
-func (p *Plan) Execute() (*matrix.CSR, error) {
-	return p.ExecuteIn(p.ctx, p.stats)
-}
-
-// ExecuteIn is Execute with caller-supplied mutable state: the numeric
-// phase draws its accumulators and scratch from ctx (nil means a fresh
-// transient context) and reports into stats (nil disables stats). Concurrent
-// ExecuteIn calls on the same Plan are safe as long as each uses a distinct
-// Context — the contract the multiply server's plan cache relies on. The
-// second execution also builds the replay map (charged to PhaseSymbolic);
-// one that finds the map streams through it (WorkerStats.ReplayFlop).
+// ExecuteIn runs the numeric phase against the current values of A and B
+// and returns a product of the caller's own (built in fresh arrays, or in
+// those of one the caller donated to ctx), bit-identical to what Multiply(a,
+// b, ...) with the plan's options would produce. The inputs' structure is
+// revalidated by fingerprint; ErrPlanStale means the plan (and its cached
+// symbolic result) no longer applies. The numeric phase draws its
+// accumulators and scratch from ctx (nil means a fresh transient context) and
+// reports into stats (nil disables stats); concurrent calls on the same Plan
+// are safe as long as each uses a distinct Context. The second execution also
+// builds the replay map (charged to PhaseSymbolic); one that finds the map
+// streams through it (WorkerStats.ReplayFlop).
 func (p *Plan) ExecuteIn(ctx *Context, stats *ExecStats) (*matrix.CSR, error) {
-	if !p.valid || p.a.StructureChecksum() != p.fpA || p.b.StructureChecksum() != p.fpB {
+	if p.a.StructureChecksum() != p.fpA || p.b.StructureChecksum() != p.fpB {
 		mPlanStale.Inc()
 		return nil, ErrPlanStale
 	}

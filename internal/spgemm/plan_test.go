@@ -23,7 +23,7 @@ func TestPlanExecuteMatchesMultiply(t *testing.T) {
 				t.Fatal(err)
 			}
 			for round := 0; round < 3; round++ {
-				got, err := plan.Execute()
+				got, err := plan.ExecuteIn(opt.Context, nil)
 				if err != nil {
 					t.Fatalf("%v round %d: %v", alg, round, err)
 				}
@@ -59,7 +59,7 @@ func TestPlanStaleOnStructureChange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := plan.Execute(); err != nil {
+		if _, err := plan.ExecuteIn(nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Move one stored entry of B to a different column: identical nnz and
@@ -73,22 +73,9 @@ func TestPlanStaleOnStructureChange(t *testing.T) {
 		if b.ColIdx[0] == old {
 			t.Skip("cannot perturb single-column matrix")
 		}
-		if _, err := plan.Execute(); !errors.Is(err, ErrPlanStale) {
+		if _, err := plan.ExecuteIn(nil, nil); !errors.Is(err, ErrPlanStale) {
 			t.Fatalf("%v: structure change not detected: err = %v", alg, err)
 		}
-	}
-}
-
-func TestPlanInvalidate(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	a := matrix.Random(40, 40, 0.1, rng)
-	plan, err := NewPlan(a, a, &Options{Algorithm: AlgHash})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.Invalidate()
-	if _, err := plan.Execute(); !errors.Is(err, ErrPlanStale) {
-		t.Fatalf("invalidated plan executed: err = %v", err)
 	}
 }
 
@@ -105,9 +92,6 @@ func TestPlanRejectsUnsupported(t *testing.T) {
 	}
 	if _, err := NewPlan(a, a, &Options{Algorithm: Algorithm(NumAlgorithms)}); err == nil {
 		t.Fatal("plan for an unknown algorithm accepted")
-	}
-	if _, err := NewPlan(a, a, &Options{Algorithm: AlgHash, Mask: a}); err == nil {
-		t.Fatal("masked plan accepted")
 	}
 	bad := matrix.Random(20, 30, 0.1, rng) // 30x30 · 20x30
 	if _, err := NewPlan(a, bad, nil); err == nil {
@@ -129,7 +113,7 @@ func TestPlanExecuteSkipsInspection(t *testing.T) {
 	if stats.Phases[PhaseSymbolic] == 0 {
 		t.Fatal("inspector recorded no symbolic time")
 	}
-	if _, err := plan.Execute(); err != nil {
+	if _, err := plan.ExecuteIn(nil, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Phases[PhasePartition] != 0 || stats.Phases[PhaseSymbolic] != 0 {
@@ -163,7 +147,7 @@ func TestPlanSharedContextInterleaved(t *testing.T) {
 		if _, err := Multiply(other, other, &Options{Algorithm: AlgHeap, Workers: 3, Context: ctx}); err != nil {
 			t.Fatal(err)
 		}
-		got, err := plan.Execute()
+		got, err := plan.ExecuteIn(ctx, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,25 +157,27 @@ func TestPlanSharedContextInterleaved(t *testing.T) {
 	}
 }
 
-func TestPlanExecuteInMatchesExecute(t *testing.T) {
+// TestPlanExecuteInNilContext: a nil Context is a fresh transient one and a
+// caller's is reused; both give Multiply's product, and stats are filled.
+func TestPlanExecuteInNilContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	a := matrix.Random(90, 80, 0.07, rng)
 	b := matrix.Random(80, 70, 0.07, rng)
-	plan, err := NewPlan(a, b, &Options{Algorithm: AlgHash, Workers: 2})
+	opt := &Options{Algorithm: AlgHash, Workers: 2}
+	plan, err := NewPlan(a, b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plan.Execute()
+	want, err := Multiply(a, b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A nil context is a fresh transient one; a caller context is reused.
 	got, err := plan.ExecuteIn(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !csrEqual(got, want) {
-		t.Fatal("ExecuteIn(nil, nil) differs from Execute")
+		t.Fatal("ExecuteIn(nil, nil) differs from Multiply")
 	}
 	ctx := NewContext()
 	stats := &ExecStats{}
@@ -200,7 +186,7 @@ func TestPlanExecuteInMatchesExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !csrEqual(got, want) {
-		t.Fatal("ExecuteIn(ctx, stats) differs from Execute")
+		t.Fatal("ExecuteIn(ctx, stats) differs from Multiply")
 	}
 	if stats.Algorithm != AlgHash || stats.Total <= 0 {
 		t.Fatalf("stats not populated: %+v", stats)
@@ -316,7 +302,7 @@ func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 					t.Fatal(err)
 				}
 				sum := planned.Clone()
-				if _, err := plan.Execute(); err != nil {
+				if _, err := plan.ExecuteIn(nil, &planned); err != nil {
 					t.Fatal(err)
 				}
 				sum.Add(&planned)
@@ -333,7 +319,7 @@ func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 				if got != want {
 					t.Errorf("NewPlan + Execute report %+v, Multiply reports %+v", got, want)
 				}
-				if _, err := plan.Execute(); err != nil {
+				if _, err := plan.ExecuteIn(nil, &planned); err != nil {
 					t.Fatal(err)
 				}
 				streams := tc.name != "heap"
@@ -344,7 +330,7 @@ func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 				if second := planned.TotalWorker(); second.ReplayFlop != 0 || second.Flop != want.Flop {
 					t.Errorf("second Execute reports %+v; want the kernel's %d flop", second, want.Flop)
 				}
-				if _, err := plan.Execute(); err != nil {
+				if _, err := plan.ExecuteIn(nil, &planned); err != nil {
 					t.Fatal(err)
 				}
 				if planned.Phases[PhasePartition] != 0 || planned.Phases[PhaseSymbolic] != 0 {

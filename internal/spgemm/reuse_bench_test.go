@@ -72,13 +72,13 @@ func BenchmarkMultiplyReuse(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := plan.Execute(); err != nil {
+			if _, err := plan.ExecuteIn(ctx, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.Execute(); err != nil {
+				if _, err := plan.ExecuteIn(ctx, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -92,7 +92,7 @@ func BenchmarkMultiplyReuse(b *testing.B) {
 				b.Fatal(err)
 			}
 			for warm := 0; warm < 2; warm++ {
-				c, err := plan.Execute()
+				c, err := plan.ExecuteIn(ctx, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -101,7 +101,7 @@ func BenchmarkMultiplyReuse(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := plan.Execute()
+				c, err := plan.ExecuteIn(ctx, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -142,7 +142,7 @@ func checkRingFast[V float64 | float32 | int64, R semiring.Ring[V]](t *testing.T
 							t.Fatal(err)
 						}
 						for run := 0; run < 3; run++ { // the kernel, the replay map's build, the streamed replay
-							replay, err := plan.Execute()
+							replay, err := plan.ExecuteIn(nil, nil)
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -16,13 +16,13 @@ import (
 // loop (driver.go) runs them; this file only counts the stripes and reports
 // what the cut looked like.
 //
-// Identity guarantee: with sorted output, the product is bit-identical
-// whatever the stripe count and the sink. A row's products fold in A-row
-// order through the same row function whichever stripe the row falls in,
-// per-row extraction sorts canonically, and rows land at the offsets the one
-// row-pointer array dictates. With unsorted output the entry *sets* match but
-// the order within a row may differ — hash-table iteration order depends on
-// table capacity, which is sized per stripe.
+// Identity guarantee: the product is bit-identical whatever the stripe count
+// and the sink, sorted or unsorted. A row's products fold in A-row order
+// through the same row function whichever stripe the row falls in, and rows
+// land at the offsets the one row-pointer array dictates. A sorted row is
+// extracted in column order; an unsorted one in first-touch order, which the
+// SPA and the hash table both keep whatever their capacity (hashrow.go), so
+// neither the stripe's table size nor its accumulator choice shows.
 
 // defaultShardMemBudget is the resident-bytes target one stripe's output
 // upper bound is sized against when Options.ShardMemBudget is zero.

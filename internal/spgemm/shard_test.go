@@ -236,7 +236,7 @@ func TestShardedPlanReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := plan.Execute()
+		got, err := plan.ExecuteIn(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestShardedPlanReplay(t *testing.T) {
 	// Structural change must surface staleness.
 	if a.NNZ() > 0 {
 		a.ColIdx[0] ^= 1
-		if _, err := plan.Execute(); err != ErrPlanStale {
+		if _, err := plan.ExecuteIn(nil, nil); err != ErrPlanStale {
 			t.Fatalf("structural change: got %v, want ErrPlanStale", err)
 		}
 	}
@@ -415,8 +415,7 @@ func TestShardedAutoRouting(t *testing.T) {
 // algorithm. AlgAuto (on an input the recipe would give Heap) and Hash
 // each land their stripes in it: the product spills, every stripe
 // says so, and the sorted output is bit-identical to the sink-less Hash
-// product. Heap and a masked product, which are one-phase, refuse a sink,
-// and an unsorted one-worker Hash product that takes the one-pass route
+// product. Heap, which is one-phase, refuses a sink, and an unsorted one-worker Hash product that takes the one-pass route
 // without one keeps its symbolic pass with one.
 func TestSpillSinkEveryTwoPhaseProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
@@ -452,15 +451,12 @@ func TestSpillSinkEveryTwoPhaseProduct(t *testing.T) {
 		}
 	}
 
-	for _, opt := range []Options{{Algorithm: AlgHeap}, {Algorithm: AlgHash, Mask: a}} {
-		sink := NewSpillSink[float64](t.TempDir(), budget)
-		opt.ShardSink = sink
-		if _, err := Multiply(a, a, &opt); err == nil {
-			t.Errorf("%v (masked: %v) accepted a sink", opt.Algorithm, opt.Mask != nil)
-		}
-		if err := sink.Close(); err != nil {
-			t.Fatal(err)
-		}
+	heapSink := NewSpillSink[float64](t.TempDir(), budget)
+	if _, err := Multiply(a, a, &Options{Algorithm: AlgHeap, ShardSink: heapSink}); err == nil {
+		t.Error("heap accepted a sink")
+	}
+	if err := heapSink.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	thin := gen.Unsorted(gen.ER(10, 3, rng), rng)

@@ -35,7 +35,7 @@ const (
 	// two-phase, thread-private linear-probing tables sized to the per-
 	// thread flop upper bound, balanced scheduling. Accepts any input
 	// order; emits sorted or unsorted output ("Any/Select"). The only
-	// kernel that fuses an output mask.
+	// kernel that fuses an output mask (MaskedRowSums).
 	AlgHash
 	// AlgHeap is the optimized heap SpGEMM (Section 4.2.3): one-phase,
 	// k-way merge with a thread-private binary heap, thread-private
@@ -97,11 +97,6 @@ type OptionsG[V semiring.Value] struct {
 	// the choice (see SupportsUnsorted). Skipping the per-row sort is the
 	// significant optimization of the paper's Section 5.4.4.
 	Unsorted bool
-	// Mask, when non-nil, restricts the output pattern: only entries whose
-	// position is stored in Mask are produced (its values are ignored).
-	// Supported by AlgHash (and AlgAuto, which resolves to it); required by
-	// MaskedRowSums.
-	Mask *matrix.CSRG[V]
 	// UseCase tells the AlgAuto recipe which Table 4 scenario this product
 	// is (squaring-like, square × tall-skinny, or triangular L×U). The zero
 	// value is UseSquare. Ignored unless Algorithm is AlgAuto.
@@ -128,8 +123,8 @@ type OptionsG[V semiring.Value] struct {
 	// nil means the output itself; a SpillSink bounds peak resident output
 	// memory for out-of-core products, and its sorted output is
 	// bit-identical to the in-place one. AlgAuto with a sink resolves to
-	// AlgHash; Heap and masked products, one-phase, reject one. A sink
-	// serves a single Multiply call.
+	// AlgHash; Heap, one-phase, rejects one. A sink serves a single
+	// Multiply call.
 	ShardSink *SpillSink[V]
 }
 
@@ -185,41 +180,48 @@ func MultiplyRing[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 }
 
 // MaskedRowSums returns, for each row i, the left fold with ring.Add, from
-// ring.Zero(), of row i of MultiplyRing(ring, a, b, opt) in ascending column
-// order: the row sums of (A·B).*M, M being opt.Mask, which is required. The
-// product is never stored (onePhaseExecute), so through a reused opt.Context
-// the returned slice is all a call allocates.
-func MaskedRowSums[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V]) ([]V, error) {
-	if opt == nil || opt.Mask == nil {
-		return nil, fmt.Errorf("spgemm: MaskedRowSums needs Options.Mask")
+// ring.Zero(), of row i of (A·B).*M in ascending column order, M being mask
+// (only its pattern counts). It is the one masked kernel: Hash's (AlgAuto
+// resolves to it) run on the one-phase geometry, each row bounded by its
+// mask row (maskedRow) and folded away, so no product is ever stored and
+// through a reused opt.Context the returned slice is all a call allocates.
+func MaskedRowSums[V semiring.Value, R semiring.Ring[V]](ring R, a, b, mask *matrix.CSRG[V], opt *OptionsG[V]) ([]V, error) {
+	if opt == nil {
+		opt = &OptionsG[V]{}
 	}
-	alg, err := opt.kernelFor(a, b)
-	if err != nil {
-		return nil, err
+	switch {
+	case a.Cols != b.Rows:
+		return nil, fmt.Errorf("spgemm: dimension mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	case mask == nil:
+		return nil, fmt.Errorf("spgemm: MaskedRowSums needs a mask")
+	case opt.Algorithm != AlgAuto && opt.Algorithm != AlgHash:
+		return nil, fmt.Errorf("spgemm: mask is only supported by hash, not %v", opt.Algorithm)
+	case mask.Rows != a.Rows || mask.Cols != b.Cols:
+		return nil, fmt.Errorf("spgemm: mask dimensions %dx%d do not match output %dx%d", mask.Rows, mask.Cols, a.Rows, b.Cols)
+	case opt.ShardSink != nil:
+		return nil, fmt.Errorf("spgemm: MaskedRowSums stores no product for a ShardSink to take")
 	}
 	ctx := opt.ctx()
-	in, pt := inspect(alg, a, b, opt, ctx, false)
+	in, pt := inspect(AlgHash, a, b, mask, opt, ctx, false)
 	sums := make([]V, a.Rows)
-	onePhaseExecute(ring, a, b, ctx, in, nil, false, sums, pt)
-	recordMultiply(alg, opt)
+	onePhaseExecute(ring, a, b, ctx, in, nil, sums, pt)
+	recordMultiply(AlgHash, opt)
 	return sums, nil
 }
 
 // kernelFor checks that a·b is a product some kernel can compute under o and
 // names that kernel — Algorithm itself, or the recipe's answer for AlgAuto:
-// a mask needs Hash and the output's shape, a sink a two-phase product.
-// MultiplyRing, MaskedRowSums and NewPlan all start here, so a product has a
-// Plan exactly when it has a one-shot result.
+// a sink needs a two-phase product. MultiplyRing and NewPlan both start
+// here, so a product has a Plan exactly when it has a one-shot result.
 func (o *OptionsG[V]) kernelFor(a, b *matrix.CSRG[V]) (Algorithm, error) {
 	if a.Cols != b.Rows {
 		return 0, fmt.Errorf("spgemm: dimension mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	alg := o.Algorithm
 	if alg == AlgAuto {
-		// The Table 4 recipe knows nothing of masks or sinks and may answer
-		// Heap; of the kernels it can return, only Hash fuses a mask or
-		// lands its stripes in a sink.
-		if o.Mask != nil || o.ShardSink != nil {
+		// The Table 4 recipe knows nothing of sinks and may answer Heap; of
+		// the kernels it can return, only Hash lands its stripes in a sink.
+		if o.ShardSink != nil {
 			alg = AlgHash
 		} else {
 			alg = Recommend(a, b, !o.Unsorted, o.UseCase)
@@ -231,17 +233,8 @@ func (o *OptionsG[V]) kernelFor(a, b *matrix.CSRG[V]) (Algorithm, error) {
 	if RequiresSortedInput(alg) && !b.Sorted {
 		return 0, fmt.Errorf("spgemm: %v algorithm requires sorted input rows (B is unsorted)", alg)
 	}
-	if o.Mask != nil {
-		if alg != AlgHash {
-			return 0, fmt.Errorf("spgemm: mask is only supported by hash, not %v", alg)
-		}
-		if o.Mask.Rows != a.Rows || o.Mask.Cols != b.Cols {
-			return 0, fmt.Errorf("spgemm: mask dimensions %dx%d do not match output %dx%d",
-				o.Mask.Rows, o.Mask.Cols, a.Rows, b.Cols)
-		}
-	}
-	if o.ShardSink != nil && (alg == AlgHeap || o.Mask != nil) {
-		return 0, fmt.Errorf("spgemm: a ShardSink needs a two-phase product; heap and masked products are one-phase")
+	if o.ShardSink != nil && alg == AlgHeap {
+		return 0, fmt.Errorf("spgemm: a ShardSink needs a two-phase product; heap is one-phase")
 	}
 	return alg, nil
 }

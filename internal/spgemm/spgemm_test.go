@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -257,72 +258,57 @@ func TestSemiringOrAnd(t *testing.T) {
 	}
 }
 
+// TestMaskedMultiply: every row sum of (A·B).*M is the sum of the full
+// product's row over the mask's pattern.
 func TestMaskedMultiply(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
 	for trial := 0; trial < 10; trial++ {
 		a, b := randPair(rng, 30, 0.2)
 		mask := matrix.Random(a.Rows, b.Cols, 0.3, rng)
-		full := matrix.NaiveMultiply(a, b)
-		// Reference: full product filtered to mask pattern.
-		wantD := full.ToDense()
+		full := matrix.NaiveMultiply(a, b).ToDense()
 		maskD := mask.ToDense()
-		for i := 0; i < wantD.Rows; i++ {
-			for j := 0; j < wantD.Cols; j++ {
-				if maskD.At(i, j) == 0 {
-					wantD.Set(i, j, 0)
-				}
-			}
-		}
-		got, err := Multiply(a, b, &Options{Algorithm: AlgHash, Mask: mask, Workers: 2})
+		got, err := MaskedRowSums(semiring.PlusTimesF64{}, a, b, mask, &Options{Algorithm: AlgHash, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.ToDense().EqualApprox(wantD, 1e-10) {
-			t.Fatalf("trial %d: masked product wrong", trial)
-		}
-		// No entry outside the mask.
-		for i := 0; i < got.Rows; i++ {
-			cols, _ := got.Row(i)
-			for _, c := range cols {
-				if maskD.At(i, int(c)) == 0 {
-					t.Fatalf("entry (%d,%d) outside mask", i, c)
+		for i := 0; i < full.Rows; i++ {
+			var want float64
+			for j := 0; j < full.Cols; j++ {
+				if maskD.At(i, j) != 0 {
+					want += full.At(i, j)
 				}
+			}
+			if math.Abs(got[i]-want) > 1e-10*math.Max(1, math.Abs(want)) {
+				t.Fatalf("trial %d: row %d sums to %v, want %v", trial, i, got[i], want)
 			}
 		}
 	}
 }
 
-// TestAutoWithMaskResolvesToHash: AlgAuto must not hand a masked product to
-// a kernel that cannot fuse the mask. On this input the unmasked Table 4
-// recipe answers Heap for the sorted request, which used to fail the call.
+// TestAutoWithMaskResolvesToHash: AlgAuto must not hand masked row sums to a
+// kernel that cannot fuse the mask. On this input the unmasked Table 4
+// recipe answers Heap for the sorted request.
 func TestAutoWithMaskResolvesToHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(112))
 	a := gen.ER(9, 2, rng)
 	if alg := Recommend(a, a, true, UseSquare); alg != AlgHeap {
 		t.Fatalf("recipe answers %v here; the test needs an input it answers heap on", alg)
 	}
-	pattern := a.Clone()
-	for i := range pattern.Val {
-		pattern.Val[i] = 1
-	}
-	want, err := matrix.HadamardG(matrix.NaiveMultiply(a, a), pattern)
+	want, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, &Options{Algorithm: AlgHash, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, unsorted := range []bool{false, true} {
 		var st ExecStats
-		got, err := Multiply(a, a, &Options{Mask: a, Unsorted: unsorted, Workers: 2, Stats: &st})
+		got, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, &Options{Unsorted: unsorted, Workers: 2, Stats: &st})
 		if err != nil {
 			t.Fatalf("unsorted=%v: %v", unsorted, err)
 		}
 		if st.Algorithm != AlgHash {
 			t.Errorf("unsorted=%v: auto with a mask ran %v, want hash", unsorted, st.Algorithm)
 		}
-		if err := got.Validate(); err != nil {
-			t.Fatalf("unsorted=%v: %v", unsorted, err)
-		}
-		if !matrix.EqualApprox(want, got, 1e-9) {
-			t.Fatalf("unsorted=%v: masked auto product differs from NaiveMultiply .* mask", unsorted)
+		if !slices.Equal(got, want) {
+			t.Fatalf("unsorted=%v: auto row sums differ from hash's", unsorted)
 		}
 	}
 }
@@ -330,49 +316,55 @@ func TestAutoWithMaskResolvesToHash(t *testing.T) {
 func TestMaskRejectedForOtherAlgorithms(t *testing.T) {
 	// One masked kernel: every algorithm but Hash gets the same error.
 	a := matrix.Identity(4)
-	_, err := Multiply(a, a, &Options{Algorithm: AlgHeap, Mask: a})
+	_, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, &Options{Algorithm: AlgHeap})
 	if err == nil || !strings.Contains(err.Error(), "mask is only supported by hash") {
 		t.Fatalf("heap with a mask: err = %v, want the mask-unsupported error", err)
 	}
 }
 
-// TestMaskedRowSumsRejects: MaskedRowSums runs MultiplyRing's own mask and
-// sink checks, and a missing mask is an error of its own.
+// TestMaskedRowSumsRejects: MaskedRowSums checks its operands, its mask and
+// its options itself, and nil options are the defaults.
 func TestMaskedRowSumsRejects(t *testing.T) {
 	a := matrix.Identity(4)
+	if _, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, nil); err != nil {
+		t.Errorf("nil options: %v", err)
+	}
 	sink := NewSpillSink[float64](t.TempDir(), 0)
 	defer sink.Close()
 	for _, tc := range []struct {
 		name string
+		b    *matrix.CSR
+		mask *matrix.CSR
 		opt  *Options
 	}{
-		{"nil options", nil},
-		{"no mask", &Options{Algorithm: AlgHash}},
-		{"heap", &Options{Algorithm: AlgHeap, Mask: a}},
-		{"mask shape", &Options{Mask: matrix.Identity(5)}},
-		{"sink", &Options{Mask: a, ShardSink: sink}},
+		{"no mask", a, nil, &Options{Algorithm: AlgHash}},
+		{"heap", a, a, &Options{Algorithm: AlgHeap}},
+		{"mask shape", a, matrix.Identity(5), nil},
+		{"inner dimension", matrix.Identity(5), a, nil},
+		{"sink", a, a, &Options{ShardSink: sink}},
 	} {
-		if _, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, tc.opt); err == nil {
+		if _, err := MaskedRowSums(semiring.PlusTimesF64{}, a, tc.b, tc.mask, tc.opt); err == nil {
 			t.Errorf("%s: MaskedRowSums returned no error", tc.name)
 		}
 	}
 }
 
-// TestMaskedRowSumsStoresNoProduct: the row sums are the product's, fold for
-// fold, yet no output array is drawn, no phase sizes or assembles one, and
-// through a reused Context a call allocates the returned slice and no more
-// than the closures of its parallel region.
+// TestMaskedRowSumsStoresNoProduct: the row sums are the ascending folds of
+// the unmasked Hash product's rows over the mask, yet no output array is
+// drawn, no phase sizes or assembles one, and through a reused Context a call
+// allocates the returned slice and no more than the closures of its parallel
+// region.
 func TestMaskedRowSumsStoresNoProduct(t *testing.T) {
 	a := gen.RMAT(9, 8, gen.G500Params, rand.New(rand.NewSource(41)))
 	for _, workers := range []int{1, 2} {
 		ctx := NewContext()
-		prod, err := Multiply(a, a, &Options{Mask: a, Workers: workers})
+		prod, err := Multiply(a, a, &Options{Algorithm: AlgHash, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		drawn, drawnBytes := mOutputAllocated.Value(), mOutputAllocatedBytes.Value()
 		var st ExecStats
-		sums, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, &Options{Mask: a, Workers: workers, Context: ctx, Stats: &st})
+		sums, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, &Options{Workers: workers, Context: ctx, Stats: &st})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,18 +377,22 @@ func TestMaskedRowSumsStoresNoProduct(t *testing.T) {
 		}
 		for i := range sums {
 			var want float64
-			for _, v := range prod.Val[prod.RowPtr[i]:prod.RowPtr[i+1]] {
-				want += v
+			mcols, _ := a.Row(i)
+			cols, vals := prod.Row(i)
+			for p, c := range cols {
+				if slices.Contains(mcols, c) {
+					want += vals[p]
+				}
 			}
 			if math.Float64bits(sums[i]) != math.Float64bits(want) {
 				t.Fatalf("W=%d: row %d sums to %v, want %v", workers, i, sums[i], want)
 			}
 		}
-		opt := &Options{Mask: a, Workers: workers, Context: ctx}
+		opt := &Options{Workers: workers, Context: ctx}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range 5 {
-			if _, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, opt); err != nil {
+			if _, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, opt); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -410,7 +406,7 @@ func TestMaskedRowSumsStoresNoProduct(t *testing.T) {
 func TestMaskDimensionMismatch(t *testing.T) {
 	a := matrix.Identity(4)
 	m := matrix.Identity(5)
-	if _, err := Multiply(a, a, &Options{Algorithm: AlgHash, Mask: m}); err == nil {
+	if _, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, m, &Options{Algorithm: AlgHash}); err == nil {
 		t.Fatal("expected mask dimension error")
 	}
 }

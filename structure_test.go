@@ -254,6 +254,17 @@ var structure = []row{
 	{name: "no-cumulative-stats", kind: forbid, paths: retired, re: `\b(CumulativeStats|cumCalls)\b`, change: "The matrix store and the plan cache are one bounded LRU",
 		why:    "a Context keeps no stats of its callers; MCL sums its own expansions with ExecStats.Add",
 		mutant: plant{"internal/graph/mcl.go", "\t\tres.Stats = inner.Context.CumulativeStats()"}},
+
+	// Masks have one consumer.
+	{name: "no-options-mask", kind: forbid, paths: []string{"**/*.go", "!**/*_test.go"}, re: `\bMask:|\bopt\.Mask\b|^\s+Mask\s+\*`, change: "Masks have one consumer",
+		why:    "the mask is an argument of MaskedRowSums, not an option of every product",
+		mutant: plant{"internal/graph/triangles.go", "\topt.Algorithm, opt.Mask = spgemm.AlgHash, l"}},
+	{name: "no-mask-need", kind: forbid, paths: []string{"internal/spgemm/**", "DESIGN.md", "README.md"}, re: `\bmaskNeed\b`, change: "Masks have one consumer",
+		why:    "masked row sums keep one window per worker; no window is sized for a stored masked row",
+		mutant: plant{"internal/spgemm/context.go", "\t\t\twin[s+1] = win[s] + maskNeed(in.mask, in.flopRow, lo, hi)"}},
+	{name: "no-plan-execution-state", kind: forbid, paths: retired, re: `\b(Execute|Invalidate)\(\)|\bPlan\.(Execute|Invalidate)\b`, change: "Masks have one consumer",
+		why:    "a Plan holds no Context, stats or validity flag: every execution names its own (ExecuteIn)",
+		mutant: plant{"internal/spgemm/plan.go", "func (p *Plan) Invalidate() { p.valid = false }"}},
 }
 
 // allowed is the number of hits the tree may hold.
