@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/memmodel"
 )
 
 func TestParsePreset(t *testing.T) {
@@ -17,6 +19,20 @@ func TestParsePreset(t *testing.T) {
 	}
 	if _, err := ParsePreset("bogus"); err == nil {
 		t.Fatal("expected error for unknown preset")
+	}
+}
+
+// TestDDRTierFallsBack: a stanza curve with no latency (short stanzas faster
+// than long ones, as from a probe that sits in cache) is no DDR fit, so
+// Figures 5 and 10 model with memmodel.DefaultDDR and say so.
+func TestDDRTierFallsBack(t *testing.T) {
+	cached := []memmodel.StanzaResult{{StanzaBytes: 16, GBps: 4}, {StanzaBytes: 4096, GBps: 3.2}}
+	if tier, note := ddrTier(cached); tier != memmodel.DefaultDDR || !strings.Contains(note, "DefaultDDR") {
+		t.Fatalf("ddrTier = %+v, %q; want DefaultDDR, named", tier, note)
+	}
+	fit := []memmodel.StanzaResult{{StanzaBytes: 16, GBps: 1}, {StanzaBytes: 4096, GBps: 8}}
+	if tier, note := ddrTier(fit); tier.LatencyNs <= 0 || !strings.Contains(note, "fitted") {
+		t.Fatalf("ddrTier = %+v, %q; want a fitted tier", tier, note)
 	}
 }
 

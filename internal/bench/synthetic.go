@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"time"
 
 	"repro/internal/bench/baseline"
 	"repro/internal/gen"
@@ -89,10 +90,11 @@ func runFig9(cfg Config, w io.Writer) error {
 
 // runFig10 reproduces Figure 10: the speedup MCDRAM (Cache mode) gives over
 // DDR-only, for G500 matrices of fixed scale and growing edge factor. With
-// no MCDRAM hardware, speedups come from the fitted two-tier model applied
-// to each workload's measured access statistics (see DESIGN.md).
+// no MCDRAM hardware, speedups come from the two-tier model (ddrTier and the
+// paper's MCDRAM ratios) applied to each workload's measured access
+// statistics (see DESIGN.md).
 func runFig10(cfg Config, w io.Writer) error {
-	// The memory experiment needs B to exceed the simulated 1 MiB L2, so
+	// The memory experiment needs B to exceed a KNL tile's 1 MiB L2, so
 	// Quick already runs the paper's scale 15; Tiny stays small (and its B
 	// fits in cache — near-1 speedups are the correct prediction there).
 	scale := 15
@@ -100,40 +102,23 @@ func runFig10(cfg Config, w io.Writer) error {
 		scale = 10
 	}
 	rng := rand.New(rand.NewSource(cfg.seed()))
-	// Fit the DDR tier to this host's measured stanza curve (the Figure 5
-	// methodology) and derive the MCDRAM tier from the paper's published
-	// ratios. The analytic model with the fitted tier reproduces the
-	// paper's speedup band and trend; the cache-simulator columns are
-	// reported as diagnostics (a faithful traffic simulation would need
-	// the aggregate 272-thread cache pressure, out of scope — DESIGN.md).
 	lengths := []int{16, 64, 256, 1024, 4096, 16384}
-	hostResults := memmodel.MeasureStanzaBandwidth(1<<25, lengths, 10_000_000) // 10ms per point
-	ddr, err := memmodel.FitTier("DDR", hostResults)
-	if err != nil {
-		ddr = memmodel.DefaultDDR
-	}
+	ddr, tier := ddrTier(memmodel.MeasureStanzaBandwidth(1<<25, lengths, 10*time.Millisecond))
 	mc := memmodel.MCDRAMFrom(ddr)
 
-	t := newTable("edge_factor", "heap", "hash", "hashvec", "hash(unsorted)", "hashvec(unsorted)", "sim_spill", "sim_Bmiss")
+	t := newTable("edge_factor", "heap", "hash", "hashvec", "hash(unsorted)", "hashvec(unsorted)")
 	for _, ef := range []int{4, 8, 16, 32, 64} {
 		a := gen.RMAT(scale, ef, gen.G500Params, rng)
-		nnzC := matrix.SymbolicNNZ(a, a)
-		st := spgemm.CollectAccessStats(a, a, nnzC)
-		// Replay each algorithm's access pattern through a simulated
-		// KNL-tile L2 to determine how much traffic reaches memory.
-		sim := memmodel.SimulateHashSpGEMM(a, a, memmodel.KNLTileL2, 1<<21)
+		st := spgemm.CollectAccessStats(a, a, matrix.SymbolicNNZ(a, a))
 		heapSp := memmodel.ModeledSpeedup(st, ddr, mc, memmodel.FineGrained)
 		hashSp := memmodel.ModeledSpeedup(st, ddr, mc, memmodel.StanzaReads)
 		// Sorting traffic is cache-resident; sorted and unsorted variants
 		// differ only marginally in memory terms — the paper's Figure 10
 		// shows them tracking each other closely.
-		t.add(fmt.Sprintf("%d", ef), f2(heapSp), f2(hashSp), f2(hashSp), f2(hashSp), f2(hashSp),
-			f2(sim.AccumulatorSpill()), f2(sim.BMissRate()))
+		t.add(fmt.Sprintf("%d", ef), f2(heapSp), f2(hashSp), f2(hashSp), f2(hashSp), f2(hashSp))
 	}
 	t.write(w, cfg.CSV)
-	fmt.Fprintf(w, "# modeled speedup = time(DDR)/time(MCDRAM); DDR fit: peak %.1f GB/s latency %.0f ns\n", ddr.PeakGBps, ddr.LatencyNs)
-	fmt.Fprintln(w, "# sim_spill / sim_Bmiss: diagnostic fractions of accumulator updates / B reads reaching memory")
-	fmt.Fprintln(w, "# in a simulated 1MiB 16-way KNL-tile L2 (see internal/memmodel/cachesim.go)")
+	fmt.Fprintf(w, "# modeled speedup = time(DDR)/time(MCDRAM); %s\n", tier)
 	fmt.Fprintln(w, "# expectation (paper): hash-family speedup grows with edge factor (toward ~1.3x);")
 	fmt.Fprintln(w, "# heap stays ~1x and can dip below 1 at high edge factor")
 	return nil

@@ -130,7 +130,8 @@ var sinkWord uint64
 
 // FitTier fits the latency-bandwidth pipe to measured stanza results by
 // linear regression of per-stanza time against stanza length: time(L) =
-// latency + L/peak.
+// latency + L/peak. A fit with no positive peak or no positive latency is an
+// error.
 func FitTier(name string, results []StanzaResult) (Tier, error) {
 	if len(results) < 2 {
 		return Tier{}, fmt.Errorf("memmodel: need at least 2 points to fit, got %d", len(results))
@@ -152,11 +153,10 @@ func FitTier(name string, results []StanzaResult) (Tier, error) {
 	}
 	slope := (n*sxy - sx*sy) / denom
 	intercept := (sy - slope*sx) / n
-	if slope <= 0 {
-		return Tier{}, fmt.Errorf("memmodel: non-physical fit (slope %g <= 0)", slope)
-	}
-	if intercept < 0 {
-		intercept = 0
+	// A pipe without latency is no memory tier: it models every access
+	// profile at the bare peak ratio.
+	if slope <= 0 || intercept <= 0 {
+		return Tier{}, fmt.Errorf("memmodel: non-physical fit (slope %g s/B, intercept %g s; both must be > 0)", slope, intercept)
 	}
 	return Tier{Name: name, PeakGBps: 1 / slope / 1e9, LatencyNs: intercept * 1e9}, nil
 }

@@ -87,6 +87,13 @@ func TestFitTierErrors(t *testing.T) {
 	if _, err := FitTier("x", same); err == nil {
 		t.Fatal("expected degenerate-fit error")
 	}
+	// Short stanzas faster than long ones, as from a probe that sits in
+	// cache: the regression's latency is negative, and a tier without
+	// latency would model every access profile at the bare peak ratio.
+	cached := []StanzaResult{{16, 4}, {4096, 3.2}}
+	if tier, err := FitTier("x", cached); err == nil {
+		t.Fatalf("expected non-physical-fit error, got %+v", tier)
+	}
 }
 
 func TestMeasureStanzaBandwidthRunsAndRises(t *testing.T) {

@@ -94,8 +94,10 @@ func (OrAndU64) String() string         { return "or-and<u64>" }
 type MinPlusF64 struct{}
 
 func (MinPlusF64) Add(a, b float64) float64 {
-	// Branch rather than math.Min: no NaN/±0 special-casing, so it inlines.
-	if a < b {
+	// Branch rather than math.Min, so it inlines. A NaN on either side wins,
+	// which keeps Add commutative under NaN (a kernel folding in its own order
+	// agrees with the oracle); ±0 compare equal and are not told apart.
+	if a < b || a != a {
 		return a
 	}
 	return b
@@ -109,7 +111,7 @@ func (MinPlusF64) String() string           { return "min-plus<f64>" }
 type MaxTimesF64 struct{}
 
 func (MaxTimesF64) Add(a, b float64) float64 {
-	if a > b {
+	if a > b || a != a { // NaN wins on either side, as in MinPlusF64.Add
 		return a
 	}
 	return b

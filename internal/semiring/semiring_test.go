@@ -83,6 +83,20 @@ func TestMaxTimes(t *testing.T) {
 	}
 }
 
+// TestMinMaxAddNaN: min-plus and max-times Add commute under NaN — a NaN on
+// either side is the sum — so a kernel folding in its own order agrees with
+// the oracle folding in another.
+func TestMinMaxAddNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, x := range []float64{-1, 0, 2.5, math.Inf(1), math.Inf(-1), nan} {
+		for _, add := range []func(a, b float64) float64{MinPlusF64{}.Add, MaxTimesF64{}.Add} {
+			if l, r := add(nan, x), add(x, nan); !math.IsNaN(l) || !math.IsNaN(r) {
+				t.Errorf("Add(NaN, %v) = %v, Add(%v, NaN) = %v; want NaN both ways", x, l, x, r)
+			}
+		}
+	}
+}
+
 // checkLaws draws triples from small (small non-negative integers, exact in
 // every V) and checks: Add commutative and associative, Zero the Add identity,
 // Mul distributive over Add.

@@ -70,7 +70,7 @@ type ContextG[V semiring.Value] struct {
 	outVals   []V
 
 	// stripeNext is the first stripe no worker of the running parallel
-	// region has started (see dealStripes).
+	// region has started (see runWorkers).
 	stripeNext atomic.Int64
 
 	// The running call's inspection and phase timer (driver.go): fields, so
@@ -101,9 +101,12 @@ func (o *OptionsG[V]) ctx() *ContextG[V] {
 }
 
 // runWorkers runs a parallel region of the running call on the process-wide
-// pool. It is the one place WorkerStats.Busy is stamped; a call without stats
-// reads no clock and wraps nothing.
+// pool. It deals the region's stripes: worker w runs stripe w first, without
+// asking, so the stripes left to claim through nextStripe start at workers.
+// It is the one place WorkerStats.Busy is stamped; a call without stats reads
+// no clock and wraps nothing.
 func (c *ContextG[V]) runWorkers(workers int, body func(worker int)) {
+	c.stripeNext.Store(int64(workers))
 	if st := c.pt.st; st != nil {
 		inner := body
 		body = func(w int) {
@@ -114,11 +117,6 @@ func (c *ContextG[V]) runWorkers(workers int, body func(worker int)) {
 	}
 	sched.RunWorkers(workers, body)
 }
-
-// dealStripes readies the stripe cursor for a parallel region of the given
-// number of workers: worker w runs stripe w first, without asking, so the
-// stripes left to claim through nextStripe start at workers.
-func (c *ContextG[V]) dealStripes(workers int) { c.stripeNext.Store(int64(workers)) }
 
 // nextStripe claims the next stripe nobody has started; the caller checks it
 // against the stripe count.

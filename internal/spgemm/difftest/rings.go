@@ -300,30 +300,25 @@ func CheckRingMasked[V semiring.Value, R semiring.Ring[V]](caseName string, ring
 // whose operations are exact and order-independent.
 func ExactEq[V semiring.Value](x, y V) bool { return x == y }
 
-// ApproxF64 compares float64 values with relative tolerance Tol, treating
-// same-signed infinities as equal (min-plus unreachable entries).
-func ApproxF64(x, y float64) bool {
-	if x == y {
-		return true
-	}
-	d := math.Abs(x - y)
-	scale := math.Max(1, math.Max(math.Abs(x), math.Abs(y)))
-	return d <= Tol*scale
-}
+// ApproxF64 compares float64 values with relative tolerance Tol; non-finite
+// values match by class and sign (two NaNs, or two infinities of one sign).
+func ApproxF64(x, y float64) bool { return approx(x, y, Tol) }
 
 // TolF32 is the float32 analogue of Tol: float32 has ~7 significant digits,
 // so reassociated sums diverge many orders of magnitude sooner.
 const TolF32 = 1e-4
 
-// ApproxF32 compares float32 values with relative tolerance TolF32.
-func ApproxF32(x, y float32) bool {
-	if x == y {
+// ApproxF32 is ApproxF64 for float32 values, with relative tolerance TolF32.
+func ApproxF32(x, y float32) bool { return approx(float64(x), float64(y), TolF32) }
+
+func approx(x, y, tol float64) bool {
+	if x == y || x != x && y != y {
 		return true
 	}
-	xf, yf := float64(x), float64(y)
-	d := math.Abs(xf - yf)
-	scale := math.Max(1, math.Max(math.Abs(xf), math.Abs(yf)))
-	return d <= TolF32*scale
+	if math.IsInf(x, 0) || math.IsInf(y, 0) {
+		return false
+	}
+	return math.Abs(x-y) <= tol*math.Max(1, math.Max(math.Abs(x), math.Abs(y)))
 }
 
 // Ring-view constructors: each maps the float64 differential Case inputs

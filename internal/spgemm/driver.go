@@ -140,7 +140,6 @@ func inspect[V semiring.Value](alg Algorithm, a, b, mask *matrix.CSRG[V], opt *O
 	// A Heap Plan counts with Hash's symbolic pass: the number of distinct
 	// columns does not depend on the numeric accumulator.
 	rowNnz := ctx.rowNnzBuf(a.Rows)
-	ctx.dealStripes(workers)
 	ctx.runWorkers(workers, func(w int) {
 		for s := w; s < in.stripes(); s = ctx.nextStripe() {
 			ctx.hashSymbolic(w, a, b, in.flopRow, in.offsets[s], in.offsets[s+1], rowNnz, pt.worker(w))
@@ -169,7 +168,6 @@ func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 	}
 	pt.tick(PhaseAlloc)
 
-	ctx.dealStripes(in.workers)
 	ctx.runWorkers(in.workers, func(w int) {
 		ws := pt.worker(w) // stripes sharing a worker slot accumulate into it
 		for s := w; s < in.stripes(); s = ctx.nextStripe() {

@@ -93,7 +93,6 @@ func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.
 	// The mask index goes by denseRule, for its reason: the O(Cols) array only
 	// where the flop one worker serves pays for it, however fine the cut.
 	dense := in.mask != nil && denseRule(b.Cols, rangeFlop(in.flopRow, 0, a.Rows)/int64(in.workers))
-	ctx.dealStripes(in.workers)
 	ctx.runWorkers(in.workers, func(w int) {
 		ws := pt.worker(w)
 		var h *accum.MergeHeapG[V]
@@ -138,7 +137,6 @@ func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.
 	sized := sched.PrefixSum(rowNnz, ctx.rowPtrBuf(a.Rows), in.workers)
 	out := ctx.outputShell(a.Rows, b.Cols, sized, true)
 	pt.tick(PhaseAlloc)
-	ctx.dealStripes(in.workers)
 	ctx.runWorkers(in.workers, func(w int) {
 		for s := w; s < in.stripes(); s = ctx.nextStripe() {
 			// The destination's length stops the copy at what the stripe produced.

@@ -72,9 +72,8 @@ type Plan struct {
 // heap folds equal columns in pop order, not product order — and the map's
 // bytes do not exceed shardedAutoBytes, the recipe's "too big to hold whole".
 type replayMap struct {
-	cols    []int32
-	offsets []int      // flop-balanced row partition over the plan's workers
-	dst     [][]uint32 // per worker, one rank per product of its rows
+	cols []int32
+	dst  [][]uint32 // per stripe of the plan's cut, one rank per product of its rows
 }
 
 // NewPlan runs the inspector: flop counts, balanced partition and symbolic
@@ -146,7 +145,7 @@ func (p *Plan) ExecuteIn(ctx *Context, stats *ExecStats) (*matrix.CSR, error) {
 	copy(rowPtr, p.in.rowPtr)
 	var c *matrix.CSR
 	if m := p.replay.Load(); m != nil {
-		c = m.execute(p.a, p.b, ctx, rowPtr, p.unsorted, pt)
+		c = m.execute(p.a, p.b, ctx, &p.in, rowPtr, p.unsorted, pt)
 	} else {
 		build := p.mapBytes > 0 && p.execs.Add(1) == 2
 		var err error
@@ -169,16 +168,12 @@ func (p *Plan) ExecuteIn(ctx *Context, stats *ExecStats) (*matrix.CSR, error) {
 // newReplayMap reads the map off c, the product the kernel just returned on
 // ctx: per row, scatter column -> rank over Cols, then look up its products.
 func newReplayMap(a, b, c *matrix.CSR, ctx *Context, in *inspection[float64]) *replayMap {
-	m := &replayMap{
-		cols:    append([]int32(nil), c.ColIdx...),
-		offsets: append([]int(nil), ctx.partition(in.flopRow, in.workers, in.workers)...),
-		dst:     make([][]uint32, in.workers),
-	}
+	m := &replayMap{cols: append([]int32(nil), c.ColIdx...), dst: make([][]uint32, in.stripes())}
 	rank := mempool.Grow(&ctx.rank, b.Cols)
-	for w := range m.dst {
-		lo, hi := m.offsets[w], m.offsets[w+1]
+	for s := range m.dst {
+		lo, hi := in.offsets[s], in.offsets[s+1]
 		dst := make([]uint32, rangeFlop(in.flopRow, lo, hi))
-		m.dst[w] = dst
+		m.dst[s] = dst
 		for i := lo; i < hi; i++ {
 			for r, col := range c.ColIdx[c.RowPtr[i]:c.RowPtr[i+1]] {
 				rank[col] = int32(r)
@@ -195,16 +190,22 @@ func newReplayMap(a, b, c *matrix.CSR, ctx *Context, in *inspection[float64]) *r
 	return m
 }
 
-// execute is the streamed replay; each worker copies and folds its own rows.
-func (m *replayMap) execute(a, b *matrix.CSR, ctx *Context, rowPtr []int64, unsorted bool, pt *phaseTimer) *matrix.CSR {
+// execute is the streamed replay over the plan's own cut: each stripe copies
+// and folds its own rows, claimed like every other region's (nextStripe).
+func (m *replayMap) execute(a, b *matrix.CSR, ctx *Context, in *inspection[float64], rowPtr []int64, unsorted bool, pt *phaseTimer) *matrix.CSR {
 	c := ctx.outputShell(a.Rows, b.Cols, rowPtr, !unsorted)
 	pt.tick(PhaseAlloc)
-	ctx.runWorkers(len(m.dst), func(w int) {
-		lo, hi := m.offsets[w], m.offsets[w+1]
-		copy(c.ColIdx[rowPtr[lo]:rowPtr[hi]], m.cols[rowPtr[lo]:rowPtr[hi]])
-		planReplayRowsF64(a, b, rowPtr, c.Val, m.dst[w], lo, hi)
-		if ws := pt.worker(w); ws != nil {
-			ws.Rows, ws.Flop, ws.ReplayFlop = int64(hi-lo), int64(len(m.dst[w])), int64(len(m.dst[w]))
+	ctx.runWorkers(in.workers, func(w int) {
+		ws := pt.worker(w)
+		for s := w; s < in.stripes(); s = ctx.nextStripe() {
+			lo, hi := in.offsets[s], in.offsets[s+1]
+			copy(c.ColIdx[rowPtr[lo]:rowPtr[hi]], m.cols[rowPtr[lo]:rowPtr[hi]])
+			planReplayRowsF64(a, b, rowPtr, c.Val, m.dst[s], lo, hi)
+			if ws != nil {
+				ws.Rows += int64(hi - lo)
+				ws.Flop += int64(len(m.dst[s]))
+				ws.ReplayFlop += int64(len(m.dst[s]))
+			}
 		}
 	})
 	pt.tick(PhaseNumeric)

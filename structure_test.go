@@ -265,6 +265,17 @@ var structure = []row{
 	{name: "no-plan-execution-state", kind: forbid, paths: retired, re: `\b(Execute|Invalidate)\(\)|\bPlan\.(Execute|Invalidate)\b`, change: "Masks have one consumer",
 		why:    "a Plan holds no Context, stats or validity flag: every execution names its own (ExecuteIn)",
 		mutant: plant{"internal/spgemm/plan.go", "func (p *Plan) Invalidate() { p.valid = false }"}},
+
+	// Figure 10 prints only what its memory model computes.
+	{name: "no-cachesim-file", kind: absent, paths: []string{"**/cachesim.go"}, change: "The cache simulator leaves",
+		why:    "the cache simulator replayed an accumulator layout no kernel runs, for two diagnostic columns",
+		mutant: plant{"internal/memmodel/cachesim.go", "package memmodel"}},
+	{name: "no-cache-simulator", kind: forbid, paths: retired, re: `\b(SimulateHashSpGEMM|NewCache|CacheConfig|KNLTileL2|SimStats)\b`, change: "The cache simulator leaves",
+		why:    "memmodel is the stanza probe and the latency-bandwidth pipe; no cache is simulated",
+		mutant: plant{"internal/bench/synthetic.go", "\t\tsim := memmodel.SimulateHashSpGEMM(a, a, memmodel.KNLTileL2, 1<<21)"}},
+	{name: "no-deal-stripes", kind: forbid, paths: retired, re: `\bdealStripes\b`, change: "The cache simulator leaves",
+		why:    "runWorkers deals every parallel region's stripes; no region readies the cursor itself",
+		mutant: plant{"internal/spgemm/driver.go", "\tctx.dealStripes(in.workers)"}},
 }
 
 // allowed is the number of hits the tree may hold.
