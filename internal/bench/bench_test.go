@@ -36,6 +36,33 @@ func TestDDRTierFallsBack(t *testing.T) {
 	}
 }
 
+// TestMedianCurveOutvotesOneDisturbedRound: one probe round that a
+// neighbour disturbed into a falling curve, which alone fails the fit, moves
+// neither the median curve nor the tier fitted to it.
+func TestMedianCurveOutvotesOneDisturbedRound(t *testing.T) {
+	curve := func(gbps ...float64) []memmodel.StanzaResult {
+		r := make([]memmodel.StanzaResult, len(gbps))
+		for i, g := range gbps {
+			r[i] = memmodel.StanzaResult{StanzaBytes: 16 << (5 * i), GBps: g}
+		}
+		return r
+	}
+	disturbed := curve(4, 3.5, 3.2)
+	if tier, _ := ddrTier(disturbed); tier != memmodel.DefaultDDR {
+		t.Fatalf("the disturbed round alone fitted %+v; the test needs it to fail", tier)
+	}
+	got := medianCurve([][]memmodel.StanzaResult{curve(1, 4, 8), disturbed, curve(1.1, 4.2, 8.3)})
+	want := curve(1.1, 4, 8)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("median curve %v, want %v", got, want)
+		}
+	}
+	if tier, note := ddrTier(got); !strings.Contains(note, "fitted") {
+		t.Fatalf("ddrTier(median) = %+v, %q; want a fitted tier", tier, note)
+	}
+}
+
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}
 	if c.workers() < 1 {

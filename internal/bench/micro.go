@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/memmodel"
@@ -80,21 +81,7 @@ func runFig4(cfg Config, w io.Writer) error {
 // length. The DDR curve is measured on this host; the MCDRAM curve is the
 // modeled tier (no KNL hardware available).
 func runFig5(cfg Config, w io.Writer) error {
-	arrayBytes := 1 << 26 // 64 MiB: beyond typical LLC
-	perPoint := 30 * time.Millisecond
-	if cfg.Preset == Tiny {
-		arrayBytes = 1 << 22
-		perPoint = 5 * time.Millisecond
-	}
-	if cfg.Preset == Full {
-		arrayBytes = 1 << 28
-		perPoint = 200 * time.Millisecond
-	}
-	var lengths []int
-	for l := 16; l <= 16384; l *= 4 {
-		lengths = append(lengths, l)
-	}
-	results := memmodel.MeasureStanzaBandwidth(arrayBytes, lengths, perPoint)
+	results := stanzaCurve(cfg.Preset)
 	ddr, tier := ddrTier(results)
 	mc := memmodel.MCDRAMFrom(ddr)
 	t := newTable("stanza_bytes", "ddr_measured_GBps", "ddr_model_GBps", "mcdram_model_GBps")
@@ -107,6 +94,46 @@ func runFig5(cfg Config, w io.Writer) error {
 		tier, memmodel.MCDRAMPeakRatio, memmodel.MCDRAMLatencyRatio)
 	fmt.Fprintln(w, "# expectation (paper): both curves rise with stanza length; MCDRAM only wins for long stanzas")
 	return nil
+}
+
+// stanzaRounds is how many times stanzaCurve probes each stanza length.
+const stanzaRounds = 3
+
+// stanzaCurve is the host's stanza bandwidth curve that Figures 5 and 10
+// model from: stanzas of 16 B to 16 KiB over a 64 MiB array (4 MiB at Tiny,
+// 256 MiB at Full), each length reading the median GB/s of stanzaRounds
+// probes, so one disturbed round neither bends the curve nor fails the fit.
+func stanzaCurve(preset Preset) []memmodel.StanzaResult {
+	arrayBytes, perPoint := 1<<26, 30*time.Millisecond
+	switch preset {
+	case Tiny:
+		arrayBytes, perPoint = 1<<22, 5*time.Millisecond
+	case Full:
+		arrayBytes, perPoint = 1<<28, 200*time.Millisecond
+	}
+	var lengths []int
+	for l := 16; l <= 16384; l *= 4 {
+		lengths = append(lengths, l)
+	}
+	rounds := make([][]memmodel.StanzaResult, stanzaRounds)
+	for i := range rounds {
+		rounds[i] = memmodel.MeasureStanzaBandwidth(arrayBytes, lengths, perPoint)
+	}
+	return medianCurve(rounds)
+}
+
+// medianCurve is the per-length median GB/s of several probes of one curve.
+func medianCurve(rounds [][]memmodel.StanzaResult) []memmodel.StanzaResult {
+	curve := slices.Clone(rounds[0])
+	gbps := make([]float64, len(rounds))
+	for j := range curve {
+		for i, r := range rounds {
+			gbps[i] = r[j].GBps
+		}
+		slices.Sort(gbps)
+		curve[j].GBps = gbps[len(gbps)/2]
+	}
+	return curve
 }
 
 // ddrTier is the DDR tier Figures 5 and 10 model with, and the footer line

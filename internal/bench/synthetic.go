@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
 	"repro/internal/bench/baseline"
 	"repro/internal/gen"
@@ -102,8 +101,7 @@ func runFig10(cfg Config, w io.Writer) error {
 		scale = 10
 	}
 	rng := rand.New(rand.NewSource(cfg.seed()))
-	lengths := []int{16, 64, 256, 1024, 4096, 16384}
-	ddr, tier := ddrTier(memmodel.MeasureStanzaBandwidth(1<<25, lengths, 10*time.Millisecond))
+	ddr, tier := ddrTier(stanzaCurve(cfg.Preset))
 	mc := memmodel.MCDRAMFrom(ddr)
 
 	t := newTable("edge_factor", "heap", "hash", "hashvec", "hash(unsorted)", "hashvec(unsorted)")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 )
 
 // Binary CSR wire format ("SPGB"): the compact transfer encoding used by
@@ -24,12 +25,11 @@ import (
 //	...     ...   colidx  [nnz]int32
 //	...     ...   val     [nnz]float64
 //
-// The encoding is canonical for a given CSR (no padding, no optional
-// sections), and the reader rejects unknown flag bits and bytes after the
-// value array, so every accepted stream is the one encoding of what it
-// decodes to, and a content hash over the encoded bytes identifies the matrix
-// — dimensions, structure, values and sortedness — which is exactly what
-// the server's interning store keys on.
+// The encoding is canonical (no padding, no optional sections), and the
+// reader rejects unknown flag bits and bytes after the value array, so an
+// accepted stream is the one encoding of what it decodes to, and a hash over
+// it names the matrix for the server's interning store. A little-endian host
+// sends each array's memory as it lies, others convert it: the same bytes.
 
 // wireMagic identifies a binary CSR stream.
 var wireMagic = [4]byte{'S', 'P', 'G', 'B'}
@@ -40,10 +40,10 @@ const WireVersion = 1
 const (
 	wireHeaderSize = 32
 	wireFlagSorted = 1 << 0
-	// wireChunk is the byte granularity of array writes and reads: bounded
-	// so a header claiming a huge nnz on a truncated stream fails at the
-	// first short chunk instead of committing the full allocation, and so
-	// each call's scratch is at most this, or the largest array if smaller.
+	// wireChunk is the byte granularity of reads and element-wise writes:
+	// bounded so a header claiming a huge nnz on a truncated stream fails at
+	// the first short chunk instead of committing the full allocation, and
+	// so no scratch buffer is larger than this.
 	wireChunk = 32 << 10
 )
 
@@ -61,7 +61,8 @@ func WireSize(m *CSR) int64 {
 	return wireHeaderSize + int64(len(m.RowPtr))*8 + m.NNZ()*12
 }
 
-// WriteCSRBinary writes m in the binary CSR wire format.
+// WriteCSRBinary writes m in the binary CSR wire format. A little-endian host
+// hands w each array's own memory: io.Writer must not modify or retain p.
 func WriteCSRBinary(w io.Writer, m *CSR) error {
 	if int64(len(m.RowPtr)) != int64(m.Rows)+1 {
 		return fmt.Errorf("matrix: wire encode: RowPtr length %d, want %d", len(m.RowPtr), m.Rows+1)
@@ -69,48 +70,47 @@ func WriteCSRBinary(w io.Writer, m *CSR) error {
 	var hdr [wireHeaderSize]byte
 	copy(hdr[0:4], wireMagic[:])
 	binary.LittleEndian.PutUint16(hdr[4:6], WireVersion)
-	var flags uint16
 	if m.Sorted {
-		flags |= wireFlagSorted
+		binary.LittleEndian.PutUint16(hdr[6:8], wireFlagSorted)
 	}
-	binary.LittleEndian.PutUint16(hdr[6:8], flags)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(m.Rows))
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(m.Cols))
 	binary.LittleEndian.PutUint64(hdr[24:32], uint64(m.NNZ()))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
+	if err := writeWireArray(w, m.RowPtr); err != nil {
+		return err
+	}
+	if err := writeWireArray(w, m.ColIdx); err != nil {
+		return err
+	}
+	return writeWireArray(w, m.Val)
+}
 
-	buf := wireScratch(int64(max(len(m.RowPtr), len(m.ColIdx), len(m.Val))))
-	for rest := m.RowPtr; len(rest) > 0; {
-		chunk := rest[:min(len(rest), len(buf)/8)]
-		for j, v := range chunk {
-			binary.LittleEndian.PutUint64(buf[8*j:], uint64(v))
-		}
-		if _, err := w.Write(buf[:8*len(chunk)]); err != nil {
-			return err
-		}
-		rest = rest[len(chunk):]
+var wireNative = binary.NativeEndian.Uint16([]byte{1, 0}) == 1 // little-endian host; tests may clear it
+
+// writeWireArray writes s little-endian: its own memory if wireNative, else by element.
+func writeWireArray[T int32 | int64 | float64](w io.Writer, s []T) error {
+	size := int(unsafe.Sizeof(*new(T)))
+	if wireNative && len(s) > 0 {
+		_, err := w.Write(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), size*len(s)))
+		return err
 	}
-	for rest := m.ColIdx; len(rest) > 0; {
-		chunk := rest[:min(len(rest), len(buf)/4)]
-		for j, v := range chunk {
-			binary.LittleEndian.PutUint32(buf[4*j:], uint32(v))
+	buf := make([]byte, min(size*len(s), wireChunk))
+	for len(s) > 0 {
+		chunk := s[:min(len(s), len(buf)/size)]
+		for j := range chunk {
+			if p := unsafe.Pointer(&chunk[j]); size == 8 {
+				binary.LittleEndian.PutUint64(buf[8*j:], *(*uint64)(p))
+			} else {
+				binary.LittleEndian.PutUint32(buf[4*j:], *(*uint32)(p))
+			}
 		}
-		if _, err := w.Write(buf[:4*len(chunk)]); err != nil {
+		if _, err := w.Write(buf[:size*len(chunk)]); err != nil {
 			return err
 		}
-		rest = rest[len(chunk):]
-	}
-	for rest := m.Val; len(rest) > 0; {
-		chunk := rest[:min(len(rest), len(buf)/8)]
-		for j, v := range chunk {
-			binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
-		}
-		if _, err := w.Write(buf[:8*len(chunk)]); err != nil {
-			return err
-		}
-		rest = rest[len(chunk):]
+		s = s[len(chunk):]
 	}
 	return nil
 }

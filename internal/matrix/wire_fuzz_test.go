@@ -7,10 +7,11 @@ import (
 )
 
 // FuzzReadCSRBinary checks that the wire-format parser never panics and
-// that anything it accepts is a structurally valid matrix whose encoding is
-// exactly the accepted bytes. The seed corpus covers valid encodings, one
-// whose every array spans several chunks, plus the header-level corruptions
-// the unit tests pin individually.
+// that anything it accepts is a structurally valid matrix whose encoding,
+// through either of the encoder's array paths, is exactly the accepted
+// bytes. The seed corpus covers valid encodings, one whose every array spans
+// several chunks, plus the header-level corruptions the unit tests pin
+// individually.
 func FuzzReadCSRBinary(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	for _, m := range []*CSR{
@@ -48,14 +49,13 @@ func FuzzReadCSRBinary(f *testing.F) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("parser accepted invalid matrix: %v", err)
 		}
-		var out bytes.Buffer
-		if err := WriteCSRBinary(&out, m); err != nil {
-			t.Fatalf("re-encode failed for accepted matrix: %v", err)
-		}
 		// The encoding is canonical: an accepted stream is the one
-		// encoding of what it decodes to, byte for byte.
-		if !bytes.Equal(out.Bytes(), data) {
-			t.Fatalf("accepted %d bytes that re-encode to %d different bytes", len(data), out.Len())
+		// encoding of what it decodes to, byte for byte, on either path.
+		native, elementwise := encodeBothPaths(t, m)
+		for _, out := range []*writeCounter{native, elementwise} {
+			if !bytes.Equal(out.Bytes(), data) {
+				t.Fatalf("accepted %d bytes that re-encode to %d different bytes (native path %v)", len(data), out.Len(), out == native)
+			}
 		}
 	})
 }

@@ -2,6 +2,8 @@ package matrix
 
 import (
 	"bytes"
+	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -194,5 +196,96 @@ func TestWireReadLimits(t *testing.T) {
 	}
 	if _, err := ReadMatrixMarketLimited(strings.NewReader(mm), &ReadLimits{MaxRows: 5}); err != nil {
 		t.Errorf("matrix market exact-fit limit rejected: %v", err)
+	}
+}
+
+// writeCounter counts the Write calls an encoder makes.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// encodeBothPaths encodes m once through each array path: the native one,
+// which writes each array's memory, and the element-wise one, which big-endian
+// hosts run. It returns both encodings and the Write counts.
+func encodeBothPaths(t testing.TB, m *CSR) (native, elementwise *writeCounter) {
+	t.Helper()
+	defer func(saved bool) { wireNative = saved }(wireNative)
+	native, elementwise = &writeCounter{}, &writeCounter{}
+	for _, c := range []struct {
+		native bool
+		out    *writeCounter
+	}{{true, native}, {false, elementwise}} {
+		wireNative = c.native
+		if err := WriteCSRBinary(c.out, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return native, elementwise
+}
+
+// TestWireEncoderPathsAgree: both array paths write byte-identical output,
+// on empty arrays, on arrays that each span several chunks, and on values
+// whose bits a conversion could disturb (−0, ±Inf, a NaN with a payload).
+// The native path makes one Write per non-empty array after the header.
+func TestWireEncoderPathsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	special := &CSR{
+		Rows: 2, Cols: 3,
+		RowPtr: []int64{0, 2, 4},
+		ColIdx: []int32{0, 2, 1, 0},
+		Val:    []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.Float64frombits(0x7ff8000000000001)},
+	}
+	multiChunk := RandomWithDegree(3*wireChunk/8+5, 16, 3, rng)
+	if 4*multiChunk.NNZ() < 3*wireChunk {
+		t.Fatalf("column indices span %d bytes, want several %d-byte chunks", 4*multiChunk.NNZ(), wireChunk)
+	}
+	for _, m := range []*CSR{NewCSR(0, 0), NewCSR(3, 5), special, multiChunk, Random(23, 31, 0.2, rng)} {
+		native, elementwise := encodeBothPaths(t, m)
+		if !bytes.Equal(native.Bytes(), elementwise.Bytes()) {
+			t.Fatalf("%v: native path wrote %d bytes, element-wise %d, and they differ", m, native.Len(), elementwise.Len())
+		}
+		if got, want := int64(native.Len()), WireSize(m); got != want {
+			t.Fatalf("%v: encoded %d bytes, WireSize says %d", m, got, want)
+		}
+		want := 2
+		if m.NNZ() > 0 {
+			want = 4
+		}
+		if native.writes != want {
+			t.Errorf("%v: native path made %d writes, want %d", m, native.writes, want)
+		}
+		back, err := ReadCSRBinary(bytes.NewReader(native.Bytes()))
+		if err != nil {
+			t.Fatalf("%v: read: %v", m, err)
+		}
+		for i, v := range m.Val {
+			if math.Float64bits(back.Val[i]) != math.Float64bits(v) {
+				t.Fatalf("%v: Val[%d] bits %#x, wrote %#x", m, i, math.Float64bits(back.Val[i]), math.Float64bits(v))
+			}
+		}
+	}
+}
+
+// TestWireNativeEncodeAllocatesNoScratch: the native path writes the arrays
+// themselves, so encoding a multi-chunk matrix allocates no chunk scratch.
+func TestWireNativeEncodeAllocatesNoScratch(t *testing.T) {
+	if !wireNative {
+		t.Skip("big-endian host: only the element-wise path runs")
+	}
+	m := RandomWithDegree(wireChunk/8+5, 16, 3, rand.New(rand.NewSource(13)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := WriteCSRBinary(io.Discard, m); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= wireChunk {
+		t.Errorf("native encode allocated %d B, want under one %d-byte chunk", d, wireChunk)
 	}
 }
