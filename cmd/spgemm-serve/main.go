@@ -6,14 +6,14 @@
 // Usage:
 //
 //	spgemm-serve -addr :8080 -contexts 8 -queue 128
-//	spgemm-serve -addr :8080 -sentry -drain requests.json
+//	spgemm-serve -addr :8080 -drain requests.json
 //
 // Endpoints:
 //
 //	POST /v1/matrices          upload (Matrix Market text or binary CSR)
 //	GET  /v1/matrices/{hash}   metadata for an interned matrix
 //	POST /v1/multiply          multiply two interned matrices by hash
-//	GET  /healthz              liveness (503 while the perf sentry is degraded)
+//	GET  /healthz              liveness: status ok and what the process holds
 //	GET  /metrics              Prometheus text exposition (server_* series)
 //	GET  /debug/requests       the last 256 requests with their stage spans (JSON)
 //	GET  /debug/requests/{id}  one request as Chrome trace JSON (Perfetto)
@@ -50,8 +50,6 @@ func main() {
 
 		logLevel = flag.String("log-level", "info", "structured log level: debug|info|warn|error|off (runtime-switchable at /debug/loglevel)")
 
-		sentry = flag.Bool("sentry", false, "arm the perf sentry: /healthz degrades while an algorithm runs 4x under its own peak flop/s")
-
 		drainPath = flag.String("drain", "", "dump the request ring as JSON to this path on shutdown (\"-\" = stderr)")
 	)
 	flag.Parse()
@@ -77,10 +75,8 @@ func main() {
 		MaxUploadBytes: *uploadMax,
 		MaxDim:         *maxDim,
 		MaxNNZ:         *maxNNZ,
-		Sentry:         *sentry,
 	}
 	s := server.New(cfg)
-	defer s.Close()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -92,7 +88,7 @@ func main() {
 	defer stop()
 
 	fmt.Fprintf(os.Stderr, "spgemm-serve: listening on http://%s\n", ln.Addr())
-	log.Info("serving", "addr", ln.Addr().String(), "sentry", *sentry, "logLevel", obs.LogLevel().String())
+	log.Info("serving", "addr", ln.Addr().String(), "logLevel", obs.LogLevel().String())
 
 	err = server.Serve(ctx, ln, s.Handler(), *grace)
 
@@ -114,16 +110,27 @@ func drainRequests(s *server.Server, drainPath string) {
 		return
 	}
 	log := obs.Logger()
-	out := os.Stderr
-	if drainPath != "-" {
-		f, err := os.Create(drainPath)
-		if err != nil {
-			log.Error("drain requests", "err", err)
-			return
-		}
-		defer f.Close()
-		out = f
+	if n, err := drainTo(s, drainPath); err != nil {
+		log.Error("drain requests", "err", err, "to", drainPath)
+	} else {
+		log.Info("drained request ring", "requests", n, "to", drainPath)
 	}
-	n := s.DrainRequests(func(b []byte) { _, _ = out.Write(b) })
-	log.Info("drained request ring", "requests", n, "to", drainPath)
+}
+
+// drainTo writes the request ring to path ("-" = stderr) and returns the
+// first error of creating, writing or closing the file: a dump that did not
+// reach the disk is not a dump.
+func drainTo(s *server.Server, path string) (int, error) {
+	if path == "-" {
+		return s.DrainRequests(os.Stderr)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	n, err := s.DrainRequests(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return n, err
 }

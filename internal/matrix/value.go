@@ -23,10 +23,6 @@ func addValue[V semiring.Value](a, b V) V {
 		*p += *any(&b).(*int64)
 	case *int32:
 		*p += *any(&b).(*int32)
-	case *int:
-		*p += *any(&b).(*int)
-	case *uint32:
-		*p += *any(&b).(*uint32)
 	case *uint64:
 		*p += *any(&b).(*uint64)
 	case *bool:
@@ -46,10 +42,6 @@ func mulValue[V semiring.Value](a, b V) V {
 		*p *= *any(&b).(*int64)
 	case *int32:
 		*p *= *any(&b).(*int32)
-	case *int:
-		*p *= *any(&b).(*int)
-	case *uint32:
-		*p *= *any(&b).(*uint32)
 	case *uint64:
 		*p *= *any(&b).(*uint64)
 	case *bool:
@@ -70,10 +62,6 @@ func oneValue[V semiring.Value]() V {
 		*p = 1
 	case *int32:
 		*p = 1
-	case *int:
-		*p = 1
-	case *uint32:
-		*p = 1
 	case *uint64:
 		*p = 1
 	case *bool:
@@ -93,10 +81,6 @@ func toFloat64[V semiring.Value](v V) float64 {
 	case *int64:
 		return float64(*p)
 	case *int32:
-		return float64(*p)
-	case *int:
-		return float64(*p)
-	case *uint32:
 		return float64(*p)
 	case *uint64:
 		return float64(*p)

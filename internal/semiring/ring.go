@@ -18,11 +18,13 @@ import "math"
 var inf = math.Inf(1)
 
 // Value is the set of element types the generic matrix / accumulator / kernel
-// layer supports. The list is exact (no ~ terms) on purpose: helpers such as
-// the duplicate-merging in matrix.Compact dispatch on the dynamic type of *V,
+// layer supports: the types some ring, matrix, table or Context in the tree
+// is instantiated over (int32 for the masked index's HashTableG[int32]). The
+// list is exact (no ~ terms) on purpose: helpers such as the
+// duplicate-merging in matrix.Compact dispatch on the dynamic type of *V,
 // and an exact type set keeps that dispatch total.
 type Value interface {
-	bool | int | int32 | int64 | uint32 | uint64 | float32 | float64
+	bool | int32 | int64 | uint64 | float32 | float64
 }
 
 // Ring is a semiring over V presented as a value type, usually an empty struct.

@@ -49,10 +49,6 @@ var (
 	mQueueWait = obs.NewHistogramVec("server_queue_wait_seconds",
 		"context checkout wait in seconds, by outcome", "outcome",
 		[]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5})
-	mSentryDegraded = obs.NewGauge("server_sentry_degraded",
-		"1 while the perf sentry holds /healthz degraded, else 0")
-	mSentryTransitions = obs.NewCounter("server_sentry_transitions_total",
-		"perf sentry health transitions (ok->degraded and back)")
 
 	mUploads = obs.NewCounter("server_matrix_uploads_total",
 		"matrix upload requests accepted")

@@ -39,8 +39,8 @@ var stageNames = [numStages]string{
 
 // record is everything the server knows about one request. The handlers fill
 // it and do nothing else with what they learn; finish is their only exit and
-// the only place a metric, a log line or a sentry sample is derived from it,
-// and the request ring keeps a copy from which the trace views are rendered.
+// the only place a metric or a log line is derived from it, and the request
+// ring keeps a copy from which the trace views are rendered.
 // A path that does not reach finish is not observed at all, so there is no
 // partially observed request.
 type record struct {
@@ -135,9 +135,9 @@ func (rec *record) response(c *matrix.CSR) MultiplyResponse {
 }
 
 // finish is the one exit of every /v1 handler. It answers a request the
-// handler failed, closes the respond stage, derives the server_* families,
-// the sentry sample and the log line, and copies the record into the request
-// ring, from which /debug/requests renders its trace when asked.
+// handler failed, closes the respond stage, derives the server_* families and
+// the log line, and copies the record into the request ring, from which
+// /debug/requests renders its trace when asked.
 func (s *Server) finish(ctx context.Context, w http.ResponseWriter, rec *record) {
 	failed := rec.status != http.StatusOK
 	if failed && rec.status != statusClientClosed {
@@ -162,18 +162,14 @@ func (s *Server) finish(ctx context.Context, w http.ResponseWriter, rec *record)
 		mPlanMisses.Inc()
 	}
 	if rec.route == "multiply" && !failed {
-		flop := rec.flop()
 		mMultiplies.Inc()
-		mMultiplyFlop.Add(flop)
+		mMultiplyFlop.Add(rec.flop())
 		for p, d := range rec.stats.Phases {
 			if d > 0 {
 				mPhaseNanos.With(spgemm.Phase(p).String()).Add(int64(d))
 			}
 		}
 		requestSecondsByAlg[rec.stats.Algorithm].Observe(rec.elapsed().Seconds())
-		if s.sentry != nil {
-			s.sentry.observe(rec.stats.Algorithm.String(), flop, rec.stats.Total)
-		}
 	}
 
 	level, msg := slog.LevelInfo, rec.route

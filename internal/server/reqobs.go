@@ -194,15 +194,18 @@ func (v requestView) writeChromeTrace(w io.Writer) error {
 	}{events, "ms"})
 }
 
-// DrainRequests writes the ring as the /debug/requests JSON document — the
-// shutdown path: a terminated server dumps the tail of its request history
-// instead of losing it. It returns the number of records written.
-func (s *Server) DrainRequests(w func(b []byte)) int {
+// DrainRequests writes the ring to w as the /debug/requests JSON document —
+// the shutdown path: a terminated server dumps the tail of its request
+// history instead of losing it. It returns the number of records written, 0
+// with the error if the document could not be encoded or written.
+func (s *Server) DrainRequests(w io.Writer) (int, error) {
 	d := s.ring.doc(-1)
 	out, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
-		return 0
+		return 0, err
 	}
-	w(append(out, '\n'))
-	return len(d.Recent)
+	if _, err := w.Write(append(out, '\n')); err != nil {
+		return 0, err
+	}
+	return len(d.Recent), nil
 }

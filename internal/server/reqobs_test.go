@@ -263,7 +263,6 @@ func anUploadRecord(s *Server) record {
 // the record into the ring, and allocates nothing doing it.
 func TestFinishZeroAllocs(t *testing.T) {
 	s := New(Config{})
-	defer s.Close()
 	w := httptest.NewRecorder()
 	ctx := context.Background()
 	mul, up := aMultiplyRecord(s), anUploadRecord(s)
@@ -285,7 +284,6 @@ func TestFinishZeroAllocs(t *testing.T) {
 // a tick per stage, the outcome, finish — to one allocation, its request ID.
 func TestRecordAllocatesOnlyItsID(t *testing.T) {
 	s := New(Config{})
-	defer s.Close()
 	w := httptest.NewRecorder()
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -325,9 +323,9 @@ func TestDrainRequests(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	n := s.DrainRequests(func(b []byte) { out.Write(b) })
-	if n != 3 { // one upload, two multiplies
-		t.Fatalf("drained %d records, want 3", n)
+	n, err := s.DrainRequests(&out)
+	if err != nil || n != 3 { // one upload, two multiplies
+		t.Fatalf("drained %d records (%v), want 3", n, err)
 	}
 	var doc requestsDoc
 	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
@@ -337,12 +335,16 @@ func TestDrainRequests(t *testing.T) {
 		t.Fatalf("drain wrote %d recent records, want 3", len(doc.Recent))
 	}
 
+	// A write that fails is the drain's error, with no record counted.
+	if n, err := s.DrainRequests(&brokenWriter{}); err == nil || n != 0 {
+		t.Fatalf("drain into a failing writer returned %d, %v; want 0 and its error", n, err)
+	}
+
 	// A server that answered nothing drains an empty document.
 	idle := New(Config{})
-	defer idle.Close()
 	out.Reset()
-	if n := idle.DrainRequests(func(b []byte) { out.Write(b) }); n != 0 || !strings.Contains(out.String(), `"recent": []`) {
-		t.Fatalf("idle drain returned %d: %s", n, out.String())
+	if n, err := idle.DrainRequests(&out); err != nil || n != 0 || !strings.Contains(out.String(), `"recent": []`) {
+		t.Fatalf("idle drain returned %d (%v): %s", n, err, out.String())
 	}
 }
 

@@ -69,11 +69,6 @@ type Config struct {
 	// 1<<27 and 1<<31.
 	MaxDim int
 	MaxNNZ int64
-
-	// Sentry arms the perf sentry: /healthz answers 503 while an
-	// algorithm's live flop/s stays under a quarter of the peak this process
-	// has sustained for it (sentry.go). Off by default.
-	Sentry bool
 }
 
 func (c Config) withDefaults() Config {
@@ -106,13 +101,12 @@ func (c Config) withDefaults() Config {
 
 // Server is the HTTP multiply service. Create with New; serve via Handler.
 type Server struct {
-	cfg    Config
-	store  *Store
-	plans  *PlanCache
-	pool   *ContextPool
-	ring   *requestRing
-	sentry *sentry // nil = perf sentry disabled
-	mux    *http.ServeMux
+	cfg   Config
+	store *Store
+	plans *PlanCache
+	pool  *ContextPool
+	ring  *requestRing
+	mux   *http.ServeMux
 }
 
 // New returns a Server sized by cfg.
@@ -123,10 +117,6 @@ func New(cfg Config) *Server {
 	s.store = NewStore(cfg.MaxStoreBytes, s.plans.InvalidateMatrix)
 	s.pool = NewContextPool(cfg.Contexts, cfg.QueueDepth)
 	s.ring = newRequestRing(ringSize)
-	if cfg.Sentry {
-		s.sentry = newSentry(defaultSentry)
-		s.sentry.start()
-	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/matrices", s.handleUpload)
@@ -143,41 +133,27 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Close stops the server's background machinery (the perf sentry). It does
-// not touch in-flight HTTP requests — Serve's drain does that.
-func (s *Server) Close() {
-	if s.sentry != nil {
-		s.sentry.halt()
-	}
-}
+// Close releases nothing: the server starts no goroutine of its own, and
+// Serve's drain owns in-flight HTTP requests. The repo benchmark still calls
+// it.
+func (s *Server) Close() {}
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// handleHealthz reports liveness — and, when the perf sentry holds the
-// process degraded, says so with 503 and the failing algorithms, so load
-// balancers rotate traffic away from a machine that has stopped performing.
+// handleHealthz reports liveness and the size of what the process holds.
+// Throughput per algorithm is on /metrics (server_request_seconds{alg},
+// server_multiply_flop_total, server_multiply_phase_nanos_total), where a
+// monitor can alert on it.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	type healthz struct {
-		Status    string      `json:"status"`
-		Contexts  int         `json:"contexts"`
-		Matrices  int         `json:"matrices"`
-		Plans     int         `json:"plans"`
-		PlanBytes int64       `json:"planBytes"`
-		Degraded  []AlgHealth `json:"degraded,omitempty"`
-		Since     string      `json:"degradedSince,omitempty"`
+		Status    string `json:"status"`
+		Contexts  int    `json:"contexts"`
+		Matrices  int    `json:"matrices"`
+		Plans     int    `json:"plans"`
+		PlanBytes int64  `json:"planBytes"`
 	}
-	body := healthz{Status: "ok", Contexts: s.pool.Size(), Matrices: s.store.Len(), Plans: s.plans.Len(), PlanBytes: s.plans.Bytes()}
-	code := http.StatusOK
-	if s.sentry != nil {
-		if degraded, failing, since := s.sentry.state(); degraded {
-			body.Status = "degraded"
-			body.Degraded = failing
-			body.Since = since.UTC().Format(time.RFC3339)
-			code = http.StatusServiceUnavailable
-		}
-	}
-	writeJSON(w, code, body)
+	writeJSON(w, http.StatusOK, healthz{Status: "ok", Contexts: s.pool.Size(), Matrices: s.store.Len(), Plans: s.plans.Len(), PlanBytes: s.plans.Bytes()})
 }
 
 // MatrixInfo is the JSON metadata of an interned matrix.

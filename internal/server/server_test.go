@@ -587,7 +587,6 @@ func TestStoreEvictionDropsPlans(t *testing.T) {
 // answered 200 with its own metadata.
 func TestUploadRacingEviction(t *testing.T) {
 	s := New(Config{MaxStoreBytes: 1})
-	defer s.Close()
 	rng := rand.New(rand.NewSource(24))
 	type upload struct {
 		wire []byte
@@ -901,13 +900,14 @@ func TestReplayMapOnFirstCacheHitOnly(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var health struct {
-		Plans     int   `json:"plans"`
-		PlanBytes int64 `json:"planBytes"`
+		Status    string `json:"status"`
+		Plans     int    `json:"plans"`
+		PlanBytes int64  `json:"planBytes"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	if health.Plans != 7 || health.PlanBytes <= 0 || health.PlanBytes != s.plans.Bytes() || mPlanBytes.Value() != health.PlanBytes {
+	if resp.StatusCode != http.StatusOK || health.Status != "ok" || health.Plans != 7 || health.PlanBytes <= 0 || health.PlanBytes != s.plans.Bytes() || mPlanBytes.Value() != health.PlanBytes {
 		t.Fatalf("/healthz reports %+v; cache holds %d bytes, gauge %d", health, s.plans.Bytes(), mPlanBytes.Value())
 	}
 }

@@ -166,15 +166,15 @@ var structure = []row{
 		why:    "MSBFS keeps each level's fresh words as the next frontier; no per-level COO rebuild",
 		mutant: plant{"internal/graph/bfs.go", "next = coo.ToCSR()"}},
 
-	// The perf sentry compares each algorithm with its own peak in this process.
+	// No process keeps a recorded baseline.
 	{name: "no-load-command", kind: absent, paths: []string{"cmd/spgemm-load"}, change: "The perf sentry baselines itself",
 		why:    "the served path's load test is the repo benchmark's served_* workloads",
 		mutant: plant{"cmd/spgemm-load", "package main"}},
 	{name: "no-bench-spgemm-json", kind: absent, paths: []string{"BENCH_spgemm.json"}, change: "The perf sentry baselines itself",
-		why:    "no recorded baseline file: the sentry baselines itself",
+		why:    "no recorded baseline file exists",
 		mutant: plant{"BENCH_spgemm.json", "{}"}},
 	{name: "no-bench-server-json", kind: absent, paths: []string{"BENCH_server.json"}, change: "The perf sentry baselines itself",
-		why:    "no recorded baseline file: the sentry baselines itself",
+		why:    "no recorded baseline file exists",
 		mutant: plant{"BENCH_server.json", "{}"}},
 	{name: "no-recorded-baseline", kind: forbid, paths: retired, re: `\b(LoadSentryBaseline|SentryBaseline|WriteSnapshot|ReuseSnapshot)\b`, change: "The perf sentry baselines itself",
 		why:    "no baseline writer or loader",
@@ -182,6 +182,11 @@ var structure = []row{
 	{name: "no-test-only-setter", kind: forbid, paths: retired, re: `\bSetShardedAutoBytes\b`, change: "The perf sentry baselines itself",
 		why:    "the kernel package exports no setter only tests call",
 		mutant: plant{"internal/spgemm/shard.go", "func SetShardedAutoBytes(n int64) {"}},
+
+	// Liveness is /healthz; throughput per algorithm is on /metrics.
+	{name: "no-perf-sentry", kind: forbid, paths: []string{"**/*.go", "!**/*_test.go"}, re: `(?i)\b(sentry|sentryConfig|AlgHealth)\b|server_sentry_`, change: "The perf sentry leaves",
+		why:    "no watchdog degrades /healthz: a monitor alerts on server_request_seconds{alg} and server_multiply_flop_total",
+		mutant: plant{"internal/server/sentry.go", "type sentry struct {"}},
 
 	// One owner per job.
 	{name: "core-two-forwards", kind: count, n: 2, paths: []string{"internal/core/core.go"}, re: `^func\b`, change: "One owner per job",
