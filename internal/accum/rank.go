@@ -52,7 +52,11 @@ type ranker struct {
 }
 
 // grow re-sizes the scratch to at least need bitmap words. Cold: a worker
-// pays it a handful of times, then its widest row fits.
+// pays it a handful of times, then its widest row fits. It stays out of line
+// so that its allocations stay out of the hot bodies that call it, window and
+// SPAG.Bitmap.
+//
+//go:noinline
 func (r *ranker) grow(need int) {
 	n := int(NextPow2(int64(max(need, 64) - 1)))
 	r.words = make([]uint64, n)

@@ -84,6 +84,17 @@ func checkExtractSorted[V semiring.Value](t *testing.T, name string, acc sortedA
 	}
 }
 
+// assertSlotsEmpty checks that an extraction left each slot of cols at the
+// SPA's identity, -0.
+func assertSlotsEmpty(t *testing.T, name string, spa *SPA, cols []int32) {
+	t.Helper()
+	for _, k := range cols {
+		if v := spa.vals[k]; math.Float64bits(v) != math.Float64bits(math.Copysign(0, -1)) {
+			t.Fatalf("%s left slot %d holding %v, want -0", name, k, v)
+		}
+	}
+}
+
 func assertScratchClean(t *testing.T, name string, r *ranker) {
 	t.Helper()
 	for i, w := range r.words {
@@ -214,16 +225,23 @@ func TestRankedKeysAndSPA(t *testing.T) {
 					slot, _ := spa.Upsert(k)
 					*slot = float64(i)
 				}
+				// Read the values back before the extraction, which empties
+				// each slot it reads (the identity invariant).
+				stored := make(map[int32]float64, n)
+				for _, k := range keys {
+					stored[k], _ = spa.Lookup(k)
+				}
 				got := make([]int32, n)
 				vals := make([]float64, n)
 				if spa.ExtractSorted(got, vals) != n || !slices.Equal(got, want) {
 					t.Fatalf("SPA.ExtractSorted n=%d span=%d keys differ", n, span)
 				}
 				for i, k := range got {
-					if v, _ := spa.Lookup(k); v != vals[i] {
-						t.Fatalf("SPA.ExtractSorted n=%d: value of key %d is %v, want %v", n, k, vals[i], v)
+					if vals[i] != stored[k] {
+						t.Fatalf("SPA.ExtractSorted n=%d: value of key %d is %v, want %v", n, k, vals[i], stored[k])
 					}
 				}
+				assertSlotsEmpty(t, "SPA.ExtractSorted", spa, got)
 				// The same row through a Row loop seeded with its first half,
 				// which lists the rest itself, then Gather.
 				seed := make([]float64, n/2)
@@ -241,12 +259,85 @@ func TestRankedKeysAndSPA(t *testing.T) {
 					t.Fatalf("SPA.Gather n=%d span=%d keys differ", n, span)
 				}
 				for i, k := range listed {
-					if v, _ := spa.Lookup(k); v != vals[i] || v != float64(slices.Index(keys, k)) {
+					if vals[i] != float64(slices.Index(keys, k)) {
 						t.Fatalf("SPA.Gather n=%d: entry %d is (%d, %v)", n, i, k, vals[i])
 					}
 				}
+				assertSlotsEmpty(t, "SPA.Gather", spa, listed)
 				assertScratchClean(t, "spa", &spa.rank)
 			}
+		}
+	}
+}
+
+// bitmapFold folds products (col, val) into a Bitmap row of s over ncols
+// columns with += and extracts it, as the plus-times SPA row body does.
+func bitmapFold[V float64 | float32 | int64](s *SPAG[V], ncols int, pcols []int32, pvals []V, cols []int32, vals []V) int {
+	dense, occ := s.Bitmap(ncols)
+	for p, col := range pcols {
+		occ[col>>6] |= 1 << (col & 63)
+		dense[col] += pvals[p]
+	}
+	return s.ExtractBitmap(occ, cols, vals)
+}
+
+// TestSPABitmapRow: a Bitmap row over column spaces on both sides of a word
+// boundary yields, in increasing column order, the bits an Upsert fold
+// (first product stored, the rest added) leaves — -0, ±Inf and NaN included —
+// though the SPA's previous row was folded by another rule and extracted
+// unsorted, and leaves its slots at the identity and its bitmap clear.
+func TestSPABitmapRow(t *testing.T) {
+	negZero, inf := math.Copysign(0, -1), math.Inf(1)
+	palette := []float64{1, -1, 0, negZero, inf, -inf, math.NaN(), 2.5}
+	checkBitmapRows(t, "f64", func(r *rand.Rand) float64 { return palette[r.Intn(len(palette))] })
+	checkBitmapRows(t, "f32", func(r *rand.Rand) float32 { return float32(palette[r.Intn(len(palette))]) })
+	checkBitmapRows(t, "i64", func(r *rand.Rand) int64 { return r.Int63n(7) - 3 })
+}
+
+func checkBitmapRows[V float64 | float32 | int64](t *testing.T, name string, draw func(*rand.Rand) V) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(17))
+	same := func(x, y V) bool { return x == y || x != x && y != y }
+	bitsOf := func(x V) string { return fmt.Sprintf("%v/%x", x, math.Float64bits(float64(x))) }
+	for _, ncols := range []int{1, 63, 64, 65, 600, 4101} {
+		s, ref := NewSPAG[V](ncols), NewSPAG[V](ncols)
+		cols, vals := make([]int32, ncols), make([]V, ncols)
+		wantC, wantV := make([]int32, ncols), make([]V, ncols)
+		for round := 0; round < 4; round++ {
+			// The previous row: another rule's values in s's slots.
+			s.Reset()
+			for p := 0; p < ncols; p++ {
+				slot, _ := s.Upsert(int32(rng.Intn(ncols)))
+				*slot = draw(rng)
+			}
+			s.ExtractUnsorted(cols, vals)
+			products := 3 * ncols
+			pcols, pvals := make([]int32, products), make([]V, products)
+			ref.Reset()
+			for p := range pcols {
+				pcols[p], pvals[p] = int32(rng.Intn(ncols)), draw(rng)
+				if slot, fresh := ref.Upsert(pcols[p]); fresh {
+					*slot = pvals[p]
+				} else {
+					*slot += pvals[p]
+				}
+			}
+			want := ref.ExtractSorted(wantC, wantV)
+			got := bitmapFold(s, ncols, pcols, pvals, cols, vals)
+			if got != want || !slices.Equal(cols[:got], wantC[:want]) {
+				t.Fatalf("%s ncols=%d: bitmap row has %d columns, want %d (or they differ)", name, ncols, got, want)
+			}
+			for i := range got {
+				if !same(vals[i], wantV[i]) || math.Signbit(float64(vals[i])) != math.Signbit(float64(wantV[i])) {
+					t.Fatalf("%s ncols=%d: column %d holds %s, want %s", name, ncols, cols[i], bitsOf(vals[i]), bitsOf(wantV[i]))
+				}
+			}
+			for col, v := range s.vals {
+				if v != s.empty || math.Signbit(float64(v)) != math.Signbit(float64(s.empty)) {
+					t.Fatalf("%s ncols=%d: slot %d left holding %v", name, ncols, col, v)
+				}
+			}
+			assertScratchClean(t, name, &s.rank)
 		}
 	}
 }
@@ -278,6 +369,19 @@ func TestExtractSortedSteadyStateZeroAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(20, cycle); n != 0 {
 			t.Errorf("%s: %v allocs per steady-state cycle, want 0", names[a], n)
 		}
+	}
+	// A SPA's Bitmap rows: the bitmap is grown on the first, reused after.
+	spa := NewSPA(1 << 14)
+	bitmapRows := [][]int32{distinctKeys(rng, 2000, 0, 1<<14), distinctKeys(rng, 300, 0, 1<<12)}
+	pvals := make([]float64, 2000)
+	bitmapCycle := func() {
+		for i, keys := range bitmapRows {
+			bitmapFold(spa, 1<<(14-2*i), keys, pvals[:len(keys)], cols, vals)
+		}
+	}
+	bitmapCycle()
+	if n := testing.AllocsPerRun(20, bitmapCycle); n != 0 {
+		t.Errorf("spa bitmap: %v allocs per steady-state cycle, want 0", n)
 	}
 }
 
@@ -359,6 +463,64 @@ func BenchmarkExtractSorted(b *testing.B) {
 				h.ExtractUnsorted(cols, vals)
 				sortPairs(cols, vals)
 			})
+		}
+	}
+	benchmarkDenseRows(b)
+}
+
+// benchmarkDenseRows times a sorted SPA row, fold and extraction, both ways
+// on rows of n entries over cols columns, n on both sides of the bitmap rule
+// ⌈cols/64⌉ <= n: "stamps" is the Row loop — stamp test, first product
+// stored and listed — then Gather's sort; "bitmap" is the Bitmap loop, then
+// its in-order walk. Each row folds 3n products (compression ratio 3, about
+// the G500 square's).
+func benchmarkDenseRows(b *testing.B) {
+	const rowSets = 16
+	for _, colsLog := range []int{11, 15} {
+		ncols := 1 << colsLog
+		words := ncols / 64
+		for _, n := range []int{words / 16, words / 8, words / 4, words / 2, words, 2 * words} {
+			rng := rand.New(rand.NewSource(int64(colsLog<<16 + n)))
+			prods := make([][]int32, rowSets)
+			for r := range prods {
+				keys := distinctKeys(rng, n, 0, int64(ncols))
+				prods[r] = append(prods[r], keys...) // every key once, then twice more at random
+				for range 2 * n {
+					prods[r] = append(prods[r], keys[rng.Intn(n)])
+				}
+			}
+			pvals := make([]float64, 3*n)
+			for p := range pvals {
+				pvals[p] = rng.NormFloat64()
+			}
+			spa := NewSPA(ncols)
+			cols, vals := make([]int32, n), make([]float64, n)
+			rule := "stamps"
+			if (ncols+63)>>6 <= n {
+				rule = "bitmap"
+			}
+			run := func(name string, row func([]int32)) {
+				b.Run(fmt.Sprintf("dense/cols=2^%d/n=%d/rule=%s/%s", colsLog, n, rule, name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						row(prods[i%rowSets])
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/entry")
+				})
+			}
+			run("stamps", func(pc []int32) {
+				dense, stamp, gen := spa.Row(nil, nil)
+				k := 0
+				for p, col := range pc {
+					if stamp[col] != gen {
+						stamp[col], dense[col], cols[k] = gen, pvals[p], col
+						k++
+					} else {
+						dense[col] += pvals[p]
+					}
+				}
+				spa.Gather(cols[:k], vals, true)
+			})
+			run("bitmap", func(pc []int32) { bitmapFold(spa, ncols, pc, pvals, cols, vals) })
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package accum
 
-import "repro/internal/semiring"
+import (
+	"math/bits"
+
+	"repro/internal/semiring"
+)
 
 // SPAG is Gilbert/Moler/Schreiber's sparse accumulator: a dense value array
 // indexed directly by column, a dense occupancy mark, and a list of occupied
@@ -10,12 +14,25 @@ import "repro/internal/semiring"
 //
 // Occupancy is a StampSet, so a per-row reset is O(1): bumping the
 // generation invalidates all marks at once. Only the index list is walked
-// during extraction.
+// during extraction. A row can instead keep its occupancy in a bitmap, one
+// bit per column (Bitmap): no stamps and no list, and the extraction walks
+// the bitmap in column order.
+//
+// Identity invariant: a value slot outside the current row holds V's
+// bit-exact additive identity, -0 for floats (-0 + x is x for every x, where
+// +0 + -0 is +0) and the zero value otherwise. The arrays are allocated that
+// way and every extraction — Gather, ExtractSorted, ExtractUnsorted,
+// ExtractBitmap — empties each slot it reads back to it, so a Bitmap row may
+// fold its first product onto the slot with no first-touch test, whatever
+// ring the previous row was folded with. Lookup after an extraction reads the
+// identity. A row that is Reset without an extraction leaves its slots as
+// they were, and no Bitmap row may follow it.
 type SPAG[V semiring.Value] struct {
 	vals  []V
+	empty V // the identity every slot outside the current row holds
 	marks StampSet
 	idx   []int32 // occupied columns in insertion order
-	rank  ranker  // sorted-extraction scratch (rank.go)
+	rank  ranker  // sorted-extraction scratch (rank.go), a Bitmap row's too
 }
 
 // SPA is the float64 instantiation.
@@ -31,20 +48,44 @@ func NewSPA(ncols int) *SPA { return NewSPAG[float64](ncols) }
 // slower at W = 2 for it (EXPERIMENTS.md).
 func NewSPAG[V semiring.Value](ncols int) *SPAG[V] {
 	ncols = max(ncols, 64)
-	return &SPAG[V]{
-		vals:  make([]V, ncols),
+	s := &SPAG[V]{
+		empty: identity[V](),
 		marks: StampSet{stamp: make([]uint32, ncols), gen: 1},
 		idx:   make([]int32, 0, 256),
 	}
+	s.vals = s.emptySlots(ncols)
+	return s
 }
 
 // Reserve grows the dense arrays to cover ncols columns (no-op if already
 // large enough).
 func (s *SPAG[V]) Reserve(ncols int) {
 	if len(s.vals) < ncols {
-		s.vals = make([]V, ncols)
+		s.vals = s.emptySlots(ncols)
 		s.marks.Reserve(ncols)
 	}
+}
+
+// emptySlots returns ncols value slots holding the identity.
+func (s *SPAG[V]) emptySlots(ncols int) []V {
+	vals := make([]V, ncols)
+	for i := range vals {
+		vals[i] = s.empty
+	}
+	return vals
+}
+
+// identity is V's bit-exact additive identity: -0 for the float types (a
+// zero variable negated; a constant -0 is +0), the zero value for the rest.
+func identity[V semiring.Value]() V {
+	var z V
+	switch p := any(&z).(type) {
+	case *float64:
+		*p = -*p
+	case *float32:
+		*p = -*p
+	}
+	return z
 }
 
 // Reset prepares for a new row in O(1) (amortized: a full stamp clear every
@@ -105,9 +146,11 @@ func (s *SPAG[V]) ExtractUnsorted(cols []int32, vals []V) int {
 	// with no compile-time bound) and is budgeted by the BCE gate.
 	cols = cols[:n]
 	vals = vals[:n]
+	dense, empty := s.vals, s.empty
 	for i, c := range idx {
 		cols[i] = c
-		vals[i] = s.vals[c]
+		vals[i] = dense[c]
+		dense[c] = empty
 	}
 	return n
 }
@@ -147,8 +190,8 @@ func (s *SPAG[V]) Row(cols []int32, vals []V) (dense []V, stamp []uint32, gen ui
 func (s *SPAG[V]) Marks() *StampSet { return &s.marks }
 
 // Gather writes the value of every column of cols to vals, after sorting
-// cols ascending when sorted: the extraction of a row whose columns a Row
-// loop listed, each once.
+// cols ascending when sorted, and empties its slot: the extraction of a row
+// whose columns a Row loop listed, each once.
 //
 //spgemm:hotpath
 func (s *SPAG[V]) Gather(cols []int32, vals []V, sorted bool) {
@@ -156,7 +199,52 @@ func (s *SPAG[V]) Gather(cols []int32, vals []V, sorted bool) {
 		s.rank.sortKeys(cols)
 	}
 	vals = vals[:len(cols)]
+	dense, empty := s.vals, s.empty
 	for i, col := range cols {
-		vals[i] = s.vals[col]
+		vals[i] = dense[col]
+		dense[col] = empty
 	}
+}
+
+// Bitmap starts a row over columns [0, ncols) for a loop of the caller's own
+// that neither stamps nor lists a column: each product sets bit col&63 of
+// occ[col>>6] and folds into dense[col], whose slot holds the identity until
+// the row's first product lands on it (the invariant above), so a ring whose
+// Add has that identity needs no first-touch test. ExtractBitmap(occ, …) then
+// extracts; it walks every word of occ, so the row pays off where it has at
+// least one entry per word. occ is the sorted extraction's bitmap scratch,
+// all-zero between rows: grown on a worker's first row that needs it wider,
+// then reused.
+//
+//spgemm:hotpath
+func (s *SPAG[V]) Bitmap(ncols int) (dense []V, occ []uint64) {
+	words := (ncols + 63) >> 6
+	if len(s.rank.words) < words {
+		s.rank.grow(words)
+	}
+	return s.vals, s.rank.words[:words]
+}
+
+// ExtractBitmap writes the entries of a Bitmap row, occ being its bitmap, to
+// cols and vals in increasing column order — the bitmap's own — emptying each
+// slot and clearing each word on the way, and returns how many there were.
+//
+//spgemm:hotpath
+func (s *SPAG[V]) ExtractBitmap(occ []uint64, cols []int32, vals []V) int {
+	dense, empty := s.vals, s.empty
+	vals = vals[:len(cols)]
+	n := 0
+	for w, x := range occ {
+		if x == 0 {
+			continue
+		}
+		occ[w] = 0
+		for ; x != 0; x &= x - 1 {
+			col := w<<6 | bits.TrailingZeros64(x)
+			cols[n], vals[n] = int32(col), dense[col]
+			dense[col] = empty
+			n++
+		}
+	}
+	return n
 }

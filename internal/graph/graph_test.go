@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/spgemm"
+	"repro/internal/testalloc"
 )
 
 // adjacency builds a symmetric 0/1 adjacency from an edge list.
@@ -211,15 +211,6 @@ func g500Factors(t *testing.T) *TriangleResult {
 	return prep
 }
 
-// allocated returns the bytes f allocates.
-func allocated(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
-
 // TestCountFromLUAllocation: on unit factors one call, without a Context,
 // allocates less than one int64 per entry of L, where int64 copies of the
 // factors are two, and the stored product about one more.
@@ -230,7 +221,7 @@ func TestCountFromLUAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var err error
-	bytes := allocated(func() { _, err = CountFromLU(prep.L, prep.U, opt) })
+	bytes := testalloc.Bytes(func() { _, err = CountFromLU(prep.L, prep.U, opt) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +240,7 @@ func TestCountFromLUContext(t *testing.T) {
 	for call := range 5 {
 		var n int64
 		var err error
-		bytes := allocated(func() { n, err = CountFromLU(prep.L, prep.U, opt) })
+		bytes := testalloc.Bytes(func() { n, err = CountFromLU(prep.L, prep.U, opt) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,9 +5,10 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/testalloc"
 )
 
 func TestWireRoundTrip(t *testing.T) {
@@ -155,14 +156,12 @@ func TestWireLyingHeaderAllocatesLittle(t *testing.T) {
 	b[24], b[25], b[26], b[27] = 0, 0, 0, 0x40                // nnz = 2^30
 	b[wireHeaderSize+8+3] = 0x40                              // rowptr[1] = 2^30
 	b = append(b[:wireHeaderSize+16], 1, 0, 0, 0, 2, 0, 0, 0) // two column indices
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := ReadCSRBinary(bytes.NewReader(b))
-	runtime.ReadMemStats(&after)
+	var err error
+	d := testalloc.Bytes(func() { _, err = ReadCSRBinary(bytes.NewReader(b)) })
 	if err == nil {
 		t.Fatal("accepted a header claiming 2^30 nonzeros over 8 bytes of them")
 	}
-	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+	if d >= 1<<20 {
 		t.Errorf("allocated %d B on a lying header, want under 1 MiB", d)
 	}
 }
@@ -279,13 +278,12 @@ func TestWireNativeEncodeAllocatesNoScratch(t *testing.T) {
 		t.Skip("big-endian host: only the element-wise path runs")
 	}
 	m := RandomWithDegree(wireChunk/8+5, 16, 3, rand.New(rand.NewSource(13)))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := WriteCSRBinary(io.Discard, m); err != nil {
+	var err error
+	d := testalloc.Bytes(func() { err = WriteCSRBinary(io.Discard, m) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	runtime.ReadMemStats(&after)
-	if d := after.TotalAlloc - before.TotalAlloc; d >= wireChunk {
+	if d >= wireChunk {
 		t.Errorf("native encode allocated %d B, want under one %d-byte chunk", d, wireChunk)
 	}
 }

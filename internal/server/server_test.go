@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +22,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/spgemm"
 	"repro/internal/spgemm/difftest"
+	"repro/internal/testalloc"
 )
 
 // newTestServer starts a server whose ContextPool must be whole again once
@@ -1027,11 +1027,7 @@ func TestStoreModeProductSurvivesRecycling(t *testing.T) {
 		}
 	}
 	serve()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	serve()
-	runtime.ReadMemStats(&after)
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+	if alloc := testalloc.Bytes(serve); alloc >= 64<<10 {
 		t.Errorf("hot meta request allocated %d bytes, want < 64 KiB (its product is %d)", alloc, 12*matrix.NaiveMultiply(a, a).NNZ())
 	}
 

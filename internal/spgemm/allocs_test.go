@@ -2,13 +2,13 @@ package spgemm
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/accum"
 	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/semiring"
+	"repro/internal/testalloc"
 )
 
 // These tests pin the steady-state allocation behavior the hot paths are
@@ -190,13 +190,7 @@ func TestContextReuseSteadyAllocs(t *testing.T) {
 				t.Errorf("Multiply with Context: %v allocs/op, want <= %v (output-only)", allocs, tc.max)
 			}
 			if tc.recycle {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				for i := 0; i < 10; i++ {
-					run()
-				}
-				runtime.ReadMemStats(&after)
-				if perCall := (after.TotalAlloc - before.TotalAlloc) / 10; perCall >= 1<<10 {
+				if perCall := testalloc.Bytes(run); perCall >= 1<<10 {
 					t.Errorf("Multiply with Context and Recycle: %d B/op, want < 1 KiB", perCall)
 				}
 			}

@@ -160,6 +160,26 @@ func Cases(rng *rand.Rand) []Case {
 		Case{Name: "wide-hypersparse", A: randomCSR(rng, 16, 16, 24), B: randomCSR(rng, 16, 1<<14, 40)},
 	)
 
+	// A sorted SPA row folds through its occupancy bitmap where the bitmap,
+	// ⌈Cols/64⌉ words, is no wider than the row: 10 words for 600 columns.
+	// Group m of B's rows covers columns 10m … 10m+9 in three overlapping
+	// rows, and A's rows 2m and 2m+1 take two of them each, for rows of 9
+	// and 10 distinct columns — one short of the rule and on it — whose
+	// 1,500 products keep the product on the SPA side at one worker.
+	ruleA, ruleB := matrix.NewCOO(120, 180), matrix.NewCOO(180, 600)
+	for m := 0; m < 60; m++ {
+		for r, span := range [][2]int{{0, 5}, {3, 8}, {3, 9}} {
+			for c := span[0]; c <= span[1]; c++ {
+				ruleB.Append(int32(3*m+r), int32(10*m+c), rng.NormFloat64())
+			}
+		}
+		ruleA.Append(int32(2*m), int32(3*m), rng.NormFloat64())
+		ruleA.Append(int32(2*m), int32(3*m+1), rng.NormFloat64())
+		ruleA.Append(int32(2*m+1), int32(3*m), rng.NormFloat64())
+		ruleA.Append(int32(2*m+1), int32(3*m+2), rng.NormFloat64())
+	}
+	cases = append(cases, Case{Name: "bitmap-rule-sides", A: ruleA.ToCSR(), B: ruleB.ToCSR()})
+
 	// The one-pass route: an unsorted Hash product in one stripe whose flop
 	// bounds its output within 5 %. Row k of B holds columns k, k+1, k+2
 	// (mod n), shuffled, and A permutes B's rows, so rows repeat no column —

@@ -89,6 +89,43 @@ func TestDifferentialOnePass(t *testing.T) {
 	}
 }
 
+// TestContextRingsShareSPA: one float64 Context serves a min-plus product,
+// whose dictionary row body stores each column's first product in the SPA,
+// and a sorted plus-times product, whose bitmap rows add their first product
+// onto the slot's identity, then both again in the other order. The operands
+// are the special-value cases, and every product must be bit-identical to
+// the same product on a fresh Context: each extraction has to leave its slots
+// at -0 whatever ring wrote them. Two workers share no SPA, so each runs both.
+func TestContextRingsShareSPA(t *testing.T) {
+	type product func(*spgemm.Context) (*matrix.CSR, error)
+	for _, c := range SpecialValueCases(rand.New(rand.NewSource(1237))) {
+		for _, workers := range []int{1, 2} {
+			minPlus := func(ctx *spgemm.Context) (*matrix.CSR, error) {
+				return spgemm.MultiplyRing(semiring.MinPlusF64{}, c.A, c.B, &spgemm.Options{Algorithm: spgemm.AlgHash, Workers: workers, Context: ctx})
+			}
+			plusTimes := func(ctx *spgemm.Context) (*matrix.CSR, error) {
+				return spgemm.MultiplyRing(semiring.PlusTimesF64{}, c.A, c.B, &spgemm.Options{Algorithm: spgemm.AlgHash, Workers: workers, Context: ctx})
+			}
+			for _, order := range [][]product{{minPlus, plusTimes, minPlus}, {plusTimes, minPlus, plusTimes}} {
+				shared := spgemm.NewContext()
+				for step, p := range order {
+					got, err := p(shared)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := p(spgemm.NewContext())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := identical(got, want); err != nil {
+						t.Errorf("%s W=%d: product %d on the shared Context: %v", c.Name, workers, step, err)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDifferentialRuleSides runs the rule leg (CheckRuleSides) over the whole
 // suite and the special-value cases (-0, ±Inf and NaN come out of the SPA
 // and the table with the same bits) on the seven ring instantiations

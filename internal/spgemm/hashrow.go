@@ -11,7 +11,7 @@ import (
 // The whole-row hash kernel, written once. Hash in any stripe count, every
 // Plan build and replay of it, a Heap Plan's symbolic phase, and the
 // recipe's compression-ratio sample all run the row functions below,
-// which take three exact decisions from numbers the phases compute anyway:
+// which take four exact decisions from numbers the phases compute anyway:
 //
 //   - Both phases pick their accumulator by one rule (denseRule): where B's
 //     column space is no larger than the flop of the rows a worker serves
@@ -37,6 +37,16 @@ import (
 //     writes it without counting; and numeric writes a row of one entry with
 //     neither accumulator (oneEntryRow): the first product in its slot, the
 //     rest folded onto it in product order, as either accumulator would.
+//   - On the plus-times rings a sorted SPA row whose occupancy bitmap is no
+//     wider than the row — ⌈Cols/64⌉ words for its n entries, symbolic's
+//     exact count, the ranker's dense-window rule (§11 of DESIGN.md) — keeps
+//     its occupancy in that bitmap (ptBodies.spaRow): each product sets a bit
+//     and adds onto its slot, which holds -0 (0 for int64) between rows, and
+//     the bitmap's walk lists the row sorted, so the row has no stamp test,
+//     no column list and no sort. The first product lands on -0 as Upsert's
+//     store leaves it and the rest fold in product order, so the output is
+//     the stamped row's bit for bit. Unsorted rows, narrower ones, seeded
+//     one-pass rows and every dictionary ring keep the stamps.
 //
 // The one-phase geometry's other two row functions (heap.go) are here too.
 // A row of masked row sums (MaskedRowSums, AlgHash only) runs neither of the

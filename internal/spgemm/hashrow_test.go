@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -12,6 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/semiring"
+	"repro/internal/testalloc"
 )
 
 // Tests for the whole-row hash kernel's row decisions (hashrow.go).
@@ -194,10 +194,9 @@ func TestHashHypersparseKeepsHashSymbolic(t *testing.T) {
 	want := matrix.NaiveMultiply(a, b)
 	var st ExecStats
 	opt := &Options{Algorithm: AlgHash, Unsorted: true, Workers: 2, Stats: &st}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	got, err := Multiply(a, b, opt)
-	runtime.ReadMemStats(&after)
+	var got *matrix.CSR
+	var err error
+	d := testalloc.Bytes(func() { got, err = Multiply(a, b, opt) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +206,7 @@ func TestHashHypersparseKeepsHashSymbolic(t *testing.T) {
 	if marks := st.TotalWorker().StampMarks; marks != 0 {
 		t.Errorf("%d stamp marks on a product with Cols >> flop", marks)
 	}
-	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+	if d > 1<<20 {
 		t.Errorf("allocated %d B, want under 1 MB", d)
 	}
 }
@@ -235,29 +234,32 @@ func TestMaskedHypersparseKeepsHashIndex(t *testing.T) {
 		mask.RowPtr[i+1] = int64(len(mask.ColIdx))
 	}
 	mask.Val = make([]float64, len(mask.ColIdx))
-	ctx := NewContext()
+	// Each cold call gets a fresh Context, which the warm calls then reuse.
+	var ctx *Context
+	none := func() *Context { return nil }
 	for _, tc := range []struct {
 		name     string
-		ctx      *Context
+		ctx      func() *Context
 		unsorted bool
 		max      uint64
 	}{
-		{"one-shot", nil, false, 1 << 20},
-		{"one-shot-unsorted", nil, true, 1 << 20},
-		{"context-cold", ctx, false, 1 << 20},
-		{"context-warm", ctx, false, 16 << 10}, // the sums and little else
+		{"one-shot", none, false, 1 << 20},
+		{"one-shot-unsorted", none, true, 1 << 20},
+		{"context-cold", func() *Context { ctx = NewContext(); return ctx }, false, 1 << 20},
+		{"context-warm", func() *Context { return ctx }, false, 16 << 10}, // the sums and little else
 	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		got, err := MaskedRowSums(semiring.PlusTimesF64{}, a, b, mask, &Options{Algorithm: AlgHash, Workers: 2, Unsorted: tc.unsorted, Context: tc.ctx})
-		runtime.ReadMemStats(&after)
+		var got []float64
+		var err error
+		d := testalloc.Bytes(func() {
+			got, err = MaskedRowSums(semiring.PlusTimesF64{}, a, b, mask, &Options{Algorithm: AlgHash, Workers: 2, Unsorted: tc.unsorted, Context: tc.ctx()})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: row sums %v, want %v", tc.name, got, want)
 		}
-		if d := after.TotalAlloc - before.TotalAlloc; d > tc.max {
+		if d > tc.max {
 			t.Errorf("%s: allocated %d B, want at most %d", tc.name, d, tc.max)
 		}
 	}

@@ -77,13 +77,33 @@ func (ptBodies[T, R]) hashRow(_ R, table *accum.HashTableG[T], a, b *matrix.CSRG
 	}
 }
 
-// spaRow is ringBodies.spaRow (hashrow.go) in Go's * and +.
+// spaRow is ringBodies.spaRow (hashrow.go) in Go's * and +, except for a
+// sorted row with nothing seeded whose occupancy bitmap is no wider than the
+// row — ⌈Cols/64⌉ words for the row's n entries, the ranker's dense window
+// rule; such a row's cols is exactly its size (hashNumeric.row). That row
+// folds with no stamp, branch or column list: each product sets its column's
+// bit and adds onto its slot, which holds the identity -0 (0 for int64) until
+// then, so the first product lands as Upsert's store would leave it. The
+// bitmap extraction then lists the row in column order, with no sort.
 //
 //spgemm:hotpath
 func (ptBodies[T, R]) spaRow(_ R, spa *accum.SPAG[T], a, b *matrix.CSRG[T], i, from, seeded int, cols []int32, vals []T, sorted bool) int {
 	arp := a.RowPtr[i : i+2]
 	acols := a.ColIdx[arp[0]+int64(from) : arp[1]]
 	avals := a.Val[arp[0]+int64(from) : arp[1]]
+	if sorted && seeded == 0 && (b.Cols+63)>>6 <= len(cols) {
+		dense, occ := spa.Bitmap(b.Cols)
+		for x, k := range acols {
+			av := avals[x]
+			brp := b.RowPtr[k : int(k)+2]
+			bvals := b.Val[brp[0]:brp[1]]
+			for y, col := range b.ColIdx[brp[0]:brp[1]] {
+				occ[col>>6] |= 1 << (col & 63)
+				dense[col] += T(av * bvals[y])
+			}
+		}
+		return spa.ExtractBitmap(occ, cols, vals)
+	}
 	dense, stamp, gen := spa.Row(cols[:seeded], vals)
 	stamp = stamp[:len(dense)] // one check per product covers both
 	n := seeded

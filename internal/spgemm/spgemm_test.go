@@ -3,7 +3,6 @@ package spgemm
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/matrix"
 	"repro/internal/semiring"
+	"repro/internal/testalloc"
 )
 
 // allAlgorithms lists every concrete algorithm with its capabilities, and
@@ -389,15 +389,11 @@ func TestMaskedRowSumsStoresNoProduct(t *testing.T) {
 			}
 		}
 		opt := &Options{Workers: workers, Context: ctx}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range 5 {
-			if _, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, opt); err != nil {
-				t.Fatal(err)
-			}
+		perCall := testalloc.Bytes(func() { _, err = MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, opt) })
+		if err != nil {
+			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		if perCall, limit := (after.TotalAlloc-before.TotalAlloc)/5, uint64(a.Rows*8+1<<10); perCall > limit {
+		if limit := uint64(a.Rows*8 + 1<<10); perCall > limit {
 			t.Errorf("W=%d: %d B per call through a reused Context, want <= %d (the sums)", workers, perCall, limit)
 		}
 	}
