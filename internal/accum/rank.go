@@ -53,8 +53,8 @@ type ranker struct {
 
 // grow re-sizes the scratch to at least need bitmap words. Cold: a worker
 // pays it a handful of times, then its widest row fits. It stays out of line
-// so that its allocations stay out of the hot bodies that call it, window and
-// SPAG.Bitmap.
+// so that its allocations stay out of the hot bodies that reach it, window and
+// SPAG.Bitmap (through SPAG.ready).
 //
 //go:noinline
 func (r *ranker) grow(need int) {

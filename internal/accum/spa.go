@@ -18,21 +18,24 @@ import (
 // bit per column (Bitmap): no stamps and no list, and the extraction walks
 // the bitmap in column order.
 //
-// Identity invariant: a value slot outside the current row holds V's
-// bit-exact additive identity, -0 for floats (-0 + x is x for every x, where
-// +0 + -0 is +0) and the zero value otherwise. The arrays are allocated that
-// way and every extraction — Gather, ExtractSorted, ExtractUnsorted,
-// ExtractBitmap — empties each slot it reads back to it, so a Bitmap row may
-// fold its first product onto the slot with no first-touch test, whatever
-// ring the previous row was folded with. Lookup after an extraction reads the
-// identity. A row that is Reset without an extraction leaves its slots as
-// they were, and no Bitmap row may follow it.
+// Identity invariant: from the first Bitmap call on, a value slot outside
+// the current row holds V's bit-exact additive identity, -0 for floats (-0 +
+// x is x for every x, where +0 + -0 is +0) and the zero value otherwise. The
+// arrays are allocated zeroed, which a stamped row never reads (it stores a
+// column's first product); the first Bitmap call after an allocation fills
+// every slot with the identity, and every extraction — Gather, ExtractSorted,
+// ExtractUnsorted, ExtractBitmap — empties each slot it reads back to it, so
+// a Bitmap row may fold its first product onto the slot with no first-touch
+// test, whatever ring the previous row was folded with. Lookup after an
+// extraction reads the identity. A row that is Reset without an extraction
+// leaves its slots as they were, and no Bitmap row may follow it.
 type SPAG[V semiring.Value] struct {
-	vals  []V
-	empty V // the identity every slot outside the current row holds
-	marks StampSet
-	idx   []int32 // occupied columns in insertion order
-	rank  ranker  // sorted-extraction scratch (rank.go), a Bitmap row's too
+	vals   []V
+	empty  V    // the identity every slot outside the current row holds
+	filled bool // vals holds empty outside the current row (Bitmap)
+	marks  StampSet
+	idx    []int32 // occupied columns in insertion order
+	rank   ranker  // sorted-extraction scratch (rank.go), a Bitmap row's too
 }
 
 // SPA is the float64 instantiation.
@@ -48,31 +51,21 @@ func NewSPA(ncols int) *SPA { return NewSPAG[float64](ncols) }
 // slower at W = 2 for it (EXPERIMENTS.md).
 func NewSPAG[V semiring.Value](ncols int) *SPAG[V] {
 	ncols = max(ncols, 64)
-	s := &SPAG[V]{
+	return &SPAG[V]{
+		vals:  make([]V, ncols),
 		empty: identity[V](),
 		marks: StampSet{stamp: make([]uint32, ncols), gen: 1},
 		idx:   make([]int32, 0, 256),
 	}
-	s.vals = s.emptySlots(ncols)
-	return s
 }
 
 // Reserve grows the dense arrays to cover ncols columns (no-op if already
 // large enough).
 func (s *SPAG[V]) Reserve(ncols int) {
 	if len(s.vals) < ncols {
-		s.vals = s.emptySlots(ncols)
+		s.vals, s.filled = make([]V, ncols), false
 		s.marks.Reserve(ncols)
 	}
-}
-
-// emptySlots returns ncols value slots holding the identity.
-func (s *SPAG[V]) emptySlots(ncols int) []V {
-	vals := make([]V, ncols)
-	for i := range vals {
-		vals[i] = s.empty
-	}
-	return vals
 }
 
 // identity is V's bit-exact additive identity: -0 for the float types (a
@@ -219,10 +212,27 @@ func (s *SPAG[V]) Gather(cols []int32, vals []V, sorted bool) {
 //spgemm:hotpath
 func (s *SPAG[V]) Bitmap(ncols int) (dense []V, occ []uint64) {
 	words := (ncols + 63) >> 6
+	if len(s.rank.words) < words || !s.filled {
+		s.ready(words)
+	}
+	return s.vals, s.rank.words[:words]
+}
+
+// ready readies Bitmap's cold state: the bitmap scratch, grown to words, and
+// the value slots, filled with the identity once per allocation. Out of
+// line, so the allocations and the fill stay out of the row bodies.
+//
+//go:noinline
+func (s *SPAG[V]) ready(words int) {
 	if len(s.rank.words) < words {
 		s.rank.grow(words)
 	}
-	return s.vals, s.rank.words[:words]
+	if !s.filled {
+		for i := range s.vals {
+			s.vals[i] = s.empty
+		}
+		s.filled = true
+	}
 }
 
 // ExtractBitmap writes the entries of a Bitmap row, occ being its bitmap, to

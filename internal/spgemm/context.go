@@ -23,7 +23,8 @@ import (
 // through Recycle. The price is what the Context retains: besides tables sized
 // by the widest row, up to 12·Cols bytes per worker where Cols <= flop
 // (denseRule) — its SPA, 4·Cols of stamps that symbolic counts with too plus
-// 8·Cols of values for V = float64 — and the arrays of at most one donated
+// 8·Cols of values for V = float64 —, 12·nnz(B) + 4·Rows(B) bytes of B's word
+// masks where a product built them, and the arrays of at most one donated
 // product.
 //
 // A Context is specific to one value type V: its accumulators and value
@@ -46,6 +47,7 @@ type ContextG[V semiring.Value] struct {
 	maskHash  []*accum.HashTableG[int32] // (maskedRow), dense or hashed
 	heaps     []*accum.MergeHeapG[V]
 	spa       []*accum.SPAG[V]
+	masks     wordMasks // B's, rebuilt by each call that uses them
 
 	// The replay map's column -> rank array (newReplayMap), grown through
 	// mempool.Grow so LiveBytes counts it.

@@ -70,7 +70,8 @@ func cuts(alg spgemm.Algorithm) []int {
 // default budget, the product's own cut) for n = 0, 1 (one stripe per row)
 // for n at or past a's rows. Between, the count is n wherever the output
 // bound, flop·(4 + sizeof V) bytes, is at least n·(n−1); the product still
-// cuts at least one stripe per worker.
+// cuts at least one stripe per worker, and at W > 1 claims a finer cut where
+// its flop asks for one (the one stripe rule), so n is a floor there.
 func stripeBudget[V semiring.Value](a, b *matrix.CSRG[V], n int) int64 {
 	if n <= 0 {
 		return 0
@@ -230,6 +231,23 @@ func Cases(rng *rand.Rand) []Case {
 		Case{Name: "cancellation-column", A: cancel.ToCSR(), B: onesColumn.ToCSR()},
 		Case{Name: "flop-at-most-one", A: single(48, 40), B: gen.Unsorted(single(40, 36), rng)},
 	)
+
+	// B's word masks (4 words over 256 columns) pay on B's rows 0…31, runs
+	// of 40 columns, that A's rows 0…47 take. Rows 48…63 take 3 or 4 of B's
+	// one-column rows: flop 3 counts on the stamps, flop 4 on the masks.
+	wordA, wordB := matrix.NewCOO(64, 64), matrix.NewCOO(64, 256)
+	for k := 0; k < 32; k++ {
+		for c := 0; c < 40; c++ {
+			wordB.Append(int32(k), int32((7*k+c)%256), rng.NormFloat64())
+		}
+		wordB.Append(int32(32+k), int32(37*k%256), rng.NormFloat64())
+	}
+	for i := 0; i < 64; i++ {
+		for _, k := range rng.Perm(32)[:6-(i/48)*(3-i%2)] {
+			wordA.Append(int32(i), int32(k+32*(i/48)), rng.NormFloat64())
+		}
+	}
+	cases = append(cases, Case{Name: "word-mask-rule-sides", A: wordA.ToCSR(), B: wordB.ToCSR()})
 
 	return cases
 }
@@ -467,6 +485,11 @@ func CheckSharded(c Case, unsorted bool, workers, stripes int, spillDir string) 
 	}
 	if err := identical(spilled, hash); err != nil {
 		return fmt.Errorf("%s/sharded-spill unsorted=%v not bit-identical to hash: %w", c.Name, unsorted, err)
+	}
+	// The budget's count is a floor wherever it can cut that many (stripeBudget).
+	flop, _ := matrix.Flop(c.A, c.B)
+	if want := min(stripes, c.A.Rows); 12*flop >= int64(want*(want-1)) && len(st.Stripes) < want {
+		return fmt.Errorf("%s/sharded-spill: %d stripes, want at least %d", c.Name, len(st.Stripes), want)
 	}
 	// Peak resident stripe bytes stay under budget — except when one stripe
 	// alone exceeds it, where admission degrades to serial spilling and the

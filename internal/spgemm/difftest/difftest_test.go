@@ -180,9 +180,11 @@ func TestDifferentialContextReuse(t *testing.T) {
 // ±Inf and NaN survive a stripe boundary like any other value), sorted and
 // unsorted output, at every kind of cut a budget makes: one stripe (at one
 // worker; a budget cuts at least one per worker), one per worker (the
-// static schedule Hash itself runs), more stripes than workers (the dynamic
+// paper's static schedule, where the product is under W·minStripeFlop; a
+// larger one claims a finer cut), more stripes than workers (the dynamic
 // one), and one stripe per row — each also through the out-of-core SpillSink
-// repeat at toy scale (see CheckSharded).
+// repeat at toy scale, which checks the cut has at least the stripes asked
+// for (see CheckSharded).
 func TestDifferentialSharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	dir := t.TempDir()

@@ -25,15 +25,15 @@ import (
 // The geometry is data: a flop-balanced cut of the rows into stripes
 // (Figure 6). Each half runs one loop over the stripes, a stripe's rows going
 // through the whole-row passes of hashrow.go into the stripe's window of the
-// output. Hash cuts one stripe per worker, or as many more as
-// keep a stripe's output within its memory budget (shard.go), and may land
-// them in a sink; the one-phase geometry cuts claimStripes per worker at
-// W > 1. Nothing past the cut asks which of them is running, the
-// schedule included: worker w starts on stripe w and then takes whichever
-// stripe nobody has started (ContextG.nextStripe). Cut one per worker,
-// nothing is left to take and that is the paper's static mapping; cut finer,
-// the rest flow through the pool one at a time, so a blocking sink or a slow
-// stripe holds back only the worker on it.
+// output. One rule counts them (claimStripes): claimStripes per worker at
+// W > 1, and for Hash at least as many as keep a stripe's output within its
+// memory budget (shard.go), which it may land in a sink. Nothing past the
+// cut asks which of them is running, the schedule included: worker w starts
+// on stripe w and then takes whichever stripe nobody has started
+// (ContextG.nextStripe). Cut one per worker, nothing is left to take and that
+// is the paper's static mapping; cut finer, the rest flow through the pool
+// one at a time, so a slow stripe or a blocking sink holds back only the
+// worker on it.
 //
 // Both halves are generic over the ring with concrete accumulator types, so
 // the symbolic insert and numeric accumulate compile to direct calls: these
@@ -73,19 +73,26 @@ type inspection[V semiring.Value] struct {
 	// The mask of MaskedRowSums (AlgHash, never a Plan), which runs the
 	// one-phase geometry with maskedRow as its row function (heap.go).
 	mask    *matrix.CSRG[V]
-	onePass bool // the one-pass route (inspect): onePassRow's geometry
+	onePass bool       // the one-pass route (inspect): onePassRow's geometry
+	dense   bool       // denseRule on the flop a worker serves, however fine the cut
+	masks   *wordMasks // B's (ContextG.wordMasks) or nil; a Plan's clone drops them
 }
 
 // onePhase reports whether a row is bounded before it is computed — by its
 // flop (Heap, the one-pass route) or its mask row (onePhaseExecute).
 func (in *inspection[V]) onePhase() bool { return in.alg == AlgHeap || in.mask != nil || in.onePass }
 
-// claimStripes is the stripes per worker of masked row sums or a Heap
-// product at W > 1: a row's cost there is not its flop, so a static flop cut
-// can leave one worker the slow rows; finer stripes let the others claim the
-// rest. 16 won a sweep over 4, 8 and 16 on triangle counting's masked L·U
-// (EXPERIMENTS.md).
+// claimStripes is the one stripe rule's stripes per worker at W > 1: a row's
+// cost is not its flop (a merged, a masked or a bitmap row's), so a static
+// flop cut can leave one worker the slow rows; finer stripes let the others
+// claim the rest. A two-phase product cuts at most one per minStripeFlop or
+// row and at least its budget's count (shardStripes, never fewer than W). 16
+// won a sweep over 4, 8 and 16 on triangle counting's masked L·U (EXPERIMENTS.md).
 const claimStripes = 16
+
+// minStripeFlop is the least flop of a claimed two-phase stripe, worth its
+// fixed costs; 4096 read neutral on MSBFS's many small products.
+const minStripeFlop = 4096
 
 // onePassMaxCR is the sampled compression ratio up to which the one-pass
 // route's flop-sized output overshoots nnz(C) by at most 5 %.
@@ -100,6 +107,7 @@ func (in *inspection[V]) clone() inspection[V] {
 	out := *in
 	out.flopRow = append([]int64(nil), in.flopRow...)
 	out.offsets = append([]int(nil), in.offsets...)
+	out.masks = nil
 	return out
 }
 
@@ -119,20 +127,21 @@ func inspect[V semiring.Value](alg Algorithm, a, b, mask *matrix.CSRG[V], opt *O
 	ctx.in = inspection[V]{alg: alg, workers: workers, flopRow: ctx.perRowFlop(a, b), mask: mask}
 	in := &ctx.in
 	flop := rangeFlop(in.flopRow, 0, a.Rows)
-	stripes := 1
-	switch {
-	case alg != AlgHeap && mask == nil:
-		stripes = opt.shardStripes(flop, a.Rows, workers)
-	case workers > 1:
+	stripes := 1 // the one stripe rule (claimStripes)
+	if workers > 1 {
 		stripes = claimStripes * workers
 	}
+	if alg != AlgHeap && mask == nil {
+		stripes = max(opt.shardStripes(flop, a.Rows, workers), int(min(int64(stripes), flop/minStripeFlop, int64(a.Rows))))
+	}
 	in.offsets = ctx.partition(in.flopRow, stripes, workers)
+	in.dense = denseRule(b.Cols, flop/int64(workers))
 	// The one-pass route: an unsorted one-shot Hash product in one stripe
 	// and without a sink, whose running offset is its row pointer, on stamps
 	// and the SPA by denseRule and at a ratio the recipe's sample, run on
 	// ctx's worker-0 counter, reads as about 1.
 	in.onePass = !forPlan && opt.Unsorted && alg == AlgHash && mask == nil && opt.ShardSink == nil && in.stripes() == 1 &&
-		denseRule(b.Cols, flop) && ctx.compressionRatio(a, b, recipeSampleRows) <= onePassMaxCR
+		in.dense && ctx.compressionRatio(a, b, recipeSampleRows) <= onePassMaxCR
 	pt.tick(PhasePartition)
 	if in.onePhase() && !forPlan {
 		return in, pt
@@ -140,9 +149,10 @@ func inspect[V semiring.Value](alg Algorithm, a, b, mask *matrix.CSRG[V], opt *O
 	// A Heap Plan counts with Hash's symbolic pass: the number of distinct
 	// columns does not depend on the numeric accumulator.
 	rowNnz := ctx.rowNnzBuf(a.Rows)
+	in.masks = ctx.wordMasks(a, b, in)
 	ctx.runWorkers(workers, func(w int) {
 		for s := w; s < in.stripes(); s = ctx.nextStripe() {
-			ctx.hashSymbolic(w, a, b, in.flopRow, in.offsets[s], in.offsets[s+1], rowNnz, pt.worker(w))
+			ctx.hashSymbolic(w, a, b, in, in.offsets[s], in.offsets[s+1], rowNnz, pt.worker(w))
 		}
 	})
 	pt.tick(PhaseSymbolic)
@@ -182,8 +192,7 @@ func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 			}
 			if lo < hi {
 				flop, max := rangeFlopMax(in.flopRow, lo, hi)
-				bound := capBound(max, b.Cols)
-				h := newHashNumeric(ring, ctx, w, a, b, flop, bound, !unsorted)
+				h := newHashNumeric(ring, ctx, w, a, b, in.dense, in.masks, capBound(max, b.Cols), !unsorted)
 				h.bind(cols, vals)
 				h.rows(in.flopRow, rowPtr, lo, hi, base)
 				h.report(ws)

@@ -2,6 +2,7 @@ package spgemm
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/accum"
 	"repro/internal/matrix"
@@ -11,11 +12,11 @@ import (
 // The whole-row hash kernel, written once. Hash in any stripe count, every
 // Plan build and replay of it, a Heap Plan's symbolic phase, and the
 // recipe's compression-ratio sample all run the row functions below,
-// which take four exact decisions from numbers the phases compute anyway:
+// which take five decisions, one sampled, from numbers the phases compute:
 //
 //   - Both phases pick their accumulator by one rule (denseRule): where B's
 //     column space is no larger than the flop of the rows a worker serves
-//     (Cols <= flop), symbolic counts a row's distinct columns with the
+//     (Cols <= flop/W), symbolic counts a row's distinct columns with the
 //     generation stamps of a dense SPA over that space and numeric folds its
 //     products into the same SPA (one direct index per product); otherwise
 //     both keep Figure 7's hash table. The rule needs no constant: under it
@@ -47,6 +48,10 @@ import (
 //     store leaves it and the rest fold in product order, so the output is
 //     the stamped row's bit for bit. Unsorted rows, narrower ones, seeded
 //     one-pass rows and every dictionary ring keep the stamps.
+//   - On the SPA side a two-phase call builds B's word masks where a sample
+//     says they beat the stamps (wordMasks): symbolic ORs a row's runs into
+//     the SPA's bitmap and popcounts it (countWords), numeric's bitmap rows
+//     set bits a run at a time. No call reuses another's; Plans fold per product.
 //
 // The one-phase geometry's other two row functions (heap.go) are here too.
 // A row of masked row sums (MaskedRowSums, AlgHash only) runs neither of the
@@ -93,20 +98,100 @@ func rangeFlopMax(flopRow []int64, lo, hi int) (sum, max int64) {
 // all ask it, and nothing else compares a column count with a flop.
 func denseRule(cols int, flop int64) bool { return int64(cols) <= flop }
 
+// wordMasks is B's pattern as runs, stretches of a B row in one 64-column
+// word: word[r] = col>>6, their bits in bits[r], row k's at B's own offsets
+// [RowPtr[k], RowPtr[k]+runs[k]) (an unsorted row may meet a word again). A
+// G500 s11 ef16 square has 5.2 products per run, flop weighted.
+type wordMasks struct {
+	word []int32
+	bits []uint64
+	runs []int32
+}
+
+// or sets in occ the columns of B row k, whose entries start at lo.
+//
+//spgemm:hotpath
+func (m *wordMasks) or(occ []uint64, lo int64, k int32) {
+	hi := lo + int64(m.runs[k])
+	word, bits := m.word[lo:hi], m.bits[lo:hi]
+	for r, w := range word {
+		occ[w] |= bits[r]
+	}
+}
+
+// wordMasks builds B's masks in c's buffers for a product on the SPA side, or
+// returns nil where they would not do less work than the stamps: a row whose
+// flop reaches the bitmap's ⌈Cols/64⌉ words costs the words plus an OR per
+// run, which costs about two stamps (BenchmarkSymbolic), against a stamp per
+// product, and the build reads B once. Runs per product are sampled on the B
+// rows of recipeSampleRows evenly spaced entries of A, weighting each by use.
+func (c *ContextG[V]) wordMasks(a, b *matrix.CSRG[V], in *inspection[V]) *wordMasks {
+	if !in.dense {
+		return nil
+	}
+	var runs, prods int64
+	for p, nnz := int64(0), int64(len(a.ColIdx)); p < nnz; p += max(1, nnz/recipeSampleRows) {
+		bcols := b.ColIdx[b.RowPtr[a.ColIdx[p]]:b.RowPtr[a.ColIdx[p]+1]]
+		for x, col := range bcols {
+			if x == 0 || col>>6 != bcols[x-1]>>6 {
+				runs++
+			}
+		}
+		prods += int64(len(bcols))
+	}
+	words, cost, flop := int64(b.Cols+63)>>6, float64(len(b.ColIdx)), int64(0)
+	for _, f := range in.flopRow {
+		if f >= max(words, 2) && b.Cols > 1 { // not a row symbolic sizes by its bound
+			cost, flop = cost+float64(words), flop+f
+		}
+	}
+	if runs == 0 || cost+2*float64(flop)*float64(runs)/float64(prods) >= float64(flop) {
+		return nil
+	}
+	c.masks.build(b.RowPtr, b.ColIdx)
+	return &c.masks
+}
+
+// build makes m the masks of the pattern rowPtr/colIdx, in m's own buffers.
+func (m *wordMasks) build(rowPtr []int64, colIdx []int32) {
+	word, bits, runs := tempBuf(&m.word, int64(len(colIdx))), tempBuf(&m.bits, int64(len(colIdx))), tempBuf(&m.runs, int64(len(rowPtr)-1))
+	for k := range runs { // each entry rewrites its run's slot; a new word moves on one, without a branch
+		lo, hi := rowPtr[k], rowPtr[k+1]
+		rword, rbits, r, prev, cur := word[lo:hi], bits[lo:hi], -1, int32(-1), uint64(0)
+		for _, col := range colIdx[lo:hi] {
+			d := col>>6 - prev // non-zero at a new word, where d|-d is negative
+			fresh := int(uint32(d|-d) >> 31)
+			r, prev = r+fresh, col>>6
+			cur = cur&(uint64(fresh)-1) | 1<<(col&63)
+			rword[r], rbits[r] = prev, cur
+		}
+		runs[k] = int32(r + 1)
+	}
+}
+
 // rowCounter is one worker's symbolic accumulator: stamps — its SPA's, which
-// numeric folds into next — or a hash table, never both.
+// numeric folds into next, with the SPA's bitmap beside them where B's masks
+// count (countWords) — or a hash table, never both.
 type rowCounter[V semiring.Value] struct {
 	stamps *accum.StampSet
 	table  *accum.HashTableG[V]
+	masks  *wordMasks
+	occ    []uint64
 }
 
-// rowCounter picks worker w's symbolic accumulator for rows carrying flop
-// products, none of them more than bound (already capped at cols) per row.
-func (c *ContextG[V]) rowCounter(w, cols int, flop, bound int64) rowCounter[V] {
-	if denseRule(cols, flop) {
-		return rowCounter[V]{stamps: c.spaTable(w, cols).Marks()}
+// rowCounter picks worker w's symbolic accumulator for rows none of which
+// carries more than bound products (already capped at cols): the SPA where
+// dense (denseRule), with masks when non-nil, else the table.
+func (c *ContextG[V]) rowCounter(w, cols int, dense bool, bound int64, masks *wordMasks) rowCounter[V] {
+	if !dense {
+		return rowCounter[V]{table: c.hashTable(w, bound)}
 	}
-	return rowCounter[V]{table: c.hashTable(w, bound)}
+	spa := c.spaTable(w, cols)
+	rc := rowCounter[V]{stamps: spa.Marks(), masks: masks}
+	if masks != nil {
+		_, rc.occ = spa.Bitmap(cols)
+	}
+	return rc
 }
 
 // count returns the number of distinct columns in row i of A·B.
@@ -135,22 +220,41 @@ func (rc *rowCounter[V]) count(a, b *matrix.CSRG[V], i int) int64 {
 	return int64(table.Len())
 }
 
+// countWords is count on B's word masks, for a row whose flop reaches the
+// bitmap's words: it ORs in each run, then popcounts and clears each word.
+//
+//spgemm:hotpath
+func (rc *rowCounter[V]) countWords(a *matrix.CSRG[V], bRowPtr []int64, i int) int64 {
+	occ, arp := rc.occ, a.RowPtr[i:i+2]
+	for _, k := range a.ColIdx[arp[0]:arp[1]] {
+		rc.masks.or(occ, bRowPtr[k], k)
+	}
+	n := 0
+	for w, x := range occ {
+		n += bits.OnesCount64(x)
+		occ[w] = 0
+	}
+	return int64(n)
+}
+
 // hashSymbolic is worker w's symbolic pass: the output size of every row of
 // [lo, hi) with a non-zero weight goes to rowNnz (the rest stay as the
 // caller zeroed them). ws may be nil.
-func (c *ContextG[V]) hashSymbolic(w int, a, b *matrix.CSRG[V], flopRow []int64, lo, hi int, rowNnz []int64, ws *WorkerStats) {
-	flop, max := rangeFlopMax(flopRow, lo, hi)
+func (c *ContextG[V]) hashSymbolic(w int, a, b *matrix.CSRG[V], in *inspection[V], lo, hi int, rowNnz []int64, ws *WorkerStats) {
+	flop, max := rangeFlopMax(in.flopRow, lo, hi)
 	if flop == 0 {
 		return
 	}
-	rc := c.rowCounter(w, b.Cols, flop, capBound(max, b.Cols))
+	rc := c.rowCounter(w, b.Cols, in.dense, capBound(max, b.Cols), in.masks)
 	counted := flop
 	for i := lo; i < hi; i++ {
-		if f := flopRow[i]; f != 0 {
+		if f := in.flopRow[i]; f != 0 {
 			// Figure 7's bound min(flop, Cols) is the size itself where it is
 			// at most 1: one product, or one column every product lands on.
 			if n := capBound(f, b.Cols); n <= 1 {
 				rowNnz[i], counted = n, counted-f
+			} else if rc.occ != nil && int64(len(rc.occ)) <= f {
+				rowNnz[i] = rc.countWords(a, b.RowPtr, i)
 			} else {
 				rowNnz[i] = rc.count(a, b, i)
 			}
@@ -166,14 +270,15 @@ func (c *ContextG[V]) hashSymbolic(w int, a, b *matrix.CSRG[V], flopRow []int64,
 	}
 }
 
-// hashNumeric is one worker's numeric state: the operands, the accumulator —
-// the SPA or the table, never both —, the output window its rows land in and
-// the row bodies its ring folds with (bodiesFor).
+// hashNumeric is one worker's numeric state: the operands and B's masks, the
+// accumulator — the SPA or the table, never both —, the output window its
+// rows land in and the row bodies its ring folds with (bodiesFor).
 type hashNumeric[V semiring.Value, R semiring.Ring[V]] struct {
 	ring   R
 	body   rowBodies[V, R]
 	spa    *accum.SPAG[V]
 	table  *accum.HashTableG[V]
+	masks  *wordMasks
 	a, b   *matrix.CSRG[V]
 	cols   []int32
 	vals   []V
@@ -182,13 +287,13 @@ type hashNumeric[V semiring.Value, R semiring.Ring[V]] struct {
 	dense  int64 // flop folded into the SPA
 }
 
-// newHashNumeric readies worker w's numeric pass over rows carrying flop
-// products, none of them more than bound (already capped at B's columns) per
-// row: by denseRule the worker's SPA over B's columns, else its table — the
-// side rowCounter took for the same rows. bind gives it its window.
-func newHashNumeric[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V], w int, a, b *matrix.CSRG[V], flop, bound int64, sorted bool) hashNumeric[V, R] {
-	h := hashNumeric[V, R]{ring: ring, body: bodiesFor[V](ring), a: a, b: b, sorted: sorted}
-	if denseRule(b.Cols, flop) {
+// newHashNumeric readies worker w's numeric pass over rows none of which
+// carries more than bound products (already capped at B's columns): where
+// dense (denseRule) the worker's SPA, with B's masks if any, else its table —
+// the side rowCounter took for the same rows. bind gives it its window.
+func newHashNumeric[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V], w int, a, b *matrix.CSRG[V], dense bool, masks *wordMasks, bound int64, sorted bool) hashNumeric[V, R] {
+	h := hashNumeric[V, R]{ring: ring, body: bodiesFor[V](ring), masks: masks, a: a, b: b, sorted: sorted}
+	if dense {
 		h.spa = ctx.spaTable(w, b.Cols)
 	} else {
 		h.table = ctx.hashTable(w, bound)
@@ -218,7 +323,7 @@ func (h *hashNumeric[V, R]) row(i int, start, n, flop int64) {
 		h.dense += flop
 	}
 	if dense {
-		h.body.spaRow(h.ring, h.spa, h.a, h.b, i, 0, 0, cols, vals, h.sorted)
+		h.body.spaRow(h.ring, h.spa, h.masks, h.a, h.b, i, 0, 0, cols, vals, h.sorted)
 	} else {
 		h.body.hashRow(h.ring, h.table, h.a, h.b, i, cols, vals, direct, h.sorted)
 	}
@@ -254,7 +359,7 @@ func (h *hashNumeric[V, R]) report(ws *WorkerStats) {
 // ring's Add and Mul, ptBodies (ringfast.go) in Go's * and +.
 type rowBodies[V semiring.Value, R semiring.Ring[V]] interface {
 	hashRow(ring R, table *accum.HashTableG[V], a, b *matrix.CSRG[V], i int, cols []int32, vals []V, direct, sorted bool)
-	spaRow(ring R, spa *accum.SPAG[V], a, b *matrix.CSRG[V], i, from, seeded int, cols []int32, vals []V, sorted bool) int
+	spaRow(ring R, spa *accum.SPAG[V], masks *wordMasks, a, b *matrix.CSRG[V], i, from, seeded int, cols []int32, vals []V, sorted bool) int
 	onePassRow(ring R, spa *accum.SPAG[V], a, b *matrix.CSRG[V], i int, cols []int32, vals []V) (n, marks int)
 	maskedRow(ring R, dense []int32, table *accum.HashTableG[int32], a, b *matrix.CSRG[V], mcols []int32, i int, cols []int32, vals []V, sort bool) int
 }
@@ -355,10 +460,10 @@ func oneEntryRow[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG
 // The first seeded entries of cols/vals are the row's products through its B
 // rows before from, written by concatenation (onePassRow; two-phase numeric
 // passes 0 and 0): the SPA takes them as they stand and folds on from B row
-// from. It returns the row's size.
+// from. It returns the row's size. It has no bitmap row, so no use for masks.
 //
 //spgemm:hotpath
-func (ringBodies[V, R]) spaRow(ring R, spa *accum.SPAG[V], a, b *matrix.CSRG[V], i, from, seeded int, cols []int32, vals []V, sorted bool) int {
+func (ringBodies[V, R]) spaRow(ring R, spa *accum.SPAG[V], _ *wordMasks, a, b *matrix.CSRG[V], i, from, seeded int, cols []int32, vals []V, sorted bool) int {
 	arp := a.RowPtr[i : i+2]
 	acols := a.ColIdx[arp[0]+int64(from) : arp[1]]
 	avals := a.Val[arp[0]+int64(from) : arp[1]]
@@ -402,7 +507,7 @@ func (r ringBodies[V, R]) onePassRow(ring R, spa *accum.SPAG[V], a, b *matrix.CS
 		brp := b.RowPtr[k : int(k)+2]
 		bcols := b.ColIdx[brp[0]:brp[1]]
 		if c := st.CopyNew(cols[n:], bcols); c < len(bcols) {
-			return r.spaRow(ring, spa, a, b, i, x, n, cols, vals, false), n + c + 1
+			return r.spaRow(ring, spa, nil, a, b, i, x, n, cols, vals, false), n + c + 1
 		}
 		av := avals[x]
 		bvals := b.Val[brp[0]:brp[1]]
@@ -422,7 +527,7 @@ func (r ringBodies[V, R]) onePassRow(ring R, spa *accum.SPAG[V], a, b *matrix.CS
 // counted first and written as two-phase numeric would, and only one whose
 // count overflows too grows c, to hold every later row at its flop.
 func onePassRows[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V], a, b *matrix.CSRG[V], flopRow []int64, flop, max int64, c *matrix.CSRG[V], ws *WorkerStats) {
-	h := newHashNumeric(ring, ctx, 0, a, b, flop, capBound(max, b.Cols), false) // the SPA: the route is denseRule's
+	h := newHashNumeric(ring, ctx, 0, a, b, true, nil, capBound(max, b.Cols), false) // the SPA: the route is denseRule's
 	h.bind(c.ColIdx, c.Val)
 	rc := rowCounter[V]{stamps: h.spa.Marks()}
 	var pos, marks int64

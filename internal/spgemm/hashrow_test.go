@@ -354,8 +354,10 @@ func ruleInputs() []ruleInput {
 }
 
 // BenchmarkSymbolic times one worker's symbolic pass over a whole product
-// with each of rowCounter's two accumulators forced, on both sides of the
-// rule. "rule" in the name is what rowCounter would pick.
+// with each of rowCounter's accumulators forced, on both sides of the rule:
+// the table, the stamps, and the stamps beside B's word masks, which count
+// every row whose flop reaches the bitmap's words (countWords). "rule" in the
+// name is what inspect would pick.
 func BenchmarkSymbolic(b *testing.B) {
 	for _, in := range ruleInputs() {
 		a, bm := in.a, in.b
@@ -364,19 +366,34 @@ func BenchmarkSymbolic(b *testing.B) {
 		rule := "hash"
 		if denseRule(bm.Cols, flop) {
 			rule = "stamps"
+			ctx := NewContext()
+			if ctx.wordMasks(a, bm, &inspection[float64]{flopRow: flopRow, dense: true}) != nil {
+				rule = "masks"
+			}
 		}
-		for _, kind := range []string{"hash", "stamps"} {
+		words := int64(bm.Cols+63) >> 6
+		for _, kind := range []string{"hash", "stamps", "masks"} {
 			b.Run(fmt.Sprintf("%s/flop=%d/rule=%s/%s", in.name, flop, rule, kind), func(b *testing.B) {
 				for n := 0; n < b.N; n++ {
 					// A fresh accumulator per pass, as a one-shot Multiply
-					// pays for it; the stamps' O(Cols) zeroing is in the time.
+					// pays for it; the stamps' O(Cols) zeroing and the masks'
+					// build are in the time.
 					rc := rowCounter[float64]{table: accum.NewHashTable(capBound(max, bm.Cols))}
-					if kind == "stamps" {
+					switch kind {
+					case "stamps":
 						rc = rowCounter[float64]{stamps: accum.NewStampSet(bm.Cols)}
+					case "masks":
+						var m wordMasks
+						m.build(bm.RowPtr, bm.ColIdx)
+						rc = rowCounter[float64]{stamps: accum.NewStampSet(bm.Cols), masks: &m, occ: make([]uint64, words)}
 					}
 					var nnz int64
 					for i := 0; i < a.Rows; i++ {
-						nnz += rc.count(a, bm, i)
+						if rc.occ != nil && words <= flopRow[i] {
+							nnz += rc.countWords(a, bm.RowPtr, i)
+						} else {
+							nnz += rc.count(a, bm, i)
+						}
 					}
 					if nnz == 0 {
 						b.Fatal("empty product")
@@ -390,8 +407,11 @@ func BenchmarkSymbolic(b *testing.B) {
 // BenchmarkNumeric is BenchmarkSymbolic's twin for the numeric pass: one
 // worker's sorted numeric pass over a whole product (every row through the
 // accumulator, none by concatenation) with the table or the SPA forced, into
-// an output the symbolic pass sized outside the timer. "rule" in the name is
-// what newHashNumeric would pick.
+// an output the symbolic pass sized outside the timer. On the SPA a row whose
+// bitmap is no wider than it folds through the bitmap, setting a bit per
+// product ("spa") or ORing B's word masks, built outside the timer as symbolic
+// builds them, one per run ("masks"). "rule" in the name is what execute
+// would pick.
 func BenchmarkNumeric(b *testing.B) {
 	for _, in := range ruleInputs() {
 		b.Run(in.name, func(b *testing.B) {
@@ -400,7 +420,7 @@ func BenchmarkNumeric(b *testing.B) {
 			flop, max := rangeFlopMax(flopRow, 0, a.Rows)
 			ctx := NewContext()
 			ctx.ensureWorkers(1)
-			rc := ctx.rowCounter(0, bm.Cols, flop, capBound(max, bm.Cols))
+			rc := ctx.rowCounter(0, bm.Cols, denseRule(bm.Cols, flop), capBound(max, bm.Cols), nil)
 			rowPtr := make([]int64, a.Rows+1)
 			for i := 0; i < a.Rows; i++ {
 				rowPtr[i+1] = rowPtr[i] + rc.count(a, bm, i)
@@ -409,17 +429,26 @@ func BenchmarkNumeric(b *testing.B) {
 			rule := "table"
 			if denseRule(bm.Cols, flop) {
 				rule = "spa"
+				if ctx.wordMasks(a, bm, &inspection[float64]{flopRow: flopRow, dense: true}) != nil {
+					rule = "masks"
+				}
 			}
-			for _, kind := range []string{"table", "spa"} {
+			var m wordMasks
+			m.build(bm.RowPtr, bm.ColIdx)
+			for _, kind := range []string{"table", "spa", "masks"} {
 				b.Run(fmt.Sprintf("flop=%d/rule=%s/%s", flop, rule, kind), func(b *testing.B) {
 					for n := 0; n < b.N; n++ {
 						// A fresh accumulator per pass, as a one-shot Multiply
 						// pays for it; the SPA's O(Cols) zeroing is in the time.
 						h := hashNumeric[float64, semiring.PlusTimesF64]{body: bodiesFor[float64](semiring.PlusTimesF64{}), a: a, b: bm, sorted: true}
-						if kind == "spa" {
-							h.spa = accum.NewSPA(bm.Cols)
-						} else {
+						switch kind {
+						case "table":
 							h.table = accum.NewHashTable(capBound(max, bm.Cols))
+						case "masks":
+							h.masks = &m
+							fallthrough
+						default:
+							h.spa = accum.NewSPA(bm.Cols)
 						}
 						h.bind(cols, vals)
 						h.rows(flopRow, rowPtr, 0, a.Rows, 0)
@@ -719,4 +748,182 @@ func filterByMask[V semiring.Value](c, mask *matrix.CSRG[V]) *matrix.CSRG[V] {
 		out.RowPtr[i+1] = int64(len(out.ColIdx))
 	}
 	return out
+}
+
+// TestWordMasksBuild: the builder lists each B row's maximal stretches of
+// columns in one 64-column word, at the row's own offset — across word
+// boundaries, in an unsorted row that meets a word again, in empty rows,
+// with Cols not a multiple of 64 and with Cols <= 64 — and or sets exactly a
+// row's columns.
+func TestWordMasksBuild(t *testing.T) {
+	type run struct {
+		word int32
+		bits uint64
+	}
+	for _, tc := range []struct {
+		name string
+		cols int
+		rows [][]int32
+		want [][]run
+	}{
+		{"word-boundaries", 200, [][]int32{{62, 63, 64, 65, 127, 128, 199}},
+			[][]run{{{0, 3 << 62}, {1, 3 | 1<<63}, {2, 1}, {3, 1 << 7}}}},
+		{"unsorted-recurring", 130, [][]int32{{3, 70, 5, 129, 64}, {65, 1}},
+			[][]run{{{0, 1 << 3}, {1, 1 << 6}, {0, 1 << 5}, {2, 1 << 1}, {1, 1}}, {{1, 1 << 1}, {0, 1 << 1}}}},
+		{"empty-rows", 100, [][]int32{{}, {1, 2}, {}, {}},
+			[][]run{{}, {{0, 6}}, {}, {}}},
+		{"narrow", 10, [][]int32{{0, 9}, {5}, {}},
+			[][]run{{{0, 1 | 1<<9}}, {{0, 1 << 5}}, {}}},
+	} {
+		rowPtr := []int64{0}
+		var colIdx []int32
+		for _, row := range tc.rows {
+			colIdx = append(colIdx, row...)
+			rowPtr = append(rowPtr, int64(len(colIdx)))
+		}
+		// Stale contents from a wider pattern must not show through.
+		m := wordMasks{word: slices.Repeat([]int32{7}, 64), bits: slices.Repeat([]uint64{1 << 40}, 64), runs: make([]int32, 64)}
+		m.build(rowPtr, colIdx)
+		if len(m.runs) != len(tc.rows) {
+			t.Fatalf("%s: %d rows of runs, want %d", tc.name, len(m.runs), len(tc.rows))
+		}
+		for k, want := range tc.want {
+			got := make([]run, m.runs[k])
+			for r := range got {
+				got[r] = run{m.word[rowPtr[k]+int64(r)], m.bits[rowPtr[k]+int64(r)]}
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: row %d runs %x, want %x", tc.name, k, got, want)
+			}
+			occ := make([]uint64, (tc.cols+63)/64)
+			m.or(occ, rowPtr[k], int32(k))
+			wantOcc := make([]uint64, len(occ))
+			for _, col := range tc.rows[k] {
+				wantOcc[col>>6] |= 1 << (col & 63)
+			}
+			if !slices.Equal(occ, wantOcc) {
+				t.Errorf("%s: row %d or sets %x, want %x", tc.name, k, occ, wantOcc)
+			}
+		}
+	}
+}
+
+// TestWordMasksCount: where the gate builds masks (a G500 square), a row
+// counted on them has the size the stamps count, row by row; where B does
+// not compress (an ER square at 8 entries per row over 32 words) the gate
+// builds none.
+func TestWordMasksCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	g500, er := gen.RMAT(9, 16, gen.G500Params, rng), gen.ER(11, 8, rng)
+	ctx := NewContext()
+	ctx.ensureWorkers(1)
+	_, flopRow := matrix.Flop(er, er)
+	if m := ctx.wordMasks(er, er, &inspection[float64]{flopRow: flopRow, dense: true}); m != nil {
+		t.Error("masks built for an ER square whose rows do not compress")
+	}
+	_, flopRow = matrix.Flop(g500, g500)
+	m := ctx.wordMasks(g500, g500, &inspection[float64]{flopRow: flopRow, dense: true})
+	if m == nil {
+		t.Fatal("no masks for a G500 square")
+	}
+	rc := ctx.rowCounter(0, g500.Cols, true, 0, m)
+	for i, f := range flopRow {
+		if f == 0 {
+			continue
+		}
+		if got, want := rc.countWords(g500, g500.RowPtr, i), rc.count(g500, g500, i); got != want {
+			t.Fatalf("row %d (flop %d): %d on the masks, %d on the stamps", i, f, got, want)
+		}
+	}
+}
+
+// TestWordMasksNotStale: a Context rebuilds B's masks on every call, so a
+// pattern written into the same *CSR between two products cannot leak the
+// first one's masks into the second; and a Plan built on them, executed
+// three times, is bit-identical to the one-shot product.
+func TestWordMasksNotStale(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	a := gen.RMAT(9, 16, gen.G500Params, rng)
+	b, next := a.Clone(), gen.RMAT(9, 16, gen.G500Params, rng)
+	for _, workers := range []int{1, 2} {
+		ctx := NewContext()
+		opt := &Options{Algorithm: AlgHash, Workers: workers, Context: ctx}
+		if _, err := Multiply(a, b, opt); err != nil {
+			t.Fatal(err)
+		}
+		if ctx.in.masks == nil {
+			t.Fatal("the first product built no masks")
+		}
+		saved := *b
+		*b = *next.Clone()
+		got, err := Multiply(a, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Multiply(a, b, &Options{Algorithm: AlgHash, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameCSR(t, want, got)
+		*b = saved
+
+		want, err = Multiply(a, b, &Options{Algorithm: AlgHash, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := NewPlan(a, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 3; round++ {
+			got, err := plan.ExecuteIn(ctx, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameCSR(t, want, got)
+		}
+	}
+}
+
+// TestStripeRule: at W > 1 an unmasked Hash product cuts claimStripes per
+// worker, at most one per minStripeFlop, and never fewer than W; and the SPA
+// goes by the flop a worker serves, so stripes finer than Cols keep it.
+func TestStripeRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	const w = 2
+	g500 := gen.RMAT(10, 16, gen.G500Params, rng)
+	small := gen.ER(6, 4, rng)
+	// 2 × 4 products per row over 8192 columns: flop 65,536, 16 stripes of
+	// 4,096 products each, below Cols; 32,768 per worker, above it.
+	wideA := matrix.RandomWithDegree(8192, 8192, 2, rng)
+	wideB := matrix.RandomWithDegree(8192, 8192, 4, rng)
+	for _, tc := range []struct {
+		name    string
+		a, b    *matrix.CSR
+		stripes func(flop int64) int
+	}{
+		{"g500", g500, g500, func(flop int64) int { return int(min(claimStripes*w, flop/minStripeFlop)) }},
+		{"small", small, small, func(int64) int { return w }},
+		{"wide", wideA, wideB, func(flop int64) int { return int(flop / minStripeFlop) }},
+	} {
+		var st ExecStats
+		if _, err := Multiply(tc.a, tc.b, &Options{Algorithm: AlgHash, Workers: w, Stats: &st}); err != nil {
+			t.Fatal(err)
+		}
+		tw := st.TotalWorker()
+		if want := tc.stripes(tw.Flop); len(st.Stripes) != want {
+			t.Errorf("%s: %d stripes at flop %d, want %d", tc.name, len(st.Stripes), tw.Flop, want)
+		}
+		if tc.name == "small" && tw.Flop >= w*minStripeFlop {
+			t.Errorf("small: flop %d is not under W·minStripeFlop", tw.Flop)
+		}
+		if tc.name == "wide" {
+			if s := st.Stripes[0]; s.Flop >= int64(tc.b.Cols) || tw.Flop/w < int64(tc.b.Cols) {
+				t.Errorf("wide: stripe flop %d, per-worker flop %d, Cols %d", s.Flop, tw.Flop/w, tc.b.Cols)
+			}
+			if tw.DenseFlop != tw.Flop || tw.HashLookups != 0 {
+				t.Errorf("wide: DenseFlop %d of %d, %d hash lookups: a fine cut moved rows to the table", tw.DenseFlop, tw.Flop, tw.HashLookups)
+			}
+		}
+	}
 }

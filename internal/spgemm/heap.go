@@ -92,7 +92,7 @@ func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.
 	}
 	// The mask index goes by denseRule, for its reason: the O(Cols) array only
 	// where the flop one worker serves pays for it, however fine the cut.
-	dense := in.mask != nil && denseRule(b.Cols, rangeFlop(in.flopRow, 0, a.Rows)/int64(in.workers))
+	dense := in.mask != nil && in.dense
 	ctx.runWorkers(in.workers, func(w int) {
 		ws := pt.worker(w)
 		var h *accum.MergeHeapG[V]

@@ -169,7 +169,7 @@ func (c *ContextG[V]) compressionRatio(a, b *matrix.CSRG[V], sampleRows int) flo
 			max = f
 		}
 	}
-	rc := c.rowCounter(0, b.Cols, flop, capBound(max, b.Cols))
+	rc := c.rowCounter(0, b.Cols, denseRule(b.Cols, flop), capBound(max, b.Cols), nil)
 	for i := 0; i < a.Rows; i += stride {
 		nnz += rc.count(a, b, i)
 	}

@@ -83,11 +83,12 @@ func (ptBodies[T, R]) hashRow(_ R, table *accum.HashTableG[T], a, b *matrix.CSRG
 // rule; such a row's cols is exactly its size (hashNumeric.row). That row
 // folds with no stamp, branch or column list: each product sets its column's
 // bit and adds onto its slot, which holds the identity -0 (0 for int64) until
-// then, so the first product lands as Upsert's store would leave it. The
-// bitmap extraction then lists the row in column order, with no sort.
+// then, so the first product lands as Upsert's store would leave it (B's word
+// masks set its bits a run at a time). The bitmap extraction then lists the
+// row in column order, with no sort.
 //
 //spgemm:hotpath
-func (ptBodies[T, R]) spaRow(_ R, spa *accum.SPAG[T], a, b *matrix.CSRG[T], i, from, seeded int, cols []int32, vals []T, sorted bool) int {
+func (ptBodies[T, R]) spaRow(_ R, spa *accum.SPAG[T], masks *wordMasks, a, b *matrix.CSRG[T], i, from, seeded int, cols []int32, vals []T, sorted bool) int {
 	arp := a.RowPtr[i : i+2]
 	acols := a.ColIdx[arp[0]+int64(from) : arp[1]]
 	avals := a.Val[arp[0]+int64(from) : arp[1]]
@@ -97,7 +98,15 @@ func (ptBodies[T, R]) spaRow(_ R, spa *accum.SPAG[T], a, b *matrix.CSRG[T], i, f
 			av := avals[x]
 			brp := b.RowPtr[k : int(k)+2]
 			bvals := b.Val[brp[0]:brp[1]]
-			for y, col := range b.ColIdx[brp[0]:brp[1]] {
+			bcols := b.ColIdx[brp[0]:brp[1]]
+			if masks != nil { // one OR per run of the B row, then the folds
+				masks.or(occ, brp[0], k)
+				for y, col := range bcols {
+					dense[col] += T(av * bvals[y])
+				}
+				continue
+			}
+			for y, col := range bcols {
 				occ[col>>6] |= 1 << (col & 63)
 				dense[col] += T(av * bvals[y])
 			}
@@ -138,7 +147,7 @@ func (p ptBodies[T, R]) onePassRow(ring R, spa *accum.SPAG[T], a, b *matrix.CSRG
 		brp := b.RowPtr[k : int(k)+2]
 		bcols := b.ColIdx[brp[0]:brp[1]]
 		if c := st.CopyNew(cols[n:], bcols); c < len(bcols) {
-			return p.spaRow(ring, spa, a, b, i, x, n, cols, vals, false), n + c + 1
+			return p.spaRow(ring, spa, nil, a, b, i, x, n, cols, vals, false), n + c + 1
 		}
 		av := avals[x]
 		bvals := b.Val[brp[0]:brp[1]]

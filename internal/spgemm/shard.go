@@ -12,9 +12,10 @@ import (
 // al., arXiv:1801.03065), sized so one stripe's output fits
 // Options.ShardMemBudget (shardStripes). The stripes beyond the first W flow
 // through the pool one at a time, and each finished stripe can land in a
-// SpillSink (spill.go) instead of the whole output. The driver's one stripe
-// loop (driver.go) runs them; this file only counts the stripes and reports
-// what the cut looked like.
+// SpillSink (spill.go) instead of the whole output. The budget's count is a
+// floor of the one stripe rule (claimStripes, driver.go), whose claimed cut
+// at W > 1 may be finer; the driver's one stripe loop runs them. This file
+// only counts the budget's stripes and reports what the cut looked like.
 //
 // Identity guarantee: the product is bit-identical whatever the stripe count
 // and the sink, sorted or unsorted. A row's products fold in A-row order

@@ -297,7 +297,7 @@ func TestShardedStripeStats(t *testing.T) {
 	a := gen.RMAT(8, 8, gen.G500Params, rng)
 	b := gen.RMAT(8, 8, gen.G500Params, rng)
 	var st ExecStats
-	c, err := Multiply(a, b, &Options{Algorithm: AlgHash, ShardMemBudget: stripeBudget(a, b, 5), Stats: &st})
+	c, err := Multiply(a, b, &Options{Algorithm: AlgHash, Workers: 1, ShardMemBudget: stripeBudget(a, b, 5), Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestShardedStripeStats(t *testing.T) {
 	// them is a phase.
 	sink := NewSpillSink[float64](t.TempDir(), 1<<20)
 	defer sink.Close()
-	if _, err := Multiply(a, b, &Options{Algorithm: AlgHash, ShardMemBudget: stripeBudget(a, b, 5), ShardSink: sink, Stats: &st}); err != nil {
+	if _, err := Multiply(a, b, &Options{Algorithm: AlgHash, Workers: 1, ShardMemBudget: stripeBudget(a, b, 5), ShardSink: sink, Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
 	if len(st.Stripes) != 5 || !st.Stripes[0].Spilled {

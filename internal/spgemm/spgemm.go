@@ -116,8 +116,9 @@ type OptionsG[V semiring.Value] struct {
 	Context *ContextG[V]
 	// ShardMemBudget is the resident-bytes target one stripe's output
 	// upper bound is sized against: a two-phase product (Hash or a Plan)
-	// cuts enough stripes that each fits it, at least one per worker and
-	// at most one per row. 0 means a 256 MiB default.
+	// cuts at least enough stripes that each fits it, at least one per
+	// worker and at most one per row (at W > 1 its claimed cut may be
+	// finer). 0 means a 256 MiB default.
 	ShardMemBudget int64
 	// ShardSink overrides where a two-phase product lands finished stripes.
 	// nil means the output itself; a SpillSink bounds peak resident output
