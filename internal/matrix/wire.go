@@ -29,7 +29,8 @@ import (
 // reader rejects unknown flag bits and bytes after the value array, so an
 // accepted stream is the one encoding of what it decodes to, and a hash over
 // it names the matrix for the server's interning store. A little-endian host
-// sends each array's memory as it lies, others convert it: the same bytes.
+// sends and receives each array's memory as it lies, others convert it: the
+// same bytes.
 
 // wireMagic identifies a binary CSR stream.
 var wireMagic = [4]byte{'S', 'P', 'G', 'B'}
@@ -120,8 +121,9 @@ func writeWireArray[T int32 | int64 | float64](w io.Writer, s []T) error {
 // stream ends with the value array and the full CSR structural invariants
 // (monotone row pointers, in-range column indices, sortedness when flagged)
 // once the arrays are in. Array storage is
-// committed chunk by chunk as bytes actually arrive, so a truncated or
-// lying header errors out early instead of allocating what it claims.
+// committed chunk by chunk, each once the one before it arrived, so a
+// truncated or lying header errors out early instead of allocating what it
+// claims.
 func ReadCSRBinary(r io.Reader) (*CSR, error) {
 	return ReadCSRBinaryLimited(r, nil)
 }
@@ -161,22 +163,20 @@ func ReadCSRBinaryLimited(r io.Reader, lim *ReadLimits) (*CSR, error) {
 		Cols:   int(cols),
 		Sorted: flags&wireFlagSorted != 0,
 	}
-	buf := wireScratch(max(rows+1, nnz))
-	rowPtr, err := readInt64Chunked(r, buf, rows+1)
-	if err != nil {
+	var buf []byte // a little-endian host reads into the arrays themselves
+	if !wireNative {
+		buf = wireScratch(max(rows+1, nnz))
+	}
+	var err error
+	if m.RowPtr, err = readWireArray[int64](r, buf, rows+1); err != nil {
 		return nil, fmt.Errorf("matrix: wire rowptr: %w", err)
 	}
-	m.RowPtr = rowPtr
-	colIdx, err := readInt32Chunked(r, buf, nnz)
-	if err != nil {
+	if m.ColIdx, err = readWireArray[int32](r, buf, nnz); err != nil {
 		return nil, fmt.Errorf("matrix: wire colidx: %w", err)
 	}
-	m.ColIdx = colIdx
-	val, err := readFloat64Chunked(r, buf, nnz)
-	if err != nil {
+	if m.Val, err = readWireArray[float64](r, buf, nnz); err != nil {
 		return nil, fmt.Errorf("matrix: wire val: %w", err)
 	}
-	m.Val = val
 	var extra [1]byte
 	if _, err := io.ReadFull(r, extra[:]); err == nil {
 		return nil, fmt.Errorf("matrix: wire: bytes after the value array")
@@ -190,8 +190,9 @@ func ReadCSRBinaryLimited(r io.Reader, lim *ReadLimits) (*CSR, error) {
 }
 
 // growChunk extends dst by want elements for the next chunk of an array of
-// n, so allocation tracks delivered bytes, not the claimed count: capacity
-// at least doubles when it runs out, and never passes n.
+// n, so allocation tracks delivered bytes, not the claimed count: at most
+// one chunk ahead of them, capacity at least doubles when it runs out, and
+// never passes n.
 func growChunk[T any](dst []T, want, n int64) []T {
 	if need := int64(len(dst)) + want; need > int64(cap(dst)) {
 		grown := make([]T, len(dst), min(n, max(need, 2*int64(cap(dst)))))
@@ -201,56 +202,32 @@ func growChunk[T any](dst []T, want, n int64) []T {
 	return dst[:int64(len(dst))+want]
 }
 
-// readInt64Chunked reads n little-endian int64s, one chunk of buf at a time.
-func readInt64Chunked(r io.Reader, buf []byte, n int64) ([]int64, error) {
-	dst := []int64{}
+// readWireArray reads n little-endian elements one chunk at a time, the
+// mirror of writeWireArray: each chunk straight into the array's own memory
+// if wireNative, else through buf, element by element.
+func readWireArray[T int32 | int64 | float64](r io.Reader, buf []byte, n int64) ([]T, error) {
+	size := int64(unsafe.Sizeof(*new(T)))
+	dst := []T{}
 	for int64(len(dst)) < n {
-		want := min(n-int64(len(dst)), int64(len(buf)/8))
-		b := buf[:want*8]
+		want := min(n-int64(len(dst)), wireChunk/size)
+		dst = growChunk(dst, want, n)
+		out := dst[int64(len(dst))-want:]
+		b := unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), size*want)
+		if !wireNative {
+			b = buf[:size*want]
+		}
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
-		dst = growChunk(dst, want, n)
-		out := dst[int64(len(dst))-want:]
+		if wireNative {
+			continue
+		}
 		for j := range out {
-			out[j] = int64(binary.LittleEndian.Uint64(b[8*j:]))
-		}
-	}
-	return dst, nil
-}
-
-// readInt32Chunked reads n little-endian int32s, one chunk of buf at a time.
-func readInt32Chunked(r io.Reader, buf []byte, n int64) ([]int32, error) {
-	dst := []int32{}
-	for int64(len(dst)) < n {
-		want := min(n-int64(len(dst)), int64(len(buf)/4))
-		b := buf[:want*4]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		dst = growChunk(dst, want, n)
-		out := dst[int64(len(dst))-want:]
-		for j := range out {
-			out[j] = int32(binary.LittleEndian.Uint32(b[4*j:]))
-		}
-	}
-	return dst, nil
-}
-
-// readFloat64Chunked reads n little-endian float64s, one chunk of buf at a
-// time.
-func readFloat64Chunked(r io.Reader, buf []byte, n int64) ([]float64, error) {
-	dst := []float64{}
-	for int64(len(dst)) < n {
-		want := min(n-int64(len(dst)), int64(len(buf)/8))
-		b := buf[:want*8]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		dst = growChunk(dst, want, n)
-		out := dst[int64(len(dst))-want:]
-		for j := range out {
-			out[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
+			if p := unsafe.Pointer(&out[j]); size == 8 {
+				*(*uint64)(p) = binary.LittleEndian.Uint64(b[8*j:])
+			} else {
+				*(*uint32)(p) = binary.LittleEndian.Uint32(b[4*j:])
+			}
 		}
 	}
 	return dst, nil

@@ -11,7 +11,11 @@ import (
 	"repro/internal/testalloc"
 )
 
+// TestWireRoundTrip decodes every encoding under both array paths: the
+// native one, which reads into each array's memory, and the element-wise one,
+// which big-endian hosts run.
 func TestWireRoundTrip(t *testing.T) {
+	defer func(saved bool) { wireNative = saved }(wireNative)
 	rng := rand.New(rand.NewSource(7))
 	cases := []*CSR{
 		NewCSR(0, 0),
@@ -21,7 +25,8 @@ func TestWireRoundTrip(t *testing.T) {
 		Random(1, 1000, 0.5, rng),
 	}
 	unsorted := Random(16, 16, 0.3, rng).PermuteCols(randPerm32(16, rng))
-	cases = append(cases, unsorted)
+	multiChunk := RandomWithDegree(3*wireChunk/8+5, 16, 3, rng)
+	cases = append(cases, unsorted, multiChunk)
 	for _, m := range cases {
 		var buf bytes.Buffer
 		if err := WriteCSRBinary(&buf, m); err != nil {
@@ -30,15 +35,18 @@ func TestWireRoundTrip(t *testing.T) {
 		if got, want := int64(buf.Len()), WireSize(m); got != want {
 			t.Fatalf("%v: encoded %d bytes, WireSize says %d", m, got, want)
 		}
-		back, err := ReadCSRBinary(&buf)
-		if err != nil {
-			t.Fatalf("%v: read: %v", m, err)
-		}
-		if back.Sorted != m.Sorted {
-			t.Fatalf("%v: sorted flag flipped to %v", m, back.Sorted)
-		}
-		if !equalStructureAndValues(m, back) {
-			t.Fatalf("%v: round trip changed contents", m)
+		for _, native := range []bool{true, false} {
+			wireNative = native
+			back, err := ReadCSRBinary(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("%v, native %v: read: %v", m, native, err)
+			}
+			if back.Sorted != m.Sorted {
+				t.Fatalf("%v, native %v: sorted flag flipped to %v", m, native, back.Sorted)
+			}
+			if !equalStructureAndValues(m, back) {
+				t.Fatalf("%v, native %v: round trip changed contents", m, native)
+			}
 		}
 	}
 }

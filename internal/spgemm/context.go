@@ -71,9 +71,13 @@ type ContextG[V semiring.Value] struct {
 	outCols   []int32
 	outVals   []V
 
-	// stripeNext is the first stripe no worker of the running parallel
-	// region has started (see runWorkers).
-	stripeNext atomic.Int64
+	// The running parallel region (eachStripe): its body, its stripe count,
+	// the first stripe nobody has started, and claim, bound once per Context
+	// so that a region allocates no closure but its body.
+	body    func(w, s int, ws *WorkerStats)
+	nStripe int
+	cursor  atomic.Int64
+	work    func(w int)
 
 	// The running call's inspection and phase timer (driver.go): fields, so
 	// a steady-state call allocates neither. They keep that call's mask and
@@ -102,27 +106,38 @@ func (o *OptionsG[V]) ctx() *ContextG[V] {
 	return &ContextG[V]{}
 }
 
-// runWorkers runs a parallel region of the running call on the process-wide
-// pool. It deals the region's stripes: worker w runs stripe w first, without
-// asking, so the stripes left to claim through nextStripe start at workers.
-// It is the one place WorkerStats.Busy is stamped; a call without stats reads
-// no clock and wraps nothing.
-func (c *ContextG[V]) runWorkers(workers int, body func(worker int)) {
-	c.stripeNext.Store(int64(workers))
-	if st := c.pt.st; st != nil {
-		inner := body
-		body = func(w int) {
-			start := time.Now()
-			inner(w)
-			st.Workers[w].Busy += time.Since(start)
-		}
+// eachStripe runs one parallel region of the running call on the
+// process-wide pool: body(w, s, ws) once for each of stripes stripes, on
+// worker w, with ws its counter block (nil without stats). Worker w runs
+// stripe w first, without asking, then claims whichever stripe nobody has
+// started off the cursor until none is left: cut one per worker, that is the
+// paper's static mapping; cut finer, a slow stripe holds back only its own
+// worker. It is the one claim site and the one place WorkerStats.Busy is
+// stamped; a call without stats reads no clock.
+func (c *ContextG[V]) eachStripe(workers, stripes int, body func(w, s int, ws *WorkerStats)) {
+	if c.work == nil {
+		c.work = c.claim
 	}
-	sched.RunWorkers(workers, body)
+	c.body, c.nStripe = body, stripes
+	c.cursor.Store(int64(workers))
+	sched.RunWorkers(workers, c.work)
+	c.body = nil // the closure holds the call's operands
 }
 
-// nextStripe claims the next stripe nobody has started; the caller checks it
-// against the stripe count.
-func (c *ContextG[V]) nextStripe() int { return int(c.stripeNext.Add(1)) - 1 }
+// claim is worker w's part of the running region (eachStripe).
+func (c *ContextG[V]) claim(w int) {
+	ws := c.pt.worker(w)
+	var start time.Time
+	if ws != nil {
+		start = time.Now()
+	}
+	for s := w; s < c.nStripe; s = int(c.cursor.Add(1)) - 1 {
+		c.body(w, s, ws)
+	}
+	if ws != nil {
+		ws.Busy += time.Since(start)
+	}
+}
 
 // Recycle donates m, a product the caller is finished with, to c: its arrays
 // become the storage of the next product of c that fits in them. Every product
@@ -242,11 +257,10 @@ func (c *ContextG[V]) rowNnzBuf(rows int) []int64 {
 }
 
 // stripeWindows returns where each stripe of a one-phase product writes:
-// stripe s into [win[s], win[s+1]). A replay's windows are its stripes' slices
-// of the output; a one-shot product's cut one buffer by its stripes' flop.
-// Row sums keep no row, so theirs are the workers', worker w's at win[w]: the
+// stripe s into [win[s], win[s+1]), one buffer cut by its stripes' flop. Row
+// sums keep no row, so theirs are the workers', worker w's at win[w]: the
 // widest mask row and the trash slot, reused row after row.
-func (c *ContextG[V]) stripeWindows(in *inspection[V], rowPtr []int64, sums bool) []int64 {
+func (c *ContextG[V]) stripeWindows(in *inspection[V], sums bool) []int64 {
 	n, width := in.stripes(), int64(0)
 	if sums {
 		n, width = in.workers, maskWidest(in.mask, in.flopRow, 0, len(in.flopRow))+1
@@ -254,14 +268,10 @@ func (c *ContextG[V]) stripeWindows(in *inspection[V], rowPtr []int64, sums bool
 	win := tempBuf(&c.windows, int64(n+1))
 	win[0] = 0
 	for s := range n {
-		lo, hi := in.offsets[s], in.offsets[s+1]
-		switch {
-		case sums:
+		if sums {
 			win[s+1] = win[s] + width
-		case rowPtr != nil:
-			win[s+1] = rowPtr[hi]
-		default:
-			win[s+1] = win[s] + rangeFlop(in.flopRow, lo, hi)
+		} else {
+			win[s+1] = win[s] + rangeFlop(in.flopRow, in.offsets[s], in.offsets[s+1])
 		}
 	}
 	return win
@@ -286,15 +296,10 @@ func (c *ContextG[V]) ensureWorkers(n int) {
 	c.spa = growTo(c.spa, n)
 }
 
-// hashTable returns worker w's hash table with capacity for bound entries:
-// cached when large enough (reset), re-reserved when the bound grew,
+// reviveTable returns the hash table in a worker's slot (c.hash[w], or
+// masked row sums' index over slots, c.maskHash[w]) with capacity for bound
+// entries: cached when large enough (reset), re-reserved when the bound grew,
 // allocated on first use. ensureWorkers(>w) must have been called.
-func (c *ContextG[V]) hashTable(w int, bound int64) *accum.HashTableG[V] {
-	return reviveTable(&c.hash[w], bound)
-}
-
-// reviveTable is hashTable on any worker's table slot (masked row sums'
-// index is a table over slots, not over V).
 func reviveTable[T semiring.Value](slot **accum.HashTableG[T], bound int64) *accum.HashTableG[T] {
 	t := *slot
 	switch {

@@ -7,33 +7,34 @@ import (
 )
 
 // The driver. Hash SpGEMM is the paper's two-phase pipeline (Figure 7)
-// over one row geometry, and the pipeline has one seam:
-// once the symbolic phase has sized the output, everything that depends on
-// the operands' structure is known and only values remain. inspect runs up
-// to that seam and returns an inspection;
-// execute runs from it. A one-shot Multiply is execute(inspect(...)) with no
-// copy in between; a Plan is an inspection cloned out of the Context's
-// buffers, executed as often as the caller likes (plan.go). Heap is the
-// one-phase geometry (heap.go): one-shot, its inspection ends at the
-// partition and execute sizes the output by producing it; for a Plan the
-// same symbolic pass fixes the row pointers, so a replay differs from the
-// two-phase kernels' only in its row function. Its other two row functions
-// are the masked row sums (MaskedRowSums), each row bounded by its mask row
-// and folded away, and the one-pass route: an unsorted Hash product in one
-// stripe at compression ratio about 1, whose flop already bounds its output.
+// over one row geometry, and the pipeline has one seam: once the symbolic
+// phase has sized the output, everything that depends on the operands'
+// structure is known and only values remain. inspect runs up to that seam
+// and returns an inspection; execute runs from it. A one-shot Multiply is
+// execute(inspect(...)) with no copy in between; a Plan is an inspection
+// cloned out of the Context's buffers, executed as often as the caller likes
+// (plan.go). So execute runs every product whose row pointers are known:
+// two-phase Hash and every Plan's kernel execution, a Heap Plan's included.
+// The second executor, onePhaseExecute (heap.go), runs the products that
+// size themselves by producing their rows: one-shot Heap, whose inspection
+// ends at the partition; the masked row sums (MaskedRowSums), each row
+// bounded by its mask row and folded away; and the one-pass route, an
+// unsorted Hash product in one stripe at compression ratio about 1, whose
+// flop already bounds its output.
 //
 // The geometry is data: a flop-balanced cut of the rows into stripes
-// (Figure 6). Each half runs one loop over the stripes, a stripe's rows going
-// through the whole-row passes of hashrow.go into the stripe's window of the
-// output. One rule counts them (claimStripes): claimStripes per worker at
-// W > 1, and for Hash at least as many as keep a stripe's output within its
-// memory budget (shard.go), which it may land in a sink. Nothing past the
-// cut asks which of them is running, the schedule included: worker w starts
-// on stripe w and then takes whichever stripe nobody has started
-// (ContextG.nextStripe). Cut one per worker, nothing is left to take and that
-// is the paper's static mapping; cut finer, the rest flow through the pool
-// one at a time, so a slow stripe or a blocking sink holds back only the
-// worker on it.
+// (Figure 6). Each parallel region runs the same loop over the stripes, a
+// stripe's rows going through the whole-row passes of hashrow.go into the
+// stripe's window of the output. One rule counts them (claimStripes):
+// claimStripes per worker at W > 1, and for Hash at least as many as keep a
+// stripe's output within its memory budget (shard.go), which it may land in
+// a sink. Nothing past the cut asks which of them is running, the schedule
+// included: every region claims its stripes in one place
+// (ContextG.eachStripe), worker w starting on stripe w and then taking
+// whichever stripe nobody has started. Cut one per worker, nothing is left
+// to take and that is the paper's static mapping; cut finer, the rest flow
+// through the pool one at a time, so a slow stripe or a blocking sink holds
+// back only the worker on it.
 //
 // Both halves are generic over the ring with concrete accumulator types, so
 // the symbolic insert and numeric accumulate compile to direct calls: these
@@ -63,7 +64,8 @@ type inspection[V semiring.Value] struct {
 	flopRow []int64
 	// rowPtr is the output's row-pointer array, allocated for this product
 	// alone: a one-shot multiply hands it to the output matrix. nil for a
-	// one-shot one-phase product, whose execution is what sizes the output.
+	// one-shot one-phase product, whose execution is what sizes the output
+	// (onePhaseExecute).
 	rowPtr []int64
 
 	// offsets is the whole-row pass's flop-balanced cut of the rows into
@@ -71,16 +73,12 @@ type inspection[V semiring.Value] struct {
 	offsets []int
 
 	// The mask of MaskedRowSums (AlgHash, never a Plan), which runs the
-	// one-phase geometry with maskedRow as its row function (heap.go).
+	// one-phase geometry with maskedRow as its row function.
 	mask    *matrix.CSRG[V]
 	onePass bool       // the one-pass route (inspect): onePassRow's geometry
 	dense   bool       // denseRule on the flop a worker serves, however fine the cut
 	masks   *wordMasks // B's (ContextG.wordMasks) or nil; a Plan's clone drops them
 }
-
-// onePhase reports whether a row is bounded before it is computed — by its
-// flop (Heap, the one-pass route) or its mask row (onePhaseExecute).
-func (in *inspection[V]) onePhase() bool { return in.alg == AlgHeap || in.mask != nil || in.onePass }
 
 // claimStripes is the one stripe rule's stripes per worker at W > 1: a row's
 // cost is not its flop (a merged, a masked or a bitmap row's), so a static
@@ -143,17 +141,15 @@ func inspect[V semiring.Value](alg Algorithm, a, b, mask *matrix.CSRG[V], opt *O
 	in.onePass = !forPlan && opt.Unsorted && alg == AlgHash && mask == nil && opt.ShardSink == nil && in.stripes() == 1 &&
 		in.dense && ctx.compressionRatio(a, b, recipeSampleRows) <= onePassMaxCR
 	pt.tick(PhasePartition)
-	if in.onePhase() && !forPlan {
-		return in, pt
+	if (alg == AlgHeap || mask != nil || in.onePass) && !forPlan {
+		return in, pt // a row bounded before it is computed: onePhaseExecute
 	}
 	// A Heap Plan counts with Hash's symbolic pass: the number of distinct
 	// columns does not depend on the numeric accumulator.
 	rowNnz := ctx.rowNnzBuf(a.Rows)
 	in.masks = ctx.wordMasks(a, b, in)
-	ctx.runWorkers(workers, func(w int) {
-		for s := w; s < in.stripes(); s = ctx.nextStripe() {
-			ctx.hashSymbolic(w, a, b, in, in.offsets[s], in.offsets[s+1], rowNnz, pt.worker(w))
-		}
+	ctx.eachStripe(workers, in.stripes(), func(w, s int, ws *WorkerStats) {
+		ctx.hashSymbolic(w, a, b, in, in.offsets[s], in.offsets[s+1], rowNnz, ws)
 	})
 	pt.tick(PhaseSymbolic)
 
@@ -166,44 +162,59 @@ func inspect[V semiring.Value](alg Algorithm, a, b, mask *matrix.CSRG[V], opt *O
 // when the stripes went to a sink, have it assemble them (PhaseAssemble). ctx
 // need not be the Context inspect ran on but must hold in.workers worker
 // slots. rowPtr is in.rowPtr or a copy of it and belongs to the result from
-// here on. A nil sink is the output itself: every stripe's window is its own
-// rows' slice of the result, written in place.
+// here on; nil, the product sizes itself (onePhaseExecute). A nil sink is the
+// output itself: every stripe's window is its own rows' slice of the result,
+// written in place. A Heap Plan merges each row straight into its place, and
+// its output is sorted however unsorted asks.
 func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, unsorted bool, sink *SpillSink[V], pt *phaseTimer) (*matrix.CSRG[V], error) {
-	if in.onePhase() {
-		return onePhaseExecute(ring, a, b, ctx, in, rowPtr, nil, pt), nil
+	if rowPtr == nil {
+		return onePhaseExecute(ring, a, b, ctx, in, nil, pt), nil
 	}
-	c, errs, err := ctx.bindOutput(sink, in.stripes(), a.Rows, b.Cols, rowPtr, !unsorted)
-	if err != nil {
+	sorted := !unsorted || in.alg == AlgHeap
+	var c *matrix.CSRG[V]
+	var errs []error // one slot per stripe: a sink can fail, the shell cannot
+	if sink == nil {
+		c = ctx.outputShell(a.Rows, b.Cols, rowPtr, sorted)
+	} else if err := sink.Bind(a.Rows, b.Cols, rowPtr, sorted); err != nil {
 		return nil, err
+	} else {
+		errs = make([]error, in.stripes())
 	}
 	pt.tick(PhaseAlloc)
 
-	ctx.runWorkers(in.workers, func(w int) {
-		ws := pt.worker(w) // stripes sharing a worker slot accumulate into it
-		for s := w; s < in.stripes(); s = ctx.nextStripe() {
-			lo, hi := in.offsets[s], in.offsets[s+1]
-			base := rowPtr[lo]
-			var cols []int32
-			var vals []V
-			if sink == nil {
-				cols, vals = c.ColIdx[base:rowPtr[hi]], c.Val[base:rowPtr[hi]]
-			} else if cols, vals, errs[s] = sink.Stripe(s, lo, hi); errs[s] != nil {
-				continue
-			}
-			if lo < hi {
-				flop, max := rangeFlopMax(in.flopRow, lo, hi)
-				h := newHashNumeric(ring, ctx, w, a, b, in.dense, in.masks, capBound(max, b.Cols), !unsorted)
+	ctx.eachStripe(in.workers, in.stripes(), func(w, s int, ws *WorkerStats) {
+		lo, hi := in.offsets[s], in.offsets[s+1]
+		base := rowPtr[lo]
+		var cols []int32
+		var vals []V
+		if sink == nil {
+			cols, vals = c.ColIdx[base:rowPtr[hi]], c.Val[base:rowPtr[hi]]
+		} else if cols, vals, errs[s] = sink.Stripe(s, lo, hi); errs[s] != nil {
+			return
+		}
+		if lo < hi {
+			flop, max := rangeFlopMax(in.flopRow, lo, hi)
+			if in.alg == AlgHeap {
+				h := ctx.mergeHeap(w, 8) // first-use hint: the heap grows to its widest row
+				for i := lo; i < hi; i++ {
+					heapRow(ring, a, b, i, h, cols[rowPtr[i]-base:], vals[rowPtr[i]-base:])
+				}
+				if ws != nil {
+					ws.HeapPushes += h.Pushes()
+				}
+			} else {
+				h := newHashNumeric(ring, ctx, w, a, b, in.dense, in.masks, capBound(max, b.Cols), sorted)
 				h.bind(cols, vals)
 				h.rows(in.flopRow, rowPtr, lo, hi, base)
 				h.report(ws)
-				if ws != nil {
-					ws.Rows += int64(hi - lo)
-					ws.Flop += flop
-				}
 			}
-			if sink != nil {
-				errs[s] = sink.Commit(s)
+			if ws != nil {
+				ws.Rows += int64(hi - lo)
+				ws.Flop += flop
 			}
+		}
+		if sink != nil {
+			errs[s] = sink.Commit(s)
 		}
 	})
 	for _, err := range errs {
@@ -214,6 +225,7 @@ func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 	pt.tick(PhaseNumeric)
 	out := c // not c itself: assigned once, the workers' closure holds it by value
 	if sink != nil {
+		var err error
 		if out, err = sink.Assemble(); err != nil {
 			return nil, err
 		}
@@ -222,21 +234,4 @@ func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 	in.fillStripeStats(pt.st, rowPtr, sink != nil)
 	pt.finish()
 	return out, nil
-}
-
-// bindOutput readies where the stripes land: the output shell when sink is
-// nil, else the sink and one error slot per stripe — a sink can fail, the
-// shell cannot.
-func (c *ContextG[V]) bindOutput(sink *SpillSink[V], stripes, rows, cols int, rowPtr []int64, sorted bool) (*matrix.CSRG[V], []error, error) {
-	if sink == nil {
-		return c.outputShell(rows, cols, rowPtr, sorted), nil, nil
-	}
-	return nil, make([]error, stripes), sink.Bind(rows, cols, rowPtr, sorted)
-}
-
-// inspectExecute is the one-shot driver.
-func inspectExecute[V semiring.Value, R semiring.Ring[V]](ring R, alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
-	ctx := opt.ctx()
-	in, pt := inspect(alg, a, b, nil, opt, ctx, false)
-	return execute(ring, a, b, ctx, in, in.rowPtr, opt.Unsorted, opt.ShardSink, pt)
 }

@@ -131,15 +131,17 @@ type ExecStats struct {
 	Total time.Duration
 	// Workers holds one entry per worker that ran.
 	Workers []WorkerStats
-	// Stripes holds a two-phase product's per-stripe breakdown (Hash or a
-	// Plan's kernel execution), in ascending row order; empty
-	// for one-phase products (Heap, masked row sums, the one-pass route) and a
-	// Plan's streamed replay. Unlike the other fields it is per-call
-	// detail: Add does not accumulate stripes across calls.
+	// Stripes holds the per-stripe breakdown of a product whose row pointers
+	// were known before its numeric pass (two-phase Hash, or any Plan's
+	// kernel execution, a Heap Plan's included), in ascending row order;
+	// empty for products that size themselves (one-shot Heap, masked row
+	// sums, the one-pass route) and a Plan's streamed replay. Unlike the
+	// other fields it is per-call detail: Add does not accumulate stripes
+	// across calls.
 	Stripes []StripeStats
 }
 
-// StripeStats describes one stripe of a two-phase multiply.
+// StripeStats describes one stripe of a multiply with known row pointers.
 type StripeStats struct {
 	// Lo, Hi is the stripe's output row range [Lo, Hi).
 	Lo, Hi int

@@ -184,7 +184,7 @@ type rowCounter[V semiring.Value] struct {
 // dense (denseRule), with masks when non-nil, else the table.
 func (c *ContextG[V]) rowCounter(w, cols int, dense bool, bound int64, masks *wordMasks) rowCounter[V] {
 	if !dense {
-		return rowCounter[V]{table: c.hashTable(w, bound)}
+		return rowCounter[V]{table: reviveTable(&c.hash[w], bound)}
 	}
 	spa := c.spaTable(w, cols)
 	rc := rowCounter[V]{stamps: spa.Marks(), masks: masks}
@@ -296,7 +296,7 @@ func newHashNumeric[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[
 	if dense {
 		h.spa = ctx.spaTable(w, b.Cols)
 	} else {
-		h.table = ctx.hashTable(w, bound)
+		h.table = reviveTable(&ctx.hash[w], bound)
 	}
 	return h
 }

@@ -20,8 +20,8 @@ var ErrPlanStale = errors.New("spgemm: plan is stale (input structure changed)")
 // output sizes — so that repeated products with the same sparsity structure
 // but updated values skip straight to the numeric phase. Every kernel has
 // one: a Heap Plan pays at build time for the symbolic pass the one-phase
-// kernel otherwise avoids, and its replays write each merged row straight
-// into place. This is the inspector-executor separation of MKL's two-stage
+// kernel otherwise avoids, and its executions merge each row straight into
+// place. This is the inspector-executor separation of MKL's two-stage
 // API (mkl_sparse_sp2m) and KokkosKernels' reusable handle: inspect once,
 // execute many times.
 //
@@ -191,21 +191,18 @@ func newReplayMap(a, b, c *matrix.CSR, ctx *Context, in *inspection[float64]) *r
 }
 
 // execute is the streamed replay over the plan's own cut: each stripe copies
-// and folds its own rows, claimed like every other region's (nextStripe).
+// and folds its own rows, claimed like every other region's (eachStripe).
 func (m *replayMap) execute(a, b *matrix.CSR, ctx *Context, in *inspection[float64], rowPtr []int64, unsorted bool, pt *phaseTimer) *matrix.CSR {
 	c := ctx.outputShell(a.Rows, b.Cols, rowPtr, !unsorted)
 	pt.tick(PhaseAlloc)
-	ctx.runWorkers(in.workers, func(w int) {
-		ws := pt.worker(w)
-		for s := w; s < in.stripes(); s = ctx.nextStripe() {
-			lo, hi := in.offsets[s], in.offsets[s+1]
-			copy(c.ColIdx[rowPtr[lo]:rowPtr[hi]], m.cols[rowPtr[lo]:rowPtr[hi]])
-			planReplayRowsF64(a, b, rowPtr, c.Val, m.dst[s], lo, hi)
-			if ws != nil {
-				ws.Rows += int64(hi - lo)
-				ws.Flop += int64(len(m.dst[s]))
-				ws.ReplayFlop += int64(len(m.dst[s]))
-			}
+	ctx.eachStripe(in.workers, in.stripes(), func(_, s int, ws *WorkerStats) {
+		lo, hi := in.offsets[s], in.offsets[s+1]
+		copy(c.ColIdx[rowPtr[lo]:rowPtr[hi]], m.cols[rowPtr[lo]:rowPtr[hi]])
+		planReplayRowsF64(a, b, rowPtr, c.Val, m.dst[s], lo, hi)
+		if ws != nil {
+			ws.Rows += int64(hi - lo)
+			ws.Flop += int64(len(m.dst[s]))
+			ws.ReplayFlop += int64(len(m.dst[s]))
 		}
 	})
 	pt.tick(PhaseNumeric)

@@ -348,6 +348,51 @@ func TestPlanAndMultiplyReportSameWork(t *testing.T) {
 	}
 }
 
+// TestHeapPlanExecutesAsTwoPhase: a Heap Plan knows its row pointers, so its
+// executions run the two-phase executor, each stripe merging its rows into
+// its own slice of the output. At W = 2 it cuts 32 stripes, and three
+// executions on one Context are bit-identical to one-shot Heap, sorted even
+// when the options ask for unsorted rows. Each reports the kernel's work and,
+// as every product with known row pointers does, its per-stripe breakdown.
+func TestHeapPlanExecutesAsTwoPhase(t *testing.T) {
+	a := gen.RMAT(8, 8, gen.G500Params, rand.New(rand.NewSource(31)))
+	flop, _ := matrix.Flop(a, a)
+	want, err := Multiply(a, a, &Options{Algorithm: AlgHeap, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, unsorted := range []bool{false, true} {
+		opt := &Options{Algorithm: AlgHeap, Workers: 2, Unsorted: unsorted, Context: NewContext()}
+		plan, err := NewPlan(a, a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := range 3 {
+			var st ExecStats
+			got, err := plan.ExecuteIn(opt.Context, &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitIdentical(got, want) {
+				t.Fatalf("unsorted=%v round %d: Heap Plan differs from one-shot Heap", unsorted, round)
+			}
+			if tw := st.TotalWorker(); tw.Rows != int64(a.Rows) || tw.Flop != flop || tw.HeapPushes == 0 || tw.ReplayFlop != 0 {
+				t.Errorf("unsorted=%v round %d: %+v, want %d rows, %d flop, some heap pushes and no replay", unsorted, round, tw, a.Rows, flop)
+			}
+			if len(st.Stripes) != 2*claimStripes {
+				t.Fatalf("unsorted=%v round %d: %d stripes, want %d", unsorted, round, len(st.Stripes), 2*claimStripes)
+			}
+			var sFlop, sNnz int64
+			for _, s := range st.Stripes {
+				sFlop, sNnz = sFlop+s.Flop, sNnz+s.Nnz
+			}
+			if sFlop != flop || sNnz != want.NNZ() {
+				t.Errorf("unsorted=%v round %d: stripes hold %d flop and %d entries, want %d and %d", unsorted, round, sFlop, sNnz, flop, want.NNZ())
+			}
+		}
+	}
+}
+
 // TestPlanReplayMapBuiltOnce is the -race leg of the replay map: eight
 // goroutines with distinct Contexts hit a fresh shared Plan at once, so the
 // first two executions, the map build and the first streamed replays all

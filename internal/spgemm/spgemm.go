@@ -172,7 +172,9 @@ func MultiplyRing[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 	if err != nil {
 		return nil, err
 	}
-	c, err := inspectExecute(ring, alg, a, b, opt)
+	ctx := opt.ctx()
+	in, pt := inspect(alg, a, b, nil, opt, ctx, false)
+	c, err := execute(ring, a, b, ctx, in, in.rowPtr, opt.Unsorted, opt.ShardSink, pt)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +207,7 @@ func MaskedRowSums[V semiring.Value, R semiring.Ring[V]](ring R, a, b, mask *mat
 	ctx := opt.ctx()
 	in, pt := inspect(AlgHash, a, b, mask, opt, ctx, false)
 	sums := make([]V, a.Rows)
-	onePhaseExecute(ring, a, b, ctx, in, nil, sums, pt)
+	onePhaseExecute(ring, a, b, ctx, in, sums, pt)
 	recordMultiply(AlgHash, opt)
 	return sums, nil
 }

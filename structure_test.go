@@ -279,8 +279,16 @@ var structure = []row{
 		why:    "memmodel is the stanza probe and the latency-bandwidth pipe; no cache is simulated",
 		mutant: plant{"internal/bench/synthetic.go", "\t\tsim := memmodel.SimulateHashSpGEMM(a, a, memmodel.KNLTileL2, 1<<21)"}},
 	{name: "no-deal-stripes", kind: forbid, paths: retired, re: `\bdealStripes\b`, change: "The cache simulator leaves",
-		why:    "runWorkers deals every parallel region's stripes; no region readies the cursor itself",
+		why:    "eachStripe deals every parallel region's stripes; no region readies the cursor itself",
 		mutant: plant{"internal/spgemm/driver.go", "\tctx.dealStripes(in.workers)"}},
+
+	// Every parallel region claims its stripes in one place, and a Heap Plan executes through execute.
+	{name: "one-stripe-claim", kind: count, n: 1, paths: []string{"internal/spgemm/**/*.go", "!**/*_test.go"}, re: `\bcursor\.Add\(`, change: "One stripe claim, two executors",
+		why:    "the cursor advances in eachStripe alone, the one site a cancellation poll needs",
+		mutant: plant{"internal/spgemm/heap.go", "\t\tfor s := w; s < in.stripes(); s = int(ctx.cursor.Add(1)) - 1 {"}},
+	{name: "no-claim-wrappers", kind: forbid, paths: []string{"internal/spgemm/**", "DESIGN.md", "README.md"}, re: `\b(nextStripe|runWorkers|inspectExecute|onePassExecute|bindOutput)\b`, change: "One stripe claim, two executors",
+		why:    "no region claims stripes by hand, and the one-shot driver, the one-pass route and the output binding are inlined where they are known",
+		mutant: plant{"internal/spgemm/driver.go", "\tctx.runWorkers(in.workers, func(w int) {"}},
 }
 
 // allowed is the number of hits the tree may hold.
