@@ -1,19 +1,12 @@
-// Command spgemm-lint runs the repo's static gates. It has two modes:
+// Command spgemm-lint diffs what the compiler reports for the hot packages
+// (accum, mempool, sched, spgemm) against lint/budget.txt, one section per
+// report: heap escapes (-m), cannot-inline decisions for //spgemm:hotpath
+// functions and ring methods (-m=2), residual bounds checks in hotpath
+// functions (-d=ssa/check_bce), and the runtime and indirect calls that the
+// compiled hotpath functions make (-S).
 //
-//	spgemm-lint ./...                 load, typecheck and run the analyzers
-//	                                  (hotalloc, deferhot) over the packages
-//	spgemm-lint -mode=budget [-update]
-//	                                  diff what the compiler reports for the
-//	                                  hot packages against lint/budget.txt:
-//	                                  heap escapes (-m), cannot-inline
-//	                                  decisions for //spgemm:hotpath functions
-//	                                  and ring methods (-m=2), and residual
-//	                                  bounds checks in hotpath functions
-//	                                  (-d=ssa/check_bce)
-//
-// Diagnostics print as file:line:col: [analyzer] message, followed by the
-// analyzer's fix hint. Any diagnostic makes the exit status nonzero, which
-// is what CI keys off.
+//	spgemm-lint            diff against the budget; exit 1 on a new entry
+//	spgemm-lint -update    rewrite the budget instead
 package main
 
 import (
@@ -24,76 +17,22 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/analysis/compilerfb"
-	"repro/internal/analysis/passes/deferhot"
-	"repro/internal/analysis/passes/hotalloc"
 )
 
-var analyzers = []*analysis.Analyzer{
-	hotalloc.Analyzer,
-	deferhot.Analyzer,
-}
-
 func main() {
-	mode := flag.String("mode", "lint", "lint (analyze packages) or budget (diff compiler feedback against lint/budget.txt)")
-	update := flag.Bool("update", false, "with -mode=budget: rewrite lint/budget.txt instead of diffing")
+	update := flag.Bool("update", false, "rewrite lint/budget.txt instead of diffing against it")
 	flag.Parse()
-
-	switch *mode {
-	case "lint":
-		patterns := flag.Args()
-		if len(patterns) == 0 {
-			patterns = []string{"./..."}
-		}
-		os.Exit(runLint(".", patterns))
-	case "budget":
-		code, err := runBudget(*update)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spgemm-lint: %v\n", err)
-		}
-		os.Exit(code)
-	default:
-		fmt.Fprintf(os.Stderr, "spgemm-lint: unknown -mode=%s\n", *mode)
-		os.Exit(2)
-	}
-}
-
-// runLint loads the packages matching patterns in the module at (or above)
-// dir and runs the analyzers over them.
-func runLint(dir string, patterns []string) int {
-	loader := analysis.NewLoader(dir)
-	pkgs, err := loader.Load(patterns...)
+	code, err := runBudget(*update)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "spgemm-lint: load: %v\n", err)
-		return 2
+		fmt.Fprintf(os.Stderr, "spgemm-lint: %v\n", err)
 	}
-	bad := 0
-	for _, lp := range pkgs {
-		diags, err := analysis.RunAnalyzers(lp, loader.Fset(), analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spgemm-lint: %v\n", err)
-			return 2
-		}
-		bad += len(diags)
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s: [%s] %s\n\thint: %s\n", loader.Fset().Position(d.Pos), d.Analyzer, d.Message, d.Hint)
-		}
-	}
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "spgemm-lint: %d problem(s)\n", bad)
-		return 1
-	}
-	return 0
+	os.Exit(code)
 }
-
-// ---------------------------------------------------------------------------
-// Budget mode
-// ---------------------------------------------------------------------------
 
 const (
 	budgetPath  = "lint/budget.txt"
-	budgetRegen = "go run ./cmd/spgemm-lint -mode=budget -update"
+	budgetRegen = "go run ./cmd/spgemm-lint -update"
 	semiringDir = "internal/semiring"
 )
 
@@ -108,9 +47,9 @@ var budgetHeader = []string{
 
 // hotDirs are the hot packages whose compiler feedback is budgeted, as
 // module-relative directories: where the //spgemm:hotpath functions of the
-// inline and bce sections live. hotPkgs are their import paths; inlinePkgs
-// adds semiring, since the ring methods are what the kernels need inlined and
-// their own inlinability is gated too.
+// inline, bce and calls sections live. hotPkgs are their import paths;
+// inlinePkgs adds semiring, since the ring methods are what the kernels need
+// inlined and their own inlinability is gated too.
 var (
 	hotDirs = []string{
 		"internal/accum",
@@ -172,6 +111,20 @@ var budgetSections = []budgetSection{{
 	newMsg: "new residual bounds check in hotpath function",
 	entries: func(out string, ix *compilerfb.HotIndex) map[string]bool {
 		return compilerfb.BuildBCEReport(compilerfb.ParseBCEOutput(out), ix)
+	},
+}, {
+	name: "calls", gcflag: "-S", pkgs: hotPkgs,
+	doc: []string{
+		"Runtime calls and calls through a register that the compiled code of",
+		"//spgemm:hotpath functions makes, one entry per (function, callee) with the",
+		"count of distinct positions: \"file.go: Func: runtime.X xN\" or",
+		"\"file.go: Func: indirect xN\". Panics, stack growth, write barriers,",
+		"memmove, memclr and duff loops are not entries. An allocation, defer,",
+		"recover, go statement, boxing or dispatch in a hot loop shows up here.",
+	},
+	newMsg: "new runtime or indirect call in hotpath function",
+	entries: func(out string, ix *compilerfb.HotIndex) map[string]bool {
+		return compilerfb.BuildCallReport(compilerfb.ParseCallOutput(out), ix)
 	},
 }}
 

@@ -17,13 +17,13 @@
 //   - internal/bench/baseline  — the MKL, KokkosKernels and SPA stand-ins the figures draw
 //   - internal/server          — the HTTP multiply service behind cmd/spgemm-serve
 //   - internal/obs             — metrics registry, structured logger, debug HTTP surface
-//   - internal/analysis        — the static analyzers and compiler-feedback budget of cmd/spgemm-lint
+//   - internal/analysis        — the compiler-feedback budget of cmd/spgemm-lint
 //   - internal/core            — the two forwards to internal/spgemm the repo benchmark calls
 //
 // Binaries: cmd/spgemm-bench (regenerate the paper's tables and figures),
 // cmd/spgemm (multiply Matrix Market files), cmd/rmatgen (generate
 // workloads), cmd/spgemm-serve (the multiply server) and cmd/spgemm-lint
-// (hot-path and compiler-feedback checks). Runnable examples are under
+// (the compiler-feedback budget). Runnable examples are under
 // examples/, and the repo benchmark is benchmark/.
 //
 // The benchmarks in bench_test.go map one-to-one onto the paper's figures;

@@ -2,7 +2,6 @@ package compilerfb
 
 import (
 	"bufio"
-	"fmt"
 	"regexp"
 	"strconv"
 	"strings"
@@ -57,22 +56,8 @@ func ParseBCEOutput(out string) []BCELine {
 // (hotpath function, check kind) with the count of distinct source positions:
 //
 //	internal/accum/hash.go: HashTableG.Upsert: IsInBounds x2
-//
-// Counts — not positions — are budgeted so unrelated edits that move lines
-// don't churn the list, while a new check in a budgeted function fails the
-// diff. Checks outside hotpath functions are not budgeted.
 func BuildBCEReport(lines []BCELine, ix *HotIndex) map[string]bool {
-	counts := map[string]int{}
-	for _, bl := range lines {
-		hf, ok := ix.Enclosing(bl.File, bl.Line)
-		if !ok {
-			continue
-		}
-		counts[fmt.Sprintf("%s: %s: %s", hf.File, hf.Name, bl.Kind)]++
-	}
-	entries := map[string]bool{}
-	for k, n := range counts {
-		entries[fmt.Sprintf("%s x%d", k, n)] = true
-	}
-	return entries
+	return ix.hotEntries(len(lines), func(i int) (string, int, string) {
+		return lines[i].File, lines[i].Line, lines[i].Kind
+	})
 }

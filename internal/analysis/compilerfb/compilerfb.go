@@ -1,14 +1,15 @@
 // Package compilerfb turns compiler feedback into lintable facts: it drives
 // go build with diagnostic gcflags (-m for heap escapes, -m=2 for inlining
-// decisions, -d=ssa/check_bce for residual bounds checks), parses the version-sensitive
-// output into stable normalized entries, and diffs them against the one
-// checked-in budget file (lint/budget.txt), a section per report.
+// decisions, -d=ssa/check_bce for residual bounds checks, -S for the calls
+// the compiled code makes), parses the version-sensitive output into stable
+// normalized entries, and diffs them against the one checked-in budget file
+// (lint/budget.txt), a section per report.
 //
-// The inline and bounds-check sections are keyed by the //spgemm:hotpath
-// directive: only functions that carry it are budgeted, so they track exactly
-// the loops whose micro-properties (inlined ring ops, no bounds checks) the
-// kernels' measured position rests on. The escape section covers the hot
-// packages whole.
+// The inline, bounds-check and call sections are keyed by the
+// //spgemm:hotpath directive: only functions that carry it are budgeted, so
+// they track exactly the loops whose micro-properties (inlined ring ops, no
+// bounds checks, no allocation or dispatch) the kernels' measured position
+// rests on. The escape section covers the hot packages whole.
 package compilerfb
 
 import (
@@ -23,9 +24,11 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-
-	"repro/internal/analysis/passes/hotalloc"
 )
+
+// directive is the comment marking a function whose per-row work neither
+// allocates nor dispatches.
+const directive = "//spgemm:hotpath"
 
 // HotFunc is one //spgemm:hotpath function as found in source: its file
 // (module-relative, forward slashes), canonical name, and line extent.
@@ -66,7 +69,7 @@ func ScanHotFuncs(root string, pkgDirs []string) (*HotIndex, error) {
 			rel := path.Join(dir, name)
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !hotalloc.IsHot(fd) {
+				if !ok || !isHot(fd) {
 					continue
 				}
 				ix.byFile[rel] = append(ix.byFile[rel], HotFunc{
@@ -79,6 +82,19 @@ func ScanHotFuncs(root string, pkgDirs []string) (*HotIndex, error) {
 		}
 	}
 	return ix, nil
+}
+
+// isHot reports whether the function's doc comment carries the directive.
+func isHot(fd *ast.FuncDecl) bool {
+	if fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if strings.HasPrefix(strings.TrimSpace(c.Text), directive) {
+			return true
+		}
+	}
+	return false
 }
 
 // declName is the canonical name of a declared function: bare name for
@@ -130,6 +146,27 @@ func (ix *HotIndex) Enclosing(file string, line int) (HotFunc, bool) {
 		}
 	}
 	return HotFunc{}, false
+}
+
+// hotEntries folds n positions, each a file:line and what was found there,
+// into budget entries, one per (hotpath function, what) with the count of
+// positions: "file.go: Func: what xN". Counts, not positions, are budgeted
+// so that unrelated edits that move lines do not churn the list, while a new
+// finding in a budgeted function fails the diff. Positions outside hotpath
+// functions are not budgeted.
+func (ix *HotIndex) hotEntries(n int, at func(i int) (file string, line int, what string)) map[string]bool {
+	counts := map[string]int{}
+	for i := range n {
+		file, line, what := at(i)
+		if hf, ok := ix.Enclosing(file, line); ok {
+			counts[fmt.Sprintf("%s: %s: %s", hf.File, hf.Name, what)]++
+		}
+	}
+	entries := map[string]bool{}
+	for k, c := range counts {
+		entries[fmt.Sprintf("%s x%d", k, c)] = true
+	}
+	return entries
 }
 
 // MatchHot reports whether a compiler-reported function name in file refers
@@ -217,8 +254,11 @@ func StripQualifiers(msg string) string {
 
 // CompilerOutput builds pkgs from the module root with the given extra
 // gcflags applied to each listed package, returning the combined compiler
-// diagnostics. The go command replays cached compiler output, so repeated
-// runs are cheap and deterministic.
+// diagnostics with the module root stripped from absolute paths (-S prints
+// them), so that every section reads module-relative files. The build
+// targets amd64 whatever the host, so that a budget regenerated on another
+// machine matches CI's. The go command replays cached compiler output, so
+// repeated runs are cheap and deterministic.
 func CompilerOutput(root string, pkgs []string, gcflag string) (string, error) {
 	args := []string{"build"}
 	for _, p := range pkgs {
@@ -227,11 +267,12 @@ func CompilerOutput(root string, pkgs []string, gcflag string) (string, error) {
 	args = append(args, pkgs...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = root
+	cmd.Env = append(os.Environ(), "GOARCH=amd64")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		return "", fmt.Errorf("go build -gcflags=%s: %v\n%s", gcflag, err, out)
 	}
-	return string(out), nil
+	return strings.ReplaceAll(string(out), strings.TrimSuffix(root, "/")+"/", ""), nil
 }
 
 // Toolchain returns the running go toolchain's major.minor version

@@ -14,8 +14,9 @@ import (
 // These tests pin the steady-state allocation behavior the hot paths are
 // built around: once scratch state has reached its high-water mark, the
 // per-row and per-call numeric work must not touch the heap. A regression
-// here is exactly the class of bug the hotalloc analyzer and the escape
-// budget guard against at the source level; this is the runtime check.
+// here is exactly the class of bug the [calls] and [escapes] sections of
+// lint/budget.txt guard against in the compiled code; this is the runtime
+// check.
 
 // requireZeroAllocs runs f once to warm high-water marks, then asserts zero
 // allocations per run.

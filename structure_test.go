@@ -115,9 +115,15 @@ var structure = []row{
 		mutant: plant{"internal/obs/ring.go", `func NewRequestRing(n int) *RequestRing {`}},
 
 	// A new pass or list arrives with the defect it caught.
-	{name: "two-analyzers", kind: absent, paths: []string{"internal/analysis/passes/*", "!internal/analysis/passes/hotalloc", "!internal/analysis/passes/deferhot"}, change: "Gates census",
-		why:    "spgemm-lint runs two analyzers, hotalloc and deferhot",
-		mutant: plant{"internal/analysis/passes/spanpair", "package spanpair"}},
+	{name: "two-analyzers", kind: absent, paths: []string{"internal/analysis/passes", "internal/analysis/analysistest", "internal/analysis/loader.go", "internal/analysis/analysis.go"}, change: "The hotpath gate reads the compiled code",
+		why:    "the hotpath promise is checked on the compiled code by the budget's [calls] section; no syntactic analyzer or framework of its own comes back",
+		mutant: plant{"internal/analysis/passes/hotalloc/hotalloc.go", "package hotalloc"}},
+	{name: "no-syntactic-gate", kind: forbid, paths: retired, re: `\b(hotalloc|deferhot|analysistest|runLint)\b`, change: "The hotpath gate reads the compiled code",
+		why:    "spgemm-lint is the budget check alone, with -update its one flag",
+		mutant: plant{"cmd/spgemm-lint/main.go", `os.Exit(runLint(".", patterns))`}},
+	{name: "hotpath-where-budgeted", kind: forbid, paths: []string{"**/*.go", "!internal/accum/*.go", "!internal/mempool/*.go", "!internal/sched/*.go", "!internal/spgemm/*.go", "!internal/analysis/compilerfb/testdata/**", "!cmd/spgemm-lint/main_test.go", "!structure_test.go"}, re: `^\s*//spgemm:hotpath\s*$`, change: "The hotpath gate reads the compiled code",
+		why:    "//spgemm:hotpath sits only in the packages the budget builds, and in the gate's own test fixtures",
+		mutant: plant{"internal/graph/mcl.go", "//spgemm:hotpath"}},
 	{name: "one-budget-file", kind: absent, paths: []string{"lint/*", "!lint/budget.txt"}, change: "Gates census",
 		why:    "the compiler-feedback allowlists are one file, lint/budget.txt",
 		mutant: plant{"lint/escapes.txt", "internal/spgemm"}},
