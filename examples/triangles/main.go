@@ -1,6 +1,6 @@
 // Triangle counting via SpGEMM (the paper's Section 5.6 use case): reorder
 // vertices by degree, split the adjacency A = L + U, and count the wedges
-// that close — triangles = Σ((L·U) .* L) — with the masked hash SpGEMM.
+// that close — triangles = Σ((L·U) .* L) — with the hash kernel's pattern count.
 //
 //	go run ./examples/triangles
 package main
@@ -47,5 +47,5 @@ func main() {
 			log.Fatalf("algorithms disagree: %d vs %d", count, reference)
 		}
 	}
-	fmt.Println("\nhash (and auto, which resolves to it here) fuses the L mask into the SpGEMM; the others filter afterwards")
+	fmt.Println("\nhash (and auto, which resolves to it here) counts the wedges under the L mask, forming no product; the others multiply, then filter")
 }

@@ -198,8 +198,7 @@ func (h *HashTableG[V]) Upsert(key int32) (*V, bool) {
 	}
 }
 
-// Lookup returns the value stored for key and whether it is present: one
-// call per product of a masked row whose mask is indexed by a table.
+// Lookup returns the value stored for key and whether it is present.
 //
 //spgemm:hotpath
 func (h *HashTableG[V]) Lookup(key int32) (V, bool) {

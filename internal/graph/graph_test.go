@@ -101,7 +101,8 @@ func TestCountTrianglesMatchesBruteForce(t *testing.T) {
 		full.Entries = append(full.Entries, matrix.FromCSR(prep.U).Entries...)
 		a := full.ToCSR()
 		want := bruteTriangles(a)
-		// Hash fuses the L mask; every other kernel takes product-then-filter.
+		// Hash counts under the L mask; every other kernel takes
+		// product-then-filter.
 		for alg := spgemm.AlgAuto; int(alg) < spgemm.NumAlgorithms; alg++ {
 			for _, workers := range []int{1, 2} {
 				got, err := CountFromLU(prep.L, prep.U, &spgemm.Options{Algorithm: alg, Workers: workers})
@@ -116,10 +117,10 @@ func TestCountTrianglesMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestCountFromLUAutoFusesMask: AlgAuto is resolved before the fused-mask
+// TestCountFromLUAutoFusesMask: AlgAuto is resolved before the count's
 // decision, so when the recipe picks hash the call is the same call as a
-// named AlgHash — same count, same kernel, same accumulator work (the
-// unmasked product would skip the mask's lookups).
+// named AlgHash — same count, same kernel, and no symbolic phase, which the
+// unmasked product would run.
 func TestCountFromLUAutoFusesMask(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	g := gen.RMAT(9, 16, gen.G500Params, rng)
@@ -142,17 +143,19 @@ func TestCountFromLUAutoFusesMask(t *testing.T) {
 	if autoStats.Algorithm != spgemm.AlgHash || hashStats.Algorithm != spgemm.AlgHash {
 		t.Errorf("ExecStats.Algorithm: auto ran %v, hash ran %v, want hash for both", autoStats.Algorithm, hashStats.Algorithm)
 	}
-	if a, h := autoStats.TotalWorker().HashLookups, hashStats.TotalWorker().HashLookups; a != h {
-		t.Errorf("auto did %d hash lookups, hash %d: mask not fused", a, h)
+	if a, h := autoStats.Phases[spgemm.PhaseSymbolic], hashStats.Phases[spgemm.PhaseSymbolic]; a != 0 || h != 0 {
+		t.Errorf("auto ran %v of symbolic phase, hash %v: mask not fused", a, h)
+	}
+	if a, h := autoStats.TotalWorker().Flop, hashStats.TotalWorker().Flop; a != h || a == 0 {
+		t.Errorf("auto counted %d flop, hash %d", a, h)
 	}
 }
 
 // TestCountFromLUNonUnitFactors: factors holding explicit zeros and values
-// other than 1 (2.5, -1) take the int64 copies, where the float64 row sums
-// would count them wrong. A stored non-zero of L or U is one edge and a
-// stored zero none, as operand and as mask alike: the fused mask (Hash, and
-// Auto, which resolves to it here) counts the wedges the filter after any
-// other kernel does, on the fixture's wedges that close only on a stored
+// other than 1 (2.5, -1). A stored non-zero of L or U is one edge and a
+// stored zero none, as operand and as mask alike: the pattern count (Hash,
+// and Auto, which resolves to it here) counts the wedges the filter after
+// any other kernel does, on the fixture's wedges that close only on a stored
 // zero of L too.
 func TestCountFromLUNonUnitFactors(t *testing.T) {
 	prep, err := PrepareTriangles(gen.RMAT(7, 8, gen.G500Params, rand.New(rand.NewSource(303))))
@@ -211,6 +214,23 @@ func g500Factors(t *testing.T) *TriangleResult {
 	return prep
 }
 
+// TestCountFromLUG500: every algorithm counts the benchmark input's
+// 1,182,470 triangles at W = 1 and 2.
+func TestCountFromLUG500(t *testing.T) {
+	prep := g500Factors(t)
+	for alg := spgemm.AlgAuto; int(alg) < spgemm.NumAlgorithms; alg++ {
+		for _, workers := range []int{1, 2} {
+			got, err := CountFromLU(prep.L, prep.U, &spgemm.Options{Algorithm: alg, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != 1182470 {
+				t.Errorf("%v W=%d: %d triangles, want 1182470", alg, workers, got)
+			}
+		}
+	}
+}
+
 // TestCountFromLUAllocation: on unit factors one call, without a Context,
 // allocates less than one int64 per entry of L, where int64 copies of the
 // factors are two, and the stored product about one more.
@@ -230,9 +250,9 @@ func TestCountFromLUAllocation(t *testing.T) {
 	}
 }
 
-// TestCountFromLUContext: the caller's Context serves the unit-factor row
-// sums, so five calls on one count the same, and from the second on each
-// allocates only the row sums.
+// TestCountFromLUContext: the caller's Context serves the pattern count, so
+// five calls on one count the same, and from the second on each allocates at
+// most 1 KiB: its parallel region's closure and total, nothing per row.
 func TestCountFromLUContext(t *testing.T) {
 	prep := g500Factors(t)
 	opt := &spgemm.Options{Algorithm: spgemm.AlgHash, Workers: 2, Context: spgemm.NewContext()}
@@ -251,16 +271,17 @@ func TestCountFromLUContext(t *testing.T) {
 		if n != first {
 			t.Errorf("call %d counted %d triangles, the first %d", call, n, first)
 		}
-		if limit := uint64(prep.L.Rows*8 + 1<<10); bytes > limit {
-			t.Errorf("call %d allocated %d B, want <= %d (the row sums)", call, bytes, limit)
+		if bytes > 1<<10 {
+			t.Errorf("call %d allocated %d B, want <= 1 KiB", call, bytes)
 		}
 	}
 }
 
-// BenchmarkMaskedLU times the masked product of triangle counting,
-// CountFromLU on L and U of G500 s13/ef16, at W = 1 and 2, and reports its
-// allocations and its workers' balance as busy-max/min: the busiest worker's
-// WorkerStats.Busy over the idlest's, summed over every iteration.
+// BenchmarkMaskedLU times the pattern count of triangle counting,
+// CountFromLU on L and U of G500 s13/ef16 (spgemm.MaskedCount), at W = 1 and
+// 2, and reports its allocations and its workers' balance as busy-max/min:
+// the busiest worker's WorkerStats.Busy over the idlest's, summed over every
+// iteration.
 func BenchmarkMaskedLU(b *testing.B) {
 	prep, err := PrepareTriangles(gen.RMAT(13, 16, gen.G500Params, rand.New(rand.NewSource(1))))
 	if err != nil {

@@ -49,19 +49,16 @@ func PrepareTriangles(adj *matrix.CSR) (*TriangleResult, error) {
 }
 
 // CountFromLU computes the number of triangles given the triangular split:
-// triangles = Σ ((L·U) .* L). With AlgHash the mask is fused into the
-// SpGEMM and only its row sums are kept (spgemm.MaskedRowSums); with any
-// other algorithm the product is formed and filtered. AlgAuto is resolved
+// triangles = Σ ((L·U) .* L). With AlgHash it is a pattern count
+// (spgemm.MaskedCount): no product is formed, only the wedges L's pattern
+// closes are counted. With any other algorithm the product is formed over
+// int64 views with every entry as 1, then filtered. AlgAuto is resolved
 // here, through the recipe's L·U row, before that choice is made, so an
-// auto-selected hash kernel fuses the mask too.
+// auto-selected hash kernel counts too.
 //
-// The total is summed in int64. Where every stored value of L and U is 1 and
-// no row of L holds more than 2²⁶ entries, the row sums run over the float64
-// factors, exactly: a partial sum of row i is an integer ≤ nnz(Lᵢ)² < 2⁵³.
-// Otherwise they run over int64 copies with every stored non-zero as 1. A
-// stored zero is no edge: L is the mask as well as an operand, so its copy
-// leaves its zeros out, and every kernel counts the same wedges. opt's
-// Context is used unless copies are.
+// A stored zero is no edge, as operand and as mask alike, so every kernel
+// counts the same wedges: each runs on L and U themselves unless one stores
+// a zero, and then on a copy without them. opt's Context serves the count.
 func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 	if opt == nil {
 		opt = &spgemm.Options{Algorithm: spgemm.AlgHash}
@@ -70,14 +67,12 @@ func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 	if alg == spgemm.AlgAuto {
 		alg = spgemm.Recommend(l, u, !opt.Unsorted, spgemm.UseTriangle)
 	}
-	if alg == spgemm.AlgHash && unitFactors(l, u) {
-		return maskedCount(semiring.PlusTimesF64{}, l, u, spgemm.Options{Workers: opt.Workers, Stats: opt.Stats, Context: opt.Context})
-	}
-	li, ui := countView(l, true), countView(u, false)
-	inner := spgemm.OptionsG[int64]{Algorithm: alg, Workers: opt.Workers, Unsorted: opt.Unsorted, UseCase: spgemm.UseTriangle, Stats: opt.Stats}
+	l, u = nonzero(l), nonzero(u)
 	if alg == spgemm.AlgHash {
-		return maskedCount(semiring.PlusTimesI64{}, li, ui, inner)
+		return spgemm.MaskedCount(l, u, l, &spgemm.Options{Workers: opt.Workers, Stats: opt.Stats, Context: opt.Context})
 	}
+	li, ui := ones(l), ones(u)
+	inner := spgemm.OptionsG[int64]{Algorithm: alg, Workers: opt.Workers, Unsorted: opt.Unsorted, UseCase: spgemm.UseTriangle, Stats: opt.Stats}
 	b, err := spgemm.MultiplyRing(semiring.PlusTimesI64{}, li, ui, &inner)
 	if err != nil {
 		return 0, err
@@ -90,52 +85,22 @@ func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 	return masked.Sum(), nil
 }
 
-// maskedCount adds the row sums of (L·U) .* L, integers in V, into an int64.
-func maskedCount[V float64 | int64, R semiring.Ring[V]](ring R, l, u *matrix.CSRG[V], opt spgemm.OptionsG[V]) (int64, error) {
-	opt.Algorithm = spgemm.AlgHash
-	sums, err := spgemm.MaskedRowSums(ring, l, u, l, &opt)
-	var n int64
-	for _, s := range sums {
-		n += int64(s)
+// nonzero is m where it stores no zero, else a copy of m without its stored
+// zeros.
+func nonzero(m *matrix.CSR) *matrix.CSR {
+	if !slices.Contains(m.Val, 0) {
+		return m
 	}
-	return n, err
+	return keepEntries(m, func(_ int, _ int32, v float64) bool { return v != 0 })
 }
 
-// unitFactors reports whether l and u store only 1s, in rows of l ≤ 2²⁶ long.
-func unitFactors(l, u *matrix.CSR) bool {
-	for i := 0; i < l.Rows; i++ {
-		if l.RowNNZ(i) > 1<<26 {
-			return false
-		}
-	}
-	for _, m := range [2]*matrix.CSR{l, u} {
-		for _, v := range m.Val {
-			if v != 1 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// countView is m over int64 with every stored non-zero as 1. Only the values
-// are new: the product reads its operands and never writes them, so the view
-// shares m's row pointers and column indices instead of copying them. With
-// dropZeros a stored zero is no entry at all, which takes a compacted copy of
-// the structure where m stores one.
-func countView(m *matrix.CSR, dropZeros bool) *matrix.CSRG[int64] {
+// ones is m over int64 with every stored entry as 1. Only the values are
+// new: the product reads its operands and never writes them, so it shares m's
+// row pointers and column indices instead of copying them.
+func ones(m *matrix.CSR) *matrix.CSRG[int64] {
 	out := &matrix.CSRG[int64]{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: make([]int64, len(m.Val)), Sorted: m.Sorted}
-	zeros := false
-	for p, v := range m.Val {
-		if v != 0 {
-			out.Val[p] = 1
-		} else {
-			zeros = true
-		}
-	}
-	if dropZeros && zeros {
-		out.ColIdx = slices.Clone(m.ColIdx)
-		out.Compact()
+	for p := range out.Val {
+		out.Val[p] = 1
 	}
 	return out
 }
@@ -151,11 +116,16 @@ func Pattern(m *matrix.CSR) *matrix.CSR {
 
 // dropDiagonal removes self-loops.
 func dropDiagonal(m *matrix.CSR) *matrix.CSR {
+	return keepEntries(m, func(i int, c int32, _ float64) bool { return int(c) != i })
+}
+
+// keepEntries returns a copy of m holding the entries keep accepts, in
+// their order.
+func keepEntries(m *matrix.CSR, keep func(i int, c int32, v float64) bool) *matrix.CSR {
 	out := &matrix.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int64, m.Rows+1), Sorted: m.Sorted}
 	for i := 0; i < m.Rows; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		for p := lo; p < hi; p++ {
-			if int(m.ColIdx[p]) != i {
+		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+			if keep(i, m.ColIdx[p], m.Val[p]) {
 				out.ColIdx = append(out.ColIdx, m.ColIdx[p])
 				out.Val = append(out.Val, m.Val[p])
 			}

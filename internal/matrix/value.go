@@ -21,8 +21,6 @@ func addValue[V semiring.Value](a, b V) V {
 		*p += *any(&b).(*float32)
 	case *int64:
 		*p += *any(&b).(*int64)
-	case *int32:
-		*p += *any(&b).(*int32)
 	case *uint64:
 		*p += *any(&b).(*uint64)
 	case *bool:
@@ -40,8 +38,6 @@ func mulValue[V semiring.Value](a, b V) V {
 		*p *= *any(&b).(*float32)
 	case *int64:
 		*p *= *any(&b).(*int64)
-	case *int32:
-		*p *= *any(&b).(*int32)
 	case *uint64:
 		*p *= *any(&b).(*uint64)
 	case *bool:
@@ -60,8 +56,6 @@ func oneValue[V semiring.Value]() V {
 		*p = 1
 	case *int64:
 		*p = 1
-	case *int32:
-		*p = 1
 	case *uint64:
 		*p = 1
 	case *bool:
@@ -79,8 +73,6 @@ func toFloat64[V semiring.Value](v V) float64 {
 	case *float32:
 		return float64(*p)
 	case *int64:
-		return float64(*p)
-	case *int32:
 		return float64(*p)
 	case *uint64:
 		return float64(*p)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/accum"
 	"repro/internal/gen"
 	"repro/internal/matrix"
-	"repro/internal/semiring"
 	"repro/internal/testalloc"
 )
 
@@ -112,10 +111,10 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 // state must come from the Context's cached tables (for Hash on this square,
 // Cols <= flop, the SPA: the hash rows check it runs). The one-phase geometry is
 // held to the same bound: one-shot Heap fills upper-bound buffers that are the
-// Context's, and a Heap Plan replay has no buffers at all. Masked row sums
-// (hash+mask) store no product: their windows and col→slot index are the
-// Context's, and the row is pinned at the 2 it measures, the returned sums
-// and the closure of its one parallel region. A Plan's streamed
+// Context's, and a Heap Plan replay has no buffers at all. The pattern count
+// (hash+mask) stores no product: its bitmaps are the Context's, and the row
+// is pinned at the 2 it measures, the closure of its one parallel region and
+// the total that closure adds into. A Plan's streamed
 // replay (hash/replay) is pinned at its 5: the map costs none per execution.
 // The +recycle rows hand every product back (Context.Recycle) before the next
 // call and are pinned at exactly the three arrays fewer — what is left is the
@@ -148,7 +147,7 @@ func TestContextReuseSteadyAllocs(t *testing.T) {
 			switch {
 			case tc.mask:
 				multiply = func() (*matrix.CSR, error) {
-					_, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, opt)
+					_, err := MaskedCount(a, a, a, opt)
 					return nil, err
 				}
 			case tc.plan:

@@ -24,8 +24,10 @@ import (
 // by the widest row, up to 12·Cols bytes per worker where Cols <= flop
 // (denseRule) — its SPA, 4·Cols of stamps that symbolic counts with too plus
 // 8·Cols of values for V = float64 —, 12·nnz(B) + 4·Rows(B) bytes of B's word
-// masks where a product built them, and the arrays of at most one donated
-// product.
+// masks where a product built them, ⌈Cols/64⌉ words per worker of the
+// pattern count's bitmap, and the arrays of at most one donated product. The
+// bitmap needs no hypersparse form: every caller of the count is square, so
+// its Cols/8 bytes per worker are under 1/64 of the mask's own row pointers.
 //
 // A Context is specific to one value type V: its accumulators and value
 // scratch hold V entries. The ring used for a given call is independent —
@@ -42,12 +44,11 @@ import (
 // process-wide worker pool (sched.Default), which every Context shares.
 type ContextG[V semiring.Value] struct {
 	// Per-worker accumulator state, grown on demand.
-	hash      []*accum.HashTableG[V]
-	maskDense [][]int32                  // masked row sums' col→slot index
-	maskHash  []*accum.HashTableG[int32] // (maskedRow), dense or hashed
-	heaps     []*accum.MergeHeapG[V]
-	spa       []*accum.SPAG[V]
-	masks     wordMasks // B's, rebuilt by each call that uses them
+	hash  []*accum.HashTableG[V]
+	occ   [][]uint64 // the pattern count's bitmaps (MaskedCount), zero between rows
+	heaps []*accum.MergeHeapG[V]
+	spa   []*accum.SPAG[V]
+	masks wordMasks // B's, rebuilt by each call that uses them
 
 	// The replay map's column -> rank array (newReplayMap), grown through
 	// mempool.Grow so LiveBytes counts it.
@@ -80,8 +81,8 @@ type ContextG[V semiring.Value] struct {
 	work    func(w int)
 
 	// The running call's inspection and phase timer (driver.go): fields, so
-	// a steady-state call allocates neither. They keep that call's mask and
-	// Stats reachable until the next call overwrites them.
+	// a steady-state call allocates neither. They keep that call's Stats
+	// reachable until the next call overwrites them.
 	in inspection[V]
 	pt phaseTimer
 }
@@ -257,22 +258,13 @@ func (c *ContextG[V]) rowNnzBuf(rows int) []int64 {
 }
 
 // stripeWindows returns where each stripe of a one-phase product writes:
-// stripe s into [win[s], win[s+1]), one buffer cut by its stripes' flop. Row
-// sums keep no row, so theirs are the workers', worker w's at win[w]: the
-// widest mask row and the trash slot, reused row after row.
-func (c *ContextG[V]) stripeWindows(in *inspection[V], sums bool) []int64 {
-	n, width := in.stripes(), int64(0)
-	if sums {
-		n, width = in.workers, maskWidest(in.mask, in.flopRow, 0, len(in.flopRow))+1
-	}
+// stripe s into [win[s], win[s+1]), one buffer cut by its stripes' flop.
+func (c *ContextG[V]) stripeWindows(in *inspection[V]) []int64 {
+	n := in.stripes()
 	win := tempBuf(&c.windows, int64(n+1))
 	win[0] = 0
 	for s := range n {
-		if sums {
-			win[s+1] = win[s] + width
-		} else {
-			win[s+1] = win[s] + rangeFlop(in.flopRow, in.offsets[s], in.offsets[s+1])
-		}
+		win[s+1] = win[s] + rangeFlop(in.flopRow, in.offsets[s], in.offsets[s+1])
 	}
 	return win
 }
@@ -290,23 +282,21 @@ func growTo[T any](s []T, n int) []T {
 // ensureWorkers grows the per-worker accumulator slices to at least n slots.
 func (c *ContextG[V]) ensureWorkers(n int) {
 	c.hash = growTo(c.hash, n)
-	c.maskDense = growTo(c.maskDense, n)
-	c.maskHash = growTo(c.maskHash, n)
+	c.occ = growTo(c.occ, n)
 	c.heaps = growTo(c.heaps, n)
 	c.spa = growTo(c.spa, n)
 }
 
-// reviveTable returns the hash table in a worker's slot (c.hash[w], or
-// masked row sums' index over slots, c.maskHash[w]) with capacity for bound
-// entries: cached when large enough (reset), re-reserved when the bound grew,
+// hashTable returns worker w's hash table with capacity for bound entries:
+// cached when large enough (reset), re-reserved when the bound grew,
 // allocated on first use. ensureWorkers(>w) must have been called.
-func reviveTable[T semiring.Value](slot **accum.HashTableG[T], bound int64) *accum.HashTableG[T] {
-	t := *slot
+func (c *ContextG[V]) hashTable(w int, bound int64) *accum.HashTableG[V] {
+	t := c.hash[w]
 	switch {
 	case t == nil:
 		mCtxAlloc.Inc()
-		t = accum.NewHashTableG[T](bound)
-		*slot = t
+		t = accum.NewHashTableG[V](bound)
+		c.hash[w] = t
 		return t
 	case int64(t.Cap()) <= bound:
 		mCtxReuse.Inc()
@@ -360,4 +350,17 @@ func (c *ContextG[V]) spaTable(w, ncols int) *accum.SPAG[V] {
 	s.Reserve(ncols)
 	s.Reset()
 	return s
+}
+
+// countBitmap returns worker w's bitmap for the pattern count over cols
+// columns: at least ⌈cols/64⌉ words, all zero. ensureWorkers(>w) must have
+// been called.
+func (c *ContextG[V]) countBitmap(w, cols int) []uint64 {
+	if words := (cols + 63) / 64; len(c.occ[w]) < words {
+		mCtxAlloc.Inc()
+		c.occ[w] = make([]uint64, words)
+	} else {
+		mCtxReuse.Inc()
+	}
+	return c.occ[w]
 }

@@ -255,10 +255,9 @@ func Cases(rng *rand.Rand) []Case {
 // SpecialValueCases are products whose entries are signed zeros, infinities
 // and NaNs — the values on which "first product stored" and "first product
 // added to zero" part ways (0 + -0 is +0, Upsert leaves -0). They exist for
-// the bit-identity legs (CheckPlan, CheckSharded, the masked leg of
-// TestDifferentialRings) and the oracle leg, whose predicate matches
-// non-finite values by class and sign; the non-float rings have nothing to
-// say about them, so Cases does not include them.
+// the bit-identity legs (CheckPlan, CheckSharded) and the oracle leg, whose
+// predicate matches non-finite values by class and sign; the non-float rings
+// have nothing to say about them, so Cases does not include them.
 func SpecialValueCases(rng *rand.Rand) []Case {
 	negZero, inf := math.Copysign(0, -1), math.Inf(1)
 	// Built by hand: COO.ToCSR drops the explicit zeros these cases are about.

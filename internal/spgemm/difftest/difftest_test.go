@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
-	"repro/internal/semiring"
 	"repro/internal/spgemm"
 )
 
@@ -194,40 +193,6 @@ func TestDifferentialSharded(t *testing.T) {
 				for _, unsorted := range []bool{false, true} {
 					if err := CheckSharded(c, unsorted, workers, stripes, dir); err != nil {
 						t.Error(err)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestDifferentialStripeLoopMatchesHash: masked row sums run the one-phase
-// geometry with a row function of their own that folds a row's products in
-// the order Hash does. Each sum is therefore the ascending fold of Hash's row
-// with the entries outside the mask's pattern removed, bit for bit — whatever
-// the order of the mask's rows and however often they repeat a column.
-func TestDifferentialStripeLoopMatchesHash(t *testing.T) {
-	rng := rand.New(rand.NewSource(80))
-	for _, c := range append(Cases(rng), SpecialValueCases(rng)...) {
-		for _, workers := range []int{1, 2, 3} {
-			hash, err := spgemm.Multiply(c.A, c.B, &spgemm.Options{Algorithm: spgemm.AlgHash, Workers: workers})
-			if err != nil {
-				t.Fatalf("%s/hash: %v", c.Name, err)
-			}
-			for _, mc := range masksFor(c.A, hash) {
-				got, err := spgemm.MaskedRowSums(semiring.PlusTimesF64{}, c.A, c.B, mc.m, &spgemm.Options{Algorithm: spgemm.AlgHash, Workers: workers})
-				if err != nil {
-					t.Fatalf("%s/mask=%s workers=%d: %v", c.Name, mc.name, workers, err)
-				}
-				want := filterByPattern(hash, mc.m)
-				for i := range got {
-					var s float64
-					for _, v := range want.Val[want.RowPtr[i]:want.RowPtr[i+1]] {
-						s += v
-					}
-					if !sameBits(got[i], s) {
-						t.Errorf("%s/mask=%s workers=%d: row %d sums to %v, want %v", c.Name, mc.name, workers, i, got[i], s)
-						break
 					}
 				}
 			}

@@ -150,29 +150,26 @@ func CheckRuleSides[V semiring.Value, R semiring.Ring[V]](caseName string, ring 
 	return nil
 }
 
-// The masked leg. spgemm.MaskedRowSums folds each row of (A·B).*M, so the
-// oracle is the unmasked oracle result with the entries outside the mask's
-// pattern removed — and nothing else: an entry inside it is folded even when
-// its value equals ring.Zero(), and a mask position no product reaches adds
-// nothing.
+// The count leg. spgemm.MaskedCount counts the products of A·B that land on
+// a position of the mask's pattern, whatever their values, so the oracle is
+// a triple loop over the three patterns, sharing no code with the kernel.
 
-// maskCase is one mask shape of the masked leg.
+// maskCase is one mask shape of the count leg.
 type maskCase[V semiring.Value] struct {
 	name string
 	m    *matrix.CSRG[V]
 }
 
-// masksFor builds the masked leg's masks for a product whose unmasked oracle
-// result is want: an empty mask, every other row fully dense, per row the
-// first column the product reaches next to two it never touches, and A itself
-// when it has the output's shape (the triangle-counting mask). Two more are
-// what a col→slot index must survive: on the remaining rows two columns in
-// three, each stored twice, in ascending order (flagged Sorted, so the output
-// row has to ascend with no sort behind it); and per row everything the
-// product reaches plus the "untouched" row again, which repeats its reached
-// column, in shuffled order. The built masks carry the zero V everywhere:
-// only the pattern may matter.
-func masksFor[V semiring.Value](a, want *matrix.CSRG[V]) []maskCase[V] {
+// masksFor builds the count leg's masks for a product whose pattern is
+// want: an empty mask, every other row fully dense, per row the first column
+// the product reaches next to two it never touches, and A itself when it has
+// the output's shape (the triangle-counting mask). Two more are what a mask
+// row's bitmap must survive: on the remaining rows two columns in three, each
+// stored twice, in ascending order (flagged Sorted); and per row everything
+// the product reaches plus the "untouched" row again, which repeats its
+// reached column, in shuffled order. The built masks carry the zero V
+// everywhere: only the pattern may matter.
+func masksFor[V, W semiring.Value](a *matrix.CSRG[V], want *matrix.CSRG[W]) []maskCase[V] {
 	rows, cols := want.Rows, want.Cols
 	empty := &matrix.CSRG[V]{Rows: rows, Cols: cols, RowPtr: make([]int64, rows+1)}
 	full, untouched, dup, shuffled := empty.Clone(), empty.Clone(), empty.Clone(), empty.Clone()
@@ -214,39 +211,38 @@ func masksFor[V semiring.Value](a, want *matrix.CSRG[V]) []maskCase[V] {
 	return masks
 }
 
-// filterByPattern returns the entries of m (sorted rows) whose position is
-// in mask's pattern.
-func filterByPattern[V semiring.Value](m, mask *matrix.CSRG[V]) *matrix.CSRG[V] {
-	out := &matrix.CSRG[V]{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int64, m.Rows+1), Sorted: true}
-	for i := 0; i < m.Rows; i++ {
-		keep := make(map[int32]bool)
+// patternCount is the count leg's oracle: per entry k of A's row i and
+// entry j of B's row k, one where row i of mask holds j.
+func patternCount[V semiring.Value](a, b, mask *matrix.CSRG[V]) int64 {
+	var n int64
+	for i := 0; i < a.Rows; i++ {
 		mcols, _ := mask.Row(i)
-		for _, c := range mcols {
-			keep[c] = true
+		keep := make(map[int32]bool, len(mcols))
+		for _, j := range mcols {
+			keep[j] = true
 		}
-		cols, vals := m.Row(i)
-		for p, c := range cols {
-			if keep[c] {
-				out.ColIdx = append(out.ColIdx, c)
-				out.Val = append(out.Val, vals[p])
+		acols, _ := a.Row(i)
+		for _, k := range acols {
+			bcols, _ := b.Row(int(k))
+			for _, j := range bcols {
+				if keep[j] {
+					n++
+				}
 			}
 		}
-		out.RowPtr[i+1] = int64(len(out.ColIdx))
 	}
-	return out
+	return n
 }
 
-// CheckRingMasked runs the masked leg over a·b: under every mask of
-// masksFor, spgemm.MaskedRowSums must give every row the fold of the filtered
-// oracle's row (sorted) with ring.Add from ring.Zero(), as close judges, and
-// run Hash whatever Algorithm (AlgAuto here) asks. It does so at W = 1 and at
-// workers, on B and the mask as given and padded by empty columns until
-// Cols > flop, which puts the mask index on the hash table whichever side
-// denseRule gave the unpadded one, and through ctx when it is non-nil, a
-// Context the caller reuses across cases. unsorted is passed on and must
-// change nothing.
-func CheckRingMasked[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a, b *matrix.CSRG[V], unsorted bool, workers int, ctx *spgemm.ContextG[V], close func(x, y V) bool) error {
-	full := matrix.NaiveMultiplyRing(ring, a, b)
+// CheckMaskedCount runs the count leg over a·b: under every mask of
+// masksFor, spgemm.MaskedCount must equal patternCount and run Hash whatever
+// Algorithm (AlgAuto here) asks. It does so at W = 1, 2 and 3, on B and the
+// mask as given and padded by empty columns until Cols > flop, which widens
+// every bitmap past the flop, and through ctx when it is non-nil, a Context
+// the caller reuses across cases.
+func CheckMaskedCount[V semiring.Value](caseName string, a, b *matrix.CSRG[V], ctx *spgemm.ContextG[V]) error {
+	unit := func(V) bool { return true }
+	pattern := matrix.NaiveMultiplyRing(semiring.OrAndBool{}, matrix.MapValues(a, unit), matrix.MapValues(b, unit))
 	flop, _ := matrix.Flop(a, b)
 	padded := *b
 	padded.Cols = max(b.Cols, int(flop)+1)
@@ -255,38 +251,26 @@ func CheckRingMasked[V semiring.Value, R semiring.Ring[V]](caseName string, ring
 		b, m *matrix.CSRG[V]
 		ctx  *spgemm.ContextG[V]
 	}
-	for _, mc := range masksFor(a, full) {
-		want := filterByPattern(full, mc.m)
-		sums := make([]V, want.Rows)
-		for i := range sums {
-			sums[i] = ring.Zero()
-			for _, v := range want.Val[want.RowPtr[i]:want.RowPtr[i+1]] {
-				sums[i] = ring.Add(sums[i], v)
-			}
-		}
+	for _, mc := range masksFor(a, pattern) {
+		want := patternCount(a, b, mc.m)
 		pmask := *mc.m
 		pmask.Cols = padded.Cols
 		sides := []side{{"", b, mc.m, nil}, {" padded", &padded, &pmask, nil}}
 		if ctx != nil {
 			sides = append(sides, side{" ctx", b, mc.m, ctx})
 		}
-		for _, w := range []int{1, workers} {
+		for w := 1; w <= 3; w++ {
 			for _, sd := range sides {
 				var st spgemm.ExecStats
-				got, err := spgemm.MaskedRowSums(ring, a, sd.b, sd.m, &spgemm.OptionsG[V]{Workers: w, Unsorted: unsorted, Context: sd.ctx, Stats: &st})
+				got, err := spgemm.MaskedCount(a, sd.b, sd.m, &spgemm.OptionsG[V]{Workers: w, Context: sd.ctx, Stats: &st})
 				if err == nil && st.Algorithm != spgemm.AlgHash {
 					err = fmt.Errorf("ran %v, want hash", st.Algorithm)
 				}
-				if err == nil && len(got) != len(sums) {
-					err = fmt.Errorf("%d sums, want %d", len(got), len(sums))
-				}
-				for i := 0; err == nil && i < len(sums); i++ {
-					if !close(got[i], sums[i]) {
-						err = fmt.Errorf("row %d sums to %v, want %v", i, got[i], sums[i])
-					}
+				if err == nil && got != want {
+					err = fmt.Errorf("counted %d, want %d", got, want)
 				}
 				if err != nil {
-					return fmt.Errorf("%s/mask=%s row sums%s unsorted=%v workers=%d: %w", caseName, mc.name, sd.name, unsorted, w, err)
+					return fmt.Errorf("%s/mask=%s count%s workers=%d: %w", caseName, mc.name, sd.name, w, err)
 				}
 			}
 		}

@@ -17,10 +17,10 @@ import (
 // two-phase Hash and every Plan's kernel execution, a Heap Plan's included.
 // The second executor, onePhaseExecute (heap.go), runs the products that
 // size themselves by producing their rows: one-shot Heap, whose inspection
-// ends at the partition; the masked row sums (MaskedRowSums), each row
-// bounded by its mask row and folded away; and the one-pass route, an
-// unsorted Hash product in one stripe at compression ratio about 1, whose
-// flop already bounds its output.
+// ends at the partition, and the one-pass route, an unsorted Hash product in
+// one stripe at compression ratio about 1, whose flop already bounds its
+// output. The pattern count (MaskedCount) stores no product at all: it
+// shares the partition (begin) and the stripe claim, nothing past them.
 //
 // The geometry is data: a flop-balanced cut of the rows into stripes
 // (Figure 6). Each parallel region runs the same loop over the stripes, a
@@ -72,20 +72,19 @@ type inspection[V semiring.Value] struct {
 	// stripes, len(offsets)-1 of them.
 	offsets []int
 
-	// The mask of MaskedRowSums (AlgHash, never a Plan), which runs the
-	// one-phase geometry with maskedRow as its row function.
-	mask    *matrix.CSRG[V]
 	onePass bool       // the one-pass route (inspect): onePassRow's geometry
 	dense   bool       // denseRule on the flop a worker serves, however fine the cut
 	masks   *wordMasks // B's (ContextG.wordMasks) or nil; a Plan's clone drops them
 }
 
 // claimStripes is the one stripe rule's stripes per worker at W > 1: a row's
-// cost is not its flop (a merged, a masked or a bitmap row's), so a static
-// flop cut can leave one worker the slow rows; finer stripes let the others
-// claim the rest. A two-phase product cuts at most one per minStripeFlop or
-// row and at least its budget's count (shardStripes, never fewer than W). 16
-// won a sweep over 4, 8 and 16 on triangle counting's masked L·U (EXPERIMENTS.md).
+// cost is not its flop (a merged, a cut or a bitmap row's), so a static flop
+// cut can leave one worker the slow rows; finer stripes let the others claim
+// the rest. A two-phase product cuts at most one per minStripeFlop or row and
+// at least its budget's count (shardStripes, never fewer than W). 16 won a
+// sweep over 4, 8 and 16 on triangle counting's L·U as masked row sums; on
+// the pattern count (MaskedCount) 16 and 8 tie and 4 reads busy max/min
+// 1.14–1.24 (EXPERIMENTS.md).
 const claimStripes = 16
 
 // minStripeFlop is the least flop of a claimed two-phase stripe, worth its
@@ -109,51 +108,58 @@ func (in *inspection[V]) clone() inspection[V] {
 	return out
 }
 
-// inspect runs the structure-only phases of alg on ctx: flop counts, the
-// geometry and its flop-balanced partition (PhasePartition), the symbolic
-// pass (PhaseSymbolic) and the row-pointer prefix sum, which the next tick
-// of the returned timer charges to whatever the caller does next. mask is
-// MaskedRowSums', nil for every stored product. forPlan
-// asks for the one thing a replay needs that a one-shot multiply does not:
-// the row pointers of a one-phase product. Both results are ctx's own
-// (ctx.in, ctx.pt), not allocations.
-func inspect[V semiring.Value](alg Algorithm, a, b, mask *matrix.CSRG[V], opt *OptionsG[V], ctx *ContextG[V], forPlan bool) (*inspection[V], *phaseTimer) {
+// begin is the prologue every product shares, the pattern count's included:
+// the workers, the phase timer, the per-row flop, denseRule on the flop a
+// worker serves, and the one stripe rule's cut of the rows (claimStripes),
+// which for a twoPhase product is bounded by minStripeFlop and raised to its
+// budget's count. Both results are ctx's own (ctx.in, ctx.pt), not
+// allocations; the partition's time is the next tick's.
+func begin[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V], ctx *ContextG[V], twoPhase bool) (*inspection[V], *phaseTimer) {
 	workers := opt.workersFor(a.Rows)
 	ctx.ensureWorkers(workers)
 	ctx.pt = startPhases(opt.Stats, alg, workers)
-	pt := &ctx.pt
-	ctx.in = inspection[V]{alg: alg, workers: workers, flopRow: ctx.perRowFlop(a, b), mask: mask}
+	ctx.in = inspection[V]{alg: alg, workers: workers, flopRow: ctx.perRowFlop(a, b)}
 	in := &ctx.in
 	flop := rangeFlop(in.flopRow, 0, a.Rows)
 	stripes := 1 // the one stripe rule (claimStripes)
 	if workers > 1 {
 		stripes = claimStripes * workers
 	}
-	if alg != AlgHeap && mask == nil {
+	if twoPhase {
 		stripes = max(opt.shardStripes(flop, a.Rows, workers), int(min(int64(stripes), flop/minStripeFlop, int64(a.Rows))))
 	}
 	in.offsets = ctx.partition(in.flopRow, stripes, workers)
 	in.dense = denseRule(b.Cols, flop/int64(workers))
+	return in, &ctx.pt
+}
+
+// inspect runs the structure-only phases of alg on ctx: begin's partition
+// (PhasePartition), the symbolic pass (PhaseSymbolic) and the row-pointer
+// prefix sum, which the next tick of the returned timer charges to whatever
+// the caller does next. forPlan asks for the one thing a replay needs that a
+// one-shot multiply does not: the row pointers of a one-phase product.
+func inspect[V semiring.Value](alg Algorithm, a, b *matrix.CSRG[V], opt *OptionsG[V], ctx *ContextG[V], forPlan bool) (*inspection[V], *phaseTimer) {
+	in, pt := begin(alg, a, b, opt, ctx, alg != AlgHeap)
 	// The one-pass route: an unsorted one-shot Hash product in one stripe
 	// and without a sink, whose running offset is its row pointer, on stamps
 	// and the SPA by denseRule and at a ratio the recipe's sample, run on
 	// ctx's worker-0 counter, reads as about 1.
-	in.onePass = !forPlan && opt.Unsorted && alg == AlgHash && mask == nil && opt.ShardSink == nil && in.stripes() == 1 &&
+	in.onePass = !forPlan && opt.Unsorted && alg == AlgHash && opt.ShardSink == nil && in.stripes() == 1 &&
 		in.dense && ctx.compressionRatio(a, b, recipeSampleRows) <= onePassMaxCR
 	pt.tick(PhasePartition)
-	if (alg == AlgHeap || mask != nil || in.onePass) && !forPlan {
+	if (alg == AlgHeap || in.onePass) && !forPlan {
 		return in, pt // a row bounded before it is computed: onePhaseExecute
 	}
 	// A Heap Plan counts with Hash's symbolic pass: the number of distinct
 	// columns does not depend on the numeric accumulator.
 	rowNnz := ctx.rowNnzBuf(a.Rows)
 	in.masks = ctx.wordMasks(a, b, in)
-	ctx.eachStripe(workers, in.stripes(), func(w, s int, ws *WorkerStats) {
+	ctx.eachStripe(in.workers, in.stripes(), func(w, s int, ws *WorkerStats) {
 		ctx.hashSymbolic(w, a, b, in, in.offsets[s], in.offsets[s+1], rowNnz, ws)
 	})
 	pt.tick(PhaseSymbolic)
 
-	in.rowPtr = sched.PrefixSum(rowNnz, ctx.rowPtrBuf(a.Rows), workers)
+	in.rowPtr = sched.PrefixSum(rowNnz, ctx.rowPtrBuf(a.Rows), in.workers)
 	return in, pt
 }
 
@@ -168,7 +174,7 @@ func inspect[V semiring.Value](alg Algorithm, a, b, mask *matrix.CSRG[V], opt *O
 // its output is sorted however unsorted asks.
 func execute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], rowPtr []int64, unsorted bool, sink *SpillSink[V], pt *phaseTimer) (*matrix.CSRG[V], error) {
 	if rowPtr == nil {
-		return onePhaseExecute(ring, a, b, ctx, in, nil, pt), nil
+		return onePhaseExecute(ring, a, b, ctx, in, pt), nil
 	}
 	sorted := !unsorted || in.alg == AlgHeap
 	var c *matrix.CSRG[V]

@@ -134,8 +134,8 @@ type ExecStats struct {
 	// Stripes holds the per-stripe breakdown of a product whose row pointers
 	// were known before its numeric pass (two-phase Hash, or any Plan's
 	// kernel execution, a Heap Plan's included), in ascending row order;
-	// empty for products that size themselves (one-shot Heap, masked row
-	// sums, the one-pass route) and a Plan's streamed replay. Unlike the
+	// empty for products that size themselves (one-shot Heap, the one-pass
+	// route), for the pattern count and a Plan's streamed replay. Unlike the
 	// other fields it is per-call detail: Add does not accumulate stripes
 	// across calls.
 	Stripes []StripeStats

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/matrix"
-	"repro/internal/semiring"
 )
 
 // statsAlgorithms is every algorithm the breakdown instrumentation covers.
@@ -42,19 +41,18 @@ func TestExecStatsPhaseSumMatchesTotal(t *testing.T) {
 	}
 }
 
-// TestExecStatsMaskedIsOnePhase: masked row sums have no symbolic pass — the
-// mask rows bound each row — and store no product, so their stats are the
-// one-phase geometry's without its output: nothing under PhaseSymbolic,
-// PhaseAlloc or PhaseAssemble, phases that still sum to Total, and the worker
-// counters of the unmasked product (every product is looked at, the mask only
-// decides where it lands).
+// TestExecStatsMaskedIsOnePhase: the pattern count has no symbolic pass and
+// stores no product, so its stats are a partition and one numeric pass:
+// nothing under PhaseSymbolic, PhaseAlloc or PhaseAssemble, phases that
+// still sum to Total, and the worker counters of the unmasked product's rows
+// and flop.
 func TestExecStatsMaskedIsOnePhase(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	g := gen.ER(10, 8, rng)
 	flop, _ := matrix.Flop(g, g)
 	for _, workers := range []int{1, 3} {
 		var st ExecStats
-		if _, err := MaskedRowSums(semiring.PlusTimesF64{}, g, g, g, &Options{Algorithm: AlgHash, Workers: workers, Stats: &st}); err != nil {
+		if _, err := MaskedCount(g, g, g, &Options{Algorithm: AlgHash, Workers: workers, Stats: &st}); err != nil {
 			t.Fatal(err)
 		}
 		if st.Phases[PhaseSymbolic] != 0 || st.Phases[PhaseNumeric] <= 0 || st.Phases[PhaseAlloc] != 0 || st.Phases[PhaseAssemble] != 0 {
@@ -165,7 +163,7 @@ func TestExecStatsCounters(t *testing.T) {
 
 // TestWorkerBusy pins WorkerStats.Busy on every geometry that runs parallel
 // regions — the two-phase stripes, Heap's one-phase merge, stripes past one
-// per worker, masked row sums and a Plan's streamed replay: every worker that
+// per worker, the pattern count and a Plan's streamed replay: every worker that
 // produced rows was timed, and no worker can be busy longer than the call, so
 // Σ Busy ≤ W·Total.
 func TestWorkerBusy(t *testing.T) {
@@ -190,7 +188,7 @@ func TestWorkerBusy(t *testing.T) {
 				opt.Stats = &st
 				var err error
 				if tc.masked {
-					_, err = MaskedRowSums(semiring.PlusTimesF64{}, g, g, g, &opt)
+					_, err = MaskedCount(g, g, g, &opt)
 				} else {
 					_, err = Multiply(g, g, &opt)
 				}
@@ -402,11 +400,11 @@ func BenchmarkStatsOverhead(b *testing.B) {
 	}
 }
 
-// TestOnePhaseStatsAcrossStripes: the one-phase geometry cuts masked row
-// sums and Heap products into several stripes per worker, which the workers
-// claim, so each worker's Rows and Flop accumulate over every stripe it ran —
-// as execute's do — and sum to the product's rows and flop: masked row sums,
-// one-shot Heap, and a Heap Plan's replay. Every row of A carries flop,
+// TestOnePhaseStatsAcrossStripes: the pattern count and Heap products are
+// cut into several stripes per worker, which the workers claim, so each
+// worker's Rows and Flop accumulate over every stripe it ran — as execute's
+// do — and sum to the product's rows and flop: the count, one-shot Heap, and
+// a Heap Plan's replay. Every row of A carries flop,
 // so the rows counted (every row of a worker's stripes) are the rows with
 // flop.
 func TestOnePhaseStatsAcrossStripes(t *testing.T) {
@@ -438,7 +436,7 @@ func TestOnePhaseStatsAcrossStripes(t *testing.T) {
 				opt.Stats = &st
 				var err error
 				if tc.masked {
-					_, err = MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, &opt)
+					_, err = MaskedCount(a, a, a, &opt)
 				} else {
 					_, err = Multiply(a, a, &opt)
 				}

@@ -53,14 +53,13 @@ import (
 //     the SPA's bitmap and popcounts it (countWords), numeric's bitmap rows
 //     set bits a run at a time. No call reuses another's; Plans fold per product.
 //
-// The one-phase geometry's other two row functions (heap.go) are here too.
-// A row of masked row sums (MaskedRowSums, AlgHash only) runs neither of the
-// above: its mask row bounds row i of (A·B).*M — maskedRow, one index lookup
-// per product, no accumulator table, no symbolic pass, B streamed once.
-// On the one-pass route (driver.go) numeric decides without symbolic's count:
+// The one-phase geometry's other row function (heap.go) is here too. On the
+// one-pass route (driver.go) numeric decides without symbolic's count:
 // onePassRow stamps and copies, and on the first column its stamps see twice
 // — the rows numeric would fold — goes on in the SPA from there, seeded with
-// what it wrote, so B is streamed once.
+// what it wrote, so B is streamed once. The pattern count (MaskedCount)
+// runs none of the above: its row is maskedCountRow, one bit test per
+// product against its mask row, no accumulator, no value read.
 
 // capBound clamps an accumulator size bound at the number of output columns
 // (a row cannot have more distinct entries than columns) — the min(Ncol,
@@ -93,9 +92,9 @@ func rangeFlopMax(flopRow []int64, lo, hi int) (sum, max int64) {
 
 // denseRule is the one rule that puts an O(Cols) array in a worker's hands:
 // B's column space is no larger than the flop of the rows the array serves.
-// Symbolic counting (rowCounter), the numeric accumulator (newHashNumeric), a
-// masked row's col→slot index (onePhaseExecute) and the one-pass route (inspect)
-// all ask it, and nothing else compares a column count with a flop.
+// Symbolic counting (rowCounter), the numeric accumulator (newHashNumeric)
+// and the one-pass route (inspect) all ask it, and nothing else compares a
+// column count with a flop.
 func denseRule(cols int, flop int64) bool { return int64(cols) <= flop }
 
 // wordMasks is B's pattern as runs, stretches of a B row in one 64-column
@@ -184,7 +183,7 @@ type rowCounter[V semiring.Value] struct {
 // dense (denseRule), with masks when non-nil, else the table.
 func (c *ContextG[V]) rowCounter(w, cols int, dense bool, bound int64, masks *wordMasks) rowCounter[V] {
 	if !dense {
-		return rowCounter[V]{table: reviveTable(&c.hash[w], bound)}
+		return rowCounter[V]{table: c.hashTable(w, bound)}
 	}
 	spa := c.spaTable(w, cols)
 	rc := rowCounter[V]{stamps: spa.Marks(), masks: masks}
@@ -296,7 +295,7 @@ func newHashNumeric[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[
 	if dense {
 		h.spa = ctx.spaTable(w, b.Cols)
 	} else {
-		h.table = reviveTable(&ctx.hash[w], bound)
+		h.table = ctx.hashTable(w, bound)
 	}
 	return h
 }
@@ -353,15 +352,14 @@ func (h *hashNumeric[V, R]) report(ws *WorkerStats) {
 }
 
 // rowBodies are the whole-row bodies of one ring, one per row shape: hashRow
-// through the table (or by concatenation), spaRow in the dense SPA,
-// onePassRow on the one-pass route and maskedRow under a mask row. Each has
-// two implementations that fold in the same order: ringBodies with the
-// ring's Add and Mul, ptBodies (ringfast.go) in Go's * and +.
+// through the table (or by concatenation), spaRow in the dense SPA and
+// onePassRow on the one-pass route. Each has two implementations that fold
+// in the same order: ringBodies with the ring's Add and Mul, ptBodies
+// (ringfast.go) in Go's * and +.
 type rowBodies[V semiring.Value, R semiring.Ring[V]] interface {
 	hashRow(ring R, table *accum.HashTableG[V], a, b *matrix.CSRG[V], i int, cols []int32, vals []V, direct, sorted bool)
 	spaRow(ring R, spa *accum.SPAG[V], masks *wordMasks, a, b *matrix.CSRG[V], i, from, seeded int, cols []int32, vals []V, sorted bool) int
 	onePassRow(ring R, spa *accum.SPAG[V], a, b *matrix.CSRG[V], i int, cols []int32, vals []V) (n, marks int)
-	maskedRow(ring R, dense []int32, table *accum.HashTableG[int32], a, b *matrix.CSRG[V], mcols []int32, i int, cols []int32, vals []V, sort bool) int
 }
 
 // ringBodies are the rowBodies of any ring, through its Add and Mul.
@@ -568,134 +566,33 @@ func onePassRows[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V],
 	h.report(ws)
 }
 
-// maskedRow computes row i of (A·B).*M, mcols being row i of M, in a window
-// of len(mcols)+1 slots (maskLoad) and returns the size maskCompact leaves. A
-// miss is dropped; a hit's product is stored on its slot's first touch and
-// folded with ring.Add after, in product order, which is hashRow's. A sorted
-// B row stops past the mask row's largest column.
+// maskedCountRow is one row's share of the pattern count (MaskedCount): the
+// products of A's row, acols, whose column the mask row mcols holds. occ is
+// all zero between rows: the row sets mcols' bits, tests one bit per product
+// of the B rows acols names (bptr, bcols, B's row pointers and columns), and
+// clears the words it set. A sorted B row stops past mcols' largest column.
 //
 //spgemm:hotpath
-func (ringBodies[V, R]) maskedRow(ring R, dense []int32, table *accum.HashTableG[int32], a, b *matrix.CSRG[V], mcols []int32, i int, cols []int32, vals []V, sort bool) int {
-	cols, vals = cols[:len(mcols)+1], vals[:len(mcols)+1]
-	hi := maskLoad(dense, table, mcols, cols, b.Sorted)
-	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-	acols, avals := a.ColIdx[alo:ahi], a.Val[alo:ahi]
-	for x, k := range acols {
-		av := avals[x]
-		brp := b.RowPtr[k : int(k)+2]
-		bvals := b.Val[brp[0]:brp[1]]
-		for y, col := range b.ColIdx[brp[0]:brp[1]] {
-			if col > hi { // a sorted B row has nothing left the mask row holds
-				break
-			}
-			var e int32
-			if dense != nil {
-				e = dense[col]
-			} else {
-				e, _ = table.Lookup(col)
-			}
-			if e == 0 {
-				continue
-			}
-			prod := ring.Mul(av, bvals[y])
-			if cols[e] < 0 {
-				cols[e], vals[e] = col, prod
-			} else {
-				vals[e] = ring.Add(vals[e], prod)
-			}
-		}
-	}
-	return maskCompact(dense, mcols, cols, vals, sort)
-}
-
-// maskLoad points the index (dense over B's columns and zero between rows, or
-// table) at mask row mcols: mcols[s] to slot s+1 of the window, marked
-// untouched, so 0 is absent and the trash slot. It returns a sorted B's cut.
-//
-//spgemm:hotpath
-func maskLoad(dense []int32, table *accum.HashTableG[int32], mcols, cols []int32, sorted bool) int32 {
-	if table != nil {
-		table.Reset()
-	}
-	hi := int32(-1)
-	for s, col := range mcols {
-		cols[s+1] = -1
-		hi = max(hi, col)
-		if dense != nil {
-			dense[col] = int32(s) + 1
-		} else {
-			slot, _ := table.Upsert(col)
-			*slot = int32(s) + 1
-		}
+func maskedCountRow(occ []uint64, acols []int32, bptr []int64, bcols, mcols []int32, sorted bool) int64 {
+	last := int32(-1)
+	for _, c := range mcols {
+		occ[c>>6] |= 1 << (c & 63)
+		last = max(last, c)
 	}
 	if !sorted {
-		hi = math.MaxInt32
+		last = math.MaxInt32
 	}
-	return hi
-}
-
-// maskCompact moves the touched slots 1… to the window's start in place — an
-// entry exists iff a product landed on it, and the row ascends if the mask row
-// does (sort is set when it must and the mask row may not) — unloads the
-// dense index and returns the row's size.
-//
-//spgemm:hotpath
-func maskCompact[V semiring.Value](dense []int32, mcols, cols []int32, vals []V, sort bool) int {
-	vals = vals[:len(cols)]
-	n := 0
-	for s := 1; s < len(cols); s++ {
-		if col := cols[s]; col >= 0 {
-			cols[n], vals[n] = col, vals[s]
-			n++
+	var n int64
+	for _, k := range acols {
+		for _, c := range bcols[bptr[k]:bptr[k+1]] {
+			if c > last {
+				break
+			}
+			n += int64(occ[c>>6] >> (c & 63) & 1)
 		}
 	}
-	if dense != nil {
-		for _, col := range mcols {
-			dense[col] = 0
-		}
-	}
-	if sort {
-		accum.SortPairs(cols[:n], vals[:n])
+	for _, c := range mcols {
+		occ[c>>6] = 0
 	}
 	return n
-}
-
-// maskWidest is the widest mask row among the rows of [lo, hi) with a
-// non-zero weight: the most slots any of them indexes.
-func maskWidest[V semiring.Value](mask *matrix.CSRG[V], flopRow []int64, lo, hi int) int64 {
-	var widest int64
-	for i := lo; i < hi; i++ {
-		if flopRow[i] != 0 {
-			widest = max(widest, mask.RowPtr[i+1]-mask.RowPtr[i])
-		}
-	}
-	return widest
-}
-
-// maskedRows is worker w's pass over the rows of [lo, hi), a stripe of
-// masked row sums: each row goes through maskedRow, on the dense index or the
-// worker's table, into the head of the worker's window cols/vals (its mask
-// row and one slot more), sorted when the mask row may not ascend, and leaves
-// only its fold in sums[i].
-func maskedRows[V semiring.Value, R semiring.Ring[V]](ring R, c *ContextG[V], w int, a, b, mask *matrix.CSRG[V], flopRow []int64, lo, hi int, dense bool, cols []int32, vals []V, sums []V) {
-	var index []int32
-	var table *accum.HashTableG[int32]
-	if dense {
-		c.maskDense[w] = growTo(c.maskDense[w], b.Cols)
-		index = c.maskDense[w]
-	} else {
-		table = reviveTable(&c.maskHash[w], maskWidest(mask, flopRow, lo, hi))
-	}
-	body := bodiesFor[V](ring)
-	for i := lo; i < hi; i++ {
-		n := 0
-		if mcols := mask.ColIdx[mask.RowPtr[i]:mask.RowPtr[i+1]]; flopRow[i] != 0 && len(mcols) != 0 {
-			n = body.maskedRow(ring, index, table, a, b, mcols, i, cols, vals, !mask.Sorted)
-		}
-		s := ring.Zero()
-		for _, v := range vals[:n] {
-			s = ring.Add(s, v)
-		}
-		sums[i] = s
-	}
 }

@@ -11,10 +11,8 @@ import (
 // products that size themselves by producing their rows, each with its own
 // row function. Heap SpGEMM (Section 4.2.3) is heapRow: a k-way merge of the
 // sorted contributing rows of B with a thread-private binary heap, output
-// rows sorted by construction and bounded by their flop. A row of masked row
-// sums (MaskedRowSums) is maskedRow (hashrow.go), bounded by its mask row and
-// folded away. The one-pass route is onePassRow (hashrow.go), an unsorted
-// Hash row bounded by its flop. A Heap Plan knows its row pointers, so execute
+// rows sorted by construction and bounded by their flop. The one-pass route
+// is onePassRow (hashrow.go), an unsorted Hash row bounded by its flop. A Heap Plan knows its row pointers, so execute
 // runs it, heapRow writing each stripe's rows into their slice of the output.
 // The scheduling and memory-management variants Figure 9 compares Heap
 // against live in internal/bench/baseline.
@@ -63,13 +61,11 @@ func heapRow[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 // buffer, sized at the flop of those rows (stripeWindows); then the row sizes
 // found on the way are prefix-summed into the row pointers and each stripe's
 // rows, contiguous in its window and in the output alike, move with one bulk
-// copy (PhaseAssemble). With sums (MaskedRowSums) a window is a worker's, one
-// mask row wide, and each row is folded into sums[i] and overwritten by the
-// next: no output at all. The one-pass route has one stripe, so every row goes
+// copy (PhaseAssemble). The one-pass route has one stripe, so every row goes
 // in order straight into an output drawn at the flop (onePassRows): no
 // buffer, no copy. Every row it stores is sorted but the one-pass route's, a
 // merged row by construction.
-func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], sums []V, pt *phaseTimer) *matrix.CSRG[V] {
+func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], pt *phaseTimer) *matrix.CSRG[V] {
 	if in.onePass {
 		flop, max := rangeFlopMax(in.flopRow, 0, a.Rows)
 		c := &matrix.CSRG[V]{Rows: a.Rows, Cols: b.Cols, RowPtr: ctx.rowPtrBuf(a.Rows),
@@ -80,47 +76,27 @@ func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.
 		pt.finish()
 		return c
 	}
-	win := ctx.stripeWindows(in, sums != nil)
-	var rowNnz []int64 // a Heap product's row sizes, found on the way
-	if sums == nil {
-		rowNnz = ctx.rowNnzBuf(a.Rows)
-	}
+	win := ctx.stripeWindows(in)
+	rowNnz := ctx.rowNnzBuf(a.Rows) // a Heap product's row sizes, found on the way
 	cols, vals := tempBuf(&ctx.tmpCols, win[len(win)-1]), tempBuf(&ctx.tmpVals, win[len(win)-1])
-	// The mask index goes by denseRule, for its reason: the O(Cols) array only
-	// where the flop one worker serves pays for it, however fine the cut.
-	dense := in.mask != nil && in.dense
 	ctx.eachStripe(in.workers, in.stripes(), func(w, s int, ws *WorkerStats) {
 		lo, hi := in.offsets[s], in.offsets[s+1]
-		at := s // the stripe's window, or under sums the worker's
-		if sums != nil {
-			at = w
-		}
 		// Capped at the window's end: a row overrunning it panics instead.
-		wcols, wvals := cols[win[at]:win[at+1]:win[at+1]], vals[win[at]:win[at+1]:win[at+1]]
-		if in.mask != nil {
-			maskedRows(ring, ctx, w, a, b, in.mask, in.flopRow, lo, hi, dense, wcols, wvals, sums)
-		} else {
-			h := ctx.mergeHeap(w, 8) // first-use hint: the heap grows to its widest row
-			pos := 0
-			for i := lo; i < hi; i++ {
-				n := heapRow(ring, a, b, i, h, wcols[pos:], wvals[pos:])
-				rowNnz[i] = int64(n)
-				pos += n
-			}
-			if ws != nil {
-				ws.HeapPushes += h.Pushes()
-			}
+		wcols, wvals := cols[win[s]:win[s+1]:win[s+1]], vals[win[s]:win[s+1]:win[s+1]]
+		h := ctx.mergeHeap(w, 8) // first-use hint: the heap grows to its widest row
+		pos := 0
+		for i := lo; i < hi; i++ {
+			n := heapRow(ring, a, b, i, h, wcols[pos:], wvals[pos:])
+			rowNnz[i] = int64(n)
+			pos += n
 		}
 		if ws != nil {
+			ws.HeapPushes += h.Pushes()
 			ws.Rows += int64(hi - lo)
 			ws.Flop += rangeFlop(in.flopRow, lo, hi)
 		}
 	})
 	pt.tick(PhaseNumeric)
-	if sums != nil { // sums leave no output
-		pt.finish()
-		return nil
-	}
 
 	sized := sched.PrefixSum(rowNnz, ctx.rowPtrBuf(a.Rows), in.workers)
 	out := ctx.outputShell(a.Rows, b.Cols, sized, true)

@@ -102,7 +102,7 @@ func NewPlan(a, b *matrix.CSR, opt *Options) (*Plan, error) {
 		fpA:      a.StructureChecksum(),
 		fpB:      b.StructureChecksum(),
 	}
-	in, pt := inspect(alg, a, b, nil, opt, ctx, true)
+	in, pt := inspect(alg, a, b, opt, ctx, true)
 	pt.finish()
 	p.in = in.clone()
 	if n := 4 * (rangeFlop(p.in.flopRow, 0, a.Rows) + p.NNZ()); alg != AlgHeap && n <= shardedAutoBytes.Load() {

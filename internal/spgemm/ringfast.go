@@ -160,41 +160,6 @@ func (p ptBodies[T, R]) onePassRow(ring R, spa *accum.SPAG[T], a, b *matrix.CSRG
 	return n, n
 }
 
-// maskedRow is ringBodies.maskedRow (hashrow.go) in Go's * and +, with no
-// branch on a product: a slot starts at the bit-exact additive identity (-0
-// for floats, see negZero) and a miss lands in the trash slot 0.
-//
-//spgemm:hotpath
-func (ptBodies[T, R]) maskedRow(_ R, dense []int32, table *accum.HashTableG[int32], a, b *matrix.CSRG[T], mcols []int32, i int, cols []int32, vals []T, sort bool) int {
-	cols, vals = cols[:len(mcols)+1], vals[:len(mcols)+1]
-	hi := maskLoad(dense, table, mcols, cols, b.Sorted)
-	var zero T
-	for s := 1; s < len(vals); s++ {
-		vals[s] = -zero
-	}
-	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-	acols, avals := a.ColIdx[alo:ahi], a.Val[alo:ahi]
-	for x, k := range acols {
-		av := avals[x]
-		brp := b.RowPtr[k : int(k)+2]
-		bvals := b.Val[brp[0]:brp[1]]
-		for y, col := range b.ColIdx[brp[0]:brp[1]] {
-			if col > hi {
-				break
-			}
-			var e int32
-			if dense != nil {
-				e = dense[col]
-			} else {
-				e, _ = table.Lookup(col)
-			}
-			cols[e] = col
-			vals[e] += T(av * bvals[y])
-		}
-	}
-	return maskCompact(dense, mcols, cols, vals, sort)
-}
-
 // negZero is the additive identity at the bit level: -0 + x == x for every
 // x, where +0 + (-0) is +0. Folding an entry's first product onto it leaves
 // what Upsert's store-if-fresh leaves.

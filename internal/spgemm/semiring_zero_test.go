@@ -99,61 +99,31 @@ func TestMinPlusZeroHandlingAllKernels(t *testing.T) {
 	}
 }
 
-// TestMinPlusZeroHandlingMasked covers the masked row function (AlgHash
-// only), where a product lands on the slot of its mask entry: each row sum is
-// the min-plus fold of exactly the entries the mask admits, +Inf and 0
-// included.
+// TestMinPlusZeroHandlingMasked: the pattern count reads no value, so an
+// entry holding min-plus's Zero() (+Inf) or the machine zero counts like any
+// other, in the operands and in the mask alike: the count on minPlusInput
+// operands and mask is the count on the same patterns with every value 1,
+// and the pattern oracle's.
 func TestMinPlusZeroHandlingMasked(t *testing.T) {
-	ring := semiring.MinPlusF64{}
 	rng := rand.New(rand.NewSource(910))
 	a := minPlusInput(rng, 30, 0.2)
 	b := minPlusInput(rng, 30, 0.2)
-	mask := matrix.Random(30, 30, 0.5, rng)
-	full := matrix.NaiveMultiplyRing(ring, a, b)
-	// Expected pattern derived by hand rather than via HadamardG (which
-	// would drop intersection entries whose value is the storage zero): the
-	// mask keeps an entry iff the full product has it AND the mask has the
-	// position, with the full product's value — even 0 or +Inf.
-	want := maskFilter(full, mask)
-	for _, unsorted := range []bool{false, true} {
-		got, err := MaskedRowSums(ring, a, b, mask, &OptionsG[float64]{Algorithm: AlgHash, Unsorted: unsorted})
+	mask := minPlusInput(rng, 30, 0.5)
+	one := func(float64) float64 { return 1 }
+	want, err := MaskedCount(matrix.MapValues(a, one), matrix.MapValues(b, one), matrix.MapValues(mask, one), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle := patternCount(a, b, mask); want == 0 || want != oracle {
+		t.Fatalf("unit values count %d, the oracle %d; the test needs a non-zero count", want, oracle)
+	}
+	for _, workers := range []int{1, 2} {
+		got, err := MaskedCount(a, b, mask, &Options{Algorithm: AlgHash, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range got {
-			s := ring.Zero()
-			for _, v := range want.Val[want.RowPtr[i]:want.RowPtr[i+1]] {
-				s = ring.Add(s, v)
-			}
-			if !sameBits(got[i], s) {
-				t.Fatalf("unsorted=%v: row %d sums to %v, want %v", unsorted, i, got[i], s)
-			}
+		if got != want {
+			t.Errorf("W=%d: counted %d on min-plus values, %d on unit ones", workers, got, want)
 		}
 	}
-}
-
-// maskFilter keeps full's entries at positions present in mask.
-func maskFilter(full, mask *matrix.CSR) *matrix.CSR {
-	out := &matrix.CSR{Rows: full.Rows, Cols: full.Cols, RowPtr: make([]int64, full.Rows+1), Sorted: true}
-	ms := sortedClone(mask)
-	for i := 0; i < full.Rows; i++ {
-		fc, fv := full.Row(i)
-		mc, _ := ms.Row(i)
-		p, q := 0, 0
-		for p < len(fc) && q < len(mc) {
-			switch {
-			case fc[p] < mc[q]:
-				p++
-			case mc[q] < fc[p]:
-				q++
-			default:
-				out.ColIdx = append(out.ColIdx, fc[p])
-				out.Val = append(out.Val, fv[p])
-				p++
-				q++
-			}
-		}
-		out.RowPtr[i+1] = int64(len(out.ColIdx))
-	}
-	return out
 }

@@ -19,6 +19,7 @@ package spgemm
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/matrix"
 	"repro/internal/sched"
@@ -35,7 +36,7 @@ const (
 	// two-phase, thread-private linear-probing tables sized to the per-
 	// thread flop upper bound, balanced scheduling. Accepts any input
 	// order; emits sorted or unsorted output ("Any/Select"). The only
-	// kernel that fuses an output mask (MaskedRowSums).
+	// kernel that fuses an output mask (MaskedCount).
 	AlgHash
 	// AlgHeap is the optimized heap SpGEMM (Section 4.2.3): one-phase,
 	// k-way merge with a thread-private binary heap, thread-private
@@ -173,7 +174,7 @@ func MultiplyRing[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 		return nil, err
 	}
 	ctx := opt.ctx()
-	in, pt := inspect(alg, a, b, nil, opt, ctx, false)
+	in, pt := inspect(alg, a, b, opt, ctx, false)
 	c, err := execute(ring, a, b, ctx, in, in.rowPtr, opt.Unsorted, opt.ShardSink, pt)
 	if err != nil {
 		return nil, err
@@ -182,34 +183,54 @@ func MultiplyRing[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 	return c, nil
 }
 
-// MaskedRowSums returns, for each row i, the left fold with ring.Add, from
-// ring.Zero(), of row i of (A·B).*M in ascending column order, M being mask
-// (only its pattern counts). It is the one masked kernel: Hash's (AlgAuto
-// resolves to it) run on the one-phase geometry, each row bounded by its
-// mask row (maskedRow) and folded away, so no product is ever stored and
-// through a reused opt.Context the returned slice is all a call allocates.
-func MaskedRowSums[V semiring.Value, R semiring.Ring[V]](ring R, a, b, mask *matrix.CSRG[V], opt *OptionsG[V]) ([]V, error) {
+// MaskedCount returns how many products of A·B land on a position M's
+// pattern holds, M being mask: Σ over rows i, entries k of A's row i and
+// entries j of B's row k of [j ∈ row i of M], stored entries counting
+// whatever their values. With every value 1 it is Σ((A·B).*M), triangle
+// counting's L·U masked by L (graph.CountFromLU). It runs as Hash (AlgAuto
+// resolves to it) on begin's partition, with no symbolic phase and no
+// output: each row ORs its mask row into its worker's bitmap and tests one
+// bit per product (maskedCountRow), so through a reused opt.Context a call
+// allocates its parallel region's closure and the total it adds into.
+func MaskedCount[V semiring.Value](a, b, mask *matrix.CSRG[V], opt *OptionsG[V]) (int64, error) {
 	if opt == nil {
 		opt = &OptionsG[V]{}
 	}
 	switch {
 	case a.Cols != b.Rows:
-		return nil, fmt.Errorf("spgemm: dimension mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+		return 0, fmt.Errorf("spgemm: dimension mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	case mask == nil:
-		return nil, fmt.Errorf("spgemm: MaskedRowSums needs a mask")
+		return 0, fmt.Errorf("spgemm: MaskedCount needs a mask")
 	case opt.Algorithm != AlgAuto && opt.Algorithm != AlgHash:
-		return nil, fmt.Errorf("spgemm: mask is only supported by hash, not %v", opt.Algorithm)
+		return 0, fmt.Errorf("spgemm: mask is only supported by hash, not %v", opt.Algorithm)
 	case mask.Rows != a.Rows || mask.Cols != b.Cols:
-		return nil, fmt.Errorf("spgemm: mask dimensions %dx%d do not match output %dx%d", mask.Rows, mask.Cols, a.Rows, b.Cols)
+		return 0, fmt.Errorf("spgemm: mask dimensions %dx%d do not match output %dx%d", mask.Rows, mask.Cols, a.Rows, b.Cols)
 	case opt.ShardSink != nil:
-		return nil, fmt.Errorf("spgemm: MaskedRowSums stores no product for a ShardSink to take")
+		return 0, fmt.Errorf("spgemm: MaskedCount stores no product for a ShardSink to take")
 	}
 	ctx := opt.ctx()
-	in, pt := inspect(AlgHash, a, b, mask, opt, ctx, false)
-	sums := make([]V, a.Rows)
-	onePhaseExecute(ring, a, b, ctx, in, sums, pt)
+	in, pt := begin(AlgHash, a, b, opt, ctx, false)
+	pt.tick(PhasePartition)
+	var total atomic.Int64
+	ctx.eachStripe(in.workers, in.stripes(), func(w, s int, ws *WorkerStats) {
+		lo, hi := in.offsets[s], in.offsets[s+1]
+		occ := ctx.countBitmap(w, b.Cols)
+		var n int64
+		for i := lo; i < hi; i++ {
+			if mcols := mask.ColIdx[mask.RowPtr[i]:mask.RowPtr[i+1]]; in.flopRow[i] != 0 && len(mcols) != 0 {
+				n += maskedCountRow(occ, a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]], b.RowPtr, b.ColIdx, mcols, b.Sorted)
+			}
+		}
+		total.Add(n)
+		if ws != nil {
+			ws.Rows += int64(hi - lo)
+			ws.Flop += rangeFlop(in.flopRow, lo, hi)
+		}
+	})
+	pt.tick(PhaseNumeric)
+	pt.finish()
 	recordMultiply(AlgHash, opt)
-	return sums, nil
+	return total.Load(), nil
 }
 
 // kernelFor checks that a·b is a product some kernel can compute under o and

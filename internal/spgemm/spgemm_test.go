@@ -1,9 +1,7 @@
 package spgemm
 
 import (
-	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -258,35 +256,35 @@ func TestSemiringOrAnd(t *testing.T) {
 	}
 }
 
-// TestMaskedMultiply: every row sum of (A·B).*M is the sum of the full
-// product's row over the mask's pattern.
+// TestMaskedMultiply: over unit values the pattern count is Σ((A·B).*M),
+// the full product's entries summed over the mask's pattern.
 func TestMaskedMultiply(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
+	one := func(float64) float64 { return 1 }
 	for trial := 0; trial < 10; trial++ {
 		a, b := randPair(rng, 30, 0.2)
+		a, b = matrix.MapValues(a, one), matrix.MapValues(b, one)
 		mask := matrix.Random(a.Rows, b.Cols, 0.3, rng)
 		full := matrix.NaiveMultiply(a, b).ToDense()
-		maskD := mask.ToDense()
-		got, err := MaskedRowSums(semiring.PlusTimesF64{}, a, b, mask, &Options{Algorithm: AlgHash, Workers: 2})
+		var want float64
+		for i := 0; i < mask.Rows; i++ {
+			mcols, _ := mask.Row(i)
+			for _, j := range mcols {
+				want += full.At(i, int(j))
+			}
+		}
+		got, err := MaskedCount(a, b, mask, &Options{Algorithm: AlgHash, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < full.Rows; i++ {
-			var want float64
-			for j := 0; j < full.Cols; j++ {
-				if maskD.At(i, j) != 0 {
-					want += full.At(i, j)
-				}
-			}
-			if math.Abs(got[i]-want) > 1e-10*math.Max(1, math.Abs(want)) {
-				t.Fatalf("trial %d: row %d sums to %v, want %v", trial, i, got[i], want)
-			}
+		if float64(got) != want {
+			t.Fatalf("trial %d: counted %d, want %v", trial, got, want)
 		}
 	}
 }
 
-// TestAutoWithMaskResolvesToHash: AlgAuto must not hand masked row sums to a
-// kernel that cannot fuse the mask. On this input the unmasked Table 4
+// TestAutoWithMaskResolvesToHash: AlgAuto must not hand the pattern count to
+// a kernel that cannot fuse the mask. On this input the unmasked Table 4
 // recipe answers Heap for the sorted request.
 func TestAutoWithMaskResolvesToHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(112))
@@ -294,21 +292,18 @@ func TestAutoWithMaskResolvesToHash(t *testing.T) {
 	if alg := Recommend(a, a, true, UseSquare); alg != AlgHeap {
 		t.Fatalf("recipe answers %v here; the test needs an input it answers heap on", alg)
 	}
-	want, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, &Options{Algorithm: AlgHash, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := patternCount(a, a, a)
 	for _, unsorted := range []bool{false, true} {
 		var st ExecStats
-		got, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, &Options{Unsorted: unsorted, Workers: 2, Stats: &st})
+		got, err := MaskedCount(a, a, a, &Options{Unsorted: unsorted, Workers: 2, Stats: &st})
 		if err != nil {
 			t.Fatalf("unsorted=%v: %v", unsorted, err)
 		}
 		if st.Algorithm != AlgHash {
 			t.Errorf("unsorted=%v: auto with a mask ran %v, want hash", unsorted, st.Algorithm)
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("unsorted=%v: auto row sums differ from hash's", unsorted)
+		if got != want {
+			t.Fatalf("unsorted=%v: auto counted %d, want %d", unsorted, got, want)
 		}
 	}
 }
@@ -316,18 +311,18 @@ func TestAutoWithMaskResolvesToHash(t *testing.T) {
 func TestMaskRejectedForOtherAlgorithms(t *testing.T) {
 	// One masked kernel: every algorithm but Hash gets the same error.
 	a := matrix.Identity(4)
-	_, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, &Options{Algorithm: AlgHeap})
+	_, err := MaskedCount(a, a, a, &Options{Algorithm: AlgHeap})
 	if err == nil || !strings.Contains(err.Error(), "mask is only supported by hash") {
 		t.Fatalf("heap with a mask: err = %v, want the mask-unsupported error", err)
 	}
 }
 
-// TestMaskedRowSumsRejects: MaskedRowSums checks its operands, its mask and
-// its options itself, and nil options are the defaults.
-func TestMaskedRowSumsRejects(t *testing.T) {
+// TestMaskedCountRejects: MaskedCount checks its operands, its mask and its
+// options itself, and nil options are the defaults.
+func TestMaskedCountRejects(t *testing.T) {
 	a := matrix.Identity(4)
-	if _, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, nil); err != nil {
-		t.Errorf("nil options: %v", err)
+	if n, err := MaskedCount(a, a, a, nil); err != nil || n != 4 {
+		t.Errorf("nil options: counted %d, %v; want 4", n, err)
 	}
 	sink := NewSpillSink[float64](t.TempDir(), 0)
 	defer sink.Close()
@@ -343,28 +338,23 @@ func TestMaskedRowSumsRejects(t *testing.T) {
 		{"inner dimension", matrix.Identity(5), a, nil},
 		{"sink", a, a, &Options{ShardSink: sink}},
 	} {
-		if _, err := MaskedRowSums(semiring.PlusTimesF64{}, a, tc.b, tc.mask, tc.opt); err == nil {
-			t.Errorf("%s: MaskedRowSums returned no error", tc.name)
+		if _, err := MaskedCount(a, tc.b, tc.mask, tc.opt); err == nil {
+			t.Errorf("%s: MaskedCount returned no error", tc.name)
 		}
 	}
 }
 
-// TestMaskedRowSumsStoresNoProduct: the row sums are the ascending folds of
-// the unmasked Hash product's rows over the mask, yet no output array is
-// drawn, no phase sizes or assembles one, and through a reused Context a call
-// allocates the returned slice and no more than the closures of its parallel
-// region.
-func TestMaskedRowSumsStoresNoProduct(t *testing.T) {
+// TestMaskedCountStoresNoProduct: the count equals the pattern oracle, yet
+// no output array is drawn, no phase sizes or assembles one, and through a
+// reused Context a call allocates no more than its parallel region's closure.
+func TestMaskedCountStoresNoProduct(t *testing.T) {
 	a := gen.RMAT(9, 8, gen.G500Params, rand.New(rand.NewSource(41)))
+	want := patternCount(a, a, a)
 	for _, workers := range []int{1, 2} {
 		ctx := NewContext()
-		prod, err := Multiply(a, a, &Options{Algorithm: AlgHash, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
 		drawn, drawnBytes := mOutputAllocated.Value(), mOutputAllocatedBytes.Value()
 		var st ExecStats
-		sums, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, &Options{Workers: workers, Context: ctx, Stats: &st})
+		got, err := MaskedCount(a, a, a, &Options{Workers: workers, Context: ctx, Stats: &st})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,26 +365,16 @@ func TestMaskedRowSumsStoresNoProduct(t *testing.T) {
 			t.Errorf("W=%d: ran %v with symbolic %v, alloc %v, assemble %v; want hash with none of them", workers,
 				st.Algorithm, st.Phases[PhaseSymbolic], st.Phases[PhaseAlloc], st.Phases[PhaseAssemble])
 		}
-		for i := range sums {
-			var want float64
-			mcols, _ := a.Row(i)
-			cols, vals := prod.Row(i)
-			for p, c := range cols {
-				if slices.Contains(mcols, c) {
-					want += vals[p]
-				}
-			}
-			if math.Float64bits(sums[i]) != math.Float64bits(want) {
-				t.Fatalf("W=%d: row %d sums to %v, want %v", workers, i, sums[i], want)
-			}
+		if got != want {
+			t.Fatalf("W=%d: counted %d, want %d", workers, got, want)
 		}
 		opt := &Options{Workers: workers, Context: ctx}
-		perCall := testalloc.Bytes(func() { _, err = MaskedRowSums(semiring.PlusTimesF64{}, a, a, a, opt) })
+		perCall := testalloc.Bytes(func() { _, err = MaskedCount(a, a, a, opt) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if limit := uint64(a.Rows*8 + 1<<10); perCall > limit {
-			t.Errorf("W=%d: %d B per call through a reused Context, want <= %d (the sums)", workers, perCall, limit)
+		if perCall > 1<<10 {
+			t.Errorf("W=%d: %d B per call through a reused Context, want <= 1 KiB", workers, perCall)
 		}
 	}
 }
@@ -402,7 +382,7 @@ func TestMaskedRowSumsStoresNoProduct(t *testing.T) {
 func TestMaskDimensionMismatch(t *testing.T) {
 	a := matrix.Identity(4)
 	m := matrix.Identity(5)
-	if _, err := MaskedRowSums(semiring.PlusTimesF64{}, a, a, m, &Options{Algorithm: AlgHash}); err == nil {
+	if _, err := MaskedCount(a, a, m, &Options{Algorithm: AlgHash}); err == nil {
 		t.Fatal("expected mask dimension error")
 	}
 }

@@ -84,12 +84,17 @@ var structure = []row{
 
 	// The mask's row pointers bound every output row.
 	{name: "no-masked-symbolic", kind: forbid, paths: []string{"internal/spgemm/**", "DESIGN.md", "README.md"}, re: `\b(maskedSymbolic|maskedRowCount)\b`, change: "Masked products are one phase",
-		why:    "a masked product is one phase (maskedRow); its counting pass stays deleted",
+		why:    "the masked product is a pattern count with no symbolic phase (MaskedCount); its counting pass stays deleted",
 		mutant: plant{"internal/spgemm/hashrow.go", `n := maskedRowCount(i, a, b, mask)`}},
+
+	// Triangle counting counts bits: the pattern count is the one masked kernel.
+	{name: "no-masked-row-sums", kind: forbid, paths: []string{"internal/spgemm/**", "internal/graph/**", "DESIGN.md", "README.md"}, re: `\b(MaskedRowSums|maskedRows?|maskLoad|maskCompact|maskWidest|maskDense|maskHash)\b`, change: "Triangle counting counts bits",
+		why:    "the one masked kernel is the pattern count (MaskedCount); no ring-general masked row, its col→slot index or its row sums come back",
+		mutant: plant{"internal/spgemm/spgemm.go", "func MaskedRowSums[V semiring.Value, R semiring.Ring[V]](ring R, a, b, mask *matrix.CSRG[V], opt *OptionsG[V]) ([]V, error) {"}},
 
 	// Open on the left, since ncols) <= is the same comparison.
 	{name: "one-dense-rule", kind: count, n: 1, paths: []string{"internal/spgemm/**/*.go", "!**/*_test.go"}, re: `[Cc]ols\) <= `, change: "One rule for both phases",
-		why:    "symbolic stamps, the numeric SPA, a masked row's index and the one-pass route all ask denseRule",
+		why:    "symbolic stamps, the numeric SPA and the one-pass route all ask denseRule",
 		mutant: plant{"internal/spgemm/hashrow.go", `return int64(b.Cols) <= flop`}},
 
 	// Every /v1 handler fills one record and leaves through one finish.
@@ -268,7 +273,7 @@ var structure = []row{
 
 	// Masks have one consumer.
 	{name: "no-options-mask", kind: forbid, paths: []string{"**/*.go", "!**/*_test.go"}, re: `\bMask:|\bopt\.Mask\b|^\s+Mask\s+\*`, change: "Masks have one consumer",
-		why:    "the mask is an argument of MaskedRowSums, not an option of every product",
+		why:    "the mask is an argument of MaskedCount, not an option of every product",
 		mutant: plant{"internal/graph/triangles.go", "\topt.Algorithm, opt.Mask = spgemm.AlgHash, l"}},
 	{name: "no-mask-need", kind: forbid, paths: []string{"internal/spgemm/**", "DESIGN.md", "README.md"}, re: `\bmaskNeed\b`, change: "Masks have one consumer",
 		why:    "masked row sums keep one window per worker; no window is sized for a stored masked row",
