@@ -42,7 +42,9 @@ var budgetHeader = []string{
 	"report. CI fails on an entry that is observed and not listed; entries that",
 	"are listed and no longer observed are printed as prune candidates.",
 	"Regenerate with: " + budgetRegen,
-	"A Go upgrade must regenerate it in the same PR (inspect the diff).",
+	"A Go upgrade must regenerate it in the same PR (inspect the diff), and check",
+	"that runtime.mallocgc still has the signature internal/spgemm/uninit.go",
+	"pulls in with go:linkname.",
 }
 
 // hotDirs are the hot packages whose compiler feedback is budgeted, as

@@ -199,8 +199,6 @@ func (h *HashTableG[V]) Upsert(key int32) (*V, bool) {
 }
 
 // Lookup returns the value stored for key and whether it is present.
-//
-//spgemm:hotpath
 func (h *HashTableG[V]) Lookup(key int32) (V, bool) {
 	s := h.slot(key)
 	for {

@@ -118,8 +118,6 @@ func (s *SPAG[V]) Upsert(col int32) (*V, bool) {
 }
 
 // Lookup returns the value for col and whether it is occupied this row.
-//
-//spgemm:hotpath
 func (s *SPAG[V]) Lookup(col int32) (V, bool) {
 	if s.marks.Has(col) {
 		return s.vals[col], true

@@ -168,8 +168,9 @@ func (c *ContextG[V]) Recycle(m *matrix.CSRG[V]) {
 
 // drawOutput returns an output array of n entries, contents undefined: the
 // donated one in *slot when it is large enough, which empties the slot — the
-// array now belongs to the product being built — and a fresh one otherwise.
-func drawOutput[T any](slot *[]T, n int64) []T {
+// array now belongs to the product being built — and otherwise a fresh one,
+// uninitialized (uninit): every kernel writes every entry it sizes.
+func drawOutput[T plain](slot *[]T, n int64) []T {
 	var elem T
 	bytes := n * int64(unsafe.Sizeof(elem))
 	if s := *slot; n > 0 && int64(cap(s)) >= n {
@@ -180,12 +181,12 @@ func drawOutput[T any](slot *[]T, n int64) []T {
 	}
 	mOutputAllocated.Inc()
 	mOutputAllocatedBytes.Add(bytes)
-	return make([]T, n)
+	return uninit[T](n)
 }
 
 // drawUpTo is drawOutput for a product that learns its size as it writes, n
 // at most: it takes a donation of any size and outgrows a short one (regrow).
-func drawUpTo[T any](slot *[]T, n int64) []T {
+func drawUpTo[T plain](slot *[]T, n int64) []T {
 	if have := int64(cap(*slot)); have > 0 {
 		n = min(n, have)
 	}
@@ -194,7 +195,7 @@ func drawUpTo[T any](slot *[]T, n int64) []T {
 
 // regrow returns s if it holds n entries, else a fresh array of n holding
 // s[:keep], and hands s, a donation drawUpTo emptied slot of, back to slot.
-func regrow[T any](slot *[]T, s []T, keep, n int64) []T {
+func regrow[T plain](slot *[]T, s []T, keep, n int64) []T {
 	if int64(len(s)) >= n {
 		return s
 	}
@@ -204,6 +205,17 @@ func regrow[T any](slot *[]T, s []T, keep, n int64) []T {
 	return grown
 }
 
+// fit trims s, an array drawUpTo or regrow drew, to the n entries the product
+// wrote. Unless s is the donation don, it is capped there too: past n a fresh
+// array holds memory no kernel wrote (uninit), while a donation keeps its
+// capacity for the next Recycle.
+func fit[T any](s, don []T, n int64) []T {
+	if cap(don) > 0 && unsafe.SliceData(s) == unsafe.SliceData(don) {
+		return s[:n]
+	}
+	return s[:n:n]
+}
+
 // rowPtrBuf returns the row-pointer array of a product with the given number
 // of rows (contents undefined), the product's own from here on.
 func (c *ContextG[V]) rowPtrBuf(rows int) []int64 {
@@ -211,8 +223,8 @@ func (c *ContextG[V]) rowPtrBuf(rows int) []int64 {
 }
 
 // outputShell binds the column/value arrays of the result once the row
-// pointer array is final. The arrays may be recycled ones: every kernel
-// writes every entry of every row it sizes.
+// pointer array is final. The arrays may be recycled or uninitialized ones:
+// every kernel writes every entry of every row it sizes.
 func (c *ContextG[V]) outputShell(rows, cols int, rowPtr []int64, sorted bool) *matrix.CSRG[V] {
 	nnz := rowPtr[rows]
 	return &matrix.CSRG[V]{

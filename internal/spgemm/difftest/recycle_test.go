@@ -65,6 +65,54 @@ func TestDifferentialPlanRecycled(t *testing.T) {
 	}
 }
 
+// TestRecycledOnePass: CheckRecycled's one-pass case, "one-pass-redo" on one
+// worker in one stripe, takes the one-pass route (no symbolic phase), where
+// a small donation is outgrown into a fresh, uninitialized array that ends at
+// the product's last entry, and an oversized one keeps its capacity.
+func TestRecycledOnePass(t *testing.T) {
+	var c Case
+	for _, x := range Cases(rand.New(rand.NewSource(84))) {
+		if x.Name == "one-pass-redo" {
+			c = x
+		}
+	}
+	if c.A == nil {
+		t.Fatal("Cases holds no one-pass-redo")
+	}
+	opt := spgemm.Options{Algorithm: spgemm.AlgHash, Unsorted: true, Workers: 1}
+	want, err := spgemm.Multiply(c.A, c.B, &opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []donation{donations[0], donations[2]} {
+		p := poisoned(d, c.A.Rows, int(want.NNZ()), poisonF64)
+		cols, vals := p.ColIdx, p.Val
+		var st spgemm.ExecStats
+		opt.Context, opt.Stats = spgemm.NewContext(), &st
+		opt.Context.Recycle(p)
+		got, err := spgemm.Multiply(c.A, c.B, &opt)
+		if err == nil {
+			err = identical(got, want)
+		}
+		if err != nil {
+			t.Fatalf("%s donation: %v", d.name, err)
+		}
+		if st.Phases[spgemm.PhaseSymbolic] != 0 {
+			t.Errorf("%s donation: symbolic took %v, want the one-pass route", d.name, st.Phases[spgemm.PhaseSymbolic])
+		}
+		if shares(got.ColIdx, cols) != d.fits || shares(got.Val, vals) != d.fits {
+			t.Errorf("%s donation: built in the donated arrays = %v, want %v", d.name, !d.fits, d.fits)
+		}
+		wantCap := len(got.ColIdx)
+		if d.fits {
+			wantCap = cap(cols)
+		}
+		if cap(got.ColIdx) != wantCap || cap(got.Val) != wantCap {
+			t.Errorf("%s donation: cap %d/%d, want %d", d.name, cap(got.ColIdx), cap(got.Val), wantCap)
+		}
+	}
+}
+
 // TestRecycleNoOps: donating nothing, or a product with no entries, neither
 // fails nor displaces what the Context already holds.
 func TestRecycleNoOps(t *testing.T) {

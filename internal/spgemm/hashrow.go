@@ -3,6 +3,7 @@ package spgemm
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/accum"
 	"repro/internal/matrix"
@@ -147,24 +148,43 @@ func (c *ContextG[V]) wordMasks(a, b *matrix.CSRG[V], in *inspection[V]) *wordMa
 	if runs == 0 || cost+2*float64(flop)*float64(runs)/float64(prods) >= float64(flop) {
 		return nil
 	}
-	c.masks.build(b.RowPtr, b.ColIdx)
+	c.buildMasks(b.RowPtr, b.ColIdx, in.workers, in.stripes())
 	return &c.masks
 }
 
-// build makes m the masks of the pattern rowPtr/colIdx, in m's own buffers.
-func (m *wordMasks) build(rowPtr []int64, colIdx []int32) {
-	word, bits, runs := tempBuf(&m.word, int64(len(colIdx))), tempBuf(&m.bits, int64(len(colIdx))), tempBuf(&m.runs, int64(len(rowPtr)-1))
-	for k := range runs { // each entry rewrites its run's slot; a new word moves on one, without a branch
-		lo, hi := rowPtr[k], rowPtr[k+1]
-		rword, rbits, r, prev, cur := word[lo:hi], bits[lo:hi], -1, int32(-1), uint64(0)
-		for _, col := range colIdx[lo:hi] {
+// buildMasks makes c.masks the masks of the pattern rowPtr/colIdx, in their
+// own buffers, on workers workers: stripes of the pattern's rows cut by nnz,
+// the last one ending at the last row. A row's runs sit at its own offsets,
+// so no two stripes write one slot.
+func (c *ContextG[V]) buildMasks(rowPtr []int64, colIdx []int32, workers, stripes int) {
+	m, rows, nnz := &c.masks, len(rowPtr)-1, int64(len(colIdx))
+	tempBuf(&m.word, nnz)
+	tempBuf(&m.bits, nnz)
+	tempBuf(&m.runs, int64(rows))
+	c.eachStripe(workers, stripes, func(_, s int, _ *WorkerStats) {
+		lo, _ := slices.BinarySearch(rowPtr[:rows], nnz*int64(s)/int64(stripes))
+		hi := rows
+		if s+1 < stripes {
+			hi, _ = slices.BinarySearch(rowPtr[:rows], nnz*int64(s+1)/int64(stripes))
+		}
+		m.build(rowPtr, colIdx, lo, hi)
+	})
+}
+
+// build writes the masks of rows [lo, hi) of the pattern rowPtr/colIdx into
+// m's buffers, which hold the whole pattern's.
+func (m *wordMasks) build(rowPtr []int64, colIdx []int32, lo, hi int) {
+	for k := lo; k < hi; k++ { // each entry rewrites its run's slot; a new word moves on one, without a branch
+		plo, phi := rowPtr[k], rowPtr[k+1]
+		rword, rbits, r, prev, cur := m.word[plo:phi], m.bits[plo:phi], -1, int32(-1), uint64(0)
+		for _, col := range colIdx[plo:phi] {
 			d := col>>6 - prev // non-zero at a new word, where d|-d is negative
 			fresh := int(uint32(d|-d) >> 31)
 			r, prev = r+fresh, col>>6
 			cur = cur&(uint64(fresh)-1) | 1<<(col&63)
 			rword[r], rbits[r] = prev, cur
 		}
-		runs[k] = int32(r + 1)
+		m.runs[k] = int32(r + 1)
 	}
 }
 
@@ -521,9 +541,10 @@ func (r ringBodies[V, R]) onePassRow(ring R, spa *accum.SPAG[V], a, b *matrix.CS
 // onePassRows is the one-pass route's numeric pass: every row of A·B (flop
 // products, at most max in one) in order through onePassRow straight into c,
 // whose arrays hold flop entries or a donation of any size; the running
-// offset is the row pointer. A row whose flop overflows what is left is
-// counted first and written as two-phase numeric would, and only one whose
-// count overflows too grows c, to hold every later row at its flop.
+// offset is the row pointer, and the caller trims the arrays at its last
+// value (fit). A row whose flop overflows what is left is counted first and
+// written as two-phase numeric would, and only one whose count overflows too
+// grows c, to hold every later row at its flop.
 func onePassRows[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V], a, b *matrix.CSRG[V], flopRow []int64, flop, max int64, c *matrix.CSRG[V], ws *WorkerStats) {
 	h := newHashNumeric(ring, ctx, 0, a, b, true, nil, capBound(max, b.Cols), false) // the SPA: the route is denseRule's
 	h.bind(c.ColIdx, c.Val)
@@ -559,7 +580,6 @@ func onePassRows[V semiring.Value, R semiring.Ring[V]](ring R, ctx *ContextG[V],
 		pos, marks = pos+int64(n), marks+int64(m)
 	}
 	c.RowPtr[a.Rows] = pos
-	c.ColIdx, c.Val = c.ColIdx[:pos], c.Val[:pos]
 	if ws != nil {
 		ws.Rows, ws.Flop, ws.StampMarks = int64(a.Rows), flop, marks
 	}

@@ -98,6 +98,10 @@ func TestHashCounterInvariant(t *testing.T) {
 						t.Errorf("%s: symbolic took %v, want none iff on the one-pass route (%v)", name, st.Phases[PhaseSymbolic], onePass)
 					}
 					if onePass {
+						// Drawn at the flop, uninitialized: nothing past nnz(C) is reachable.
+						if cap(c.ColIdx) != len(c.ColIdx) || cap(c.Val) != len(c.Val) {
+							t.Errorf("%s: one pass: cap %d/%d past len %d", name, cap(c.ColIdx), cap(c.Val), len(c.ColIdx))
+						}
 						if tot.DirectFlop+tot.DenseFlop != flop || tot.HashLookups != 0 || tot.StampMarks > flop {
 							t.Errorf("%s: one pass: direct %d + dense %d, want flop %d; lookups %d, want 0; marks %d, want at most flop",
 								name, tot.DirectFlop, tot.DenseFlop, flop, tot.HashLookups, tot.StampMarks)
@@ -313,7 +317,7 @@ func BenchmarkSymbolic(b *testing.B) {
 		if denseRule(bm.Cols, flop) {
 			rule = "stamps"
 			ctx := NewContext()
-			if ctx.wordMasks(a, bm, &inspection[float64]{flopRow: flopRow, dense: true}) != nil {
+			if ctx.wordMasks(a, bm, oneStripe(flopRow)) != nil {
 				rule = "masks"
 			}
 		}
@@ -329,9 +333,9 @@ func BenchmarkSymbolic(b *testing.B) {
 					case "stamps":
 						rc = rowCounter[float64]{stamps: accum.NewStampSet(bm.Cols)}
 					case "masks":
-						var m wordMasks
-						m.build(bm.RowPtr, bm.ColIdx)
-						rc = rowCounter[float64]{stamps: accum.NewStampSet(bm.Cols), masks: &m, occ: make([]uint64, words)}
+						mc := NewContext()
+						mc.buildMasks(bm.RowPtr, bm.ColIdx, 1, 1)
+						rc = rowCounter[float64]{stamps: accum.NewStampSet(bm.Cols), masks: &mc.masks, occ: make([]uint64, words)}
 					}
 					var nnz int64
 					for i := 0; i < a.Rows; i++ {
@@ -375,12 +379,11 @@ func BenchmarkNumeric(b *testing.B) {
 			rule := "table"
 			if denseRule(bm.Cols, flop) {
 				rule = "spa"
-				if ctx.wordMasks(a, bm, &inspection[float64]{flopRow: flopRow, dense: true}) != nil {
+				if ctx.wordMasks(a, bm, oneStripe(flopRow)) != nil {
 					rule = "masks"
 				}
 			}
-			var m wordMasks
-			m.build(bm.RowPtr, bm.ColIdx)
+			ctx.buildMasks(bm.RowPtr, bm.ColIdx, 1, 1)
 			for _, kind := range []string{"table", "spa", "masks"} {
 				b.Run(fmt.Sprintf("flop=%d/rule=%s/%s", flop, rule, kind), func(b *testing.B) {
 					for n := 0; n < b.N; n++ {
@@ -391,7 +394,7 @@ func BenchmarkNumeric(b *testing.B) {
 						case "table":
 							h.table = accum.NewHashTable(capBound(max, bm.Cols))
 						case "masks":
-							h.masks = &m
+							h.masks = &ctx.masks
 							fallthrough
 						default:
 							h.spa = accum.NewSPA(bm.Cols)
@@ -557,8 +560,10 @@ func TestWordMasksBuild(t *testing.T) {
 			rowPtr = append(rowPtr, int64(len(colIdx)))
 		}
 		// Stale contents from a wider pattern must not show through.
-		m := wordMasks{word: slices.Repeat([]int32{7}, 64), bits: slices.Repeat([]uint64{1 << 40}, 64), runs: make([]int32, 64)}
-		m.build(rowPtr, colIdx)
+		ctx := NewContext()
+		ctx.masks = wordMasks{word: slices.Repeat([]int32{7}, 64), bits: slices.Repeat([]uint64{1 << 40}, 64), runs: slices.Repeat([]int32{9}, 64)}
+		ctx.buildMasks(rowPtr, colIdx, 1, 1)
+		m := &ctx.masks
 		if len(m.runs) != len(tc.rows) {
 			t.Fatalf("%s: %d rows of runs, want %d", tc.name, len(m.runs), len(tc.rows))
 		}
@@ -583,6 +588,45 @@ func TestWordMasksBuild(t *testing.T) {
 	}
 }
 
+// TestWordMasksParallel: masks built on two workers, over stripes cut finer
+// than B's rows, are the one-worker build slot for slot — on a sorted G500 B,
+// on the same B with its rows shuffled, and on a pattern whose unsorted rows
+// meet a word again, between empty rows at both ends and in the middle.
+func TestWordMasksParallel(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	g500 := gen.RMAT(9, 16, gen.G500Params, rng)
+	recur := matrix.NewCOO(9, 200)
+	for _, k := range []int{1, 2, 4, 5, 6} {
+		for _, col := range []int32{3, 70, 5, 129, 64, 199, 66, 1} {
+			recur.Append(int32(k), (col+int32(k))%200, 1)
+		}
+	}
+	for _, b := range []*matrix.CSR{g500, gen.Unsorted(g500, rng), gen.Unsorted(recur.ToCSR(), rng)} {
+		// Both start from the same stale buffers, so a slot either build
+		// misses shows.
+		stale := func() wordMasks {
+			n := len(b.ColIdx) + 1
+			return wordMasks{word: slices.Repeat([]int32{-3}, n), bits: slices.Repeat([]uint64{5}, n), runs: slices.Repeat([]int32{-3}, b.Rows+1)}
+		}
+		one, two := NewContext(), NewContext()
+		one.masks = stale()
+		one.buildMasks(b.RowPtr, b.ColIdx, 1, 1)
+		for _, stripes := range []int{2, 7, b.Rows + 3} {
+			two.masks = stale()
+			two.buildMasks(b.RowPtr, b.ColIdx, 2, stripes)
+			if !slices.Equal(two.masks.word, one.masks.word) || !slices.Equal(two.masks.bits, one.masks.bits) || !slices.Equal(two.masks.runs, one.masks.runs) {
+				t.Errorf("%d×%d, %d stripes on 2 workers: masks differ from the 1-worker build", b.Rows, b.Cols, stripes)
+			}
+		}
+	}
+}
+
+// oneStripe is the inspection ContextG.wordMasks reads, for a product of
+// flopRow's rows in one stripe on one worker on the SPA side.
+func oneStripe(flopRow []int64) *inspection[float64] {
+	return &inspection[float64]{flopRow: flopRow, dense: true, workers: 1, offsets: []int{0, len(flopRow)}}
+}
+
 // TestWordMasksCount: where the gate builds masks (a G500 square), a row
 // counted on them has the size the stamps count, row by row; where B does
 // not compress (an ER square at 8 entries per row over 32 words) the gate
@@ -593,11 +637,11 @@ func TestWordMasksCount(t *testing.T) {
 	ctx := NewContext()
 	ctx.ensureWorkers(1)
 	_, flopRow := matrix.Flop(er, er)
-	if m := ctx.wordMasks(er, er, &inspection[float64]{flopRow: flopRow, dense: true}); m != nil {
+	if m := ctx.wordMasks(er, er, oneStripe(flopRow)); m != nil {
 		t.Error("masks built for an ER square whose rows do not compress")
 	}
 	_, flopRow = matrix.Flop(g500, g500)
-	m := ctx.wordMasks(g500, g500, &inspection[float64]{flopRow: flopRow, dense: true})
+	m := ctx.wordMasks(g500, g500, oneStripe(flopRow))
 	if m == nil {
 		t.Fatal("no masks for a G500 square")
 	}

@@ -68,10 +68,13 @@ func heapRow[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V],
 func onePhaseExecute[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], ctx *ContextG[V], in *inspection[V], pt *phaseTimer) *matrix.CSRG[V] {
 	if in.onePass {
 		flop, max := rangeFlopMax(in.flopRow, 0, a.Rows)
+		dcols, dvals := ctx.outCols, ctx.outVals // the donations drawUpTo takes, if any
 		c := &matrix.CSRG[V]{Rows: a.Rows, Cols: b.Cols, RowPtr: ctx.rowPtrBuf(a.Rows),
 			ColIdx: drawUpTo(&ctx.outCols, flop), Val: drawUpTo(&ctx.outVals, flop)}
 		pt.tick(PhaseAlloc)
 		ctx.eachStripe(1, 1, func(_, _ int, ws *WorkerStats) { onePassRows(ring, ctx, a, b, in.flopRow, flop, max, c, ws) })
+		nnz := c.RowPtr[a.Rows]
+		c.ColIdx, c.Val = fit(c.ColIdx, dcols, nnz), fit(c.Val, dvals, nnz)
 		pt.tick(PhaseNumeric)
 		pt.finish()
 		return c

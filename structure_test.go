@@ -297,6 +297,17 @@ var structure = []row{
 	{name: "one-stripe-claim", kind: count, n: 1, paths: []string{"internal/spgemm/**/*.go", "!**/*_test.go"}, re: `\bcursor\.Add\(`, change: "One stripe claim, two executors",
 		why:    "the cursor advances in eachStripe alone, the one site a cancellation poll needs",
 		mutant: plant{"internal/spgemm/heap.go", "\t\tfor s := w; s < in.stripes(); s = int(ctx.cursor.Add(1)) - 1 {"}},
+	// Fresh output arrays skip make's clearing through one pull of the
+	// runtime's allocator, behind one helper with one caller.
+	{name: "one-linkname", kind: count, n: 1, paths: []string{"**/*.go", "!**/*_test.go"}, re: `^//go:linkname\b`, change: "Products draw their output arrays uninitialized",
+		why:    "the tree reaches into the runtime once, for mallocgc, whose signature the runtime keeps for outside callers",
+		mutant: plant{"internal/matrix/wire.go", "//go:linkname memmove runtime.memmove"}},
+	{name: "linkname-in-uninit", kind: count, n: 1, paths: []string{"internal/spgemm/uninit.go"}, re: `^//go:linkname\b`, change: "Products draw their output arrays uninitialized",
+		why:    "the one go:linkname is uninit's, in the file that holds it alone",
+		mutant: plant{"internal/spgemm/uninit.go", "//go:linkname mallocgc runtime.mallocgc"}},
+	{name: "one-uninit-call", kind: count, n: 1, paths: []string{"**/*.go", "!**/*_test.go"}, re: `\buninit\[[\w.]+\]\(`, change: "Products draw their output arrays uninitialized",
+		why:    "drawOutput alone draws arrays uninitialized: a product's arrays are the ones every kernel writes in full",
+		mutant: plant{"internal/spgemm/context.go", "\t\tc.tmpVals = uninit[V](n)"}},
 	{name: "no-claim-wrappers", kind: forbid, paths: []string{"internal/spgemm/**", "DESIGN.md", "README.md"}, re: `\b(nextStripe|runWorkers|inspectExecute|onePassExecute|bindOutput)\b`, change: "One stripe claim, two executors",
 		why:    "no region claims stripes by hand, and the one-shot driver, the one-pass route and the output binding are inlined where they are known",
 		mutant: plant{"internal/spgemm/driver.go", "\tctx.runWorkers(in.workers, func(w int) {"}},
