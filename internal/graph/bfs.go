@@ -25,9 +25,13 @@ type BFSResult struct {
 // 64 sources. Aᵀ holds all-ones words on the graph's pattern (a stored zero
 // is an edge). Each level filters the product in place (fresh = next &^
 // visited), records the fresh bits' levels and keeps the non-zero fresh
-// words, in order, as the next frontier. opt carries the algorithm, workers
-// and Stats (the last level's); its Context is ignored: MSBFS keeps
-// its own uint64 Context, which spent frontiers are recycled into.
+// words, in order, as the next frontier. At up to 64 sources the frontier
+// has one column, so under Hash (and AlgAuto, which the tall-skinny recipe
+// resolves to it) every level is one pass over Aᵀ with no flop pre-pass,
+// partition, symbolic pass or accumulator (spgemm's one-column route). opt
+// carries the algorithm, workers and Stats (the last level's); its Context
+// is ignored: MSBFS keeps its own uint64 Context, which spent frontiers are
+// recycled into.
 func MSBFS(g *matrix.CSR, sources []int32, opt *spgemm.Options) (*BFSResult, error) {
 	if g.Rows != g.Cols {
 		return nil, fmt.Errorf("graph: adjacency must be square, got %dx%d", g.Rows, g.Cols)

@@ -2,6 +2,7 @@ package spgemm
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/accum"
@@ -122,9 +123,17 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 // (symbolic and numeric; a replay has only the second), which the pool's
 // workers hold while they run — under 1 KiB together and none of it growing
 // with the product. The inspection and the phase timer are the Context's.
+// A product into one column (hash/column) takes the one-column route: one
+// region, whose closure is all it allocates besides the output, and with
+// +recycle the result header and that closure alone.
 func TestContextReuseSteadyAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := gen.ER(8, 8, rng) // 256×256, ~8 nnz/row: real per-row numeric work
+	column := matrix.NewCOO(a.Cols, 1)
+	for k := 0; k < a.Cols; k += 2 {
+		column.Append(int32(k), 0, rng.NormFloat64())
+	}
+	col := column.ToCSR()
 	for _, tc := range []struct {
 		name    string
 		alg     Algorithm
@@ -140,11 +149,15 @@ func TestContextReuseSteadyAllocs(t *testing.T) {
 		{"hash/replay", AlgHash, false, true, false, 5},
 		{"hash+recycle", AlgHash, false, false, true, 3},
 		{"hash/replay+recycle", AlgHash, false, true, true, 2},
+		{"hash/column", AlgHash, false, false, false, 5},
+		{"hash/column+recycle", AlgHash, false, false, true, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := &Options{Algorithm: tc.alg, Workers: 1, Context: NewContext()}
 			multiply := func() (*matrix.CSR, error) { return Multiply(a, a, opt) }
 			switch {
+			case strings.HasPrefix(tc.name, "hash/column"):
+				multiply = func() (*matrix.CSR, error) { return Multiply(a, col, opt) }
 			case tc.mask:
 				multiply = func() (*matrix.CSR, error) {
 					_, err := MaskedCount(a, a, a, opt)
@@ -168,7 +181,7 @@ func TestContextReuseSteadyAllocs(t *testing.T) {
 			}
 			run() // warm the context's tables and partitions
 			run() // a Plan's second execution builds its replay map
-			if tc.alg == AlgHash && !tc.mask && !tc.plan {
+			if tc.alg == AlgHash && !tc.mask && !tc.plan && !strings.HasPrefix(tc.name, "hash/column") {
 				// Cols <= flop: the steady state measured below is the SPA's,
 				// every numeric product folded into the Context's dense arrays.
 				var st ExecStats

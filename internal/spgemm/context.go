@@ -25,9 +25,11 @@ import (
 // (denseRule) — its SPA, 4·Cols of stamps that symbolic counts with too plus
 // 8·Cols of values for V = float64 —, 12·nnz(B) + 4·Rows(B) bytes of B's word
 // masks where a product built them, ⌈Cols/64⌉ words per worker of the
-// pattern count's bitmap, and the arrays of at most one donated product. The
-// bitmap needs no hypersparse form: every caller of the count is square, so
-// its Cols/8 bytes per worker are under 1/64 of the mask's own row pointers.
+// pattern count's bitmap, Rows(A) values and, on or-and, Rows(B) words where a
+// product into one column ran (column.go), and the arrays of at most one
+// donated product. The bitmap needs no hypersparse form: every caller of the
+// count is square, so its Cols/8 bytes per worker are under 1/64 of the
+// mask's own row pointers.
 //
 // A Context is specific to one value type V: its accumulators and value
 // scratch hold V entries. The ring used for a given call is independent —
@@ -59,6 +61,10 @@ type ContextG[V semiring.Value] struct {
 	tmpCols []int32
 	tmpVals []V
 	windows []int64
+
+	// B's rows, each folded into one value, for the one-column route's
+	// or-and body (orAndBodies.prepare).
+	colRows []V
 
 	// Per-row bookkeeping, grown on demand.
 	flopRow []int64

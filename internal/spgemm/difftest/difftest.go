@@ -232,6 +232,18 @@ func Cases(rng *rand.Rand) []Case {
 		Case{Name: "flop-at-most-one", A: single(48, 40), B: gen.Unsorted(single(40, 36), rng)},
 	)
 
+	// A one-shot Hash product into one column takes the one-column route, one
+	// pass over A. Its family: the column flagged unsorted (a row of one
+	// entry is sorted either way, and Heap must still refuse it), an A whose
+	// rows are mostly empty, and a B whose rows are all empty.
+	unsortedColumn := column.ToCSR()
+	unsortedColumn.Sorted = false
+	cases = append(cases,
+		Case{Name: "column-flagged-unsorted", A: er, B: unsortedColumn},
+		Case{Name: "empty-rows-times-column", A: randomCSR(rng, 3*er.Rows, er.Cols, er.Rows), B: column.ToCSR()},
+		Case{Name: "column-of-empty-rows", A: er, B: matrix.NewCOO(er.Cols, 1).ToCSR()},
+	)
+
 	// B's word masks (4 words over 256 columns) pay on B's rows 0…31, runs
 	// of 40 columns, that A's rows 0…47 take. Rows 48…63 take 3 or 4 of B's
 	// one-column rows: flop 3 counts on the stamps, flop 4 on the masks.
@@ -284,6 +296,11 @@ func SpecialValueCases(rng *rand.Rand) []Case {
 	infA := dense([][]float64{{inf, 1}, {inf, -inf}, {-inf, hole}})
 	infB := dense([][]float64{{0, 1, 1}, {1, 1, -1}})
 
+	// Into one column (the one-column route): C = [-0; -0; +0; none; +0]:
+	// -0 alone, -0 + -0, -0 + +0, no product, and -1 · -0.
+	zeroColA := dense([][]float64{{1, hole, hole}, {1, 1, hole}, {1, hole, 1}, {hole, hole, hole}, {-1, hole, hole}})
+	zeroColB := dense([][]float64{{negZero}, {negZero}, {0}})
+
 	// The ER square's structure (rows that repeat columns, several workers'
 	// worth) with every value drawn from the palette.
 	palette := []float64{1, -1, 0, negZero, inf, -inf, 2.5, -2.5}
@@ -292,6 +309,7 @@ func SpecialValueCases(rng *rand.Rand) []Case {
 	return []Case{
 		{Name: "signed-zero", A: zeroA, B: zeroB},
 		{Name: "non-finite", A: infA, B: infB},
+		{Name: "signed-zero-column", A: zeroColA, B: zeroColB},
 		{Name: "palette-er", A: special, B: special},
 		{Name: "palette-er-unsortedB", A: special, B: gen.Unsorted(special, rng)},
 	}

@@ -207,8 +207,9 @@ func TestDifferentialSharded(t *testing.T) {
 func TestSpecialValueCases(t *testing.T) {
 	negZero, inf, nan := math.Copysign(0, -1), math.Inf(1), math.NaN()
 	want := map[string][]float64{
-		"signed-zero": {negZero, 0, 10, negZero, negZero, 5, 0, negZero, 0},
-		"non-finite":  {nan, inf, inf, nan, nan, inf, nan, -inf, -inf},
+		"signed-zero":        {negZero, 0, 10, negZero, negZero, 5, 0, negZero, 0},
+		"non-finite":         {nan, inf, inf, nan, nan, inf, nan, -inf, -inf},
+		"signed-zero-column": {negZero, negZero, 0, 0},
 	}
 	for _, c := range SpecialValueCases(rand.New(rand.NewSource(1))) {
 		w, ok := want[c.Name]

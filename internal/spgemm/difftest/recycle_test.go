@@ -113,6 +113,58 @@ func TestRecycledOnePass(t *testing.T) {
 	}
 }
 
+// TestRecycledOneColumn: CheckRecycled's small and oversized donations ahead
+// of "er-times-column", serial and parallel, which takes the one-column route
+// (no partition, no symbolic phase). Its output is drawn at nnz(C) like a
+// two-phase product's: a small donation is not taken and the fresh arrays end
+// at the product's last entry, and an oversized one is built in and keeps its
+// capacity.
+func TestRecycledOneColumn(t *testing.T) {
+	var c Case
+	for _, x := range Cases(rand.New(rand.NewSource(85))) {
+		if x.Name == "er-times-column" {
+			c = x
+		}
+	}
+	if c.A == nil {
+		t.Fatal("Cases holds no er-times-column")
+	}
+	for _, workers := range []int{1, 3} {
+		opt := spgemm.Options{Algorithm: spgemm.AlgHash, Workers: workers}
+		want, err := spgemm.Multiply(c.A, c.B, &opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []donation{donations[0], donations[2]} {
+			p := poisoned(d, c.A.Rows, int(want.NNZ()), poisonF64)
+			cols, vals := p.ColIdx, p.Val
+			var st spgemm.ExecStats
+			opt.Context, opt.Stats = spgemm.NewContext(), &st
+			opt.Context.Recycle(p)
+			got, err := spgemm.Multiply(c.A, c.B, &opt)
+			if err == nil {
+				err = identical(got, want)
+			}
+			if err != nil {
+				t.Fatalf("W=%d %s donation: %v", workers, d.name, err)
+			}
+			if st.Phases[spgemm.PhasePartition] != 0 || st.Phases[spgemm.PhaseSymbolic] != 0 {
+				t.Errorf("W=%d %s donation: partition %v, symbolic %v, want the one-column route", workers, d.name, st.Phases[spgemm.PhasePartition], st.Phases[spgemm.PhaseSymbolic])
+			}
+			if shares(got.ColIdx, cols) != d.fits || shares(got.Val, vals) != d.fits {
+				t.Errorf("W=%d %s donation: built in the donated arrays = %v, want %v", workers, d.name, !d.fits, d.fits)
+			}
+			wantCap := len(got.ColIdx)
+			if d.fits {
+				wantCap = cap(cols)
+			}
+			if cap(got.ColIdx) != wantCap || cap(got.Val) != wantCap {
+				t.Errorf("W=%d %s donation: cap %d/%d, want %d", workers, d.name, cap(got.ColIdx), cap(got.Val), wantCap)
+			}
+		}
+	}
+}
+
 // TestRecycleNoOps: donating nothing, or a product with no entries, neither
 // fails nor displaces what the Context already holds.
 func TestRecycleNoOps(t *testing.T) {

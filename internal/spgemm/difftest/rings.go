@@ -114,6 +114,52 @@ func CheckOnePass[V semiring.Value, R semiring.Ring[V]](caseName string, ring R,
 	return nil
 }
 
+// CheckOneColumn is the one-column route's leg, for a·b with b of at most one
+// column: the one-shot Hash product at W = 1, 2 and 3, sorted and unsorted,
+// must take the route — no partition or symbolic time, no stripe stats, every
+// product of the flop written directly — be bit-identical to the two-phase
+// product and match the ring oracle via EquivalentRing. The two-phase
+// reference is CheckOnePass's: the same product landed in a SpillSink under
+// spillDir, which keeps it off the route, and whose stripes its stats list.
+// With wantWorkers the route must also have cut at least W stripes, so that
+// every stripe boundary is crossed.
+func CheckOneColumn[V semiring.Value, R semiring.Ring[V]](caseName string, ring R, a, b *matrix.CSRG[V], wantWorkers bool, close func(x, y V) bool, spillDir string) error {
+	flop, _ := matrix.Flop(a, b)
+	want := matrix.NaiveMultiplyRing(ring, a, b)
+	for w := 1; w <= 3; w++ {
+		for _, unsorted := range []bool{false, true} {
+			var st, ref spgemm.ExecStats
+			opt := spgemm.OptionsG[V]{Algorithm: spgemm.AlgHash, Unsorted: unsorted, Workers: w, Stats: &st}
+			got, err := spgemm.MultiplyRing(ring, a, b, &opt)
+			tw := st.TotalWorker()
+			if err == nil && (st.Phases[spgemm.PhasePartition] != 0 || st.Phases[spgemm.PhaseSymbolic] != 0 || len(st.Stripes) != 0 ||
+				tw.Flop != flop || tw.DirectFlop != flop || tw.Rows != int64(a.Rows) || wantWorkers && len(st.Workers) != w) {
+				err = fmt.Errorf("not the one-column route: partition %v, symbolic %v, %d stripe stats, %d workers, counters %+v (flop %d)",
+					st.Phases[spgemm.PhasePartition], st.Phases[spgemm.PhaseSymbolic], len(st.Stripes), len(st.Workers), tw, flop)
+			}
+			if err == nil {
+				sink := spgemm.NewSpillSink[V](spillDir, 0)
+				opt.ShardSink, opt.Stats = sink, &ref
+				var twoPhase *matrix.CSRG[V]
+				if twoPhase, err = spgemm.MultiplyRing(ring, a, b, &opt); err == nil && a.Rows > 0 && len(ref.Stripes) == 0 {
+					err = fmt.Errorf("the reference landed no stripe in its sink")
+				}
+				if err == nil {
+					err = identical(got, twoPhase)
+				}
+				sink.Close()
+			}
+			if err == nil {
+				err = EquivalentRing(got, want, close)
+			}
+			if err != nil {
+				return fmt.Errorf("%s/one-column workers=%d unsorted=%v: %w", caseName, w, unsorted, err)
+			}
+		}
+	}
+	return nil
+}
+
 // CheckRuleSides is the leg of the kernels' one O(Cols) rule (Cols <= flop):
 // the one-worker Hash product of a·b, sorted and unsorted, must be
 // bit-identical to the same product with B padded by empty columns until

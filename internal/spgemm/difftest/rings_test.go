@@ -90,6 +90,63 @@ func TestDifferentialOnePass(t *testing.T) {
 	}
 }
 
+// TestDifferentialOneColumn runs the one-column leg (CheckOneColumn) over
+// every case of the suite and of the special-value cases whose B has at most
+// one column (the -0 products among them), over a wide one whose nnz(A) cuts
+// at least W stripes, and over a B that stores its column twice in a row, on
+// or-and over uint64 and bool, plus-times over float64, float32 and int64,
+// min-plus and max-times — the special-value cases on the four float rings
+// only.
+func TestDifferentialOneColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(1238))
+	dir := t.TempDir()
+	wide := gen.ER(12, 4, rng) // 4096 rows, about 16,000 entries
+	column := matrix.NewCOO(wide.Cols, 1)
+	for k := 0; k < wide.Cols; k++ {
+		if rng.Intn(3) != 0 {
+			column.Append(int32(k), 0, rng.NormFloat64())
+		}
+	}
+	// A non-canonical column: rows of B store it twice, once and not at all in
+	// turn, so two products of one B row land on one entry.
+	er := gen.ER(6, 4, rng)
+	twice := &matrix.CSR{Rows: er.Cols, Cols: 1, RowPtr: make([]int64, 1, er.Cols+1)}
+	for k := 0; k < er.Cols; k++ {
+		for range 2 - k%3 {
+			twice.ColIdx = append(twice.ColIdx, 0)
+			twice.Val = append(twice.Val, rng.NormFloat64())
+		}
+		twice.RowPtr = append(twice.RowPtr, int64(len(twice.ColIdx)))
+	}
+	cases := append(Cases(rng), Case{Name: "wide-times-column", A: wide, B: column.ToCSR()}, Case{Name: "column-stored-twice", A: er, B: twice})
+	routed := 0
+	for i, c := range append(cases, SpecialValueCases(rng)...) {
+		if c.B.Cols > 1 {
+			continue
+		}
+		routed++
+		stripes := c.Name == "wide-times-column"
+		errs := []error{
+			CheckOneColumn(c.Name+"/f64", semiring.PlusTimesF64{}, c.A, c.B, stripes, ApproxF64, dir),
+			CheckOneColumn(c.Name+"/f32", semiring.PlusTimesF32{}, AsF32(c.A), AsF32(c.B), stripes, ApproxF32, dir),
+			CheckOneColumn(c.Name+"/minplus", semiring.MinPlusF64{}, AsMinPlus(c.A), AsMinPlus(c.B), stripes, ApproxF64, dir),
+			CheckOneColumn(c.Name+"/maxtimes", semiring.MaxTimesF64{}, c.A, c.B, stripes, ApproxF64, dir),
+		}
+		if i < len(cases) {
+			errs = append(errs,
+				CheckOneColumn(c.Name+"/bool", semiring.OrAndBool{}, AsBool(c.A), AsBool(c.B), stripes, ExactEq, dir),
+				CheckOneColumn(c.Name+"/i64", semiring.PlusTimesI64{}, AsI64(c.A), AsI64(c.B), stripes, ExactEq, dir),
+				CheckOneColumn(c.Name+"/u64", semiring.OrAndU64{}, AsU64(c.A), AsU64(c.B), stripes, ExactEq, dir))
+		}
+		if err := errors.Join(errs...); err != nil {
+			t.Error(err)
+		}
+	}
+	if routed < 10 {
+		t.Errorf("%d cases into one column, want at least 10", routed)
+	}
+}
+
 // TestContextRingsShareSPA: one float64 Context serves a min-plus product,
 // whose dictionary row body stores each column's first product in the SPA,
 // and a sorted plus-times product, whose bitmap rows add their first product

@@ -19,7 +19,11 @@ import (
 // size themselves by producing their rows: one-shot Heap, whose inspection
 // ends at the partition, and the one-pass route, an unsorted Hash product in
 // one stripe at compression ratio about 1, whose flop already bounds its
-// output. The pattern count (MaskedCount) stores no product at all: it
+// output. A one-shot Hash product whose B has at most one column needs no
+// inspection at all: every row's size is 0 or 1 as soon as its first product
+// is found, so MultiplyRing hands it to columnProduct (column.go), one pass
+// over A cut by nnz, with no flop pre-pass, partition, symbolic pass or
+// accumulator. The pattern count (MaskedCount) stores no product at all: it
 // shares the partition (begin) and the stripe claim, nothing past them.
 //
 // The geometry is data: a flop-balanced cut of the rows into stripes
@@ -88,7 +92,8 @@ type inspection[V semiring.Value] struct {
 const claimStripes = 16
 
 // minStripeFlop is the least flop of a claimed two-phase stripe, worth its
-// fixed costs; 4096 read neutral on MSBFS's many small products.
+// fixed costs; 4096 read neutral on MSBFS's many small products. The
+// one-column route holds nnz(A) to it, its flop being unknown (column.go).
 const minStripeFlop = 4096
 
 // onePassMaxCR is the sampled compression ratio up to which the one-pass

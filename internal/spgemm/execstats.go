@@ -135,7 +135,8 @@ type ExecStats struct {
 	// were known before its numeric pass (two-phase Hash, or any Plan's
 	// kernel execution, a Heap Plan's included), in ascending row order;
 	// empty for products that size themselves (one-shot Heap, the one-pass
-	// route), for the pattern count and a Plan's streamed replay. Unlike the
+	// route, the one-column route of a Hash product whose B has at most one
+	// column), for the pattern count and a Plan's streamed replay. Unlike the
 	// other fields it is per-call detail: Add does not accumulate stripes
 	// across calls.
 	Stripes []StripeStats

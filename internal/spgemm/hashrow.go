@@ -3,7 +3,6 @@ package spgemm
 import (
 	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/accum"
 	"repro/internal/matrix"
@@ -153,20 +152,16 @@ func (c *ContextG[V]) wordMasks(a, b *matrix.CSRG[V], in *inspection[V]) *wordMa
 }
 
 // buildMasks makes c.masks the masks of the pattern rowPtr/colIdx, in their
-// own buffers, on workers workers: stripes of the pattern's rows cut by nnz,
-// the last one ending at the last row. A row's runs sit at its own offsets,
-// so no two stripes write one slot.
+// own buffers, on workers workers: stripes of the pattern's rows cut by nnz
+// (nnzStripe). A row's runs sit at its own offsets, so no two stripes write
+// one slot.
 func (c *ContextG[V]) buildMasks(rowPtr []int64, colIdx []int32, workers, stripes int) {
-	m, rows, nnz := &c.masks, len(rowPtr)-1, int64(len(colIdx))
+	m, nnz := &c.masks, int64(len(colIdx))
 	tempBuf(&m.word, nnz)
 	tempBuf(&m.bits, nnz)
-	tempBuf(&m.runs, int64(rows))
+	tempBuf(&m.runs, int64(len(rowPtr)-1))
 	c.eachStripe(workers, stripes, func(_, s int, _ *WorkerStats) {
-		lo, _ := slices.BinarySearch(rowPtr[:rows], nnz*int64(s)/int64(stripes))
-		hi := rows
-		if s+1 < stripes {
-			hi, _ = slices.BinarySearch(rowPtr[:rows], nnz*int64(s+1)/int64(stripes))
-		}
+		lo, hi := nnzStripe(rowPtr, s, stripes)
 		m.build(rowPtr, colIdx, lo, hi)
 	})
 }

@@ -33,7 +33,10 @@ import (
 // either side). On the one-pass route (an unsorted AlgHash product in one
 // stripe at compression ratio about 1) every product is written once, so
 // direct writes and SPA folds sum to the flop, the stamps test at most the
-// flop, and no time goes to symbolic.
+// flop, and no time goes to symbolic. The one-column product in its own cut
+// (no budget) takes the one-column route (column.go): every product written
+// directly, sized by its bound like the two-phase rows it replaces, and
+// neither a partition nor a symbolic pass.
 func TestHashCounterInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g500 := gen.RMAT(8, 8, gen.G500Params, rng)
@@ -94,8 +97,13 @@ func TestHashCounterInvariant(t *testing.T) {
 					}
 					tot := st.TotalWorker()
 					onePass := in.onePass && unsorted && max(geom.stripes, workers) == 1
-					if (st.Phases[PhaseSymbolic] == 0) != onePass {
-						t.Errorf("%s: symbolic took %v, want none iff on the one-pass route (%v)", name, st.Phases[PhaseSymbolic], onePass)
+					column := in.b.Cols <= 1 && geom.stripes == 0
+					if (st.Phases[PhaseSymbolic] == 0) != (onePass || column) {
+						t.Errorf("%s: symbolic took %v, want none iff on the one-pass or the one-column route (%v, %v)", name, st.Phases[PhaseSymbolic], onePass, column)
+					}
+					if column && (st.Phases[PhasePartition] != 0 || len(st.Stripes) != 0 || tot.DirectFlop != flop) {
+						t.Errorf("%s: one-column route: partition %v, %d stripes, direct %d of flop %d; want none, none, all",
+							name, st.Phases[PhasePartition], len(st.Stripes), tot.DirectFlop, flop)
 					}
 					if onePass {
 						// Drawn at the flop, uninitialized: nothing past nnz(C) is reachable.

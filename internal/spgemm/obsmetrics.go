@@ -11,7 +11,7 @@ var (
 	mMultiplies = obs.NewCounterVec("spgemm_multiplies_total",
 		"successful Multiply calls by resolved algorithm", "alg")
 	mFlop = obs.NewCounter("spgemm_flop_total",
-		"multiply-accumulate operations counted by the partition pre-pass")
+		"multiply-accumulate operations counted by the partition pre-pass or the one-column pass")
 	mCollision = obs.NewHistogram("spgemm_collision_factor",
 		"hash collision factor per stats-enabled Multiply call (Equation 2)",
 		[]float64{1, 1.1, 1.25, 1.5, 2, 3, 5})

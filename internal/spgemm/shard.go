@@ -2,6 +2,7 @@ package spgemm
 
 import (
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -15,7 +16,10 @@ import (
 // SpillSink (spill.go) instead of the whole output. The budget's count is a
 // floor of the one stripe rule (claimStripes, driver.go), whose claimed cut
 // at W > 1 may be finer; the driver's one stripe loop runs them. This file
-// only counts the budget's stripes and reports what the cut looked like.
+// only counts the budget's stripes, reports what the cut looked like, and
+// holds the one cut that is not by flop: nnzStripe, a pattern's rows by nnz,
+// for products whose flop is not known when they cut (B's word masks, the
+// one-column route).
 //
 // Identity guarantee: the product is bit-identical whatever the stripe count
 // and the sink, sorted or unsorted. A row's products fold in A-row order
@@ -98,4 +102,18 @@ func (in *inspection[V]) fillStripeStats(st *ExecStats, rowPtr []int64, spilled 
 			Spilled: spilled,
 		})
 	}
+}
+
+// nnzStripe is stripe s of stripes cut of the rows of the pattern whose row
+// pointers are rowPtr, by its nnz: rows [lo, hi), the last stripe ending at
+// the last row. Every row falls in exactly one stripe.
+func nnzStripe(rowPtr []int64, s, stripes int) (lo, hi int) {
+	rows := len(rowPtr) - 1
+	nnz := rowPtr[rows]
+	lo, _ = slices.BinarySearch(rowPtr[:rows], nnz*int64(s)/int64(stripes))
+	hi = rows
+	if s+1 < stripes {
+		hi, _ = slices.BinarySearch(rowPtr[:rows], nnz*int64(s+1)/int64(stripes))
+	}
+	return lo, hi
 }

@@ -174,10 +174,14 @@ func MultiplyRing[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSR
 		return nil, err
 	}
 	ctx := opt.ctx()
-	in, pt := inspect(alg, a, b, opt, ctx, false)
-	c, err := execute(ring, a, b, ctx, in, in.rowPtr, opt.Unsorted, opt.ShardSink, pt)
-	if err != nil {
-		return nil, err
+	var c *matrix.CSRG[V]
+	if alg == AlgHash && b.Cols <= 1 && opt.ShardSink == nil && opt.ShardMemBudget == 0 {
+		c = columnProduct(ring, a, b, opt, ctx) // every row's size is its flop's bound: one pass
+	} else {
+		in, pt := inspect(alg, a, b, opt, ctx, false)
+		if c, err = execute(ring, a, b, ctx, in, in.rowPtr, opt.Unsorted, opt.ShardSink, pt); err != nil {
+			return nil, err
+		}
 	}
 	recordMultiply(alg, opt)
 	return c, nil

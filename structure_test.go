@@ -308,6 +308,10 @@ var structure = []row{
 	{name: "one-uninit-call", kind: count, n: 1, paths: []string{"**/*.go", "!**/*_test.go"}, re: `\buninit\[[\w.]+\]\(`, change: "Products draw their output arrays uninitialized",
 		why:    "drawOutput alone draws arrays uninitialized: a product's arrays are the ones every kernel writes in full",
 		mutant: plant{"internal/spgemm/context.go", "\t\tc.tmpVals = uninit[V](n)"}},
+	// A one-shot Hash product into one column is one pass over A.
+	{name: "one-column-route-call", kind: count, n: 1, paths: []string{"internal/spgemm/**/*.go", "!**/*_test.go"}, re: `\bcolumnProduct\(`, change: "A product into one column is one pass",
+		why:    "MultiplyRing alone takes the one-column route: a Plan, the pattern count, forced Heap and a sink or budget cut keep their own geometry",
+		mutant: plant{"internal/spgemm/plan.go", "\t\treturn columnProduct(ring, a, b, opt, ctx), nil"}},
 	{name: "no-claim-wrappers", kind: forbid, paths: []string{"internal/spgemm/**", "DESIGN.md", "README.md"}, re: `\b(nextStripe|runWorkers|inspectExecute|onePassExecute|bindOutput)\b`, change: "One stripe claim, two executors",
 		why:    "no region claims stripes by hand, and the one-shot driver, the one-pass route and the output binding are inlined where they are known",
 		mutant: plant{"internal/spgemm/driver.go", "\tctx.runWorkers(in.workers, func(w int) {"}},
