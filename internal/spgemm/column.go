@@ -38,11 +38,26 @@ func columnProduct[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CS
 	vals := tempBuf(&ctx.tmpVals, int64(a.Rows))
 	pt.tick(PhaseAlloc)
 
-	body := columnBodyFor[V](ring)
-	bRows := body.prepare(b, &ctx.colRows)
+	// or-and<u64> folds in Go's own & and | (orAndColumnRows), every other
+	// ring through its dictionary (columnRows): one check per call, outside
+	// the row loop. A ring of type OrAndU64 fixes V to uint64, so the
+	// assertions hold.
+	var ua, ub *matrix.CSRG[uint64]
+	var uvals, bWords []uint64
+	_, orAnd := any(ring).(semiring.OrAndU64)
+	if orAnd {
+		ua, ub = any(a).(*matrix.CSRG[uint64]), any(b).(*matrix.CSRG[uint64])
+		uvals = any(vals).([]uint64)
+		bWords = orRows(ub, &ctx.colWords)
+	}
 	ctx.eachStripe(workers, stripes, func(_, s int, ws *WorkerStats) {
 		lo, hi := nnzStripe(a.RowPtr, s, stripes)
-		flop := body.columnRows(ring, a, b, bRows, lo, vals[lo:hi], rowPtr[lo+1:hi+1])
+		var flop int64
+		if orAnd {
+			flop = orAndColumnRows(ua, ub, bWords, lo, uvals[lo:hi], rowPtr[lo+1:hi+1])
+		} else {
+			flop = columnRows(ring, a, b, lo, vals[lo:hi], rowPtr[lo+1:hi+1])
+		}
 		mFlop.Add(flop)
 		if ws != nil {
 			ws.Rows += int64(hi - lo)
@@ -71,47 +86,38 @@ func columnProduct[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CS
 	return c
 }
 
-// columnBody is a ring's body for the one-column route. prepare runs once
-// per call, before the stripes, and returns what columnRows reads of B
-// besides its row pointers, drawn in scratch, or nil. columnRows folds rows
-// [lo, lo+len(vals)) of A·B, B of at most one column, into vals, writes each
-// row's size (1 where it has a product, else 0) into sizes, and returns the
-// rows' flop. A row without a product leaves its slot of vals as it was.
-type columnBody[V semiring.Value, R semiring.Ring[V]] interface {
-	prepare(b *matrix.CSRG[V], scratch *[]V) []V
-	columnRows(ring R, a, b *matrix.CSRG[V], bRows []V, lo int, vals []V, sizes []int64) (flop int64)
-}
-
-// columnBodyFor is the one selection of a ring's column body, once per call,
-// outside the row loop: ptBodies for the three plus-times rings and
-// orAndBodies for or-and<u64>, which fold in Go's own operators from the
-// ring's identity, and ringBodies, which folds through oneEntryRow, for every
-// other ring. All three are zero-size, so the interface holds no allocation.
-func columnBodyFor[V semiring.Value, R semiring.Ring[V]](ring R) columnBody[V, R] {
-	var body any = ringBodies[V, R]{}
-	switch any(ring).(type) {
-	case semiring.PlusTimesF64:
-		body = ptBodies[float64, semiring.PlusTimesF64]{}
-	case semiring.PlusTimesF32:
-		body = ptBodies[float32, semiring.PlusTimesF32]{}
-	case semiring.PlusTimesI64:
-		body = ptBodies[int64, semiring.PlusTimesI64]{}
-	case semiring.OrAndU64:
-		body = orAndBodies{}
+// columnRows folds rows [lo, lo+len(vals)) of A·B, B of at most one
+// column, into vals through the ring's dictionary, writes each row's size (1
+// where it has a product, else 0) into sizes, and returns the rows' flop: a
+// row's products are counted first, and a row with any is oneEntryRow's. A
+// row without a product leaves its slot of vals as it was.
+//
+//spgemm:hotpath
+func columnRows[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], lo int, vals []V, sizes []int64) (flop int64) {
+	sizes = sizes[:len(vals)]
+	arp := a.RowPtr[lo : lo+len(vals)+1]
+	for r := range vals {
+		var n int64
+		for _, k := range a.ColIdx[arp[r]:arp[r+1]] {
+			brp := b.RowPtr[k : int(k)+2]
+			n += brp[1] - brp[0]
+		}
+		if n != 0 {
+			_, vals[r] = oneEntryRow(ring, a, b, lo+r)
+		}
+		sizes[r] = min(n, 1)
+		flop += n
 	}
-	return body.(columnBody[V, R])
+	return flop
 }
 
-// orAndBodies is or-and<u64>'s column body in Go's own & and |.
-type orAndBodies struct{}
-
-// prepare ORs each row of B into one word, its row of bRows: | is exact,
+// orRows ORs each row of B into one word, drawn in scratch: | is exact,
 // associative and commutative, so av&b1 | av&b2 is av & (b1|b2), and an empty
-// row's 0 is the identity. columnRows then reads one word per product with no
-// load that waits on B's row pointers. A row of one entry or none — every row
-// of a canonical B — takes no branch: its first value, read at its offset
-// clamped into B's values, masked by its length.
-func (orAndBodies) prepare(b *matrix.CSRG[uint64], scratch *[]uint64) []uint64 {
+// row's 0 is the identity. orAndColumnRows then reads one word per product
+// with no load that waits on B's row pointers. A row of one entry or none —
+// every row of a canonical B — takes no branch: its first value, read at its
+// offset clamped into B's values, masked by its length.
+func orRows(b *matrix.CSRG[uint64], scratch *[]uint64) []uint64 {
 	bRows := tempBuf(scratch, int64(b.Rows))
 	if len(b.Val) == 0 {
 		clear(bRows)
@@ -129,11 +135,12 @@ func (orAndBodies) prepare(b *matrix.CSRG[uint64], scratch *[]uint64) []uint64 {
 	return bRows
 }
 
-// columnRows is columnBody's fold as v |= av & bRows[k] from 0, the
-// identity, which leaves the first product as the entry as oneEntryRow does.
+// orAndColumnRows is columnRows for or-and<u64> in Go's own & and |, against
+// B's rows ORed into bRows: v |= av & bRows[k] from 0, the identity, which
+// leaves the first product as the entry as oneEntryRow does.
 //
 //spgemm:hotpath
-func (orAndBodies) columnRows(_ semiring.OrAndU64, a, b *matrix.CSRG[uint64], bRows []uint64, lo int, vals []uint64, sizes []int64) (flop int64) {
+func orAndColumnRows(a, b *matrix.CSRG[uint64], bRows []uint64, lo int, vals []uint64, sizes []int64) (flop int64) {
 	brp := b.RowPtr[:len(bRows)+1]
 	sizes = sizes[:len(vals)]
 	arp := a.RowPtr[lo : lo+len(vals)+1]
@@ -148,31 +155,6 @@ func (orAndBodies) columnRows(_ semiring.OrAndU64, a, b *matrix.CSRG[uint64], bR
 			n += brp[k+1] - brp[k]
 		}
 		vals[r], sizes[r] = v, min(n, 1)
-		flop += n
-	}
-	return flop
-}
-
-// prepare needs nothing of B past its pattern.
-func (ringBodies[V, R]) prepare(*matrix.CSRG[V], *[]V) []V { return nil }
-
-// columnRows is columnBody's fold through the ring's dictionary: a row's
-// products are counted first, and a row with any is oneEntryRow's.
-//
-//spgemm:hotpath
-func (ringBodies[V, R]) columnRows(ring R, a, b *matrix.CSRG[V], _ []V, lo int, vals []V, sizes []int64) (flop int64) {
-	sizes = sizes[:len(vals)]
-	arp := a.RowPtr[lo : lo+len(vals)+1]
-	for r := range vals {
-		var n int64
-		for _, k := range a.ColIdx[arp[r]:arp[r+1]] {
-			brp := b.RowPtr[k : int(k)+2]
-			n += brp[1] - brp[0]
-		}
-		if n != 0 {
-			_, vals[r] = oneEntryRow(ring, a, b, lo+r)
-		}
-		sizes[r] = min(n, 1)
 		flop += n
 	}
 	return flop

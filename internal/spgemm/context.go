@@ -62,9 +62,9 @@ type ContextG[V semiring.Value] struct {
 	tmpVals []V
 	windows []int64
 
-	// B's rows, each folded into one value, for the one-column route's
-	// or-and body (orAndBodies.prepare).
-	colRows []V
+	// B's rows, each ORed into one word, for the one-column route's or-and
+	// fold (orRows).
+	colWords []uint64
 
 	// Per-row bookkeeping, grown on demand.
 	flopRow []int64

@@ -160,37 +160,6 @@ func (p ptBodies[T, R]) onePassRow(ring R, spa *accum.SPAG[T], a, b *matrix.CSRG
 	return n, n
 }
 
-// prepare needs nothing of B past its pattern: a B row of two entries adds
-// two products, not one of their sum.
-func (ptBodies[T, R]) prepare(*matrix.CSRG[T], *[]T) []T { return nil }
-
-// columnRows is columnBody's fold (column.go) in Go's * and +, from the
-// additive identity: -0 (0 for int64), on which the first product lands as
-// oneEntryRow stores it.
-//
-//spgemm:hotpath
-func (ptBodies[T, R]) columnRows(_ R, a, b *matrix.CSRG[T], _ []T, lo int, vals []T, sizes []int64) (flop int64) {
-	identity := T(negZero)
-	sizes = sizes[:len(vals)]
-	arp := a.RowPtr[lo : lo+len(vals)+1]
-	for r := range vals {
-		acols := a.ColIdx[arp[r]:arp[r+1]]
-		avals := a.Val[arp[r]:arp[r+1]]
-		v, n := identity, int64(0)
-		for x, k := range acols {
-			brp := b.RowPtr[k : int(k)+2]
-			av := avals[x]
-			for _, bv := range b.Val[brp[0]:brp[1]] {
-				v += T(av * bv)
-			}
-			n += brp[1] - brp[0]
-		}
-		vals[r], sizes[r] = v, min(n, 1)
-		flop += n
-	}
-	return flop
-}
-
 // negZero is the additive identity at the bit level: -0 + x == x for every
 // x, where +0 + (-0) is +0. Folding an entry's first product onto it leaves
 // what Upsert's store-if-fresh leaves.
