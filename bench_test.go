@@ -19,7 +19,6 @@ import (
 	"repro/internal/memmodel"
 	"repro/internal/mempool"
 	"repro/internal/sched"
-	"repro/internal/semiring"
 	"repro/internal/spgemm"
 )
 
@@ -273,33 +272,8 @@ func BenchmarkFig17Triangle(b *testing.B) {
 // --- Generic value/semiring layer: narrow-value bandwidth ------------------
 
 // The monomorphized kernels run unchanged over narrower value types, cutting
-// value-array traffic 2x (float32) and 8x (bool) against float64.
-// ReportAllocs attaches B/op so the footprint shift is visible without
-// -benchmem; the f64 subbenchmarks are the in-place baseline.
-
-func BenchmarkGenericF32Square(b *testing.B) {
-	f := fx(b)
-	a32 := matrix.MapValues(f.g500, func(v float64) float32 { return float32(v) })
-	b.Run("hash/f64", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := spgemm.MultiplyRing(semiring.PlusTimesF64{}, f.g500, f.g500, &spgemm.OptionsG[float64]{Algorithm: spgemm.AlgHash}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportMFLOPS(b, f.g500, f.g500)
-	})
-	b.Run("hash/f32", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := spgemm.MultiplyRing(semiring.PlusTimesF32{}, a32, a32, &spgemm.OptionsG[float32]{Algorithm: spgemm.AlgHash}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// Same structure as the f64 track, so the flop count carries over.
-		reportMFLOPS(b, f.g500, f.g500)
-	})
-}
+// value-array traffic 8x (bool) against float64. ReportAllocs attaches B/op
+// so the footprint shift is visible without -benchmem.
 
 func BenchmarkGenericPackedMSBFS(b *testing.B) {
 	f := fx(b)

@@ -272,7 +272,7 @@ func TestRankedKeysAndSPA(t *testing.T) {
 
 // bitmapFold folds products (col, val) into a Bitmap row of s over ncols
 // columns with += and extracts it, as the plus-times SPA row body does.
-func bitmapFold[V float64 | float32 | int64](s *SPAG[V], ncols int, pcols []int32, pvals []V, cols []int32, vals []V) int {
+func bitmapFold(s *SPA, ncols int, pcols []int32, pvals []float64, cols []int32, vals []float64) int {
 	dense, occ := s.Bitmap(ncols)
 	for p, col := range pcols {
 		occ[col>>6] |= 1 << (col & 63)
@@ -289,20 +289,14 @@ func bitmapFold[V float64 | float32 | int64](s *SPAG[V], ncols int, pcols []int3
 func TestSPABitmapRow(t *testing.T) {
 	negZero, inf := math.Copysign(0, -1), math.Inf(1)
 	palette := []float64{1, -1, 0, negZero, inf, -inf, math.NaN(), 2.5}
-	checkBitmapRows(t, "f64", func(r *rand.Rand) float64 { return palette[r.Intn(len(palette))] })
-	checkBitmapRows(t, "f32", func(r *rand.Rand) float32 { return float32(palette[r.Intn(len(palette))]) })
-	checkBitmapRows(t, "i64", func(r *rand.Rand) int64 { return r.Int63n(7) - 3 })
-}
-
-func checkBitmapRows[V float64 | float32 | int64](t *testing.T, name string, draw func(*rand.Rand) V) {
-	t.Helper()
+	draw := func(r *rand.Rand) float64 { return palette[r.Intn(len(palette))] }
 	rng := rand.New(rand.NewSource(17))
-	same := func(x, y V) bool { return x == y || x != x && y != y }
-	bitsOf := func(x V) string { return fmt.Sprintf("%v/%x", x, math.Float64bits(float64(x))) }
+	same := func(x, y float64) bool { return x == y || x != x && y != y }
+	bitsOf := func(x float64) string { return fmt.Sprintf("%v/%x", x, math.Float64bits(x)) }
 	for _, ncols := range []int{1, 63, 64, 65, 600, 4101} {
-		s, ref := NewSPAG[V](ncols), NewSPAG[V](ncols)
-		cols, vals := make([]int32, ncols), make([]V, ncols)
-		wantC, wantV := make([]int32, ncols), make([]V, ncols)
+		s, ref := NewSPA(ncols), NewSPA(ncols)
+		cols, vals := make([]int32, ncols), make([]float64, ncols)
+		wantC, wantV := make([]int32, ncols), make([]float64, ncols)
 		for round := 0; round < 4; round++ {
 			// The previous row: another rule's values in s's slots.
 			s.Reset()
@@ -312,7 +306,7 @@ func checkBitmapRows[V float64 | float32 | int64](t *testing.T, name string, dra
 			}
 			s.ExtractUnsorted(cols, vals)
 			products := 3 * ncols
-			pcols, pvals := make([]int32, products), make([]V, products)
+			pcols, pvals := make([]int32, products), make([]float64, products)
 			ref.Reset()
 			for p := range pcols {
 				pcols[p], pvals[p] = int32(rng.Intn(ncols)), draw(rng)
@@ -325,19 +319,19 @@ func checkBitmapRows[V float64 | float32 | int64](t *testing.T, name string, dra
 			want := ref.ExtractSorted(wantC, wantV)
 			got := bitmapFold(s, ncols, pcols, pvals, cols, vals)
 			if got != want || !slices.Equal(cols[:got], wantC[:want]) {
-				t.Fatalf("%s ncols=%d: bitmap row has %d columns, want %d (or they differ)", name, ncols, got, want)
+				t.Fatalf("ncols=%d: bitmap row has %d columns, want %d (or they differ)", ncols, got, want)
 			}
 			for i := range got {
-				if !same(vals[i], wantV[i]) || math.Signbit(float64(vals[i])) != math.Signbit(float64(wantV[i])) {
-					t.Fatalf("%s ncols=%d: column %d holds %s, want %s", name, ncols, cols[i], bitsOf(vals[i]), bitsOf(wantV[i]))
+				if !same(vals[i], wantV[i]) || math.Signbit(vals[i]) != math.Signbit(wantV[i]) {
+					t.Fatalf("ncols=%d: column %d holds %s, want %s", ncols, cols[i], bitsOf(vals[i]), bitsOf(wantV[i]))
 				}
 			}
 			for col, v := range s.vals {
-				if v != s.empty || math.Signbit(float64(v)) != math.Signbit(float64(s.empty)) {
-					t.Fatalf("%s ncols=%d: slot %d left holding %v", name, ncols, col, v)
+				if v != s.empty || math.Signbit(v) != math.Signbit(s.empty) {
+					t.Fatalf("ncols=%d: slot %d left holding %v", ncols, col, v)
 				}
 			}
-			assertScratchClean(t, name, &s.rank)
+			assertScratchClean(t, "SPA.Bitmap", &s.rank)
 		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // the bitmap in column order.
 //
 // Identity invariant: from the first Bitmap call on, a value slot outside
-// the current row holds V's bit-exact additive identity, -0 for floats (-0 +
+// the current row holds V's bit-exact additive identity, -0 for float64 (-0 +
 // x is x for every x, where +0 + -0 is +0) and the zero value otherwise. The
 // arrays are allocated zeroed, which a stamped row never reads (it stores a
 // column's first product); the first Bitmap call after an allocation fills
@@ -68,14 +68,11 @@ func (s *SPAG[V]) Reserve(ncols int) {
 	}
 }
 
-// identity is V's bit-exact additive identity: -0 for the float types (a
-// zero variable negated; a constant -0 is +0), the zero value for the rest.
+// identity is V's bit-exact additive identity: -0 for float64 (a zero
+// variable negated; a constant -0 is +0), the zero value for the rest.
 func identity[V semiring.Value]() V {
 	var z V
-	switch p := any(&z).(type) {
-	case *float64:
-		*p = -*p
-	case *float32:
+	if p, ok := any(&z).(*float64); ok {
 		*p = -*p
 	}
 	return z

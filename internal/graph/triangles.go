@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"repro/internal/matrix"
-	"repro/internal/semiring"
 	"repro/internal/spgemm"
 )
 
@@ -52,9 +51,11 @@ func PrepareTriangles(adj *matrix.CSR) (*TriangleResult, error) {
 // triangles = Σ ((L·U) .* L). With AlgHash it is a pattern count
 // (spgemm.MaskedCount): no product is formed, only the wedges L's pattern
 // closes are counted. With any other algorithm the product is formed over
-// int64 views with every entry as 1, then filtered. AlgAuto is resolved
-// here, through the recipe's L·U row, before that choice is made, so an
-// auto-selected hash kernel counts too.
+// float64 views with every entry as 1, then filtered and summed: an exact
+// count, since every partial sum is an integer no larger than the product's
+// flop, far below 2^53. AlgAuto is resolved here, through the recipe's L·U
+// row, before that choice is made, so an auto-selected hash kernel counts
+// too.
 //
 // A stored zero is no edge, as operand and as mask alike, so every kernel
 // counts the same wedges: each runs on L and U themselves unless one stores
@@ -72,8 +73,7 @@ func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 		return spgemm.MaskedCount(l, u, l, &spgemm.Options{Workers: opt.Workers, Stats: opt.Stats, Context: opt.Context})
 	}
 	li, ui := ones(l), ones(u)
-	inner := spgemm.OptionsG[int64]{Algorithm: alg, Workers: opt.Workers, Unsorted: opt.Unsorted, UseCase: spgemm.UseTriangle, Stats: opt.Stats}
-	b, err := spgemm.MultiplyRing(semiring.PlusTimesI64{}, li, ui, &inner)
+	b, err := spgemm.Multiply(li, ui, &spgemm.Options{Algorithm: alg, Workers: opt.Workers, Unsorted: opt.Unsorted, UseCase: spgemm.UseTriangle, Stats: opt.Stats})
 	if err != nil {
 		return 0, err
 	}
@@ -82,7 +82,7 @@ func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return masked.Sum(), nil
+	return int64(masked.Sum()), nil
 }
 
 // nonzero is m where it stores no zero, else a copy of m without its stored
@@ -94,11 +94,11 @@ func nonzero(m *matrix.CSR) *matrix.CSR {
 	return keepEntries(m, func(_ int, _ int32, v float64) bool { return v != 0 })
 }
 
-// ones is m over int64 with every stored entry as 1. Only the values are
-// new: the product reads its operands and never writes them, so it shares m's
-// row pointers and column indices instead of copying them.
-func ones(m *matrix.CSR) *matrix.CSRG[int64] {
-	out := &matrix.CSRG[int64]{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: make([]int64, len(m.Val)), Sorted: m.Sorted}
+// ones is m with every stored entry as 1. Only the values are new: the
+// product reads its operands and never writes them, so it shares m's row
+// pointers and column indices instead of copying them.
+func ones(m *matrix.CSR) *matrix.CSR {
+	out := &matrix.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: make([]float64, len(m.Val)), Sorted: m.Sorted}
 	for p := range out.Val {
 		out.Val[p] = 1
 	}

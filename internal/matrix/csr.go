@@ -4,8 +4,8 @@
 // The central type is CSRG[V] (Compressed Sparse Rows, generic over the
 // stored value type): three arrays — row pointers, column indices and values
 // — exactly as described in Section 2 of Nagasaka et al. (ICPP 2018), with
-// the value type chosen per workload (float64 numerics, float32 for half the
-// value bandwidth, bool for reachability). CSR and COO are aliases for
+// the value type chosen per workload (float64 numerics, bool or packed
+// uint64 words for reachability). CSR and COO are aliases for
 // the float64 instantiations, preserving the historic API. Column indices
 // within a row may be sorted or unsorted; the Sorted flag records which,
 // because several SpGEMM algorithms in this repository behave differently

@@ -17,8 +17,6 @@ func addValue[V semiring.Value](a, b V) V {
 	switch p := any(&a).(type) {
 	case *float64:
 		*p += *any(&b).(*float64)
-	case *float32:
-		*p += *any(&b).(*float32)
 	case *int64:
 		*p += *any(&b).(*int64)
 	case *uint64:
@@ -34,8 +32,6 @@ func mulValue[V semiring.Value](a, b V) V {
 	switch p := any(&a).(type) {
 	case *float64:
 		*p *= *any(&b).(*float64)
-	case *float32:
-		*p *= *any(&b).(*float32)
 	case *int64:
 		*p *= *any(&b).(*int64)
 	case *uint64:
@@ -51,8 +47,6 @@ func oneValue[V semiring.Value]() V {
 	var one V
 	switch p := any(&one).(type) {
 	case *float64:
-		*p = 1
-	case *float32:
 		*p = 1
 	case *int64:
 		*p = 1
@@ -70,8 +64,6 @@ func toFloat64[V semiring.Value](v V) float64 {
 	switch p := any(&v).(type) {
 	case *float64:
 		return *p
-	case *float32:
-		return float64(*p)
 	case *int64:
 		return float64(*p)
 	case *uint64:

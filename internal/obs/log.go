@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -13,7 +12,7 @@ import (
 // Structured logging for the long-running binaries (the multiply server
 // first of all), zero-cost when disabled:
 //
-//   - The process logger defaults to a disabled handler whose Enabled always
+//   - The process logger defaults to slog.DiscardHandler, whose Enabled always
 //     reports false, so an un-configured binary pays one atomic load plus a
 //     nil-free Enabled call per would-be log site and never materializes
 //     attributes.
@@ -27,20 +26,13 @@ import (
 // ConfigureLogger installs.
 var logLevel slog.LevelVar
 
-// disabledHandler rejects every record; it backs the default logger so that
-// log sites in library code are inert until a binary opts in.
-type disabledHandler struct{}
-
-func (disabledHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (disabledHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d disabledHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d disabledHandler) WithGroup(string) slog.Handler           { return d }
-
-// logger is the process-wide structured logger.
+// logger is the process-wide structured logger. Its default handler is
+// slog.DiscardHandler, whose Enabled is false at every level, so log sites in
+// library code are inert until a binary opts in.
 var logger atomic.Pointer[slog.Logger]
 
 func init() {
-	logger.Store(slog.New(disabledHandler{}))
+	logger.Store(slog.New(slog.DiscardHandler))
 }
 
 // Logger returns the process-wide structured logger. The default (before
@@ -53,7 +45,7 @@ func Logger() *slog.Logger { return logger.Load() }
 // disabled default.
 func SetLogger(l *slog.Logger) {
 	if l == nil {
-		l = slog.New(disabledHandler{})
+		l = slog.New(slog.DiscardHandler)
 	}
 	logger.Store(l)
 }

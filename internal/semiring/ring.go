@@ -1,16 +1,17 @@
 // Package semiring defines the algebraic structures SpGEMM can run over.
 //
-// The paper's SpGEMM kernels compute over the ordinary (+, ×) arithmetic
-// semiring, but the graph applications it motivates — multi-source BFS,
-// triangle counting, Markov clustering — are SpGEMM over other semirings
-// (boolean or-and, tropical min-plus). Ring[V] is the constraint-style
-// interface the generic kernels are parameterized over, and the concrete
-// rings below are empty structs. Go's GC-shape stenciling compiles one kernel
-// instantiation per shape of V, so the three float64 rings share one and
-// the other value types get one each. The generic kernels reach their Add/Mul
-// through the instantiation's dictionary: a call per product, not inlined
-// code (spgemm/ringfast.go hand-monomorphizes the float64 plus-times loops
-// for that reason).
+// The paper's SpGEMM kernels multiply double-precision values over the
+// ordinary (+, ×) semiring, PlusTimesF64 here, the one numeric ring. The
+// graph applications it motivates — multi-source BFS, triangle counting —
+// need only patterns, and are SpGEMM over other semirings (boolean or-and,
+// tropical min-plus). Ring[V] is the constraint-style interface the generic
+// kernels are parameterized over, and the concrete rings below are empty
+// structs. Go's GC-shape stenciling compiles one kernel instantiation per
+// shape of V, so the three float64 rings share one and the bool and uint64
+// rings get one each. The generic kernels reach their Add/Mul through the
+// instantiation's dictionary: a call per product, not inlined code
+// (spgemm/ringfast.go hand-monomorphizes the float64 plus-times loops for
+// that reason).
 package semiring
 
 import "math"
@@ -18,12 +19,13 @@ import "math"
 var inf = math.Inf(1)
 
 // Value is the set of element types the generic matrix / accumulator / kernel
-// layer supports: the types some ring, matrix, table or Context in the tree
-// is instantiated over. The list is exact (no ~ terms) on purpose: helpers
-// such as the duplicate-merging in matrix.Compact dispatch on the dynamic
-// type of *V, and an exact type set keeps that dispatch total.
+// layer supports: the value types of the rings below, and int64, which no
+// ring multiplies and which stays while tests instantiate the layer over it.
+// The list is exact (no ~ terms) on purpose: helpers such as the
+// duplicate-merging in matrix.Compact dispatch on the dynamic type of *V,
+// and an exact type set keeps that dispatch total.
 type Value interface {
-	bool | int64 | uint64 | float32 | float64
+	bool | int64 | uint64 | float64
 }
 
 // Ring is a semiring over V presented as a value type, usually an empty struct.
@@ -48,24 +50,6 @@ func (PlusTimesF64) Add(a, b float64) float64 { return a + b }
 func (PlusTimesF64) Mul(a, b float64) float64 { return a * b }
 func (PlusTimesF64) Zero() float64            { return 0 }
 func (PlusTimesF64) String() string           { return "plus-times<f64>" }
-
-// PlusTimesF32 is ordinary float32 arithmetic. Halves the value-stream
-// bandwidth of the numeric phase relative to float64.
-type PlusTimesF32 struct{}
-
-func (PlusTimesF32) Add(a, b float32) float32 { return a + b }
-func (PlusTimesF32) Mul(a, b float32) float32 { return a * b }
-func (PlusTimesF32) Zero() float32            { return 0 }
-func (PlusTimesF32) String() string           { return "plus-times<f32>" }
-
-// PlusTimesI64 is integer plus-times; exact counting (triangle counting,
-// path counting) with no rounding concerns.
-type PlusTimesI64 struct{}
-
-func (PlusTimesI64) Add(a, b int64) int64 { return a + b }
-func (PlusTimesI64) Mul(a, b int64) int64 { return a * b }
-func (PlusTimesI64) Zero() int64          { return 0 }
-func (PlusTimesI64) String() string       { return "plus-times<i64>" }
 
 // OrAndBool is the boolean semiring over real bools: one byte per stored
 // value instead of the eight the legacy 0/1-in-float64 encoding pays.

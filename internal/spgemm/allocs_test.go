@@ -50,24 +50,6 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	// The generic instantiations must hit the same zero-alloc steady state
 	// as the float64 alias: Upsert hands out a pointer into the table's
 	// value array, so no boxing and no per-operation escapes.
-	t.Run("HashTableCycleGenericF32", func(t *testing.T) {
-		h := accum.NewHashTableG[float32](256)
-		cols := make([]int32, 256)
-		vals := make([]float32, 256)
-		requireZeroAllocs(t, "generic hash upsert/extract", func() {
-			h.Reset()
-			for k := int32(0); k < 200; k++ {
-				slot, fresh := h.Upsert(k * 7 % 251)
-				if fresh {
-					*slot = float32(k)
-				} else {
-					*slot += float32(k)
-				}
-			}
-			h.ExtractSorted(cols, vals)
-		})
-	})
-
 	t.Run("HashTableCycleGenericBool", func(t *testing.T) {
 		h := accum.NewHashTableG[bool](256)
 		cols := make([]int32, 256)

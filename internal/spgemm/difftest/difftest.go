@@ -420,9 +420,6 @@ func sameBits[V semiring.Value](x, y V) bool {
 	case float64:
 		fy := any(y).(float64)
 		return math.Float64bits(fx) == math.Float64bits(fy) || (fx != fx && fy != fy)
-	case float32:
-		fy := any(y).(float32)
-		return math.Float32bits(fx) == math.Float32bits(fy) || (fx != fx && fy != fy)
 	}
 	return x == y
 }

@@ -332,33 +332,19 @@ func ExactEq[V semiring.Value](x, y V) bool { return x == y }
 
 // ApproxF64 compares float64 values with relative tolerance Tol; non-finite
 // values match by class and sign (two NaNs, or two infinities of one sign).
-func ApproxF64(x, y float64) bool { return approx(x, y, Tol) }
-
-// TolF32 is the float32 analogue of Tol: float32 has ~7 significant digits,
-// so reassociated sums diverge many orders of magnitude sooner.
-const TolF32 = 1e-4
-
-// ApproxF32 is ApproxF64 for float32 values, with relative tolerance TolF32.
-func ApproxF32(x, y float32) bool { return approx(float64(x), float64(y), TolF32) }
-
-func approx(x, y, tol float64) bool {
+func ApproxF64(x, y float64) bool {
 	if x == y || x != x && y != y {
 		return true
 	}
 	if math.IsInf(x, 0) || math.IsInf(y, 0) {
 		return false
 	}
-	return math.Abs(x-y) <= tol*math.Max(1, math.Max(math.Abs(x), math.Abs(y)))
+	return math.Abs(x-y) <= Tol*math.Max(1, math.Max(math.Abs(x), math.Abs(y)))
 }
 
 // Ring-view constructors: each maps the float64 differential Case inputs
 // into a value type suited to one ring, so the whole Cases suite (including
 // the degenerate shapes) exercises every instantiation.
-
-// AsF32 converts to float32 values.
-func AsF32(m *matrix.CSR) *matrix.CSRG[float32] {
-	return matrix.MapValues(m, func(v float64) float32 { return float32(v) })
-}
 
 // AsBool converts to the boolean pattern.
 func AsBool(m *matrix.CSR) *matrix.CSRG[bool] {
@@ -378,12 +364,6 @@ func AsU64(m *matrix.CSR) *matrix.CSRG[uint64] {
 	return matrix.MapValues(m, func(v float64) uint64 {
 		return 1 << u64Bits[math.Float64bits(v)*0x9E3779B97F4A7C15>>62]
 	})
-}
-
-// AsI64 converts to small integer weights (round toward a [-3,3] range, so
-// products and sums stay far from overflow while zeros still occur).
-func AsI64(m *matrix.CSR) *matrix.CSRG[int64] {
-	return matrix.MapValues(m, func(v float64) int64 { return int64(math.Round(v * 3)) })
 }
 
 // AsMinPlus converts to min-plus path weights: non-negative, with values

@@ -47,7 +47,7 @@ import (
 // exactly the algorithms it optimizes. Generics alone do not devirtualize the
 // ring — Go's shape stenciling passes Add/Mul through a runtime dictionary —
 // so each numeric window takes its row bodies from bodiesFor, once, outside
-// the row loop: the three plus-times rings fold in Go's own * and +
+// the row loop: plus-times over float64 folds in Go's own * and +
 // (ringfast.go), every other ring through its dictionary.
 //
 // All transient state lives in the call's Context: an iterative caller that

@@ -38,16 +38,16 @@ import (
 //     writes it without counting; and numeric writes a row of one entry with
 //     neither accumulator (oneEntryRow): the first product in its slot, the
 //     rest folded onto it in product order, as either accumulator would.
-//   - On the plus-times rings a sorted SPA row whose occupancy bitmap is no
-//     wider than the row — ⌈Cols/64⌉ words for its n entries, symbolic's
-//     exact count, the ranker's dense-window rule (§11 of DESIGN.md) — keeps
-//     its occupancy in that bitmap (ptBodies.spaRow): each product sets a bit
-//     and adds onto its slot, which holds -0 (0 for int64) between rows, and
-//     the bitmap's walk lists the row sorted, so the row has no stamp test,
-//     no column list and no sort. The first product lands on -0 as Upsert's
-//     store leaves it and the rest fold in product order, so the output is
-//     the stamped row's bit for bit. Unsorted rows, narrower ones, seeded
-//     one-pass rows and every dictionary ring keep the stamps.
+//   - On plus-times a sorted SPA row whose occupancy bitmap is no wider than
+//     the row — ⌈Cols/64⌉ words for its n entries, symbolic's exact count,
+//     the ranker's dense-window rule (§11 of DESIGN.md) — keeps its
+//     occupancy in that bitmap (ptBodies.spaRow): each product sets a bit and
+//     adds onto its slot, which holds -0 between rows, and the bitmap's walk
+//     lists the row sorted, so the row has no stamp test, no column list and
+//     no sort. The first product lands on -0 as Upsert's store leaves it and
+//     the rest fold in product order, so the output is the stamped row's bit
+//     for bit. Unsorted rows, narrower ones, seeded one-pass rows and every
+//     dictionary ring keep the stamps.
 //   - On the SPA side a two-phase call builds B's word masks where a sample
 //     says they beat the stamps (wordMasks): symbolic ORs a row's runs into
 //     the SPA's bitmap and popcounts it (countWords), numeric's bitmap rows
@@ -380,19 +380,15 @@ type rowBodies[V semiring.Value, R semiring.Ring[V]] interface {
 // ringBodies are the rowBodies of any ring, through its Add and Mul.
 type ringBodies[V semiring.Value, R semiring.Ring[V]] struct{}
 
-// bodiesFor is the one selection of a ring's row bodies: ptBodies for the
-// three plus-times rings, ringBodies for every other. It runs once per
-// window, outside the row loops; both are zero-size, so the interface holds
-// no allocation.
+// bodiesFor is the one selection of a ring's row bodies: ptBodies for
+// PlusTimesF64, ringBodies for every other ring. It runs once per window,
+// outside the row loops; both are zero-size, so the interface holds no
+// allocation.
 func bodiesFor[V semiring.Value, R semiring.Ring[V]](ring R) rowBodies[V, R] {
 	var body any = ringBodies[V, R]{}
 	switch any(ring).(type) {
 	case semiring.PlusTimesF64:
-		body = ptBodies[float64, semiring.PlusTimesF64]{}
-	case semiring.PlusTimesF32:
-		body = ptBodies[float32, semiring.PlusTimesF32]{}
-	case semiring.PlusTimesI64:
-		body = ptBodies[int64, semiring.PlusTimesI64]{}
+		body = ptBodies{}
 	}
 	return body.(rowBodies[V, R])
 }

@@ -13,29 +13,28 @@ import (
 // The generic kernels are shape-stenciled, not fully monomorphized: Go
 // compiles one body per GC shape and passes the ring's method set through a
 // runtime dictionary, so ring.Add/ring.Mul in the inner loops are indirect
-// calls the inliner never sees. On the plus-times rings that taxes the exact
-// two instructions the paper's kernels are built around.
+// calls the inliner never sees. On plus-times that taxes the exact two
+// instructions the paper's kernels are built around.
 //
 // ptBodies are the row bodies again, written in Go's own * and + over
-// T float64 | float32 | int64, which compile to each shape's instruction.
-// bodiesFor (hashrow.go) hands them to the three plus-times rings with one
-// type switch per window, in un-annotated setup code, and every other ring —
-// a foreign type with plus-times methods included — gets ringBodies, the
-// dictionary bodies; TestRingFastSelection pins which. Fold order is the
-// dictionary bodies', and T(·) rounds each product before it is added, as a
-// dictionary body's stored prod is: Go may otherwise fuse x*y + z into one
-// multiply-add where the target has one (arm64), and the output would no
-// longer be bit-identical (TestRingFastEquivalence; CI's arm64 fusion guard
-// reads the assembly). Heap keeps the dictionary path.
+// float64, the paper's one value type. bodiesFor (hashrow.go) hands them to
+// PlusTimesF64 with one type switch per window, in un-annotated setup code,
+// and every other ring — a foreign type with plus-times methods included —
+// gets ringBodies, the dictionary bodies; TestRingFastSelection pins which.
+// Fold order is the dictionary bodies', and float64(·) rounds each product
+// before it is added, as a dictionary body's stored prod is: Go may
+// otherwise fuse x*y + z into one multiply-add where the target has one
+// (arm64), and the output would no longer be bit-identical
+// (TestRingFastEquivalence; CI's arm64 fusion guard reads the assembly).
+// Heap keeps the dictionary path.
 
-// ptBodies are the rowBodies of the plus-times ring R over T, its own value
-// type; the ring argument is unused.
-type ptBodies[T float64 | float32 | int64, R semiring.Ring[T]] struct{}
+// ptBodies are the rowBodies of PlusTimesF64; the ring argument is unused.
+type ptBodies struct{}
 
 // hashRow is ringBodies.hashRow (hashrow.go) in Go's * and +.
 //
 //spgemm:hotpath
-func (ptBodies[T, R]) hashRow(_ R, table *accum.HashTableG[T], a, b *matrix.CSRG[T], i int, cols []int32, vals []T, direct, sorted bool) {
+func (ptBodies) hashRow(_ semiring.PlusTimesF64, table *accum.HashTable, a, b *matrix.CSR, i int, cols []int32, vals []float64, direct, sorted bool) {
 	// Row sub-slices collapse the per-entry CSR bounds checks into one
 	// slice check per row segment (lint/budget.txt [bce] budgets the rest).
 	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
@@ -61,7 +60,7 @@ func (ptBodies[T, R]) hashRow(_ R, table *accum.HashTableG[T], a, b *matrix.CSRG
 		brp := b.RowPtr[k : int(k)+2]
 		bvals := b.Val[brp[0]:brp[1]]
 		for y, col := range b.ColIdx[brp[0]:brp[1]] {
-			prod := T(av * bvals[y])
+			prod := float64(av * bvals[y])
 			slot, fresh := table.Upsert(col)
 			if fresh {
 				*slot = prod
@@ -82,13 +81,13 @@ func (ptBodies[T, R]) hashRow(_ R, table *accum.HashTableG[T], a, b *matrix.CSRG
 // row — ⌈Cols/64⌉ words for the row's n entries, the ranker's dense window
 // rule; such a row's cols is exactly its size (hashNumeric.row). That row
 // folds with no stamp, branch or column list: each product sets its column's
-// bit and adds onto its slot, which holds the identity -0 (0 for int64) until
-// then, so the first product lands as Upsert's store would leave it (B's word
-// masks set its bits a run at a time). The bitmap extraction then lists the
-// row in column order, with no sort.
+// bit and adds onto its slot, which holds the identity -0 until then, so the
+// first product lands as Upsert's store would leave it (B's word masks set
+// its bits a run at a time). The bitmap extraction then lists the row in
+// column order, with no sort.
 //
 //spgemm:hotpath
-func (ptBodies[T, R]) spaRow(_ R, spa *accum.SPAG[T], masks *wordMasks, a, b *matrix.CSRG[T], i, from, seeded int, cols []int32, vals []T, sorted bool) int {
+func (ptBodies) spaRow(_ semiring.PlusTimesF64, spa *accum.SPA, masks *wordMasks, a, b *matrix.CSR, i, from, seeded int, cols []int32, vals []float64, sorted bool) int {
 	arp := a.RowPtr[i : i+2]
 	acols := a.ColIdx[arp[0]+int64(from) : arp[1]]
 	avals := a.Val[arp[0]+int64(from) : arp[1]]
@@ -102,13 +101,13 @@ func (ptBodies[T, R]) spaRow(_ R, spa *accum.SPAG[T], masks *wordMasks, a, b *ma
 			if masks != nil { // one OR per run of the B row, then the folds
 				masks.or(occ, brp[0], k)
 				for y, col := range bcols {
-					dense[col] += T(av * bvals[y])
+					dense[col] += float64(av * bvals[y])
 				}
 				continue
 			}
 			for y, col := range bcols {
 				occ[col>>6] |= 1 << (col & 63)
-				dense[col] += T(av * bvals[y])
+				dense[col] += float64(av * bvals[y])
 			}
 		}
 		return spa.ExtractBitmap(occ, cols, vals)
@@ -121,7 +120,7 @@ func (ptBodies[T, R]) spaRow(_ R, spa *accum.SPAG[T], masks *wordMasks, a, b *ma
 		brp := b.RowPtr[k : int(k)+2]
 		bvals := b.Val[brp[0]:brp[1]]
 		for y, col := range b.ColIdx[brp[0]:brp[1]] {
-			prod := T(av * bvals[y])
+			prod := float64(av * bvals[y])
 			if stamp[col] != gen {
 				stamp[col], dense[col], cols[n] = gen, prod, col
 				n++
@@ -137,7 +136,7 @@ func (ptBodies[T, R]) spaRow(_ R, spa *accum.SPAG[T], masks *wordMasks, a, b *ma
 // onePassRow is ringBodies.onePassRow (hashrow.go) in Go's *.
 //
 //spgemm:hotpath
-func (p ptBodies[T, R]) onePassRow(ring R, spa *accum.SPAG[T], a, b *matrix.CSRG[T], i int, cols []int32, vals []T) (n, marks int) {
+func (p ptBodies) onePassRow(ring semiring.PlusTimesF64, spa *accum.SPA, a, b *matrix.CSR, i int, cols []int32, vals []float64) (n, marks int) {
 	alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
 	acols := a.ColIdx[alo:ahi]
 	avals := a.Val[alo:ahi]

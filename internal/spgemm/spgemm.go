@@ -160,11 +160,10 @@ func Multiply(a, b *matrix.CSR, opt *Options) (*matrix.CSR, error) {
 
 // MultiplyRing computes C = A·B over the given semiring ring. The kernels
 // are generic over (V, ring); Go's shape stenciling means the ring's Add/Mul
-// reach the inner loops as runtime-dictionary calls, so the three plus-times
-// rings (float64, float32, int64) get row bodies in Go's own * and +
-// (ringfast.go), selected once per window by one type switch. Other rings
-// run the dictionary path — identical algorithm, two indirect calls per
-// product.
+// reach the inner loops as runtime-dictionary calls, so plus-times over
+// float64 gets row bodies in Go's own * and + (ringfast.go), selected once
+// per window by one type switch. Other rings run the dictionary path —
+// identical algorithm, two indirect calls per product.
 func MultiplyRing[V semiring.Value, R semiring.Ring[V]](ring R, a, b *matrix.CSRG[V], opt *OptionsG[V]) (*matrix.CSRG[V], error) {
 	if opt == nil {
 		opt = &OptionsG[V]{}

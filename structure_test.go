@@ -315,6 +315,17 @@ var structure = []row{
 	{name: "no-claim-wrappers", kind: forbid, paths: []string{"internal/spgemm/**", "DESIGN.md", "README.md"}, re: `\b(nextStripe|runWorkers|inspectExecute|onePassExecute|bindOutput)\b`, change: "One stripe claim, two executors",
 		why:    "no region claims stripes by hand, and the one-shot driver, the one-pass route and the output binding are inlined where they are known",
 		mutant: plant{"internal/spgemm/driver.go", "\tctx.runWorkers(in.workers, func(w int) {"}},
+
+	// Plus-times multiplies float64 alone, the paper's value type.
+	{name: "no-narrow-plus-times", kind: forbid, paths: retired, re: `\b(PlusTimesF32|PlusTimesI64|AsF32|AsI64|ApproxF32|TolF32)\b`, change: "One native ring",
+		why:    "no product runs plus-times over float32 or int64, and no test views an operand that way",
+		mutant: plant{"internal/graph/triangles.go", "\tb, err := spgemm.MultiplyRing(semiring.PlusTimesI64{}, li, ui, &inner)"}},
+	{name: "one-native-ring", kind: count, n: 1, paths: []string{"internal/spgemm/hashrow.go"}, re: `\bcase semiring\.PlusTimes`, change: "One native ring",
+		why:    "bodiesFor hands ptBodies to PlusTimesF64 alone; every other ring folds through its dictionary",
+		mutant: plant{"internal/spgemm/hashrow.go", "\tcase semiring.PlusTimesF32:"}},
+	{name: "value-set", kind: count, n: 1, paths: []string{"internal/semiring/ring.go"}, re: `^\s*bool \| int64 \| uint64 \| float64$`, change: "One native ring",
+		why:    "semiring.Value is exactly bool, int64, uint64 and float64: float32 left with its ring",
+		mutant: plant{"internal/semiring/ring.go", "\tbool | int64 | uint64 | float64"}},
 }
 
 // allowed is the number of hits the tree may hold.
