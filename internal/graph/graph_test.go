@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -274,6 +275,35 @@ func TestCountFromLUContext(t *testing.T) {
 		if bytes > 1<<10 {
 			t.Errorf("call %d allocated %d B, want <= 1 KiB", call, bytes)
 		}
+	}
+}
+
+// TestCountFromLUHeapContext: the formed-product arm multiplies in the
+// caller's Context and recycles the product into it, so a warm forced-Heap
+// call on G500 s11 ef16 factors allocates the unit views and the filtered
+// copy, not the product, and counts what the pattern count does.
+func TestCountFromLUHeapContext(t *testing.T) {
+	prep, err := PrepareTriangles(gen.RMAT(11, 16, gen.G500Params, rand.New(rand.NewSource(1))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := CountFromLU(prep.L, prep.U, &spgemm.Options{Algorithm: spgemm.AlgHash, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := &spgemm.Options{Algorithm: spgemm.AlgHeap, Workers: 1, Context: spgemm.NewContext()}
+	var got int64
+	count := func() { got, err = CountFromLU(prep.L, prep.U, opt) }
+	count()
+	bytes := testalloc.Bytes(count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("the Heap arm counted %d triangles, the pattern count %d", got, want)
+	}
+	if bytes > 1536<<10 {
+		t.Errorf("a warm Heap call allocated %d B, want <= 1.5 MB", bytes)
 	}
 }
 
@@ -706,5 +736,204 @@ func TestIteratesAreDonatedInputsAreNot(t *testing.T) {
 	}
 	if !matrix.Equal(g, orig) {
 		t.Error("the caller's graph was modified")
+	}
+}
+
+// componentGraph is a symmetrized R-MAT graph and the vertices of the
+// component of its highest-degree vertex, where every source of the
+// rebuild tests is drawn: there every source reaches every vertex of the
+// component, so the component's vertices all finish.
+func componentGraph(t *testing.T, scale, ef int, seed int64) (*matrix.CSR, []int32) {
+	t.Helper()
+	coo := matrix.FromCSR(gen.RMAT(scale, ef, gen.G500Params, rand.New(rand.NewSource(seed))))
+	coo.Symmetrize()
+	g := coo.ToCSR()
+	hub := 0
+	for v := range g.Rows {
+		if g.RowNNZ(v) > g.RowNNZ(hub) {
+			hub = v
+		}
+	}
+	var comp []int32
+	for v, l := range sequentialBFS(g, int32(hub)) {
+		if l >= 0 {
+			comp = append(comp, int32(v))
+		}
+	}
+	return g, comp
+}
+
+// checkLevels fails unless res holds sequentialBFS's levels for every source.
+func checkLevels(t *testing.T, g *matrix.CSR, sources []int32, res *BFSResult, label string) {
+	t.Helper()
+	for j, s := range sources {
+		want := sequentialBFS(g, s)
+		for v, row := range res.Level {
+			if row[j] != want[v] {
+				t.Fatalf("%s: source %d (vertex %d) at vertex %d: level %d, want %d", label, j, s, v, row[j], want[v])
+			}
+		}
+	}
+}
+
+// rowsCovered is the rows the last level's product covered.
+func rowsCovered(st *spgemm.ExecStats) int64 {
+	var rows int64
+	for _, ws := range st.Workers {
+		rows += ws.Rows
+	}
+	return rows
+}
+
+// TestMSBFSTranspose: the scratch's Aᵀ, built in arrays that larger and
+// smaller graphs filled before, has Transpose's structure, every value all
+// ones, and keeps a stored zero as an entry.
+func TestMSBFSTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	s := &bfsScratch{}
+	for trial := 0; trial < 10; trial++ {
+		n := 1 + rng.Intn(40)
+		m := matrix.Random(n, n, 0.3, rng)
+		if m.NNZ() > 0 {
+			m.Val[rng.Intn(len(m.Val))] = 0
+		}
+		want := m.Transpose()
+		s.transpose(m)
+		got := &s.at
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if got.Rows != want.Rows || got.Cols != want.Cols || !got.Sorted ||
+			!slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+			t.Fatalf("trial %d: pattern differs from Transpose's", trial)
+		}
+		for q, v := range got.Val {
+			if v != ^uint64(0) {
+				t.Fatalf("trial %d: Val[%d] = %#x, want all ones", trial, q, v)
+			}
+		}
+	}
+}
+
+// TestMSBFSPrunedPull: where every source shares one component, its
+// vertices finish and the pull matrix is rebuilt without them, so the last
+// level's product covers fewer rows than the graph has, on both sides of the
+// one-column route (k = 64) and with a partial last word (65, 130); the
+// levels stay exact. A source that reaches nothing keeps every vertex
+// unfinished: the pull is never rebuilt, and the levels stay exact too.
+func TestMSBFSPrunedPull(t *testing.T) {
+	g, comp := componentGraph(t, 9, 8, 305)
+	rng := rand.New(rand.NewSource(306))
+	isolated := int32(-1)
+	for v := range g.Rows {
+		if g.RowNNZ(v) == 0 {
+			isolated = int32(v)
+			break
+		}
+	}
+	if isolated < 0 {
+		t.Fatal("the graph has no isolated vertex")
+	}
+	for _, k := range []int{64, 65, 130} {
+		sources := make([]int32, k)
+		for j := range sources {
+			sources[j] = comp[rng.Intn(len(comp))]
+		}
+		for _, alg := range []spgemm.Algorithm{spgemm.AlgHash, spgemm.AlgHeap} {
+			label := fmt.Sprintf("k=%d %v", k, alg)
+			var st spgemm.ExecStats
+			res, err := MSBFS(g, sources, &spgemm.Options{Algorithm: alg, Workers: 2, Stats: &st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLevels(t, g, sources, res, label)
+			if rows := rowsCovered(&st); rows >= int64(g.Rows) {
+				t.Errorf("%s: the last level covered %d rows, want fewer than the graph's %d", label, rows, g.Rows)
+			}
+
+			stray := slices.Clone(sources)
+			stray[k/2] = isolated
+			res, err = MSBFS(g, stray, &spgemm.Options{Algorithm: alg, Workers: 2, Stats: &st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLevels(t, g, stray, res, label+" with a source that reaches nothing")
+			if rows := rowsCovered(&st); rows != int64(g.Rows) {
+				t.Errorf("%s with a source that reaches nothing: the last level covered %d rows, want all %d",
+					label, rows, g.Rows)
+			}
+		}
+	}
+}
+
+// TestMSBFSSteadyAllocs: a warm call allocates its result (the levels, their
+// row headers and the sources) and little else: the scratch, Aᵀ included, is
+// the pool's.
+func TestMSBFSSteadyAllocs(t *testing.T) {
+	g, comp := componentGraph(t, 10, 8, 307)
+	const k = 64
+	sources := comp[:k]
+	opt := &spgemm.Options{Algorithm: spgemm.AlgHash, Workers: 2}
+	var err error
+	call := func() { _, err = MSBFS(g, sources, opt) }
+	call()
+	bytes := testalloc.Bytes(call)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := uint64(g.Rows)
+	if limit := 4*n*k + 24*n + 4*k + 16<<10; bytes > limit {
+		t.Errorf("a warm call allocated %d B, want <= 4·n·k + 24·n + 4·k + 16 KiB = %d B", bytes, limit)
+	}
+}
+
+// TestMSBFSConcurrent: calls on four goroutines at once, each with its own
+// sources and Stats, match the same calls made one after another; each
+// Stats is its own call's last level.
+func TestMSBFSConcurrent(t *testing.T) {
+	g, comp := componentGraph(t, 8, 8, 308)
+	rng := rand.New(rand.NewSource(309))
+	sets := make([][]int32, 4)
+	want := make([][][]int32, len(sets))
+	for i := range sets {
+		sets[i] = make([]int32, 1+i*40) // 1, 41, 81 and 121 sources
+		for j := range sets[i] {
+			sets[i][j] = comp[rng.Intn(len(comp))]
+		}
+		res, err := MSBFS(g, sets[i], &spgemm.Options{Algorithm: spgemm.AlgHash, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Level
+	}
+	got := make([][][]int32, len(sets))
+	stats := make([]spgemm.ExecStats, len(sets))
+	errs := make([]error, len(sets))
+	var wg sync.WaitGroup
+	for i := range sets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				res, err := MSBFS(g, sets[i], &spgemm.Options{Algorithm: spgemm.AlgHash, Workers: 2, Stats: &stats[i]})
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				got[i] = res.Level
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range sets {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("goroutine %d (%d sources): levels differ from the serial call's", i, len(sets[i]))
+		}
+		if st := stats[i]; st.Algorithm != spgemm.AlgHash || len(st.Workers) == 0 || st.Total <= 0 {
+			t.Errorf("goroutine %d: Stats %v, want its last level's", i, st.String())
+		}
 	}
 }

@@ -10,7 +10,7 @@ var (
 	mIters = obs.NewCounterVec("graph_iterations_total",
 		"outer-loop iterations executed, by application", "app")
 	mIterNNZ = obs.NewCounterVec("graph_iteration_nnz_total",
-		"nonzeros produced by per-iteration SpGEMM products, by application (msbfs: 64-source words)", "app")
+		"nonzeros produced by per-iteration SpGEMM products, by application (msbfs: 64-source words of the vertices unfinished at the last pull rebuild)", "app")
 )
 
 // Cached children so the loops do a single atomic add per iteration.

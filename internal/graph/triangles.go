@@ -59,7 +59,8 @@ func PrepareTriangles(adj *matrix.CSR) (*TriangleResult, error) {
 //
 // A stored zero is no edge, as operand and as mask alike, so every kernel
 // counts the same wedges: each runs on L and U themselves unless one stores
-// a zero, and then on a copy without them. opt's Context serves the count.
+// a zero, and then on a copy without them. opt's Context serves the count,
+// and the formed product is recycled into it once filtered.
 func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 	if opt == nil {
 		opt = &spgemm.Options{Algorithm: spgemm.AlgHash}
@@ -73,14 +74,19 @@ func CountFromLU(l, u *matrix.CSR, opt *spgemm.Options) (int64, error) {
 		return spgemm.MaskedCount(l, u, l, &spgemm.Options{Workers: opt.Workers, Stats: opt.Stats, Context: opt.Context})
 	}
 	li, ui := ones(l), ones(u)
-	b, err := spgemm.Multiply(li, ui, &spgemm.Options{Algorithm: alg, Workers: opt.Workers, Unsorted: opt.Unsorted, UseCase: spgemm.UseTriangle, Stats: opt.Stats})
+	b, err := spgemm.Multiply(li, ui, &spgemm.Options{Algorithm: alg, Workers: opt.Workers, Unsorted: opt.Unsorted,
+		UseCase: spgemm.UseTriangle, Stats: opt.Stats, Context: opt.Context})
 	if err != nil {
 		return 0, err
 	}
-	// Filter the full product against L's pattern.
+	// Filter the full product against L's pattern; the filter is a copy, so
+	// the product goes back to the Context.
 	masked, err := matrix.HadamardG(b, li)
 	if err != nil {
 		return 0, err
+	}
+	if opt.Context != nil {
+		opt.Context.Recycle(b)
 	}
 	return int64(masked.Sum()), nil
 }

@@ -227,7 +227,22 @@ func (m *CSRG[V]) IsSortedRows() bool {
 // Transpose returns the transpose of m in CSR format (equivalently, m in CSC
 // format reinterpreted). The output has sorted rows.
 func (m *CSRG[V]) Transpose() *CSRG[V] {
-	t, next := transposeShape[V, V](m)
+	t := &CSRG[V]{
+		Rows:   m.Cols,
+		Cols:   m.Rows,
+		RowPtr: make([]int64, m.Cols+1),
+		ColIdx: make([]int32, m.NNZ()),
+		Val:    make([]V, m.NNZ()),
+		Sorted: true,
+	}
+	for _, c := range m.ColIdx {
+		t.RowPtr[c+1]++
+	}
+	for i := 0; i < m.Cols; i++ {
+		t.RowPtr[i+1] += t.RowPtr[i]
+	}
+	next := make([]int64, m.Cols)
+	copy(next, t.RowPtr[:m.Cols])
 	for i := 0; i < m.Rows; i++ {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 		for p := lo; p < hi; p++ {
@@ -239,45 +254,6 @@ func (m *CSRG[V]) Transpose() *CSRG[V] {
 		}
 	}
 	return t
-}
-
-// TransposePattern returns the transpose of m's sparsity pattern over W, with
-// every stored value set to one: one pass, and no copy of m's values. A
-// stored zero of m is an entry like any other.
-func TransposePattern[W, V semiring.Value](m *CSRG[V], one W) *CSRG[W] {
-	t, next := transposeShape[V, W](m)
-	for i := 0; i < m.Rows; i++ {
-		for _, c := range m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]] {
-			q := next[c]
-			t.ColIdx[q] = int32(i)
-			t.Val[q] = one
-			next[c] = q + 1
-		}
-	}
-	return t
-}
-
-// transposeShape allocates the transpose of m over W and fills its row
-// pointers (count entries per column, then prefix-sum); next[c] is the
-// scatter's insertion cursor for output row c.
-func transposeShape[V, W semiring.Value](m *CSRG[V]) (*CSRG[W], []int64) {
-	t := &CSRG[W]{
-		Rows:   m.Cols,
-		Cols:   m.Rows,
-		RowPtr: make([]int64, m.Cols+1),
-		ColIdx: make([]int32, m.NNZ()),
-		Val:    make([]W, m.NNZ()),
-		Sorted: true,
-	}
-	for _, c := range m.ColIdx {
-		t.RowPtr[c+1]++
-	}
-	for i := 0; i < m.Cols; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
-	}
-	next := make([]int64, m.Cols)
-	copy(next, t.RowPtr[:m.Cols])
-	return t, next
 }
 
 // PermuteCols relabels columns through perm (new column of old column j is

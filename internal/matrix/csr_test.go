@@ -2,7 +2,6 @@ package matrix
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -151,32 +150,6 @@ func TestTransposeProducesSortedRows(t *testing.T) {
 			t.Fatalf("trial %d: transpose rows not sorted", trial)
 		}
 		mustValid(t, tr)
-	}
-}
-
-// TestTransposePattern: the one-pass pattern transpose has Transpose's
-// structure, every value the given one, and keeps a stored zero as an entry.
-func TestTransposePattern(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 10; trial++ {
-		m := Random(1+rng.Intn(40), 1+rng.Intn(40), 0.3, rng)
-		if m.NNZ() > 0 {
-			m.Val[rng.Intn(len(m.Val))] = 0
-		}
-		want := m.Transpose()
-		got := TransposePattern(m, ^uint64(0))
-		if err := got.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if got.Rows != want.Rows || got.Cols != want.Cols || !got.Sorted ||
-			!reflect.DeepEqual(got.RowPtr, want.RowPtr) || !reflect.DeepEqual(got.ColIdx, want.ColIdx) {
-			t.Fatalf("trial %d: pattern differs from Transpose's", trial)
-		}
-		for q, v := range got.Val {
-			if v != ^uint64(0) {
-				t.Fatalf("trial %d: Val[%d] = %#x, want all ones", trial, q, v)
-			}
-		}
 	}
 }
 

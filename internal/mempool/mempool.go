@@ -7,7 +7,8 @@
 // therefore size thread-private scratch up front and reuse it across rows.
 // This package provides (a) Grow, an ensure-capacity step for a reusable
 // scratch buffer whose growth LiveBytes counts (spgemm.Context grows the
-// replay map's rank array through it), and (b) the single/parallel
+// replay map's rank array through it, graph.MSBFS its pooled scratch), and
+// (b) the single/parallel
 // allocation round-trip measurements behind Figure 4.
 package mempool
 
@@ -33,9 +34,10 @@ var (
 // LiveBytes returns the bytes Grow has added to reusable scratch buffers
 // process-wide — the mempool_live_bytes gauge, which the benchmark reports
 // as mempool.live_mb. It counts only what grows through Grow, today the
-// replay map's rank array of each spgemm.Context, not the Contexts' other
-// scratch, and it never falls: a buffer dropped with its Context stays
-// counted.
+// replay map's rank array of each spgemm.Context and the arrays of
+// graph.MSBFS's pooled scratch, not the Contexts' other scratch, and it
+// never falls: a buffer dropped with its Context, or with a scratch the
+// garbage collector clears from its pool, stays counted.
 func LiveBytes() int64 { return mLive.Value() }
 
 // Grow returns *buf with length n (contents undefined). The buffer only ever
